@@ -37,20 +37,18 @@
 //! differential-tested below.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
-use xrlflow_core::fault::{self, FaultPhase, WorkerFault};
+use xrlflow_core::fault::FaultPhase;
 use xrlflow_core::{collect_episode_with_rng, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
-use xrlflow_env::{EnvConfig, Environment, EpisodeStats, Observation};
+use xrlflow_env::{EnvConfig, EpisodeStats, Observation};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_graph::GraphError;
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
-use xrlflow_tensor::{ParamSnapshot, SnapshotError, XorShiftRng};
+use xrlflow_tensor::{ParamSnapshot, XorShiftRng};
 
-use crate::{splitmix64, EnvSpec, ItemFailure, RolloutError};
+use crate::{splitmix64, CollectItem, EnvSpec, RolloutError, Schedule};
 
 /// One named model of a curriculum: a display name (usually the model-zoo
 /// name) plus the shared-component environment spec built from it.
@@ -130,6 +128,11 @@ impl Curriculum {
     /// The entry names, in curriculum order.
     pub fn names(&self) -> Vec<&str> {
         self.entries.iter().map(|e| e.name.as_str()).collect()
+    }
+
+    /// The entry specs, in curriculum order — the collector's slot table.
+    pub(crate) fn specs(&self) -> Vec<&EnvSpec> {
+        self.entries.iter().map(|e| &e.spec).collect()
     }
 
     /// Splits off entry `index` for a train-on-N-1 / evaluate-on-held-out
@@ -229,99 +232,29 @@ pub fn collect_curriculum_serial(
     out
 }
 
-/// Runs one supervised curriculum work item: trips the fault-injection hook
-/// (item id = [`curriculum_fault_item`]), then collects episode
-/// `first_episode + item % episodes_per_spec` of spec
-/// `item / episodes_per_spec` under `catch_unwind` so a panic becomes a
-/// queueable [`ItemFailure`] instead of tearing down the pool. On failure
-/// the spec's cached environment is dropped (a panic leaves its state
-/// unspecified; a rebuilt one is bit-identical because episodes reset
-/// first).
-#[allow(clippy::too_many_arguments)]
-fn run_curriculum_item(
-    replica: &XrlflowAgent,
-    curriculum: &Curriculum,
-    envs: &mut [Option<Environment>],
-    item: usize,
-    episodes_per_spec: usize,
+/// The curriculum schedule: for each spec in curriculum order (slot = spec
+/// index), episodes `first_episode .. first_episode + episodes_per_spec`,
+/// seeded by [`curriculum_rng_seed`] and reported under
+/// [`FaultPhase::CurriculumCollect`] as [`curriculum_fault_item`] — the
+/// flattened spec-major item order `item = spec * episodes_per_spec +
+/// episode_offset`.
+pub(crate) fn curriculum_schedule(
+    num_specs: usize,
     first_episode: u64,
-    base_seed: u64,
-    attempt: u32,
-) -> Result<(usize, RolloutBuffer<Observation>, CurriculumEpisode), ItemFailure> {
-    let spec = item / episodes_per_spec;
-    let episode = first_episode + (item % episodes_per_spec) as u64;
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        fault::trip(FaultPhase::CurriculumCollect, curriculum_fault_item(spec, episode), attempt);
-        // One lazily-built environment per spec; reset() makes reuse across
-        // episodes bit-identical to a fresh environment.
-        let env = envs[spec].get_or_insert_with(|| curriculum.entries()[spec].spec.build_env());
-        let mut buffer = RolloutBuffer::new();
-        let mut rng = XorShiftRng::new(curriculum_rng_seed(base_seed, spec, episode));
-        let stats = collect_episode_with_rng(replica, env, &mut rng, &mut buffer, episode);
-        (item, buffer, CurriculumEpisode { spec, episode, stats })
-    }));
-    result.map_err(|payload| {
-        xrlflow_obs::counter!("rollout/worker_panics").inc();
-        envs[spec] = None;
-        ItemFailure { item: item as u64, payload: fault::panic_payload_text(payload.as_ref()) }
-    })
-}
-
-/// Re-runs failed curriculum items on the calling thread, in item order,
-/// until each succeeds or the retry budget is exhausted. Seeds depend only
-/// on `(base_seed, spec, episode)`, so a retried item is bit-identical to a
-/// first-attempt success on any worker.
-fn retry_curriculum_failures(
-    replica: &XrlflowAgent,
-    curriculum: &Curriculum,
     episodes_per_spec: usize,
-    first_episode: u64,
     base_seed: u64,
-    mut failures: Vec<ItemFailure>,
-    out: &mut Vec<(usize, RolloutBuffer<Observation>, CurriculumEpisode)>,
-) -> Result<(), RolloutError> {
-    failures.sort_by_key(|f| f.item);
-    let budget = crate::retry_budget();
-    let mut envs: Vec<Option<Environment>> = (0..curriculum.len()).map(|_| None).collect();
-    for failure in failures {
-        let item = failure.item as usize;
-        let spec = item / episodes_per_spec;
-        let episode = first_episode + (item % episodes_per_spec) as u64;
-        let mut last = failure;
-        let mut attempt = 1u32;
-        loop {
-            if attempt > budget {
-                return Err(WorkerFault {
-                    phase: FaultPhase::CurriculumCollect,
-                    item: curriculum_fault_item(spec, episode),
-                    attempts: attempt,
-                    payload: last.payload,
-                }
-                .into());
-            }
-            xrlflow_obs::counter!("rollout/item_retries").inc();
-            match run_curriculum_item(
-                replica,
-                curriculum,
-                &mut envs,
-                item,
-                episodes_per_spec,
-                first_episode,
-                base_seed,
-                attempt,
-            ) {
-                Ok(done) => {
-                    out.push(done);
-                    break;
-                }
-                Err(f) => {
-                    last = f;
-                    attempt += 1;
-                }
-            }
-        }
-    }
-    Ok(())
+) -> Schedule {
+    let items = (0..num_specs)
+        .flat_map(|spec| {
+            (first_episode..first_episode + episodes_per_spec as u64).map(move |episode| CollectItem {
+                slot: spec,
+                episode,
+                rng_seed: curriculum_rng_seed(base_seed, spec, episode),
+                fault_item: curriculum_fault_item(spec, episode),
+            })
+        })
+        .collect();
+    Schedule { phase: FaultPhase::CurriculumCollect, items }
 }
 
 /// Collects one curriculum round — `episodes_per_spec` episodes for every
@@ -334,12 +267,10 @@ fn retry_curriculum_failures(
 /// Results are merged **by item index** (spec-then-episode), so the output
 /// is transition-for-transition bit-identical to
 /// [`collect_curriculum_serial`] over the same range and base seed, for any
-/// worker count — one worker runs the same supervised path serially.
+/// worker count — one worker runs the same supervised path inline.
 ///
-/// The pool is fault-tolerant: each item runs under `catch_unwind`, a
-/// panicking item is re-queued and deterministically retried on the calling
-/// thread (identical seeds → identical transitions), and a worker panic
-/// never aborts the process.
+/// Supervised by the crate's one engine (see the crate docs): a panicking
+/// item is retried with identical seeds, hence identical transitions.
 ///
 /// # Errors
 ///
@@ -357,111 +288,17 @@ pub fn collect_curriculum_parallel(
     base_seed: u64,
     num_workers: usize,
 ) -> Result<CurriculumRollouts, RolloutError> {
-    let num_specs = curriculum.len();
-    let total_items = num_specs * episodes_per_spec;
-    let num_workers = num_workers.clamp(1, total_items.max(1));
-    type WorkerOutput = Vec<(usize, RolloutBuffer<Observation>, CurriculumEpisode)>;
-    let mut per_item: WorkerOutput;
-    let failures: Vec<ItemFailure>;
-    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-
-    if num_workers <= 1 {
-        // Degenerate pool: the same supervised loop, serially in the calling
-        // thread — no thread spawn, but identical fault semantics.
-        let mut envs: Vec<Option<Environment>> = (0..num_specs).map(|_| None).collect();
-        per_item = Vec::with_capacity(total_items);
-        let mut failed = Vec::new();
-        for item in 0..total_items {
-            match run_curriculum_item(
-                &replica,
-                curriculum,
-                &mut envs,
-                item,
-                episodes_per_spec,
-                first_episode,
-                base_seed,
-                0,
-            ) {
-                Ok(done) => per_item.push(done),
-                Err(failure) => failed.push(failure),
-            }
-        }
-        failures = failed;
-    } else {
-        let meter = crate::PoolMeter::start(num_workers);
-        let shared_failures: Mutex<Vec<ItemFailure>> = Mutex::new(Vec::new());
-        per_item = std::thread::scope(|scope| -> Result<WorkerOutput, SnapshotError> {
-            let mut handles = Vec::with_capacity(num_workers);
-            for worker in 0..num_workers {
-                let shared_failures = &shared_failures;
-                handles.push(scope.spawn(move || -> Result<WorkerOutput, SnapshotError> {
-                    let _busy = xrlflow_obs::span!("rollout/worker_busy");
-                    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-                    let mut envs: Vec<Option<Environment>> = (0..num_specs).map(|_| None).collect();
-                    let mut out = Vec::new();
-                    let mut item = worker;
-                    while item < total_items {
-                        match run_curriculum_item(
-                            &replica,
-                            curriculum,
-                            &mut envs,
-                            item,
-                            episodes_per_spec,
-                            first_episode,
-                            base_seed,
-                            0,
-                        ) {
-                            Ok(done) => out.push(done),
-                            Err(failure) => {
-                                shared_failures.lock().unwrap_or_else(PoisonError::into_inner).push(failure)
-                            }
-                        }
-                        item += num_workers;
-                    }
-                    Ok(out)
-                }));
-            }
-            let mut merged = Vec::with_capacity(total_items);
-            for handle in handles {
-                merged
-                    .extend(handle.join().expect("curriculum rollout worker panicked outside a work item")?);
-            }
-            Ok(merged)
-        })?;
-        meter.finish();
-        failures = shared_failures.into_inner().unwrap_or_else(PoisonError::into_inner);
-    }
-
-    if !failures.is_empty() {
-        retry_curriculum_failures(
-            &replica,
-            curriculum,
-            episodes_per_spec,
-            first_episode,
-            base_seed,
-            failures,
-            &mut per_item,
-        )?;
-    }
-
-    // Ordered merge: item index == spec-then-episode order, the curriculum
-    // half of the determinism contract.
-    per_item.sort_by_key(|(item, _, _)| *item);
-    let mut out = CurriculumRollouts::default();
-    let mut next_item = 0;
-    for spec in 0..num_specs {
-        let start = out.buffer.len();
-        for _ in 0..episodes_per_spec {
-            let (item, buffer, episode) = &mut per_item[next_item];
-            debug_assert_eq!(*item, next_item, "work items must merge gap-free in item order");
-            debug_assert_eq!(episode.spec, spec);
-            out.buffer.append(buffer);
-            out.episodes.push(episode.clone());
-            next_item += 1;
-        }
-        out.spec_ranges.push(start..out.buffer.len());
-    }
-    Ok(out)
+    let schedule = curriculum_schedule(curriculum.len(), first_episode, episodes_per_spec, base_seed);
+    let round = crate::collect_round(config, snapshot, &curriculum.specs(), &schedule, num_workers)?;
+    Ok(CurriculumRollouts {
+        buffer: round.buffer,
+        episodes: round
+            .episodes
+            .into_iter()
+            .map(|(spec, episode, stats)| CurriculumEpisode { spec, episode, stats })
+            .collect(),
+        spec_ranges: round.segments,
+    })
 }
 
 /// Per-model result of greedily evaluating an agent on one curriculum entry.
@@ -700,6 +537,25 @@ mod tests {
         let rollouts =
             collect_curriculum_parallel(&config, &agent.snapshot(), &curriculum, 0, 1, 0, 64).unwrap();
         assert_eq!(rollouts.episodes.len(), 2);
+        // Zero work is the degenerate clamp: no episodes per spec, or no
+        // specs at all, yields empty rollouts with one (empty) range per spec.
+        for (curriculum, episodes_per_spec) in [(&curriculum, 0), (&Curriculum::new(), 2)] {
+            for workers in [1usize, 64] {
+                let empty = collect_curriculum_parallel(
+                    &config,
+                    &agent.snapshot(),
+                    curriculum,
+                    0,
+                    episodes_per_spec,
+                    0,
+                    workers,
+                )
+                .unwrap();
+                assert!(empty.episodes.is_empty() && empty.buffer.is_empty());
+                assert_eq!(empty.spec_ranges.len(), curriculum.len());
+                assert!(empty.spec_ranges.iter().all(|range| range.is_empty()));
+            }
+        }
     }
 
     #[test]
@@ -714,9 +570,11 @@ mod tests {
 
     #[test]
     fn mismatched_agent_is_rejected_at_any_worker_count() {
-        // The error contract must not depend on the worker count: the
-        // 1-worker fast path never builds a replica, so the trainer
-        // validates the agent up front.
+        // The error contract must not depend on the worker count. The
+        // collectors build (and so validate) a replica at every worker
+        // count, but the inline update runs against the live agent and the
+        // pooled one only validates inside a worker — so the trainer checks
+        // the agent up front, before any episode or optimiser step.
         let config = XrlflowConfig::smoke_test();
         let curriculum = smoke_curriculum(&config);
         let mut wider = config.clone();

@@ -1,50 +1,65 @@
 //! # xrlflow-rollout
 //!
-//! Parallel execution engine for the X-RLflow PPO loop: a thread-based
-//! worker pool that turns multi-core hardware into rollout **and update**
-//! throughput without changing a single learned number — episode collection
-//! ([`collect_parallel`]) and the PPO update's per-transition re-evaluations
-//! ([`update_parallel`]) both shard across workers under the same
-//! snapshot-broadcast + ordered-merge determinism contract.
+//! Parallel execution engine for the X-RLflow PPO loop (paper §3.3,
+//! Algorithm 1): the two phases of a round that fan out — episode collection
+//! ([`collect_parallel`], [`collect_curriculum_parallel`]) and the PPO
+//! update's per-transition re-evaluations ([`update_parallel`]) — turn
+//! multi-core hardware into throughput without changing a single learned
+//! number.
 //!
-//! After the per-step hot paths were delta-ified (patch-based candidates,
-//! batched delta-aware GNN evaluation), wall-clock training time is
-//! dominated by strictly serial episode collection — one environment, one
-//! thread, `update_frequency` episodes in a row. This crate parallelises
-//! that phase the way large-scale graph-rewrite RL systems do (cf. Amazon's
-//! RL-based XLA optimiser), under a strict determinism contract:
+//! **Every fan-out phase is one call to the private `supervise::run_items`
+//! engine** — the only place in this crate that spawns threads, catches
+//! panics, retries or meters a pool, so these contracts are enforced once:
+//!
+//! * **Sharding and ordered merge.** Work items are numbered `0..n`; worker
+//!   `w` of `W` takes items `w, w + W, …` and results come back **by item
+//!   index**, never completion order. One effective worker runs inline on
+//!   the calling thread — no spawn.
+//! * **Supervision.** Every item runs under `catch_unwind` with the
+//!   `xrlflow_core::fault` injection hook at its top. A panicking item is
+//!   retried on the calling thread, in item order, up to
+//!   `XRLFLOW_ROLLOUT_RETRIES` extra attempts (default 2); only budget
+//!   exhaustion surfaces — as the typed [`RolloutError::WorkerFault`], never
+//!   a process abort (`rollout/worker_panics`, `rollout/item_retries`).
+//! * **Metering.** Every pooled run, collect or update, records the
+//!   `rollout/worker_busy` span and feeds `rollout/worker_busy_ns`,
+//!   `rollout/worker_wall_ns` and the `rollout/worker_utilization` gauge;
+//!   inline runs and a disabled registry record nothing.
+//!
+//! What the phases add on top is *what an item is*, under a strict
+//! determinism contract:
 //!
 //! * **Snapshot-based parameter broadcast.** The trainer captures one
-//!   [`ParamSnapshot`] of the live agent per PPO update; every worker builds
-//!   its own read-only replica from it ([`XrlflowAgent::from_snapshot`]).
-//!   Workers never share a live `ParamStore` or a `Tape`.
-//! * **Shared immutable world.** Workers build their environments from one
-//!   [`EnvSpec`] — the same `Arc<Graph>` model-zoo entry, `Arc<RuleSet>` and
+//!   [`ParamSnapshot`] of the live agent per collection round (per minibatch
+//!   in the update); every thread builds its own read-only replica from it
+//!   ([`XrlflowAgent::from_snapshot`]). Workers never share a live
+//!   `ParamStore` or a `Tape`.
+//! * **Shared immutable world.** Threads build their environments from
+//!   [`EnvSpec`]s — the same `Arc<Graph>` model-zoo entry, `Arc<RuleSet>` and
 //!   `Arc<InferenceSimulator>` (whose memoised measurement cache is
 //!   internally synchronised and seed-deterministic regardless of cache
 //!   state).
-//! * **Per-episode seed schedule.** Episode `e` always resets its
-//!   environment with seed `e` and samples actions from a fresh
-//!   `XorShiftRng` seeded by `mix(base_seed, e)`, no matter which worker
-//!   runs it or in what order episodes finish.
-//! * **Ordered merge.** Workers hand back per-episode buffers; the engine
-//!   merges them **by episode index**, not completion order.
+//! * **Item-keyed seed schedules.** A collection item is a descriptor
+//!   `(env slot, episode, rng seed, fault id)`. Episode `e` always resets
+//!   its environment with seed `e` and samples actions from a fresh
+//!   `XorShiftRng` seeded by [`episode_rng_seed`] (single spec) or
+//!   [`curriculum_rng_seed`] (spec-major curriculum) — the two schedules are
+//!   data fed to one collector, and no seed depends on which thread runs the
+//!   item. That is also what makes a retried item bit-identical to a
+//!   first-attempt success.
 //!
-//! Together these make [`collect_parallel`] with any worker count
-//! transition-for-transition bit-identical to the retained serial path
-//! [`collect_serial`] — asserted by differential tests in the same spirit
-//! as `policy_logits_serial`.
+//! Together these make the pooled phases at any worker count — and under any
+//! number of recovered faults — bit-identical to the retained,
+//! supervision-free serial oracles [`collect_serial`],
+//! [`collect_curriculum_serial`] and `xrlflow_core::minibatch_grads_serial`,
+//! asserted by differential tests in the same spirit as
+//! `policy_logits_serial`. [`ParallelTrainer`] additionally writes durable
+//! exact-resume [`TrainState`] checkpoints ([`CheckpointConfig`]) so a killed
+//! run continues bit-identically.
 //!
-//! The pools are **supervised**: every work item runs under `catch_unwind`
-//! with the `xrlflow_core::fault` injection hook at its top, a panicking
-//! item is queued and deterministically retried on the calling thread (up to
-//! `XRLFLOW_ROLLOUT_RETRIES` extra attempts, default 2), and only budget
-//! exhaustion surfaces — as the typed [`RolloutError::WorkerFault`], never a
-//! process abort. Because every seed is a pure function of the item id, a
-//! retried item is bit-identical to a first-attempt success, so the
-//! differential suites hold even under injected faults. [`ParallelTrainer`]
-//! additionally writes durable exact-resume [`TrainState`] checkpoints
-//! ([`CheckpointConfig`]) so a killed run continues bit-identically.
+//! **Rule: new phases call `run_items`; never hand-roll a scoped-thread pool
+//! or an unwind catcher next to it.** Key all randomness to the item index
+//! and the fault, resume and telemetry contracts come for free.
 //!
 //! ## Quickstart
 //!
@@ -68,6 +83,7 @@
 
 mod curriculum;
 mod error;
+mod supervise;
 mod update;
 
 pub use curriculum::{
@@ -77,12 +93,12 @@ pub use curriculum::{
 pub use error::RolloutError;
 pub use update::{minibatch_grads_parallel, update_parallel};
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::ops::Range;
 use std::path::PathBuf;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 use std::time::Instant;
 
-use xrlflow_core::fault::{self, FaultPhase, WorkerFault};
+use xrlflow_core::fault::FaultPhase;
 use xrlflow_core::{
     collect_episode_with_rng, collect_phase_breakdown_ns, latest_train_state, prune_train_states,
     train_state_path, ModelBreakdown, TrainReport, TrainState, Trainer, UpdateTiming, XrlflowAgent,
@@ -94,59 +110,6 @@ use xrlflow_graph::Graph;
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
 use xrlflow_tensor::{ParamSnapshot, SnapshotError, XorShiftRng};
-
-/// The supervised pools' retry budget: how many times a failed work item is
-/// re-executed (beyond its first attempt) before the round gives up with
-/// [`RolloutError::WorkerFault`]. `XRLFLOW_ROLLOUT_RETRIES` overrides the
-/// default of 2; unparseable values fall back to the default, matching the
-/// leniency of `XRLFLOW_WORKERS`.
-pub(crate) fn retry_budget() -> u32 {
-    std::env::var("XRLFLOW_ROLLOUT_RETRIES").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(2)
-}
-
-/// A work item whose execution panicked: the item id (numbered as in
-/// [`xrlflow_core::fault::FaultSpec`]) plus the panic payload text. Queued
-/// by workers, drained by the caller-thread retry loop.
-pub(crate) struct ItemFailure {
-    pub(crate) item: u64,
-    pub(crate) payload: String,
-}
-
-/// Busy/idle accounting for one parallel collection: each worker wraps its
-/// whole closure in a `rollout/worker_busy` span, and the meter turns the
-/// busy-histogram delta plus the pool's wall-clock into the
-/// `rollout/worker_busy_ns` / `rollout/worker_wall_ns` counters and the
-/// `rollout/worker_utilization` gauge (busy ÷ wall × workers; 1.0 = no
-/// worker ever idled waiting for stragglers). Inert while telemetry is
-/// disabled — the clock is never read.
-pub(crate) struct PoolMeter {
-    busy_before_ns: u64,
-    start: Option<Instant>,
-    num_workers: usize,
-}
-
-impl PoolMeter {
-    pub(crate) fn start(num_workers: usize) -> Self {
-        Self {
-            busy_before_ns: xrlflow_obs::histogram!("rollout/worker_busy").sum(),
-            start: xrlflow_obs::enabled().then(Instant::now),
-            num_workers,
-        }
-    }
-
-    pub(crate) fn finish(self) {
-        let Some(start) = self.start else { return };
-        let wall_ns = start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let busy_ns =
-            xrlflow_obs::histogram!("rollout/worker_busy").sum().saturating_sub(self.busy_before_ns);
-        let pool_ns = wall_ns.saturating_mul(self.num_workers as u64);
-        xrlflow_obs::counter!("rollout/worker_busy_ns").add(busy_ns);
-        xrlflow_obs::counter!("rollout/worker_wall_ns").add(pool_ns);
-        if pool_ns > 0 {
-            xrlflow_obs::gauge!("rollout/worker_utilization").set(busy_ns as f64 / pool_ns as f64);
-        }
-    }
-}
 
 /// Everything a worker needs to build its own [`Environment`]: the initial
 /// graph (one shared model-zoo entry), the rule library, the latency
@@ -258,74 +221,97 @@ pub fn collect_serial(
     out
 }
 
-/// Runs one supervised collection work item: trips the fault-injection hook
-/// ([`fault::trip`] with the episode index as item id), then collects the
-/// episode under `catch_unwind` so an injected — or real — panic becomes a
-/// queueable [`ItemFailure`] instead of tearing down the pool. The caller
-/// must rebuild `env` after a failure (a panic leaves its state unspecified;
-/// a fresh environment is bit-identical because every episode resets first).
-fn run_collect_item(
-    replica: &XrlflowAgent,
-    env: &mut Environment,
+/// One collection work item: which environment slot it runs in, the episode
+/// index (also the environment reset seed), the seed of its action-sampling
+/// RNG and the id the fault-injection hook (and a `WorkerFault`) knows it by.
+struct CollectItem {
+    slot: usize,
     episode: u64,
-    base_seed: u64,
-    attempt: u32,
-) -> Result<(u64, RolloutBuffer<Observation>, EpisodeStats), ItemFailure> {
-    catch_unwind(AssertUnwindSafe(|| {
-        fault::trip(FaultPhase::Collect, episode, attempt);
-        let mut buffer = RolloutBuffer::new();
-        let stats = collect_episode_seeded(replica, env, episode, base_seed, &mut buffer);
-        (episode, buffer, stats)
-    }))
-    .map_err(|payload| {
-        xrlflow_obs::counter!("rollout/worker_panics").inc();
-        ItemFailure { item: episode, payload: fault::panic_payload_text(payload.as_ref()) }
-    })
+    rng_seed: u64,
+    fault_item: u64,
 }
 
-/// Re-runs failed collection items on the calling thread, in episode order,
-/// until each succeeds or the retry budget is exhausted. The seeds depend
-/// only on the episode index, so a retried episode is bit-identical to a
-/// first-attempt success on any worker.
-fn retry_collect_failures(
-    replica: &XrlflowAgent,
-    spec: &EnvSpec,
-    base_seed: u64,
-    mut failures: Vec<ItemFailure>,
-    out: &mut Vec<(u64, RolloutBuffer<Observation>, EpisodeStats)>,
-) -> Result<(), RolloutError> {
-    failures.sort_by_key(|f| f.item);
-    let budget = retry_budget();
-    let mut env = spec.build_env();
-    for failure in failures {
-        let episode = failure.item;
-        let mut last = failure;
-        let mut attempt = 1u32;
-        loop {
-            if attempt > budget {
-                return Err(WorkerFault {
-                    phase: FaultPhase::Collect,
-                    item: episode,
-                    attempts: attempt,
-                    payload: last.payload,
-                }
-                .into());
-            }
-            xrlflow_obs::counter!("rollout/item_retries").inc();
-            match run_collect_item(replica, &mut env, episode, base_seed, attempt) {
-                Ok(item) => {
-                    out.push(item);
-                    break;
-                }
-                Err(f) => {
-                    env = spec.build_env();
-                    last = f;
-                    attempt += 1;
-                }
-            }
+/// A collection round's work, as data: the phase it reports faults under and
+/// its items in merge order. Items must be slot-major (every slot's items
+/// contiguous, slots ascending) so each slot's transitions form one segment.
+struct Schedule {
+    phase: FaultPhase,
+    items: Vec<CollectItem>,
+}
+
+/// The single-spec schedule: episodes `first_episode .. first_episode +
+/// num_episodes` in slot 0, seeded by [`episode_rng_seed`], reported under
+/// [`FaultPhase::Collect`] with the episode index as fault id.
+fn episode_schedule(first_episode: u64, num_episodes: usize, base_seed: u64) -> Schedule {
+    let items = (first_episode..first_episode + num_episodes as u64)
+        .map(|episode| CollectItem {
+            slot: 0,
+            episode,
+            rng_seed: episode_rng_seed(base_seed, episode),
+            fault_item: episode,
+        })
+        .collect();
+    Schedule { phase: FaultPhase::Collect, items }
+}
+
+/// One merged collection round: every transition in item order, each
+/// episode's `(slot, episode, stats)` in the same order, and the transition
+/// range of each slot (one per spec, partitioning the buffer) — the per-spec
+/// advantage-normalisation segments of the PPO update.
+#[derive(Default)]
+struct Round {
+    buffer: RolloutBuffer<Observation>,
+    episodes: Vec<(usize, u64, EpisodeStats)>,
+    segments: Vec<Range<usize>>,
+}
+
+/// The one collector behind [`collect_parallel`],
+/// [`collect_curriculum_parallel`] and [`ParallelTrainer`]: runs `schedule`
+/// over `specs` (indexed by item slot) on the supervised engine and merges
+/// the per-episode buffers in item order. A thread's state is its replica of
+/// `snapshot` plus one lazily built environment per spec it touches.
+fn collect_round(
+    config: &XrlflowConfig,
+    snapshot: &ParamSnapshot,
+    specs: &[&EnvSpec],
+    schedule: &Schedule,
+    num_workers: usize,
+) -> Result<Round, RolloutError> {
+    let items = &schedule.items;
+    let collected = supervise::run_items(
+        schedule.phase,
+        items.len(),
+        num_workers,
+        |index| items[index].fault_item,
+        || {
+            let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
+            let envs: Vec<Option<Environment>> = specs.iter().map(|_| None).collect();
+            Ok((replica, envs))
+        },
+        |(replica, envs), index| {
+            let item = &items[index];
+            // reset() makes reuse across episodes bit-identical to a fresh
+            // environment.
+            let env = envs[item.slot].get_or_insert_with(|| specs[item.slot].build_env());
+            let mut buffer = RolloutBuffer::new();
+            let mut rng = XorShiftRng::new(item.rng_seed);
+            let stats = collect_episode_with_rng(replica, env, &mut rng, &mut buffer, item.episode);
+            (buffer, stats)
+        },
+    )?;
+
+    let mut round = Round::default();
+    let mut collected = items.iter().zip(collected).peekable();
+    for slot in 0..specs.len() {
+        let start = round.buffer.len();
+        while let Some((item, (mut buffer, stats))) = collected.next_if(|(item, _)| item.slot == slot) {
+            round.buffer.append(&mut buffer);
+            round.episodes.push((slot, item.episode, stats));
         }
+        round.segments.push(start..round.buffer.len());
     }
-    Ok(())
+    debug_assert!(collected.peek().is_none(), "schedules must be slot-major");
+    Ok(round)
 }
 
 /// Collects episodes `first_episode .. first_episode + num_episodes` with a
@@ -337,12 +323,10 @@ fn retry_collect_failures(
 /// (`episode % num_workers == worker`). Results are merged **by episode
 /// index**, so the output is transition-for-transition bit-identical to
 /// [`collect_serial`] over the same range and base seed, for any worker
-/// count — one worker runs the same supervised path serially.
+/// count — one worker runs the same supervised path inline.
 ///
-/// The pool is fault-tolerant: each episode runs under `catch_unwind`, a
-/// panicking item is re-queued and deterministically retried on the calling
-/// thread (identical seeds → identical transitions), and a worker panic
-/// never aborts the process.
+/// Supervised by the crate's one engine (see the crate docs): a panicking
+/// episode is retried with identical seeds, hence identical transitions.
 ///
 /// # Errors
 ///
@@ -359,80 +343,12 @@ pub fn collect_parallel(
     base_seed: u64,
     num_workers: usize,
 ) -> Result<CollectedRollouts, RolloutError> {
-    let num_workers = num_workers.clamp(1, num_episodes.max(1));
-    let end = first_episode + num_episodes as u64;
-    type WorkerOutput = Vec<(u64, RolloutBuffer<Observation>, EpisodeStats)>;
-    let mut per_episode: WorkerOutput;
-    let failures: Vec<ItemFailure>;
-    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-
-    if num_workers <= 1 {
-        // Degenerate pool: the same supervised loop, serially in the calling
-        // thread — no thread spawn, but identical fault semantics.
-        let mut env = spec.build_env();
-        per_episode = Vec::with_capacity(num_episodes);
-        let mut failed = Vec::new();
-        for episode in first_episode..end {
-            match run_collect_item(&replica, &mut env, episode, base_seed, 0) {
-                Ok(item) => per_episode.push(item),
-                Err(failure) => {
-                    env = spec.build_env();
-                    failed.push(failure);
-                }
-            }
-        }
-        failures = failed;
-    } else {
-        let meter = PoolMeter::start(num_workers);
-        let shared_failures: Mutex<Vec<ItemFailure>> = Mutex::new(Vec::new());
-        per_episode = std::thread::scope(|scope| -> Result<WorkerOutput, SnapshotError> {
-            let mut handles = Vec::with_capacity(num_workers);
-            for worker in 0..num_workers {
-                let shared_failures = &shared_failures;
-                handles.push(scope.spawn(move || -> Result<WorkerOutput, SnapshotError> {
-                    let _busy = xrlflow_obs::span!("rollout/worker_busy");
-                    // Broadcast: a private replica per worker, built once per
-                    // collection round from the snapshot.
-                    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-                    let mut env = spec.build_env();
-                    let mut out = Vec::new();
-                    let mut episode = first_episode + worker as u64;
-                    while episode < end {
-                        match run_collect_item(&replica, &mut env, episode, base_seed, 0) {
-                            Ok(item) => out.push(item),
-                            Err(failure) => {
-                                env = spec.build_env();
-                                shared_failures.lock().unwrap_or_else(PoisonError::into_inner).push(failure);
-                            }
-                        }
-                        episode += num_workers as u64;
-                    }
-                    Ok(out)
-                }));
-            }
-            let mut merged = Vec::with_capacity(num_episodes);
-            for handle in handles {
-                merged.extend(handle.join().expect("rollout worker panicked outside a work item")?);
-            }
-            Ok(merged)
-        })?;
-        meter.finish();
-        failures = shared_failures.into_inner().unwrap_or_else(PoisonError::into_inner);
-    }
-
-    if !failures.is_empty() {
-        retry_collect_failures(&replica, spec, base_seed, failures, &mut per_episode)?;
-    }
-
-    // Merge is ordered by episode index, not completion order — the last
-    // piece of the determinism contract.
-    per_episode.sort_by_key(|(episode, _, _)| *episode);
-    let mut out = CollectedRollouts::default();
-    for (_, mut buffer, stats) in per_episode {
-        out.buffer.append(&mut buffer);
-        out.episodes.push(stats);
-    }
-    Ok(out)
+    let schedule = episode_schedule(first_episode, num_episodes, base_seed);
+    let round = collect_round(config, snapshot, &[spec], &schedule, num_workers)?;
+    Ok(CollectedRollouts {
+        buffer: round.buffer,
+        episodes: round.episodes.into_iter().map(|(_, _, stats)| stats).collect(),
+    })
 }
 
 /// Durable-checkpoint policy for [`ParallelTrainer`]: where to write
@@ -672,23 +588,7 @@ impl ParallelTrainer {
         episodes: usize,
     ) -> Result<TrainReport, RolloutError> {
         self.validate_agent(agent)?;
-        let (num_workers, base_seed) = (self.num_workers, self.base_seed);
-        let start_episode = (std::mem::take(&mut self.resume_episode) as usize).min(episodes);
-        let config = self.trainer.config().clone();
-        let loop_ctx = RoundLoop { start_episode, base_seed, checkpoint: self.checkpointing.as_ref() };
-        let (report, _) =
-            run_rounds(&mut self.trainer, agent, episodes, num_workers, loop_ctx, |agent, first, batch| {
-                // Broadcast the current parameters once per update round; the
-                // supervised pool covers every worker count, including 1.
-                let rollouts =
-                    collect_parallel(&config, &agent.snapshot(), spec, first, batch, base_seed, num_workers)?;
-                Ok(Round {
-                    buffer: rollouts.buffer,
-                    episodes: rollouts.episodes.into_iter().map(|stats| (0, stats)).collect(),
-                    segments: Vec::new(),
-                })
-            })?;
-        Ok(report)
+        Ok(self.run_rounds(agent, &[spec], episodes, episode_schedule)?.0)
     }
 
     /// Runs the multi-model curriculum training loop: per PPO round, collect
@@ -724,146 +624,102 @@ impl ParallelTrainer {
         if curriculum.is_empty() || episodes_per_spec == 0 {
             return Ok(TrainReport::default());
         }
-        let (num_workers, base_seed) = (self.num_workers, self.base_seed);
-        let start_episode = (std::mem::take(&mut self.resume_episode) as usize).min(episodes_per_spec);
-        let config = self.trainer.config().clone();
-        let loop_ctx = RoundLoop { start_episode, base_seed, checkpoint: self.checkpointing.as_ref() };
-        let (mut report, spec_tags) = run_rounds(
-            &mut self.trainer,
-            agent,
-            episodes_per_spec,
-            num_workers,
-            loop_ctx,
-            |agent, first, batch| {
-                // Broadcast the current parameters once per update round; the
-                // supervised pool covers every worker count, including 1.
-                let rollouts = collect_curriculum_parallel(
-                    &config,
-                    &agent.snapshot(),
-                    curriculum,
-                    first,
-                    batch,
-                    base_seed,
-                    num_workers,
-                )?;
-                Ok(Round {
-                    buffer: rollouts.buffer,
-                    episodes: rollouts.episodes.into_iter().map(|e| (e.spec, e.stats)).collect(),
-                    segments: rollouts.spec_ranges,
-                })
-            },
-        )?;
-        let mut per_spec_stats: Vec<Vec<EpisodeStats>> = vec![Vec::new(); curriculum.len()];
-        for (&spec, stats) in spec_tags.iter().zip(&report.episodes) {
-            per_spec_stats[spec].push(stats.clone());
-        }
+        let specs = curriculum.specs();
+        let (mut report, per_spec) =
+            self.run_rounds(agent, &specs, episodes_per_spec, |first, batch, base_seed| {
+                curriculum::curriculum_schedule(specs.len(), first, batch, base_seed)
+            })?;
         report.per_model = curriculum
             .entries()
             .iter()
-            .zip(&per_spec_stats)
+            .zip(&per_spec)
             .map(|(entry, stats)| ModelBreakdown::from_episodes(entry.name.clone(), stats))
             .collect();
         Ok(report)
     }
-}
 
-/// One collection round handed to the shared PPO loop: the merged buffer,
-/// every episode's `(spec, stats)` in merge order, and the per-spec
-/// normalisation segments (empty = global normalisation).
-struct Round {
-    buffer: RolloutBuffer<Observation>,
-    episodes: Vec<(usize, EpisodeStats)>,
-    segments: Vec<std::ops::Range<usize>>,
-}
-
-/// Checkpoint/resume context of one [`run_rounds`] invocation: where the
-/// episode schedule starts (non-zero after a resume), the base seed recorded
-/// into checkpoints, and the optional durable-checkpoint policy.
-struct RoundLoop<'a> {
-    start_episode: usize,
-    base_seed: u64,
-    checkpoint: Option<&'a CheckpointConfig>,
-}
-
-/// Writes one durable [`TrainState`] checkpoint (atomically — crash-safe by
-/// construction) and applies the retention policy.
-fn write_train_state(
-    trainer: &Trainer,
-    agent: &XrlflowAgent,
-    next_episode: u64,
-    base_seed: u64,
-    checkpoint: &CheckpointConfig,
-) -> Result<(), RolloutError> {
-    let _span = xrlflow_obs::span!("rollout/checkpoint");
-    let state = trainer.train_state(agent, next_episode, base_seed);
-    state.save(train_state_path(&checkpoint.dir, next_episode)).map_err(RolloutError::Checkpoint)?;
-    prune_train_states(&checkpoint.dir, checkpoint.keep_last).map_err(RolloutError::Checkpoint)?;
-    xrlflow_obs::counter!("train/checkpoints_written").inc();
-    Ok(())
-}
-
-/// The PPO round loop shared by [`ParallelTrainer::train`] and
-/// [`ParallelTrainer::train_curriculum`]: size each batch by the update
-/// frequency, collect it through `collect` (which owns the snapshot
-/// broadcast), drive one update over the merged buffer with the round's
-/// segments through [`update_parallel`] (bit-identical to the serial path at
-/// every worker count), record the wall-clock collect/update split with the
-/// update's worker count, and — when a checkpoint policy is installed —
-/// write a durable [`TrainState`] every `every`-th round and after the final
-/// one. Returns the report plus each episode's spec tag, aligned with
-/// `report.episodes`.
-fn run_rounds(
-    trainer: &mut Trainer,
-    agent: &mut XrlflowAgent,
-    episodes: usize,
-    num_workers: usize,
-    loop_ctx: RoundLoop<'_>,
-    mut collect: impl FnMut(&XrlflowAgent, u64, usize) -> Result<Round, RolloutError>,
-) -> Result<(TrainReport, Vec<usize>), RolloutError> {
-    let mut report = TrainReport::default();
-    let mut spec_tags = Vec::new();
-    let num_workers = num_workers.max(1);
-    let frequency = trainer.config().ppo.update_frequency.max(1);
-    let mut next_episode = loop_ctx.start_episode.min(episodes);
-    let mut rounds = 0usize;
-    while next_episode < episodes {
-        let batch = frequency.min(episodes - next_episode);
-        let (sim_before_ns, candgen_before_ns) = collect_phase_breakdown_ns();
-        let collect_start = Instant::now();
-        let mut round = {
-            let _span = xrlflow_obs::span!("rollout/collect");
-            collect(agent, next_episode as u64, batch)?
-        };
-        let collect_ms = collect_start.elapsed().as_secs_f64() * 1e3;
-        let (sim_after_ns, candgen_after_ns) = collect_phase_breakdown_ns();
-        xrlflow_obs::counter!("rollout/episodes").add(round.episodes.len() as u64);
-        for (spec, stats) in round.episodes {
-            spec_tags.push(spec);
-            report.episodes.push(stats);
-        }
-        let update_start = Instant::now();
-        let stats = {
-            let _span = xrlflow_obs::span!("rollout/update");
-            update_parallel(trainer, agent, &mut round.buffer, &round.segments, num_workers)?
-        };
-        report.updates.push(stats);
-        let update_ms = update_start.elapsed().as_secs_f64() * 1e3;
-        report.timings.push(UpdateTiming {
-            collect_ms,
-            sim_ms: sim_after_ns.saturating_sub(sim_before_ns) as f64 / 1e6,
-            candidate_gen_ms: candgen_after_ns.saturating_sub(candgen_before_ns) as f64 / 1e6,
-            update_ms,
-            update_workers: num_workers,
-        });
-        next_episode += batch;
-        rounds += 1;
-        if let Some(checkpoint) = loop_ctx.checkpoint {
-            if rounds.is_multiple_of(checkpoint.every.max(1)) || next_episode >= episodes {
-                write_train_state(trainer, agent, next_episode as u64, loop_ctx.base_seed, checkpoint)?;
+    /// The PPO round loop shared by [`ParallelTrainer::train`] and
+    /// [`ParallelTrainer::train_curriculum`], which differ only in `specs`
+    /// and the `schedule(first_episode, batch, base_seed)` they feed it: size
+    /// each batch by the update frequency, broadcast the current parameters
+    /// and collect the batch's schedule through [`collect_round`], drive one
+    /// update over the merged buffer with the round's segments through
+    /// [`update_parallel`] (bit-identical to the serial path at every worker
+    /// count), record the wall-clock collect/update split with the update's
+    /// worker count, and — when a checkpoint policy is installed — write a
+    /// durable [`TrainState`] every `every`-th round and after the final one.
+    /// Starts at the resumed schedule position, if any. Returns the report
+    /// plus every episode's stats grouped by spec, in `specs` order.
+    fn run_rounds(
+        &mut self,
+        agent: &mut XrlflowAgent,
+        specs: &[&EnvSpec],
+        episodes: usize,
+        schedule: impl Fn(u64, usize, u64) -> Schedule,
+    ) -> Result<(TrainReport, Vec<Vec<EpisodeStats>>), RolloutError> {
+        let mut report = TrainReport::default();
+        let mut per_spec = vec![Vec::new(); specs.len()];
+        let num_workers = self.num_workers.max(1);
+        let config = self.trainer.config().clone();
+        let frequency = config.ppo.update_frequency.max(1);
+        let mut next_episode = (std::mem::take(&mut self.resume_episode) as usize).min(episodes);
+        let mut rounds = 0usize;
+        while next_episode < episodes {
+            let batch = frequency.min(episodes - next_episode);
+            let (sim_before_ns, candgen_before_ns) = collect_phase_breakdown_ns();
+            let collect_start = Instant::now();
+            let mut round = {
+                let _span = xrlflow_obs::span!("rollout/collect");
+                let schedule = schedule(next_episode as u64, batch, self.base_seed);
+                collect_round(&config, &agent.snapshot(), specs, &schedule, num_workers)?
+            };
+            let collect_ms = collect_start.elapsed().as_secs_f64() * 1e3;
+            let (sim_after_ns, candgen_after_ns) = collect_phase_breakdown_ns();
+            xrlflow_obs::counter!("rollout/episodes").add(round.episodes.len() as u64);
+            for (spec, _, stats) in round.episodes {
+                per_spec[spec].push(stats.clone());
+                report.episodes.push(stats);
+            }
+            let update_start = Instant::now();
+            let stats = {
+                let _span = xrlflow_obs::span!("rollout/update");
+                update_parallel(&mut self.trainer, agent, &mut round.buffer, &round.segments, num_workers)?
+            };
+            report.updates.push(stats);
+            let update_ms = update_start.elapsed().as_secs_f64() * 1e3;
+            report.timings.push(UpdateTiming {
+                collect_ms,
+                sim_ms: sim_after_ns.saturating_sub(sim_before_ns) as f64 / 1e6,
+                candidate_gen_ms: candgen_after_ns.saturating_sub(candgen_before_ns) as f64 / 1e6,
+                update_ms,
+                update_workers: num_workers,
+            });
+            next_episode += batch;
+            rounds += 1;
+            if let Some(checkpoint) = &self.checkpointing {
+                if rounds.is_multiple_of(checkpoint.every.max(1)) || next_episode >= episodes {
+                    self.write_train_state(agent, next_episode as u64, checkpoint)?;
+                }
             }
         }
+        Ok((report, per_spec))
     }
-    Ok((report, spec_tags))
+
+    /// Writes one durable [`TrainState`] checkpoint (atomically — crash-safe
+    /// by construction) and applies the retention policy.
+    fn write_train_state(
+        &self,
+        agent: &XrlflowAgent,
+        next_episode: u64,
+        checkpoint: &CheckpointConfig,
+    ) -> Result<(), RolloutError> {
+        let _span = xrlflow_obs::span!("rollout/checkpoint");
+        let state = self.trainer.train_state(agent, next_episode, self.base_seed);
+        state.save(train_state_path(&checkpoint.dir, next_episode)).map_err(RolloutError::Checkpoint)?;
+        prune_train_states(&checkpoint.dir, checkpoint.keep_last).map_err(RolloutError::Checkpoint)?;
+        xrlflow_obs::counter!("train/checkpoints_written").inc();
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -999,6 +855,12 @@ mod tests {
         // More workers than episodes must not spawn idle threads or panic.
         let rollouts = collect_parallel(&config, &agent.snapshot(), &spec, 0, 2, 0, 16).unwrap();
         assert_eq!(rollouts.episodes.len(), 2);
+        // Zero episodes is the degenerate clamp: nothing to shard, nothing
+        // collected, at any worker count.
+        for workers in [1usize, 16] {
+            let empty = collect_parallel(&config, &agent.snapshot(), &spec, 3, 0, 0, workers).unwrap();
+            assert!(empty.episodes.is_empty() && empty.buffer.is_empty(), "{workers} workers");
+        }
     }
 
     #[test]

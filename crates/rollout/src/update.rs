@@ -9,7 +9,8 @@
 //! contributions*; `xrlflow-core` now defines the canonical update exactly
 //! that way (`transition_grad` into a private `GradBuffer` per transition,
 //! merged in minibatch-position order), and this module computes the same
-//! contributions on worker threads under the PR 3 rules:
+//! contributions through the supervised engine (`supervise::run_items` — one
+//! work item per minibatch position) under the PR 3 rules:
 //!
 //! * **Snapshot-per-minibatch broadcast.** The optimiser steps between
 //!   minibatches, so each call to [`minibatch_grads_parallel`] captures a
@@ -17,8 +18,8 @@
 //!   read-only replica from it. Workers never touch the live `ParamStore` or
 //!   share a `Tape`.
 //! * **Position-based sharding.** Minibatch positions round-robin across
-//!   workers (`position % W`, via `xrlflow_rl::shard_minibatch`) — a pure
-//!   function of the batch and the worker count, never of timing.
+//!   workers (`position % W`, the engine's item sharding) — a pure function
+//!   of the batch and the worker count, never of timing.
 //! * **Index-ordered merge.** Workers hand back one zero-initialised
 //!   [`GradBuffer`](xrlflow_tensor::GradBuffer) per transition; the trainer
 //!   thread merges them **by minibatch position**, never completion order,
@@ -31,55 +32,17 @@
 //! below, same spirit as `collect_serial` / `policy_logits_serial`.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Mutex, PoisonError};
 
-use xrlflow_core::fault::{self, FaultPhase, WorkerFault};
+use xrlflow_core::fault::FaultPhase;
 use xrlflow_core::{
-    transition_grad_into, MinibatchContext, MinibatchGrads, Trainer, TransitionLossStats, XrlflowAgent,
-    XrlflowConfig,
+    transition_grad_into, MinibatchContext, MinibatchGrads, Trainer, XrlflowAgent, XrlflowConfig,
 };
 use xrlflow_env::Observation;
-use xrlflow_rl::{shard_minibatch, RolloutBuffer, TrainingStats};
-use xrlflow_tensor::{GradBuffer, SnapshotError, Tape};
+use xrlflow_rl::{RolloutBuffer, TrainingStats};
+use xrlflow_tensor::{GradBuffer, Tape};
 
-use crate::{retry_budget, ItemFailure, RolloutError};
-
-/// Runs one supervised update work item: trips the fault-injection hook
-/// (item id = minibatch position), then back-propagates transition
-/// `ctx.batch[position]` into a fresh zero-initialised [`GradBuffer`] under
-/// `catch_unwind` so a panic becomes a queueable [`ItemFailure`] instead of
-/// tearing down the pool. The caller must replace `tape` after a failure (a
-/// panic leaves the arena's contents unspecified).
-fn run_update_item(
-    agent: &XrlflowAgent,
-    ctx: &MinibatchContext,
-    position: usize,
-    index: usize,
-    inv: f32,
-    tape: &mut Tape,
-    attempt: u32,
-) -> Result<(usize, GradBuffer, TransitionLossStats), ItemFailure> {
-    catch_unwind(AssertUnwindSafe(|| {
-        fault::trip(FaultPhase::Update, position as u64, attempt);
-        let mut grads = GradBuffer::zeros_like(&agent.store);
-        let stats = transition_grad_into(
-            agent,
-            &ctx.transitions[index],
-            ctx.advantages[index],
-            ctx.returns[index],
-            &ctx.ppo,
-            inv,
-            tape,
-            &mut grads,
-        );
-        (position, grads, stats)
-    }))
-    .map_err(|payload| {
-        xrlflow_obs::counter!("rollout/worker_panics").inc();
-        ItemFailure { item: position as u64, payload: fault::panic_payload_text(payload.as_ref()) }
-    })
-}
+use crate::supervise::{effective_workers, run_items};
+use crate::RolloutError;
 
 /// Evaluates one minibatch's per-transition gradients on a supervised pool
 /// of `num_workers` threads and merges them in minibatch-position order.
@@ -87,18 +50,18 @@ fn run_update_item(
 /// Captures one [`xrlflow_tensor::ParamSnapshot`] of `agent` (the update
 /// analogue of the collection engine's per-round broadcast — here the
 /// optimiser steps between minibatches, so the snapshot must be
-/// per-minibatch); each worker builds a private replica, walks its
-/// round-robin position shard through `xrlflow_core::transition_grad`, and
-/// returns `(position, GradBuffer, stats)` triples. The merge sorts by
-/// position, so the output is bit-identical to
+/// per-minibatch); each worker builds a private replica and walks its
+/// round-robin position shard through `xrlflow_core::transition_grad_into`.
+/// The engine returns the per-position `(GradBuffer, stats)` pairs in
+/// position order, so the merged output is bit-identical to
 /// [`xrlflow_core::minibatch_grads_serial`] over the same context, for any
 /// worker count. With one effective worker the same supervised loop runs
-/// serially against the live agent — no snapshot, no replica, no spawn.
+/// inline against the live agent — no snapshot, no replica, no spawn.
 ///
-/// The pool is fault-tolerant: each transition runs under `catch_unwind`, a
-/// panicking item is retried on the calling thread against the live agent —
-/// whose parameters are exactly what the snapshot broadcast, so a retried
-/// gradient is bit-identical — and a worker panic never aborts the process.
+/// Supervised by the crate's one engine (see the crate docs): a panicking
+/// transition is retried against the live agent inline, against a replica
+/// of the same broadcast snapshot after a pooled run — bit-identical either
+/// way.
 ///
 /// # Errors
 ///
@@ -114,113 +77,45 @@ pub fn minibatch_grads_parallel(
     ctx: &MinibatchContext,
     num_workers: usize,
 ) -> Result<MinibatchGrads, RolloutError> {
-    let num_workers = num_workers.clamp(1, ctx.batch.len().max(1));
     let inv = 1.0 / ctx.batch.len() as f32;
-
-    type WorkerOutput = Vec<(usize, GradBuffer, TransitionLossStats)>;
-    let mut per_position: WorkerOutput;
-    let failures: Vec<ItemFailure>;
-
-    if num_workers <= 1 {
-        // Degenerate pool: the supervised loop runs serially against the
-        // live agent — same fault semantics, no broadcast cost.
-        per_position = Vec::with_capacity(ctx.batch.len());
-        let mut failed = Vec::new();
-        let mut tape = Tape::new();
-        for (position, &index) in ctx.batch.iter().enumerate() {
-            match run_update_item(agent, ctx, position, index, inv, &mut tape, 0) {
-                Ok(item) => per_position.push(item),
-                Err(failure) => {
-                    tape = Tape::new();
-                    failed.push(failure);
-                }
-            }
-        }
-        failures = failed;
-    } else {
-        // Broadcast: the parameters the optimiser has stepped to so far.
-        let snapshot = agent.snapshot();
-        let shards = shard_minibatch(ctx.batch, num_workers);
-        let shared_failures: Mutex<Vec<ItemFailure>> = Mutex::new(Vec::new());
-        per_position = std::thread::scope(|scope| -> Result<WorkerOutput, SnapshotError> {
-            let mut handles = Vec::with_capacity(num_workers);
-            for shard in &shards {
-                let snapshot = &snapshot;
-                let shared_failures = &shared_failures;
-                handles.push(scope.spawn(move || -> Result<WorkerOutput, SnapshotError> {
-                    let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-                    // One recycled tape arena per worker for its whole shard;
-                    // the per-position buffers stay separate because the
-                    // trainer thread merges them by minibatch position.
-                    let mut tape = Tape::new();
-                    let mut out = Vec::with_capacity(shard.len());
-                    for &(position, index) in shard {
-                        match run_update_item(&replica, ctx, position, index, inv, &mut tape, 0) {
-                            Ok(item) => out.push(item),
-                            Err(failure) => {
-                                tape = Tape::new();
-                                shared_failures.lock().unwrap_or_else(PoisonError::into_inner).push(failure);
-                            }
-                        }
-                    }
-                    Ok(out)
-                }));
-            }
-            let mut merged = Vec::with_capacity(ctx.batch.len());
-            for handle in handles {
-                merged.extend(handle.join().expect("update worker panicked outside a work item")?);
-            }
-            Ok(merged)
-        })?;
-        failures = shared_failures.into_inner().unwrap_or_else(PoisonError::into_inner);
-    }
-
-    // Caller-thread retries, in position order, against the live agent — its
-    // parameters are exactly what the snapshot broadcast (the optimiser only
-    // steps between minibatches), so a retried item's gradient is
-    // bit-identical to a first-attempt success.
-    if !failures.is_empty() {
-        let mut failures = failures;
-        failures.sort_by_key(|f| f.item);
-        let budget = retry_budget();
-        let mut tape = Tape::new();
-        for failure in failures {
-            let position = failure.item as usize;
+    // Broadcast the parameters the optimiser has stepped to so far — only
+    // when a pool will actually run; inline, the live agent is the replica.
+    let snapshot = (effective_workers(ctx.batch.len(), num_workers) > 1).then(|| agent.snapshot());
+    let per_position = run_items(
+        FaultPhase::Update,
+        ctx.batch.len(),
+        num_workers,
+        |position| position as u64,
+        || {
+            // One recycled tape arena per thread for its whole shard; the
+            // per-position buffers stay separate because the merge below is
+            // by minibatch position.
+            let replica = snapshot.as_ref().map(|s| XrlflowAgent::from_snapshot(config, s)).transpose()?;
+            Ok((replica, Tape::new()))
+        },
+        |(replica, tape), position| {
+            let agent = replica.as_ref().unwrap_or(agent);
             let index = ctx.batch[position];
-            let mut last = failure;
-            let mut attempt = 1u32;
-            loop {
-                if attempt > budget {
-                    return Err(WorkerFault {
-                        phase: FaultPhase::Update,
-                        item: last.item,
-                        attempts: attempt,
-                        payload: last.payload,
-                    }
-                    .into());
-                }
-                xrlflow_obs::counter!("rollout/item_retries").inc();
-                match run_update_item(agent, ctx, position, index, inv, &mut tape, attempt) {
-                    Ok(item) => {
-                        per_position.push(item);
-                        break;
-                    }
-                    Err(f) => {
-                        tape = Tape::new();
-                        last = f;
-                        attempt += 1;
-                    }
-                }
-            }
-        }
-    }
+            let mut grads = GradBuffer::zeros_like(&agent.store);
+            let stats = transition_grad_into(
+                agent,
+                &ctx.transitions[index],
+                ctx.advantages[index],
+                ctx.returns[index],
+                &ctx.ppo,
+                inv,
+                tape,
+                &mut grads,
+            );
+            (grads, stats)
+        },
+    )?;
 
     // Merge is ordered by minibatch position, not completion order — the
     // update half of the determinism contract.
-    per_position.sort_by_key(|(position, _, _)| *position);
     let mut grads = GradBuffer::zeros_like(&agent.store);
     let mut stats = Vec::with_capacity(per_position.len());
-    for (_, buffer, transition_stats) in &per_position {
+    for (buffer, transition_stats) in &per_position {
         grads.merge(buffer);
         stats.push(*transition_stats);
     }
