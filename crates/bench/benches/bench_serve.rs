@@ -5,13 +5,16 @@
 //! The service under test is a frozen snapshot replica behind the
 //! canonical-hash result cache — the production configuration described in
 //! ROADMAP's "Serving dataflow". Cold misses pay one greedy policy episode;
-//! warm hits pay a hash and a map lookup, so the hit/miss ratio is the
-//! headline number a deployment cares about.
+//! warm hits of a byte-identical body pay a digest, a byte comparison and a
+//! map lookup, so the hit/miss ratio is the headline number a deployment
+//! cares about.
 //!
 //! Knobs: `XRLFLOW_ITERS` (timed repetitions), `XRLFLOW_MAX_CANDIDATES`
 //! (action-space bound), `XRLFLOW_SERVE_REQUESTS` (requests per timed
 //! batch), `XRLFLOW_BENCH_JSON` (result artifact path).
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::Arc;
 
 use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_rate, report_ratio, time_ns};
@@ -82,8 +85,9 @@ fn main() {
     report("serve/cache_persist_roundtrip", persist_ns);
 
     // End-to-end HTTP throughput: the same warm-hit stream, but over a real
-    // socket through the blocking front end — connect + parse + route +
-    // respond per request, the cost a deployment actually pays per call.
+    // socket through the blocking front end — first with a connection per
+    // request (connect + parse + route + respond: the cost a one-shot
+    // caller pays), then over one persistent connection.
     let server = OptimizeServer::bind(Arc::clone(&warm_service), "127.0.0.1:0").unwrap();
     let addr = server.local_addr();
     let http_ns = time_ns(1, iters, || {
@@ -96,6 +100,18 @@ fn main() {
         hits
     });
     report_rate("serve/http_requests_per_sec_warm", requests as f64 / (http_ns / 1e9));
+
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    let mut reply = Vec::new();
+    let keepalive_ns = time_ns(1, iters, || {
+        let mut bytes = 0;
+        for i in 0..requests {
+            bytes += keepalive_post(&mut stream, &bodies[i % bodies.len()], &mut reply);
+        }
+        bytes
+    });
+    report_rate("serve/http_requests_per_sec_warm_keepalive", requests as f64 / (keepalive_ns / 1e9));
     drop(server);
 
     // Eviction on vs off: raw cache insert throughput with no budget versus
@@ -129,4 +145,31 @@ fn main() {
     report_ratio("serve/eviction_overhead", evicting_ns / unbounded_ns.max(1.0));
 
     finish("bench_serve");
+}
+
+/// One `POST /optimize` on an open connection: request in one write, reply
+/// read by `Content-Length` into `reply`. Returns the reply's body length.
+fn keepalive_post(stream: &mut TcpStream, body: &str, reply: &mut Vec<u8>) -> usize {
+    let request = format!("POST /optimize HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len());
+    stream.write_all(request.as_bytes()).unwrap();
+    reply.clear();
+    let mut chunk = [0u8; 64 * 1024];
+    let head_end = loop {
+        if let Some(pos) = reply.windows(4).position(|w| w == b"\r\n\r\n") {
+            break pos;
+        }
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the server closed a persistent connection");
+        reply.extend_from_slice(&chunk[..n]);
+    };
+    let head = std::str::from_utf8(&reply[..head_end]).unwrap();
+    assert!(head.starts_with("HTTP/1.1 200 "), "reply: {head}");
+    let length: usize =
+        head.split("\r\n").find_map(|line| line.strip_prefix("Content-Length: ")).unwrap().parse().unwrap();
+    while reply.len() < head_end + 4 + length {
+        let n = stream.read(&mut chunk).unwrap();
+        assert!(n > 0, "the server closed mid-reply");
+        reply.extend_from_slice(&chunk[..n]);
+    }
+    length
 }

@@ -282,6 +282,12 @@ impl Span {
 
     /// Ends the span early, recording now instead of at scope exit.
     pub fn finish(self) {}
+
+    /// Ends the span without recording anything — for work that turned out
+    /// not to be the thing the histogram measures (a rejected request).
+    pub fn cancel(mut self) {
+        self.start = None;
+    }
 }
 
 impl Drop for Span {

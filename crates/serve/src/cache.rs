@@ -25,6 +25,24 @@
 //! `serve/cache_evictions` counter and the `serve/cache_entries` /
 //! `serve/cache_bytes` gauges track live occupancy, so budget pressure is
 //! visible in the `/metrics` snapshot.
+//!
+//! ## The body index
+//!
+//! A build pipeline that re-submits the same exported model sends the same
+//! bytes, and parsing, validating and canonically hashing them again only
+//! re-derives a key the cache has already seen. So each entry can carry two
+//! memos: the exact request body that last resolved to it, and its hit-form
+//! response document, rendered once. A private `digest -> key` map finds the
+//! candidate entry for an incoming body; the body is untrusted and the digest
+//! is a forgeable 64-bit non-cryptographic hash, so the digest only *finds*
+//! the candidate and a **full byte comparison decides**. The index is an
+//! accelerator in front of the canonical hash, never a second key space:
+//! entries are owned by their key, and the memos live and die with their
+//! entry (evicted, overwritten and cleared together). Memos count against
+//! the byte budget — one is attached only while the budget still holds, so
+//! the budget is never exceeded, not even transiently — and they are not
+//! persisted: a reloaded snapshot answers its first request per graph
+//! through the canonical hash and re-attaches.
 
 use std::collections::{BTreeMap, HashMap};
 use std::path::Path;
@@ -193,7 +211,51 @@ impl CacheConfigBuilder {
 struct Slot {
     entry: CacheEntry,
     tick: u64,
+    /// The entry's structural estimate plus the lengths of both memos.
     bytes: usize,
+    /// The request body that last resolved to this entry, with its digest.
+    body: Option<(u64, Box<[u8]>)>,
+    /// The hit-form response document, rendered on the first served hit.
+    rendered: Option<Arc<str>>,
+}
+
+/// A served lookup: the entry (its graph shared with the cache), the key it
+/// lives under and its response document if one has been rendered.
+#[derive(Debug)]
+pub(crate) struct Found {
+    pub(crate) key: u64,
+    pub(crate) entry: CacheEntry,
+    pub(crate) rendered: Option<Arc<str>>,
+}
+
+/// Digest of a request body for the body index: four independent
+/// word-at-a-time multiplicative lanes (so the multiplies overlap instead of
+/// queueing behind one another) folded with the length. Not cryptographic —
+/// a lookup is only ever confirmed by comparing the bytes.
+pub(crate) fn body_digest(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0000_0100_0000_01B3;
+    let word = |chunk: &[u8]| u64::from_le_bytes(chunk.try_into().expect("chunk of eight"));
+    let mix = |lane: u64, word: u64| (lane ^ word).wrapping_mul(PRIME).rotate_left(29);
+    let mut lanes =
+        [0xCBF2_9CE4_8422_2325u64, 0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F, 0x1656_67B1_9E37_79F9];
+    let mut blocks = bytes.chunks_exact(32);
+    for block in &mut blocks {
+        for (lane, chunk) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, word(chunk));
+        }
+    }
+    let mut hash = bytes.len() as u64;
+    for lane in lanes {
+        hash = mix(hash, lane);
+    }
+    let mut words = blocks.remainder().chunks_exact(8);
+    for chunk in &mut words {
+        hash = mix(hash, word(chunk));
+    }
+    for &byte in words.remainder() {
+        hash = mix(hash, u64::from(byte));
+    }
+    hash
 }
 
 /// An in-memory result cache keyed by canonical graph hash: budget-bounded
@@ -204,6 +266,11 @@ pub struct ResultCache {
     /// Recency index: monotonic tick -> key. The smallest tick is the
     /// least-recently-used entry, so eviction is a `pop_first`.
     recency: BTreeMap<u64, u64>,
+    /// The body index: digest of an attached request body -> the key of the
+    /// entry carrying it. Every mapping points at a live entry whose body
+    /// memo has that digest; an entry whose mapping a colliding body took
+    /// over simply stops being reachable through the index.
+    by_digest: HashMap<u64, u64>,
     next_tick: u64,
     total_bytes: usize,
     config: CacheConfig,
@@ -246,7 +313,8 @@ impl ResultCache {
         self.entries.is_empty()
     }
 
-    /// Estimated bytes held by all entries (see [`CacheEntry::approx_bytes`]).
+    /// Estimated bytes held by all entries (see [`CacheEntry::approx_bytes`])
+    /// plus the exact bytes of their body-index memos.
     pub fn total_bytes(&self) -> usize {
         self.total_bytes
     }
@@ -256,18 +324,102 @@ impl ResultCache {
     /// keeping, so `get` is `&mut self`. Use [`ResultCache::peek`] for a
     /// recency-neutral read.
     pub fn get(&mut self, key: u64) -> Option<&CacheEntry> {
-        let next_tick = self.next_tick;
-        let slot = self.entries.get_mut(&key)?;
-        self.recency.remove(&slot.tick);
-        slot.tick = next_tick;
-        self.recency.insert(next_tick, key);
-        self.next_tick += 1;
-        Some(&slot.entry)
+        self.touch(key).map(|slot| &slot.entry)
     }
 
     /// Looks up a result without touching recency (tests, inspection).
     pub fn peek(&self, key: u64) -> Option<&CacheEntry> {
         self.entries.get(&key).map(|slot| &slot.entry)
+    }
+
+    /// Marks `key`'s entry most recently used.
+    fn touch(&mut self, key: u64) -> Option<&mut Slot> {
+        let slot = self.entries.get_mut(&key)?;
+        self.recency.remove(&slot.tick);
+        slot.tick = self.next_tick;
+        self.recency.insert(slot.tick, key);
+        self.next_tick += 1;
+        Some(slot)
+    }
+
+    /// [`ResultCache::get`] for the service: the entry by value, with its
+    /// key and rendered document.
+    pub(crate) fn find(&mut self, key: u64) -> Option<Found> {
+        let slot = self.touch(key)?;
+        Some(Found { key, entry: slot.entry.clone(), rendered: slot.rendered.clone() })
+    }
+
+    /// Looks a request body up in the body index: `digest` (normally
+    /// [`body_digest`] of `body`) finds the candidate entry and a full byte
+    /// comparison against its memoised body decides. A match is a served
+    /// hit and refreshes recency exactly as [`ResultCache::get`] does.
+    pub(crate) fn find_by_body(&mut self, digest: u64, body: &[u8]) -> Option<Found> {
+        let key = *self.by_digest.get(&digest)?;
+        let (_, memo) = self.entries.get(&key)?.body.as_ref()?;
+        if **memo != *body {
+            return None;
+        }
+        self.find(key)
+    }
+
+    /// Whether attached memos may grow by `added` bytes after shrinking by
+    /// `freed` without breaking the byte budget.
+    fn memo_fits(&self, freed: usize, added: usize) -> bool {
+        self.config.max_bytes.is_none_or(|max| self.total_bytes - freed + added <= max)
+    }
+
+    /// Memoises `body` (which resolved to `key` through the canonical hash,
+    /// so it passed import validation) as the entry's request text,
+    /// replacing an earlier text. Skipped — leaving what was attached —
+    /// when the entry is gone or the byte budget would not hold.
+    pub(crate) fn attach_body(&mut self, key: u64, digest: u64, body: &[u8]) -> bool {
+        let Some(slot) = self.entries.get(&key) else { return false };
+        let freed = slot.body.as_ref().map_or(0, |(_, old)| old.len());
+        if !self.memo_fits(freed, body.len()) {
+            return false;
+        }
+        let slot = self.entries.get_mut(&key).expect("looked up above");
+        let replaced = slot.body.replace((digest, body.into()));
+        slot.bytes = slot.bytes - freed + body.len();
+        self.unindex(key, &replaced);
+        self.total_bytes = self.total_bytes - freed + body.len();
+        self.by_digest.insert(digest, key);
+        self.record_occupancy();
+        true
+    }
+
+    /// Memoises the hit-form response document of `key`'s entry, unless the
+    /// entry was replaced since `graph` was read from it, already has one,
+    /// or the byte budget would not hold.
+    pub(crate) fn attach_rendered(&mut self, key: u64, graph: &Arc<Graph>, rendered: Arc<str>) -> bool {
+        let fits = self.memo_fits(0, rendered.len());
+        let Some(slot) = self.entries.get_mut(&key) else { return false };
+        if !fits || slot.rendered.is_some() || !Arc::ptr_eq(&slot.entry.graph, graph) {
+            return false;
+        }
+        slot.bytes += rendered.len();
+        self.total_bytes += rendered.len();
+        slot.rendered = Some(rendered);
+        self.record_occupancy();
+        true
+    }
+
+    /// Drops the body-index mapping for `memo`, the body attached to `key`'s
+    /// entry, if it still points at `key` (a colliding body may have taken
+    /// the digest over).
+    fn unindex(&mut self, key: u64, memo: &Option<(u64, Box<[u8]>)>) {
+        if let Some((digest, _)) = memo {
+            if self.by_digest.get(digest) == Some(&key) {
+                self.by_digest.remove(digest);
+            }
+        }
+    }
+
+    /// Settles the books for `key`'s slot, just taken out of `entries`: its
+    /// bytes, memos included, and its index mapping go with it.
+    fn release(&mut self, key: u64, slot: Slot) {
+        self.total_bytes -= slot.bytes;
+        self.unindex(key, &slot.body);
     }
 
     /// Stores a result and evicts least-recently-used entries until the
@@ -276,7 +428,7 @@ impl ResultCache {
     /// Overwriting an existing key is deliberate and harmless: optimisation
     /// is deterministic per key (the policy is read-only and the episode RNG
     /// is seeded from the key), so two racing misses compute identical
-    /// entries.
+    /// entries. The overwritten entry's body-index memos go with it.
     ///
     /// Budgets are strict: an entry that alone exceeds the byte budget is
     /// evicted immediately (the cache never lies about its footprint); the
@@ -285,12 +437,12 @@ impl ResultCache {
     pub fn insert(&mut self, key: u64, entry: CacheEntry) -> usize {
         if let Some(old) = self.entries.remove(&key) {
             self.recency.remove(&old.tick);
-            self.total_bytes -= old.bytes;
+            self.release(key, old);
         }
         let bytes = entry.approx_bytes();
         let tick = self.next_tick;
         self.next_tick += 1;
-        self.entries.insert(key, Slot { entry, tick, bytes });
+        self.entries.insert(key, Slot { entry, tick, bytes, body: None, rendered: None });
         self.recency.insert(tick, key);
         self.total_bytes += bytes;
         let evicted = self.evict_to_budget();
@@ -310,7 +462,7 @@ impl ResultCache {
             }
             let Some((_, key)) = self.recency.pop_first() else { break };
             if let Some(slot) = self.entries.remove(&key) {
-                self.total_bytes -= slot.bytes;
+                self.release(key, slot);
                 evicted += 1;
             }
         }
@@ -329,8 +481,8 @@ impl ResultCache {
     }
 
     /// Serialises the cache as a versioned JSON snapshot. Entries are
-    /// ordered by key so the output is byte-stable; recency is not
-    /// persisted (see the module docs).
+    /// ordered by key so the output is byte-stable; neither recency nor the
+    /// body index is persisted (see the module docs).
     pub fn to_json(&self) -> String {
         let mut keys: Vec<u64> = self.entries.keys().copied().collect();
         keys.sort_unstable();
@@ -658,6 +810,146 @@ mod tests {
         assert!(clamped.peek(2).is_some() && clamped.peek(3).is_some());
         // An unbounded load of the same document keeps everything.
         assert_eq!(ResultCache::from_json(&json).unwrap().len(), 4);
+    }
+
+    /// The structural (memo-free) size of `n` of the shared test entries.
+    fn structural(n: usize) -> usize {
+        n * entry().1.approx_bytes()
+    }
+
+    #[test]
+    fn the_body_digest_sees_every_byte_and_the_length() {
+        let text: Vec<u8> = (0..100u8).collect();
+        let digest = body_digest(&text);
+        assert_eq!(digest, body_digest(&text.clone()));
+        for i in 0..text.len() {
+            let mut other = text.clone();
+            other[i] ^= 1;
+            assert_ne!(digest, body_digest(&other), "byte {i} does not reach the digest");
+        }
+        assert_ne!(digest, body_digest(&text[..99]));
+        assert_ne!(body_digest(b""), body_digest(b"\0"));
+    }
+
+    #[test]
+    fn the_body_index_serves_equal_bytes_never_equal_digests() {
+        let mut cache = ResultCache::new();
+        let (key, e) = entry();
+        cache.insert(key, e);
+        // A forged digest is the attacker's best case: the digest of the
+        // forgery is *injected* equal to the attached body's.
+        assert!(cache.attach_body(key, 42, b"the validated body"));
+        assert!(cache.find_by_body(42, b"a forgery, same digest").is_none());
+        assert!(cache.find_by_body(42, b"the validated bodx").is_none());
+        assert!(cache.find_by_body(7, b"the validated body").is_none(), "unknown digest");
+        let found = cache.find_by_body(42, b"the validated body").expect("equal bytes are a hit");
+        assert_eq!(found.key, key);
+        assert!(found.rendered.is_none(), "nothing is rendered before a response was");
+        // Nothing can be attached to a key the cache does not hold.
+        assert!(!cache.attach_body(key ^ 1, 43, b"orphan"));
+        assert_eq!(cache.total_bytes(), structural(1) + b"the validated body".len());
+    }
+
+    #[test]
+    fn a_newer_text_replaces_the_memo_and_a_colliding_one_takes_the_digest_over() {
+        let mut cache = ResultCache::new();
+        for (key, e) in synthetic_entries(2) {
+            cache.insert(key, e);
+        }
+        assert!(cache.attach_body(0, 1, b"first text"));
+        assert!(cache.attach_body(0, 2, b"second, longer text"));
+        assert!(cache.find_by_body(1, b"first text").is_none(), "the memo follows the newer text");
+        assert_eq!(cache.find_by_body(2, b"second, longer text").unwrap().key, 0);
+        assert_eq!(cache.total_bytes(), structural(2) + b"second, longer text".len());
+        assert_eq!(cache.by_digest.len(), 1);
+
+        // Key 1's body collides with key 0's digest: the index now leads to
+        // key 1, key 0 is reachable through its canonical hash only, and
+        // evicting key 0 must not tear down key 1's mapping.
+        assert!(cache.attach_body(1, 2, b"collides"));
+        assert!(cache.find_by_body(2, b"second, longer text").is_none());
+        assert_eq!(cache.find_by_body(2, b"collides").unwrap().key, 1);
+        cache.set_config(CacheConfig::builder().max_entries(1).build().unwrap());
+        assert!(cache.peek(0).is_none() && cache.peek(1).is_some());
+        assert_eq!(cache.find_by_body(2, b"collides").unwrap().key, 1);
+        assert_eq!(cache.total_bytes(), structural(1) + b"collides".len());
+    }
+
+    #[test]
+    fn memos_live_and_die_with_their_entry() {
+        let doc: Arc<str> = "{\"rendered\": true}".into();
+        let mut cache = ResultCache::with_config(CacheConfig::builder().max_entries(2).build().unwrap());
+        for (key, e) in synthetic_entries(2) {
+            cache.insert(key, e);
+        }
+        let e = cache.peek(0).unwrap().clone();
+        assert!(cache.attach_body(0, 10, b"body zero"));
+        assert!(cache.attach_rendered(0, &e.graph, Arc::clone(&doc)));
+        assert!(!cache.attach_rendered(0, &e.graph, Arc::clone(&doc)), "rendered once");
+        assert!(
+            !cache.attach_rendered(1, &Arc::new((*e.graph).clone()), Arc::clone(&doc)),
+            "a replaced entry"
+        );
+        assert_eq!(cache.total_bytes(), structural(2) + b"body zero".len() + doc.len());
+        assert_eq!(cache.find_by_body(10, b"body zero").unwrap().rendered.as_deref(), Some(&*doc));
+
+        // The indexed hit refreshed key 0, so key 1 is the one evicted…
+        cache.insert(2, e.clone());
+        assert!(cache.peek(1).is_none() && cache.peek(0).is_some());
+        // …and when key 0 goes — evicted, then overwritten — so do its memos.
+        cache.insert(3, e.clone());
+        assert!(cache.peek(0).is_none());
+        assert!(cache.find_by_body(10, b"body zero").is_none());
+        assert!(cache.by_digest.is_empty());
+        assert_eq!(cache.total_bytes(), structural(2));
+        assert!(cache.attach_body(3, 11, b"body three"));
+        cache.insert(3, e);
+        assert!(cache.find_by_body(11, b"body three").is_none(), "an overwritten entry starts without memos");
+        assert_eq!(cache.total_bytes(), structural(2));
+    }
+
+    #[test]
+    fn memos_never_push_the_cache_over_its_byte_budget() {
+        let max = structural(2) + 10;
+        let mut cache = ResultCache::with_config(CacheConfig::builder().max_bytes(max).build().unwrap());
+        for (key, e) in synthetic_entries(2) {
+            cache.insert(key, e);
+        }
+        let e = cache.peek(0).unwrap().clone();
+        assert!(!cache.attach_body(0, 1, b"eleven bytes"), "over budget: not attached");
+        assert!(cache.attach_body(0, 1, b"six by"));
+        assert!(!cache.attach_rendered(0, &e.graph, "12345".into()), "6 + 5 > 10");
+        assert!(cache.attach_rendered(0, &e.graph, "1234".into()));
+        // A replacement is judged on what it frees too, and a refused one
+        // leaves the attached text in place.
+        assert!(cache.attach_body(1, 2, b""));
+        assert!(!cache.attach_body(0, 3, b"seven b"));
+        assert!(cache.attach_body(0, 3, b"six b!"));
+        assert_eq!(cache.total_bytes(), max);
+        assert_eq!(cache.len(), 2, "a memo never evicts an entry");
+        // Shrinking the budget evicts whole entries, memos and all.
+        cache.set_config(CacheConfig::builder().max_bytes(structural(1) + 10).build().unwrap());
+        assert_eq!(cache.len(), 1);
+        assert_eq!(
+            cache.total_bytes(),
+            structural(1),
+            "key 0 was least recently used; its memos went with it"
+        );
+    }
+
+    #[test]
+    fn snapshots_do_not_carry_the_body_index() {
+        let mut cache = ResultCache::new();
+        let (key, e) = entry();
+        cache.insert(key, e.clone());
+        let plain = cache.to_json();
+        cache.attach_body(key, 5, b"request text");
+        cache.attach_rendered(key, &e.graph, "response text".into());
+        assert_eq!(cache.to_json(), plain, "the snapshot format does not know about memos");
+        let mut back = ResultCache::from_json(&cache.to_json()).unwrap();
+        assert_eq!(back.total_bytes(), structural(1));
+        assert!(back.find_by_body(5, b"request text").is_none());
+        assert!(back.get(key).is_some(), "the entry itself is there");
     }
 
     #[test]

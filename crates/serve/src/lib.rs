@@ -14,7 +14,12 @@
 //!    [`ServeError`] (a 4xx over HTTP).
 //! 2. **The cache key is the canonical hash.** Structurally identical
 //!    graphs share one entry regardless of node numbering or names, and a
-//!    hit costs no policy forward passes.
+//!    hit costs no policy forward passes. In front of it sits the *body
+//!    index*: a byte-identical repeat of an already-answered request body
+//!    is recognised by digest plus a full byte comparison and served
+//!    without being parsed, hashed or re-exported. It is an accelerator,
+//!    never a second key space — equality is on bytes, entries are owned
+//!    by the key.
 //! 3. **Serving never mutates the policy.** The agent is a read-only
 //!    snapshot replica (the rollout engine's replica protocol), so one
 //!    service can be shared across request threads behind an `Arc`.
@@ -70,7 +75,8 @@
 //! [`OptimizeService::load_cache`]) so a restarted server keeps answering
 //! previously seen graphs without re-running the policy, and the whole
 //! service goes on the network with [`http::OptimizeServer`] — a
-//! dependency-free blocking HTTP/1.1 front end over `std::net`.
+//! dependency-free blocking HTTP/1.1 front end over `std::net`, with
+//! persistent connections on a bounded worker pool.
 
 #![warn(missing_docs)]
 

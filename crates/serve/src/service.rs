@@ -1,6 +1,17 @@
 //! The optimisation service: snapshot-replica policy serving behind a
 //! bounded persistent result cache, with hot snapshot swap and single-flight
 //! miss admission.
+//!
+//! Every request that arrives as text — [`OptimizeService::optimize_json`]
+//! and the HTTP handler alike — goes through one private resolver. It first
+//! asks the cache's body index whether these exact bytes were answered
+//! before (digest, then a full byte comparison): if so the request is a hit
+//! without a UTF-8 check, an import, a canonical hash or an export. Anything
+//! else takes the full path — `from_utf8` → [`Graph::from_json`] →
+//! [`Graph::canonical_hash`] → single-flight → `greedy_optimize` — after
+//! which the body is attached to the entry its key resolved to, so the next
+//! byte-identical request is cheap. Only bodies that passed import
+//! validation are ever attached.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
@@ -9,11 +20,11 @@ use xrlflow_core::fault;
 use xrlflow_core::{greedy_optimize, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::Environment;
-use xrlflow_graph::Graph;
+use xrlflow_graph::{Graph, GraphError, JsonValue};
 use xrlflow_rewrite::RuleSet;
 use xrlflow_tensor::{ParamSnapshot, XorShiftRng};
 
-use crate::cache::{CacheConfig, CacheEntry, ResultCache};
+use crate::cache::{body_digest, CacheConfig, CacheEntry, Found, ResultCache};
 use crate::error::ServeError;
 
 /// The outcome of one optimisation request.
@@ -273,17 +284,32 @@ impl OptimizeService {
         xrlflow_obs::counter!("serve/requests").inc();
     }
 
-    /// Optimises a graph document in the JSON interchange format — the
-    /// boundary the HTTP front end ([`crate::http`]) calls with a request
-    /// body.
+    /// Optimises a graph document in the JSON interchange format. A
+    /// byte-identical repeat of a document the service has already answered
+    /// is served from the cache's body index without being parsed again.
     ///
     /// # Errors
     ///
     /// [`ServeError::Graph`] when the document is malformed or invalid;
     /// never panics on untrusted input.
     pub fn optimize_json(&self, text: &str) -> Result<OptimizeResponse, ServeError> {
-        let graph = Graph::from_json(text)?;
-        self.optimize_validated(graph)
+        self.resolve(text.as_bytes()).map(|resolved| resolved.response())
+    }
+
+    /// [`OptimizeService::optimize_json`] for the HTTP front end: takes the
+    /// raw request body and returns the response document. A hit's document
+    /// is rendered once and memoised beside its cache entry.
+    pub(crate) fn optimize_http(&self, body: &[u8]) -> Result<Arc<str>, ServeError> {
+        let resolved = self.resolve(body)?;
+        if let Some(rendered) = resolved.found.rendered {
+            return Ok(rendered);
+        }
+        let rendered: Arc<str> = render_response(&resolved.response()).into();
+        if resolved.cache_hit {
+            let Found { key, entry, .. } = &resolved.found;
+            self.cache.lock().expect("cache lock").attach_rendered(*key, &entry.graph, Arc::clone(&rendered));
+        }
+        Ok(rendered)
     }
 
     /// Optimises an in-process graph.
@@ -293,11 +319,38 @@ impl OptimizeService {
     /// [`ServeError::Graph`] when the graph fails validation.
     pub fn optimize(&self, graph: &Graph) -> Result<OptimizeResponse, ServeError> {
         graph.validate()?;
-        self.optimize_validated(graph.clone())
+        let _span = xrlflow_obs::span!("serve/request");
+        self.optimize_validated(graph.clone(), None).map(|resolved| resolved.response())
     }
 
-    fn optimize_validated(&self, graph: Graph) -> Result<OptimizeResponse, ServeError> {
-        let _span = xrlflow_obs::span!("serve/request");
+    /// The one way a text request becomes a result: the body index first,
+    /// the full import path otherwise (see the module docs). The
+    /// `serve/request` span covers accepted requests only.
+    fn resolve(&self, body: &[u8]) -> Result<Resolved, ServeError> {
+        let span = xrlflow_obs::span!("serve/request");
+        let digest = body_digest(body);
+        let indexed = self.cache.lock().expect("cache lock").find_by_body(digest, body);
+        if let Some(found) = indexed {
+            self.record_request(true, false);
+            xrlflow_obs::counter!("serve/body_index_hits").inc();
+            return Ok(Resolved { found, cache_hit: true });
+        }
+        let graph = std::str::from_utf8(body)
+            .map_err(|_| GraphError::Parse("request body is not valid UTF-8".to_string()))
+            .and_then(Graph::from_json);
+        match graph {
+            Ok(graph) => self.optimize_validated(graph, Some((digest, body))),
+            Err(e) => {
+                span.cancel();
+                Err(e.into())
+            }
+        }
+    }
+
+    /// Serves a validated graph from the cache or the policy. `body` is the
+    /// request text (with its digest) the graph was imported from, attached
+    /// to whichever entry answers.
+    fn optimize_validated(&self, graph: Graph, body: Option<(u64, &[u8])>) -> Result<Resolved, ServeError> {
         let key = graph.canonical_hash();
         let mut coalesced = false;
         // Single-flight admission: check the cache, and on a miss either
@@ -309,9 +362,17 @@ impl OptimizeService {
         // instead — one fault fails its coalesced cohort loudly rather than
         // stampeding the policy with silent re-runs.
         loop {
-            if let Some(entry) = self.cache.lock().expect("cache lock").get(key) {
+            let found = {
+                let mut cache = self.cache.lock().expect("cache lock");
+                let found = cache.find(key);
+                if let (Some(_), Some((digest, body))) = (&found, body) {
+                    cache.attach_body(key, digest, body);
+                }
+                found
+            };
+            if let Some(found) = found {
                 self.record_request(true, coalesced);
-                return Ok(response_from(entry, true));
+                return Ok(Resolved { found, cache_hit: true });
             }
             let existing = {
                 let mut flights = self.flights.lock().expect("flights lock");
@@ -357,9 +418,12 @@ impl OptimizeService {
             final_latency_ms: result.final_latency_ms,
             steps: result.steps,
         };
-        let response = response_from(&entry, false);
-        self.cache.lock().expect("cache lock").insert(key, entry);
-        Ok(response)
+        let mut cache = self.cache.lock().expect("cache lock");
+        cache.insert(key, entry.clone());
+        if let Some((digest, body)) = body {
+            cache.attach_body(key, digest, body);
+        }
+        Ok(Resolved { found: Found { key, entry, rendered: None }, cache_hit: false })
     }
 
     /// Current request counters, as one consistent snapshot
@@ -382,7 +446,7 @@ impl OptimizeService {
         self.cache.lock().expect("cache lock").len()
     }
 
-    /// Estimated bytes held by the result cache.
+    /// Estimated bytes held by the result cache, body-index memos included.
     pub fn cache_bytes(&self) -> usize {
         self.cache.lock().expect("cache lock").total_bytes()
     }
@@ -446,14 +510,36 @@ impl OptimizeService {
     }
 }
 
-fn response_from(entry: &CacheEntry, cache_hit: bool) -> OptimizeResponse {
-    OptimizeResponse {
-        graph: Arc::clone(&entry.graph),
-        initial_latency_ms: entry.initial_latency_ms,
-        final_latency_ms: entry.final_latency_ms,
-        steps: entry.steps,
-        cache_hit,
+/// A request resolved to a cache entry, and whether the cache supplied it.
+struct Resolved {
+    found: Found,
+    cache_hit: bool,
+}
+
+impl Resolved {
+    fn response(&self) -> OptimizeResponse {
+        let entry = &self.found.entry;
+        OptimizeResponse {
+            graph: Arc::clone(&entry.graph),
+            initial_latency_ms: entry.initial_latency_ms,
+            final_latency_ms: entry.final_latency_ms,
+            steps: entry.steps,
+            cache_hit: self.cache_hit,
+        }
     }
+}
+
+/// The `POST /optimize` response document (`docs/FORMATS.md`).
+fn render_response(response: &OptimizeResponse) -> String {
+    JsonValue::Object(vec![
+        ("graph".to_string(), response.graph.to_json_value()),
+        ("initial_latency_ms".to_string(), JsonValue::Number(response.initial_latency_ms)),
+        ("final_latency_ms".to_string(), JsonValue::Number(response.final_latency_ms)),
+        ("steps".to_string(), JsonValue::Number(response.steps as f64)),
+        ("cache_hit".to_string(), JsonValue::Bool(response.cache_hit)),
+        ("speedup_percent".to_string(), JsonValue::Number(response.speedup_percent())),
+    ])
+    .to_json()
 }
 
 #[cfg(test)]
@@ -478,8 +564,8 @@ mod tests {
         // Simulate an in-flight leader, then have it die: remove the
         // flight and report LeaderFailed — exactly what FlightGuard does
         // when the leader thread unwinds.
-        service.flights.lock().unwrap().insert(key, Arc::new(Flight::default()));
-        let reaper = {
+        let fail_leader_soon = || {
+            service.flights.lock().unwrap().insert(key, Arc::new(Flight::default()));
             let service = Arc::clone(&service);
             std::thread::spawn(move || {
                 std::thread::sleep(std::time::Duration::from_millis(30));
@@ -487,12 +573,31 @@ mod tests {
                 flight.finish(FlightOutcome::LeaderFailed);
             })
         };
+        let reaper = fail_leader_soon();
         let err = service.optimize(&graph).unwrap_err();
         assert!(
             matches!(err, ServeError::FlightFailed { key: k } if k == key),
             "coalesced request must fail with the typed flight error, got: {err}"
         );
         reaper.join().unwrap();
+
+        // Over HTTP the same fault is the server's, and retryable: `503`
+        // with `Retry-After`, not the client's `400`.
+        let server = crate::OptimizeServer::bind(Arc::clone(&service), "127.0.0.1:0").unwrap();
+        let reaper = fail_leader_soon();
+        let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+        let body = graph.to_json();
+        let request = format!(
+            "POST /optimize HTTP/1.1\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        std::io::Write::write_all(&mut stream, request.as_bytes()).unwrap();
+        let mut reply = String::new();
+        std::io::Read::read_to_string(&mut stream, &mut reply).unwrap();
+        assert!(reply.starts_with("HTTP/1.1 503 Service Unavailable\r\n"), "reply: {reply}");
+        assert!(reply.contains("\r\nRetry-After: 0\r\n"), "reply: {reply}");
+        reaper.join().unwrap();
+        drop(server);
 
         // The flight table is clear — the next request leads and succeeds.
         let response = service.optimize(&graph).unwrap();

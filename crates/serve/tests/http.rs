@@ -1,12 +1,14 @@
 //! Integration tests of the HTTP front end: the happy path end to end, the
 //! negative suite (every malformed or out-of-bounds request is a typed 4xx,
 //! never a panic or a parse-triggered 5xx), hot snapshot swap under live
-//! traffic, and cache budgets enforced under HTTP load.
+//! traffic, cache budgets enforced under HTTP load, and the connection model:
+//! persistence, request framing on a persistent connection, idle handling,
+//! shutdown, and shedding when the worker pool and its queue are full.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
@@ -351,6 +353,340 @@ fn cache_budget_is_never_exceeded_under_http_load() {
     let reply = http_call(addr, "POST", "/optimize", relu_chain(1).to_json().as_bytes()).unwrap();
     assert_eq!(
         JsonValue::parse(&reply.body).unwrap().get("cache_hit").and_then(JsonValue::as_bool),
+        Some(false)
+    );
+}
+
+/// One reply read off a persistent connection.
+#[derive(Debug)]
+struct Reply {
+    status: u16,
+    head: String,
+    body: String,
+}
+
+impl Reply {
+    fn closes(&self) -> bool {
+        self.head.contains("\r\nConnection: close")
+    }
+}
+
+/// A raw client connection that stays open between requests: replies are
+/// framed by `Content-Length`, and bytes past one reply belong to the next.
+struct Wire {
+    stream: TcpStream,
+    pending: Vec<u8>,
+}
+
+impl Wire {
+    fn connect(addr: SocketAddr) -> Self {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+        Self { stream, pending: Vec::new() }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).unwrap();
+    }
+
+    fn post(&mut self, path: &str, body: &str) {
+        self.send(format!("POST {path} HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}", body.len()).as_bytes());
+    }
+
+    /// Reads until `done` says the pending bytes suffice; `false` when the
+    /// server closed (or nothing came within the read timeout) first.
+    fn read_until(&mut self, done: impl Fn(&[u8]) -> bool) -> bool {
+        let mut chunk = [0u8; 16 * 1024];
+        while !done(&self.pending) {
+            match self.stream.read(&mut chunk) {
+                Ok(0) | Err(_) => return false,
+                Ok(n) => self.pending.extend_from_slice(&chunk[..n]),
+            }
+        }
+        true
+    }
+
+    /// The next reply, or `None` when the server closed the connection
+    /// without sending (all of) one.
+    fn try_reply(&mut self) -> Option<Reply> {
+        let head_end = |bytes: &[u8]| bytes.windows(4).position(|w| w == b"\r\n\r\n");
+        if !self.read_until(|bytes| head_end(bytes).is_some()) {
+            return None;
+        }
+        let split = head_end(&self.pending).unwrap();
+        let head = String::from_utf8(self.pending[..split].to_vec()).unwrap();
+        let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+        let length: usize = head
+            .split("\r\n")
+            .find_map(|line| line.strip_prefix("Content-Length: "))
+            .expect("every reply carries a Content-Length")
+            .parse()
+            .unwrap();
+        if !self.read_until(|bytes| bytes.len() >= split + 4 + length) {
+            return None;
+        }
+        let body = String::from_utf8(self.pending[split + 4..split + 4 + length].to_vec()).unwrap();
+        self.pending.drain(..split + 4 + length);
+        Some(Reply { status, head, body })
+    }
+
+    fn reply(&mut self) -> Reply {
+        self.try_reply().expect("the server closed the connection instead of replying")
+    }
+
+    /// Whether the server has closed the connection without sending
+    /// anything more, waiting up to `patience` to see it.
+    fn closed_silently_within(&mut self, patience: Duration) -> bool {
+        self.stream.set_read_timeout(Some(patience)).unwrap();
+        self.pending.is_empty() && matches!(self.stream.read(&mut [0u8; 64]), Ok(0))
+    }
+}
+
+fn counter(server: &OptimizeServer, name: &str) -> f64 {
+    let metrics = JsonValue::parse(&server.service().metrics_json()).unwrap();
+    metrics.get("counters").unwrap().get(name).and_then(JsonValue::as_f64).unwrap_or(0.0)
+}
+
+#[test]
+fn connections_persist_until_the_client_says_otherwise() {
+    let server = start_server();
+    let mut wire = Wire::connect(server.local_addr());
+    let graph = relu_chain(5).to_json();
+    for round in 0..6 {
+        if round % 2 == 0 {
+            wire.post("/optimize", &graph);
+        } else {
+            wire.send(b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n");
+        }
+        let reply = wire.reply();
+        assert_eq!(reply.status, 200, "body: {}", reply.body);
+        assert!(!reply.closes(), "a persistent reply must not announce a close: {}", reply.head);
+        if round % 2 == 0 {
+            let hit = JsonValue::parse(&reply.body).unwrap().get("cache_hit").and_then(JsonValue::as_bool);
+            assert_eq!(hit, Some(round > 0));
+        }
+    }
+    // A handler-level 4xx leaves the framing intact: the connection stays.
+    wire.post("/optimize", "not json");
+    let reply = wire.reply();
+    assert_eq!(reply.status, 400);
+    assert!(!reply.closes());
+    // `Connection: close` (any case, in a list) is honoured and announced.
+    wire.send(b"GET /healthz HTTP/1.1\r\nConnection: Keep-Alive, CLOSE\r\n\r\n");
+    let reply = wire.reply();
+    assert_eq!(reply.status, 200);
+    assert!(reply.closes());
+    assert!(wire.closed_silently_within(Duration::from_secs(5)));
+
+    // HTTP/1.0 has no persistence here, whatever the client asks for.
+    let mut wire = Wire::connect(server.local_addr());
+    wire.send(b"GET /healthz HTTP/1.0\r\nConnection: keep-alive\r\n\r\n");
+    let reply = wire.reply();
+    assert_eq!(reply.status, 200);
+    assert!(reply.closes());
+    assert!(wire.closed_silently_within(Duration::from_secs(5)));
+}
+
+#[test]
+fn pipelined_requests_are_answered_in_order() {
+    let server = start_server();
+    let mut wire = Wire::connect(server.local_addr());
+    let graph = relu_chain(6).to_json();
+    // Three requests in one write; the second carries a body.
+    wire.send(
+        format!(
+            "GET /healthz HTTP/1.1\r\n\r\nPOST /optimize HTTP/1.1\r\nContent-Length: {}\r\n\r\n{graph}\
+             GET /nope HTTP/1.1\r\n\r\n",
+            graph.len()
+        )
+        .as_bytes(),
+    );
+    let first = wire.reply();
+    assert_eq!(first.status, 200);
+    assert!(first.body.contains("ok"));
+    let second = wire.reply();
+    assert_eq!(second.status, 200, "body: {}", second.body);
+    assert!(second.body.contains("final_latency_ms"));
+    assert_eq!(wire.reply().status, 404);
+    // A head that arrives a byte at a time is still one request.
+    for byte in b"GET /healthz HTTP/1.1\r\nX-Slow: yes\r\n\r\n" {
+        wire.send(&[*byte]);
+    }
+    assert_eq!(wire.reply().status, 200);
+}
+
+#[test]
+fn ambiguous_or_unread_framing_never_desynchronises_a_connection() {
+    let config = ServerConfig { max_body_bytes: 1024, ..ServerConfig::default() };
+    let server = start_server_with_config(config);
+    let addr = server.local_addr();
+
+    // A body on a GET is read off the socket, not parsed as the next request.
+    let mut wire = Wire::connect(addr);
+    wire.send(b"GET /healthz HTTP/1.1\r\nContent-Length: 26\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\nGET /nope HTTP/1.1\r\n\r\n");
+    assert_eq!(wire.reply().status, 200);
+    let next = wire.reply();
+    assert_eq!(next.status, 404);
+    assert!(next.body.contains("/nope"), "the body was taken for a request: {}", next.body);
+    // Two Content-Length headers that agree are one length.
+    wire.send(b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 2\r\n\r\nhi");
+    assert_eq!(wire.reply().status, 200);
+
+    // Each of these ends the connection: after it, where the next request
+    // starts is anyone's guess. The trailing request must never be answered.
+    let rejected: [(&[u8], u16); 5] = [
+        // Too large to read and discard.
+        (b"GET /healthz HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", 413),
+        // Two lengths that disagree.
+        (b"POST /optimize HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 3\r\n\r\n{}", 400),
+        // Chunked bodies were never implemented.
+        (b"POST /optimize HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 501),
+        (b"POST /optimize HTTP/1.1\r\n\r\n", 411),
+        (b"GARBAGE\r\n\r\n", 400),
+    ];
+    for (bytes, status) in rejected {
+        let mut wire = Wire::connect(addr);
+        wire.send(b"GET /healthz HTTP/1.1\r\n\r\n");
+        assert_eq!(wire.reply().status, 200);
+        wire.send(bytes);
+        wire.send(b"GET /healthz HTTP/1.1\r\n\r\n");
+        let reply = wire.reply();
+        assert_eq!(reply.status, status, "request {:?}", String::from_utf8_lossy(bytes));
+        assert!(reply.closes(), "a rejected request must announce the close: {}", reply.head);
+        assert!(wire.try_reply().is_none(), "nothing may be answered after {status}");
+    }
+    assert_eq!(http_call(addr, "GET", "/healthz", &[]).unwrap().status, 200);
+}
+
+#[test]
+fn an_idle_persistent_connection_is_closed_silently() {
+    let server = start_server();
+    let mut wire = Wire::connect(server.local_addr());
+    wire.send(b"GET /healthz HTTP/1.1\r\n\r\n");
+    assert_eq!(wire.reply().status, 200);
+    let idle_since = Instant::now();
+    // No `408`, no bytes at all: just a close, once the idle limit (5 s) is up.
+    assert!(wire.closed_silently_within(Duration::from_secs(20)));
+    let idle_for = idle_since.elapsed();
+    assert!(idle_for >= Duration::from_secs(4), "closed after only {idle_for:?}");
+    assert!(idle_for < Duration::from_secs(15), "closed only after {idle_for:?}");
+    assert_eq!(http_call(server.local_addr(), "GET", "/healthz", &[]).unwrap().status, 200);
+}
+
+#[test]
+fn shutdown_does_not_wait_for_idle_connections_but_answers_requests_in_flight() {
+    let config = ServerConfig { drain_timeout: Duration::from_secs(20), ..ServerConfig::default() };
+    let mut server = start_server_with_config(config);
+    let addr = server.local_addr();
+    let mut idle = Wire::connect(addr);
+    idle.send(b"GET /healthz HTTP/1.1\r\n\r\n");
+    assert_eq!(idle.reply().status, 200);
+
+    let in_flight = std::thread::spawn(move || {
+        let graph = build_model(ModelKind::InceptionV3, ModelScale::Bench).unwrap();
+        http_call(addr, "POST", "/optimize", graph.to_json().as_bytes())
+    });
+    std::thread::sleep(Duration::from_millis(5));
+    let started = Instant::now();
+    server.shutdown();
+    assert!(
+        started.elapsed() < Duration::from_secs(5),
+        "shutdown waited {:?} with only an idle connection and one request open",
+        started.elapsed()
+    );
+    assert!(idle.closed_silently_within(Duration::from_secs(5)));
+    // Refused at the socket is fine; accepted means answered, in full.
+    if let Ok(reply) = in_flight.join().unwrap() {
+        assert_eq!(reply.status, 200, "body: {}", reply.body);
+        JsonValue::parse(&reply.body).expect("response truncated by shutdown");
+    }
+}
+
+#[test]
+fn idle_connections_cannot_starve_a_new_client() {
+    let server = start_server();
+    let addr = server.local_addr();
+    // More persistent connections than any pool has workers (64 at most),
+    // opened one at a time: once every worker is parked on an idle one,
+    // each further connection waits for a worker to give its idle one up.
+    let mut idle = Vec::new();
+    for _ in 0..80 {
+        let mut wire = Wire::connect(addr);
+        wire.send(b"GET /healthz HTTP/1.1\r\n\r\n");
+        assert_eq!(wire.reply().status, 200);
+        idle.push(wire);
+    }
+    let started = Instant::now();
+    assert_eq!(http_call(addr, "GET", "/healthz", &[]).unwrap().status, 200);
+    assert!(
+        started.elapsed() < Duration::from_secs(1),
+        "a new client waited {:?} behind idle connections",
+        started.elapsed()
+    );
+}
+
+#[test]
+fn a_full_pool_sheds_with_503_and_recovers() {
+    let server = start_server();
+    let addr = server.local_addr();
+    let shed_before = counter(&server, "serve/shed");
+    // Clients that stall mid-head wedge one worker each, then fill the
+    // queue; the pool is sized from the CPU count, so keep going until the
+    // server refuses one (5 x 64 connections at the very most).
+    let mut stalled = Vec::new();
+    let mut refusal = None;
+    for _ in 0..400 {
+        let mut wire = Wire::connect(addr);
+        wire.send(b"GET /hea");
+        wire.stream.set_read_timeout(Some(Duration::from_millis(50))).unwrap();
+        if let Some(reply) = wire.try_reply() {
+            refusal = Some(reply);
+            break;
+        }
+        stalled.push(wire);
+    }
+    let refusal = refusal.expect("the server never shed a connection");
+    assert_eq!(refusal.status, 503, "body: {}", refusal.body);
+    assert!(refusal.head.contains("\r\nRetry-After: "), "head: {}", refusal.head);
+    assert!(refusal.closes());
+    assert!(counter(&server, "serve/shed") >= shed_before + 1.0);
+    assert!(stalled.len() >= 4 + 16, "shed with only {} connections open", stalled.len());
+
+    // The stalled clients go away; the server answers normally again.
+    drop(stalled);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        match http_call(addr, "GET", "/healthz", &[]) {
+            Ok(reply) if reply.status == 200 => break,
+            _ if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            other => panic!("the server did not recover: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_panicking_leader_is_a_caught_500_and_the_server_keeps_serving() {
+    use xrlflow_core::fault::{FaultPhase, FaultPlan};
+
+    let server = start_server();
+    let addr = server.local_addr();
+    let graph = relu_chain(37);
+    let errors_before = counter(&server, "serve/http_5xx");
+    let guard = FaultPlan::new().panic_on(FaultPhase::Serve, graph.canonical_hash(), 0).install();
+    let mut wire = Wire::connect(addr);
+    wire.post("/optimize", &graph.to_json());
+    let reply = wire.reply();
+    drop(guard);
+    assert_eq!(reply.status, 500, "body: {}", reply.body);
+    assert!(reply.closes(), "a server fault ends the connection");
+    assert!(counter(&server, "serve/http_5xx") >= errors_before + 1.0);
+
+    // The worker survived its handler's panic, the flight was cleared and
+    // nothing was cached: the retry runs a fresh episode.
+    let retry = http_call(addr, "POST", "/optimize", graph.to_json().as_bytes()).unwrap();
+    assert_eq!(retry.status, 200, "body: {}", retry.body);
+    assert_eq!(
+        JsonValue::parse(&retry.body).unwrap().get("cache_hit").and_then(JsonValue::as_bool),
         Some(false)
     );
 }

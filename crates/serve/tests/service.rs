@@ -1,13 +1,16 @@
 //! End-to-end tests of the optimisation service: cache hits bypass the
 //! policy, persisted caches survive a restart, the boundary returns typed
-//! errors, and the service is usable from multiple request threads.
+//! errors, the service is usable from multiple request threads, and the body
+//! index serves byte-identical repeats without changing any answer.
 
 use std::sync::Arc;
 
 use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
-use xrlflow_graph::{Graph, OpAttributes, OpKind, TensorShape};
-use xrlflow_serve::{OptimizeService, ServeError};
+use xrlflow_graph::{Graph, JsonValue, OpAttributes, OpKind, TensorShape};
+use xrlflow_serve::{
+    http_call, CacheConfig, CacheEntry, OptimizeResponse, OptimizeServer, OptimizeService, ServeError,
+};
 
 fn service() -> OptimizeService {
     let config = XrlflowConfig::smoke_test();
@@ -340,4 +343,241 @@ fn a_panicking_leader_clears_its_flight_and_the_service_survives() {
     assert!(!response.cache_hit, "the failed leader must not have published a result");
     let stats = service.stats();
     assert_eq!(stats.cache_hits + stats.policy_invocations, stats.requests);
+}
+
+/// A Relu chain of `len` nodes: a distinct, cheap-to-optimise graph per length.
+fn relu_chain(len: usize) -> Graph {
+    let mut g = Graph::new();
+    let mut last: xrlflow_graph::TensorRef = g.add_input(TensorShape::new(vec![1, 8])).into();
+    for _ in 0..len {
+        last = g.add_node(OpKind::Relu, OpAttributes::default(), vec![last]).unwrap().into();
+    }
+    g.mark_output(last);
+    g
+}
+
+/// The same document with different whitespace: other bytes, same graph.
+fn respaced(text: &str) -> String {
+    format!("\n  {}\n", text.replace(", ", ",\n "))
+}
+
+/// The structural (memo-free) cache footprint of a response's entry.
+fn structural_bytes(response: &OptimizeResponse) -> usize {
+    CacheEntry {
+        graph: Arc::clone(&response.graph),
+        initial_latency_ms: response.initial_latency_ms,
+        final_latency_ms: response.final_latency_ms,
+        steps: response.steps,
+    }
+    .approx_bytes()
+}
+
+fn body_index_hits(service: &OptimizeService) -> f64 {
+    let metrics = JsonValue::parse(&service.metrics_json()).unwrap();
+    metrics.get("counters").unwrap().get("serve/body_index_hits").and_then(JsonValue::as_f64).unwrap_or(0.0)
+}
+
+#[test]
+fn fast_hit_http_bodies_equal_slow_path_hit_bodies_for_every_zoo_graph() {
+    let server = OptimizeServer::bind(Arc::new(service()), "127.0.0.1:0").unwrap();
+    let addr = server.local_addr();
+    let post = |text: &str| {
+        let reply = http_call(addr, "POST", "/optimize", text.as_bytes()).unwrap();
+        assert_eq!(reply.status, 200, "body: {}", reply.body);
+        reply.body
+    };
+    let kinds = ModelKind::EVALUATED.iter().copied().chain([ModelKind::ResNet18]);
+    for kind in kinds {
+        let graph = build_model(kind, ModelScale::Bench).unwrap();
+        let (text, other) = (graph.to_json(), respaced(&graph.to_json()));
+        let index_hits_before = body_index_hits(server.service());
+        let miss = post(&text);
+        // The first repeat of `text` is already an indexed hit (the miss
+        // attached it); the first `other` goes the slow way through the
+        // canonical hash and takes the memo over, so `text` is slow again.
+        let hits = [post(&text), post(&other), post(&other), post(&text), post(&text)];
+        assert!(body_index_hits(server.service()) >= index_hits_before + 3.0);
+
+        // What the pre-index handler rendered for a hit, field for field.
+        let response = server.service().optimize(&graph).unwrap();
+        let expected = JsonValue::Object(vec![
+            ("graph".to_string(), response.graph.to_json_value()),
+            ("initial_latency_ms".to_string(), JsonValue::Number(response.initial_latency_ms)),
+            ("final_latency_ms".to_string(), JsonValue::Number(response.final_latency_ms)),
+            ("steps".to_string(), JsonValue::Number(response.steps as f64)),
+            ("cache_hit".to_string(), JsonValue::Bool(true)),
+            ("speedup_percent".to_string(), JsonValue::Number(response.speedup_percent())),
+        ])
+        .to_json();
+        for (i, hit) in hits.iter().enumerate() {
+            assert_eq!(*hit, expected, "{}: hit {i} differs from the rendered hit document", kind.name());
+        }
+        assert_eq!(miss, expected.replace("\"cache_hit\": true", "\"cache_hit\": false"));
+    }
+    let stats = server.service().stats();
+    assert_eq!(stats.policy_invocations, 8, "one episode per zoo graph");
+    assert_eq!(stats.requests, stats.cache_hits + stats.policy_invocations);
+}
+
+#[test]
+fn a_reexported_graph_hits_through_the_canonical_hash_and_the_memo_follows_the_newer_text() {
+    let service = service();
+    // The same three nodes as another exporter writes them: named.
+    let chain = |named: bool| {
+        let mut g = Graph::new();
+        let x = g.add_input(TensorShape::new(vec![1, 8]));
+        let mut last: xrlflow_graph::TensorRef = x.into();
+        for (name, op) in [("act", OpKind::Relu), ("squash", OpKind::Tanh)] {
+            let node = if named {
+                g.add_named_node(name, op, OpAttributes::default(), vec![last])
+            } else {
+                g.add_node(op, OpAttributes::default(), vec![last])
+            };
+            last = node.unwrap().into();
+        }
+        g.mark_output(last);
+        g
+    };
+    let (first, renamed) = (chain(false).to_json(), chain(true).to_json());
+    assert_ne!(first, renamed);
+    assert_eq!(chain(false).canonical_hash(), chain(true).canonical_hash());
+
+    let miss = service.optimize_json(&first).unwrap();
+    assert!(!miss.cache_hit);
+    let structural = structural_bytes(&miss);
+    assert_eq!(service.cache_bytes(), structural + first.len());
+    for text in [&renamed, &respaced(&first), &first] {
+        let hit = service.optimize_json(text).unwrap();
+        assert!(hit.cache_hit, "every spelling of the graph is the same entry");
+        assert!(Arc::ptr_eq(&hit.graph, &miss.graph));
+        assert_eq!(service.cache_bytes(), structural + text.len(), "one memo, the latest text");
+    }
+    assert_eq!(service.cache_len(), 1);
+    assert_eq!(service.stats().policy_invocations, 1);
+}
+
+#[test]
+fn an_evicted_entry_leaves_no_memo_and_its_bytes_are_a_miss_again() {
+    let service = service();
+    service.set_cache_config(CacheConfig::builder().max_entries(1).build().unwrap());
+    let (a, b) = (relu_chain(2).to_json(), relu_chain(3).to_json());
+    assert!(!service.optimize_json(&a).unwrap().cache_hit);
+    assert!(service.optimize_json(&a).unwrap().cache_hit);
+    let b_response = service.optimize_json(&b).unwrap();
+    assert!(!b_response.cache_hit);
+    assert_eq!(service.cache_len(), 1);
+    assert_eq!(service.cache_bytes(), structural_bytes(&b_response) + b.len(), "a's memo went with a");
+    assert!(!service.optimize_json(&a).unwrap().cache_hit, "the same bytes, after eviction: a miss");
+    assert_eq!(service.stats().policy_invocations, 3);
+}
+
+#[test]
+fn indexed_hits_refresh_recency() {
+    let service = service();
+    service.set_cache_config(CacheConfig::builder().max_entries(2).build().unwrap());
+    let [a, b, c] = [2, 3, 4].map(|len| relu_chain(len).to_json());
+    for text in [&a, &b] {
+        service.optimize_json(text).unwrap();
+    }
+    let index_hits_before = body_index_hits(&service);
+    assert!(service.optimize_json(&a).unwrap().cache_hit);
+    assert!(body_index_hits(&service) > index_hits_before);
+    // `a` is older than `b` by insertion but was just served: `b` goes.
+    service.optimize_json(&c).unwrap();
+    assert!(service.optimize_json(&a).unwrap().cache_hit, "a served entry outlives a colder one");
+    assert!(!service.optimize_json(&b).unwrap().cache_hit);
+}
+
+#[test]
+fn memos_never_push_the_service_cache_over_its_byte_budget() {
+    let text = zoo_graph().to_json();
+    let structural = structural_bytes(&service().optimize_json(&text).unwrap());
+    // Room for the entry and half its request text.
+    let budget = structural + text.len() / 2;
+    let service = service();
+    service.set_cache_config(CacheConfig::builder().max_bytes(budget).build().unwrap());
+    for round in 0..3 {
+        let response = service.optimize_json(&text).unwrap();
+        assert_eq!(response.cache_hit, round > 0, "an entry without a memo still hits");
+        assert_eq!(service.cache_bytes(), structural, "the text does not fit, so it is not attached");
+    }
+    assert_eq!(service.stats().policy_invocations, 1);
+}
+
+#[test]
+fn cleared_and_reloaded_caches_carry_no_memo() {
+    let path = std::env::temp_dir().join("xrlflow-serve-body-index-test.json");
+    let text = zoo_graph().to_json();
+    let service = service();
+    let miss = service.optimize_json(&text).unwrap();
+    let structural = structural_bytes(&miss);
+    assert_eq!(service.cache_bytes(), structural + text.len());
+    service.save_cache(&path).unwrap();
+
+    // A snapshot holds entries only: the first request after a load hits
+    // through the canonical hash, and re-attaches.
+    for reloaded in [&service, &self::service()] {
+        reloaded.load_cache(&path).unwrap();
+        assert_eq!(reloaded.cache_bytes(), structural);
+        let invocations = reloaded.stats().policy_invocations;
+        assert!(reloaded.optimize_json(&text).unwrap().cache_hit);
+        assert_eq!(reloaded.stats().policy_invocations, invocations);
+        assert_eq!(reloaded.cache_bytes(), structural + text.len());
+    }
+    std::fs::remove_file(&path).ok();
+
+    service.clear_cache();
+    assert_eq!(service.cache_bytes(), 0);
+    assert!(!service.optimize_json(&text).unwrap().cache_hit, "a cleared index serves nothing");
+}
+
+#[test]
+fn a_body_that_fails_validation_is_never_attached() {
+    let service = service();
+    let valid = relu_chain(2).to_json();
+    let invalid = valid.replace("Relu", "BogusOp");
+    for _ in 0..2 {
+        assert!(matches!(service.optimize_json(&invalid), Err(ServeError::Graph(_))));
+        assert_eq!(service.cache_bytes(), 0);
+    }
+    service.optimize_json(&valid).unwrap();
+    let bytes = service.cache_bytes();
+    assert!(service.optimize_json(&invalid).is_err(), "still rejected beside a valid entry");
+    assert_eq!(service.cache_bytes(), bytes);
+    assert_eq!(service.stats().requests, 1, "rejected bodies are not requests");
+}
+
+#[test]
+fn the_request_ledger_adds_up_across_indexed_hits_slow_hits_and_misses() {
+    const THREADS: usize = 8;
+    const ROUNDS: usize = 40;
+    let service = Arc::new(service());
+    service.set_cache_config(CacheConfig::builder().max_entries(3).build().unwrap());
+    // Five graphs in two spellings each against three entries: every
+    // thread sees indexed hits, hits through the canonical hash and misses.
+    let texts: Vec<String> = (1..=5)
+        .flat_map(|len| {
+            let text = relu_chain(len).to_json();
+            [respaced(&text), text]
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for t in 0..THREADS {
+            let (service, texts) = (Arc::clone(&service), &texts);
+            scope.spawn(move || {
+                for i in 0..ROUNDS {
+                    let text = &texts[(i * (t + 1) + i / 3) % texts.len()];
+                    let response = service.optimize_json(text).unwrap();
+                    assert!(response.final_latency_ms > 0.0);
+                    let stats = service.stats();
+                    assert_eq!(stats.requests, stats.cache_hits + stats.policy_invocations);
+                }
+            });
+        }
+    });
+    let stats = service.stats();
+    assert_eq!(stats.requests, THREADS * ROUNDS);
+    assert_eq!(stats.requests, stats.cache_hits + stats.policy_invocations);
+    assert!(stats.policy_invocations >= 5 && stats.cache_hits > 0);
+    assert!(service.cache_len() <= 3);
 }
