@@ -4,11 +4,12 @@
 //! `src/bin` print the paper-formatted results.
 
 use xrlflow_bench::{finish, report, time_ns};
-use xrlflow_core::{XrlflowConfig, XrlflowSystem};
+use xrlflow_core::XrlflowConfig;
 use xrlflow_cost::{CostModel, DeviceProfile};
 use xrlflow_egraph::{TensatConfig, TensatOptimizer};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
+use xrlflow_rollout::XrlflowSystem;
 use xrlflow_taso::{BacktrackingOptimizer, GreedyOptimizer, SearchConfig};
 
 fn workload() -> xrlflow_graph::Graph {

@@ -2,10 +2,11 @@
 //! evaluated DNNs (mean ± std over five measurements).
 
 use xrlflow_bench::{episodes_from_env, mean_std, render_table, scale_from_env};
-use xrlflow_core::{XrlflowConfig, XrlflowSystem};
+use xrlflow_core::XrlflowConfig;
 use xrlflow_cost::{CostModel, DeviceProfile, InferenceSimulator};
 use xrlflow_graph::models::{build_model, ModelKind};
 use xrlflow_rewrite::RuleSet;
+use xrlflow_rollout::XrlflowSystem;
 use xrlflow_taso::{BacktrackingOptimizer, SearchConfig};
 
 fn speedups(
@@ -42,7 +43,7 @@ fn main() {
 
         // X-RLflow: train briefly on the target graph, then optimise greedily.
         let mut system = XrlflowSystem::new(XrlflowConfig::bench(), 42);
-        let (_report, xrl_result) = system.train_and_optimize(&graph, episodes);
+        let (_report, xrl_result) = system.train_and_optimize(&graph, episodes).expect("training run");
         let (xrl_mean, xrl_std) = speedups(&sim, &graph, &xrl_result.graph);
 
         eprintln!("[fig4] {kind}: TASO {taso_mean:.2}% vs X-RLflow {xrl_mean:.2}%");

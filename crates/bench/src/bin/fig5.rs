@@ -3,8 +3,9 @@
 use std::collections::HashMap;
 
 use xrlflow_bench::{episodes_from_env, render_heatmap, scale_from_env};
-use xrlflow_core::{XrlflowConfig, XrlflowSystem};
+use xrlflow_core::XrlflowConfig;
 use xrlflow_graph::models::{build_model, ModelKind};
+use xrlflow_rollout::XrlflowSystem;
 
 fn main() {
     let scale = scale_from_env();
@@ -13,7 +14,7 @@ fn main() {
     for &kind in ModelKind::EVALUATED {
         let graph = build_model(kind, scale).expect("model builds");
         let mut system = XrlflowSystem::new(XrlflowConfig::bench(), 7);
-        let (_report, result) = system.train_and_optimize(&graph, episodes);
+        let (_report, result) = system.train_and_optimize(&graph, episodes).expect("training run");
         eprintln!("[fig5] {kind}: {} substitutions", result.steps);
         counts.insert(kind.name().to_string(), result.rule_applications);
     }

@@ -2,10 +2,11 @@
 //! X-RLflow's time excludes agent training, as in the paper.
 
 use xrlflow_bench::{episodes_from_env, render_table, scale_from_env};
-use xrlflow_core::{XrlflowConfig, XrlflowSystem};
+use xrlflow_core::XrlflowConfig;
 use xrlflow_cost::{CostModel, DeviceProfile};
 use xrlflow_graph::models::{build_model, ModelKind};
 use xrlflow_rewrite::RuleSet;
+use xrlflow_rollout::XrlflowSystem;
 use xrlflow_taso::{BacktrackingOptimizer, SearchConfig};
 
 fn main() {
@@ -22,7 +23,7 @@ fn main() {
         let taso_result = taso.optimize(&graph);
 
         let mut system = XrlflowSystem::new(XrlflowConfig::bench(), 3);
-        let _ = system.train_on(&graph, episodes);
+        system.train_on(&graph, episodes).expect("training run");
         let xrl_result = system.optimize(&graph);
 
         eprintln!(

@@ -3,8 +3,9 @@
 //! other input shapes.
 
 use xrlflow_bench::{episodes_from_env, render_table, scale_from_env};
-use xrlflow_core::{run_generalization, XrlflowConfig, XrlflowSystem};
+use xrlflow_core::XrlflowConfig;
 use xrlflow_graph::models::ModelKind;
+use xrlflow_rollout::{run_generalization, XrlflowSystem};
 
 fn main() {
     let scale = scale_from_env();

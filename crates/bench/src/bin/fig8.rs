@@ -2,10 +2,11 @@
 //! on BERT, InceptionV3, SqueezeNet and ResNeXt-50.
 
 use xrlflow_bench::{episodes_from_env, render_table, scale_from_env};
-use xrlflow_core::{XrlflowConfig, XrlflowSystem};
+use xrlflow_core::XrlflowConfig;
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_egraph::{TensatConfig, TensatOptimizer};
 use xrlflow_graph::models::{build_model, ModelKind};
+use xrlflow_rollout::XrlflowSystem;
 
 fn main() {
     let scale = scale_from_env();
@@ -27,7 +28,7 @@ fn main() {
         };
 
         let mut system = XrlflowSystem::new(XrlflowConfig::bench(), 23);
-        let (_report, xrl) = system.train_and_optimize(&graph, episodes);
+        let (_report, xrl) = system.train_and_optimize(&graph, episodes).expect("training run");
         let xrl_speedup = (before / sim.measure_ms(&xrl.graph, 0) - 1.0) * 100.0;
 
         eprintln!("[fig8] {kind}: Tensat {tensat_speedup:.2}% vs X-RLflow {xrl_speedup:.2}%");

@@ -25,6 +25,7 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use xrlflow_graph::models::ModelScale;
+use xrlflow_graph::JsonValue;
 
 /// One recorded measurement: a metric name, its value and the value's unit
 /// (`"ns/iter"` for timings, `"x"` for speedup ratios).
@@ -92,41 +93,32 @@ pub fn report_rate(name: &str, per_sec: f64) {
     record(name, per_sec, "eps/s");
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => vec!['\\', '"'],
-            '\\' => vec!['\\', '\\'],
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 /// Writes every result reported so far as a JSON document:
-/// `{"bench": <name>, "results": [{"name", "value", "unit"}, ...]}`.
-/// Hand-rolled (the container has no serde) but escaped well enough for the
-/// metric names the harness produces.
+/// `{"bench": <name>, "results": [{"name", "value", "unit"}, ...]}`, through
+/// the workspace's one JSON writer ([`JsonValue::to_json`], which renders a
+/// non-finite value as `null`).
 ///
 /// # Errors
 ///
 /// Returns any I/O error from creating parent directories or writing.
 pub fn write_results_json(bench: &str, path: &Path) -> std::io::Result<()> {
-    let results = RESULTS.lock().expect("bench result lock");
-    let mut out = String::new();
-    out.push_str(&format!("{{\"bench\": \"{}\", \"results\": [", json_escape(bench)));
-    for (i, r) in results.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&format!(
-            "{{\"name\": \"{}\", \"value\": {}, \"unit\": \"{}\"}}",
-            json_escape(&r.name),
-            if r.value.is_finite() { r.value.to_string() } else { "null".to_string() },
-            json_escape(r.unit)
-        ));
-    }
-    out.push_str("]}\n");
+    let string = |s: &str| JsonValue::String(s.to_string());
+    let results = RESULTS
+        .lock()
+        .expect("bench result lock")
+        .iter()
+        .map(|r| {
+            JsonValue::Object(vec![
+                ("name".to_string(), string(&r.name)),
+                ("value".to_string(), JsonValue::Number(r.value)),
+                ("unit".to_string(), string(r.unit)),
+            ])
+        })
+        .collect();
+    let document = JsonValue::Object(vec![
+        ("bench".to_string(), string(bench)),
+        ("results".to_string(), JsonValue::Array(results)),
+    ]);
     if let Some(parent) = path.parent() {
         if !parent.as_os_str().is_empty() {
             std::fs::create_dir_all(parent)?;
@@ -134,7 +126,7 @@ pub fn write_results_json(bench: &str, path: &Path) -> std::io::Result<()> {
     }
     // Atomic so an interrupted benchmark run cannot leave a torn JSON file
     // for the CI diff gate to choke on.
-    xrlflow_tensor::atomic_write(path, out)
+    xrlflow_tensor::atomic_write(path, document.to_json() + "\n")
 }
 
 /// Called at the end of every benchmark binary: when `XRLFLOW_BENCH_JSON` is
@@ -178,196 +170,55 @@ pub struct BenchReport {
 
 /// Parses a benchmark JSON document produced by [`write_results_json`].
 ///
-/// Hand-rolled like the writer (no serde in the container); accepts
-/// arbitrary whitespace and key order but only the schema's own shape.
+/// Syntax is [`JsonValue::parse`]'s (arbitrary whitespace and key order,
+/// trailing content rejected); on top of it only the schema's own shape is
+/// accepted.
 ///
 /// # Errors
 ///
 /// Returns a description of the first syntax or schema violation.
 pub fn parse_results_json(text: &str) -> Result<BenchReport, String> {
-    let mut parser = JsonParser { bytes: text.as_bytes(), pos: 0 };
-    let report = parser.parse_report()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(format!("trailing content at byte {}", parser.pos));
+    let document = JsonValue::parse(text)?;
+    let (mut bench, mut results) = (None, None);
+    for (key, value) in document.as_object().ok_or("expected a JSON object")? {
+        match key.as_str() {
+            "bench" => bench = Some(value.as_str().ok_or("\"bench\" must be a string")?.to_string()),
+            "results" => {
+                let items = value.as_array().ok_or("\"results\" must be an array")?;
+                results = Some(items.iter().map(parse_record).collect::<Result<Vec<_>, _>>()?);
+            }
+            other => return Err(format!("unknown key {other:?}")),
+        }
     }
-    Ok(report)
+    Ok(BenchReport {
+        bench: bench.ok_or("missing \"bench\" key")?,
+        results: results.ok_or("missing \"results\" key")?,
+    })
 }
 
-/// Minimal JSON reader for the benchmark result schema.
-struct JsonParser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl JsonParser<'_> {
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos).copied() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex =
-                                self.bytes.get(self.pos + 1..self.pos + 5).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "non-ASCII \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "invalid \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unsupported escape {other:?}")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Multi-byte UTF-8 sequences pass through untouched.
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|&b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?,
-                    );
-                }
+/// One `{"name", "value", "unit"}` entry of the results array.
+fn parse_record(record: &JsonValue) -> Result<ParsedRecord, String> {
+    let (mut name, mut value, mut unit) = (None, None, None);
+    for (key, field) in record.as_object().ok_or("a result must be an object")? {
+        let string =
+            || field.as_str().map(str::to_string).ok_or_else(|| format!("result {key:?} must be a string"));
+        match key.as_str() {
+            "name" => name = Some(string()?),
+            "unit" => unit = Some(string()?),
+            "value" => {
+                value = Some(match field {
+                    JsonValue::Null => None,
+                    other => Some(other.as_f64().ok_or("result \"value\" must be a number or null")?),
+                })
             }
+            other => return Err(format!("unknown result key {other:?}")),
         }
     }
-
-    fn number_or_null(&mut self) -> Result<Option<f64>, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(None);
-        }
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Some)
-            .ok_or_else(|| format!("invalid number at byte {start}"))
-    }
-
-    fn parse_report(&mut self) -> Result<BenchReport, String> {
-        self.expect(b'{')?;
-        let mut bench = None;
-        let mut results = None;
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "bench" => bench = Some(self.string()?),
-                "results" => results = Some(self.parse_results()?),
-                other => return Err(format!("unknown key {other:?}")),
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-        Ok(BenchReport {
-            bench: bench.ok_or("missing \"bench\" key")?,
-            results: results.ok_or("missing \"results\" key")?,
-        })
-    }
-
-    fn parse_results(&mut self) -> Result<Vec<ParsedRecord>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(out);
-        }
-        loop {
-            out.push(self.parse_record()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn parse_record(&mut self) -> Result<ParsedRecord, String> {
-        self.expect(b'{')?;
-        let mut name = None;
-        let mut value = None;
-        let mut unit = None;
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            match key.as_str() {
-                "name" => name = Some(self.string()?),
-                "value" => value = Some(self.number_or_null()?),
-                "unit" => unit = Some(self.string()?),
-                other => return Err(format!("unknown result key {other:?}")),
-            }
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    break;
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-        Ok(ParsedRecord {
-            name: name.ok_or("result missing \"name\"")?,
-            value: value.ok_or("result missing \"value\"")?,
-            unit: unit.ok_or("result missing \"unit\"")?,
-        })
-    }
+    Ok(ParsedRecord {
+        name: name.ok_or("result missing \"name\"")?,
+        value: value.ok_or("result missing \"value\"")?,
+        unit: unit.ok_or("result missing \"unit\"")?,
+    })
 }
 
 /// Verdict of one metric's baseline comparison.
@@ -681,21 +532,19 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_handles_special_characters() {
-        assert_eq!(json_escape("plain/name_1"), "plain/name_1");
-        assert_eq!(json_escape("a\"b\\c"), "a\\\"b\\\\c");
-        assert_eq!(json_escape("tab\there"), "tab\\u0009here");
-    }
-
-    #[test]
     fn parse_results_json_round_trips_the_writer_schema() {
         report("roundtrip/timing", 987.25);
         report_ratio("roundtrip/speedup", 4.5);
         report_rate("roundtrip/rate", 12.0);
+        report("roundtrip/a\"b\\c\there", 1.0);
+        report_ratio("roundtrip/non_finite", f64::NAN);
         let path = std::env::temp_dir().join("xrlflow_bench_parse_test/results.json");
         write_results_json("bench_roundtrip", &path).unwrap();
-        let parsed = parse_results_json(&std::fs::read_to_string(&path).unwrap()).unwrap();
+        let written = std::fs::read_to_string(&path).unwrap();
+        assert!(written.contains("roundtrip/a\\\"b\\\\c\\u0009here"), "special characters are escaped");
+        let parsed = parse_results_json(&written).unwrap();
         assert_eq!(parsed.bench, "bench_roundtrip");
+        assert!(parsed.results.iter().any(|r| r.name == "roundtrip/a\"b\\c\there"));
         let find = |name: &str| parsed.results.iter().find(|r| r.name == name).unwrap().clone();
         assert_eq!(
             find("roundtrip/timing"),
@@ -703,6 +552,7 @@ mod tests {
         );
         assert_eq!(find("roundtrip/speedup").value, Some(4.5));
         assert_eq!(find("roundtrip/rate").unit, "eps/s");
+        assert_eq!(find("roundtrip/non_finite").value, None, "a non-finite value is written as null");
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 

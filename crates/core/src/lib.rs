@@ -1,22 +1,32 @@
 //! # xrlflow-core
 //!
-//! The X-RLflow system itself: the actor-critic agent (GNN encoder + policy
-//! and value heads), the PPO trainer, the deployment-time optimiser and the
-//! tensor-shape generalisation harness, as described in Sections 3.3–3.4 of
-//! the MLSys 2023 paper.
+//! The X-RLflow learner: the actor-critic agent (GNN encoder + policy and
+//! value heads), the PPO update, the exact-resume [`TrainState`] and the
+//! deployment-time greedy optimiser, as described in Sections 3.3–3.4 of the
+//! MLSys 2023 paper. The collect → update → checkpoint round loop that
+//! drives them — and the `XrlflowSystem` facade over it — live in
+//! `xrlflow-rollout`.
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use xrlflow_core::{XrlflowConfig, XrlflowSystem};
+//! use xrlflow_core::{greedy_optimize, XrlflowAgent, XrlflowConfig};
+//! use xrlflow_cost::{DeviceProfile, InferenceSimulator};
+//! use xrlflow_env::Environment;
 //! use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+//! use xrlflow_rewrite::RuleSet;
+//! use xrlflow_tensor::XorShiftRng;
 //!
+//! let config = XrlflowConfig::smoke_test();
 //! let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-//! let mut system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 0);
-//! let (report, result) = system.train_and_optimize(&graph, 2);
+//! let simulator = InferenceSimulator::new(DeviceProfile::gtx1080());
+//! let mut env = Environment::new(graph, RuleSet::standard(), simulator, config.env.clone());
+//! // An untrained policy still rewrites to a valid graph; load a trained one
+//! // with `agent.store.load_snapshot(&ParamSnapshot::load(path)?)`.
+//! let agent = XrlflowAgent::new(&config, 0);
+//! let result = greedy_optimize(&agent, &mut env, &mut XorShiftRng::new(0));
 //! println!(
-//!     "trained for {} episodes; optimised graph runs at {:.3} ms ({:+.1}% speedup)",
-//!     report.episodes.len(),
+//!     "optimised graph runs at {:.3} ms ({:+.1}% speedup)",
 //!     result.final_latency_ms,
 //!     result.speedup_percent(),
 //! );
@@ -27,15 +37,13 @@
 mod agent;
 mod config;
 pub mod fault;
-mod generalization;
 mod optimizer;
 mod train_state;
 mod trainer;
 
 pub use agent::{AgentDecision, PolicyEvaluation, XrlflowAgent};
 pub use config::{ConfigError, HyperParameterTable, XrlflowConfig, XrlflowConfigBuilder};
-pub use generalization::{run_generalization, GeneralizationPoint, GeneralizationReport};
-pub use optimizer::{greedy_optimize, XrlflowResult, XrlflowSystem};
+pub use optimizer::{greedy_optimize, XrlflowResult};
 pub use train_state::{
     latest_train_state, prune_train_states, train_state_path, TrainState, TRAIN_STATE_EXTENSION,
 };

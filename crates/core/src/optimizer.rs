@@ -1,18 +1,14 @@
-//! Deployment-time optimisation with a (trained) agent, plus the
-//! `XrlflowSystem` facade tying the agent, environment and trainer together.
+//! Deployment-time optimisation with a (trained) agent: the greedy
+//! policy-inference loop and its result type.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
-use xrlflow_cost::{DeviceProfile, InferenceSimulator};
-use xrlflow_env::{EnvConfig, Environment};
+use xrlflow_env::Environment;
 use xrlflow_graph::Graph;
-use xrlflow_rewrite::RuleSet;
 use xrlflow_tensor::XorShiftRng;
 
 use crate::agent::XrlflowAgent;
-use crate::config::XrlflowConfig;
-use crate::trainer::{TrainReport, Trainer};
 
 /// Result of optimising one graph with X-RLflow.
 #[derive(Debug, Clone)]
@@ -42,94 +38,14 @@ impl XrlflowResult {
     }
 }
 
-/// The complete X-RLflow system: configuration, agent and the pieces needed
-/// to build environments on demand.
-#[derive(Debug)]
-pub struct XrlflowSystem {
-    config: XrlflowConfig,
-    agent: XrlflowAgent,
-    trainer: Trainer,
-    profile: DeviceProfile,
-    rng: XorShiftRng,
-}
-
-impl XrlflowSystem {
-    /// Creates a system with freshly initialised agent parameters.
-    pub fn new(config: XrlflowConfig, seed: u64) -> Self {
-        let agent = XrlflowAgent::new(&config, seed);
-        let trainer = Trainer::new(config.clone(), seed.wrapping_add(1));
-        Self { config, agent, trainer, profile: DeviceProfile::gtx1080(), rng: XorShiftRng::new(seed) }
-    }
-
-    /// Replaces the device profile used for latency simulation.
-    pub fn with_profile(mut self, profile: DeviceProfile) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &XrlflowConfig {
-        &self.config
-    }
-
-    /// The underlying agent.
-    pub fn agent(&self) -> &XrlflowAgent {
-        &self.agent
-    }
-
-    /// Mutable access to the underlying agent, e.g. to load a checkpointed
-    /// policy before [`XrlflowSystem::optimize`] (the agent must keep the
-    /// architecture described by the system's configuration).
-    pub fn agent_mut(&mut self) -> &mut XrlflowAgent {
-        &mut self.agent
-    }
-
-    /// Builds an environment for a graph using the system's configuration.
-    pub fn make_environment(&self, graph: &Graph) -> Environment {
-        self.make_environment_with(graph, self.config.env.clone())
-    }
-
-    /// Builds an environment with an explicit environment configuration.
-    pub fn make_environment_with(&self, graph: &Graph, env_config: EnvConfig) -> Environment {
-        Environment::new(
-            graph.clone(),
-            RuleSet::standard(),
-            InferenceSimulator::new(self.profile.clone()),
-            env_config,
-        )
-    }
-
-    /// Trains the agent on a single graph for the given number of episodes
-    /// (the paper trains one agent per DNN).
-    pub fn train_on(&mut self, graph: &Graph, episodes: usize) -> TrainReport {
-        let mut env = self.make_environment(graph);
-        self.trainer.train(&mut self.agent, &mut env, episodes)
-    }
-
-    /// Optimises a graph with the current policy acting greedily (the
-    /// deployment path: one forward pass per transformation step).
-    pub fn optimize(&mut self, graph: &Graph) -> XrlflowResult {
-        let mut env = self.make_environment(graph);
-        greedy_optimize(&self.agent, &mut env, &mut self.rng)
-    }
-
-    /// Trains on a graph and then optimises it greedily — the end-to-end
-    /// workflow of Figure 4.
-    pub fn train_and_optimize(&mut self, graph: &Graph, episodes: usize) -> (TrainReport, XrlflowResult) {
-        let report = self.train_on(graph, episodes);
-        let result = self.optimize(graph);
-        (report, result)
-    }
-}
-
 /// Runs one greedy optimisation episode of `agent` against `env` and
 /// collects the deployment-path metrics.
 ///
-/// This is the policy-inference loop shared by [`XrlflowSystem::optimize`]
-/// and the serving layer, which drives it with a read-only snapshot replica
-/// of a trained agent (`XrlflowAgent::from_snapshot`) over a shared
-/// environment — the agent is only read, so one replica can serve many
-/// sequential requests.
+/// This is the policy-inference loop shared by `xrlflow-rollout`'s
+/// `XrlflowSystem::optimize` and the serving layer, which drives it with a
+/// read-only snapshot replica of a trained agent
+/// (`XrlflowAgent::from_snapshot`) over a shared environment — the agent is
+/// only read, so one replica can serve many sequential requests.
 pub fn greedy_optimize(agent: &XrlflowAgent, env: &mut Environment, rng: &mut XorShiftRng) -> XrlflowResult {
     let start = Instant::now();
     let mut obs = env.reset(0);
@@ -166,33 +82,27 @@ pub fn greedy_optimize(agent: &XrlflowAgent, env: &mut Environment, rng: &mut Xo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::XrlflowConfig;
+    use xrlflow_cost::{DeviceProfile, InferenceSimulator};
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+    use xrlflow_rewrite::RuleSet;
 
     #[test]
     fn untrained_agent_still_produces_valid_optimised_graphs() {
+        let config = XrlflowConfig::smoke_test();
         let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let mut system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 0);
-        let result = system.optimize(&graph);
+        let mut env = Environment::new(
+            graph,
+            RuleSet::standard(),
+            InferenceSimulator::new(DeviceProfile::gtx1080()),
+            config.env.clone(),
+        );
+        let agent = XrlflowAgent::new(&config, 0);
+        let result = greedy_optimize(&agent, &mut env, &mut XorShiftRng::new(0));
         assert!(result.graph.validate().is_ok());
         assert!(result.initial_latency_ms > 0.0);
         assert!(result.final_latency_ms > 0.0);
         assert!(result.optimisation_time_s >= 0.0);
         assert_eq!(result.steps, result.rule_applications.values().sum::<usize>());
-    }
-
-    #[test]
-    fn train_and_optimize_workflow() {
-        let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let mut system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 1);
-        let (report, result) = system.train_and_optimize(&graph, 2);
-        assert_eq!(report.episodes.len(), 2);
-        assert!(result.graph.validate().is_ok());
-    }
-
-    #[test]
-    fn system_exposes_config_and_agent() {
-        let system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 2);
-        assert_eq!(system.config().encoder.hidden_dim, 16);
-        assert!(system.agent().num_parameters() > 0);
     }
 }

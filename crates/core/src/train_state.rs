@@ -1,10 +1,10 @@
 //! Durable exact-resume checkpoints (`XRLFTRST` format).
 //!
-//! A [`crate::Trainer`] checkpointed with only a `ParamSnapshot` silently
-//! restarts its optimiser on resume: Adam's moment buffers and bias-correction
-//! step reset to zero, so a resumed run diverges from the uninterrupted one on
-//! the very first update. [`TrainState`] bundles everything the training loop
-//! needs to continue **bit-identically**:
+//! [`TrainState`] is the only thing this workspace calls a *training
+//! checkpoint*. (A bare `ParamSnapshot` file is a deployable policy — what
+//! `xrlflow-serve` loads and `/admin/swap` accepts — and carries no optimiser
+//! state.) It bundles everything the training loop needs to continue
+//! **bit-identically**:
 //!
 //! * the parameter snapshot,
 //! * Adam's first and second moment buffers and step counter,

@@ -1,11 +1,13 @@
-//! PPO training loop (Section 3.3.4, Equations 3–5).
+//! The PPO update (Section 3.3.4, Equations 3–5).
 //!
-//! The trainer collects `update_frequency` episodes with the current policy,
-//! computes generalised advantages and then performs several epochs of
-//! mini-batch updates of the combined objective
-//! `J = L_clip + c1 * L_value + c2 * L_entropy`, back-propagating through
-//! the policy head, value head and GNN encoder in one pass (the paper's
-//! "end-to-end" training).
+//! Given the rollouts of one round, the trainer computes generalised
+//! advantages and then performs several epochs of mini-batch updates of the
+//! combined objective `J = L_clip + c1 * L_value + c2 * L_entropy`,
+//! back-propagating through the policy head, value head and GNN encoder in
+//! one pass (the paper's "end-to-end" training). The collect → update →
+//! checkpoint cadence of Algorithm 1 is not here: the one round loop lives in
+//! `xrlflow-rollout` (`ParallelTrainer`), which drives this update and
+//! [`collect_episode_with_rng`].
 //!
 //! Each stored transition is re-evaluated with the batched + delta-aware
 //! policy path ([`XrlflowAgent::evaluate`]): the observation's graph and all
@@ -26,12 +28,9 @@
 //! accepts the evaluator; [`minibatch_grads_serial`] is the retained serial
 //! oracle, same spirit as `collect_serial` / `policy_logits_serial`).
 
-use std::path::Path;
-use std::time::Instant;
-
 use xrlflow_env::{Environment, Observation};
 use xrlflow_rl::{explained_variance, PpoHyperParams, RolloutBuffer, TrainingStats, Transition};
-use xrlflow_tensor::{splitmix64, Adam, GradBuffer, ParamSnapshot, SnapshotError, Tape, XorShiftRng};
+use xrlflow_tensor::{splitmix64, Adam, GradBuffer, SnapshotError, Tape, XorShiftRng};
 
 use crate::agent::XrlflowAgent;
 use crate::config::XrlflowConfig;
@@ -152,10 +151,10 @@ impl TrainReport {
 /// samples actions from `rng` until the episode terminates, and pushes every
 /// transition into `buffer`.
 ///
-/// This single function is shared by [`Trainer::collect_episode`] (which
-/// feeds it the trainer's continuous RNG stream) and the parallel rollout
-/// engine (which feeds it a fresh per-episode-seeded RNG), so the two paths
-/// record identical transitions by construction.
+/// This single function is the stepping loop of every collector in
+/// `xrlflow-rollout` — the serial oracles and the supervised pool alike, each
+/// feeding it a fresh per-episode-seeded RNG — so all paths record identical
+/// transitions by construction.
 pub fn collect_episode_with_rng(
     agent: &XrlflowAgent,
     env: &mut Environment,
@@ -372,20 +371,22 @@ pub fn minibatch_grads_serial(agent: &XrlflowAgent, ctx: &MinibatchContext) -> M
     MinibatchGrads { grads: merged, stats }
 }
 
-/// The PPO trainer driving an [`XrlflowAgent`] against an [`Environment`].
+/// The PPO update state of one training run: the Adam optimiser, the update
+/// counter that seeds the minibatch shuffles, and the run's base seed.
 #[derive(Debug)]
 pub struct Trainer {
     config: XrlflowConfig,
     optimizer: Adam,
-    rng: XorShiftRng,
+    base_seed: u64,
     update_counter: u64,
 }
 
 impl Trainer {
-    /// Creates a trainer.
+    /// Creates a trainer for a run whose episode seed schedule derives from
+    /// `seed`.
     pub fn new(config: XrlflowConfig, seed: u64) -> Self {
         let optimizer = Adam::new(config.ppo.learning_rate);
-        Self { config, optimizer, rng: XorShiftRng::new(seed), update_counter: 0 }
+        Self { config, optimizer, base_seed: seed, update_counter: 0 }
     }
 
     /// The configuration in use.
@@ -393,16 +394,10 @@ impl Trainer {
         &self.config
     }
 
-    /// Collects one episode with the current (stochastic) policy, sampling
-    /// actions from the trainer's own RNG stream.
-    pub fn collect_episode(
-        &mut self,
-        agent: &XrlflowAgent,
-        env: &mut Environment,
-        buffer: &mut RolloutBuffer<Observation>,
-        seed: u64,
-    ) -> xrlflow_env::EpisodeStats {
-        collect_episode_with_rng(agent, env, &mut self.rng, buffer, seed)
+    /// The run's base seed: the `seed` given to [`Trainer::new`], or the one
+    /// adopted from a [`TrainState`] by [`Trainer::restore_train_state`].
+    pub fn base_seed(&self) -> u64 {
+        self.base_seed
     }
 
     /// Performs one PPO update over the collected rollouts.
@@ -551,76 +546,6 @@ impl Trainer {
         Ok(stats)
     }
 
-    /// Runs the full serial training loop: collect `update_frequency`
-    /// episodes, update, repeat until `episodes` episodes have been
-    /// collected.
-    ///
-    /// Collection here is strictly sequential in one thread; the
-    /// `xrlflow-rollout` crate's `ParallelTrainer` drives the same
-    /// [`Trainer::update`] with episodes collected by a worker pool instead
-    /// (the update path is identical — it consumes whatever merged
-    /// [`RolloutBuffer`] it is given).
-    pub fn train(&mut self, agent: &mut XrlflowAgent, env: &mut Environment, episodes: usize) -> TrainReport {
-        let mut report = TrainReport::default();
-        let mut buffer = RolloutBuffer::new();
-        let mut collect_ms = 0.0;
-        let (mut sim_ns, mut candgen_ns) = collect_phase_breakdown_ns();
-        for episode in 0..episodes {
-            let collect_start = Instant::now();
-            let stats = {
-                let _span = xrlflow_obs::span!("core/collect");
-                self.collect_episode(agent, env, &mut buffer, episode as u64)
-            };
-            collect_ms += collect_start.elapsed().as_secs_f64() * 1e3;
-            report.episodes.push(stats);
-            let is_last = episode + 1 == episodes;
-            if (episode + 1) % self.config.ppo.update_frequency == 0 || is_last {
-                let update_start = Instant::now();
-                report.updates.push(self.update(agent, &mut buffer));
-                let update_ms = update_start.elapsed().as_secs_f64() * 1e3;
-                let (sim_now, candgen_now) = collect_phase_breakdown_ns();
-                report.timings.push(UpdateTiming {
-                    collect_ms,
-                    sim_ms: sim_now.saturating_sub(sim_ns) as f64 / 1e6,
-                    candidate_gen_ms: candgen_now.saturating_sub(candgen_ns) as f64 / 1e6,
-                    update_ms,
-                    update_workers: 1,
-                });
-                collect_ms = 0.0;
-                (sim_ns, candgen_ns) = (sim_now, candgen_now);
-            }
-        }
-        report
-    }
-
-    /// Persists the agent's parameters as a versioned on-disk
-    /// [`ParamSnapshot`] so long runs can resume and trained agents can be
-    /// shipped.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the file.
-    pub fn save_checkpoint(&self, agent: &XrlflowAgent, path: impl AsRef<Path>) -> std::io::Result<()> {
-        agent.snapshot().save(path)
-    }
-
-    /// Restores the agent's parameters from a checkpoint written by
-    /// [`Trainer::save_checkpoint`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] when the file cannot be read, is not a
-    /// valid snapshot, or was captured under a different architecture (the
-    /// name/shape mismatch is reported and the agent is left untouched).
-    pub fn load_checkpoint(
-        &self,
-        agent: &mut XrlflowAgent,
-        path: impl AsRef<Path>,
-    ) -> Result<(), SnapshotError> {
-        let snapshot = ParamSnapshot::load(path)?;
-        agent.store.load_snapshot(&snapshot)
-    }
-
     /// Number of PPO updates performed so far. The counter seeds the
     /// minibatch shuffle schedule ([`minibatch_shuffle_seed`]), so it is
     /// part of the exact-resume state.
@@ -630,7 +555,8 @@ impl Trainer {
 
     /// Captures the complete training state for exact resume: parameters,
     /// Adam moments and step counter, the update counter, and the rollout
-    /// engine's seed-schedule position (`next_episode` under `base_seed`).
+    /// engine's seed-schedule position (`next_episode` under `base_seed` —
+    /// the round loop passes [`Trainer::base_seed`]).
     ///
     /// A trainer restored from this state ([`Trainer::restore_train_state`])
     /// continues training **bit-identically** to one that was never
@@ -648,14 +574,15 @@ impl Trainer {
         }
     }
 
-    /// Restores trainer and agent from a [`TrainState`].
+    /// Restores trainer and agent from a [`TrainState`], adopting the
+    /// state's base seed as the run's.
     ///
     /// Adoption is all-or-nothing: the moment sections are validated
     /// against the parameter section and the parameters against the live
     /// store *before* anything is written, so a failed restore leaves the
-    /// agent, the optimiser and the update counter untouched. The caller
-    /// owns the seed-schedule half of the state (`next_episode`,
-    /// `base_seed`) — the parallel trainer consumes those.
+    /// agent, the optimiser, the base seed and the update counter
+    /// untouched. The caller owns the schedule position
+    /// (`state.next_episode`) — the round loop consumes it.
     ///
     /// # Errors
     ///
@@ -676,6 +603,7 @@ impl Trainer {
         agent.store.load_adam_snapshot(&state.adam_first, &state.adam_second)?;
         self.optimizer.set_steps(state.adam_steps as usize);
         self.update_counter = state.update_counter;
+        self.base_seed = state.base_seed;
         Ok(())
     }
 }
@@ -686,6 +614,7 @@ mod tests {
     use xrlflow_cost::{DeviceProfile, InferenceSimulator};
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
     use xrlflow_rewrite::RuleSet;
+    use xrlflow_tensor::ParamSnapshot;
 
     fn make_env(config: &XrlflowConfig) -> Environment {
         let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
@@ -698,44 +627,13 @@ mod tests {
     }
 
     #[test]
-    fn short_training_run_completes_and_updates_parameters() {
-        let config = XrlflowConfig::smoke_test();
-        let mut agent = XrlflowAgent::new(&config, 0);
-        let mut env = make_env(&config);
-        let probe = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let embedding_before = agent.embed_graph(&probe);
-
-        let mut trainer = Trainer::new(config.clone(), 7);
-        let report = trainer.train(&mut agent, &mut env, config.training_episodes);
-
-        assert_eq!(report.episodes.len(), config.training_episodes);
-        assert!(!report.updates.is_empty());
-        assert_eq!(report.timings.len(), report.updates.len());
-        for timing in &report.timings {
-            assert!(timing.collect_ms > 0.0, "episode collection takes measurable time");
-            assert!(timing.update_ms > 0.0, "the PPO update takes measurable time");
-        }
-        for update in &report.updates {
-            assert!(update.transitions > 0);
-            assert!(update.entropy.is_finite());
-            assert!(update.policy_loss.is_finite());
-            assert!(update.value_loss.is_finite());
-        }
-        // The PPO update must actually have moved the parameters.
-        let embedding_after = agent.embed_graph(&probe);
-        let drift: f32 =
-            embedding_before.data().iter().zip(embedding_after.data()).map(|(a, b)| (a - b).abs()).sum();
-        assert!(drift > 1e-7, "training did not change the encoder parameters");
-    }
-
-    #[test]
     fn collect_episode_fills_buffer_with_consistent_transitions() {
         let config = XrlflowConfig::smoke_test();
         let agent = XrlflowAgent::new(&config, 1);
         let mut env = make_env(&config);
-        let mut trainer = Trainer::new(config, 3);
+        let mut rng = XorShiftRng::new(3);
         let mut buffer = RolloutBuffer::new();
-        let stats = trainer.collect_episode(&agent, &mut env, &mut buffer, 0);
+        let stats = collect_episode_with_rng(&agent, &mut env, &mut rng, &mut buffer, 0);
         assert!(!buffer.is_empty());
         assert!(buffer.transitions().last().unwrap().done);
         assert!(stats.final_latency_ms > 0.0);
@@ -758,10 +656,10 @@ mod tests {
         episodes: usize,
     ) -> RolloutBuffer<Observation> {
         let mut env = make_env(config);
-        let mut trainer = Trainer::new(config.clone(), 3);
+        let mut rng = XorShiftRng::new(3);
         let mut buffer = RolloutBuffer::new();
         for episode in 0..episodes {
-            trainer.collect_episode(agent, &mut env, &mut buffer, episode as u64);
+            collect_episode_with_rng(agent, &mut env, &mut rng, &mut buffer, episode as u64);
         }
         buffer
     }
@@ -838,14 +736,13 @@ mod tests {
     fn checkpoint_round_trip_restores_the_policy() {
         let config = XrlflowConfig::smoke_test();
         let agent = XrlflowAgent::new(&config, 21);
-        let trainer = Trainer::new(config.clone(), 0);
         let path = std::env::temp_dir().join("xrlflow_trainer_ckpt_test/agent.snap");
-        trainer.save_checkpoint(&agent, &path).unwrap();
+        agent.snapshot().save(&path).unwrap();
 
         let mut restored = XrlflowAgent::new(&config, 99);
         let probe = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
         assert_ne!(agent.embed_graph(&probe).data(), restored.embed_graph(&probe).data());
-        trainer.load_checkpoint(&mut restored, &path).unwrap();
+        restored.store.load_snapshot(&ParamSnapshot::load(&path).unwrap()).unwrap();
         assert_eq!(
             agent.embed_graph(&probe).data(),
             restored.embed_graph(&probe).data(),
@@ -857,21 +754,20 @@ mod tests {
     #[test]
     fn checkpoint_mismatch_fails_gracefully() {
         let config = XrlflowConfig::smoke_test();
-        let trainer = Trainer::new(config.clone(), 0);
         let path = std::env::temp_dir().join("xrlflow_trainer_ckpt_mismatch/agent.snap");
-        trainer.save_checkpoint(&XrlflowAgent::new(&config, 0), &path).unwrap();
+        XrlflowAgent::new(&config, 0).snapshot().save(&path).unwrap();
 
         let mut wider = config.clone();
         wider.encoder.hidden_dim *= 2;
         let mut victim = XrlflowAgent::new(&wider, 1);
         let probe = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
         let before = victim.embed_graph(&probe);
-        let err = Trainer::new(wider, 0).load_checkpoint(&mut victim, &path).unwrap_err();
+        let err = victim.store.load_snapshot(&ParamSnapshot::load(&path).unwrap()).unwrap_err();
         assert!(!err.to_string().is_empty());
         // The failed load must leave the agent untouched.
         assert_eq!(victim.embed_graph(&probe).data(), before.data());
         // A missing file is an error, not a panic.
-        assert!(trainer.load_checkpoint(&mut victim, path.parent().unwrap().join("missing.snap")).is_err());
+        assert!(ParamSnapshot::load(path.parent().unwrap().join("missing.snap")).is_err());
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -569,12 +569,14 @@ macro_rules! span {
 mod tests {
     use super::*;
 
-    /// Tests that flip the global enabled flag serialise on this lock so
-    /// they cannot disable recording under a concurrently running test.
+    /// Tests that flip the global enabled flag, and tests that assert on what
+    /// they recorded, serialise on this lock so recording cannot be disabled
+    /// under a concurrently running test.
     static ENABLED_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn counter_and_gauge_record_and_reset() {
+        let _guard = ENABLED_LOCK.lock().unwrap();
         let c = Counter::new();
         c.inc();
         c.add(4);
@@ -593,6 +595,7 @@ mod tests {
 
     #[test]
     fn histogram_buckets_are_log_scale_and_quantiles_bound_the_data() {
+        let _guard = ENABLED_LOCK.lock().unwrap();
         assert_eq!(Histogram::bucket_index(0), 0);
         assert_eq!(Histogram::bucket_index(1), 1);
         assert_eq!(Histogram::bucket_index(2), 2);
@@ -624,6 +627,7 @@ mod tests {
 
     #[test]
     fn span_records_elapsed_time() {
+        let _guard = ENABLED_LOCK.lock().unwrap();
         let h: &'static Histogram = Box::leak(Box::default());
         {
             let _span = Span::start(h);

@@ -171,28 +171,6 @@ impl<O> RolloutBuffer<O> {
         indices.chunks(batch_size).map(|c| c.to_vec()).collect()
     }
 
-    /// Splits a minibatch (a slice of transition indices, as produced by
-    /// [`RolloutBuffer::minibatch_indices`]) into `num_shards` round-robin
-    /// shards for the data-parallel PPO update: shard `s` receives every
-    /// `(position, transition_index)` pair whose position within the batch
-    /// satisfies `position % num_shards == s`.
-    ///
-    /// The *position* (not the shuffled transition index) drives both the
-    /// sharding and the later merge order, so the assignment is a pure
-    /// function of the batch and the shard count — reassembling per-position
-    /// results in ascending position order reproduces the serial evaluation
-    /// order exactly, no matter which worker produced which piece.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `num_shards` is zero or any index is out of bounds.
-    pub fn shard_minibatch(&self, batch: &[usize], num_shards: usize) -> Vec<Vec<(usize, usize)>> {
-        for &index in batch {
-            assert!(index < self.transitions.len(), "transition index {index} out of bounds");
-        }
-        shard_minibatch(batch, num_shards)
-    }
-
     /// Clears all stored data.
     pub fn clear(&mut self) {
         self.transitions.clear();
@@ -216,23 +194,6 @@ impl<O> RolloutBuffer<O> {
         }
         out
     }
-}
-
-/// The buffer-less form of [`RolloutBuffer::shard_minibatch`], for callers
-/// (like the data-parallel update engine) that hold only the batch slice:
-/// shard `s` receives every `(position, batch[position])` pair with
-/// `position % num_shards == s`.
-///
-/// # Panics
-///
-/// Panics when `num_shards` is zero.
-pub fn shard_minibatch(batch: &[usize], num_shards: usize) -> Vec<Vec<(usize, usize)>> {
-    assert!(num_shards > 0, "shard count must be positive");
-    let mut shards = vec![Vec::new(); num_shards];
-    for (position, &index) in batch.iter().enumerate() {
-        shards[position % num_shards].push((position, index));
-    }
-    shards
 }
 
 #[cfg(test)]
@@ -343,35 +304,6 @@ mod tests {
         }
         assert_eq!(buf.minibatch_indices(4, 7), buf.minibatch_indices(4, 7));
         assert_ne!(buf.minibatch_indices(4, 7), buf.minibatch_indices(4, 8));
-    }
-
-    #[test]
-    fn shard_minibatch_round_robins_positions_and_covers_the_batch() {
-        let mut buf = RolloutBuffer::new();
-        for i in 0..10 {
-            buf.push(transition(i as f32, false));
-        }
-        let batch = [7usize, 2, 9, 0, 4];
-        let shards = buf.shard_minibatch(&batch, 2);
-        assert_eq!(shards.len(), 2);
-        assert_eq!(shards[0], vec![(0, 7), (2, 9), (4, 4)]);
-        assert_eq!(shards[1], vec![(1, 2), (3, 0)]);
-        // Every position appears exactly once across shards.
-        let mut positions: Vec<usize> = shards.iter().flatten().map(|&(p, _)| p).collect();
-        positions.sort_unstable();
-        assert_eq!(positions, (0..batch.len()).collect::<Vec<_>>());
-        // More shards than positions leaves the tail empty but panics never.
-        let wide = buf.shard_minibatch(&batch, 8);
-        assert!(wide[5].is_empty() && wide[6].is_empty() && wide[7].is_empty());
-        assert_eq!(wide.iter().map(Vec::len).sum::<usize>(), batch.len());
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn shard_minibatch_rejects_out_of_range_indices() {
-        let mut buf = RolloutBuffer::<u32>::new();
-        buf.push(transition(0.0, true));
-        buf.shard_minibatch(&[3], 2);
     }
 
     #[test]

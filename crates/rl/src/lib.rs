@@ -30,7 +30,7 @@ mod categorical;
 mod gae;
 mod ppo;
 
-pub use buffer::{shard_minibatch, RolloutBuffer, Transition};
+pub use buffer::{RolloutBuffer, Transition};
 pub use categorical::MaskedCategorical;
 pub use gae::{discounted_returns, gae};
 pub use ppo::{explained_variance, ppo_clip_objective, PpoHyperParams, TrainingStats};

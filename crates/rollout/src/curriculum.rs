@@ -606,11 +606,11 @@ mod tests {
         // One update round (update_frequency = 2 episodes per spec).
         trainer.train_curriculum(&mut agent, &curriculum, 2).unwrap();
         let path = std::env::temp_dir().join("xrlflow_curriculum_ckpt/mid.snap");
-        trainer.save_checkpoint(&agent, &path).unwrap();
+        agent.snapshot().save(&path).unwrap();
 
         // The checkpoint round-trips bit-identically under the curriculum.
         let mut restored = XrlflowAgent::new(&config, 77);
-        trainer.load_checkpoint(&mut restored, &path).unwrap();
+        restored.store.load_snapshot(&ParamSnapshot::load(&path).unwrap()).unwrap();
         assert_eq!(agent.embed_graph(&probe).data(), restored.embed_graph(&probe).data());
 
         // Resuming the curriculum from the checkpoint is worker-count
@@ -621,7 +621,7 @@ mod tests {
             let mut resumed = XrlflowAgent::new(&config, 0);
             let mut resumed_trainer = ParallelTrainer::new(config.clone(), 29);
             resumed_trainer.set_num_workers(workers);
-            resumed_trainer.load_checkpoint(&mut resumed, &path).unwrap();
+            resumed.store.load_snapshot(&ParamSnapshot::load(&path).unwrap()).unwrap();
             resumed_trainer.train_curriculum(&mut resumed, &curriculum, 2).unwrap();
             embeddings.push(resumed.embed_graph(&probe));
         }
@@ -644,11 +644,10 @@ mod tests {
         let path = std::env::temp_dir().join("xrlflow_curriculum_ckpt_mismatch/wider.snap");
         XrlflowAgent::new(&wider, 0).snapshot().save(&path).unwrap();
 
-        let trainer = ParallelTrainer::new(config.clone(), 0);
         let mut victim = XrlflowAgent::new(&config, 9);
         let probe = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
         let before = victim.embed_graph(&probe);
-        let err = trainer.load_checkpoint(&mut victim, &path).unwrap_err();
+        let err = victim.store.load_snapshot(&ParamSnapshot::load(&path).unwrap()).unwrap_err();
         let message = err.to_string();
         assert!(
             message.contains("parameter") && message.contains('"'),

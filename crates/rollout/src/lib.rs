@@ -53,7 +53,13 @@
 //! supervision-free serial oracles [`collect_serial`],
 //! [`collect_curriculum_serial`] and `xrlflow_core::minibatch_grads_serial`,
 //! asserted by differential tests in the same spirit as
-//! `policy_logits_serial`. [`ParallelTrainer`] additionally writes durable
+//! `policy_logits_serial`.
+//!
+//! **[`ParallelTrainer`] is the one train loop of the workspace**: its
+//! private `run_rounds` is the only code that knows the collect → update →
+//! checkpoint cadence, behind [`ParallelTrainer::train`] (one spec),
+//! [`ParallelTrainer::train_curriculum`] (many) and the [`XrlflowSystem`]
+//! facade the paper's figures use. It additionally writes durable
 //! exact-resume [`TrainState`] checkpoints ([`CheckpointConfig`]) so a killed
 //! run continues bit-identically.
 //!
@@ -62,6 +68,26 @@
 //! and the fault, resume and telemetry contracts come for free.
 //!
 //! ## Quickstart
+//!
+//! Train one agent on one DNN and optimise it greedily (the paper's set-up):
+//!
+//! ```
+//! use xrlflow_core::XrlflowConfig;
+//! use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+//! use xrlflow_rollout::XrlflowSystem;
+//!
+//! let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
+//! let mut system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 0);
+//! let (report, result) = system.train_and_optimize(&graph, 2).unwrap();
+//! println!(
+//!     "trained for {} episodes; optimised graph runs at {:.3} ms ({:+.1}% speedup)",
+//!     report.episodes.len(),
+//!     result.final_latency_ms,
+//!     result.speedup_percent(),
+//! );
+//! ```
+//!
+//! One collection round on the pool, by hand:
 //!
 //! ```
 //! use xrlflow_core::{XrlflowAgent, XrlflowConfig};
@@ -84,6 +110,7 @@
 mod curriculum;
 mod error;
 mod supervise;
+mod system;
 mod update;
 
 pub use curriculum::{
@@ -91,6 +118,7 @@ pub use curriculum::{
     evaluate_curriculum, Curriculum, CurriculumEntry, CurriculumEpisode, CurriculumRollouts, ModelEvaluation,
 };
 pub use error::RolloutError;
+pub use system::{run_generalization, GeneralizationPoint, GeneralizationReport, XrlflowSystem};
 pub use update::{minibatch_grads_parallel, update_parallel};
 
 use std::ops::Range;
@@ -178,28 +206,11 @@ pub fn episode_rng_seed(base_seed: u64, episode: u64) -> u64 {
     splitmix64(base_seed ^ episode.wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
-/// Collects exactly one episode: resets `env` with seed `episode`, samples
-/// actions from a fresh RNG seeded by [`episode_rng_seed`], and pushes every
-/// transition into `buffer`.
-///
-/// The stepping loop itself is `xrlflow_core`'s [`collect_episode_with_rng`]
-/// — the same function `Trainer::collect_episode` runs — so the serial and
-/// parallel paths record identical transitions by construction; this wrapper
-/// only pins the determinism contract's seeds.
-pub fn collect_episode_seeded(
-    agent: &XrlflowAgent,
-    env: &mut Environment,
-    episode: u64,
-    base_seed: u64,
-    buffer: &mut RolloutBuffer<Observation>,
-) -> EpisodeStats {
-    let mut rng = XorShiftRng::new(episode_rng_seed(base_seed, episode));
-    collect_episode_with_rng(agent, env, &mut rng, buffer, episode)
-}
-
 /// The retained serial collection path: episodes `first_episode ..
 /// first_episode + num_episodes` collected one after another in the calling
-/// thread, against the live agent.
+/// thread, against the live agent — episode `e` resets the environment with
+/// seed `e` and samples actions from a fresh RNG seeded by
+/// [`episode_rng_seed`].
 ///
 /// This is the differential-testing oracle for [`collect_parallel`] (same
 /// spirit as `policy_logits_serial`) — deliberately free of the supervised
@@ -215,7 +226,8 @@ pub fn collect_serial(
     let mut env = spec.build_env();
     let mut out = CollectedRollouts::default();
     for episode in first_episode..first_episode + num_episodes as u64 {
-        let stats = collect_episode_seeded(agent, &mut env, episode, base_seed, &mut out.buffer);
+        let mut rng = XorShiftRng::new(episode_rng_seed(base_seed, episode));
+        let stats = collect_episode_with_rng(agent, &mut env, &mut rng, &mut out.buffer, episode);
         out.episodes.push(stats);
     }
     out
@@ -359,8 +371,10 @@ pub struct CheckpointConfig {
     /// Directory the `state-<episode>.xrlftrst` files are written into
     /// (created on first write).
     pub dir: PathBuf,
-    /// Write a checkpoint every this many update rounds; the final round of
-    /// a run always checkpoints. Clamp to ≥ 1 via [`CheckpointConfig::every`].
+    /// Write a checkpoint every this many update rounds, counted from the
+    /// start of the run (so resuming does not shift the cadence); the final
+    /// round of a run always checkpoints. Clamp to ≥ 1 via
+    /// [`CheckpointConfig::every`].
     pub every: usize,
     /// Keep the newest `keep_last` states, pruning older ones after each
     /// write. Clamp to ≥ 1 via [`CheckpointConfig::keep_last`].
@@ -415,12 +429,14 @@ impl CheckpointConfig {
 /// A PPO trainer whose collection **and update** phases run on the worker
 /// pool.
 ///
-/// Wraps the serial [`Trainer`]: episodes are collected by the pool and
-/// merged in episode order, and each PPO minibatch's transition
-/// re-evaluations are sharded across the same worker count with an
-/// index-ordered gradient merge ([`minibatch_grads_parallel`]). Both phases
-/// are bit-identical to their serial oracles, so the worker count changes
-/// wall-clock time only, never a learned number.
+/// The one place in the workspace that knows the collect → update →
+/// checkpoint cadence of Algorithm 1. Wraps the PPO update state
+/// ([`Trainer`]): episodes are collected by the pool and merged in episode
+/// order, and each PPO minibatch's transition re-evaluations are sharded
+/// across the same worker count with an index-ordered gradient merge
+/// ([`minibatch_grads_parallel`]). Both phases are bit-identical to their
+/// serial oracles, so the worker count changes wall-clock time only, never a
+/// learned number.
 ///
 /// With a [`CheckpointConfig`] installed (explicitly or via
 /// `XRLFLOW_CHECKPOINT_DIR`), the trainer writes a durable [`TrainState`]
@@ -432,7 +448,6 @@ impl CheckpointConfig {
 pub struct ParallelTrainer {
     trainer: Trainer,
     num_workers: usize,
-    base_seed: u64,
     checkpointing: Option<CheckpointConfig>,
     resume_episode: u64,
 }
@@ -447,7 +462,6 @@ impl ParallelTrainer {
         Self {
             trainer: Trainer::new(config, seed),
             num_workers,
-            base_seed: seed,
             checkpointing: CheckpointConfig::from_env(),
             resume_episode: 0,
         }
@@ -476,7 +490,6 @@ impl ParallelTrainer {
     /// architecture; neither trainer nor agent is modified on error.
     pub fn resume_from(&mut self, agent: &mut XrlflowAgent, state: &TrainState) -> Result<(), SnapshotError> {
         self.trainer.restore_train_state(agent, state)?;
-        self.base_seed = state.base_seed;
         self.resume_episode = state.next_episode;
         Ok(())
     }
@@ -522,22 +535,10 @@ impl ParallelTrainer {
         self.num_workers = num_workers.max(1);
     }
 
-    /// The wrapped serial trainer (PPO update path, checkpointing).
+    /// The wrapped PPO update state (optimiser, update counter, base seed,
+    /// [`Trainer::train_state`]).
     pub fn trainer(&self) -> &Trainer {
         &self.trainer
-    }
-
-    /// Persists the agent's parameters (see [`Trainer::save_checkpoint`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from writing the file.
-    pub fn save_checkpoint(
-        &self,
-        agent: &XrlflowAgent,
-        path: impl AsRef<std::path::Path>,
-    ) -> std::io::Result<()> {
-        self.trainer.save_checkpoint(agent, path)
     }
 
     /// Checks that `agent` matches the trainer's architecture configuration
@@ -547,19 +548,6 @@ impl ParallelTrainer {
     /// advances, independent of the worker count.
     fn validate_agent(&self, agent: &XrlflowAgent) -> Result<(), SnapshotError> {
         XrlflowAgent::from_snapshot(self.trainer.config(), &agent.snapshot()).map(|_| ())
-    }
-
-    /// Restores the agent's parameters (see [`Trainer::load_checkpoint`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] on read failure or architecture mismatch.
-    pub fn load_checkpoint(
-        &self,
-        agent: &mut XrlflowAgent,
-        path: impl AsRef<std::path::Path>,
-    ) -> Result<(), SnapshotError> {
-        self.trainer.load_checkpoint(agent, path)
     }
 
     /// Runs the full training loop: broadcast a parameter snapshot, collect
@@ -647,7 +635,9 @@ impl ParallelTrainer {
     /// [`update_parallel`] (bit-identical to the serial path at every worker
     /// count), record the wall-clock collect/update split with the update's
     /// worker count, and — when a checkpoint policy is installed — write a
-    /// durable [`TrainState`] every `every`-th round and after the final one.
+    /// durable [`TrainState`] after every `every`-th round of the run
+    /// (counted from episode 0, so a resumed run keeps the uninterrupted
+    /// run's cadence) and after the final one.
     /// Starts at the resumed schedule position, if any. Returns the report
     /// plus every episode's stats grouped by spec, in `specs` order.
     fn run_rounds(
@@ -663,14 +653,13 @@ impl ParallelTrainer {
         let config = self.trainer.config().clone();
         let frequency = config.ppo.update_frequency.max(1);
         let mut next_episode = (std::mem::take(&mut self.resume_episode) as usize).min(episodes);
-        let mut rounds = 0usize;
         while next_episode < episodes {
             let batch = frequency.min(episodes - next_episode);
             let (sim_before_ns, candgen_before_ns) = collect_phase_breakdown_ns();
             let collect_start = Instant::now();
             let mut round = {
                 let _span = xrlflow_obs::span!("rollout/collect");
-                let schedule = schedule(next_episode as u64, batch, self.base_seed);
+                let schedule = schedule(next_episode as u64, batch, self.trainer.base_seed());
                 collect_round(&config, &agent.snapshot(), specs, &schedule, num_workers)?
             };
             let collect_ms = collect_start.elapsed().as_secs_f64() * 1e3;
@@ -695,9 +684,11 @@ impl ParallelTrainer {
                 update_workers: num_workers,
             });
             next_episode += batch;
-            rounds += 1;
             if let Some(checkpoint) = &self.checkpointing {
-                if rounds.is_multiple_of(checkpoint.every.max(1)) || next_episode >= episodes {
+                // The round's index in the *run*, not in this call: a resumed
+                // run checkpoints at the same episodes as an uninterrupted one.
+                let round = next_episode / frequency;
+                if round.is_multiple_of(checkpoint.every.max(1)) || next_episode >= episodes {
                     self.write_train_state(agent, next_episode as u64, checkpoint)?;
                 }
             }
@@ -714,7 +705,7 @@ impl ParallelTrainer {
         checkpoint: &CheckpointConfig,
     ) -> Result<(), RolloutError> {
         let _span = xrlflow_obs::span!("rollout/checkpoint");
-        let state = self.trainer.train_state(agent, next_episode, self.base_seed);
+        let state = self.trainer.train_state(agent, next_episode, self.trainer.base_seed());
         state.save(train_state_path(&checkpoint.dir, next_episode)).map_err(RolloutError::Checkpoint)?;
         prune_train_states(&checkpoint.dir, checkpoint.keep_last).map_err(RolloutError::Checkpoint)?;
         xrlflow_obs::counter!("train/checkpoints_written").inc();

@@ -163,6 +163,56 @@ fn checkpointing_is_bit_transparent_and_honours_cadence_and_retention() {
 }
 
 #[test]
+fn a_resumed_run_checkpoints_at_the_same_episodes_as_an_uninterrupted_one() {
+    let config = XrlflowConfig::smoke_test();
+    let spec = smoke_spec(&config);
+    let (full_dir, killed_dir, resumed_dir) =
+        (temp_dir("cadence_full"), temp_dir("cadence_killed"), temp_dir("cadence_resumed"));
+    // Three rounds (next_episode 2, 4, 6) under every(2): the uninterrupted
+    // run writes after run-round 2 and after the final round.
+    let episodes = 6;
+    let states = |dir: &PathBuf| {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    };
+    let trainer_into = |seed: u64, dir: &PathBuf, every: usize| {
+        let mut trainer = ParallelTrainer::new(config.clone(), seed);
+        trainer.set_num_workers(2);
+        trainer.set_checkpointing(Some(CheckpointConfig::new(dir).every(every).keep_last(8)));
+        trainer
+    };
+
+    let mut agent = XrlflowAgent::new(&config, 3);
+    trainer_into(11, &full_dir, 2).train(&mut agent, &spec, episodes).unwrap();
+
+    // Killed after round 1, resumed with the same every(2) policy: rounds 2
+    // and 3 of the *run* must checkpoint exactly as above.
+    let mut killed = XrlflowAgent::new(&config, 3);
+    trainer_into(11, &killed_dir, 1).train(&mut killed, &spec, 2).unwrap();
+    let mid = TrainState::load(train_state_path(&killed_dir, 2)).unwrap();
+    let mut resumed_trainer = trainer_into(0, &resumed_dir, 2);
+    let mut resumed = XrlflowAgent::new(&config, 77);
+    resumed_trainer.resume_from(&mut resumed, &mid).unwrap();
+    resumed_trainer.train(&mut resumed, &spec, episodes).unwrap();
+
+    assert_eq!(states(&full_dir), vec!["state-00000004.xrlftrst", "state-00000006.xrlftrst"]);
+    assert_eq!(states(&resumed_dir), states(&full_dir), "resuming must not shift the checkpoint cadence");
+    assert_eq!(
+        std::fs::read(train_state_path(&resumed_dir, 4)).unwrap(),
+        std::fs::read(train_state_path(&full_dir, 4)).unwrap(),
+        "the resumed run's mid-run state is the uninterrupted run's, byte for byte"
+    );
+
+    for dir in [full_dir, killed_dir, resumed_dir] {
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
 fn crash_mid_save_debris_does_not_mask_the_previous_checkpoint() {
     let config = XrlflowConfig::smoke_test();
     let spec = smoke_spec(&config);

@@ -38,7 +38,8 @@ impl Activation {
     }
 
     /// The [`FusedActivation`] equivalent, for fusing into
-    /// [`Tape::add_bias_act`] (bit-identical to `add_bias` + [`Activation::apply`]).
+    /// [`Tape::add_bias_act`] (bit-identical to an `Identity` bias-add followed
+    /// by [`Activation::apply`]).
     pub fn fused(self) -> FusedActivation {
         match self {
             Activation::Linear => FusedActivation::Identity,

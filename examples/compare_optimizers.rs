@@ -5,11 +5,12 @@
 //! Run with: `cargo run --release --example compare_optimizers [model]`
 //! where `model` is one of: squeezenet, bert, inceptionv3, resnext50.
 
-use xrlflow::core::{XrlflowConfig, XrlflowSystem};
+use xrlflow::core::XrlflowConfig;
 use xrlflow::cost::{CostModel, DeviceProfile, InferenceSimulator};
 use xrlflow::egraph::{TensatConfig, TensatOptimizer};
 use xrlflow::graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow::rewrite::RuleSet;
+use xrlflow::rollout::XrlflowSystem;
 use xrlflow::taso::{BacktrackingOptimizer, GreedyOptimizer, PetOptimizer, SearchConfig};
 
 fn main() {
@@ -59,6 +60,6 @@ fn main() {
     }
 
     let mut system = XrlflowSystem::new(XrlflowConfig::bench(), 1);
-    let (_train, r) = system.train_and_optimize(&graph, 4);
+    let (_train, r) = system.train_and_optimize(&graph, 4).expect("training run");
     report("X-RLflow", &r.graph, r.optimisation_time_s);
 }

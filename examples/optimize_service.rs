@@ -9,8 +9,9 @@
 //! * `XRLFLOW_SERVICE_EPISODES=N` — training episodes before the policy is
 //!   snapshotted (default 2; 0 serves an untrained policy).
 
-use xrlflow::core::{XrlflowConfig, XrlflowSystem};
+use xrlflow::core::XrlflowConfig;
 use xrlflow::graph::models::{build_model, ModelKind, ModelScale};
+use xrlflow::rollout::XrlflowSystem;
 use xrlflow::serve::OptimizeService;
 use xrlflow::XrlflowError;
 
@@ -27,7 +28,7 @@ fn main() -> Result<(), XrlflowError> {
         .build()?;
     let mut system = XrlflowSystem::new(config.clone(), 42);
     let train_graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench)?;
-    system.train_on(&train_graph, config.training_episodes);
+    system.train_on(&train_graph, config.training_episodes).expect("training run");
     let snapshot = system.agent().snapshot();
 
     // 2. Stand the service up on the frozen snapshot. The replica is

@@ -1,7 +1,7 @@
 //! Quickstart: train ONE X-RLflow agent across a model-zoo curriculum with
 //! the parallel rollout engine, evaluate its generalisation on a held-out
-//! model it never saw during training, checkpoint it, and optimise a graph
-//! with the reloaded policy.
+//! model it never saw during training, export the policy to a params file,
+//! and optimise a graph with the reloaded policy.
 //!
 //! Run with: `cargo run --release --example quickstart`
 //!
@@ -18,11 +18,12 @@
 //!   (parameters + optimiser state + schedule position) after each training
 //!   round; the example then proves the newest one resumes bit-identically.
 
-use xrlflow::core::{XrlflowAgent, XrlflowConfig, XrlflowSystem};
+use xrlflow::core::{XrlflowAgent, XrlflowConfig};
 use xrlflow::cost::DeviceProfile;
 use xrlflow::graph::models::{ModelKind, ModelScale};
-use xrlflow::rollout::{evaluate_curriculum, Curriculum, ParallelTrainer};
+use xrlflow::rollout::{evaluate_curriculum, Curriculum, ParallelTrainer, XrlflowSystem};
 use xrlflow::serve::OptimizeService;
+use xrlflow::tensor::ParamSnapshot;
 
 fn env_usize(var: &str, default: usize) -> usize {
     std::env::var(var).ok().and_then(|v| v.parse().ok()).unwrap_or(default)
@@ -91,11 +92,12 @@ fn main() {
         );
     }
 
-    // 5. Checkpoint the trained agent — the snapshot format is what long
-    //    runs resume from.
-    let checkpoint = std::env::temp_dir().join("xrlflow-quickstart").join("agent.snap");
-    trainer.save_checkpoint(&agent, &checkpoint).expect("checkpoint writes");
-    println!("\ncheckpointed {} parameters to {}", agent.num_parameters(), checkpoint.display());
+    // 5. Export the trained policy — a params file is the deployable
+    //    artefact (what the serving layer loads and `/admin/swap` accepts);
+    //    it carries no optimiser state, so it is not a training checkpoint.
+    let policy = std::env::temp_dir().join("xrlflow-quickstart").join("agent.snap");
+    agent.snapshot().save(&policy).expect("policy file writes");
+    println!("\nexported {} parameters to {}", agent.num_parameters(), policy.display());
 
     // 5b. Durable exact-resume: when `XRLFLOW_CHECKPOINT_DIR` is set, the
     //     training above also wrote versioned `TrainState` checkpoints —
@@ -120,11 +122,12 @@ fn main() {
         );
     }
 
-    // 6. Reload the checkpoint into a fresh system and optimise the held-out
-    //    model's graph with the restored policy acting greedily.
+    // 6. Reload the policy file into a fresh system and optimise the
+    //    held-out model's graph with the restored policy acting greedily.
     let graph = held_out.spec.graph.as_ref();
     let mut system = XrlflowSystem::new(config, 0);
-    trainer.load_checkpoint(system.agent_mut(), &checkpoint).expect("checkpoint loads");
+    let restored = ParamSnapshot::load(&policy).expect("policy file reads");
+    system.agent_mut().store.load_snapshot(&restored).expect("policy matches the architecture");
     let result = system.optimize(graph);
     println!(
         "optimised {}: {} -> {} nodes, latency {:.3} ms -> {:.3} ms ({:+.1}% speedup) in {:.2}s",

@@ -4,8 +4,9 @@
 //!
 //! Run with: `cargo run --release --example shape_generalization`
 
-use xrlflow::core::{run_generalization, XrlflowConfig, XrlflowSystem};
+use xrlflow::core::XrlflowConfig;
 use xrlflow::graph::models::{ModelKind, ModelScale};
+use xrlflow::rollout::{run_generalization, XrlflowSystem};
 
 fn main() {
     let mut system = XrlflowSystem::new(XrlflowConfig::bench(), 5);

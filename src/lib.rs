@@ -13,9 +13,11 @@
 //! * [`egraph`] — the equality-saturation (Tensat) baseline,
 //! * [`tensor`], [`gnn`], [`rl`] — the learning stack,
 //! * [`mod@env`] — the Gym-style graph-transformation environment,
-//! * [`core`] — the X-RLflow agent, trainer and optimiser,
-//! * [`rollout`] — the parallel rollout engine (multi-worker episode
-//!   collection with snapshot-based parameter broadcast),
+//! * [`core`] — the X-RLflow agent, PPO update, exact-resume train state
+//!   and greedy optimiser,
+//! * [`rollout`] — the one train loop (`ParallelTrainer`: multi-worker
+//!   episode collection and PPO update with snapshot-based parameter
+//!   broadcast) and the `XrlflowSystem` facade over it,
 //! * [`serve`] — optimisation-as-a-service: JSON graph ingestion, a
 //!   persistent result cache and snapshot-replica policy serving,
 //! * [`obs`] — zero-overhead telemetry: the process-wide metrics registry,
@@ -35,19 +37,20 @@
 //! | Figure 3 policy network — GAT encoder over the operator graph feeding actor/critic heads | `crates/gnn/src/encoder.rs` (message passing) + `crates/gnn/src/featurize.rs` (node features); assembled into the agent in `crates/core/src/agent.rs` (`XrlflowAgent`) |
 //! | §3 environment — graph transformation as an MDP: states are graphs, actions are rewrite-rule applications, episodes end on no-op | `crates/env/src/environment.rs` ([`mod@env`]'s `Environment`) over the rewrite-candidate generator in [`rewrite`] |
 //! | §3.3 cost model and reward — per-operator latency summed over the graph, reward shaped by relative improvement | `crates/cost/src/model.rs` (`CostModel`) and the end-to-end `InferenceSimulator` in [`cost`]; reward shaping in the environment's `step` |
-//! | §3 PPO training with GAE | `crates/rl/src/ppo.rs`, `gae.rs`, `buffer.rs` ([`rl`]) driven by the trainer in `crates/core/src/trainer.rs` |
+//! | §3 PPO training with GAE | `crates/rl/src/ppo.rs`, `gae.rs`, `buffer.rs` ([`rl`]) the PPO update in `crates/core/src/trainer.rs`, driven by Algorithm 1's collect → update round loop in `crates/rollout/src/lib.rs` (`ParallelTrainer`) |
 //! | §4 evaluation baselines — TASO greedy/backtracking, equality saturation | [`taso`] and [`egraph`] |
 //! | §1 deployment: offline optimisation amortised across inference — the trained policy served behind a result cache | [`serve`] (`OptimizeService` + the HTTP front end; see `docs/OPERATIONS.md`) |
 //!
 //! ## Quickstart
 //!
 //! ```
-//! use xrlflow::core::{XrlflowConfig, XrlflowSystem};
+//! use xrlflow::core::XrlflowConfig;
 //! use xrlflow::graph::models::{build_model, ModelKind, ModelScale};
+//! use xrlflow::rollout::XrlflowSystem;
 //!
 //! let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
 //! let mut system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 42);
-//! let report = system.train_on(&graph, 2);
+//! let report = system.train_on(&graph, 2).unwrap();
 //! assert!(report.episodes.len() == 2);
 //! ```
 

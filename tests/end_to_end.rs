@@ -1,11 +1,12 @@
 //! Cross-crate integration tests: the full pipeline from model zoo through
 //! rewrite engine, cost model, baselines and the X-RLflow system.
 
-use xrlflow::core::{XrlflowConfig, XrlflowSystem};
+use xrlflow::core::XrlflowConfig;
 use xrlflow::cost::{discrepancy, CostModel, DeviceProfile, InferenceSimulator};
 use xrlflow::egraph::{TensatConfig, TensatOptimizer};
 use xrlflow::graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow::rewrite::RuleSet;
+use xrlflow::rollout::XrlflowSystem;
 use xrlflow::taso::{BacktrackingOptimizer, GreedyOptimizer, SearchConfig};
 
 fn profile() -> DeviceProfile {
@@ -83,7 +84,7 @@ fn tensat_and_taso_both_beat_the_unoptimised_graph_on_squeezenet() {
 fn xrlflow_full_pipeline_on_squeezenet() {
     let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
     let mut system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 0);
-    let (report, result) = system.train_and_optimize(&graph, 2);
+    let (report, result) = system.train_and_optimize(&graph, 2).unwrap();
     assert_eq!(report.episodes.len(), 2);
     assert!(!report.updates.is_empty());
     assert!(result.graph.validate().is_ok());
