@@ -2,7 +2,8 @@
 //! different message-passing depths (the `k` ablation from DESIGN.md), and
 //! the headline per-step policy-evaluation comparison — the serial
 //! materialise-and-encode baseline against the batched + delta-aware path
-//! the agent actually runs.
+//! the agent actually runs — with the host half of that path (featurise the
+//! observation, derive all `K` sparse candidate deltas) as its own series.
 
 use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_ratio, time_ns};
 use xrlflow_core::{XrlflowAgent, XrlflowConfig};
@@ -55,6 +56,18 @@ fn main() {
         );
         let obs = env.reset(0);
         println!("-- {} ({} candidates)", kind.name(), obs.num_candidates());
+        report(
+            &format!("featurize/candidate_deltas/{}", kind.name()),
+            time_ns(1, iters.max(20), || {
+                let current = GraphFeatures::from_graph(&obs.graph);
+                let deltas: Vec<_> = obs
+                    .candidates
+                    .iter()
+                    .map(|c| GraphFeatures::delta_from_base_and_patch(&obs.graph, &current, c.patch()))
+                    .collect();
+                std::hint::black_box(deltas).len()
+            }),
+        );
         let serial_ns = time_ns(1, iters, || agent.policy_logits_serial(&obs).1);
         let batched_ns = time_ns(1, iters, || agent.policy_logits_batched(&obs).1);
         report(&format!("policy_evaluation/serial/{}", kind.name()), serial_ns);

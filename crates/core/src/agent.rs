@@ -7,17 +7,23 @@
 //! space, and the value head estimates the state value from the current
 //! graph's embedding.
 //!
-//! Policy evaluation is **delta-aware and batched**: candidate features are
-//! derived from the current graph's features plus each candidate's patch
-//! ([`GraphFeatures::delta_from_base_and_patch`] — no candidate graph is
-//! ever materialised on the inference path), and the current graph plus all
-//! `K` candidates run through the GAT stack in one batched pass
+//! Policy evaluation is **delta-aware and batched**: the current graph is
+//! featurised once per observation, every candidate becomes a *sparse*
+//! delta against those features ([`GraphFeatures::delta_from_base_and_patch`]
+//! — work proportional to the candidate's patch, no candidate graph and no
+//! dense candidate features on the inference path), and the current graph
+//! plus all `K` candidates run through the GAT stack in one batched pass
 //! ([`GnnEncoder::encode_candidates`]) that re-computes only each patch's
 //! dirty region per layer instead of `K + 1` serial full-graph tapes. The
 //! policy head then scores all `K + 1` pairs in a single stacked forward,
 //! so the `[1, K + 1]` logit row is assembled in one op. Only the action the
 //! environment actually takes materialises a graph, inside
 //! `Environment::step`.
+//!
+//! Every caller that evaluates more than one step — the rollout collector
+//! and `greedy_optimize` — owns one scratch [`Tape`] for the episode and
+//! goes through [`XrlflowAgent::act_with_tape`]; [`XrlflowAgent::act`] is
+//! the one-shot form on a fresh tape.
 
 use xrlflow_env::Observation;
 use xrlflow_gnn::{CandidateDelta, GnnEncoder, GraphFeatures};
@@ -118,10 +124,10 @@ impl XrlflowAgent {
     /// Builds the differentiable logits (one per valid action: candidates in
     /// order followed by No-Op) and the value estimate for an observation.
     ///
-    /// One batched evaluation: candidate features are derived delta-wise
-    /// from the current graph's features (no candidate is materialised), the
-    /// current graph and all `K` candidates are encoded in one delta-aware
-    /// batched pass, and the policy head scores every `[current ‖ candidate]`
+    /// One batched evaluation: the current graph is featurised once, every
+    /// candidate becomes a sparse delta against it (no candidate is
+    /// materialised, no clean row copied), the current graph and all `K`
+    /// candidates are encoded in one delta-aware batched pass, and the policy head scores every `[current ‖ candidate]`
     /// pair (plus the `[current ‖ current]` No-Op pair) in a single stacked
     /// forward, yielding the `[1, K + 1]` logit row in one transpose.
     fn forward(&self, tape: &mut Tape, observation: &Observation) -> (VarId, VarId) {

@@ -1,12 +1,19 @@
 //! Deployment-time optimisation with a (trained) agent: the greedy
 //! policy-inference loop and its result type.
+//!
+//! [`greedy_optimize`] owns one scratch [`Tape`] for the episode and
+//! evaluates every step through `XrlflowAgent::act_with_tape`, exactly as
+//! the rollout collector does: on large graphs a fresh tape per step has the
+//! allocator map, fault in and unmap its buffers at every step. The tape is
+//! dropped with the episode — nothing outlives the call, so nothing is
+//! retained between serve requests.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use xrlflow_env::Environment;
 use xrlflow_graph::Graph;
-use xrlflow_tensor::XorShiftRng;
+use xrlflow_tensor::{Tape, XorShiftRng};
 
 use crate::agent::XrlflowAgent;
 
@@ -45,17 +52,19 @@ impl XrlflowResult {
 /// `XrlflowSystem::optimize` and the serving layer, which drives it with a
 /// read-only snapshot replica of a trained agent
 /// (`XrlflowAgent::from_snapshot`) over a shared environment — the agent is
-/// only read, so one replica can serve many sequential requests.
+/// only read, so one replica can serve many sequential requests. Decisions
+/// are bit-identical to calling `XrlflowAgent::act` (a fresh tape) per step.
 pub fn greedy_optimize(agent: &XrlflowAgent, env: &mut Environment, rng: &mut XorShiftRng) -> XrlflowResult {
     let start = Instant::now();
     let mut obs = env.reset(0);
     let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
     let mut steps = 0;
+    let mut tape = Tape::new();
     loop {
         if obs.num_candidates() == 0 {
             break;
         }
-        let decision = agent.act(&obs, rng, true);
+        let decision = agent.act_with_tape(&mut tape, &obs, rng, true);
         if decision.action == obs.noop_action() {
             break;
         }
@@ -104,5 +113,54 @@ mod tests {
         assert!(result.final_latency_ms > 0.0);
         assert!(result.optimisation_time_s >= 0.0);
         assert_eq!(result.steps, result.rule_applications.values().sum::<usize>());
+    }
+
+    #[test]
+    fn tape_reuse_is_bit_transparent_on_the_serve_path() {
+        // greedy_optimize recycles one tape across the episode; a reference
+        // loop that evaluates every step on a fresh tape (`agent.act`) must
+        // walk the same trajectory to the same graph.
+        let config = XrlflowConfig::smoke_test();
+        // Seed 1's untrained policy runs each episode to the smoke-test step
+        // limit, so every tape is recycled several times.
+        let agent = XrlflowAgent::new(&config, 1);
+        for kind in [ModelKind::SqueezeNet, ModelKind::Bert, ModelKind::InceptionV3] {
+            let environment = || {
+                Environment::new(
+                    build_model(kind, ModelScale::Bench).unwrap(),
+                    RuleSet::standard(),
+                    InferenceSimulator::new(DeviceProfile::gtx1080()),
+                    config.env.clone(),
+                )
+            };
+            let result = greedy_optimize(&agent, &mut environment(), &mut XorShiftRng::new(3));
+
+            let mut env = environment();
+            let mut rng = XorShiftRng::new(3);
+            let mut obs = env.reset(0);
+            let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
+            let mut steps = 0;
+            while obs.num_candidates() > 0 {
+                let decision = agent.act(&obs, &mut rng, true);
+                if decision.action == obs.noop_action() {
+                    break;
+                }
+                *rule_applications.entry(obs.candidates[decision.action].rule_name).or_insert(0) += 1;
+                steps += 1;
+                let step = env.step(&obs, decision.action);
+                if step.done {
+                    break;
+                }
+                obs = step.observation;
+            }
+            let stats = env.episode_stats();
+
+            assert!(steps > 1, "{kind}: the seeded agent must take several steps for a tape to be recycled");
+            assert_eq!(result.steps, steps, "{kind}: steps");
+            assert_eq!(result.graph.canonical_hash(), env.current_graph().canonical_hash(), "{kind}: graph");
+            assert_eq!(result.initial_latency_ms, stats.initial_latency_ms, "{kind}: initial latency");
+            assert_eq!(result.final_latency_ms, stats.final_latency_ms, "{kind}: final latency");
+            assert_eq!(result.rule_applications, rule_applications, "{kind}: rule applications");
+        }
     }
 }

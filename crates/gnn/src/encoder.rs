@@ -3,12 +3,21 @@
 //! The encoder is one node-update layer (Eq. 6), `k` graph-attention layers
 //! (Eq. 7, GAT) and one global-readout layer (Eq. 8), producing a single
 //! graph-level embedding used by the policy and value heads.
+//!
+//! Three entry points share the layer code: [`GnnEncoder::encode`] (one
+//! graph, the serial oracle), [`GnnEncoder::encode_batch`] (unrelated graphs,
+//! block-diagonal) and [`GnnEncoder::encode_candidates`] — the policy path —
+//! which encodes a graph and all of its rewrite candidates from sparse
+//! [`CandidateDelta`]s, re-computing per layer only the rows each patch can
+//! have changed. Its host-side planning touches the patch's dirty region,
+//! not the graph, and builds the layer plan in a fixed order that keeps
+//! forward bits and gradient accumulation stable.
 
 use xrlflow_tensor::{
     xavier_uniform, Activation, Linear, ParamId, ParamStore, Tape, Tensor, VarId, XorShiftRng,
 };
 
-use crate::featurize::{CandidateDelta, GraphFeatures, GraphFeaturesBatch};
+use crate::featurize::{CandidateDelta, GraphFeatures, GraphFeaturesBatch, Source};
 
 /// Configuration of the graph encoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,6 +111,100 @@ impl GatLayer {
         let messages = tape.broadcast_mul_col(alpha, wh_src);
         let aggregated = tape.scatter_add_rows(messages, edge_dst_slots, out_rows);
         tape.relu(aggregated)
+    }
+}
+
+/// [`dirty_region`]'s scratch value for a row no dirty neighbour has reached.
+const CLEAN: u32 = u32::MAX;
+/// [`dirty_region`]'s scratch value for a row the candidate removes.
+const REMOVED: u32 = u32::MAX - 1;
+/// "Not dirty" in [`GnnEncoder::encode_candidates`]' base-row → slot scratch.
+const NO_SLOT: usize = usize::MAX;
+
+/// The surviving base rows of one candidate that a `layers`-deep GAT stack
+/// must re-compute, ascending by row, each with the first layer whose output
+/// for it differs from the base row's.
+///
+/// A rewired row's incoming sources differ, so it is dirty from layer 0; a
+/// row reading a row dirty after layer `l - 1` is dirty from layer `l`. In
+/// the candidate those readers are the dirty row's base consumers that
+/// survive: a consumer rewired *away* from it is dirty already, and so is
+/// every rewired or added row newly reading it. Added rows are dirty from
+/// the node update on and are not listed.
+///
+/// `level` is a per-base-row scratch, all [`CLEAN`] on entry and on return;
+/// the walk visits only the region and the delta's removed rows.
+fn dirty_region(
+    current: &GraphFeatures,
+    delta: &CandidateDelta,
+    layers: usize,
+    level: &mut [u32],
+) -> Vec<(u32, u32)> {
+    if layers == 0 {
+        return Vec::new();
+    }
+    for &row in &delta.removed {
+        level[row as usize] = REMOVED;
+    }
+    let mut rows: Vec<u32> = delta.rewired.iter().map(|r| r.row).collect();
+    for &row in &rows {
+        level[row as usize] = 0;
+    }
+    let mut frontier = 0..rows.len();
+    for layer in 1..layers as u32 {
+        if frontier.is_empty() {
+            break;
+        }
+        let grown_from = rows.len();
+        for at in frontier {
+            for &consumer in current.consumers(rows[at]) {
+                if level[consumer as usize] == CLEAN {
+                    level[consumer as usize] = layer;
+                    rows.push(consumer);
+                }
+            }
+        }
+        frontier = grown_from..rows.len();
+    }
+    let mut region: Vec<(u32, u32)> = rows.iter().map(|&row| (row, level[row as usize])).collect();
+    region.sort_unstable();
+    for &row in rows.iter().chain(&delta.removed) {
+        level[row as usize] = CLEAN;
+    }
+    region
+}
+
+/// One GAT layer's inputs to `GatLayer::forward_plan` over the compact
+/// `[rows(current) + dirty]` block; the buffers are reused across layers.
+#[derive(Default)]
+struct LayerPlan {
+    edge_src_rows: Vec<usize>,
+    edge_dst_rows: Vec<usize>,
+    edge_dst_slots: Vec<usize>,
+    out_rows: usize,
+}
+
+impl LayerPlan {
+    /// Starts a layer's plan with the current graph's own rows and edges.
+    fn restart(&mut self, current: &GraphFeatures) {
+        self.out_rows = current.num_nodes;
+        self.edge_src_rows.clear();
+        self.edge_src_rows.extend_from_slice(&current.edge_src);
+        self.edge_dst_rows.clear();
+        self.edge_dst_rows.extend_from_slice(&current.edge_dst);
+        self.edge_dst_slots.clear();
+        self.edge_dst_slots.extend_from_slice(&current.edge_dst);
+    }
+
+    /// Appends one output row: its edge block reads `sources` and the row's
+    /// own `dst_row`, all rows of the previous layer's block.
+    fn push_row(&mut self, dst_row: usize, sources: impl Iterator<Item = usize>) {
+        let before = self.edge_src_rows.len();
+        self.edge_src_rows.extend(sources);
+        let edges = self.edge_src_rows.len() - before;
+        self.edge_dst_rows.extend(std::iter::repeat_n(dst_row, edges));
+        self.edge_dst_slots.extend(std::iter::repeat_n(self.out_rows, edges));
+        self.out_rows += 1;
     }
 }
 
@@ -209,22 +312,35 @@ impl GnnEncoder {
     /// `[1 + num_candidates, hidden_dim]` embedding matrix (the current
     /// graph's embedding in row 0, candidates in order after it).
     ///
-    /// Each candidate differs from the current graph by a small patch, so
-    /// per message-passing layer only the candidate rows inside the patch's
-    /// grown *dirty region* are re-computed; every other row provably carries
-    /// the identical computation tree (same one-hot, same incoming edge
-    /// attributes, same neighbour identities — certified by
-    /// [`CandidateDelta`]) and is *reused* from the current graph's rows.
-    /// Dirtiness is structural, not value-based, so the reuse holds for any
-    /// parameter values: results are bit-identical to serially encoding each
-    /// materialised candidate, and gradients of a downstream loss are exactly
-    /// those of the full computation (clean rows simply route their
-    /// contributions through the shared sub-tree).
+    /// Each candidate arrives as a sparse [`CandidateDelta`] and is consumed
+    /// as one: per message-passing layer only the candidate rows inside the
+    /// patch's grown *dirty region* are re-computed; every other row provably
+    /// carries the identical computation tree (same one-hot, same incoming
+    /// edge attributes, same neighbour identities) and is *reused* from the
+    /// current graph's rows. Dirtiness is structural, not value-based, so the
+    /// reuse holds for any parameter values: results are bit-identical to
+    /// serially encoding each materialised candidate, and gradients of a
+    /// downstream loss are exactly those of the full computation (clean rows
+    /// simply route their contributions through the shared sub-tree).
     ///
-    /// The dirty region starts at the patch's changed rows (added nodes and
-    /// rewired consumers) and expands one in-neighbourhood hop per GAT layer;
-    /// the layer maths itself runs through the same GAT-layer code as
-    /// [`GnnEncoder::encode`] on a compact `[rows(current) + dirty]` block.
+    /// The dirty region starts at the added rows (dirty from the node update
+    /// on), takes in the delta's rewired rows at the first GAT layer and then
+    /// grows one hop per layer through the current graph's consumer index,
+    /// skipping the delta's removed rows. Host work per candidate is
+    /// proportional to that region — there is no per-candidate pass over the
+    /// graph's rows or edges except the readout's gather list.
+    ///
+    /// **Plan order.** The layer maths runs through the same GAT-layer code
+    /// as [`GnnEncoder::encode`] on a compact `[rows(current) + dirty]`
+    /// block, and the order of that block is an invariant: after the current
+    /// graph's own rows and edges come the candidates in order; within a
+    /// candidate its dirty rows ascending in candidate row order (surviving
+    /// base rows ascending, then added rows in patch order); within a row
+    /// its edge block in input order, then the self-loop. The readout gathers
+    /// every candidate's rows in candidate row order. Same order, same
+    /// forward bits *and* the same gradient accumulation order — which is
+    /// what keeps a training run's parameters bit-stable across changes to
+    /// how the plan is built.
     pub fn encode_candidates(
         &self,
         tape: &mut Tape,
@@ -235,123 +351,130 @@ impl GnnEncoder {
         let n = current.num_nodes;
         let in_dim = GraphFeatures::node_feature_dim() + 4;
 
-        // Dirty flags after the node-update layer: only added rows have
-        // inputs differing from their base row. `slots[k][row]` is the
-        // absolute row of candidate k's dirty `row` in the current compact
-        // block (rows 0..n belong to the current graph).
-        let mut dirty: Vec<Vec<bool>> =
-            deltas.iter().map(|d| d.base_rows.iter().map(Option::is_none).collect()).collect();
-        let mut slots: Vec<Vec<usize>> = deltas.iter().map(|d| vec![usize::MAX; d.base_rows.len()]).collect();
-
         // Node-update inputs for the unique rows: the current graph's rows
         // followed by every candidate's added rows (`[incoming ‖ one-hot]`,
-        // accumulated exactly like the serial scatter-add path).
-        let mut input_data: Vec<f32> = Vec::with_capacity((n + 8) * in_dim);
+        // accumulated exactly like the serial scatter-add path). Only added
+        // rows have inputs differing from a base row's, so they are the
+        // dirty region going into the first GAT layer; `first_slot[k]` is
+        // where candidate k's dirty rows start in the compact block.
+        let mut first_slot: Vec<usize> = Vec::with_capacity(deltas.len());
+        let mut rows = n;
+        for delta in deltas {
+            first_slot.push(rows);
+            rows += delta.added.len();
+        }
+        let mut input_data: Vec<f32> = Vec::with_capacity(rows * in_dim);
         for row in 0..n {
             current.push_node_input_row(row, &mut input_data);
         }
-        let mut rows = n;
-        for (k, delta) in deltas.iter().enumerate() {
-            for row in 0..delta.features.num_nodes {
-                if dirty[k][row] {
-                    slots[k][row] = rows;
-                    rows += 1;
-                    delta.features.push_node_input_row(row, &mut input_data);
-                }
-            }
+        for delta in deltas {
+            delta.push_added_input_rows(&mut input_data);
         }
         let inputs = tape.constant(Tensor::from_vec(input_data, &[rows, in_dim]));
         let mut h = self.node_update.forward(tape, store, inputs);
 
+        // Each candidate's dirty base rows over the whole stack, found once.
+        let mut level = vec![CLEAN; n];
+        let regions: Vec<Vec<(u32, u32)>> = deltas
+            .iter()
+            .map(|delta| dirty_region(current, delta, self.gat_layers.len(), &mut level))
+            .collect();
+
         // Per-layer scratch, allocated once and reused across the GAT stack
         // (the layer loop is the encoder's hot loop — see the tensor hot-path
-        // rules in ROADMAP.md).
-        let mut next_dirty: Vec<Vec<bool>> = deltas.iter().map(|d| vec![false; d.base_rows.len()]).collect();
-        let mut next_slots: Vec<Vec<usize>> =
-            deltas.iter().map(|d| vec![usize::MAX; d.base_rows.len()]).collect();
-        let mut edge_src_rows: Vec<usize> = Vec::new();
-        let mut edge_dst_rows: Vec<usize> = Vec::new();
-        let mut edge_dst_slots: Vec<usize> = Vec::new();
+        // rules in ROADMAP.md). `slot_of` maps a base row to its compact row
+        // in the previous layer's block, for the one candidate being planned.
+        let mut slot_of: Vec<usize> = vec![NO_SLOT; n];
+        let mut plan = LayerPlan::default();
 
         for (layer_index, layer) in self.gat_layers.iter().enumerate() {
-            // Grow the dirty region: a row is dirty after this layer when its
-            // incoming-edge identities changed (seeded once, from the patch)
-            // or any in-neighbour — including itself, via its self-loop — was
-            // dirty before the layer.
-            for (k, delta) in deltas.iter().enumerate() {
-                let flags = &mut next_dirty[k];
-                flags.iter_mut().for_each(|f| *f = false);
-                if layer_index == 0 {
-                    for &row in &delta.changed_rows {
-                        flags[row] = true;
-                    }
-                }
-            }
-            for (k, delta) in deltas.iter().enumerate() {
-                let f = &delta.features;
-                for (&src, &dst) in f.edge_src.iter().zip(&f.edge_dst) {
-                    if dirty[k][src] {
-                        next_dirty[k][dst] = true;
-                    }
-                }
-            }
-
             // The layer's edge plan: the current graph's full edge list, then
             // every edge into a dirty destination. Clean neighbours read the
             // current graph's rows (their embeddings are identical), dirty
             // neighbours read their compact slots.
-            for s in next_slots.iter_mut() {
-                s.iter_mut().for_each(|slot| *slot = usize::MAX);
-            }
-            let mut out_rows = n;
-            edge_src_rows.clear();
-            edge_src_rows.extend_from_slice(&current.edge_src);
-            edge_dst_rows.clear();
-            edge_dst_rows.extend_from_slice(&current.edge_dst);
-            edge_dst_slots.clear();
-            edge_dst_slots.extend_from_slice(&current.edge_dst);
-            for (k, delta) in deltas.iter().enumerate() {
-                let f = &delta.features;
-                let row_of = |row: usize, dirty: &[bool], slots: &[usize]| -> usize {
-                    if dirty[row] {
-                        slots[row]
-                    } else {
-                        delta.base_rows[row].expect("clean rows always mirror a base row")
+            plan.restart(current);
+            for ((delta, region), first_slot) in deltas.iter().zip(&regions).zip(&mut first_slot) {
+                // Rows dirty before this layer sit in the previous block from
+                // `first_slot` on, in candidate row order.
+                let was_dirty = |level: u32| (level as usize) < layer_index;
+                let mut previous_added = *first_slot;
+                for &(row, level) in region {
+                    if was_dirty(level) {
+                        slot_of[row as usize] = previous_added;
+                        previous_added += 1;
                     }
+                }
+                *first_slot = plan.out_rows;
+                let row_in = |source: Source| match source {
+                    Source::Base(row) if slot_of[row as usize] == NO_SLOT => row as usize,
+                    Source::Base(row) => slot_of[row as usize],
+                    Source::Added(i) => previous_added + i as usize,
                 };
-                for row in 0..f.num_nodes {
-                    if !next_dirty[k][row] {
+
+                let mut rewired = delta.rewired.iter().peekable();
+                for &(row, level) in region {
+                    let rewired = rewired.next_if(|r| r.row == row);
+                    if level as usize > layer_index {
                         continue;
                     }
-                    next_slots[k][row] = out_rows;
-                    out_rows += 1;
-                    let dst_row = row_of(row, &dirty[k], &slots[k]);
-                    for e in f.edge_offsets[row]..f.edge_offsets[row + 1] {
-                        edge_src_rows.push(row_of(f.edge_src[e], &dirty[k], &slots[k]));
-                        edge_dst_rows.push(dst_row);
-                        edge_dst_slots.push(next_slots[k][row]);
+                    let dst_row = row_in(Source::Base(row));
+                    match rewired {
+                        Some(r) => {
+                            let sources = &delta.rewired_sources[r.sources.clone()];
+                            plan.push_row(dst_row, sources.iter().map(|&s| row_in(s)));
+                        }
+                        None => {
+                            let block =
+                                current.edge_offsets[row as usize]..current.edge_offsets[row as usize + 1];
+                            let sources = &current.edge_src[block];
+                            plan.push_row(dst_row, sources.iter().map(|&s| row_in(Source::Base(s as u32))));
+                        }
+                    }
+                }
+                for (i, added) in delta.added.iter().enumerate() {
+                    let edges = &delta.added_edges[added.edges.clone()];
+                    plan.push_row(previous_added + i, edges.iter().map(|&(s, _)| row_in(s)));
+                }
+                for &(row, level) in region {
+                    if was_dirty(level) {
+                        slot_of[row as usize] = NO_SLOT;
                     }
                 }
             }
-            h = layer.forward_plan(tape, store, h, &edge_src_rows, &edge_dst_rows, &edge_dst_slots, out_rows);
-            std::mem::swap(&mut dirty, &mut next_dirty);
-            std::mem::swap(&mut slots, &mut next_slots);
+            h = layer.forward_plan(
+                tape,
+                store,
+                h,
+                &plan.edge_src_rows,
+                &plan.edge_dst_rows,
+                &plan.edge_dst_slots,
+                plan.out_rows,
+            );
         }
 
         // Per-graph readout: gather every graph's rows (clean candidate rows
         // from the current graph's block) in row order and segment-sum them,
-        // reproducing the serial row-order accumulation bit for bit.
+        // reproducing the serial row-order accumulation bit for bit. Runs of
+        // clean surviving rows are appended as ranges between the removed and
+        // dirty rows.
         let mut gather: Vec<usize> = (0..n).collect();
         let mut segments: Vec<usize> = vec![0; n];
-        for (k, delta) in deltas.iter().enumerate() {
-            for row in 0..delta.features.num_nodes {
-                gather.push(if dirty[k][row] {
-                    slots[k][row]
-                } else {
-                    delta.base_rows[row].expect("clean rows always mirror a base row")
-                });
-                segments.push(k + 1);
+        let mut exceptions: Vec<(u32, Option<usize>)> = Vec::new();
+        for (k, ((delta, region), &first_slot)) in deltas.iter().zip(&regions).zip(&first_slot).enumerate() {
+            exceptions.clear();
+            exceptions.extend(delta.removed.iter().map(|&row| (row, None)));
+            exceptions.extend(region.iter().enumerate().map(|(at, &(row, _))| (row, Some(first_slot + at))));
+            exceptions.sort_unstable_by_key(|&(row, _)| row);
+            let before = gather.len();
+            let mut next = 0;
+            for &(row, slot) in &exceptions {
+                gather.extend(next..row as usize);
+                gather.extend(slot);
+                next = row as usize + 1;
             }
+            gather.extend(next..n);
+            gather.extend((0..delta.added.len()).map(|i| first_slot + region.len() + i));
+            segments.extend(std::iter::repeat_n(k + 1, gather.len() - before));
         }
         let all_rows = tape.gather_rows(h, &gather);
         let summed = tape.segment_sum_rows(all_rows, &segments, deltas.len() + 1);
@@ -380,8 +503,9 @@ impl GnnEncoder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{rule_zoo_graph, sparse_delta_cases};
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
-    use xrlflow_graph::{Graph, OpAttributes, OpKind, TensorShape};
+    use xrlflow_graph::{Graph, GraphPatch, OpAttributes, OpKind, TensorShape};
     use xrlflow_tensor::Adam;
 
     fn tiny_config() -> EncoderConfig {
@@ -457,6 +581,37 @@ mod tests {
         }
     }
 
+    /// Encodes `g` and `patches` through `encode_candidates` and checks every
+    /// row against serially encoding the materialised graph from scratch.
+    fn assert_candidate_encoding_matches_serial(
+        encoder: &GnnEncoder,
+        store: &ParamStore,
+        context: &str,
+        g: &Graph,
+        patches: &[(&GraphPatch, &str)],
+    ) {
+        let current = GraphFeatures::from_graph(g);
+        let deltas: Vec<_> = patches
+            .iter()
+            .map(|(patch, _)| GraphFeatures::delta_from_base_and_patch(g, &current, patch))
+            .collect();
+        let mut tape = Tape::new();
+        let z = encoder.encode_candidates(&mut tape, store, &current, &deltas);
+        let embeddings = tape.value(z).clone();
+        assert_eq!(embeddings.shape(), &[patches.len() + 1, encoder.embedding_dim()]);
+        let serial_current = encoder.encode_value(store, &current);
+        assert_eq!(embeddings.row(0), serial_current.data(), "{context}: current-graph embedding");
+        for (i, (patch, rule_name)) in patches.iter().enumerate() {
+            let materialised = g.apply_patch(patch).unwrap();
+            let serial = encoder.encode_value(store, &GraphFeatures::from_graph(&materialised));
+            assert_eq!(
+                embeddings.row(i + 1),
+                serial.data(),
+                "{context}: candidate {i} ({rule_name}) embedding diverges from the serial encode",
+            );
+        }
+    }
+
     #[test]
     fn delta_aware_candidate_encoding_matches_serial_per_candidate() {
         // encode_candidates reuses clean rows across the batch; every
@@ -466,31 +621,43 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = XorShiftRng::new(7);
         let encoder = GnnEncoder::new(&mut store, tiny_config(), &mut rng);
-        for kind in [ModelKind::SqueezeNet, ModelKind::Bert] {
-            let g = build_model(kind, ModelScale::Bench).unwrap();
-            let current = GraphFeatures::from_graph(&g);
-            let candidates = RuleSet::standard().generate_candidates(&g, 16);
-            assert!(!candidates.is_empty());
-            let deltas: Vec<_> = candidates
-                .iter()
-                .map(|c| GraphFeatures::delta_from_base_and_patch(&g, &current, c.patch()))
+        let rules = RuleSet::standard();
+        let mut workloads: Vec<(String, Graph, usize)> =
+            [(ModelKind::SqueezeNet, 16), (ModelKind::Bert, 16), (ModelKind::InceptionV3, 32)]
+                .into_iter()
+                .map(|(kind, k)| (kind.to_string(), build_model(kind, ModelScale::Bench).unwrap(), k))
                 .collect();
-            let mut tape = Tape::new();
-            let z = encoder.encode_candidates(&mut tape, &store, &current, &deltas);
-            let embeddings = tape.value(z).clone();
-            assert_eq!(embeddings.shape(), &[candidates.len() + 1, encoder.embedding_dim()]);
-            let serial_current = encoder.encode_value(&store, &current);
-            assert_eq!(embeddings.row(0), serial_current.data(), "{kind}: current-graph embedding");
-            for (i, c) in candidates.iter().enumerate() {
-                let materialised = c.materialize(&g).unwrap();
-                let serial = encoder.encode_value(&store, &GraphFeatures::from_graph(&materialised));
-                assert_eq!(
-                    embeddings.row(i + 1),
-                    serial.data(),
-                    "{kind}: candidate {i} ({}) embedding diverges from the serial encode",
-                    c.rule_name
-                );
-            }
+        workloads.push(("rule-zoo".to_string(), rule_zoo_graph(), 32));
+        for (name, g, max_candidates) in &workloads {
+            let candidates = rules.generate_candidates(g, *max_candidates);
+            assert!(!candidates.is_empty());
+            let patches: Vec<_> = candidates.iter().map(|c| (c.patch(), c.rule_name)).collect();
+            assert_candidate_encoding_matches_serial(&encoder, &store, name, g, &patches);
+        }
+
+        // Along a trajectory the base graph has id holes left by dead-node
+        // elimination.
+        let mut g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
+        for step in 0..6 {
+            let candidates = rules.generate_candidates(&g, 16);
+            assert!(!candidates.is_empty(), "the trajectory ran out of candidates at step {step}");
+            let patches: Vec<_> = candidates.iter().map(|c| (c.patch(), c.rule_name)).collect();
+            assert_candidate_encoding_matches_serial(&encoder, &store, &format!("step {step}"), &g, &patches);
+            g = candidates[step % candidates.len()].materialize(&g).unwrap();
+        }
+    }
+
+    #[test]
+    fn delta_aware_candidate_encoding_matches_serial_on_the_patches_a_sparse_delta_can_get_wrong() {
+        // A deeper stack than the graphs are long, so every dirty region
+        // grows until it runs out of consumers.
+        let mut store = ParamStore::new();
+        let mut rng = XorShiftRng::new(9);
+        let encoder =
+            GnnEncoder::new(&mut store, EncoderConfig { hidden_dim: 16, num_gat_layers: 4 }, &mut rng);
+        for case in sparse_delta_cases() {
+            let patches = [(&case.patch, case.name)];
+            assert_candidate_encoding_matches_serial(&encoder, &store, case.name, &case.graph, &patches);
         }
     }
 

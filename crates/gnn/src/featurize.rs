@@ -6,22 +6,42 @@
 //! (Table 4); the global attribute is initialised to zero and updated by a
 //! learnable layer.
 //!
-//! Two inference-path optimisations live here:
+//! There is one featuriser, [`GraphFeatures::from_graph`], and it runs once
+//! per observation. Besides the dense node/edge tensors it records a small
+//! structural index (row ↔ node id, a consumer index, per-row use counts),
+//! and that index is what makes a rewrite candidate cheap:
 //!
-//! * [`GraphFeatures::from_base_and_patch`] derives a rewrite candidate's
-//!   features *incrementally* from the base graph's features plus the
-//!   candidate's [`GraphPatch`] — no candidate graph is ever materialised.
+//! * [`GraphFeatures::delta_from_base_and_patch`] turns a candidate's
+//!   [`GraphPatch`] into a **sparse** [`CandidateDelta`] — the base rows that
+//!   die, the surviving rows whose incoming sources change, and the live rows
+//!   the patch adds — in time and memory proportional to the patch's
+//!   footprint, never to the size of the graph. Dead-node elimination is
+//!   replayed as a reference-count cascade started at the rewired tensors'
+//!   producers, not as a whole-graph reachability.
+//!   [`crate::GnnEncoder::encode_candidates`] consumes the sparse delta
+//!   directly; no candidate graph and no dense per-candidate features exist
+//!   on the policy path.
+//! * [`GraphFeatures::from_base_and_patch`] expands a sparse delta back into
+//!   dense features. It is the differential tests' oracle — compared bit for
+//!   bit with `from_graph(apply_patch(..))` — and the only place a dense
+//!   candidate [`GraphFeatures`] is ever built.
 //! * [`GraphFeaturesBatch`] stacks many featurised graphs into one
-//!   block-diagonal batch so the encoder can embed the current graph and all
-//!   of its candidates in a single forward pass.
+//!   block-diagonal batch so the encoder can embed them in a single forward
+//!   pass.
 
-use std::collections::{HashMap, HashSet};
-
-use xrlflow_graph::{Graph, GraphPatch, NodeId, OpKind, PatchRef, TensorRef, TensorShape};
+use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, PatchRef, TensorShape};
 use xrlflow_tensor::Tensor;
 
 /// The edge-attribute normalisation constant `M` from Table 4.
 pub const EDGE_NORMALISER: f32 = 4096.0;
+
+/// "No row" in [`GraphIndex::row_of_id`].
+const NO_ROW: u32 = u32::MAX;
+
+/// A tensor shape as a normalised edge attribute (`padded4() / M`).
+fn edge_attribute(shape: &TensorShape) -> [f32; 4] {
+    shape.padded4().map(|v| v / EDGE_NORMALISER)
+}
 
 /// A dataflow graph converted to dense GNN inputs.
 #[derive(Debug, Clone)]
@@ -38,53 +58,446 @@ pub struct GraphFeatures {
     pub num_nodes: usize,
     /// Start of each node row's contiguous edge block (its incoming dataflow
     /// edges in input order, then its self-loop); length `num_nodes + 1`.
-    /// Lets [`GraphFeatures::from_base_and_patch`] copy a node's edge
-    /// attributes without re-deriving them from shapes.
     pub edge_offsets: Vec<usize>,
+    /// The structural index sparse candidate deltas are computed and
+    /// consumed against. Filled by [`GraphFeatures::from_graph`]; empty on
+    /// the dense expansion [`GraphFeatures::from_base_and_patch`] returns,
+    /// which is an oracle, not a base for further deltas.
+    index: GraphIndex,
 }
 
-/// A node of a patched graph before materialisation: either a surviving base
-/// node or the `i`-th node added by the patch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum PatchedNode {
-    Base(NodeId),
-    New(usize),
+/// What [`GraphFeatures::from_graph`] records about the graph's structure,
+/// once per observation, so that per-candidate work can be proportional to
+/// the candidate's patch: about three `u32` per node and per edge.
+#[derive(Debug, Clone, Default)]
+struct GraphIndex {
+    /// Row → node id (ascending, the row order of the features).
+    node_ids: Vec<NodeId>,
+    /// `NodeId::index()` → row; [`NO_ROW`] for id holes left by dead-node
+    /// elimination.
+    row_of_id: Vec<u32>,
+    /// CSR offsets into `consumers`, one block per producer row.
+    consumer_offsets: Vec<u32>,
+    /// The rows consuming each producer row — one entry per consuming input
+    /// slot, so a consumer reading a producer twice appears twice, adjacent;
+    /// each block ascends.
+    consumers: Vec<u32>,
+    /// Per row, how many references keep it alive: input slots of reachable
+    /// consumers plus graph outputs. Zero exactly for the rows that are not
+    /// backwards-reachable from a graph output.
+    uses: Vec<u32>,
+    /// The rows with `uses == 0`, ascending: `Graph::validate` accepts
+    /// unreachable nodes, dead-node elimination removes them from every
+    /// candidate.
+    unreachable: Vec<u32>,
 }
 
-/// A tensor of a patched graph before materialisation.
+impl GraphIndex {
+    fn row_of(&self, id: NodeId) -> u32 {
+        let row = self.row_of_id[id.index()];
+        debug_assert_ne!(row, NO_ROW, "node id is not a row of the base features");
+        row
+    }
+
+    fn consumers(&self, row: u32) -> &[u32] {
+        let row = row as usize;
+        &self.consumers[self.consumer_offsets[row] as usize..self.consumer_offsets[row + 1] as usize]
+    }
+
+    fn node<'g>(&self, graph: &'g Graph, row: u32) -> &'g Node {
+        graph.node(self.node_ids[row as usize]).expect("every row of the base features is a live base node")
+    }
+
+    /// Builds the consumer index and the use counts from the edge lists of
+    /// the features being built.
+    fn build(
+        graph: &Graph,
+        node_ids: Vec<NodeId>,
+        row_of_id: Vec<u32>,
+        edge_src: &[usize],
+        edge_dst: &[usize],
+        edge_offsets: &[usize],
+    ) -> Self {
+        let num_nodes = node_ids.len();
+        // A node never consumes itself, so `src == dst` is the self-loop.
+        let dataflow = || edge_src.iter().zip(edge_dst).filter(|(s, d)| s != d);
+
+        let mut consumer_offsets = vec![0u32; num_nodes + 1];
+        for (&src, _) in dataflow() {
+            consumer_offsets[src + 1] += 1;
+        }
+        for row in 0..num_nodes {
+            consumer_offsets[row + 1] += consumer_offsets[row];
+        }
+        let mut next = consumer_offsets.clone();
+        let mut consumers = vec![0u32; consumer_offsets[num_nodes] as usize];
+        for (&src, &dst) in dataflow() {
+            consumers[next[src] as usize] = dst as u32;
+            next[src] += 1;
+        }
+
+        // Reachability from the graph outputs, once per observation; the
+        // per-candidate replay only ever cascades from a patch's rewires.
+        let mut uses = vec![0u32; num_nodes];
+        let mut reachable = vec![false; num_nodes];
+        let mut stack: Vec<usize> = Vec::new();
+        for output in graph.outputs() {
+            let row = row_of_id[output.node.index()] as usize;
+            uses[row] += 1;
+            stack.push(row);
+        }
+        while let Some(row) = stack.pop() {
+            if std::mem::replace(&mut reachable[row], true) {
+                continue;
+            }
+            for &src in &edge_src[edge_offsets[row]..edge_offsets[row + 1]] {
+                if src != row {
+                    uses[src] += 1;
+                    stack.push(src);
+                }
+            }
+        }
+        let unreachable = (0..num_nodes as u32).filter(|&row| !reachable[row as usize]).collect();
+        Self { node_ids, row_of_id, consumer_offsets, consumers, uses, unreachable }
+    }
+}
+
+/// A node of a patched graph before materialisation: a row of the base
+/// features or the `i`-th node added by the patch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PatchedTensor {
-    Base(TensorRef),
-    New { node: usize, port: usize },
-}
-
-impl PatchedTensor {
-    fn from_patch_ref(r: PatchRef) -> Self {
-        match r {
-            PatchRef::Base(t) => PatchedTensor::Base(t),
-            PatchRef::New { node, port } => PatchedTensor::New { node, port },
-        }
-    }
-
-    fn node(self) -> PatchedNode {
-        match self {
-            PatchedTensor::Base(t) => PatchedNode::Base(t.node),
-            PatchedTensor::New { node, .. } => PatchedNode::New(node),
-        }
-    }
+enum PatchedNode {
+    Base(u32),
+    New(usize),
 }
 
 /// Applies the patch's consumer rewires, in recorded order, to a tensor
 /// reference — exactly what `Graph::apply_patch` does to every input slot and
 /// graph output when the candidate is materialised. Rewire sources are always
 /// base tensors, so references to added nodes are never rewired further.
-fn resolve_through_rewires(patch: &GraphPatch, mut r: PatchedTensor) -> PatchedTensor {
+fn resolve_through_rewires(patch: &GraphPatch, mut r: PatchRef) -> PatchRef {
     for (from, to) in patch.rewires() {
-        if r == PatchedTensor::Base(*from) {
-            r = PatchedTensor::from_patch_ref(*to);
+        if r == PatchRef::Base(*from) {
+            r = *to;
         }
     }
     r
+}
+
+/// Dead-node elimination of a patched graph, replayed as reference counting
+/// against the base graph's use counts.
+///
+/// The base is a DAG whose rows are alive exactly when their use count is
+/// positive, so the patched graph's liveness follows from the references the
+/// rewires move: every reference a rewired tensor loses is *gained* by the
+/// tensor it now resolves to (which can bring an added node, or a base row
+/// unreachable in the base, to life together with the references *it* holds)
+/// and *lost* by its old producer (which dies when its count reaches zero and
+/// releases its own references in turn). All gains are applied before any
+/// loss, so no row dies transiently; the counts are exact once both have
+/// run. Only the rows the cascade touches are ever looked at.
+struct PatchLiveness<'a> {
+    base: &'a Graph,
+    index: &'a GraphIndex,
+    patch: &'a GraphPatch,
+    /// Net reference-count change of each touched base row, sorted by row.
+    base_changes: Vec<(u32, i64)>,
+    /// Reference counts of the patch's added nodes.
+    added_uses: Vec<u32>,
+    /// Base rows that came alive or died along the way (a row can do both).
+    flipped: Vec<u32>,
+    /// Base rows found with an input slot that resolves differently: the
+    /// reachable consumers of the rewired tensors, and rows that came alive.
+    /// Unsorted, may repeat, may include rows that died since.
+    rewired: Vec<u32>,
+    worklist: Vec<PatchedNode>,
+}
+
+impl<'a> PatchLiveness<'a> {
+    fn replay(base: &'a Graph, index: &'a GraphIndex, patch: &'a GraphPatch) -> Self {
+        let mut this = Self {
+            base,
+            index,
+            patch,
+            base_changes: Vec::new(),
+            added_uses: vec![0; patch.added_nodes().len()],
+            flipped: Vec::new(),
+            rewired: Vec::new(),
+            worklist: Vec::new(),
+        };
+        // (old producer, new producer, references moved) per rewired tensor.
+        let mut moves: Vec<(u32, PatchedNode, i64)> = Vec::new();
+        let rewires = patch.rewires();
+        for (i, (from, _)) in rewires.iter().enumerate() {
+            let to = resolve_through_rewires(patch, PatchRef::Base(*from));
+            if to == PatchRef::Base(*from) || rewires[..i].iter().any(|(earlier, _)| earlier == from) {
+                continue;
+            }
+            let from_row = index.row_of(from.node);
+            let mut moved = base.outputs().iter().filter(|&&output| output == *from).count();
+            let mut previous = NO_ROW;
+            for &consumer in index.consumers(from_row) {
+                // One entry per consuming slot: visit each consumer once. A
+                // consumer unreachable in the base holds no counted reference.
+                if consumer == previous || index.uses[consumer as usize] == 0 {
+                    continue;
+                }
+                previous = consumer;
+                let slots = index.node(base, consumer).inputs.iter().filter(|&&input| input == *from).count();
+                if slots > 0 {
+                    this.rewired.push(consumer);
+                    moved += slots;
+                }
+            }
+            if moved > 0 {
+                moves.push((from_row, this.node_of(to), moved as i64));
+            }
+        }
+        for &(_, to, moved) in &moves {
+            this.shift(to, moved);
+        }
+        for &(from_row, _, moved) in &moves {
+            this.shift(PatchedNode::Base(from_row), -moved);
+        }
+        this
+    }
+
+    fn node_of(&self, tensor: PatchRef) -> PatchedNode {
+        match tensor {
+            PatchRef::Base(t) => PatchedNode::Base(self.index.row_of(t.node)),
+            PatchRef::New { node, .. } => PatchedNode::New(node),
+        }
+    }
+
+    /// Pushes the producers `node`'s input slots resolve to in the patched
+    /// graph onto the worklist; returns whether any base slot re-resolved.
+    fn push_resolved_inputs(&mut self, node: PatchedNode) -> bool {
+        let mut rewired = false;
+        match node {
+            PatchedNode::Base(row) => {
+                for &input in &self.index.node(self.base, row).inputs {
+                    let resolved = resolve_through_rewires(self.patch, PatchRef::Base(input));
+                    rewired |= resolved != PatchRef::Base(input);
+                    self.worklist.push(self.node_of(resolved));
+                }
+            }
+            PatchedNode::New(i) => {
+                for &input in &self.patch.added_nodes()[i].inputs {
+                    let resolved = resolve_through_rewires(self.patch, input);
+                    self.worklist.push(self.node_of(resolved));
+                }
+            }
+        }
+        rewired
+    }
+
+    /// Adds `change` to a node's reference count; returns the count before
+    /// and after.
+    fn adjust(&mut self, node: PatchedNode, change: i64) -> (i64, i64) {
+        match node {
+            PatchedNode::Base(row) => {
+                let at = match self.base_changes.binary_search_by_key(&row, |&(r, _)| r) {
+                    Ok(at) => at,
+                    Err(at) => {
+                        self.base_changes.insert(at, (row, 0));
+                        at
+                    }
+                };
+                let before = i64::from(self.index.uses[row as usize]) + self.base_changes[at].1;
+                self.base_changes[at].1 += change;
+                (before, before + change)
+            }
+            PatchedNode::New(i) => {
+                let before = i64::from(self.added_uses[i]);
+                self.added_uses[i] =
+                    u32::try_from(before + change).expect("reference counts never go negative");
+                (before, before + change)
+            }
+        }
+    }
+
+    /// Moves `change` references onto (`> 0`) or off (`< 0`) a node, then
+    /// cascades one reference at a time through every node that came alive
+    /// or died because of it.
+    fn shift(&mut self, node: PatchedNode, change: i64) {
+        self.count(node, change);
+        while let Some(node) = self.worklist.pop() {
+            self.count(node, change.signum());
+        }
+    }
+
+    /// Applies one reference-count change. A node whose count leaves zero —
+    /// an added node, or a base row unreachable in the base — takes a
+    /// reference on everything it reads in the patched graph; a node whose
+    /// count reaches zero releases them.
+    fn count(&mut self, node: PatchedNode, change: i64) {
+        let (before, after) = self.adjust(node, change);
+        debug_assert!(after >= 0, "released a reference that was never counted");
+        if before == 0 || after == 0 {
+            let rewired = self.push_resolved_inputs(node);
+            if let PatchedNode::Base(row) = node {
+                self.flipped.push(row);
+                if rewired {
+                    self.rewired.push(row);
+                }
+            }
+        }
+    }
+
+    fn base_row_is_live(&self, row: u32) -> bool {
+        let change = match self.base_changes.binary_search_by_key(&row, |&(r, _)| r) {
+            Ok(at) => self.base_changes[at].1,
+            Err(_) => 0,
+        };
+        i64::from(self.index.uses[row as usize]) + change > 0
+    }
+}
+
+/// Where an incoming edge of a candidate row comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Source {
+    /// A surviving row of the base features.
+    Base(u32),
+    /// The `i`-th *live* row the patch adds ([`CandidateDelta::added`]).
+    Added(u32),
+}
+
+/// A surviving base row whose incoming sources differ from the base's.
+#[derive(Debug, Clone)]
+pub(crate) struct RewiredRow {
+    /// The base row.
+    pub(crate) row: u32,
+    /// Its whole edge block's sources in block order (dataflow edges in
+    /// input order, then the self-loop): a range of
+    /// [`CandidateDelta::rewired_sources`]. Attributes are the base block's —
+    /// a rewire preserves the tensor's shape by construction.
+    pub(crate) sources: std::ops::Range<usize>,
+}
+
+/// A live row the patch adds.
+#[derive(Debug, Clone)]
+pub(crate) struct AddedRow {
+    /// Operator index (the hot bit of the row's one-hot).
+    pub(crate) op: usize,
+    /// Its edge block (dataflow edges in input order, then the self-loop): a
+    /// range of [`CandidateDelta::added_edges`].
+    pub(crate) edges: std::ops::Range<usize>,
+}
+
+/// A rewrite candidate as the **difference** from the base graph's features,
+/// produced by [`GraphFeatures::delta_from_base_and_patch`] and consumed by
+/// [`crate::GnnEncoder::encode_candidates`].
+///
+/// The candidate's rows are the base rows minus `removed` (ascending), then
+/// the `added` rows in patch order — the row order of featurising the
+/// materialised candidate. A surviving base row that is not `rewired` carries
+/// the identical local computation as in the base (same one-hot, same
+/// incoming edge attributes, same sources), so everything the encoder
+/// computed for the base row holds for it until a dirty neighbour reaches it.
+/// Size is proportional to the patch's footprint (added nodes + rewired
+/// consumers + dying nodes), not to the graph.
+#[derive(Debug, Clone)]
+pub struct CandidateDelta {
+    /// Base rows absent from the candidate, ascending: the rows the patch's
+    /// rewires leave unreachable, and every row already unreachable in the
+    /// base that the patch does not bring to life.
+    pub(crate) removed: Vec<u32>,
+    /// Surviving base rows with re-resolved sources, ascending.
+    pub(crate) rewired: Vec<RewiredRow>,
+    pub(crate) rewired_sources: Vec<Source>,
+    /// The patch's live added rows, in patch order.
+    pub(crate) added: Vec<AddedRow>,
+    /// `(source, pre-normalised attribute)` of the added rows' edges.
+    pub(crate) added_edges: Vec<(Source, [f32; 4])>,
+}
+
+impl CandidateDelta {
+    /// Appends one `[incoming ‖ one-hot]` node-update input row per added
+    /// row to `out`, accumulating each row's edge attributes in block order —
+    /// the same sums [`GraphFeatures::push_node_input_row`] forms for a
+    /// dense row.
+    pub(crate) fn push_added_input_rows(&self, out: &mut Vec<f32>) {
+        for added in &self.added {
+            let mut incoming = [0.0f32; 4];
+            for (_, attribute) in &self.added_edges[added.edges.clone()] {
+                for (acc, &v) in incoming.iter_mut().zip(attribute) {
+                    *acc += v;
+                }
+            }
+            out.extend_from_slice(&incoming);
+            let one_hot = out.len();
+            out.resize(one_hot + OpKind::count(), 0.0);
+            out[one_hot + added.op] = 1.0;
+        }
+    }
+
+    /// Expands the delta against the base features into the dense features
+    /// of the candidate.
+    fn expand(&self, base: &GraphFeatures) -> GraphFeatures {
+        let feat_dim = OpKind::count();
+        let survivors = base.num_nodes - self.removed.len();
+        let num_nodes = survivors + self.added.len();
+        // Base row → candidate row (unused for removed rows).
+        let mut candidate_row = vec![0usize; base.num_nodes];
+        let mut removed = self.removed.iter().peekable();
+        let mut next_row = 0;
+        for (row, slot) in candidate_row.iter_mut().enumerate() {
+            if removed.next_if(|&&r| r as usize == row).is_none() {
+                *slot = next_row;
+                next_row += 1;
+            }
+        }
+        let row_of = |source: Source| match source {
+            Source::Base(row) => candidate_row[row as usize],
+            Source::Added(i) => survivors + i as usize,
+        };
+
+        let mut node_features = Vec::with_capacity(num_nodes * feat_dim);
+        let mut edge_features = Vec::new();
+        let mut edge_src = Vec::new();
+        let mut edge_dst = Vec::new();
+        let mut edge_offsets = Vec::with_capacity(num_nodes + 1);
+        let mut removed = self.removed.iter().peekable();
+        let mut rewired = self.rewired.iter().peekable();
+        for base_row in 0..base.num_nodes {
+            if removed.next_if(|&&r| r as usize == base_row).is_some() {
+                continue;
+            }
+            let row = candidate_row[base_row];
+            edge_offsets.push(edge_src.len());
+            node_features.extend_from_slice(base.node_features.row(base_row));
+            let block = base.edge_offsets[base_row]..base.edge_offsets[base_row + 1];
+            match rewired.next_if(|r| r.row as usize == base_row) {
+                Some(r) => {
+                    edge_src.extend(self.rewired_sources[r.sources.clone()].iter().map(|&s| row_of(s)))
+                }
+                None => edge_src.extend(base.edge_src[block.clone()].iter().map(|&s| candidate_row[s])),
+            }
+            edge_dst.extend(std::iter::repeat_n(row, block.len()));
+            edge_features.extend_from_slice(&base.edge_features.data()[block.start * 4..block.end * 4]);
+        }
+        for (i, added) in self.added.iter().enumerate() {
+            edge_offsets.push(edge_src.len());
+            let one_hot = node_features.len();
+            node_features.resize(one_hot + feat_dim, 0.0);
+            node_features[one_hot + added.op] = 1.0;
+            for (source, attribute) in &self.added_edges[added.edges.clone()] {
+                edge_src.push(row_of(*source));
+                edge_dst.push(survivors + i);
+                edge_features.extend_from_slice(attribute);
+            }
+        }
+        edge_offsets.push(edge_src.len());
+        let num_edges = edge_src.len();
+        GraphFeatures {
+            node_features: Tensor::from_vec(node_features, &[num_nodes, feat_dim]),
+            edge_features: Tensor::from_vec(edge_features, &[num_edges, 4]),
+            edge_src,
+            edge_dst,
+            num_nodes,
+            edge_offsets,
+            index: GraphIndex::default(),
+        }
+    }
 }
 
 impl GraphFeatures {
@@ -98,228 +511,186 @@ impl GraphFeatures {
         OpKind::count()
     }
 
-    /// Extracts features from a graph.
+    /// Extracts features from a graph, and records the structural index
+    /// (row ↔ node id, consumers, use counts) that
+    /// [`GraphFeatures::delta_from_base_and_patch`] and
+    /// [`crate::GnnEncoder::encode_candidates`] work against.
     ///
     /// Self-loop edges (carrying the node's own output shape) are added so
     /// that every node participates in message passing even when it has no
     /// incoming dataflow edge.
     pub fn from_graph(graph: &Graph) -> Self {
-        let ids: Vec<NodeId> = graph.iter().map(|(id, _)| id).collect();
-        let index_of =
-            |id: NodeId| -> usize { ids.binary_search(&id).expect("node id present in sorted id list") };
-        let num_nodes = ids.len();
+        let mut node_ids: Vec<NodeId> = Vec::new();
+        let mut max_edges = 0;
+        for (id, node) in graph.iter() {
+            node_ids.push(id);
+            max_edges += node.inputs.len() + 1;
+        }
+        let num_nodes = node_ids.len();
+        let mut row_of_id = vec![NO_ROW; node_ids.last().map_or(0, |id| id.index() + 1)];
+        for (row, id) in node_ids.iter().enumerate() {
+            row_of_id[id.index()] = row as u32;
+        }
+
         let feat_dim = OpKind::count();
         let mut node_features = Tensor::zeros(&[num_nodes, feat_dim]);
-        let mut edge_src = Vec::new();
-        let mut edge_dst = Vec::new();
-        let mut edge_rows: Vec<[f32; 4]> = Vec::new();
+        let one_hots = node_features.data_mut();
+        let mut edge_src = Vec::with_capacity(max_edges);
+        let mut edge_dst = Vec::with_capacity(max_edges);
+        let mut edge_features: Vec<f32> = Vec::with_capacity(max_edges * 4);
         let mut edge_offsets = Vec::with_capacity(num_nodes + 1);
-
-        for (row, &id) in ids.iter().enumerate() {
-            edge_offsets.push(edge_rows.len());
-            let node = graph.node(id).expect("live node");
-            node_features.set(&[row, node.op.index()], 1.0);
+        for (row, (_, node)) in graph.iter().enumerate() {
+            edge_offsets.push(edge_src.len());
+            one_hots[row * feat_dim + node.op.index()] = 1.0;
             // Dataflow edges: producer -> this node, attributed with the
             // producer tensor's shape.
             for input in &node.inputs {
                 if let Ok(shape) = graph.tensor_shape(*input) {
-                    edge_src.push(index_of(input.node));
+                    edge_src.push(row_of_id[input.node.index()] as usize);
                     edge_dst.push(row);
-                    edge_rows.push(shape.padded4());
+                    edge_features.extend_from_slice(&edge_attribute(shape));
                 }
             }
             // Self-loop with the node's own (first) output shape.
             if let Some(shape) = node.outputs.first() {
                 edge_src.push(row);
                 edge_dst.push(row);
-                edge_rows.push(shape.padded4());
+                edge_features.extend_from_slice(&edge_attribute(shape));
             }
         }
-        edge_offsets.push(edge_rows.len());
+        edge_offsets.push(edge_src.len());
 
-        let mut edge_features = Tensor::zeros(&[edge_rows.len(), 4]);
-        for (i, row) in edge_rows.iter().enumerate() {
-            for (j, &v) in row.iter().enumerate() {
-                edge_features.set(&[i, j], v / EDGE_NORMALISER);
-            }
+        let index = GraphIndex::build(graph, node_ids, row_of_id, &edge_src, &edge_dst, &edge_offsets);
+        let num_edges = edge_src.len();
+        Self {
+            node_features,
+            edge_features: Tensor::from_vec(edge_features, &[num_edges, 4]),
+            edge_src,
+            edge_dst,
+            num_nodes,
+            edge_offsets,
+            index,
         }
-        Self { node_features, edge_features, edge_src, edge_dst, num_nodes, edge_offsets }
     }
 
-    /// Derives the features of the graph a [`GraphPatch`] produces, from the
-    /// *base* graph's features — without materialising the patched graph.
+    /// The dense features of the graph a [`GraphPatch`] produces, derived
+    /// from the *base* graph's features without materialising the patched
+    /// graph: the sparse [`CandidateDelta`] expanded against `base_features`.
     ///
-    /// This is the delta-aware half of batched policy evaluation: every
-    /// rewrite candidate differs from the current graph by a handful of added
-    /// nodes and rewires, so its node one-hots and edge attributes are copied
-    /// from `base_features` (rewires preserve tensor shapes by construction,
-    /// so edge attributes never change) and only the patch's own nodes are
-    /// featurised from scratch. Dead-node elimination and rewire resolution
-    /// are replayed symbolically to reproduce the exact row/edge ordering of
-    /// [`GraphFeatures::from_graph`] on the materialised graph — the two are
-    /// bit-identical, which the per-rule differential tests assert.
+    /// Bit-identical to [`GraphFeatures::from_graph`] on the materialised
+    /// candidate — row order, edge order, one-hots and attribute bits — which
+    /// the per-rule differential tests assert. That makes it the oracle over
+    /// the one featuriser; nothing on the policy path calls it, and the
+    /// result carries no index (it cannot be the base of further deltas).
     ///
     /// `base_features` must be `GraphFeatures::from_graph(base)`, and `patch`
     /// must have been built against `base`.
     pub fn from_base_and_patch(base: &Graph, base_features: &GraphFeatures, patch: &GraphPatch) -> Self {
-        Self::delta_from_base_and_patch(base, base_features, patch).features
+        Self::delta_from_base_and_patch(base, base_features, patch).expand(base_features)
     }
 
-    /// Like [`GraphFeatures::from_base_and_patch`], but also returns the
-    /// row-level delta bookkeeping ([`CandidateDelta`]) the delta-aware
-    /// encoder ([`crate::GnnEncoder::encode_candidates`]) uses to reuse
-    /// unchanged node computations across the candidate batch.
+    /// The sparse difference between the base graph's features and the
+    /// features of the graph `patch` produces — what
+    /// [`crate::GnnEncoder::encode_candidates`] consumes.
+    ///
+    /// Work and memory are proportional to the patch's footprint (added
+    /// nodes, rewired consumers, dying nodes), not to the graph: the rewired
+    /// tensors' consumers come from the consumer index, dead-node elimination
+    /// is a reference-count cascade from the rewired tensors' producers
+    /// (`PatchLiveness`), sources are re-resolved through the rewires in
+    /// recorded order, and no clean row is copied or even visited.
+    ///
+    /// `base_features` must be `GraphFeatures::from_graph(base)`, and `patch`
+    /// must have been built against `base`.
     pub fn delta_from_base_and_patch(
         base: &Graph,
         base_features: &GraphFeatures,
         patch: &GraphPatch,
     ) -> CandidateDelta {
-        let ids: Vec<NodeId> = base.iter().map(|(id, _)| id).collect();
-        debug_assert_eq!(ids.len(), base_features.num_nodes, "base_features must match the base graph");
-        let base_row_of =
-            |id: NodeId| -> usize { ids.binary_search(&id).expect("node id present in sorted id list") };
-        let added = patch.added_nodes();
+        let index = &base_features.index;
+        debug_assert_eq!(index.node_ids.len(), base.num_nodes(), "base_features must match the base graph");
+        let added_nodes = patch.added_nodes();
+        let mut liveness = PatchLiveness::replay(base, index, patch);
 
-        // Replay dead-node elimination symbolically: the patched graph's
-        // outputs are the base outputs with rewires applied, and a node is
-        // live iff it is backwards-reachable from one of them.
-        let mut live: HashSet<PatchedNode> = HashSet::new();
-        let mut stack: Vec<PatchedNode> = base
-            .outputs()
-            .iter()
-            .map(|&r| resolve_through_rewires(patch, PatchedTensor::Base(r)).node())
-            .collect();
-        while let Some(n) = stack.pop() {
-            if !live.insert(n) {
-                continue;
-            }
-            match n {
-                PatchedNode::Base(id) => {
-                    let node = base.node(id).expect("live base node");
-                    for &r in &node.inputs {
-                        stack.push(resolve_through_rewires(patch, PatchedTensor::Base(r)).node());
-                    }
-                }
-                PatchedNode::New(i) => {
-                    for &r in &added[i].inputs {
-                        stack.push(resolve_through_rewires(patch, PatchedTensor::from_patch_ref(r)).node());
-                    }
-                }
+        // Rows that leave: died in the cascade, or never reachable and not
+        // brought to life.
+        let mut removed = std::mem::take(&mut liveness.flipped);
+        removed.extend_from_slice(&index.unreachable);
+        removed.sort_unstable();
+        removed.dedup();
+        removed.retain(|&row| !liveness.base_row_is_live(row));
+
+        // Position of each added node among the live added rows.
+        let mut live_position = vec![NO_ROW; added_nodes.len()];
+        let mut live_added = 0u32;
+        for (i, position) in live_position.iter_mut().enumerate() {
+            if liveness.added_uses[i] > 0 {
+                *position = live_added;
+                live_added += 1;
             }
         }
-
-        // Row order of the materialised graph: surviving base nodes keep
-        // their ids (ascending), added nodes splice after all of them in
-        // patch order.
-        let mut rows: Vec<PatchedNode> = ids
-            .iter()
-            .filter(|&&id| live.contains(&PatchedNode::Base(id)))
-            .map(|&id| PatchedNode::Base(id))
-            .collect();
-        rows.extend((0..added.len()).filter(|&i| live.contains(&PatchedNode::New(i))).map(PatchedNode::New));
-        let row_of: HashMap<PatchedNode, usize> = rows.iter().enumerate().map(|(r, &n)| (n, r)).collect();
-
-        let num_nodes = rows.len();
-        let feat_dim = OpKind::count();
-        let mut node_features = Tensor::zeros(&[num_nodes, feat_dim]);
-        let mut edge_src = Vec::new();
-        let mut edge_dst = Vec::new();
-        let mut edge_rows: Vec<[f32; 4]> = Vec::new();
-        let mut edge_offsets = Vec::with_capacity(num_nodes + 1);
-
-        // The shape of a patched tensor, for featurising added-node edges.
-        let shape_of = |t: PatchedTensor| -> Option<&TensorShape> {
-            match t {
-                PatchedTensor::Base(r) => base.tensor_shape(r).ok(),
-                PatchedTensor::New { node, port } => added.get(node).and_then(|n| n.outputs.get(port)),
+        let source_of = |tensor: PatchRef| match tensor {
+            PatchRef::Base(t) => Source::Base(index.row_of(t.node)),
+            PatchRef::New { node, .. } => {
+                debug_assert_ne!(live_position[node], NO_ROW, "a live row reads a dead added node");
+                Source::Added(live_position[node])
             }
         };
 
-        let mut base_rows: Vec<Option<usize>> = Vec::with_capacity(num_nodes);
-        let mut changed_rows: Vec<usize> = Vec::new();
-        for (row, &n) in rows.iter().enumerate() {
-            edge_offsets.push(edge_rows.len());
-            match n {
-                PatchedNode::Base(id) => {
-                    let base_row = base_row_of(id);
-                    base_rows.push(Some(base_row));
-                    // One-hot row: copy from the base features.
-                    node_features.data_mut()[row * feat_dim..(row + 1) * feat_dim]
-                        .copy_from_slice(base_features.node_features.row(base_row));
-                    // Edge attributes: rewires preserve shapes, so the node's
-                    // whole edge block (dataflow edges + self-loop) is copied
-                    // verbatim; only the source indices are re-resolved.
-                    let node = base.node(id).expect("live base node");
-                    let block_start = base_features.edge_offsets[base_row];
-                    let block_end = base_features.edge_offsets[base_row + 1];
-                    let mut copied = 0usize;
-                    let mut rewired = false;
-                    for input in &node.inputs {
-                        if base.tensor_shape(*input).is_ok() {
-                            let resolved = resolve_through_rewires(patch, PatchedTensor::Base(*input));
-                            rewired |= resolved != PatchedTensor::Base(*input);
-                            edge_src.push(row_of[&resolved.node()]);
-                            edge_dst.push(row);
-                            copied += 1;
-                        }
-                    }
-                    if !node.outputs.is_empty() {
-                        edge_src.push(row);
-                        edge_dst.push(row);
-                        copied += 1;
-                    }
-                    if rewired {
-                        changed_rows.push(row);
-                    }
-                    debug_assert_eq!(copied, block_end - block_start, "edge block length mismatch");
-                    for e in block_start..block_end {
-                        let r = base_features.edge_features.row(e);
-                        edge_rows.push([r[0], r[1], r[2], r[3]]);
-                    }
-                }
-                PatchedNode::New(i) => {
-                    base_rows.push(None);
-                    changed_rows.push(row);
-                    let pn = &added[i];
-                    node_features.set(&[row, pn.op.index()], 1.0);
-                    for &input in &pn.inputs {
-                        let resolved = resolve_through_rewires(patch, PatchedTensor::from_patch_ref(input));
-                        if let Some(shape) = shape_of(resolved) {
-                            edge_src.push(row_of[&resolved.node()]);
-                            edge_dst.push(row);
-                            // Already normalised: the copied base rows carry
-                            // `padded4() / M`, so new rows must match.
-                            let p = shape.padded4();
-                            edge_rows.push([
-                                p[0] / EDGE_NORMALISER,
-                                p[1] / EDGE_NORMALISER,
-                                p[2] / EDGE_NORMALISER,
-                                p[3] / EDGE_NORMALISER,
-                            ]);
-                        }
-                    }
-                    if let Some(shape) = pn.outputs.first() {
-                        edge_src.push(row);
-                        edge_dst.push(row);
-                        let p = shape.padded4();
-                        edge_rows.push([
-                            p[0] / EDGE_NORMALISER,
-                            p[1] / EDGE_NORMALISER,
-                            p[2] / EDGE_NORMALISER,
-                            p[3] / EDGE_NORMALISER,
-                        ]);
-                    }
+        let mut rewired_rows = std::mem::take(&mut liveness.rewired);
+        rewired_rows.sort_unstable();
+        rewired_rows.dedup();
+        let mut rewired = Vec::with_capacity(rewired_rows.len());
+        let mut rewired_sources = Vec::new();
+        for row in rewired_rows {
+            if !liveness.base_row_is_live(row) {
+                continue;
+            }
+            let node = index.node(base, row);
+            let start = rewired_sources.len();
+            for input in &node.inputs {
+                if base.tensor_shape(*input).is_ok() {
+                    rewired_sources.push(source_of(resolve_through_rewires(patch, PatchRef::Base(*input))));
                 }
             }
+            if !node.outputs.is_empty() {
+                rewired_sources.push(Source::Base(row));
+            }
+            rewired.push(RewiredRow { row, sources: start..rewired_sources.len() });
         }
-        edge_offsets.push(edge_rows.len());
 
-        let mut edge_features = Tensor::zeros(&[edge_rows.len(), 4]);
-        for (i, row) in edge_rows.iter().enumerate() {
-            edge_features.data_mut()[i * 4..(i + 1) * 4].copy_from_slice(row);
+        // The shape of a patched tensor, for featurising added-node edges.
+        let shape_of = |tensor: PatchRef| -> Option<&TensorShape> {
+            match tensor {
+                PatchRef::Base(r) => base.tensor_shape(r).ok(),
+                PatchRef::New { node, port } => added_nodes.get(node).and_then(|n| n.outputs.get(port)),
+            }
+        };
+        let mut added = Vec::with_capacity(live_added as usize);
+        let mut added_edges = Vec::new();
+        for (i, node) in added_nodes.iter().enumerate() {
+            if live_position[i] == NO_ROW {
+                continue;
+            }
+            let start = added_edges.len();
+            for &input in &node.inputs {
+                let resolved = resolve_through_rewires(patch, input);
+                if let Some(shape) = shape_of(resolved) {
+                    added_edges.push((source_of(resolved), edge_attribute(shape)));
+                }
+            }
+            if let Some(shape) = node.outputs.first() {
+                added_edges.push((Source::Added(live_position[i]), edge_attribute(shape)));
+            }
+            added.push(AddedRow { op: node.op.index(), edges: start..added_edges.len() });
         }
-        let features = Self { node_features, edge_features, edge_src, edge_dst, num_nodes, edge_offsets };
-        CandidateDelta { features, base_rows, changed_rows }
+        CandidateDelta { removed, rewired, rewired_sources, added, added_edges }
+    }
+
+    /// The rows consuming `row`, one entry per consuming input slot
+    /// (ascending; a consumer reading `row` twice appears twice).
+    pub(crate) fn consumers(&self, row: u32) -> &[u32] {
+        self.index.consumers(row)
     }
 
     /// Sums a node row's incoming edge attributes (its contiguous edge block,
@@ -336,29 +707,6 @@ impl GraphFeatures {
         out.extend_from_slice(&incoming);
         out.extend_from_slice(self.node_features.row(row));
     }
-}
-
-/// A rewrite candidate's features plus the row-level delta against the base
-/// graph, produced by [`GraphFeatures::delta_from_base_and_patch`].
-///
-/// `base_rows` certifies, per candidate row, which base row carries the
-/// *identical* local computation (same one-hot, same incoming edge
-/// attributes, same edge-block layout); `changed_rows` lists the rows whose
-/// incoming-edge identities differ from the base (rewired consumers and
-/// added nodes) — the seed of the dirty region that
-/// [`crate::GnnEncoder::encode_candidates`] re-computes per message-passing
-/// layer while reusing every other row from the base graph's encoding.
-#[derive(Debug, Clone)]
-pub struct CandidateDelta {
-    /// The candidate's full features (bit-identical to featurising the
-    /// materialised candidate).
-    pub features: GraphFeatures,
-    /// For each candidate row, the base row it mirrors (`None` for rows the
-    /// patch added).
-    pub base_rows: Vec<Option<usize>>,
-    /// Candidate rows whose incoming edges differ from their base row's
-    /// (rewired consumers plus all added rows), in ascending order.
-    pub changed_rows: Vec<usize>,
 }
 
 /// Many featurised graphs stacked into one block-diagonal batch.
@@ -431,6 +779,7 @@ impl GraphFeaturesBatch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_support::{assert_features_identical, rule_zoo_graph, sparse_delta_cases};
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
     use xrlflow_graph::OpAttributes;
     use xrlflow_rewrite::{rules::standard_rules, RuleSet};
@@ -501,104 +850,6 @@ mod tests {
         }
     }
 
-    /// A synthetic graph triggering the rule families the model zoo does not
-    /// exercise (pass-through/pair eliminations, matmul/conv epilogue
-    /// fusions, re-association, shared-weight merging), so the differential
-    /// test covers every rule of the default rule set.
-    fn rule_zoo_graph() -> Graph {
-        use xrlflow_graph::Padding;
-        let mut g = Graph::new();
-        let shape = |d: &[usize]| TensorShape::new(d.to_vec());
-        let unary = |g: &mut Graph, op, attrs, input: TensorRef| -> TensorRef {
-            g.add_node(op, attrs, vec![input]).unwrap().into()
-        };
-
-        // Identity + squeeze/unsqueeze + transpose-pair + reshape-pair chain.
-        let x = g.add_input(shape(&[2, 1, 4]));
-        let id = unary(&mut g, OpKind::Identity, OpAttributes::default(), x.into());
-        let s = unary(&mut g, OpKind::Squeeze, OpAttributes::with_axis(1), id);
-        let u = unary(&mut g, OpKind::Unsqueeze, OpAttributes::with_axis(1), s);
-        let t1 = unary(&mut g, OpKind::Transpose, OpAttributes::transpose(vec![1, 2, 0]), u);
-        let t2 = unary(&mut g, OpKind::Transpose, OpAttributes::transpose(vec![2, 0, 1]), t1);
-        let r1 = unary(&mut g, OpKind::Reshape, OpAttributes::reshape(vec![2, 4]), t2);
-        let r2 = unary(&mut g, OpKind::Reshape, OpAttributes::reshape(vec![4, 2]), r1);
-        g.mark_output(r2);
-
-        // Split–concat round trip.
-        let y = g.add_input(shape(&[1, 8, 4, 4]));
-        let split = g.add_node(OpKind::Split, OpAttributes::split(1, 2), vec![y.into()]).unwrap();
-        let cat = g
-            .add_node(
-                OpKind::Concat,
-                OpAttributes::with_axis(1),
-                vec![TensorRef::with_port(split, 0), TensorRef::with_port(split, 1)],
-            )
-            .unwrap();
-        g.mark_output(cat.into());
-
-        // MatMul epilogue fusions, one per fused activation.
-        for act in [OpKind::Relu, OpKind::Sigmoid, OpKind::Tanh, OpKind::Gelu] {
-            let a = g.add_input(shape(&[4, 16]));
-            let w = g.add_weight(shape(&[16, 8]));
-            let mm = g.add_node(OpKind::MatMul, OpAttributes::default(), vec![a.into(), w.into()]).unwrap();
-            let out = unary(&mut g, act, OpAttributes::default(), mm.into());
-            g.mark_output(out);
-        }
-
-        // Conv epilogues: sigmoid fusion, bias-add fusion, double batch-norm.
-        let img = g.add_input(shape(&[1, 3, 8, 8]));
-        let wc1 = g.add_weight(shape(&[16, 3, 3, 3]));
-        let conv_attrs = OpAttributes::conv2d([3, 3], [1, 1], Padding::Same, 1);
-        let c1 = g.add_node(OpKind::Conv2d, conv_attrs.clone(), vec![img.into(), wc1.into()]).unwrap();
-        let sig = unary(&mut g, OpKind::Sigmoid, OpAttributes::default(), c1.into());
-        g.mark_output(sig);
-        let wc2 = g.add_weight(shape(&[16, 3, 3, 3]));
-        let c2 = g.add_node(OpKind::Conv2d, conv_attrs, vec![img.into(), wc2.into()]).unwrap();
-        let bias = g.add_weight(shape(&[1, 16, 1, 1]));
-        let biased = g.add_node(OpKind::Add, OpAttributes::default(), vec![c2.into(), bias.into()]).unwrap();
-        g.mark_output(biased.into());
-        let bn_in = g.add_input(shape(&[1, 8, 4, 4]));
-        let bn1 = unary(&mut g, OpKind::BatchNorm, OpAttributes::default(), bn_in.into());
-        let bn2 = unary(&mut g, OpKind::BatchNorm, OpAttributes::default(), bn1);
-        g.mark_output(bn2);
-
-        // MatMul re-association, both directions.
-        let a = g.add_input(shape(&[8, 16]));
-        let b = g.add_weight(shape(&[16, 32]));
-        let c = g.add_weight(shape(&[32, 4]));
-        let ab = g.add_node(OpKind::MatMul, OpAttributes::default(), vec![a.into(), b.into()]).unwrap();
-        let abc = g.add_node(OpKind::MatMul, OpAttributes::default(), vec![ab.into(), c.into()]).unwrap();
-        g.mark_output(abc.into());
-        let bc = g.add_node(OpKind::MatMul, OpAttributes::default(), vec![b.into(), c.into()]).unwrap();
-        let a2 = g.add_input(shape(&[8, 16]));
-        let abc2 = g.add_node(OpKind::MatMul, OpAttributes::default(), vec![a2.into(), bc.into()]).unwrap();
-        g.mark_output(abc2.into());
-
-        // Two MatMuls sharing their weight (right operand).
-        let w_shared = g.add_weight(shape(&[16, 8]));
-        let in1 = g.add_input(shape(&[4, 16]));
-        let in2 = g.add_input(shape(&[4, 16]));
-        let m1 =
-            g.add_node(OpKind::MatMul, OpAttributes::default(), vec![in1.into(), w_shared.into()]).unwrap();
-        let m2 =
-            g.add_node(OpKind::MatMul, OpAttributes::default(), vec![in2.into(), w_shared.into()]).unwrap();
-        g.mark_output(m1.into());
-        g.mark_output(m2.into());
-
-        assert!(g.validate().is_ok());
-        g
-    }
-
-    fn assert_features_identical(delta: &GraphFeatures, eager: &GraphFeatures, context: &str) {
-        assert_eq!(delta.num_nodes, eager.num_nodes, "{context}: node count");
-        assert_eq!(delta.edge_src, eager.edge_src, "{context}: edge sources");
-        assert_eq!(delta.edge_dst, eager.edge_dst, "{context}: edge destinations");
-        assert_eq!(delta.edge_offsets, eager.edge_offsets, "{context}: edge offsets");
-        // Bit-identical tensors, not approximately equal ones.
-        assert_eq!(delta.node_features, eager.node_features, "{context}: node features");
-        assert_eq!(delta.edge_features, eager.edge_features, "{context}: edge features");
-    }
-
     #[test]
     fn delta_features_match_materialised_features_for_every_rule() {
         // The per-rule differential property (mirroring the patch-vs-eager
@@ -654,6 +905,36 @@ mod tests {
             let chosen = &candidates[step % candidates.len()];
             g = chosen.materialize(&g).unwrap();
         }
+    }
+
+    #[test]
+    fn delta_features_match_on_the_patches_a_sparse_delta_can_get_wrong() {
+        for case in sparse_delta_cases() {
+            let (g, patch) = (&case.graph, &case.patch);
+            let base_features = GraphFeatures::from_graph(g);
+            let sparse = GraphFeatures::delta_from_base_and_patch(g, &base_features, patch);
+            let footprint = (sparse.removed.len(), sparse.rewired.len(), sparse.added.len());
+            assert_eq!(footprint, case.footprint, "{}: (removed, rewired, added) rows", case.name);
+            let delta = GraphFeatures::from_base_and_patch(g, &base_features, patch);
+            let eager = GraphFeatures::from_graph(&g.apply_patch(patch).unwrap());
+            assert_features_identical(&delta, &eager, case.name);
+        }
+    }
+
+    #[test]
+    fn sparse_delta_holds_only_the_patch_footprint() {
+        // Bypassing one Identity of the rule-zoo graph removes that row and
+        // rewires its one consumer; nothing else of the graph is recorded.
+        let g = rule_zoo_graph();
+        let base_features = GraphFeatures::from_graph(&g);
+        let (id, node) = g.iter().find(|(_, n)| n.op == OpKind::Identity).unwrap();
+        let mut b = xrlflow_graph::PatchBuilder::new(&g);
+        b.replace_all_uses(id.into(), node.inputs[0]).unwrap();
+        let delta = GraphFeatures::delta_from_base_and_patch(&g, &base_features, &b.finish());
+        assert_eq!(delta.removed, vec![base_features.index.row_of(id)]);
+        assert_eq!(delta.rewired.len(), 1);
+        assert_eq!(delta.rewired_sources.len(), 2, "the consumer's one dataflow edge plus its self-loop");
+        assert!(delta.added.is_empty() && delta.added_edges.is_empty());
     }
 
     #[test]

@@ -25,6 +25,8 @@
 
 mod encoder;
 mod featurize;
+#[cfg(test)]
+mod test_support;
 
 pub use encoder::{EncoderConfig, GnnEncoder};
 pub use featurize::{CandidateDelta, GraphFeatures, GraphFeaturesBatch, EDGE_NORMALISER};

@@ -491,22 +491,19 @@ impl Graph {
     /// Removes every node that is not reachable (backwards) from a graph
     /// output. Returns the number of nodes removed.
     pub fn eliminate_dead_nodes(&mut self) -> usize {
-        let mut live: HashSet<NodeId> = HashSet::new();
+        let mut live = vec![false; self.nodes.len()];
         let mut stack: Vec<NodeId> = self.outputs.iter().map(|r| r.node).collect();
         while let Some(id) = stack.pop() {
-            if !live.insert(id) {
+            let Some(Some(node)) = self.nodes.get(id.index()) else { continue };
+            if std::mem::replace(&mut live[id.index()], true) {
                 continue;
             }
-            if let Ok(node) = self.node(id) {
-                for r in &node.inputs {
-                    stack.push(r.node);
-                }
-            }
+            stack.extend(node.inputs.iter().map(|r| r.node));
         }
         let mut removed = 0;
-        for i in 0..self.nodes.len() {
-            if self.nodes[i].is_some() && !live.contains(&NodeId(i as u32)) {
-                self.nodes[i] = None;
+        for (slot, live) in self.nodes.iter_mut().zip(live) {
+            if slot.is_some() && !live {
+                *slot = None;
                 removed += 1;
             }
         }
