@@ -1,6 +1,7 @@
 //! Micro-benchmarks for the tensor hot paths: the tiled matmul kernels at
 //! real GAT-layer shapes (against the retained naive reference), the
-//! transposed-RHS backward kernel against materialising a transpose, a full
+//! transposed-RHS backward kernel against materialising a transpose, the
+//! backward kernels (`Aᵀ·G`, the `q = 1` outer product) at model shapes, a full
 //! tape forward/backward step on a fresh tape vs a recycled one, and the
 //! gradient-buffer pooling primitives behind the PPO update's index-ordered
 //! merge.
@@ -50,6 +51,27 @@ fn main() {
     report("matmul/transposed_rhs/256x64x64", fused);
     report("matmul/transpose_then_matmul/256x64x64", materialised);
     report_ratio("matmul/transposed_rhs_speedup/256x64x64", materialised / fused);
+
+    // The backward kernels at the shapes one transition's reverse walk
+    // multiplies (bench encoder, H = 32): every weight gradient is an
+    // `Aᵀ·G` over a graph block's rows (BERT's 109, a candidate block's
+    // ~400), the attention-vector gradients are its `n = 1` column form, and
+    // the attention projections' input gradients are `[R, 1] × a_srcᵀ`
+    // outer products.
+    println!("\n== matmul backward: Aᵀ·G weight gradients and the q = 1 outer product ==");
+    for (m, q, n) in [(109usize, 32usize, 32usize), (400, 32, 32), (400, 32, 1)] {
+        let a = random_tensor(&mut rng, &[m, q]);
+        let g = random_tensor(&mut rng, &[m, n]);
+        let shape_iters = iters * (400 * 32 * 32 / (m * q * n)).clamp(1, 16);
+        let ns = time_ns(2, shape_iters, || a.matmul_transposed_lhs(&g));
+        report(&format!("backward/matmul_at_g/{m}x{q}x{n}"), ns);
+    }
+    let score_grad = random_tensor(&mut rng, &[400, 1]);
+    let attention = random_tensor(&mut rng, &[32, 1]);
+    // (The product itself is the result: a serial `sum()` over its 12 800
+    // elements would cost more than the kernel.)
+    let outer = time_ns(2, iters * 16, || score_grad.matmul_transposed_rhs(&attention));
+    report("backward/outer_product/400x1x32", outer);
 
     // One full train step (forward + backward) through an MLP of the policy
     // head's published size, on a fresh tape per step vs one recycled tape —

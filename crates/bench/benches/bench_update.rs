@@ -10,9 +10,15 @@
 //! is hardware-bound like the rollout engine's: expect ~1x on a single-core
 //! container and ~min(W, cores) on real multi-core machines.
 //!
+//! Per model it also splits one transition's gradient into its forward and
+//! backward halves (`update/transition/{forward_us,backward_us}`), so the
+//! backward : forward ratio is tracked.
+//!
 //! Knobs: `XRLFLOW_ITERS` (timed repetitions), `XRLFLOW_MAX_CANDIDATES`
 //! (action-space bound), `XRLFLOW_UPDATE_EPISODES` (episodes collected into
 //! the timed buffer), `XRLFLOW_BENCH_JSON` (result artifact path).
+
+use std::time::{Duration, Instant};
 
 use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_ratio, time_ns};
 use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
@@ -20,6 +26,7 @@ use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rollout::{collect_serial, update_parallel, EnvSpec};
+use xrlflow_tensor::{GradBuffer, Tape};
 
 fn main() {
     let iters = iters_from_env(3);
@@ -68,6 +75,37 @@ fn main() {
             &format!("update/speedup_4w_vs_serial/{}", kind.name()),
             serial_ns / parallel_ns[parallel_ns.len() - 1],
         );
+
+        // Where one transition's gradient goes: the recorded forward pass
+        // (recycle + policy evaluation) against the reverse walk, averaged
+        // over the buffer's transitions on one recycled tape — the two halves
+        // of `core.transition_grad_us`. The loss reaches every head.
+        let mut tape = Tape::new();
+        let mut grads = GradBuffer::zeros_like(&agent.store);
+        let (mut forward, mut backward) = (Duration::ZERO, Duration::ZERO);
+        for pass in 0..=iters {
+            for transition in rollouts.buffer.transitions() {
+                let start = Instant::now();
+                tape.recycle();
+                let eval = agent.evaluate(&mut tape, &transition.observation, transition.action);
+                let partial = tape.add(eval.log_prob, eval.value);
+                let loss = tape.add(partial, eval.entropy);
+                let recorded = Instant::now();
+                grads.zero_fill();
+                tape.backward_into(loss, &mut grads);
+                // Pass 0 warms the tape's pool and the caches.
+                if pass > 0 {
+                    forward += recorded - start;
+                    backward += recorded.elapsed();
+                }
+            }
+        }
+        let evaluations = (iters * rollouts.buffer.len()) as f64;
+        let (forward_ns, backward_ns) =
+            (forward.as_nanos() as f64 / evaluations, backward.as_nanos() as f64 / evaluations);
+        report(&format!("update/transition/forward_us/{}", kind.name()), forward_ns);
+        report(&format!("update/transition/backward_us/{}", kind.name()), backward_ns);
+        println!("{:<44} {:>11.2}", "  backward : forward", backward_ns / forward_ns);
         println!();
     }
 

@@ -12,6 +12,14 @@
 //! have changed. Its host-side planning touches the patch's dirty region,
 //! not the graph, and builds the layer plan in a fixed order that keeps
 //! forward bits and gradient accumulation stable.
+//!
+//! Both places that move rows along an index list — a GAT layer's
+//! attention-weighted aggregate over the edge list and the candidate
+//! readout's per-graph sum over gathered rows — are one fused
+//! [`Tape::gather_scatter_rows`] each: no `[E, H]` message matrix and no
+//! `[(K + 1)·N, H]` gathered-rows matrix exists in the forward or the
+//! backward pass, and the per-row summation order is the edge (or gather)
+//! list's order either way.
 
 use xrlflow_tensor::{
     xavier_uniform, Activation, Linear, ParamId, ParamStore, Tape, Tensor, VarId, XorShiftRng,
@@ -107,9 +115,9 @@ impl GatLayer {
         let scores = tape.add(edge_src_score, edge_dst_score);
         let scores = tape.leaky_relu(scores, 0.2);
         let alpha = tape.segment_softmax(scores, edge_dst_slots, out_rows);
-        let wh_src = tape.gather_rows(wh, edge_src_rows);
-        let messages = tape.broadcast_mul_col(alpha, wh_src);
-        let aggregated = tape.scatter_add_rows(messages, edge_dst_slots, out_rows);
+        // Σ_j alpha_ij · W h_j as one fused gather–scale–scatter over the
+        // edge list: no `[E, H]` message matrix in either direction.
+        let aggregated = tape.gather_scatter_rows(wh, Some(alpha), edge_src_rows, edge_dst_slots, out_rows);
         tape.relu(aggregated)
     }
 }
@@ -253,8 +261,9 @@ impl GnnEncoder {
     /// given tape.
     ///
     /// This is the serial reference path; the agent's per-step policy
-    /// evaluation uses [`GnnEncoder::encode_batch`], which embeds a whole
-    /// batch of graphs in one forward pass and is bit-identical per graph.
+    /// evaluation uses [`GnnEncoder::encode_candidates`], which embeds the
+    /// graph and all of its rewrite candidates in one forward pass and is
+    /// bit-identical per graph.
     pub fn encode(&self, tape: &mut Tape, store: &ParamStore, features: &GraphFeatures) -> VarId {
         // Eq. 6: update node attributes from incoming edge attributes.
         let edge_feats = tape.constant_copied(&features.edge_features);
@@ -452,11 +461,12 @@ impl GnnEncoder {
             );
         }
 
-        // Per-graph readout: gather every graph's rows (clean candidate rows
-        // from the current graph's block) in row order and segment-sum them,
-        // reproducing the serial row-order accumulation bit for bit. Runs of
-        // clean surviving rows are appended as ranges between the removed and
-        // dirty rows.
+        // Per-graph readout: sum every graph's rows (clean candidate rows
+        // from the current graph's block) in row order, reproducing the
+        // serial row-order accumulation bit for bit — as one fused
+        // gather–scatter, so the `[(K + 1)·N, H]` matrix of gathered rows is
+        // never materialised. Runs of clean surviving rows are appended as
+        // ranges between the removed and dirty rows.
         let mut gather: Vec<usize> = (0..n).collect();
         let mut segments: Vec<usize> = vec![0; n];
         let mut exceptions: Vec<(u32, Option<usize>)> = Vec::new();
@@ -476,8 +486,7 @@ impl GnnEncoder {
             gather.extend((0..delta.added.len()).map(|i| first_slot + region.len() + i));
             segments.extend(std::iter::repeat_n(k + 1, gather.len() - before));
         }
-        let all_rows = tape.gather_rows(h, &gather);
-        let summed = tape.segment_sum_rows(all_rows, &segments, deltas.len() + 1);
+        let summed = tape.gather_scatter_rows(h, None, &gather, &segments, deltas.len() + 1);
         let global0 = tape.zeros(&[deltas.len() + 1, self.config.hidden_dim]);
         let readout_in = tape.concat_cols(summed, global0);
         self.global_update.forward(tape, store, readout_in)

@@ -8,6 +8,20 @@
 //!
 //! Parameters live in the [`ParamStore`] across forward passes; each forward
 //! pass imports them as leaves via [`Tape::param`].
+//!
+//! ## The reverse walk
+//!
+//! Training evaluates one tape per transition, so the walk is as hot as the
+//! forward pass. Each node records when it is pushed whether a parameter is
+//! reachable through its inputs; the walk computes a gradient contribution
+//! only for such nodes (constants are never differentiated), owns each
+//! node's incoming gradient and hands it on **by value** — transformed in
+//! place where the op is element-wise, moved into an empty slot, added in
+//! place (`g[i] + x[i]`) into a filled one, in reverse tape order. None of
+//! this changes a bit: what is skipped was computed and dropped before, and
+//! every contribution keeps its arithmetic and its place in the order.
+//! [`Tape::gather_scatter_rows`] is the one fused index op — gather, per-row
+//! scale and scatter-add in a single pass, forward and backward.
 
 use crate::snapshot::{ParamSnapshot, SnapshotError};
 use crate::tensor::{matmul_into, Shape, Tensor};
@@ -585,11 +599,53 @@ enum Op {
     ScatterAddRows(VarId, Vec<usize>),
     SegmentSoftmax(VarId, Vec<usize>, usize),
     Transpose(VarId),
-    BroadcastMulCol(VarId, VarId),
+    /// `out[dst[i]] += a[src[i]] (* scale[i])`, see
+    /// [`Tape::gather_scatter_rows`].
+    GatherScatterRows {
+        a: VarId,
+        scale: Option<VarId>,
+        src: Vec<usize>,
+        dst: Vec<usize>,
+    },
     LogSoftmaxRow(VarId),
     Pick(VarId, usize),
     Clamp(VarId, f32, f32),
     Minimum(VarId, VarId),
+}
+
+impl Op {
+    /// The tape variables the op reads (leaves read none).
+    fn inputs(&self) -> [Option<VarId>; 2] {
+        match *self {
+            Op::Constant | Op::Param(_) => [None, None],
+            Op::Add(a, b)
+            | Op::Sub(a, b)
+            | Op::Mul(a, b)
+            | Op::AddBias(a, b)
+            | Op::AddBiasAct(a, b, _)
+            | Op::MatMul(a, b)
+            | Op::ConcatCols(a, b)
+            | Op::Minimum(a, b) => [Some(a), Some(b)],
+            Op::GatherScatterRows { a, scale, .. } => [Some(a), scale],
+            Op::Scale(a, _)
+            | Op::Neg(a)
+            | Op::Relu(a)
+            | Op::LeakyRelu(a, _)
+            | Op::Tanh(a)
+            | Op::Sigmoid(a)
+            | Op::Exp(a)
+            | Op::SumAll(a)
+            | Op::MeanAll(a)
+            | Op::SumRows(a)
+            | Op::GatherRows(a, _)
+            | Op::ScatterAddRows(a, _)
+            | Op::SegmentSoftmax(a, _, _)
+            | Op::Transpose(a)
+            | Op::LogSoftmaxRow(a)
+            | Op::Pick(a, _)
+            | Op::Clamp(a, _, _) => [Some(a), None],
+        }
+    }
 }
 
 /// A node's forward value: either a tensor the tape owns (op outputs,
@@ -616,6 +672,12 @@ impl Value {
 struct Node {
     op: Op,
     value: Value,
+    /// Whether a [`Op::Param`] leaf is reachable through the op's inputs —
+    /// fixed when the node is recorded. The reverse walk computes and stores
+    /// a gradient contribution only for nodes where this holds: the gradient
+    /// of a constant, or of anything computed from constants alone, is work
+    /// nobody reads.
+    needs_grad: bool,
 }
 
 #[inline]
@@ -761,13 +823,18 @@ impl Tape {
                 Op::GatherRows(_, idx) | Op::ScatterAddRows(_, idx) | Op::SegmentSoftmax(_, idx, _) => {
                     self.pool.put_usize(idx)
                 }
+                Op::GatherScatterRows { src, dst, .. } => {
+                    self.pool.put_usize(src);
+                    self.pool.put_usize(dst);
+                }
                 _ => {}
             }
         }
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> VarId {
-        self.nodes.push(Node { op, value: Value::Owned(value) });
+        let needs_grad = op.inputs().iter().flatten().any(|input| self.nodes[input.0].needs_grad);
+        self.nodes.push(Node { op, value: Value::Owned(value), needs_grad });
         VarId(self.nodes.len() - 1)
     }
 
@@ -809,7 +876,7 @@ impl Tape {
     /// current value.
     pub fn param(&mut self, store: &ParamStore, id: ParamId) -> VarId {
         let value = Arc::clone(store.value_arc(id));
-        self.nodes.push(Node { op: Op::Param(id), value: Value::Shared(value) });
+        self.nodes.push(Node { op: Op::Param(id), value: Value::Shared(value), needs_grad: true });
         VarId(self.nodes.len() - 1)
     }
 
@@ -1093,22 +1160,62 @@ impl Tape {
         self.push(Op::SegmentSoftmax(a, idx, num_segments), t)
     }
 
-    /// Multiplies each row of a `[k, n]` matrix by the matching entry of a
-    /// `[k, 1]` column vector.
-    pub fn broadcast_mul_col(&mut self, col: VarId, mat: VarId) -> VarId {
-        let cv = value_of(&self.nodes, col);
-        let mv = value_of(&self.nodes, mat);
-        assert_eq!(cv.cols(), 1, "broadcast_mul_col expects a column vector");
-        assert_eq!(cv.rows(), mv.rows(), "row mismatch");
-        let (rows, cols) = (mv.rows(), mv.cols());
-        let mut out = self.pool.take_f32(rows * cols);
-        let (cv, mv) = (value_of(&self.nodes, col), value_of(&self.nodes, mat));
-        for r in 0..rows {
-            let s = cv.data()[r];
-            out.extend(mv.data()[r * cols..(r + 1) * cols].iter().map(|&x| x * s));
+    /// Fused gather–scale–scatter: `out[dst[i]] += a[src[i]] * scale[i]` for
+    /// `i` ascending (`out[dst[i]] += a[src[i]]` without a `scale`), over a
+    /// zero-initialised `[out_rows, cols]` output. `scale` is a `[k, 1]`
+    /// column with one weight per index pair.
+    ///
+    /// Forward value and input gradients are bit-identical to the unfused
+    /// chain `gather_rows(a, src)` → per-row product with `scale` →
+    /// `scatter_add_rows(·, dst, out_rows)`: the same products, summed into
+    /// each output row in the same `i` order — only the `[k, cols]`
+    /// intermediates (two or three forward, as many again backward) are never
+    /// materialised. The GAT aggregate `Σ_j α_ij · W h_j` is the scaled form
+    /// (`src`/`dst` an edge list, `scale` the attention column); the
+    /// candidate readout, a per-graph sum over gathered rows, the unscaled.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xrlflow_tensor::{Tape, Tensor};
+    ///
+    /// let mut tape = Tape::new();
+    /// let h = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]));
+    /// let alpha = tape.constant(Tensor::from_vec(vec![0.5, 2.0, 1.0], &[3, 1]));
+    /// // Three edges 0→0, 1→0, 1→1 weighted by alpha.
+    /// let out = tape.gather_scatter_rows(h, Some(alpha), &[0, 1, 1], &[0, 0, 1], 2);
+    /// assert_eq!(tape.value(out).data(), &[6.5, 9.0, 3.0, 4.0]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics when `src` and `dst` differ in length, an index is out of
+    /// bounds, or `scale` is not a `[src.len(), 1]` column.
+    pub fn gather_scatter_rows(
+        &mut self,
+        a: VarId,
+        scale: Option<VarId>,
+        src: &[usize],
+        dst: &[usize],
+        out_rows: usize,
+    ) -> VarId {
+        assert_eq!(src.len(), dst.len(), "gather_scatter_rows index length mismatch");
+        if let Some(scale) = scale {
+            let sv = value_of(&self.nodes, scale);
+            assert_eq!(sv.cols(), 1, "gather_scatter_rows expects a column of scales");
+            assert_eq!(sv.rows(), src.len(), "row mismatch");
         }
-        let t = Tensor::from_shape(out, Shape::from_dims(&[rows, cols]));
-        self.push(Op::BroadcastMulCol(col, mat), t)
+        for &d in dst {
+            assert!(d < out_rows, "scatter index {} out of bounds ({})", d, out_rows);
+        }
+        let cols = value_of(&self.nodes, a).cols();
+        let mut out = self.pool.take_zeroed(out_rows * cols);
+        let av = value_of(&self.nodes, a).data();
+        let scales = scale.map(|scale| value_of(&self.nodes, scale).data());
+        add_rows_along(&mut out, av, cols, src, dst, scales);
+        let t = Tensor::from_shape(out, Shape::from_dims(&[out_rows, cols]));
+        let (src, dst) = (self.pooled_indices(src), self.pooled_indices(dst));
+        self.push(Op::GatherScatterRows { a, scale, src, dst }, t)
     }
 
     /// Log-softmax over the flattened elements of a variable (treated as one
@@ -1178,266 +1285,356 @@ impl Tape {
     /// The shared reverse walk behind [`Tape::backward`] and
     /// [`Tape::backward_into`]: `sink` receives every parameter-gradient
     /// contribution, in reverse tape order.
+    ///
+    /// Three rules keep the walk cheap without moving a bit (ROADMAP tensor
+    /// rule 5):
+    ///
+    /// * **Only what reaches a parameter is differentiated.** A contribution
+    ///   is computed and stored only for an input with `needs_grad`; what
+    ///   the walk skips is exactly what the full walk computed and dropped.
+    /// * **Contributions are moved or added in place.** A node's incoming
+    ///   gradient is owned by its arm, which transforms the buffer in place
+    ///   where the op is element-wise and hands it on by value; a slot's
+    ///   first contribution is a move, later ones `g[i] + x[i]` in place, in
+    ///   the order the reverse walk produces them. Only an op forwarding one
+    ///   gradient to two differentiable inputs (`Add`, `Sub`) copies.
+    /// * **Per-element arithmetic and accumulation order are those of the
+    ///   naive walk**, so parameter gradients are bit-identical to it.
     fn backward_with(&self, loss: VarId, sink: &mut dyn FnMut(ParamId, &Tensor)) {
         assert_eq!(self.value(loss).numel(), 1, "backward requires a scalar loss");
-        let mut grads: Vec<Option<Tensor>> = vec![None; self.nodes.len()];
+        if !self.nodes[loss.0].needs_grad {
+            return;
+        }
+        let needs = |id: VarId| self.nodes[id.0].needs_grad;
+        let mut grads: Vec<Option<Tensor>> = vec![None; loss.0 + 1];
         grads[loss.0] = Some(Tensor::scalar(1.0));
 
-        for i in (0..self.nodes.len()).rev() {
-            let grad = match grads[i].take() {
+        for i in (0..=loss.0).rev() {
+            let mut upstream = match grads[i].take() {
                 Some(g) => g,
                 None => continue,
             };
             let node = &self.nodes[i];
             match &node.op {
                 Op::Constant => {}
-                Op::Param(pid) => sink(*pid, &grad),
+                Op::Param(pid) => sink(*pid, &upstream),
                 Op::Add(a, b) => {
-                    accumulate(&mut grads, a.0, &grad);
-                    accumulate(&mut grads, b.0, &grad);
+                    if needs(*a) && needs(*b) {
+                        accumulate(&mut grads, *a, upstream.clone());
+                        accumulate(&mut grads, *b, upstream);
+                    } else {
+                        accumulate(&mut grads, if needs(*a) { *a } else { *b }, upstream);
+                    }
                 }
                 Op::Sub(a, b) => {
-                    accumulate(&mut grads, a.0, &grad);
-                    accumulate(&mut grads, b.0, &grad.scale(-1.0));
+                    if !needs(*b) {
+                        accumulate(&mut grads, *a, upstream);
+                    } else {
+                        if needs(*a) {
+                            accumulate(&mut grads, *a, upstream.clone());
+                        }
+                        scale_in_place(&mut upstream, -1.0);
+                        accumulate(&mut grads, *b, upstream);
+                    }
                 }
                 Op::Mul(a, b) => {
-                    let ga = grad.mul(value_of(&self.nodes, *b));
-                    let gb = grad.mul(value_of(&self.nodes, *a));
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
-                }
-                Op::AddBias(a, bias) => {
-                    accumulate(&mut grads, a.0, &grad);
-                    let bias_value = value_of(&self.nodes, *bias);
-                    let cols = bias_value.numel();
-                    let rows = grad.numel() / cols;
-                    let mut gb = Tensor::zeros(bias_value.shape());
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            gb.data_mut()[c] += grad.data()[r * cols + c];
-                        }
+                    let (av, bv) = (value_of(&self.nodes, *a), value_of(&self.nodes, *b));
+                    if needs(*a) && needs(*b) {
+                        let ga = upstream.mul(bv);
+                        upstream.zip_assign(av, |g, x| g * x);
+                        accumulate(&mut grads, *a, ga);
+                        accumulate(&mut grads, *b, upstream);
+                    } else if needs(*a) {
+                        upstream.zip_assign(bv, |g, y| g * y);
+                        accumulate(&mut grads, *a, upstream);
+                    } else {
+                        upstream.zip_assign(av, |g, x| g * x);
+                        accumulate(&mut grads, *b, upstream);
                     }
-                    accumulate(&mut grads, bias.0, &gb);
                 }
-                Op::AddBiasAct(a, bias, act) => {
-                    // dz is the gradient at the pre-activation sum, derived
-                    // from the fused output y (exact for every
-                    // FusedActivation variant — see its rustdoc). The rest is
-                    // the plain AddBias backward: dz flows to `a` unchanged
-                    // and column-sums into the bias, the same arithmetic in
-                    // the same order as the unfused op pair.
-                    let act = *act;
-                    let y = node.value.tensor();
-                    let dz = grad.zip(y, |g, yv| act.grad_from_output(g, yv));
-                    let bias_value = value_of(&self.nodes, *bias);
-                    let cols = bias_value.numel();
-                    let rows = dz.numel() / cols;
-                    let mut gb = Tensor::zeros(bias_value.shape());
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            gb.data_mut()[c] += dz.data()[r * cols + c];
-                        }
+                Op::AddBias(a, bias) | Op::AddBiasAct(a, bias, _) => {
+                    if let Op::AddBiasAct(_, _, act) = node.op {
+                        // The gradient at the pre-activation sum, derived
+                        // from the fused output y (exact for every
+                        // FusedActivation variant — see its rustdoc); the
+                        // rest is the plain bias-add backward, the same
+                        // arithmetic in the same order as the unfused pair.
+                        upstream.zip_assign(node.value.tensor(), |g, yv| act.grad_from_output(g, yv));
                     }
-                    accumulate(&mut grads, a.0, &dz);
-                    accumulate(&mut grads, bias.0, &gb);
+                    // It flows to `a` unchanged and column-sums into the bias.
+                    let gb = needs(*bias).then(|| column_sums(&upstream, value_of(&self.nodes, *bias)));
+                    if needs(*a) {
+                        accumulate(&mut grads, *a, upstream);
+                    }
+                    if let Some(gb) = gb {
+                        accumulate(&mut grads, *bias, gb);
+                    }
                 }
-                Op::Scale(a, s) => accumulate(&mut grads, a.0, &grad.scale(*s)),
-                Op::Neg(a) => accumulate(&mut grads, a.0, &grad.scale(-1.0)),
+                Op::Scale(a, s) => {
+                    scale_in_place(&mut upstream, *s);
+                    accumulate(&mut grads, *a, upstream);
+                }
+                Op::Neg(a) => {
+                    scale_in_place(&mut upstream, -1.0);
+                    accumulate(&mut grads, *a, upstream);
+                }
                 Op::MatMul(a, b) => {
                     let av = value_of(&self.nodes, *a);
                     let bv = value_of(&self.nodes, *b);
                     // Transposed-operand kernels: bit-identical to
                     // `grad × bvᵀ` / `avᵀ × grad` with materialised
-                    // transposes, without building either transpose.
-                    let ga = grad.matmul_transposed_rhs(bv);
-                    let gb = av.matmul_transposed_lhs(&grad);
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    // transposes, without building either transpose. A
+                    // constant `a` (the node-update layer's one-hot input)
+                    // skips `grad × bvᵀ`, as costly as that layer's forward.
+                    let ga = needs(*a).then(|| upstream.matmul_transposed_rhs(bv));
+                    let gb = needs(*b).then(|| av.matmul_transposed_lhs(&upstream));
+                    if let Some(ga) = ga {
+                        accumulate(&mut grads, *a, ga);
+                    }
+                    if let Some(gb) = gb {
+                        accumulate(&mut grads, *b, gb);
+                    }
                 }
                 Op::Relu(a) => {
-                    let av = value_of(&self.nodes, *a);
-                    let ga = grad.zip(av, |g, x| if x > 0.0 { g } else { 0.0 });
-                    accumulate(&mut grads, a.0, &ga);
+                    upstream.zip_assign(value_of(&self.nodes, *a), |g, x| if x > 0.0 { g } else { 0.0 });
+                    accumulate(&mut grads, *a, upstream);
                 }
                 Op::LeakyRelu(a, slope) => {
-                    let av = value_of(&self.nodes, *a);
                     let s = *slope;
-                    let ga = grad.zip(av, |g, x| if x > 0.0 { g } else { s * g });
-                    accumulate(&mut grads, a.0, &ga);
+                    upstream.zip_assign(value_of(&self.nodes, *a), |g, x| if x > 0.0 { g } else { s * g });
+                    accumulate(&mut grads, *a, upstream);
                 }
                 Op::Tanh(a) => {
-                    let yv = node.value.tensor();
-                    let ga = grad.zip(yv, |g, y| g * (1.0 - y * y));
-                    accumulate(&mut grads, a.0, &ga);
+                    upstream.zip_assign(node.value.tensor(), |g, y| g * (1.0 - y * y));
+                    accumulate(&mut grads, *a, upstream);
                 }
                 Op::Sigmoid(a) => {
-                    let yv = node.value.tensor();
-                    let ga = grad.zip(yv, |g, y| g * y * (1.0 - y));
-                    accumulate(&mut grads, a.0, &ga);
+                    upstream.zip_assign(node.value.tensor(), |g, y| g * y * (1.0 - y));
+                    accumulate(&mut grads, *a, upstream);
                 }
                 Op::Exp(a) => {
-                    let ga = grad.mul(node.value.tensor());
-                    accumulate(&mut grads, a.0, &ga);
+                    upstream.zip_assign(node.value.tensor(), |g, y| g * y);
+                    accumulate(&mut grads, *a, upstream);
                 }
                 Op::SumAll(a) => {
-                    let g = grad.item();
-                    let ga = Tensor::full(value_of(&self.nodes, *a).shape(), g);
-                    accumulate(&mut grads, a.0, &ga);
+                    let ga = Tensor::full(value_of(&self.nodes, *a).shape(), upstream.item());
+                    accumulate(&mut grads, *a, ga);
                 }
                 Op::MeanAll(a) => {
                     let n = value_of(&self.nodes, *a).numel().max(1) as f32;
-                    let g = grad.item() / n;
-                    let ga = Tensor::full(value_of(&self.nodes, *a).shape(), g);
-                    accumulate(&mut grads, a.0, &ga);
+                    let ga = Tensor::full(value_of(&self.nodes, *a).shape(), upstream.item() / n);
+                    accumulate(&mut grads, *a, ga);
                 }
                 Op::SumRows(a) => {
                     let av = value_of(&self.nodes, *a);
                     let (rows, cols) = (av.rows(), av.cols());
-                    let mut ga = Tensor::zeros(&[rows, cols]);
-                    for r in 0..rows {
-                        ga.data_mut()[r * cols..(r + 1) * cols].copy_from_slice(grad.data());
+                    let mut ga = Vec::with_capacity(rows * cols);
+                    for _ in 0..rows {
+                        ga.extend_from_slice(upstream.data());
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, *a, Tensor::from_vec(ga, &[rows, cols]));
                 }
                 Op::ConcatCols(a, b) => {
                     let av = value_of(&self.nodes, *a);
-                    let bv = value_of(&self.nodes, *b);
-                    let (rows, ca, cb) = (av.rows(), av.cols(), bv.cols());
-                    let mut ga = Tensor::zeros(&[rows, ca]);
-                    let mut gb = Tensor::zeros(&[rows, cb]);
-                    let total = ca + cb;
-                    for r in 0..rows {
-                        for c in 0..ca {
-                            ga.data_mut()[r * ca + c] = grad.data()[r * total + c];
+                    let (rows, ca, cb) = (av.rows(), av.cols(), value_of(&self.nodes, *b).cols());
+                    let g = upstream.data();
+                    // The columns `from..to` of every `[ca + cb]`-wide row.
+                    let split = |from: usize, to: usize| {
+                        let mut part = Vec::with_capacity(rows * (to - from));
+                        for r in 0..rows {
+                            part.extend_from_slice(&g[r * (ca + cb) + from..r * (ca + cb) + to]);
                         }
-                        for c in 0..cb {
-                            gb.data_mut()[r * cb + c] = grad.data()[r * total + ca + c];
-                        }
+                        Tensor::from_vec(part, &[rows, to - from])
+                    };
+                    if needs(*a) {
+                        accumulate(&mut grads, *a, split(0, ca));
                     }
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    if needs(*b) {
+                        accumulate(&mut grads, *b, split(ca, ca + cb));
+                    }
                 }
                 Op::GatherRows(a, indices) => {
                     let av = value_of(&self.nodes, *a);
                     let cols = av.cols();
                     let mut ga = Tensor::zeros(&[av.rows(), cols]);
                     for (i, &idx) in indices.iter().enumerate() {
-                        for c in 0..cols {
-                            ga.data_mut()[idx * cols + c] += grad.data()[i * cols + c];
+                        let g_row = &upstream.data()[i * cols..(i + 1) * cols];
+                        for (o, &g) in ga.data_mut()[idx * cols..(idx + 1) * cols].iter_mut().zip(g_row) {
+                            *o += g;
                         }
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, *a, ga);
                 }
                 Op::ScatterAddRows(a, indices) => {
-                    let av = value_of(&self.nodes, *a);
-                    let cols = av.cols();
-                    let mut ga = Tensor::zeros(&[av.rows(), cols]);
-                    for (i, &idx) in indices.iter().enumerate() {
-                        for c in 0..cols {
-                            ga.data_mut()[i * cols + c] = grad.data()[idx * cols + c];
-                        }
+                    let cols = value_of(&self.nodes, *a).cols();
+                    let mut ga = Vec::with_capacity(indices.len() * cols);
+                    for &idx in indices {
+                        ga.extend_from_slice(&upstream.data()[idx * cols..(idx + 1) * cols]);
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, *a, Tensor::from_vec(ga, &[indices.len(), cols]));
                 }
                 Op::Transpose(a) => {
-                    let (r, c) = (grad.rows(), grad.cols());
+                    let (r, c) = (upstream.rows(), upstream.cols());
                     if r == 1 || c == 1 {
                         // A vector transpose permutes nothing: move the owned
                         // gradient buffer under the flipped shape instead of
                         // running a strided copy (the policy head's
                         // `[K + 1, 1]` → `[1, K + 1]` logit transpose hits
                         // this on every transition evaluation).
-                        accumulate(&mut grads, a.0, &grad.into_reshape(&[c, r]));
+                        accumulate(&mut grads, *a, upstream.into_reshape(&[c, r]));
                     } else {
-                        accumulate(&mut grads, a.0, &grad.transpose());
+                        accumulate(&mut grads, *a, upstream.transpose());
                     }
                 }
                 Op::SegmentSoftmax(a, segments, num_segments) => {
-                    let y = node.value.tensor();
+                    let y = node.value.tensor().data();
                     // dL/dx_i = y_i * (g_i - sum_{j in seg(i)} g_j y_j)
                     let mut seg_dot = vec![0.0f32; *num_segments];
-                    for (i, &s) in segments.iter().enumerate() {
-                        seg_dot[s] += grad.data()[i] * y.data()[i];
+                    for ((&g, &yv), &s) in upstream.data().iter().zip(y).zip(segments) {
+                        seg_dot[s] += g * yv;
                     }
-                    let mut ga = Tensor::zeros(y.shape());
-                    for (i, &s) in segments.iter().enumerate() {
-                        ga.data_mut()[i] = y.data()[i] * (grad.data()[i] - seg_dot[s]);
+                    for ((g, &yv), &s) in upstream.data_mut().iter_mut().zip(y).zip(segments) {
+                        *g = yv * (*g - seg_dot[s]);
                     }
-                    accumulate(&mut grads, a.0, &ga);
+                    accumulate(&mut grads, *a, upstream);
                 }
-                Op::BroadcastMulCol(col, mat) => {
-                    let cv = value_of(&self.nodes, *col);
-                    let mv = value_of(&self.nodes, *mat);
-                    let cols = mv.cols();
-                    let mut gcol = Tensor::zeros(cv.shape());
-                    let mut gmat = Tensor::zeros(mv.shape());
-                    for r in 0..mv.rows() {
-                        let mut dot = 0.0;
-                        for c in 0..cols {
-                            dot += grad.data()[r * cols + c] * mv.data()[r * cols + c];
-                            gmat.data_mut()[r * cols + c] = grad.data()[r * cols + c] * cv.data()[r];
+                Op::GatherScatterRows { a, scale, src, dst } => {
+                    // The three unfused arms in one pass over the index
+                    // pairs: the scatter's backward reads row `dst[i]` of the
+                    // gradient, the product's backward dots it with
+                    // `a[src[i]]` for the scale and scales it for the row,
+                    // the gather's backward adds that into row `src[i]` — in
+                    // `i` order, as the gather's own loop did.
+                    let av = value_of(&self.nodes, *a);
+                    let cols = av.cols();
+                    let g = upstream.data();
+                    let scales = scale.map(|scale| value_of(&self.nodes, scale).data());
+                    if let Some(scale) = scale.filter(|&scale| needs(scale)) {
+                        let mut gscale = Vec::with_capacity(src.len());
+                        for (&s, &d) in src.iter().zip(dst) {
+                            let mut dot = 0.0;
+                            for (&gv, &x) in
+                                g[d * cols..(d + 1) * cols].iter().zip(&av.data()[s * cols..(s + 1) * cols])
+                            {
+                                dot += gv * x;
+                            }
+                            gscale.push(dot);
                         }
-                        gcol.data_mut()[r] = dot;
+                        accumulate(&mut grads, scale, Tensor::from_vec(gscale, &[src.len(), 1]));
                     }
-                    accumulate(&mut grads, col.0, &gcol);
-                    accumulate(&mut grads, mat.0, &gmat);
+                    if needs(*a) {
+                        let mut ga = Tensor::zeros(&[av.rows(), cols]);
+                        add_rows_along(ga.data_mut(), g, cols, dst, src, scales);
+                        accumulate(&mut grads, *a, ga);
+                    }
                 }
                 Op::LogSoftmaxRow(a) => {
                     // y = x - logsumexp(x); dx = g - softmax(x) * sum(g)
-                    let y = node.value.tensor();
-                    let g_sum: f32 = grad.data().iter().sum();
-                    let ga = Tensor::from_vec(
-                        grad.data()
-                            .iter()
-                            .zip(y.data().iter())
-                            .map(|(&g, &yv)| g - yv.exp() * g_sum)
-                            .collect(),
-                        y.shape(),
-                    );
-                    accumulate(&mut grads, a.0, &ga);
+                    let g_sum: f32 = upstream.data().iter().sum();
+                    upstream.zip_assign(node.value.tensor(), |g, yv| g - yv.exp() * g_sum);
+                    accumulate(&mut grads, *a, upstream);
                 }
                 Op::Pick(a, index) => {
-                    let av = value_of(&self.nodes, *a);
-                    let mut ga = Tensor::zeros(av.shape());
-                    ga.data_mut()[*index] = grad.item();
-                    accumulate(&mut grads, a.0, &ga);
+                    let mut ga = Tensor::zeros(value_of(&self.nodes, *a).shape());
+                    ga.data_mut()[*index] = upstream.item();
+                    accumulate(&mut grads, *a, ga);
                 }
                 Op::Clamp(a, lo, hi) => {
-                    let av = value_of(&self.nodes, *a);
                     let (lo, hi) = (*lo, *hi);
-                    let ga = grad.zip(av, |g, x| if x > lo && x < hi { g } else { 0.0 });
-                    accumulate(&mut grads, a.0, &ga);
+                    upstream
+                        .zip_assign(value_of(&self.nodes, *a), |g, x| if x > lo && x < hi { g } else { 0.0 });
+                    accumulate(&mut grads, *a, upstream);
                 }
                 Op::Minimum(a, b) => {
                     let av = value_of(&self.nodes, *a);
                     let bv = value_of(&self.nodes, *b);
                     let ga = Tensor::from_vec(
-                        grad.data()
+                        upstream
+                            .data()
                             .iter()
                             .zip(av.data().iter().zip(bv.data().iter()))
                             .map(|(&g, (&x, &y))| if x <= y { g } else { 0.0 })
                             .collect(),
                         av.shape(),
                     );
-                    let gb = grad.sub(&ga);
-                    accumulate(&mut grads, a.0, &ga);
-                    accumulate(&mut grads, b.0, &gb);
+                    if needs(*b) {
+                        upstream.zip_assign(&ga, |g, ga| g - ga);
+                    }
+                    if needs(*a) {
+                        accumulate(&mut grads, *a, ga);
+                    }
+                    if needs(*b) {
+                        accumulate(&mut grads, *b, upstream);
+                    }
                 }
             }
         }
     }
 }
 
-fn accumulate(grads: &mut [Option<Tensor>], idx: usize, grad: &Tensor) {
-    match &mut grads[idx] {
-        Some(g) => *g = g.add(grad),
-        slot @ None => *slot = Some(grad.clone()),
+/// Adds one gradient contribution to a node's slot: the first is moved in,
+/// later ones are added element-wise in place (`g[i] + x[i]`).
+fn accumulate(grads: &mut [Option<Tensor>], id: VarId, contribution: Tensor) {
+    match &mut grads[id.0] {
+        Some(g) => g.add_assign(&contribution),
+        slot @ None => *slot = Some(contribution),
     }
+}
+
+/// `out[write[i]] += from[read[i]] (* scales[i])` over `cols`-wide rows, for
+/// `i` ascending: the forward pass of [`Tape::gather_scatter_rows`]
+/// (`read = src`, `write = dst`) and, with the index lists swapped and the
+/// upstream gradient as `from`, the row half of its backward pass.
+fn add_rows_along(
+    out: &mut [f32],
+    from: &[f32],
+    cols: usize,
+    read: &[usize],
+    write: &[usize],
+    scales: Option<&[f32]>,
+) {
+    for (i, (&r, &w)) in read.iter().zip(write).enumerate() {
+        let out_row = &mut out[w * cols..(w + 1) * cols];
+        let from_row = &from[r * cols..(r + 1) * cols];
+        match scales {
+            Some(scales) => {
+                let scale = scales[i];
+                for (o, &x) in out_row.iter_mut().zip(from_row) {
+                    *o += x * scale;
+                }
+            }
+            None => {
+                for (o, &x) in out_row.iter_mut().zip(from_row) {
+                    *o += x;
+                }
+            }
+        }
+    }
+}
+
+/// In-place `x * s` — the arithmetic of [`Tensor::scale`].
+fn scale_in_place(t: &mut Tensor, s: f32) {
+    for x in t.data_mut() {
+        *x *= s;
+    }
+}
+
+/// The bias gradient of a bias-add: the rows of `grad` summed in row order
+/// into a tensor shaped like `bias`.
+fn column_sums(grad: &Tensor, bias: &Tensor) -> Tensor {
+    let mut sums = Tensor::zeros(bias.shape());
+    for row in grad.data().chunks_exact(bias.numel()) {
+        for (sum, &g) in sums.data_mut().iter_mut().zip(row) {
+            *sum += g;
+        }
+    }
+    sums
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::XorShiftRng;
 
     /// Numerically checks the gradient of a scalar function of one parameter.
     fn check_gradient(
@@ -1744,7 +1941,7 @@ mod tests {
             let proj = tape.constant_copied(&Tensor::from_vec(vec![0.5, -0.75], &[2, 1]));
             let col = tape.matmul(s, proj);
             let sm = tape.segment_softmax(col, &[0, 0], 1);
-            let weighted = tape.broadcast_mul_col(sm, s);
+            let weighted = tape.gather_scatter_rows(s, Some(sm), &[0, 1], &[0, 1], 2);
             let pooled = tape.sum_rows(weighted);
             let loss = tape.sum_all(pooled);
             store.zero_grad();
@@ -1800,17 +1997,208 @@ mod tests {
     }
 
     #[test]
-    fn grad_of_broadcast_mul_col() {
+    fn grad_of_gather_scatter_rows() {
+        // With respect to the rows (scaled and unscaled), repeated sources
+        // and destinations, an unused source row and an empty output row.
+        for scaled in [true, false] {
+            check_gradient(
+                |tape, store, pid| {
+                    let x = tape.param(store, pid);
+                    let scale =
+                        scaled.then(|| tape.constant(Tensor::from_vec(vec![2.0, -1.0, 0.5, 1.5], &[4, 1])));
+                    let y = tape.gather_scatter_rows(x, scale, &[0, 2, 2, 0], &[1, 1, 3, 0], 4);
+                    let sq = tape.mul(y, y);
+                    tape.sum_all(sq)
+                },
+                Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]),
+                1e-2,
+            );
+        }
+        // With respect to the scale column.
         check_gradient(
             |tape, store, pid| {
-                let x = tape.param(store, pid);
-                let col = tape.constant(Tensor::from_vec(vec![2.0, -1.0], &[2, 1]));
-                let y = tape.broadcast_mul_col(col, x);
-                tape.sum_all(y)
+                let scale = tape.param(store, pid);
+                let x = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]));
+                let y = tape.gather_scatter_rows(x, Some(scale), &[0, 2, 2, 0], &[1, 1, 3, 0], 4);
+                let sq = tape.mul(y, y);
+                tape.sum_all(sq)
             },
-            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]),
+            Tensor::from_vec(vec![2.0, -1.0, 0.5, 1.5], &[4, 1]),
             1e-2,
         );
+    }
+
+    fn random_tensor(rng: &mut XorShiftRng, shape: &[usize]) -> Tensor {
+        Tensor::from_vec((0..shape.iter().product()).map(|_| rng.uniform(-2.0, 2.0)).collect(), shape)
+    }
+
+    fn assert_bits_eq(got: &Tensor, want: &Tensor, context: &str) {
+        assert_eq!(got.shape(), want.shape(), "{context}: shape");
+        for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{context}: element {i} is {x:e}, expected {y:e}");
+        }
+    }
+
+    /// The fused gather–scale–scatter must match the chain it replaced to the
+    /// bit — forward value and both input gradients — on random inputs whose
+    /// index lists repeat sources and destinations, leave a source row
+    /// unused and an output row empty. The per-row product of the unfused
+    /// chain is written with surviving ops: the scale column times a row of
+    /// ones is the scale broadcast over the columns (`0.0 + s · 1.0`), an
+    /// element-wise `mul` the product, and the matmul's backward the
+    /// ascending-column dot `Σ_c (g·x)·1.0`.
+    #[test]
+    fn fused_gather_scatter_is_bit_identical_to_unfused() {
+        let mut rng = XorShiftRng::new(0x6A7_5CA7);
+        for trial in 0..20 {
+            let (a_rows, cols, out_rows) = (2 + rng.gen_range(6), 1 + rng.gen_range(7), 3 + rng.gen_range(5));
+            let pairs = 1 + rng.gen_range(24);
+            // Row 0 of `a` is never read and output row 0 never written.
+            let src: Vec<usize> = (0..pairs).map(|_| 1 + rng.gen_range(a_rows - 1)).collect();
+            let dst: Vec<usize> = (0..pairs).map(|_| 1 + rng.gen_range(out_rows - 1)).collect();
+            let mut store = ParamStore::new();
+            let a = store.register("a", random_tensor(&mut rng, &[a_rows, cols]));
+            let scale = store.register("scale", random_tensor(&mut rng, &[pairs, 1]));
+            let weights = random_tensor(&mut rng, &[out_rows, cols]);
+
+            for scaled in [true, false] {
+                let context = format!("trial {trial}, scaled: {scaled}");
+                let finish = |tape: &mut Tape, out: VarId| {
+                    let w = tape.constant_copied(&weights);
+                    let weighted = tape.mul(out, w);
+                    let loss = tape.sum_all(weighted);
+                    let mut grads = GradBuffer::zeros_like(&store);
+                    tape.backward_into(loss, &mut grads);
+                    (tape.value(out).clone(), grads)
+                };
+
+                let mut fused = Tape::new();
+                let av = fused.param(&store, a);
+                let sv = scaled.then(|| fused.param(&store, scale));
+                let out = fused.gather_scatter_rows(av, sv, &src, &dst, out_rows);
+                let (fused_value, fused_grads) = finish(&mut fused, out);
+
+                let mut unfused = Tape::new();
+                let av = unfused.param(&store, a);
+                let mut rows = unfused.gather_rows(av, &src);
+                if scaled {
+                    let sv = unfused.param(&store, scale);
+                    let ones = unfused.constant(Tensor::ones(&[1, cols]));
+                    let broadcast = unfused.matmul(sv, ones);
+                    rows = unfused.mul(rows, broadcast);
+                }
+                let out = unfused.scatter_add_rows(rows, &dst, out_rows);
+                let (value, grads) = finish(&mut unfused, out);
+
+                assert_bits_eq(&fused_value, &value, &format!("{context}: forward"));
+                assert!(fused_value.data()[..cols].iter().all(|&x| x == 0.0), "{context}: empty output row");
+                assert_bits_eq(
+                    fused_grads.grad(a),
+                    grads.grad(a),
+                    &format!("{context}: gradient of the rows"),
+                );
+                assert!(grads.grad(a).data()[..cols].iter().all(|&x| x == 0.0), "{context}: unused row");
+                assert_bits_eq(
+                    fused_grads.grad(scale),
+                    grads.grad(scale),
+                    &format!("{context}: gradient of the scale"),
+                );
+                assert_eq!(scaled, fused_grads.grad(scale).sq_norm() > 0.0, "{context}: scale gradient");
+            }
+        }
+    }
+
+    /// Skipping what does not reach a parameter removes only discarded work:
+    /// the parameters' gradients are bit-identical whether the network's
+    /// input leaves are constants or extra parameters of the same store
+    /// (which makes the walk differentiate everything, as it used to).
+    #[test]
+    fn parameter_gradients_do_not_depend_on_whether_inputs_are_constants() {
+        let mut rng = XorShiftRng::new(0xC0_57A7);
+        let mut store = ParamStore::new();
+        let w = store.register("w", random_tensor(&mut rng, &[5, 4]));
+        let b = store.register("b", random_tensor(&mut rng, &[4]));
+        let head = store.register("head", random_tensor(&mut rng, &[7, 1]));
+        // One leaf per constant-side position the walk special-cases: a
+        // matmul's left operand, a concat side, and a mul/sub/minimum operand.
+        let leaves = [
+            ("input", random_tensor(&mut rng, &[6, 5])),
+            ("extra_cols", random_tensor(&mut rng, &[6, 3])),
+            ("gain", random_tensor(&mut rng, &[6, 1])),
+            ("target", random_tensor(&mut rng, &[6, 1])),
+            ("cap", random_tensor(&mut rng, &[6, 1])),
+        ];
+        let leaf_ids: Vec<ParamId> =
+            leaves.iter().map(|(name, value)| store.register(name, value.clone())).collect();
+
+        let run = |as_params: bool| {
+            let mut tape = Tape::new();
+            let leaf: Vec<VarId> = leaves
+                .iter()
+                .zip(&leaf_ids)
+                .map(
+                    |((_, value), &id)| {
+                        if as_params {
+                            tape.param(&store, id)
+                        } else {
+                            tape.constant_copied(value)
+                        }
+                    },
+                )
+                .collect();
+            let (wv, bv, hv) = (tape.param(&store, w), tape.param(&store, b), tape.param(&store, head));
+            let xw = tape.matmul(leaf[0], wv);
+            let h = tape.add_bias_act(xw, bv, FusedActivation::Tanh);
+            let wide = tape.concat_cols(h, leaf[1]);
+            let score = tape.matmul(wide, hv);
+            let gained = tape.mul(score, leaf[2]);
+            let diff = tape.sub(gained, leaf[3]);
+            let capped = tape.minimum(diff, leaf[4]);
+            let both = tape.add(capped, gained);
+            let loss = tape.sum_all(both);
+            let mut grads = GradBuffer::zeros_like(&store);
+            tape.backward_into(loss, &mut grads);
+            grads
+        };
+        let (with_constants, with_params) = (run(false), run(true));
+        for (name, pid) in [("w", w), ("b", b), ("head", head)] {
+            assert!(with_constants.grad(pid).sq_norm() > 0.0, "{name}: no gradient");
+            assert_bits_eq(with_constants.grad(pid), with_params.grad(pid), name);
+        }
+        for &leaf in &leaf_ids {
+            assert_eq!(with_constants.grad(leaf).sq_norm(), 0.0, "a constant leaf has no gradient slot");
+            assert!(with_params.grad(leaf).sq_norm() > 0.0, "a parameter leaf is differentiated");
+        }
+    }
+
+    /// Moving contributions instead of cloning them must not reorder them: a
+    /// node's slot still takes its consumers' contributions in reverse tape
+    /// order. In f32 `(1e8 + -1e8) + 1 = 1` but `(1 + -1e8) + 1e8 = 0`.
+    #[test]
+    fn shared_subexpressions_accumulate_in_reverse_tape_order() {
+        let mut store = ParamStore::new();
+        let p = store.register("p", Tensor::from_vec(vec![3.0], &[1]));
+        let mut tape = Tape::new();
+        let pv = tape.param(&store, p);
+        let h = tape.scale(pv, 1.0);
+        let first = tape.scale(h, 1.0);
+        let second = tape.scale(h, -1e8);
+        let third = tape.scale(h, 1e8);
+        let partial = tape.add(first, second);
+        let loss = tape.add(partial, third);
+        let mut grads = GradBuffer::zeros_like(&store);
+        tape.backward_into(loss, &mut grads);
+        assert_eq!(grads.grad(p).item().to_bits(), 1.0f32.to_bits());
+
+        // Both operands of `mul(x, x)` are one slot: g·x, then + g·x.
+        let mut tape = Tape::new();
+        let pv = tape.param(&store, p);
+        let h = tape.scale(pv, 1.0);
+        let sq = tape.mul(h, h);
+        let loss = tape.sum_all(sq);
+        let mut grads = GradBuffer::zeros_like(&store);
+        tape.backward_into(loss, &mut grads);
+        assert_eq!(grads.grad(p).item().to_bits(), 6.0f32.to_bits());
     }
 
     #[test]

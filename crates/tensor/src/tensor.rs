@@ -16,7 +16,12 @@
 //! naive triple loop ([`Tensor::matmul_naive`]) — so tiling changes memory
 //! traffic, never bits. The kernels contain no value-dependent branches:
 //! `0.0 * inf` and `0.0 * NaN` propagate NaN per IEEE 754 (the previous
-//! kernel's zero-skip silently dropped them).
+//! kernel's zero-skip silently dropped them). The two transposed-operand
+//! kernels are the matmul backward pass: `Aᵀ·G` (every weight gradient)
+//! blocks its reduction index by four with the running sum held in a
+//! register between the four ascending steps and has a column (`n == 1`)
+//! axpy form; `G·Bᵀ` has an outer-product form for `q == 1`. Shape picks
+//! the form, never the bits.
 
 use std::fmt;
 
@@ -315,6 +320,20 @@ impl Tensor {
         }
     }
 
+    /// In-place [`Tensor::zip`]: `self[i] = f(self[i], other[i])` — the same
+    /// per-element arithmetic with no allocation. The reverse walk transforms
+    /// an incoming gradient buffer with this and forwards the buffer itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shapes differ.
+    pub(crate) fn zip_assign(&mut self, other: &Tensor, f: impl Fn(f32, f32) -> f32) {
+        assert_eq!(self.shape, other.shape, "shape mismatch: {:?} vs {:?}", self.shape, other.shape);
+        for (a, &b) in self.data.iter_mut().zip(other.data.iter()) {
+            *a = f(*a, b);
+        }
+    }
+
     /// Multiplies every element by a scalar.
     pub fn scale(&self, s: f32) -> Self {
         self.map(|x| x * s)
@@ -587,6 +606,18 @@ pub(crate) fn matmul_transposed_rhs_into(
     debug_assert_eq!(a.len(), m * q);
     debug_assert_eq!(bt.len(), n * q);
     debug_assert_eq!(out.len(), m * n);
+    if q == 1 {
+        // Outer product of two columns (the `[R, 1] × a_srcᵀ` input gradient
+        // of a GAT attention projection). `0.0 +` is the dot loop's running
+        // sum starting at zero: without it a `-0.0` product would keep its
+        // sign where every other path rounds it to `+0.0`.
+        for (i, &x) in a.iter().enumerate() {
+            for (o, &v) in out[i * n..(i + 1) * n].iter_mut().zip(bt) {
+                *o = 0.0 + x * v;
+            }
+        }
+        return;
+    }
     if m >= 16 && q >= 16 && n >= 16 {
         // Big enough that the O(q·n) packing pass amortises over m output
         // rows: lay `bt` out transposed and reuse the axpy-form kernel, whose
@@ -658,11 +689,22 @@ pub(crate) fn matmul_transposed_rhs_into(
     }
 }
 
+/// Reduction rows folded into each pass over `out` by
+/// [`matmul_transposed_lhs_into`].
+const MM_REDUCE_BLOCK: usize = 4;
+
 /// Writes `at (m×q)ᵀ × b (m×n)` into `out` (`q×n`), zeroing `out` first.
-/// The reduction dimension `m` is the outer loop, so each output element is
-/// one running sum over `p = 0..m` ascending — bit-identical to
-/// `at.transpose().matmul(&b)` without materialising the transpose, with
-/// both operands streamed row-contiguously.
+/// Each output element is one running sum over `p = 0..m` ascending —
+/// bit-identical to `at.transpose().matmul(&b)` without materialising the
+/// transpose, with both operands streamed row-contiguously.
+///
+/// The reduction index is blocked by [`MM_REDUCE_BLOCK`]: an element's
+/// running sum is loaded once, takes its four products in ascending `p`
+/// order in a register and is stored once, instead of one load and one store
+/// of the whole `[q, n]` output per input row (`m` is the row count of a
+/// graph block, `q × n` a weight matrix — every weight gradient of the model
+/// has this shape). A column `b` (`n == 1`, the attention-vector gradients)
+/// runs as `m` axpys into the `q` sums.
 pub(crate) fn matmul_transposed_lhs_into(
     at: &[f32],
     b: &[f32],
@@ -675,12 +717,40 @@ pub(crate) fn matmul_transposed_lhs_into(
     debug_assert_eq!(b.len(), m * n);
     debug_assert_eq!(out.len(), q * n);
     out.fill(0.0);
-    for p in 0..m {
+    if n == 1 {
+        for (p, &bv) in b.iter().enumerate() {
+            for (o, &av) in out.iter_mut().zip(&at[p * q..(p + 1) * q]) {
+                *o += av * bv;
+            }
+        }
+        return;
+    }
+    let mut p = 0;
+    while p + MM_REDUCE_BLOCK <= m {
+        let a_rows = &at[p * q..(p + MM_REDUCE_BLOCK) * q];
+        let b_rows = &b[p * n..(p + MM_REDUCE_BLOCK) * n];
+        let (b0, rest) = b_rows.split_at(n);
+        let (b1, rest) = rest.split_at(n);
+        let (b2, b3) = rest.split_at(n);
+        for i in 0..q {
+            let (c0, c1, c2, c3) = (a_rows[i], a_rows[q + i], a_rows[2 * q + i], a_rows[3 * q + i]);
+            let out_row = &mut out[i * n..(i + 1) * n];
+            for ((((o, &v0), &v1), &v2), &v3) in out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
+                let mut sum = *o;
+                sum += c0 * v0;
+                sum += c1 * v1;
+                sum += c2 * v2;
+                sum += c3 * v3;
+                *o = sum;
+            }
+        }
+        p += MM_REDUCE_BLOCK;
+    }
+    for p in p..m {
         let a_row = &at[p * q..(p + 1) * q];
         let b_row = &b[p * n..(p + 1) * n];
         for (i, &av) in a_row.iter().enumerate() {
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
+            for (o, &bv) in out[i * n..(i + 1) * n].iter_mut().zip(b_row) {
                 *o += av * bv;
             }
         }
@@ -797,6 +867,69 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "trial {trial}: matmul_transposed_lhs diverges");
             }
         }
+    }
+
+    /// Bit equality, with any NaN equal to any NaN: which operand's payload
+    /// a `NaN * NaN` keeps is the compiler's choice of operand order, not a
+    /// property of the kernel.
+    fn assert_same_bits(got: &Tensor, want: &Tensor, context: &str) {
+        assert_eq!(got.shape(), want.shape(), "{context}: shape");
+        for (i, (x, y)) in got.data().iter().zip(want.data()).enumerate() {
+            assert!(
+                x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan()),
+                "{context}: element {i} is {x:e}, the naive oracle says {y:e}"
+            );
+        }
+    }
+
+    /// The backward kernels over the shapes the model has — every blocking
+    /// remainder of the reduction (`m`), the `q == 1` outer-product and
+    /// `n == 1` axpy paths, the packed path (`m = 109`) — against
+    /// `transpose()` + `matmul_naive`, with the operands the special paths
+    /// could get wrong planted in: `-0.0` (a lone `-0.0` product must still
+    /// round to `+0.0` through the running sum), `inf` next to `0.0`
+    /// (`0.0 * inf = NaN`) and NaN.
+    #[test]
+    fn backward_kernels_match_naive_on_model_shapes_and_non_finite_operands() {
+        let mut rng = XorShiftRng::new(0xBAC2_BAC2);
+        let special = [-0.0f32, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -1.5];
+        let mut random = |rows: usize, cols: usize, plant: bool| {
+            let mut data: Vec<f32> = (0..rows * cols).map(|_| rng.uniform(-2.0, 2.0)).collect();
+            if plant {
+                for slot in 0..data.len().min(4) {
+                    let at = rng.next_u64() as usize % data.len();
+                    data[at] = special[(rng.next_u64() as usize + slot) % special.len()];
+                }
+            }
+            Tensor::from_vec(data, &[rows, cols])
+        };
+        for m in [1usize, 3, 4, 5, 7, 8, 109] {
+            for q in [1usize, 2, 32, 45, 64] {
+                for n in [1usize, 2, 32, 45, 64] {
+                    for plant in [false, true] {
+                        let context = format!("{m}x{q}x{n}, planted specials: {plant}");
+                        // Aᵀ·G: A is [m, q], G is [m, n].
+                        let (a, g) = (random(m, q, plant), random(m, n, plant));
+                        let lhs = a.matmul_transposed_lhs(&g);
+                        assert_same_bits(&lhs, &a.transpose().matmul_naive(&g), &format!("lhs {context}"));
+                        // G·Bᵀ: G is [m, q], B is [n, q].
+                        let (g, b) = (random(m, q, plant), random(n, q, plant));
+                        let rhs = g.matmul_transposed_rhs(&b);
+                        assert_same_bits(&rhs, &g.matmul_naive(&b.transpose()), &format!("rhs {context}"));
+                    }
+                }
+            }
+        }
+
+        // The signed-zero case by construction: one negative-zero product.
+        let x = Tensor::from_vec(vec![-0.0, 2.0], &[2, 1]);
+        let v = Tensor::from_vec(vec![3.0, -0.0], &[2, 1]);
+        let outer = x.matmul_transposed_rhs(&v);
+        assert_same_bits(&outer, &x.matmul_naive(&v.transpose()), "outer product of signed zeros");
+        assert_eq!(outer.data()[0].to_bits(), 0.0f32.to_bits(), "-0.0 * 3.0 must round to +0.0");
+        let column = Tensor::from_vec(vec![-0.0, 0.0], &[2, 1]);
+        let axpy = x.matmul_transposed_lhs(&column);
+        assert_same_bits(&axpy, &x.transpose().matmul_naive(&column), "axpy of signed zeros");
     }
 
     #[test]
