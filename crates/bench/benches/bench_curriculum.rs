@@ -3,11 +3,13 @@
 //! 1/2/4 workers.
 //!
 //! Every configuration replays the identical `(spec, episode)` seed schedule
-//! against snapshot-built agent replicas, so all worker counts collect
-//! bit-identical transitions — the only thing that varies is wall-clock
-//! time. Per-model rates show which zoo entries dominate a curriculum
-//! round; the whole-curriculum rates show how well `(spec, episode)`
-//! sharding turns cores into throughput (hardware-bound, ~min(W, cores)).
+//! against one agent that `collect_curriculum_parallel` builds from the
+//! snapshot per call and lends to all its workers, so all worker counts
+//! collect bit-identical transitions — the only thing that varies is
+//! wall-clock time. Per-model rates show which zoo entries dominate a
+//! curriculum round; the whole-curriculum rates show how well
+//! `(spec, episode)` sharding turns cores into throughput (hardware-bound,
+//! ~min(W, cores)).
 //!
 //! Knobs: `XRLFLOW_ITERS` (timed repetitions), `XRLFLOW_MAX_CANDIDATES`
 //! (action-space bound), `XRLFLOW_CURRICULUM_EPISODES` (episodes per spec
@@ -42,7 +44,7 @@ fn main() {
 
     // Per-model episodes/sec: a one-entry curriculum isolates each zoo
     // entry's collection cost. Timed against the live agent via the serial
-    // oracle so no per-iteration replica build contaminates the number —
+    // oracle so no per-call agent build contaminates the number —
     // the per-model rate is about the model, not the pool.
     for entry in curriculum.entries() {
         let single = Curriculum::new().with_entry(entry.name.clone(), entry.spec.clone());

@@ -2,7 +2,8 @@
 //! (episodes/sec) at 1 vs N workers on SqueezeNet and BERT.
 //!
 //! Every worker count replays the identical per-episode seed schedule
-//! against snapshot-built agent replicas, so all configurations collect
+//! against one agent that `collect_parallel` builds from the snapshot per
+//! call and lends to all its workers, so all configurations collect
 //! bit-identical transitions — the only thing that varies is wall-clock
 //! time. The speedup therefore measures pure engine scaling and is bounded
 //! by the hardware: expect ~1x on a single-core container and ~min(W, cores)

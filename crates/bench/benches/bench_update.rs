@@ -3,8 +3,8 @@
 //! over a fixed rollout buffer), serial oracle vs 1/2/4 update workers, on
 //! SqueezeNet and BERT.
 //!
-//! Every worker count re-evaluates the identical transitions from
-//! snapshot-built replicas and merges per-transition gradient buffers in
+//! Every worker count re-evaluates the identical transitions against the
+//! one borrowed agent and merges per-transition gradient buffers in
 //! minibatch-position order, so all configurations land on bit-identical
 //! parameters — the only thing that varies is wall-clock time. The speedup
 //! is hardware-bound like the rollout engine's: expect ~1x on a single-core
@@ -65,7 +65,7 @@ fn main() {
                 let mut agent = XrlflowAgent::from_snapshot(&config, &snapshot).unwrap();
                 let mut buffer = rollouts.buffer.clone();
                 update_parallel(&mut trainer, &mut agent, &mut buffer, &[], workers)
-                    .expect("snapshot matches the agent architecture")
+                    .expect("no work item exhausts its retries")
                     .transitions
             });
             report(&format!("update/ms_per_round/{}w/{}", workers, kind.name()), ns);

@@ -20,10 +20,10 @@
 //! environment actually takes materialises a graph, inside
 //! `Environment::step`.
 //!
-//! Every caller that evaluates more than one step — the rollout collector
-//! and `greedy_optimize` — owns one scratch [`Tape`] for the episode and
-//! goes through [`XrlflowAgent::act_with_tape`]; [`XrlflowAgent::act`] is
-//! the one-shot form on a fresh tape.
+//! Every caller that evaluates more than one step — the rollout collector,
+//! `greedy_optimize` and `evaluate_curriculum` — owns one scratch [`Tape`]
+//! for the episode and goes through [`XrlflowAgent::act_with_tape`];
+//! [`XrlflowAgent::act`] is the one-shot form on a fresh tape.
 
 use xrlflow_env::Observation;
 use xrlflow_gnn::{CandidateDelta, GnnEncoder, GraphFeatures};
@@ -85,14 +85,16 @@ impl XrlflowAgent {
     }
 
     /// Builds an agent with the architecture of `config` whose parameters
-    /// are loaded from `snapshot` — the worker-side half of the parallel
-    /// rollout engine's snapshot-based parameter broadcast.
+    /// are loaded from `snapshot` — how a policy file becomes a policy:
+    /// `xrlflow-serve` builds the one agent its worker pool shares this way,
+    /// and so do the rollout crate's two snapshot-taking collectors
+    /// (`collect_parallel`, `collect_curriculum_parallel`). Training never
+    /// calls it: rollout workers borrow the live agent.
     ///
     /// The replica is bit-identical to the agent the snapshot was captured
     /// from: construction seeds fresh parameters (seed 0) and then
     /// overwrites every value, and the forward pass depends only on values
-    /// and architecture. Optimiser state is *not* part of a snapshot;
-    /// replicas are for inference (rollout collection), not for training.
+    /// and architecture. Optimiser state is *not* part of a snapshot.
     ///
     /// # Errors
     ///
@@ -352,6 +354,16 @@ mod tests {
         for c in &obs.candidates {
             assert!(!c.is_materialized(), "policy evaluation materialised a candidate ({})", c.rule_name);
         }
+    }
+
+    #[test]
+    fn agent_is_send_and_sync() {
+        // The contract the rollout engine's scoped workers and the serving
+        // pool rest on: one live agent is read from many threads through
+        // `&XrlflowAgent`. An `Rc` or a `Cell` inside the agent must fail to
+        // compile here, not as an opaque closure error in `xrlflow-rollout`.
+        fn assert_send_sync<T: Send + Sync>() {}
+        assert_send_sync::<XrlflowAgent>();
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub struct XrlflowConfig {
     /// Number of rollout worker threads used by the parallel collection
     /// engine (`xrlflow-rollout`). `1` keeps collection serial; any value is
     /// transition-for-transition equivalent — workers replay a fixed
-    /// per-episode seed schedule against snapshot-built agent replicas, so
-    /// the worker count changes wall-clock time only, never a learned
+    /// per-episode seed schedule against the one borrowed agent, so the
+    /// worker count changes wall-clock time only, never a learned
     /// number. Overridable at run time via the `XRLFLOW_WORKERS` environment
     /// variable (see [`XrlflowConfig::effective_num_workers`]).
     pub num_workers: usize,

@@ -49,6 +49,6 @@ pub use train_state::{
 };
 pub use trainer::{
     collect_episode_with_rng, collect_phase_breakdown_ns, minibatch_grads_serial, minibatch_shuffle_seed,
-    transition_grad, transition_grad_into, MinibatchContext, MinibatchGrads, ModelBreakdown, TrainReport,
-    Trainer, TransitionLossStats, UpdateTiming,
+    transition_grad_into, MinibatchContext, MinibatchGrads, ModelBreakdown, TrainReport, Trainer,
+    TransitionLossStats, UpdateTiming,
 };

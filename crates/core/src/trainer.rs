@@ -19,7 +19,7 @@
 //! The update's canonical gradient semantics are **per transition, in
 //! transition-index order**: every transition of a minibatch back-propagates
 //! its scaled loss into its own zero-initialised [`GradBuffer`]
-//! ([`transition_grad`]), and the buffers are merged in minibatch-position
+//! ([`transition_grad_into`]), and the buffers are merged in minibatch-position
 //! order before the merged gradient is loaded into the store, clipped and
 //! stepped. Because each contribution starts from zeros and the merge order
 //! is fixed, the same merged gradient falls out no matter which thread
@@ -250,37 +250,19 @@ pub struct MinibatchGrads {
 }
 
 /// Back-propagates one transition's scaled PPO loss
-/// (`(L_clip + c1 * L_vf + c2 * L_entropy) * inv`, Eqs. 3–5) into a fresh
-/// zero-initialised [`GradBuffer`] on a private tape.
+/// (`(L_clip + c1 * L_vf + c2 * L_entropy) * inv`, Eqs. 3–5) into
+/// caller-owned scratch: the tape is [recycled](Tape::recycle) and the buffer
+/// [zero-filled](GradBuffer::zero_fill) before use — indistinguishable from
+/// fresh ones — so an update loop that evaluates many transitions reuses one
+/// tape arena and one gradient buffer per slot instead of re-allocating both
+/// per transition.
 ///
 /// This single function is the unit of work of **every** update path: the
 /// serial oracle ([`minibatch_grads_serial`]) calls it transition by
-/// transition on the live agent, and the data-parallel engine in
-/// `xrlflow-rollout` calls it on snapshot-built replicas from worker
-/// threads — so the two paths produce bit-identical per-transition gradients
-/// by construction, and only the merge order (fixed: minibatch position)
-/// decides the final bits.
-pub fn transition_grad(
-    agent: &XrlflowAgent,
-    transition: &Transition<Observation>,
-    advantage: f32,
-    ret: f32,
-    ppo: &PpoHyperParams,
-    inv: f32,
-) -> (GradBuffer, TransitionLossStats) {
-    let mut tape = Tape::new();
-    let mut grads = GradBuffer::zeros_like(&agent.store);
-    let stats = transition_grad_into(agent, transition, advantage, ret, ppo, inv, &mut tape, &mut grads);
-    (grads, stats)
-}
-
-/// [`transition_grad`] into caller-owned scratch: the tape is
-/// [recycled](Tape::recycle) and the buffer [zero-filled](GradBuffer::zero_fill)
-/// before use, so an update loop that evaluates many transitions reuses one
-/// tape arena and one gradient buffer per slot instead of re-allocating both
-/// per transition. A recycled tape and a zero-filled buffer are
-/// indistinguishable from fresh ones, so the gradients are bit-identical to
-/// [`transition_grad`]'s.
+/// transition, and the data-parallel engine in `xrlflow-rollout` calls it
+/// from worker threads that borrow the same agent — so the two paths produce
+/// bit-identical per-transition gradients by construction, and only the
+/// merge order (fixed: minibatch position) decides the final bits.
 #[allow(clippy::too_many_arguments)]
 pub fn transition_grad_into(
     agent: &XrlflowAgent,
@@ -338,7 +320,7 @@ pub fn transition_grad_into(
 }
 
 /// The retained serial minibatch evaluator: every transition of the batch
-/// back-propagated on the calling thread via [`transition_grad`], merged in
+/// back-propagated on the calling thread via [`transition_grad_into`], merged in
 /// minibatch-position order.
 ///
 /// This is the differential-testing oracle for the data-parallel evaluator

@@ -4,12 +4,11 @@
 //! (Eq. 7, GAT) and one global-readout layer (Eq. 8), producing a single
 //! graph-level embedding used by the policy and value heads.
 //!
-//! Three entry points share the layer code: [`GnnEncoder::encode`] (one
-//! graph, the serial oracle), [`GnnEncoder::encode_batch`] (unrelated graphs,
-//! block-diagonal) and [`GnnEncoder::encode_candidates`] — the policy path —
-//! which encodes a graph and all of its rewrite candidates from sparse
-//! [`CandidateDelta`]s, re-computing per layer only the rows each patch can
-//! have changed. Its host-side planning touches the patch's dirty region,
+//! Two entry points share the layer code: [`GnnEncoder::encode`] (one
+//! graph, the serial oracle) and [`GnnEncoder::encode_candidates`] — the
+//! policy path — which encodes a graph and all of its rewrite candidates
+//! from sparse [`CandidateDelta`]s, re-computing per layer only the rows each
+//! patch can have changed. Its host-side planning touches the patch's dirty region,
 //! not the graph, and builds the layer plan in a fixed order that keeps
 //! forward bits and gradient accumulation stable.
 //!
@@ -25,7 +24,7 @@ use xrlflow_tensor::{
     xavier_uniform, Activation, Linear, ParamId, ParamStore, Tape, Tensor, VarId, XorShiftRng,
 };
 
-use crate::featurize::{CandidateDelta, GraphFeatures, GraphFeaturesBatch, Source};
+use crate::featurize::{CandidateDelta, GraphFeatures, Source};
 
 /// Configuration of the graph encoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -285,37 +284,6 @@ impl GnnEncoder {
         self.global_update.forward(tape, store, readout_in)
     }
 
-    /// Encodes a block-diagonal batch of graphs into a `[num_graphs,
-    /// hidden_dim]` embedding matrix — one GAT-stack forward pass for the
-    /// whole batch instead of one tape walk per graph.
-    ///
-    /// All layers are shared with [`GnnEncoder::encode`]: the stacked linear
-    /// layers compute each row independently and the edge/segment operations
-    /// never cross graph boundaries, so row `g` of the result is
-    /// bit-identical to serially encoding graph `g` (asserted by the
-    /// differential tests).
-    pub fn encode_batch(&self, tape: &mut Tape, store: &ParamStore, batch: &GraphFeaturesBatch) -> VarId {
-        let num_nodes = batch.num_nodes();
-        // Eq. 6 over the stacked node/edge rows.
-        let edge_feats = tape.constant_copied(&batch.edge_features);
-        let incoming = tape.scatter_add_rows(edge_feats, &batch.edge_dst, num_nodes);
-        let node_feats = tape.constant_copied(&batch.node_features);
-        let combined = tape.concat_cols(incoming, node_feats);
-        let mut h = self.node_update.forward(tape, store, combined);
-
-        // Eq. 7: message passing over the disconnected union graph.
-        for layer in &self.gat_layers {
-            h = layer.forward(tape, store, h, &batch.edge_src, &batch.edge_dst, num_nodes);
-        }
-
-        // Eq. 8: per-graph readout — segment-sum node embeddings by graph
-        // index, then apply the shared global-update layer to every graph row.
-        let summed = tape.segment_sum_rows(h, &batch.node_graph, batch.num_graphs);
-        let global0 = tape.zeros(&[batch.num_graphs, self.config.hidden_dim]);
-        let readout_in = tape.concat_cols(summed, global0);
-        self.global_update.forward(tape, store, readout_in)
-    }
-
     /// Delta-aware batched policy evaluation: encodes the current graph and
     /// all of its rewrite candidates in one pass, returning a
     /// `[1 + num_candidates, hidden_dim]` embedding matrix (the current
@@ -499,14 +467,6 @@ impl GnnEncoder {
         let z = self.encode(&mut tape, store, features);
         tape.value(z).clone()
     }
-
-    /// Convenience: encodes a batch without keeping the tape (inference
-    /// only), returning the raw `[num_graphs, hidden_dim]` embedding values.
-    pub fn encode_batch_value(&self, store: &ParamStore, batch: &GraphFeaturesBatch) -> Tensor {
-        let mut tape = Tape::new();
-        let z = self.encode_batch(&mut tape, store, batch);
-        tape.value(z).clone()
-    }
 }
 
 #[cfg(test)]
@@ -561,33 +521,6 @@ mod tests {
         let encoder = GnnEncoder::new(&mut store, tiny_config(), &mut rng);
         let features = GraphFeatures::from_graph(&small_graph());
         assert_eq!(encoder.encode_value(&store, &features), encoder.encode_value(&store, &features));
-    }
-
-    #[test]
-    fn batched_encoding_matches_serial_per_graph() {
-        // The block-diagonal batch must reproduce the serial path exactly —
-        // bit-identical rows, not approximately equal ones.
-        let mut store = ParamStore::new();
-        let mut rng = XorShiftRng::new(5);
-        let encoder = GnnEncoder::new(&mut store, tiny_config(), &mut rng);
-        let graphs = [
-            small_graph(),
-            build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap(),
-            build_model(ModelKind::Bert, ModelScale::Bench).unwrap(),
-        ];
-        let features: Vec<GraphFeatures> = graphs.iter().map(GraphFeatures::from_graph).collect();
-        let refs: Vec<&GraphFeatures> = features.iter().collect();
-        let batch = GraphFeaturesBatch::new(&refs);
-        let batched = encoder.encode_batch_value(&store, &batch);
-        assert_eq!(batched.shape(), &[graphs.len(), encoder.embedding_dim()]);
-        for (g, f) in features.iter().enumerate() {
-            let serial = encoder.encode_value(&store, f);
-            assert_eq!(
-                batched.row(g),
-                serial.data(),
-                "batched embedding of graph {g} differs from the serial encode"
-            );
-        }
     }
 
     /// Encodes `g` and `patches` through `encode_candidates` and checks every
@@ -690,24 +623,6 @@ mod tests {
         store.zero_grad();
         tape.backward(loss, &mut store);
         assert!(store.grad_norm() > 0.0, "no gradient reached the encoder through encode_candidates");
-    }
-
-    #[test]
-    fn batched_encoding_gradients_flow() {
-        // Backward through encode_batch must reach the encoder parameters.
-        let mut store = ParamStore::new();
-        let mut rng = XorShiftRng::new(6);
-        let encoder = GnnEncoder::new(&mut store, tiny_config(), &mut rng);
-        let a = GraphFeatures::from_graph(&small_graph());
-        let b = GraphFeatures::from_graph(&build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap());
-        let batch = GraphFeaturesBatch::new(&[&a, &b]);
-        let mut tape = Tape::new();
-        let z = encoder.encode_batch(&mut tape, &store, &batch);
-        let sq = tape.mul(z, z);
-        let loss = tape.sum_all(sq);
-        store.zero_grad();
-        tape.backward(loss, &mut store);
-        assert!(store.grad_norm() > 0.0, "no gradient reached the encoder through encode_batch");
     }
 
     #[test]

@@ -25,9 +25,6 @@
 //!   dense features. It is the differential tests' oracle — compared bit for
 //!   bit with `from_graph(apply_patch(..))` — and the only place a dense
 //!   candidate [`GraphFeatures`] is ever built.
-//! * [`GraphFeaturesBatch`] stacks many featurised graphs into one
-//!   block-diagonal batch so the encoder can embed them in a single forward
-//!   pass.
 
 use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, PatchRef, TensorShape};
 use xrlflow_tensor::Tensor;
@@ -709,73 +706,6 @@ impl GraphFeatures {
     }
 }
 
-/// Many featurised graphs stacked into one block-diagonal batch.
-///
-/// Node and edge rows are concatenated in graph order and edge indices are
-/// shifted by each graph's node offset, so the batch is itself one large
-/// disconnected graph: message passing never crosses graph boundaries, and a
-/// segment index (`node_graph`) maps every node row back to its graph for the
-/// per-graph readout. [`crate::GnnEncoder::encode_batch`] runs the whole
-/// batch through the GAT stack in a single forward pass.
-#[derive(Debug, Clone)]
-pub struct GraphFeaturesBatch {
-    /// `[total_nodes, OpKind::count()]` stacked one-hot operator encodings.
-    pub node_features: Tensor,
-    /// `[total_edges, 4]` stacked normalised edge attributes.
-    pub edge_features: Tensor,
-    /// Source node index of each edge, shifted into batch coordinates.
-    pub edge_src: Vec<usize>,
-    /// Destination node index of each edge, shifted into batch coordinates.
-    pub edge_dst: Vec<usize>,
-    /// Graph index of each node row (the readout segment index).
-    pub node_graph: Vec<usize>,
-    /// Number of graphs in the batch.
-    pub num_graphs: usize,
-}
-
-impl GraphFeaturesBatch {
-    /// Stacks featurised graphs into one block-diagonal batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graphs` is empty.
-    pub fn new(graphs: &[&GraphFeatures]) -> Self {
-        assert!(!graphs.is_empty(), "a feature batch needs at least one graph");
-        let total_nodes: usize = graphs.iter().map(|g| g.num_nodes).sum();
-        let total_edges: usize = graphs.iter().map(|g| g.num_edges()).sum();
-        let mut edge_src = Vec::with_capacity(total_edges);
-        let mut edge_dst = Vec::with_capacity(total_edges);
-        let mut node_graph = Vec::with_capacity(total_nodes);
-        let mut offset = 0usize;
-        for (g, f) in graphs.iter().enumerate() {
-            edge_src.extend(f.edge_src.iter().map(|&s| s + offset));
-            edge_dst.extend(f.edge_dst.iter().map(|&d| d + offset));
-            node_graph.extend(std::iter::repeat_n(g, f.num_nodes));
-            offset += f.num_nodes;
-        }
-        let node_tensors: Vec<&Tensor> = graphs.iter().map(|g| &g.node_features).collect();
-        let edge_tensors: Vec<&Tensor> = graphs.iter().map(|g| &g.edge_features).collect();
-        Self {
-            node_features: Tensor::concat_rows(&node_tensors),
-            edge_features: Tensor::concat_rows(&edge_tensors),
-            edge_src,
-            edge_dst,
-            node_graph,
-            num_graphs: graphs.len(),
-        }
-    }
-
-    /// Total number of node rows across the batch.
-    pub fn num_nodes(&self) -> usize {
-        self.node_graph.len()
-    }
-
-    /// Total number of edges across the batch.
-    pub fn num_edges(&self) -> usize {
-        self.edge_src.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -935,34 +865,5 @@ mod tests {
         assert_eq!(delta.rewired.len(), 1);
         assert_eq!(delta.rewired_sources.len(), 2, "the consumer's one dataflow edge plus its self-loop");
         assert!(delta.added.is_empty() && delta.added_edges.is_empty());
-    }
-
-    #[test]
-    fn batch_stacks_block_diagonally() {
-        let a = GraphFeatures::from_graph(&small_graph());
-        let bert = build_model(ModelKind::Bert, ModelScale::Bench).unwrap();
-        let b = GraphFeatures::from_graph(&bert);
-        let batch = GraphFeaturesBatch::new(&[&a, &b]);
-        assert_eq!(batch.num_graphs, 2);
-        assert_eq!(batch.num_nodes(), a.num_nodes + b.num_nodes);
-        assert_eq!(batch.num_edges(), a.num_edges() + b.num_edges());
-        assert_eq!(batch.node_features.shape(), &[batch.num_nodes(), OpKind::count()]);
-        assert_eq!(batch.edge_features.shape(), &[batch.num_edges(), 4]);
-        // Graph 0's edges stay in graph 0's node range; graph 1's are shifted.
-        for e in 0..a.num_edges() {
-            assert!(batch.edge_src[e] < a.num_nodes && batch.edge_dst[e] < a.num_nodes);
-        }
-        for e in a.num_edges()..batch.num_edges() {
-            assert!(batch.edge_src[e] >= a.num_nodes && batch.edge_dst[e] >= a.num_nodes);
-        }
-        // The segment index partitions node rows by graph.
-        assert!(batch.node_graph[..a.num_nodes].iter().all(|&g| g == 0));
-        assert!(batch.node_graph[a.num_nodes..].iter().all(|&g| g == 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one graph")]
-    fn empty_batch_is_rejected() {
-        let _ = GraphFeaturesBatch::new(&[]);
     }
 }

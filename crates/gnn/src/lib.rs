@@ -29,4 +29,4 @@ mod featurize;
 mod test_support;
 
 pub use encoder::{EncoderConfig, GnnEncoder};
-pub use featurize::{CandidateDelta, GraphFeatures, GraphFeaturesBatch, EDGE_NORMALISER};
+pub use featurize::{CandidateDelta, GraphFeatures, EDGE_NORMALISER};

@@ -46,7 +46,7 @@ use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_graph::GraphError;
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
-use xrlflow_tensor::{ParamSnapshot, XorShiftRng};
+use xrlflow_tensor::{ParamSnapshot, Tape, XorShiftRng};
 
 use crate::{splitmix64, CollectItem, EnvSpec, RolloutError, Schedule};
 
@@ -261,13 +261,15 @@ pub(crate) fn curriculum_schedule(
 /// spec — with a supervised pool of `num_workers` threads sharded across the
 /// flattened `(spec, episode)` work items.
 ///
-/// Each worker builds a read-only agent replica from `snapshot` and one
-/// environment per spec it touches (lazily, over the spec's shared `Arc`s),
-/// then round-robins over the item indices assigned to it (`item % W`).
-/// Results are merged **by item index** (spec-then-episode), so the output
-/// is transition-for-transition bit-identical to
-/// [`collect_curriculum_serial`] over the same range and base seed, for any
-/// worker count — one worker runs the same supervised path inline.
+/// Builds **one** read-only agent from `snapshot`
+/// ([`XrlflowAgent::from_snapshot`]) and lends it to every worker; each
+/// worker builds one environment per spec it touches (lazily, over the
+/// spec's shared `Arc`s), then round-robins over the item indices assigned
+/// to it (`item % W`). Results are merged **by item index**
+/// (spec-then-episode), so the output is transition-for-transition
+/// bit-identical to [`collect_curriculum_serial`] over the same range and
+/// base seed, for any worker count — one worker runs the same supervised
+/// path inline.
 ///
 /// Supervised by the crate's one engine (see the crate docs): a panicking
 /// item is retried with identical seeds, hence identical transitions.
@@ -277,8 +279,8 @@ pub(crate) fn curriculum_schedule(
 /// * [`RolloutError::Snapshot`] when `snapshot` does not match the
 ///   architecture described by `config`.
 /// * [`RolloutError::WorkerFault`] when an item kept panicking past the
-///   retry budget (`XRLFLOW_ROLLOUT_RETRIES`, default 2); the reported item
-///   id is [`curriculum_fault_item`]`(spec, episode)`.
+///   retry budget (2 extra attempts); the reported item id is
+///   [`curriculum_fault_item`]`(spec, episode)`.
 pub fn collect_curriculum_parallel(
     config: &XrlflowConfig,
     snapshot: &ParamSnapshot,
@@ -288,8 +290,9 @@ pub fn collect_curriculum_parallel(
     base_seed: u64,
     num_workers: usize,
 ) -> Result<CurriculumRollouts, RolloutError> {
+    let agent = XrlflowAgent::from_snapshot(config, snapshot)?;
     let schedule = curriculum_schedule(curriculum.len(), first_episode, episodes_per_spec, base_seed);
-    let round = crate::collect_round(config, snapshot, &curriculum.specs(), &schedule, num_workers)?;
+    let round = crate::collect_round(&agent, &curriculum.specs(), &schedule, num_workers)?;
     Ok(CurriculumRollouts {
         buffer: round.buffer,
         episodes: round
@@ -335,8 +338,9 @@ pub fn evaluate_curriculum(agent: &XrlflowAgent, curriculum: &Curriculum, seed: 
         .map(|entry| {
             let mut env = entry.spec.build_env();
             let mut obs = env.reset(seed);
+            let mut tape = Tape::new();
             loop {
-                let decision = agent.act(&obs, &mut rng, true);
+                let decision = agent.act_with_tape(&mut tape, &obs, &mut rng, true);
                 let result = env.step(&obs, decision.action);
                 if result.done {
                     break;
@@ -569,25 +573,27 @@ mod tests {
     }
 
     #[test]
-    fn mismatched_agent_is_rejected_at_any_worker_count() {
-        // The error contract must not depend on the worker count. The
-        // collectors build (and so validate) a replica at every worker
-        // count, but the inline update runs against the live agent and the
-        // pooled one only validates inside a worker — so the trainer checks
-        // the agent up front, before any episode or optimiser step.
+    fn the_architecture_is_the_agents_not_the_trainers() {
+        // The trainer's config supplies PPO hyper-parameters and the round
+        // size; workers borrow the agent as it is, so an agent of another
+        // architecture trains — identically at every worker count.
         let config = XrlflowConfig::smoke_test();
         let curriculum = smoke_curriculum(&config);
-        let mut wider = config.clone();
-        wider.encoder.hidden_dim *= 2;
+        let mut other = config.clone();
+        other.encoder.hidden_dim *= 2;
+        other.head_dims = vec![24];
+        let probe = build_model(ModelKind::Bert, ModelScale::Bench).unwrap();
+        let untrained = XrlflowAgent::new(&other, 3).embed_graph(&probe);
+        let mut embeddings = Vec::new();
         for workers in [1usize, 2] {
-            let mut trainer = ParallelTrainer::new(config.clone(), 0);
+            let mut trainer = ParallelTrainer::new(config.clone(), 11);
             trainer.set_num_workers(workers);
-            let mut agent = XrlflowAgent::new(&wider, 0);
-            assert!(
-                trainer.train_curriculum(&mut agent, &curriculum, 1).is_err(),
-                "{workers}-worker train_curriculum accepted a mismatched agent"
-            );
+            let mut agent = XrlflowAgent::new(&other, 3);
+            trainer.train_curriculum(&mut agent, &curriculum, 2).unwrap();
+            embeddings.push(agent.embed_graph(&probe));
         }
+        assert_eq!(embeddings[0].data(), embeddings[1].data(), "worker counts diverge");
+        assert_ne!(embeddings[0].data(), untrained.data(), "training changed no parameter");
     }
 
     #[test]

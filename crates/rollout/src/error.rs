@@ -9,18 +9,19 @@ use xrlflow_tensor::SnapshotError;
 ///
 /// The supervised worker pools turn a panicking work item into a queued
 /// retry, so a single fault never reaches the caller; only structural
-/// problems do — a snapshot that does not match the configured architecture,
-/// an item that kept panicking past its retry budget, or a failed durable
-/// checkpoint write.
+/// problems do — a snapshot (handed to a collector, or read from a checkpoint
+/// file) that does not match the architecture, an item that kept panicking
+/// past its retry budget, or a failed durable checkpoint write.
 #[derive(Debug)]
 pub enum RolloutError {
-    /// A parameter snapshot did not match the configured agent architecture.
+    /// A parameter snapshot did not match the agent architecture it was
+    /// loaded into: the `(config, snapshot)` pair given to `collect_parallel`
+    /// / `collect_curriculum_parallel`, or a `TrainState` file on resume.
     Snapshot(SnapshotError),
     /// A work item kept panicking until the supervised pool's retry budget
-    /// (`XRLFLOW_ROLLOUT_RETRIES`, default 2) was exhausted. Carries the
-    /// phase, the work-item id (numbered as in
-    /// [`xrlflow_core::fault::FaultSpec`]), the total attempt count and the
-    /// final panic payload text.
+    /// (2 extra attempts) was exhausted. Carries the phase, the work-item id
+    /// (numbered as in [`xrlflow_core::fault::FaultSpec`]), the total attempt
+    /// count and the final panic payload text.
     WorkerFault(WorkerFault),
     /// Writing or pruning a durable `TrainState` checkpoint failed. Training
     /// stops at the failing round; the previously written checkpoints are

@@ -17,10 +17,10 @@
 //!   the calling thread — no spawn.
 //! * **Supervision.** Every item runs under `catch_unwind` with the
 //!   `xrlflow_core::fault` injection hook at its top. A panicking item is
-//!   retried on the calling thread, in item order, up to
-//!   `XRLFLOW_ROLLOUT_RETRIES` extra attempts (default 2); only budget
-//!   exhaustion surfaces — as the typed [`RolloutError::WorkerFault`], never
-//!   a process abort (`rollout/worker_panics`, `rollout/item_retries`).
+//!   retried on the calling thread, in item order, up to 2 extra attempts;
+//!   only budget exhaustion surfaces — as the typed
+//!   [`RolloutError::WorkerFault`], the one way a phase can fail, never a
+//!   process abort (`rollout/worker_panics`, `rollout/item_retries`).
 //! * **Metering.** Every pooled run, collect or update, records the
 //!   `rollout/worker_busy` span and feeds `rollout/worker_busy_ns`,
 //!   `rollout/worker_wall_ns` and the `rollout/worker_utilization` gauge;
@@ -29,11 +29,15 @@
 //! What the phases add on top is *what an item is*, under a strict
 //! determinism contract:
 //!
-//! * **Snapshot-based parameter broadcast.** The trainer captures one
-//!   [`ParamSnapshot`] of the live agent per collection round (per minibatch
-//!   in the update); every thread builds its own read-only replica from it
-//!   ([`XrlflowAgent::from_snapshot`]). Workers never share a live
-//!   `ParamStore` or a `Tape`.
+//! * **An agent is borrowed, never broadcast.** Every worker of a phase reads
+//!   the trainer's live agent through one shared `&XrlflowAgent` (parameters
+//!   are `Arc<Tensor>`, every policy method takes `&self`, the engine's
+//!   threads are scoped); a thread's own state is scratch — environments, a
+//!   `Tape` — never parameters. The optimiser steps on the trainer thread
+//!   *between* phases: `&mut agent` there, `&agent` inside a phase, so the
+//!   borrow checker states the rule. A [`ParamSnapshot`] is the on-disk
+//!   deployable policy and the input of the two public collectors (each
+//!   builds one agent from it and lends that out) — not a per-round copy.
 //! * **Shared immutable world.** Threads build their environments from
 //!   [`EnvSpec`]s — the same `Arc<Graph>` model-zoo entry, `Arc<RuleSet>` and
 //!   `Arc<InferenceSimulator>` (whose memoised measurement cache is
@@ -126,7 +130,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
 
-use xrlflow_core::fault::FaultPhase;
+use xrlflow_core::fault::{FaultPhase, WorkerFault};
 use xrlflow_core::{
     collect_episode_with_rng, collect_phase_breakdown_ns, latest_train_state, prune_train_states,
     train_state_path, ModelBreakdown, TrainReport, TrainState, Trainer, UpdateTiming, XrlflowAgent,
@@ -280,34 +284,29 @@ struct Round {
 /// The one collector behind [`collect_parallel`],
 /// [`collect_curriculum_parallel`] and [`ParallelTrainer`]: runs `schedule`
 /// over `specs` (indexed by item slot) on the supervised engine and merges
-/// the per-episode buffers in item order. A thread's state is its replica of
-/// `snapshot` plus one lazily built environment per spec it touches.
+/// the per-episode buffers in item order. Every thread borrows `agent`; a
+/// thread's state is one lazily built environment per spec it touches.
 fn collect_round(
-    config: &XrlflowConfig,
-    snapshot: &ParamSnapshot,
+    agent: &XrlflowAgent,
     specs: &[&EnvSpec],
     schedule: &Schedule,
     num_workers: usize,
-) -> Result<Round, RolloutError> {
+) -> Result<Round, WorkerFault> {
     let items = &schedule.items;
     let collected = supervise::run_items(
         schedule.phase,
         items.len(),
         num_workers,
         |index| items[index].fault_item,
-        || {
-            let replica = XrlflowAgent::from_snapshot(config, snapshot)?;
-            let envs: Vec<Option<Environment>> = specs.iter().map(|_| None).collect();
-            Ok((replica, envs))
-        },
-        |(replica, envs), index| {
+        || specs.iter().map(|_| None).collect::<Vec<Option<Environment>>>(),
+        |envs, index| {
             let item = &items[index];
             // reset() makes reuse across episodes bit-identical to a fresh
             // environment.
             let env = envs[item.slot].get_or_insert_with(|| specs[item.slot].build_env());
             let mut buffer = RolloutBuffer::new();
             let mut rng = XorShiftRng::new(item.rng_seed);
-            let stats = collect_episode_with_rng(replica, env, &mut rng, &mut buffer, item.episode);
+            let stats = collect_episode_with_rng(agent, env, &mut rng, &mut buffer, item.episode);
             (buffer, stats)
         },
     )?;
@@ -329,13 +328,15 @@ fn collect_round(
 /// Collects episodes `first_episode .. first_episode + num_episodes` with a
 /// supervised pool of `num_workers` threads.
 ///
-/// Each worker builds a read-only agent replica from `snapshot` (broadcast —
-/// workers never touch a live `ParamStore`) and its own environment from
-/// `spec`, then round-robins over the episode indices assigned to it
-/// (`episode % num_workers == worker`). Results are merged **by episode
-/// index**, so the output is transition-for-transition bit-identical to
-/// [`collect_serial`] over the same range and base seed, for any worker
-/// count — one worker runs the same supervised path inline.
+/// Builds **one** read-only agent from `snapshot`
+/// ([`XrlflowAgent::from_snapshot`]; its forward pass is bit-identical to the
+/// agent the snapshot was captured from) and lends it to every worker; each
+/// worker builds its own environment from `spec` and round-robins over the
+/// episode indices assigned to it (`episode % num_workers == worker`).
+/// Results are merged **by episode index**, so the output is
+/// transition-for-transition bit-identical to [`collect_serial`] over the
+/// same range and base seed, for any worker count — one worker runs the same
+/// supervised path inline.
 ///
 /// Supervised by the crate's one engine (see the crate docs): a panicking
 /// episode is retried with identical seeds, hence identical transitions.
@@ -345,7 +346,7 @@ fn collect_round(
 /// * [`RolloutError::Snapshot`] when `snapshot` does not match the
 ///   architecture described by `config`.
 /// * [`RolloutError::WorkerFault`] when an episode kept panicking past the
-///   retry budget (`XRLFLOW_ROLLOUT_RETRIES`, default 2).
+///   retry budget (2 extra attempts).
 pub fn collect_parallel(
     config: &XrlflowConfig,
     snapshot: &ParamSnapshot,
@@ -355,8 +356,9 @@ pub fn collect_parallel(
     base_seed: u64,
     num_workers: usize,
 ) -> Result<CollectedRollouts, RolloutError> {
+    let agent = XrlflowAgent::from_snapshot(config, snapshot)?;
     let schedule = episode_schedule(first_episode, num_episodes, base_seed);
-    let round = collect_round(config, snapshot, &[spec], &schedule, num_workers)?;
+    let round = collect_round(&agent, &[spec], &schedule, num_workers)?;
     Ok(CollectedRollouts {
         buffer: round.buffer,
         episodes: round.episodes.into_iter().map(|(_, _, stats)| stats).collect(),
@@ -541,19 +543,10 @@ impl ParallelTrainer {
         &self.trainer
     }
 
-    /// Checks that `agent` matches the trainer's architecture configuration
-    /// by round-tripping a snapshot into a config-built replica — the same
-    /// check every worker performs, applied up front so a mismatch is
-    /// reported before any episode is collected or any optimiser state
-    /// advances, independent of the worker count.
-    fn validate_agent(&self, agent: &XrlflowAgent) -> Result<(), SnapshotError> {
-        XrlflowAgent::from_snapshot(self.trainer.config(), &agent.snapshot()).map(|_| ())
-    }
-
-    /// Runs the full training loop: broadcast a parameter snapshot, collect
-    /// `update_frequency` episodes across the supervised worker pool, merge
-    /// in episode order, update, repeat until `episodes` episodes have been
-    /// collected. After a [`ParallelTrainer::resume_from`], collection
+    /// Runs the full training loop: collect `update_frequency` episodes
+    /// across the supervised worker pool (every worker borrows `agent`),
+    /// merge in episode order, update, repeat until `episodes` episodes have
+    /// been collected. After a [`ParallelTrainer::resume_from`], collection
     /// continues at the restored schedule position instead of episode 0
     /// (`episodes` still names the run's total).
     ///
@@ -562,10 +555,11 @@ impl ParallelTrainer {
     /// records the wall-clock collection/update split per round so the
     /// parallel speedup is observable.
     ///
+    /// The architecture is the agent's: the trainer's configuration supplies
+    /// the PPO hyper-parameters and the round size, never a shape.
+    ///
     /// # Errors
     ///
-    /// * [`RolloutError::Snapshot`] when the agent does not match the
-    ///   trainer's architecture configuration.
     /// * [`RolloutError::WorkerFault`] when a work item kept panicking past
     ///   the retry budget.
     /// * [`RolloutError::Checkpoint`] when a durable checkpoint write fails.
@@ -575,7 +569,6 @@ impl ParallelTrainer {
         spec: &EnvSpec,
         episodes: usize,
     ) -> Result<TrainReport, RolloutError> {
-        self.validate_agent(agent)?;
         Ok(self.run_rounds(agent, &[spec], episodes, episode_schedule)?.0)
     }
 
@@ -597,8 +590,6 @@ impl ParallelTrainer {
     ///
     /// # Errors
     ///
-    /// * [`RolloutError::Snapshot`] when the agent does not match the
-    ///   trainer's architecture configuration.
     /// * [`RolloutError::WorkerFault`] when a work item kept panicking past
     ///   the retry budget.
     /// * [`RolloutError::Checkpoint`] when a durable checkpoint write fails.
@@ -608,7 +599,6 @@ impl ParallelTrainer {
         curriculum: &Curriculum,
         episodes_per_spec: usize,
     ) -> Result<TrainReport, RolloutError> {
-        self.validate_agent(agent)?;
         if curriculum.is_empty() || episodes_per_spec == 0 {
             return Ok(TrainReport::default());
         }
@@ -629,8 +619,8 @@ impl ParallelTrainer {
     /// The PPO round loop shared by [`ParallelTrainer::train`] and
     /// [`ParallelTrainer::train_curriculum`], which differ only in `specs`
     /// and the `schedule(first_episode, batch, base_seed)` they feed it: size
-    /// each batch by the update frequency, broadcast the current parameters
-    /// and collect the batch's schedule through [`collect_round`], drive one
+    /// each batch by the update frequency, collect the batch's schedule
+    /// against the live agent through [`collect_round`], drive one
     /// update over the merged buffer with the round's segments through
     /// [`update_parallel`] (bit-identical to the serial path at every worker
     /// count), record the wall-clock collect/update split with the update's
@@ -650,8 +640,7 @@ impl ParallelTrainer {
         let mut report = TrainReport::default();
         let mut per_spec = vec![Vec::new(); specs.len()];
         let num_workers = self.num_workers.max(1);
-        let config = self.trainer.config().clone();
-        let frequency = config.ppo.update_frequency.max(1);
+        let frequency = self.trainer.config().ppo.update_frequency.max(1);
         let mut next_episode = (std::mem::take(&mut self.resume_episode) as usize).min(episodes);
         while next_episode < episodes {
             let batch = frequency.min(episodes - next_episode);
@@ -660,7 +649,7 @@ impl ParallelTrainer {
             let mut round = {
                 let _span = xrlflow_obs::span!("rollout/collect");
                 let schedule = schedule(next_episode as u64, batch, self.trainer.base_seed());
-                collect_round(&config, &agent.snapshot(), specs, &schedule, num_workers)?
+                collect_round(agent, specs, &schedule, num_workers)?
             };
             let collect_ms = collect_start.elapsed().as_secs_f64() * 1e3;
             let (sim_after_ns, candgen_after_ns) = collect_phase_breakdown_ns();

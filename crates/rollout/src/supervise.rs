@@ -8,11 +8,13 @@
 //!   effective worker runs every item inline on the calling thread (no
 //!   spawn); `W > 1` workers run as scoped threads, worker `w` taking items
 //!   `w, w + W, w + 2W, …` in ascending order, metered by [`PoolMeter`].
-//! * **State.** Each thread builds its own `S` through `make_state` (a
-//!   snapshot replica, environments, a tape arena …) and reuses it across
-//!   its items. A failing `make_state` surfaces as
-//!   [`RolloutError::Snapshot`] — before any item runs at `W ≤ 1`, from the
-//!   workers themselves at `W > 1`.
+//! * **State.** Each thread builds its own scratch `S` through `make_state`
+//!   (environments, a tape arena …) lazily, before its first item, and
+//!   reuses it across its items. Building it cannot fail, and it never holds
+//!   an agent: `run` closures borrow the caller's live `&XrlflowAgent`
+//!   across the scoped-thread boundary, while everything that mutates
+//!   parameters happens on the calling thread *between* `run_items` calls
+//!   (`&mut agent` there, `&agent` inside a phase).
 //! * **Supervision.** Every attempt trips `fault::trip(phase,
 //!   fault_item(item), attempt)` and runs under `catch_unwind`. A panic is
 //!   counted (`rollout/worker_panics`), the thread's state is dropped and
@@ -20,9 +22,10 @@
 //!   item is left for the supervisor.
 //! * **Retry.** Once every item has had its first attempt, the calling
 //!   (supervisor) thread re-runs the failed ones in ascending item order, up
-//!   to `XRLFLOW_ROLLOUT_RETRIES` extra attempts each (counted in
+//!   to [`RETRY_BUDGET`] extra attempts each (counted in
 //!   `rollout/item_retries`). At `W > 1` the supervisor builds its own state
-//!   lazily, on the first failure. Exhaustion is the typed [`WorkerFault`].
+//!   lazily, on the first failure. Exhaustion is the typed [`WorkerFault`] —
+//!   the only way a phase can fail.
 //! * **Order.** Results come back indexed by item, independent of which
 //!   thread ran what or when it finished — so a `run` that is a pure
 //!   function of the item index is bit-identical at every worker count and
@@ -32,9 +35,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use xrlflow_core::fault::{self, FaultPhase, WorkerFault};
-use xrlflow_tensor::SnapshotError;
-
-use crate::RolloutError;
 
 /// Counter of work-item executions that panicked and were caught.
 const WORKER_PANICS: &str = "rollout/worker_panics";
@@ -42,20 +42,9 @@ const WORKER_PANICS: &str = "rollout/worker_panics";
 const ITEM_RETRIES: &str = "rollout/item_retries";
 
 /// The retry budget: how many times a failed work item is re-executed
-/// (beyond its first attempt) before the phase gives up with
-/// [`RolloutError::WorkerFault`]. `XRLFLOW_ROLLOUT_RETRIES` overrides the
-/// default of 2; unparseable values fall back to the default, matching the
-/// leniency of `XRLFLOW_WORKERS`.
-fn retry_budget() -> u32 {
-    std::env::var("XRLFLOW_ROLLOUT_RETRIES").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(2)
-}
-
-/// The number of threads [`run_items`] actually uses for `num_items` items
-/// when asked for `num_workers`: never more workers than items, never fewer
-/// than one. At one effective worker nothing is spawned.
-pub(crate) fn effective_workers(num_items: usize, num_workers: usize) -> usize {
-    num_workers.clamp(1, num_items.max(1))
-}
+/// (beyond its first attempt) before the phase gives up with a
+/// [`WorkerFault`]. A constant, not a knob: the fault suites pin it.
+const RETRY_BUDGET: u32 = 2;
 
 /// Busy/idle accounting for one pooled run: each worker wraps its whole
 /// closure in a `rollout/worker_busy` span, and the meter turns the
@@ -101,49 +90,41 @@ impl PoolMeter {
 ///
 /// # Errors
 ///
-/// * [`RolloutError::Snapshot`] when `make_state` fails.
-/// * [`RolloutError::WorkerFault`] when an item kept panicking past the
-///   retry budget.
+/// A [`WorkerFault`] when an item kept panicking past the retry budget.
 pub(crate) fn run_items<S, T: Send>(
     phase: FaultPhase,
     num_items: usize,
     num_workers: usize,
     fault_item: impl Fn(usize) -> u64 + Sync,
-    make_state: impl Fn() -> Result<S, SnapshotError> + Sync,
+    make_state: impl Fn() -> S + Sync,
     run: impl Fn(&mut S, usize) -> T + Sync,
-) -> Result<Vec<T>, RolloutError> {
-    let num_workers = effective_workers(num_items, num_workers);
+) -> Result<Vec<T>, WorkerFault> {
+    // Never more workers than items, never fewer than one.
+    let num_workers = num_workers.clamp(1, num_items.max(1));
 
     // One supervised attempt against a thread's (lazily built) state: the
     // item's result, or the text of the panic that interrupted it.
     let attempt_item = |seat: &mut Option<S>, item: usize, attempt: u32| {
-        let state = match seat {
-            Some(state) => state,
-            None => seat.insert(make_state()?),
-        };
+        let state = seat.get_or_insert_with(&make_state);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fault::trip(phase, fault_item(item), attempt);
             run(state, item)
         }));
-        Ok::<_, SnapshotError>(outcome.map_err(|payload| {
+        outcome.map_err(|payload| {
             xrlflow_obs::counter!(WORKER_PANICS).inc();
             *seat = None;
             fault::panic_payload_text(payload.as_ref())
-        }))
+        })
     };
 
     // First attempts: shard `w` is items `w, w + W, …`, each attempted once on
     // one thread's seat — the single inline shard on the supervisor's.
     let first_attempts = |seat: &mut Option<S>, worker: usize| {
-        (worker..num_items)
-            .step_by(num_workers)
-            .map(|item| attempt_item(seat, item, 0))
-            .collect::<Result<Vec<_>, SnapshotError>>()
+        (worker..num_items).step_by(num_workers).map(|item| attempt_item(seat, item, 0)).collect::<Vec<_>>()
     };
     let mut supervisor = None;
     let shards = if num_workers <= 1 {
-        supervisor = Some(make_state()?);
-        vec![first_attempts(&mut supervisor, 0)?]
+        vec![first_attempts(&mut supervisor, 0)]
     } else {
         let meter = PoolMeter::start(num_workers);
         let first_attempts = &first_attempts;
@@ -159,8 +140,8 @@ pub(crate) fn run_items<S, T: Send>(
             handles
                 .into_iter()
                 .map(|handle| handle.join().expect("rollout worker panicked outside a work item"))
-                .collect::<Result<Vec<_>, SnapshotError>>()
-        })?;
+                .collect::<Vec<_>>()
+        });
         meter.finish();
         shards
     };
@@ -175,12 +156,12 @@ pub(crate) fn run_items<S, T: Send>(
         let result = loop {
             match outcome {
                 Ok(result) => break result,
-                Err(payload) if attempts > retry_budget() => {
-                    return Err(WorkerFault { phase, item: fault_item(item), attempts, payload }.into());
+                Err(payload) if attempts > RETRY_BUDGET => {
+                    return Err(WorkerFault { phase, item: fault_item(item), attempts, payload });
                 }
                 Err(_) => {
                     xrlflow_obs::counter!(ITEM_RETRIES).inc();
-                    outcome = attempt_item(&mut supervisor, item, attempts)?;
+                    outcome = attempt_item(&mut supervisor, item, attempts);
                     attempts += 1;
                 }
             }
@@ -229,7 +210,7 @@ mod tests {
             }
         }
 
-        fn run(&self, num_workers: usize) -> Result<Vec<usize>, RolloutError> {
+        fn run(&self, num_workers: usize) -> Result<Vec<usize>, WorkerFault> {
             run_items(
                 FaultPhase::Update,
                 self.failures.len(),
@@ -237,7 +218,7 @@ mod tests {
                 |item| 100 + item as u64,
                 || {
                     self.builds.fetch_add(1, SeqCst);
-                    Ok(ToyState { dirty: false })
+                    ToyState { dirty: false }
                 },
                 |state, item| {
                     if state.dirty {
@@ -266,12 +247,12 @@ mod tests {
             // clamped to [1, items].
             assert_eq!(toy.builds.load(SeqCst), workers.clamp(1, 5), "{workers} workers");
         }
-        for workers in [1usize, 4] {
+        for workers in [0usize, 1, 2, 4, 16] {
             let toy = Toy::new(&[]);
             assert!(toy.run(workers).unwrap().is_empty(), "{workers} workers over zero items");
-            // Zero items run inline, and inline builds (= validates) its
-            // state before looking at the items.
-            assert_eq!(toy.builds.load(SeqCst), 1);
+            // Every thread — the inline supervisor included — seats its
+            // state lazily, before its first item: zero items, zero states.
+            assert_eq!(toy.builds.load(SeqCst), 0, "{workers} workers over zero items");
         }
     }
 
@@ -313,57 +294,25 @@ mod tests {
     #[test]
     fn an_item_that_always_panics_is_a_typed_worker_fault() {
         let _guard = serialised();
-        let budget = retry_budget();
         for workers in [1usize, 3] {
             let toy = Toy::new(&[0, 0, 0, u32::MAX, 0]);
-            match toy.run(workers).unwrap_err() {
-                RolloutError::WorkerFault(fault) => assert_eq!(
-                    fault,
-                    WorkerFault {
-                        phase: FaultPhase::Update,
-                        item: 103,
-                        attempts: budget + 1,
-                        payload: "toy failure on item 3".to_string(),
-                    },
-                    "{workers} workers"
-                ),
-                other => panic!("expected a WorkerFault, got: {other}"),
-            }
-            assert_eq!(toy.executions[3].load(SeqCst), budget + 1, "{workers} workers");
-        }
-    }
-
-    #[test]
-    fn a_failing_make_state_is_a_snapshot_error() {
-        for workers in [1usize, 2] {
-            let builds = AtomicUsize::new(0);
-            let ran = AtomicUsize::new(0);
-            // The last thread to build its state fails: the only one inline,
-            // one of the two workers pooled.
-            let result = run_items(
-                FaultPhase::Collect,
-                4,
-                workers,
-                |item| item as u64,
-                || {
-                    if builds.fetch_add(1, SeqCst) + 1 == workers {
-                        return Err(SnapshotError::Format("toy architecture mismatch".to_string()));
-                    }
-                    Ok(())
+            assert_eq!(
+                toy.run(workers).unwrap_err(),
+                WorkerFault {
+                    phase: FaultPhase::Update,
+                    item: 103,
+                    attempts: RETRY_BUDGET + 1,
+                    payload: "toy failure on item 3".to_string(),
                 },
-                |(), _| ran.fetch_add(1, SeqCst),
+                "{workers} workers"
             );
-            assert!(matches!(result, Err(RolloutError::Snapshot(_))), "{workers} workers");
-            if workers == 1 {
-                assert_eq!(ran.load(SeqCst), 0, "inline, the check precedes every item");
-            }
+            assert_eq!(toy.executions[3].load(SeqCst), RETRY_BUDGET + 1, "{workers} workers");
         }
     }
 
     #[test]
     fn panics_and_retries_are_counted() {
         let _guard = serialised();
-        let budget = retry_budget();
         let panics = xrlflow_obs::counter!(WORKER_PANICS);
         let retries = xrlflow_obs::counter!(ITEM_RETRIES);
         for workers in [1usize, 2] {
@@ -378,8 +327,8 @@ mod tests {
             // all but the first were retries.
             let (panics_before, retries_before) = (panics.get(), retries.get());
             Toy::new(&[0, u32::MAX]).run(workers).unwrap_err();
-            assert_eq!(panics.get() - panics_before, u64::from(budget) + 1, "{workers} workers");
-            assert_eq!(retries.get() - retries_before, u64::from(budget), "{workers} workers");
+            assert_eq!(panics.get() - panics_before, u64::from(RETRY_BUDGET) + 1, "{workers} workers");
+            assert_eq!(retries.get() - retries_before, u64::from(RETRY_BUDGET), "{workers} workers");
         }
     }
 }

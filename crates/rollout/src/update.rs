@@ -1,22 +1,20 @@
 //! Data-parallel PPO update: transition re-evaluations sharded across the
 //! worker pool with a deterministic, index-ordered gradient merge.
 //!
-//! After parallel episode collection (PR 3) and the multi-model curriculum
-//! (PR 4), the PPO update was the last serial phase of the training loop —
-//! every stored transition re-evaluated through the GNN policy on one
-//! thread. Each transition's loss subtree is independent until the final
-//! mean, so the minibatch gradient is a *sum of per-transition
-//! contributions*; `xrlflow-core` now defines the canonical update exactly
-//! that way (`transition_grad` into a private `GradBuffer` per transition,
+//! Each transition's loss subtree is independent until the final mean, so the
+//! minibatch gradient is a *sum of per-transition contributions*;
+//! `xrlflow-core` defines the canonical update exactly that way
+//! (`transition_grad_into` into a zero-filled `GradBuffer` per transition,
 //! merged in minibatch-position order), and this module computes the same
 //! contributions through the supervised engine (`supervise::run_items` — one
 //! work item per minibatch position) under the PR 3 rules:
 //!
-//! * **Snapshot-per-minibatch broadcast.** The optimiser steps between
-//!   minibatches, so each call to [`minibatch_grads_parallel`] captures a
-//!   fresh [`ParamSnapshot`] of the live agent; every worker builds a
-//!   read-only replica from it. Workers never touch the live `ParamStore` or
-//!   share a `Tape`.
+//! * **Workers borrow the live agent.** Inside a [`minibatch_grads_parallel`]
+//!   call every thread reads the same `&XrlflowAgent` (parameters are
+//!   `Arc<Tensor>`, every policy method takes `&self`); a thread's own state
+//!   is one recycled `Tape`. The optimiser steps only on the trainer thread,
+//!   *between* calls — `&mut agent` there, `&agent` inside a phase, so the
+//!   borrow checker enforces what a per-minibatch copy used to.
 //! * **Position-based sharding.** Minibatch positions round-robin across
 //!   workers (`position % W`, the engine's item sharding) — a pure function
 //!   of the batch and the worker count, never of timing.
@@ -33,68 +31,48 @@
 
 use std::ops::Range;
 
-use xrlflow_core::fault::FaultPhase;
-use xrlflow_core::{
-    transition_grad_into, MinibatchContext, MinibatchGrads, Trainer, XrlflowAgent, XrlflowConfig,
-};
+use xrlflow_core::fault::{FaultPhase, WorkerFault};
+use xrlflow_core::{transition_grad_into, MinibatchContext, MinibatchGrads, Trainer, XrlflowAgent};
 use xrlflow_env::Observation;
 use xrlflow_rl::{RolloutBuffer, TrainingStats};
 use xrlflow_tensor::{GradBuffer, Tape};
 
-use crate::supervise::{effective_workers, run_items};
+use crate::supervise::run_items;
 use crate::RolloutError;
 
 /// Evaluates one minibatch's per-transition gradients on a supervised pool
 /// of `num_workers` threads and merges them in minibatch-position order.
 ///
-/// Captures one [`xrlflow_tensor::ParamSnapshot`] of `agent` (the update
-/// analogue of the collection engine's per-round broadcast — here the
-/// optimiser steps between minibatches, so the snapshot must be
-/// per-minibatch); each worker builds a private replica and walks its
-/// round-robin position shard through `xrlflow_core::transition_grad_into`.
+/// Every worker borrows `agent` and walks its round-robin position shard
+/// through `xrlflow_core::transition_grad_into` on its own recycled tape.
 /// The engine returns the per-position `(GradBuffer, stats)` pairs in
 /// position order, so the merged output is bit-identical to
 /// [`xrlflow_core::minibatch_grads_serial`] over the same context, for any
-/// worker count. With one effective worker the same supervised loop runs
-/// inline against the live agent — no snapshot, no replica, no spawn.
+/// worker count — one effective worker runs the same supervised loop inline.
 ///
 /// Supervised by the crate's one engine (see the crate docs): a panicking
-/// transition is retried against the live agent inline, against a replica
-/// of the same broadcast snapshot after a pooled run — bit-identical either
-/// way.
+/// transition is retried against the same agent, hence bit-identically.
 ///
 /// # Errors
 ///
-/// * [`RolloutError::Snapshot`] when `agent` does not match the
-///   architecture described by `config` (only detectable when a replica is
-///   built, i.e. with more than one effective worker).
-/// * [`RolloutError::WorkerFault`] when a transition kept panicking past the
-///   retry budget (`XRLFLOW_ROLLOUT_RETRIES`, default 2); the reported item
-///   id is the minibatch position.
+/// A [`WorkerFault`] when a transition kept panicking past the retry budget
+/// (2 extra attempts); the reported item id is the minibatch position.
 pub fn minibatch_grads_parallel(
-    config: &XrlflowConfig,
     agent: &XrlflowAgent,
     ctx: &MinibatchContext,
     num_workers: usize,
-) -> Result<MinibatchGrads, RolloutError> {
+) -> Result<MinibatchGrads, WorkerFault> {
     let inv = 1.0 / ctx.batch.len() as f32;
-    // Broadcast the parameters the optimiser has stepped to so far — only
-    // when a pool will actually run; inline, the live agent is the replica.
-    let snapshot = (effective_workers(ctx.batch.len(), num_workers) > 1).then(|| agent.snapshot());
     let per_position = run_items(
         FaultPhase::Update,
         ctx.batch.len(),
         num_workers,
         |position| position as u64,
-        || {
-            // One recycled tape arena per thread for its whole shard; the
-            // per-position buffers stay separate because the merge below is
-            // by minibatch position.
-            let replica = snapshot.as_ref().map(|s| XrlflowAgent::from_snapshot(config, s)).transpose()?;
-            Ok((replica, Tape::new()))
-        },
-        |(replica, tape), position| {
-            let agent = replica.as_ref().unwrap_or(agent);
+        // One recycled tape arena per thread for its whole shard; the
+        // per-position buffers stay separate because the merge below is by
+        // minibatch position.
+        Tape::new,
+        |tape, position| {
             let index = ctx.batch[position];
             let mut grads = GradBuffer::zeros_like(&agent.store);
             let stats = transition_grad_into(
@@ -132,15 +110,10 @@ pub fn minibatch_grads_parallel(
 ///
 /// # Errors
 ///
-/// * [`RolloutError::Snapshot`] when `agent` does not match the trainer's
-///   architecture configuration and `num_workers > 1` (the supervised
-///   serial path never builds a replica, so there is nothing to validate);
-///   the check runs before any optimiser state advances, so a failed
-///   validation leaves trainer and agent untouched.
-/// * [`RolloutError::WorkerFault`] when a transition kept panicking past
-///   the retry budget. Earlier minibatches may already have stepped the
-///   optimiser, so the agent's state after this error is unspecified —
-///   recover by resuming from the last durable `TrainState` checkpoint.
+/// [`RolloutError::WorkerFault`] when a transition kept panicking past the
+/// retry budget. Earlier minibatches may already have stepped the optimiser,
+/// so the agent's state after this error is unspecified — recover by
+/// resuming from the last durable `TrainState` checkpoint.
 pub fn update_parallel(
     trainer: &mut Trainer,
     agent: &mut XrlflowAgent,
@@ -148,18 +121,9 @@ pub fn update_parallel(
     segments: &[Range<usize>],
     num_workers: usize,
 ) -> Result<TrainingStats, RolloutError> {
-    // Validate up front: the per-minibatch broadcasts inside the update
-    // cannot be allowed to fail after the optimiser has started stepping.
-    if num_workers > 1 {
-        XrlflowAgent::from_snapshot(trainer.config(), &agent.snapshot())?;
-    }
-    let config = trainer.config().clone();
     trainer
         .update_with_segments_via(agent, buffer, segments, &mut |agent, ctx| {
-            minibatch_grads_parallel(&config, agent, ctx, num_workers).map_err(|e| match e {
-                RolloutError::WorkerFault(fault) => fault,
-                other => unreachable!("agent architecture validated before the update: {other}"),
-            })
+            minibatch_grads_parallel(agent, ctx, num_workers)
         })
         .map_err(RolloutError::WorkerFault)
 }
@@ -168,6 +132,7 @@ pub fn update_parallel(
 mod tests {
     use super::*;
     use crate::{collect_curriculum_serial, collect_serial, Curriculum, EnvSpec};
+    use xrlflow_core::XrlflowConfig;
     use xrlflow_cost::DeviceProfile;
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
     use xrlflow_rewrite::RuleSet;
@@ -256,24 +221,5 @@ mod tests {
             serial_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
             params.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
         );
-    }
-
-    #[test]
-    fn mismatched_agent_is_rejected_before_any_optimiser_step() {
-        let config = XrlflowConfig::smoke_test();
-        let spec = smoke_spec(&config);
-        let agent = XrlflowAgent::new(&config, 5);
-        let rollouts = collect_serial(&agent, &spec, 0, 2, 0);
-
-        let mut wider = config.clone();
-        wider.encoder.hidden_dim *= 2;
-        let mut victim = XrlflowAgent::new(&wider, 0);
-        let probe = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let before = victim.embed_graph(&probe);
-        let mut trainer = Trainer::new(config, 7);
-        let mut buffer = rollouts.buffer.clone();
-        assert!(update_parallel(&mut trainer, &mut victim, &mut buffer, &[], 2).is_err());
-        // The failed update must leave the agent untouched.
-        assert_eq!(victim.embed_graph(&probe).data(), before.data());
     }
 }

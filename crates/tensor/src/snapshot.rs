@@ -2,15 +2,11 @@
 //!
 //! A [`ParamSnapshot`] is an ordered list of `(name, value)` pairs — the
 //! trainable parameters of an agent at one instant, without gradients or
-//! optimiser state. It serves two purposes:
-//!
-//! * **Parameter broadcast.** The parallel rollout engine snapshots the
-//!   trainer's live `ParamStore` once per PPO update and hands each worker a
-//!   cheap read-only replica built from the snapshot; workers never share a
-//!   live store or a `Tape`.
-//! * **Checkpointing.** [`ParamSnapshot::save`] / [`ParamSnapshot::load`]
-//!   persist the snapshot in a small versioned binary format so long
-//!   training runs can resume and trained agents can be shipped.
+//! optimiser state. It is the value-only copy that leaves the process:
+//! [`ParamSnapshot::save`] / [`ParamSnapshot::load`] persist it in a small
+//! versioned binary format — the deployable policy file a server builds its
+//! agent from, and the parameter section of a training checkpoint. Threads
+//! inside one process do not need one: they borrow the live store.
 //!
 //! Loading a snapshot back into a store
 //! ([`ParamStore::load_snapshot`](crate::ParamStore::load_snapshot)) is

@@ -315,9 +315,8 @@ impl ParamStore {
     /// Captures a [`ParamSnapshot`] of every parameter's current value, in
     /// registration order (gradients and Adam state are not captured).
     ///
-    /// The parallel rollout engine broadcasts one snapshot per PPO update so
-    /// worker threads can build read-only agent replicas without ever
-    /// sharing a live store; the same snapshot type backs checkpointing.
+    /// A snapshot is the value-only copy that goes to disk: the deployable
+    /// policy file and the parameter section of a training checkpoint.
     pub fn snapshot(&self) -> ParamSnapshot {
         ParamSnapshot::new(self.entries.iter().map(|e| (e.name.clone(), e.value.as_ref().clone())).collect())
     }
@@ -1087,30 +1086,6 @@ impl Tape {
         self.push(Op::ScatterAddRows(a, idx), t)
     }
 
-    /// Segment-wise sum pooling over a batch index: sums the rows of a
-    /// `[k, cols]` matrix that share a segment id into a `[num_segments,
-    /// cols]` matrix. This is the readout primitive of block-diagonal batched
-    /// graph encoding — `segments` maps each node row to its graph index, and
-    /// the result holds one pooled row per graph.
-    ///
-    /// Rows of a segment are accumulated in row order, so a single-segment
-    /// call is bit-identical to [`Tape::sum_rows`].
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use xrlflow_tensor::{Tape, Tensor};
-    ///
-    /// let mut tape = Tape::new();
-    /// // Two graphs stacked row-wise: graph 0 has rows 0-1, graph 1 has row 2.
-    /// let h = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]));
-    /// let pooled = tape.segment_sum_rows(h, &[0, 0, 1], 2);
-    /// assert_eq!(tape.value(pooled).data(), &[4.0, 6.0, 5.0, 6.0]);
-    /// ```
-    pub fn segment_sum_rows(&mut self, a: VarId, segments: &[usize], num_segments: usize) -> VarId {
-        self.scatter_add_rows(a, segments, num_segments)
-    }
-
     /// Transposes a rank-2 variable, turning `[m, n]` into `[n, m]` (used to
     /// reshape a batched `[K, 1]` score column into a `[1, K]` logit row).
     pub fn transpose(&mut self, a: VarId) -> VarId {
@@ -1266,9 +1241,9 @@ impl Tape {
     /// instead of a live [`ParamStore`].
     ///
     /// This is the worker-side primitive of the data-parallel PPO update:
-    /// each worker evaluates its transition shard on a private tape over a
-    /// snapshot-built replica and back-propagates into its own buffer, so no
-    /// thread ever mutates the shared store. Accumulation is identical to
+    /// each worker evaluates its transition shard on a private tape over the
+    /// shared, borrowed store and back-propagates into its own buffer, so no
+    /// thread ever mutates that store. Accumulation is identical to
     /// [`Tape::backward`] (same reverse walk, same per-parameter add order),
     /// so backing a loss into a zeroed buffer and
     /// [`ParamStore::apply_grads`]-ing it produces bit-identical gradients
@@ -2206,7 +2181,7 @@ mod tests {
         check_gradient(
             |tape, store, pid| {
                 let x = tape.param(store, pid);
-                let pooled = tape.segment_sum_rows(x, &[0, 0, 1], 2);
+                let pooled = tape.scatter_add_rows(x, &[0, 0, 1], 2);
                 let sq = tape.mul(pooled, pooled);
                 tape.sum_all(sq)
             },
@@ -2245,7 +2220,7 @@ mod tests {
     fn segment_sum_rows_matches_sum_rows_for_one_segment() {
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::from_vec(vec![1.5, -2.0, 0.25, 4.0, 3.0, -1.0], &[3, 2]));
-        let seg = tape.segment_sum_rows(x, &[0, 0, 0], 1);
+        let seg = tape.scatter_add_rows(x, &[0, 0, 0], 1);
         let sum = tape.sum_rows(x);
         assert_eq!(tape.value(seg), tape.value(sum));
     }

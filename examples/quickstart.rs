@@ -43,8 +43,8 @@ fn main() {
     println!("curriculum: train on {:?}, hold out {:?}", train_curriculum.names(), held_out.name);
 
     // 2. Create the single shared agent and the parallel trainer. Workers
-    //    collect (spec, episode) work items from snapshot-built replicas, so
-    //    the worker count never changes a learned number.
+    //    borrow this agent and collect seed-keyed (spec, episode) work items,
+    //    so the worker count never changes a learned number.
     let mut agent = XrlflowAgent::new(&config, 42);
     let mut trainer = ParallelTrainer::new(config.clone(), 42);
     println!("agent has {} parameters; {} rollout workers", agent.num_parameters(), trainer.num_workers());

@@ -16,8 +16,8 @@
 //! * [`core`] — the X-RLflow agent, PPO update, exact-resume train state
 //!   and greedy optimiser,
 //! * [`rollout`] — the one train loop (`ParallelTrainer`: multi-worker
-//!   episode collection and PPO update with snapshot-based parameter
-//!   broadcast) and the `XrlflowSystem` facade over it,
+//!   episode collection and PPO update, every worker borrowing the live
+//!   agent) and the `XrlflowSystem` facade over it,
 //! * [`serve`] — optimisation-as-a-service: JSON graph ingestion, a
 //!   persistent result cache and snapshot-replica policy serving,
 //! * [`obs`] — zero-overhead telemetry: the process-wide metrics registry,
