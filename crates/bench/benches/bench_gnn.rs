@@ -3,7 +3,13 @@
 //! the headline per-step policy-evaluation comparison — the serial
 //! materialise-and-encode baseline against the batched + delta-aware path
 //! the agent actually runs — with the host half of that path (featurise the
-//! observation, derive all `K` sparse candidate deltas) as its own series.
+//! observation, derive all `K` sparse candidate deltas) as its own series,
+//! and a mid-trajectory step through the episode evaluator, which reads the
+//! observed graph's encoder rows from the step before (`carried`) against
+//! the same step encoding the whole graph (`cold`).
+
+use std::hint::black_box;
+use std::time::Instant;
 
 use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_ratio, time_ns};
 use xrlflow_core::{XrlflowAgent, XrlflowConfig};
@@ -12,7 +18,7 @@ use xrlflow_env::Environment;
 use xrlflow_gnn::{EncoderConfig, GnnEncoder, GraphFeatures};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
-use xrlflow_tensor::{ParamStore, XorShiftRng};
+use xrlflow_tensor::{ParamStore, Tape, XorShiftRng};
 
 fn main() {
     let iters = iters_from_env(10);
@@ -73,6 +79,42 @@ fn main() {
         report(&format!("policy_evaluation/serial/{}", kind.name()), serial_ns);
         report(&format!("policy_evaluation/batched/{}", kind.name()), batched_ns);
         report_ratio(&format!("policy_evaluation/speedup/{}", kind.name()), serial_ns / batched_ns);
+
+        // The second step of an episode, whole decision: cold through
+        // `act_with_tape` (what every step cost before the carry), carried
+        // through the episode evaluator. Every iteration replays the episode's
+        // first step untimed — a fresh observation, because the evaluator
+        // only carries into a graph materialised after its decision — with a
+        // seeded draw that is not the No-Op, the same candidate every time.
+        let rng = |seed: u64| XorShiftRng::new(seed);
+        let seed = (0..64)
+            .find(|&seed| agent.act(&obs, &mut rng(seed), false).action != obs.noop_action())
+            .expect("some seed samples a candidate");
+        let action = agent.act(&obs, &mut rng(seed), false).action;
+        let next = env.step(&obs, action).observation;
+        // Steps are a few hundred µs: enough of them to time warm caches
+        // even at the CI smoke scale, as for the featurisation series.
+        const WARM_UP: usize = 3;
+        let iters = iters.max(20);
+        let mut tape = Tape::new();
+        let cold_ns =
+            time_ns(WARM_UP, iters, || agent.act_with_tape(&mut tape, &next, &mut rng(0), true).value);
+        let mut policy = agent.episode();
+        let mut carried = std::time::Duration::ZERO;
+        for iter in 0..WARM_UP + iters {
+            let first = env.reset(0);
+            assert_eq!(policy.act(&first, &mut rng(seed), false).action, action);
+            let next = env.step(&first, action).observation;
+            let start = Instant::now();
+            black_box(policy.act(&next, &mut rng(0), true).value);
+            if iter >= WARM_UP {
+                carried += start.elapsed();
+            }
+        }
+        let carried_ns = carried.as_nanos() as f64 / iters as f64;
+        report(&format!("policy_evaluation/cold/{}", kind.name()), cold_ns);
+        report(&format!("policy_evaluation/carried/{}", kind.name()), carried_ns);
+        report_ratio(&format!("policy_evaluation/carry_speedup/{}", kind.name()), cold_ns / carried_ns);
     }
 
     finish("bench_gnn");

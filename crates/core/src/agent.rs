@@ -20,13 +20,26 @@
 //! environment actually takes materialises a graph, inside
 //! `Environment::step`.
 //!
-//! Every caller that evaluates more than one step — the rollout collector,
-//! `greedy_optimize` and `evaluate_curriculum` — owns one scratch [`Tape`]
-//! for the episode and goes through [`XrlflowAgent::act_with_tape`];
-//! [`XrlflowAgent::act`] is the one-shot form on a fresh tape.
+//! **Multi-step inference goes through [`PolicyEpisode`]** — the rollout
+//! collector, `greedy_optimize` and `evaluate_curriculum` each hold one for
+//! the episode. It owns the scratch [`Tape`] and, because the graph observed
+//! at step `t + 1` *is* the candidate chosen at step `t`, the encoder rows of
+//! that candidate gathered off step `t`'s tape
+//! ([`xrlflow_gnn::EncoderEpisode`]): a successor step encodes the patches'
+//! dirty rows only, never the graph. There is no caller protocol and no
+//! knob: a step carries exactly when the observation's `Arc<Graph>` is the
+//! allocation the previously chosen candidate materialised into (what
+//! `Environment::step` adopts); a first step, another environment, a reset —
+//! anything else is a cold step through the same code, bit-identical either
+//! way. The evaluator borrows the agent for its lifetime, so "carried rows
+//! are only valid under the parameters that produced them" is a compile-time
+//! fact. [`XrlflowAgent::act`] and [`XrlflowAgent::act_with_tape`] are the
+//! one-step forms (always cold); [`XrlflowAgent::evaluate`] — the PPO update
+//! — differentiates through the base rows and never carries.
 
 use xrlflow_env::Observation;
-use xrlflow_gnn::{CandidateDelta, GnnEncoder, GraphFeatures};
+use xrlflow_gnn::{CandidateDelta, EncoderEpisode, GnnEncoder, GraphFeatures};
+use xrlflow_rewrite::Materialization;
 use xrlflow_rl::MaskedCategorical;
 use xrlflow_tensor::{Mlp, ParamSnapshot, ParamStore, SnapshotError, Tape, Tensor, VarId, XorShiftRng};
 
@@ -129,22 +142,24 @@ impl XrlflowAgent {
     /// One batched evaluation: the current graph is featurised once, every
     /// candidate becomes a sparse delta against it (no candidate is
     /// materialised, no clean row copied), the current graph and all `K`
-    /// candidates are encoded in one delta-aware batched pass, and the policy head scores every `[current ‖ candidate]`
-    /// pair (plus the `[current ‖ current]` No-Op pair) in a single stacked
-    /// forward, yielding the `[1, K + 1]` logit row in one transpose.
+    /// candidates are encoded in one delta-aware batched pass, and the
+    /// policy head scores every pair in one stacked forward
+    /// ([`XrlflowAgent::score`]).
     fn forward(&self, tape: &mut Tape, observation: &Observation) -> (VarId, VarId) {
-        let current = GraphFeatures::from_graph(&observation.graph);
-        let num_candidates = observation.candidates.len();
-        let deltas: Vec<CandidateDelta> = observation
-            .candidates
-            .iter()
-            .map(|c| GraphFeatures::delta_from_base_and_patch(&observation.graph, &current, c.patch()))
-            .collect();
+        let (current, deltas) = featurize(observation);
         // Row 0: the current graph; rows 1..=K: the candidates. Clean rows
         // of every candidate are shared with the current graph's encoding;
         // only each patch's dirty region is re-computed per GAT layer.
         let embeddings = self.encoder.encode_candidates(tape, &self.store, &current, &deltas);
+        self.score(tape, embeddings, deltas.len())
+    }
 
+    /// The heads over a `[1 + K, hidden]` embedding matrix: the policy head
+    /// scores every `[current ‖ candidate]` pair (plus the
+    /// `[current ‖ current]` No-Op pair) in a single stacked forward,
+    /// yielding the `[1, K + 1]` logit row in one transpose, and the value
+    /// head reads the current graph's embedding.
+    fn score(&self, tape: &mut Tape, embeddings: VarId, num_candidates: usize) -> (VarId, VarId) {
         // Pair row i scores candidate i against the current graph; the last
         // row is the No-Op pair (the current graph against itself).
         let left = tape.gather_rows(embeddings, &vec![0; num_candidates + 1]);
@@ -201,18 +216,19 @@ impl XrlflowAgent {
     /// Chooses an action for an observation.
     ///
     /// With `greedy = true` the most probable action is returned
-    /// (deployment); otherwise the action is sampled (training).
+    /// (deployment); otherwise the action is sampled (training). This is the
+    /// one-step form on a fresh tape; a loop over an episode's steps holds a
+    /// [`PolicyEpisode`] ([`XrlflowAgent::episode`]) instead.
     pub fn act(&self, observation: &Observation, rng: &mut XorShiftRng, greedy: bool) -> AgentDecision {
         let mut tape = Tape::new();
-        self.act_with_tape(&mut tape, observation, rng, greedy)
+        let (logits, value) = self.forward(&mut tape, observation);
+        decide(&tape, logits, value, observation, rng, greedy)
     }
 
-    /// [`XrlflowAgent::act`] on a caller-owned scratch tape.
-    ///
-    /// The tape is [recycled](Tape::recycle) before use, so a rollout loop
-    /// that holds one tape across an episode re-runs every step's policy
-    /// evaluation in recycled buffers instead of re-allocating a tape per
-    /// step. Decisions are bit-identical to [`XrlflowAgent::act`].
+    /// [`XrlflowAgent::act`] on a caller-owned scratch tape, which is
+    /// [recycled](Tape::recycle) before use. Decisions are bit-identical to
+    /// [`XrlflowAgent::act`]; every call encodes the whole graph, which is
+    /// why an episode's loop does not call this (see [`PolicyEpisode`]).
     pub fn act_with_tape(
         &self,
         tape: &mut Tape,
@@ -221,20 +237,15 @@ impl XrlflowAgent {
         greedy: bool,
     ) -> AgentDecision {
         tape.recycle();
-        let (logits_var, value_var) = self.forward(tape, observation);
-        let logits = tape.value(logits_var).data().to_vec();
-        let value = tape.value(value_var).item();
+        let (logits, value) = self.forward(tape, observation);
+        decide(tape, logits, value, observation, rng, greedy)
+    }
 
-        // Scatter the per-valid-action logits into the padded action space.
-        let padded = observation.action_mask.len();
-        let mut padded_logits = vec![0.0f32; padded];
-        let num_candidates = observation.candidates.len();
-        padded_logits[..num_candidates].copy_from_slice(&logits[..num_candidates]);
-        padded_logits[padded - 1] = logits[num_candidates];
-        let distribution = MaskedCategorical::new(padded_logits, observation.action_mask.clone());
-        let action = if greedy { distribution.argmax() } else { distribution.sample(rng) };
-        let log_prob = distribution.log_prob(action);
-        AgentDecision { action, log_prob, value, distribution }
+    /// An evaluator for the steps of one episode under this agent's current
+    /// parameters — what every multi-step inference loop holds instead of a
+    /// bare [`Tape`].
+    pub fn episode(&self) -> PolicyEpisode<'_> {
+        PolicyEpisode { agent: self, tape: Tape::new(), encoder: EncoderEpisode::new(), chosen: None }
     }
 
     /// Differentiable evaluation of a stored transition for the PPO update:
@@ -269,6 +280,121 @@ impl XrlflowAgent {
     /// tooling and tests).
     pub fn embed_graph(&self, graph: &xrlflow_graph::Graph) -> Tensor {
         self.encoder.encode_value(&self.store, &GraphFeatures::from_graph(graph))
+    }
+}
+
+/// The observation's graph featurised once, and every candidate as a sparse
+/// delta against those features.
+fn featurize(observation: &Observation) -> (GraphFeatures, Vec<CandidateDelta>) {
+    let current = GraphFeatures::from_graph(&observation.graph);
+    let deltas = observation
+        .candidates
+        .iter()
+        .map(|c| GraphFeatures::delta_from_base_and_patch(&observation.graph, &current, c.patch()))
+        .collect();
+    (current, deltas)
+}
+
+/// Turns the per-valid-action logits on `tape` into a decision: scatters them
+/// into the padded action space, then takes the most probable action
+/// (`greedy`) or samples one.
+fn decide(
+    tape: &Tape,
+    logits: VarId,
+    value: VarId,
+    observation: &Observation,
+    rng: &mut XorShiftRng,
+    greedy: bool,
+) -> AgentDecision {
+    let logits = tape.value(logits).data();
+    let value = tape.value(value).item();
+    let padded = observation.action_mask.len();
+    let mut padded_logits = vec![0.0f32; padded];
+    let num_candidates = observation.candidates.len();
+    padded_logits[..num_candidates].copy_from_slice(&logits[..num_candidates]);
+    padded_logits[padded - 1] = logits[num_candidates];
+    let distribution = MaskedCategorical::new(padded_logits, observation.action_mask.clone());
+    let action = if greedy { distribution.argmax() } else { distribution.sample(rng) };
+    let log_prob = distribution.log_prob(action);
+    AgentDecision { action, log_prob, value, distribution }
+}
+
+/// The `core/policy_steps_carried` and `core/policy_steps_cold` counters.
+fn policy_step_counters() -> (&'static xrlflow_obs::Counter, &'static xrlflow_obs::Counter) {
+    (xrlflow_obs::counter!("core/policy_steps_carried"), xrlflow_obs::counter!("core/policy_steps_cold"))
+}
+
+/// Cumulative `(carried, cold)` steps of every [`PolicyEpisode`] in the
+/// process, from the global telemetry registry (flat while telemetry is
+/// disabled). Read before and after a phase, the difference says what share
+/// of its policy steps encoded dirty rows only —
+/// [`UpdateTiming::carried_steps`](crate::UpdateTiming::carried_steps) is the
+/// collect phase's.
+pub fn policy_steps_counted() -> (u64, u64) {
+    let (carried, cold) = policy_step_counters();
+    (carried.get(), cold.get())
+}
+
+/// Policy evaluation for the steps of one episode (see the module docs):
+/// the scratch tape every step recycles, and the chosen candidate's encoder
+/// rows carried from each step to the next.
+///
+/// Decisions are bit-identical to [`XrlflowAgent::act`] on every step —
+/// action, log-probability, value and every probability. Nothing outlives
+/// the evaluator: dropped with the episode, it retains nothing between
+/// serve requests or rollout items.
+#[derive(Debug)]
+pub struct PolicyEpisode<'a> {
+    agent: &'a XrlflowAgent,
+    tape: Tape,
+    encoder: EncoderEpisode,
+    /// What the last decision chose, until the next step finds out whether
+    /// it is looking at it.
+    chosen: Option<Chosen>,
+}
+
+/// The candidate a decision chose, with what gathering its encoder rows off
+/// the step's (not yet recycled) tape takes.
+#[derive(Debug)]
+struct Chosen {
+    /// The graph whose rows can be carried, once somebody materialises it.
+    graph: Materialization,
+    /// The step's candidate deltas and the chosen one's index among them.
+    deltas: Vec<CandidateDelta>,
+    index: usize,
+}
+
+impl PolicyEpisode<'_> {
+    /// Chooses an action for `observation`, like [`XrlflowAgent::act`].
+    ///
+    /// The step *carries* — encodes dirty rows only — when `observation` is
+    /// of the graph the previous call's chosen candidate materialised into
+    /// after that call; otherwise it is a cold step.
+    /// `core/policy_steps_carried` and `core/policy_steps_cold` count which.
+    pub fn act(&mut self, observation: &Observation, rng: &mut XorShiftRng, greedy: bool) -> AgentDecision {
+        let (agent, tape) = (self.agent, &mut self.tape);
+        let (carried, cold) = policy_step_counters();
+        // The previous step's tape is still whole: this is the moment its
+        // chosen candidate's rows are gathered — if they are wanted at all.
+        match self.chosen.take().filter(|chosen| chosen.graph.is(&observation.graph)) {
+            Some(chosen) => {
+                self.encoder.advance(tape, &chosen.deltas, chosen.index);
+                carried.inc();
+            }
+            None => cold.inc(),
+        }
+        tape.recycle();
+        let (current, deltas) = featurize(observation);
+        let embeddings = agent.encoder.encode_step(tape, &agent.store, &current, &deltas, &mut self.encoder);
+        let (logits, value) = agent.score(tape, embeddings, deltas.len());
+        let decision = decide(tape, logits, value, observation, rng, greedy);
+        // A memo filled before this decision was filled by somebody who is
+        // not the environment stepping it, and `Candidate::graph` ignores its
+        // base once filled: only a graph built from here on is vouched for.
+        let candidate = observation.candidates.get(decision.action).filter(|c| !c.is_materialized());
+        self.chosen =
+            candidate.map(|c| Chosen { graph: c.materialization(), deltas, index: decision.action });
+        decision
     }
 }
 

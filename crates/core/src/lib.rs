@@ -41,7 +41,7 @@ mod optimizer;
 mod train_state;
 mod trainer;
 
-pub use agent::{AgentDecision, PolicyEvaluation, XrlflowAgent};
+pub use agent::{policy_steps_counted, AgentDecision, PolicyEpisode, PolicyEvaluation, XrlflowAgent};
 pub use config::{ConfigError, HyperParameterTable, XrlflowConfig, XrlflowConfigBuilder};
 pub use optimizer::{greedy_optimize, XrlflowResult};
 pub use train_state::{

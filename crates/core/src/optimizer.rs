@@ -1,19 +1,21 @@
 //! Deployment-time optimisation with a (trained) agent: the greedy
 //! policy-inference loop and its result type.
 //!
-//! [`greedy_optimize`] owns one scratch [`Tape`] for the episode and
-//! evaluates every step through `XrlflowAgent::act_with_tape`, exactly as
-//! the rollout collector does: on large graphs a fresh tape per step has the
-//! allocator map, fault in and unmap its buffers at every step. The tape is
-//! dropped with the episode — nothing outlives the call, so nothing is
-//! retained between serve requests.
+//! [`greedy_optimize`] holds one [`PolicyEpisode`](crate::PolicyEpisode) for
+//! the episode, exactly as the rollout collector does. It owns the scratch
+//! tape — on large graphs a fresh tape per step has the allocator map, fault
+//! in and unmap its buffers at every step — and carries the chosen
+//! candidate's encoder rows from each step to the next, so every step after
+//! the first encodes the patches' dirty rows instead of the graph. The
+//! evaluator is dropped with the episode — nothing outlives the call, so
+//! nothing is retained between serve requests.
 
 use std::collections::HashMap;
 use std::time::Instant;
 
 use xrlflow_env::Environment;
 use xrlflow_graph::Graph;
-use xrlflow_tensor::{Tape, XorShiftRng};
+use xrlflow_tensor::XorShiftRng;
 
 use crate::agent::XrlflowAgent;
 
@@ -53,18 +55,19 @@ impl XrlflowResult {
 /// read-only snapshot replica of a trained agent
 /// (`XrlflowAgent::from_snapshot`) over a shared environment — the agent is
 /// only read, so one replica can serve many sequential requests. Decisions
-/// are bit-identical to calling `XrlflowAgent::act` (a fresh tape) per step.
+/// are bit-identical to calling `XrlflowAgent::act` (a fresh tape, the whole
+/// graph encoded) per step.
 pub fn greedy_optimize(agent: &XrlflowAgent, env: &mut Environment, rng: &mut XorShiftRng) -> XrlflowResult {
     let start = Instant::now();
     let mut obs = env.reset(0);
     let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
     let mut steps = 0;
-    let mut tape = Tape::new();
+    let mut policy = agent.episode();
     loop {
         if obs.num_candidates() == 0 {
             break;
         }
-        let decision = agent.act_with_tape(&mut tape, &obs, rng, true);
+        let decision = policy.act(&obs, rng, true);
         if decision.action == obs.noop_action() {
             break;
         }

@@ -54,6 +54,13 @@ pub struct UpdateTiming {
     /// candidates (summed across worker threads, like
     /// [`UpdateTiming::sim_ms`]). `0` while telemetry is disabled.
     pub candidate_gen_ms: f64,
+    /// Policy steps of the collect phase that read the observed graph's
+    /// encoder rows from the step before (see [`crate::PolicyEpisode`]) —
+    /// every step of an episode but its first, when nothing is wrong. From
+    /// the telemetry registry, like [`UpdateTiming::sim_ms`].
+    pub carried_steps: u64,
+    /// Policy steps of the collect phase that encoded the whole graph.
+    pub cold_steps: u64,
     /// Milliseconds spent in the PPO update itself.
     pub update_ms: f64,
     /// Worker threads the update phase ran on (`1` = the serial oracle
@@ -163,12 +170,12 @@ pub fn collect_episode_with_rng(
     reset_seed: u64,
 ) -> xrlflow_env::EpisodeStats {
     let mut obs = env.reset(reset_seed);
-    // One scratch tape for the whole episode: every step's policy evaluation
-    // recycles it instead of allocating a fresh tape (bit-identical
-    // decisions, see `XrlflowAgent::act_with_tape`).
-    let mut tape = Tape::new();
+    // One evaluator for the whole episode: every step recycles its tape and
+    // reads the observed graph's encoder rows from the step before
+    // (bit-identical decisions, see `PolicyEpisode`).
+    let mut policy = agent.episode();
     loop {
-        let decision = agent.act_with_tape(&mut tape, &obs, rng, false);
+        let decision = policy.act(&obs, rng, false);
         let result = env.step(&obs, decision.action);
         buffer.push(Transition {
             observation: obs,

@@ -28,5 +28,5 @@ mod featurize;
 #[cfg(test)]
 mod test_support;
 
-pub use encoder::{EncoderConfig, GnnEncoder};
+pub use encoder::{EncoderConfig, EncoderEpisode, GnnEncoder};
 pub use featurize::{CandidateDelta, GraphFeatures, EDGE_NORMALISER};

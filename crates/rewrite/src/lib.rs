@@ -30,4 +30,4 @@ pub mod rules;
 pub use matcher::{
     consumers_of, find_chains, find_siblings_sharing_input, has_single_consumer, is_parameter,
 };
-pub use rule::{Candidate, RewriteRule, RuleId, RuleMatch, RuleSet};
+pub use rule::{Candidate, Materialization, RewriteRule, RuleId, RuleMatch, RuleSet};

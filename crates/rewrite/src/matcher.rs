@@ -6,6 +6,9 @@
 //! (operator chains, sibling operators sharing an input, ...) the rules
 //! rewrite.
 
+use std::cell::OnceCell;
+use std::collections::HashSet;
+
 use xrlflow_graph::{Graph, NodeId, OpKind, TensorRef};
 
 /// Returns the consumers of *any output port* of a node.
@@ -25,20 +28,45 @@ pub fn has_single_consumer(graph: &Graph, id: NodeId) -> bool {
 
 /// Finds all two-node chains `first -> second` where `second` is the sole
 /// consumer of `first`. Returns `(first, second)` pairs.
+///
+/// The sole-consumer test is [`has_single_consumer`]'s, answered from one
+/// count of every node's distinct consumers — made when the first chain
+/// turns up, so a graph without the motif is never scanned — instead of one
+/// whole-graph scan per chain.
 pub fn find_chains(graph: &Graph, first: OpKind, second: OpKind) -> Vec<(NodeId, NodeId)> {
     let mut out = Vec::new();
+    let mut consumers: Option<Vec<u32>> = None;
     for (id, node) in graph.iter() {
         if node.op != second {
             continue;
         }
         for input in &node.inputs {
             let Ok(producer) = graph.node(input.node) else { continue };
-            if producer.op == first && has_single_consumer(graph, input.node) {
+            if producer.op != first {
+                continue;
+            }
+            let consumers = consumers.get_or_insert_with(|| distinct_consumer_counts(graph));
+            if consumers[input.node.index()] == 1 && !graph.outputs().iter().any(|r| r.node == input.node) {
                 out.push((input.node, id));
             }
         }
     }
     out
+}
+
+/// How many distinct nodes consume each node, indexed by `NodeId::index()`.
+fn distinct_consumer_counts(graph: &Graph) -> Vec<u32> {
+    let ids = graph.iter().last().map_or(0, |(id, _)| id.index() + 1);
+    let mut counts = vec![0u32; ids];
+    for (_, node) in graph.iter() {
+        for (slot, input) in node.inputs.iter().enumerate() {
+            // A consumer reading one producer through several slots is one consumer.
+            if !node.inputs[..slot].iter().any(|earlier| earlier.node == input.node) {
+                counts[input.node.index()] += 1;
+            }
+        }
+    }
+    counts
 }
 
 /// Finds unordered pairs of distinct nodes of kind `op` that consume the same
@@ -94,11 +122,28 @@ pub fn is_parameter(graph: &Graph, r: TensorRef) -> bool {
     graph.node(r.node).map(|n| matches!(n.op, OpKind::Weight | OpKind::Constant)).unwrap_or(false)
 }
 
-/// Returns `true` when the given tensor does not depend on any graph input —
-/// either a weight/constant itself or an operator over weights/constants
-/// (e.g. a padded or concatenated weight produced by an earlier rewrite).
-pub fn is_constant_derived(graph: &Graph, r: TensorRef) -> bool {
-    is_parameter(graph, r) || graph.foldable_nodes().contains(&r.node)
+/// Answers "does this tensor not depend on any graph input?" for the tensors
+/// of one graph — either a weight/constant itself or an operator over
+/// weights/constants (e.g. a padded or concatenated weight produced by an
+/// earlier rewrite).
+///
+/// `Graph::foldable_nodes` is a whole-graph topological sort, so the set is
+/// computed at most once per matcher call, and only when a tensor that is
+/// not a parameter itself is asked about.
+pub(crate) struct ConstantDerived<'g> {
+    graph: &'g Graph,
+    foldable: OnceCell<HashSet<NodeId>>,
+}
+
+impl<'g> ConstantDerived<'g> {
+    pub(crate) fn of(graph: &'g Graph) -> Self {
+        Self { graph, foldable: OnceCell::new() }
+    }
+
+    pub(crate) fn contains(&self, r: TensorRef) -> bool {
+        is_parameter(self.graph, r)
+            || self.foldable.get_or_init(|| self.graph.foldable_nodes()).contains(&r.node)
+    }
 }
 
 #[cfg(test)]

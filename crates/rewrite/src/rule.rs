@@ -105,6 +105,25 @@ pub struct Candidate {
     materialized: Arc<OnceLock<Arc<Graph>>>,
 }
 
+/// A handle on a [`Candidate`]'s memoised materialisation that outlives the
+/// candidate itself ([`Candidate::materialization`]).
+///
+/// The memo is filled at most once, by whoever first calls
+/// [`Candidate::graph`] — `Environment::step` for the action taken. Holding
+/// the handle lets a caller that saw the candidate *before* that recognise
+/// the graph *afterwards* by pointer: the handle keeps the `Arc` alive, so
+/// its address cannot be reused for another graph in the meantime.
+#[derive(Debug, Clone)]
+pub struct Materialization(Arc<OnceLock<Arc<Graph>>>);
+
+impl Materialization {
+    /// `true` when `graph` is the very allocation the candidate materialised
+    /// into (not merely an equal graph).
+    pub fn is(&self, graph: &Arc<Graph>) -> bool {
+        self.0.get().is_some_and(|memo| Arc::ptr_eq(memo, graph))
+    }
+}
+
 impl Candidate {
     /// Wraps a patch produced by `rule_id` against `base` into a candidate.
     pub fn new(patch: GraphPatch, rule_id: RuleId, rule_name: &'static str, base: &Graph) -> Self {
@@ -127,6 +146,12 @@ impl Candidate {
     /// `true` when this candidate has already been materialised.
     pub fn is_materialized(&self) -> bool {
         self.materialized.get().is_some()
+    }
+
+    /// A handle on the memo [`Candidate::graph`] fills, shared with every
+    /// clone of the candidate.
+    pub fn materialization(&self) -> Materialization {
+        Materialization(Arc::clone(&self.materialized))
     }
 
     /// Debug-build guard: `base` must be the graph the candidate was

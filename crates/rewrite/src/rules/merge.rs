@@ -9,7 +9,7 @@
 
 use xrlflow_graph::{Graph, GraphError, GraphPatch, NodeId, OpAttributes, OpKind, PatchBuilder, TensorRef};
 
-use crate::matcher::{depends_on, find_siblings_sharing_input, is_constant_derived, is_parameter};
+use crate::matcher::{depends_on, find_siblings_sharing_input, is_parameter, ConstantDerived};
 use crate::rule::{RewriteRule, RuleMatch};
 
 /// Merges two `MatMul` nodes that share their left operand into one `MatMul`
@@ -23,9 +23,10 @@ impl RewriteRule for MergeMatMulSharedLhs {
     }
 
     fn find_matches(&self, graph: &Graph) -> Vec<RuleMatch> {
+        let constant = ConstantDerived::of(graph);
         find_siblings_sharing_input(graph, OpKind::MatMul, 0)
             .into_iter()
-            .filter(|(_, a, b)| mergeable_matmuls(graph, *a, *b))
+            .filter(|(_, a, b)| mergeable_matmuls(graph, &constant, *a, *b))
             .map(|(_, a, b)| RuleMatch::new(vec![a, b]))
             .collect()
     }
@@ -107,9 +108,10 @@ impl RewriteRule for MergeConvSharedInput {
     }
 
     fn find_matches(&self, graph: &Graph) -> Vec<RuleMatch> {
+        let constant = ConstantDerived::of(graph);
         find_siblings_sharing_input(graph, OpKind::Conv2d, 0)
             .into_iter()
-            .filter(|(_, a, b)| mergeable_convs(graph, *a, *b))
+            .filter(|(_, a, b)| mergeable_convs(graph, &constant, *a, *b))
             .map(|(_, a, b)| RuleMatch::new(vec![a, b]))
             .collect()
     }
@@ -219,25 +221,29 @@ fn same_shape_inputs(graph: &Graph, a: NodeId, b: NodeId, slot: usize) -> bool {
     }
 }
 
-fn mergeable_matmuls(graph: &Graph, a: NodeId, b: NodeId) -> bool {
+// Both predicates run once per sibling pair, so they test what is local to
+// the pair first and what walks the graph (constant-derivation, dependence)
+// last. The conjunction is what decides; its order only decides the cost.
+
+fn mergeable_matmuls(graph: &Graph, constant: &ConstantDerived<'_>, a: NodeId, b: NodeId) -> bool {
     let (Ok(na), Ok(nb)) = (graph.node(a), graph.node(b)) else { return false };
     na.attrs == nb.attrs
         && na.inputs.len() == 2
         && nb.inputs.len() == 2
-        && is_constant_derived(graph, na.inputs[1])
-        && is_constant_derived(graph, nb.inputs[1])
         && same_shape_inputs(graph, a, b, 1)
         && graph.tensor_shape(na.inputs[1]).map(|s| s.rank() == 2).unwrap_or(false)
+        && constant.contains(na.inputs[1])
+        && constant.contains(nb.inputs[1])
         && independent_siblings(graph, a, b)
 }
 
-fn mergeable_convs(graph: &Graph, a: NodeId, b: NodeId) -> bool {
+fn mergeable_convs(graph: &Graph, constant: &ConstantDerived<'_>, a: NodeId, b: NodeId) -> bool {
     let (Ok(na), Ok(nb)) = (graph.node(a), graph.node(b)) else { return false };
     na.attrs == nb.attrs
         && na.attrs.groups <= 1
-        && is_constant_derived(graph, na.inputs[1])
-        && is_constant_derived(graph, nb.inputs[1])
         && same_shape_inputs(graph, a, b, 1)
+        && constant.contains(na.inputs[1])
+        && constant.contains(nb.inputs[1])
         && independent_siblings(graph, a, b)
 }
 
@@ -381,5 +387,119 @@ mod tests {
         assert!(out.validate().is_ok());
         assert_eq!(out.count_op(OpKind::MatMul), 1);
         assert_eq!(out.count_op(OpKind::Concat), 1);
+    }
+
+    /// The parent's `find_chains`: `has_single_consumer` — a whole-graph
+    /// scan — per chain.
+    fn chains_scanning_per_chain(g: &Graph, first: OpKind, second: OpKind) -> Vec<(NodeId, NodeId)> {
+        let mut out = Vec::new();
+        for (id, node) in g.iter() {
+            for input in node.inputs.iter().filter(|_| node.op == second) {
+                let Ok(producer) = g.node(input.node) else { continue };
+                if producer.op == first && crate::matcher::has_single_consumer(g, input.node) {
+                    out.push((input.node, id));
+                }
+            }
+        }
+        out
+    }
+
+    /// The parent's sibling-pair predicates: `Graph::foldable_nodes` — a
+    /// whole-graph topological sort — per weight, before the cheap tests.
+    fn mergeable_sorting_per_weight(g: &Graph, op: OpKind, a: NodeId, b: NodeId) -> bool {
+        let constant = |r: TensorRef| is_parameter(g, r) || g.foldable_nodes().contains(&r.node);
+        let (na, nb) = (g.node(a).unwrap(), g.node(b).unwrap());
+        let shared = na.attrs == nb.attrs
+            && constant(na.inputs[1])
+            && constant(nb.inputs[1])
+            && same_shape_inputs(g, a, b, 1)
+            && independent_siblings(g, a, b);
+        match op {
+            OpKind::MatMul => {
+                shared
+                    && na.inputs.len() == 2
+                    && nb.inputs.len() == 2
+                    && g.tensor_shape(na.inputs[1]).map(|s| s.rank() == 2).unwrap_or(false)
+            }
+            _ => shared && na.attrs.groups <= 1,
+        }
+    }
+
+    #[test]
+    fn rewritten_matchers_find_the_sites_their_per_site_forms_found_along_zoo_trajectories() {
+        // A candidate list is a function of every rule's `find_matches`, and
+        // the only matchers this crate ever rewrote for speed are
+        // `find_chains` and the two sibling-merge predicates: wherever they
+        // return what the per-site forms above return — same sites, same
+        // order — the candidate lists (rule id, patch hash, order) are the
+        // parent's. Checked on every graph of five fixed trajectories per
+        // zoo kind, which reach merged (concatenated, hence foldable but not
+        // parameter) weights and fused producers.
+        use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+        let rules = crate::RuleSet::standard();
+        let chain_motifs = [
+            (OpKind::Conv2d, OpKind::Relu),
+            (OpKind::Conv2d, OpKind::Sigmoid),
+            (OpKind::MatMul, OpKind::Relu),
+            (OpKind::MatMul, OpKind::Gelu),
+            (OpKind::MatMul, OpKind::Tanh),
+            (OpKind::MatMul, OpKind::Sigmoid),
+            (OpKind::Conv2d, OpKind::BatchNorm),
+            (OpKind::BatchNorm, OpKind::BatchNorm),
+            (OpKind::Transpose, OpKind::Transpose),
+            (OpKind::Reshape, OpKind::Reshape),
+            (OpKind::Squeeze, OpKind::Unsqueeze),
+            (OpKind::Unsqueeze, OpKind::Squeeze),
+        ];
+        let (mut graphs, mut chains, mut merges, mut derived_weights) = (0, 0, 0, 0);
+        for &kind in ModelKind::EVALUATED.iter().chain(&[ModelKind::ResNet18]) {
+            for trajectory in 0..5usize {
+                let mut g = build_model(kind, ModelScale::Bench).unwrap();
+                for step in 0..25 {
+                    graphs += 1;
+                    for (first, second) in chain_motifs {
+                        let found = crate::matcher::find_chains(&g, first, second);
+                        assert_eq!(
+                            found,
+                            chains_scanning_per_chain(&g, first, second),
+                            "{kind}: {first} → {second}"
+                        );
+                        chains += found.len();
+                    }
+                    let merge_rules: [(&dyn RewriteRule, OpKind); 2] =
+                        [(&MergeMatMulSharedLhs, OpKind::MatMul), (&MergeConvSharedInput, OpKind::Conv2d)];
+                    for (rule, op) in merge_rules {
+                        let expected: Vec<RuleMatch> = find_siblings_sharing_input(&g, op, 0)
+                            .into_iter()
+                            .filter(|(_, a, b)| mergeable_sorting_per_weight(&g, op, *a, *b))
+                            .map(|(_, a, b)| RuleMatch::new(vec![a, b]))
+                            .collect();
+                        let found = rule.find_matches(&g);
+                        assert_eq!(
+                            found,
+                            expected,
+                            "{kind}, trajectory {trajectory}, step {step}: {}",
+                            rule.name()
+                        );
+                        merges += found.len();
+                        derived_weights += found
+                            .iter()
+                            .filter(|site| !is_parameter(&g, g.node(site.nodes[0]).unwrap().inputs[1]))
+                            .count();
+                    }
+                    let candidates = rules.generate_candidates(&g, 32);
+                    if candidates.is_empty() {
+                        break;
+                    }
+                    let chosen = (step * (2 * trajectory + 1) + trajectory) % candidates.len();
+                    g = candidates[chosen].materialize(&g).unwrap();
+                }
+            }
+        }
+        assert!(
+            graphs > 500 && chains > 1000 && merges > 1000,
+            "{graphs} graphs, {chains} chains, {merges} merges"
+        );
+        assert!(derived_weights > 0, "no trajectory reached a merge over an already merged weight");
     }
 }

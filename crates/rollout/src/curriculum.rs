@@ -46,7 +46,7 @@ use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_graph::GraphError;
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
-use xrlflow_tensor::{ParamSnapshot, Tape, XorShiftRng};
+use xrlflow_tensor::{ParamSnapshot, XorShiftRng};
 
 use crate::{splitmix64, CollectItem, EnvSpec, RolloutError, Schedule};
 
@@ -338,9 +338,9 @@ pub fn evaluate_curriculum(agent: &XrlflowAgent, curriculum: &Curriculum, seed: 
         .map(|entry| {
             let mut env = entry.spec.build_env();
             let mut obs = env.reset(seed);
-            let mut tape = Tape::new();
+            let mut policy = agent.episode();
             loop {
-                let decision = agent.act_with_tape(&mut tape, &obs, &mut rng, true);
+                let decision = policy.act(&obs, &mut rng, true);
                 let result = env.step(&obs, decision.action);
                 if result.done {
                     break;

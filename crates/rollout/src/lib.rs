@@ -132,9 +132,9 @@ use std::time::Instant;
 
 use xrlflow_core::fault::{FaultPhase, WorkerFault};
 use xrlflow_core::{
-    collect_episode_with_rng, collect_phase_breakdown_ns, latest_train_state, prune_train_states,
-    train_state_path, ModelBreakdown, TrainReport, TrainState, Trainer, UpdateTiming, XrlflowAgent,
-    XrlflowConfig,
+    collect_episode_with_rng, collect_phase_breakdown_ns, latest_train_state, policy_steps_counted,
+    prune_train_states, train_state_path, ModelBreakdown, TrainReport, TrainState, Trainer, UpdateTiming,
+    XrlflowAgent, XrlflowConfig,
 };
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::{EnvConfig, Environment, EpisodeStats, Observation};
@@ -645,6 +645,7 @@ impl ParallelTrainer {
         while next_episode < episodes {
             let batch = frequency.min(episodes - next_episode);
             let (sim_before_ns, candgen_before_ns) = collect_phase_breakdown_ns();
+            let (carried_before, cold_before) = policy_steps_counted();
             let collect_start = Instant::now();
             let mut round = {
                 let _span = xrlflow_obs::span!("rollout/collect");
@@ -653,6 +654,7 @@ impl ParallelTrainer {
             };
             let collect_ms = collect_start.elapsed().as_secs_f64() * 1e3;
             let (sim_after_ns, candgen_after_ns) = collect_phase_breakdown_ns();
+            let (carried_after, cold_after) = policy_steps_counted();
             xrlflow_obs::counter!("rollout/episodes").add(round.episodes.len() as u64);
             for (spec, _, stats) in round.episodes {
                 per_spec[spec].push(stats.clone());
@@ -669,6 +671,8 @@ impl ParallelTrainer {
                 collect_ms,
                 sim_ms: sim_after_ns.saturating_sub(sim_before_ns) as f64 / 1e6,
                 candidate_gen_ms: candgen_after_ns.saturating_sub(candgen_before_ns) as f64 / 1e6,
+                carried_steps: carried_after.saturating_sub(carried_before),
+                cold_steps: cold_after.saturating_sub(cold_before),
                 update_ms,
                 update_workers: num_workers,
             });

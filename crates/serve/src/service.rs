@@ -556,6 +556,31 @@ mod tests {
     }
 
     #[test]
+    fn a_miss_leaves_its_carried_and_cold_policy_steps_in_the_metrics_document() {
+        // "Why was this miss slow?" has to be answerable from `/metrics`: an
+        // episode of n rewrites is one cold policy step and at least n - 1
+        // carried ones (other tests' episodes only add to the counters).
+        use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+        let carried = xrlflow_obs::counter!("core/policy_steps_carried");
+        let cold = xrlflow_obs::counter!("core/policy_steps_cold");
+        let (carried_before, cold_before) = (carried.get(), cold.get());
+        // Seed 1's untrained policy rewrites to the smoke-test step limit.
+        let service = OptimizeService::untrained(&XrlflowConfig::smoke_test(), 1).unwrap();
+        let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
+        let response = service.optimize(&graph).unwrap();
+        assert!(response.steps > 1, "the episode must have successor steps");
+        assert!(cold.get() > cold_before);
+        assert!(carried.get() >= carried_before + response.steps as u64 - 1);
+        let metrics = service.metrics_json();
+        for series in ["core/policy_steps_carried", "core/policy_steps_cold"] {
+            assert!(
+                metrics.contains(&format!("\"{series}\"")),
+                "{series} is missing from the metrics document"
+            );
+        }
+    }
+
+    #[test]
     fn waiters_on_a_failed_leader_get_a_typed_error_and_the_service_recovers() {
         let service = Arc::new(OptimizeService::untrained(&XrlflowConfig::smoke_test(), 1).unwrap());
         let graph = tiny_graph();

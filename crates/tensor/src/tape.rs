@@ -843,6 +843,38 @@ impl Tape {
         self.push(Op::Constant, value)
     }
 
+    /// An empty buffer with room for `len` values, drawn from the tape's
+    /// pool: fill it and hand it back through [`Tape::constant`], and the leaf
+    /// is built without touching the allocator on a warmed-up tape. A caller
+    /// that assembles a constant on the host every pass (the encoder's
+    /// node-update input, a carried block in front of computed rows) must
+    /// take its buffer here: a fresh `Vec` per pass is adopted by
+    /// [`Tape::recycle`] and never handed out again, so the pool grows by one
+    /// buffer per pass.
+    pub fn pooled_buffer(&mut self, len: usize) -> Vec<f32> {
+        self.pool.take_f32(len)
+    }
+
+    /// How many buffers the pool holds right now (all of them right after
+    /// [`Tape::recycle`]) — what a test watches to show a steady-state loop
+    /// does not grow the pool.
+    pub fn pooled_buffers(&self) -> usize {
+        self.pool.f32s.len() + self.pool.usizes.len()
+    }
+
+    /// `[m, k, n]` of every matrix product recorded since the last
+    /// [`Tape::recycle`], in tape order — how a test counts the rows a pass
+    /// actually multiplied.
+    pub fn matmul_shapes(&self) -> impl Iterator<Item = [usize; 3]> + '_ {
+        self.nodes.iter().filter_map(|node| match node.op {
+            Op::MatMul(a, b) => {
+                let (a, b) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
+                Some([a.shape()[0], a.shape()[1], b.shape()[1]])
+            }
+            _ => None,
+        })
+    }
+
     /// Adds a constant leaf by copying `value` into a pooled buffer —
     /// allocation-free on a warmed-up tape, unlike
     /// `tape.constant(value.clone())`.

@@ -57,11 +57,17 @@ fn main() {
         .train_curriculum(&mut agent, &train_curriculum, episodes_per_model)
         .expect("agent matches trainer config");
     for (i, (update, timing)) in report.updates.iter().zip(&report.timings).enumerate() {
+        // The carried share is the policy steps that read the observed
+        // graph's encoder rows from the step before: every step but each
+        // episode's first. Lower means episodes are being encoded cold.
+        let policy_steps = timing.carried_steps + timing.cold_steps;
         println!(
-            "update {i}: collect {:7.1} ms (sim {:6.1} ms, candgen {:6.1} ms across workers) | update {:7.1} ms ({}w) | mean episode reward {:+.3}",
+            "update {i}: collect {:7.1} ms (sim {:6.1} ms, candgen {:6.1} ms across workers; {:3.0}% of {} policy steps carried) | update {:7.1} ms ({}w) | mean episode reward {:+.3}",
             timing.collect_ms,
             timing.sim_ms,
             timing.candidate_gen_ms,
+            100.0 * timing.carried_steps as f64 / policy_steps.max(1) as f64,
+            policy_steps,
             timing.update_ms,
             timing.update_workers,
             update.mean_episode_reward
