@@ -6,7 +6,9 @@
 //! observation, derive all `K` sparse candidate deltas) as its own series,
 //! and a mid-trajectory step through the episode evaluator, which reads the
 //! observed graph's encoder rows from the step before (`carried`) against
-//! the same step encoding the whole graph (`cold`).
+//! the same step encoding the whole graph (`cold`) — and, on its own, the
+//! readout both kinds of step end with (`readout/*`: the `K + 1` per-graph
+//! row sums).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -15,7 +17,7 @@ use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_ratio, tim
 use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::Environment;
-use xrlflow_gnn::{EncoderConfig, GnnEncoder, GraphFeatures};
+use xrlflow_gnn::{EncoderConfig, EncoderEpisode, GnnEncoder, GraphFeatures};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
 use xrlflow_tensor::{ParamStore, Tape, XorShiftRng};
@@ -112,6 +114,30 @@ fn main() {
             }
         }
         let carried_ns = carried.as_nanos() as f64 / iters as f64;
+        // The readout alone, re-recorded on the tape of an encoder step of
+        // each kind: the first observation cold (the runs are kept for a
+        // backward pass), the one after `action` carried.
+        let mut store = ParamStore::new();
+        let encoder = GnnEncoder::new(&mut store, config.encoder, &mut rng(0));
+        let (mut tape, mut episode) = (Tape::new(), EncoderEpisode::new());
+        let mut readout_ns = |obs: &xrlflow_env::Observation, advance_to: Option<usize>| {
+            let current = GraphFeatures::from_graph(&obs.graph);
+            let deltas: Vec<_> = obs
+                .candidates
+                .iter()
+                .map(|c| GraphFeatures::delta_from_base_and_patch(&obs.graph, &current, c.patch()))
+                .collect();
+            tape.recycle();
+            encoder.encode_step(&mut tape, &store, &current, &deltas, &mut episode);
+            let ns = time_ns(WARM_UP, iters, || episode.readout_again(&mut tape));
+            if let Some(chosen) = advance_to {
+                episode.advance(&tape, &deltas, chosen);
+            }
+            ns
+        };
+        report(&format!("readout/cold/{}", kind.name()), readout_ns(&obs, Some(action)));
+        report(&format!("readout/carried/{}", kind.name()), readout_ns(&next, None));
+
         report(&format!("policy_evaluation/cold/{}", kind.name()), cold_ns);
         report(&format!("policy_evaluation/carried/{}", kind.name()), carried_ns);
         report_ratio(&format!("policy_evaluation/carry_speedup/{}", kind.name()), cold_ns / carried_ns);

@@ -7,7 +7,8 @@
 //! full graph per candidate), which is kept as
 //! `RuleSet::generate_candidates_eager` for exactly this purpose.
 
-use xrlflow_bench::{finish, iters_from_env, report, report_ratio, time_ns};
+use xrlflow_bench::{finish, iters_from_env, report, report_ratio, time_ns, time_with_setup_ns};
+use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
 
@@ -35,6 +36,40 @@ fn main() {
         report(
             "materialize_one_candidate/squeezenet",
             time_ns(3, iters.max(50), || c.materialize(&graph).unwrap().num_nodes()),
+        );
+    }
+
+    // What one environment step asks of the graph layer: apply the chosen
+    // patch (node slots are shared, only rewired nodes are copied), hash the
+    // result for the measurement memo (`first`: nothing memoised yet; `memo`:
+    // the graph's index already holds it) and, every few steps, simulate it
+    // (`measure_miss`: hash + simulation against an empty memo).
+    println!("\n== one rewrite step's graph-layer work ==");
+    let iters = iters.max(50);
+    for kind in [ModelKind::SqueezeNet, ModelKind::Bert, ModelKind::InceptionV3] {
+        let graph = build_model(kind, ModelScale::Bench).unwrap();
+        let candidates = rules.generate_candidates(&graph, 64);
+        let patch = candidates.first().expect("every zoo graph has a candidate").patch();
+        let stepped = || graph.apply_patch(patch).unwrap();
+        report(&format!("graph/apply_patch/{}", kind.name()), time_ns(3, iters, stepped));
+        report(
+            &format!("graph/canonical_hash/first/{}", kind.name()),
+            time_with_setup_ns(3, iters, stepped, |g| g.canonical_hash()),
+        );
+        let hashed = stepped();
+        hashed.canonical_hash();
+        report(
+            &format!("graph/canonical_hash/memo/{}", kind.name()),
+            time_ns(3, iters, || hashed.canonical_hash()),
+        );
+        report(
+            &format!("cost/measure_miss/{}", kind.name()),
+            time_with_setup_ns(
+                3,
+                iters,
+                || (stepped(), InferenceSimulator::new(DeviceProfile::gtx1080())),
+                |(g, simulator)| simulator.measure_ms(g, 0),
+            ),
         );
     }
 

@@ -65,6 +65,29 @@ pub fn time_ns<R>(warmup: usize, iters: usize, mut f: impl FnMut() -> R) -> f64 
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// [`time_ns`] for work that consumes a fresh input per run: `setup` builds
+/// the input outside the timed region (a graph nothing has hashed yet, a
+/// simulator with an empty memo), only `f` is timed.
+pub fn time_with_setup_ns<I, R>(
+    warmup: usize,
+    iters: usize,
+    mut setup: impl FnMut() -> I,
+    mut f: impl FnMut(&I) -> R,
+) -> f64 {
+    assert!(iters > 0, "iters must be positive");
+    let mut timed = std::time::Duration::ZERO;
+    for iter in 0..warmup + iters {
+        let input = black_box(setup());
+        let start = Instant::now();
+        let result = black_box(f(&input));
+        if iter >= warmup {
+            timed += start.elapsed();
+        }
+        drop((result, input));
+    }
+    timed.as_nanos() as f64 / iters as f64
+}
+
 /// Prints one benchmark result line in the harness's standard format and
 /// records it for [`write_results_json`].
 pub fn report(name: &str, ns_per_iter: f64) {

@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use xrlflow_graph::{Graph, NodeId, OpKind};
+use xrlflow_graph::{Graph, Node, NodeId, OpKind};
 
 use crate::profile::{kernel_perturbation, node_compute_us, DeviceProfile};
 
@@ -181,10 +181,9 @@ impl InferenceSimulator {
 
     /// The uncached deterministic simulation (no measurement noise).
     fn simulate_ms(&self, graph: &Graph) -> f64 {
-        let folded = if self.config.constant_folding { graph.foldable_nodes() } else { Default::default() };
         let mut total_us = 0.0;
         for (id, node) in graph.iter() {
-            if node.op.is_source() || folded.contains(&id) {
+            if !self.launches(graph, id, node) {
                 continue;
             }
             let mut us = node_compute_us(graph, id, &self.profile);
@@ -212,8 +211,15 @@ impl InferenceSimulator {
 
     /// Number of kernels actually launched (non-source, non-folded nodes).
     pub fn launched_kernels(&self, graph: &Graph) -> usize {
-        let folded = if self.config.constant_folding { graph.foldable_nodes() } else { Default::default() };
-        graph.iter().filter(|(id, node)| !node.op.is_source() && !folded.contains(id)).count()
+        graph.iter().filter(|(id, node)| self.launches(graph, *id, node)).count()
+    }
+
+    /// Whether a node runs as a kernel at inference time: sources never do,
+    /// and constant folding pre-computes what no graph input reaches
+    /// (answered from the graph's memoised structure index).
+    fn launches(&self, graph: &Graph, id: NodeId, node: &Node) -> bool {
+        let folded = self.config.constant_folding && graph.is_foldable(id);
+        !(node.op.is_source() || folded)
     }
 }
 

@@ -33,16 +33,18 @@
 //!   constants, valid only under the parameters that produced them; the
 //!   update never carries.
 //!
-//! Both places that move rows along an index list — a GAT layer's
-//! attention-weighted aggregate over the edge list and the candidate
-//! readout's per-graph sum over gathered rows — are one fused
-//! [`Tape::gather_scatter_rows`] each: no `[E, H]` message matrix and no
-//! `[(K + 1)·N, H]` gathered-rows matrix exists in the forward or the
-//! backward pass, and the per-row summation order is the edge (or gather)
-//! list's order either way.
+//! A GAT layer's attention-weighted aggregate over the edge list is one fused
+//! [`Tape::gather_scatter_rows`]: no `[E, H]` message matrix exists in the
+//! forward or the backward pass. The candidate readout — a per-graph sum of
+//! rows — is one [`Tape::sum_row_runs`] over *runs* of rows: a candidate is
+//! its base graph's rows between a handful of exceptions, so it is described
+//! in `O(exceptions)`, never by a list of its `N` rows, and its sum resumes
+//! from the base graph's running sum at the first exception instead of
+//! re-adding the prefix the two share. Both keep the serial encoder's
+//! summation order, row for row.
 
 use xrlflow_tensor::{
-    xavier_uniform, Activation, Linear, ParamId, ParamStore, Tape, Tensor, VarId, XorShiftRng,
+    xavier_uniform, Activation, Linear, ParamId, ParamStore, RowRun, Tape, Tensor, VarId, XorShiftRng,
 };
 
 use crate::featurize::{CandidateDelta, GraphFeatures, Source};
@@ -148,8 +150,7 @@ impl GatLayer {
         let alpha = tape.segment_softmax(scores, edge_dst_slots, out_rows);
         // Σ_j alpha_ij · W h_j as one fused gather–scale–scatter over the
         // edge list: no `[E, H]` message matrix in either direction.
-        let aggregated =
-            tape.gather_scatter_rows(rows.wh, Some(alpha), edge_src_rows, edge_dst_slots, out_rows);
+        let aggregated = tape.gather_scatter_rows(rows.wh, alpha, edge_src_rows, edge_dst_slots, out_rows);
         tape.relu(aggregated)
     }
 }
@@ -293,8 +294,8 @@ struct PassScratch {
     /// Where each candidate's region ends in `regions`.
     region_ends: Vec<usize>,
     plan: LayerPlan,
-    gather: Vec<usize>,
-    segments: Vec<usize>,
+    /// The readout's runs: each graph's rows over `[rows(current) ‖ dirty]`.
+    runs: Vec<RowRun>,
     exceptions: Vec<(u32, Option<usize>)>,
     /// The rows each GAT layer read, over `[rows(current) ‖ dirty]`.
     layer_rows: Vec<LayerRows>,
@@ -450,6 +451,18 @@ impl EncoderEpisode {
         gather(&mut next.hidden, hidden, layers);
         self.advanced = true;
     }
+
+    /// Records the readout sum of the last [`GnnEncoder::encode_step`] once
+    /// more on its (not yet recycled) `tape` — the per-graph row sums on
+    /// their own, which is what `bench_gnn` times.
+    ///
+    /// # Panics
+    ///
+    /// Panics when no `encode_step` has run on this episode.
+    pub fn readout_again(&self, tape: &mut Tape) -> VarId {
+        let hidden = self.scratch.hidden.expect("the readout follows an encode_step");
+        tape.sum_row_runs(hidden, &self.scratch.runs, self.scratch.first_slot.len() + 1)
+    }
 }
 
 /// The graph encoder: node update, `k` GAT layers, global readout.
@@ -542,7 +555,7 @@ impl GnnEncoder {
     /// grows one hop per layer through the current graph's consumer index,
     /// skipping the delta's removed rows. Host work per candidate is
     /// proportional to that region — there is no per-candidate pass over the
-    /// graph's rows or edges except the readout's gather list.
+    /// graph's rows or edges, the readout's run list included.
     ///
     /// **Plan order.** The layer maths runs through the same GAT-layer code
     /// as [`GnnEncoder::encode`] on a compact `[rows(current) ‖ dirty]`
@@ -550,7 +563,7 @@ impl GnnEncoder {
     /// graph's own rows and edges come the candidates in order; within a
     /// candidate its dirty rows ascending in candidate row order (surviving
     /// base rows ascending, then added rows in patch order); within a row
-    /// its edge block in input order, then the self-loop. The readout gathers
+    /// its edge block in input order, then the self-loop. The readout sums
     /// every candidate's rows in candidate row order. Same order, same
     /// forward bits *and* the same gradient accumulation order — which is
     /// what keeps a training run's parameters bit-stable across changes to
@@ -578,10 +591,10 @@ impl GnnEncoder {
     /// from the episode's carried state as constants and computes dirty rows
     /// only — the node update runs on added rows, each GAT layer projects the
     /// previous block's dirty rows and plans the edges into dirty rows, and
-    /// the readout gathers over `[carried ‖ dirty]` with the same gather
-    /// list. The rows are read once; a step nothing was advanced for (a first
-    /// step, another graph) is cold: the very pass `encode_candidates` runs,
-    /// on the episode's scratch.
+    /// the readout sums over `[carried ‖ dirty]` with the same run list. The
+    /// rows are read once; a step nothing was advanced for (a first step,
+    /// another graph) is cold: the very pass `encode_candidates` runs, on the
+    /// episode's scratch.
     ///
     /// # Panics
     ///
@@ -604,7 +617,7 @@ impl GnnEncoder {
     /// (base rows read from `carried`).
     ///
     /// Rows are numbered the same either way — the current graph's rows
-    /// `0..n`, then the dirty rows — so the plan and the gather list do not
+    /// `0..n`, then the dirty rows — so the plan and the readout's runs do not
     /// know the difference; what differs is which of those rows this tape
     /// computes. Computed, the hidden block holds all of them. Carried, it
     /// holds the dirty rows alone (`None` when there is none — an empty
@@ -638,8 +651,7 @@ impl GnnEncoder {
             regions,
             region_ends,
             plan,
-            gather,
-            segments,
+            runs,
             exceptions,
             layer_rows,
             hidden: hidden_rows,
@@ -795,32 +807,37 @@ impl GnnEncoder {
 
         // Per-graph readout: sum every graph's rows (clean candidate rows
         // from the current graph's block) in row order, reproducing the
-        // serial row-order accumulation bit for bit — as one fused
-        // gather–scatter, so the `[(K + 1)·N, H]` matrix of gathered rows is
-        // never materialised. Runs of clean surviving rows are appended as
-        // ranges between the removed and dirty rows.
-        gather.clear();
-        gather.extend(0..n);
-        segments.clear();
-        segments.resize(n, 0);
+        // serial row-order accumulation bit for bit. A candidate's rows are
+        // the current graph's between its exceptions — removed rows, and
+        // dirty rows read from the candidate's own slots — then its added
+        // rows: a few runs, built without visiting a clean row. Its first
+        // run is a prefix of the current graph's, which is where
+        // `sum_row_runs` resumes its sum from.
+        runs.clear();
+        let mut push_run = |start: usize, len: usize, segment: usize| {
+            if len > 0 {
+                runs.push(RowRun { start, len, segment });
+            }
+        };
+        push_run(0, n, 0);
         for (k, (delta, &first_slot)) in deltas.iter().zip(first_slot.iter()).enumerate() {
             let region = region_of(regions, region_ends, k);
             exceptions.clear();
             exceptions.extend(delta.removed.iter().map(|&row| (row, None)));
             exceptions.extend(region.iter().enumerate().map(|(at, &(row, _))| (row, Some(first_slot + at))));
             exceptions.sort_unstable_by_key(|&(row, _)| row);
-            let before = gather.len();
             let mut next = 0;
             for &(row, slot) in exceptions.iter() {
-                gather.extend(next..row as usize);
-                gather.extend(slot);
+                push_run(next, row as usize - next, k + 1);
+                if let Some(slot) = slot {
+                    push_run(slot, 1, k + 1);
+                }
                 next = row as usize + 1;
             }
-            gather.extend(next..n);
-            gather.extend((0..delta.added.len()).map(|i| first_slot + region.len() + i));
-            segments.extend(std::iter::repeat_n(k + 1, gather.len() - before));
+            push_run(next, n - next, k + 1);
+            push_run(first_slot + region.len(), delta.added.len(), k + 1);
         }
-        let summed = tape.gather_scatter_rows(h, None, gather, segments, deltas.len() + 1);
+        let summed = tape.sum_row_runs(h, runs, deltas.len() + 1);
         let global0 = tape.zeros(&[deltas.len() + 1, self.config.hidden_dim]);
         let readout_in = tape.concat_cols(summed, global0);
         self.global_update.forward(tape, store, readout_in)

@@ -279,3 +279,46 @@ pub(crate) fn sparse_delta_cases() -> Vec<SparseDeltaCase> {
     }
     cases
 }
+
+/// The rule-zoo graph's hash as recorded on the commit before graphs shared
+/// their nodes and memoised their structure (the model zoo's are pinned in
+/// `xrlflow-graph`), and the one consistency check that needs rules: every
+/// candidate of every zoo graph, materialised, answers structural questions
+/// like a graph freshly built from its own JSON, shares every node the patch
+/// did not rewire with its base, and leaves the base as it was.
+#[test]
+fn shared_node_graphs_hash_like_rebuilt_ones_across_every_zoo_candidate() {
+    use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+    use xrlflow_rewrite::RuleSet;
+
+    assert_eq!(rule_zoo_graph().canonical_hash(), 0x8551_E656_C1CB_3928);
+
+    let rules = RuleSet::standard();
+    let mut graphs = vec![("rule-zoo".to_string(), rule_zoo_graph())];
+    for &kind in ModelKind::EVALUATED.iter().chain(&[ModelKind::ResNet18]) {
+        graphs.push((kind.to_string(), build_model(kind, ModelScale::Bench).unwrap()));
+    }
+    let mut materialised = 0;
+    for (name, base) in &graphs {
+        let before = (base.canonical_hash(), base.to_json());
+        for candidate in rules.generate_candidates(base, usize::MAX) {
+            let context = format!("{name}, {}", candidate.rule_name);
+            let out = candidate.graph(base);
+            let rebuilt = Graph::from_json(&out.to_json()).expect("a candidate graph round-trips");
+            assert_eq!(out.canonical_hash(), rebuilt.canonical_hash(), "{context}: canonical_hash");
+            assert_eq!(out.num_nodes(), rebuilt.num_nodes(), "{context}: num_nodes");
+            assert_eq!(out.foldable_nodes().len(), rebuilt.foldable_nodes().len(), "{context}: foldable");
+            let order = out.topo_order().expect("a candidate graph is acyclic");
+            assert_eq!(order.len(), out.num_nodes(), "{context}: topo_order");
+            let froms: Vec<TensorRef> = candidate.patch().rewires().iter().map(|(from, _)| *from).collect();
+            for (id, node) in base.iter() {
+                let Ok(theirs) = out.node(id) else { continue };
+                let rewired = node.inputs.iter().any(|r| froms.contains(r));
+                assert_eq!(std::ptr::eq(theirs, node), !rewired, "{context}: {id:?} shared iff not rewired");
+            }
+            materialised += 1;
+        }
+        assert_eq!((base.canonical_hash(), base.to_json()), before, "{name}: the base changed");
+    }
+    assert!(materialised > 150, "the zoo offers candidates to materialise, got {materialised}");
+}

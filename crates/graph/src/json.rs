@@ -48,8 +48,6 @@
 //! assert!(Graph::from_json("{\"format\": \"bogus\"}").is_err());
 //! ```
 
-use std::collections::HashMap;
-
 use crate::graph::{Graph, GraphError, Node, NodeId, TensorRef};
 use crate::op::{FusedActivation, OpAttributes, OpKind, Padding};
 use crate::shape::TensorShape;
@@ -415,14 +413,17 @@ impl Graph {
     /// the serving layer to embed graphs inside larger documents without
     /// string re-escaping.
     pub fn to_json_value(&self) -> JsonValue {
-        let mut index: HashMap<NodeId, usize> = HashMap::new();
+        // Document position by node id: the live nodes, renumbered densely.
+        let mut index = vec![usize::MAX; self.id_bound()];
         let mut nodes = Vec::new();
         for (id, _) in self.iter() {
-            index.insert(id, nodes.len());
+            index[id.index()] = nodes.len();
             nodes.push(id);
         }
         let ref_value = |r: &TensorRef| {
-            JsonValue::Array(vec![JsonValue::Number(index[&r.node] as f64), JsonValue::Number(r.port as f64)])
+            let position = index[r.node.index()];
+            assert_ne!(position, usize::MAX, "{:?} is read but not live", r.node);
+            JsonValue::Array(vec![JsonValue::Number(position as f64), JsonValue::Number(r.port as f64)])
         };
         let node_values: Vec<JsonValue> = nodes
             .iter()

@@ -6,9 +6,6 @@
 //! (operator chains, sibling operators sharing an input, ...) the rules
 //! rewrite.
 
-use std::cell::OnceCell;
-use std::collections::HashSet;
-
 use xrlflow_graph::{Graph, NodeId, OpKind, TensorRef};
 
 /// Returns the consumers of *any output port* of a node.
@@ -56,8 +53,7 @@ pub fn find_chains(graph: &Graph, first: OpKind, second: OpKind) -> Vec<(NodeId,
 
 /// How many distinct nodes consume each node, indexed by `NodeId::index()`.
 fn distinct_consumer_counts(graph: &Graph) -> Vec<u32> {
-    let ids = graph.iter().last().map_or(0, |(id, _)| id.index() + 1);
-    let mut counts = vec![0u32; ids];
+    let mut counts = vec![0u32; graph.id_bound()];
     for (_, node) in graph.iter() {
         for (slot, input) in node.inputs.iter().enumerate() {
             // A consumer reading one producer through several slots is one consumer.
@@ -76,40 +72,38 @@ pub fn find_siblings_sharing_input(
     op: OpKind,
     slot: usize,
 ) -> Vec<(TensorRef, NodeId, NodeId)> {
-    let mut by_input: std::collections::HashMap<TensorRef, Vec<NodeId>> = Default::default();
-    for (id, node) in graph.iter() {
-        if node.op == op {
-            if let Some(r) = node.inputs.get(slot) {
-                by_input.entry(*r).or_default().push(id);
-            }
-        }
-    }
+    // Group by sorting `(input, reader)`: readers of one tensor end up
+    // adjacent and ascending, with no map keyed by tensor.
+    let mut readers: Vec<(TensorRef, NodeId)> = graph
+        .iter()
+        .filter(|(_, node)| node.op == op)
+        .filter_map(|(id, node)| Some((*node.inputs.get(slot)?, id)))
+        .collect();
+    readers.sort_unstable_by_key(|&(input, id)| (input.node, input.port, id));
     let mut out = Vec::new();
-    for (input, mut ids) in by_input {
-        ids.sort_unstable();
-        for i in 0..ids.len() {
-            for j in i + 1..ids.len() {
-                out.push((input, ids[i], ids[j]));
-            }
+    for group in readers.chunk_by(|a, b| a.0 == b.0) {
+        for (i, &(input, left)) in group.iter().enumerate() {
+            out.extend(group[i + 1..].iter().map(|&(_, right)| (input, left, right)));
         }
     }
-    out.sort_by_key(|(_, a, b)| (*a, *b));
+    // A node reads one tensor through `slot`, so `(left, right)` names its
+    // pair: the order below is total, whatever order the groups came in.
+    out.sort_unstable_by_key(|&(_, left, right)| (left, right));
     out
 }
 
 /// Returns `true` when `node`'s output depends, transitively through
 /// dataflow inputs, on `ancestor` (or is `ancestor` itself).
 pub fn depends_on(graph: &Graph, node: NodeId, ancestor: NodeId) -> bool {
-    let mut visited: std::collections::HashSet<NodeId> = Default::default();
+    let mut visited = vec![false; graph.id_bound()];
     let mut stack = vec![node];
     while let Some(id) = stack.pop() {
         if id == ancestor {
             return true;
         }
-        if !visited.insert(id) {
-            continue;
-        }
-        if let Ok(n) = graph.node(id) {
+        // A missing node has no inputs to follow.
+        let Ok(n) = graph.node(id) else { continue };
+        if !std::mem::replace(&mut visited[id.index()], true) {
             stack.extend(n.inputs.iter().map(|r| r.node));
         }
     }
@@ -122,28 +116,12 @@ pub fn is_parameter(graph: &Graph, r: TensorRef) -> bool {
     graph.node(r.node).map(|n| matches!(n.op, OpKind::Weight | OpKind::Constant)).unwrap_or(false)
 }
 
-/// Answers "does this tensor not depend on any graph input?" for the tensors
-/// of one graph — either a weight/constant itself or an operator over
-/// weights/constants (e.g. a padded or concatenated weight produced by an
-/// earlier rewrite).
-///
-/// `Graph::foldable_nodes` is a whole-graph topological sort, so the set is
-/// computed at most once per matcher call, and only when a tensor that is
-/// not a parameter itself is asked about.
-pub(crate) struct ConstantDerived<'g> {
-    graph: &'g Graph,
-    foldable: OnceCell<HashSet<NodeId>>,
-}
-
-impl<'g> ConstantDerived<'g> {
-    pub(crate) fn of(graph: &'g Graph) -> Self {
-        Self { graph, foldable: OnceCell::new() }
-    }
-
-    pub(crate) fn contains(&self, r: TensorRef) -> bool {
-        is_parameter(self.graph, r)
-            || self.foldable.get_or_init(|| self.graph.foldable_nodes()).contains(&r.node)
-    }
+/// "Does this tensor not depend on any graph input?" — either a
+/// weight/constant itself or an operator over weights/constants (e.g. a
+/// padded or concatenated weight produced by an earlier rewrite). Answered
+/// from the graph's memoised structure index, so a matcher may ask per site.
+pub(crate) fn is_constant_derived(graph: &Graph, r: TensorRef) -> bool {
+    is_parameter(graph, r) || graph.is_foldable(r.node)
 }
 
 #[cfg(test)]
@@ -184,6 +162,67 @@ mod tests {
         let sib = find_siblings_sharing_input(&g, OpKind::MatMul, 0);
         assert_eq!(sib.len(), 1);
         assert_eq!(sib[0].0, TensorRef::from(x));
+    }
+
+    /// The map-keyed grouping `find_siblings_sharing_input` used to do.
+    fn siblings_grouping_by_map(graph: &Graph, op: OpKind, slot: usize) -> Vec<(TensorRef, NodeId, NodeId)> {
+        let mut by_input: std::collections::HashMap<TensorRef, Vec<NodeId>> = Default::default();
+        for (id, node) in graph.iter().filter(|(_, node)| node.op == op) {
+            if let Some(r) = node.inputs.get(slot) {
+                by_input.entry(*r).or_default().push(id);
+            }
+        }
+        let mut out = Vec::new();
+        for (input, ids) in by_input {
+            for i in 0..ids.len() {
+                out.extend(ids[i + 1..].iter().map(|&right| (input, ids[i], right)));
+            }
+        }
+        out.sort_by_key(|(_, a, b)| (*a, *b));
+        out
+    }
+
+    #[test]
+    fn sibling_pairs_come_in_one_order_however_they_are_grouped() {
+        use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+        let mut pairs = 0;
+        for kind in [ModelKind::InceptionV3, ModelKind::SqueezeNet, ModelKind::Bert, ModelKind::Vit] {
+            let g = build_model(kind, ModelScale::Bench).unwrap();
+            for (op, slot) in
+                [(OpKind::Conv2d, 0), (OpKind::MatMul, 0), (OpKind::MatMul, 1), (OpKind::Add, 1)]
+            {
+                let found = find_siblings_sharing_input(&g, op, slot);
+                // Strictly ascending `(left, right)`: the final sort's key is
+                // unique per pair, so it alone fixes the order.
+                assert!(
+                    found.windows(2).all(|w| (w[0].1, w[0].2) < (w[1].1, w[1].2)),
+                    "{kind}: {op} slot {slot}"
+                );
+                assert!(found.iter().all(|&(input, a, b)| {
+                    a < b && [a, b].iter().all(|&id| g.node(id).unwrap().inputs[slot] == input)
+                }));
+                assert_eq!(found, siblings_grouping_by_map(&g, op, slot), "{kind}: {op} slot {slot}");
+                pairs += found.len();
+            }
+        }
+        assert!(pairs > 20, "the zoo has siblings to pair, got {pairs}");
+    }
+
+    #[test]
+    fn dependence_follows_inputs_and_survives_missing_nodes() {
+        let mut g = Graph::new();
+        let x = g.add_input(shape(&[1, 8]));
+        let a = g.add_node(OpKind::Relu, OpAttributes::default(), vec![x.into()]).unwrap();
+        let b = g.add_node(OpKind::Tanh, OpAttributes::default(), vec![a.into()]).unwrap();
+        let c = g.add_node(OpKind::Add, OpAttributes::default(), vec![a.into(), b.into()]).unwrap();
+        let side = g.add_node(OpKind::Gelu, OpAttributes::default(), vec![x.into()]).unwrap();
+        g.mark_output(c.into());
+        assert!(depends_on(&g, c, x) && depends_on(&g, c, a) && depends_on(&g, b, a) && depends_on(&g, a, a));
+        assert!(!depends_on(&g, a, b) && !depends_on(&g, c, side) && !depends_on(&g, side, c));
+        // `side` is unreachable from the output: dead-node elimination
+        // leaves a hole the walk must step over.
+        g.eliminate_dead_nodes();
+        assert!(!depends_on(&g, c, side) && !depends_on(&g, side, x) && depends_on(&g, c, x));
     }
 
     #[test]

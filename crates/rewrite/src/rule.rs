@@ -98,9 +98,9 @@ pub struct Candidate {
     /// Structural hash of the patch (used for deduplication; see
     /// [`GraphPatch::structural_hash`]).
     pub hash: u64,
-    /// Live-node count of the generation-time base graph — a cheap
-    /// fingerprint used by debug assertions to catch callers materialising
-    /// against the wrong base.
+    /// Live-node count of the generation-time base graph (O(1) from its
+    /// structure index) — a cheap fingerprint used by debug assertions to
+    /// catch callers materialising against the wrong base.
     base_num_nodes: usize,
     materialized: Arc<OnceLock<Arc<Graph>>>,
 }

@@ -9,7 +9,7 @@
 
 use xrlflow_graph::{Graph, GraphError, GraphPatch, NodeId, OpAttributes, OpKind, PatchBuilder, TensorRef};
 
-use crate::matcher::{depends_on, find_siblings_sharing_input, is_parameter, ConstantDerived};
+use crate::matcher::{depends_on, find_siblings_sharing_input, is_constant_derived, is_parameter};
 use crate::rule::{RewriteRule, RuleMatch};
 
 /// Merges two `MatMul` nodes that share their left operand into one `MatMul`
@@ -23,10 +23,9 @@ impl RewriteRule for MergeMatMulSharedLhs {
     }
 
     fn find_matches(&self, graph: &Graph) -> Vec<RuleMatch> {
-        let constant = ConstantDerived::of(graph);
         find_siblings_sharing_input(graph, OpKind::MatMul, 0)
             .into_iter()
-            .filter(|(_, a, b)| mergeable_matmuls(graph, &constant, *a, *b))
+            .filter(|(_, a, b)| mergeable_matmuls(graph, *a, *b))
             .map(|(_, a, b)| RuleMatch::new(vec![a, b]))
             .collect()
     }
@@ -108,10 +107,9 @@ impl RewriteRule for MergeConvSharedInput {
     }
 
     fn find_matches(&self, graph: &Graph) -> Vec<RuleMatch> {
-        let constant = ConstantDerived::of(graph);
         find_siblings_sharing_input(graph, OpKind::Conv2d, 0)
             .into_iter()
-            .filter(|(_, a, b)| mergeable_convs(graph, &constant, *a, *b))
+            .filter(|(_, a, b)| mergeable_convs(graph, *a, *b))
             .map(|(_, a, b)| RuleMatch::new(vec![a, b]))
             .collect()
     }
@@ -222,28 +220,27 @@ fn same_shape_inputs(graph: &Graph, a: NodeId, b: NodeId, slot: usize) -> bool {
 }
 
 // Both predicates run once per sibling pair, so they test what is local to
-// the pair first and what walks the graph (constant-derivation, dependence)
-// last. The conjunction is what decides; its order only decides the cost.
+// the pair first and what walks the graph (dependence) last. The conjunction is what decides; its order only decides the cost.
 
-fn mergeable_matmuls(graph: &Graph, constant: &ConstantDerived<'_>, a: NodeId, b: NodeId) -> bool {
+fn mergeable_matmuls(graph: &Graph, a: NodeId, b: NodeId) -> bool {
     let (Ok(na), Ok(nb)) = (graph.node(a), graph.node(b)) else { return false };
     na.attrs == nb.attrs
         && na.inputs.len() == 2
         && nb.inputs.len() == 2
         && same_shape_inputs(graph, a, b, 1)
         && graph.tensor_shape(na.inputs[1]).map(|s| s.rank() == 2).unwrap_or(false)
-        && constant.contains(na.inputs[1])
-        && constant.contains(nb.inputs[1])
+        && is_constant_derived(graph, na.inputs[1])
+        && is_constant_derived(graph, nb.inputs[1])
         && independent_siblings(graph, a, b)
 }
 
-fn mergeable_convs(graph: &Graph, constant: &ConstantDerived<'_>, a: NodeId, b: NodeId) -> bool {
+fn mergeable_convs(graph: &Graph, a: NodeId, b: NodeId) -> bool {
     let (Ok(na), Ok(nb)) = (graph.node(a), graph.node(b)) else { return false };
     na.attrs == nb.attrs
         && na.attrs.groups <= 1
         && same_shape_inputs(graph, a, b, 1)
-        && constant.contains(na.inputs[1])
-        && constant.contains(nb.inputs[1])
+        && is_constant_derived(graph, na.inputs[1])
+        && is_constant_derived(graph, nb.inputs[1])
         && independent_siblings(graph, a, b)
 }
 

@@ -41,5 +41,5 @@ pub use fsio::{atomic_write, is_atomic_temp_file};
 pub use nn::{xavier_uniform, Activation, Linear, Mlp};
 pub use rng::{splitmix64, XorShiftRng};
 pub use snapshot::{ParamSnapshot, SnapshotError};
-pub use tape::{Adam, FusedActivation, GradBuffer, ParamId, ParamStore, Tape, VarId};
+pub use tape::{Adam, FusedActivation, GradBuffer, ParamId, ParamStore, RowRun, Tape, VarId};
 pub use tensor::Tensor;

@@ -21,7 +21,9 @@
 //! this changes a bit: what is skipped was computed and dropped before, and
 //! every contribution keeps its arithmetic and its place in the order.
 //! [`Tape::gather_scatter_rows`] is the one fused index op — gather, per-row
-//! scale and scatter-add in a single pass, forward and backward.
+//! scale and scatter-add in a single pass, forward and backward;
+//! [`Tape::sum_row_runs`] sums *runs* of consecutive rows per segment without
+//! any per-row index at all.
 
 use crate::snapshot::{ParamSnapshot, SnapshotError};
 use crate::tensor::{matmul_into, Shape, Tensor};
@@ -30,6 +32,18 @@ use std::sync::Arc;
 /// Identifier of a value on a [`Tape`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct VarId(usize);
+
+/// Rows `start..start + len` of a matrix, summed into output row `segment`
+/// by [`Tape::sum_row_runs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RowRun {
+    /// The first row of the run.
+    pub start: usize,
+    /// How many consecutive rows it holds (zero is allowed).
+    pub len: usize,
+    /// The output row the run is summed into.
+    pub segment: usize,
+}
 
 /// Persistent storage for trainable parameters and their Adam state.
 #[derive(Debug, Clone, Default)]
@@ -598,14 +612,18 @@ enum Op {
     ScatterAddRows(VarId, Vec<usize>),
     SegmentSoftmax(VarId, Vec<usize>, usize),
     Transpose(VarId),
-    /// `out[dst[i]] += a[src[i]] (* scale[i])`, see
+    /// `out[dst[i]] += a[src[i]] * scale[i]`, see
     /// [`Tape::gather_scatter_rows`].
     GatherScatterRows {
         a: VarId,
-        scale: Option<VarId>,
+        scale: VarId,
         src: Vec<usize>,
         dst: Vec<usize>,
     },
+    /// `out[segment] += a[start..start + len]` per run, see
+    /// [`Tape::sum_row_runs`]; the runs flattened to `[start, len, segment]`
+    /// triples in pooled storage.
+    SumRowRuns(VarId, Vec<usize>),
     LogSoftmaxRow(VarId),
     Pick(VarId, usize),
     Clamp(VarId, f32, f32),
@@ -625,7 +643,7 @@ impl Op {
             | Op::MatMul(a, b)
             | Op::ConcatCols(a, b)
             | Op::Minimum(a, b) => [Some(a), Some(b)],
-            Op::GatherScatterRows { a, scale, .. } => [Some(a), scale],
+            Op::GatherScatterRows { a, scale, .. } => [Some(a), Some(scale)],
             Op::Scale(a, _)
             | Op::Neg(a)
             | Op::Relu(a)
@@ -636,6 +654,7 @@ impl Op {
             | Op::SumAll(a)
             | Op::MeanAll(a)
             | Op::SumRows(a)
+            | Op::SumRowRuns(a, _)
             | Op::GatherRows(a, _)
             | Op::ScatterAddRows(a, _)
             | Op::SegmentSoftmax(a, _, _)
@@ -819,9 +838,10 @@ impl Tape {
                 self.pool.put_f32(t.into_vec());
             }
             match node.op {
-                Op::GatherRows(_, idx) | Op::ScatterAddRows(_, idx) | Op::SegmentSoftmax(_, idx, _) => {
-                    self.pool.put_usize(idx)
-                }
+                Op::GatherRows(_, idx)
+                | Op::ScatterAddRows(_, idx)
+                | Op::SegmentSoftmax(_, idx, _)
+                | Op::SumRowRuns(_, idx) => self.pool.put_usize(idx),
                 Op::GatherScatterRows { src, dst, .. } => {
                     self.pool.put_usize(src);
                     self.pool.put_usize(dst);
@@ -1050,12 +1070,7 @@ impl Tape {
         let av = value_of(&self.nodes, a);
         let (rows, cols) = (av.rows(), av.cols());
         let mut out = self.pool.take_zeroed(cols);
-        let av = value_of(&self.nodes, a);
-        for r in 0..rows {
-            for (o, &x) in out.iter_mut().zip(&av.data()[r * cols..(r + 1) * cols]) {
-                *o += x;
-            }
-        }
+        sum_rows_into(&mut out, &value_of(&self.nodes, a).data()[..rows * cols], cols);
         let t = Tensor::from_shape(out, Shape::from_dims(&[1, cols]));
         self.push(Op::SumRows(a), t)
     }
@@ -1168,18 +1183,16 @@ impl Tape {
     }
 
     /// Fused gather–scale–scatter: `out[dst[i]] += a[src[i]] * scale[i]` for
-    /// `i` ascending (`out[dst[i]] += a[src[i]]` without a `scale`), over a
-    /// zero-initialised `[out_rows, cols]` output. `scale` is a `[k, 1]`
-    /// column with one weight per index pair.
+    /// `i` ascending, over a zero-initialised `[out_rows, cols]` output.
+    /// `scale` is a `[k, 1]` column with one weight per index pair.
     ///
     /// Forward value and input gradients are bit-identical to the unfused
     /// chain `gather_rows(a, src)` → per-row product with `scale` →
     /// `scatter_add_rows(·, dst, out_rows)`: the same products, summed into
     /// each output row in the same `i` order — only the `[k, cols]`
-    /// intermediates (two or three forward, as many again backward) are never
-    /// materialised. The GAT aggregate `Σ_j α_ij · W h_j` is the scaled form
-    /// (`src`/`dst` an edge list, `scale` the attention column); the
-    /// candidate readout, a per-graph sum over gathered rows, the unscaled.
+    /// intermediates (three forward, as many again backward) are never
+    /// materialised. The GAT aggregate `Σ_j α_ij · W h_j` is this op
+    /// (`src`/`dst` an edge list, `scale` the attention column).
     ///
     /// # Examples
     ///
@@ -1190,7 +1203,7 @@ impl Tape {
     /// let h = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]));
     /// let alpha = tape.constant(Tensor::from_vec(vec![0.5, 2.0, 1.0], &[3, 1]));
     /// // Three edges 0→0, 1→0, 1→1 weighted by alpha.
-    /// let out = tape.gather_scatter_rows(h, Some(alpha), &[0, 1, 1], &[0, 0, 1], 2);
+    /// let out = tape.gather_scatter_rows(h, alpha, &[0, 1, 1], &[0, 0, 1], 2);
     /// assert_eq!(tape.value(out).data(), &[6.5, 9.0, 3.0, 4.0]);
     /// ```
     ///
@@ -1201,28 +1214,120 @@ impl Tape {
     pub fn gather_scatter_rows(
         &mut self,
         a: VarId,
-        scale: Option<VarId>,
+        scale: VarId,
         src: &[usize],
         dst: &[usize],
         out_rows: usize,
     ) -> VarId {
         assert_eq!(src.len(), dst.len(), "gather_scatter_rows index length mismatch");
-        if let Some(scale) = scale {
-            let sv = value_of(&self.nodes, scale);
-            assert_eq!(sv.cols(), 1, "gather_scatter_rows expects a column of scales");
-            assert_eq!(sv.rows(), src.len(), "row mismatch");
-        }
+        let sv = value_of(&self.nodes, scale);
+        assert_eq!(sv.cols(), 1, "gather_scatter_rows expects a column of scales");
+        assert_eq!(sv.rows(), src.len(), "row mismatch");
         for &d in dst {
             assert!(d < out_rows, "scatter index {} out of bounds ({})", d, out_rows);
         }
         let cols = value_of(&self.nodes, a).cols();
         let mut out = self.pool.take_zeroed(out_rows * cols);
         let av = value_of(&self.nodes, a).data();
-        let scales = scale.map(|scale| value_of(&self.nodes, scale).data());
+        let scales = value_of(&self.nodes, scale).data();
         add_rows_along(&mut out, av, cols, src, dst, scales);
         let t = Tensor::from_shape(out, Shape::from_dims(&[out_rows, cols]));
         let (src, dst) = (self.pooled_indices(src), self.pooled_indices(dst));
         self.push(Op::GatherScatterRows { a, scale, src, dst }, t)
+    }
+
+    /// Per-segment row sums over *runs* of consecutive rows: output row
+    /// `run.segment` is `0.0 + Σ a[row]` over the rows of that segment's
+    /// runs, taken in list order and ascending within a run — one running
+    /// sum per column, so bit-identical to `scatter_add_rows(gather_rows(a,
+    /// rows), segments, out_rows)` over the expanded index lists, and (for a
+    /// single run over every row) to [`Tape::sum_rows`]. A segment without
+    /// rows stays zero. Segments must not decrease along `runs`.
+    ///
+    /// Nothing is indexed per row: the cost of describing the sum is the
+    /// number of runs. A run is summed with its segment's running sum held
+    /// in registers; and a segment whose first run is a prefix `(0, r)` of
+    /// the list's first run `(0, n)` *resumes* from that run's running sum
+    /// as it stood after `r` rows — the identical sequence of additions, so
+    /// the identical bits — instead of re-adding the prefix. That is the
+    /// candidate readout: every candidate graph keeps the base graph's rows
+    /// up to its first rewritten row. The backward pass walks the same runs
+    /// in the same order, adding the segment's gradient row into each row of
+    /// the run.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xrlflow_tensor::{RowRun, Tape, Tensor};
+    ///
+    /// let mut tape = Tape::new();
+    /// let h = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 4.0, 8.0], &[4, 1]));
+    /// let run = |start, len, segment| RowRun { start, len, segment };
+    /// // Segment 0 sums every row; segment 1 rows 0..2 and row 3.
+    /// let out = tape.sum_row_runs(h, &[run(0, 4, 0), run(0, 2, 1), run(3, 1, 1)], 2);
+    /// assert_eq!(tape.value(out).data(), &[15.0, 11.0]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics when a run reaches past the last row of `a`, a segment is not
+    /// below `out_rows`, or the segments decrease.
+    pub fn sum_row_runs(&mut self, a: VarId, runs: &[RowRun], out_rows: usize) -> VarId {
+        let av = value_of(&self.nodes, a);
+        let (rows, cols) = (av.rows(), av.cols());
+        let mut last_segment = 0;
+        for run in runs {
+            assert!(run.start + run.len <= rows, "run {run:?} reaches past the {rows} rows");
+            assert!(run.segment < out_rows, "segment {} out of bounds ({out_rows})", run.segment);
+            assert!(run.segment >= last_segment, "segments must not decrease along the runs");
+            last_segment = run.segment;
+        }
+        // Only the reverse walk reads the recorded runs, and it never visits
+        // a sum of constants (an episode's carried rows): record none there.
+        let mut flat = Vec::new();
+        if self.nodes[a.0].needs_grad {
+            flat = self.pool.take_usize(3 * runs.len());
+            flat.extend(runs.iter().flat_map(|run| [run.start, run.len, run.segment]));
+        }
+        let mut out = self.pool.take_zeroed(out_rows * cols);
+        let av = value_of(&self.nodes, a).data();
+        let rows_of = |start: usize, len: usize| &av[start * cols..(start + len) * cols];
+
+        // The trunk is the list's first run when it starts at row 0; a later
+        // segment resumes from it when its own first run is a prefix of it.
+        let trunk_len = runs.first().filter(|trunk| trunk.start == 0).map(|trunk| trunk.len);
+        let resumes = |at: usize| {
+            at > 0
+                && runs[at].segment != runs[at - 1].segment
+                && runs[at].start == 0
+                && trunk_len.is_some_and(|trunk_len| runs[at].len <= trunk_len)
+        };
+        let summed_along_the_trunk = |at: usize| resumes(at) || (at == 0 && trunk_len.is_some());
+        if let Some(trunk_len) = trunk_len {
+            // Resuming runs by length: the trunk is summed once, and its
+            // running sum copied out as it passes each of those lengths.
+            let mut resuming = self.pool.take_usize(out_rows);
+            resuming.extend((0..runs.len()).filter(|&at| resumes(at)));
+            resuming.sort_unstable_by_key(|&at| runs[at].len);
+            let trunk = runs[0].segment * cols;
+            let mut summed = 0;
+            for &at in &resuming {
+                let run = runs[at];
+                sum_rows_into(&mut out[trunk..trunk + cols], rows_of(summed, run.len - summed), cols);
+                summed = run.len;
+                out.copy_within(trunk..trunk + cols, run.segment * cols);
+            }
+            sum_rows_into(&mut out[trunk..trunk + cols], rows_of(summed, trunk_len - summed), cols);
+            self.pool.put_usize(resuming);
+        }
+        for (at, run) in runs.iter().enumerate() {
+            if !summed_along_the_trunk(at) {
+                let segment = run.segment * cols;
+                sum_rows_into(&mut out[segment..segment + cols], rows_of(run.start, run.len), cols);
+            }
+        }
+        let t = Tensor::from_shape(out, Shape::from_dims(&[out_rows, cols]));
+        self.push(Op::SumRowRuns(a, flat), t)
     }
 
     /// Log-softmax over the flattened elements of a variable (treated as one
@@ -1515,8 +1620,8 @@ impl Tape {
                     let av = value_of(&self.nodes, *a);
                     let cols = av.cols();
                     let g = upstream.data();
-                    let scales = scale.map(|scale| value_of(&self.nodes, scale).data());
-                    if let Some(scale) = scale.filter(|&scale| needs(scale)) {
+                    let scales = value_of(&self.nodes, *scale).data();
+                    if needs(*scale) {
                         let mut gscale = Vec::with_capacity(src.len());
                         for (&s, &d) in src.iter().zip(dst) {
                             let mut dot = 0.0;
@@ -1527,13 +1632,31 @@ impl Tape {
                             }
                             gscale.push(dot);
                         }
-                        accumulate(&mut grads, scale, Tensor::from_vec(gscale, &[src.len(), 1]));
+                        accumulate(&mut grads, *scale, Tensor::from_vec(gscale, &[src.len(), 1]));
                     }
                     if needs(*a) {
                         let mut ga = Tensor::zeros(&[av.rows(), cols]);
                         add_rows_along(ga.data_mut(), g, cols, dst, src, scales);
                         accumulate(&mut grads, *a, ga);
                     }
+                }
+                Op::SumRowRuns(a, runs) => {
+                    // Every row of a run receives its segment's gradient
+                    // row; runs in list order, rows ascending — the order the
+                    // expanded gather's backward added them in.
+                    let av = value_of(&self.nodes, *a);
+                    let cols = av.cols();
+                    let mut ga = Tensor::zeros(&[av.rows(), cols]);
+                    for run in runs.chunks_exact(3) {
+                        let (start, len, segment) = (run[0], run[1], run[2]);
+                        let g_row = &upstream.data()[segment * cols..(segment + 1) * cols];
+                        for row in ga.data_mut()[start * cols..(start + len) * cols].chunks_exact_mut(cols) {
+                            for (o, &g) in row.iter_mut().zip(g_row) {
+                                *o += g;
+                            }
+                        }
+                    }
+                    accumulate(&mut grads, *a, ga);
                 }
                 Op::LogSoftmaxRow(a) => {
                     // y = x - logsumexp(x); dx = g - softmax(x) * sum(g)
@@ -1588,7 +1711,7 @@ fn accumulate(grads: &mut [Option<Tensor>], id: VarId, contribution: Tensor) {
     }
 }
 
-/// `out[write[i]] += from[read[i]] (* scales[i])` over `cols`-wide rows, for
+/// `out[write[i]] += from[read[i]] * scales[i]` over `cols`-wide rows, for
 /// `i` ascending: the forward pass of [`Tape::gather_scatter_rows`]
 /// (`read = src`, `write = dst`) and, with the index lists swapped and the
 /// upstream gradient as `from`, the row half of its backward pass.
@@ -1598,22 +1721,41 @@ fn add_rows_along(
     cols: usize,
     read: &[usize],
     write: &[usize],
-    scales: Option<&[f32]>,
+    scales: &[f32],
 ) {
-    for (i, (&r, &w)) in read.iter().zip(write).enumerate() {
+    for ((&r, &w), &scale) in read.iter().zip(write).zip(scales) {
         let out_row = &mut out[w * cols..(w + 1) * cols];
         let from_row = &from[r * cols..(r + 1) * cols];
-        match scales {
-            Some(scales) => {
-                let scale = scales[i];
-                for (o, &x) in out_row.iter_mut().zip(from_row) {
-                    *o += x * scale;
-                }
+        for (o, &x) in out_row.iter_mut().zip(from_row) {
+            *o += x * scale;
+        }
+    }
+}
+
+/// `sum[c] += rows[0][c] + rows[1][c] + …` for every column: one running sum
+/// per column, rows ascending — the arithmetic of adding the rows into `sum`
+/// one after the other. Columns go [`SUM_LANES`] at a time with the running
+/// sums in a local array, so a run of rows costs one load per element and no
+/// store until its end.
+fn sum_rows_into(sum: &mut [f32], rows: &[f32], cols: usize) {
+    const SUM_LANES: usize = 32;
+    let mut from = 0;
+    while from + SUM_LANES <= cols {
+        let lanes = &mut sum[from..from + SUM_LANES];
+        let mut running = [0.0f32; SUM_LANES];
+        running.copy_from_slice(lanes);
+        for row in rows.chunks_exact(cols) {
+            for (r, &x) in running.iter_mut().zip(&row[from..from + SUM_LANES]) {
+                *r += x;
             }
-            None => {
-                for (o, &x) in out_row.iter_mut().zip(from_row) {
-                    *o += x;
-                }
+        }
+        lanes.copy_from_slice(&running);
+        from += SUM_LANES;
+    }
+    if from < cols {
+        for row in rows.chunks_exact(cols) {
+            for (s, &x) in sum[from..].iter_mut().zip(&row[from..]) {
+                *s += x;
             }
         }
     }
@@ -1948,7 +2090,7 @@ mod tests {
             let proj = tape.constant_copied(&Tensor::from_vec(vec![0.5, -0.75], &[2, 1]));
             let col = tape.matmul(s, proj);
             let sm = tape.segment_softmax(col, &[0, 0], 1);
-            let weighted = tape.gather_scatter_rows(s, Some(sm), &[0, 1], &[0, 1], 2);
+            let weighted = tape.gather_scatter_rows(s, sm, &[0, 1], &[0, 1], 2);
             let pooled = tape.sum_rows(weighted);
             let loss = tape.sum_all(pooled);
             store.zero_grad();
@@ -2005,28 +2147,25 @@ mod tests {
 
     #[test]
     fn grad_of_gather_scatter_rows() {
-        // With respect to the rows (scaled and unscaled), repeated sources
-        // and destinations, an unused source row and an empty output row.
-        for scaled in [true, false] {
-            check_gradient(
-                |tape, store, pid| {
-                    let x = tape.param(store, pid);
-                    let scale =
-                        scaled.then(|| tape.constant(Tensor::from_vec(vec![2.0, -1.0, 0.5, 1.5], &[4, 1])));
-                    let y = tape.gather_scatter_rows(x, scale, &[0, 2, 2, 0], &[1, 1, 3, 0], 4);
-                    let sq = tape.mul(y, y);
-                    tape.sum_all(sq)
-                },
-                Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]),
-                1e-2,
-            );
-        }
+        // With respect to the rows: repeated sources and destinations, an
+        // unused source row and an empty output row.
+        check_gradient(
+            |tape, store, pid| {
+                let x = tape.param(store, pid);
+                let scale = tape.constant(Tensor::from_vec(vec![2.0, -1.0, 0.5, 1.5], &[4, 1]));
+                let y = tape.gather_scatter_rows(x, scale, &[0, 2, 2, 0], &[1, 1, 3, 0], 4);
+                let sq = tape.mul(y, y);
+                tape.sum_all(sq)
+            },
+            Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]),
+            1e-2,
+        );
         // With respect to the scale column.
         check_gradient(
             |tape, store, pid| {
                 let scale = tape.param(store, pid);
                 let x = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[3, 2]));
-                let y = tape.gather_scatter_rows(x, Some(scale), &[0, 2, 2, 0], &[1, 1, 3, 0], 4);
+                let y = tape.gather_scatter_rows(x, scale, &[0, 2, 2, 0], &[1, 1, 3, 0], 4);
                 let sq = tape.mul(y, y);
                 tape.sum_all(sq)
             },
@@ -2037,6 +2176,23 @@ mod tests {
 
     fn random_tensor(rng: &mut XorShiftRng, shape: &[usize]) -> Tensor {
         Tensor::from_vec((0..shape.iter().product()).map(|_| rng.uniform(-2.0, 2.0)).collect(), shape)
+    }
+
+    /// `out`'s value and the parameter gradients of `Σ out ⊙ weights`: every
+    /// output element weighted differently, so gradient rows differ and the
+    /// order they are accumulated in shows.
+    fn value_and_weighted_grads(
+        tape: &mut Tape,
+        out: VarId,
+        weights: &Tensor,
+        store: &ParamStore,
+    ) -> (Tensor, GradBuffer) {
+        let w = tape.constant_copied(weights);
+        let weighted = tape.mul(out, w);
+        let loss = tape.sum_all(weighted);
+        let mut grads = GradBuffer::zeros_like(store);
+        tape.backward_into(loss, &mut grads);
+        (tape.value(out).clone(), grads)
     }
 
     fn assert_bits_eq(got: &Tensor, want: &Tensor, context: &str) {
@@ -2068,51 +2224,202 @@ mod tests {
             let scale = store.register("scale", random_tensor(&mut rng, &[pairs, 1]));
             let weights = random_tensor(&mut rng, &[out_rows, cols]);
 
-            for scaled in [true, false] {
-                let context = format!("trial {trial}, scaled: {scaled}");
-                let finish = |tape: &mut Tape, out: VarId| {
-                    let w = tape.constant_copied(&weights);
-                    let weighted = tape.mul(out, w);
-                    let loss = tape.sum_all(weighted);
-                    let mut grads = GradBuffer::zeros_like(&store);
-                    tape.backward_into(loss, &mut grads);
-                    (tape.value(out).clone(), grads)
-                };
+            let context = format!("trial {trial}");
+            let finish = |tape: &mut Tape, out: VarId| value_and_weighted_grads(tape, out, &weights, &store);
 
-                let mut fused = Tape::new();
-                let av = fused.param(&store, a);
-                let sv = scaled.then(|| fused.param(&store, scale));
-                let out = fused.gather_scatter_rows(av, sv, &src, &dst, out_rows);
-                let (fused_value, fused_grads) = finish(&mut fused, out);
+            let mut fused = Tape::new();
+            let av = fused.param(&store, a);
+            let sv = fused.param(&store, scale);
+            let out = fused.gather_scatter_rows(av, sv, &src, &dst, out_rows);
+            let (fused_value, fused_grads) = finish(&mut fused, out);
 
-                let mut unfused = Tape::new();
-                let av = unfused.param(&store, a);
-                let mut rows = unfused.gather_rows(av, &src);
-                if scaled {
-                    let sv = unfused.param(&store, scale);
-                    let ones = unfused.constant(Tensor::ones(&[1, cols]));
-                    let broadcast = unfused.matmul(sv, ones);
-                    rows = unfused.mul(rows, broadcast);
-                }
-                let out = unfused.scatter_add_rows(rows, &dst, out_rows);
-                let (value, grads) = finish(&mut unfused, out);
+            let mut unfused = Tape::new();
+            let av = unfused.param(&store, a);
+            let rows = unfused.gather_rows(av, &src);
+            let sv = unfused.param(&store, scale);
+            let ones = unfused.constant(Tensor::ones(&[1, cols]));
+            let broadcast = unfused.matmul(sv, ones);
+            let rows = unfused.mul(rows, broadcast);
+            let out = unfused.scatter_add_rows(rows, &dst, out_rows);
+            let (value, grads) = finish(&mut unfused, out);
 
-                assert_bits_eq(&fused_value, &value, &format!("{context}: forward"));
-                assert!(fused_value.data()[..cols].iter().all(|&x| x == 0.0), "{context}: empty output row");
-                assert_bits_eq(
-                    fused_grads.grad(a),
-                    grads.grad(a),
-                    &format!("{context}: gradient of the rows"),
-                );
-                assert!(grads.grad(a).data()[..cols].iter().all(|&x| x == 0.0), "{context}: unused row");
-                assert_bits_eq(
-                    fused_grads.grad(scale),
-                    grads.grad(scale),
-                    &format!("{context}: gradient of the scale"),
-                );
-                assert_eq!(scaled, fused_grads.grad(scale).sq_norm() > 0.0, "{context}: scale gradient");
-            }
+            assert_bits_eq(&fused_value, &value, &format!("{context}: forward"));
+            assert!(fused_value.data()[..cols].iter().all(|&x| x == 0.0), "{context}: empty output row");
+            assert_bits_eq(fused_grads.grad(a), grads.grad(a), &format!("{context}: gradient of the rows"));
+            assert!(grads.grad(a).data()[..cols].iter().all(|&x| x == 0.0), "{context}: unused row");
+            assert_bits_eq(
+                fused_grads.grad(scale),
+                grads.grad(scale),
+                &format!("{context}: gradient of the scale"),
+            );
+            assert!(fused_grads.grad(scale).sq_norm() > 0.0, "{context}: scale gradient");
         }
+    }
+
+    /// `runs` as the explicit per-row index lists the readout used to build.
+    fn expand_runs(runs: &[RowRun]) -> (Vec<usize>, Vec<usize>) {
+        let rows = runs.iter().flat_map(|run| run.start..run.start + run.len).collect();
+        let segments = runs.iter().flat_map(|run| std::iter::repeat_n(run.segment, run.len)).collect();
+        (rows, segments)
+    }
+
+    /// Forward value and input gradient of `sum_row_runs` against the
+    /// explicit-index chain `gather_rows` → `scatter_add_rows`, to the bit.
+    fn assert_row_runs_match_the_index_chain(a: &Tensor, runs: &[RowRun], out_rows: usize, context: &str) {
+        let mut store = ParamStore::new();
+        let pid = store.register("a", a.clone());
+        let mut rng = XorShiftRng::new(0x5EED ^ runs.len() as u64);
+        let weights = random_tensor(&mut rng, &[out_rows, a.cols()]);
+        let finish = |tape: &mut Tape, out: VarId| value_and_weighted_grads(tape, out, &weights, &store);
+        let mut by_runs = Tape::new();
+        let av = by_runs.param(&store, pid);
+        let out = by_runs.sum_row_runs(av, runs, out_rows);
+        let (value, grads) = finish(&mut by_runs, out);
+
+        let (rows, segments) = expand_runs(runs);
+        let mut by_index = Tape::new();
+        let av = by_index.param(&store, pid);
+        let gathered = by_index.gather_rows(av, &rows);
+        let out = by_index.scatter_add_rows(gathered, &segments, out_rows);
+        let (expected_value, expected_grads) = finish(&mut by_index, out);
+
+        assert_bits_eq(&value, &expected_value, &format!("{context}: forward"));
+        assert_bits_eq(grads.grad(pid), expected_grads.grad(pid), &format!("{context}: gradient"));
+    }
+
+    fn run(start: usize, len: usize, segment: usize) -> RowRun {
+        RowRun { start, len, segment }
+    }
+
+    #[test]
+    fn row_runs_match_the_index_chain_on_candidate_shaped_lists() {
+        // The readout's shape: segment 0 sums rows 0..n, every later segment
+        // keeps a prefix of them, skips or replaces a few, and appends rows
+        // past n. Widths straddle the kernel's lane count.
+        let mut rng = XorShiftRng::new(0x0520_0521);
+        for trial in 0..40 {
+            let cols = [1, 5, 31, 32, 33, 64, 70][trial % 7];
+            let n = 3 + rng.gen_range(40);
+            let extra = rng.gen_range(12);
+            let a = random_tensor(&mut rng, &[n + extra, cols]);
+            let mut runs = vec![run(0, n, 0)];
+            let segments = 1 + rng.gen_range(8);
+            for segment in 1..=segments {
+                let mut next = 0;
+                while next < n {
+                    // A clean stretch, then an exception: a skipped row or a
+                    // row from past the base block.
+                    let stretch = rng.gen_range(n - next + 1);
+                    runs.push(run(next, stretch, segment));
+                    next += stretch + 1;
+                    if extra > 0 && rng.gen_range(2) == 0 {
+                        runs.push(run(n + rng.gen_range(extra), 1, segment));
+                    }
+                }
+                if extra > 0 {
+                    let from = rng.gen_range(extra);
+                    runs.push(run(n + from, extra - from, segment));
+                }
+            }
+            // One segment past the last stays empty.
+            assert_row_runs_match_the_index_chain(&a, &runs, segments + 2, &format!("trial {trial}"));
+        }
+    }
+
+    #[test]
+    fn row_runs_match_the_index_chain_on_the_lists_a_resumed_sum_can_get_wrong() {
+        let mut rng = XorShiftRng::new(0xED6E);
+        let mut a = random_tensor(&mut rng, &[12, 40]);
+        // Signed zeros, an infinity and a NaN: a resumed sum must have added
+        // exactly what a sum from zero adds (`0.0 + -0.0` is `+0.0`, `inf -
+        // inf` is NaN from that row on).
+        for (row, value) in [(0, -0.0), (1, 0.0), (4, f32::INFINITY), (6, f32::NEG_INFINITY), (9, f32::NAN)] {
+            a.data_mut()[row * 40..row * 40 + 20].fill(value);
+        }
+        let cases: [(&str, Vec<RowRun>); 9] = [
+            (
+                "prefixes of every length, out of length order",
+                vec![
+                    run(0, 8, 0),
+                    run(0, 8, 1),
+                    run(0, 3, 2),
+                    run(9, 2, 2),
+                    run(0, 5, 3),
+                    run(0, 1, 4),
+                    run(0, 7, 5),
+                    run(8, 4, 5),
+                ],
+            ),
+            (
+                "a first exception at row 0: replaced, or skipped",
+                vec![run(0, 8, 0), run(10, 1, 1), run(1, 7, 1), run(1, 7, 2), run(0, 4, 3)],
+            ),
+            (
+                "empty runs, first, in the middle and as a whole segment",
+                vec![
+                    run(0, 8, 0),
+                    run(0, 0, 1),
+                    run(2, 3, 1),
+                    run(0, 2, 2),
+                    run(5, 0, 2),
+                    run(6, 2, 2),
+                    run(3, 0, 3),
+                    run(0, 8, 5),
+                ],
+            ),
+            ("no clean prefix anywhere", vec![run(0, 8, 0), run(8, 4, 1), run(2, 2, 2), run(11, 1, 2)]),
+            (
+                "a prefix longer than the trunk is summed on its own",
+                vec![run(0, 4, 0), run(0, 9, 1), run(0, 4, 2)],
+            ),
+            (
+                "a trunk that is not a prefix of anything: it starts at row 1",
+                vec![run(1, 7, 0), run(0, 4, 1), run(1, 3, 2)],
+            ),
+            (
+                "the trunk's segment goes on after the trunk",
+                vec![run(0, 6, 0), run(8, 3, 0), run(0, 6, 1), run(0, 2, 2), run(8, 3, 2)],
+            ),
+            (
+                "several segments sharing one row: the gradient's accumulation order",
+                vec![
+                    run(0, 8, 0),
+                    run(0, 8, 1),
+                    run(3, 1, 1),
+                    run(3, 1, 1),
+                    run(0, 4, 2),
+                    run(3, 2, 2),
+                    run(3, 1, 3),
+                ],
+            ),
+            ("nothing at all", vec![]),
+        ];
+        for (name, runs) in cases {
+            assert_row_runs_match_the_index_chain(&a, &runs, 6, name);
+        }
+
+        // One run over every row is `sum_rows`.
+        let mut tape = Tape::new();
+        let av = tape.constant_copied(&a);
+        let by_runs = tape.sum_row_runs(av, &[run(0, 12, 0)], 1);
+        let summed = tape.sum_rows(av);
+        assert_bits_eq(tape.value(by_runs), tape.value(summed), "one run is sum_rows");
+    }
+
+    #[test]
+    #[should_panic(expected = "segments must not decrease")]
+    fn row_runs_reject_decreasing_segments() {
+        let mut tape = Tape::new();
+        let a = tape.constant(Tensor::ones(&[4, 2]));
+        tape.sum_row_runs(a, &[run(0, 2, 1), run(0, 2, 0)], 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "reaches past")]
+    fn row_runs_reject_rows_past_the_end() {
+        let mut tape = Tape::new();
+        let a = tape.constant(Tensor::ones(&[4, 2]));
+        tape.sum_row_runs(a, &[run(3, 2, 0)], 1);
     }
 
     /// Skipping what does not reach a parameter removes only discarded work:
