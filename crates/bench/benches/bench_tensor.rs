@@ -80,12 +80,13 @@ fn main() {
     let mut store = ParamStore::new();
     let mlp = Mlp::new(&mut store, "bench", &[64, 256, 64, 1], &mut rng);
     let x = random_tensor(&mut rng, &[32, 64]);
+    let mut grads = GradBuffer::zeros_like(&store);
     let mut train_step = |tape: &mut Tape| {
         let input = tape.constant_copied(&x);
         let out = mlp.forward(tape, &store, input);
         let loss = tape.mean_all(out);
-        store.zero_grad();
-        tape.backward(loss, &mut store);
+        grads.zero_fill();
+        tape.backward_into(loss, &mut grads);
         tape.value(loss).item()
     };
     let fresh = time_ns(2, iters, || {

@@ -20,8 +20,8 @@
 //! transition-index order**: every transition of a minibatch back-propagates
 //! its scaled loss into its own zero-initialised [`GradBuffer`]
 //! ([`transition_grad_into`]), and the buffers are merged in minibatch-position
-//! order before the merged gradient is loaded into the store, clipped and
-//! stepped. Because each contribution starts from zeros and the merge order
+//! order; the merged buffer is clipped in place and the optimiser steps the
+//! store from it. Because each contribution starts from zeros and the merge order
 //! is fixed, the same merged gradient falls out no matter which thread
 //! evaluated which transition — the property the data-parallel update engine
 //! in `xrlflow-rollout` builds on ([`Trainer::update_with_segments_via`]
@@ -424,8 +424,8 @@ impl Trainer {
     /// Everything that *steps the optimiser* stays here, on the calling
     /// thread: per minibatch the evaluator produces the merged per-transition
     /// gradient (in minibatch-position order) and per-transition diagnostics,
-    /// and this function loads the gradient into the store, records its norm,
-    /// clips and steps. An evaluator is therefore free to shard the
+    /// and this function clips that gradient (recording its pre-clip norm)
+    /// and steps the store from it. An evaluator is therefore free to shard the
     /// re-evaluations across worker threads — as long as it merges buffers by
     /// position (never completion order) the update is bit-identical to the
     /// serial oracle [`minibatch_grads_serial`].
@@ -480,13 +480,13 @@ impl Trainer {
                     returns: &returns,
                     ppo,
                 };
-                let evaluated = minibatch_grads(agent, &ctx)?;
+                let MinibatchGrads { mut grads, stats: per_transition } = minibatch_grads(agent, &ctx)?;
                 assert_eq!(
-                    evaluated.stats.len(),
+                    per_transition.len(),
                     batch.len(),
                     "the evaluator must return one stats entry per transition"
                 );
-                for (stats, &i) in evaluated.stats.iter().zip(&batch) {
+                for (stats, &i) in per_transition.iter().zip(&batch) {
                     policy_losses.push(stats.policy_loss);
                     value_losses.push(stats.value_loss);
                     entropies.push(stats.entropy);
@@ -495,10 +495,8 @@ impl Trainer {
                         predicted_values.push((i, stats.predicted_value));
                     }
                 }
-                agent.store.apply_grads(&evaluated.grads);
-                grad_norms.push(agent.store.grad_norm());
-                agent.store.clip_grad_norm(ppo.max_grad_norm);
-                self.optimizer.step(&mut agent.store);
+                grad_norms.push(grads.clip_norm(ppo.max_grad_norm));
+                self.optimizer.step(&mut agent.store, &grads);
             }
         }
 
@@ -551,7 +549,7 @@ impl Trainer {
     /// continues training **bit-identically** to one that was never
     /// interrupted.
     pub fn train_state(&self, agent: &XrlflowAgent, next_episode: u64, base_seed: u64) -> TrainState {
-        let (adam_first, adam_second) = agent.store.adam_snapshot();
+        let (adam_first, adam_second) = self.optimizer.moments(&agent.store);
         TrainState {
             params: agent.store.snapshot(),
             adam_first,
@@ -589,7 +587,7 @@ impl Trainer {
         state.params.compatible_with(&state.adam_first)?;
         state.params.compatible_with(&state.adam_second)?;
         agent.store.load_snapshot(&state.params)?;
-        agent.store.load_adam_snapshot(&state.adam_first, &state.adam_second)?;
+        self.optimizer.load_moments(&agent.store, &state.adam_first, &state.adam_second)?;
         self.optimizer.set_steps(state.adam_steps as usize);
         self.update_counter = state.update_counter;
         self.base_seed = state.base_seed;
@@ -603,7 +601,7 @@ mod tests {
     use xrlflow_cost::{DeviceProfile, InferenceSimulator};
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
     use xrlflow_rewrite::RuleSet;
-    use xrlflow_tensor::ParamSnapshot;
+    use xrlflow_tensor::{ParamSnapshot, Tensor};
 
     fn make_env(config: &XrlflowConfig) -> Environment {
         let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
@@ -663,8 +661,8 @@ mod tests {
         assert!(buffer.len() >= 4, "need at least two minibatches");
 
         // Shadow run: wrap the serial evaluator to record each minibatch's
-        // pre-clip merged-gradient norm (identical to the store norm the
-        // trainer reads right after apply_grads).
+        // pre-clip merged-gradient norm (the norm the trainer's in-place clip
+        // returns).
         let mut norms = Vec::new();
         let mut trainer = Trainer::new(config.clone(), 7);
         let stats = trainer
@@ -685,6 +683,56 @@ mod tests {
             norms.last().unwrap()
         );
         assert_ne!(stats.grad_norm, *norms.last().unwrap(), "minibatch norms should differ in this run");
+    }
+
+    /// Before the first update the optimiser has not sized its moments yet.
+    /// A `TrainState` taken then still carries zero moments named like the
+    /// store — the bytes the format always had — and a run resumed from it
+    /// continues bit-identically.
+    #[test]
+    fn a_train_state_before_the_first_update_has_zero_moments_and_resumes_exactly() {
+        let config = XrlflowConfig::smoke_test();
+        let mut agent = XrlflowAgent::new(&config, 8);
+        let mut trainer = Trainer::new(config.clone(), 7);
+        let state = trainer.train_state(&agent, 0, trainer.base_seed());
+
+        let params = agent.snapshot();
+        let zeros = ParamSnapshot::new(
+            params
+                .entries()
+                .iter()
+                .map(|(name, value)| (name.clone(), Tensor::zeros(value.shape())))
+                .collect(),
+        );
+        let written_with_moments_in_the_store = TrainState {
+            params,
+            adam_first: zeros.clone(),
+            adam_second: zeros,
+            adam_steps: 0,
+            update_counter: 0,
+            next_episode: 0,
+            base_seed: 7,
+        };
+        assert_eq!(state.to_bytes(), written_with_moments_in_the_store.to_bytes());
+
+        let mut resumed_agent = XrlflowAgent::new(&config, 99);
+        let mut resumed = Trainer::new(config.clone(), 1);
+        resumed
+            .restore_train_state(&mut resumed_agent, &TrainState::from_bytes(&state.to_bytes()).unwrap())
+            .unwrap();
+        for _ in 0..2 {
+            let mut buffer = filled_buffer(&config, &agent, 1);
+            let mut resumed_buffer = filled_buffer(&config, &resumed_agent, 1);
+            assert_eq!(
+                trainer.update(&mut agent, &mut buffer),
+                resumed.update(&mut resumed_agent, &mut resumed_buffer)
+            );
+        }
+        assert_eq!(
+            trainer.train_state(&agent, 2, 7).to_bytes(),
+            resumed.train_state(&resumed_agent, 2, 7).to_bytes(),
+            "the resumed run must land on the same parameters and moments, bit for bit"
+        );
     }
 
     #[test]

@@ -146,12 +146,12 @@ impl GatLayer {
         let edge_src_score = tape.gather_rows(rows.src_score, edge_src_rows);
         let edge_dst_score = tape.gather_rows(rows.dst_score, edge_dst_rows);
         let scores = tape.add(edge_src_score, edge_dst_score);
-        let scores = tape.leaky_relu(scores, 0.2);
+        let scores = tape.activate(scores, Activation::LeakyRelu);
         let alpha = tape.segment_softmax(scores, edge_dst_slots, out_rows);
         // Σ_j alpha_ij · W h_j as one fused gather–scale–scatter over the
         // edge list: no `[E, H]` message matrix in either direction.
         let aggregated = tape.gather_scatter_rows(rows.wh, alpha, edge_src_rows, edge_dst_slots, out_rows);
-        tape.relu(aggregated)
+        tape.activate(aggregated, Activation::Relu)
     }
 }
 
@@ -858,7 +858,7 @@ mod tests {
     use crate::test_support::{rule_zoo_graph, sparse_delta_cases};
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
     use xrlflow_graph::{Graph, GraphPatch, OpAttributes, OpKind, TensorShape};
-    use xrlflow_tensor::Adam;
+    use xrlflow_tensor::{Adam, GradBuffer};
 
     fn tiny_config() -> EncoderConfig {
         EncoderConfig { hidden_dim: 16, num_gat_layers: 2 }
@@ -1233,9 +1233,9 @@ mod tests {
         let z = encoder.encode_candidates(&mut tape, &store, &current, &deltas);
         let sq = tape.mul(z, z);
         let loss = tape.sum_all(sq);
-        store.zero_grad();
-        tape.backward(loss, &mut store);
-        assert!(store.grad_norm() > 0.0, "no gradient reached the encoder through encode_candidates");
+        let mut grads = GradBuffer::zeros_like(&store);
+        tape.backward_into(loss, &mut grads);
+        assert!(grads.norm() > 0.0, "no gradient reached the encoder through encode_candidates");
     }
 
     #[test]
@@ -1247,6 +1247,7 @@ mod tests {
         let encoder = GnnEncoder::new(&mut store, tiny_config(), &mut rng);
         let features = GraphFeatures::from_graph(&small_graph());
         let mut adam = Adam::new(0.01);
+        let mut grads = GradBuffer::zeros_like(&store);
         let mut first_loss = None;
         let mut last_loss = 0.0;
         for _ in 0..30 {
@@ -1260,9 +1261,9 @@ mod tests {
             if first_loss.is_none() {
                 first_loss = Some(last_loss);
             }
-            store.zero_grad();
-            tape.backward(loss, &mut store);
-            adam.step(&mut store);
+            grads.zero_fill();
+            tape.backward_into(loss, &mut grads);
+            adam.step(&mut store, &grads);
         }
         assert!(last_loss < first_loss.unwrap(), "loss did not decrease: {last_loss}");
     }

@@ -7,10 +7,11 @@
 //! The X-RLflow agent (MLSys 2023) encodes a *changing* dataflow graph at
 //! every environment step, so its computation graph cannot be compiled
 //! ahead of time. This crate therefore provides a per-forward-pass [`Tape`]:
-//! operations append nodes, [`Tape::backward`] accumulates gradients into a
-//! persistent [`ParamStore`], and [`Adam`] updates the stored parameters —
-//! mirroring the JAX/jraph stack used by the paper with a pure-Rust,
-//! dependency-free implementation.
+//! operations append nodes over parameters imported from a persistent
+//! [`ParamStore`] (values only), [`Tape::backward_into`] accumulates their
+//! gradients into a [`GradBuffer`], and [`Adam`] (which owns its moments)
+//! steps the store from that buffer — mirroring the JAX/jraph stack used by
+//! the paper with a pure-Rust, dependency-free implementation.
 //!
 //! ## Quickstart
 //!
@@ -38,8 +39,8 @@ mod tape;
 mod tensor;
 
 pub use fsio::{atomic_write, is_atomic_temp_file};
-pub use nn::{xavier_uniform, Activation, Linear, Mlp};
+pub use nn::{xavier_uniform, Linear, Mlp};
 pub use rng::{splitmix64, XorShiftRng};
 pub use snapshot::{ParamSnapshot, SnapshotError};
-pub use tape::{Adam, FusedActivation, GradBuffer, ParamId, ParamStore, RowRun, Tape, VarId};
+pub use tape::{Activation, Adam, GradBuffer, ParamId, ParamStore, RowRun, Tape, VarId};
 pub use tensor::Tensor;

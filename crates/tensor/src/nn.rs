@@ -6,50 +6,8 @@
 //! Table 4).
 
 use crate::rng::XorShiftRng;
-use crate::tape::{FusedActivation, ParamId, ParamStore, Tape, VarId};
+use crate::tape::{Activation, ParamId, ParamStore, Tape, VarId};
 use crate::tensor::Tensor;
-
-/// Activation function applied after an affine transform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Activation {
-    /// Identity (no activation).
-    #[default]
-    Linear,
-    /// Rectified linear unit.
-    Relu,
-    /// Leaky rectified linear unit with slope 0.2 (GAT convention).
-    LeakyRelu,
-    /// Hyperbolic tangent.
-    Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
-}
-
-impl Activation {
-    /// Applies the activation to a tape variable.
-    pub fn apply(self, tape: &mut Tape, x: VarId) -> VarId {
-        match self {
-            Activation::Linear => x,
-            Activation::Relu => tape.relu(x),
-            Activation::LeakyRelu => tape.leaky_relu(x, 0.2),
-            Activation::Tanh => tape.tanh(x),
-            Activation::Sigmoid => tape.sigmoid(x),
-        }
-    }
-
-    /// The [`FusedActivation`] equivalent, for fusing into
-    /// [`Tape::add_bias_act`] (bit-identical to an `Identity` bias-add followed
-    /// by [`Activation::apply`]).
-    pub fn fused(self) -> FusedActivation {
-        match self {
-            Activation::Linear => FusedActivation::Identity,
-            Activation::Relu => FusedActivation::Relu,
-            Activation::LeakyRelu => FusedActivation::LeakyRelu(0.2),
-            Activation::Tanh => FusedActivation::Tanh,
-            Activation::Sigmoid => FusedActivation::Sigmoid,
-        }
-    }
-}
 
 /// Glorot/Xavier-uniform initialisation for a `[fan_in, fan_out]` matrix.
 pub fn xavier_uniform(fan_in: usize, fan_out: usize, rng: &mut XorShiftRng) -> Tensor {
@@ -101,7 +59,7 @@ impl Linear {
         let w = tape.param(store, self.weight);
         let b = tape.param(store, self.bias);
         let xw = tape.matmul(x, w);
-        tape.add_bias_act(xw, b, self.activation.fused())
+        tape.add_bias_act(xw, b, self.activation)
     }
 }
 
@@ -153,7 +111,7 @@ impl Mlp {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tape::Adam;
+    use crate::tape::{Adam, GradBuffer};
 
     #[test]
     fn linear_shapes() {
@@ -190,20 +148,21 @@ mod tests {
         let xs = Tensor::from_vec(vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0], &[4, 2]);
         let ys = Tensor::from_vec(vec![0.0, 1.0, 1.0, 0.0], &[4, 1]);
         let mut adam = Adam::new(0.02);
+        let mut grads = GradBuffer::zeros_like(&store);
         let mut final_loss = f32::INFINITY;
         for _ in 0..800 {
             let mut tape = Tape::new();
             let x = tape.constant(xs.clone());
             let y = tape.constant(ys.clone());
             let pred = mlp.forward(&mut tape, &store, x);
-            let pred = tape.sigmoid(pred);
+            let pred = tape.activate(pred, Activation::Sigmoid);
             let diff = tape.sub(pred, y);
             let sq = tape.mul(diff, diff);
             let loss = tape.mean_all(sq);
             final_loss = tape.value(loss).item();
-            store.zero_grad();
-            tape.backward(loss, &mut store);
-            adam.step(&mut store);
+            grads.zero_fill();
+            tape.backward_into(loss, &mut grads);
+            adam.step(&mut store, &grads);
         }
         assert!(final_loss < 0.05, "MLP failed to learn XOR: loss={final_loss}");
     }
@@ -212,15 +171,15 @@ mod tests {
     fn activations_apply() {
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::from_vec(vec![-1.0, 2.0], &[2]));
-        let r = Activation::Relu.apply(&mut tape, x);
+        let r = tape.activate(x, Activation::Relu);
         assert_eq!(tape.value(r).data(), &[0.0, 2.0]);
-        let l = Activation::LeakyRelu.apply(&mut tape, x);
+        let l = tape.activate(x, Activation::LeakyRelu);
         assert!((tape.value(l).data()[0] + 0.2).abs() < 1e-6);
-        let t = Activation::Tanh.apply(&mut tape, x);
+        let t = tape.activate(x, Activation::Tanh);
         assert!(tape.value(t).data()[1] < 1.0);
-        let s = Activation::Sigmoid.apply(&mut tape, x);
+        let s = tape.activate(x, Activation::Sigmoid);
         assert!(tape.value(s).data()[0] < 0.5);
-        let id = Activation::Linear.apply(&mut tape, x);
-        assert_eq!(id, x);
+        let id = tape.activate(x, Activation::Linear);
+        assert_eq!(tape.value(id), tape.value(x));
     }
 }

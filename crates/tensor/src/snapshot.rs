@@ -103,31 +103,7 @@ impl ParamSnapshot {
     /// assert!(live.compatible_with(&bad).is_err());
     /// ```
     pub fn compatible_with(&self, candidate: &ParamSnapshot) -> Result<(), SnapshotError> {
-        if self.entries.len() != candidate.entries.len() {
-            return Err(SnapshotError::CountMismatch {
-                expected: self.entries.len(),
-                found: candidate.entries.len(),
-            });
-        }
-        for (index, ((name, value), (other_name, other_value))) in
-            self.entries.iter().zip(candidate.entries.iter()).enumerate()
-        {
-            if name != other_name {
-                return Err(SnapshotError::NameMismatch {
-                    index,
-                    expected: name.clone(),
-                    found: other_name.clone(),
-                });
-            }
-            if value.shape() != other_value.shape() {
-                return Err(SnapshotError::ShapeMismatch {
-                    name: name.clone(),
-                    expected: value.shape().to_vec(),
-                    found: other_value.shape().to_vec(),
-                });
-            }
-        }
-        Ok(())
+        check_layout(self.entries.iter().map(|(name, value)| (name.as_str(), value.shape())), candidate)
     }
 
     /// Serialises the snapshot to its on-disk byte representation
@@ -240,6 +216,37 @@ impl ParamSnapshot {
         let bytes = std::fs::read(path.as_ref()).map_err(SnapshotError::Io)?;
         Self::from_bytes(&bytes)
     }
+}
+
+/// Checks that `found` has the `(name, shape)` layout `expected` lists: the
+/// same count, then per entry in order the same name and the same shape. The
+/// one check behind [`ParamSnapshot::compatible_with`],
+/// [`ParamStore::load_snapshot`](crate::ParamStore::load_snapshot) and
+/// [`Adam::load_moments`](crate::Adam::load_moments).
+pub(crate) fn check_layout<'a>(
+    expected: impl ExactSizeIterator<Item = (&'a str, &'a [usize])>,
+    found: &ParamSnapshot,
+) -> Result<(), SnapshotError> {
+    if expected.len() != found.entries.len() {
+        return Err(SnapshotError::CountMismatch { expected: expected.len(), found: found.entries.len() });
+    }
+    for (index, ((name, shape), (found_name, value))) in expected.zip(&found.entries).enumerate() {
+        if name != found_name.as_str() {
+            return Err(SnapshotError::NameMismatch {
+                index,
+                expected: name.to_string(),
+                found: found_name.clone(),
+            });
+        }
+        if shape != value.shape() {
+            return Err(SnapshotError::ShapeMismatch {
+                name: name.to_string(),
+                expected: shape.to_vec(),
+                found: value.shape().to_vec(),
+            });
+        }
+    }
+    Ok(())
 }
 
 /// Byte-slice cursor used by [`ParamSnapshot::from_bytes`].

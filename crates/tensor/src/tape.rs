@@ -3,11 +3,15 @@
 //! The X-RLflow agent rebuilds its computation graph on every forward pass
 //! (the input dataflow graph changes at every environment step), so the
 //! autodiff design is a *dynamic tape*: each call to [`Tape::new`] starts an
-//! empty tape, operations append nodes, and [`Tape::backward`] walks the tape
-//! in reverse accumulating gradients into a shared [`ParamStore`].
+//! empty tape, operations append nodes, and [`Tape::backward_into`] walks the
+//! tape in reverse accumulating gradients into a [`GradBuffer`].
 //!
-//! Parameters live in the [`ParamStore`] across forward passes; each forward
-//! pass imports them as leaves via [`Tape::param`].
+//! Each piece of state has one home. Parameter values live in the
+//! [`ParamStore`] across forward passes (each pass imports them as leaves via
+//! [`Tape::param`]); gradients live only in a [`GradBuffer`]; the optimiser's
+//! step count and moments live only in [`Adam`], which steps the store from a
+//! buffer. A store that is never trained — a served policy — holds its values
+//! and nothing else.
 //!
 //! ## The reverse walk
 //!
@@ -25,7 +29,7 @@
 //! [`Tape::sum_row_runs`] sums *runs* of consecutive rows per segment without
 //! any per-row index at all.
 
-use crate::snapshot::{ParamSnapshot, SnapshotError};
+use crate::snapshot::{check_layout, ParamSnapshot, SnapshotError};
 use crate::tensor::{matmul_into, Shape, Tensor};
 use std::sync::Arc;
 
@@ -45,7 +49,8 @@ pub struct RowRun {
     pub segment: usize,
 }
 
-/// Persistent storage for trainable parameters and their Adam state.
+/// Persistent storage for trainable parameters: names and values, nothing
+/// else (gradients live in a [`GradBuffer`], optimiser state in [`Adam`]).
 #[derive(Debug, Clone, Default)]
 pub struct ParamStore {
     entries: Vec<ParamEntry>,
@@ -59,9 +64,6 @@ struct ParamEntry {
     /// Mutation always replaces the `Arc` wholesale, never writes through it,
     /// so outstanding tape leaves keep the value they imported.
     value: Arc<Tensor>,
-    grad: Tensor,
-    m: Tensor,
-    v: Tensor,
 }
 
 /// Identifier of a parameter in a [`ParamStore`].
@@ -74,9 +76,9 @@ pub struct ParamId(usize);
 /// This is the unit of the data-parallel PPO update's determinism contract:
 /// each transition's loss is back-propagated into its own zero-initialised
 /// buffer ([`Tape::backward_into`]) on whatever thread evaluated it, and the
-/// trainer merges the buffers **by transition index** ([`GradBuffer::merge`])
-/// before loading the result into the live store
-/// ([`ParamStore::apply_grads`]). Because every per-transition buffer starts
+/// trainer merges the buffers **by transition index** ([`GradBuffer::merge`]),
+/// clips the merged buffer in place ([`GradBuffer::clip_norm`]) and steps the
+/// store from it ([`Adam::step`]). Because every per-transition buffer starts
 /// from zeros and the merge order is fixed, the merged gradient is
 /// bit-identical no matter how many worker threads produced the pieces.
 ///
@@ -100,13 +102,12 @@ pub struct ParamId(usize);
 ///     buffers.push(grads);
 /// }
 ///
-/// // Merge in index order, then load into the store.
+/// // Merge in index order.
 /// let mut merged = GradBuffer::zeros_like(&store);
 /// for buffer in &buffers {
 ///     merged.merge(buffer);
 /// }
-/// store.apply_grads(&merged);
-/// assert_eq!(store.grad(w).item(), 6.0 + 12.0);
+/// assert_eq!(merged.grad(w).item(), 6.0 + 12.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradBuffer {
@@ -134,9 +135,8 @@ impl GradBuffer {
         &self.grads[id.0]
     }
 
-    /// Adds `grad` into the parameter's slot (the [`Tape::backward_into`]
-    /// sink; mirrors the accumulation a [`ParamStore`] performs in
-    /// [`Tape::backward`]).
+    /// Adds `grad` into the parameter's slot (what [`Tape::backward_into`]
+    /// does with every parameter-gradient contribution).
     ///
     /// # Panics
     ///
@@ -176,10 +176,35 @@ impl GradBuffer {
         }
     }
 
-    /// Global L2 norm of the buffered gradients (matches
-    /// [`ParamStore::grad_norm`] after [`ParamStore::apply_grads`]).
+    /// Global L2 norm of the buffered gradients.
     pub fn norm(&self) -> f32 {
         self.grads.iter().map(Tensor::sq_norm).sum::<f32>().sqrt()
+    }
+
+    /// Scales the gradients in place so their global norm does not exceed
+    /// `max_norm`, and returns the norm they had before.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xrlflow_tensor::{GradBuffer, ParamStore, Tensor};
+    ///
+    /// let mut store = ParamStore::new();
+    /// let w = store.register("w", Tensor::zeros(&[2]));
+    /// let mut grads = GradBuffer::zeros_like(&store);
+    /// grads.accumulate(w, &Tensor::from_vec(vec![3.0, 4.0], &[2]));
+    /// assert_eq!(grads.clip_norm(1.0), 5.0);
+    /// assert!((grads.norm() - 1.0).abs() < 1e-6);
+    /// ```
+    pub fn clip_norm(&mut self, max_norm: f32) -> f32 {
+        let norm = self.norm();
+        if norm > max_norm && norm > 0.0 {
+            let scale = max_norm / norm;
+            for g in &mut self.grads {
+                scale_in_place(g, scale);
+            }
+        }
+        norm
     }
 
     /// Resets every slot to zero **in place**, keeping the allocated buffers.
@@ -204,14 +229,7 @@ impl ParamStore {
 
     /// Registers a new parameter and returns its id.
     pub fn register(&mut self, name: &str, value: Tensor) -> ParamId {
-        let shape = value.shape().to_vec();
-        self.entries.push(ParamEntry {
-            name: name.to_string(),
-            grad: Tensor::zeros(&shape),
-            m: Tensor::zeros(&shape),
-            v: Tensor::zeros(&shape),
-            value: Arc::new(value),
-        });
+        self.entries.push(ParamEntry { name: name.to_string(), value: Arc::new(value) });
         ParamId(self.entries.len() - 1)
     }
 
@@ -222,11 +240,6 @@ impl ParamStore {
 
     fn value_arc(&self, id: ParamId) -> &Arc<Tensor> {
         &self.entries[id.0].value
-    }
-
-    /// Returns the accumulated gradient of a parameter.
-    pub fn grad(&self, id: ParamId) -> &Tensor {
-        &self.entries[id.0].grad
     }
 
     /// Returns the name of a parameter.
@@ -260,74 +273,14 @@ impl ParamStore {
         self.entries.iter().map(|e| e.value.numel()).sum()
     }
 
-    /// Sets every accumulated gradient to zero (in place — the grad tensors
-    /// keep their buffers across updates).
-    pub fn zero_grad(&mut self) {
-        for e in &mut self.entries {
-            e.grad.data_mut().fill(0.0);
-        }
-    }
-
-    /// Global L2 norm of all accumulated gradients.
-    pub fn grad_norm(&self) -> f32 {
-        self.entries.iter().map(|e| e.grad.sq_norm()).sum::<f32>().sqrt()
-    }
-
-    /// Clips gradients so their global norm does not exceed `max_norm`.
-    pub fn clip_grad_norm(&mut self, max_norm: f32) {
-        let norm = self.grad_norm();
-        if norm > max_norm && norm > 0.0 {
-            let scale = max_norm / norm;
-            for e in &mut self.entries {
-                // In-place `x * scale` — the same arithmetic as
-                // `Tensor::scale` without a fresh tensor per parameter.
-                for x in e.grad.data_mut() {
-                    *x *= scale;
-                }
-            }
-        }
-    }
-
-    fn accumulate(&mut self, id: ParamId, grad: &Tensor) {
-        self.entries[id.0].grad.add_assign(grad);
-    }
-
-    /// Overwrites every parameter's accumulated gradient with the
-    /// corresponding slot of `grads` — the trainer-side half of the
-    /// data-parallel update: workers back-propagate into detached
-    /// [`GradBuffer`]s, the trainer merges them in index order and loads the
-    /// result here before clipping and stepping the optimiser.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use xrlflow_tensor::{GradBuffer, ParamStore, Tensor};
-    ///
-    /// let mut store = ParamStore::new();
-    /// let w = store.register("w", Tensor::from_vec(vec![1.0], &[1]));
-    /// let mut grads = GradBuffer::zeros_like(&store);
-    /// grads.accumulate(w, &Tensor::from_vec(vec![0.5], &[1]));
-    /// store.apply_grads(&grads);
-    /// assert_eq!(store.grad(w).item(), 0.5);
-    /// assert_eq!(store.grad_norm(), grads.norm());
-    /// ```
-    ///
-    /// # Panics
-    ///
-    /// Panics when `grads` was built for a store with a different parameter
-    /// count or different shapes.
-    pub fn apply_grads(&mut self, grads: &GradBuffer) {
-        assert_eq!(self.entries.len(), grads.grads.len(), "apply_grads parameter count mismatch");
-        for (e, g) in self.entries.iter_mut().zip(&grads.grads) {
-            assert_eq!(e.value.shape(), g.shape(), "apply_grads shape mismatch for parameter {}", e.name);
-            // The grad slot already has the right shape — copy element-wise
-            // instead of allocating a clone per parameter per minibatch.
-            e.grad.data_mut().copy_from_slice(g.data());
-        }
+    /// `(name, shape)` of every parameter, in registration order — what a
+    /// snapshot must match to be loaded against this store.
+    fn layout(&self) -> impl ExactSizeIterator<Item = (&str, &[usize])> {
+        self.entries.iter().map(|e| (e.name.as_str(), e.value.shape()))
     }
 
     /// Captures a [`ParamSnapshot`] of every parameter's current value, in
-    /// registration order (gradients and Adam state are not captured).
+    /// registration order.
     ///
     /// A snapshot is the value-only copy that goes to disk: the deployable
     /// policy file and the parameter section of a training checkpoint.
@@ -341,116 +294,36 @@ impl ParamStore {
     /// The check is strict — same parameter count, same names in
     /// registration order, same shapes — and nothing is written when any
     /// entry mismatches, so a failed load leaves the store untouched.
-    /// Gradients and Adam state are left as they are.
     ///
     /// # Errors
     ///
     /// Returns [`SnapshotError::CountMismatch`], [`SnapshotError::NameMismatch`]
     /// or [`SnapshotError::ShapeMismatch`] describing the first difference.
     pub fn load_snapshot(&mut self, snapshot: &ParamSnapshot) -> Result<(), SnapshotError> {
-        let entries = snapshot.entries();
-        if entries.len() != self.entries.len() {
-            return Err(SnapshotError::CountMismatch { expected: self.entries.len(), found: entries.len() });
-        }
-        for (index, (own, (name, value))) in self.entries.iter().zip(entries).enumerate() {
-            if own.name != *name {
-                return Err(SnapshotError::NameMismatch {
-                    index,
-                    expected: own.name.clone(),
-                    found: name.clone(),
-                });
-            }
-            if own.value.shape() != value.shape() {
-                return Err(SnapshotError::ShapeMismatch {
-                    name: name.clone(),
-                    expected: own.value.shape().to_vec(),
-                    found: value.shape().to_vec(),
-                });
-            }
-        }
-        for (own, (_, value)) in self.entries.iter_mut().zip(entries) {
+        check_layout(self.layout(), snapshot)?;
+        for (own, (_, value)) in self.entries.iter_mut().zip(snapshot.entries()) {
             own.value = Arc::new(value.clone());
-        }
-        Ok(())
-    }
-
-    /// Captures the Adam moment buffers as a pair of snapshots — first
-    /// moments, then second moments — named and ordered exactly like
-    /// [`ParamStore::snapshot`].
-    ///
-    /// Together with the parameter snapshot and [`Adam::steps`] this is the
-    /// complete optimiser state: a store restored from all three continues
-    /// training bit-identically to one that was never interrupted, which is
-    /// what the `TrainState` exact-resume checkpoint relies on.
-    pub fn adam_snapshot(&self) -> (ParamSnapshot, ParamSnapshot) {
-        let first = ParamSnapshot::new(self.entries.iter().map(|e| (e.name.clone(), e.m.clone())).collect());
-        let second = ParamSnapshot::new(self.entries.iter().map(|e| (e.name.clone(), e.v.clone())).collect());
-        (first, second)
-    }
-
-    /// Overwrites the Adam moment buffers from snapshots captured by
-    /// [`ParamStore::adam_snapshot`] on a store with the identical
-    /// architecture.
-    ///
-    /// Validation is strict and happens for **both** snapshots before either
-    /// is adopted — same count, names and shapes as the live store — so a
-    /// failed load leaves every moment buffer untouched. There is no partial
-    /// adoption: optimiser state is restored completely or not at all.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapshotError::CountMismatch`], [`SnapshotError::NameMismatch`]
-    /// or [`SnapshotError::ShapeMismatch`] describing the first difference.
-    pub fn load_adam_snapshot(
-        &mut self,
-        first: &ParamSnapshot,
-        second: &ParamSnapshot,
-    ) -> Result<(), SnapshotError> {
-        for snapshot in [first, second] {
-            let entries = snapshot.entries();
-            if entries.len() != self.entries.len() {
-                return Err(SnapshotError::CountMismatch {
-                    expected: self.entries.len(),
-                    found: entries.len(),
-                });
-            }
-            for (index, (own, (name, value))) in self.entries.iter().zip(entries).enumerate() {
-                if own.name != *name {
-                    return Err(SnapshotError::NameMismatch {
-                        index,
-                        expected: own.name.clone(),
-                        found: name.clone(),
-                    });
-                }
-                if own.value.shape() != value.shape() {
-                    return Err(SnapshotError::ShapeMismatch {
-                        name: name.clone(),
-                        expected: own.value.shape().to_vec(),
-                        found: value.shape().to_vec(),
-                    });
-                }
-            }
-        }
-        for (own, (_, m)) in self.entries.iter_mut().zip(first.entries()) {
-            own.m = m.clone();
-        }
-        for (own, (_, v)) in self.entries.iter_mut().zip(second.entries()) {
-            own.v = v.clone();
         }
         Ok(())
     }
 }
 
-/// Adam optimiser over a [`ParamStore`].
+/// Adam optimiser over a [`ParamStore`]: the step count and both moment
+/// buffers, which are the whole optimiser state.
+///
+/// The moments are sized from the store on the first [`Adam::step`] (or by
+/// [`Adam::load_moments`]); until then [`Adam::moments`] reads them as the
+/// zeros they would start from.
 ///
 /// # Examples
 ///
 /// ```
-/// use xrlflow_tensor::{Adam, ParamStore, Tape, Tensor};
+/// use xrlflow_tensor::{Adam, GradBuffer, ParamStore, Tape, Tensor};
 ///
 /// let mut store = ParamStore::new();
 /// let w = store.register("w", Tensor::from_vec(vec![2.0], &[1]));
 /// let mut adam = Adam::new(0.1);
+/// let mut grads = GradBuffer::zeros_like(&store);
 /// for _ in 0..200 {
 ///     let mut tape = Tape::new();
 ///     let wv = tape.param(&store, w);
@@ -458,9 +331,9 @@ impl ParamStore {
 ///     let target = tape.constant(Tensor::from_vec(vec![5.0], &[1]));
 ///     let diff = tape.sub(wv, target);
 ///     let loss = tape.mul(diff, diff);
-///     store.zero_grad();
-///     tape.backward(loss, &mut store);
-///     adam.step(&mut store);
+///     grads.zero_fill();
+///     tape.backward_into(loss, &mut grads);
+///     adam.step(&mut store, &grads);
 /// }
 /// assert!((store.value(w).item() - 5.0).abs() < 1e-2);
 /// ```
@@ -475,27 +348,43 @@ pub struct Adam {
     /// Numerical-stability constant.
     pub eps: f32,
     t: usize,
+    /// First moments, one per parameter in registration order (empty until
+    /// sized from the store).
+    m: Vec<Tensor>,
+    /// Second moments, laid out like `m`.
+    v: Vec<Tensor>,
 }
 
 impl Adam {
     /// Creates an Adam optimiser with the given learning rate and standard
     /// defaults for the remaining hyper-parameters.
     pub fn new(lr: f32) -> Self {
-        Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0 }
+        Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    /// Applies one Adam update using the gradients accumulated in `store`.
-    pub fn step(&mut self, store: &mut ParamStore) {
+    /// Applies one Adam update to `store` from the gradients in `grads`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `grads` or the moments were built for a store with a
+    /// different parameter count.
+    pub fn step(&mut self, store: &mut ParamStore, grads: &GradBuffer) {
+        assert_eq!(store.len(), grads.len(), "Adam::step parameter count mismatch");
+        if self.m.is_empty() {
+            self.m = GradBuffer::zeros_like(store).grads;
+            self.v = GradBuffer::zeros_like(store).grads;
+        }
+        assert_eq!(store.len(), self.m.len(), "Adam moments were sized for another store");
         self.t += 1;
         let t = self.t as f32;
         let bc1 = 1.0 - self.beta1.powf(t);
         let bc2 = 1.0 - self.beta2.powf(t);
-        for e in &mut store.entries {
-            let g = &e.grad;
-            e.m = e.m.scale(self.beta1).add(&g.scale(1.0 - self.beta1));
-            e.v = e.v.scale(self.beta2).add(&g.mul(g).scale(1.0 - self.beta2));
-            let m_hat = e.m.scale(1.0 / bc1);
-            let v_hat = e.v.scale(1.0 / bc2);
+        let moments = self.m.iter_mut().zip(&mut self.v);
+        for ((e, g), (m, v)) in store.entries.iter_mut().zip(&grads.grads).zip(moments) {
+            *m = m.scale(self.beta1).add(&g.scale(1.0 - self.beta1));
+            *v = v.scale(self.beta2).add(&g.mul(g).scale(1.0 - self.beta2));
+            let m_hat = m.scale(1.0 / bc1);
+            let v_hat = v.scale(1.0 / bc2);
             let update = m_hat.zip(&v_hat, |m, v| m / (v.sqrt() + self.eps)).scale(self.lr);
             e.value = Arc::new(e.value.sub(&update));
         }
@@ -509,80 +398,122 @@ impl Adam {
     /// Restores the step counter from a checkpoint.
     ///
     /// The counter drives Adam's bias correction, so an exact resume must
-    /// restore it together with the moment buffers
-    /// ([`ParamStore::load_adam_snapshot`]) — a resumed run with `t` reset
-    /// to zero would re-apply the early-step correction and diverge from the
-    /// uninterrupted run.
+    /// restore it together with the moment buffers ([`Adam::load_moments`])
+    /// — a resumed run with `t` reset to zero would re-apply the early-step
+    /// correction and diverge from the uninterrupted run.
     pub fn set_steps(&mut self, steps: usize) {
         self.t = steps;
     }
+
+    /// Captures the moment buffers as a pair of snapshots — first moments,
+    /// then second moments — named and ordered exactly like
+    /// [`ParamStore::snapshot`] of the store this optimiser steps (zeros
+    /// before the first step).
+    ///
+    /// Together with the parameter snapshot and [`Adam::steps`] this is the
+    /// complete optimiser state: a store and optimiser restored from all
+    /// three continue training bit-identically to ones that were never
+    /// interrupted, which is what the `TrainState` exact-resume checkpoint
+    /// relies on.
+    pub fn moments(&self, store: &ParamStore) -> (ParamSnapshot, ParamSnapshot) {
+        let zeros;
+        let (m, v) = if self.m.is_empty() {
+            zeros = GradBuffer::zeros_like(store).grads;
+            (&zeros, &zeros)
+        } else {
+            (&self.m, &self.v)
+        };
+        assert_eq!(store.len(), m.len(), "Adam moments were sized for another store");
+        let named = |moments: &[Tensor]| {
+            ParamSnapshot::new(
+                store.entries.iter().zip(moments).map(|(e, t)| (e.name.clone(), t.clone())).collect(),
+            )
+        };
+        (named(m), named(v))
+    }
+
+    /// Overwrites the moment buffers from snapshots captured by
+    /// [`Adam::moments`] against a store with the identical architecture.
+    ///
+    /// Validation is strict and happens for **both** snapshots before either
+    /// is adopted — same count, names and shapes as `store` — so a failed
+    /// load leaves the moments untouched. There is no partial adoption:
+    /// optimiser state is restored completely or not at all.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::CountMismatch`], [`SnapshotError::NameMismatch`]
+    /// or [`SnapshotError::ShapeMismatch`] describing the first difference.
+    pub fn load_moments(
+        &mut self,
+        store: &ParamStore,
+        first: &ParamSnapshot,
+        second: &ParamSnapshot,
+    ) -> Result<(), SnapshotError> {
+        check_layout(store.layout(), first)?;
+        check_layout(store.layout(), second)?;
+        let values = |snapshot: &ParamSnapshot| snapshot.entries().iter().map(|(_, t)| t.clone()).collect();
+        self.m = values(first);
+        self.v = values(second);
+        Ok(())
+    }
 }
 
-/// Activation fused into [`Tape::add_bias_act`], applied element-wise to
-/// `x + bias` in the same pass that adds the bias.
+/// The negative-side slope of [`Activation::LeakyRelu`] (the GAT convention).
+const LEAKY_SLOPE: f32 = 0.2;
+
+/// An element-wise activation: fused after a bias-add by
+/// [`Tape::add_bias_act`], or applied on its own by [`Tape::activate`].
 ///
-/// Each variant's derivative is computed **from the fused output** during the
-/// backward pass, which is exact for every variant here: ReLU and leaky ReLU
-/// (positive slope) preserve the sign of their input, and tanh/sigmoid
-/// derivatives are standard functions of the output. Fusion therefore changes
-/// neither the forward bits (same per-element `act(x + b)` arithmetic as the
-/// unfused two-op sequence) nor the backward bits.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FusedActivation {
-    /// No activation: `y = x + b`.
-    Identity,
+/// The backward pass takes each derivative **from the output** `y`, which is
+/// exact for every variant: ReLU and leaky ReLU (positive slope) keep the
+/// sign of their input — `y > 0 ⇔ x > 0`, NaN included — and the tanh and
+/// sigmoid derivatives are functions of `y`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum Activation {
+    /// Identity (no activation).
+    #[default]
+    Linear,
     /// Rectified linear unit.
     Relu,
-    /// Leaky rectified linear unit with the given positive negative-side
-    /// slope (the GAT convention is `0.2`).
-    LeakyRelu(f32),
+    /// Leaky rectified linear unit with slope 0.2 (GAT convention).
+    LeakyRelu,
     /// Hyperbolic tangent.
     Tanh,
     /// Logistic sigmoid.
     Sigmoid,
 }
 
-impl FusedActivation {
+impl Activation {
     #[inline]
     fn apply(self, x: f32) -> f32 {
         match self {
-            FusedActivation::Identity => x,
-            FusedActivation::Relu => x.max(0.0),
-            FusedActivation::LeakyRelu(s) => {
+            Activation::Linear => x,
+            Activation::Relu => x.max(0.0),
+            Activation::LeakyRelu => {
                 if x > 0.0 {
                     x
                 } else {
-                    s * x
+                    LEAKY_SLOPE * x
                 }
             }
-            FusedActivation::Tanh => x.tanh(),
-            FusedActivation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
+            Activation::Tanh => x.tanh(),
+            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
         }
     }
 
-    /// Derivative-times-upstream-gradient, computed from the fused output
-    /// `y` (valid because `y > 0 ⇔ x > 0` for ReLU/leaky-ReLU with positive
-    /// slope, and tanh/sigmoid gradients are functions of `y`).
-    #[inline]
-    fn grad_from_output(self, g: f32, y: f32) -> f32 {
+    /// Multiplies the upstream gradient `grad` in place by the derivative at
+    /// each element, read from the activation's `output`. The identity
+    /// leaves it as it is.
+    fn grad_from_output(self, grad: &mut Tensor, output: &Tensor) {
         match self {
-            FusedActivation::Identity => g,
-            FusedActivation::Relu => {
-                if y > 0.0 {
-                    g
-                } else {
-                    0.0
-                }
+            Activation::Linear => {}
+            Activation::Relu => grad.zip_assign(output, |g, y| if y > 0.0 { g } else { 0.0 }),
+            Activation::LeakyRelu => {
+                grad.zip_assign(output, |g, y| if y > 0.0 { g } else { LEAKY_SLOPE * g })
             }
-            FusedActivation::LeakyRelu(s) => {
-                if y > 0.0 {
-                    g
-                } else {
-                    s * g
-                }
-            }
-            FusedActivation::Tanh => g * (1.0 - y * y),
-            FusedActivation::Sigmoid => g * y * (1.0 - y),
+            Activation::Tanh => grad.zip_assign(output, |g, y| g * (1.0 - y * y)),
+            Activation::Sigmoid => grad.zip_assign(output, |g, y| g * y * (1.0 - y)),
         }
     }
 }
@@ -594,15 +525,11 @@ enum Op {
     Add(VarId, VarId),
     Sub(VarId, VarId),
     Mul(VarId, VarId),
-    AddBias(VarId, VarId),
-    AddBiasAct(VarId, VarId, FusedActivation),
+    AddBiasAct(VarId, VarId, Activation),
     Scale(VarId, f32),
     Neg(VarId),
     MatMul(VarId, VarId),
-    Relu(VarId),
-    LeakyRelu(VarId, f32),
-    Tanh(VarId),
-    Sigmoid(VarId),
+    Act(VarId, Activation),
     Exp(VarId),
     SumAll(VarId),
     MeanAll(VarId),
@@ -638,7 +565,6 @@ impl Op {
             Op::Add(a, b)
             | Op::Sub(a, b)
             | Op::Mul(a, b)
-            | Op::AddBias(a, b)
             | Op::AddBiasAct(a, b, _)
             | Op::MatMul(a, b)
             | Op::ConcatCols(a, b)
@@ -646,10 +572,7 @@ impl Op {
             Op::GatherScatterRows { a, scale, .. } => [Some(a), Some(scale)],
             Op::Scale(a, _)
             | Op::Neg(a)
-            | Op::Relu(a)
-            | Op::LeakyRelu(a, _)
-            | Op::Tanh(a)
-            | Op::Sigmoid(a)
+            | Op::Act(a, _)
             | Op::Exp(a)
             | Op::SumAll(a)
             | Op::MeanAll(a)
@@ -775,8 +698,8 @@ impl BufferPool {
 /// Dynamic autodiff tape.
 ///
 /// Every method that takes `VarId` arguments appends a new node recording the
-/// operation and its forward value; [`Tape::backward`] later replays the tape
-/// in reverse to accumulate parameter gradients.
+/// operation and its forward value; [`Tape::backward_into`] later replays the
+/// tape in reverse to accumulate parameter gradients.
 ///
 /// Tapes are arenas: [`Tape::recycle`] clears the node list while reclaiming
 /// every owned buffer into an internal pool, so a long-lived tape reused
@@ -822,13 +745,13 @@ impl Tape {
     /// # Examples
     ///
     /// ```
-    /// use xrlflow_tensor::{Tape, Tensor};
+    /// use xrlflow_tensor::{Activation, Tape, Tensor};
     ///
     /// let mut tape = Tape::new();
     /// for _ in 0..3 {
     ///     tape.recycle(); // no-op on the first pass, arena reset afterwards
     ///     let x = tape.constant(Tensor::ones(&[4, 4]));
-    ///     let y = tape.relu(x);
+    ///     let y = tape.activate(x, Activation::Relu);
     ///     assert_eq!(tape.value(y).shape(), &[4, 4]);
     /// }
     /// ```
@@ -971,10 +894,10 @@ impl Tape {
     /// applies `act` element-wise in the same pass.
     ///
     /// The per-element arithmetic is exactly `act(a[r][c] + bias[c])` — the
-    /// same sequence of operations an unfused bias-add (`Identity`) followed
-    /// by the activation performs — so fusing changes no bits, it only
-    /// removes one full intermediate materialisation per dense layer.
-    pub fn add_bias_act(&mut self, a: VarId, bias: VarId, act: FusedActivation) -> VarId {
+    /// same sequence of operations a plain bias-add ([`Activation::Linear`])
+    /// followed by [`Tape::activate`] performs — so fusing changes no bits,
+    /// it only removes one full intermediate materialisation per dense layer.
+    pub fn add_bias_act(&mut self, a: VarId, bias: VarId, act: Activation) -> VarId {
         let av = value_of(&self.nodes, a);
         let bv = value_of(&self.nodes, bias);
         let (rows, cols) = (av.rows(), av.cols());
@@ -986,11 +909,7 @@ impl Tape {
             data.extend(a_row.iter().zip(bv.data()).map(|(&x, &b)| act.apply(x + b)));
         }
         let t = Tensor::from_shape(data, Shape::from_dims(&[rows, cols]));
-        let op = match act {
-            FusedActivation::Identity => Op::AddBias(a, bias),
-            act => Op::AddBiasAct(a, bias, act),
-        };
-        self.push(op, t)
+        self.push(Op::AddBiasAct(a, bias, act), t)
     }
 
     /// Multiplies every element by a constant.
@@ -1020,24 +939,9 @@ impl Tape {
         self.push(Op::MatMul(a, b), t)
     }
 
-    /// Rectified linear unit.
-    pub fn relu(&mut self, a: VarId) -> VarId {
-        self.unary_map(Op::Relu(a), a, |x| x.max(0.0))
-    }
-
-    /// Leaky rectified linear unit with the given negative slope.
-    pub fn leaky_relu(&mut self, a: VarId, slope: f32) -> VarId {
-        self.unary_map(Op::LeakyRelu(a, slope), a, |x| if x > 0.0 { x } else { slope * x })
-    }
-
-    /// Hyperbolic tangent.
-    pub fn tanh(&mut self, a: VarId) -> VarId {
-        self.unary_map(Op::Tanh(a), a, f32::tanh)
-    }
-
-    /// Logistic sigmoid.
-    pub fn sigmoid(&mut self, a: VarId) -> VarId {
-        self.unary_map(Op::Sigmoid(a), a, |x| 1.0 / (1.0 + (-x).exp()))
+    /// Applies `act` element-wise.
+    pub fn activate(&mut self, a: VarId, act: Activation) -> VarId {
+        self.unary_map(Op::Act(a, act), a, |x| act.apply(x))
     }
 
     /// Element-wise exponential.
@@ -1363,40 +1267,14 @@ impl Tape {
         self.binary_zip(Op::Minimum(a, b), a, b, f32::min)
     }
 
-    /// Runs reverse-mode differentiation from `loss` (a scalar) and
-    /// accumulates gradients of all parameters into `store`.
+    /// Runs reverse-mode differentiation from `loss` (a scalar) and adds
+    /// every parameter's gradient contribution into its slot of `out`, in
+    /// reverse tape order.
     ///
-    /// # Panics
-    ///
-    /// Panics if `loss` is not a single-element variable.
-    pub fn backward(&self, loss: VarId, store: &mut ParamStore) {
-        self.backward_with(loss, &mut |pid, grad| store.accumulate(pid, grad));
-    }
-
-    /// Runs reverse-mode differentiation from `loss` (a scalar) and
-    /// accumulates parameter gradients into a detached [`GradBuffer`]
-    /// instead of a live [`ParamStore`].
-    ///
-    /// This is the worker-side primitive of the data-parallel PPO update:
-    /// each worker evaluates its transition shard on a private tape over the
-    /// shared, borrowed store and back-propagates into its own buffer, so no
-    /// thread ever mutates that store. Accumulation is identical to
-    /// [`Tape::backward`] (same reverse walk, same per-parameter add order),
-    /// so backing a loss into a zeroed buffer and
-    /// [`ParamStore::apply_grads`]-ing it produces bit-identical gradients
-    /// to backing the same tape into a freshly zeroed store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loss` is not a single-element variable, or when `grads`
-    /// was built for a different architecture.
-    pub fn backward_into(&self, loss: VarId, grads: &mut GradBuffer) {
-        self.backward_with(loss, &mut |pid, grad| grads.accumulate(pid, grad));
-    }
-
-    /// The shared reverse walk behind [`Tape::backward`] and
-    /// [`Tape::backward_into`]: `sink` receives every parameter-gradient
-    /// contribution, in reverse tape order.
+    /// The tape reads the store it imported parameters from and never
+    /// writes it, so a worker evaluating its transition shard on a private
+    /// tape over the shared, borrowed store back-propagates into its own
+    /// buffer — the worker-side primitive of the data-parallel PPO update.
     ///
     /// Three rules keep the walk cheap without moving a bit (ROADMAP tensor
     /// rule 5):
@@ -1412,7 +1290,12 @@ impl Tape {
     ///   gradient to two differentiable inputs (`Add`, `Sub`) copies.
     /// * **Per-element arithmetic and accumulation order are those of the
     ///   naive walk**, so parameter gradients are bit-identical to it.
-    fn backward_with(&self, loss: VarId, sink: &mut dyn FnMut(ParamId, &Tensor)) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `loss` is not a single-element variable, or when `out` was
+    /// built for a different architecture.
+    pub fn backward_into(&self, loss: VarId, out: &mut GradBuffer) {
         assert_eq!(self.value(loss).numel(), 1, "backward requires a scalar loss");
         if !self.nodes[loss.0].needs_grad {
             return;
@@ -1429,7 +1312,7 @@ impl Tape {
             let node = &self.nodes[i];
             match &node.op {
                 Op::Constant => {}
-                Op::Param(pid) => sink(*pid, &upstream),
+                Op::Param(pid) => out.accumulate(*pid, &upstream),
                 Op::Add(a, b) => {
                     if needs(*a) && needs(*b) {
                         accumulate(&mut grads, *a, upstream.clone());
@@ -1464,15 +1347,12 @@ impl Tape {
                         accumulate(&mut grads, *b, upstream);
                     }
                 }
-                Op::AddBias(a, bias) | Op::AddBiasAct(a, bias, _) => {
-                    if let Op::AddBiasAct(_, _, act) = node.op {
-                        // The gradient at the pre-activation sum, derived
-                        // from the fused output y (exact for every
-                        // FusedActivation variant — see its rustdoc); the
-                        // rest is the plain bias-add backward, the same
-                        // arithmetic in the same order as the unfused pair.
-                        upstream.zip_assign(node.value.tensor(), |g, yv| act.grad_from_output(g, yv));
-                    }
+                Op::AddBiasAct(a, bias, act) => {
+                    // The gradient at the pre-activation sum, derived from
+                    // the output (exact for every `Activation` — see its
+                    // rustdoc); the rest is the plain bias-add backward, the
+                    // same arithmetic in the same order as the unfused pair.
+                    act.grad_from_output(&mut upstream, node.value.tensor());
                     // It flows to `a` unchanged and column-sums into the bias.
                     let gb = needs(*bias).then(|| column_sums(&upstream, value_of(&self.nodes, *bias)));
                     if needs(*a) {
@@ -1507,21 +1387,8 @@ impl Tape {
                         accumulate(&mut grads, *b, gb);
                     }
                 }
-                Op::Relu(a) => {
-                    upstream.zip_assign(value_of(&self.nodes, *a), |g, x| if x > 0.0 { g } else { 0.0 });
-                    accumulate(&mut grads, *a, upstream);
-                }
-                Op::LeakyRelu(a, slope) => {
-                    let s = *slope;
-                    upstream.zip_assign(value_of(&self.nodes, *a), |g, x| if x > 0.0 { g } else { s * g });
-                    accumulate(&mut grads, *a, upstream);
-                }
-                Op::Tanh(a) => {
-                    upstream.zip_assign(node.value.tensor(), |g, y| g * (1.0 - y * y));
-                    accumulate(&mut grads, *a, upstream);
-                }
-                Op::Sigmoid(a) => {
-                    upstream.zip_assign(node.value.tensor(), |g, y| g * y * (1.0 - y));
+                Op::Act(a, act) => {
+                    act.grad_from_output(&mut upstream, node.value.tensor());
                     accumulate(&mut grads, *a, upstream);
                 }
                 Op::Exp(a) => {
@@ -1798,9 +1665,9 @@ mod tests {
         let x = tape.param(&store, pid);
         let loss = build(&mut tape, &store, pid);
         let _ = x;
-        store.zero_grad();
-        tape.backward(loss, &mut store);
-        let analytic = store.grad(pid).clone();
+        let mut grads = GradBuffer::zeros_like(&store);
+        tape.backward_into(loss, &mut grads);
+        let analytic = grads.grad(pid).clone();
 
         let eps = 1e-3;
         for i in 0..initial.numel() {
@@ -1831,13 +1698,13 @@ mod tests {
     /// One Adam-driven training step on a tiny store, used by the
     /// exact-resume tests below.
     fn adam_step_on(store: &mut ParamStore, adam: &mut Adam, pid: ParamId, grad: f32) {
-        store.zero_grad();
-        store.accumulate(pid, &Tensor::from_vec(vec![grad], &[1]));
-        adam.step(store);
+        let mut grads = GradBuffer::zeros_like(store);
+        grads.accumulate(pid, &Tensor::from_vec(vec![grad], &[1]));
+        adam.step(store, &grads);
     }
 
     #[test]
-    fn adam_snapshot_round_trip_resumes_bit_identically() {
+    fn adam_moments_round_trip_resumes_bit_identically() {
         let mut store = ParamStore::new();
         let mut adam = Adam::new(0.1);
         let pid = store.register("w", Tensor::from_vec(vec![1.0], &[1]));
@@ -1846,7 +1713,7 @@ mod tests {
 
         // Capture the complete optimiser state mid-run.
         let params = store.snapshot();
-        let (m, v) = store.adam_snapshot();
+        let (m, v) = adam.moments(&store);
         let steps = adam.steps();
 
         // Continue the original run two more steps.
@@ -1859,7 +1726,7 @@ mod tests {
         let mut resumed_adam = Adam::new(0.1);
         let rid = resumed.register("w", Tensor::from_vec(vec![0.0], &[1]));
         resumed.load_snapshot(&params).unwrap();
-        resumed.load_adam_snapshot(&m, &v).unwrap();
+        resumed_adam.load_moments(&resumed, &m, &v).unwrap();
         resumed_adam.set_steps(steps);
         adam_step_on(&mut resumed, &mut resumed_adam, rid, 0.125);
         adam_step_on(&mut resumed, &mut resumed_adam, rid, 0.0625);
@@ -1872,35 +1739,33 @@ mod tests {
     }
 
     #[test]
-    fn load_adam_snapshot_is_all_or_nothing() {
+    fn load_moments_is_all_or_nothing() {
         let mut store = ParamStore::new();
         let mut adam = Adam::new(0.1);
         let pid = store.register("w", Tensor::from_vec(vec![1.0], &[1]));
         adam_step_on(&mut store, &mut adam, pid, 0.5);
-        let (good_m, good_v) = store.adam_snapshot();
+        let (good_m, good_v) = adam.moments(&store);
 
         // Second moments from a different architecture: nothing may be
         // adopted, not even the (valid) first moments.
         let bad_v = ParamSnapshot::new(vec![("w".into(), Tensor::zeros(&[2]))]);
-        let before = store.adam_snapshot();
+        let before = adam.moments(&store);
         assert!(matches!(
-            store.load_adam_snapshot(&good_m, &bad_v),
+            adam.load_moments(&store, &good_m, &bad_v),
             Err(SnapshotError::ShapeMismatch { .. })
         ));
-        let after = store.adam_snapshot();
-        assert_eq!(before.0.entries()[0].1.data(), after.0.entries()[0].1.data());
-        assert_eq!(before.1.entries()[0].1.data(), after.1.entries()[0].1.data());
+        assert_eq!(adam.moments(&store), before);
 
         // Wrong name errors too.
         let bad_name = ParamSnapshot::new(vec![("b".into(), Tensor::zeros(&[1]))]);
         assert!(matches!(
-            store.load_adam_snapshot(&bad_name, &good_v),
+            adam.load_moments(&store, &bad_name, &good_v),
             Err(SnapshotError::NameMismatch { .. })
         ));
         // Wrong count errors.
         let empty = ParamSnapshot::new(vec![]);
         assert!(matches!(
-            store.load_adam_snapshot(&empty, &good_v),
+            adam.load_moments(&store, &empty, &good_v),
             Err(SnapshotError::CountMismatch { .. })
         ));
     }
@@ -1925,7 +1790,7 @@ mod tests {
                 let w = tape.param(store, pid);
                 let x = tape.constant(Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0], &[2, 3]));
                 let y = tape.matmul(x, w);
-                let z = tape.relu(y);
+                let z = tape.activate(y, Activation::Relu);
                 tape.sum_all(z)
             },
             Tensor::from_vec(vec![0.5, -0.5, 1.0, 0.3, -1.0, 0.7], &[3, 2]),
@@ -1938,8 +1803,8 @@ mod tests {
         check_gradient(
             |tape, store, pid| {
                 let x = tape.param(store, pid);
-                let t = tape.tanh(x);
-                let s = tape.sigmoid(t);
+                let t = tape.activate(x, Activation::Tanh);
+                let s = tape.activate(t, Activation::Sigmoid);
                 let e = tape.exp(s);
                 tape.sum_all(e)
             },
@@ -1997,7 +1862,7 @@ mod tests {
             |tape, store, pid| {
                 let x = tape.param(store, pid);
                 let b = tape.constant(Tensor::from_vec(vec![0.5, -0.5], &[2]));
-                let y = tape.add_bias_act(x, b, FusedActivation::Identity);
+                let y = tape.add_bias_act(x, b, Activation::Linear);
                 let z = tape.concat_cols(x, y);
                 let s = tape.mul(z, z);
                 tape.sum_all(s)
@@ -2007,15 +1872,12 @@ mod tests {
         );
     }
 
+    const ACTIVATIONS: [Activation; 5] =
+        [Activation::Linear, Activation::Relu, Activation::LeakyRelu, Activation::Tanh, Activation::Sigmoid];
+
     #[test]
     fn grad_of_fused_bias_activations() {
-        for act in [
-            FusedActivation::Identity,
-            FusedActivation::Relu,
-            FusedActivation::LeakyRelu(0.2),
-            FusedActivation::Tanh,
-            FusedActivation::Sigmoid,
-        ] {
+        for act in ACTIVATIONS {
             check_gradient(
                 |tape, store, pid| {
                     let x = tape.param(store, pid);
@@ -2030,48 +1892,110 @@ mod tests {
         }
     }
 
-    /// The fused bias+activation op must match the unfused pair to the bit,
-    /// both forward and backward.
-    fn assert_fused_matches_unfused(act: FusedActivation, apply_unfused: impl Fn(&mut Tape, VarId) -> VarId) {
-        let mut store = ParamStore::new();
-        let x = store.register("x", Tensor::from_vec(vec![0.5, -1.5, 2.0, -0.25, 0.0, 1.0], &[3, 2]));
-        let b = store.register("b", Tensor::from_vec(vec![0.3, -0.6], &[2]));
-
-        let mut fused_tape = Tape::new();
-        let xf = fused_tape.param(&store, x);
-        let bf = fused_tape.param(&store, b);
-        let yf = fused_tape.add_bias_act(xf, bf, act);
-        let lossf = fused_tape.sum_all(yf);
-        let mut fused_grads = GradBuffer::zeros_like(&store);
-        fused_tape.backward_into(lossf, &mut fused_grads);
-
-        let mut tape = Tape::new();
-        let xu = tape.param(&store, x);
-        let bu = tape.param(&store, b);
-        let z = tape.add_bias_act(xu, bu, FusedActivation::Identity);
-        let yu = apply_unfused(&mut tape, z);
-        let lossu = tape.sum_all(yu);
-        let mut grads = GradBuffer::zeros_like(&store);
-        tape.backward_into(lossu, &mut grads);
-
-        let (fv, uv) = (fused_tape.value(yf), tape.value(yu));
-        assert_eq!(fv.shape(), uv.shape());
-        for (a, b) in fv.data().iter().zip(uv.data()) {
-            assert_eq!(a.to_bits(), b.to_bits(), "{act:?}: fused forward diverges");
-        }
-        for pid in [x, b] {
-            for (a, b) in fused_grads.grad(pid).data().iter().zip(grads.grad(pid).data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{act:?}: fused backward diverges");
+    /// The derivative the standalone activation ops took from their *input*
+    /// before `Op::Act` took it from the output.
+    fn grad_from_input(act: Activation, g: f32, x: f32) -> f32 {
+        match act {
+            Activation::Linear => g,
+            Activation::Relu => {
+                if x > 0.0 {
+                    g
+                } else {
+                    0.0
+                }
+            }
+            Activation::LeakyRelu => {
+                if x > 0.0 {
+                    g
+                } else {
+                    LEAKY_SLOPE * g
+                }
+            }
+            Activation::Tanh => {
+                let y = x.tanh();
+                g * (1.0 - y * y)
+            }
+            Activation::Sigmoid => {
+                let y = 1.0 / (1.0 + (-x).exp());
+                g * y * (1.0 - y)
             }
         }
     }
 
+    /// Bit equality, except that a NaN only has to meet a NaN: Rust leaves
+    /// the sign and payload of a NaN *result* unspecified, and an optimised
+    /// build may commute a product of two NaNs, so two compiled copies of
+    /// one formula can disagree on them.
+    fn same_bits(got: f32, want: f32) -> bool {
+        got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
+    /// Taking the derivative from the output moves no bit against taking it
+    /// from the input, over ±0, subnormals, ±inf and NaN: every input meets
+    /// every upstream gradient, for every non-linear variant.
     #[test]
-    fn fused_bias_activation_is_bit_identical_to_unfused() {
-        assert_fused_matches_unfused(FusedActivation::Relu, |t, z| t.relu(z));
-        assert_fused_matches_unfused(FusedActivation::LeakyRelu(0.2), |t, z| t.leaky_relu(z, 0.2));
-        assert_fused_matches_unfused(FusedActivation::Tanh, |t, z| t.tanh(z));
-        assert_fused_matches_unfused(FusedActivation::Sigmoid, |t, z| t.sigmoid(z));
+    fn act_backward_from_the_output_matches_the_input_based_derivative() {
+        let subnormal = f32::from_bits(1);
+        let inputs = [
+            0.0,
+            -0.0,
+            subnormal,
+            -subnormal,
+            f32::MIN_POSITIVE / 3.0,
+            -f32::MIN_POSITIVE / 3.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1e-30,
+            -1e-30,
+            0.5,
+            -0.75,
+            3.0,
+            -3.0,
+            20.0,
+            -20.0,
+            100.0,
+            -100.0,
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+        ];
+        let upstream = [1.0, -2.5, 0.0, -0.0, subnormal, 1e30, f32::INFINITY, f32::NAN];
+        let (x, g): (Vec<f32>, Vec<f32>) =
+            inputs.iter().flat_map(|&x| upstream.iter().map(move |&g| (x, g))).unzip();
+        let n = x.len();
+        for act in &ACTIVATIONS[1..] {
+            let mut tape = Tape::new();
+            let xv = tape.constant(Tensor::from_vec(x.clone(), &[n]));
+            let y = tape.activate(xv, *act);
+            let mut grad = Tensor::from_vec(g.clone(), &[n]);
+            act.grad_from_output(&mut grad, tape.value(y));
+            for i in 0..n {
+                let (got, want) = (grad.data()[i], grad_from_input(*act, g[i], x[i]));
+                assert!(
+                    same_bits(got, want),
+                    "{act:?} at x = {:e}, g = {:e}: {got:e} from the output, {want:e} from the input",
+                    x[i],
+                    g[i]
+                );
+            }
+
+            // The tape's reverse walk applies the same derivative: through
+            // `Σ act(x) ⊙ g` the parameter receives `0.0 + (1.0·g)·act'(x)`.
+            let mut store = ParamStore::new();
+            let pid = store.register("x", Tensor::from_vec(x.clone(), &[n]));
+            let mut tape = Tape::new();
+            let xv = tape.param(&store, pid);
+            let y = tape.activate(xv, *act);
+            let (_, grads) =
+                value_and_weighted_grads(&mut tape, y, &Tensor::from_vec(g.clone(), &[n]), &store);
+            for i in 0..n {
+                let (got, want) = (grads.grad(pid).data()[i], 0.0 + grad_from_input(*act, 1.0 * g[i], x[i]));
+                assert!(same_bits(got, want), "{act:?} on the tape at {i}: {got:e}, expected {want:e}");
+            }
+        }
     }
 
     /// A recycled tape must reproduce the exact bits of a fresh tape: the
@@ -2081,8 +2005,8 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.register("w", Tensor::from_vec(vec![0.5, -1.0, 0.25, 2.0], &[2, 2]));
 
-        let run = |tape: &mut Tape, store: &mut ParamStore| -> (Vec<f32>, Vec<f32>) {
-            let wv = tape.param(store, w);
+        let run = |tape: &mut Tape| -> (Vec<f32>, Vec<f32>) {
+            let wv = tape.param(&store, w);
             let x = tape.constant_copied(&Tensor::from_vec(vec![1.0, 2.0, -3.0, 0.5], &[2, 2]));
             let h = tape.matmul(x, wv);
             let g = tape.gather_rows(h, &[1, 0, 1]);
@@ -2093,18 +2017,18 @@ mod tests {
             let weighted = tape.gather_scatter_rows(s, sm, &[0, 1], &[0, 1], 2);
             let pooled = tape.sum_rows(weighted);
             let loss = tape.sum_all(pooled);
-            store.zero_grad();
-            tape.backward(loss, store);
-            (tape.value(loss).data().to_vec(), store.grad(w).data().to_vec())
+            let mut grads = GradBuffer::zeros_like(&store);
+            tape.backward_into(loss, &mut grads);
+            (tape.value(loss).data().to_vec(), grads.grad(w).data().to_vec())
         };
 
         let mut fresh = Tape::new();
-        let (loss_fresh, grad_fresh) = run(&mut fresh, &mut store);
+        let (loss_fresh, grad_fresh) = run(&mut fresh);
 
         let mut recycled = Tape::new();
         for _ in 0..3 {
             recycled.recycle();
-            let (loss_r, grad_r) = run(&mut recycled, &mut store);
+            let (loss_r, grad_r) = run(&mut recycled);
             assert_eq!(
                 loss_r.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 loss_fresh.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
@@ -2462,7 +2386,7 @@ mod tests {
                 .collect();
             let (wv, bv, hv) = (tape.param(&store, w), tape.param(&store, b), tape.param(&store, head));
             let xw = tape.matmul(leaf[0], wv);
-            let h = tape.add_bias_act(xw, bv, FusedActivation::Tanh);
+            let h = tape.add_bias_act(xw, bv, Activation::Tanh);
             let wide = tape.concat_cols(h, leaf[1]);
             let score = tape.matmul(wide, hv);
             let gained = tape.mul(score, leaf[2]);
@@ -2569,6 +2493,7 @@ mod tests {
         let mut store = ParamStore::new();
         let w = store.register("w", Tensor::from_vec(vec![10.0, -4.0], &[2]));
         let mut adam = Adam::new(0.2);
+        let mut grads = GradBuffer::zeros_like(&store);
         for _ in 0..300 {
             let mut tape = Tape::new();
             let wv = tape.param(&store, w);
@@ -2576,9 +2501,9 @@ mod tests {
             let diff = tape.sub(wv, target);
             let sq = tape.mul(diff, diff);
             let loss = tape.sum_all(sq);
-            store.zero_grad();
-            tape.backward(loss, &mut store);
-            adam.step(&mut store);
+            grads.zero_fill();
+            tape.backward_into(loss, &mut grads);
+            adam.step(&mut store, &grads);
         }
         let v = store.value(w);
         assert!((v.data()[0] - 1.0).abs() < 0.05, "got {:?}", v);
@@ -2593,10 +2518,16 @@ mod tests {
         let wv = tape.param(&store, w);
         let sq = tape.mul(wv, wv);
         let loss = tape.sum_all(sq);
-        tape.backward(loss, &mut store);
-        assert!(store.grad_norm() > 10.0);
-        store.clip_grad_norm(1.0);
-        assert!((store.grad_norm() - 1.0).abs() < 1e-4);
+        let mut grads = GradBuffer::zeros_like(&store);
+        tape.backward_into(loss, &mut grads);
+        let before = grads.norm();
+        assert!(before > 10.0);
+        assert_eq!(grads.clip_norm(1.0).to_bits(), before.to_bits(), "clip_norm returns the pre-clip norm");
+        assert!((grads.norm() - 1.0).abs() < 1e-4);
+        // Under the bound nothing is scaled.
+        let clipped = grads.clone();
+        grads.clip_norm(2.0);
+        assert_eq!(grads, clipped);
     }
 
     #[test]
@@ -2632,18 +2563,6 @@ mod tests {
     }
 
     #[test]
-    fn backward_into_matches_backward_bit_for_bit() {
-        let (mut store, w, b, tape, loss) = grad_buffer_fixture();
-        store.zero_grad();
-        tape.backward(loss, &mut store);
-        let mut buffer = GradBuffer::zeros_like(&store);
-        tape.backward_into(loss, &mut buffer);
-        assert_eq!(store.grad(w).data(), buffer.grad(w).data());
-        assert_eq!(store.grad(b).data(), buffer.grad(b).data());
-        assert_eq!(store.grad_norm().to_bits(), buffer.norm().to_bits());
-    }
-
-    #[test]
     fn grad_buffer_merge_accumulates_in_order() {
         let (store, w, b, tape, loss) = grad_buffer_fixture();
         let mut single = GradBuffer::zeros_like(&store);
@@ -2666,27 +2585,13 @@ mod tests {
     }
 
     #[test]
-    fn apply_grads_overwrites_the_store_gradients() {
-        let (mut store, w, b, tape, loss) = grad_buffer_fixture();
-        // Pre-existing gradients must not leak into the applied result.
-        store.zero_grad();
-        tape.backward(loss, &mut store);
-        let mut buffer = GradBuffer::zeros_like(&store);
-        buffer.accumulate(w, &Tensor::from_vec(vec![1.0, 2.0], &[2]));
-        store.apply_grads(&buffer);
-        assert_eq!(store.grad(w).data(), &[1.0, 2.0]);
-        assert_eq!(store.grad(b).data(), &[0.0]);
-        assert_eq!(store.grad_norm().to_bits(), buffer.norm().to_bits());
-    }
-
-    #[test]
     #[should_panic(expected = "parameter count mismatch")]
-    fn apply_grads_rejects_mismatched_buffers() {
+    fn adam_step_rejects_mismatched_buffers() {
         let mut store = ParamStore::new();
         store.register("w", Tensor::zeros(&[2]));
         let other = ParamStore::new();
         let buffer = GradBuffer::zeros_like(&other);
-        store.apply_grads(&buffer);
+        Adam::new(0.1).step(&mut store, &buffer);
     }
 
     #[test]
@@ -2699,8 +2604,8 @@ mod tests {
         let b = tape.param(&store, w);
         let prod = tape.mul(a, b); // w^2 -> grad 2w = 6
         let loss = tape.sum_all(prod);
-        store.zero_grad();
-        tape.backward(loss, &mut store);
-        assert!((store.grad(w).item() - 6.0).abs() < 1e-5);
+        let mut grads = GradBuffer::zeros_like(&store);
+        tape.backward_into(loss, &mut grads);
+        assert!((grads.grad(w).item() - 6.0).abs() < 1e-5);
     }
 }
