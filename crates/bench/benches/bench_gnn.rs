@@ -8,7 +8,8 @@
 //! observed graph's encoder rows from the step before (`carried`) against
 //! the same step encoding the whole graph (`cold`) — and, on its own, the
 //! readout both kinds of step end with (`readout/*`: the `K + 1` per-graph
-//! row sums).
+//! row sums) — and what tape recycling buys on one InceptionV3
+//! `encode_candidates` pass (`tape/*`).
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -142,6 +143,35 @@ fn main() {
         report(&format!("policy_evaluation/carried/{}", kind.name()), carried_ns);
         report_ratio(&format!("policy_evaluation/carry_speedup/{}", kind.name()), cold_ns / carried_ns);
     }
+
+    // Tape recycling at the scale where PR 15 saw it pay: one InceptionV3
+    // `encode_candidates` pass (the current graph and every candidate, the
+    // forward half of a transition) on a fresh tape per pass against one
+    // recycled tape.
+    println!("\n== tape: fresh vs recycled over one InceptionV3 encode_candidates pass ==");
+    let inception = build_model(ModelKind::InceptionV3, ModelScale::Bench).unwrap();
+    let features = GraphFeatures::from_graph(&inception);
+    let deltas: Vec<_> = RuleSet::standard()
+        .generate_candidates(&inception, max_candidates)
+        .iter()
+        .map(|c| GraphFeatures::delta_from_base_and_patch(&inception, &features, c.patch()))
+        .collect();
+    let mut store = ParamStore::new();
+    let encoder = GnnEncoder::new(&mut store, config.encoder, &mut XorShiftRng::new(0));
+    let pass = |tape: &mut Tape| {
+        let z = encoder.encode_candidates(tape, &store, &features, &deltas);
+        tape.value(z).numel()
+    };
+    let iters = iters.max(20);
+    let fresh = time_ns(2, iters, || pass(&mut Tape::new()));
+    let mut tape = Tape::new();
+    let recycled = time_ns(2, iters, || {
+        tape.recycle();
+        pass(&mut tape)
+    });
+    report("tape/encode_candidates_fresh/InceptionV3", fresh);
+    report("tape/encode_candidates_recycled/InceptionV3", recycled);
+    report_ratio("tape/recycle_speedup/InceptionV3", fresh / recycled);
 
     finish("bench_gnn");
 }

@@ -1,10 +1,11 @@
 //! Micro-benchmarks for the tensor hot paths: the tiled matmul kernels at
 //! real GAT-layer shapes (against the retained naive reference), the
-//! transposed-RHS backward kernel against materialising a transpose, the
-//! backward kernels (`Aᵀ·G`, the `q = 1` outer product) at model shapes, a full
-//! tape forward/backward step on a fresh tape vs a recycled one, and the
-//! gradient-buffer pooling primitives behind the PPO update's index-ordered
-//! merge.
+//! backward kernels (`G·Bᵀ` in each of its forms, `Aᵀ·G`, the `q = 1` outer
+//! product) at the shapes the reverse walk multiplies, a full tape
+//! forward/backward step on a recycled tape, and the gradient-buffer pooling
+//! primitives behind the PPO update's index-ordered merge. (Fresh against
+//! recycled tapes is timed in `bench_gnn`, at the InceptionV3 scale where
+//! PR 15 saw recycling pay.)
 
 use xrlflow_bench::{finish, iters_from_env, report, report_ratio, time_ns};
 use xrlflow_tensor::{GradBuffer, Mlp, ParamStore, Tape, Tensor, XorShiftRng};
@@ -41,16 +42,19 @@ fn main() {
         report_ratio(&format!("matmul/tiled_speedup/{m}x{k}x{n}"), naive / tiled);
     }
 
-    // The backward pass's right-hand-side gradient: multiplying by Bᵀ
-    // without ever materialising the transpose.
-    println!("\n== matmul backward: transposed-RHS kernel vs transpose-then-matmul ==");
-    let grad = random_tensor(&mut rng, &[256, 64]);
-    let weight = random_tensor(&mut rng, &[64, 64]);
-    let fused = time_ns(2, iters, || grad.matmul_transposed_rhs(&weight).sum());
-    let materialised = time_ns(2, iters, || grad.matmul(&weight.transpose()).sum());
-    report("matmul/transposed_rhs/256x64x64", fused);
-    report("matmul/transpose_then_matmul/256x64x64", materialised);
-    report_ratio("matmul/transposed_rhs_speedup/256x64x64", materialised / fused);
+    // The backward pass's input gradient `G·Bᵀ` at the shapes one
+    // transition's reverse walk multiplies: a head layer's single row (the
+    // value head, `[1, 64] × [32, 64]ᵀ`), a policy-head block of candidate
+    // rows (`[K + 1, 64] × [64, 64]ᵀ` for K candidates) and a GAT
+    // layer over a candidate block's ~400 rows (`[400, 32] × [32, 32]ᵀ`).
+    println!("\n== matmul backward: G·Bᵀ at reverse-walk shapes ==");
+    for (m, q, n) in [(1usize, 64usize, 32usize), (15, 64, 64), (400, 32, 32)] {
+        let g = random_tensor(&mut rng, &[m, q]);
+        let b = random_tensor(&mut rng, &[n, q]);
+        let shape_iters = iters * (400 * 32 * 32 / (m * q * n)).clamp(1, 16);
+        let ns = time_ns(2, shape_iters, || g.matmul_transposed_rhs(&b));
+        report(&format!("matmul/transposed_rhs/{m}x{q}x{n}"), ns);
+    }
 
     // The backward kernels at the shapes one transition's reverse walk
     // multiplies (bench encoder, H = 32): every weight gradient is an
@@ -74,9 +78,9 @@ fn main() {
     report("backward/outer_product/400x1x32", outer);
 
     // One full train step (forward + backward) through an MLP of the policy
-    // head's published size, on a fresh tape per step vs one recycled tape —
-    // the allocation-free steady state the training stack runs in.
-    println!("\n== tape train step: fresh tape vs recycled arena ==");
+    // head's published size on one recycled tape — the allocation-free
+    // steady state the training stack runs in.
+    println!("\n== tape train step ==");
     let mut store = ParamStore::new();
     let mlp = Mlp::new(&mut store, "bench", &[64, 256, 64, 1], &mut rng);
     let x = random_tensor(&mut rng, &[32, 64]);
@@ -84,23 +88,18 @@ fn main() {
     let mut train_step = |tape: &mut Tape| {
         let input = tape.constant_copied(&x);
         let out = mlp.forward(tape, &store, input);
-        let loss = tape.mean_all(out);
+        let sum = tape.sum_all(out);
+        let loss = tape.scale(sum, 1.0 / 32.0); // the mean over the batch
         grads.zero_fill();
         tape.backward_into(loss, &mut grads);
         tape.value(loss).item()
     };
-    let fresh = time_ns(2, iters, || {
-        let mut tape = Tape::new();
+    let mut tape = Tape::new();
+    let step = time_ns(2, iters, || {
+        tape.recycle();
         train_step(&mut tape)
     });
-    let mut arena = Tape::new();
-    let recycled = time_ns(2, iters, || {
-        arena.recycle();
-        train_step(&mut arena)
-    });
-    report("tape/train_step_fresh", fresh);
-    report("tape/train_step_recycled", recycled);
-    report_ratio("tape/recycle_speedup", fresh / recycled);
+    report("tape/train_step", step);
 
     // The PPO update's gradient-buffer primitives: allocating a buffer per
     // transition vs zero-filling a pooled one, and the position-ordered merge.

@@ -97,30 +97,24 @@ impl XrlflowConfig {
             .max(1)
     }
 
-    /// Starts a validating builder seeded with the paper configuration.
-    ///
-    /// The presets ([`XrlflowConfig::paper`], [`XrlflowConfig::bench`],
-    /// [`XrlflowConfig::smoke_test`]) stay infallible; the builder is the
-    /// boundary-facing path for externally supplied settings, rejecting
-    /// degenerate values (zero workers, episodes, batch sizes, …) with a
-    /// typed [`ConfigError`] instead of panicking deep inside training.
+    /// Checks the configuration for degenerate values (zero workers,
+    /// episodes, batch sizes, …), returning a typed [`ConfigError`] instead
+    /// of panicking deep inside training. Presets always pass; this is the
+    /// boundary-facing check for externally supplied settings.
     ///
     /// # Examples
     ///
     /// ```
     /// use xrlflow_core::XrlflowConfig;
     ///
-    /// let cfg = XrlflowConfig::builder().training_episodes(50).num_workers(2).build().unwrap();
-    /// assert_eq!(cfg.training_episodes, 50);
-    /// assert!(XrlflowConfig::builder().num_workers(0).build().is_err());
+    /// let cfg = XrlflowConfig { training_episodes: 50, num_workers: 2, ..XrlflowConfig::paper() };
+    /// assert!(cfg.validate().is_ok());
+    /// assert!(XrlflowConfig { num_workers: 0, ..cfg }.validate().is_err());
     /// ```
-    pub fn builder() -> XrlflowConfigBuilder {
-        XrlflowConfigBuilder { config: XrlflowConfig::paper() }
-    }
-
-    /// Checks the configuration for degenerate values. Presets always pass;
-    /// hand-assembled configurations can use this before handing the value
-    /// to a trainer or service.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`ConfigError`] naming the first degenerate field.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let positive = |field: &'static str, value: usize| {
             if value == 0 {
@@ -163,7 +157,7 @@ impl XrlflowConfig {
     }
 }
 
-/// A rejected [`XrlflowConfigBuilder::build`]: which field failed and why.
+/// A rejected [`XrlflowConfig::validate`]: which field failed and why.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConfigError {
     /// Dotted path of the offending field (e.g. `"ppo.batch_size"`).
@@ -179,77 +173,6 @@ impl std::fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
-
-/// Validating builder for [`XrlflowConfig`] — see [`XrlflowConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct XrlflowConfigBuilder {
-    config: XrlflowConfig,
-}
-
-impl XrlflowConfigBuilder {
-    /// Starts from an existing configuration instead of the paper preset.
-    pub fn from_config(config: XrlflowConfig) -> Self {
-        Self { config }
-    }
-
-    /// Sets the total number of training episodes.
-    pub fn training_episodes(mut self, episodes: usize) -> Self {
-        self.config.training_episodes = episodes;
-        self
-    }
-
-    /// Sets the rollout worker count.
-    pub fn num_workers(mut self, workers: usize) -> Self {
-        self.config.num_workers = workers;
-        self
-    }
-
-    /// Sets the PPO hyper-parameters wholesale.
-    pub fn ppo(mut self, ppo: PpoHyperParams) -> Self {
-        self.config.ppo = ppo;
-        self
-    }
-
-    /// Sets the PPO mini-batch size.
-    pub fn batch_size(mut self, batch_size: usize) -> Self {
-        self.config.ppo.batch_size = batch_size;
-        self
-    }
-
-    /// Sets the PPO learning rate.
-    pub fn learning_rate(mut self, learning_rate: f32) -> Self {
-        self.config.ppo.learning_rate = learning_rate;
-        self
-    }
-
-    /// Sets the GNN encoder configuration.
-    pub fn encoder(mut self, encoder: EncoderConfig) -> Self {
-        self.config.encoder = encoder;
-        self
-    }
-
-    /// Sets the MLP head hidden sizes.
-    pub fn head_dims(mut self, head_dims: Vec<usize>) -> Self {
-        self.config.head_dims = head_dims;
-        self
-    }
-
-    /// Sets the environment configuration.
-    pub fn env(mut self, env: EnvConfig) -> Self {
-        self.config.env = env;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`ConfigError`] naming the first degenerate field.
-    pub fn build(self) -> Result<XrlflowConfig, ConfigError> {
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
 
 impl Default for XrlflowConfig {
     fn default() -> Self {
@@ -324,41 +247,31 @@ mod tests {
     }
 
     #[test]
-    fn builder_accepts_valid_overrides() {
-        let cfg = XrlflowConfig::builder()
-            .training_episodes(12)
-            .num_workers(3)
-            .batch_size(4)
-            .head_dims(vec![32])
-            .build()
-            .unwrap();
-        assert_eq!(cfg.training_episodes, 12);
-        assert_eq!(cfg.num_workers, 3);
-        assert_eq!(cfg.ppo.batch_size, 4);
-        assert_eq!(cfg.head_dims, vec![32]);
+    fn validate_accepts_valid_overrides() {
+        let mut cfg = XrlflowConfig { training_episodes: 12, num_workers: 3, ..XrlflowConfig::paper() };
+        cfg.ppo.batch_size = 4;
+        cfg.head_dims = vec![32];
+        cfg.validate().unwrap();
     }
 
     #[test]
-    fn builder_rejects_degenerate_values() {
-        let cases: Vec<(XrlflowConfigBuilder, &str)> = vec![
-            (XrlflowConfig::builder().training_episodes(0), "training_episodes"),
-            (XrlflowConfig::builder().num_workers(0), "num_workers"),
-            (XrlflowConfig::builder().batch_size(0), "ppo.batch_size"),
-            (XrlflowConfig::builder().head_dims(vec![]), "head_dims"),
-            (XrlflowConfig::builder().head_dims(vec![64, 0]), "head_dims"),
-            (XrlflowConfig::builder().learning_rate(0.0), "ppo.learning_rate"),
-            (XrlflowConfig::builder().learning_rate(f32::NAN), "ppo.learning_rate"),
-            (
-                XrlflowConfig::builder().encoder(EncoderConfig { hidden_dim: 0, num_gat_layers: 1 }),
-                "encoder.hidden_dim",
-            ),
-            (
-                XrlflowConfig::builder().env(EnvConfig { max_steps: 0, ..EnvConfig::default() }),
-                "env.max_steps",
-            ),
+    fn validate_rejects_degenerate_values() {
+        type Degrade = fn(&mut XrlflowConfig);
+        let cases: [(Degrade, &str); 9] = [
+            (|c| c.training_episodes = 0, "training_episodes"),
+            (|c| c.num_workers = 0, "num_workers"),
+            (|c| c.ppo.batch_size = 0, "ppo.batch_size"),
+            (|c| c.head_dims = vec![], "head_dims"),
+            (|c| c.head_dims = vec![64, 0], "head_dims"),
+            (|c| c.ppo.learning_rate = 0.0, "ppo.learning_rate"),
+            (|c| c.ppo.learning_rate = f32::NAN, "ppo.learning_rate"),
+            (|c| c.encoder = EncoderConfig { hidden_dim: 0, num_gat_layers: 1 }, "encoder.hidden_dim"),
+            (|c| c.env = EnvConfig { max_steps: 0, ..EnvConfig::default() }, "env.max_steps"),
         ];
-        for (builder, field) in cases {
-            let err = builder.build().expect_err(field);
+        for (degrade, field) in cases {
+            let mut config = XrlflowConfig::paper();
+            degrade(&mut config);
+            let err = config.validate().expect_err(field);
             assert_eq!(err.field, field);
             assert!(err.to_string().contains(field));
         }

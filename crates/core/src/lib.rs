@@ -42,7 +42,7 @@ mod train_state;
 mod trainer;
 
 pub use agent::{policy_steps_counted, AgentDecision, PolicyEpisode, PolicyEvaluation, XrlflowAgent};
-pub use config::{ConfigError, HyperParameterTable, XrlflowConfig, XrlflowConfigBuilder};
+pub use config::{ConfigError, HyperParameterTable, XrlflowConfig};
 pub use optimizer::{greedy_optimize, XrlflowResult};
 pub use train_state::{
     latest_train_state, prune_train_states, train_state_path, TrainState, TRAIN_STATE_EXTENSION,

@@ -26,24 +26,11 @@ pub struct EnvConfig {
     /// Constant reward granted on steps without a latency measurement
     /// (the paper uses 0.1 to encourage continued exploration).
     pub exploration_bonus: f32,
-    /// When `true`, invalid actions terminate the episode with a penalty
-    /// instead of being masked (the paper's ablation alternative; masking is
-    /// the default).
-    pub penalty_mode: bool,
-    /// Penalty applied in `penalty_mode`.
-    pub invalid_action_penalty: f32,
 }
 
 impl Default for EnvConfig {
     fn default() -> Self {
-        Self {
-            max_steps: 50,
-            max_candidates: 64,
-            feedback_frequency: 5,
-            exploration_bonus: 0.1,
-            penalty_mode: false,
-            invalid_action_penalty: -1.0,
-        }
+        Self { max_steps: 50, max_candidates: 64, feedback_frequency: 5, exploration_bonus: 0.1 }
     }
 }
 
@@ -101,7 +88,7 @@ pub enum Termination {
     NoCandidates,
     /// The per-episode step budget was exhausted.
     MaxSteps,
-    /// An invalid action was taken in penalty mode.
+    /// An action outside the candidates and the No-Op was taken.
     InvalidAction,
 }
 
@@ -247,19 +234,16 @@ impl Environment {
 
     /// Applies an action. `action` indexes the padded action space: indices
     /// below the candidate count select a candidate, the final index is the
-    /// No-Op termination action, anything else is invalid (masked by
-    /// default; penalised in `penalty_mode`).
+    /// No-Op termination action. Anything else is masked out of the agent's
+    /// action distribution; taken anyway, it ends the episode with reward 0.
     pub fn step(&mut self, observation: &Observation, action: usize) -> StepResult {
         let noop = observation.noop_action();
         let num_candidates = observation.candidates.len();
 
-        // Invalid action handling.
         if action != noop && action >= num_candidates {
-            let reward = if self.config.penalty_mode { self.config.invalid_action_penalty } else { 0.0 };
-            self.total_reward += reward;
             return StepResult {
                 observation: self.terminal_observation(),
-                reward,
+                reward: 0.0,
                 done: true,
                 termination: Some(Termination::InvalidAction),
             };
@@ -452,21 +436,17 @@ mod tests {
     }
 
     #[test]
-    fn invalid_action_in_penalty_mode_terminates_with_penalty() {
-        let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let mut env = Environment::new(
-            graph,
-            RuleSet::standard(),
-            InferenceSimulator::new(DeviceProfile::gtx1080()),
-            EnvConfig { penalty_mode: true, ..EnvConfig::default() },
-        );
+    fn invalid_action_terminates_with_zero_reward() {
+        let mut env = make_env(ModelKind::SqueezeNet);
         let obs = env.reset(0);
         let invalid = obs.num_candidates() + 1; // inside padding, beyond candidates
         assert!(invalid < obs.noop_action());
         let result = env.step(&obs, invalid);
         assert!(result.done);
         assert_eq!(result.termination, Some(Termination::InvalidAction));
-        assert!(result.reward < 0.0);
+        assert_eq!(result.reward.to_bits(), 0.0f32.to_bits());
+        assert_eq!(env.episode_stats().total_reward.to_bits(), 0.0f32.to_bits());
+        assert_eq!(env.episode_stats().steps, 0);
     }
 
     #[test]

@@ -13,7 +13,6 @@ pub(crate) const MASK_VALUE: f32 = -1.0e9;
 /// A categorical distribution over a padded, partially valid action space.
 #[derive(Debug, Clone)]
 pub struct MaskedCategorical {
-    logits: Vec<f32>,
     mask: Vec<bool>,
     probs: Vec<f32>,
 }
@@ -33,27 +32,22 @@ impl MaskedCategorical {
         let exps: Vec<f32> = masked.iter().map(|&l| (l - max).exp()).collect();
         let sum: f32 = exps.iter().sum();
         let probs = exps.iter().map(|&e| e / sum).collect();
-        Self { logits: masked, mask, probs }
+        Self { mask, probs }
     }
 
     /// Number of (padded) actions.
     pub fn len(&self) -> usize {
-        self.logits.len()
+        self.probs.len()
     }
 
     /// Returns `true` if the distribution has no actions (never constructed).
     pub fn is_empty(&self) -> bool {
-        self.logits.is_empty()
+        self.probs.is_empty()
     }
 
     /// The masked probabilities (invalid actions have probability ~0).
     pub fn probs(&self) -> &[f32] {
         &self.probs
-    }
-
-    /// The mask-adjusted logits.
-    pub fn masked_logits(&self) -> &[f32] {
-        &self.logits
     }
 
     /// Samples an action index.

@@ -2,7 +2,8 @@
 //!
 //! Reinforcement-learning machinery for X-RLflow: masked categorical
 //! distributions, generalised advantage estimation (GAE), rollout storage
-//! and the scalar PPO-clip objective (Equations 3–5 of the paper).
+//! and the PPO hyper-parameters (the loss of Equations 3–5 is built on the
+//! tape in `xrlflow-core`).
 //!
 //! The neural policy itself lives in `xrlflow-core` (it needs the GNN
 //! encoder); this crate provides the algorithm-side pieces, which are pure
@@ -33,4 +34,4 @@ mod ppo;
 pub use buffer::{RolloutBuffer, Transition};
 pub use categorical::MaskedCategorical;
 pub use gae::{discounted_returns, gae};
-pub use ppo::{explained_variance, ppo_clip_objective, PpoHyperParams, TrainingStats};
+pub use ppo::{explained_variance, PpoHyperParams, TrainingStats};

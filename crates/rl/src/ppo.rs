@@ -1,8 +1,7 @@
-//! PPO hyper-parameters, the scalar clip objective and training statistics.
+//! PPO hyper-parameters and training statistics.
 //!
-//! The tape-based (differentiable) PPO loss lives in `xrlflow-core`; the
-//! scalar implementation here defines the reference semantics (Eq. 3–5) and
-//! is used to cross-check the differentiable version in integration tests.
+//! The PPO loss itself (Eq. 3–5) is built on the tape in `xrlflow-core`
+//! (`transition_grad_into`), where it is differentiated.
 
 /// PPO hyper-parameters (defaults follow Table 4 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -44,17 +43,6 @@ impl Default for PpoHyperParams {
             max_grad_norm: 0.5,
         }
     }
-}
-
-/// The (scalar) PPO clip objective for a single sample:
-/// `min(r * A, clip(r, 1 - eps, 1 + eps) * A)` where
-/// `r = exp(log_prob - old_log_prob)`.
-///
-/// The *loss* is the negation of this value.
-pub fn ppo_clip_objective(log_prob: f32, old_log_prob: f32, advantage: f32, clip_epsilon: f32) -> f32 {
-    let ratio = (log_prob - old_log_prob).exp();
-    let clipped = ratio.clamp(1.0 - clip_epsilon, 1.0 + clip_epsilon);
-    (ratio * advantage).min(clipped * advantage)
 }
 
 /// Explained variance of value predictions — a standard diagnostic for the
@@ -110,29 +98,6 @@ mod tests {
         assert_eq!(p.entropy_coefficient, 0.01);
         assert_eq!(p.update_frequency, 10);
         assert_eq!(p.batch_size, 16);
-    }
-
-    #[test]
-    fn clip_objective_identity_at_equal_policies() {
-        // With identical policies the ratio is 1 and the objective is the advantage.
-        let obj = ppo_clip_objective(-0.7, -0.7, 2.5, 0.2);
-        assert!((obj - 2.5).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clip_objective_caps_positive_advantage_gains() {
-        // A much higher new log-prob with positive advantage is clipped at (1 + eps) * A.
-        let obj = ppo_clip_objective(0.0, -2.0, 1.0, 0.2);
-        assert!((obj - 1.2).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clip_objective_is_pessimistic_for_negative_advantage() {
-        // With negative advantage and an increased ratio, the unclipped term is
-        // more negative and must be chosen by the min.
-        let unclipped = -(1.0f32).exp();
-        let obj = ppo_clip_objective(0.0, -1.0, -1.0, 0.2);
-        assert!((obj - unclipped).abs() < 1e-5);
     }
 
     #[test]

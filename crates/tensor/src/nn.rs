@@ -158,7 +158,8 @@ mod tests {
             let pred = tape.activate(pred, Activation::Sigmoid);
             let diff = tape.sub(pred, y);
             let sq = tape.mul(diff, diff);
-            let loss = tape.mean_all(sq);
+            let sum = tape.sum_all(sq);
+            let loss = tape.scale(sum, 0.25); // the mean over the four cases
             final_loss = tape.value(loss).item();
             grads.zero_fill();
             tape.backward_into(loss, &mut grads);

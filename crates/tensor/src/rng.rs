@@ -67,13 +67,6 @@ impl XorShiftRng {
         lo + (hi - lo) * self.next_f32()
     }
 
-    /// Standard-normal sample via Box–Muller.
-    pub fn normal(&mut self) -> f32 {
-        let u1 = self.next_f32().max(1e-7);
-        let u2 = self.next_f32();
-        (-2.0 * u1.ln()).sqrt() * (2.0 * std::f32::consts::PI * u2).cos()
-    }
-
     /// Uniform integer in `[0, n)`.
     ///
     /// # Panics
@@ -82,11 +75,6 @@ impl XorShiftRng {
     pub fn gen_range(&mut self, n: usize) -> usize {
         assert!(n > 0, "gen_range requires n > 0");
         (self.next_u64() % n as u64) as usize
-    }
-
-    /// Returns `true` with probability `p`.
-    pub fn gen_bool(&mut self, p: f32) -> bool {
-        self.next_f32() < p
     }
 
     /// Samples an index from an (unnormalised, non-negative) weight vector.
@@ -136,17 +124,6 @@ mod tests {
             let x = rng.uniform(-2.0, 3.0);
             assert!((-2.0..3.0).contains(&x));
         }
-    }
-
-    #[test]
-    fn normal_has_roughly_zero_mean_unit_var() {
-        let mut rng = XorShiftRng::new(11);
-        let n = 20_000;
-        let samples: Vec<f32> = (0..n).map(|_| rng.normal()).collect();
-        let mean = samples.iter().sum::<f32>() / n as f32;
-        let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f32>() / n as f32;
-        assert!(mean.abs() < 0.05, "mean={mean}");
-        assert!((var - 1.0).abs() < 0.1, "var={var}");
     }
 
     #[test]

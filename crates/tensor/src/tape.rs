@@ -27,7 +27,8 @@
 //! [`Tape::gather_scatter_rows`] is the one fused index op — gather, per-row
 //! scale and scatter-add in a single pass, forward and backward;
 //! [`Tape::sum_row_runs`] sums *runs* of consecutive rows per segment without
-//! any per-row index at all.
+//! any per-row index at all. There is no mean op: a mean is [`Tape::sum_all`]
+//! followed by [`Tape::scale`].
 
 use crate::snapshot::{check_layout, ParamSnapshot, SnapshotError};
 use crate::tensor::{matmul_into, Shape, Tensor};
@@ -532,7 +533,6 @@ enum Op {
     Act(VarId, Activation),
     Exp(VarId),
     SumAll(VarId),
-    MeanAll(VarId),
     SumRows(VarId),
     ConcatCols(VarId, VarId),
     GatherRows(VarId, Vec<usize>),
@@ -575,7 +575,6 @@ impl Op {
             | Op::Act(a, _)
             | Op::Exp(a)
             | Op::SumAll(a)
-            | Op::MeanAll(a)
             | Op::SumRows(a)
             | Op::SumRowRuns(a, _)
             | Op::GatherRows(a, _)
@@ -961,12 +960,6 @@ impl Tape {
     pub fn sum_all(&mut self, a: VarId) -> VarId {
         let v = value_of(&self.nodes, a).sum();
         self.push_scalar(Op::SumAll(a), v)
-    }
-
-    /// Mean of all elements, producing a scalar.
-    pub fn mean_all(&mut self, a: VarId) -> VarId {
-        let v = value_of(&self.nodes, a).mean();
-        self.push_scalar(Op::MeanAll(a), v)
     }
 
     /// Sums over the row axis, producing a `[1, cols]` matrix.
@@ -1397,11 +1390,6 @@ impl Tape {
                 }
                 Op::SumAll(a) => {
                     let ga = Tensor::full(value_of(&self.nodes, *a).shape(), upstream.item());
-                    accumulate(&mut grads, *a, ga);
-                }
-                Op::MeanAll(a) => {
-                    let n = value_of(&self.nodes, *a).numel().max(1) as f32;
-                    let ga = Tensor::full(value_of(&self.nodes, *a).shape(), upstream.item() / n);
                     accumulate(&mut grads, *a, ga);
                 }
                 Op::SumRows(a) => {

@@ -20,8 +20,9 @@
 //! kernels are the matmul backward pass: `Aᵀ·G` (every weight gradient)
 //! blocks its reduction index by four with the running sum held in a
 //! register between the four ascending steps and has a column (`n == 1`)
-//! axpy form; `G·Bᵀ` has an outer-product form for `q == 1`. Shape picks
-//! the form, never the bits.
+//! axpy form; `G·Bᵀ` is an outer product for `q == 1`, the `n == 1` dot
+//! path of [`Tensor::matmul`] for a single row, and otherwise packs `Bᵀ`
+//! and runs the row-tiled kernel. Shape picks the form, never the bits.
 
 use std::fmt;
 
@@ -344,15 +345,6 @@ impl Tensor {
         self.data.iter().sum()
     }
 
-    /// Mean of all elements (0 for empty tensors).
-    pub fn mean(&self) -> f32 {
-        if self.data.is_empty() {
-            0.0
-        } else {
-            self.sum() / self.data.len() as f32
-        }
-    }
-
     /// Maximum element (negative infinity for empty tensors).
     pub fn max(&self) -> f32 {
         self.data.iter().cloned().fold(f32::NEG_INFINITY, f32::max)
@@ -413,9 +405,9 @@ impl Tensor {
     /// `self` is `[m, q]`, `other` is `[n, q]`, and the result `[m, n]`
     /// satisfies `out[i][j] = Σ_p self[i][p] * other[j][p]` with `p`
     /// ascending — the exact bits of `self.matmul(&other.transpose())`.
-    /// The kernel picks a packing or dot-product strategy by shape (see
-    /// the internal kernel); the choice never changes the bits.
-    /// The matmul backward pass's `grad × Bᵀ` product runs through this.
+    /// The shape picks the kernel's form (outer product, single-row dot,
+    /// or pack-then-tile); the form never changes the bits. The matmul
+    /// backward pass's `grad × Bᵀ` product runs through this.
     ///
     /// # Panics
     ///
@@ -494,25 +486,6 @@ impl Tensor {
         }
         Self { shape: Shape::from_dims(&[rows, total_cols]), data: out }
     }
-
-    /// Stacks rank-2 tensors (or rank-1 rows) along the row axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tensors do not share the same number of columns or the
-    /// input slice is empty.
-    pub fn concat_rows(tensors: &[&Tensor]) -> Self {
-        assert!(!tensors.is_empty(), "concat_rows requires at least one tensor");
-        let cols = tensors[0].cols();
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for t in tensors {
-            assert_eq!(t.cols(), cols, "concat_rows column mismatch");
-            data.extend_from_slice(&t.data);
-            rows += t.rows();
-        }
-        Self { shape: Shape::from_dims(&[rows, cols]), data }
-    }
 }
 
 impl Default for Tensor {
@@ -588,13 +561,13 @@ pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: us
 
 /// Writes `a (m×q) × bt (n×q)ᵀ` into `out` (`m×n`), zeroing `out` first.
 /// Every output element is accumulated over `p = 0..q` ascending with a
-/// single running sum — bit-identical to `a.matmul(&bt.transpose())` —
-/// but the kernel picks its strategy by shape: large products pack the
-/// transposed operand once and run the vectorisable row-tiled kernel
-/// (dot-product chains are FP-add-latency-bound and cannot legally be
-/// vectorised, so packing wins despite the extra pass), while small and
-/// skinny shapes run a register-tiled dot kernel over the contiguous rows
-/// with no scratch buffer. The strategy choice never changes the bits.
+/// single running sum — bit-identical to `a.matmul(&bt.transpose())`. The
+/// shape picks one of three forms, never the bits: a column `a` (`q == 1`)
+/// is an outer product; a single row (`m == 1`) is [`matmul_into`]'s
+/// `n == 1` dot path with the operands swapped (a `[1, n]` output has the
+/// layout of an `[n, 1]` one); every other shape packs `bt` transposed once
+/// and runs [`matmul_into`]'s row-tiled kernel, whose independent
+/// per-column sums vectorise where dot-product chains cannot.
 pub(crate) fn matmul_transposed_rhs_into(
     a: &[f32],
     bt: &[f32],
@@ -618,75 +591,17 @@ pub(crate) fn matmul_transposed_rhs_into(
         }
         return;
     }
-    if m >= 16 && q >= 16 && n >= 16 {
-        // Big enough that the O(q·n) packing pass amortises over m output
-        // rows: lay `bt` out transposed and reuse the axpy-form kernel, whose
-        // independent per-column sums the compiler can vectorise.
-        let mut b = vec![0.0f32; q * n];
-        for (j, bt_row) in bt.chunks_exact(q).enumerate() {
-            for (p, &v) in bt_row.iter().enumerate() {
-                b[p * n + j] = v;
-            }
-        }
-        matmul_into(a, &b, out, m, q, n);
+    if m == 1 {
+        matmul_into(bt, a, out, n, q, 1);
         return;
     }
-    // Register tile of 2 output rows × 4 output columns: every output
-    // element keeps its own scalar accumulator, but the eight dependency
-    // chains interleave so the dot products are not serialised on FP-add
-    // latency, and each streamed `bt` row is consumed by both `a` rows.
-    let mut i = 0;
-    while i + 2 <= m {
-        let a0 = &a[i * q..(i + 1) * q];
-        let a1 = &a[(i + 1) * q..(i + 2) * q];
-        let mut j = 0;
-        while j + 4 <= n {
-            let b0 = &bt[j * q..(j + 1) * q];
-            let b1 = &bt[(j + 1) * q..(j + 2) * q];
-            let b2 = &bt[(j + 2) * q..(j + 3) * q];
-            let b3 = &bt[(j + 3) * q..(j + 4) * q];
-            let mut s = [0.0f32; 8];
-            for p in 0..q {
-                let (x0, x1) = (a0[p], a1[p]);
-                let (v0, v1, v2, v3) = (b0[p], b1[p], b2[p], b3[p]);
-                s[0] += x0 * v0;
-                s[1] += x0 * v1;
-                s[2] += x0 * v2;
-                s[3] += x0 * v3;
-                s[4] += x1 * v0;
-                s[5] += x1 * v1;
-                s[6] += x1 * v2;
-                s[7] += x1 * v3;
-            }
-            out[i * n + j..i * n + j + 4].copy_from_slice(&s[..4]);
-            out[(i + 1) * n + j..(i + 1) * n + j + 4].copy_from_slice(&s[4..]);
-            j += 4;
-        }
-        while j < n {
-            let b_row = &bt[j * q..(j + 1) * q];
-            let (mut s0, mut s1) = (0.0f32, 0.0f32);
-            for ((&v, &x0), &x1) in b_row.iter().zip(a0).zip(a1) {
-                s0 += x0 * v;
-                s1 += x1 * v;
-            }
-            out[i * n + j] = s0;
-            out[(i + 1) * n + j] = s1;
-            j += 1;
-        }
-        i += 2;
-    }
-    if i < m {
-        let a_row = &a[i * q..(i + 1) * q];
-        let out_row = &mut out[i * n..(i + 1) * n];
-        for (j, o) in out_row.iter_mut().enumerate() {
-            let b_row = &bt[j * q..(j + 1) * q];
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b_row.iter()) {
-                acc += av * bv;
-            }
-            *o = acc;
+    let mut b = vec![0.0f32; q * n];
+    for (j, bt_row) in bt.chunks_exact(q).enumerate() {
+        for (p, &v) in bt_row.iter().enumerate() {
+            b[p * n + j] = v;
         }
     }
+    matmul_into(a, &b, out, m, q, n);
 }
 
 /// Reduction rows folded into each pass over `out` by
@@ -884,7 +799,9 @@ mod tests {
 
     /// The backward kernels over the shapes the model has — every blocking
     /// remainder of the reduction (`m`), the `q == 1` outer-product and
-    /// `n == 1` axpy paths, the packed path (`m = 109`) — against
+    /// `n == 1` axpy paths, `G·Bᵀ`'s single-row form (`m = 1`) and its packed
+    /// form at every other `m`, across the old 16-row strategy boundary
+    /// (`m = 15, 16, 17`) — against
     /// `transpose()` + `matmul_naive`, with the operands the special paths
     /// could get wrong planted in: `-0.0` (a lone `-0.0` product must still
     /// round to `+0.0` through the running sum), `inf` next to `0.0`
@@ -903,7 +820,7 @@ mod tests {
             }
             Tensor::from_vec(data, &[rows, cols])
         };
-        for m in [1usize, 3, 4, 5, 7, 8, 109] {
+        for m in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 109] {
             for q in [1usize, 2, 32, 45, 64] {
                 for n in [1usize, 2, 32, 45, 64] {
                     for plant in [false, true] {
@@ -955,23 +872,18 @@ mod tests {
     fn reductions() {
         let a = Tensor::from_vec(vec![1.0, -2.0, 3.0], &[3]);
         assert_eq!(a.sum(), 2.0);
-        assert!((a.mean() - 2.0 / 3.0).abs() < 1e-6);
         assert_eq!(a.max(), 3.0);
         assert_eq!(a.sq_norm(), 14.0);
     }
 
     #[test]
-    fn concat_cols_and_rows() {
+    fn concat_cols_joins_columns() {
         let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2]);
         let b = Tensor::from_vec(vec![5.0, 6.0], &[2, 1]);
         let c = Tensor::concat_cols(&[&a, &b]);
         assert_eq!(c.shape(), &[2, 3]);
         assert_eq!(c.row(0), &[1.0, 2.0, 5.0]);
         assert_eq!(c.row(1), &[3.0, 4.0, 6.0]);
-
-        let d = Tensor::concat_rows(&[&a, &a]);
-        assert_eq!(d.shape(), &[4, 2]);
-        assert_eq!(d.row(3), &[3.0, 4.0]);
     }
 
     #[test]

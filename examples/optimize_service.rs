@@ -23,9 +23,11 @@ fn main() -> Result<(), XrlflowError> {
     // 1. Produce a policy snapshot. In production this comes from a long
     //    curriculum run's checkpoint; a couple of episodes keep the example
     //    quick while exercising the same train -> snapshot -> serve path.
-    let config = XrlflowConfig::builder()
-        .training_episodes(env_usize("XRLFLOW_SERVICE_EPISODES", 2).max(1))
-        .build()?;
+    let config = XrlflowConfig {
+        training_episodes: env_usize("XRLFLOW_SERVICE_EPISODES", 2).max(1),
+        ..XrlflowConfig::paper()
+    };
+    config.validate()?;
     let mut system = XrlflowSystem::new(config.clone(), 42);
     let train_graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench)?;
     system.train_on(&train_graph, config.training_episodes).expect("training run");

@@ -95,7 +95,7 @@ pub enum XrlflowError {
     Snapshot(tensor::SnapshotError),
     /// The equality-saturation baseline failed.
     EGraph(egraph::EGraphError),
-    /// A configuration was rejected by the validating builder.
+    /// A configuration was rejected by `XrlflowConfig::validate`.
     Config(core::ConfigError),
     /// The optimisation service rejected a request or cache snapshot.
     Serve(serve::ServeError),
@@ -170,7 +170,8 @@ mod tests {
         assert!(matches!(snap_err, XrlflowError::Snapshot(_)));
         assert!(snap_err.to_string().contains("snapshot"));
 
-        let cfg_err: XrlflowError = core::XrlflowConfig::builder().num_workers(0).build().unwrap_err().into();
+        let zero_workers = core::XrlflowConfig { num_workers: 0, ..core::XrlflowConfig::paper() };
+        let cfg_err: XrlflowError = zero_workers.validate().unwrap_err().into();
         assert!(matches!(cfg_err, XrlflowError::Config(_)));
         assert!(cfg_err.to_string().contains("num_workers"));
 
@@ -183,7 +184,8 @@ mod tests {
     fn question_mark_crosses_subsystem_boundaries() {
         fn pipeline(text: &str) -> Result<u64, XrlflowError> {
             let graph = graph::Graph::from_json(text)?;
-            let config = core::XrlflowConfig::builder().build()?;
+            let config = core::XrlflowConfig::paper();
+            config.validate()?;
             let _ = config.training_episodes;
             Ok(graph.canonical_hash())
         }
