@@ -2,10 +2,8 @@
 //! real GAT-layer shapes (against the retained naive reference), the
 //! backward kernels (`G·Bᵀ` in each of its forms, `Aᵀ·G`, the `q = 1` outer
 //! product) at the shapes the reverse walk multiplies, a full tape
-//! forward/backward step on a recycled tape, and the gradient-buffer pooling
-//! primitives behind the PPO update's index-ordered merge. (Fresh against
-//! recycled tapes is timed in `bench_gnn`, at the InceptionV3 scale where
-//! PR 15 saw recycling pay.)
+//! forward/backward step on a recycled tape, and the gradient-buffer reuse
+//! primitives behind the PPO update's index-ordered merge.
 
 use xrlflow_bench::{finish, iters_from_env, report, report_ratio, time_ns};
 use xrlflow_tensor::{GradBuffer, Mlp, ParamStore, Tape, Tensor, XorShiftRng};
@@ -19,8 +17,8 @@ fn random_tensor(rng: &mut XorShiftRng, shape: &[usize]) -> Tensor {
 fn main() {
     // Everything here is micro-scale (µs per iteration), so the pinned CI
     // iteration count that keeps the episode-driven benches quick would
-    // leave these metrics — especially the fresh-vs-recycled allocator
-    // ratios — at the mercy of a single scheduler hiccup. Floor the sample
+    // leave these metrics — especially the speed-up ratios — at the mercy of
+    // a single scheduler hiccup. Floor the sample
     // count; the whole binary still finishes in well under a second.
     let iters = iters_from_env(10).max(30);
     let mut rng = XorShiftRng::new(0xBEEF);
@@ -78,15 +76,15 @@ fn main() {
     report("backward/outer_product/400x1x32", outer);
 
     // One full train step (forward + backward) through an MLP of the policy
-    // head's published size on one recycled tape — the allocation-free
-    // steady state the training stack runs in.
+    // head's published size on one recycled tape, as the training stack runs
+    // it.
     println!("\n== tape train step ==");
     let mut store = ParamStore::new();
     let mlp = Mlp::new(&mut store, "bench", &[64, 256, 64, 1], &mut rng);
     let x = random_tensor(&mut rng, &[32, 64]);
     let mut grads = GradBuffer::zeros_like(&store);
     let mut train_step = |tape: &mut Tape| {
-        let input = tape.constant_copied(&x);
+        let input = tape.constant(x.clone());
         let out = mlp.forward(tape, &store, input);
         let sum = tape.sum_all(out);
         let loss = tape.scale(sum, 1.0 / 32.0); // the mean over the batch

@@ -93,7 +93,7 @@ fn main() {
                 let recorded = Instant::now();
                 grads.zero_fill();
                 tape.backward_into(loss, &mut grads);
-                // Pass 0 warms the tape's pool and the caches.
+                // Pass 0 warms the caches.
                 if pass > 0 {
                     forward += recorded - start;
                     backward += recorded.elapsed();

@@ -497,13 +497,14 @@ pub fn render_heatmap(counts: &HashMap<String, HashMap<&'static str, usize>>) ->
     render_table(&headers, &rows)
 }
 
-/// Mean and sample standard deviation of a slice.
+/// Mean and sample standard deviation (divided by `n − 1`) of a slice; the
+/// spread of fewer than two values is zero.
 pub fn mean_std(values: &[f64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
+    if values.len() < 2 {
+        return (values.first().copied().unwrap_or(0.0), 0.0);
     }
     let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / values.len() as f64;
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / (values.len() - 1) as f64;
     (mean, var.sqrt())
 }
 
@@ -528,6 +529,11 @@ mod tests {
         assert_eq!(m, 2.0);
         assert_eq!(s, 0.0);
         assert_eq!(mean_std(&[]), (0.0, 0.0));
+        assert_eq!(mean_std(&[3.5]), (3.5, 0.0));
+        // The sample spread divides by n − 1: √(5/3), not the population √1.25.
+        let (m, s) = mean_std(&[1.0, 2.0, 3.0, 4.0]);
+        assert_eq!(m, 2.5);
+        assert!((s - 1.2910).abs() < 1e-4, "sample std of [1, 2, 3, 4] is {s}");
     }
 
     #[test]

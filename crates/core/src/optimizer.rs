@@ -3,12 +3,10 @@
 //!
 //! [`greedy_optimize`] holds one [`PolicyEpisode`](crate::PolicyEpisode) for
 //! the episode, exactly as the rollout collector does. It owns the scratch
-//! tape — on large graphs a fresh tape per step has the allocator map, fault
-//! in and unmap its buffers at every step — and carries the chosen
-//! candidate's encoder rows from each step to the next, so every step after
-//! the first encodes the patches' dirty rows instead of the graph. The
-//! evaluator is dropped with the episode — nothing outlives the call, so
-//! nothing is retained between serve requests.
+//! tape and carries the chosen candidate's encoder rows from each step to
+//! the next, so every step after the first encodes the patches' dirty rows
+//! instead of the graph. The evaluator is dropped with the episode — nothing
+//! outlives the call, so nothing is retained between serve requests.
 
 use std::collections::HashMap;
 use std::time::Instant;

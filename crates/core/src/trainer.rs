@@ -30,7 +30,7 @@
 
 use xrlflow_env::{Environment, Observation};
 use xrlflow_rl::{explained_variance, PpoHyperParams, RolloutBuffer, TrainingStats, Transition};
-use xrlflow_tensor::{splitmix64, Adam, GradBuffer, SnapshotError, Tape, XorShiftRng};
+use xrlflow_tensor::{splitmix64, Adam, GradBuffer, SnapshotError, Tape, Tensor, XorShiftRng};
 
 use crate::agent::XrlflowAgent;
 use crate::config::XrlflowConfig;
@@ -261,8 +261,8 @@ pub struct MinibatchGrads {
 /// caller-owned scratch: the tape is [recycled](Tape::recycle) and the buffer
 /// [zero-filled](GradBuffer::zero_fill) before use — indistinguishable from
 /// fresh ones — so an update loop that evaluates many transitions reuses one
-/// tape arena and one gradient buffer per slot instead of re-allocating both
-/// per transition.
+/// tape and one gradient buffer per slot instead of re-allocating both per
+/// transition.
 ///
 /// This single function is the unit of work of **every** update path: the
 /// serial oracle ([`minibatch_grads_serial`]) calls it transition by
@@ -286,10 +286,10 @@ pub fn transition_grad_into(
     let eval = agent.evaluate(tape, &transition.observation, transition.action);
 
     // Policy (clip) loss, Eq. 3.
-    let old_log_prob = tape.scalar(transition.log_prob);
+    let old_log_prob = tape.constant(Tensor::scalar(transition.log_prob));
     let log_ratio = tape.sub(eval.log_prob, old_log_prob);
     let ratio = tape.exp(log_ratio);
-    let adv = tape.scalar(advantage);
+    let adv = tape.constant(Tensor::scalar(advantage));
     let surrogate1 = tape.mul(ratio, adv);
     let clipped = tape.clamp(ratio, 1.0 - ppo.clip_epsilon, 1.0 + ppo.clip_epsilon);
     let surrogate2 = tape.mul(clipped, adv);
@@ -297,7 +297,7 @@ pub fn transition_grad_into(
     let policy_loss = tape.neg(surrogate);
 
     // Value loss, Eq. 4.
-    let target = tape.scalar(ret);
+    let target = tape.constant(Tensor::scalar(ret));
     let diff = tape.sub(eval.value, target);
     let value_loss = tape.mul(diff, diff);
 
@@ -601,7 +601,7 @@ mod tests {
     use xrlflow_cost::{DeviceProfile, InferenceSimulator};
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
     use xrlflow_rewrite::RuleSet;
-    use xrlflow_tensor::{ParamSnapshot, Tensor};
+    use xrlflow_tensor::ParamSnapshot;
 
     fn make_env(config: &XrlflowConfig) -> Environment {
         let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();

@@ -329,11 +329,10 @@ struct CarriedRows {
     hidden: Vec<f32>,
 }
 
-/// A constant leaf holding `prefix` followed by the rows of `suffix`, built
-/// in the tape's pooled storage.
+/// A constant leaf holding `prefix` followed by the rows of `suffix`.
 fn constant_in_front(tape: &mut Tape, prefix: &[f32], suffix: Option<VarId>, cols: usize) -> VarId {
     let suffix_len = suffix.map_or(0, |suffix| tape.value(suffix).numel());
-    let mut data = tape.pooled_buffer(prefix.len() + suffix_len);
+    let mut data = Vec::with_capacity(prefix.len() + suffix_len);
     data.extend_from_slice(prefix);
     if let Some(suffix) = suffix {
         data.extend_from_slice(tape.value(suffix).data());
@@ -515,9 +514,9 @@ impl GnnEncoder {
     /// bit-identical per graph.
     pub fn encode(&self, tape: &mut Tape, store: &ParamStore, features: &GraphFeatures) -> VarId {
         // Eq. 6: update node attributes from incoming edge attributes.
-        let edge_feats = tape.constant_copied(&features.edge_features);
+        let edge_feats = tape.constant(features.edge_features.clone());
         let incoming = tape.scatter_add_rows(edge_feats, &features.edge_dst, features.num_nodes);
-        let node_feats = tape.constant_copied(&features.node_features);
+        let node_feats = tape.constant(features.node_features.clone());
         let combined = tape.concat_cols(incoming, node_feats);
         let mut h = self.node_update.forward(tape, store, combined);
 
@@ -529,7 +528,7 @@ impl GnnEncoder {
         // Eq. 8: global readout over all node embeddings plus the (zero)
         // initial global attribute.
         let summed = tape.sum_rows(h);
-        let global0 = tape.zeros(&[1, self.config.hidden_dim]);
+        let global0 = tape.constant(Tensor::zeros(&[1, self.config.hidden_dim]));
         let readout_in = tape.concat_cols(summed, global0);
         self.global_update.forward(tape, store, readout_in)
     }
@@ -674,7 +673,7 @@ impl GnnEncoder {
         }
         let input_rows = if carried.is_some() { rows - n } else { rows };
         let mut block = computes(input_rows).then(|| {
-            let mut input_data = tape.pooled_buffer(input_rows * in_dim);
+            let mut input_data = Vec::with_capacity(input_rows * in_dim);
             if carried.is_none() {
                 for row in 0..n {
                     current.push_node_input_row(row, &mut input_data);
@@ -838,7 +837,7 @@ impl GnnEncoder {
             push_run(first_slot + region.len(), delta.added.len(), k + 1);
         }
         let summed = tape.sum_row_runs(h, runs, deltas.len() + 1);
-        let global0 = tape.zeros(&[deltas.len() + 1, self.config.hidden_dim]);
+        let global0 = tape.constant(Tensor::zeros(&[deltas.len() + 1, self.config.hidden_dim]));
         let readout_in = tape.concat_cols(summed, global0);
         self.global_update.forward(tape, store, readout_in)
     }

@@ -9,7 +9,7 @@
 //!   spawn); `W > 1` workers run as scoped threads, worker `w` taking items
 //!   `w, w + W, w + 2W, …` in ascending order, metered by [`PoolMeter`].
 //! * **State.** Each thread builds its own scratch `S` through `make_state`
-//!   (environments, a tape arena …) lazily, before its first item, and
+//!   (environments, a tape …) lazily, before its first item, and
 //!   reuses it across its items. Building it cannot fail, and it never holds
 //!   an agent: `run` closures borrow the caller's live `&XrlflowAgent`
 //!   across the scoped-thread boundary, while everything that mutates

@@ -68,7 +68,7 @@ pub fn minibatch_grads_parallel(
         ctx.batch.len(),
         num_workers,
         |position| position as u64,
-        // One recycled tape arena per thread for its whole shard; the
+        // One recycled tape per thread for its whole shard; the
         // per-position buffers stay separate because the merge below is by
         // minibatch position.
         Tape::new,

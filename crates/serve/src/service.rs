@@ -144,6 +144,16 @@ impl Drop for FlightGuard<'_> {
     }
 }
 
+/// Where single-flight admission sends a request.
+enum Admission<'a> {
+    /// The key's entry is in the cache.
+    Published(Found),
+    /// Another request is optimising the key: wait for its flight.
+    Follow(Arc<Flight>),
+    /// This request runs the episode; dropping the guard ends its flight.
+    Lead(FlightGuard<'a>),
+}
+
 /// Optimisation-as-a-service over a frozen policy.
 ///
 /// The service owns a read-only agent replica built from a
@@ -361,44 +371,29 @@ impl OptimizeService {
         // whose leader panicked get the typed [`ServeError::FlightFailed`]
         // instead — one fault fails its coalesced cohort loudly rather than
         // stampeding the policy with silent re-runs.
-        loop {
-            let found = {
-                let mut cache = self.cache.lock().expect("cache lock");
-                let found = cache.find(key);
-                if let (Some(_), Some((digest, body))) = (&found, body) {
-                    cache.attach_body(key, digest, body);
-                }
-                found
+        let _flight_guard = loop {
+            let admission = match self.lookup(key, body) {
+                Some(found) => Admission::Published(found),
+                None => self.admit_miss(key, body),
             };
-            if let Some(found) = found {
-                self.record_request(true, coalesced);
-                return Ok(Resolved { found, cache_hit: true });
-            }
-            let existing = {
-                let mut flights = self.flights.lock().expect("flights lock");
-                match flights.get(&key) {
-                    Some(flight) => Some(Arc::clone(flight)),
-                    None => {
-                        flights.insert(key, Arc::new(Flight::default()));
-                        None
-                    }
+            match admission {
+                Admission::Published(found) => {
+                    self.record_request(true, coalesced);
+                    return Ok(Resolved { found, cache_hit: true });
                 }
-            };
-            match existing {
-                Some(flight) => {
+                Admission::Follow(flight) => {
                     if flight.wait() == FlightOutcome::LeaderFailed {
                         return Err(ServeError::FlightFailed { key });
                     }
                     coalesced = true;
                 }
-                None => break,
+                Admission::Lead(guard) => break guard,
             }
-        }
+        };
         // Leader: run a greedy episode against the frozen policy. No lock is
         // held while optimising — cache hits and other keys' misses proceed
         // concurrently, and a hot swap can land mid-episode (this request
         // pinned its replica). The guard wakes the waiters even on unwind.
-        let _flight_guard = FlightGuard { service: self, key };
         let policy = self.current_policy();
         self.record_request(false, false);
         // Fault-injection hook (inert unless a plan is installed): lets the
@@ -424,6 +419,41 @@ impl OptimizeService {
             cache.attach_body(key, digest, body);
         }
         Ok(Resolved { found: Found { key, entry, rendered: None }, cache_hit: false })
+    }
+
+    /// The cache entry for `key`, with the request `body` attached to it.
+    fn lookup(&self, key: u64, body: Option<(u64, &[u8])>) -> Option<Found> {
+        let mut cache = self.cache.lock().expect("cache lock");
+        let found = cache.find(key);
+        if let (Some(_), Some((digest, body))) = (&found, body) {
+            cache.attach_body(key, digest, body);
+        }
+        found
+    }
+
+    /// The flight-table half of admission, for a request whose
+    /// [`OptimizeService::lookup`] missed: follow the flight already
+    /// optimising `key`, or register one and lead it.
+    ///
+    /// A leader publishes its entry and only then ends its flight, but both
+    /// can happen after this request's cache check and before it reaches the
+    /// flight table. So a request that registered a flight checks the cache
+    /// once more before it leads: an entry published in that gap is served,
+    /// and the flight it registered ends at once (anyone who joined it loops
+    /// back to the cache and finds the entry).
+    fn admit_miss(&self, key: u64, body: Option<(u64, &[u8])>) -> Admission<'_> {
+        {
+            let mut flights = self.flights.lock().expect("flights lock");
+            if let Some(flight) = flights.get(&key) {
+                return Admission::Follow(Arc::clone(flight));
+            }
+            flights.insert(key, Arc::new(Flight::default()));
+        }
+        let guard = FlightGuard { service: self, key };
+        match self.lookup(key, body) {
+            Some(found) => Admission::Published(found),
+            None => Admission::Lead(guard),
+        }
     }
 
     /// Current request counters, as one consistent snapshot
@@ -629,5 +659,29 @@ mod tests {
         assert!(!response.cache_hit);
         let stats = service.stats();
         assert_eq!(stats.cache_hits + stats.policy_invocations, stats.requests);
+    }
+
+    #[test]
+    fn a_miss_that_reaches_the_flight_table_after_the_leader_left_is_served_its_entry() {
+        let service = OptimizeService::untrained(&XrlflowConfig::smoke_test(), 1).unwrap();
+        let graph = tiny_graph();
+        let key = graph.canonical_hash();
+
+        // A miss checks the cache: nothing yet.
+        assert!(service.lookup(key, None).is_none());
+        // Before it reaches the flight table, a leader runs the episode,
+        // publishes its entry and ends its flight.
+        let led = service.optimize(&graph).unwrap();
+        assert!(!led.cache_hit);
+        assert!(service.flights.lock().unwrap().is_empty());
+        // The miss finds no flight to follow: it must be served the entry,
+        // not lead a second episode for the key.
+        match service.admit_miss(key, None) {
+            Admission::Published(found) => assert!(Arc::ptr_eq(&found.entry.graph, &led.graph)),
+            Admission::Lead(_) => panic!("a second leader for a key whose entry is published"),
+            Admission::Follow(_) => panic!("followed a flight that had ended"),
+        }
+        assert!(service.flights.lock().unwrap().is_empty(), "the flight the miss registered must end");
+        assert_eq!(service.stats().policy_invocations, 1);
     }
 }

@@ -13,6 +13,15 @@
 //! buffer. A store that is never trained — a served policy — holds its values
 //! and nothing else.
 //!
+//! ## Storage
+//!
+//! Every op allocates its output, and [`Tape::recycle`] drops the values
+//! and keeps only the node list's capacity. There is no buffer pool: one
+//! that reused buffers across passes bought a few percent at most end to
+//! end (less than the runs' own spread; ROADMAP, "Rent"), held more memory,
+//! and grew by one buffer per pass whenever a caller built a constant in a
+//! fresh `Vec`.
+//!
 //! ## The reverse walk
 //!
 //! Training evaluates one tape per transition, so the walk is as hot as the
@@ -31,7 +40,7 @@
 //! followed by [`Tape::scale`].
 
 use crate::snapshot::{check_layout, ParamSnapshot, SnapshotError};
-use crate::tensor::{matmul_into, Shape, Tensor};
+use crate::tensor::Tensor;
 use std::sync::Arc;
 
 /// Identifier of a value on a [`Tape`].
@@ -549,7 +558,7 @@ enum Op {
     },
     /// `out[segment] += a[start..start + len]` per run, see
     /// [`Tape::sum_row_runs`]; the runs flattened to `[start, len, segment]`
-    /// triples in pooled storage.
+    /// triples.
     SumRowRuns(VarId, Vec<usize>),
     LogSoftmaxRow(VarId),
     Pick(VarId, usize),
@@ -589,9 +598,9 @@ impl Op {
 }
 
 /// A node's forward value: either a tensor the tape owns (op outputs,
-/// constants — reclaimed into the buffer pool by [`Tape::recycle`]) or a
-/// shared reference to a [`ParamStore`] tensor (parameter leaves — imported
-/// with one refcount bump instead of a deep clone).
+/// constants — dropped by [`Tape::recycle`]) or a shared reference to a
+/// [`ParamStore`] tensor (parameter leaves — imported with one refcount bump
+/// instead of a deep clone).
 #[derive(Debug, Clone)]
 enum Value {
     Owned(Tensor),
@@ -625,90 +634,19 @@ fn value_of(nodes: &[Node], id: VarId) -> &Tensor {
     nodes[id.0].value.tensor()
 }
 
-/// Recycled buffers backing tape node values and per-op index vectors.
-///
-/// Both free lists are kept sorted by capacity, so `take` is a best-fit
-/// binary search (smallest buffer with `capacity >= len`). Over the repeated
-/// identical op sequence of a steady-state forward pass, every request finds
-/// an exact-fit buffer from the previous pass, so a recycled tape performs
-/// zero heap allocations.
-#[derive(Debug, Default)]
-struct BufferPool {
-    f32s: Vec<Vec<f32>>,
-    usizes: Vec<Vec<usize>>,
-}
-
-impl BufferPool {
-    /// An empty `Vec<f32>` with `capacity >= len` (freshly allocated only on
-    /// a pool miss).
-    fn take_f32(&mut self, len: usize) -> Vec<f32> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let pos = self.f32s.partition_point(|v| v.capacity() < len);
-        if pos < self.f32s.len() {
-            let mut v = self.f32s.remove(pos);
-            v.clear();
-            v
-        } else {
-            Vec::with_capacity(len)
-        }
-    }
-
-    /// A zero-filled `Vec<f32>` of exactly `len` elements.
-    fn take_zeroed(&mut self, len: usize) -> Vec<f32> {
-        let mut v = self.take_f32(len);
-        v.resize(len, 0.0);
-        v
-    }
-
-    fn put_f32(&mut self, v: Vec<f32>) {
-        if v.capacity() == 0 {
-            return;
-        }
-        let pos = self.f32s.partition_point(|x| x.capacity() < v.capacity());
-        self.f32s.insert(pos, v);
-    }
-
-    /// An empty `Vec<usize>` with `capacity >= len`.
-    fn take_usize(&mut self, len: usize) -> Vec<usize> {
-        if len == 0 {
-            return Vec::new();
-        }
-        let pos = self.usizes.partition_point(|v| v.capacity() < len);
-        if pos < self.usizes.len() {
-            let mut v = self.usizes.remove(pos);
-            v.clear();
-            v
-        } else {
-            Vec::with_capacity(len)
-        }
-    }
-
-    fn put_usize(&mut self, v: Vec<usize>) {
-        if v.capacity() == 0 {
-            return;
-        }
-        let pos = self.usizes.partition_point(|x| x.capacity() < v.capacity());
-        self.usizes.insert(pos, v);
-    }
-}
-
 /// Dynamic autodiff tape.
 ///
 /// Every method that takes `VarId` arguments appends a new node recording the
 /// operation and its forward value; [`Tape::backward_into`] later replays the
 /// tape in reverse to accumulate parameter gradients.
 ///
-/// Tapes are arenas: [`Tape::recycle`] clears the node list while reclaiming
-/// every owned buffer into an internal pool, so a long-lived tape reused
-/// across forward passes reaches a steady state where recording a pass
-/// performs no heap allocation at all (see the buffer-pool invariant on
-/// `BufferPool`).
+/// Each op allocates its output (and the index list it records, if any);
+/// [`Tape::recycle`] drops every node and keeps only the node list's
+/// capacity. A tape holds no pool of spare buffers, so what it retains
+/// between passes is the last pass's values and nothing more.
 #[derive(Debug, Default)]
 pub struct Tape {
     nodes: Vec<Node>,
-    pool: BufferPool,
 }
 
 impl Tape {
@@ -732,14 +670,12 @@ impl Tape {
         value_of(&self.nodes, id)
     }
 
-    /// Clears the tape for the next forward pass, reclaiming every owned
-    /// node buffer (tensor data and per-op index vectors) into the tape's
-    /// buffer pool. Node-list capacity is kept too, so a recycled tape
-    /// records the next pass of the same model without allocating.
+    /// Clears the tape for the next forward pass: every node's value and
+    /// index list is dropped, the node list keeps its capacity.
     ///
     /// Recycling is semantically identical to dropping the tape and calling
-    /// [`Tape::new`] — only faster. Shared parameter leaves just drop their
-    /// refcount; the [`ParamStore`] is untouched.
+    /// [`Tape::new`]. Shared parameter leaves just drop their refcount; the
+    /// [`ParamStore`] is untouched.
     ///
     /// # Examples
     ///
@@ -748,29 +684,14 @@ impl Tape {
     ///
     /// let mut tape = Tape::new();
     /// for _ in 0..3 {
-    ///     tape.recycle(); // no-op on the first pass, arena reset afterwards
+    ///     tape.recycle(); // a no-op on the first pass
     ///     let x = tape.constant(Tensor::ones(&[4, 4]));
     ///     let y = tape.activate(x, Activation::Relu);
     ///     assert_eq!(tape.value(y).shape(), &[4, 4]);
     /// }
     /// ```
     pub fn recycle(&mut self) {
-        for node in self.nodes.drain(..) {
-            if let Value::Owned(t) = node.value {
-                self.pool.put_f32(t.into_vec());
-            }
-            match node.op {
-                Op::GatherRows(_, idx)
-                | Op::ScatterAddRows(_, idx)
-                | Op::SegmentSoftmax(_, idx, _)
-                | Op::SumRowRuns(_, idx) => self.pool.put_usize(idx),
-                Op::GatherScatterRows { src, dst, .. } => {
-                    self.pool.put_usize(src);
-                    self.pool.put_usize(dst);
-                }
-                _ => {}
-            }
-        }
+        self.nodes.clear();
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> VarId {
@@ -779,29 +700,9 @@ impl Tape {
         VarId(self.nodes.len() - 1)
     }
 
-    /// Adds a constant (non-trainable) leaf, taking ownership of the tensor
-    /// (its buffer joins the pool on [`Tape::recycle`]).
+    /// Adds a constant (non-trainable) leaf, taking ownership of the tensor.
     pub fn constant(&mut self, value: Tensor) -> VarId {
         self.push(Op::Constant, value)
-    }
-
-    /// An empty buffer with room for `len` values, drawn from the tape's
-    /// pool: fill it and hand it back through [`Tape::constant`], and the leaf
-    /// is built without touching the allocator on a warmed-up tape. A caller
-    /// that assembles a constant on the host every pass (the encoder's
-    /// node-update input, a carried block in front of computed rows) must
-    /// take its buffer here: a fresh `Vec` per pass is adopted by
-    /// [`Tape::recycle`] and never handed out again, so the pool grows by one
-    /// buffer per pass.
-    pub fn pooled_buffer(&mut self, len: usize) -> Vec<f32> {
-        self.pool.take_f32(len)
-    }
-
-    /// How many buffers the pool holds right now (all of them right after
-    /// [`Tape::recycle`]) — what a test watches to show a steady-state loop
-    /// does not grow the pool.
-    pub fn pooled_buffers(&self) -> usize {
-        self.pool.f32s.len() + self.pool.usizes.len()
     }
 
     /// `[m, k, n]` of every matrix product recorded since the last
@@ -817,33 +718,6 @@ impl Tape {
         })
     }
 
-    /// Adds a constant leaf by copying `value` into a pooled buffer —
-    /// allocation-free on a warmed-up tape, unlike
-    /// `tape.constant(value.clone())`.
-    pub fn constant_copied(&mut self, value: &Tensor) -> VarId {
-        let mut data = self.pool.take_f32(value.numel());
-        data.extend_from_slice(value.data());
-        let t = Tensor::from_shape(data, value.shape_c());
-        self.push(Op::Constant, t)
-    }
-
-    /// Adds a scalar constant leaf from a pooled one-element buffer —
-    /// allocation-free on a warmed-up tape, unlike
-    /// `tape.constant(Tensor::scalar(value))`.
-    pub fn scalar(&mut self, value: f32) -> VarId {
-        self.push_scalar(Op::Constant, value)
-    }
-
-    /// Adds a zero-filled constant leaf from a pooled buffer —
-    /// allocation-free on a warmed-up tape, unlike
-    /// `tape.constant(Tensor::zeros(shape))`.
-    pub fn zeros(&mut self, shape: &[usize]) -> VarId {
-        let shape = Shape::from_dims(shape);
-        let data = self.pool.take_zeroed(shape.numel());
-        let t = Tensor::from_shape(data, shape);
-        self.push(Op::Constant, t)
-    }
-
     /// Imports a parameter from the store as a trainable leaf. The tensor is
     /// shared, not cloned: the leaf holds an `Arc` reference to the store's
     /// current value.
@@ -853,24 +727,15 @@ impl Tape {
         VarId(self.nodes.len() - 1)
     }
 
-    /// Records an element-wise binary op with a pooled output buffer.
+    /// Records an element-wise binary op.
     fn binary_zip(&mut self, op: Op, a: VarId, b: VarId, f: impl Fn(f32, f32) -> f32) -> VarId {
-        let av = value_of(&self.nodes, a);
-        let bv = value_of(&self.nodes, b);
-        assert_eq!(av.shape(), bv.shape(), "shape mismatch: {:?} vs {:?}", av.shape(), bv.shape());
-        let mut data = self.pool.take_f32(av.numel());
-        let (av, bv) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
-        data.extend(av.data().iter().zip(bv.data()).map(|(&x, &y)| f(x, y)));
-        let t = Tensor::from_shape(data, av.shape_c());
+        let t = value_of(&self.nodes, a).zip(value_of(&self.nodes, b), f);
         self.push(op, t)
     }
 
-    /// Records an element-wise unary op with a pooled output buffer.
+    /// Records an element-wise unary op.
     fn unary_map(&mut self, op: Op, a: VarId, f: impl Fn(f32) -> f32) -> VarId {
-        let mut data = self.pool.take_f32(value_of(&self.nodes, a).numel());
-        let av = value_of(&self.nodes, a);
-        data.extend(av.data().iter().map(|&x| f(x)));
-        let t = Tensor::from_shape(data, av.shape_c());
+        let t = value_of(&self.nodes, a).map(f);
         self.push(op, t)
     }
 
@@ -901,13 +766,12 @@ impl Tape {
         let bv = value_of(&self.nodes, bias);
         let (rows, cols) = (av.rows(), av.cols());
         assert_eq!(bv.numel(), cols, "bias size must equal number of columns");
-        let mut data = self.pool.take_f32(rows * cols);
-        let (av, bv) = (value_of(&self.nodes, a), value_of(&self.nodes, bias));
+        let mut data = Vec::with_capacity(rows * cols);
         for r in 0..rows {
             let a_row = &av.data()[r * cols..(r + 1) * cols];
             data.extend(a_row.iter().zip(bv.data()).map(|(&x, &b)| act.apply(x + b)));
         }
-        let t = Tensor::from_shape(data, Shape::from_dims(&[rows, cols]));
+        let t = Tensor::from_vec(data, &[rows, cols]);
         self.push(Op::AddBiasAct(a, bias, act), t)
     }
 
@@ -922,19 +786,9 @@ impl Tape {
     }
 
     /// Matrix multiplication of rank-2 variables (the tiled
-    /// [`Tensor::matmul`] kernel over a pooled output buffer).
+    /// [`Tensor::matmul`] kernel).
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let av = value_of(&self.nodes, a);
-        let bv = value_of(&self.nodes, b);
-        assert_eq!(av.shape().len(), 2, "matmul lhs must be rank-2, got {:?}", av.shape());
-        assert_eq!(bv.shape().len(), 2, "matmul rhs must be rank-2, got {:?}", bv.shape());
-        let (m, k) = (av.shape()[0], av.shape()[1]);
-        let (k2, n) = (bv.shape()[0], bv.shape()[1]);
-        assert_eq!(k, k2, "matmul inner dim mismatch: {} vs {}", k, k2);
-        let mut out = self.pool.take_zeroed(m * n);
-        let (av, bv) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
-        matmul_into(av.data(), bv.data(), &mut out, m, k, n);
-        let t = Tensor::from_shape(out, Shape::from_dims(&[m, n]));
+        let t = value_of(&self.nodes, a).matmul(value_of(&self.nodes, b));
         self.push(Op::MatMul(a, b), t)
     }
 
@@ -948,66 +802,38 @@ impl Tape {
         self.unary_map(Op::Exp(a), a, f32::exp)
     }
 
-    /// Records a scalar-valued op with a pooled one-element buffer.
-    fn push_scalar(&mut self, op: Op, value: f32) -> VarId {
-        let mut data = self.pool.take_f32(1);
-        data.push(value);
-        let t = Tensor::from_shape(data, Shape::from_dims(&[1]));
-        self.push(op, t)
-    }
-
     /// Sum of all elements, producing a scalar.
     pub fn sum_all(&mut self, a: VarId) -> VarId {
         let v = value_of(&self.nodes, a).sum();
-        self.push_scalar(Op::SumAll(a), v)
+        self.push(Op::SumAll(a), Tensor::scalar(v))
     }
 
     /// Sums over the row axis, producing a `[1, cols]` matrix.
     pub fn sum_rows(&mut self, a: VarId) -> VarId {
         let av = value_of(&self.nodes, a);
         let (rows, cols) = (av.rows(), av.cols());
-        let mut out = self.pool.take_zeroed(cols);
-        sum_rows_into(&mut out, &value_of(&self.nodes, a).data()[..rows * cols], cols);
-        let t = Tensor::from_shape(out, Shape::from_dims(&[1, cols]));
+        let mut out = vec![0.0; cols];
+        sum_rows_into(&mut out, &av.data()[..rows * cols], cols);
+        let t = Tensor::from_vec(out, &[1, cols]);
         self.push(Op::SumRows(a), t)
-    }
-
-    /// Copies a slice of row indices into a pooled index vector (the vector
-    /// the op stores on the tape, reclaimed by [`Tape::recycle`]).
-    fn pooled_indices(&mut self, indices: &[usize]) -> Vec<usize> {
-        let mut idx = self.pool.take_usize(indices.len());
-        idx.extend_from_slice(indices);
-        idx
     }
 
     /// Concatenates two matrices with equal row counts along the column axis.
     pub fn concat_cols(&mut self, a: VarId, b: VarId) -> VarId {
-        let av = value_of(&self.nodes, a);
-        let bv = value_of(&self.nodes, b);
-        let rows = av.rows();
-        assert_eq!(bv.rows(), rows, "concat_cols row mismatch");
-        let (ca, cb) = (av.cols(), bv.cols());
-        let mut out = self.pool.take_f32(rows * (ca + cb));
-        let (av, bv) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
-        for r in 0..rows {
-            out.extend_from_slice(&av.data()[r * ca..(r + 1) * ca]);
-            out.extend_from_slice(&bv.data()[r * cb..(r + 1) * cb]);
-        }
-        let t = Tensor::from_shape(out, Shape::from_dims(&[rows, ca + cb]));
+        let t = Tensor::concat_cols(&[value_of(&self.nodes, a), value_of(&self.nodes, b)]);
         self.push(Op::ConcatCols(a, b), t)
     }
 
     /// Gathers rows of a matrix by index (rows may repeat).
     pub fn gather_rows(&mut self, a: VarId, indices: &[usize]) -> VarId {
-        let cols = value_of(&self.nodes, a).cols();
-        let mut out = self.pool.take_f32(indices.len() * cols);
         let av = value_of(&self.nodes, a);
+        let cols = av.cols();
+        let mut out = Vec::with_capacity(indices.len() * cols);
         for &idx in indices {
             out.extend_from_slice(&av.data()[idx * cols..(idx + 1) * cols]);
         }
-        let t = Tensor::from_shape(out, Shape::from_dims(&[indices.len(), cols]));
-        let idx = self.pooled_indices(indices);
-        self.push(Op::GatherRows(a, idx), t)
+        let t = Tensor::from_vec(out, &[indices.len(), cols]);
+        self.push(Op::GatherRows(a, indices.to_vec()), t)
     }
 
     /// Scatter-adds rows of a `[k, cols]` matrix into an `[out_rows, cols]`
@@ -1016,8 +842,7 @@ impl Tape {
         let av = value_of(&self.nodes, a);
         let cols = av.cols();
         assert_eq!(av.rows(), indices.len(), "scatter_add_rows index length mismatch");
-        let mut out = self.pool.take_zeroed(out_rows * cols);
-        let av = value_of(&self.nodes, a);
+        let mut out = vec![0.0; out_rows * cols];
         for (i, &idx) in indices.iter().enumerate() {
             assert!(idx < out_rows, "scatter index {} out of bounds ({})", idx, out_rows);
             let src = &av.data()[i * cols..(i + 1) * cols];
@@ -1025,25 +850,14 @@ impl Tape {
                 *o += x;
             }
         }
-        let t = Tensor::from_shape(out, Shape::from_dims(&[out_rows, cols]));
-        let idx = self.pooled_indices(indices);
-        self.push(Op::ScatterAddRows(a, idx), t)
+        let t = Tensor::from_vec(out, &[out_rows, cols]);
+        self.push(Op::ScatterAddRows(a, indices.to_vec()), t)
     }
 
     /// Transposes a rank-2 variable, turning `[m, n]` into `[n, m]` (used to
     /// reshape a batched `[K, 1]` score column into a `[1, K]` logit row).
     pub fn transpose(&mut self, a: VarId) -> VarId {
-        let av = value_of(&self.nodes, a);
-        assert_eq!(av.shape().len(), 2, "transpose requires a rank-2 tensor");
-        let (m, n) = (av.shape()[0], av.shape()[1]);
-        let mut out = self.pool.take_zeroed(m * n);
-        let av = value_of(&self.nodes, a);
-        for i in 0..m {
-            for (j, &x) in av.data()[i * n..(i + 1) * n].iter().enumerate() {
-                out[j * m + i] = x;
-            }
-        }
-        let t = Tensor::from_shape(out, Shape::from_dims(&[n, m]));
+        let t = value_of(&self.nodes, a).transpose();
         self.push(Op::Transpose(a), t)
     }
 
@@ -1054,13 +868,9 @@ impl Tape {
         let av = value_of(&self.nodes, a);
         assert_eq!(av.cols(), 1, "segment_softmax expects a column vector");
         assert_eq!(av.rows(), segments.len(), "segment length mismatch");
-        let shape = av.shape_c();
-        // Pooled scratch: per-segment max, per-entry exp, per-segment sum.
-        let mut seg_max = self.pool.take_f32(num_segments);
-        seg_max.resize(num_segments, f32::NEG_INFINITY);
-        let mut seg_sum = self.pool.take_zeroed(num_segments);
-        let mut out = self.pool.take_f32(segments.len());
-        let av = value_of(&self.nodes, a);
+        let mut seg_max = vec![f32::NEG_INFINITY; num_segments];
+        let mut seg_sum = vec![0.0f32; num_segments];
+        let mut out = Vec::with_capacity(segments.len());
         for (i, &s) in segments.iter().enumerate() {
             seg_max[s] = seg_max[s].max(av.data()[i]);
         }
@@ -1072,11 +882,8 @@ impl Tape {
         for (x, &s) in out.iter_mut().zip(segments) {
             *x /= seg_sum[s].max(1e-12);
         }
-        self.pool.put_f32(seg_max);
-        self.pool.put_f32(seg_sum);
-        let t = Tensor::from_shape(out, shape);
-        let idx = self.pooled_indices(segments);
-        self.push(Op::SegmentSoftmax(a, idx, num_segments), t)
+        let t = Tensor::from_vec(out, av.shape());
+        self.push(Op::SegmentSoftmax(a, segments.to_vec(), num_segments), t)
     }
 
     /// Fused gather–scale–scatter: `out[dst[i]] += a[src[i]] * scale[i]` for
@@ -1123,14 +930,12 @@ impl Tape {
         for &d in dst {
             assert!(d < out_rows, "scatter index {} out of bounds ({})", d, out_rows);
         }
-        let cols = value_of(&self.nodes, a).cols();
-        let mut out = self.pool.take_zeroed(out_rows * cols);
-        let av = value_of(&self.nodes, a).data();
-        let scales = value_of(&self.nodes, scale).data();
-        add_rows_along(&mut out, av, cols, src, dst, scales);
-        let t = Tensor::from_shape(out, Shape::from_dims(&[out_rows, cols]));
-        let (src, dst) = (self.pooled_indices(src), self.pooled_indices(dst));
-        self.push(Op::GatherScatterRows { a, scale, src, dst }, t)
+        let av = value_of(&self.nodes, a);
+        let cols = av.cols();
+        let mut out = vec![0.0; out_rows * cols];
+        add_rows_along(&mut out, av.data(), cols, src, dst, sv.data());
+        let t = Tensor::from_vec(out, &[out_rows, cols]);
+        self.push(Op::GatherScatterRows { a, scale, src: src.to_vec(), dst: dst.to_vec() }, t)
     }
 
     /// Per-segment row sums over *runs* of consecutive rows: output row
@@ -1183,11 +988,10 @@ impl Tape {
         // a sum of constants (an episode's carried rows): record none there.
         let mut flat = Vec::new();
         if self.nodes[a.0].needs_grad {
-            flat = self.pool.take_usize(3 * runs.len());
             flat.extend(runs.iter().flat_map(|run| [run.start, run.len, run.segment]));
         }
-        let mut out = self.pool.take_zeroed(out_rows * cols);
-        let av = value_of(&self.nodes, a).data();
+        let mut out = vec![0.0; out_rows * cols];
+        let av = av.data();
         let rows_of = |start: usize, len: usize| &av[start * cols..(start + len) * cols];
 
         // The trunk is the list's first run when it starts at row 0; a later
@@ -1203,8 +1007,7 @@ impl Tape {
         if let Some(trunk_len) = trunk_len {
             // Resuming runs by length: the trunk is summed once, and its
             // running sum copied out as it passes each of those lengths.
-            let mut resuming = self.pool.take_usize(out_rows);
-            resuming.extend((0..runs.len()).filter(|&at| resumes(at)));
+            let mut resuming: Vec<usize> = (0..runs.len()).filter(|&at| resumes(at)).collect();
             resuming.sort_unstable_by_key(|&at| runs[at].len);
             let trunk = runs[0].segment * cols;
             let mut summed = 0;
@@ -1215,7 +1018,6 @@ impl Tape {
                 out.copy_within(trunk..trunk + cols, run.segment * cols);
             }
             sum_rows_into(&mut out[trunk..trunk + cols], rows_of(summed, trunk_len - summed), cols);
-            self.pool.put_usize(resuming);
         }
         for (at, run) in runs.iter().enumerate() {
             if !summed_along_the_trunk(at) {
@@ -1223,7 +1025,7 @@ impl Tape {
                 sum_rows_into(&mut out[segment..segment + cols], rows_of(run.start, run.len), cols);
             }
         }
-        let t = Tensor::from_shape(out, Shape::from_dims(&[out_rows, cols]));
+        let t = Tensor::from_vec(out, &[out_rows, cols]);
         self.push(Op::SumRowRuns(a, flat), t)
     }
 
@@ -1232,22 +1034,17 @@ impl Tape {
     pub fn log_softmax(&mut self, a: VarId) -> VarId {
         let av = value_of(&self.nodes, a);
         let max = av.max();
-        let shape = av.shape_c();
-        // One pooled pass for the exp-sum, one for the shifted outputs.
-        let av = value_of(&self.nodes, a);
+        // One pass for the exp-sum, one for the shifted outputs.
         let sum: f32 = av.data().iter().map(|&x| (x - max).exp()).sum();
         let log_sum = sum.ln() + max;
-        let mut out = self.pool.take_f32(av.numel());
-        let av = value_of(&self.nodes, a);
-        out.extend(av.data().iter().map(|&x| x - log_sum));
-        let t = Tensor::from_shape(out, shape);
+        let t = av.map(|x| x - log_sum);
         self.push(Op::LogSoftmaxRow(a), t)
     }
 
     /// Picks a single element by flat index, producing a scalar.
     pub fn pick(&mut self, a: VarId, index: usize) -> VarId {
         let v = value_of(&self.nodes, a).data()[index];
-        self.push_scalar(Op::Pick(a, index), v)
+        self.push(Op::Pick(a, index), Tensor::scalar(v))
     }
 
     /// Clamps every element to `[lo, hi]`; gradients are zero outside the range.
@@ -1986,8 +1783,8 @@ mod tests {
         }
     }
 
-    /// A recycled tape must reproduce the exact bits of a fresh tape: the
-    /// pool changes where buffers come from, never what is computed.
+    /// A recycled tape must reproduce the exact bits of a fresh tape:
+    /// nothing of an earlier pass may leak into the next one.
     #[test]
     fn recycled_tape_is_bit_identical_to_fresh() {
         let mut store = ParamStore::new();
@@ -1995,11 +1792,11 @@ mod tests {
 
         let run = |tape: &mut Tape| -> (Vec<f32>, Vec<f32>) {
             let wv = tape.param(&store, w);
-            let x = tape.constant_copied(&Tensor::from_vec(vec![1.0, 2.0, -3.0, 0.5], &[2, 2]));
+            let x = tape.constant(Tensor::from_vec(vec![1.0, 2.0, -3.0, 0.5], &[2, 2]));
             let h = tape.matmul(x, wv);
             let g = tape.gather_rows(h, &[1, 0, 1]);
             let s = tape.scatter_add_rows(g, &[0, 1, 0], 2);
-            let proj = tape.constant_copied(&Tensor::from_vec(vec![0.5, -0.75], &[2, 1]));
+            let proj = tape.constant(Tensor::from_vec(vec![0.5, -0.75], &[2, 1]));
             let col = tape.matmul(s, proj);
             let sm = tape.segment_softmax(col, &[0, 0], 1);
             let weighted = tape.gather_scatter_rows(s, sm, &[0, 1], &[0, 1], 2);
@@ -2099,7 +1896,7 @@ mod tests {
         weights: &Tensor,
         store: &ParamStore,
     ) -> (Tensor, GradBuffer) {
-        let w = tape.constant_copied(weights);
+        let w = tape.constant(weights.clone());
         let weighted = tape.mul(out, w);
         let loss = tape.sum_all(weighted);
         let mut grads = GradBuffer::zeros_like(store);
@@ -2312,7 +2109,7 @@ mod tests {
 
         // One run over every row is `sum_rows`.
         let mut tape = Tape::new();
-        let av = tape.constant_copied(&a);
+        let av = tape.constant(a.clone());
         let by_runs = tape.sum_row_runs(av, &[run(0, 12, 0)], 1);
         let summed = tape.sum_rows(av);
         assert_bits_eq(tape.value(by_runs), tape.value(summed), "one run is sum_rows");
@@ -2367,7 +2164,7 @@ mod tests {
                         if as_params {
                             tape.param(&store, id)
                         } else {
-                            tape.constant_copied(value)
+                            tape.constant(value.clone())
                         }
                     },
                 )

@@ -29,10 +29,9 @@ use std::fmt;
 /// Maximum tensor rank supported by the inline shape representation.
 pub(crate) const MAX_RANK: usize = 4;
 
-/// Inline fixed-capacity shape: dimensions live in the tensor itself, so
-/// constructing a tensor from a pooled data buffer performs zero heap
-/// allocations. Unused trailing dims are zeroed, keeping derived equality
-/// exact.
+/// Inline fixed-capacity shape: dimensions live in the tensor itself, so a
+/// tensor's only heap allocation is its data. Unused trailing dims are
+/// zeroed, keeping derived equality exact.
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Shape {
     dims: [usize; MAX_RANK],
@@ -98,21 +97,9 @@ impl Tensor {
     /// Panics if the number of elements does not match the product of the
     /// shape dimensions.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Self {
-        Self::from_shape(data, Shape::from_dims(shape))
-    }
-
-    /// Creates a tensor from a flat vector and an inline [`Shape`]. This is
-    /// the allocation-free construction path the tape's buffer pool uses:
-    /// `data` is typically a recycled buffer and `Shape` is `Copy`.
-    pub(crate) fn from_shape(data: Vec<f32>, shape: Shape) -> Self {
+        let shape = Shape::from_dims(shape);
         assert_eq!(data.len(), shape.numel(), "data length {} does not match shape {:?}", data.len(), shape);
         Self { shape, data }
-    }
-
-    /// The tensor's inline shape (`Copy`, for rebuilding same-shaped tensors
-    /// without borrowing issues).
-    pub(crate) fn shape_c(&self) -> Shape {
-        self.shape
     }
 
     /// Creates a tensor filled with zeros.
@@ -175,11 +162,6 @@ impl Tensor {
     /// Returns a mutable slice of the underlying data in row-major order.
     pub fn data_mut(&mut self) -> &mut [f32] {
         &mut self.data
-    }
-
-    /// Consumes the tensor and returns the underlying data vector.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
     }
 
     /// Returns the element at the given multi-dimensional index.
