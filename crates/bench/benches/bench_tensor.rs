@@ -1,9 +1,10 @@
-//! Micro-benchmarks for the tensor hot paths: the tiled matmul kernels at
-//! real GAT-layer shapes (against the retained naive reference), the
-//! backward kernels (`G·Bᵀ` in each of its forms, `Aᵀ·G`, the `q = 1` outer
-//! product) at the shapes the reverse walk multiplies, a full tape
-//! forward/backward step on a recycled tape, and the gradient-buffer reuse
-//! primitives behind the PPO update's index-ordered merge.
+//! Micro-benchmarks for the tensor hot paths: the register-tiled matmul at
+//! real GAT-layer and policy-head shapes (against the retained naive
+//! reference), in whichever compiled form of the tile this CPU dispatches
+//! to; the backward kernels (`G·Bᵀ` in each of its forms, `Aᵀ·G`, the
+//! `q = 1` outer product) at the shapes the reverse walk multiplies; a full
+//! tape forward/backward step on a recycled tape; and the gradient-buffer
+//! reuse primitives behind the PPO update's index-ordered merge.
 
 use xrlflow_bench::{finish, iters_from_env, report, report_ratio, time_ns};
 use xrlflow_tensor::{GradBuffer, Mlp, ParamStore, Tape, Tensor, XorShiftRng};
@@ -25,9 +26,13 @@ fn main() {
 
     // The shapes a GAT layer actually multiplies: the node projection
     // ([N, H] x [H, H]), the attention scoring column ([N, H] x [H, 1]) and
-    // the weight-gradient shape of the backward pass ([H, N] x [N, H]).
+    // the weight-gradient shape of the backward pass ([H, N] x [N, H]); then
+    // the bench encoder's projection of one BERT graph ([103, 32] x [32, 32],
+    // the end-to-end ledger's `tensor.matmul_us` shape) and a policy-head
+    // block of eleven candidates plus No-Op ([12, 64] x [64, 64]).
     println!("== matmul: tiled kernel vs naive reference ==");
-    for (m, k, n) in [(256usize, 64usize, 64usize), (256, 64, 1), (64, 256, 64)] {
+    for (m, k, n) in [(256usize, 64usize, 64usize), (256, 64, 1), (64, 256, 64), (103, 32, 32), (12, 64, 64)]
+    {
         let a = random_tensor(&mut rng, &[m, k]);
         let b = random_tensor(&mut rng, &[k, n]);
         // Sample the skinny shapes harder: an 8 µs measurement needs many

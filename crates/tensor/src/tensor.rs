@@ -9,20 +9,29 @@
 //!
 //! [`Tensor::matmul`] and its transposed-operand variants
 //! ([`Tensor::matmul_transposed_rhs`], [`Tensor::matmul_transposed_lhs`])
-//! share slice-level kernels with the tape, so the serial oracles and the
-//! parallel paths run the *same* floating-point code. Every kernel
+//! are what the tape's forward and backward ops call, so the serial oracles
+//! and the parallel paths run the *same* floating-point code. Every kernel
 //! accumulates each output element as one running sum over the inner
 //! dimension in ascending order — the exact per-element arithmetic of the
 //! naive triple loop ([`Tensor::matmul_naive`]) — so tiling changes memory
 //! traffic, never bits. The kernels contain no value-dependent branches:
-//! `0.0 * inf` and `0.0 * NaN` propagate NaN per IEEE 754 (the previous
-//! kernel's zero-skip silently dropped them). The two transposed-operand
-//! kernels are the matmul backward pass: `Aᵀ·G` (every weight gradient)
-//! blocks its reduction index by four with the running sum held in a
-//! register between the four ascending steps and has a column (`n == 1`)
-//! axpy form; `G·Bᵀ` is an outer product for `q == 1`, the `n == 1` dot
-//! path of [`Tensor::matmul`] for a single row, and otherwise packs `Bᵀ`
-//! and runs the row-tiled kernel. Shape picks the form, never the bits.
+//! `0.0 * inf` and `0.0 * NaN` propagate NaN per IEEE 754 (an earlier
+//! kernel's zero-skip silently dropped them), and no multiply is fused
+//! with its add (that rounds once where the oracle rounds twice).
+//!
+//! All three products run one register tile: `A·B` for `n ≥ 2`, `G·Bᵀ`
+//! with `Bᵀ` packed once, and `Aᵀ·G` for `n ≥ 2` with `A` read in place
+//! through its strides. The tile keeps an `MR × NR` block of output sums
+//! in registers for a chunk of up to `KC` reduction steps and stores each
+//! once per chunk. It is one
+//! `#[inline(always)]` body compiled twice — for the build's baseline
+//! target and, on x86_64, with AVX2 enabled — and each call picks the AVX2
+//! form when the CPU has it (std caches the answer; a build that already
+//! targets AVX2 resolves it at compile time). The forms differ in register
+//! width and `NR`, never in bits. Beside the tile, shape picks three
+//! small forms: `A·B`'s column (`n == 1`) is one dot product per row,
+//! `G·Bᵀ` is an outer product for `q == 1` and that dot path with the
+//! operands swapped for a single row, and `Aᵀ·G`'s column is `m` axpys.
 
 use std::fmt;
 
@@ -348,17 +357,22 @@ impl Tensor {
 
     /// Matrix multiplication of two rank-2 tensors (`[m, k] x [k, n] -> [m, n]`).
     ///
-    /// Runs the register-tiled kernel; results are
-    /// bit-identical to [`Tensor::matmul_naive`].
+    /// Runs the register tile (a column `other`, `n == 1`, is one dot
+    /// product per row); results are bit-identical to
+    /// [`Tensor::matmul_naive`].
     ///
     /// # Panics
     ///
     /// Panics if either tensor is not rank-2 or the inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Self {
         let (m, k, n) = self.matmul_dims(other);
-        let mut out = vec![0.0f32; m * n];
-        matmul_into(&self.data, &other.data, &mut out, m, k, n);
-        Self { shape: Shape::from_dims(&[m, n]), data: out }
+        let data = if n == 1 {
+            dot_rows(&self.data, &other.data, m, k)
+        } else {
+            let a = Lhs { data: &self.data, row_stride: k, col_stride: 1 };
+            tile_product(a, &other.data, m, k, n)
+        };
+        Self { shape: Shape::from_dims(&[m, n]), data }
     }
 
     /// The reference matrix multiplication: the plain triple loop, kept as
@@ -387,9 +401,13 @@ impl Tensor {
     /// `self` is `[m, q]`, `other` is `[n, q]`, and the result `[m, n]`
     /// satisfies `out[i][j] = Σ_p self[i][p] * other[j][p]` with `p`
     /// ascending — the exact bits of `self.matmul(&other.transpose())`.
-    /// The shape picks the kernel's form (outer product, single-row dot,
-    /// or pack-then-tile); the form never changes the bits. The matmul
-    /// backward pass's `grad × Bᵀ` product runs through this.
+    /// The matmul backward pass's `grad × Bᵀ` product runs through this.
+    /// The shape picks one of three forms, never the bits: a column `self`
+    /// (`q == 1`) is an outer product; a single row (`m == 1`) is one dot
+    /// product per row of `other` (a `[1, n]` output has the layout of an
+    /// `[n, 1]` one); every other shape packs `otherᵀ` once and runs the
+    /// register tile, whose independent per-column sums vectorise where
+    /// dot-product chains cannot.
     ///
     /// # Panics
     ///
@@ -401,16 +419,33 @@ impl Tensor {
         let (m, q) = (self.shape.dims[0], self.shape.dims[1]);
         let (n, q2) = (other.shape.dims[0], other.shape.dims[1]);
         assert_eq!(q, q2, "matmul inner dim mismatch: {} vs {}", q, q2);
-        let mut out = vec![0.0f32; m * n];
-        matmul_transposed_rhs_into(&self.data, &other.data, &mut out, m, q, n);
-        Self { shape: Shape::from_dims(&[m, n]), data: out }
+        let data = if q == 1 {
+            // Outer product of two columns (the `[R, 1] × a_srcᵀ` input
+            // gradient of a GAT attention projection). `0.0 +` is the
+            // running sum starting at zero: without it a `-0.0` product
+            // would keep its sign where every other form rounds it to `+0.0`.
+            let mut out = Vec::with_capacity(m * n);
+            for &x in &self.data {
+                out.extend(other.data.iter().map(|&v| 0.0 + x * v));
+            }
+            out
+        } else if m == 1 {
+            dot_rows(&other.data, &self.data, n, q)
+        } else {
+            let a = Lhs { data: &self.data, row_stride: q, col_stride: 1 };
+            tile_product(a, &pack_transposed(&other.data, n, q), m, q, n)
+        };
+        Self { shape: Shape::from_dims(&[m, n]), data }
     }
 
     /// `selfᵀ × other` without materialising the transpose: `self` is
     /// `[m, q]`, `other` is `[m, n]`, and the result `[q, n]` satisfies
     /// `out[i][j] = Σ_p self[p][i] * other[p][j]` with `p` ascending — the
     /// exact bits of `self.transpose().matmul(other)`. The backward pass's
-    /// `Aᵀ × grad` product runs through this kernel.
+    /// `Aᵀ × grad` product (every weight gradient) runs through this: the
+    /// register tile reads `self` in place through its strides, and a
+    /// column `other` (`n == 1`, the attention-vector gradients) runs as
+    /// `m` axpys into the `q` sums.
     ///
     /// # Panics
     ///
@@ -421,9 +456,19 @@ impl Tensor {
         let (m, q) = (self.shape.dims[0], self.shape.dims[1]);
         let (m2, n) = (other.shape.dims[0], other.shape.dims[1]);
         assert_eq!(m, m2, "matmul inner dim mismatch: {} vs {}", m, m2);
-        let mut out = vec![0.0f32; q * n];
-        matmul_transposed_lhs_into(&self.data, &other.data, &mut out, m, q, n);
-        Self { shape: Shape::from_dims(&[q, n]), data: out }
+        let data = if n == 1 {
+            let mut out = vec![0.0f32; q];
+            for (p, &bv) in other.data.iter().enumerate() {
+                for (o, &av) in out.iter_mut().zip(&self.data[p * q..(p + 1) * q]) {
+                    *o += av * bv;
+                }
+            }
+            out
+        } else {
+            let at = Lhs { data: &self.data, row_stride: 1, col_stride: q };
+            tile_product(at, &other.data, q, m, n)
+        };
+        Self { shape: Shape::from_dims(&[q, n]), data }
     }
 
     /// Transpose of a rank-2 tensor.
@@ -476,182 +521,196 @@ impl Default for Tensor {
     }
 }
 
-/// Rows processed together by the tiled matmul: each streamed row of `b` is
-/// reused across this many output rows, quartering the `b` traffic. The
-/// working set of the X-RLflow shapes (`k, n ≤ 256`) fits L1, so register
-/// reuse — not cache blocking over `k`/`n` — is the lever that matters here.
-const MM_ROW_TILE: usize = 4;
+/// Output rows of one register tile: each `b` row a step loads is reused
+/// across this many rows' sums. With `NR` four vector registers wide, the
+/// `MR × NR` sums are eight registers — enough independent additions to
+/// keep both floating-point ports busy through the add latency — and a row
+/// of `b` plus the broadcast `a` value fit beside them in the sixteen
+/// registers of either form without spilling. (On an AVX2 Xeon, against
+/// 4 × 8, 4 × 16, 6 × 8 and 1 × 32 blocks among others, this read fastest
+/// in the AVX2 form and within a few percent of a 1 × 32 block in the
+/// baseline form: a shorter, wider block takes fewer broadcasts and index
+/// checks per sum, and the model's `n` is 32 or 64.)
+const MR: usize = 2;
 
-/// Writes `a (m×k) × b (k×n)` into `out` (`m×n`), zeroing `out` first.
-///
-/// Register-tiled over rows ([`MM_ROW_TILE`] output rows share each streamed
-/// row of `b`); each output element is one running sum over `p = 0..k` in
-/// ascending order, so the result is bit-identical to the naive triple loop
-/// for every tile size. There are no value-dependent branches: IEEE
+/// Output columns of the baseline form's tile: four 4-lane SSE2 registers.
+const NR_BASELINE: usize = 16;
+
+/// Output columns of the AVX2 form's tile: four 8-lane registers.
+#[cfg(target_arch = "x86_64")]
+const NR_AVX2: usize = 32;
+
+/// Reduction steps a block takes before it stores its sums and the next
+/// block takes the same steps. A chunk of both operands' rows at the model's
+/// widths (`[64, 32]` twice, 16 KB) stays in L1 across the blocks that
+/// reread it, where a whole `Aᵀ·G` reduction over a few hundred graph rows
+/// would not.
+const KC: usize = 64;
+
+/// The tile's left operand, read in place: element `(i, p)` is
+/// `data[i * row_stride + p * col_stride]`. A row-major `[m, k]` matrix is
+/// `(k, 1)`; the transpose of a row-major `[k, m]` one is `(1, m)`.
+#[derive(Clone, Copy)]
+struct Lhs<'a> {
+    data: &'a [f32],
+    row_stride: usize,
+    col_stride: usize,
+}
+
+/// `a (m×k) · b (k×n)`, `b` row-major, through the register tile.
+fn tile_product(a: Lhs<'_>, b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    let mut out = vec![0.0f32; m * n];
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        // SAFETY: the CPU supports AVX2, checked on the line above.
+        unsafe { tile_avx2(a, b, &mut out, m, k, n) };
+        return out;
+    }
+    tile_baseline(a, b, &mut out, m, k, n);
+    out
+}
+
+/// The tile compiled for the build's baseline target.
+fn tile_baseline(a: Lhs<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    tile::<NR_BASELINE>(a, b, out, m, k, n);
+}
+
+/// The same tile compiled with AVX2 enabled (no FMA: the bits do not move).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn tile_avx2(a: Lhs<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    tile::<NR_AVX2>(a, b, out, m, k, n);
+}
+
+/// Writes `a (m×k) · b (k×n)` into every element of `out` (`m×n`), one
+/// `MR × NR` block at a time. A block's sums stay in registers for a whole
+/// chunk of at most [`KC`] reduction steps; each is one running sum
+/// `0.0 + a·b + …` over `p = 0..k` ascending, so the result is
+/// bit-identical to the naive triple loop for every tile size, chunk size
+/// and compilation. There are no value-dependent branches: IEEE
 /// `0.0 * inf = NaN` propagates.
-pub(crate) fn matmul_into(a: &[f32], b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    debug_assert_eq!(a.len(), m * k);
+#[inline(always)]
+fn tile<const NR: usize>(a: Lhs<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
-    out.fill(0.0);
-    if n == 1 {
-        // Column RHS (the GAT attention projections): each output is a plain
-        // dot product of two contiguous slices.
-        for (i, o) in out.iter_mut().enumerate() {
-            let a_row = &a[i * k..(i + 1) * k];
+    if k == 0 {
+        // An empty reduction: every sum is its starting `0.0`.
+        out.fill(0.0);
+        return;
+    }
+    for p in (0..k).step_by(KC) {
+        let steps = KC.min(k - p);
+        let (a, b) = (Lhs { data: &a.data[p * a.col_stride..], ..a }, &b[p * n..]);
+        for i in (0..m).step_by(MR) {
+            let rows = Lhs { data: &a.data[i * a.row_stride..], ..a };
+            for j in (0..n).step_by(NR) {
+                let (b, out) = (&b[j..], &mut out[i * n + j..]);
+                let block = Block { cols: NR.min(n - j), steps, n, first: p == 0 };
+                if m - i < MR {
+                    // With `MR == 2` the last block of an odd `m` is one row.
+                    tile_block::<1, NR>(rows, b, out, block);
+                } else {
+                    tile_block::<MR, NR>(rows, b, out, block);
+                }
+            }
+        }
+    }
+}
+
+/// Where one [`tile_block`] call sits in the product.
+#[derive(Clone, Copy)]
+struct Block {
+    /// Output columns it stores, `≤ NR`.
+    cols: usize,
+    /// Reduction steps it takes, `≤ KC`.
+    steps: usize,
+    /// Row stride of `b` and `out`.
+    n: usize,
+    /// Whether these are the first steps; later chunks resume the sums
+    /// the previous chunk stored.
+    first: bool,
+}
+
+/// One `R × NR` block of [`tile`]: `a`'s first `R` rows times the first
+/// `block.cols` columns of `b`'s rows, into `out`'s first `R` rows, over
+/// `block.steps` reduction steps. The sums and `b`'s block row are moved
+/// by value, never sliced at a run-time length, so they stay in
+/// registers; a narrow block pads `b` with zeros into lanes it never
+/// stores. Storing a sum and loading it for the next chunk is an exact
+/// `f32` round trip, so the running sum continues bit for bit.
+#[inline(always)]
+fn tile_block<const R: usize, const NR: usize>(a: Lhs<'_>, b: &[f32], out: &mut [f32], block: Block) {
+    let Block { cols, steps, n, first } = block;
+    let mut sums = [[0.0f32; NR]; R];
+    if cols == NR {
+        if !first {
+            for (r, row) in sums.iter_mut().enumerate() {
+                *row = out[r * n..][..NR].try_into().expect("a full block row");
+            }
+        }
+        for p in 0..steps {
+            let b_row: [f32; NR] = b[p * n..][..NR].try_into().expect("a full block row");
+            tile_step(&mut sums, a, p, b_row);
+        }
+        for (r, row) in sums.into_iter().enumerate() {
+            let dst: &mut [f32; NR] = (&mut out[r * n..][..NR]).try_into().expect("a full block row");
+            *dst = row;
+        }
+    } else {
+        let padded = |row: &[f32]| std::array::from_fn(|c| if c < cols { row[c] } else { 0.0 });
+        if !first {
+            for (r, row) in sums.iter_mut().enumerate() {
+                *row = padded(&out[r * n..][..cols]);
+            }
+        }
+        for p in 0..steps {
+            tile_step(&mut sums, a, p, padded(&b[p * n..][..cols]));
+        }
+        for (r, row) in sums.into_iter().enumerate() {
+            out[r * n..][..cols].copy_from_slice(&row[..cols]);
+        }
+    }
+}
+
+/// Adds reduction step `p` to every sum of a block.
+#[inline(always)]
+fn tile_step<const R: usize, const NR: usize>(
+    sums: &mut [[f32; NR]; R],
+    a: Lhs<'_>,
+    p: usize,
+    b_row: [f32; NR],
+) {
+    for (r, row) in sums.iter_mut().enumerate() {
+        let x = a.data[r * a.row_stride + p * a.col_stride];
+        for (s, v) in row.iter_mut().zip(b_row) {
+            *s += x * v;
+        }
+    }
+}
+
+/// One dot product per row of `a (m×k)` with the column `b (k)`: the
+/// `n == 1` form of [`Tensor::matmul`] and, operands swapped, the `m == 1`
+/// form of [`Tensor::matmul_transposed_rhs`].
+fn dot_rows(a: &[f32], b: &[f32], m: usize, k: usize) -> Vec<f32> {
+    (0..m)
+        .map(|i| {
             let mut acc = 0.0f32;
-            for (&av, &bv) in a_row.iter().zip(b.iter()) {
+            for (&av, &bv) in a[i * k..(i + 1) * k].iter().zip(b) {
                 acc += av * bv;
             }
-            *o = acc;
-        }
-        return;
-    }
-    let mut row = 0;
-    let mut tiles = out.chunks_exact_mut(MM_ROW_TILE * n);
-    for tile in &mut tiles {
-        let (o0, rest) = tile.split_at_mut(n);
-        let (o1, rest) = rest.split_at_mut(n);
-        let (o2, o3) = rest.split_at_mut(n);
-        let a0 = &a[row * k..(row + 1) * k];
-        let a1 = &a[(row + 1) * k..(row + 2) * k];
-        let a2 = &a[(row + 2) * k..(row + 3) * k];
-        let a3 = &a[(row + 3) * k..(row + 4) * k];
-        for p in 0..k {
-            let b_row = &b[p * n..(p + 1) * n];
-            let (c0, c1, c2, c3) = (a0[p], a1[p], a2[p], a3[p]);
-            for j in 0..n {
-                o0[j] += c0 * b_row[j];
-                o1[j] += c1 * b_row[j];
-                o2[j] += c2 * b_row[j];
-                o3[j] += c3 * b_row[j];
-            }
-        }
-        row += MM_ROW_TILE;
-    }
-    for out_row in tiles.into_remainder().chunks_exact_mut(n) {
-        let a_row = &a[row * k..(row + 1) * k];
-        for (p, &av) in a_row.iter().enumerate() {
-            let b_row = &b[p * n..(p + 1) * n];
-            for (o, &bv) in out_row.iter_mut().zip(b_row.iter()) {
-                *o += av * bv;
-            }
-        }
-        row += 1;
-    }
+            acc
+        })
+        .collect()
 }
 
-/// Writes `a (m×q) × bt (n×q)ᵀ` into `out` (`m×n`), zeroing `out` first.
-/// Every output element is accumulated over `p = 0..q` ascending with a
-/// single running sum — bit-identical to `a.matmul(&bt.transpose())`. The
-/// shape picks one of three forms, never the bits: a column `a` (`q == 1`)
-/// is an outer product; a single row (`m == 1`) is [`matmul_into`]'s
-/// `n == 1` dot path with the operands swapped (a `[1, n]` output has the
-/// layout of an `[n, 1]` one); every other shape packs `bt` transposed once
-/// and runs [`matmul_into`]'s row-tiled kernel, whose independent
-/// per-column sums vectorise where dot-product chains cannot.
-pub(crate) fn matmul_transposed_rhs_into(
-    a: &[f32],
-    bt: &[f32],
-    out: &mut [f32],
-    m: usize,
-    q: usize,
-    n: usize,
-) {
-    debug_assert_eq!(a.len(), m * q);
-    debug_assert_eq!(bt.len(), n * q);
-    debug_assert_eq!(out.len(), m * n);
-    if q == 1 {
-        // Outer product of two columns (the `[R, 1] × a_srcᵀ` input gradient
-        // of a GAT attention projection). `0.0 +` is the dot loop's running
-        // sum starting at zero: without it a `-0.0` product would keep its
-        // sign where every other path rounds it to `+0.0`.
-        for (i, &x) in a.iter().enumerate() {
-            for (o, &v) in out[i * n..(i + 1) * n].iter_mut().zip(bt) {
-                *o = 0.0 + x * v;
-            }
-        }
-        return;
+/// The row-major `[q, n]` transpose of the row-major `[n, q]` matrix `bt`,
+/// written in order: no zero fill beforehand.
+fn pack_transposed(bt: &[f32], n: usize, q: usize) -> Vec<f32> {
+    let mut b = Vec::with_capacity(q * n);
+    for p in 0..q {
+        b.extend(bt.chunks_exact(q).map(|row| row[p]));
     }
-    if m == 1 {
-        matmul_into(bt, a, out, n, q, 1);
-        return;
-    }
-    let mut b = vec![0.0f32; q * n];
-    for (j, bt_row) in bt.chunks_exact(q).enumerate() {
-        for (p, &v) in bt_row.iter().enumerate() {
-            b[p * n + j] = v;
-        }
-    }
-    matmul_into(a, &b, out, m, q, n);
-}
-
-/// Reduction rows folded into each pass over `out` by
-/// [`matmul_transposed_lhs_into`].
-const MM_REDUCE_BLOCK: usize = 4;
-
-/// Writes `at (m×q)ᵀ × b (m×n)` into `out` (`q×n`), zeroing `out` first.
-/// Each output element is one running sum over `p = 0..m` ascending —
-/// bit-identical to `at.transpose().matmul(&b)` without materialising the
-/// transpose, with both operands streamed row-contiguously.
-///
-/// The reduction index is blocked by [`MM_REDUCE_BLOCK`]: an element's
-/// running sum is loaded once, takes its four products in ascending `p`
-/// order in a register and is stored once, instead of one load and one store
-/// of the whole `[q, n]` output per input row (`m` is the row count of a
-/// graph block, `q × n` a weight matrix — every weight gradient of the model
-/// has this shape). A column `b` (`n == 1`, the attention-vector gradients)
-/// runs as `m` axpys into the `q` sums.
-pub(crate) fn matmul_transposed_lhs_into(
-    at: &[f32],
-    b: &[f32],
-    out: &mut [f32],
-    m: usize,
-    q: usize,
-    n: usize,
-) {
-    debug_assert_eq!(at.len(), m * q);
-    debug_assert_eq!(b.len(), m * n);
-    debug_assert_eq!(out.len(), q * n);
-    out.fill(0.0);
-    if n == 1 {
-        for (p, &bv) in b.iter().enumerate() {
-            for (o, &av) in out.iter_mut().zip(&at[p * q..(p + 1) * q]) {
-                *o += av * bv;
-            }
-        }
-        return;
-    }
-    let mut p = 0;
-    while p + MM_REDUCE_BLOCK <= m {
-        let a_rows = &at[p * q..(p + MM_REDUCE_BLOCK) * q];
-        let b_rows = &b[p * n..(p + MM_REDUCE_BLOCK) * n];
-        let (b0, rest) = b_rows.split_at(n);
-        let (b1, rest) = rest.split_at(n);
-        let (b2, b3) = rest.split_at(n);
-        for i in 0..q {
-            let (c0, c1, c2, c3) = (a_rows[i], a_rows[q + i], a_rows[2 * q + i], a_rows[3 * q + i]);
-            let out_row = &mut out[i * n..(i + 1) * n];
-            for ((((o, &v0), &v1), &v2), &v3) in out_row.iter_mut().zip(b0).zip(b1).zip(b2).zip(b3) {
-                let mut sum = *o;
-                sum += c0 * v0;
-                sum += c1 * v1;
-                sum += c2 * v2;
-                sum += c3 * v3;
-                *o = sum;
-            }
-        }
-        p += MM_REDUCE_BLOCK;
-    }
-    for p in p..m {
-        let a_row = &at[p * q..(p + 1) * q];
-        let b_row = &b[p * n..(p + 1) * n];
-        for (i, &av) in a_row.iter().enumerate() {
-            for (o, &bv) in out[i * n..(i + 1) * n].iter_mut().zip(b_row) {
-                *o += av * bv;
-            }
-        }
-    }
+    b
 }
 
 #[cfg(test)]
@@ -727,12 +786,54 @@ mod tests {
         assert_eq!(zeros.matmul(&finite).item(), 0.0);
     }
 
+    /// One compilation of the register tile, as [`tile_product`] calls it.
+    type TileForm = fn(Lhs<'_>, &[f32], &mut [f32], usize, usize, usize);
+
+    /// Every compiled form of the tile this CPU can run, with its width:
+    /// the baseline always, AVX2 when the CPU has it. Whichever one
+    /// `tile_product` dispatches to, the other is still checked bit for bit.
+    fn tile_forms() -> Vec<(&'static str, usize, TileForm)> {
+        let mut forms: Vec<(&'static str, usize, TileForm)> = vec![("baseline", NR_BASELINE, tile_baseline)];
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: listed only when the CPU supports AVX2, checked above.
+            forms.push(("avx2", NR_AVX2, |a, b, out, m, k, n| unsafe { tile_avx2(a, b, out, m, k, n) }));
+        }
+        forms
+    }
+
+    /// `a (m×k) · b (k×n)` through one form of the tile, into a buffer
+    /// pre-filled with a value no product here yields, so an element the
+    /// tile failed to store shows.
+    fn through_form(form: TileForm, a: Lhs<'_>, b: &[f32], m: usize, k: usize, n: usize) -> Tensor {
+        let mut out = vec![12_345.678f32; m * n];
+        form(a, b, &mut out, m, k, n);
+        Tensor::from_vec(out, &[m, n])
+    }
+
+    const SPECIALS: [f32; 6] = [-0.0, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -1.5];
+
+    /// A `[rows, cols]` matrix of uniform values in `[-2, 2)`; with `plant`,
+    /// up to four of them replaced by [`SPECIALS`].
+    fn random_matrix(rng: &mut XorShiftRng, rows: usize, cols: usize, plant: bool) -> Tensor {
+        let mut data: Vec<f32> = (0..rows * cols).map(|_| rng.uniform(-2.0, 2.0)).collect();
+        if plant {
+            for slot in 0..data.len().min(4) {
+                let at = rng.next_u64() as usize % data.len();
+                data[at] = SPECIALS[(rng.next_u64() as usize + slot) % SPECIALS.len()];
+            }
+        }
+        Tensor::from_vec(data, &[rows, cols])
+    }
+
     /// Seeded property sweep: the tiled kernel, the transposed-operand
-    /// kernels and the naive reference must agree to the BIT on random
-    /// shapes. Absolute bit equality is the right tolerance here because
-    /// every kernel accumulates each output element over the inner dimension
-    /// in the identical ascending order — tiling only changes memory
-    /// traffic, never the sequence of floating-point operations per element.
+    /// kernels, every compiled form of the tile and the naive reference
+    /// must agree to the BIT on random shapes and on every tile edge.
+    /// Absolute bit equality is the right tolerance here because every
+    /// kernel accumulates each output element over the inner dimension in
+    /// the identical ascending order — tiling and the instruction set only
+    /// change memory traffic and register width, never the sequence of
+    /// floating-point operations per element.
     #[test]
     fn matmul_kernels_match_naive_bit_for_bit() {
         let mut rng = XorShiftRng::new(0xC0FFEE);
@@ -753,6 +854,11 @@ mod tests {
                     "trial {trial} ({m}x{k}x{n}): tiled[{i}]={x} differs from naive[{i}]={y}"
                 );
             }
+            for (form, _, tile) in tile_forms() {
+                let lhs = Lhs { data: a.data(), row_stride: k, col_stride: 1 };
+                let via_form = through_form(tile, lhs, b.data(), m, k, n);
+                assert_same_bits(&via_form, &naive, &format!("trial {trial}, {form} tile"));
+            }
 
             // a × bᵀᵀ via the transposed-RHS kernel == a × b.
             let via_rhs = a.matmul_transposed_rhs(&b.transpose());
@@ -762,6 +868,34 @@ mod tests {
             let via_lhs = a.transpose().matmul_transposed_lhs(&b);
             for (x, y) in via_lhs.data().iter().zip(naive.data()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "trial {trial}: matmul_transposed_lhs diverges");
+            }
+        }
+
+        // Every edge of every form's tile — a row block one short of, equal
+        // to and one past `MR`; a column block one short of, equal to and
+        // one past `NR`, and two blocks and a lone column; an empty and a
+        // one-step reduction beside a longer one and one that crosses a `KC`
+        // chunk — with signed zeros, ±inf and NaN planted.
+        for (form, nr, tile) in tile_forms() {
+            for m in [MR - 1, MR, MR + 1] {
+                for n in [nr - 1, nr, nr + 1, 2 * nr + 1] {
+                    for k in [0usize, 1, 7, KC + 1] {
+                        let (a, b) =
+                            (random_matrix(&mut rng, m, k, true), random_matrix(&mut rng, k, n, true));
+                        let lhs = Lhs { data: a.data(), row_stride: k, col_stride: 1 };
+                        let via_form = through_form(tile, lhs, b.data(), m, k, n);
+                        assert_same_bits(
+                            &via_form,
+                            &a.matmul_naive(&b),
+                            &format!("{form} tile edge {m}x{k}x{n}"),
+                        );
+                        assert_same_bits(
+                            &a.matmul(&b),
+                            &a.matmul_naive(&b),
+                            &format!("matmul at {m}x{k}x{n}"),
+                        );
+                    }
+                }
             }
         }
     }
@@ -779,42 +913,60 @@ mod tests {
         }
     }
 
-    /// The backward kernels over the shapes the model has — every blocking
-    /// remainder of the reduction (`m`), the `q == 1` outer-product and
-    /// `n == 1` axpy paths, `G·Bᵀ`'s single-row form (`m = 1`) and its packed
-    /// form at every other `m`, across the old 16-row strategy boundary
-    /// (`m = 15, 16, 17`) — against
-    /// `transpose()` + `matmul_naive`, with the operands the special paths
-    /// could get wrong planted in: `-0.0` (a lone `-0.0` product must still
-    /// round to `+0.0` through the running sum), `inf` next to `0.0`
-    /// (`0.0 * inf = NaN`) and NaN.
+    /// The backward kernels over the shapes the model has — `Aᵀ·G`'s tile
+    /// and its `n == 1` axpy form, `G·Bᵀ`'s `q == 1` outer product, its
+    /// single-row form (`m = 1`) and its packed tile at every other `m`,
+    /// with `m` across the old 16-row strategy boundary (`m = 15, 16, 17`)
+    /// — and every compiled form of the tile at those shapes and at its
+    /// edges, each read the way its product reads it (`A` in place through
+    /// strides, `Bᵀ` packed), against `transpose()` + `matmul_naive`, with
+    /// the operands the special paths could get wrong planted in: `-0.0` (a
+    /// lone `-0.0` product must still round to `+0.0` through the running
+    /// sum), `inf` next to `0.0` (`0.0 * inf = NaN`) and NaN.
     #[test]
     fn backward_kernels_match_naive_on_model_shapes_and_non_finite_operands() {
         let mut rng = XorShiftRng::new(0xBAC2_BAC2);
-        let special = [-0.0f32, 0.0, f32::INFINITY, f32::NEG_INFINITY, f32::NAN, -1.5];
-        let mut random = |rows: usize, cols: usize, plant: bool| {
-            let mut data: Vec<f32> = (0..rows * cols).map(|_| rng.uniform(-2.0, 2.0)).collect();
-            if plant {
-                for slot in 0..data.len().min(4) {
-                    let at = rng.next_u64() as usize % data.len();
-                    data[at] = special[(rng.next_u64() as usize + slot) % special.len()];
-                }
+        let forms = tile_forms();
+        let mut check = |m: usize, q: usize, n: usize, plant: bool| {
+            let context = format!("{m}x{q}x{n}, planted specials: {plant}");
+            // Aᵀ·G: A is [m, q], G is [m, n].
+            let (a, g) = (random_matrix(&mut rng, m, q, plant), random_matrix(&mut rng, m, n, plant));
+            let want = a.transpose().matmul_naive(&g);
+            assert_same_bits(&a.matmul_transposed_lhs(&g), &want, &format!("lhs {context}"));
+            for &(form, _, tile) in &forms {
+                let at = Lhs { data: a.data(), row_stride: 1, col_stride: q };
+                let via_form = through_form(tile, at, g.data(), q, m, n);
+                assert_same_bits(&via_form, &want, &format!("lhs {context}, {form} tile"));
             }
-            Tensor::from_vec(data, &[rows, cols])
+            // G·Bᵀ: G is [m, q], B is [n, q].
+            let (g, b) = (random_matrix(&mut rng, m, q, plant), random_matrix(&mut rng, n, q, plant));
+            let want = g.matmul_naive(&b.transpose());
+            assert_same_bits(&g.matmul_transposed_rhs(&b), &want, &format!("rhs {context}"));
+            let packed = pack_transposed(b.data(), n, q);
+            for &(form, _, tile) in &forms {
+                let lhs = Lhs { data: g.data(), row_stride: q, col_stride: 1 };
+                let via_form = through_form(tile, lhs, &packed, m, q, n);
+                assert_same_bits(&via_form, &want, &format!("rhs {context}, {form} tile"));
+            }
         };
         for m in [1usize, 3, 4, 5, 7, 8, 9, 15, 16, 17, 33, 109] {
             for q in [1usize, 2, 32, 45, 64] {
                 for n in [1usize, 2, 32, 45, 64] {
                     for plant in [false, true] {
-                        let context = format!("{m}x{q}x{n}, planted specials: {plant}");
-                        // Aᵀ·G: A is [m, q], G is [m, n].
-                        let (a, g) = (random(m, q, plant), random(m, n, plant));
-                        let lhs = a.matmul_transposed_lhs(&g);
-                        assert_same_bits(&lhs, &a.transpose().matmul_naive(&g), &format!("lhs {context}"));
-                        // G·Bᵀ: G is [m, q], B is [n, q].
-                        let (g, b) = (random(m, q, plant), random(n, q, plant));
-                        let rhs = g.matmul_transposed_rhs(&b);
-                        assert_same_bits(&rhs, &g.matmul_naive(&b.transpose()), &format!("rhs {context}"));
+                        check(m, q, n, plant);
+                    }
+                }
+            }
+        }
+        // The tile's edges in both products: output rows `MR − 1 ..= MR + 1`
+        // (`q` for `Aᵀ·G`, `m` for `G·Bᵀ`) by every column edge of every
+        // form, over empty, one-step, longer and chunk-crossing reductions.
+        for &(_, nr, _) in &tile_forms() {
+            for rows in [MR - 1, MR, MR + 1] {
+                for n in [nr - 1, nr, nr + 1, 2 * nr + 1] {
+                    for inner in [0usize, 1, 7, KC + 1] {
+                        check(inner, rows, n, true);
+                        check(rows, inner, n, true);
                     }
                 }
             }
