@@ -3,11 +3,13 @@
 //! reference), in whichever compiled form of the tile this CPU dispatches
 //! to; the backward kernels (`G·Bᵀ` in each of its forms, `Aᵀ·G`, the
 //! `q = 1` outer product) at the shapes the reverse walk multiplies; a full
-//! tape forward/backward step on a recycled tape; and the gradient-buffer
-//! reuse primitives behind the PPO update's index-ordered merge.
+//! tape forward/backward step on a recycled tape; the tape's bias-add +
+//! activation and standalone activation ops at encoder shapes; and the
+//! gradient-buffer reuse primitives behind the PPO update's index-ordered
+//! merge.
 
 use xrlflow_bench::{finish, iters_from_env, report, report_ratio, time_ns};
-use xrlflow_tensor::{GradBuffer, Mlp, ParamStore, Tape, Tensor, XorShiftRng};
+use xrlflow_tensor::{Activation, GradBuffer, Mlp, ParamStore, Tape, Tensor, XorShiftRng};
 
 fn random_tensor(rng: &mut XorShiftRng, shape: &[usize]) -> Tensor {
     let numel: usize = shape.iter().product();
@@ -103,6 +105,39 @@ fn main() {
         train_step(&mut tape)
     });
     report("tape/train_step", step);
+
+    // The element-wise ops one transition records, each matched on its
+    // activation once per call: a dense layer's fused bias-add + activation
+    // over the ledger's median-node block (`[103, 32]`; the GAT projection
+    // is linear, the node update ReLU, the global update tanh) and the GAT
+    // layer's standalone ReLU over that block and leaky ReLU over an edge
+    // column of attention scores (`[400, 1]`). Operands are parameter
+    // leaves, so an iteration imports them by reference and times the op.
+    println!("\n== tape: bias-add + activation and standalone activations ==");
+    let mut leaves = ParamStore::new();
+    let block = leaves.register("block", random_tensor(&mut rng, &[103, 32]));
+    let bias = leaves.register("bias", random_tensor(&mut rng, &[32]));
+    let column = leaves.register("column", random_tensor(&mut rng, &[400, 1]));
+    for (name, act) in
+        [("linear", Activation::Linear), ("relu", Activation::Relu), ("tanh", Activation::Tanh)]
+    {
+        let ns = time_ns(2, iters * 16, || {
+            tape.recycle();
+            let (x, b) = (tape.param(&leaves, block), tape.param(&leaves, bias));
+            tape.add_bias_act(x, b, act)
+        });
+        report(&format!("tape/add_bias_act/{name}/103x32"), ns);
+    }
+    for (name, act) in [("relu", Activation::Relu), ("leaky_relu", Activation::LeakyRelu)] {
+        for (shape, input) in [("103x32", block), ("400x1", column)] {
+            let ns = time_ns(2, iters * 16, || {
+                tape.recycle();
+                let x = tape.param(&leaves, input);
+                tape.activate(x, act)
+            });
+            report(&format!("tape/activate/{name}/{shape}"), ns);
+        }
+    }
 
     // The PPO update's gradient-buffer primitives: allocating a buffer per
     // transition vs zero-filling a pooled one, and the position-ordered merge.

@@ -477,8 +477,8 @@ const LEAKY_SLOPE: f32 = 0.2;
 ///
 /// The backward pass takes each derivative **from the output** `y`, which is
 /// exact for every variant: ReLU and leaky ReLU (positive slope) keep the
-/// sign of their input — `y > 0 ⇔ x > 0`, NaN included — and the tanh and
-/// sigmoid derivatives are functions of `y`.
+/// sign of their input — `y > 0 ⇔ x > 0`, NaN included — and the tanh
+/// derivative is a function of `y`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Activation {
     /// Identity (no activation).
@@ -490,28 +490,36 @@ pub enum Activation {
     LeakyRelu,
     /// Hyperbolic tangent.
     Tanh,
-    /// Logistic sigmoid.
-    Sigmoid,
+}
+
+/// Evaluates `$body` with `$f` bound to `$act`'s element-wise function, one
+/// arm per variant: the variant is matched once per call, and each arm's
+/// loop is compiled for its own function (the ReLU loops vectorise) instead
+/// of matching on every element.
+macro_rules! with_activation {
+    ($act:expr, |$f:ident| $body:expr) => {
+        match $act {
+            Activation::Linear => {
+                let $f = |x: f32| x;
+                $body
+            }
+            Activation::Relu => {
+                let $f = |x: f32| x.max(0.0);
+                $body
+            }
+            Activation::LeakyRelu => {
+                let $f = |x: f32| if x > 0.0 { x } else { LEAKY_SLOPE * x };
+                $body
+            }
+            Activation::Tanh => {
+                let $f = f32::tanh;
+                $body
+            }
+        }
+    };
 }
 
 impl Activation {
-    #[inline]
-    fn apply(self, x: f32) -> f32 {
-        match self {
-            Activation::Linear => x,
-            Activation::Relu => x.max(0.0),
-            Activation::LeakyRelu => {
-                if x > 0.0 {
-                    x
-                } else {
-                    LEAKY_SLOPE * x
-                }
-            }
-            Activation::Tanh => x.tanh(),
-            Activation::Sigmoid => 1.0 / (1.0 + (-x).exp()),
-        }
-    }
-
     /// Multiplies the upstream gradient `grad` in place by the derivative at
     /// each element, read from the activation's `output`. The identity
     /// leaves it as it is.
@@ -523,7 +531,6 @@ impl Activation {
                 grad.zip_assign(output, |g, y| if y > 0.0 { g } else { LEAKY_SLOPE * g })
             }
             Activation::Tanh => grad.zip_assign(output, |g, y| g * (1.0 - y * y)),
-            Activation::Sigmoid => grad.zip_assign(output, |g, y| g * y * (1.0 - y)),
         }
     }
 }
@@ -767,10 +774,12 @@ impl Tape {
         let (rows, cols) = (av.rows(), av.cols());
         assert_eq!(bv.numel(), cols, "bias size must equal number of columns");
         let mut data = Vec::with_capacity(rows * cols);
-        for r in 0..rows {
-            let a_row = &av.data()[r * cols..(r + 1) * cols];
-            data.extend(a_row.iter().zip(bv.data()).map(|(&x, &b)| act.apply(x + b)));
-        }
+        with_activation!(act, |f| {
+            for r in 0..rows {
+                let a_row = &av.data()[r * cols..(r + 1) * cols];
+                data.extend(a_row.iter().zip(bv.data()).map(|(&x, &b)| f(x + b)));
+            }
+        });
         let t = Tensor::from_vec(data, &[rows, cols]);
         self.push(Op::AddBiasAct(a, bias, act), t)
     }
@@ -794,7 +803,7 @@ impl Tape {
 
     /// Applies `act` element-wise.
     pub fn activate(&mut self, a: VarId, act: Activation) -> VarId {
-        self.unary_map(Op::Act(a, act), a, |x| act.apply(x))
+        with_activation!(act, |f| self.unary_map(Op::Act(a, act), a, f))
     }
 
     /// Element-wise exponential.
@@ -1584,12 +1593,12 @@ mod tests {
     }
 
     #[test]
-    fn grad_of_tanh_sigmoid_exp() {
+    fn grad_of_tanh_leaky_relu_exp() {
         check_gradient(
             |tape, store, pid| {
                 let x = tape.param(store, pid);
                 let t = tape.activate(x, Activation::Tanh);
-                let s = tape.activate(t, Activation::Sigmoid);
+                let s = tape.activate(t, Activation::LeakyRelu);
                 let e = tape.exp(s);
                 tape.sum_all(e)
             },
@@ -1657,8 +1666,8 @@ mod tests {
         );
     }
 
-    const ACTIVATIONS: [Activation; 5] =
-        [Activation::Linear, Activation::Relu, Activation::LeakyRelu, Activation::Tanh, Activation::Sigmoid];
+    const ACTIVATIONS: [Activation; 4] =
+        [Activation::Linear, Activation::Relu, Activation::LeakyRelu, Activation::Tanh];
 
     #[test]
     fn grad_of_fused_bias_activations() {
@@ -1700,10 +1709,23 @@ mod tests {
                 let y = x.tanh();
                 g * (1.0 - y * y)
             }
-            Activation::Sigmoid => {
-                let y = 1.0 / (1.0 + (-x).exp());
-                g * y * (1.0 - y)
+        }
+    }
+
+    /// The per-element reference for the activation ops: one `match` on the
+    /// variant for every element.
+    fn apply_per_element(act: Activation, x: f32) -> f32 {
+        match act {
+            Activation::Linear => x,
+            Activation::Relu => x.max(0.0),
+            Activation::LeakyRelu => {
+                if x > 0.0 {
+                    x
+                } else {
+                    LEAKY_SLOPE * x
+                }
             }
+            Activation::Tanh => x.tanh(),
         }
     }
 
@@ -1713,6 +1735,64 @@ mod tests {
     /// one formula can disagree on them.
     fn same_bits(got: f32, want: f32) -> bool {
         got.to_bits() == want.to_bits() || (got.is_nan() && want.is_nan())
+    }
+
+    /// Choosing the activation once per call moves no bit: for every
+    /// variant, `add_bias_act` is `act(x + b)` and `activate` is `act(x)`
+    /// per element, over ±0, subnormals, ±inf and NaN in both `x` and the
+    /// bias (every other element of each; ordinary values between), at a
+    /// `[7, 33]` shape that no vector width divides.
+    #[test]
+    fn act_forward_per_call_matches_the_per_element_reference() {
+        let subnormal = f32::from_bits(1);
+        let specials = [
+            0.0,
+            -0.0,
+            subnormal,
+            -subnormal,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            -f32::NAN,
+            f32::MAX,
+            f32::MIN,
+            0.5,
+            -0.75,
+            20.0,
+            -20.0,
+        ];
+        let (rows, cols) = (7, 33);
+        // An odd row length alternates which of `x` and the bias is special
+        // from row to row, so special meets special, special meets ordinary
+        // and ordinary meets ordinary.
+        let value = |i: usize, special: bool| {
+            if special {
+                specials[(i / 2) % specials.len()]
+            } else {
+                (i as f32 * 0.37).sin() * 3.0
+            }
+        };
+        let x: Vec<f32> = (0..rows * cols).map(|i| value(i, i % 2 == 0)).collect();
+        let bias: Vec<f32> = (0..cols).map(|c| value(c, c % 2 == 1)).collect();
+        for act in ACTIVATIONS {
+            let mut tape = Tape::new();
+            let xv = tape.constant(Tensor::from_vec(x.clone(), &[rows, cols]));
+            let bv = tape.constant(Tensor::from_vec(bias.clone(), &[cols]));
+            let fused = tape.add_bias_act(xv, bv, act);
+            let alone = tape.activate(xv, act);
+            for (i, &xi) in x.iter().enumerate() {
+                let b = bias[i % cols];
+                let (got, want) = (tape.value(fused).data()[i], apply_per_element(act, xi + b));
+                assert!(
+                    same_bits(got, want),
+                    "{act:?} add_bias_act at x = {xi:e}, b = {b:e}: {got:e}, want {want:e}"
+                );
+                let (got, want) = (tape.value(alone).data()[i], apply_per_element(act, xi));
+                assert!(same_bits(got, want), "{act:?} activate at x = {xi:e}: {got:e}, want {want:e}");
+            }
+        }
     }
 
     /// Taking the derivative from the output moves no bit against taking it

@@ -24,11 +24,12 @@
 //! through its strides. The tile keeps an `MR × NR` block of output sums
 //! in registers for a chunk of up to `KC` reduction steps and stores each
 //! once per chunk. It is one
-//! `#[inline(always)]` body compiled twice — for the build's baseline
-//! target and, on x86_64, with AVX2 enabled — and each call picks the AVX2
-//! form when the CPU has it (std caches the answer; a build that already
-//! targets AVX2 resolves it at compile time). The forms differ in register
-//! width and `NR`, never in bits. Beside the tile, shape picks three
+//! `#[inline(always)]` body compiled three times — for the build's
+//! baseline target and, on x86_64, with AVX2 and with AVX-512 enabled —
+//! and each call picks the widest form the CPU has (std caches the answer;
+//! a build that already targets an instruction set resolves it at compile
+//! time). The forms differ in register width and `MR × NR`, never in bits.
+//! Beside the tile, shape picks three
 //! small forms: `A·B`'s column (`n == 1`) is one dot product per row,
 //! `G·Bᵀ` is an outer product for `q == 1` and that dot path with the
 //! operands swapped for a single row, and `Aᵀ·G`'s column is `m` axpys.
@@ -521,24 +522,42 @@ impl Default for Tensor {
     }
 }
 
-/// Output rows of one register tile: each `b` row a step loads is reused
-/// across this many rows' sums. With `NR` four vector registers wide, the
-/// `MR × NR` sums are eight registers — enough independent additions to
-/// keep both floating-point ports busy through the add latency — and a row
-/// of `b` plus the broadcast `a` value fit beside them in the sixteen
-/// registers of either form without spilling. (On an AVX2 Xeon, against
-/// 4 × 8, 4 × 16, 6 × 8 and 1 × 32 blocks among others, this read fastest
-/// in the AVX2 form and within a few percent of a 1 × 32 block in the
-/// baseline form: a shorter, wider block takes fewer broadcasts and index
-/// checks per sum, and the model's `n` is 32 or 64.)
-const MR: usize = 2;
+/// Each form's tile is `MR` output rows — each `b` row a step loads is
+/// reused across that many rows' sums — by `NR` output columns. In the
+/// baseline and AVX2 forms `NR` is four vector registers and `MR` two, so
+/// the sums are eight registers — enough independent additions to keep
+/// both floating-point ports busy through the add latency — and a row of
+/// `b` plus the broadcast `a` value fit beside them in the sixteen
+/// registers without spilling. (On an AVX2 Xeon, against 4 × 8, 4 × 16,
+/// 6 × 8 and 1 × 32 blocks among others, 2 × 32 read fastest in the AVX2
+/// form and 2 × 16 within a few percent of a 1 × 32 block in the baseline
+/// form: a shorter, wider block takes fewer broadcasts and index checks
+/// per sum, and the model's `n` is 32 or 64.)
+const MR_BASELINE: usize = 2;
 
 /// Output columns of the baseline form's tile: four 4-lane SSE2 registers.
 const NR_BASELINE: usize = 16;
 
+/// Output rows of the AVX2 form's tile.
+#[cfg(target_arch = "x86_64")]
+const MR_AVX2: usize = 2;
+
 /// Output columns of the AVX2 form's tile: four 8-lane registers.
 #[cfg(target_arch = "x86_64")]
 const NR_AVX2: usize = 32;
+
+/// Output rows of the AVX-512 form's tile: its sums are eight of the
+/// thirty-two 16-lane registers, AVX2's budget at twice the width. (On an
+/// AVX-512 Xeon 4 × 32 read fastest of the 32-column shapes at the policy
+/// head's 5–17-row blocks and within a few percent of 6 × 32 and 8 × 32 at
+/// the graph blocks' 100–400 rows; 4 × 64 pads the model's 32 columns to
+/// 64 and read ≈ 2× slower there.)
+#[cfg(target_arch = "x86_64")]
+const MR_AVX512: usize = 4;
+
+/// Output columns of the AVX-512 form's tile: two 16-lane registers.
+#[cfg(target_arch = "x86_64")]
+const NR_AVX512: usize = 32;
 
 /// Reduction steps a block takes before it stores its sums and the next
 /// block takes the same steps. A chunk of both operands' rows at the model's
@@ -561,10 +580,17 @@ struct Lhs<'a> {
 fn tile_product(a: Lhs<'_>, b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut out = vec![0.0f32; m * n];
     #[cfg(target_arch = "x86_64")]
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: the CPU supports AVX2, checked on the line above.
-        unsafe { tile_avx2(a, b, &mut out, m, k, n) };
-        return out;
+    {
+        if is_x86_feature_detected!("avx512f") {
+            // SAFETY: the CPU supports AVX-512F, checked on the line above.
+            unsafe { tile_avx512(a, b, &mut out, m, k, n) };
+            return out;
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the CPU supports AVX2, checked on the line above.
+            unsafe { tile_avx2(a, b, &mut out, m, k, n) };
+            return out;
+        }
     }
     tile_baseline(a, b, &mut out, m, k, n);
     out
@@ -572,14 +598,22 @@ fn tile_product(a: Lhs<'_>, b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32>
 
 /// The tile compiled for the build's baseline target.
 fn tile_baseline(a: Lhs<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    tile::<NR_BASELINE>(a, b, out, m, k, n);
+    tile::<MR_BASELINE, NR_BASELINE>(a, b, out, m, k, n);
 }
 
 /// The same tile compiled with AVX2 enabled (no FMA: the bits do not move).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn tile_avx2(a: Lhs<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
-    tile::<NR_AVX2>(a, b, out, m, k, n);
+    tile::<MR_AVX2, NR_AVX2>(a, b, out, m, k, n);
+}
+
+/// The same tile compiled with AVX-512F enabled. AVX-512F CPUs have FMA,
+/// but Rust never contracts `a * b + c` into one: the bits do not move.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn tile_avx512(a: Lhs<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+    tile::<MR_AVX512, NR_AVX512>(a, b, out, m, k, n);
 }
 
 /// Writes `a (m×k) · b (k×n)` into every element of `out` (`m×n`), one
@@ -590,7 +624,14 @@ fn tile_avx2(a: Lhs<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usiz
 /// and compilation. There are no value-dependent branches: IEEE
 /// `0.0 * inf = NaN` propagates.
 #[inline(always)]
-fn tile<const NR: usize>(a: Lhs<'_>, b: &[f32], out: &mut [f32], m: usize, k: usize, n: usize) {
+fn tile<const MR: usize, const NR: usize>(
+    a: Lhs<'_>,
+    b: &[f32],
+    out: &mut [f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) {
     debug_assert_eq!(b.len(), k * n);
     debug_assert_eq!(out.len(), m * n);
     if k == 0 {
@@ -601,19 +642,32 @@ fn tile<const NR: usize>(a: Lhs<'_>, b: &[f32], out: &mut [f32], m: usize, k: us
     for p in (0..k).step_by(KC) {
         let steps = KC.min(k - p);
         let (a, b) = (Lhs { data: &a.data[p * a.col_stride..], ..a }, &b[p * n..]);
-        for i in (0..m).step_by(MR) {
-            let rows = Lhs { data: &a.data[i * a.row_stride..], ..a };
-            for j in (0..n).step_by(NR) {
-                let (b, out) = (&b[j..], &mut out[i * n + j..]);
-                let block = Block { cols: NR.min(n - j), steps, n, first: p == 0 };
-                if m - i < MR {
-                    // With `MR == 2` the last block of an odd `m` is one row.
-                    tile_block::<1, NR>(rows, b, out, block);
-                } else {
-                    tile_block::<MR, NR>(rows, b, out, block);
-                }
-            }
+        let from_row = |i: usize| Lhs { data: &a.data[i * a.row_stride..], ..a };
+        let full = m - m % MR;
+        for i in (0..full).step_by(MR) {
+            tile_rows::<MR, NR>(from_row(i), b, &mut out[i * n..], steps, n, p == 0);
         }
+        // A last block of fewer than `MR` rows runs as one-row blocks.
+        for i in full..m {
+            tile_rows::<1, NR>(from_row(i), b, &mut out[i * n..], steps, n, p == 0);
+        }
+    }
+}
+
+/// One chunk of `R` output rows of [`tile`]: its `R × NR` blocks from the
+/// first column to the last.
+#[inline(always)]
+fn tile_rows<const R: usize, const NR: usize>(
+    a: Lhs<'_>,
+    b: &[f32],
+    out: &mut [f32],
+    steps: usize,
+    n: usize,
+    first: bool,
+) {
+    for j in (0..n).step_by(NR) {
+        let block = Block { cols: NR.min(n - j), steps, n, first };
+        tile_block::<R, NR>(a, &b[j..], &mut out[j..], block);
     }
 }
 
@@ -789,15 +843,29 @@ mod tests {
     /// One compilation of the register tile, as [`tile_product`] calls it.
     type TileForm = fn(Lhs<'_>, &[f32], &mut [f32], usize, usize, usize);
 
-    /// Every compiled form of the tile this CPU can run, with its width:
-    /// the baseline always, AVX2 when the CPU has it. Whichever one
-    /// `tile_product` dispatches to, the other is still checked bit for bit.
-    fn tile_forms() -> Vec<(&'static str, usize, TileForm)> {
-        let mut forms: Vec<(&'static str, usize, TileForm)> = vec![("baseline", NR_BASELINE, tile_baseline)];
+    /// A compiled form of the tile: its name, `MR`, `NR` and entry point.
+    type Form = (&'static str, usize, usize, TileForm);
+
+    /// Every compiled form of the tile this CPU can run: the baseline
+    /// always, AVX2 and AVX-512 when the CPU has them. Whichever one
+    /// `tile_product` dispatches to, the others are still checked bit for
+    /// bit.
+    fn tile_forms() -> Vec<Form> {
+        let mut forms: Vec<Form> = vec![("baseline", MR_BASELINE, NR_BASELINE, tile_baseline)];
         #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx2") {
-            // SAFETY: listed only when the CPU supports AVX2, checked above.
-            forms.push(("avx2", NR_AVX2, |a, b, out, m, k, n| unsafe { tile_avx2(a, b, out, m, k, n) }));
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: listed only when the CPU supports AVX2, checked above.
+                forms.push(("avx2", MR_AVX2, NR_AVX2, |a, b, out, m, k, n| unsafe {
+                    tile_avx2(a, b, out, m, k, n)
+                }));
+            }
+            if is_x86_feature_detected!("avx512f") {
+                // SAFETY: listed only when the CPU supports AVX-512F, checked above.
+                forms.push(("avx512", MR_AVX512, NR_AVX512, |a, b, out, m, k, n| unsafe {
+                    tile_avx512(a, b, out, m, k, n)
+                }));
+            }
         }
         forms
     }
@@ -854,7 +922,7 @@ mod tests {
                     "trial {trial} ({m}x{k}x{n}): tiled[{i}]={x} differs from naive[{i}]={y}"
                 );
             }
-            for (form, _, tile) in tile_forms() {
+            for (form, _, _, tile) in tile_forms() {
                 let lhs = Lhs { data: a.data(), row_stride: k, col_stride: 1 };
                 let via_form = through_form(tile, lhs, b.data(), m, k, n);
                 assert_same_bits(&via_form, &naive, &format!("trial {trial}, {form} tile"));
@@ -872,12 +940,12 @@ mod tests {
         }
 
         // Every edge of every form's tile — a row block one short of, equal
-        // to and one past `MR`; a column block one short of, equal to and
-        // one past `NR`, and two blocks and a lone column; an empty and a
+        // to and one past its `MR`; a column block one short of, equal to and
+        // one past its `NR`, and two blocks and a lone column; an empty and a
         // one-step reduction beside a longer one and one that crosses a `KC`
         // chunk — with signed zeros, ±inf and NaN planted.
-        for (form, nr, tile) in tile_forms() {
-            for m in [MR - 1, MR, MR + 1] {
+        for (form, mr, nr, tile) in tile_forms() {
+            for m in [mr - 1, mr, mr + 1] {
                 for n in [nr - 1, nr, nr + 1, 2 * nr + 1] {
                     for k in [0usize, 1, 7, KC + 1] {
                         let (a, b) =
@@ -933,7 +1001,7 @@ mod tests {
             let (a, g) = (random_matrix(&mut rng, m, q, plant), random_matrix(&mut rng, m, n, plant));
             let want = a.transpose().matmul_naive(&g);
             assert_same_bits(&a.matmul_transposed_lhs(&g), &want, &format!("lhs {context}"));
-            for &(form, _, tile) in &forms {
+            for &(form, _, _, tile) in &forms {
                 let at = Lhs { data: a.data(), row_stride: 1, col_stride: q };
                 let via_form = through_form(tile, at, g.data(), q, m, n);
                 assert_same_bits(&via_form, &want, &format!("lhs {context}, {form} tile"));
@@ -943,7 +1011,7 @@ mod tests {
             let want = g.matmul_naive(&b.transpose());
             assert_same_bits(&g.matmul_transposed_rhs(&b), &want, &format!("rhs {context}"));
             let packed = pack_transposed(b.data(), n, q);
-            for &(form, _, tile) in &forms {
+            for &(form, _, _, tile) in &forms {
                 let lhs = Lhs { data: g.data(), row_stride: q, col_stride: 1 };
                 let via_form = through_form(tile, lhs, &packed, m, q, n);
                 assert_same_bits(&via_form, &want, &format!("rhs {context}, {form} tile"));
@@ -959,10 +1027,11 @@ mod tests {
             }
         }
         // The tile's edges in both products: output rows `MR − 1 ..= MR + 1`
-        // (`q` for `Aᵀ·G`, `m` for `G·Bᵀ`) by every column edge of every
-        // form, over empty, one-step, longer and chunk-crossing reductions.
-        for &(_, nr, _) in &tile_forms() {
-            for rows in [MR - 1, MR, MR + 1] {
+        // of every form (`q` for `Aᵀ·G`, `m` for `G·Bᵀ`) by every column edge
+        // of that form, over empty, one-step, longer and chunk-crossing
+        // reductions.
+        for &(_, mr, nr, _) in &forms {
+            for rows in [mr - 1, mr, mr + 1] {
                 for n in [nr - 1, nr, nr + 1, 2 * nr + 1] {
                     for inner in [0usize, 1, 7, KC + 1] {
                         check(inner, rows, n, true);
