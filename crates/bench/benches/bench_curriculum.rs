@@ -9,7 +9,9 @@
 //! wall-clock time. Per-model rates show which zoo entries dominate a
 //! curriculum round; the whole-curriculum rates show how well
 //! `(spec, episode)` sharding turns cores into throughput (hardware-bound,
-//! ~min(W, cores)).
+//! ~min(W, cores)). The engine never starts more threads than the process
+//! may use CPUs, so an `Nw` leg runs `min(N, cores)` threads; each leg prints
+//! that count next to its rate.
 //!
 //! Knobs: `XRLFLOW_ITERS` (timed repetitions), `XRLFLOW_MAX_CANDIDATES`
 //! (action-space bound), `XRLFLOW_CURRICULUM_EPISODES` (episodes per spec
@@ -68,6 +70,7 @@ fn main() {
         });
         let rate = total_episodes as f64 / (ns / 1e9);
         report_rate(&format!("curriculum/episodes_per_sec/{workers}w/all"), rate);
+        println!("  ({workers}w: threads started = {})", workers.min(cores));
         eps_per_sec.push(rate);
     }
     report_ratio("curriculum/speedup_4w_vs_1w", eps_per_sec[eps_per_sec.len() - 1] / eps_per_sec[0]);

@@ -8,7 +8,9 @@
 //! time. The speedup therefore measures pure engine scaling and is bounded
 //! by the hardware: expect ~1x on a single-core container and ~min(W, cores)
 //! on real multi-core machines (the CI `bench-smoke` runners have several
-//! cores).
+//! cores). The engine never starts more threads than the process may use
+//! CPUs, so an `Nw` leg runs `min(N, cores)` threads; each leg prints that
+//! count next to its rate.
 //!
 //! Knobs: `XRLFLOW_ITERS` (timed repetitions), `XRLFLOW_MAX_CANDIDATES`
 //! (action-space bound), `XRLFLOW_ROLLOUT_EPISODES` (episodes per timed
@@ -49,6 +51,7 @@ fn main() {
             });
             let rate = episodes as f64 / (ns / 1e9);
             report_rate(&format!("rollout/episodes_per_sec/{}w/{}", workers, kind.name()), rate);
+            println!("  ({workers}w: threads started = {})", workers.min(cores));
             eps_per_sec.push(rate);
         }
         report_ratio(

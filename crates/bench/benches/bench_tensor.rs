@@ -4,12 +4,13 @@
 //! to; the backward kernels (`G·Bᵀ` in each of its forms, `Aᵀ·G`, the
 //! `q = 1` outer product) at the shapes the reverse walk multiplies; a full
 //! tape forward/backward step on a recycled tape; the tape's bias-add +
-//! activation and standalone activation ops at encoder shapes; and the
+//! activation and standalone activation ops at encoder shapes; the
 //! gradient-buffer reuse primitives behind the PPO update's index-ordered
-//! merge.
+//! merge; and one Adam step over the bench agent's parameters.
 
 use xrlflow_bench::{finish, iters_from_env, report, report_ratio, time_ns};
-use xrlflow_tensor::{Activation, GradBuffer, Mlp, ParamStore, Tape, Tensor, XorShiftRng};
+use xrlflow_core::{XrlflowAgent, XrlflowConfig};
+use xrlflow_tensor::{Activation, Adam, GradBuffer, Mlp, ParamStore, Tape, Tensor, XorShiftRng};
 
 fn random_tensor(rng: &mut XorShiftRng, shape: &[usize]) -> Tensor {
     let numel: usize = shape.iter().product();
@@ -158,6 +159,32 @@ fn main() {
         time_ns(2, iters, || {
             merged.merge(&contribution);
             merged.norm()
+        }),
+    );
+
+    // One optimiser step, as the PPO update takes after every minibatch: a
+    // store laid out like the bench agent's (same names and shapes, its
+    // initial values) and a non-zero gradient in every slot.
+    let agent = XrlflowAgent::new(&XrlflowConfig::bench(), 0);
+    let mut params = ParamStore::new();
+    let ids: Vec<_> = agent
+        .store
+        .snapshot()
+        .entries()
+        .iter()
+        .map(|(name, value)| params.register(name, value.clone()))
+        .collect();
+    let mut grads = GradBuffer::zeros_like(&params);
+    for &id in &ids {
+        grads.accumulate(id, &random_tensor(&mut rng, params.value(id).shape()).scale(1e-2));
+    }
+    println!("\n== optimiser: one Adam step over {} parameters ==", params.num_scalars());
+    let mut adam = Adam::new(3e-4);
+    report(
+        "optim/adam_step",
+        time_ns(2, iters * 4, || {
+            adam.step(&mut params, &grads);
+            adam.steps()
         }),
     );
 

@@ -8,7 +8,9 @@
 //! minibatch-position order, so all configurations land on bit-identical
 //! parameters — the only thing that varies is wall-clock time. The speedup
 //! is hardware-bound like the rollout engine's: expect ~1x on a single-core
-//! container and ~min(W, cores) on real multi-core machines.
+//! container and ~min(W, cores) on real multi-core machines. The engine
+//! never starts more threads than the process may use CPUs, so an `Nw` leg
+//! runs `min(N, cores)` threads; each leg prints that count next to its time.
 //!
 //! Per model it also splits one transition's gradient into its forward and
 //! backward halves (`update/transition/{forward_us,backward_us}`), so the
@@ -69,6 +71,7 @@ fn main() {
                     .transitions
             });
             report(&format!("update/ms_per_round/{}w/{}", workers, kind.name()), ns);
+            println!("  ({workers}w: threads started = {})", workers.min(cores));
             parallel_ns.push(ns);
         }
         report_ratio(

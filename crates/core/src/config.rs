@@ -23,13 +23,16 @@ pub struct XrlflowConfig {
     pub env: EnvConfig,
     /// Total number of training episodes.
     pub training_episodes: usize,
-    /// Number of rollout worker threads used by the parallel collection
-    /// engine (`xrlflow-rollout`). `1` keeps collection serial; any value is
-    /// transition-for-transition equivalent — workers replay a fixed
-    /// per-episode seed schedule against the one borrowed agent, so the
-    /// worker count changes wall-clock time only, never a learned
-    /// number. Overridable at run time via the `XRLFLOW_WORKERS` environment
-    /// variable (see [`XrlflowConfig::effective_num_workers`]).
+    /// Upper bound on the worker threads of the parallel rollout engine
+    /// (`xrlflow-rollout`): a phase starts `min(num_workers, usable CPUs,
+    /// work items)` threads, where usable CPUs honours the process's
+    /// affinity mask and cgroup CPU quota. `1` keeps every phase on the
+    /// calling thread; any value is transition-for-transition equivalent —
+    /// workers replay a fixed per-episode seed schedule against the one
+    /// borrowed agent, so the worker count changes wall-clock time only,
+    /// never a learned number. Overridable at run time via the
+    /// `XRLFLOW_WORKERS` environment variable (see
+    /// [`XrlflowConfig::effective_num_workers`]).
     pub num_workers: usize,
 }
 
@@ -85,7 +88,9 @@ impl XrlflowConfig {
         }
     }
 
-    /// The rollout worker count actually in effect: the `XRLFLOW_WORKERS`
+    /// The rollout worker count in effect — an upper bound, like
+    /// [`XrlflowConfig::num_workers`]: the rollout engine never starts more
+    /// threads than the process may use CPUs. The `XRLFLOW_WORKERS`
     /// environment variable when set to a positive integer, otherwise
     /// [`XrlflowConfig::num_workers`], floored at 1.
     pub fn effective_num_workers(&self) -> usize {

@@ -63,9 +63,10 @@ pub struct UpdateTiming {
     pub cold_steps: u64,
     /// Milliseconds spent in the PPO update itself.
     pub update_ms: f64,
-    /// Worker threads the update phase ran on (`1` = the serial oracle
-    /// path; both phases are sized by `XrlflowConfig::effective_num_workers`
-    /// when driven by `ParallelTrainer`).
+    /// The update phase's configured worker count — the bound both phases
+    /// were given (`XrlflowConfig::effective_num_workers` when driven by
+    /// `ParallelTrainer`), not the threads started: the rollout engine
+    /// starts at most as many threads as the process may use CPUs.
     pub update_workers: usize,
 }
 

@@ -258,8 +258,9 @@ pub(crate) fn curriculum_schedule(
 }
 
 /// Collects one curriculum round — `episodes_per_spec` episodes for every
-/// spec — with a supervised pool of `num_workers` threads sharded across the
-/// flattened `(spec, episode)` work items.
+/// spec — with a supervised pool of up to `num_workers` threads (never more
+/// than the CPUs the process may use) sharded across the flattened
+/// `(spec, episode)` work items.
 ///
 /// Builds **one** read-only agent from `snapshot`
 /// ([`XrlflowAgent::from_snapshot`]) and lends it to every worker; each

@@ -11,10 +11,13 @@
 //! engine** — the only place in this crate that spawns threads, catches
 //! panics, retries or meters a pool, so these contracts are enforced once:
 //!
-//! * **Sharding and ordered merge.** Work items are numbered `0..n`; worker
-//!   `w` of `W` takes items `w, w + W, …` and results come back **by item
-//!   index**, never completion order. One effective worker runs inline on
-//!   the calling thread — no spawn.
+//! * **Sharding and ordered merge.** Work items are numbered `0..n`; a phase
+//!   starts `W = min(workers, usable CPUs, n)` threads — the worker count is
+//!   an upper bound, never more threads than the process may use CPUs —
+//!   and thread `w` takes items `w, w + W, …`. Results are handed to the
+//!   phase's merge **by item index**, never completion order. One thread
+//!   runs inline on the calling thread — no spawn — and hands each result
+//!   over as soon as every earlier item has succeeded.
 //! * **Supervision.** Every item runs under `catch_unwind` with the
 //!   `xrlflow_core::fault` injection hook at its top. A panicking item is
 //!   retried on the calling thread, in item order, up to 2 extra attempts;
@@ -283,17 +286,27 @@ struct Round {
 
 /// The one collector behind [`collect_parallel`],
 /// [`collect_curriculum_parallel`] and [`ParallelTrainer`]: runs `schedule`
-/// over `specs` (indexed by item slot) on the supervised engine and merges
-/// the per-episode buffers in item order. Every thread borrows `agent`; a
-/// thread's state is one lazily built environment per spec it touches.
+/// over `specs` (indexed by item slot) on the supervised engine and appends
+/// each episode's buffer to the round as the engine delivers it, in item
+/// order. Every thread borrows `agent`; a thread's state is one lazily built
+/// environment per spec it touches.
 fn collect_round(
     agent: &XrlflowAgent,
     specs: &[&EnvSpec],
     schedule: &Schedule,
     num_workers: usize,
 ) -> Result<Round, WorkerFault> {
+    // Closes the segments of every slot below `slot`: each starts where the
+    // one before it ended.
+    fn close_segments(round: &mut Round, slot: usize) {
+        while round.segments.len() < slot {
+            let start = round.segments.last().map_or(0, |segment| segment.end);
+            round.segments.push(start..round.buffer.len());
+        }
+    }
     let items = &schedule.items;
-    let collected = supervise::run_items(
+    let mut round = Round::default();
+    supervise::run_items(
         schedule.phase,
         items.len(),
         num_workers,
@@ -309,24 +322,21 @@ fn collect_round(
             let stats = collect_episode_with_rng(agent, env, &mut rng, &mut buffer, item.episode);
             (buffer, stats)
         },
-    )?;
-
-    let mut round = Round::default();
-    let mut collected = items.iter().zip(collected).peekable();
-    for slot in 0..specs.len() {
-        let start = round.buffer.len();
-        while let Some((item, (mut buffer, stats))) = collected.next_if(|(item, _)| item.slot == slot) {
+        |index, (mut buffer, stats)| {
+            let item = &items[index];
+            debug_assert!(item.slot >= round.segments.len(), "schedules must be slot-major");
+            close_segments(&mut round, item.slot);
             round.buffer.append(&mut buffer);
-            round.episodes.push((slot, item.episode, stats));
-        }
-        round.segments.push(start..round.buffer.len());
-    }
-    debug_assert!(collected.peek().is_none(), "schedules must be slot-major");
+            round.episodes.push((item.slot, item.episode, stats));
+        },
+    )?;
+    close_segments(&mut round, specs.len());
     Ok(round)
 }
 
 /// Collects episodes `first_episode .. first_episode + num_episodes` with a
-/// supervised pool of `num_workers` threads.
+/// supervised pool of up to `num_workers` threads (never more than the CPUs
+/// the process may use).
 ///
 /// Builds **one** read-only agent from `snapshot`
 /// ([`XrlflowAgent::from_snapshot`]; its forward pass is bit-identical to the
@@ -525,7 +535,8 @@ impl ParallelTrainer {
         self.resume_episode
     }
 
-    /// The number of rollout workers in use.
+    /// The configured rollout worker count: an upper bound on the threads
+    /// a phase starts (never more than the process may use CPUs).
     pub fn num_workers(&self) -> usize {
         self.num_workers
     }

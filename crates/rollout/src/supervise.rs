@@ -4,10 +4,14 @@
 //! a scoped-thread pool or an unwind catcher next to it** (CI greps for a
 //! second one). The contract callers get:
 //!
-//! * **Sharding.** The worker count is clamped to the item count. One
-//!   effective worker runs every item inline on the calling thread (no
-//!   spawn); `W > 1` workers run as scoped threads, worker `w` taking items
-//!   `w, w + W, w + 2W, …` in ascending order, metered by [`PoolMeter`].
+//! * **Sharding.** [`run_items`] starts `min(num_workers, usable CPUs,
+//!   items)` threads, at least one: the worker count is an upper bound and
+//!   the CPUs the process may use (its affinity mask and cgroup quota, read
+//!   once per process) the cap, so a one-CPU container never time-slices two
+//!   workers. One thread runs every item inline on the calling thread (no
+//!   spawn); `W > 1` threads run scoped, thread `w` taking items `w, w + W,
+//!   w + 2W, …` in ascending order, metered by [`PoolMeter`]. What `W` is
+//!   never changes a result (see **Order**).
 //! * **State.** Each thread builds its own scratch `S` through `make_state`
 //!   (environments, a tape …) lazily, before its first item, and
 //!   reuses it across its items. Building it cannot fail, and it never holds
@@ -26,12 +30,18 @@
 //!   `rollout/item_retries`). At `W > 1` the supervisor builds its own state
 //!   lazily, on the first failure. Exhaustion is the typed [`WorkerFault`] —
 //!   the only way a phase can fail.
-//! * **Order.** Results come back indexed by item, independent of which
-//!   thread ran what or when it finished — so a `run` that is a pure
-//!   function of the item index is bit-identical at every worker count and
-//!   under any number of recovered faults.
+//! * **Order.** Results go to the caller's `deliver` callback in item
+//!   order, independent of which thread ran what or when it finished — so a
+//!   `run` that is a pure function of the item index is bit-identical at
+//!   every thread count and under any number of recovered faults. Inline, a
+//!   result is delivered as soon as it and every earlier item have succeeded
+//!   (a streaming merge keeps one item's result live at a time); a failed
+//!   item holds back the results after it until its retry. Pooled, results
+//!   are delivered after the join.
 
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use xrlflow_core::fault::{self, FaultPhase, WorkerFault};
@@ -82,15 +92,26 @@ impl PoolMeter {
     }
 }
 
+/// The CPUs this process may run on — the affinity mask and the cgroup CPU
+/// quota both count — read once per process (std re-reads the cgroup files on
+/// every call). `None` when the platform cannot tell: then nothing is capped.
+fn usable_cpus() -> Option<usize> {
+    static CPUS: OnceLock<Option<usize>> = OnceLock::new();
+    *CPUS.get_or_init(|| std::thread::available_parallelism().ok().map(NonZeroUsize::get))
+}
+
 /// Runs items `0..num_items` of `phase` on up to `num_workers` supervised
-/// threads and returns their results **in item order** (contract: module
-/// docs). `fault_item` maps an item index to the id the fault-injection hook
-/// and a [`WorkerFault`] report for it; `make_state` builds one thread's
-/// private working state; `run` executes one item against that state.
+/// threads — never more than [`usable_cpus`] — and hands every result to
+/// `deliver` **in item order** (contract: module docs). `fault_item` maps an
+/// item index to the id the fault-injection hook and a [`WorkerFault`] report
+/// for it; `make_state` builds one thread's private working state; `run`
+/// executes one item against that state; `deliver(item, result)` runs on the
+/// calling thread.
 ///
 /// # Errors
 ///
-/// A [`WorkerFault`] when an item kept panicking past the retry budget.
+/// A [`WorkerFault`] when an item kept panicking past the retry budget; the
+/// items before it have been delivered, none after it.
 pub(crate) fn run_items<S, T: Send>(
     phase: FaultPhase,
     num_items: usize,
@@ -98,9 +119,25 @@ pub(crate) fn run_items<S, T: Send>(
     fault_item: impl Fn(usize) -> u64 + Sync,
     make_state: impl Fn() -> S + Sync,
     run: impl Fn(&mut S, usize) -> T + Sync,
-) -> Result<Vec<T>, WorkerFault> {
-    // Never more workers than items, never fewer than one.
-    let num_workers = num_workers.clamp(1, num_items.max(1));
+    deliver: impl FnMut(usize, T),
+) -> Result<(), WorkerFault> {
+    let threads = usable_cpus().map_or(num_workers, |cpus| num_workers.min(cpus));
+    run_items_on(phase, num_items, threads, fault_item, make_state, run, deliver)
+}
+
+/// [`run_items`] on exactly `threads` threads (clamped to `[1, num_items]`),
+/// whatever the CPUs.
+fn run_items_on<S, T: Send>(
+    phase: FaultPhase,
+    num_items: usize,
+    threads: usize,
+    fault_item: impl Fn(usize) -> u64 + Sync,
+    make_state: impl Fn() -> S + Sync,
+    run: impl Fn(&mut S, usize) -> T + Sync,
+    mut deliver: impl FnMut(usize, T),
+) -> Result<(), WorkerFault> {
+    // Never more threads than items, never fewer than one.
+    let threads = threads.clamp(1, num_items.max(1));
 
     // One supervised attempt against a thread's (lazily built) state: the
     // item's result, or the text of the panic that interrupted it.
@@ -117,23 +154,36 @@ pub(crate) fn run_items<S, T: Send>(
         })
     };
 
-    // First attempts: shard `w` is items `w, w + W, …`, each attempted once on
-    // one thread's seat — the single inline shard on the supervisor's.
-    let first_attempts = |seat: &mut Option<S>, worker: usize| {
-        (worker..num_items).step_by(num_workers).map(|item| attempt_item(seat, item, 0)).collect::<Vec<_>>()
-    };
+    // First attempts. The outcomes not delivered yet, in item order, are the
+    // tail of `0..num_items` from the first failure on.
     let mut supervisor = None;
-    let shards = if num_workers <= 1 {
-        vec![first_attempts(&mut supervisor, 0)]
+    let mut held = Vec::new();
+    if threads == 1 {
+        // Inline: a result goes out as soon as every earlier item has.
+        for item in 0..num_items {
+            match attempt_item(&mut supervisor, item, 0) {
+                Ok(result) if held.is_empty() => deliver(item, result),
+                outcome => held.push(outcome),
+            }
+        }
     } else {
-        let meter = PoolMeter::start(num_workers);
+        // Pooled: shard `w` is items `w, w + W, …`, each attempted once on
+        // its own thread's seat; everything is delivered after the join.
+        let meter = PoolMeter::start(threads);
+        let first_attempts = |worker: usize| {
+            let mut seat = None;
+            (worker..num_items)
+                .step_by(threads)
+                .map(|item| attempt_item(&mut seat, item, 0))
+                .collect::<Vec<_>>()
+        };
         let first_attempts = &first_attempts;
         let shards = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..num_workers)
+            let handles: Vec<_> = (0..threads)
                 .map(|worker| {
                     scope.spawn(move || {
                         let _busy = xrlflow_obs::span!("rollout/worker_busy");
-                        first_attempts(&mut None, worker)
+                        first_attempts(worker)
                     })
                 })
                 .collect();
@@ -143,15 +193,15 @@ pub(crate) fn run_items<S, T: Send>(
                 .collect::<Vec<_>>()
         });
         meter.finish();
-        shards
-    };
+        let mut shards: Vec<_> = shards.into_iter().map(Vec::into_iter).collect();
+        held = (0..num_items)
+            .map(|item| shards[item % threads].next().expect("its shard attempted every item"))
+            .collect();
+    }
 
-    // Merge in item order; retries run here, on the supervisor thread, so
-    // they are in ascending item order too.
-    let mut shards: Vec<_> = shards.into_iter().map(Vec::into_iter).collect();
-    let mut results = Vec::with_capacity(num_items);
-    for item in 0..num_items {
-        let mut outcome = shards[item % num_workers].next().expect("its shard attempted every item");
+    // Retries run here, on the supervisor thread, in ascending item order,
+    // and hold back the results after them until they succeed.
+    for (item, mut outcome) in (num_items - held.len()..).zip(held) {
         let mut attempts = 1u32;
         let result = loop {
             match outcome {
@@ -166,9 +216,9 @@ pub(crate) fn run_items<S, T: Send>(
                 }
             }
         };
-        results.push(result);
+        deliver(item, result);
     }
-    Ok(results)
+    Ok(())
 }
 
 #[cfg(test)]
@@ -210,11 +260,14 @@ mod tests {
             }
         }
 
-        fn run(&self, num_workers: usize) -> Result<Vec<usize>, WorkerFault> {
-            run_items(
+        /// Runs the toy on exactly `threads` threads (whatever the CPUs) and
+        /// collects what it delivered, in delivery order.
+        fn run(&self, threads: usize) -> Result<Vec<usize>, WorkerFault> {
+            let mut delivered = Vec::new();
+            run_items_on(
                 FaultPhase::Update,
                 self.failures.len(),
-                num_workers,
+                threads,
                 |item| 100 + item as u64,
                 || {
                     self.builds.fetch_add(1, SeqCst);
@@ -234,7 +287,12 @@ mod tests {
                     }
                     item * 10
                 },
+                |item, result| {
+                    assert_eq!(result, item * 10, "a result is delivered with its own item index");
+                    delivered.push(result);
+                },
             )
+            .map(|()| delivered)
         }
     }
 
@@ -329,6 +387,87 @@ mod tests {
             Toy::new(&[0, u32::MAX]).run(workers).unwrap_err();
             assert_eq!(panics.get() - panics_before, u64::from(RETRY_BUDGET) + 1, "{workers} workers");
             assert_eq!(retries.get() - retries_before, u64::from(RETRY_BUDGET), "{workers} workers");
+        }
+    }
+
+    /// What the in-order delivery test records, in the order it happened.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    enum Event {
+        Ran(usize),
+        Delivered(usize),
+    }
+
+    #[test]
+    fn results_are_delivered_in_item_order_around_a_retry() {
+        use Event::{Delivered, Ran};
+        let _guard = serialised();
+        for threads in [1usize, 2, 4] {
+            // Item 1's first attempt panics; it is retried after every first
+            // attempt, and nothing after it is delivered before it.
+            let events = Mutex::new(Vec::new());
+            let failed_once = AtomicBool::new(false);
+            run_items_on(
+                FaultPhase::Collect,
+                5,
+                threads,
+                |item| item as u64,
+                || (),
+                |(), item| {
+                    if item == 1 && !failed_once.swap(true, SeqCst) {
+                        panic!("first attempt of item 1");
+                    }
+                    events.lock().unwrap().push(Ran(item));
+                    item
+                },
+                |item, result| {
+                    assert_eq!(item, result);
+                    events.lock().unwrap().push(Delivered(item));
+                },
+            )
+            .unwrap();
+            let mut events = events.into_inner().unwrap();
+            let tail = [Ran(1), Delivered(1), Delivered(2), Delivered(3), Delivered(4)];
+            if threads == 1 {
+                // Inline: item 0 goes out before item 1 runs; 2, 3 and 4
+                // wait for item 1's retry.
+                assert_eq!(events[..5], [Ran(0), Delivered(0), Ran(2), Ran(3), Ran(4)]);
+            } else {
+                // Pooled: the first attempts finish (in any order) before
+                // the first delivery.
+                events[..4].sort_unstable();
+                assert_eq!(events[..5], [Ran(0), Ran(2), Ran(3), Ran(4), Delivered(0)], "{threads} threads");
+            }
+            assert_eq!(events[5..], tail, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn no_more_threads_run_items_than_the_process_has_cpus() {
+        let cap = usable_cpus().unwrap_or(usize::MAX);
+        for workers in [1usize, 2, 4, 16] {
+            let ran_on = Mutex::new(std::collections::HashSet::new());
+            run_items(
+                FaultPhase::Collect,
+                32,
+                workers,
+                |item| item as u64,
+                || (),
+                |(), _| {
+                    ran_on.lock().unwrap().insert(std::thread::current().id());
+                },
+                |_, ()| {},
+            )
+            .unwrap();
+            let ran_on = ran_on.into_inner().unwrap();
+            let bound = workers.min(cap);
+            assert!(
+                !ran_on.is_empty() && ran_on.len() <= bound,
+                "{workers} workers ran on {} threads",
+                ran_on.len()
+            );
+            if bound == 1 {
+                assert!(ran_on.contains(&std::thread::current().id()), "one thread is the calling thread");
+            }
         }
     }
 }

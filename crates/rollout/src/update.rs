@@ -20,9 +20,10 @@
 //!   of the batch and the worker count, never of timing.
 //! * **Index-ordered merge.** Workers hand back one zero-initialised
 //!   [`GradBuffer`](xrlflow_tensor::GradBuffer) per transition; the trainer
-//!   thread merges them **by minibatch position**, never completion order,
-//!   then loads, clips and steps — everything that mutates parameters stays
-//!   on the trainer thread.
+//!   thread merges each as the engine delivers it — **by minibatch
+//!   position**, never completion order; on one thread as soon as it lands,
+//!   so one transition's buffer is live at a time — then clips and steps:
+//!   everything that mutates parameters stays on the trainer thread.
 //!
 //! Together these make the parallel update at any worker count bit-identical
 //! (f32 bit equality of post-update parameters and `TrainingStats`) to the
@@ -41,14 +42,16 @@ use crate::supervise::run_items;
 use crate::RolloutError;
 
 /// Evaluates one minibatch's per-transition gradients on a supervised pool
-/// of `num_workers` threads and merges them in minibatch-position order.
+/// of up to `num_workers` threads and merges them in minibatch-position
+/// order.
 ///
 /// Every worker borrows `agent` and walks its round-robin position shard
 /// through `xrlflow_core::transition_grad_into` on its own recycled tape.
-/// The engine returns the per-position `(GradBuffer, stats)` pairs in
-/// position order, so the merged output is bit-identical to
-/// [`xrlflow_core::minibatch_grads_serial`] over the same context, for any
-/// worker count — one effective worker runs the same supervised loop inline.
+/// The engine delivers the per-position `(GradBuffer, stats)` pairs in
+/// position order and each is merged on arrival, so the output is
+/// bit-identical to [`xrlflow_core::minibatch_grads_serial`] over the same
+/// context, for any worker count — one effective thread runs the same
+/// supervised loop inline.
 ///
 /// Supervised by the crate's one engine (see the crate docs): a panicking
 /// transition is retried against the same agent, hence bit-identically.
@@ -63,13 +66,15 @@ pub fn minibatch_grads_parallel(
     num_workers: usize,
 ) -> Result<MinibatchGrads, WorkerFault> {
     let inv = 1.0 / ctx.batch.len() as f32;
-    let per_position = run_items(
+    let mut grads = GradBuffer::zeros_like(&agent.store);
+    let mut stats = Vec::with_capacity(ctx.batch.len());
+    run_items(
         FaultPhase::Update,
         ctx.batch.len(),
         num_workers,
         |position| position as u64,
         // One recycled tape per thread for its whole shard; the
-        // per-position buffers stay separate because the merge below is by
+        // per-position buffers stay separate because the merge is by
         // minibatch position.
         Tape::new,
         |tape, position| {
@@ -87,16 +92,14 @@ pub fn minibatch_grads_parallel(
             );
             (grads, stats)
         },
+        // The engine delivers in minibatch-position order, never completion
+        // order — the update half of the determinism contract. Inline, each
+        // buffer is merged (and dropped) as soon as it lands.
+        |_, (buffer, transition_stats)| {
+            grads.merge(&buffer);
+            stats.push(transition_stats);
+        },
     )?;
-
-    // Merge is ordered by minibatch position, not completion order — the
-    // update half of the determinism contract.
-    let mut grads = GradBuffer::zeros_like(&agent.store);
-    let mut stats = Vec::with_capacity(per_position.len());
-    for (buffer, transition_stats) in &per_position {
-        grads.merge(buffer);
-        stats.push(*transition_stats);
-    }
     Ok(MinibatchGrads { grads, stats })
 }
 

@@ -71,8 +71,9 @@ struct ParamEntry {
     name: String,
     /// `Arc`-backed so [`Tape::param`] imports the tensor as a shared leaf
     /// (one refcount bump) instead of deep-cloning it on every forward pass.
-    /// Mutation always replaces the `Arc` wholesale, never writes through it,
-    /// so outstanding tape leaves keep the value they imported.
+    /// Mutation never writes through a shared `Arc` ([`Adam::step`] writes
+    /// in place only while the store is the sole owner), so outstanding tape
+    /// leaves keep the value they imported.
     value: Arc<Tensor>,
 }
 
@@ -387,16 +388,23 @@ impl Adam {
         assert_eq!(store.len(), self.m.len(), "Adam moments were sized for another store");
         self.t += 1;
         let t = self.t as f32;
-        let bc1 = 1.0 - self.beta1.powf(t);
-        let bc2 = 1.0 - self.beta2.powf(t);
+        let Self { lr, beta1, beta2, eps, .. } = *self;
+        let (inv_bc1, inv_bc2) = (1.0 / (1.0 - beta1.powf(t)), 1.0 / (1.0 - beta2.powf(t)));
+        let (keep1, keep2) = (1.0 - beta1, 1.0 - beta2);
         let moments = self.m.iter_mut().zip(&mut self.v);
         for ((e, g), (m, v)) in store.entries.iter_mut().zip(&grads.grads).zip(moments) {
-            *m = m.scale(self.beta1).add(&g.scale(1.0 - self.beta1));
-            *v = v.scale(self.beta2).add(&g.mul(g).scale(1.0 - self.beta2));
-            let m_hat = m.scale(1.0 / bc1);
-            let v_hat = v.scale(1.0 / bc2);
-            let update = m_hat.zip(&v_hat, |m, v| m / (v.sqrt() + self.eps)).scale(self.lr);
-            e.value = Arc::new(e.value.sub(&update));
+            assert_eq!(e.value.shape(), g.shape(), "Adam::step gradient shape mismatch");
+            // One pass, in place (the parameter is copied first only while
+            // something else still shares it): every element goes through
+            // the same f32 operations, in the same order, as the whole-tensor
+            // form `m·β1 + g·(1−β1)`, …, `p − (m̂ / (√v̂ + ε))·lr`.
+            let params = Arc::make_mut(&mut e.value).data_mut();
+            for (((p, &g), m), v) in params.iter_mut().zip(g.data()).zip(m.data_mut()).zip(v.data_mut()) {
+                *m = *m * beta1 + g * keep1;
+                *v = *v * beta2 + (g * g) * keep2;
+                let (m_hat, v_hat) = (*m * inv_bc1, *v * inv_bc2);
+                *p -= (m_hat / (v_hat.sqrt() + eps)) * lr;
+            }
         }
     }
 
@@ -1495,6 +1503,90 @@ mod tests {
         let mut grads = GradBuffer::zeros_like(store);
         grads.accumulate(pid, &Tensor::from_vec(vec![grad], &[1]));
         adam.step(store, &grads);
+    }
+
+    /// The whole-tensor form of [`Adam::step`] (nine temporaries per
+    /// parameter): the oracle the in-place pass is swept against.
+    fn adam_step_composed(adam: &mut Adam, store: &mut ParamStore, grads: &GradBuffer) {
+        if adam.m.is_empty() {
+            adam.m = GradBuffer::zeros_like(store).grads;
+            adam.v = GradBuffer::zeros_like(store).grads;
+        }
+        adam.t += 1;
+        let t = adam.t as f32;
+        let bc1 = 1.0 - adam.beta1.powf(t);
+        let bc2 = 1.0 - adam.beta2.powf(t);
+        let moments = adam.m.iter_mut().zip(&mut adam.v);
+        for ((e, g), (m, v)) in store.entries.iter_mut().zip(&grads.grads).zip(moments) {
+            *m = m.scale(adam.beta1).add(&g.scale(1.0 - adam.beta1));
+            *v = v.scale(adam.beta2).add(&g.mul(g).scale(1.0 - adam.beta2));
+            let m_hat = m.scale(1.0 / bc1);
+            let v_hat = v.scale(1.0 / bc2);
+            let update = m_hat.zip(&v_hat, |m, v| m / (v.sqrt() + adam.eps)).scale(adam.lr);
+            e.value = Arc::new(e.value.sub(&update));
+        }
+    }
+
+    #[test]
+    fn adam_step_matches_the_composed_form_bit_for_bit() {
+        let subnormal = f32::from_bits(0x0000_0400);
+        let specials =
+            [0.0, -0.0, subnormal, -subnormal, f32::from_bits(1), f32::INFINITY, f32::NEG_INFINITY, f32::NAN];
+        let mut rng = XorShiftRng::new(17);
+        let mut store = ParamStore::new();
+        let ids = [store.register("w", Tensor::zeros(&[6, 8])), store.register("b", Tensor::zeros(&[8]))];
+        for id in ids {
+            let numel = store.value(id).numel();
+            let data =
+                (0..numel).map(|i| if i % 5 == 0 { subnormal } else { rng.uniform(-2.0, 2.0) }).collect();
+            store.set_value(id, Tensor::from_vec(data, store.value(id).shape()));
+        }
+        let mut oracle_store = store.clone();
+        let (mut adam, mut oracle) = (Adam::new(0.01), Adam::new(0.01));
+        // Bit for bit, except that a NaN need only be NaN: Rust leaves its
+        // sign and payload unspecified.
+        let bits = |t: &Tensor| {
+            t.data().iter().map(|x| if x.is_nan() { u32::MAX } else { x.to_bits() }).collect::<Vec<_>>()
+        };
+        for step in 0..12 {
+            // Specials land on a different element each step, so some
+            // elements see ±inf or NaN after ±0 or a subnormal and vice versa.
+            let mut grads = GradBuffer::zeros_like(&store);
+            for id in ids {
+                let numel = store.value(id).numel();
+                let data = (0..numel)
+                    .map(|i| match (i + 3 * step) % 11 {
+                        k if k < specials.len() => specials[k],
+                        _ => rng.uniform(-1.0, 1.0) * 10f32.powi((i % 7) as i32 - 3),
+                    })
+                    .collect();
+                grads.accumulate(id, &Tensor::from_vec(data, store.value(id).shape()));
+            }
+            adam.step(&mut store, &grads);
+            adam_step_composed(&mut oracle, &mut oracle_store, &grads);
+            for (e, o) in store.entries.iter().zip(&oracle_store.entries) {
+                assert_eq!(bits(&e.value), bits(&o.value), "step {step}: parameter {} differs", e.name);
+            }
+            for (a, b) in adam.m.iter().chain(&adam.v).zip(oracle.m.iter().chain(&oracle.v)) {
+                assert_eq!(bits(a), bits(b), "step {step}: moments differ");
+            }
+        }
+        assert!(
+            store.entries.iter().any(|e| e.value.data().iter().any(|x| x.is_nan())),
+            "the sweep reached NaN"
+        );
+    }
+
+    #[test]
+    fn adam_step_leaves_a_shared_parameter_to_its_other_owner() {
+        let mut store = ParamStore::new();
+        let w = store.register("w", Tensor::from_vec(vec![1.0, 2.0], &[2]));
+        let shared = Arc::clone(store.value_arc(w));
+        let mut grads = GradBuffer::zeros_like(&store);
+        grads.accumulate(w, &Tensor::from_vec(vec![0.5, -0.5], &[2]));
+        Adam::new(0.1).step(&mut store, &grads);
+        assert_eq!(shared.data(), [1.0, 2.0], "the other owner still reads the old value");
+        assert_ne!(store.value(w).data(), [1.0, 2.0], "the store reads the stepped value");
     }
 
     #[test]

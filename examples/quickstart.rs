@@ -6,9 +6,10 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! Knobs (all optional):
-//! * `XRLFLOW_WORKERS=N` — worker count sizing both phases (parallel episode
-//!   collection and the data-parallel PPO update); any value produces
-//!   bit-identical training, only wall-clock time changes.
+//! * `XRLFLOW_WORKERS=N` — worker count bounding both phases (parallel
+//!   episode collection and the data-parallel PPO update; never more threads
+//!   than the CPUs the process may use); any value produces bit-identical
+//!   training, only wall-clock time changes.
 //! * `XRLFLOW_QUICKSTART_EPISODES=N` — training episodes per curriculum
 //!   model (default 4; the CI `quickstart-smoke` job sets a tiny value).
 //! * `XRLFLOW_METRICS_JSON=path` — write the end-of-run telemetry snapshot
