@@ -1,4 +1,4 @@
-//! Serving-layer benchmark: graph ingestion cost, cold-miss vs warm
+//! Serving-layer benchmark: graph import and export cost, cold-miss vs warm
 //! cache-hit request latency, sustained requests/sec against a warm cache,
 //! and the cache-hit ratio of a mixed request stream.
 //!
@@ -37,10 +37,15 @@ fn main() {
 
     println!("== optimisation service ({requests} requests/batch) ==\n");
 
-    // Ingestion: JSON import (parse + full validation) of a request body.
+    // Ingestion: JSON import (parse + full validation) of a request body,
+    // and the export that writes a graph back as one.
     for (kind, body) in kinds.iter().zip(&bodies) {
         let ns = time_ns(1, iters, || Graph::from_json(body).unwrap().num_nodes());
         report(&format!("serve/import_json/{}", kind.name()), ns);
+    }
+    for (kind, graph) in kinds.iter().zip(&graphs) {
+        let ns = time_ns(1, iters, || graph.to_json().len());
+        report(&format!("serve/export_json/{}", kind.name()), ns);
     }
 
     // Cold miss vs warm hit on one graph. A fresh service per iteration

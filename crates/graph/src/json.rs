@@ -11,6 +11,28 @@
 //! re-importing it preserves the node/edge structure, names, attributes and
 //! — crucially for the serving cache — [`Graph::canonical_hash`].
 //!
+//! # One reader, one writer, two tree forms
+//!
+//! A request's graph crosses the boundary in one pass each way.
+//! [`Graph::from_json`] walks the bytes once with a schema-directed cursor:
+//! known keys are matched in place (one bit per key rejects duplicates),
+//! operator names are borrowed from the document, and `[node, port]` refs
+//! and shape dimensions are read as integers straight into exact-capacity
+//! vectors. Only a node's `attrs` object is parsed as a [`JsonValue`], so
+//! one function holds the attribute rules. [`Graph::to_json`] writes the
+//! document into one exact-capacity `String`.
+//!
+//! Errors are **syntax first**: when the cursor stops and the text is not
+//! well-formed JSON either, the error is the [`GraphError::Parse`] the
+//! generic parser reports, so a malformed document is a `Parse` error
+//! whatever else is wrong with it. A well-formed document gets the first
+//! schema error in document order, then [`Graph::validate`]'s.
+//!
+//! [`Graph::from_json_value`] and [`Graph::to_json_value`] are the tree
+//! forms, for a graph embedded in a larger document (the serving cache's
+//! snapshot). They accept and produce exactly what the byte forms do, and
+//! the differential tests hold the byte forms to them.
+//!
 //! # Document shape (version 1)
 //!
 //! ```json
@@ -47,6 +69,9 @@
 //! assert_eq!(back.canonical_hash(), g.canonical_hash());
 //! assert!(Graph::from_json("{\"format\": \"bogus\"}").is_err());
 //! ```
+
+use std::borrow::Cow;
+use std::fmt::Write as _;
 
 use crate::graph::{Graph, GraphError, Node, NodeId, TensorRef};
 use crate::op::{FusedActivation, OpAttributes, OpKind, Padding};
@@ -90,12 +115,9 @@ impl JsonValue {
     ///
     /// Returns a description of the first syntax error.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let mut p = Parser { bytes: text.as_bytes(), pos: 0 };
+        let mut p = Parser::new(text);
         let value = p.value(0)?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing content at byte {}", p.pos));
-        }
+        p.end()?;
         Ok(value)
     }
 
@@ -127,11 +149,7 @@ impl JsonValue {
     /// non-numbers, negatives, non-integers and values above 2^53 (where
     /// `f64` stops being exact).
     pub fn as_usize(&self) -> Option<usize> {
-        let n = self.as_f64()?;
-        if n.fract() != 0.0 || !(0.0..=9.007_199_254_740_992e15).contains(&n) {
-            return None;
-        }
-        Some(n as usize)
+        self.as_f64().and_then(exact_usize)
     }
 
     /// The boolean payload, when this is a bool.
@@ -173,22 +191,13 @@ impl JsonValue {
                 // JSON has no non-finite literals; `null` keeps the document
                 // well-formed and the importer rejects it with a typed error.
                 if n.is_finite() {
-                    out.push_str(&n.to_string());
+                    write!(out, "{n}").expect("writing to a String cannot fail");
                 } else {
                     out.push_str("null");
                 }
             }
             JsonValue::String(s) => write_json_string(s, out),
-            JsonValue::Array(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    item.write(out);
-                }
-                out.push(']');
-            }
+            JsonValue::Array(items) => write_list(items, out, JsonValue::write),
             JsonValue::Object(pairs) => {
                 out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
@@ -205,25 +214,61 @@ impl JsonValue {
     }
 }
 
+/// [`JsonValue::as_usize`]'s rule for a number.
+fn exact_usize(n: f64) -> Option<usize> {
+    if n.fract() != 0.0 || !(0.0..=9.007_199_254_740_992e15).contains(&n) {
+        return None;
+    }
+    Some(n as usize)
+}
+
 fn write_json_string(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Copy the runs that need no escape whole; every escaped byte is ASCII,
+    // so run bounds are char boundaries.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b == b'"' || b == b'\\' || b < 0x20 {
+            out.push_str(&s[run..i]);
+            match b {
+                b'"' => out.push_str("\\\""),
+                b'\\' => out.push_str("\\\\"),
+                _ => write!(out, "\\u{b:04x}").expect("writing to a String cannot fail"),
+            }
+            run = i + 1;
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
+fn write_usize(n: usize, out: &mut String) {
+    write!(out, "{n}").expect("writing to a String cannot fail");
+}
+
+/// Appends `[item, item, …]`.
+fn write_list<T>(items: impl IntoIterator<Item = T>, out: &mut String, mut item: impl FnMut(T, &mut String)) {
+    out.push('[');
+    for (i, value) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        item(value, out);
+    }
+    out.push(']');
+}
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
+    fn new(text: &'a str) -> Self {
+        Parser { text, bytes: text.as_bytes(), pos: 0 }
+    }
+
     fn skip_ws(&mut self) {
         while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
             self.pos += 1;
@@ -235,13 +280,30 @@ impl Parser<'_> {
         self.bytes.get(self.pos).copied()
     }
 
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.peek() == Some(byte) {
+    /// Consumes `byte` if it is the next token.
+    fn eat(&mut self, byte: u8) -> bool {
+        let found = self.peek() == Some(byte);
+        if found {
             self.pos += 1;
+        }
+        found
+    }
+
+    fn expect(&mut self, byte: u8) -> Result<(), String> {
+        if self.eat(byte) {
             Ok(())
         } else {
             Err(format!("expected {:?} at byte {}", byte as char, self.pos))
         }
+    }
+
+    /// Rejects anything but whitespace after the document.
+    fn end(&mut self) -> Result<(), String> {
+        self.skip_ws();
+        if self.pos != self.bytes.len() {
+            return Err(format!("trailing content at byte {}", self.pos));
+        }
+        Ok(())
     }
 
     fn literal(&mut self, word: &str) -> bool {
@@ -260,7 +322,7 @@ impl Parser<'_> {
         match self.peek() {
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
-            Some(b'"') => Ok(JsonValue::String(self.string()?)),
+            Some(b'"') => Ok(JsonValue::String(self.string()?.into_owned())),
             Some(b't') | Some(b'f') => {
                 if self.literal("true") {
                     Ok(JsonValue::Bool(true))
@@ -277,7 +339,7 @@ impl Parser<'_> {
                     Err(format!("invalid literal at byte {}", self.pos))
                 }
             }
-            Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
+            Some(b) if b == b'-' || b.is_ascii_digit() => self.number().map(JsonValue::Number),
             Some(b) => Err(format!("unexpected byte {:?} at {}", b as char, self.pos)),
             None => Err("unexpected end of document".to_string()),
         }
@@ -286,19 +348,17 @@ impl Parser<'_> {
     fn object(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'{')?;
         let mut pairs: Vec<(String, JsonValue)> = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
+        if self.eat(b'}') {
             return Ok(JsonValue::Object(pairs));
         }
         loop {
-            self.skip_ws();
             let key = self.string()?;
             if pairs.iter().any(|(k, _)| *k == key) {
                 return Err(format!("duplicate key {key:?}"));
             }
             self.expect(b':')?;
             let value = self.value(depth + 1)?;
-            pairs.push((key, value));
+            pairs.push((key.into_owned(), value));
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
@@ -313,8 +373,7 @@ impl Parser<'_> {
     fn array(&mut self, depth: usize) -> Result<JsonValue, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
+        if self.eat(b']') {
             return Ok(JsonValue::Array(items));
         }
         loop {
@@ -330,55 +389,86 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// One string token, borrowed from the document unless it holds an
+    /// escape.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut decoded: Option<String> = None;
+        // Start of the current run of unescaped bytes. Runs end only at
+        // ASCII bytes, so their bounds are char boundaries.
+        let mut run = self.pos;
         loop {
             match self.bytes.get(self.pos).copied() {
                 None => return Err("unterminated string".to_string()),
                 Some(b'"') => {
+                    let tail = &self.text[run..self.pos];
                     self.pos += 1;
-                    return Ok(out);
+                    return Ok(match decoded {
+                        None => Cow::Borrowed(tail),
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                    });
                 }
                 Some(b'\\') => {
+                    let out = decoded.get_or_insert_with(String::new);
+                    out.push_str(&self.text[run..self.pos]);
                     self.pos += 1;
-                    match self.bytes.get(self.pos).copied() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex =
-                                self.bytes.get(self.pos + 1..self.pos + 5).ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "non-ASCII \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "invalid \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("invalid \\u code point")?);
-                            self.pos += 4;
-                        }
-                        other => return Err(format!("unsupported escape {other:?}")),
-                    }
-                    self.pos += 1;
+                    out.push(self.escape()?);
+                    run = self.pos;
                 }
-                Some(_) => {
-                    let start = self.pos;
-                    self.pos += 1;
-                    while self.bytes.get(self.pos).is_some_and(|&b| b & 0xC0 == 0x80) {
-                        self.pos += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?,
-                    );
-                }
+                Some(_) => self.pos += 1,
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, String> {
+    /// The character of the escape after a backslash. A `\u` escape of a
+    /// high surrogate must be followed by one of a low surrogate, and the
+    /// pair decodes to one character (JSON's form of a non-BMP character).
+    fn escape(&mut self) -> Result<char, String> {
+        let byte = self.bytes.get(self.pos).copied();
+        self.pos += 1;
+        Ok(match byte {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b't') => '\t',
+            Some(b'r') => '\r',
+            Some(b'u') => {
+                let code = self.hex4()?;
+                if (0xD800..0xDC00).contains(&code) {
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err("unpaired surrogate in \\u escape".to_string());
+                    }
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err("unpaired surrogate in \\u escape".to_string());
+                    }
+                    char::from_u32(0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00))
+                        .expect("a surrogate pair decodes to a scalar value")
+                } else {
+                    char::from_u32(code).ok_or("invalid \\u code point")?
+                }
+            }
+            other => return Err(format!("unsupported escape {other:?}")),
+        })
+    }
+
+    /// Exactly four hex digits.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let hex = self.bytes.get(self.pos..self.pos + 4).ok_or("truncated \\u escape")?;
+        let mut code = 0;
+        for &b in hex {
+            code = code * 16 + char::from(b).to_digit(16).ok_or("invalid \\u escape")?;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    fn number(&mut self) -> Result<f64, String> {
         let start = self.pos;
         while self
             .bytes
@@ -387,12 +477,21 @@ impl Parser<'_> {
         {
             self.pos += 1;
         }
-        std::str::from_utf8(&self.bytes[start..self.pos])
+        self.text[start..self.pos]
+            .parse::<f64>()
             .ok()
-            .and_then(|s| s.parse::<f64>().ok())
             .filter(|n| n.is_finite())
-            .map(JsonValue::Number)
             .ok_or_else(|| format!("invalid number at byte {start}"))
+    }
+
+    /// The next value as a count, by [`JsonValue::as_usize`]'s rule: `None`
+    /// for a non-number and for a number that rule refuses.
+    fn count(&mut self) -> Result<Option<usize>, String> {
+        match self.peek() {
+            Some(b) if b == b'-' || b.is_ascii_digit() => {}
+            _ => return Ok(None),
+        }
+        self.number().map(exact_usize)
     }
 }
 
@@ -400,35 +499,355 @@ fn parse_err(message: impl Into<String>) -> GraphError {
     GraphError::Parse(message.into())
 }
 
+/// Top-level keys of a graph document, in the writer's order.
+const DOCUMENT_KEYS: [&str; 4] = ["format", "version", "nodes", "outputs"];
+/// Keys of a node object, in the writer's order.
+const NODE_KEYS: [&str; 5] = ["op", "name", "inputs", "attrs", "outputs"];
+/// Nesting depth of a node's `attrs` value: document, `nodes`, node.
+const ATTRS_DEPTH: usize = 3;
+
+/// The schema-directed cursor behind [`Graph::from_json`]: one walk over the
+/// document that builds nodes as it goes. The scratch lists are reused
+/// from node to node, so every vector a node keeps has exact capacity.
+struct GraphReader<'a> {
+    parser: Parser<'a>,
+    refs: Vec<TensorRef>,
+    shapes: Vec<TensorShape>,
+    dims: Vec<usize>,
+}
+
+impl<'a> GraphReader<'a> {
+    fn document(text: &'a str) -> Result<Graph, GraphError> {
+        let mut reader =
+            GraphReader { parser: Parser::new(text), refs: Vec::new(), shapes: Vec::new(), dims: Vec::new() };
+        if reader.parser.peek() != Some(b'{') {
+            return Err(parse_err("top level must be an object"));
+        }
+        let (mut nodes, mut outputs) = (Vec::new(), Vec::new());
+        let unknown = |key: &str| parse_err(format!("unknown top-level key {key:?}"));
+        let seen = reader.members(&DOCUMENT_KEYS, unknown, |r, key| {
+            match key {
+                0 => {
+                    let format = r.string().ok_or_else(|| parse_err("missing \"format\" marker"))??;
+                    if format != GRAPH_JSON_FORMAT {
+                        return Err(parse_err(format!("not a graph document (format {format:?})")));
+                    }
+                }
+                1 => {
+                    let version = r.parser.count().map_err(parse_err)?;
+                    check_version(version.ok_or_else(|| parse_err("missing \"version\""))?)?;
+                }
+                2 => {
+                    if r.parser.peek() != Some(b'[') {
+                        return Err(parse_err("missing \"nodes\" array"));
+                    }
+                    r.elements(|r| {
+                        if nodes.len() == u32::MAX as usize {
+                            return Err(parse_err("too many nodes"));
+                        }
+                        let node = r.node(nodes.len())?;
+                        nodes.push(Some(node));
+                        Ok(())
+                    })?;
+                }
+                _ => {
+                    let not_list = || parse_err("missing \"outputs\" array");
+                    let bad = || {
+                        parse_err("graph outputs must be [node_index, port] pairs of non-negative integers")
+                    };
+                    outputs = r.ref_list(not_list, bad)?;
+                }
+            }
+            Ok(())
+        })?;
+        // A missing key is found at the closing brace.
+        if let Some(missing) = (0..DOCUMENT_KEYS.len()).find(|&k| seen & (1 << k) == 0) {
+            return Err(parse_err(match missing {
+                0 => "missing \"format\" marker",
+                1 => "missing \"version\"",
+                2 => "missing \"nodes\" array",
+                _ => "missing \"outputs\" array",
+            }));
+        }
+        reader.parser.end().map_err(parse_err)?;
+        Ok(Graph::from_raw_parts(nodes, outputs))
+    }
+
+    fn node(&mut self, index: usize) -> Result<Node, GraphError> {
+        if self.parser.peek() != Some(b'{') {
+            return Err(parse_err(format!("node {index} must be an object")));
+        }
+        let missing_op = || parse_err(format!("node {index}: missing \"op\""));
+        let missing_outputs = || parse_err(format!("node {index}: missing \"outputs\" shape list"));
+        let (mut op, mut name, mut inputs, mut attrs, mut outputs) =
+            (None, None, Vec::new(), OpAttributes::default(), None);
+        let unknown = |key: &str| parse_err(format!("node {index}: unknown key {key:?}"));
+        self.members(&NODE_KEYS, unknown, |r, key| {
+            match key {
+                0 => {
+                    let op_name = r.string().ok_or_else(missing_op)??;
+                    op = Some(
+                        OpKind::from_name(&op_name).ok_or_else(|| GraphError::UnknownOp(op_name.into()))?,
+                    );
+                }
+                1 => {
+                    let not_string = || parse_err(format!("node {index}: \"name\" must be a string"));
+                    name = Some(r.string().ok_or_else(not_string)??.into_owned());
+                }
+                2 => {
+                    let not_list = || parse_err(format!("node {index}: \"inputs\" must be an array"));
+                    let bad = || {
+                        parse_err(format!(
+                            "node {index}: inputs must be [node_index, port] pairs of non-negative integers"
+                        ))
+                    };
+                    inputs = r.ref_list(not_list, bad)?;
+                }
+                3 => attrs = attrs_from_json(index, &r.parser.value(ATTRS_DEPTH).map_err(parse_err)?)?,
+                _ => {
+                    if r.parser.peek() != Some(b'[') {
+                        return Err(missing_outputs());
+                    }
+                    r.elements(|r| {
+                        let shape = r.shape()?;
+                        r.shapes.push(shape);
+                        Ok(())
+                    })?;
+                    outputs = Some(r.shapes.drain(..).collect());
+                }
+            }
+            Ok(())
+        })?;
+        let op = op.ok_or_else(missing_op)?;
+        let outputs = outputs.ok_or_else(missing_outputs)?;
+        source_rules(index, Node { op, attrs, inputs, outputs, name })
+    }
+
+    /// The string at the cursor, or `None` when the next value is not one.
+    fn string(&mut self) -> Option<Result<Cow<'a, str>, GraphError>> {
+        (self.parser.peek() == Some(b'"')).then(|| self.parser.string().map_err(parse_err))
+    }
+
+    /// Walks the object at the cursor, which the caller has checked opens
+    /// with `{`. Every key must be one of `keys`, once (one bit per key);
+    /// `member` gets the key's index and consumes its value. Returns the
+    /// bits of the keys seen.
+    fn members(
+        &mut self,
+        keys: &[&str],
+        unknown: impl Fn(&str) -> GraphError,
+        mut member: impl FnMut(&mut Self, usize) -> Result<(), GraphError>,
+    ) -> Result<u32, GraphError> {
+        self.parser.pos += 1;
+        let mut seen = 0u32;
+        if self.parser.eat(b'}') {
+            return Ok(seen);
+        }
+        loop {
+            let key = self.parser.string().map_err(parse_err)?;
+            let k = keys.iter().position(|&known| known == key).ok_or_else(|| unknown(&key))?;
+            if seen & (1 << k) != 0 {
+                return Err(parse_err(format!("duplicate key {key:?}")));
+            }
+            seen |= 1 << k;
+            self.parser.expect(b':').map_err(parse_err)?;
+            member(self, k)?;
+            match self.parser.peek() {
+                Some(b',') => self.parser.pos += 1,
+                Some(b'}') => {
+                    self.parser.pos += 1;
+                    return Ok(seen);
+                }
+                _ => return Err(parse_err(format!("expected ',' or '}}' at byte {}", self.parser.pos))),
+            }
+        }
+    }
+
+    /// Walks the array at the cursor, which the caller has checked opens
+    /// with `[`; `item` consumes one element.
+    fn elements(
+        &mut self,
+        mut item: impl FnMut(&mut Self) -> Result<(), GraphError>,
+    ) -> Result<(), GraphError> {
+        self.parser.pos += 1;
+        if self.parser.eat(b']') {
+            return Ok(());
+        }
+        loop {
+            item(self)?;
+            match self.parser.peek() {
+                Some(b',') => self.parser.pos += 1,
+                Some(b']') => {
+                    self.parser.pos += 1;
+                    return Ok(());
+                }
+                _ => return Err(parse_err(format!("expected ',' or ']' at byte {}", self.parser.pos))),
+            }
+        }
+    }
+
+    /// A list of `[node, port]` pairs, by [`tensor_ref_from_json`]'s rule.
+    fn ref_list(
+        &mut self,
+        not_list: impl Fn() -> GraphError,
+        bad: impl Fn() -> GraphError,
+    ) -> Result<Vec<TensorRef>, GraphError> {
+        if self.parser.peek() != Some(b'[') {
+            return Err(not_list());
+        }
+        self.elements(|r| {
+            let tensor = r.tensor_ref().map_err(parse_err)?.ok_or_else(&bad)?;
+            r.refs.push(tensor);
+            Ok(())
+        })?;
+        Ok(self.refs.drain(..).collect())
+    }
+
+    /// One `[node, port]` pair; `None` when the value is anything else.
+    fn tensor_ref(&mut self) -> Result<Option<TensorRef>, String> {
+        let p = &mut self.parser;
+        if !p.eat(b'[') {
+            return Ok(None);
+        }
+        let Some(node) = p.count()?.filter(|&n| n <= u32::MAX as usize) else { return Ok(None) };
+        if !p.eat(b',') {
+            return Ok(None);
+        }
+        let Some(port) = p.count()? else { return Ok(None) };
+        if !p.eat(b']') {
+            return Ok(None);
+        }
+        Ok(Some(TensorRef::with_port(NodeId(node as u32), port)))
+    }
+
+    /// One shape, by [`shape_from_json`]'s rule.
+    fn shape(&mut self) -> Result<TensorShape, GraphError> {
+        if self.parser.peek() != Some(b'[') {
+            return Err(parse_err("a shape must be an array of dimensions"));
+        }
+        self.elements(|r| {
+            let dim = r.parser.count().map_err(parse_err)?.filter(|&d| d <= u32::MAX as usize);
+            r.dims.push(dim.ok_or_else(|| parse_err("shape dimensions must be integers in 0..=2^32"))?);
+            Ok(())
+        })?;
+        checked_shape(TensorShape::new(self.dims.drain(..).collect()))
+    }
+}
+
+fn check_version(version: usize) -> Result<(), GraphError> {
+    if version as u64 != GRAPH_JSON_VERSION {
+        return Err(parse_err(format!(
+            "unsupported version {version} (this build reads version {GRAPH_JSON_VERSION})"
+        )));
+    }
+    Ok(())
+}
+
+fn checked_shape(shape: TensorShape) -> Result<TensorShape, GraphError> {
+    if shape.checked_numel().is_none() {
+        return Err(parse_err(format!("shape {shape} overflows the element count")));
+    }
+    Ok(shape)
+}
+
+/// The schema of a source operator (input, weight, constant): no inputs,
+/// no attributes, exactly one output shape. Both readers end a node here.
+fn source_rules(index: usize, node: Node) -> Result<Node, GraphError> {
+    let op = node.op;
+    if op.is_source() {
+        if !node.inputs.is_empty() {
+            return Err(parse_err(format!("node {index}: source operator {op} takes no inputs")));
+        }
+        if node.attrs != OpAttributes::default() {
+            return Err(parse_err(format!("node {index}: source operator {op} takes no attributes")));
+        }
+        if node.outputs.len() != 1 {
+            return Err(parse_err(format!(
+                "node {index}: source operator {op} must have exactly one output shape"
+            )));
+        }
+    }
+    Ok(node)
+}
+
+/// Document position by node id: the live nodes, renumbered densely in
+/// storage order.
+fn document_positions(graph: &Graph) -> Vec<usize> {
+    let mut positions = vec![usize::MAX; graph.id_bound()];
+    for (position, (id, _)) in graph.iter().enumerate() {
+        positions[id.index()] = position;
+    }
+    positions
+}
+
+fn position(positions: &[usize], r: &TensorRef) -> usize {
+    let position = positions[r.node.index()];
+    assert_ne!(position, usize::MAX, "{:?} is read but not live", r.node);
+    position
+}
+
 impl Graph {
     /// Serialises the graph as a version-1 interchange document (see the
     /// [module docs](crate::json)). Node ids are compacted to dense indices
     /// preserving storage order, so the round trip preserves
-    /// [`Graph::canonical_hash`].
+    /// [`Graph::canonical_hash`]. The bytes are those of
+    /// `self.to_json_value().to_json()`, written in one pass.
     pub fn to_json(&self) -> String {
-        self.to_json_value().to_json()
+        let positions = document_positions(self);
+        let write_ref = |r: &TensorRef, out: &mut String| {
+            out.push('[');
+            write_usize(position(&positions, r), out);
+            out.push_str(", ");
+            write_usize(r.port, out);
+            out.push(']');
+        };
+        let mut out = String::new();
+        out.push_str("{\"format\": ");
+        write_json_string(GRAPH_JSON_FORMAT, &mut out);
+        out.push_str(", \"version\": ");
+        write_usize(GRAPH_JSON_VERSION as usize, &mut out);
+        out.push_str(", \"nodes\": ");
+        write_list(self.iter(), &mut out, |(_, node), out| {
+            out.push_str("{\"op\": ");
+            write_json_string(node.op.name(), out);
+            if let Some(name) = &node.name {
+                out.push_str(", \"name\": ");
+                write_json_string(name, out);
+            }
+            if !node.inputs.is_empty() {
+                out.push_str(", \"inputs\": ");
+                write_list(&node.inputs, out, write_ref);
+            }
+            if node.attrs != OpAttributes::default() {
+                out.push_str(", \"attrs\": ");
+                attrs_to_json(&node.attrs).write(out);
+            }
+            out.push_str(", \"outputs\": ");
+            write_list(&node.outputs, out, |shape, out| {
+                write_list(shape.dims(), out, |&d, out| write_usize(d, out));
+            });
+            out.push('}');
+        });
+        out.push_str(", \"outputs\": ");
+        write_list(self.outputs(), &mut out, write_ref);
+        out.push('}');
+        out.shrink_to_fit();
+        out
     }
 
-    /// The interchange document as a [`JsonValue`] tree — used directly by
-    /// the serving layer to embed graphs inside larger documents without
-    /// string re-escaping.
+    /// The interchange document as a [`JsonValue`] tree, for embedding a
+    /// graph inside a larger document. [`Graph::to_json`] is the byte form.
     pub fn to_json_value(&self) -> JsonValue {
-        // Document position by node id: the live nodes, renumbered densely.
-        let mut index = vec![usize::MAX; self.id_bound()];
-        let mut nodes = Vec::new();
-        for (id, _) in self.iter() {
-            index[id.index()] = nodes.len();
-            nodes.push(id);
-        }
+        let positions = document_positions(self);
         let ref_value = |r: &TensorRef| {
-            let position = index[r.node.index()];
-            assert_ne!(position, usize::MAX, "{:?} is read but not live", r.node);
-            JsonValue::Array(vec![JsonValue::Number(position as f64), JsonValue::Number(r.port as f64)])
+            JsonValue::Array(vec![
+                JsonValue::Number(position(&positions, r) as f64),
+                JsonValue::Number(r.port as f64),
+            ])
         };
-        let node_values: Vec<JsonValue> = nodes
+        let node_values: Vec<JsonValue> = self
             .iter()
-            .map(|&id| {
-                let node = self.node(id).expect("iterated node is live");
+            .map(|(_, node)| {
                 let mut pairs = vec![("op".to_string(), JsonValue::String(node.op.name().to_string()))];
                 if let Some(name) = &node.name {
                     pairs.push(("name".to_string(), JsonValue::String(name.clone())));
@@ -465,18 +884,30 @@ impl Graph {
     /// # Errors
     ///
     /// Never panics on malformed input. Returns [`GraphError::Parse`] for
-    /// syntax/schema violations, [`GraphError::UnknownOp`] for unknown
-    /// operator names, and the usual structural variants
-    /// ([`GraphError::InvalidNode`], [`GraphError::Cycle`],
+    /// syntax/schema violations (a document that is not well-formed JSON is
+    /// a `Parse` error whatever else is wrong with it),
+    /// [`GraphError::UnknownOp`] for unknown operator names, and the usual
+    /// structural variants ([`GraphError::InvalidNode`], [`GraphError::Cycle`],
     /// [`GraphError::Shape`], [`GraphError::Arity`], …) for semantic errors
     /// found during validation.
     pub fn from_json(text: &str) -> Result<Graph, GraphError> {
-        let value = JsonValue::parse(text).map_err(parse_err)?;
-        Graph::from_json_value(&value)
+        // Syntax first: where the cursor stops in a malformed document may
+        // look like a schema error (a broken quote swallowing an op name).
+        let graph = GraphReader::document(text).map_err(|schema| match JsonValue::parse(text) {
+            Err(syntax) => parse_err(syntax),
+            Ok(_) => schema,
+        })?;
+        // Full semantic validation: every reference resolves (dangling edges
+        // -> InvalidNode/InvalidPort), the graph is acyclic, and every
+        // non-source node's stored output shapes agree with shape inference
+        // re-run on its actual inputs (arity and attribute errors surface
+        // here as the inference errors they are).
+        graph.validate()?;
+        Ok(graph)
     }
 
     /// Imports a graph from an already-parsed [`JsonValue`] tree (see
-    /// [`Graph::from_json`]).
+    /// [`Graph::from_json`]), for a graph embedded in a larger document.
     ///
     /// # Errors
     ///
@@ -484,7 +915,7 @@ impl Graph {
     pub fn from_json_value(value: &JsonValue) -> Result<Graph, GraphError> {
         let pairs = value.as_object().ok_or_else(|| parse_err("top level must be an object"))?;
         for (key, _) in pairs {
-            if !matches!(key.as_str(), "format" | "version" | "nodes" | "outputs") {
+            if !DOCUMENT_KEYS.contains(&key.as_str()) {
                 return Err(parse_err(format!("unknown top-level key {key:?}")));
             }
         }
@@ -499,11 +930,7 @@ impl Graph {
             .get("version")
             .and_then(JsonValue::as_usize)
             .ok_or_else(|| parse_err("missing \"version\""))?;
-        if version as u64 != GRAPH_JSON_VERSION {
-            return Err(parse_err(format!(
-                "unsupported version {version} (this build reads version {GRAPH_JSON_VERSION})"
-            )));
-        }
+        check_version(version)?;
         let node_values = value
             .get("nodes")
             .and_then(JsonValue::as_array)
@@ -526,11 +953,6 @@ impl Graph {
             })?);
         }
         let graph = Graph::from_raw_parts(nodes, outputs);
-        // Full semantic validation: every reference resolves (dangling edges
-        // -> InvalidNode/InvalidPort), the graph is acyclic, and every
-        // non-source node's stored output shapes agree with shape inference
-        // re-run on its actual inputs (arity and attribute errors surface
-        // here as the inference errors they are).
         graph.validate()?;
         Ok(graph)
     }
@@ -550,11 +972,7 @@ fn shape_from_json(v: &JsonValue) -> Result<TensorShape, GraphError> {
                 .ok_or_else(|| parse_err("shape dimensions must be integers in 0..=2^32"))?,
         );
     }
-    let shape = TensorShape::new(dims);
-    if shape.checked_numel().is_none() {
-        return Err(parse_err(format!("shape {shape} overflows the element count")));
-    }
-    Ok(shape)
+    checked_shape(TensorShape::new(dims))
 }
 
 fn tensor_ref_from_json(v: &JsonValue) -> Option<TensorRef> {
@@ -570,7 +988,7 @@ fn tensor_ref_from_json(v: &JsonValue) -> Option<TensorRef> {
 fn node_from_json(index: usize, v: &JsonValue) -> Result<Node, GraphError> {
     let pairs = v.as_object().ok_or_else(|| parse_err(format!("node {index} must be an object")))?;
     for (key, _) in pairs {
-        if !matches!(key.as_str(), "op" | "name" | "inputs" | "attrs" | "outputs") {
+        if !NODE_KEYS.contains(&key.as_str()) {
             return Err(parse_err(format!("node {index}: unknown key {key:?}")));
         }
     }
@@ -611,20 +1029,7 @@ fn node_from_json(index: usize, v: &JsonValue) -> Result<Node, GraphError> {
     for ov in outputs_v {
         outputs.push(shape_from_json(ov)?);
     }
-    if op.is_source() {
-        if !inputs.is_empty() {
-            return Err(parse_err(format!("node {index}: source operator {op} takes no inputs")));
-        }
-        if attrs != OpAttributes::default() {
-            return Err(parse_err(format!("node {index}: source operator {op} takes no attributes")));
-        }
-        if outputs.len() != 1 {
-            return Err(parse_err(format!(
-                "node {index}: source operator {op} must have exactly one output shape"
-            )));
-        }
-    }
-    Ok(Node { op, attrs, inputs, outputs, name })
+    source_rules(index, Node { op, attrs, inputs, outputs, name })
 }
 
 fn attrs_to_json(attrs: &OpAttributes) -> JsonValue {
@@ -934,5 +1339,24 @@ mod tests {
         assert_eq!(v.get("a").and_then(JsonValue::as_array).map(<[JsonValue]>::len), Some(1));
         let round = JsonValue::parse(&v.to_json()).unwrap();
         assert_eq!(round, v);
+
+        // `\u` escapes follow JSON: a surrogate pair is one character, and
+        // the writer writes it raw.
+        let parsed = |text: &str| JsonValue::parse(text).map(|v| v.as_str().map(str::to_string));
+        assert_eq!(parsed(r#""\ud83d\ude00""#), Ok(Some("\u{1f600}".to_string())));
+        assert_eq!(parsed(r#""a\u00e9\u0041\/""#), Ok(Some("aéA/".to_string())));
+        assert_eq!(JsonValue::String("\u{1f600}\u{1}".into()).to_json(), "\"\u{1f600}\\u0001\"");
+        for bad in [
+            r#""\ud83d""#,       // lone high surrogate
+            r#""\ude00""#,       // lone low surrogate
+            r#""\ude00\ud83d""#, // reversed pair
+            r#""\ud83d\u0041""#, // high surrogate, then not a low one
+            r#""\ud83d\n""#,     // high surrogate, then another escape
+            r#""\u+041""#,       // a sign is not a hex digit
+            r#""\u-041""#,
+            r#""\u04""#, // fewer than four digits
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad} must be rejected");
+        }
     }
 }

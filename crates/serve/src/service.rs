@@ -14,13 +14,14 @@
 //! validation are ever attached.
 
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 
 use xrlflow_core::fault;
 use xrlflow_core::{greedy_optimize, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::Environment;
-use xrlflow_graph::{Graph, GraphError, JsonValue};
+use xrlflow_graph::{Graph, GraphError};
 use xrlflow_rewrite::RuleSet;
 use xrlflow_tensor::{ParamSnapshot, XorShiftRng};
 
@@ -559,23 +560,35 @@ impl Resolved {
     }
 }
 
-/// The `POST /optimize` response document (`docs/FORMATS.md`).
+/// The `POST /optimize` response document (`docs/FORMATS.md`), written in
+/// place: the graph's bytes, then the scalar fields in `JsonValue`'s number
+/// form (`null` for a non-finite value).
 fn render_response(response: &OptimizeResponse) -> String {
-    JsonValue::Object(vec![
-        ("graph".to_string(), response.graph.to_json_value()),
-        ("initial_latency_ms".to_string(), JsonValue::Number(response.initial_latency_ms)),
-        ("final_latency_ms".to_string(), JsonValue::Number(response.final_latency_ms)),
-        ("steps".to_string(), JsonValue::Number(response.steps as f64)),
-        ("cache_hit".to_string(), JsonValue::Bool(response.cache_hit)),
-        ("speedup_percent".to_string(), JsonValue::Number(response.speedup_percent())),
-    ])
-    .to_json()
+    let graph = response.graph.to_json();
+    let mut out = String::with_capacity(graph.len() + 160);
+    out.push_str("{\"graph\": ");
+    out.push_str(&graph);
+    let number = |key: &str, value: f64, out: &mut String| {
+        if value.is_finite() {
+            write!(out, ", \"{key}\": {value}")
+        } else {
+            write!(out, ", \"{key}\": null")
+        }
+        .expect("writing to a String cannot fail");
+    };
+    number("initial_latency_ms", response.initial_latency_ms, &mut out);
+    number("final_latency_ms", response.final_latency_ms, &mut out);
+    write!(out, ", \"steps\": {}, \"cache_hit\": {}", response.steps, response.cache_hit)
+        .expect("writing to a String cannot fail");
+    number("speedup_percent", response.speedup_percent(), &mut out);
+    out.push('}');
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use xrlflow_graph::{OpAttributes, OpKind, TensorShape};
+    use xrlflow_graph::{JsonValue, OpAttributes, OpKind, TensorShape};
 
     fn tiny_graph() -> Graph {
         let mut g = Graph::new();
@@ -583,6 +596,38 @@ mod tests {
         let relu = g.add_node(OpKind::Relu, OpAttributes::default(), vec![input.into()]).unwrap();
         g.mark_output(relu.into());
         g
+    }
+
+    #[test]
+    fn the_response_document_is_the_tree_forms_bytes_for_any_scalar() {
+        let graph = Arc::new(tiny_graph());
+        let scalars = [
+            (1.5, 0.75),
+            (f64::NAN, 1.0),
+            (1.0, f64::INFINITY),
+            (0.1 + 0.2, 1e-300),
+            (-0.0, 0.0),
+            (1e21, 3.0),
+        ];
+        for (i, (initial, last)) in scalars.into_iter().enumerate() {
+            let response = OptimizeResponse {
+                graph: Arc::clone(&graph),
+                initial_latency_ms: initial,
+                final_latency_ms: last,
+                steps: 7 * i,
+                cache_hit: i % 2 == 0,
+            };
+            let expected = JsonValue::Object(vec![
+                ("graph".to_string(), graph.to_json_value()),
+                ("initial_latency_ms".to_string(), JsonValue::Number(initial)),
+                ("final_latency_ms".to_string(), JsonValue::Number(last)),
+                ("steps".to_string(), JsonValue::Number(response.steps as f64)),
+                ("cache_hit".to_string(), JsonValue::Bool(response.cache_hit)),
+                ("speedup_percent".to_string(), JsonValue::Number(response.speedup_percent())),
+            ])
+            .to_json();
+            assert_eq!(render_response(&response), expected, "scalars {initial} / {last}");
+        }
     }
 
     #[test]
