@@ -23,7 +23,7 @@
 use std::time::{Duration, Instant};
 
 use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_ratio, time_ns};
-use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{minibatch_grads_serial, Trainer, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
@@ -56,7 +56,12 @@ fn main() {
             let mut trainer = Trainer::new(config.clone(), 7);
             let mut agent = XrlflowAgent::from_snapshot(&config, &snapshot).unwrap();
             let mut buffer = rollouts.buffer.clone();
-            trainer.update(&mut agent, &mut buffer).transitions
+            trainer
+                .update(&mut agent, &mut buffer, &[], &mut |agent, ctx| {
+                    Ok(minibatch_grads_serial(agent, ctx))
+                })
+                .expect("the serial evaluator never faults")
+                .transitions
         });
         report(&format!("update/ms_per_round/serial/{}", kind.name()), serial_ns);
 

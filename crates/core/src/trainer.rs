@@ -24,9 +24,9 @@
 //! store from it. Because each contribution starts from zeros and the merge order
 //! is fixed, the same merged gradient falls out no matter which thread
 //! evaluated which transition — the property the data-parallel update engine
-//! in `xrlflow-rollout` builds on ([`Trainer::update_with_segments_via`]
-//! accepts the evaluator; [`minibatch_grads_serial`] is the retained serial
-//! oracle, same spirit as `collect_serial` / `policy_logits_serial`).
+//! in `xrlflow-rollout` builds on ([`Trainer::update`] accepts the
+//! evaluator; [`minibatch_grads_serial`] is the retained serial oracle, same
+//! spirit as `collect_serial` / `policy_logits_serial`).
 
 use xrlflow_env::{Environment, Observation};
 use xrlflow_rl::{explained_variance, PpoHyperParams, RolloutBuffer, TrainingStats, Transition};
@@ -141,18 +141,6 @@ pub struct TrainReport {
     /// Per-model reward/latency-reduction breakdowns, one entry per
     /// curriculum model in curriculum order. Empty for single-model runs.
     pub per_model: Vec<ModelBreakdown>,
-}
-
-impl TrainReport {
-    /// Mean end-to-end speedup over the last `n` episodes (percent).
-    pub fn recent_mean_speedup(&self, n: usize) -> f64 {
-        let tail: Vec<f64> = self.episodes.iter().rev().take(n).map(|e| e.speedup_percent()).collect();
-        if tail.is_empty() {
-            0.0
-        } else {
-            tail.iter().sum::<f64>() / tail.len() as f64
-        }
-    }
 }
 
 /// The canonical episode-collection loop: resets `env` with `reset_seed`,
@@ -390,50 +378,26 @@ impl Trainer {
         self.base_seed
     }
 
-    /// Performs one PPO update over the collected rollouts.
-    pub fn update(
-        &mut self,
-        agent: &mut XrlflowAgent,
-        buffer: &mut RolloutBuffer<Observation>,
-    ) -> TrainingStats {
-        self.update_with_segments(agent, buffer, &[])
-    }
-
-    /// Performs one PPO update over a merged multi-model buffer, normalising
-    /// advantages *per segment* (one segment per curriculum model, in merge
-    /// order) instead of globally, so a large graph's long high-variance
-    /// episodes don't dominate the gradient of smaller models sharing the
-    /// update. Every other step — GAE, minibatching, the clipped objective —
-    /// is identical to [`Trainer::update`]; an empty `segments` slice *is*
-    /// [`Trainer::update`].
-    pub fn update_with_segments(
-        &mut self,
-        agent: &mut XrlflowAgent,
-        buffer: &mut RolloutBuffer<Observation>,
-        segments: &[std::ops::Range<usize>],
-    ) -> TrainingStats {
-        self.update_with_segments_via(agent, buffer, segments, &mut |agent, ctx| {
-            Ok(minibatch_grads_serial(agent, ctx))
-        })
-        .unwrap_or_else(|fault| unreachable!("serial evaluator is infallible: {fault}"))
-    }
-
-    /// [`Trainer::update_with_segments`] with a pluggable minibatch gradient
-    /// evaluator — the seam the data-parallel update engine in
-    /// `xrlflow-rollout` plugs into.
+    /// Performs one PPO update over a merged multi-model buffer.
     ///
-    /// Everything that *steps the optimiser* stays here, on the calling
-    /// thread: per minibatch the evaluator produces the merged per-transition
-    /// gradient (in minibatch-position order) and per-transition diagnostics,
-    /// and this function clips that gradient (recording its pre-clip norm)
-    /// and steps the store from it. An evaluator is therefore free to shard the
-    /// re-evaluations across worker threads — as long as it merges buffers by
-    /// position (never completion order) the update is bit-identical to the
-    /// serial oracle [`minibatch_grads_serial`].
+    /// Advantages are normalised *per segment* (one segment per curriculum
+    /// model, in merge order; an empty slice is one segment over the whole
+    /// buffer), so a large graph's long high-variance episodes don't
+    /// dominate the gradient of smaller models sharing the update.
+    ///
+    /// `minibatch_grads` is the minibatch gradient evaluator: the serial
+    /// oracle [`minibatch_grads_serial`], or the data-parallel engine in
+    /// `xrlflow-rollout`. Everything that *steps the optimiser* stays here,
+    /// on the calling thread: per minibatch the evaluator produces the
+    /// merged per-transition gradient (in minibatch-position order) and
+    /// per-transition diagnostics, and this function clips that gradient
+    /// (recording its pre-clip norm) and steps the store from it. An
+    /// evaluator is therefore free to shard the re-evaluations across worker
+    /// threads — as long as it merges buffers by position (never completion
+    /// order) the update is bit-identical to the serial oracle.
     ///
     /// The reported `grad_norm` is the **mean** pre-clip gradient norm
-    /// across all minibatches of the update (the previous implementation
-    /// reported only the last minibatch's norm).
+    /// across all minibatches of the update.
     ///
     /// # Errors
     ///
@@ -443,7 +407,11 @@ impl Trainer {
     /// have stepped the optimiser, the agent's state after an error is
     /// unspecified — recover by resuming from the last durable
     /// `TrainState` checkpoint.
-    pub fn update_with_segments_via(
+    ///
+    /// # Panics
+    ///
+    /// Panics when `segments` do not partition the buffer in order.
+    pub fn update(
         &mut self,
         agent: &mut XrlflowAgent,
         buffer: &mut RolloutBuffer<Observation>,
@@ -631,10 +599,15 @@ mod tests {
         }
     }
 
-    #[test]
-    fn recent_mean_speedup_handles_empty_report() {
-        let report = TrainReport::default();
-        assert_eq!(report.recent_mean_speedup(5), 0.0);
+    /// One update over the whole buffer through the serial oracle.
+    fn serial_update(
+        trainer: &mut Trainer,
+        agent: &mut XrlflowAgent,
+        buffer: &mut RolloutBuffer<Observation>,
+    ) -> TrainingStats {
+        trainer
+            .update(agent, buffer, &[], &mut |agent, ctx| Ok(minibatch_grads_serial(agent, ctx)))
+            .expect("the serial evaluator never faults")
     }
 
     /// Collects enough transitions for several minibatches per epoch.
@@ -667,7 +640,7 @@ mod tests {
         let mut norms = Vec::new();
         let mut trainer = Trainer::new(config.clone(), 7);
         let stats = trainer
-            .update_with_segments_via(&mut agent, &mut buffer, &[], &mut |agent, ctx| {
+            .update(&mut agent, &mut buffer, &[], &mut |agent, ctx| {
                 let out = minibatch_grads_serial(agent, ctx);
                 norms.push(out.grads.norm());
                 Ok(out)
@@ -725,8 +698,8 @@ mod tests {
             let mut buffer = filled_buffer(&config, &agent, 1);
             let mut resumed_buffer = filled_buffer(&config, &resumed_agent, 1);
             assert_eq!(
-                trainer.update(&mut agent, &mut buffer),
-                resumed.update(&mut resumed_agent, &mut resumed_buffer)
+                serial_update(&mut trainer, &mut agent, &mut buffer),
+                serial_update(&mut resumed, &mut resumed_agent, &mut resumed_buffer)
             );
         }
         assert_eq!(
@@ -753,9 +726,8 @@ mod tests {
 
     #[test]
     fn serial_minibatch_evaluator_matches_the_default_update_path() {
-        // update_with_segments is update_with_segments_via over the serial
-        // oracle; two identically seeded runs must land on identical
-        // parameters and stats.
+        // Two identically seeded updates through the serial oracle must
+        // land on identical parameters and stats.
         let config = XrlflowConfig::smoke_test();
         let probe = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
         let mut results = Vec::new();
@@ -763,7 +735,7 @@ mod tests {
             let mut agent = XrlflowAgent::new(&config, 8);
             let mut buffer = filled_buffer(&config, &agent, 2);
             let mut trainer = Trainer::new(config.clone(), 7);
-            let stats = trainer.update(&mut agent, &mut buffer);
+            let stats = serial_update(&mut trainer, &mut agent, &mut buffer);
             results.push((stats, agent.embed_graph(&probe)));
         }
         assert_eq!(results[0].0, results[1].0);

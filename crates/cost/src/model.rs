@@ -11,13 +11,13 @@
 //!   candidates with).
 //! * [`InferenceSimulator`] — "runs" the graph: skips constant-foldable
 //!   nodes, adds launch overhead per launched kernel, applies deterministic
-//!   per-kernel perturbations and optional measurement noise (what X-RLflow
-//!   uses as its sparse reward signal).
+//!   per-kernel perturbations and a fixed 1 % multiplicative measurement
+//!   noise (what X-RLflow uses as its sparse reward signal).
 
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-use xrlflow_graph::{Graph, Node, NodeId, OpKind};
+use xrlflow_graph::{Graph, NodeId};
 
 use crate::profile::{kernel_perturbation, node_compute_us, DeviceProfile};
 
@@ -34,11 +34,6 @@ impl CostModel {
         Self { profile }
     }
 
-    /// The device profile in use.
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
-    }
-
     /// Estimated runtime of a single node in milliseconds.
     pub fn node_cost_ms(&self, graph: &Graph, id: NodeId) -> f64 {
         node_compute_us(graph, id, &self.profile) / 1000.0
@@ -52,27 +47,15 @@ impl CostModel {
     }
 }
 
-/// Configuration of the end-to-end latency simulator.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SimulatorConfig {
-    /// Apply constant folding: nodes with no dependence on graph inputs are
-    /// pre-computed and excluded from inference latency.
-    pub constant_folding: bool,
-    /// Add fixed per-kernel launch overhead.
-    pub launch_overhead: bool,
-    /// Apply the deterministic per-kernel perturbation.
-    pub kernel_effects: bool,
-    /// Standard deviation of multiplicative measurement noise (0 disables).
-    pub noise_std: f64,
-}
+/// Standard deviation of the multiplicative measurement noise on every
+/// simulated measurement.
+const NOISE_STD: f64 = 0.01;
 
-impl Default for SimulatorConfig {
-    fn default() -> Self {
-        Self { constant_folding: true, launch_overhead: true, kernel_effects: true, noise_std: 0.01 }
-    }
-}
-
-/// Simulates running end-to-end inference on a graph and reports its latency.
+/// Simulates running end-to-end inference on a graph and reports its latency:
+/// constant-foldable nodes never launch, every launched kernel pays the
+/// device's launch overhead on top of its perturbed compute time, and each
+/// measurement carries seeded multiplicative noise with a 1 % standard
+/// deviation.
 ///
 /// # Examples
 ///
@@ -88,7 +71,6 @@ impl Default for SimulatorConfig {
 #[derive(Debug, Default)]
 pub struct InferenceSimulator {
     profile: DeviceProfile,
-    config: SimulatorConfig,
     /// Memo of the deterministic (pre-noise) latency keyed by the graph's
     /// canonical hash: repeated measurements of structurally identical graphs
     /// — ubiquitous in RL training, where every episode re-measures the same
@@ -103,7 +85,6 @@ impl Clone for InferenceSimulator {
     fn clone(&self) -> Self {
         Self {
             profile: self.profile.clone(),
-            config: self.config,
             cache: Mutex::new(self.cache.lock().expect("simulator cache poisoned").clone()),
         }
     }
@@ -114,24 +95,9 @@ impl Clone for InferenceSimulator {
 const MEASUREMENT_CACHE_CAP: usize = 8192;
 
 impl InferenceSimulator {
-    /// Creates a simulator with the default configuration.
+    /// Creates a simulator for a device profile.
     pub fn new(profile: DeviceProfile) -> Self {
-        Self { profile, config: SimulatorConfig::default(), cache: Mutex::new(HashMap::new()) }
-    }
-
-    /// Creates a simulator with an explicit configuration.
-    pub fn with_config(profile: DeviceProfile, config: SimulatorConfig) -> Self {
-        Self { profile, config, cache: Mutex::new(HashMap::new()) }
-    }
-
-    /// The device profile in use.
-    pub fn profile(&self) -> &DeviceProfile {
-        &self.profile
-    }
-
-    /// The simulator configuration.
-    pub fn config(&self) -> &SimulatorConfig {
-        &self.config
+        Self { profile, cache: Mutex::new(HashMap::new()) }
     }
 
     /// Simulated end-to-end latency of one inference pass, in milliseconds.
@@ -167,11 +133,7 @@ impl InferenceSimulator {
         if hits + misses > 0 {
             xrlflow_obs::gauge!("cost/simulator/memo_hit_ratio").set(hits as f64 / (hits + misses) as f64);
         }
-        let mut ms = base_ms;
-        if self.config.noise_std > 0.0 {
-            ms *= 1.0 + self.config.noise_std * hash_noise(key, seed);
-        }
-        ms
+        base_ms * (1.0 + NOISE_STD * hash_noise(key, seed))
     }
 
     /// Number of distinct graphs whose deterministic latency is memoised.
@@ -183,47 +145,20 @@ impl InferenceSimulator {
     fn simulate_ms(&self, graph: &Graph) -> f64 {
         let mut total_us = 0.0;
         for (id, node) in graph.iter() {
-            if !self.launches(graph, id, node) {
+            // Sources never run as kernels, and constant folding pre-computes
+            // what no graph input reaches (answered from the graph's
+            // memoised structure index).
+            if node.op.is_source() || graph.is_foldable(id) {
                 continue;
             }
-            let mut us = node_compute_us(graph, id, &self.profile);
-            if self.config.kernel_effects {
-                us *= kernel_perturbation(&self.profile, node);
-            }
-            if self.config.launch_overhead {
-                us += self.profile.kernel_launch_us;
-            }
-            total_us += us;
+            let us = node_compute_us(graph, id, &self.profile) * kernel_perturbation(&self.profile, node);
+            total_us += us + self.profile.kernel_launch_us;
         }
         total_us / 1000.0
     }
-
-    /// Mean and standard deviation of latency over `repeats` measurements
-    /// (mirrors the paper's protocol of five repetitions per data point).
-    pub fn measure_repeated_ms(&self, graph: &Graph, repeats: usize, base_seed: u64) -> (f64, f64) {
-        assert!(repeats > 0, "repeats must be positive");
-        let samples: Vec<f64> =
-            (0..repeats).map(|i| self.measure_ms(graph, base_seed.wrapping_add(i as u64))).collect();
-        let mean = samples.iter().sum::<f64>() / repeats as f64;
-        let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / repeats as f64;
-        (mean, var.sqrt())
-    }
-
-    /// Number of kernels actually launched (non-source, non-folded nodes).
-    pub fn launched_kernels(&self, graph: &Graph) -> usize {
-        graph.iter().filter(|(id, node)| self.launches(graph, *id, node)).count()
-    }
-
-    /// Whether a node runs as a kernel at inference time: sources never do,
-    /// and constant folding pre-computes what no graph input reaches
-    /// (answered from the graph's memoised structure index).
-    fn launches(&self, graph: &Graph, id: NodeId, node: &Node) -> bool {
-        let folded = self.config.constant_folding && graph.is_foldable(id);
-        !(node.op.is_source() || folded)
-    }
 }
 
-/// Standard-normal-ish noise in `[-3, 3]` derived from the graph's canonical
+/// Standard-normal-ish noise in `[-6, 6]` derived from the graph's canonical
 /// hash and a seed (sum of uniform draws, Irwin–Hall approximation).
 fn hash_noise(graph_hash: u64, seed: u64) -> f64 {
     let mut state = graph_hash ^ seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
@@ -275,24 +210,11 @@ pub fn discrepancy(
     }
 }
 
-/// Counts how many operators of each kind contribute to a graph's cost
-/// (useful for reports and for the Figure 5 analysis).
-pub fn cost_breakdown(graph: &Graph, cost_model: &CostModel) -> Vec<(OpKind, f64)> {
-    let mut per_kind: std::collections::BTreeMap<OpKind, f64> = Default::default();
-    for (id, node) in graph.iter() {
-        if node.op.is_source() {
-            continue;
-        }
-        *per_kind.entry(node.op).or_insert(0.0) += cost_model.node_cost_ms(graph, id);
-    }
-    per_kind.into_iter().collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
-    use xrlflow_graph::{OpAttributes, TensorShape};
+    use xrlflow_graph::{OpAttributes, OpKind, TensorRef, TensorShape};
 
     fn simulator() -> InferenceSimulator {
         InferenceSimulator::new(DeviceProfile::gtx1080())
@@ -327,35 +249,46 @@ mod tests {
     }
 
     #[test]
-    fn constant_folding_reduces_latency() {
-        // A graph with a weight-only subgraph should get faster when folding
-        // is enabled (but its cost-model estimate is oblivious).
-        let mut g = Graph::new();
-        let x = g.add_input(TensorShape::new(vec![1, 256]));
-        let w1 = g.add_weight(TensorShape::new(vec![256, 256]));
-        let w2 = g.add_weight(TensorShape::new(vec![256, 256]));
-        // Foldable chain: w1 x w2.
-        let fold = g.add_node(OpKind::MatMul, OpAttributes::default(), vec![w1.into(), w2.into()]).unwrap();
-        let live = g.add_node(OpKind::MatMul, OpAttributes::default(), vec![x.into(), fold.into()]).unwrap();
-        g.mark_output(live.into());
-
-        let with_folding = simulator();
-        let without_folding = InferenceSimulator::with_config(
-            DeviceProfile::gtx1080(),
-            SimulatorConfig { constant_folding: false, ..SimulatorConfig::default() },
-        );
-        assert!(with_folding.measure_ms(&g, 0) < without_folding.measure_ms(&g, 0));
-        assert_eq!(with_folding.launched_kernels(&g), 1);
-        assert_eq!(without_folding.launched_kernels(&g), 2);
+    fn a_foldable_chain_adds_no_latency() {
+        // `x · w` against `x · transpose(w)`: the Transpose reads no graph
+        // input, so it is folded away and the noise-free latency is the
+        // same, bit for bit (the cost model is oblivious and charges it).
+        let build = |transposed: bool| {
+            let mut g = Graph::new();
+            let x = g.add_input(TensorShape::new(vec![1, 256]));
+            let mut w: TensorRef = g.add_weight(TensorShape::new(vec![256, 256])).into();
+            if transposed {
+                w = g
+                    .add_node(OpKind::Transpose, OpAttributes::transpose(vec![1, 0]), vec![w])
+                    .unwrap()
+                    .into();
+            }
+            let y = g.add_node(OpKind::MatMul, OpAttributes::default(), vec![x.into(), w]).unwrap();
+            g.mark_output(y.into());
+            g
+        };
+        let (plain, chained) = (build(false), build(true));
+        let sim = simulator();
+        assert_eq!(sim.simulate_ms(&plain).to_bits(), sim.simulate_ms(&chained).to_bits());
+        let cm = CostModel::new(DeviceProfile::gtx1080());
+        assert!(cm.graph_cost_ms(&chained) > cm.graph_cost_ms(&plain));
     }
 
     #[test]
     fn repeated_measurements_have_small_spread() {
         let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
         let sim = simulator();
-        let (mean, std) = sim.measure_repeated_ms(&g, 5, 42);
+        let samples: Vec<f64> = (42..47).map(|seed| sim.measure_ms(&g, seed)).collect();
+        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
+        let var = samples.iter().map(|s| (s - mean) * (s - mean)).sum::<f64>() / samples.len() as f64;
         assert!(mean > 0.0);
-        assert!(std / mean < 0.1, "noise too large: {std} vs {mean}");
+        assert!(var > 0.0, "every seed drew the same noise");
+        assert!(var.sqrt() / mean < 0.1, "noise too large: {} vs {mean}", var.sqrt());
+        // The noise is six standard deviations at most.
+        let base = sim.simulate_ms(&g);
+        for s in samples {
+            assert!((s / base - 1.0).abs() <= 6.0 * NOISE_STD, "{s} vs noise-free {base}");
+        }
     }
 
     #[test]
@@ -411,16 +344,6 @@ mod tests {
         let cloned = sim.clone();
         assert_eq!(cloned.cached_measurements(), 1);
         assert_eq!(cloned.measure_ms(&g, 1), v);
-    }
-
-    #[test]
-    fn cost_breakdown_sums_to_graph_cost() {
-        let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let cm = CostModel::new(DeviceProfile::gtx1080());
-        let breakdown = cost_breakdown(&g, &cm);
-        let total: f64 = breakdown.iter().map(|(_, c)| c).sum();
-        assert!((total - cm.graph_cost_ms(&g)).abs() < 1e-9);
-        assert!(breakdown.iter().any(|(k, _)| *k == OpKind::Conv2d));
     }
 
     #[test]

@@ -500,11 +500,6 @@ impl GnnEncoder {
         &self.config
     }
 
-    /// Output embedding width.
-    pub fn embedding_dim(&self) -> usize {
-        self.config.hidden_dim
-    }
-
     /// Encodes a featurised graph into a `[1, hidden_dim]` embedding on the
     /// given tape.
     ///
@@ -922,7 +917,7 @@ mod tests {
         let mut tape = Tape::new();
         let z = encoder.encode_candidates(&mut tape, store, &current, &deltas);
         let embeddings = tape.value(z).clone();
-        assert_eq!(embeddings.shape(), &[patches.len() + 1, encoder.embedding_dim()]);
+        assert_eq!(embeddings.shape(), &[patches.len() + 1, encoder.config().hidden_dim]);
         let serial_current = encoder.encode_value(store, &current);
         assert_eq!(embeddings.row(0), serial_current.data(), "{context}: current-graph embedding");
         for (i, (patch, rule_name)) in patches.iter().enumerate() {

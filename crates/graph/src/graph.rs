@@ -93,8 +93,6 @@ pub enum GraphError {
     InvalidNode(NodeId),
     /// A referenced output port does not exist on the producing node.
     InvalidPort(TensorRef),
-    /// The node cannot be removed because other nodes still consume it.
-    NodeInUse(NodeId),
     /// The graph contains a cycle.
     Cycle,
     /// A patch referenced an added node or output port that does not exist.
@@ -125,7 +123,6 @@ impl std::fmt::Display for GraphError {
             GraphError::Shape { op, message } => write!(f, "shape error in {op}: {message}"),
             GraphError::InvalidNode(id) => write!(f, "invalid node reference {:?}", id),
             GraphError::InvalidPort(r) => write!(f, "invalid output port {} of {:?}", r.port, r.node),
-            GraphError::NodeInUse(id) => write!(f, "node {:?} still has consumers", id),
             GraphError::Cycle => write!(f, "graph contains a cycle"),
             GraphError::InvalidPatchRef { node, port } => {
                 write!(f, "invalid patch reference: added node {node}, port {port}")
@@ -534,38 +531,10 @@ impl Graph {
         Ok(())
     }
 
-    /// Removes a node that has no consumers and is not a graph output.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::NodeInUse`] if the node still has consumers or
-    /// is a graph output, [`GraphError::InvalidNode`] if it does not exist.
-    pub fn remove_node(&mut self, id: NodeId) -> Result<(), GraphError> {
-        self.node(id)?;
-        if !self.consumers(id).is_empty() || self.outputs.iter().any(|r| r.node == id) {
-            return Err(GraphError::NodeInUse(id));
-        }
-        self.parts_mut().0[id.index()] = None;
-        Ok(())
-    }
-
-    /// Applies a [`crate::GraphPatch`] to this graph in place: splices the
-    /// patch's added nodes (reusing their pre-inferred output shapes — no
-    /// shape inference is re-run), performs the recorded consumer rewires in
-    /// order, then eliminates nodes the rewires made unreachable.
-    ///
-    /// The patch must have been built (via [`crate::PatchBuilder`]) against a
-    /// graph structurally identical to `self`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when a patch reference does not resolve against this
-    /// graph or a rewire is shape-incompatible — both indicate the patch was
-    /// built against a different base graph. **On error the graph is left
-    /// partially modified** (spliced nodes and already-applied rewires are
-    /// not rolled back) and must be discarded; use [`Graph::apply_patch`]
-    /// when the original must survive a failed application.
-    pub fn apply_patch_in_place(&mut self, patch: &crate::GraphPatch) -> Result<(), GraphError> {
+    /// [`Graph::apply_patch`]'s work, done on `self`. **On error the graph
+    /// is left partially modified** (spliced nodes and already-applied
+    /// rewires are not rolled back) and must be discarded.
+    fn apply_patch_in_place(&mut self, patch: &crate::GraphPatch) -> Result<(), GraphError> {
         let mut new_ids: Vec<NodeId> = Vec::with_capacity(patch.added.len());
         for pn in &patch.added {
             let mut inputs = Vec::with_capacity(pn.inputs.len());
@@ -592,11 +561,19 @@ impl Graph {
     }
 
     /// Applies a [`crate::GraphPatch`], returning the transformed graph and
-    /// leaving `self` untouched. See [`Graph::apply_patch_in_place`].
+    /// leaving `self` untouched: splices the patch's added nodes (reusing
+    /// their pre-inferred output shapes — no shape inference is re-run),
+    /// performs the recorded consumer rewires in order, then eliminates nodes
+    /// the rewires made unreachable.
+    ///
+    /// The patch must have been built (via [`crate::PatchBuilder`]) against a
+    /// graph structurally identical to `self`.
     ///
     /// # Errors
     ///
-    /// Same as [`Graph::apply_patch_in_place`].
+    /// Returns an error when a patch reference does not resolve against this
+    /// graph or a rewire is shape-incompatible — both indicate the patch was
+    /// built against a different base graph.
     pub fn apply_patch(&self, patch: &crate::GraphPatch) -> Result<Graph, GraphError> {
         // One pointer per node, with room for the patch's own; the index is
         // the result's to build.
@@ -703,27 +680,6 @@ impl Graph {
             r.node = mapping[&r.node];
         }
         mapping
-    }
-
-    /// A human-readable multi-line summary of the graph (topological order).
-    pub fn dump(&self) -> String {
-        let mut out = String::new();
-        if let Some(order) = &self.index().order {
-            for &id in order {
-                let n = self.node(id).expect("live node");
-                let inputs: Vec<String> =
-                    n.inputs.iter().map(|r| format!("%{}:{}", r.node.0, r.port)).collect();
-                let shapes: Vec<String> = n.outputs.iter().map(|s| s.to_string()).collect();
-                out.push_str(&format!(
-                    "%{} = {}({}) -> {}\n",
-                    id.0,
-                    n.op,
-                    inputs.join(", "),
-                    shapes.join(", ")
-                ));
-            }
-        }
-        out
     }
 }
 
@@ -888,17 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_node_guards() {
-        let (mut g, y) = small_mlp();
-        // Output node cannot be removed.
-        assert!(matches!(g.remove_node(y), Err(GraphError::NodeInUse(_))));
-        // A node with consumers cannot be removed.
-        assert!(matches!(g.remove_node(NodeId(0)), Err(GraphError::NodeInUse(_))));
-        // Unknown node.
-        assert!(matches!(g.remove_node(NodeId(99)), Err(GraphError::InvalidNode(_))));
-    }
-
-    #[test]
     fn canonical_hash_invariant_to_insertion_order() {
         let (g1, _) = small_mlp();
         // Build the same network with sources created in a different order.
@@ -1004,14 +949,6 @@ mod tests {
         assert_eq!(g.tensor_shape(TensorRef::with_port(split, 1)).unwrap().dims(), &[1, 4, 4, 4]);
         // Port 2 does not exist.
         assert!(g.tensor_shape(TensorRef::with_port(split, 2)).is_err());
-    }
-
-    #[test]
-    fn dump_contains_ops() {
-        let (g, _) = small_mlp();
-        let dump = g.dump();
-        assert!(dump.contains("MatMul"));
-        assert!(dump.contains("Relu"));
     }
 
     #[test]
@@ -1178,7 +1115,7 @@ mod tests {
         let spare_weight: fn(&mut Graph) = |g| {
             g.add_weight(shape(&[2, 2]));
         };
-        let mutations: [Mutation; 12] = [
+        let mutations: [Mutation; 11] = [
             ("add_input", nothing, |g| {
                 g.add_input(shape(&[1, 4]));
             }),
@@ -1201,7 +1138,6 @@ mod tests {
             ("replace_all_uses", nothing, |g| {
                 g.replace_all_uses(NodeId(4).into(), NodeId(3).into()).unwrap()
             }),
-            ("remove_node", spare_weight, |g| g.remove_node(NodeId(6)).unwrap()),
             ("apply_patch_in_place", nothing, |g| {
                 let mut b = PatchBuilder::new(g);
                 b.replace_all_uses(NodeId(4).into(), NodeId(3)).unwrap();

@@ -231,29 +231,6 @@ impl OpKind {
         )
     }
 
-    /// Returns `true` for compute-dense operators (convolutions and matrix
-    /// multiplications) that dominate inference latency.
-    pub fn is_compute_intensive(self) -> bool {
-        matches!(self, OpKind::MatMul | OpKind::BatchMatMul | OpKind::Conv2d | OpKind::DepthwiseConv2d)
-    }
-
-    /// Returns `true` for pure layout operators that move or reinterpret
-    /// data without arithmetic.
-    pub fn is_layout(self) -> bool {
-        matches!(
-            self,
-            OpKind::Concat
-                | OpKind::Split
-                | OpKind::Slice
-                | OpKind::Pad
-                | OpKind::Transpose
-                | OpKind::Reshape
-                | OpKind::Flatten
-                | OpKind::Squeeze
-                | OpKind::Unsqueeze
-        )
-    }
-
     /// Short human-readable name.
     pub fn name(self) -> &'static str {
         match self {
@@ -428,16 +405,6 @@ mod tests {
     fn all_indices_are_unique_and_stable() {
         for (i, &op) in OpKind::ALL.iter().enumerate() {
             assert_eq!(op.index(), i);
-        }
-    }
-
-    #[test]
-    fn categories_are_disjoint_for_compute_and_layout() {
-        for &op in OpKind::ALL {
-            assert!(
-                !(op.is_compute_intensive() && op.is_layout()),
-                "{op} cannot be both compute-intensive and layout"
-            );
         }
     }
 

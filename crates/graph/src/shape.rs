@@ -91,8 +91,8 @@ impl TensorShape {
     }
 
     /// Returns a new shape permuted by `perm`, or `None` when `perm` is not
-    /// a permutation of `0..rank` — the fallible variant shape inference
-    /// uses so untrusted `Transpose` attributes surface as typed errors.
+    /// a permutation of `0..rank`, so that shape inference can surface an
+    /// untrusted `Transpose` attribute as a typed error.
     pub fn try_permute(&self, perm: &[usize]) -> Option<Self> {
         if perm.len() != self.rank() {
             return None;
@@ -105,16 +105,6 @@ impl TensorShape {
             seen[p] = true;
         }
         Some(Self(perm.iter().map(|&p| self.0[p]).collect()))
-    }
-
-    /// Returns a new shape permuted by `perm`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `perm` is not a permutation of `0..rank`; use
-    /// [`TensorShape::try_permute`] for untrusted input.
-    pub fn permute(&self, perm: &[usize]) -> Self {
-        self.try_permute(perm).unwrap_or_else(|| panic!("invalid permutation {:?} of {self}", perm))
     }
 
     /// Returns `true` when two shapes are broadcast-compatible in the NumPy
@@ -203,13 +193,15 @@ mod tests {
     fn permute_and_swap() {
         let s = TensorShape::new(vec![1, 2, 3, 4]);
         assert_eq!(s.swap(1, 3).dims(), &[1, 4, 3, 2]);
-        assert_eq!(s.permute(&[0, 2, 1, 3]).dims(), &[1, 3, 2, 4]);
+        assert_eq!(s.try_permute(&[0, 2, 1, 3]).unwrap().dims(), &[1, 3, 2, 4]);
     }
 
     #[test]
-    #[should_panic(expected = "invalid permutation")]
-    fn permute_rejects_bad_perm() {
-        TensorShape::new(vec![1, 2]).permute(&[0, 0]);
+    fn try_permute_rejects_bad_perm() {
+        let s = TensorShape::new(vec![1, 2]);
+        assert_eq!(s.try_permute(&[0, 0]), None);
+        assert_eq!(s.try_permute(&[0, 2]), None);
+        assert_eq!(s.try_permute(&[0]), None);
     }
 
     #[test]

@@ -76,7 +76,7 @@ impl<O> RolloutBuffer<O> {
     /// order** (not completion order), so a merged buffer is
     /// transition-for-transition identical to serial collection. Derived
     /// advantages/returns on either buffer are cleared — call
-    /// [`RolloutBuffer::compute_advantages`] on the merged result.
+    /// [`RolloutBuffer::compute_advantages_segmented`] on the merged result.
     pub fn append(&mut self, other: &mut RolloutBuffer<O>) {
         self.transitions.append(&mut other.transitions);
         self.advantages.clear();
@@ -86,16 +86,9 @@ impl<O> RolloutBuffer<O> {
     }
 
     /// Computes GAE advantages and returns over the stored transitions
-    /// (which may span several episodes — `done` flags reset the estimator).
-    /// Advantages are normalised to zero mean and unit variance, the usual
-    /// PPO stabilisation.
-    pub fn compute_advantages(&mut self, gamma: f32, lambda: f32) {
-        self.compute_advantages_segmented(gamma, lambda, &[]);
-    }
-
-    /// Like [`RolloutBuffer::compute_advantages`], but normalises the
-    /// advantages *within each segment* of transition indices instead of
-    /// globally.
+    /// (which may span several episodes — `done` flags reset the estimator)
+    /// and normalises the advantages to zero mean and unit variance, the
+    /// usual PPO stabilisation, *within each segment* of transition indices.
     ///
     /// This is the multi-model curriculum's per-spec normalisation: a merged
     /// buffer holds each model's episodes as one contiguous segment, and
@@ -104,8 +97,7 @@ impl<O> RolloutBuffer<O> {
     /// the update. GAE itself is unaffected (episode boundaries come from
     /// `done` flags); only the normalisation statistics are per-segment.
     ///
-    /// An empty `segments` slice means one segment spanning the whole buffer
-    /// — exactly [`RolloutBuffer::compute_advantages`].
+    /// An empty `segments` slice means one segment spanning the whole buffer.
     ///
     /// # Panics
     ///
@@ -143,12 +135,14 @@ impl<O> RolloutBuffer<O> {
         self.returns = returns;
     }
 
-    /// The normalised advantages (empty before [`RolloutBuffer::compute_advantages`]).
+    /// The normalised advantages (empty before
+    /// [`RolloutBuffer::compute_advantages_segmented`]).
     pub fn advantages(&self) -> &[f32] {
         &self.advantages
     }
 
-    /// The value targets (empty before [`RolloutBuffer::compute_advantages`]).
+    /// The value targets (empty before
+    /// [`RolloutBuffer::compute_advantages_segmented`]).
     pub fn returns(&self) -> &[f32] {
         &self.returns
     }
@@ -228,7 +222,7 @@ mod tests {
         for i in 0..10 {
             buf.push(transition(i as f32, i == 9));
         }
-        buf.compute_advantages(0.99, 0.95);
+        buf.compute_advantages_segmented(0.99, 0.95, &[]);
         let adv = buf.advantages();
         let mean: f32 = adv.iter().sum::<f32>() / adv.len() as f32;
         let var: f32 = adv.iter().map(|a| (a - mean) * (a - mean)).sum::<f32>() / adv.len() as f32;
@@ -245,7 +239,7 @@ mod tests {
             global.push(transition(i as f32 * 0.3 - 1.0, i % 4 == 3));
             segmented.push(transition(i as f32 * 0.3 - 1.0, i % 4 == 3));
         }
-        global.compute_advantages(0.99, 0.95);
+        global.compute_advantages_segmented(0.99, 0.95, &[]);
         segmented.compute_advantages_segmented(0.99, 0.95, std::slice::from_ref(&(0..12)));
         assert_eq!(global.advantages(), segmented.advantages());
         assert_eq!(global.returns(), segmented.returns());
@@ -310,11 +304,11 @@ mod tests {
     fn append_moves_transitions_and_invalidates_derived_data() {
         let mut a = RolloutBuffer::new();
         a.push(transition(1.0, true));
-        a.compute_advantages(0.99, 0.95);
+        a.compute_advantages_segmented(0.99, 0.95, &[]);
         let mut b = RolloutBuffer::new();
         b.push(transition(2.0, false));
         b.push(transition(3.0, true));
-        b.compute_advantages(0.99, 0.95);
+        b.compute_advantages_segmented(0.99, 0.95, &[]);
         a.append(&mut b);
         assert_eq!(a.len(), 3);
         assert!(b.is_empty());
@@ -328,7 +322,7 @@ mod tests {
     fn clear_resets_everything() {
         let mut buf = RolloutBuffer::new();
         buf.push(transition(1.0, true));
-        buf.compute_advantages(0.99, 0.95);
+        buf.compute_advantages_segmented(0.99, 0.95, &[]);
         buf.clear();
         assert!(buf.is_empty());
         assert!(buf.advantages().is_empty());

@@ -13,7 +13,6 @@ pub(crate) const MASK_VALUE: f32 = -1.0e9;
 /// A categorical distribution over a padded, partially valid action space.
 #[derive(Debug, Clone)]
 pub struct MaskedCategorical {
-    mask: Vec<bool>,
     probs: Vec<f32>,
 }
 
@@ -32,7 +31,7 @@ impl MaskedCategorical {
         let exps: Vec<f32> = masked.iter().map(|&l| (l - max).exp()).collect();
         let sum: f32 = exps.iter().sum();
         let probs = exps.iter().map(|&e| e / sum).collect();
-        Self { mask, probs }
+        Self { probs }
     }
 
     /// Number of (padded) actions.
@@ -64,22 +63,6 @@ impl MaskedCategorical {
     pub fn log_prob(&self, action: usize) -> f32 {
         self.probs[action].max(1e-12).ln()
     }
-
-    /// Entropy of the distribution (only valid actions contribute).
-    pub fn entropy(&self) -> f32 {
-        -self
-            .probs
-            .iter()
-            .zip(&self.mask)
-            .filter(|(_, &m)| m)
-            .map(|(&p, _)| if p > 1e-12 { p * p.ln() } else { 0.0 })
-            .sum::<f32>()
-    }
-
-    /// The validity mask.
-    pub fn mask(&self) -> &[bool] {
-        &self.mask
-    }
 }
 
 #[cfg(test)]
@@ -101,14 +84,6 @@ mod tests {
     fn argmax_respects_mask() {
         let d = MaskedCategorical::new(vec![10.0, 1.0, 3.0], vec![false, true, true]);
         assert_eq!(d.argmax(), 2);
-    }
-
-    #[test]
-    fn entropy_is_maximal_for_uniform() {
-        let uniform = MaskedCategorical::new(vec![1.0; 4], vec![true; 4]);
-        let peaked = MaskedCategorical::new(vec![10.0, 0.0, 0.0, 0.0], vec![true; 4]);
-        assert!(uniform.entropy() > peaked.entropy());
-        assert!((uniform.entropy() - (4.0f32).ln()).abs() < 1e-3);
     }
 
     #[test]

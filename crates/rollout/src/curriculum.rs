@@ -26,7 +26,7 @@
 //!   ([`CurriculumRollouts::spec_ranges`]).
 //! * **Per-spec advantage normalisation.** The trainer normalises
 //!   advantages within each spec's segment
-//!   (`Trainer::update_with_segments`), so a large graph's long
+//!   (`Trainer::update`), so a large graph's long
 //!   high-variance episodes don't drown the gradient signal of the small
 //!   models sharing the update.
 //!

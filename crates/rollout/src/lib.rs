@@ -804,7 +804,13 @@ mod tests {
             let mut trainer = Trainer::new(config.clone(), 7);
             let mut update_agent = XrlflowAgent::new(&config, 5);
             let mut buffer = rollouts.buffer;
-            stats.push(trainer.update(&mut update_agent, &mut buffer));
+            stats.push(
+                trainer
+                    .update(&mut update_agent, &mut buffer, &[], &mut |agent, ctx| {
+                        Ok(xrlflow_core::minibatch_grads_serial(agent, ctx))
+                    })
+                    .unwrap(),
+            );
         }
         assert_eq!(stats[0], stats[1], "TrainingStats diverge between serial and parallel collection");
     }

@@ -27,7 +27,6 @@ use crate::{EnvSpec, ParallelTrainer, RolloutError};
 pub struct XrlflowSystem {
     agent: XrlflowAgent,
     trainer: ParallelTrainer,
-    profile: DeviceProfile,
     rng: XorShiftRng,
 }
 
@@ -42,13 +41,7 @@ impl XrlflowSystem {
         let agent = XrlflowAgent::new(&config, seed);
         let mut trainer = ParallelTrainer::new(config, seed.wrapping_add(1));
         trainer.set_checkpointing(None);
-        Self { agent, trainer, profile: DeviceProfile::gtx1080(), rng: XorShiftRng::new(seed) }
-    }
-
-    /// Replaces the device profile used for latency simulation.
-    pub fn with_profile(mut self, profile: DeviceProfile) -> Self {
-        self.profile = profile;
-        self
+        Self { agent, trainer, rng: XorShiftRng::new(seed) }
     }
 
     /// The configuration in use.
@@ -74,10 +67,10 @@ impl XrlflowSystem {
         &mut self.trainer
     }
 
-    /// The environment spec of `graph` under the system's rule set, device
-    /// profile and environment configuration.
+    /// The environment spec of `graph` under the standard rule set, the
+    /// GTX 1080 profile and the system's environment configuration.
     fn spec(&self, graph: &Graph) -> EnvSpec {
-        EnvSpec::new(graph.clone(), RuleSet::standard(), self.profile.clone(), self.config().env.clone())
+        EnvSpec::new(graph.clone(), RuleSet::standard(), DeviceProfile::gtx1080(), self.config().env.clone())
     }
 
     /// Trains the agent on a single graph for the given number of episodes

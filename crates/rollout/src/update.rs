@@ -104,12 +104,13 @@ pub fn minibatch_grads_parallel(
 }
 
 /// One PPO update with every minibatch's transition re-evaluations sharded
-/// across `num_workers` threads: `Trainer::update_with_segments_via` driven
-/// by [`minibatch_grads_parallel`].
+/// across `num_workers` threads: `Trainer::update` driven by
+/// [`minibatch_grads_parallel`].
 ///
 /// The clip + optimiser step stay on the calling thread, and the result —
 /// post-update parameters, optimiser state and [`TrainingStats`] — is
-/// bit-identical to `Trainer::update_with_segments` for any worker count.
+/// bit-identical to `Trainer::update` over the serial oracle
+/// `minibatch_grads_serial` for any worker count.
 ///
 /// # Errors
 ///
@@ -125,9 +126,7 @@ pub fn update_parallel(
     num_workers: usize,
 ) -> Result<TrainingStats, RolloutError> {
     trainer
-        .update_with_segments_via(agent, buffer, segments, &mut |agent, ctx| {
-            minibatch_grads_parallel(agent, ctx, num_workers)
-        })
+        .update(agent, buffer, segments, &mut |agent, ctx| minibatch_grads_parallel(agent, ctx, num_workers))
         .map_err(RolloutError::WorkerFault)
 }
 
@@ -158,7 +157,11 @@ mod tests {
         let mut agent = XrlflowAgent::new(config, 5);
         let mut buffer = buffer.clone();
         let stats = match workers {
-            None => trainer.update_with_segments(&mut agent, &mut buffer, segments),
+            None => trainer
+                .update(&mut agent, &mut buffer, segments, &mut |agent, ctx| {
+                    Ok(xrlflow_core::minibatch_grads_serial(agent, ctx))
+                })
+                .unwrap(),
             Some(w) => update_parallel(&mut trainer, &mut agent, &mut buffer, segments, w).unwrap(),
         };
         let probe = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();

@@ -51,6 +51,7 @@ use std::sync::Arc;
 use xrlflow_core::ConfigError;
 use xrlflow_graph::{Graph, JsonValue};
 
+use crate::env_usize;
 use crate::error::ServeError;
 
 /// The persistence format version this build writes and accepts.
@@ -131,23 +132,11 @@ impl CacheConfig {
     ///
     /// [`ConfigError`] naming the offending variable.
     pub fn from_env() -> Result<Self, ConfigError> {
-        let axis = |var: &'static str, field: &'static str| -> Result<Option<usize>, ConfigError> {
-            match std::env::var(var) {
-                Err(_) => Ok(None),
-                Ok(raw) => raw
-                    .parse::<usize>()
-                    .map_err(|_| ConfigError {
-                        field,
-                        message: format!("{var} must be a positive integer, got {raw:?}"),
-                    })
-                    .map(Some),
-            }
-        };
         let mut builder = Self::builder();
-        if let Some(n) = axis("XRLFLOW_CACHE_MAX_ENTRIES", "cache.max_entries")? {
+        if let Some(n) = env_usize("XRLFLOW_CACHE_MAX_ENTRIES", "cache.max_entries")? {
             builder = builder.max_entries(n);
         }
-        if let Some(n) = axis("XRLFLOW_CACHE_MAX_BYTES", "cache.max_bytes")? {
+        if let Some(n) = env_usize("XRLFLOW_CACHE_MAX_BYTES", "cache.max_bytes")? {
             builder = builder.max_bytes(n);
         }
         builder.build()
@@ -967,6 +956,9 @@ mod tests {
         assert_eq!(CacheConfig::from_env().unwrap_err().field, "cache.max_entries");
         std::env::set_var("XRLFLOW_CACHE_MAX_ENTRIES", "0");
         assert_eq!(CacheConfig::from_env().unwrap_err().field, "cache.max_entries");
+        // Surrounding whitespace is ignored, as for the server's variables.
+        std::env::set_var("XRLFLOW_CACHE_MAX_ENTRIES", " 5");
+        assert_eq!(CacheConfig::from_env().unwrap().max_entries(), Some(5));
         std::env::remove_var("XRLFLOW_CACHE_MAX_ENTRIES");
         std::env::remove_var("XRLFLOW_CACHE_MAX_BYTES");
     }

@@ -79,6 +79,7 @@ use xrlflow_core::ConfigError;
 use xrlflow_graph::JsonValue;
 use xrlflow_tensor::ParamSnapshot;
 
+use crate::env_usize;
 use crate::error::ServeError;
 use crate::service::OptimizeService;
 
@@ -136,18 +137,6 @@ impl ServerConfig {
             config.drain_timeout = Duration::from_millis(v as u64);
         }
         Ok(config)
-    }
-}
-
-fn env_usize(var: &str, field: &'static str) -> Result<Option<usize>, ConfigError> {
-    match std::env::var(var) {
-        Err(_) => Ok(None),
-        Ok(raw) => match raw.trim().parse::<usize>() {
-            Ok(v) if v > 0 => Ok(Some(v)),
-            _ => {
-                Err(ConfigError { field, message: format!("{var} must be a positive integer, got {raw:?}") })
-            }
-        },
     }
 }
 
@@ -732,10 +721,20 @@ fn parse_head(head: &[u8]) -> Result<Framing, Response> {
         close: version != "HTTP/1.1",
     };
     for line in lines {
-        let Some((name, value)) = line.split_once(':') else { continue };
-        let (name, value) = (name.trim(), value.trim());
+        // RFC 9112 §5: a field line is `name ":" OWS value OWS`, and a name
+        // is a token — no whitespace inside it or before the colon (§5.1).
+        // Anything else is refused: skipping it would guess at the framing.
+        let Some((name, value)) = line.split_once(':') else {
+            return Err(Response::error(400, format!("malformed header line: {line:?}")));
+        };
+        if name.is_empty() || name.bytes().any(|b| b.is_ascii_whitespace()) {
+            return Err(Response::error(400, format!("malformed header name: {name:?}")));
+        }
+        let value = value.trim();
         if name.eq_ignore_ascii_case("content-length") {
-            let Ok(n) = value.parse::<usize>() else {
+            // RFC 9110 §8.6: `Content-Length = 1*DIGIT` (no sign, no space).
+            let digits = !value.is_empty() && value.bytes().all(|b| b.is_ascii_digit());
+            let Some(n) = value.parse::<usize>().ok().filter(|_| digits) else {
                 return Err(Response::error(400, "malformed Content-Length header"));
             };
             if framing.content_length.is_some_and(|earlier| earlier != n) {

@@ -91,3 +91,21 @@ pub use cache::{
 pub use error::ServeError;
 pub use http::{http_call, HttpReply, OptimizeServer, ServerConfig};
 pub use service::{OptimizeResponse, OptimizeService, ServeStats};
+
+use xrlflow_core::ConfigError;
+
+/// Reads a positive integer from the environment variable `var` (surrounding
+/// whitespace is ignored): `None` when it is unset, a [`ConfigError`] naming
+/// `field` when it is set but not a positive integer. Every `from_env` of
+/// this crate reads its integers through here.
+fn env_usize(var: &str, field: &'static str) -> Result<Option<usize>, ConfigError> {
+    match std::env::var(var) {
+        Err(_) => Ok(None),
+        Ok(raw) => match raw.trim().parse::<usize>() {
+            Ok(v) if v > 0 => Ok(Some(v)),
+            _ => {
+                Err(ConfigError { field, message: format!("{var} must be a positive integer, got {raw:?}") })
+            }
+        },
+    }
+}

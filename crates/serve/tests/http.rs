@@ -534,7 +534,7 @@ fn ambiguous_or_unread_framing_never_desynchronises_a_connection() {
 
     // Each of these ends the connection: after it, where the next request
     // starts is anyone's guess. The trailing request must never be answered.
-    let rejected: [(&[u8], u16); 5] = [
+    let rejected: [(&[u8], u16); 8] = [
         // Too large to read and discard.
         (b"GET /healthz HTTP/1.1\r\nContent-Length: 9999\r\n\r\n", 413),
         // Two lengths that disagree.
@@ -543,6 +543,13 @@ fn ambiguous_or_unread_framing_never_desynchronises_a_connection() {
         (b"POST /optimize HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 501),
         (b"POST /optimize HTTP/1.1\r\n\r\n", 411),
         (b"GARBAGE\r\n\r\n", 400),
+        // A length is digits only: `+5` is not 5.
+        (b"GET /healthz HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello", 400),
+        // A header line without its colon is not skipped: it would frame
+        // the body as the next request.
+        (b"GET /healthz HTTP/1.1\r\nContent-Length 26\r\n\r\nGET /smuggled HTTP/1.1\r\n\r\n", 400),
+        // Whitespace between a header name and its colon.
+        (b"GET /healthz HTTP/1.1\r\nContent-Length : 5\r\n\r\nhello", 400),
     ];
     for (bytes, status) in rejected {
         let mut wire = Wire::connect(addr);

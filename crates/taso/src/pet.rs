@@ -15,15 +15,13 @@
 //!   ranking can be over-optimistic about the cost of the correction
 //!   kernels it introduces.
 
-use std::collections::HashMap;
-
 use xrlflow_cost::{CostModel, DeviceProfile};
 use xrlflow_graph::{
     Graph, GraphError, GraphPatch, NodeId, OpAttributes, OpKind, Padding, PatchBuilder, TensorRef,
 };
 use xrlflow_rewrite::{is_parameter, RewriteRule, RuleMatch, RuleSet};
 
-use crate::search::{GreedyOptimizer, OptimizationResult, SearchConfig};
+use crate::search::{greedy_search, GreedyOptimizer, OptimizationResult, SearchConfig};
 
 /// A partially equivalent transformation: a plain (ungrouped) 3x3 stride-1
 /// convolution over an even spatial grid is computed over a half-resolution
@@ -154,50 +152,17 @@ impl PetOptimizer {
         RuleSet::new(rules)
     }
 
-    /// Runs the search. The returned result's cost fields are computed with
-    /// the *full* cost model so they are comparable with other optimisers.
+    /// Runs TASO's greedy search under the element-wise-blind cost model.
+    /// The returned result's cost fields are computed with the *full* cost
+    /// model so they are comparable with other optimisers.
     pub fn optimize(&self, graph: &Graph) -> OptimizationResult {
-        // Greedy search under the element-wise-blind cost model.
         let blind = ElementwiseBlindCostModel::new(self.profile.clone());
-        let rules = Self::rules();
+        let result = greedy_search(&Self::rules(), &self.config, graph, |g| blind.graph_cost_ms(g));
         let full = CostModel::new(self.profile.clone());
-        let start = std::time::Instant::now();
-
-        let mut current = graph.clone();
-        let mut current_blind = blind.graph_cost_ms(&current);
-        let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
-        let mut steps = 0;
-        let mut candidates_evaluated = 0;
-        for _ in 0..self.config.budget {
-            let candidates = rules.generate_candidates(&current, self.config.max_candidates);
-            candidates_evaluated += candidates.len();
-            let best = candidates
-                .into_iter()
-                .filter_map(|c| {
-                    let graph = c.materialize(&current).ok()?;
-                    let cost = blind.graph_cost_ms(&graph);
-                    Some((c, graph, cost))
-                })
-                .min_by(|a, b| a.2.total_cmp(&b.2));
-            match best {
-                Some((candidate, graph, cost)) if cost < current_blind => {
-                    *rule_applications.entry(candidate.rule_name).or_insert(0) += 1;
-                    current = graph;
-                    current_blind = cost;
-                    steps += 1;
-                }
-                _ => break,
-            }
-        }
-
         OptimizationResult {
             initial_cost_ms: full.graph_cost_ms(graph),
-            final_cost_ms: full.graph_cost_ms(&current),
-            graph: current,
-            steps,
-            rule_applications,
-            candidates_evaluated,
-            optimisation_time_s: start.elapsed().as_secs_f64(),
+            final_cost_ms: full.graph_cost_ms(&result.graph),
+            ..result
         }
     }
 

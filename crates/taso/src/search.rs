@@ -81,45 +81,57 @@ impl GreedyOptimizer {
 
     /// Runs the search from `graph`.
     pub fn optimize(&self, graph: &Graph) -> OptimizationResult {
-        let start = Instant::now();
-        let initial_cost_ms = self.cost_model.graph_cost_ms(graph);
-        let mut current = graph.clone();
-        let mut current_cost = initial_cost_ms;
-        let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
-        let mut steps = 0;
-        let mut candidates_evaluated = 0;
+        greedy_search(&self.rules, &self.config, graph, |g| self.cost_model.graph_cost_ms(g))
+    }
+}
 
-        for _ in 0..self.config.budget {
-            let candidates = self.rules.generate_candidates(&current, self.config.max_candidates);
-            candidates_evaluated += candidates.len();
-            let best = candidates
-                .into_iter()
-                .filter_map(|c| {
-                    let graph = c.materialize(&current).ok()?;
-                    let cost = self.cost_model.graph_cost_ms(&graph);
-                    Some((c, graph, cost))
-                })
-                .min_by(|a, b| a.2.total_cmp(&b.2));
-            match best {
-                Some((candidate, graph, cost)) if cost < current_cost => {
-                    *rule_applications.entry(candidate.rule_name).or_insert(0) += 1;
-                    current = graph;
-                    current_cost = cost;
-                    steps += 1;
-                }
-                _ => break,
+/// The greedy loop of TASO and PET: at every step, apply the candidate with
+/// the lowest `cost`, stopping when no candidate improves on the current
+/// graph or the budget is spent. The result's cost fields are `cost`'s.
+pub(crate) fn greedy_search(
+    rules: &RuleSet,
+    config: &SearchConfig,
+    graph: &Graph,
+    cost: impl Fn(&Graph) -> f64,
+) -> OptimizationResult {
+    let start = Instant::now();
+    let initial_cost_ms = cost(graph);
+    let mut current = graph.clone();
+    let mut current_cost = initial_cost_ms;
+    let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
+    let mut steps = 0;
+    let mut candidates_evaluated = 0;
+
+    for _ in 0..config.budget {
+        let candidates = rules.generate_candidates(&current, config.max_candidates);
+        candidates_evaluated += candidates.len();
+        let best = candidates
+            .into_iter()
+            .filter_map(|c| {
+                let graph = c.materialize(&current).ok()?;
+                let cost = cost(&graph);
+                Some((c, graph, cost))
+            })
+            .min_by(|a, b| a.2.total_cmp(&b.2));
+        match best {
+            Some((candidate, graph, cost)) if cost < current_cost => {
+                *rule_applications.entry(candidate.rule_name).or_insert(0) += 1;
+                current = graph;
+                current_cost = cost;
+                steps += 1;
             }
+            _ => break,
         }
+    }
 
-        OptimizationResult {
-            final_cost_ms: current_cost,
-            graph: current,
-            initial_cost_ms,
-            steps,
-            rule_applications,
-            candidates_evaluated,
-            optimisation_time_s: start.elapsed().as_secs_f64(),
-        }
+    OptimizationResult {
+        final_cost_ms: current_cost,
+        graph: current,
+        initial_cost_ms,
+        steps,
+        rule_applications,
+        candidates_evaluated,
+        optimisation_time_s: start.elapsed().as_secs_f64(),
     }
 }
 

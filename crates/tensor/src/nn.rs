@@ -22,8 +22,6 @@ pub struct Linear {
     weight: ParamId,
     bias: ParamId,
     activation: Activation,
-    in_dim: usize,
-    out_dim: usize,
 }
 
 impl Linear {
@@ -38,17 +36,7 @@ impl Linear {
     ) -> Self {
         let weight = store.register(&format!("{name}.weight"), xavier_uniform(in_dim, out_dim, rng));
         let bias = store.register(&format!("{name}.bias"), Tensor::zeros(&[out_dim]));
-        Self { weight, bias, activation, in_dim, out_dim }
-    }
-
-    /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.in_dim
-    }
-
-    /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
-        self.out_dim
+        Self { weight, bias, activation }
     }
 
     /// Runs the layer on a `[rows, in_dim]` variable, producing `[rows, out_dim]`.
@@ -88,16 +76,6 @@ impl Mlp {
         Self { layers }
     }
 
-    /// Input feature dimension.
-    pub fn in_dim(&self) -> usize {
-        self.layers.first().map(Linear::in_dim).unwrap_or(0)
-    }
-
-    /// Output feature dimension.
-    pub fn out_dim(&self) -> usize {
-        self.layers.last().map(Linear::out_dim).unwrap_or(0)
-    }
-
     /// Runs the MLP on a `[rows, in_dim]` variable.
     pub fn forward(&self, tape: &mut Tape, store: &ParamStore, x: VarId) -> VarId {
         let mut h = x;
@@ -118,8 +96,6 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = XorShiftRng::new(7);
         let layer = Linear::new(&mut store, "l", 4, 3, Activation::Relu, &mut rng);
-        assert_eq!(layer.in_dim(), 4);
-        assert_eq!(layer.out_dim(), 3);
         let mut tape = Tape::new();
         let x = tape.constant(Tensor::ones(&[5, 4]));
         let y = layer.forward(&mut tape, &store, x);
@@ -143,8 +119,6 @@ mod tests {
         let mut store = ParamStore::new();
         let mut rng = XorShiftRng::new(42);
         let mlp = Mlp::new(&mut store, "xor", &[2, 16, 1], &mut rng);
-        assert_eq!(mlp.in_dim(), 2);
-        assert_eq!(mlp.out_dim(), 1);
         let xs = Tensor::from_vec(vec![0.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 1.0], &[4, 2]);
         let ys = Tensor::from_vec(vec![0.0, 1.0, 1.0, 0.0], &[4, 1]);
         let mut adam = Adam::new(0.02);
