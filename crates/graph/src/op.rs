@@ -184,9 +184,10 @@ impl OpKind {
         Self::ALL.len()
     }
 
-    /// Index of this operator in [`OpKind::ALL`] (stable one-hot position).
+    /// Index of this operator in [`OpKind::ALL`] (stable one-hot position):
+    /// the declaration order, which `ALL` lists in full.
     pub fn index(self) -> usize {
-        Self::ALL.iter().position(|&k| k == self).expect("operator missing from OpKind::ALL")
+        self as usize
     }
 
     /// Parses an operator kind from its [`OpKind::name`] string — the
@@ -406,6 +407,9 @@ mod tests {
         for (i, &op) in OpKind::ALL.iter().enumerate() {
             assert_eq!(op.index(), i);
         }
+        // A variant missing from `ALL` would share a one-hot position with
+        // nothing and read past the encoding's width.
+        assert_eq!(OpKind::ALL.len(), OpKind::Embedding as usize + 1);
     }
 
     #[test]

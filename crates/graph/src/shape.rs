@@ -69,13 +69,11 @@ impl TensorShape {
     pub fn padded4(&self) -> [f32; 4] {
         let mut out = [0.0f32; 4];
         let dims = &self.0;
-        let start = 4usize.saturating_sub(dims.len());
         for (i, &d) in dims.iter().rev().enumerate() {
             if 3 >= i {
                 out[3 - i] = d as f32;
             }
         }
-        let _ = start;
         out
     }
 

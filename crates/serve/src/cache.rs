@@ -1,5 +1,5 @@
 //! The persistent optimisation-result cache, with configurable entry/byte
-//! budgets and LRU eviction.
+//! budgets, frequency-based admission and LRU eviction.
 //!
 //! Results are keyed by the *request* graph's [`Graph::canonical_hash`], so
 //! structurally identical graphs — regardless of node numbering, insertion
@@ -13,15 +13,43 @@
 //! canonical hashes use all 64 bits and JSON numbers are `f64`, which is
 //! only exact up to 2^53.
 //!
-//! ## Budgets and eviction
+//! ## Budgets, admission and eviction
 //!
 //! A [`CacheConfig`] bounds the cache by entry count and/or by (estimated)
-//! bytes; [`ResultCache::insert`] evicts least-recently-used entries until
-//! both budgets hold again. Recency is advanced by [`ResultCache::get`]
-//! (every served hit refreshes its entry) and by inserts; recency is **not**
-//! persisted — a reloaded snapshot starts with recency in document order, so
-//! when a snapshot is loaded into a smaller budget the clamp keeps the
-//! entries latest in the document. Every eviction bumps the
+//! bytes. Recency is advanced by [`ResultCache::get`] (every served hit
+//! refreshes its entry) and by inserts. Under an entry budget, frequency is
+//! estimated too, and inserts are admitted by W-TinyLFU (Einziger, Friedman
+//! and Manes, *TinyLFU: A Highly Efficient Cache Admission Policy*, ACM TOS
+//! 2017): a fixed-size count-min sketch counts how often each key was
+//! requested recently, resident or not. A request counts once, when it
+//! first looks its key up ([`ResultCache::get`]; in the service, a
+//! body-index hit or the canonical-hash path's first look), never on a
+//! re-check.
+//!
+//! A new result is on probation for its first `max_entries / 8` inserts (at
+//! least one), the paper's admission window: no insert evicts an entry on
+//! probation while another entry is left, so a new result outlives a
+//! single-flight cohort's loop-back and a client's prompt repeat. When the
+//! insert that ends an entry's probation pushes the cache over a budget,
+//! that entry competes with the least-recently-used entry off probation: it
+//! stays only if its key was requested **strictly more often**, and the LRU
+//! entry is evicted instead; on a tie or less it is the one evicted (the
+//! `serve/cache_rejected` counter). Any further eviction is
+//! least-recently-used among the entries off probation. So a burst of
+//! one-off graphs costs the hot set one entry at most, where plain LRU
+//! flushed it. [`ResultCache::set_config`] and the load clamp evict in
+//! recency order alone, and a byte budget alone is plain LRU.
+//!
+//! The sketch holds 4 rows of 4-bit counters, sized from the entry budget,
+//! with every counter halved after each 10 × `max_entries` recorded
+//! requests, so old popularity fades. Keys are hashed with fixed constants:
+//! the same request sequence always evicts the same keys. A cache without
+//! an entry budget builds no sketch and records nothing. Neither recency
+//! nor frequencies are persisted — a reloaded snapshot starts with recency
+//! in document order and no frequencies, so when a snapshot is loaded into
+//! a smaller budget the clamp keeps the entries latest in the document —
+//! and a budget change or [`ResultCache`] rebuild (a restart,
+//! `clear_cache`) starts the frequencies afresh. Every eviction bumps the
 //! `serve/cache_evictions` counter and the `serve/cache_entries` /
 //! `serve/cache_bytes` gauges track live occupancy, so budget pressure is
 //! visible in the `/metrics` snapshot.
@@ -44,7 +72,7 @@
 //! persisted: a reloaded snapshot answers its first request per graph
 //! through the canonical hash and re-attaches.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -200,6 +228,9 @@ impl CacheConfigBuilder {
 struct Slot {
     entry: CacheEntry,
     tick: u64,
+    /// The number of the insert that stored the entry (0: loaded from a
+    /// snapshot).
+    inserted: u64,
     /// The entry's structural estimate plus the lengths of both memos.
     bytes: usize,
     /// The request body that last resolved to this entry, with its digest.
@@ -247,8 +278,153 @@ pub(crate) fn body_digest(bytes: &[u8]) -> u64 {
     hash
 }
 
+/// Rows of the sketch: a key's estimate is the least of its 4 counters.
+const SKETCH_ROWS: usize = 4;
+/// A counter's ceiling: the TinyLFU paper's 4-bit counters, enough because
+/// the periodic halving keeps every count within a small multiple of the
+/// sample's share.
+const COUNTER_MAX: u64 = 15;
+/// Recorded requests between halvings, per unit of capacity: the TinyLFU
+/// paper's sample of 10 × capacity.
+const SAMPLE_PER_ENTRY: usize = 10;
+/// Counters per row per unit of capacity (rounded up to a power of two):
+/// wide enough that a burst of one-off keys seldom lifts all four of one
+/// key's counters past a key asked for a few times.
+const COUNTERS_PER_ENTRY: usize = 8;
+/// The widest a row grows, whatever the budget says: 4 rows of it are
+/// 2 MiB.
+const MAX_ROW_COUNTERS: usize = 1 << 20;
+/// Entry budget per insert on probation: W-TinyLFU's admission window is
+/// an eighth of the cache (at least one entry). The paper's 1 % window would
+/// hold one entry of a 128-entry cache, so a new result would be on trial
+/// from the very next insert; an eighth outlasts a single-flight cohort and
+/// a client's prompt repeat, and costs a log-uniform stream about half a
+/// point of hit ratio against a one-entry window.
+const ENTRIES_PER_WINDOW_SLOT: usize = 8;
+/// Per-row hash seeds (odd 64-bit constants), fixed so that eviction is a
+/// function of the request sequence alone.
+const ROW_SEEDS: [u64; SKETCH_ROWS] =
+    [0x9E37_79B9_7F4A_7C15, 0xC2B2_AE3D_27D4_EB4F, 0x1656_67B1_9E37_79F9, 0x27D4_EB2F_1656_67C5];
+
+/// TinyLFU's frequency sketch: a count-min sketch of 4-bit counters,
+/// sixteen to a word, sized once when it is built.
+#[derive(Debug)]
+struct FrequencySketch {
+    /// `SKETCH_ROWS` rows of `row_mask + 1` counters each.
+    words: Box<[u64]>,
+    row_mask: usize,
+    /// Requests recorded since the last halving, and the halving period.
+    recorded: usize,
+    sample: usize,
+}
+
+impl FrequencySketch {
+    fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
+        let row =
+            capacity.saturating_mul(COUNTERS_PER_ENTRY).min(MAX_ROW_COUNTERS).next_power_of_two().max(16);
+        Self {
+            words: vec![0; SKETCH_ROWS * row / 16].into_boxed_slice(),
+            row_mask: row - 1,
+            recorded: 0,
+            sample: capacity.saturating_mul(SAMPLE_PER_ENTRY),
+        }
+    }
+
+    /// Where `key`'s counter lives in each row: a word and a bit shift.
+    fn counters(&self, key: u64) -> [(usize, u32); SKETCH_ROWS] {
+        std::array::from_fn(|row| {
+            // SplitMix64's finaliser over the seeded key.
+            let mut h = key ^ ROW_SEEDS[row];
+            h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            h ^= h >> 31;
+            let at = row * (self.row_mask + 1) + (h as usize & self.row_mask);
+            (at / 16, (at % 16) as u32 * 4)
+        })
+    }
+
+    fn read(&self, (word, shift): (usize, u32)) -> u64 {
+        (self.words[word] >> shift) & COUNTER_MAX
+    }
+
+    /// The count-min estimate: the least of a key's counters.
+    fn least(&self, counters: &[(usize, u32); SKETCH_ROWS]) -> u64 {
+        counters.iter().map(|&at| self.read(at)).min().expect("the sketch has rows")
+    }
+
+    /// Counts one request for `key` — only in the counters holding its
+    /// estimate, the paper's minimal increment, so keys sharing a counter
+    /// inflate each other less — halving every counter at the end of each
+    /// sample.
+    fn record(&mut self, key: u64) {
+        let counters = self.counters(key);
+        let estimate = self.least(&counters);
+        if estimate < COUNTER_MAX {
+            for (word, shift) in counters {
+                if self.read((word, shift)) == estimate {
+                    self.words[word] += 1 << shift;
+                }
+            }
+        }
+        self.recorded += 1;
+        if self.recorded >= self.sample {
+            self.recorded = 0;
+            for word in self.words.iter_mut() {
+                *word = (*word >> 1) & 0x7777_7777_7777_7777;
+            }
+        }
+    }
+
+    /// How often `key` was requested recently (an over-estimate at worst).
+    fn estimate(&self, key: u64) -> u64 {
+        self.least(&self.counters(key))
+    }
+}
+
+/// W-TinyLFU's state for an entry budget: the frequency sketch, and the
+/// window of recent inserts on probation.
+#[derive(Debug)]
+struct Admission {
+    sketch: FrequencySketch,
+    /// The inserts on probation, oldest first, as (key, insert number).
+    window: VecDeque<(u64, u64)>,
+    /// How many inserts the window holds.
+    window_len: usize,
+}
+
+impl Admission {
+    fn new(max_entries: usize) -> Self {
+        let window_len = (max_entries / ENTRIES_PER_WINDOW_SLOT).max(1);
+        Self {
+            sketch: FrequencySketch::new(max_entries),
+            window: VecDeque::with_capacity(window_len + 1),
+            window_len,
+        }
+    }
+
+    /// Puts insert number `number`, of `key`, on probation; returns the
+    /// insert whose probation that ended, if the window was full.
+    fn enter(&mut self, key: u64, number: u64) -> Option<(u64, u64)> {
+        self.window.push_back((key, number));
+        if self.window.len() > self.window_len {
+            self.window.pop_front()
+        } else {
+            None
+        }
+    }
+
+    /// Whether the entry stored by insert number `number` is on probation.
+    /// Every insert enters the window, so those are the inserts from the
+    /// window's oldest on.
+    fn on_probation(&self, number: u64) -> bool {
+        self.window.front().is_some_and(|&(_, first)| number >= first)
+    }
+}
+
 /// An in-memory result cache keyed by canonical graph hash: budget-bounded
-/// with LRU eviction, snapshot-persistable to disk.
+/// with LRU eviction behind W-TinyLFU admission (under an entry budget),
+/// snapshot-persistable to disk.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     entries: HashMap<u64, Slot>,
@@ -263,6 +439,11 @@ pub struct ResultCache {
     next_tick: u64,
     total_bytes: usize,
     config: CacheConfig,
+    /// Frequency-based admission: built with an entry budget, never
+    /// without one.
+    admission: Option<Admission>,
+    /// Inserts made so far: the next one is number `inserts + 1`.
+    inserts: u64,
 }
 
 impl ResultCache {
@@ -273,7 +454,7 @@ impl ResultCache {
 
     /// An empty cache with the given budgets.
     pub fn with_config(config: CacheConfig) -> Self {
-        Self { config, ..Self::default() }
+        Self { config, admission: config.max_entries.map(Admission::new), ..Self::default() }
     }
 
     /// The budgets currently in force.
@@ -284,10 +465,14 @@ impl ResultCache {
     /// Replaces the budgets, immediately evicting least-recently-used
     /// entries until the new budgets hold. Returns the number of entries
     /// evicted — the load path uses this to report how hard a reloaded
-    /// snapshot was clamped.
+    /// snapshot was clamped. New budgets start admission afresh: a sketch
+    /// sized for them, and no entry on probation.
     pub fn set_config(&mut self, config: CacheConfig) -> usize {
+        if config != self.config {
+            self.admission = config.max_entries.map(Admission::new);
+        }
         self.config = config;
-        let evicted = self.evict_to_budget();
+        let evicted = self.evict_to_budget(None);
         self.record_occupancy();
         evicted
     }
@@ -308,15 +493,17 @@ impl ResultCache {
         self.total_bytes
     }
 
-    /// Looks up the result for a request graph's canonical hash, refreshing
-    /// the entry's recency: a served hit is the signal the entry is worth
-    /// keeping, so `get` is `&mut self`. Use [`ResultCache::peek`] for a
-    /// recency-neutral read.
+    /// Looks up the result for a request graph's canonical hash, counting
+    /// the request towards the key's frequency and refreshing the entry's
+    /// recency: a request is the signal a result is worth keeping, so `get`
+    /// is `&mut self`. Use [`ResultCache::peek`] for a neutral read.
     pub fn get(&mut self, key: u64) -> Option<&CacheEntry> {
+        self.record(key);
         self.touch(key).map(|slot| &slot.entry)
     }
 
-    /// Looks up a result without touching recency (tests, inspection).
+    /// Looks up a result without touching recency or frequency (tests,
+    /// inspection).
     pub fn peek(&self, key: u64) -> Option<&CacheEntry> {
         self.entries.get(&key).map(|slot| &slot.entry)
     }
@@ -331,8 +518,24 @@ impl ResultCache {
         Some(slot)
     }
 
-    /// [`ResultCache::get`] for the service: the entry by value, with its
-    /// key and rendered document.
+    /// The sketch's estimate of how often `key` was requested.
+    #[cfg(test)]
+    pub(crate) fn frequency(&self, key: u64) -> u64 {
+        self.admission.as_ref().map_or(0, |admission| admission.sketch.estimate(key))
+    }
+
+    /// Counts one request for `key` towards its frequency (a no-op without
+    /// an entry budget).
+    pub(crate) fn record(&mut self, key: u64) {
+        if let Some(admission) = &mut self.admission {
+            admission.sketch.record(key);
+        }
+    }
+
+    /// The service's lookup: the entry by value, with its key and rendered
+    /// document. Refreshes recency like [`ResultCache::get`] but does not
+    /// count the request: the service counts each request once, with
+    /// [`ResultCache::record`], however often it looks.
     pub(crate) fn find(&mut self, key: u64) -> Option<Found> {
         let slot = self.touch(key)?;
         Some(Found { key, entry: slot.entry.clone(), rendered: slot.rendered.clone() })
@@ -341,13 +544,16 @@ impl ResultCache {
     /// Looks a request body up in the body index: `digest` (normally
     /// [`body_digest`] of `body`) finds the candidate entry and a full byte
     /// comparison against its memoised body decides. A match is a served
-    /// hit and refreshes recency exactly as [`ResultCache::get`] does.
+    /// hit and counts and refreshes exactly as [`ResultCache::get`] does; the
+    /// service counts a request that does not match before its
+    /// canonical-hash lookup.
     pub(crate) fn find_by_body(&mut self, digest: u64, body: &[u8]) -> Option<Found> {
         let key = *self.by_digest.get(&digest)?;
         let (_, memo) = self.entries.get(&key)?.body.as_ref()?;
         if **memo != *body {
             return None;
         }
+        self.record(key);
         self.find(key)
     }
 
@@ -411,8 +617,10 @@ impl ResultCache {
         self.unindex(key, &slot.body);
     }
 
-    /// Stores a result and evicts least-recently-used entries until the
-    /// configured budgets hold, returning how many were evicted.
+    /// Stores a result and evicts until the configured budgets hold,
+    /// returning how many were evicted: the insert whose probation this one
+    /// ended, or the least-recently-used entry off probation, whichever was
+    /// requested less often (see the module docs).
     ///
     /// Overwriting an existing key is deliberate and harmless: optimisation
     /// is deterministic per key (the policy is read-only and the episode RNG
@@ -424,6 +632,22 @@ impl ResultCache {
     /// `serve/cache_evictions` counter is where such a misconfiguration
     /// becomes visible.
     pub fn insert(&mut self, key: u64, entry: CacheEntry) -> usize {
+        self.inserts += 1;
+        self.store(key, entry, self.inserts);
+        let ended = self.admission.as_mut().and_then(|admission| admission.enter(key, self.inserts));
+        // Overwritten or evicted since, an insert has no entry to defend.
+        let contender = ended
+            .filter(|&(key, number)| self.entries.get(&key).is_some_and(|slot| slot.inserted == number))
+            .map(|(key, _)| key);
+        let evicted = self.evict_to_budget(contender);
+        self.record_occupancy();
+        evicted
+    }
+
+    /// Puts `entry` under `key` as the most recently used entry, stored by
+    /// insert number `inserted` (0 for a loaded snapshot), replacing what
+    /// was there, without evicting.
+    fn store(&mut self, key: u64, entry: CacheEntry, inserted: u64) {
         if let Some(old) = self.entries.remove(&key) {
             self.recency.remove(&old.tick);
             self.release(key, old);
@@ -431,34 +655,68 @@ impl ResultCache {
         let bytes = entry.approx_bytes();
         let tick = self.next_tick;
         self.next_tick += 1;
-        self.entries.insert(key, Slot { entry, tick, bytes, body: None, rendered: None });
+        self.entries.insert(key, Slot { entry, tick, inserted, bytes, body: None, rendered: None });
         self.recency.insert(tick, key);
         self.total_bytes += bytes;
-        let evicted = self.evict_to_budget();
-        self.record_occupancy();
-        evicted
     }
 
-    /// Evicts LRU entries until both budgets hold. Returns the eviction
-    /// count (also recorded into the `serve/cache_evictions` counter).
-    fn evict_to_budget(&mut self) -> usize {
-        let mut evicted = 0;
+    /// Evicts until both budgets hold. The first eviction is a contest
+    /// between `contender` (an insert whose probation just ended) and the
+    /// least-recently-used entry off probation; every other one is
+    /// least-recently-used, off probation while such an entry is left.
+    /// Returns the eviction count (also recorded into the
+    /// `serve/cache_evictions` counter).
+    fn evict_to_budget(&mut self, mut contender: Option<u64>) -> usize {
+        let (mut evicted, mut rejected) = (0, 0);
         loop {
             let over_entries = self.config.max_entries.is_some_and(|max| self.entries.len() > max);
             let over_bytes = self.config.max_bytes.is_some_and(|max| self.total_bytes > max);
             if !(over_entries || over_bytes) {
                 break;
             }
-            let Some((_, key)) = self.recency.pop_first() else { break };
-            if let Some(slot) = self.entries.remove(&key) {
-                self.release(key, slot);
-                evicted += 1;
-            }
+            let lru = self.least_recent_settled(contender);
+            let victim = match (contender.take(), lru) {
+                (Some(newcomer), Some(lru)) => {
+                    let sketch = &self.admission.as_ref().expect("only admission names a contender").sketch;
+                    if sketch.estimate(newcomer) > sketch.estimate(lru) {
+                        lru
+                    } else {
+                        rejected += 1;
+                        newcomer
+                    }
+                }
+                (newcomer, lru) => match newcomer.or(lru) {
+                    Some(victim) => victim,
+                    // Everything is on probation: recency order alone, so
+                    // the newest insert goes last.
+                    None => match self.recency.first_key_value() {
+                        Some((_, &oldest)) => oldest,
+                        None => break,
+                    },
+                },
+            };
+            let slot = self.entries.remove(&victim).expect("the recency index holds live keys");
+            self.recency.remove(&slot.tick);
+            self.release(victim, slot);
+            evicted += 1;
         }
         if evicted > 0 {
             xrlflow_obs::counter!("serve/cache_evictions").add(evicted as u64);
         }
+        if rejected > 0 {
+            xrlflow_obs::counter!("serve/cache_rejected").add(rejected);
+        }
         evicted
+    }
+
+    /// The least-recently-used entry that is neither on probation nor
+    /// `skip`. The walk passes at most the window's entries.
+    fn least_recent_settled(&self, skip: Option<u64>) -> Option<u64> {
+        let on_probation = |key: &u64| {
+            let inserted = self.entries[key].inserted;
+            self.admission.as_ref().is_some_and(|admission| admission.on_probation(inserted))
+        };
+        self.recency.values().copied().find(|key| Some(*key) != skip && !on_probation(key))
     }
 
     /// Publishes current occupancy to the `serve/cache_entries` and
@@ -470,8 +728,8 @@ impl ResultCache {
     }
 
     /// Serialises the cache as a versioned JSON snapshot. Entries are
-    /// ordered by key so the output is byte-stable; neither recency nor the
-    /// body index is persisted (see the module docs).
+    /// ordered by key so the output is byte-stable; neither recency, nor
+    /// frequencies, nor the body index is persisted (see the module docs).
     pub fn to_json(&self) -> String {
         let mut keys: Vec<u64> = self.entries.keys().copied().collect();
         keys.sort_unstable();
@@ -566,11 +824,14 @@ impl ResultCache {
             let graph_value =
                 ev.get("graph").ok_or_else(|| cache_err(format!("entry {i}: missing graph")))?;
             let graph = Graph::from_json_value(graph_value)?;
-            clamped += cache.insert(
+            cache.store(
                 key,
                 CacheEntry { graph: Arc::new(graph), initial_latency_ms, final_latency_ms, steps },
+                0,
             );
+            clamped += cache.evict_to_budget(None);
         }
+        cache.record_occupancy();
         if clamped > 0 {
             xrlflow_obs::counter!("serve/cache_load_clamped").add(clamped as u64);
         }
@@ -721,21 +982,34 @@ mod tests {
     fn entry_budget_never_exceeded_and_eviction_is_lru() {
         let config = CacheConfig::builder().max_entries(3).build().unwrap();
         let mut cache = ResultCache::with_config(config);
-        let entries = synthetic_entries(5);
-        for (key, e) in entries.iter().take(3).cloned() {
+        let entries = synthetic_entries(8);
+        // Key 0 is requested once and key 2 twice; key 0 stays the
+        // least-recently-used entry and key 2 is the previous insert.
+        let (key0, e0) = entries[0].clone();
+        assert_eq!(cache.insert(key0, e0), 0);
+        assert!(cache.get(0).is_some());
+        for (key, e) in entries[1..3].iter().cloned() {
             assert_eq!(cache.insert(key, e), 0);
         }
-        // Touch key 0 so key 1 becomes the LRU entry.
-        assert!(cache.get(0).is_some());
+        assert!(cache.get(2).is_some() && cache.get(2).is_some());
         let (key3, e3) = entries[3].clone();
         assert_eq!(cache.insert(key3, e3), 1, "inserting over budget evicts exactly one entry");
         assert_eq!(cache.len(), 3);
-        assert!(cache.peek(1).is_none(), "the least-recently-used entry must be the one evicted");
-        assert!(cache.peek(0).is_some() && cache.peek(2).is_some() && cache.peek(3).is_some());
-        // Sustained load: the budget holds at every step.
+        assert!(cache.peek(0).is_none(), "requested more often, the previous insert displaces the LRU entry");
+        assert!(cache.peek(1).is_some() && cache.peek(2).is_some() && cache.peek(3).is_some());
+        // Key 3, now the previous insert, was requested no more often than
+        // key 1, the LRU entry: key 3 is the one evicted.
         let (key4, e4) = entries[4].clone();
-        cache.insert(key4, e4);
-        assert_eq!(cache.len(), 3);
+        assert_eq!(cache.insert(key4, e4), 1);
+        assert!(cache.peek(3).is_none(), "requested no more often, the previous insert goes");
+        assert!(cache.peek(1).is_some() && cache.peek(2).is_some() && cache.peek(4).is_some());
+        // Sustained load: the budget holds at every step, one eviction per
+        // insert, and the entry just inserted is always resident.
+        for (key, e) in entries[5..].iter().cloned() {
+            assert_eq!(cache.insert(key, e), 1);
+            assert_eq!(cache.len(), 3);
+            assert!(cache.peek(key).is_some());
+        }
     }
 
     #[test]
@@ -886,6 +1160,8 @@ mod tests {
         cache.insert(2, e.clone());
         assert!(cache.peek(1).is_none() && cache.peek(0).is_some());
         // …and when key 0 goes — evicted, then overwritten — so do its memos.
+        // Key 2, requested more often than key 0, displaces it.
+        assert!(cache.get(2).is_some() && cache.get(2).is_some());
         cache.insert(3, e.clone());
         assert!(cache.peek(0).is_none());
         assert!(cache.find_by_body(10, b"body zero").is_none());
@@ -939,6 +1215,234 @@ mod tests {
         assert_eq!(back.total_bytes(), structural(1));
         assert!(back.find_by_body(5, b"request text").is_none());
         assert!(back.get(key).is_some(), "the entry itself is there");
+    }
+
+    /// A request for `key` as the service makes it: counted once, looked
+    /// up, and on a miss inserted. Returns whether it hit.
+    fn request(cache: &mut ResultCache, key: u64, entry: &CacheEntry) -> bool {
+        cache.record(key);
+        let hit = cache.find(key).is_some();
+        if !hit {
+            cache.insert(key, entry.clone());
+        }
+        hit
+    }
+
+    /// The benchmark's `serve_mixed` popularity: rank `⌊504^u⌋ − 1` for
+    /// `u` uniform in `[0, 1)`.
+    fn log_uniform_keys(seed: u64, n: usize) -> Vec<u64> {
+        let mut rng = xrlflow_tensor::XorShiftRng::new(seed);
+        (0..n)
+            .map(|_| {
+                let u = (rng.next_u64() >> 11) as f64 / (1u64 << 53) as f64;
+                504f64.powf(u).floor() as u64 - 1
+            })
+            .collect()
+    }
+
+    #[test]
+    fn frequency_admission_beats_lru_on_a_log_uniform_stream() {
+        let stream = log_uniform_keys(7, 200_000);
+        let (_, e) = entry();
+        let mut cache = ResultCache::with_config(CacheConfig::builder().max_entries(128).build().unwrap());
+        let hits = stream.iter().filter(|&&key| request(&mut cache, key, &e)).count();
+        let ratio = hits as f64 / stream.len() as f64;
+
+        // Plain LRU over the same stream, most recent last.
+        let mut lru: Vec<u64> = Vec::with_capacity(129);
+        let mut lru_hits = 0;
+        for &key in &stream {
+            if let Some(at) = lru.iter().position(|&k| k == key) {
+                lru_hits += 1;
+                lru.remove(at);
+            } else if lru.len() == 128 {
+                lru.remove(0);
+            }
+            lru.push(key);
+        }
+        let lru_ratio = lru_hits as f64 / stream.len() as f64;
+        assert!(ratio >= 0.74, "hit ratio {ratio:.4}");
+        assert!(lru_ratio <= 0.70, "LRU hit ratio {lru_ratio:.4}");
+        assert_eq!(cache.len(), 128);
+    }
+
+    #[test]
+    fn a_hot_set_survives_a_burst_of_one_off_keys() {
+        // Half the cache is a hot set, asked for three times each; then
+        // 1 000 graphs nobody asks for again arrive, within one sample of
+        // the sketch (10 × 128 requests), so nothing has been halved away.
+        let (_, e) = entry();
+        let mut cache = ResultCache::with_config(CacheConfig::builder().max_entries(128).build().unwrap());
+        for _ in 0..3 {
+            for key in 0..64 {
+                request(&mut cache, key, &e);
+            }
+        }
+        for key in 1_000..2_000 {
+            assert!(!request(&mut cache, key, &e));
+        }
+        let survivors = (0..64).filter(|&key| cache.peek(key).is_some()).count();
+        // Plain LRU would hold the burst's last 128 keys and no hot one.
+        assert!(survivors >= 63, "{survivors} of 64 hot keys survived");
+    }
+
+    /// The books a cache keeps, checked against its slots and its budgets.
+    fn assert_consistent(cache: &ResultCache, context: &str) {
+        let config = cache.config();
+        assert!(config.max_entries().is_none_or(|max| cache.len() <= max), "{context}: entry budget");
+        assert!(config.max_bytes().is_none_or(|max| cache.total_bytes() <= max), "{context}: byte budget");
+        assert_eq!(cache.recency.len(), cache.len(), "{context}: recency index");
+        let bytes: usize = cache.entries.values().map(|slot| slot.bytes).sum();
+        assert_eq!(cache.total_bytes(), bytes, "{context}: byte count");
+        assert!(cache.by_digest.values().all(|key| cache.entries.contains_key(key)), "{context}: body index");
+    }
+
+    #[test]
+    fn both_budgets_hold_after_every_step_of_a_random_interleaving() {
+        let big = entry().1;
+        let mut small = Graph::new();
+        let input = small.add_input(xrlflow_graph::TensorShape::new(vec![1, 8]));
+        small.mark_output(input.into());
+        let small = CacheEntry { graph: Arc::new(small), ..big.clone() };
+        let (b, s) = (big.approx_bytes(), small.approx_bytes());
+        let configs = [
+            CacheConfig::builder().max_entries(4).build().unwrap(),
+            CacheConfig::builder().max_entries(9).max_bytes(3 * b + 40).build().unwrap(),
+            CacheConfig::builder().max_bytes(2 * b + 5 * s).build().unwrap(),
+            CacheConfig::builder().max_bytes(b / 2).build().unwrap(),
+            CacheConfig::unbounded(),
+        ];
+        let mut rng = xrlflow_tensor::XorShiftRng::new(3);
+        let mut cache = ResultCache::with_config(configs[1]);
+        let mut evictions = 0;
+        for step in 0..20_000 {
+            let key = rng.gen_range(24) as u64;
+            match rng.gen_range(10) {
+                0..=3 => {
+                    cache.record(key);
+                    cache.find(key);
+                }
+                4..=6 => {
+                    let e = if key.is_multiple_of(3) { big.clone() } else { small.clone() };
+                    evictions += cache.insert(key, e);
+                    assert!(
+                        cache.peek(key).is_some() || cache.is_empty(),
+                        "step {step}: an insert evicts itself only when it alone breaks the budget"
+                    );
+                }
+                7 | 8 => {
+                    let body = vec![b'x'; rng.gen_range(64)];
+                    cache.attach_body(key, body_digest(&body), &body);
+                }
+                _ => evictions += cache.set_config(configs[rng.gen_range(configs.len())]),
+            }
+            assert_consistent(&cache, &format!("step {step}"));
+        }
+        assert!(evictions > 1_000, "the interleaving must press on the budgets: {evictions} evictions");
+    }
+
+    #[test]
+    fn the_sketch_is_sized_from_the_budget_and_bounded() {
+        let sketch = FrequencySketch::new(128);
+        assert_eq!((sketch.row_mask + 1, sketch.words.len(), sketch.sample), (1024, 256, 1280));
+        let huge = FrequencySketch::new(usize::MAX);
+        assert_eq!(huge.row_mask + 1, MAX_ROW_COUNTERS);
+        assert_eq!(FrequencySketch::new(1).row_mask + 1, 16);
+        // Counts saturate at 15 and are halved at the end of each sample.
+        let mut sketch = FrequencySketch::new(4);
+        for _ in 0..20 {
+            sketch.record(7);
+        }
+        assert_eq!(sketch.estimate(7), 15);
+        for _ in 0..20 {
+            sketch.record(7);
+        }
+        assert_eq!(sketch.estimate(7), 7, "the sample is 10 × 4 requests");
+        assert_eq!(sketch.estimate(8), 0);
+    }
+
+    #[test]
+    fn a_cache_without_an_entry_budget_records_nothing() {
+        let (_, e) = entry();
+        let mut cache = ResultCache::new();
+        for key in 0..100 {
+            request(&mut cache, key % 10, &e);
+        }
+        assert!(cache.admission.is_none());
+        // Bounded, it counts; unbounded again, it forgets.
+        cache.set_config(CacheConfig::builder().max_entries(20).build().unwrap());
+        assert!(cache.get(3).is_some());
+        assert_eq!(cache.frequency(3), 1);
+        cache.set_config(CacheConfig::unbounded());
+        assert!(cache.get(3).is_some());
+        assert!(cache.admission.is_none());
+        // A byte budget alone is plain LRU: nothing is counted, and every
+        // over-budget insert evicts the least-recently-used entry.
+        let mut bytes =
+            ResultCache::with_config(CacheConfig::builder().max_bytes(5 * e.approx_bytes()).build().unwrap());
+        for key in 0..5 {
+            request(&mut bytes, key, &e);
+        }
+        request(&mut bytes, 0, &e);
+        request(&mut bytes, 5, &e);
+        assert!(bytes.admission.is_none());
+        assert!(bytes.peek(1).is_none(), "key 1 was the least recently used");
+        assert!([0, 2, 3, 4, 5].iter().all(|&key| bytes.peek(key).is_some()));
+    }
+
+    #[test]
+    fn a_new_result_stays_on_probation_for_an_eighth_of_the_budget() {
+        // A full cache of keys asked for three times each, then new keys
+        // asked for once: each stays through the next 15 inserts, so 16
+        // new results in a row are all found again, in any order.
+        let (_, e) = entry();
+        let mut cache = ResultCache::with_config(CacheConfig::builder().max_entries(128).build().unwrap());
+        assert_eq!(cache.admission.as_ref().unwrap().window_len, 16);
+        for _ in 0..3 {
+            for key in 0..128 {
+                request(&mut cache, key, &e);
+            }
+        }
+        for key in 1_000..1_016 {
+            assert!(!request(&mut cache, key, &e));
+        }
+        assert!((1_000..1_016).rev().all(|key| request(&mut cache, key, &e)));
+        // A, B, A: a one-off graph coming back after another miss hits.
+        assert!(!request(&mut cache, 2_000, &e) && !request(&mut cache, 2_001, &e));
+        assert!(request(&mut cache, 2_000, &e));
+        // Once out of the window, a key asked for twice still loses to the
+        // hot set; one asked for four times displaces its LRU entry.
+        for key in 3_000..3_016 {
+            request(&mut cache, key, &e);
+        }
+        assert!((1_000..1_016).all(|key| cache.peek(key).is_none()), "asked for twice, they lost");
+        assert!((3_000..3_016).all(|key| cache.peek(key).is_some()), "on probation");
+        // Hot keys 112..128, on probation when the new keys came, tied with
+        // hot key 0 and went; the rest of the hot set is intact.
+        assert!((0..112).all(|key| cache.peek(key).is_some()));
+        assert_eq!(cache.len(), 128);
+        // Small budgets keep a one-insert window.
+        assert_eq!(Admission::new(15).window_len, 1);
+        assert_eq!(Admission::new(16).window_len, 2);
+    }
+
+    #[test]
+    fn two_caches_fed_one_sequence_hold_the_same_keys() {
+        let (_, e) = entry();
+        let config = CacheConfig::builder().max_entries(32).build().unwrap();
+        let (mut first, mut second) = (ResultCache::with_config(config), ResultCache::with_config(config));
+        for key in log_uniform_keys(11, 20_000) {
+            // Canonical hashes use all 64 bits: spread the ranks out.
+            let key = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            assert_eq!(request(&mut first, key, &e), request(&mut second, key, &e));
+        }
+        let keys = |cache: &ResultCache| {
+            let mut keys: Vec<u64> = cache.entries.keys().copied().collect();
+            keys.sort_unstable();
+            keys
+        };
+        assert_eq!(keys(&first), keys(&second));
+        assert_eq!(first.len(), 32);
     }
 
     #[test]

@@ -28,9 +28,13 @@
 //!    swapped in as an `Arc` pointer exchange; a rejected checkpoint
 //!    leaves the old policy serving.
 //! 4. **The cache is bounded.** [`CacheConfig`] sets entry/byte budgets
-//!    enforced by LRU eviction — at insert time, at reconfiguration, and
-//!    when loading a persisted snapshot — with eviction counters and
-//!    occupancy gauges in the metrics snapshot.
+//!    enforced at insert time by W-TinyLFU admission in front of LRU
+//!    eviction (under an entry budget, a new result that has served a
+//!    short probation displaces the least-recently-used entry only if its
+//!    graph was requested more often), and by LRU eviction alone at
+//!    reconfiguration, when loading a persisted snapshot and under a byte
+//!    budget alone — with eviction counters and occupancy gauges in the
+//!    metrics snapshot.
 //! 5. **Concurrent identical misses coalesce.** Single-flight admission
 //!    runs one greedy episode per [`canonical_hash`] no matter how many
 //!    requests race on it; followers wait and read the leader's entry.

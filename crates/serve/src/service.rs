@@ -177,7 +177,9 @@ enum Admission<'a> {
 ///   wait and are served from the cache (counted in
 ///   [`ServeStats::coalesced`]).
 /// * **Bounded cache** ([`OptimizeService::set_cache_config`]): entry/byte
-///   budgets with LRU eviction, visible in `/metrics`.
+///   budgets with frequency-based (W-TinyLFU) admission in front of LRU
+///   eviction, visible in `/metrics`. Each accepted request counts once
+///   towards its graph's frequency.
 ///
 /// All methods take `&self`: the service is `Sync` and can be shared across
 /// request threads behind an `Arc` (the HTTP front end in
@@ -372,6 +374,10 @@ impl OptimizeService {
         // whose leader panicked get the typed [`ServeError::FlightFailed`]
         // instead — one fault fails its coalesced cohort loudly rather than
         // stampeding the policy with silent re-runs.
+        //
+        // The request counts once towards its key's frequency, here: not
+        // again in `admit_miss`'s re-check or a follower's loop-back.
+        self.cache.lock().expect("cache lock").record(key);
         let _flight_guard = loop {
             let admission = match self.lookup(key, body) {
                 Some(found) => Admission::Published(found),
@@ -704,6 +710,57 @@ mod tests {
         assert!(!response.cache_hit);
         let stats = service.stats();
         assert_eq!(stats.cache_hits + stats.policy_invocations, stats.requests);
+    }
+
+    #[test]
+    fn every_request_counts_its_key_once() {
+        let service = OptimizeService::untrained(&XrlflowConfig::smoke_test(), 1).unwrap();
+        service.set_cache_config(CacheConfig::builder().max_entries(4).build().unwrap());
+        let frequency = |key: u64| service.cache.lock().unwrap().frequency(key);
+        let graph = tiny_graph();
+        let key = graph.canonical_hash();
+
+        // A miss: its first look counts, admit_miss's re-check does not.
+        assert!(!service.optimize(&graph).unwrap().cache_hit);
+        assert_eq!(frequency(key), 1);
+        // Hits through the canonical hash, then through the body index.
+        assert!(service.optimize(&graph).unwrap().cache_hit);
+        assert!(service.optimize_json(&graph.to_json()).unwrap().cache_hit);
+        assert!(service.optimize_json(&graph.to_json()).unwrap().cache_hit);
+        assert_eq!(frequency(key), 4);
+        assert_eq!(service.stats().requests, 4);
+
+        // A follower: counted by its first look, not by its loop-back
+        // after the leader published.
+        let mut other = Graph::new();
+        let input = other.add_input(TensorShape::new(vec![1, 16]));
+        let tanh = other.add_node(OpKind::Tanh, OpAttributes::default(), vec![input.into()]).unwrap();
+        other.mark_output(tanh.into());
+        let other_key = other.canonical_hash();
+        let flight = Arc::new(Flight::default());
+        service.flights.lock().unwrap().insert(other_key, Arc::clone(&flight));
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // Publish only once the request follows the flight: the
+                // table, this thread and the follower each hold it.
+                while Arc::strong_count(&flight) < 3 {
+                    std::thread::yield_now();
+                }
+                let entry = CacheEntry {
+                    graph: Arc::new(other.clone()),
+                    initial_latency_ms: 1.0,
+                    final_latency_ms: 1.0,
+                    steps: 0,
+                };
+                service.cache.lock().unwrap().insert(other_key, entry);
+                service.flights.lock().unwrap().remove(&other_key);
+                flight.finish(FlightOutcome::Complete);
+            });
+            assert!(service.optimize(&other).unwrap().cache_hit);
+        });
+        assert_eq!(service.stats().coalesced, 1);
+        assert_eq!(frequency(other_key), 1);
+        assert_eq!(frequency(key), 4);
     }
 
     #[test]
