@@ -3,7 +3,7 @@
 
 use xrlflow_bench::{finish, report, time_ns};
 use xrlflow_cost::DeviceProfile;
-use xrlflow_egraph::{EGraph, TensatConfig, TensatOptimizer};
+use xrlflow_egraph::{EGraph, TensatOptimizer};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 
 fn main() {
@@ -13,7 +13,7 @@ fn main() {
         time_ns(3, 20, || EGraph::from_graph(&graph).unwrap().num_classes()),
     );
 
-    let tensat = TensatOptimizer::new(TensatConfig::default(), DeviceProfile::gtx1080());
+    let tensat = TensatOptimizer::new(DeviceProfile::gtx1080());
     report(
         "tensat/saturate_and_extract/squeezenet",
         time_ns(2, 10, || tensat.optimize(&graph).unwrap().graph.num_nodes()),

@@ -6,7 +6,7 @@
 use xrlflow_bench::{finish, report, time_ns};
 use xrlflow_core::XrlflowConfig;
 use xrlflow_cost::{CostModel, DeviceProfile};
-use xrlflow_egraph::{TensatConfig, TensatOptimizer};
+use xrlflow_egraph::TensatOptimizer;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rollout::XrlflowSystem;
@@ -24,7 +24,7 @@ fn main() {
             let opt = GreedyOptimizer::new(
                 RuleSet::standard(),
                 CostModel::new(DeviceProfile::gtx1080()),
-                SearchConfig { budget: 20, max_candidates: 32, alpha: 1.05 },
+                SearchConfig { budget: 20, max_candidates: 32 },
             );
             opt.optimize(&graph).steps
         }),
@@ -35,7 +35,7 @@ fn main() {
             let opt = BacktrackingOptimizer::new(
                 RuleSet::standard(),
                 CostModel::new(DeviceProfile::gtx1080()),
-                SearchConfig { budget: 30, max_candidates: 32, alpha: 1.05 },
+                SearchConfig { budget: 30, max_candidates: 32 },
             );
             opt.optimize(&graph).steps
         }),
@@ -43,7 +43,7 @@ fn main() {
     report(
         "optimizers/tensat/squeezenet",
         time_ns(1, 5, || {
-            let opt = TensatOptimizer::new(TensatConfig::default(), DeviceProfile::gtx1080());
+            let opt = TensatOptimizer::new(DeviceProfile::gtx1080());
             opt.optimize(&graph).unwrap().graph.num_nodes()
         }),
     );

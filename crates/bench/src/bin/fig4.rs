@@ -36,7 +36,7 @@ fn main() {
         let taso = BacktrackingOptimizer::new(
             RuleSet::standard(),
             CostModel::new(DeviceProfile::gtx1080()),
-            SearchConfig { budget: 60, max_candidates: 48, alpha: 1.05 },
+            SearchConfig { budget: 60, max_candidates: 48 },
         );
         let taso_result = taso.optimize(&graph);
         let (taso_mean, taso_std) = speedups(&sim, &graph, &taso_result.graph);

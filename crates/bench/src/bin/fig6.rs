@@ -18,7 +18,7 @@ fn main() {
         let taso = BacktrackingOptimizer::new(
             RuleSet::standard(),
             CostModel::new(DeviceProfile::gtx1080()),
-            SearchConfig { budget: 60, max_candidates: 48, alpha: 1.05 },
+            SearchConfig { budget: 60, max_candidates: 48 },
         );
         let taso_result = taso.optimize(&graph);
 

@@ -4,7 +4,7 @@
 use xrlflow_bench::{episodes_from_env, render_table, scale_from_env};
 use xrlflow_core::XrlflowConfig;
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
-use xrlflow_egraph::{TensatConfig, TensatOptimizer};
+use xrlflow_egraph::TensatOptimizer;
 use xrlflow_graph::models::{build_model, ModelKind};
 use xrlflow_rollout::XrlflowSystem;
 
@@ -18,7 +18,7 @@ fn main() {
         let graph = build_model(kind, scale).expect("model builds");
         let before = sim.measure_ms(&graph, 0);
 
-        let tensat = TensatOptimizer::new(TensatConfig::default(), DeviceProfile::gtx1080());
+        let tensat = TensatOptimizer::new(DeviceProfile::gtx1080());
         let tensat_speedup = match tensat.optimize(&graph) {
             Ok(result) => (before / sim.measure_ms(&result.graph, 0) - 1.0) * 100.0,
             Err(e) => {

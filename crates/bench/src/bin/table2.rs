@@ -9,7 +9,7 @@ use xrlflow_taso::{PetOptimizer, SearchConfig};
 fn main() {
     let scale = scale_from_env();
     let simulator = InferenceSimulator::new(DeviceProfile::gtx1080());
-    let config = SearchConfig { budget: 40, max_candidates: 48, alpha: 1.05 };
+    let config = SearchConfig { budget: 40, max_candidates: 48 };
     let mut rows = Vec::new();
     for kind in [ModelKind::ResNet18, ModelKind::ResNext50] {
         let graph = build_model(kind, scale).expect("model builds");

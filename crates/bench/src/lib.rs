@@ -3,8 +3,10 @@
 //! The benchmark harness regenerating every table and figure of the paper's
 //! evaluation. Each table/figure has a dedicated binary (`table1`, `table2`,
 //! `table3`, `fig4`, `fig5`, `fig6`, `fig7`, `fig8`, `table4`) that prints
-//! the same rows/series the paper reports; Criterion micro-benchmarks cover
-//! the substrates (rewrite engine, cost model, GNN, e-graph, optimisers).
+//! the same rows/series the paper reports. The micro-benchmarks under
+//! `benches/` are plain `harness = false` timing binaries (no Criterion):
+//! they time the substrates (tensor kernels, rewrite engine, cost model,
+//! GNN, e-graph, optimisers, rollout, PPO update, serving, telemetry).
 //!
 //! All binaries honour these environment variables:
 //!

@@ -21,8 +21,6 @@ pub struct XrlflowConfig {
     /// Environment configuration (feedback frequency `N`, action-space
     /// padding, step budget).
     pub env: EnvConfig,
-    /// Total number of training episodes.
-    pub training_episodes: usize,
     /// Upper bound on the worker threads of the parallel rollout engine
     /// (`xrlflow-rollout`): a phase starts `min(num_workers, usable CPUs,
     /// work items)` threads, where usable CPUs honours the process's
@@ -37,17 +35,16 @@ pub struct XrlflowConfig {
 }
 
 impl XrlflowConfig {
-    /// The paper's configuration (Table 4). Training for the published 1000+
-    /// episodes on full-size models is a GPU-scale workload; use
-    /// [`XrlflowConfig::bench`] or [`XrlflowConfig::smoke_test`] for
-    /// CPU-scale experiments with the same structure.
+    /// The paper's configuration (Table 4). Training on full-size models is a
+    /// GPU-scale workload; use [`XrlflowConfig::bench`] or
+    /// [`XrlflowConfig::smoke_test`] for CPU-scale experiments with the same
+    /// structure.
     pub fn paper() -> Self {
         Self {
             ppo: PpoHyperParams::default(),
             encoder: EncoderConfig { hidden_dim: 64, num_gat_layers: 5 },
             head_dims: vec![256, 64],
             env: EnvConfig::default(),
-            training_episodes: 1000,
             num_workers: 1,
         }
     }
@@ -65,7 +62,6 @@ impl XrlflowConfig {
             encoder: EncoderConfig { hidden_dim: 32, num_gat_layers: 3 },
             head_dims: vec![64, 32],
             env: EnvConfig { max_steps: 25, max_candidates: 32, ..EnvConfig::default() },
-            training_episodes: 24,
             num_workers: 4,
         }
     }
@@ -82,8 +78,7 @@ impl XrlflowConfig {
             },
             encoder: EncoderConfig { hidden_dim: 16, num_gat_layers: 1 },
             head_dims: vec![32, 16],
-            env: EnvConfig { max_steps: 4, max_candidates: 8, feedback_frequency: 2, ..EnvConfig::default() },
-            training_episodes: 2,
+            env: EnvConfig { max_steps: 4, max_candidates: 8, feedback_frequency: 2 },
             num_workers: 2,
         }
     }
@@ -102,8 +97,8 @@ impl XrlflowConfig {
             .max(1)
     }
 
-    /// Checks the configuration for degenerate values (zero workers,
-    /// episodes, batch sizes, …), returning a typed [`ConfigError`] instead
+    /// Checks the configuration for degenerate values (zero workers, batch
+    /// sizes, step budgets, …), returning a typed [`ConfigError`] instead
     /// of panicking deep inside training. Presets always pass; this is the
     /// boundary-facing check for externally supplied settings.
     ///
@@ -112,7 +107,7 @@ impl XrlflowConfig {
     /// ```
     /// use xrlflow_core::XrlflowConfig;
     ///
-    /// let cfg = XrlflowConfig { training_episodes: 50, num_workers: 2, ..XrlflowConfig::paper() };
+    /// let cfg = XrlflowConfig { num_workers: 2, ..XrlflowConfig::paper() };
     /// assert!(cfg.validate().is_ok());
     /// assert!(XrlflowConfig { num_workers: 0, ..cfg }.validate().is_err());
     /// ```
@@ -128,7 +123,6 @@ impl XrlflowConfig {
                 Ok(())
             }
         };
-        positive("training_episodes", self.training_episodes)?;
         positive("num_workers", self.num_workers)?;
         positive("ppo.batch_size", self.ppo.batch_size)?;
         positive("ppo.update_frequency", self.ppo.update_frequency)?;
@@ -151,12 +145,6 @@ impl XrlflowConfig {
                     message: format!("layer {i} must be positive"),
                 });
             }
-        }
-        if !(self.ppo.learning_rate.is_finite() && self.ppo.learning_rate > 0.0) {
-            return Err(ConfigError {
-                field: "ppo.learning_rate",
-                message: format!("must be positive and finite, got {}", self.ppo.learning_rate),
-            });
         }
         Ok(())
     }
@@ -212,9 +200,9 @@ pub struct HyperParameterTable {
 impl From<&XrlflowConfig> for HyperParameterTable {
     fn from(cfg: &XrlflowConfig) -> Self {
         Self {
-            learning_rate: cfg.ppo.learning_rate,
-            value_loss_coefficient: cfg.ppo.value_loss_coefficient,
-            entropy_coefficient: cfg.ppo.entropy_coefficient,
+            learning_rate: xrlflow_rl::LEARNING_RATE,
+            value_loss_coefficient: xrlflow_rl::VALUE_LOSS_COEFFICIENT,
+            entropy_coefficient: xrlflow_rl::ENTROPY_COEFFICIENT,
             edge_attribute_constant: xrlflow_gnn::EDGE_NORMALISER,
             num_gat_layers: cfg.encoder.num_gat_layers,
             update_frequency: cfg.ppo.update_frequency,
@@ -241,6 +229,9 @@ mod tests {
         assert_eq!(table.feedback_frequency, 5);
         assert_eq!(table.mlp_heads, vec![256, 64]);
         assert_eq!(table.batch_size, 16);
+        assert_eq!(xrlflow_rl::CLIP_EPSILON, 0.2);
+        assert_eq!(xrlflow_rl::MAX_GRAD_NORM, 0.5);
+        assert_eq!(xrlflow_env::EXPLORATION_BONUS, 0.1);
     }
 
     #[test]
@@ -248,12 +239,11 @@ mod tests {
         let cfg = XrlflowConfig::smoke_test();
         assert!(cfg.encoder.hidden_dim <= 16);
         assert!(cfg.env.max_steps <= 5);
-        assert!(cfg.training_episodes <= 4);
     }
 
     #[test]
     fn validate_accepts_valid_overrides() {
-        let mut cfg = XrlflowConfig { training_episodes: 12, num_workers: 3, ..XrlflowConfig::paper() };
+        let mut cfg = XrlflowConfig { num_workers: 3, ..XrlflowConfig::paper() };
         cfg.ppo.batch_size = 4;
         cfg.head_dims = vec![32];
         cfg.validate().unwrap();
@@ -262,14 +252,11 @@ mod tests {
     #[test]
     fn validate_rejects_degenerate_values() {
         type Degrade = fn(&mut XrlflowConfig);
-        let cases: [(Degrade, &str); 9] = [
-            (|c| c.training_episodes = 0, "training_episodes"),
+        let cases: [(Degrade, &str); 6] = [
             (|c| c.num_workers = 0, "num_workers"),
             (|c| c.ppo.batch_size = 0, "ppo.batch_size"),
             (|c| c.head_dims = vec![], "head_dims"),
             (|c| c.head_dims = vec![64, 0], "head_dims"),
-            (|c| c.ppo.learning_rate = 0.0, "ppo.learning_rate"),
-            (|c| c.ppo.learning_rate = f32::NAN, "ppo.learning_rate"),
             (|c| c.encoder = EncoderConfig { hidden_dim: 0, num_gat_layers: 1 }, "encoder.hidden_dim"),
             (|c| c.env = EnvConfig { max_steps: 0, ..EnvConfig::default() }, "env.max_steps"),
         ];

@@ -29,7 +29,10 @@
 //! spirit as `collect_serial` / `policy_logits_serial`).
 
 use xrlflow_env::{Environment, Observation};
-use xrlflow_rl::{explained_variance, PpoHyperParams, RolloutBuffer, TrainingStats, Transition};
+use xrlflow_rl::{
+    explained_variance, PpoHyperParams, RolloutBuffer, TrainingStats, Transition, CLIP_EPSILON,
+    ENTROPY_COEFFICIENT, LEARNING_RATE, MAX_GRAD_NORM, VALUE_LOSS_COEFFICIENT,
+};
 use xrlflow_tensor::{splitmix64, Adam, GradBuffer, SnapshotError, Tape, Tensor, XorShiftRng};
 
 use crate::agent::XrlflowAgent;
@@ -259,13 +262,18 @@ pub struct MinibatchGrads {
 /// from worker threads that borrow the same agent — so the two paths produce
 /// bit-identical per-transition gradients by construction, and only the
 /// merge order (fixed: minibatch position) decides the final bits.
+///
+/// `_ppo` is not read: `c1`, `c2` and `epsilon` are the constants
+/// [`VALUE_LOSS_COEFFICIENT`], [`ENTROPY_COEFFICIENT`] and [`CLIP_EPSILON`].
+/// The parameter stays while the end-to-end benchmark, which calls this
+/// function, still passes it.
 #[allow(clippy::too_many_arguments)]
 pub fn transition_grad_into(
     agent: &XrlflowAgent,
     transition: &Transition<Observation>,
     advantage: f32,
     ret: f32,
-    ppo: &PpoHyperParams,
+    _ppo: &PpoHyperParams,
     inv: f32,
     tape: &mut Tape,
     grads: &mut GradBuffer,
@@ -280,7 +288,8 @@ pub fn transition_grad_into(
     let ratio = tape.exp(log_ratio);
     let adv = tape.constant(Tensor::scalar(advantage));
     let surrogate1 = tape.mul(ratio, adv);
-    let clipped = tape.clamp(ratio, 1.0 - ppo.clip_epsilon, 1.0 + ppo.clip_epsilon);
+    let (low, high) = (1.0 - CLIP_EPSILON, 1.0 + CLIP_EPSILON);
+    let clipped = tape.clamp(ratio, low, high);
     let surrogate2 = tape.mul(clipped, adv);
     let surrogate = tape.minimum(surrogate1, surrogate2);
     let policy_loss = tape.neg(surrogate);
@@ -296,8 +305,8 @@ pub fn transition_grad_into(
     // J = L_clip + c1 * L_vf + c2 * L_entropy, Eq. 5, scaled by the
     // minibatch mean factor so merged contributions sum to the mean loss
     // gradient.
-    let value_term = tape.scale(value_loss, ppo.value_loss_coefficient);
-    let entropy_term = tape.scale(neg_entropy, ppo.entropy_coefficient);
+    let value_term = tape.scale(value_loss, VALUE_LOSS_COEFFICIENT);
+    let entropy_term = tape.scale(neg_entropy, ENTROPY_COEFFICIENT);
     let partial = tape.add(policy_loss, value_term);
     let sample_loss = tape.add(partial, entropy_term);
     let sample_loss = tape.scale(sample_loss, inv);
@@ -311,7 +320,7 @@ pub fn transition_grad_into(
         value_loss: tape.value(value_loss).item(),
         entropy: tape.value(eval.entropy).item(),
         predicted_value: tape.value(eval.value).item(),
-        clipped: ratio_value < 1.0 - ppo.clip_epsilon || ratio_value > 1.0 + ppo.clip_epsilon,
+        clipped: ratio_value < low || ratio_value > high,
     }
 }
 
@@ -363,7 +372,7 @@ impl Trainer {
     /// Creates a trainer for a run whose episode seed schedule derives from
     /// `seed`.
     pub fn new(config: XrlflowConfig, seed: u64) -> Self {
-        let optimizer = Adam::new(config.ppo.learning_rate);
+        let optimizer = Adam::new(LEARNING_RATE);
         Self { config, optimizer, base_seed: seed, update_counter: 0 }
     }
 
@@ -464,7 +473,7 @@ impl Trainer {
                         predicted_values.push((i, stats.predicted_value));
                     }
                 }
-                grad_norms.push(grads.clip_norm(ppo.max_grad_norm));
+                grad_norms.push(grads.clip_norm(MAX_GRAD_NORM));
                 self.optimizer.step(&mut agent.store, &grads);
             }
         }

@@ -7,11 +7,11 @@
 //!
 //! ```
 //! use xrlflow_cost::DeviceProfile;
-//! use xrlflow_egraph::{TensatConfig, TensatOptimizer};
+//! use xrlflow_egraph::TensatOptimizer;
 //! use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 //!
 //! let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-//! let tensat = TensatOptimizer::new(TensatConfig::default(), DeviceProfile::gtx1080());
+//! let tensat = TensatOptimizer::new(DeviceProfile::gtx1080());
 //! let result = tensat.optimize(&graph).unwrap();
 //! println!("extracted graph with {} nodes from {} e-nodes", result.graph.num_nodes(), result.num_nodes);
 //! ```
@@ -22,4 +22,4 @@ mod egraph;
 mod tensat;
 
 pub use egraph::{ClassId, EClass, EGraph, EGraphError, ENode};
-pub use tensat::{TensatConfig, TensatOptimizer, TensatResult};
+pub use tensat::{TensatOptimizer, TensatResult};

@@ -16,25 +16,20 @@ use xrlflow_graph::{FusedActivation, Graph, OpAttributes, OpKind, TensorRef, Ten
 
 use crate::egraph::{ClassId, EGraph, EGraphError, ENode};
 
-/// Configuration of the equality-saturation run.
-#[derive(Debug, Clone)]
-pub struct TensatConfig {
-    /// Maximum number of e-nodes before saturation stops (the paper uses a
-    /// 10,000-node cap).
-    pub node_limit: usize,
+/// Bounds of one equality-saturation run.
+struct Limits {
+    /// Maximum number of e-nodes before saturation stops.
+    nodes: usize,
     /// Maximum number of saturation iterations.
-    pub iter_limit: usize,
+    iterations: usize,
     /// Maximum applications of the "multi-pattern" growth rules
-    /// (re-association) per iteration, mirroring Tensat's `k` parameter
-    /// (default 1).
-    pub multi_pattern_limit: usize,
+    /// (re-association) per iteration, Tensat's `k`.
+    multi_pattern: usize,
 }
 
-impl Default for TensatConfig {
-    fn default() -> Self {
-        Self { node_limit: 10_000, iter_limit: 10, multi_pattern_limit: 1 }
-    }
-}
+/// Tensat's bounds: the paper's 10,000-e-node cap, 10 iterations and
+/// Tensat's default `k = 1`.
+const LIMITS: Limits = Limits { nodes: 10_000, iterations: 10, multi_pattern: 1 };
 
 /// Result of a Tensat optimisation run.
 #[derive(Debug, Clone)]
@@ -56,14 +51,13 @@ pub struct TensatResult {
 /// The Tensat-style equality-saturation optimiser.
 #[derive(Debug, Clone, Default)]
 pub struct TensatOptimizer {
-    config: TensatConfig,
     profile: DeviceProfile,
 }
 
 impl TensatOptimizer {
-    /// Creates an optimiser with the given configuration and device profile.
-    pub fn new(config: TensatConfig, profile: DeviceProfile) -> Self {
-        Self { config, profile }
+    /// Creates an optimiser that extracts under the given device profile.
+    pub fn new(profile: DeviceProfile) -> Self {
+        Self { profile }
     }
 
     /// Runs equality saturation and extraction on a graph.
@@ -73,20 +67,24 @@ impl TensatOptimizer {
     /// Returns [`EGraphError::Unsupported`] when the graph contains operators
     /// the e-graph representation cannot express (Tensat's conversion filter).
     pub fn optimize(&self, graph: &Graph) -> Result<TensatResult, EGraphError> {
+        self.saturate(graph, LIMITS)
+    }
+
+    fn saturate(&self, graph: &Graph, limits: Limits) -> Result<TensatResult, EGraphError> {
         let start = Instant::now();
         let mut eg = EGraph::from_graph(graph)?;
         let mut saturated = false;
         let mut iterations = 0;
 
-        for _ in 0..self.config.iter_limit {
+        for _ in 0..limits.iterations {
             iterations += 1;
-            let changed = self.apply_rewrites(&mut eg);
+            let changed = apply_rewrites(&mut eg, limits.multi_pattern);
             eg.rebuild();
             if !changed {
                 saturated = true;
                 break;
             }
-            if eg.num_nodes() > self.config.node_limit {
+            if eg.num_nodes() > limits.nodes {
                 break;
             }
         }
@@ -104,20 +102,20 @@ impl TensatOptimizer {
             optimisation_time_s: start.elapsed().as_secs_f64(),
         })
     }
+}
 
-    /// Applies one round of every rewrite to the e-graph. Returns whether the
-    /// e-graph changed.
-    fn apply_rewrites(&self, eg: &mut EGraph) -> bool {
-        let mut changed = false;
-        changed |= fuse_activation(eg, OpKind::Conv2d);
-        changed |= fuse_activation(eg, OpKind::MatMul);
-        changed |= fuse_conv_batchnorm(eg);
-        changed |= fuse_bias_add(eg);
-        changed |= eliminate_pass_through(eg);
-        changed |= eliminate_transpose_pair(eg);
-        changed |= reassociate_matmul(eg, self.config.multi_pattern_limit);
-        changed
-    }
+/// Applies one round of every rewrite to the e-graph, re-associating at most
+/// `multi_pattern_limit` times. Returns whether the e-graph changed.
+fn apply_rewrites(eg: &mut EGraph, multi_pattern_limit: usize) -> bool {
+    let mut changed = false;
+    changed |= fuse_activation(eg, OpKind::Conv2d);
+    changed |= fuse_activation(eg, OpKind::MatMul);
+    changed |= fuse_conv_batchnorm(eg);
+    changed |= fuse_bias_add(eg);
+    changed |= eliminate_pass_through(eg);
+    changed |= eliminate_transpose_pair(eg);
+    changed |= reassociate_matmul(eg, multi_pattern_limit);
+    changed
 }
 
 /// Per-e-node cost in microseconds, computed by materialising the operator in
@@ -363,7 +361,7 @@ mod tests {
     #[test]
     fn tensat_reduces_cost_on_conv_nets() {
         let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let tensat = TensatOptimizer::new(TensatConfig::default(), DeviceProfile::gtx1080());
+        let tensat = TensatOptimizer::new(DeviceProfile::gtx1080());
         let result = tensat.optimize(&g).unwrap();
         assert!(result.graph.validate().is_ok());
         let cm = CostModel::new(DeviceProfile::gtx1080());
@@ -378,7 +376,7 @@ mod tests {
     #[test]
     fn tensat_improves_e2e_latency_on_bert() {
         let g = build_model(ModelKind::Bert, ModelScale::Bench).unwrap();
-        let tensat = TensatOptimizer::new(TensatConfig::default(), DeviceProfile::gtx1080());
+        let tensat = TensatOptimizer::new(DeviceProfile::gtx1080());
         let result = tensat.optimize(&g).unwrap();
         assert!(result.graph.validate().is_ok());
         let sim = InferenceSimulator::new(DeviceProfile::gtx1080());
@@ -388,23 +386,17 @@ mod tests {
     #[test]
     fn saturation_respects_iteration_limit() {
         let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let tensat = TensatOptimizer::new(
-            TensatConfig { iter_limit: 1, ..TensatConfig::default() },
-            DeviceProfile::gtx1080(),
-        );
-        let result = tensat.optimize(&g).unwrap();
+        let tensat = TensatOptimizer::new(DeviceProfile::gtx1080());
+        let result = tensat.saturate(&g, Limits { iterations: 1, ..LIMITS }).unwrap();
         assert_eq!(result.iterations, 1);
     }
 
     #[test]
     fn node_limit_stops_growth() {
         let g = build_model(ModelKind::Bert, ModelScale::Bench).unwrap();
-        let tensat = TensatOptimizer::new(
-            TensatConfig { node_limit: 10, iter_limit: 50, multi_pattern_limit: 8 },
-            DeviceProfile::gtx1080(),
-        );
+        let tensat = TensatOptimizer::new(DeviceProfile::gtx1080());
         // Must terminate promptly and still produce a valid graph.
-        let result = tensat.optimize(&g).unwrap();
+        let result = tensat.saturate(&g, Limits { nodes: 10, iterations: 50, multi_pattern: 8 }).unwrap();
         assert!(result.graph.validate().is_ok());
         assert!(result.iterations < 50);
     }

@@ -13,6 +13,10 @@ use xrlflow_cost::InferenceSimulator;
 use xrlflow_graph::Graph;
 use xrlflow_rewrite::{Candidate, RuleSet};
 
+/// Constant reward granted on steps without a latency measurement: the
+/// paper's 0.1, which encourages continued exploration (Section 3.3.3).
+pub const EXPLORATION_BONUS: f32 = 0.1;
+
 /// Reward-shaping and termination configuration (defaults follow Table 4).
 #[derive(Debug, Clone)]
 pub struct EnvConfig {
@@ -23,14 +27,11 @@ pub struct EnvConfig {
     pub max_candidates: usize,
     /// End-to-end latency is measured every `N` steps (Table 4: 5).
     pub feedback_frequency: usize,
-    /// Constant reward granted on steps without a latency measurement
-    /// (the paper uses 0.1 to encourage continued exploration).
-    pub exploration_bonus: f32,
 }
 
 impl Default for EnvConfig {
     fn default() -> Self {
-        Self { max_steps: 50, max_candidates: 64, feedback_frequency: 5, exploration_bonus: 0.1 }
+        Self { max_steps: 50, max_candidates: 64, feedback_frequency: 5 }
     }
 }
 
@@ -280,7 +281,7 @@ impl Environment {
         // Reward: measure end-to-end latency every N steps and on termination,
         // otherwise grant the exploration bonus (Section 3.3.3).
         let measure_now = done || self.step_count.is_multiple_of(self.config.feedback_frequency);
-        let reward = if measure_now { self.measurement_reward() } else { self.config.exploration_bonus };
+        let reward = if measure_now { self.measurement_reward() } else { EXPLORATION_BONUS };
         self.total_reward += reward;
 
         let termination = if max_steps_reached {
@@ -414,7 +415,7 @@ mod tests {
         // reward must be exactly the exploration bonus.
         let result = env.step(&obs, 0);
         if !result.done {
-            assert!((result.reward - env.config().exploration_bonus).abs() < 1e-6);
+            assert!((result.reward - EXPLORATION_BONUS).abs() < 1e-6);
         }
     }
 

@@ -28,4 +28,6 @@
 
 mod environment;
 
-pub use environment::{EnvConfig, Environment, EpisodeStats, Observation, StepResult, Termination};
+pub use environment::{
+    EnvConfig, Environment, EpisodeStats, Observation, StepResult, Termination, EXPLORATION_BONUS,
+};

@@ -9,6 +9,19 @@
 //! encoder); this crate provides the algorithm-side pieces, which are pure
 //! functions over `f32` values and are therefore easy to test exhaustively.
 //!
+//! ## Fixed hyper-parameters
+//!
+//! The PPO settings no preset varies are constants rather than fields of
+//! [`PpoHyperParams`]:
+//!
+//! | Constant | Value | Source |
+//! |---|---|---|
+//! | [`LEARNING_RATE`] | 5e-4 | the paper's Table 4 |
+//! | [`VALUE_LOSS_COEFFICIENT`] | 0.5 | `c1` of Eq. 5, Table 4 |
+//! | [`ENTROPY_COEFFICIENT`] | 0.01 | `c2` of Eq. 5, Table 4 |
+//! | [`CLIP_EPSILON`] | 0.2 | `epsilon` of Eq. 3, PPO's (Schulman et al., 2017) |
+//! | [`MAX_GRAD_NORM`] | 0.5 | the global gradient-norm clip of common PPO implementations |
+//!
 //! ## Quickstart
 //!
 //! ```
@@ -34,4 +47,7 @@ mod ppo;
 pub use buffer::{RolloutBuffer, Transition};
 pub use categorical::MaskedCategorical;
 pub use gae::{discounted_returns, gae};
-pub use ppo::{explained_variance, PpoHyperParams, TrainingStats};
+pub use ppo::{
+    explained_variance, PpoHyperParams, TrainingStats, CLIP_EPSILON, ENTROPY_COEFFICIENT, LEARNING_RATE,
+    MAX_GRAD_NORM, VALUE_LOSS_COEFFICIENT,
+};

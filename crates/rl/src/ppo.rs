@@ -3,17 +3,25 @@
 //! The PPO loss itself (Eq. 3–5) is built on the tape in `xrlflow-core`
 //! (`transition_grad_into`), where it is differentiated.
 
-/// PPO hyper-parameters (defaults follow Table 4 of the paper).
+/// Learning rate of the policy and value networks (Table 4: 5e-4).
+pub const LEARNING_RATE: f32 = 5e-4;
+
+/// Value-loss coefficient `c1` of Eq. 5 (Table 4: 0.5).
+pub const VALUE_LOSS_COEFFICIENT: f32 = 0.5;
+
+/// Entropy-loss coefficient `c2` of Eq. 5 (Table 4: 0.01).
+pub const ENTROPY_COEFFICIENT: f32 = 0.01;
+
+/// PPO clip range `epsilon` of Eq. 3 (0.2, the PPO paper's value).
+pub const CLIP_EPSILON: f32 = 0.2;
+
+/// Global gradient-norm clip applied before each Adam step (0.5).
+pub const MAX_GRAD_NORM: f32 = 0.5;
+
+/// The PPO hyper-parameters the presets vary (defaults follow Table 4 of
+/// the paper); the fixed ones are the constants above.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PpoHyperParams {
-    /// Learning rate of the policy and value networks (Table 4: 5e-4).
-    pub learning_rate: f32,
-    /// Value-loss coefficient `c1` (Table 4: 0.5).
-    pub value_loss_coefficient: f32,
-    /// Entropy-loss coefficient `c2` (Table 4: 0.01).
-    pub entropy_coefficient: f32,
-    /// PPO clip range `epsilon`.
-    pub clip_epsilon: f32,
     /// Discount factor `gamma`.
     pub gamma: f32,
     /// GAE smoothing factor `lambda`.
@@ -24,24 +32,11 @@ pub struct PpoHyperParams {
     pub batch_size: usize,
     /// Number of optimisation epochs per update.
     pub epochs_per_update: usize,
-    /// Global gradient-norm clip.
-    pub max_grad_norm: f32,
 }
 
 impl Default for PpoHyperParams {
     fn default() -> Self {
-        Self {
-            learning_rate: 5e-4,
-            value_loss_coefficient: 0.5,
-            entropy_coefficient: 0.01,
-            clip_epsilon: 0.2,
-            gamma: 0.99,
-            gae_lambda: 0.95,
-            update_frequency: 10,
-            batch_size: 16,
-            epochs_per_update: 4,
-            max_grad_norm: 0.5,
-        }
+        Self { gamma: 0.99, gae_lambda: 0.95, update_frequency: 10, batch_size: 16, epochs_per_update: 4 }
     }
 }
 
@@ -93,9 +88,9 @@ mod tests {
     #[test]
     fn defaults_match_table4() {
         let p = PpoHyperParams::default();
-        assert_eq!(p.learning_rate, 5e-4);
-        assert_eq!(p.value_loss_coefficient, 0.5);
-        assert_eq!(p.entropy_coefficient, 0.01);
+        assert_eq!(LEARNING_RATE, 5e-4);
+        assert_eq!(VALUE_LOSS_COEFFICIENT, 0.5);
+        assert_eq!(ENTROPY_COEFFICIENT, 0.01);
         assert_eq!(p.update_frequency, 10);
         assert_eq!(p.batch_size, 16);
     }

@@ -831,8 +831,8 @@ mod tests {
             let mut trainer = ParallelTrainer::new(cfg.clone(), 11);
             trainer.num_workers = workers;
             let mut agent = XrlflowAgent::new(&cfg, 3);
-            let report = trainer.train(&mut agent, &spec, cfg.training_episodes).unwrap();
-            assert_eq!(report.episodes.len(), cfg.training_episodes);
+            let report = trainer.train(&mut agent, &spec, 2).unwrap();
+            assert_eq!(report.episodes.len(), 2);
             assert!(!report.updates.is_empty());
             assert_eq!(report.timings.len(), report.updates.len());
             assert!(

@@ -149,8 +149,9 @@ impl GeneralizationReport {
     }
 }
 
-/// Trains an agent on `kind` at `train_size`, then evaluates it (without any
-/// further training) on every size in `eval_sizes`.
+/// Trains an agent on `kind` at `train_size` for `episodes` episodes, then
+/// evaluates it (without any further training) on every size in
+/// `eval_sizes`.
 ///
 /// # Errors
 ///
@@ -162,10 +163,10 @@ pub fn run_generalization(
     scale: ModelScale,
     train_size: usize,
     eval_sizes: &[usize],
-    training_episodes: usize,
+    episodes: usize,
 ) -> Result<GeneralizationReport, Box<dyn std::error::Error + Send + Sync>> {
     let train_graph = ModelConfig::new(kind, scale).with_input_size(train_size).build()?;
-    system.train_on(&train_graph, training_episodes)?;
+    system.train_on(&train_graph, episodes)?;
 
     let mut points = Vec::new();
     for &size in eval_sizes {
@@ -193,7 +194,7 @@ mod tests {
     fn train_on_is_parallel_trainer_train_bit_for_bit_at_1_and_2_workers() {
         let config = XrlflowConfig::smoke_test();
         let graph = squeezenet();
-        let (seed, episodes) = (7, config.training_episodes);
+        let (seed, episodes) = (7, 2);
         for workers in [1usize, 2] {
             let mut system = XrlflowSystem::new(config.clone(), seed);
             system.trainer_mut().set_num_workers(workers);
@@ -228,9 +229,9 @@ mod tests {
         let mut system = XrlflowSystem::new(config.clone(), 0);
         let embedding_before = system.agent().embed_graph(&graph);
 
-        let report = system.train_on(&graph, config.training_episodes).unwrap();
+        let report = system.train_on(&graph, 2).unwrap();
 
-        assert_eq!(report.episodes.len(), config.training_episodes);
+        assert_eq!(report.episodes.len(), 2);
         assert!(!report.updates.is_empty());
         assert_eq!(report.timings.len(), report.updates.len());
         for timing in &report.timings {

@@ -129,7 +129,7 @@ fn mismatched_snapshot_is_rejected_at_construction() {
 #[test]
 fn degenerate_config_is_rejected_at_construction() {
     let mut config = XrlflowConfig::smoke_test();
-    config.training_episodes = 0;
+    config.env.max_candidates = 0;
     let snapshot = XrlflowAgent::new(&XrlflowConfig::smoke_test(), 0).snapshot();
     assert!(matches!(OptimizeService::from_snapshot(&config, &snapshot), Err(ServeError::Config(_))));
     assert!(matches!(OptimizeService::untrained(&config, 0), Err(ServeError::Config(_))));

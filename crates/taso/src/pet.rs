@@ -219,10 +219,8 @@ mod tests {
     #[test]
     fn pet_optimizer_runs_on_resnet18() {
         let g = build_model(ModelKind::ResNet18, ModelScale::Bench).unwrap();
-        let pet = PetOptimizer::new(
-            DeviceProfile::gtx1080(),
-            SearchConfig { budget: 15, max_candidates: 32, alpha: 1.05 },
-        );
+        let pet =
+            PetOptimizer::new(DeviceProfile::gtx1080(), SearchConfig { budget: 15, max_candidates: 32 });
         let result = pet.optimize(&g);
         assert!(result.graph.validate().is_ok());
         assert!(result.steps > 0);

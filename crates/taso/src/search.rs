@@ -2,9 +2,10 @@
 //!
 //! TASO ranks every candidate with its per-operator cost model and greedily
 //! takes the best one; its backtracking variant also enqueues candidates
-//! whose cost is within `alpha` of the best seen so far and explores them
-//! under an iteration budget. Both engines optimise the *cost model*, not
-//! end-to-end latency — which is exactly the behaviour X-RLflow improves on.
+//! whose cost is within a factor `ALPHA` (1.05) of the best seen so far and
+//! explores them under an iteration budget. Both engines optimise the *cost
+//! model*, not end-to-end latency — which is exactly the behaviour X-RLflow
+//! improves on.
 
 use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::time::Instant;
@@ -44,6 +45,10 @@ impl OptimizationResult {
     }
 }
 
+/// Backtracking relaxation: candidates with cost below `ALPHA * best_cost`
+/// are kept on the queue (TASO's 1.05).
+const ALPHA: f64 = 1.05;
+
 /// Configuration shared by the greedy and backtracking engines.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
@@ -52,14 +57,11 @@ pub struct SearchConfig {
     pub budget: usize,
     /// Maximum number of candidates generated per step.
     pub max_candidates: usize,
-    /// Backtracking relaxation: candidates with cost below
-    /// `alpha * best_cost` are kept on the queue (TASO's default is 1.05).
-    pub alpha: f64,
 }
 
 impl Default for SearchConfig {
     fn default() -> Self {
-        Self { budget: 100, max_candidates: 64, alpha: 1.05 }
+        Self { budget: 100, max_candidates: 64 }
     }
 }
 
@@ -163,7 +165,7 @@ impl Ord for QueueEntry {
 }
 
 /// TASO's backtracking search: a best-first queue of graphs whose cost is
-/// within `alpha` of the best cost seen so far, explored under a budget.
+/// within a factor `ALPHA` of the best cost seen so far, explored under a budget.
 #[derive(Debug)]
 pub struct BacktrackingOptimizer {
     rules: RuleSet,
@@ -211,7 +213,7 @@ impl BacktrackingOptimizer {
                 best_rules = entry.rules.clone();
                 best_steps = entry.steps;
             }
-            if entry.cost > self.config.alpha * best_cost {
+            if entry.cost > ALPHA * best_cost {
                 continue;
             }
             for candidate in self.rules.generate_candidates(&entry.graph, self.config.max_candidates) {
@@ -221,7 +223,7 @@ impl BacktrackingOptimizer {
                     continue;
                 }
                 let cost = self.cost_model.graph_cost_ms(&graph);
-                if cost > self.config.alpha * best_cost {
+                if cost > ALPHA * best_cost {
                     continue;
                 }
                 order += 1;
@@ -257,7 +259,7 @@ mod tests {
         GreedyOptimizer::new(
             RuleSet::standard(),
             CostModel::new(DeviceProfile::gtx1080()),
-            SearchConfig { budget: 30, max_candidates: 32, alpha: 1.05 },
+            SearchConfig { budget: 30, max_candidates: 32 },
         )
     }
 
@@ -289,7 +291,7 @@ mod tests {
         let backtracking = BacktrackingOptimizer::new(
             RuleSet::standard(),
             CostModel::new(DeviceProfile::gtx1080()),
-            SearchConfig { budget: 60, max_candidates: 32, alpha: 1.05 },
+            SearchConfig { budget: 60, max_candidates: 32 },
         );
         let bt_result = backtracking.optimize(&g);
         assert!(bt_result.graph.validate().is_ok());
@@ -304,7 +306,7 @@ mod tests {
         let opt = GreedyOptimizer::new(
             RuleSet::standard(),
             CostModel::new(DeviceProfile::gtx1080()),
-            SearchConfig { budget: 0, max_candidates: 32, alpha: 1.05 },
+            SearchConfig { budget: 0, max_candidates: 32 },
         );
         let result = opt.optimize(&g);
         assert_eq!(result.steps, 0);

@@ -7,7 +7,7 @@
 
 use xrlflow::core::XrlflowConfig;
 use xrlflow::cost::{CostModel, DeviceProfile, InferenceSimulator};
-use xrlflow::egraph::{TensatConfig, TensatOptimizer};
+use xrlflow::egraph::TensatOptimizer;
 use xrlflow::graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow::rewrite::RuleSet;
 use xrlflow::rollout::XrlflowSystem;
@@ -27,7 +27,7 @@ fn main() {
     let before_e2e = sim.measure_ms(&graph, 0);
     println!("workload: {kind} ({} nodes), unoptimised latency {before_e2e:.3} ms\n", graph.num_nodes());
 
-    let config = SearchConfig { budget: 40, max_candidates: 48, alpha: 1.05 };
+    let config = SearchConfig { budget: 40, max_candidates: 48 };
     let report = |name: &str, optimised: &xrlflow::graph::Graph, seconds: f64| {
         let e2e = sim.measure_ms(optimised, 0);
         println!(
@@ -54,7 +54,7 @@ fn main() {
     let r = pet.optimize(&graph);
     report("PET-style", &r.graph, r.optimisation_time_s);
 
-    match TensatOptimizer::new(TensatConfig::default(), DeviceProfile::gtx1080()).optimize(&graph) {
+    match TensatOptimizer::new(DeviceProfile::gtx1080()).optimize(&graph) {
         Ok(r) => report("Tensat (e-graph)", &r.graph, r.optimisation_time_s),
         Err(e) => println!("Tensat (e-graph)     unsupported graph: {e}"),
     }

@@ -7,7 +7,7 @@
 //!
 //! Knobs (all optional):
 //! * `XRLFLOW_SERVICE_EPISODES=N` — training episodes before the policy is
-//!   snapshotted (default 2; 0 serves an untrained policy).
+//!   snapshotted (default 2, at least 1).
 
 use xrlflow::core::XrlflowConfig;
 use xrlflow::graph::models::{build_model, ModelKind, ModelScale};
@@ -23,14 +23,11 @@ fn main() -> Result<(), XrlflowError> {
     // 1. Produce a policy snapshot. In production this comes from a long
     //    curriculum run's checkpoint; a couple of episodes keep the example
     //    quick while exercising the same train -> snapshot -> serve path.
-    let config = XrlflowConfig {
-        training_episodes: env_usize("XRLFLOW_SERVICE_EPISODES", 2).max(1),
-        ..XrlflowConfig::paper()
-    };
-    config.validate()?;
+    let config = XrlflowConfig::paper();
+    let episodes = env_usize("XRLFLOW_SERVICE_EPISODES", 2).max(1);
     let mut system = XrlflowSystem::new(config.clone(), 42);
     let train_graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench)?;
-    system.train_on(&train_graph, config.training_episodes).expect("training run");
+    system.train_on(&train_graph, episodes).expect("training run");
     let snapshot = system.agent().snapshot();
 
     // 2. Stand the service up on the frozen snapshot. The replica is

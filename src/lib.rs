@@ -186,7 +186,6 @@ mod tests {
             let graph = graph::Graph::from_json(text)?;
             let config = core::XrlflowConfig::paper();
             config.validate()?;
-            let _ = config.training_episodes;
             Ok(graph.canonical_hash())
         }
         assert!(pipeline("{}").is_err());

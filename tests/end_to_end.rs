@@ -3,7 +3,7 @@
 
 use xrlflow::core::XrlflowConfig;
 use xrlflow::cost::{discrepancy, CostModel, DeviceProfile, InferenceSimulator};
-use xrlflow::egraph::{TensatConfig, TensatOptimizer};
+use xrlflow::egraph::TensatOptimizer;
 use xrlflow::graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow::rewrite::RuleSet;
 use xrlflow::rollout::XrlflowSystem;
@@ -33,7 +33,7 @@ fn taso_improves_cost_model_and_preserves_validity_on_all_models() {
         let optimizer = GreedyOptimizer::new(
             RuleSet::standard(),
             CostModel::new(profile()),
-            SearchConfig { budget: 20, max_candidates: 32, alpha: 1.05 },
+            SearchConfig { budget: 20, max_candidates: 32 },
         );
         let result = optimizer.optimize(&graph);
         assert!(result.graph.validate().is_ok(), "{kind}: TASO output invalid");
@@ -69,11 +69,11 @@ fn tensat_and_taso_both_beat_the_unoptimised_graph_on_squeezenet() {
     let taso = BacktrackingOptimizer::new(
         RuleSet::standard(),
         CostModel::new(profile()),
-        SearchConfig { budget: 40, max_candidates: 32, alpha: 1.05 },
+        SearchConfig { budget: 40, max_candidates: 32 },
     );
     let taso_after = sim.measure_ms(&taso.optimize(&graph).graph, 0);
 
-    let tensat = TensatOptimizer::new(TensatConfig::default(), profile());
+    let tensat = TensatOptimizer::new(profile());
     let tensat_after = sim.measure_ms(&tensat.optimize(&graph).unwrap().graph, 0);
 
     assert!(taso_after < before, "TASO should reduce simulated latency");
