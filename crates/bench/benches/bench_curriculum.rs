@@ -1,10 +1,10 @@
 //! Multi-model curriculum rollout benchmark: episode-collection throughput
-//! across a model-zoo curriculum, per model and for the sharded whole, at
-//! 1/2/4 workers.
+//! across a model-zoo curriculum, per model (one thread, the live agent) and
+//! for the sharded whole at 1/2/4 workers.
 //!
-//! Every configuration replays the identical `(spec, episode)` seed schedule
-//! against one agent that `collect_curriculum_parallel` builds from the
-//! snapshot per call and lends to all its workers, so all worker counts
+//! The whole-curriculum legs replay the identical `(spec, episode)` seed
+//! schedule against one agent that `collect_curriculum_parallel` builds from
+//! the snapshot per call and lends to all its workers, so all worker counts
 //! collect bit-identical transitions — the only thing that varies is
 //! wall-clock time. Per-model rates show which zoo entries dominate a
 //! curriculum round; the whole-curriculum rates show how well
@@ -17,11 +17,12 @@
 //! (action-space bound), `XRLFLOW_CURRICULUM_EPISODES` (episodes per spec
 //! per timed batch), `XRLFLOW_BENCH_JSON` (result artifact path).
 
+use xrlflow_bench::oracle::collect_curriculum_serial;
 use xrlflow_bench::{env_usize, finish, iters_from_env, report_rate, report_ratio, time_ns};
 use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{ModelKind, ModelScale};
-use xrlflow_rollout::{collect_curriculum_parallel, collect_curriculum_serial, Curriculum};
+use xrlflow_rollout::{collect_curriculum_parallel, Curriculum};
 
 fn main() {
     let iters = iters_from_env(3);
@@ -45,9 +46,10 @@ fn main() {
     );
 
     // Per-model episodes/sec: a one-entry curriculum isolates each zoo
-    // entry's collection cost. Timed against the live agent via the serial
-    // oracle so no per-call agent build contaminates the number —
-    // the per-model rate is about the model, not the pool.
+    // entry's collection cost. Timed on one thread against the live agent
+    // (`xrlflow_bench::oracle`'s serial collector, the same episode loop the
+    // pool runs) so no per-call agent build or pool contaminates the number
+    // — the per-model rate is about the model, not the pool.
     for entry in curriculum.entries() {
         let single = Curriculum::new().with_entry(entry.name.clone(), entry.spec.clone());
         let ns = time_ns(1, iters, || {

@@ -1,8 +1,7 @@
-//! Micro-benchmarks for the GNN encoder: featurisation, the forward pass at
-//! different message-passing depths (the `k` ablation from DESIGN.md), and
-//! the headline per-step policy-evaluation comparison — the serial
-//! materialise-and-encode baseline against the batched + delta-aware path
-//! the agent actually runs — with the host half of that path (featurise the
+//! Micro-benchmarks for the GNN encoder: featurisation, the forward pass of
+//! one graph at different message-passing depths (the `k` ablation from
+//! DESIGN.md), and per-step policy evaluation on the batched + delta-aware
+//! path the agent runs — with the host half of that path (featurise the
 //! observation, derive all `K` sparse candidate deltas) as its own series,
 //! and a mid-trajectory step through the episode evaluator, which reads the
 //! observed graph's encoder rows from the step before (`carried`) against
@@ -36,20 +35,22 @@ fn main() {
         let mut rng = XorShiftRng::new(0);
         let encoder =
             GnnEncoder::new(&mut store, EncoderConfig { hidden_dim: 32, num_gat_layers: k }, &mut rng);
-        report(
-            &format!("gnn_forward_by_depth/{k}"),
-            time_ns(2, iters, || encoder.encode_value(&store, &features).sum()),
-        );
+        // One graph is the encoder pass with no candidate deltas.
+        let forward = || {
+            let mut tape = Tape::new();
+            let embedding = encoder.encode_candidates(&mut tape, &store, &features, &[]);
+            tape.value(embedding).sum()
+        };
+        report(&format!("gnn_forward_by_depth/{k}"), time_ns(2, iters, forward));
     }
 
     // Per-step policy evaluation: the full agent forward (featurise current
     // graph + K candidates, encode, score all pairs, estimate the value) on
-    // one environment observation per workload. The serial baseline
-    // materialises every candidate and runs K + 1 encoder tapes; the batched
-    // path derives candidate features from patches and encodes one
-    // block-diagonal batch. `XRLFLOW_MAX_CANDIDATES` bounds K (CI smoke uses
-    // a small value).
-    println!("\n== per-step policy evaluation: serial baseline vs batched+delta ==");
+    // one environment observation per workload. The batched path derives
+    // sparse candidate deltas from patches and encodes the graph and every
+    // candidate in one delta-aware pass. `XRLFLOW_MAX_CANDIDATES` bounds K
+    // (CI smoke uses a small value).
+    println!("\n== per-step policy evaluation: batched+delta ==");
     let max_candidates = env_usize("XRLFLOW_MAX_CANDIDATES", 64);
     let mut config = XrlflowConfig::bench();
     config.env.max_candidates = max_candidates;
@@ -76,11 +77,8 @@ fn main() {
                 std::hint::black_box(deltas).len()
             }),
         );
-        let serial_ns = time_ns(1, iters, || agent.policy_logits_serial(&obs).1);
         let batched_ns = time_ns(1, iters, || agent.policy_logits_batched(&obs).1);
-        report(&format!("policy_evaluation/serial/{}", kind.name()), serial_ns);
         report(&format!("policy_evaluation/batched/{}", kind.name()), batched_ns);
-        report_ratio(&format!("policy_evaluation/speedup/{}", kind.name()), serial_ns / batched_ns);
 
         // The second step of an episode, whole decision: cold through
         // `act_with_tape` (what every step cost before the carry), carried

@@ -1,13 +1,13 @@
 //! Micro-benchmarks for the substitution engine: pattern matching and
 //! candidate generation throughput on the evaluated workloads.
 //!
-//! The headline comparison is patch-based candidate generation (the current
-//! pipeline: one [`xrlflow_rewrite::Candidate`] carries a small delta) against
-//! the pre-patch eager pipeline (materialise + validate + canonically hash a
-//! full graph per candidate), which is kept as
-//! `RuleSet::generate_candidates_eager` for exactly this purpose.
+//! Candidate generation is timed on the shipped patch-based pipeline: one
+//! [`xrlflow_rewrite::Candidate`] carries a small delta, and no candidate
+//! graph is materialised. Then come the graph-layer costs of one rewrite
+//! step: materialising a candidate, applying its patch, hashing the result
+//! and measuring it.
 
-use xrlflow_bench::{finish, iters_from_env, report, report_ratio, time_ns, time_with_setup_ns};
+use xrlflow_bench::{finish, iters_from_env, report, time_ns, time_with_setup_ns};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
@@ -16,14 +16,11 @@ fn main() {
     let rules = RuleSet::standard();
     let iters = iters_from_env(20);
 
-    println!("== candidate generation: patch-based vs eager (the old clone-per-candidate path) ==");
+    println!("== candidate generation (patch-based) ==");
     for kind in [ModelKind::SqueezeNet, ModelKind::Bert, ModelKind::InceptionV3] {
         let graph = build_model(kind, ModelScale::Bench).unwrap();
         let patch_ns = time_ns(3, iters, || rules.generate_candidates(&graph, 64).len());
-        let eager_ns = time_ns(3, iters, || rules.generate_candidates_eager(&graph, 64).len());
         report(&format!("candidate_generation/patch/{}", kind.name()), patch_ns);
-        report(&format!("candidate_generation/eager/{}", kind.name()), eager_ns);
-        report_ratio(&format!("candidate_generation/speedup/{}", kind.name()), eager_ns / patch_ns);
     }
 
     println!("\n== pattern matching ==");

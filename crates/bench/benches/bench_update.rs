@@ -1,13 +1,13 @@
 //! Data-parallel PPO update benchmark: wall-clock per update round (one full
 //! pass of clip-objective re-evaluation, gradient merge and optimiser steps
-//! over a fixed rollout buffer), serial oracle vs 1/2/4 update workers, on
-//! SqueezeNet and BERT.
+//! over a fixed rollout buffer) at 1/2/4 update workers, on SqueezeNet and
+//! BERT.
 //!
 //! Every worker count re-evaluates the identical transitions against the
 //! one borrowed agent and merges per-transition gradient buffers in
 //! minibatch-position order, so all configurations land on bit-identical
-//! parameters — the only thing that varies is wall-clock time. The speedup
-//! is hardware-bound like the rollout engine's: expect ~1x on a single-core
+//! parameters — the only thing that varies is wall-clock time. Scaling is
+//! hardware-bound like the rollout engine's: expect ~1x on a single-core
 //! container and ~min(W, cores) on real multi-core machines. The engine
 //! never starts more threads than the process may use CPUs, so an `Nw` leg
 //! runs `min(N, cores)` threads; each leg prints that count next to its time.
@@ -22,12 +22,13 @@
 
 use std::time::{Duration, Instant};
 
-use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_ratio, time_ns};
-use xrlflow_core::{minibatch_grads_serial, Trainer, XrlflowAgent, XrlflowConfig};
+use xrlflow_bench::oracle::collect_serial;
+use xrlflow_bench::{env_usize, finish, iters_from_env, report, time_ns};
+use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
-use xrlflow_rollout::{collect_serial, update_parallel, EnvSpec};
+use xrlflow_rollout::{update_parallel, EnvSpec};
 use xrlflow_tensor::{GradBuffer, Tape};
 
 fn main() {
@@ -51,21 +52,7 @@ fn main() {
 
         // The update consumes the buffer and advances agent + optimiser, so
         // every timed round rebuilds all three from the shared template; the
-        // rebuild cost is identical across variants.
-        let serial_ns = time_ns(1, iters, || {
-            let mut trainer = Trainer::new(config.clone(), 7);
-            let mut agent = XrlflowAgent::from_snapshot(&config, &snapshot).unwrap();
-            let mut buffer = rollouts.buffer.clone();
-            trainer
-                .update(&mut agent, &mut buffer, &[], &mut |agent, ctx| {
-                    Ok(minibatch_grads_serial(agent, ctx))
-                })
-                .expect("the serial evaluator never faults")
-                .transitions
-        });
-        report(&format!("update/ms_per_round/serial/{}", kind.name()), serial_ns);
-
-        let mut parallel_ns = Vec::new();
+        // rebuild cost is identical across worker counts.
         for &workers in &worker_counts {
             let ns = time_ns(1, iters, || {
                 let mut trainer = Trainer::new(config.clone(), 7);
@@ -77,12 +64,7 @@ fn main() {
             });
             report(&format!("update/ms_per_round/{}w/{}", workers, kind.name()), ns);
             println!("  ({workers}w: threads started = {})", workers.min(cores));
-            parallel_ns.push(ns);
         }
-        report_ratio(
-            &format!("update/speedup_4w_vs_serial/{}", kind.name()),
-            serial_ns / parallel_ns[parallel_ns.len() - 1],
-        );
 
         // Where one transition's gradient goes: the recorded forward pass
         // (recycle + policy evaluation) against the reverse walk, averaged

@@ -19,6 +19,12 @@
 //! * `XRLFLOW_BENCH_JSON` — when set, a path the binary writes its recorded
 //!   results to as JSON (uploaded as a CI artifact to track the perf
 //!   trajectory per PR).
+//!
+//! [`oracle`] holds the serial oracles of the rollout engine and the
+//! data-parallel update, which the differential tests of `xrlflow-core` and
+//! `xrlflow-rollout` compare the supervised pool against.
+
+pub mod oracle;
 
 use std::collections::HashMap;
 use std::hint::black_box;

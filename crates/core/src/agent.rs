@@ -179,38 +179,13 @@ impl XrlflowAgent {
     /// (candidates in order, then No-Op) and the value estimate.
     ///
     /// This is the batched + delta-aware path [`XrlflowAgent::act`] uses,
-    /// exposed for benchmarks and differential tests against
-    /// [`XrlflowAgent::policy_logits_serial`].
+    /// exposed for benchmarks and for the differential test against the
+    /// test-only serial oracle `policy_logits_serial` at the end of this
+    /// module.
     pub fn policy_logits_batched(&self, observation: &Observation) -> (Vec<f32>, f32) {
         let mut tape = Tape::new();
         let (logits_var, value_var) = self.forward(&mut tape, observation);
         (tape.value(logits_var).data().to_vec(), tape.value(value_var).item())
-    }
-
-    /// The pre-batching reference implementation of policy evaluation:
-    /// materialises every candidate graph, featurises it from scratch and
-    /// runs one serial encoder pass per graph. Kept (off the hot path) as
-    /// the differential-testing oracle and the benchmark baseline for
-    /// [`XrlflowAgent::policy_logits_batched`]; do not use it in training
-    /// loops.
-    pub fn policy_logits_serial(&self, observation: &Observation) -> (Vec<f32>, f32) {
-        let mut tape = Tape::new();
-        let current = GraphFeatures::from_graph(&observation.graph);
-        let current_emb = self.encoder.encode(&mut tape, &self.store, &current);
-        let mut logits = Vec::with_capacity(observation.candidates.len() + 1);
-        for candidate in &observation.candidates {
-            let graph = candidate.materialize(&observation.graph).expect("candidate applies to its base");
-            let features = GraphFeatures::from_graph(&graph);
-            let emb = self.encoder.encode(&mut tape, &self.store, &features);
-            let pair = tape.concat_cols(current_emb, emb);
-            let score = self.policy_head.forward(&mut tape, &self.store, pair);
-            logits.push(tape.value(score).item());
-        }
-        let self_pair = tape.concat_cols(current_emb, current_emb);
-        let noop_score = self.policy_head.forward(&mut tape, &self.store, self_pair);
-        logits.push(tape.value(noop_score).item());
-        let value = self.value_head.forward(&mut tape, &self.store, current_emb);
-        (logits, tape.value(value).item())
     }
 
     /// Chooses an action for an observation.
@@ -277,9 +252,13 @@ impl XrlflowAgent {
     }
 
     /// Embeds a graph with the current encoder parameters (used by analysis
-    /// tooling and tests).
+    /// tooling and tests): the `[1, hidden]` row of the encoder pass with no
+    /// candidates.
     pub fn embed_graph(&self, graph: &xrlflow_graph::Graph) -> Tensor {
-        self.encoder.encode_value(&self.store, &GraphFeatures::from_graph(graph))
+        let mut tape = Tape::new();
+        let features = GraphFeatures::from_graph(graph);
+        let embedding = self.encoder.encode_candidates(&mut tape, &self.store, &features, &[]);
+        tape.value(embedding).clone()
     }
 }
 
@@ -395,6 +374,34 @@ impl PolicyEpisode<'_> {
         self.chosen =
             candidate.map(|c| Chosen { graph: c.materialization(), deltas, index: decision.action });
         decision
+    }
+}
+
+#[cfg(test)]
+impl XrlflowAgent {
+    /// The pre-batching reference implementation of policy evaluation:
+    /// materialises every candidate graph, featurises it from scratch and
+    /// runs one per-graph encoder pass (`encode_candidates` with no deltas)
+    /// per graph and one head forward per pair — the differential-testing
+    /// oracle for [`XrlflowAgent::policy_logits_batched`].
+    fn policy_logits_serial(&self, observation: &Observation) -> (Vec<f32>, f32) {
+        let mut tape = Tape::new();
+        let current = GraphFeatures::from_graph(&observation.graph);
+        let current_emb = self.encoder.encode_candidates(&mut tape, &self.store, &current, &[]);
+        let mut logits = Vec::with_capacity(observation.candidates.len() + 1);
+        for candidate in &observation.candidates {
+            let graph = candidate.materialize(&observation.graph).expect("candidate applies to its base");
+            let features = GraphFeatures::from_graph(&graph);
+            let emb = self.encoder.encode_candidates(&mut tape, &self.store, &features, &[]);
+            let pair = tape.concat_cols(current_emb, emb);
+            let score = self.policy_head.forward(&mut tape, &self.store, pair);
+            logits.push(tape.value(score).item());
+        }
+        let self_pair = tape.concat_cols(current_emb, current_emb);
+        let noop_score = self.policy_head.forward(&mut tape, &self.store, self_pair);
+        logits.push(tape.value(noop_score).item());
+        let value = self.value_head.forward(&mut tape, &self.store, current_emb);
+        (logits, tape.value(value).item())
     }
 }
 

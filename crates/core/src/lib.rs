@@ -48,7 +48,7 @@ pub use train_state::{
     latest_train_state, prune_train_states, train_state_path, TrainState, TRAIN_STATE_EXTENSION,
 };
 pub use trainer::{
-    collect_episode_with_rng, collect_phase_breakdown_ns, minibatch_grads_serial, minibatch_shuffle_seed,
-    transition_grad_into, MinibatchContext, MinibatchGrads, ModelBreakdown, TrainReport, Trainer,
-    TransitionLossStats, UpdateTiming,
+    collect_episode_with_rng, collect_phase_breakdown_ns, minibatch_shuffle_seed, transition_grad_into,
+    MinibatchContext, MinibatchGrads, ModelBreakdown, TrainReport, Trainer, TransitionLossStats,
+    UpdateTiming,
 };

@@ -25,8 +25,8 @@
 //! is fixed, the same merged gradient falls out no matter which thread
 //! evaluated which transition — the property the data-parallel update engine
 //! in `xrlflow-rollout` builds on ([`Trainer::update`] accepts the
-//! evaluator; [`minibatch_grads_serial`] is the retained serial oracle, same
-//! spirit as `collect_serial` / `policy_logits_serial`).
+//! evaluator; the serial oracle the differential tests compare it against,
+//! `minibatch_grads_serial`, lives in `xrlflow_bench::oracle`).
 
 use xrlflow_env::{Environment, Observation};
 use xrlflow_rl::{
@@ -150,10 +150,11 @@ pub struct TrainReport {
 /// samples actions from `rng` until the episode terminates, and pushes every
 /// transition into `buffer`.
 ///
-/// This single function is the stepping loop of every collector in
-/// `xrlflow-rollout` — the serial oracles and the supervised pool alike, each
-/// feeding it a fresh per-episode-seeded RNG — so all paths record identical
-/// transitions by construction.
+/// This single function is the stepping loop of every collector — the
+/// supervised pool in `xrlflow-rollout` and the serial oracles in
+/// `xrlflow_bench::oracle` alike, each feeding it a fresh
+/// per-episode-seeded RNG — so all paths record identical transitions by
+/// construction.
 pub fn collect_episode_with_rng(
     agent: &XrlflowAgent,
     env: &mut Environment,
@@ -257,11 +258,12 @@ pub struct MinibatchGrads {
 /// transition.
 ///
 /// This single function is the unit of work of **every** update path: the
-/// serial oracle ([`minibatch_grads_serial`]) calls it transition by
-/// transition, and the data-parallel engine in `xrlflow-rollout` calls it
-/// from worker threads that borrow the same agent — so the two paths produce
-/// bit-identical per-transition gradients by construction, and only the
-/// merge order (fixed: minibatch position) decides the final bits.
+/// serial oracle (`xrlflow_bench::oracle::minibatch_grads_serial`) calls it
+/// transition by transition, and the data-parallel engine in
+/// `xrlflow-rollout` calls it from worker threads that borrow the same
+/// agent — so the two paths produce bit-identical per-transition gradients
+/// by construction, and only the merge order (fixed: minibatch position)
+/// decides the final bits.
 ///
 /// `_ppo` is not read: `c1`, `c2` and `epsilon` are the constants
 /// [`VALUE_LOSS_COEFFICIENT`], [`ENTROPY_COEFFICIENT`] and [`CLIP_EPSILON`].
@@ -324,40 +326,6 @@ pub fn transition_grad_into(
     }
 }
 
-/// The retained serial minibatch evaluator: every transition of the batch
-/// back-propagated on the calling thread via [`transition_grad_into`], merged in
-/// minibatch-position order.
-///
-/// This is the differential-testing oracle for the data-parallel evaluator
-/// in `xrlflow-rollout` (same spirit as `collect_serial`): sharding the same
-/// batch across any number of workers and merging per-position buffers in
-/// position order must reproduce this function's output bit for bit.
-pub fn minibatch_grads_serial(agent: &XrlflowAgent, ctx: &MinibatchContext) -> MinibatchGrads {
-    let inv = 1.0 / ctx.batch.len() as f32;
-    let mut merged = GradBuffer::zeros_like(&agent.store);
-    let mut stats = Vec::with_capacity(ctx.batch.len());
-    // One scratch tape and one per-transition buffer for the whole batch:
-    // each contribution recycles them (starting from zeros, like a fresh
-    // buffer) before it is merged in minibatch-position order.
-    let mut tape = Tape::new();
-    let mut scratch = GradBuffer::zeros_like(&agent.store);
-    for &i in ctx.batch {
-        let transition_stats = transition_grad_into(
-            agent,
-            &ctx.transitions[i],
-            ctx.advantages[i],
-            ctx.returns[i],
-            &ctx.ppo,
-            inv,
-            &mut tape,
-            &mut scratch,
-        );
-        merged.merge(&scratch);
-        stats.push(transition_stats);
-    }
-    MinibatchGrads { grads: merged, stats }
-}
-
 /// The PPO update state of one training run: the Adam optimiser, the update
 /// counter that seeds the minibatch shuffles, and the run's base seed.
 #[derive(Debug)]
@@ -394,9 +362,10 @@ impl Trainer {
     /// buffer), so a large graph's long high-variance episodes don't
     /// dominate the gradient of smaller models sharing the update.
     ///
-    /// `minibatch_grads` is the minibatch gradient evaluator: the serial
-    /// oracle [`minibatch_grads_serial`], or the data-parallel engine in
-    /// `xrlflow-rollout`. Everything that *steps the optimiser* stays here,
+    /// `minibatch_grads` is the minibatch gradient evaluator: the
+    /// data-parallel engine in `xrlflow-rollout`, or the serial oracle
+    /// `xrlflow_bench::oracle::minibatch_grads_serial` that the differential
+    /// tests drive. Everything that *steps the optimiser* stays here,
     /// on the calling thread: per minibatch the evaluator produces the
     /// merged per-transition gradient (in minibatch-position order) and
     /// per-transition diagnostics, and this function clips that gradient
@@ -608,116 +577,6 @@ mod tests {
         }
     }
 
-    /// One update over the whole buffer through the serial oracle.
-    fn serial_update(
-        trainer: &mut Trainer,
-        agent: &mut XrlflowAgent,
-        buffer: &mut RolloutBuffer<Observation>,
-    ) -> TrainingStats {
-        trainer
-            .update(agent, buffer, &[], &mut |agent, ctx| Ok(minibatch_grads_serial(agent, ctx)))
-            .expect("the serial evaluator never faults")
-    }
-
-    /// Collects enough transitions for several minibatches per epoch.
-    fn filled_buffer(
-        config: &XrlflowConfig,
-        agent: &XrlflowAgent,
-        episodes: usize,
-    ) -> RolloutBuffer<Observation> {
-        let mut env = make_env(config);
-        let mut rng = XorShiftRng::new(3);
-        let mut buffer = RolloutBuffer::new();
-        for episode in 0..episodes {
-            collect_episode_with_rng(agent, &mut env, &mut rng, &mut buffer, episode as u64);
-        }
-        buffer
-    }
-
-    #[test]
-    fn grad_norm_is_the_mean_across_all_minibatches() {
-        let mut config = XrlflowConfig::smoke_test();
-        config.ppo.batch_size = 2; // force several minibatches per epoch
-        config.ppo.epochs_per_update = 2;
-        let mut agent = XrlflowAgent::new(&config, 8);
-        let mut buffer = filled_buffer(&config, &agent, 2);
-        assert!(buffer.len() >= 4, "need at least two minibatches");
-
-        // Shadow run: wrap the serial evaluator to record each minibatch's
-        // pre-clip merged-gradient norm (the norm the trainer's in-place clip
-        // returns).
-        let mut norms = Vec::new();
-        let mut trainer = Trainer::new(config.clone(), 7);
-        let stats = trainer
-            .update(&mut agent, &mut buffer, &[], &mut |agent, ctx| {
-                let out = minibatch_grads_serial(agent, ctx);
-                norms.push(out.grads.norm());
-                Ok(out)
-            })
-            .expect("the wrapped serial evaluator never faults");
-
-        assert!(norms.len() >= 2, "the update must have run several minibatches, got {}", norms.len());
-        let mean = norms.iter().sum::<f32>() / norms.len() as f32;
-        assert_eq!(
-            stats.grad_norm,
-            mean,
-            "grad_norm must be the mean across all {} minibatches, not the last one ({})",
-            norms.len(),
-            norms.last().unwrap()
-        );
-        assert_ne!(stats.grad_norm, *norms.last().unwrap(), "minibatch norms should differ in this run");
-    }
-
-    /// Before the first update the optimiser has not sized its moments yet.
-    /// A `TrainState` taken then still carries zero moments named like the
-    /// store — the bytes the format always had — and a run resumed from it
-    /// continues bit-identically.
-    #[test]
-    fn a_train_state_before_the_first_update_has_zero_moments_and_resumes_exactly() {
-        let config = XrlflowConfig::smoke_test();
-        let mut agent = XrlflowAgent::new(&config, 8);
-        let mut trainer = Trainer::new(config.clone(), 7);
-        let state = trainer.train_state(&agent, 0, trainer.base_seed());
-
-        let params = agent.snapshot();
-        let zeros = ParamSnapshot::new(
-            params
-                .entries()
-                .iter()
-                .map(|(name, value)| (name.clone(), Tensor::zeros(value.shape())))
-                .collect(),
-        );
-        let written_with_moments_in_the_store = TrainState {
-            params,
-            adam_first: zeros.clone(),
-            adam_second: zeros,
-            adam_steps: 0,
-            update_counter: 0,
-            next_episode: 0,
-            base_seed: 7,
-        };
-        assert_eq!(state.to_bytes(), written_with_moments_in_the_store.to_bytes());
-
-        let mut resumed_agent = XrlflowAgent::new(&config, 99);
-        let mut resumed = Trainer::new(config.clone(), 1);
-        resumed
-            .restore_train_state(&mut resumed_agent, &TrainState::from_bytes(&state.to_bytes()).unwrap())
-            .unwrap();
-        for _ in 0..2 {
-            let mut buffer = filled_buffer(&config, &agent, 1);
-            let mut resumed_buffer = filled_buffer(&config, &resumed_agent, 1);
-            assert_eq!(
-                serial_update(&mut trainer, &mut agent, &mut buffer),
-                serial_update(&mut resumed, &mut resumed_agent, &mut resumed_buffer)
-            );
-        }
-        assert_eq!(
-            trainer.train_state(&agent, 2, 7).to_bytes(),
-            resumed.train_state(&resumed_agent, 2, 7).to_bytes(),
-            "the resumed run must land on the same parameters and moments, bit for bit"
-        );
-    }
-
     #[test]
     fn minibatch_shuffle_seeds_do_not_collide_across_updates_and_epochs() {
         // The replaced `update_counter + epoch` scheme collided between
@@ -731,24 +590,6 @@ mod tests {
         }
         assert_eq!(seeds.len(), 32 * 8, "(update, epoch) pairs must map to distinct shuffle seeds");
         assert_eq!(minibatch_shuffle_seed(3, 1), minibatch_shuffle_seed(3, 1));
-    }
-
-    #[test]
-    fn serial_minibatch_evaluator_matches_the_default_update_path() {
-        // Two identically seeded updates through the serial oracle must
-        // land on identical parameters and stats.
-        let config = XrlflowConfig::smoke_test();
-        let probe = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let mut results = Vec::new();
-        for _ in 0..2 {
-            let mut agent = XrlflowAgent::new(&config, 8);
-            let mut buffer = filled_buffer(&config, &agent, 2);
-            let mut trainer = Trainer::new(config.clone(), 7);
-            let stats = serial_update(&mut trainer, &mut agent, &mut buffer);
-            results.push((stats, agent.embed_graph(&probe)));
-        }
-        assert_eq!(results[0].0, results[1].0);
-        assert_eq!(results[0].1.data(), results[1].1.data());
     }
 
     #[test]

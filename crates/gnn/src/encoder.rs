@@ -4,10 +4,12 @@
 //! (Eq. 7, GAT) and one global-readout layer (Eq. 8), producing a single
 //! graph-level embedding used by the policy and value heads.
 //!
-//! [`GnnEncoder::encode`] embeds one graph and is the serial oracle. The
-//! policy path is **one** delta-aware pass with two entry points: it encodes a
-//! graph and all of its rewrite candidates from sparse [`CandidateDelta`]s,
-//! re-computing per layer only the rows each patch can have changed. Its
+//! `GnnEncoder::encode`, test-only at the end of this module, embeds one
+//! graph and is the serial oracle. What ships is **one** delta-aware pass
+//! with two entry points: it encodes a graph and all of its rewrite
+//! candidates from sparse [`CandidateDelta`]s (one graph alone is the pass
+//! with no candidates), re-computing per layer only the rows each patch can
+//! have changed. Its
 //! host-side planning touches the patch's dirty region, not the graph, and
 //! builds the layer plan in a fixed order that keeps forward bits and
 //! gradient accumulation stable. The pass's only branch is where a *base*
@@ -98,22 +100,6 @@ impl GatLayer {
         let attention_src = store.register(&format!("{name}.attention_src"), xavier_uniform(hidden, 1, rng));
         let attention_dst = store.register(&format!("{name}.attention_dst"), xavier_uniform(hidden, 1, rng));
         Self { proj, attention_src, attention_dst }
-    }
-
-    /// Runs message passing: `h'_i = relu(sum_j alpha_ij W h_j)`, with
-    /// attention coefficients normalised over each destination node's
-    /// incoming edges.
-    fn forward(
-        &self,
-        tape: &mut Tape,
-        store: &ParamStore,
-        h: VarId,
-        edge_src: &[usize],
-        edge_dst: &[usize],
-        num_nodes: usize,
-    ) -> VarId {
-        let rows = self.project(tape, store, h);
-        self.attend(tape, rows, edge_src, edge_dst, edge_dst, num_nodes)
     }
 
     /// The per-row half of the layer: `W·h` and the per-node attention
@@ -500,38 +486,12 @@ impl GnnEncoder {
         &self.config
     }
 
-    /// Encodes a featurised graph into a `[1, hidden_dim]` embedding on the
-    /// given tape.
-    ///
-    /// This is the serial reference path; the agent's per-step policy
-    /// evaluation uses [`GnnEncoder::encode_candidates`], which embeds the
-    /// graph and all of its rewrite candidates in one forward pass and is
-    /// bit-identical per graph.
-    pub fn encode(&self, tape: &mut Tape, store: &ParamStore, features: &GraphFeatures) -> VarId {
-        // Eq. 6: update node attributes from incoming edge attributes.
-        let edge_feats = tape.constant(features.edge_features.clone());
-        let incoming = tape.scatter_add_rows(edge_feats, &features.edge_dst, features.num_nodes);
-        let node_feats = tape.constant(features.node_features.clone());
-        let combined = tape.concat_cols(incoming, node_feats);
-        let mut h = self.node_update.forward(tape, store, combined);
-
-        // Eq. 7: k rounds of graph attention.
-        for layer in &self.gat_layers {
-            h = layer.forward(tape, store, h, &features.edge_src, &features.edge_dst, features.num_nodes);
-        }
-
-        // Eq. 8: global readout over all node embeddings plus the (zero)
-        // initial global attribute.
-        let summed = tape.sum_rows(h);
-        let global0 = tape.constant(Tensor::zeros(&[1, self.config.hidden_dim]));
-        let readout_in = tape.concat_cols(summed, global0);
-        self.global_update.forward(tape, store, readout_in)
-    }
-
     /// Delta-aware batched policy evaluation: encodes the current graph and
     /// all of its rewrite candidates in one pass, returning a
     /// `[1 + num_candidates, hidden_dim]` embedding matrix (the current
-    /// graph's embedding in row 0, candidates in order after it).
+    /// graph's embedding in row 0, candidates in order after it). With no
+    /// deltas it is the per-graph encoder: `current`'s `[1, hidden_dim]`
+    /// embedding alone.
     ///
     /// Each candidate arrives as a sparse [`CandidateDelta`] and is consumed
     /// as one: per message-passing layer only the candidate rows inside the
@@ -552,13 +512,14 @@ impl GnnEncoder {
     /// graph's rows or edges, the readout's run list included.
     ///
     /// **Plan order.** The layer maths runs through the same GAT-layer code
-    /// as [`GnnEncoder::encode`] on a compact `[rows(current) ‖ dirty]`
-    /// block, and the order of that block is an invariant: after the current
-    /// graph's own rows and edges come the candidates in order; within a
-    /// candidate its dirty rows ascending in candidate row order (surviving
-    /// base rows ascending, then added rows in patch order); within a row
-    /// its edge block in input order, then the self-loop. The readout sums
-    /// every candidate's rows in candidate row order. Same order, same
+    /// as the serial oracle (the test-only `encode`) on a compact
+    /// `[rows(current) ‖ dirty]` block, and the order of that block is an
+    /// invariant: after the current graph's own rows and edges come the
+    /// candidates in order; within a candidate its dirty rows ascending in
+    /// candidate row order (surviving base rows ascending, then added rows in
+    /// patch order); within a row its edge block in input order, then the
+    /// self-loop. The readout sums every candidate's rows in candidate row
+    /// order. Same order, same
     /// forward bits *and* the same gradient accumulation order — which is
     /// what keeps a training run's parameters bit-stable across changes to
     /// how the plan is built.
@@ -836,10 +797,59 @@ impl GnnEncoder {
         let readout_in = tape.concat_cols(summed, global0);
         self.global_update.forward(tape, store, readout_in)
     }
+}
 
-    /// Convenience: encodes a graph without keeping the tape (inference
-    /// only), returning the raw embedding values.
-    pub fn encode_value(&self, store: &ParamStore, features: &GraphFeatures) -> Tensor {
+#[cfg(test)]
+impl GatLayer {
+    /// Runs message passing: `h'_i = relu(sum_j alpha_ij W h_j)`, with
+    /// attention coefficients normalised over each destination node's
+    /// incoming edges.
+    fn forward(
+        &self,
+        tape: &mut Tape,
+        store: &ParamStore,
+        h: VarId,
+        edge_src: &[usize],
+        edge_dst: &[usize],
+        num_nodes: usize,
+    ) -> VarId {
+        let rows = self.project(tape, store, h);
+        self.attend(tape, rows, edge_src, edge_dst, edge_dst, num_nodes)
+    }
+}
+
+#[cfg(test)]
+impl GnnEncoder {
+    /// Encodes a featurised graph into a `[1, hidden_dim]` embedding on the
+    /// given tape.
+    ///
+    /// This is the serial oracle: the shipped pass,
+    /// [`GnnEncoder::encode_candidates`], embeds the graph and all of its
+    /// rewrite candidates in one forward pass and is bit-identical per graph.
+    fn encode(&self, tape: &mut Tape, store: &ParamStore, features: &GraphFeatures) -> VarId {
+        // Eq. 6: update node attributes from incoming edge attributes.
+        let edge_feats = tape.constant(features.edge_features.clone());
+        let incoming = tape.scatter_add_rows(edge_feats, &features.edge_dst, features.num_nodes);
+        let node_feats = tape.constant(features.node_features.clone());
+        let combined = tape.concat_cols(incoming, node_feats);
+        let mut h = self.node_update.forward(tape, store, combined);
+
+        // Eq. 7: k rounds of graph attention.
+        for layer in &self.gat_layers {
+            h = layer.forward(tape, store, h, &features.edge_src, &features.edge_dst, features.num_nodes);
+        }
+
+        // Eq. 8: global readout over all node embeddings plus the (zero)
+        // initial global attribute.
+        let summed = tape.sum_rows(h);
+        let global0 = tape.constant(Tensor::zeros(&[1, self.config.hidden_dim]));
+        let readout_in = tape.concat_cols(summed, global0);
+        self.global_update.forward(tape, store, readout_in)
+    }
+
+    /// `encode` without keeping the tape, returning the raw embedding
+    /// values.
+    fn encode_value(&self, store: &ParamStore, features: &GraphFeatures) -> Tensor {
         let mut tape = Tape::new();
         let z = self.encode(&mut tape, store, features);
         tape.value(z).clone()
@@ -901,7 +911,9 @@ mod tests {
     }
 
     /// Encodes `g` and `patches` through `encode_candidates` and checks every
-    /// row against serially encoding the materialised graph from scratch.
+    /// row against serially encoding the materialised graph from scratch,
+    /// and `encode_candidates` with no candidates — the shipped per-graph
+    /// form — against the serial encode bit for bit.
     fn assert_candidate_encoding_matches_serial(
         encoder: &GnnEncoder,
         store: &ParamStore,
@@ -920,6 +932,15 @@ mod tests {
         assert_eq!(embeddings.shape(), &[patches.len() + 1, encoder.config().hidden_dim]);
         let serial_current = encoder.encode_value(store, &current);
         assert_eq!(embeddings.row(0), serial_current.data(), "{context}: current-graph embedding");
+        let mut alone = Tape::new();
+        let z = encoder.encode_candidates(&mut alone, store, &current, &[]);
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(alone.value(z).shape(), serial_current.shape(), "{context}: per-graph shape");
+        assert_eq!(
+            bits(alone.value(z).data()),
+            bits(serial_current.data()),
+            "{context}: encode_candidates with no candidates diverges from the serial encode",
+        );
         for (i, (patch, rule_name)) in patches.iter().enumerate() {
             let materialised = g.apply_patch(patch).unwrap();
             let serial = encoder.encode_value(store, &GraphFeatures::from_graph(&materialised));

@@ -21,10 +21,11 @@
 //!   [`crate::GnnEncoder::encode_candidates`] consumes the sparse delta
 //!   directly; no candidate graph and no dense per-candidate features exist
 //!   on the policy path.
-//! * [`GraphFeatures::from_base_and_patch`] expands a sparse delta back into
-//!   dense features. It is the differential tests' oracle — compared bit for
-//!   bit with `from_graph(apply_patch(..))` — and the only place a dense
-//!   candidate [`GraphFeatures`] is ever built.
+//! * `GraphFeatures::from_base_and_patch`, test-only at the end of this
+//!   module, expands a sparse delta back into dense features. It is the
+//!   differential tests' oracle — compared bit for bit with
+//!   `from_graph(apply_patch(..))` — and the only place a dense candidate
+//!   [`GraphFeatures`] is ever built.
 
 use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, PatchRef, TensorShape};
 use xrlflow_tensor::Tensor;
@@ -58,8 +59,8 @@ pub struct GraphFeatures {
     pub edge_offsets: Vec<usize>,
     /// The structural index sparse candidate deltas are computed and
     /// consumed against. Filled by [`GraphFeatures::from_graph`]; empty on
-    /// the dense expansion [`GraphFeatures::from_base_and_patch`] returns,
-    /// which is an oracle, not a base for further deltas.
+    /// the dense expansion the test-only `from_base_and_patch` oracle
+    /// returns, which is not a base for further deltas.
     index: GraphIndex,
 }
 
@@ -426,75 +427,6 @@ impl CandidateDelta {
             out[one_hot + added.op] = 1.0;
         }
     }
-
-    /// Expands the delta against the base features into the dense features
-    /// of the candidate.
-    fn expand(&self, base: &GraphFeatures) -> GraphFeatures {
-        let feat_dim = OpKind::count();
-        let survivors = base.num_nodes - self.removed.len();
-        let num_nodes = survivors + self.added.len();
-        // Base row → candidate row (unused for removed rows).
-        let mut candidate_row = vec![0usize; base.num_nodes];
-        let mut removed = self.removed.iter().peekable();
-        let mut next_row = 0;
-        for (row, slot) in candidate_row.iter_mut().enumerate() {
-            if removed.next_if(|&&r| r as usize == row).is_none() {
-                *slot = next_row;
-                next_row += 1;
-            }
-        }
-        let row_of = |source: Source| match source {
-            Source::Base(row) => candidate_row[row as usize],
-            Source::Added(i) => survivors + i as usize,
-        };
-
-        let mut node_features = Vec::with_capacity(num_nodes * feat_dim);
-        let mut edge_features = Vec::new();
-        let mut edge_src = Vec::new();
-        let mut edge_dst = Vec::new();
-        let mut edge_offsets = Vec::with_capacity(num_nodes + 1);
-        let mut removed = self.removed.iter().peekable();
-        let mut rewired = self.rewired.iter().peekable();
-        for base_row in 0..base.num_nodes {
-            if removed.next_if(|&&r| r as usize == base_row).is_some() {
-                continue;
-            }
-            let row = candidate_row[base_row];
-            edge_offsets.push(edge_src.len());
-            node_features.extend_from_slice(base.node_features.row(base_row));
-            let block = base.edge_offsets[base_row]..base.edge_offsets[base_row + 1];
-            match rewired.next_if(|r| r.row as usize == base_row) {
-                Some(r) => {
-                    edge_src.extend(self.rewired_sources[r.sources.clone()].iter().map(|&s| row_of(s)))
-                }
-                None => edge_src.extend(base.edge_src[block.clone()].iter().map(|&s| candidate_row[s])),
-            }
-            edge_dst.extend(std::iter::repeat_n(row, block.len()));
-            edge_features.extend_from_slice(&base.edge_features.data()[block.start * 4..block.end * 4]);
-        }
-        for (i, added) in self.added.iter().enumerate() {
-            edge_offsets.push(edge_src.len());
-            let one_hot = node_features.len();
-            node_features.resize(one_hot + feat_dim, 0.0);
-            node_features[one_hot + added.op] = 1.0;
-            for (source, attribute) in &self.added_edges[added.edges.clone()] {
-                edge_src.push(row_of(*source));
-                edge_dst.push(survivors + i);
-                edge_features.extend_from_slice(attribute);
-            }
-        }
-        edge_offsets.push(edge_src.len());
-        let num_edges = edge_src.len();
-        GraphFeatures {
-            node_features: Tensor::from_vec(node_features, &[num_nodes, feat_dim]),
-            edge_features: Tensor::from_vec(edge_features, &[num_edges, 4]),
-            edge_src,
-            edge_dst,
-            num_nodes,
-            edge_offsets,
-            index: GraphIndex::default(),
-        }
-    }
 }
 
 impl GraphFeatures {
@@ -568,22 +500,6 @@ impl GraphFeatures {
             edge_offsets,
             index,
         }
-    }
-
-    /// The dense features of the graph a [`GraphPatch`] produces, derived
-    /// from the *base* graph's features without materialising the patched
-    /// graph: the sparse [`CandidateDelta`] expanded against `base_features`.
-    ///
-    /// Bit-identical to [`GraphFeatures::from_graph`] on the materialised
-    /// candidate — row order, edge order, one-hots and attribute bits — which
-    /// the per-rule differential tests assert. That makes it the oracle over
-    /// the one featuriser; nothing on the policy path calls it, and the
-    /// result carries no index (it cannot be the base of further deltas).
-    ///
-    /// `base_features` must be `GraphFeatures::from_graph(base)`, and `patch`
-    /// must have been built against `base`.
-    pub fn from_base_and_patch(base: &Graph, base_features: &GraphFeatures, patch: &GraphPatch) -> Self {
-        Self::delta_from_base_and_patch(base, base_features, patch).expand(base_features)
     }
 
     /// The sparse difference between the base graph's features and the
@@ -703,6 +619,97 @@ impl GraphFeatures {
         }
         out.extend_from_slice(&incoming);
         out.extend_from_slice(self.node_features.row(row));
+    }
+}
+
+#[cfg(test)]
+impl CandidateDelta {
+    /// Expands the delta against the base features into the dense features
+    /// of the candidate.
+    fn expand(&self, base: &GraphFeatures) -> GraphFeatures {
+        let feat_dim = OpKind::count();
+        let survivors = base.num_nodes - self.removed.len();
+        let num_nodes = survivors + self.added.len();
+        // Base row → candidate row (unused for removed rows).
+        let mut candidate_row = vec![0usize; base.num_nodes];
+        let mut removed = self.removed.iter().peekable();
+        let mut next_row = 0;
+        for (row, slot) in candidate_row.iter_mut().enumerate() {
+            if removed.next_if(|&&r| r as usize == row).is_none() {
+                *slot = next_row;
+                next_row += 1;
+            }
+        }
+        let row_of = |source: Source| match source {
+            Source::Base(row) => candidate_row[row as usize],
+            Source::Added(i) => survivors + i as usize,
+        };
+
+        let mut node_features = Vec::with_capacity(num_nodes * feat_dim);
+        let mut edge_features = Vec::new();
+        let mut edge_src = Vec::new();
+        let mut edge_dst = Vec::new();
+        let mut edge_offsets = Vec::with_capacity(num_nodes + 1);
+        let mut removed = self.removed.iter().peekable();
+        let mut rewired = self.rewired.iter().peekable();
+        for base_row in 0..base.num_nodes {
+            if removed.next_if(|&&r| r as usize == base_row).is_some() {
+                continue;
+            }
+            let row = candidate_row[base_row];
+            edge_offsets.push(edge_src.len());
+            node_features.extend_from_slice(base.node_features.row(base_row));
+            let block = base.edge_offsets[base_row]..base.edge_offsets[base_row + 1];
+            match rewired.next_if(|r| r.row as usize == base_row) {
+                Some(r) => {
+                    edge_src.extend(self.rewired_sources[r.sources.clone()].iter().map(|&s| row_of(s)))
+                }
+                None => edge_src.extend(base.edge_src[block.clone()].iter().map(|&s| candidate_row[s])),
+            }
+            edge_dst.extend(std::iter::repeat_n(row, block.len()));
+            edge_features.extend_from_slice(&base.edge_features.data()[block.start * 4..block.end * 4]);
+        }
+        for (i, added) in self.added.iter().enumerate() {
+            edge_offsets.push(edge_src.len());
+            let one_hot = node_features.len();
+            node_features.resize(one_hot + feat_dim, 0.0);
+            node_features[one_hot + added.op] = 1.0;
+            for (source, attribute) in &self.added_edges[added.edges.clone()] {
+                edge_src.push(row_of(*source));
+                edge_dst.push(survivors + i);
+                edge_features.extend_from_slice(attribute);
+            }
+        }
+        edge_offsets.push(edge_src.len());
+        let num_edges = edge_src.len();
+        GraphFeatures {
+            node_features: Tensor::from_vec(node_features, &[num_nodes, feat_dim]),
+            edge_features: Tensor::from_vec(edge_features, &[num_edges, 4]),
+            edge_src,
+            edge_dst,
+            num_nodes,
+            edge_offsets,
+            index: GraphIndex::default(),
+        }
+    }
+}
+
+#[cfg(test)]
+impl GraphFeatures {
+    /// The dense features of the graph a [`GraphPatch`] produces, derived
+    /// from the *base* graph's features without materialising the patched
+    /// graph: the sparse [`CandidateDelta`] expanded against `base_features`.
+    ///
+    /// Bit-identical to [`GraphFeatures::from_graph`] on the materialised
+    /// candidate — row order, edge order, one-hots and attribute bits — which
+    /// the per-rule differential tests assert. That makes it the oracle over
+    /// the one featuriser; the result carries no index (it cannot be the
+    /// base of further deltas).
+    ///
+    /// `base_features` must be `GraphFeatures::from_graph(base)`, and `patch`
+    /// must have been built against `base`.
+    fn from_base_and_patch(base: &Graph, base_features: &GraphFeatures, patch: &GraphPatch) -> Self {
+        Self::delta_from_base_and_patch(base, base_features, patch).expand(base_features)
     }
 }
 

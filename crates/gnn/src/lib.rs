@@ -10,15 +10,17 @@
 //! ```
 //! use xrlflow_gnn::{EncoderConfig, GnnEncoder, GraphFeatures};
 //! use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
-//! use xrlflow_tensor::{ParamStore, XorShiftRng};
+//! use xrlflow_tensor::{ParamStore, Tape, XorShiftRng};
 //!
 //! let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
 //! let mut store = ParamStore::new();
 //! let mut rng = XorShiftRng::new(0);
 //! let encoder = GnnEncoder::new(&mut store, EncoderConfig::default(), &mut rng);
 //! let features = GraphFeatures::from_graph(&graph);
-//! let embedding = encoder.encode_value(&store, &features);
-//! assert_eq!(embedding.shape(), &[1, 64]);
+//! // One graph is the pass with no candidate deltas.
+//! let mut tape = Tape::new();
+//! let embedding = encoder.encode_candidates(&mut tape, &store, &features, &[]);
+//! assert_eq!(tape.value(embedding).shape(), &[1, 64]);
 //! ```
 
 #![warn(missing_docs)]

@@ -293,14 +293,22 @@ impl RuleSet {
         xrlflow_obs::counter!("rewrite/candidates").add(out.len() as u64);
         out
     }
+}
 
+impl Default for RuleSet {
+    fn default() -> Self {
+        Self::standard()
+    }
+}
+
+#[cfg(test)]
+impl RuleSet {
     /// The pre-patch reference pipeline: generates candidates by eagerly
     /// materialising, validating and canonically hashing a full graph per
     /// application site, deduplicating by the *result* graph's canonical
-    /// hash. Kept as the differential-testing oracle and the benchmark
-    /// baseline for [`RuleSet::generate_candidates`]; do not use it on hot
-    /// paths.
-    pub fn generate_candidates_eager(&self, graph: &Graph, max_candidates: usize) -> Vec<(Candidate, Graph)> {
+    /// hash — the differential-testing oracle for
+    /// [`RuleSet::generate_candidates`].
+    fn generate_candidates_eager(&self, graph: &Graph, max_candidates: usize) -> Vec<(Candidate, Graph)> {
         let original_hash = graph.canonical_hash();
         let mut seen: HashSet<u64> = HashSet::new();
         let mut out = Vec::new();
@@ -322,12 +330,6 @@ impl RuleSet {
             }
         }
         out
-    }
-}
-
-impl Default for RuleSet {
-    fn default() -> Self {
-        Self::standard()
     }
 }
 

@@ -32,14 +32,14 @@
 //!
 //! Hence [`collect_curriculum_parallel`] at any worker count is
 //! transition-for-transition bit-identical to the serial oracle
-//! [`collect_curriculum_serial`], and `ParallelTrainer::train_curriculum`
-//! lands on bit-identical parameters for any worker count — both
-//! differential-tested below.
+//! `xrlflow_bench::oracle::collect_curriculum_serial` (differential-tested
+//! in `tests/serial_oracles.rs`), and `ParallelTrainer::train_curriculum`
+//! lands on bit-identical parameters for any worker count (tested below).
 
 use std::ops::Range;
 
 use xrlflow_core::fault::FaultPhase;
-use xrlflow_core::{collect_episode_with_rng, XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_env::{EnvConfig, EpisodeStats, Observation};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
@@ -203,35 +203,6 @@ pub struct CurriculumRollouts {
     pub spec_ranges: Vec<Range<usize>>,
 }
 
-/// The retained serial curriculum collection path: for each spec in
-/// curriculum order, episodes `first_episode .. first_episode +
-/// episodes_per_spec` collected one after another against the live agent.
-///
-/// This is the differential-testing oracle for
-/// [`collect_curriculum_parallel`] — deliberately free of the supervised
-/// pool's catch/retry machinery, so the differential suites compare the
-/// fault-tolerant engine against a path that cannot mask a panic.
-pub fn collect_curriculum_serial(
-    agent: &XrlflowAgent,
-    curriculum: &Curriculum,
-    first_episode: u64,
-    episodes_per_spec: usize,
-    base_seed: u64,
-) -> CurriculumRollouts {
-    let mut out = CurriculumRollouts::default();
-    for (spec, entry) in curriculum.entries().iter().enumerate() {
-        let start = out.buffer.len();
-        let mut env = entry.spec.build_env();
-        for episode in first_episode..first_episode + episodes_per_spec as u64 {
-            let mut rng = XorShiftRng::new(curriculum_rng_seed(base_seed, spec, episode));
-            let stats = collect_episode_with_rng(agent, &mut env, &mut rng, &mut out.buffer, episode);
-            out.episodes.push(CurriculumEpisode { spec, episode, stats });
-        }
-        out.spec_ranges.push(start..out.buffer.len());
-    }
-    out
-}
-
 /// The curriculum schedule: for each spec in curriculum order (slot = spec
 /// index), episodes `first_episode .. first_episode + episodes_per_spec`,
 /// seeded by [`curriculum_rng_seed`] and reported under
@@ -268,9 +239,10 @@ pub(crate) fn curriculum_schedule(
 /// spec's shared `Arc`s), then round-robins over the item indices assigned
 /// to it (`item % W`). Results are merged **by item index**
 /// (spec-then-episode), so the output is transition-for-transition
-/// bit-identical to [`collect_curriculum_serial`] over the same range and
-/// base seed, for any worker count — one worker runs the same supervised
-/// path inline.
+/// bit-identical to the serial oracle
+/// `xrlflow_bench::oracle::collect_curriculum_serial` over the same range
+/// and base seed, for any worker count — one worker runs the same
+/// supervised path inline.
 ///
 /// Supervised by the crate's one engine (see the crate docs): a panicking
 /// item is retried with identical seeds, hence identical transitions.
@@ -366,89 +338,6 @@ mod tests {
 
     fn smoke_curriculum(config: &XrlflowConfig) -> Curriculum {
         zoo_curriculum(config, &[ModelKind::SqueezeNet, ModelKind::Bert])
-    }
-
-    fn assert_rollouts_identical(a: &CurriculumRollouts, b: &CurriculumRollouts, label: &str) {
-        assert_eq!(a.buffer.len(), b.buffer.len(), "{label}: transition counts differ");
-        for (i, (ta, tb)) in a.buffer.transitions().iter().zip(b.buffer.transitions()).enumerate() {
-            assert_eq!(ta.action, tb.action, "{label}: action differs at transition {i}");
-            assert_eq!(
-                ta.log_prob.to_bits(),
-                tb.log_prob.to_bits(),
-                "{label}: log-prob differs at transition {i}"
-            );
-            assert_eq!(ta.value.to_bits(), tb.value.to_bits(), "{label}: value differs at transition {i}");
-            assert_eq!(ta.reward.to_bits(), tb.reward.to_bits(), "{label}: reward differs at transition {i}");
-            assert_eq!(ta.done, tb.done, "{label}: done flag differs at transition {i}");
-            assert_eq!(
-                ta.observation.graph.canonical_hash(),
-                tb.observation.graph.canonical_hash(),
-                "{label}: observation graph differs at transition {i}"
-            );
-        }
-        assert_eq!(a.spec_ranges, b.spec_ranges, "{label}: spec ranges differ");
-        assert_eq!(a.episodes.len(), b.episodes.len(), "{label}: episode counts differ");
-        for (ea, eb) in a.episodes.iter().zip(&b.episodes) {
-            assert_eq!(ea.spec, eb.spec, "{label}: spec assignment differs");
-            assert_eq!(ea.episode, eb.episode, "{label}: episode index differs");
-            assert_eq!(
-                ea.stats.total_reward.to_bits(),
-                eb.stats.total_reward.to_bits(),
-                "{label}: episode reward differs"
-            );
-            assert_eq!(ea.stats.applied_rules, eb.stats.applied_rules, "{label}: applied rules differ");
-        }
-    }
-
-    #[test]
-    fn curriculum_parallel_collection_is_bit_identical_to_serial_for_1_2_4_workers() {
-        // The tentpole determinism contract, extended to (spec, episode):
-        // any worker count replays the same seed schedule and merges
-        // spec-then-episode, so the rollouts are bit-identical to the
-        // serial curriculum oracle.
-        let config = XrlflowConfig::smoke_test();
-        let curriculum = smoke_curriculum(&config);
-        let agent = XrlflowAgent::new(&config, 5);
-        let snapshot = agent.snapshot();
-        let episodes_per_spec = 2;
-        let base_seed = 99;
-
-        let serial = collect_curriculum_serial(&agent, &curriculum, 0, episodes_per_spec, base_seed);
-        assert_eq!(serial.episodes.len(), curriculum.len() * episodes_per_spec);
-
-        for workers in [1usize, 2, 4] {
-            let parallel = collect_curriculum_parallel(
-                &config,
-                &snapshot,
-                &curriculum,
-                0,
-                episodes_per_spec,
-                base_seed,
-                workers,
-            )
-            .unwrap();
-            assert_rollouts_identical(&serial, &parallel, &format!("{workers} workers"));
-        }
-    }
-
-    #[test]
-    fn spec_ranges_partition_the_merged_buffer_in_spec_order() {
-        let config = XrlflowConfig::smoke_test();
-        let curriculum = smoke_curriculum(&config);
-        let agent = XrlflowAgent::new(&config, 3);
-        let rollouts = collect_curriculum_serial(&agent, &curriculum, 0, 2, 7);
-
-        assert_eq!(rollouts.spec_ranges.len(), curriculum.len());
-        let mut covered = 0;
-        for range in &rollouts.spec_ranges {
-            assert_eq!(range.start, covered, "spec ranges must be contiguous");
-            assert!(range.end > range.start, "every spec collected at least one transition");
-            covered = range.end;
-        }
-        assert_eq!(covered, rollouts.buffer.len(), "spec ranges must cover the whole buffer");
-        // Episodes are ordered spec-then-episode.
-        let order: Vec<(usize, u64)> = rollouts.episodes.iter().map(|e| (e.spec, e.episode)).collect();
-        assert_eq!(order, vec![(0, 0), (0, 1), (1, 0), (1, 1)]);
     }
 
     #[test]

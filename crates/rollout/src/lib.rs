@@ -56,11 +56,11 @@
 //!   first-attempt success.
 //!
 //! Together these make the pooled phases at any worker count — and under any
-//! number of recovered faults — bit-identical to the retained,
-//! supervision-free serial oracles [`collect_serial`],
-//! [`collect_curriculum_serial`] and `xrlflow_core::minibatch_grads_serial`,
-//! asserted by differential tests in the same spirit as
-//! `policy_logits_serial`.
+//! number of recovered faults — bit-identical to the supervision-free serial
+//! oracles `collect_serial`, `collect_curriculum_serial` and
+//! `minibatch_grads_serial`, which live in `xrlflow_bench::oracle` and are
+//! asserted against by this crate's integration tests
+//! (`tests/serial_oracles.rs`, `tests/fault_injection.rs`).
 //!
 //! **[`ParallelTrainer`] is the one train loop of the workspace**: its
 //! private `run_rounds` is the only code that knows the collect → update →
@@ -121,8 +121,8 @@ mod system;
 mod update;
 
 pub use curriculum::{
-    collect_curriculum_parallel, collect_curriculum_serial, curriculum_fault_item, curriculum_rng_seed,
-    evaluate_curriculum, Curriculum, CurriculumEntry, CurriculumEpisode, CurriculumRollouts, ModelEvaluation,
+    collect_curriculum_parallel, curriculum_fault_item, curriculum_rng_seed, evaluate_curriculum, Curriculum,
+    CurriculumEntry, CurriculumEpisode, CurriculumRollouts, ModelEvaluation,
 };
 pub use error::RolloutError;
 pub use system::{run_generalization, GeneralizationPoint, GeneralizationReport, XrlflowSystem};
@@ -211,33 +211,6 @@ pub(crate) use xrlflow_tensor::splitmix64;
 /// `XorShiftRng` from this value.
 pub fn episode_rng_seed(base_seed: u64, episode: u64) -> u64 {
     splitmix64(base_seed ^ episode.wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
-/// The retained serial collection path: episodes `first_episode ..
-/// first_episode + num_episodes` collected one after another in the calling
-/// thread, against the live agent — episode `e` resets the environment with
-/// seed `e` and samples actions from a fresh RNG seeded by
-/// [`episode_rng_seed`].
-///
-/// This is the differential-testing oracle for [`collect_parallel`] (same
-/// spirit as `policy_logits_serial`) — deliberately free of the supervised
-/// pool's catch/retry machinery, so the differential suites compare the
-/// fault-tolerant engine against a path that cannot mask a panic.
-pub fn collect_serial(
-    agent: &XrlflowAgent,
-    spec: &EnvSpec,
-    first_episode: u64,
-    num_episodes: usize,
-    base_seed: u64,
-) -> CollectedRollouts {
-    let mut env = spec.build_env();
-    let mut out = CollectedRollouts::default();
-    for episode in first_episode..first_episode + num_episodes as u64 {
-        let mut rng = XorShiftRng::new(episode_rng_seed(base_seed, episode));
-        let stats = collect_episode_with_rng(agent, &mut env, &mut rng, &mut out.buffer, episode);
-        out.episodes.push(stats);
-    }
-    out
 }
 
 /// One collection work item: which environment slot it runs in, the episode
@@ -344,9 +317,10 @@ fn collect_round(
 /// worker builds its own environment from `spec` and round-robins over the
 /// episode indices assigned to it (`episode % num_workers == worker`).
 /// Results are merged **by episode index**, so the output is
-/// transition-for-transition bit-identical to [`collect_serial`] over the
-/// same range and base seed, for any worker count — one worker runs the same
-/// supervised path inline.
+/// transition-for-transition bit-identical to the serial oracle
+/// `xrlflow_bench::oracle::collect_serial` over the same range and base
+/// seed, for any worker count — one worker runs the same supervised path
+/// inline.
 ///
 /// Supervised by the crate's one engine (see the crate docs): a panicking
 /// episode is retried with identical seeds, hence identical transitions.
@@ -725,94 +699,6 @@ mod tests {
     fn smoke_spec(config: &XrlflowConfig) -> EnvSpec {
         let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
         EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone())
-    }
-
-    fn assert_transitions_identical(
-        a: &RolloutBuffer<Observation>,
-        b: &RolloutBuffer<Observation>,
-        label: &str,
-    ) {
-        assert_eq!(a.len(), b.len(), "{label}: transition counts differ");
-        for (i, (ta, tb)) in a.transitions().iter().zip(b.transitions()).enumerate() {
-            assert_eq!(ta.action, tb.action, "{label}: action differs at transition {i}");
-            assert_eq!(
-                ta.log_prob.to_bits(),
-                tb.log_prob.to_bits(),
-                "{label}: log-prob differs at transition {i}"
-            );
-            assert_eq!(ta.value.to_bits(), tb.value.to_bits(), "{label}: value differs at transition {i}");
-            assert_eq!(ta.reward.to_bits(), tb.reward.to_bits(), "{label}: reward differs at transition {i}");
-            assert_eq!(ta.done, tb.done, "{label}: done flag differs at transition {i}");
-            assert_eq!(ta.action_mask, tb.action_mask, "{label}: action mask differs at transition {i}");
-            assert_eq!(
-                ta.observation.graph.canonical_hash(),
-                tb.observation.graph.canonical_hash(),
-                "{label}: observation graph differs at transition {i}"
-            );
-        }
-    }
-
-    #[test]
-    fn parallel_collection_is_bit_identical_to_serial_for_1_2_4_workers() {
-        // The tentpole determinism contract: W workers with the same
-        // episode-seed schedule produce transition-for-transition the same
-        // rollouts as the serial path, merged in episode order.
-        let config = XrlflowConfig::smoke_test();
-        let spec = smoke_spec(&config);
-        let agent = XrlflowAgent::new(&config, 5);
-        let snapshot = agent.snapshot();
-        let episodes = 4;
-        let base_seed = 99;
-
-        let serial = collect_serial(&agent, &spec, 0, episodes, base_seed);
-        assert_eq!(serial.episodes.len(), episodes);
-
-        for workers in [1usize, 2, 4] {
-            let parallel =
-                collect_parallel(&config, &snapshot, &spec, 0, episodes, base_seed, workers).unwrap();
-            let label = format!("{workers} workers");
-            assert_transitions_identical(&serial.buffer, &parallel.buffer, &label);
-            assert_eq!(serial.episodes.len(), parallel.episodes.len(), "{label}: episode counts differ");
-            for (ea, eb) in serial.episodes.iter().zip(&parallel.episodes) {
-                assert_eq!(ea.total_reward.to_bits(), eb.total_reward.to_bits(), "{label}: reward differs");
-                assert_eq!(ea.steps, eb.steps, "{label}: step counts differ");
-                assert_eq!(ea.applied_rules, eb.applied_rules, "{label}: applied rules differ");
-                assert_eq!(
-                    ea.final_latency_ms.to_bits(),
-                    eb.final_latency_ms.to_bits(),
-                    "{label}: final latency differs"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_collection_feeds_bit_identical_ppo_updates() {
-        // Running the identical update path over serially- and
-        // parallel-collected buffers must produce the same TrainingStats —
-        // the "no learned number changes" half of the contract.
-        let config = XrlflowConfig::smoke_test();
-        let spec = smoke_spec(&config);
-        let agent = XrlflowAgent::new(&config, 5);
-        let episodes = 3;
-
-        let serial = collect_serial(&agent, &spec, 0, episodes, 42);
-        let parallel = collect_parallel(&config, &agent.snapshot(), &spec, 0, episodes, 42, 2).unwrap();
-
-        let mut stats = Vec::new();
-        for rollouts in [serial, parallel] {
-            let mut trainer = Trainer::new(config.clone(), 7);
-            let mut update_agent = XrlflowAgent::new(&config, 5);
-            let mut buffer = rollouts.buffer;
-            stats.push(
-                trainer
-                    .update(&mut update_agent, &mut buffer, &[], &mut |agent, ctx| {
-                        Ok(xrlflow_core::minibatch_grads_serial(agent, ctx))
-                    })
-                    .unwrap(),
-            );
-        }
-        assert_eq!(stats[0], stats[1], "TrainingStats diverge between serial and parallel collection");
     }
 
     #[test]

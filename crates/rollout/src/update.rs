@@ -27,8 +27,8 @@
 //!
 //! Together these make the parallel update at any worker count bit-identical
 //! (f32 bit equality of post-update parameters and `TrainingStats`) to the
-//! retained serial oracle `minibatch_grads_serial` — differential-tested
-//! below, same spirit as `collect_serial` / `policy_logits_serial`.
+//! serial oracle `xrlflow_bench::oracle::minibatch_grads_serial` —
+//! differential-tested in `tests/serial_oracles.rs`.
 
 use std::ops::Range;
 
@@ -49,9 +49,10 @@ use crate::RolloutError;
 /// through `xrlflow_core::transition_grad_into` on its own recycled tape.
 /// The engine delivers the per-position `(GradBuffer, stats)` pairs in
 /// position order and each is merged on arrival, so the output is
-/// bit-identical to [`xrlflow_core::minibatch_grads_serial`] over the same
-/// context, for any worker count — one effective thread runs the same
-/// supervised loop inline.
+/// bit-identical to the serial oracle
+/// `xrlflow_bench::oracle::minibatch_grads_serial` over the same context,
+/// for any worker count — one effective thread runs the same supervised
+/// loop inline.
 ///
 /// Supervised by the crate's one engine (see the crate docs): a panicking
 /// transition is retried against the same agent, hence bit-identically.
@@ -110,7 +111,7 @@ pub fn minibatch_grads_parallel(
 /// The clip + optimiser step stay on the calling thread, and the result —
 /// post-update parameters, optimiser state and [`TrainingStats`] — is
 /// bit-identical to `Trainer::update` over the serial oracle
-/// `minibatch_grads_serial` for any worker count.
+/// `xrlflow_bench::oracle::minibatch_grads_serial` for any worker count.
 ///
 /// # Errors
 ///
@@ -128,104 +129,4 @@ pub fn update_parallel(
     trainer
         .update(agent, buffer, segments, &mut |agent, ctx| minibatch_grads_parallel(agent, ctx, num_workers))
         .map_err(RolloutError::WorkerFault)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::{collect_curriculum_serial, collect_serial, Curriculum, EnvSpec};
-    use xrlflow_core::XrlflowConfig;
-    use xrlflow_cost::DeviceProfile;
-    use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
-    use xrlflow_rewrite::RuleSet;
-
-    fn smoke_spec(config: &XrlflowConfig) -> EnvSpec {
-        let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone())
-    }
-
-    /// Runs one update over a clone of `buffer` with fresh, identically
-    /// seeded trainer and agent, returning the stats and a probe embedding
-    /// of the post-update parameters.
-    fn run_update(
-        config: &XrlflowConfig,
-        buffer: &RolloutBuffer<Observation>,
-        segments: &[Range<usize>],
-        workers: Option<usize>,
-    ) -> (TrainingStats, Vec<f32>) {
-        let mut trainer = Trainer::new(config.clone(), 7);
-        let mut agent = XrlflowAgent::new(config, 5);
-        let mut buffer = buffer.clone();
-        let stats = match workers {
-            None => trainer
-                .update(&mut agent, &mut buffer, segments, &mut |agent, ctx| {
-                    Ok(xrlflow_core::minibatch_grads_serial(agent, ctx))
-                })
-                .unwrap(),
-            Some(w) => update_parallel(&mut trainer, &mut agent, &mut buffer, segments, w).unwrap(),
-        };
-        let probe = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        (stats, agent.embed_graph(&probe).data().to_vec())
-    }
-
-    #[test]
-    fn parallel_update_is_bit_identical_to_serial_for_1_2_4_workers() {
-        // The tentpole determinism contract, update half: sharding the
-        // minibatch re-evaluations across any worker count and merging by
-        // position lands on the serial oracle's exact parameters and stats.
-        let config = XrlflowConfig::smoke_test();
-        let spec = smoke_spec(&config);
-        let agent = XrlflowAgent::new(&config, 5);
-        let rollouts = collect_serial(&agent, &spec, 0, 3, 42);
-
-        let (serial_stats, serial_params) = run_update(&config, &rollouts.buffer, &[], None);
-        for workers in [1usize, 2, 4] {
-            let (stats, params) = run_update(&config, &rollouts.buffer, &[], Some(workers));
-            assert_eq!(serial_stats, stats, "{workers}-worker TrainingStats diverge from the serial oracle");
-            let bits_equal = serial_params.iter().zip(&params).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(bits_equal, "{workers}-worker post-update parameters diverge from the serial oracle");
-        }
-    }
-
-    #[test]
-    fn parallel_update_is_bit_identical_on_curriculum_buffers() {
-        // Same contract over a merged multi-model buffer with per-spec
-        // advantage-normalisation segments.
-        let config = XrlflowConfig::smoke_test();
-        let curriculum = Curriculum::from_model_zoo(
-            &[ModelKind::SqueezeNet, ModelKind::Bert],
-            ModelScale::Bench,
-            DeviceProfile::gtx1080(),
-            config.env.clone(),
-        )
-        .unwrap();
-        let agent = XrlflowAgent::new(&config, 5);
-        let rollouts = collect_curriculum_serial(&agent, &curriculum, 0, 2, 42);
-
-        let (serial_stats, serial_params) =
-            run_update(&config, &rollouts.buffer, &rollouts.spec_ranges, None);
-        for workers in [1usize, 2, 4] {
-            let (stats, params) = run_update(&config, &rollouts.buffer, &rollouts.spec_ranges, Some(workers));
-            assert_eq!(serial_stats, stats, "{workers}-worker curriculum TrainingStats diverge");
-            let bits_equal = serial_params.iter().zip(&params).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(bits_equal, "{workers}-worker curriculum post-update parameters diverge");
-        }
-    }
-
-    #[test]
-    fn update_worker_count_is_clamped_to_the_batch() {
-        let config = XrlflowConfig::smoke_test();
-        let spec = smoke_spec(&config);
-        let agent = XrlflowAgent::new(&config, 5);
-        let rollouts = collect_serial(&agent, &spec, 0, 2, 0);
-        // Far more workers than transitions per minibatch must not spawn
-        // idle threads or panic, and must still match the oracle.
-        let (serial_stats, serial_params) = run_update(&config, &rollouts.buffer, &[], None);
-        let (stats, params) = run_update(&config, &rollouts.buffer, &[], Some(64));
-        assert_eq!(serial_stats, stats);
-        assert_eq!(
-            serial_params.iter().map(|p| p.to_bits()).collect::<Vec<_>>(),
-            params.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
-        );
-    }
 }

@@ -13,6 +13,7 @@
 //! * every injected fault is counted (`rollout/worker_panics`,
 //!   `rollout/item_retries`).
 
+use xrlflow_bench::oracle::{collect_curriculum_serial, collect_serial};
 use xrlflow_core::fault::{pending_faults, FaultPhase, FaultPlan};
 use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
@@ -22,8 +23,8 @@ use xrlflow_graph::Graph;
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
 use xrlflow_rollout::{
-    collect_curriculum_parallel, collect_curriculum_serial, collect_parallel, collect_serial,
-    curriculum_fault_item, update_parallel, Curriculum, EnvSpec, ParallelTrainer, RolloutError,
+    collect_curriculum_parallel, collect_parallel, curriculum_fault_item, update_parallel, Curriculum,
+    EnvSpec, ParallelTrainer, RolloutError,
 };
 
 fn smoke_spec(config: &XrlflowConfig) -> EnvSpec {

@@ -13,11 +13,12 @@
 //! and the parallel paths run the *same* floating-point code. Every kernel
 //! accumulates each output element as one running sum over the inner
 //! dimension in ascending order — the exact per-element arithmetic of the
-//! naive triple loop ([`Tensor::matmul_naive`]) — so tiling changes memory
-//! traffic, never bits. The kernels contain no value-dependent branches:
-//! `0.0 * inf` and `0.0 * NaN` propagate NaN per IEEE 754 (an earlier
-//! kernel's zero-skip silently dropped them), and no multiply is fused
-//! with its add (that rounds once where the oracle rounds twice).
+//! naive triple loop (`matmul_naive`, test-only, at the end of this module)
+//! — so tiling changes memory traffic, never bits. The kernels contain no
+//! value-dependent branches: `0.0 * inf` and `0.0 * NaN` propagate NaN per
+//! IEEE 754 (an earlier kernel's zero-skip silently dropped them), and no
+//! multiply is fused with its add (that rounds once where the oracle rounds
+//! twice).
 //!
 //! All three products run one register tile: `A·B` for `n ≥ 2`, `G·Bᵀ`
 //! with `Bᵀ` packed once, and `Aᵀ·G` for `n ≥ 2` with `A` read in place
@@ -359,8 +360,8 @@ impl Tensor {
     /// Matrix multiplication of two rank-2 tensors (`[m, k] x [k, n] -> [m, n]`).
     ///
     /// Runs the register tile (a column `other`, `n == 1`, is one dot
-    /// product per row); results are bit-identical to
-    /// [`Tensor::matmul_naive`].
+    /// product per row); results are bit-identical to the plain triple loop
+    /// (`matmul_naive`, this module's test-only oracle).
     ///
     /// # Panics
     ///
@@ -374,28 +375,6 @@ impl Tensor {
             tile_product(a, &other.data, m, k, n)
         };
         Self { shape: Shape::from_dims(&[m, n]), data }
-    }
-
-    /// The reference matrix multiplication: the plain triple loop, kept as
-    /// the differential-testing oracle for the tiled kernels. Unlike the
-    /// kernel this used to be, it does **not** skip zero elements of the
-    /// left-hand side — `0.0 * inf` and `0.0 * NaN` must produce NaN.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either tensor is not rank-2 or the inner dimensions differ.
-    pub fn matmul_naive(&self, other: &Tensor) -> Self {
-        let (m, k, n) = self.matmul_dims(other);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                for j in 0..n {
-                    out[i * n + j] += a * other.data[p * n + j];
-                }
-            }
-        }
-        Self { shape: Shape::from_dims(&[m, n]), data: out }
     }
 
     /// `self × otherᵀ` without the caller materialising the transpose:
@@ -765,6 +744,27 @@ fn pack_transposed(bt: &[f32], n: usize, q: usize) -> Vec<f32> {
         b.extend(bt.chunks_exact(q).map(|row| row[p]));
     }
     b
+}
+
+#[cfg(test)]
+impl Tensor {
+    /// The reference matrix multiplication: the plain triple loop, the
+    /// differential-testing oracle for the tiled kernels. Unlike the kernel
+    /// this used to be, it does **not** skip zero elements of the left-hand
+    /// side — `0.0 * inf` and `0.0 * NaN` must produce NaN.
+    fn matmul_naive(&self, other: &Tensor) -> Self {
+        let (m, k, n) = self.matmul_dims(other);
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for p in 0..k {
+                let a = self.data[i * k + p];
+                for j in 0..n {
+                    out[i * n + j] += a * other.data[p * n + j];
+                }
+            }
+        }
+        Self { shape: Shape::from_dims(&[m, n]), data: out }
+    }
 }
 
 #[cfg(test)]
