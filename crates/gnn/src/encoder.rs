@@ -49,7 +49,7 @@ use xrlflow_tensor::{
     xavier_uniform, Activation, Linear, ParamId, ParamStore, RowRun, Tape, Tensor, VarId, XorShiftRng,
 };
 
-use crate::featurize::{CandidateDelta, GraphFeatures, Source};
+use crate::featurize::{CandidateDelta, GraphFeatures, NodeInput, Source, NODE_INPUT_WIDTH};
 
 /// Configuration of the graph encoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -462,9 +462,14 @@ pub struct GnnEncoder {
 impl GnnEncoder {
     /// Creates an encoder, registering its parameters in `store`.
     pub fn new(store: &mut ParamStore, config: EncoderConfig, rng: &mut XorShiftRng) -> Self {
-        let in_dim = GraphFeatures::node_feature_dim() + 4;
-        let node_update =
-            Linear::new(store, "encoder.node_update", in_dim, config.hidden_dim, Activation::Relu, rng);
+        let node_update = Linear::new(
+            store,
+            "encoder.node_update",
+            NODE_INPUT_WIDTH,
+            config.hidden_dim,
+            Activation::Relu,
+            rng,
+        );
         let gat_layers = (0..config.num_gat_layers)
             .map(|i| GatLayer::new(store, &format!("encoder.gat{i}"), config.hidden_dim, rng))
             .collect();
@@ -589,7 +594,6 @@ impl GnnEncoder {
     ) -> VarId {
         let n = current.num_nodes;
         let hidden = self.config.hidden_dim;
-        let in_dim = GraphFeatures::node_feature_dim() + 4;
         if let Some(carried) = carried {
             assert_eq!(carried.rows, n, "the carried rows are not those of the observed graph");
             assert_eq!(carried.layers.len(), self.gat_layers.len(), "carried under another encoder");
@@ -616,11 +620,10 @@ impl GnnEncoder {
 
         // Node-update inputs for the rows that have none yet: the current
         // graph's rows unless they are carried, then every candidate's added
-        // rows (`[incoming ‖ one-hot]`, accumulated exactly like the serial
-        // scatter-add path). Only added rows have inputs differing from a
-        // base row's, so they are the dirty region going into the first GAT
-        // layer; `first_slot[k]` is where candidate k's dirty rows start in
-        // the compact block.
+        // rows (`[incoming ‖ one-hot]`, one row writer for both). Only added
+        // rows have inputs differing from a base row's, so they are the dirty
+        // region going into the first GAT layer; `first_slot[k]` is where
+        // candidate k's dirty rows start in the compact block.
         first_slot.clear();
         let mut rows = n;
         for delta in deltas {
@@ -629,16 +632,9 @@ impl GnnEncoder {
         }
         let input_rows = if carried.is_some() { rows - n } else { rows };
         let mut block = computes(input_rows).then(|| {
-            let mut input_data = Vec::with_capacity(input_rows * in_dim);
-            if carried.is_none() {
-                for row in 0..n {
-                    current.push_node_input_row(row, &mut input_data);
-                }
-            }
-            for delta in deltas {
-                delta.push_added_input_rows(&mut input_data);
-            }
-            let inputs = tape.constant(Tensor::from_vec(input_data, &[input_rows, in_dim]));
+            let base_inputs = if carried.is_none() { &current.node_inputs[..] } else { &[] };
+            let added_inputs = deltas.iter().flat_map(|delta| delta.added.iter().map(|added| &added.input));
+            let inputs = tape.constant(NodeInput::matrix(base_inputs.iter().chain(added_inputs), input_rows));
             self.node_update.forward(tape, store, inputs)
         });
 
@@ -710,7 +706,7 @@ impl GnnEncoder {
                 }
                 for (i, added) in delta.added.iter().enumerate() {
                     let edges = &delta.added_edges[added.edges.clone()];
-                    plan.push_row(previous_added + i, edges.iter().map(|&(s, _)| row_in(s)));
+                    plan.push_row(previous_added + i, edges.iter().map(|&s| row_in(s)));
                 }
                 for &(row, level) in region {
                     if was_dirty(level) {
@@ -828,11 +824,8 @@ impl GnnEncoder {
     /// rewrite candidates in one forward pass and is bit-identical per graph.
     fn encode(&self, tape: &mut Tape, store: &ParamStore, features: &GraphFeatures) -> VarId {
         // Eq. 6: update node attributes from incoming edge attributes.
-        let edge_feats = tape.constant(features.edge_features.clone());
-        let incoming = tape.scatter_add_rows(edge_feats, &features.edge_dst, features.num_nodes);
-        let node_feats = tape.constant(features.node_features.clone());
-        let combined = tape.concat_cols(incoming, node_feats);
-        let mut h = self.node_update.forward(tape, store, combined);
+        let inputs = tape.constant(NodeInput::matrix(&features.node_inputs, features.num_nodes));
+        let mut h = self.node_update.forward(tape, store, inputs);
 
         // Eq. 7: k rounds of graph attention.
         for layer in &self.gat_layers {
@@ -841,7 +834,7 @@ impl GnnEncoder {
 
         // Eq. 8: global readout over all node embeddings plus the (zero)
         // initial global attribute.
-        let summed = tape.sum_rows(h);
+        let summed = tape.sum_row_runs(h, &[RowRun { start: 0, len: features.num_nodes, segment: 0 }], 1);
         let global0 = tape.constant(Tensor::zeros(&[1, self.config.hidden_dim]));
         let readout_in = tape.concat_cols(summed, global0);
         self.global_update.forward(tape, store, readout_in)

@@ -1,10 +1,21 @@
-//! Pins how candidate deltas *scale*, not how fast they are.
+//! Pins how candidate deltas and the featuriser *scale*, not how fast they
+//! are.
 //!
-//! A counting `#[global_allocator]` adds up the bytes requested while all 32
-//! candidate deltas of InceptionV3's first observation are computed. A sparse
-//! delta holds the patch's footprint, so together they must ask for less
-//! memory than two dense `GraphFeatures` of that graph — a featuriser that
-//! copied the base rows per candidate would ask for more than 32 of them.
+//! A counting `#[global_allocator]` adds up the bytes requested while
+//! InceptionV3's first observation is featurised and while all 32 of its
+//! candidate deltas are computed. A sparse delta holds the patch's footprint,
+//! so together they must ask for less memory than two featurisations of the
+//! graph at the parent commit — a featuriser that copied the base rows per
+//! candidate would ask for more than 32 of them. The featuriser itself
+//! stores per row the op index and the summed edge attributes, not a dense
+//! one-hot row and a per-edge attribute tensor, so it must ask for at most a
+//! pinned fraction of what the parent's did:
+//!
+//! | tree                                                | `from_graph` | 32 deltas |
+//! |-----------------------------------------------------|--------------|-----------|
+//! | parent (`2512620`, dense one-hot and edge tensors)  | 73 700       | 14 848    |
+//! | this tree (op index + summed attributes per row)    | 27 380       | 14 848    |
+//!
 //! This file holds exactly one test so no concurrent test thread can touch
 //! the counter mid-measurement.
 
@@ -49,13 +60,20 @@ fn bytes_requested<T>(work: impl FnOnce() -> T) -> (usize, T) {
     (BYTES.load(Ordering::SeqCst) - before, result)
 }
 
+/// What `from_graph` requested for InceptionV3 at the parent commit, when
+/// it built the dense `[N, 41]` one-hot and `[E, 4]` edge tensors (measured
+/// with this file on that tree).
+const PARENT_FROM_GRAPH_BYTES: usize = 73_700;
+/// The pinned fraction: this tree's `from_graph` asks for at most half.
+const FROM_GRAPH_BYTES_CEILING: usize = PARENT_FROM_GRAPH_BYTES / 2;
+
 #[test]
 fn candidate_deltas_allocate_by_patch_footprint_not_by_graph_size() {
     let graph = build_model(ModelKind::InceptionV3, ModelScale::Bench).unwrap();
     let candidates = RuleSet::standard().generate_candidates(&graph, 32);
     assert_eq!(candidates.len(), 32, "InceptionV3's first observation fills the candidate budget");
 
-    let (dense_bytes, features) = bytes_requested(|| GraphFeatures::from_graph(&graph));
+    let (features_bytes, features) = bytes_requested(|| GraphFeatures::from_graph(&graph));
     let (delta_bytes, deltas) = bytes_requested(|| {
         candidates
             .iter()
@@ -63,8 +81,17 @@ fn candidate_deltas_allocate_by_patch_footprint_not_by_graph_size() {
             .collect::<Vec<_>>()
     });
     assert_eq!(deltas.len(), 32);
+    println!(
+        "from_graph requested {features_bytes} bytes (parent: {PARENT_FROM_GRAPH_BYTES}), 32 deltas {delta_bytes}"
+    );
     assert!(
-        delta_bytes < 2 * dense_bytes,
-        "32 candidate deltas requested {delta_bytes} bytes; one dense GraphFeatures of the graph is {dense_bytes}"
+        delta_bytes < 2 * PARENT_FROM_GRAPH_BYTES,
+        "32 candidate deltas requested {delta_bytes} bytes; the parent's from_graph of the graph is \
+         {PARENT_FROM_GRAPH_BYTES}"
+    );
+    assert!(
+        features_bytes <= FROM_GRAPH_BYTES_CEILING,
+        "from_graph requested {features_bytes} bytes; the pinned ceiling is {FROM_GRAPH_BYTES_CEILING} \
+         (half the parent's {PARENT_FROM_GRAPH_BYTES})"
     );
 }

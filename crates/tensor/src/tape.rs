@@ -557,9 +557,11 @@ enum Op {
     Act(VarId, Activation),
     Exp(VarId),
     SumAll(VarId),
+    #[cfg(test)]
     SumRows(VarId),
     ConcatCols(VarId, VarId),
     GatherRows(VarId, Vec<usize>),
+    #[cfg(test)]
     ScatterAddRows(VarId, Vec<usize>),
     SegmentSoftmax(VarId, Vec<usize>, usize),
     Transpose(VarId),
@@ -599,15 +601,15 @@ impl Op {
             | Op::Act(a, _)
             | Op::Exp(a)
             | Op::SumAll(a)
-            | Op::SumRows(a)
             | Op::SumRowRuns(a, _)
             | Op::GatherRows(a, _)
-            | Op::ScatterAddRows(a, _)
             | Op::SegmentSoftmax(a, _, _)
             | Op::Transpose(a)
             | Op::LogSoftmaxRow(a)
             | Op::Pick(a, _)
             | Op::Clamp(a, _, _) => [Some(a), None],
+            #[cfg(test)]
+            Op::SumRows(a) | Op::ScatterAddRows(a, _) => [Some(a), None],
         }
     }
 }
@@ -825,16 +827,6 @@ impl Tape {
         self.push(Op::SumAll(a), Tensor::scalar(v))
     }
 
-    /// Sums over the row axis, producing a `[1, cols]` matrix.
-    pub fn sum_rows(&mut self, a: VarId) -> VarId {
-        let av = value_of(&self.nodes, a);
-        let (rows, cols) = (av.rows(), av.cols());
-        let mut out = vec![0.0; cols];
-        sum_rows_into(&mut out, &av.data()[..rows * cols], cols);
-        let t = Tensor::from_vec(out, &[1, cols]);
-        self.push(Op::SumRows(a), t)
-    }
-
     /// Concatenates two matrices with equal row counts along the column axis.
     pub fn concat_cols(&mut self, a: VarId, b: VarId) -> VarId {
         let t = Tensor::concat_cols(&[value_of(&self.nodes, a), value_of(&self.nodes, b)]);
@@ -851,24 +843,6 @@ impl Tape {
         }
         let t = Tensor::from_vec(out, &[indices.len(), cols]);
         self.push(Op::GatherRows(a, indices.to_vec()), t)
-    }
-
-    /// Scatter-adds rows of a `[k, cols]` matrix into an `[out_rows, cols]`
-    /// matrix according to `indices` (length `k`).
-    pub fn scatter_add_rows(&mut self, a: VarId, indices: &[usize], out_rows: usize) -> VarId {
-        let av = value_of(&self.nodes, a);
-        let cols = av.cols();
-        assert_eq!(av.rows(), indices.len(), "scatter_add_rows index length mismatch");
-        let mut out = vec![0.0; out_rows * cols];
-        for (i, &idx) in indices.iter().enumerate() {
-            assert!(idx < out_rows, "scatter index {} out of bounds ({})", idx, out_rows);
-            let src = &av.data()[i * cols..(i + 1) * cols];
-            for (o, &x) in out[idx * cols..(idx + 1) * cols].iter_mut().zip(src) {
-                *o += x;
-            }
-        }
-        let t = Tensor::from_vec(out, &[out_rows, cols]);
-        self.push(Op::ScatterAddRows(a, indices.to_vec()), t)
     }
 
     /// Transposes a rank-2 variable, turning `[m, n]` into `[n, m]` (used to
@@ -960,7 +934,7 @@ impl Tape {
     /// runs, taken in list order and ascending within a run — one running
     /// sum per column, so bit-identical to `scatter_add_rows(gather_rows(a,
     /// rows), segments, out_rows)` over the expanded index lists, and (for a
-    /// single run over every row) to [`Tape::sum_rows`]. A segment without
+    /// single run over every row) to `sum_rows`. A segment without
     /// rows stays zero. Segments must not decrease along `runs`.
     ///
     /// Nothing is indexed per row: the cost of describing the sum is the
@@ -1206,6 +1180,7 @@ impl Tape {
                     let ga = Tensor::full(value_of(&self.nodes, *a).shape(), upstream.item());
                     accumulate(&mut grads, *a, ga);
                 }
+                #[cfg(test)]
                 Op::SumRows(a) => {
                     let av = value_of(&self.nodes, *a);
                     let (rows, cols) = (av.rows(), av.cols());
@@ -1246,6 +1221,7 @@ impl Tape {
                     }
                     accumulate(&mut grads, *a, ga);
                 }
+                #[cfg(test)]
                 Op::ScatterAddRows(a, indices) => {
                     let cols = value_of(&self.nodes, *a).cols();
                     let mut ga = Vec::with_capacity(indices.len() * cols);
@@ -1447,6 +1423,41 @@ fn column_sums(grad: &Tensor, bias: &Tensor) -> Tensor {
         }
     }
     sums
+}
+
+/// The unfused forms of the shipped row reductions, kept as the chain
+/// oracles the tests compare [`Tape::gather_scatter_rows`] and
+/// [`Tape::sum_row_runs`] against: no shipped code sums rows without runs or
+/// scatters without the fused gather.
+#[cfg(test)]
+impl Tape {
+    /// Sums over the row axis, producing a `[1, cols]` matrix.
+    pub fn sum_rows(&mut self, a: VarId) -> VarId {
+        let av = value_of(&self.nodes, a);
+        let (rows, cols) = (av.rows(), av.cols());
+        let mut out = vec![0.0; cols];
+        sum_rows_into(&mut out, &av.data()[..rows * cols], cols);
+        let t = Tensor::from_vec(out, &[1, cols]);
+        self.push(Op::SumRows(a), t)
+    }
+
+    /// Scatter-adds rows of a `[k, cols]` matrix into an `[out_rows, cols]`
+    /// matrix according to `indices` (length `k`).
+    pub fn scatter_add_rows(&mut self, a: VarId, indices: &[usize], out_rows: usize) -> VarId {
+        let av = value_of(&self.nodes, a);
+        let cols = av.cols();
+        assert_eq!(av.rows(), indices.len(), "scatter_add_rows index length mismatch");
+        let mut out = vec![0.0; out_rows * cols];
+        for (i, &idx) in indices.iter().enumerate() {
+            assert!(idx < out_rows, "scatter index {} out of bounds ({})", idx, out_rows);
+            let src = &av.data()[i * cols..(i + 1) * cols];
+            for (o, &x) in out[idx * cols..(idx + 1) * cols].iter_mut().zip(src) {
+                *o += x;
+            }
+        }
+        let t = Tensor::from_vec(out, &[out_rows, cols]);
+        self.push(Op::ScatterAddRows(a, indices.to_vec()), t)
+    }
 }
 
 #[cfg(test)]

@@ -19,6 +19,8 @@
 //!   (parameters + optimiser state + schedule position) after each training
 //!   round; the example then proves the newest one resumes bit-identically.
 
+use std::collections::BTreeMap;
+
 use xrlflow::core::{XrlflowAgent, XrlflowConfig};
 use xrlflow::cost::DeviceProfile;
 use xrlflow::graph::models::{ModelKind, ModelScale};
@@ -146,7 +148,9 @@ fn main() {
         result.speedup_percent(),
         result.optimisation_time_s,
     );
-    println!("rules applied: {:?}", result.rule_applications);
+    // Sorted by rule name, so two runs with one seed print the same bytes.
+    let rules_applied: BTreeMap<_, _> = result.rule_applications.iter().collect();
+    println!("rules applied: {rules_applied:?}");
 
     // 7. Serve the trained policy: one cold request (runs the policy) and
     //    one repeat (answered from the result cache), so the run trace below
