@@ -103,10 +103,10 @@ fn main() {
         let mut carried = std::time::Duration::ZERO;
         for iter in 0..WARM_UP + iters {
             let first = env.reset(0);
-            assert_eq!(policy.act(&first, &mut rng(seed), false).action, action);
+            assert_eq!(policy.act(&first, Some(&mut rng(seed))).action, action);
             let next = env.step(&first, action).observation;
             let start = Instant::now();
-            black_box(policy.act(&next, &mut rng(0), true).value);
+            black_box(policy.act(&next, None).value);
             if iter >= WARM_UP {
                 carried += start.elapsed();
             }

@@ -50,8 +50,8 @@ fn main() {
     report(
         "optimizers/xrlflow_policy_rollout/squeezenet",
         time_ns(0, 3, || {
-            let mut system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 0);
-            system.optimize(&graph).steps
+            let system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 0);
+            system.optimize(&graph).stats.steps
         }),
     );
 

@@ -15,8 +15,11 @@ fn main() {
         let graph = build_model(kind, scale).expect("model builds");
         let mut system = XrlflowSystem::new(XrlflowConfig::bench(), 7);
         let (_report, result) = system.train_and_optimize(&graph, episodes).expect("training run");
-        eprintln!("[fig5] {kind}: {} substitutions", result.steps);
-        counts.insert(kind.name().to_string(), result.rule_applications);
+        eprintln!("[fig5] {kind}: {} substitutions", result.stats.steps);
+        let per_rule = counts.entry(kind.name().to_string()).or_default();
+        for &rule in &result.stats.applied_rules {
+            *per_rule.entry(rule).or_insert(0) += 1;
+        }
     }
     println!(
         "Figure 5: rewrite rules applied by X-RLflow (scale = {:?}, {} episodes/model)\n",

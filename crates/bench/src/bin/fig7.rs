@@ -19,11 +19,11 @@ fn main() {
             .expect("generalisation run");
         for p in &report.points {
             let marker = if p.trained_on { "*" } else { " " };
-            eprintln!("[fig7] {kind}-{}{marker}: {:.2}%", p.input_size, p.result.speedup_percent());
+            eprintln!("[fig7] {kind}-{}{marker}: {:.2}%", p.input_size, p.result.stats.speedup_percent());
             rows.push(vec![
                 format!("{}-{}{}", kind.name(), p.input_size, marker),
-                format!("{:.2}", p.result.speedup_percent()),
-                format!("{:.3}", p.result.final_latency_ms),
+                format!("{:.2}", p.result.stats.speedup_percent()),
+                format!("{:.3}", p.result.stats.final_latency_ms),
             ]);
         }
     }

@@ -191,13 +191,14 @@ impl XrlflowAgent {
     /// Chooses an action for an observation.
     ///
     /// With `greedy = true` the most probable action is returned
-    /// (deployment); otherwise the action is sampled (training). This is the
-    /// one-step form on a fresh tape; a loop over an episode's steps holds a
-    /// [`PolicyEpisode`] ([`XrlflowAgent::episode`]) instead.
+    /// (deployment) and `rng` is left untouched; otherwise the action is
+    /// sampled from `rng` (training). This is the one-step form on a fresh
+    /// tape; a loop over an episode's steps holds a [`PolicyEpisode`]
+    /// ([`XrlflowAgent::episode`]) instead.
     pub fn act(&self, observation: &Observation, rng: &mut XorShiftRng, greedy: bool) -> AgentDecision {
         let mut tape = Tape::new();
         let (logits, value) = self.forward(&mut tape, observation);
-        decide(&tape, logits, value, observation, rng, greedy)
+        decide(&tape, logits, value, observation, (!greedy).then_some(rng))
     }
 
     /// [`XrlflowAgent::act`] on a caller-owned scratch tape, which is
@@ -213,7 +214,7 @@ impl XrlflowAgent {
     ) -> AgentDecision {
         tape.recycle();
         let (logits, value) = self.forward(tape, observation);
-        decide(tape, logits, value, observation, rng, greedy)
+        decide(tape, logits, value, observation, (!greedy).then_some(rng))
     }
 
     /// An evaluator for the steps of one episode under this agent's current
@@ -276,14 +277,13 @@ fn featurize(observation: &Observation) -> (GraphFeatures, Vec<CandidateDelta>) 
 
 /// Turns the per-valid-action logits on `tape` into a decision: scatters them
 /// into the padded action space, then takes the most probable action
-/// (`greedy`) or samples one.
+/// (`rng` is `None`) or samples one from `rng`.
 fn decide(
     tape: &Tape,
     logits: VarId,
     value: VarId,
     observation: &Observation,
-    rng: &mut XorShiftRng,
-    greedy: bool,
+    rng: Option<&mut XorShiftRng>,
 ) -> AgentDecision {
     let logits = tape.value(logits).data();
     let value = tape.value(value).item();
@@ -293,7 +293,10 @@ fn decide(
     padded_logits[..num_candidates].copy_from_slice(&logits[..num_candidates]);
     padded_logits[padded - 1] = logits[num_candidates];
     let distribution = MaskedCategorical::new(padded_logits, observation.action_mask.clone());
-    let action = if greedy { distribution.argmax() } else { distribution.sample(rng) };
+    let action = match rng {
+        Some(rng) => distribution.sample(rng),
+        None => distribution.argmax(),
+    };
     let log_prob = distribution.log_prob(action);
     AgentDecision { action, log_prob, value, distribution }
 }
@@ -344,13 +347,15 @@ struct Chosen {
 }
 
 impl PolicyEpisode<'_> {
-    /// Chooses an action for `observation`, like [`XrlflowAgent::act`].
+    /// Chooses an action for `observation`, like [`XrlflowAgent::act`]: the
+    /// most probable one when `rng` is `None` (deployment, which draws no
+    /// randomness), else one sampled from `rng` (training).
     ///
     /// The step *carries* — encodes dirty rows only — when `observation` is
     /// of the graph the previous call's chosen candidate materialised into
     /// after that call; otherwise it is a cold step.
     /// `core/policy_steps_carried` and `core/policy_steps_cold` count which.
-    pub fn act(&mut self, observation: &Observation, rng: &mut XorShiftRng, greedy: bool) -> AgentDecision {
+    pub fn act(&mut self, observation: &Observation, rng: Option<&mut XorShiftRng>) -> AgentDecision {
         let (agent, tape) = (self.agent, &mut self.tape);
         let (carried, cold) = policy_step_counters();
         // The previous step's tape is still whole: this is the moment its
@@ -366,7 +371,7 @@ impl PolicyEpisode<'_> {
         let (current, deltas) = featurize(observation);
         let embeddings = agent.encoder.encode_step(tape, &agent.store, &current, &deltas, &mut self.encoder);
         let (logits, value) = agent.score(tape, embeddings, deltas.len());
-        let decision = decide(tape, logits, value, observation, rng, greedy);
+        let decision = decide(tape, logits, value, observation, rng);
         // A memo filled before this decision was filled by somebody who is
         // not the environment stepping it, and `Candidate::graph` ignores its
         // base once filled: only a graph built from here on is vouched for.
@@ -438,6 +443,39 @@ mod tests {
         }
         let greedy = agent.act(&obs, &mut rng, true);
         assert_eq!(greedy.action, greedy.distribution.argmax());
+    }
+
+    #[test]
+    fn greedy_act_draws_no_randomness() {
+        // What lets every greedy loop (`greedy_optimize`, the serve leader,
+        // `evaluate_curriculum`) hold no generator at all.
+        let config = XrlflowConfig::smoke_test();
+        let agent = XrlflowAgent::new(&config, 4);
+        for &kind in ModelKind::EVALUATED.iter().chain(&[ModelKind::ResNet18]) {
+            let mut env = Environment::new(
+                build_model(kind, ModelScale::Bench).unwrap(),
+                RuleSet::standard(),
+                InferenceSimulator::new(DeviceProfile::gtx1080()),
+                config.env.clone(),
+            );
+            let obs = env.reset(0);
+            let mut rng = XorShiftRng::new(7);
+            let untouched = rng.clone();
+            let decision = agent.act(&obs, &mut rng, true);
+            assert_eq!(
+                rng.next_u64(),
+                untouched.clone().next_u64(),
+                "{kind}: greedy act drew from the generator"
+            );
+            let other = agent.act(&obs, &mut XorShiftRng::new(8), true);
+            assert_eq!(decision.action, other.action, "{kind}: the greedy action depends on the seed");
+            assert_eq!(decision.log_prob.to_bits(), other.log_prob.to_bits(), "{kind}: log-probability");
+            assert_eq!(decision.value.to_bits(), other.value.to_bits(), "{kind}: value");
+            // The comparison can tell: sampling does advance the generator.
+            let mut sampled = untouched.clone();
+            let _ = agent.act(&obs, &mut sampled, false);
+            assert_ne!(sampled.next_u64(), untouched.clone().next_u64(), "{kind}: sampling drew nothing");
+        }
     }
 
     #[test]

@@ -86,12 +86,13 @@ impl XrlflowConfig {
     /// The rollout worker count in effect — an upper bound, like
     /// [`XrlflowConfig::num_workers`]: the rollout engine never starts more
     /// threads than the process may use CPUs. The `XRLFLOW_WORKERS`
-    /// environment variable when set to a positive integer, otherwise
-    /// [`XrlflowConfig::num_workers`], floored at 1.
+    /// environment variable when set to a positive integer (surrounding
+    /// whitespace ignored), otherwise [`XrlflowConfig::num_workers`], floored
+    /// at 1.
     pub fn effective_num_workers(&self) -> usize {
         std::env::var("XRLFLOW_WORKERS")
             .ok()
-            .and_then(|v| v.parse::<usize>().ok())
+            .and_then(|v| v.trim().parse::<usize>().ok())
             .filter(|&w| w > 0)
             .unwrap_or(self.num_workers)
             .max(1)
@@ -286,5 +287,19 @@ mod tests {
         assert!(cfg.effective_num_workers() >= 1);
         cfg.num_workers = 3;
         assert!(cfg.effective_num_workers() >= 1);
+    }
+
+    #[test]
+    fn xrlflow_workers_ignores_surrounding_whitespace() {
+        let ambient = std::env::var_os("XRLFLOW_WORKERS");
+        std::env::set_var("XRLFLOW_WORKERS", " 3 ");
+        let mut cfg = XrlflowConfig::smoke_test();
+        cfg.num_workers = 1;
+        let workers = cfg.effective_num_workers();
+        match ambient {
+            Some(value) => std::env::set_var("XRLFLOW_WORKERS", value),
+            None => std::env::remove_var("XRLFLOW_WORKERS"),
+        }
+        assert_eq!(workers, 3, "a padded XRLFLOW_WORKERS must not fall back to num_workers");
     }
 }

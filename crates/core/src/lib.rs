@@ -15,7 +15,6 @@
 //! use xrlflow_env::Environment;
 //! use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 //! use xrlflow_rewrite::RuleSet;
-//! use xrlflow_tensor::XorShiftRng;
 //!
 //! let config = XrlflowConfig::smoke_test();
 //! let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
@@ -24,11 +23,13 @@
 //! // An untrained policy still rewrites to a valid graph; load a trained one
 //! // with `agent.store.load_snapshot(&ParamSnapshot::load(path)?)`.
 //! let agent = XrlflowAgent::new(&config, 0);
-//! let result = greedy_optimize(&agent, &mut env, &mut XorShiftRng::new(0));
+//! // Greedy inference takes the most probable action: no generator to seed.
+//! let result = greedy_optimize(&agent, &mut env);
 //! println!(
-//!     "optimised graph runs at {:.3} ms ({:+.1}% speedup)",
-//!     result.final_latency_ms,
-//!     result.speedup_percent(),
+//!     "optimised graph runs at {:.3} ms ({:+.1}% speedup) after rules {:?}",
+//!     result.stats.final_latency_ms,
+//!     result.stats.speedup_percent(),
+//!     result.stats.applied_rules,
 //! );
 //! ```
 

@@ -8,41 +8,25 @@
 //! instead of the graph. The evaluator is dropped with the episode — nothing
 //! outlives the call, so nothing is retained between serve requests.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 use std::time::Instant;
 
-use xrlflow_env::Environment;
+use xrlflow_env::{Environment, EpisodeStats};
 use xrlflow_graph::Graph;
-use xrlflow_tensor::XorShiftRng;
 
 use crate::agent::XrlflowAgent;
 
 /// Result of optimising one graph with X-RLflow.
 #[derive(Debug, Clone)]
 pub struct XrlflowResult {
-    /// The optimised graph.
-    pub graph: Graph,
-    /// Simulated end-to-end latency of the initial graph (ms).
-    pub initial_latency_ms: f64,
-    /// Simulated end-to-end latency of the optimised graph (ms).
-    pub final_latency_ms: f64,
-    /// Number of substitutions applied.
-    pub steps: usize,
-    /// How many times each rewrite rule was applied (Figure 5 heatmap data).
-    pub rule_applications: HashMap<&'static str, usize>,
+    /// The optimised graph: the last observation's, shared with the
+    /// environment.
+    pub graph: Arc<Graph>,
+    /// The episode's own summary — initial and final latency, the number of
+    /// substitutions and the rules applied, in order (Figure 5's data).
+    pub stats: EpisodeStats,
     /// Wall-clock optimisation (inference) time in seconds — Figure 6.
     pub optimisation_time_s: f64,
-}
-
-impl XrlflowResult {
-    /// End-to-end speedup in percent.
-    pub fn speedup_percent(&self) -> f64 {
-        if self.final_latency_ms == 0.0 {
-            0.0
-        } else {
-            (self.initial_latency_ms / self.final_latency_ms - 1.0) * 100.0
-        }
-    }
 }
 
 /// Runs one greedy optimisation episode of `agent` against `env` and
@@ -52,39 +36,30 @@ impl XrlflowResult {
 /// `XrlflowSystem::optimize` and the serving layer, which drives it with a
 /// read-only snapshot replica of a trained agent
 /// (`XrlflowAgent::from_snapshot`) over a shared environment — the agent is
-/// only read, so one replica can serve many sequential requests. Decisions
-/// are bit-identical to calling `XrlflowAgent::act` (a fresh tape, the whole
-/// graph encoded) per step.
-pub fn greedy_optimize(agent: &XrlflowAgent, env: &mut Environment, rng: &mut XorShiftRng) -> XrlflowResult {
+/// only read, so one replica can serve many sequential requests. Every step
+/// takes the most probable action, so the episode draws no randomness: the
+/// result is a function of the parameters and the environment alone.
+/// Decisions are bit-identical to calling `XrlflowAgent::act` (a fresh tape,
+/// the whole graph encoded) per step. The episode stops at the No-Op without
+/// stepping it.
+pub fn greedy_optimize(agent: &XrlflowAgent, env: &mut Environment) -> XrlflowResult {
     let start = Instant::now();
     let mut obs = env.reset(0);
-    let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
-    let mut steps = 0;
     let mut policy = agent.episode();
-    loop {
-        if obs.num_candidates() == 0 {
-            break;
-        }
-        let decision = policy.act(&obs, rng, true);
+    while obs.num_candidates() > 0 {
+        let decision = policy.act(&obs, None);
         if decision.action == obs.noop_action() {
             break;
         }
-        let rule = obs.candidates[decision.action].rule_name;
         let result = env.step(&obs, decision.action);
-        *rule_applications.entry(rule).or_insert(0) += 1;
-        steps += 1;
+        obs = result.observation;
         if result.done {
             break;
         }
-        obs = result.observation;
     }
-    let stats = env.episode_stats();
     XrlflowResult {
-        graph: env.current_graph().clone(),
-        initial_latency_ms: stats.initial_latency_ms,
-        final_latency_ms: stats.final_latency_ms,
-        steps,
-        rule_applications,
+        graph: obs.graph,
+        stats: env.episode_stats(),
         optimisation_time_s: start.elapsed().as_secs_f64(),
     }
 }
@@ -96,6 +71,7 @@ mod tests {
     use xrlflow_cost::{DeviceProfile, InferenceSimulator};
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
     use xrlflow_rewrite::RuleSet;
+    use xrlflow_tensor::XorShiftRng;
 
     #[test]
     fn untrained_agent_still_produces_valid_optimised_graphs() {
@@ -108,12 +84,16 @@ mod tests {
             config.env.clone(),
         );
         let agent = XrlflowAgent::new(&config, 0);
-        let result = greedy_optimize(&agent, &mut env, &mut XorShiftRng::new(0));
+        let result = greedy_optimize(&agent, &mut env);
         assert!(result.graph.validate().is_ok());
-        assert!(result.initial_latency_ms > 0.0);
-        assert!(result.final_latency_ms > 0.0);
+        assert!(
+            std::ptr::eq(&*result.graph, env.current_graph()),
+            "the result shares the environment's graph"
+        );
+        assert!(result.stats.initial_latency_ms > 0.0);
+        assert!(result.stats.final_latency_ms > 0.0);
         assert!(result.optimisation_time_s >= 0.0);
-        assert_eq!(result.steps, result.rule_applications.values().sum::<usize>());
+        assert_eq!(result.stats.steps, result.stats.applied_rules.len());
     }
 
     #[test]
@@ -134,20 +114,18 @@ mod tests {
                     config.env.clone(),
                 )
             };
-            let result = greedy_optimize(&agent, &mut environment(), &mut XorShiftRng::new(3));
+            let result = greedy_optimize(&agent, &mut environment());
 
             let mut env = environment();
             let mut rng = XorShiftRng::new(3);
             let mut obs = env.reset(0);
-            let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
-            let mut steps = 0;
+            let mut applied_rules = Vec::new();
             while obs.num_candidates() > 0 {
                 let decision = agent.act(&obs, &mut rng, true);
                 if decision.action == obs.noop_action() {
                     break;
                 }
-                *rule_applications.entry(obs.candidates[decision.action].rule_name).or_insert(0) += 1;
-                steps += 1;
+                applied_rules.push(obs.candidates[decision.action].rule_name);
                 let step = env.step(&obs, decision.action);
                 if step.done {
                     break;
@@ -156,12 +134,13 @@ mod tests {
             }
             let stats = env.episode_stats();
 
+            let steps = applied_rules.len();
             assert!(steps > 1, "{kind}: the seeded agent must take several steps for a tape to be recycled");
-            assert_eq!(result.steps, steps, "{kind}: steps");
+            assert_eq!(result.stats.steps, steps, "{kind}: steps");
             assert_eq!(result.graph.canonical_hash(), env.current_graph().canonical_hash(), "{kind}: graph");
-            assert_eq!(result.initial_latency_ms, stats.initial_latency_ms, "{kind}: initial latency");
-            assert_eq!(result.final_latency_ms, stats.final_latency_ms, "{kind}: final latency");
-            assert_eq!(result.rule_applications, rule_applications, "{kind}: rule applications");
+            assert_eq!(result.stats.initial_latency_ms, stats.initial_latency_ms, "{kind}: initial latency");
+            assert_eq!(result.stats.final_latency_ms, stats.final_latency_ms, "{kind}: final latency");
+            assert_eq!(result.stats.applied_rules, applied_rules, "{kind}: rules applied");
         }
     }
 }

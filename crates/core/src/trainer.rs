@@ -168,7 +168,7 @@ pub fn collect_episode_with_rng(
     // (bit-identical decisions, see `PolicyEpisode`).
     let mut policy = agent.episode();
     loop {
-        let decision = policy.act(&obs, rng, false);
+        let decision = policy.act(&obs, Some(rng));
         let result = env.step(&obs, decision.action);
         buffer.push(Transition {
             observation: obs,

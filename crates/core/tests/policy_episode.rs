@@ -79,7 +79,7 @@ fn checked_step(
     context: &str,
 ) -> (AgentDecision, bool) {
     let before = steps_counted();
-    let decision = policy.act(observation, &mut XorShiftRng::new(seed), greedy);
+    let decision = policy.act(observation, (!greedy).then_some(&mut XorShiftRng::new(seed)));
     let after = steps_counted();
     let expected = agent.act(observation, &mut XorShiftRng::new(seed), greedy);
     assert_eq!(steps_counted(), after, "{context}: `act` is not an episode step and must not be counted");

@@ -46,7 +46,7 @@ use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_graph::GraphError;
 use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
-use xrlflow_tensor::{ParamSnapshot, XorShiftRng};
+use xrlflow_tensor::ParamSnapshot;
 
 use crate::{splitmix64, CollectItem, EnvSpec, RolloutError, Schedule};
 
@@ -294,26 +294,26 @@ impl ModelEvaluation {
 }
 
 /// Evaluates a (trained) agent across every model of a curriculum: one
-/// greedy episode per entry, each reset with `seed`.
+/// greedy episode per entry, each reset with seed 0 (as `greedy_optimize`
+/// resets), stepping the final No-Op.
 ///
 /// This is the measurement half of a train-on-N-1 / evaluate-on-held-out
 /// generalisation run: train a shared agent with
 /// `ParallelTrainer::train_curriculum` on a curriculum missing one model
 /// ([`Curriculum::hold_out`]), then evaluate it — without any further
 /// training — on a curriculum containing the held-out model. Greedy action
-/// selection consumes no randomness, so the result is deterministic in
-/// `(agent parameters, curriculum, seed)`.
-pub fn evaluate_curriculum(agent: &XrlflowAgent, curriculum: &Curriculum, seed: u64) -> Vec<ModelEvaluation> {
-    let mut rng = XorShiftRng::new(seed);
+/// selection draws no randomness, so the result is deterministic in
+/// `(agent parameters, curriculum)`.
+pub fn evaluate_curriculum(agent: &XrlflowAgent, curriculum: &Curriculum) -> Vec<ModelEvaluation> {
     curriculum
         .entries()
         .iter()
         .map(|entry| {
             let mut env = entry.spec.build_env();
-            let mut obs = env.reset(seed);
+            let mut obs = env.reset(0);
             let mut policy = agent.episode();
             loop {
-                let decision = policy.act(&obs, &mut rng, true);
+                let decision = policy.act(&obs, None);
                 let result = env.step(&obs, decision.action);
                 if result.done {
                     break;
@@ -409,14 +409,14 @@ mod tests {
         let mut agent = XrlflowAgent::new(&config, 1);
         trainer.train_curriculum(&mut agent, &train, 2).unwrap();
 
-        let evals = evaluate_curriculum(&agent, &full, 0);
+        let evals = evaluate_curriculum(&agent, &full);
         assert_eq!(evals.len(), 2);
         for eval in &evals {
             assert!(eval.stats.final_latency_ms > 0.0, "{} produced no latency", eval.name);
             assert!(eval.speedup_percent().is_finite());
         }
         // Determinism: greedy evaluation is reproducible.
-        let again = evaluate_curriculum(&agent, &full, 0);
+        let again = evaluate_curriculum(&agent, &full);
         for (a, b) in evals.iter().zip(&again) {
             assert_eq!(a.stats.total_reward.to_bits(), b.stats.total_reward.to_bits());
             assert_eq!(a.stats.applied_rules, b.stats.applied_rules);

@@ -53,7 +53,9 @@
 //!   [`curriculum_rng_seed`] (spec-major curriculum) — the two schedules are
 //!   data fed to one collector, and no seed depends on which thread runs the
 //!   item. That is also what makes a retried item bit-identical to a
-//!   first-attempt success.
+//!   first-attempt success. Greedy inference — [`XrlflowSystem::optimize`]
+//!   and [`evaluate_curriculum`] — takes the most probable action, draws no
+//!   randomness and so takes no seed.
 //!
 //! Together these make the pooled phases at any worker count — and under any
 //! number of recovered faults — bit-identical to the supervision-free serial
@@ -76,7 +78,8 @@
 //!
 //! ## Quickstart
 //!
-//! Train one agent on one DNN and optimise it greedily (the paper's set-up):
+//! Train one agent on one DNN and optimise it greedily (the paper's set-up);
+//! the result carries the greedy episode's own `EpisodeStats`:
 //!
 //! ```
 //! use xrlflow_core::XrlflowConfig;
@@ -87,10 +90,11 @@
 //! let mut system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 0);
 //! let (report, result) = system.train_and_optimize(&graph, 2).unwrap();
 //! println!(
-//!     "trained for {} episodes; optimised graph runs at {:.3} ms ({:+.1}% speedup)",
+//!     "trained for {} episodes; optimised graph runs at {:.3} ms ({:+.1}% speedup) after {} rewrites",
 //!     report.episodes.len(),
-//!     result.final_latency_ms,
-//!     result.speedup_percent(),
+//!     result.stats.final_latency_ms,
+//!     result.stats.speedup_percent(),
+//!     result.stats.applied_rules.len(),
 //! );
 //! ```
 //!

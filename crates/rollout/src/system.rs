@@ -17,7 +17,6 @@ use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{ModelConfig, ModelKind, ModelScale};
 use xrlflow_graph::Graph;
 use xrlflow_rewrite::RuleSet;
-use xrlflow_tensor::XorShiftRng;
 
 use crate::{EnvSpec, ParallelTrainer, RolloutError};
 
@@ -27,7 +26,6 @@ use crate::{EnvSpec, ParallelTrainer, RolloutError};
 pub struct XrlflowSystem {
     agent: XrlflowAgent,
     trainer: ParallelTrainer,
-    rng: XorShiftRng,
 }
 
 impl XrlflowSystem {
@@ -41,7 +39,7 @@ impl XrlflowSystem {
         let agent = XrlflowAgent::new(&config, seed);
         let mut trainer = ParallelTrainer::new(config, seed.wrapping_add(1));
         trainer.set_checkpointing(None);
-        Self { agent, trainer, rng: XorShiftRng::new(seed) }
+        Self { agent, trainer }
     }
 
     /// The configuration in use.
@@ -89,10 +87,11 @@ impl XrlflowSystem {
     }
 
     /// Optimises a graph with the current policy acting greedily (the
-    /// deployment path: one forward pass per transformation step).
-    pub fn optimize(&mut self, graph: &Graph) -> XrlflowResult {
+    /// deployment path: one forward pass per transformation step, no
+    /// randomness drawn).
+    pub fn optimize(&self, graph: &Graph) -> XrlflowResult {
         let mut env = self.spec(graph).build_env();
-        greedy_optimize(&self.agent, &mut env, &mut self.rng)
+        greedy_optimize(&self.agent, &mut env)
     }
 
     /// Trains on a graph and then optimises it greedily — the end-to-end
@@ -134,13 +133,13 @@ pub struct GeneralizationReport {
 impl GeneralizationReport {
     /// Speedup (percent) at the training shape.
     pub fn trained_speedup(&self) -> f64 {
-        self.points.iter().find(|p| p.trained_on).map(|p| p.result.speedup_percent()).unwrap_or(0.0)
+        self.points.iter().find(|p| p.trained_on).map(|p| p.result.stats.speedup_percent()).unwrap_or(0.0)
     }
 
     /// Mean speedup (percent) over the unseen shapes.
     pub fn unseen_mean_speedup(&self) -> f64 {
         let unseen: Vec<f64> =
-            self.points.iter().filter(|p| !p.trained_on).map(|p| p.result.speedup_percent()).collect();
+            self.points.iter().filter(|p| !p.trained_on).map(|p| p.result.stats.speedup_percent()).collect();
         if unseen.is_empty() {
             0.0
         } else {

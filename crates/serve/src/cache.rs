@@ -623,9 +623,9 @@ impl ResultCache {
     /// requested less often (see the module docs).
     ///
     /// Overwriting an existing key is deliberate and harmless: optimisation
-    /// is deterministic per key (the policy is read-only and the episode RNG
-    /// is seeded from the key), so two racing misses compute identical
-    /// entries. The overwritten entry's body-index memos go with it.
+    /// is deterministic per key (the policy is read-only and greedy
+    /// inference draws no randomness), so two racing misses compute
+    /// identical entries. The overwritten entry's body-index memos go with it.
     ///
     /// Budgets are strict: an entry that alone exceeds the byte budget is
     /// evicted immediately (the cache never lies about its footprint); the

@@ -23,7 +23,7 @@ use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::Environment;
 use xrlflow_graph::{Graph, GraphError};
 use xrlflow_rewrite::RuleSet;
-use xrlflow_tensor::{ParamSnapshot, XorShiftRng};
+use xrlflow_tensor::ParamSnapshot;
 
 use crate::cache::{body_digest, CacheConfig, CacheEntry, Found, ResultCache};
 use crate::error::ServeError;
@@ -412,13 +412,12 @@ impl OptimizeService {
             Arc::clone(&self.simulator),
             self.config.env.clone(),
         );
-        let mut rng = XorShiftRng::new(key);
-        let result = greedy_optimize(&policy, &mut env, &mut rng);
+        let result = greedy_optimize(&policy, &mut env);
         let entry = CacheEntry {
-            graph: Arc::new(result.graph),
-            initial_latency_ms: result.initial_latency_ms,
-            final_latency_ms: result.final_latency_ms,
-            steps: result.steps,
+            graph: result.graph,
+            initial_latency_ms: result.stats.initial_latency_ms,
+            final_latency_ms: result.stats.final_latency_ms,
+            steps: result.stats.steps,
         };
         let mut cache = self.cache.lock().expect("cache lock");
         cache.insert(key, entry.clone());

@@ -352,12 +352,6 @@ impl ParamStore {
 pub struct Adam {
     /// Learning rate.
     pub lr: f32,
-    /// First-moment decay.
-    pub beta1: f32,
-    /// Second-moment decay.
-    pub beta2: f32,
-    /// Numerical-stability constant.
-    pub eps: f32,
     t: usize,
     /// First moments, one per parameter in registration order (empty until
     /// sized from the store).
@@ -367,10 +361,17 @@ pub struct Adam {
 }
 
 impl Adam {
-    /// Creates an Adam optimiser with the given learning rate and standard
-    /// defaults for the remaining hyper-parameters.
+    /// First-moment decay.
+    const BETA1: f32 = 0.9;
+    /// Second-moment decay.
+    const BETA2: f32 = 0.999;
+    /// Numerical-stability constant.
+    const EPS: f32 = 1e-8;
+
+    /// Creates an Adam optimiser with the given learning rate and the
+    /// standard moment decays (0.9, 0.999) and ε (1e-8).
     pub fn new(lr: f32) -> Self {
-        Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
+        Self { lr, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
     /// Applies one Adam update to `store` from the gradients in `grads`.
@@ -388,7 +389,7 @@ impl Adam {
         assert_eq!(store.len(), self.m.len(), "Adam moments were sized for another store");
         self.t += 1;
         let t = self.t as f32;
-        let Self { lr, beta1, beta2, eps, .. } = *self;
+        let (lr, beta1, beta2, eps) = (self.lr, Self::BETA1, Self::BETA2, Self::EPS);
         let (inv_bc1, inv_bc2) = (1.0 / (1.0 - beta1.powf(t)), 1.0 / (1.0 - beta2.powf(t)));
         let (keep1, keep2) = (1.0 - beta1, 1.0 - beta2);
         let moments = self.m.iter_mut().zip(&mut self.v);
@@ -1525,15 +1526,15 @@ mod tests {
         }
         adam.t += 1;
         let t = adam.t as f32;
-        let bc1 = 1.0 - adam.beta1.powf(t);
-        let bc2 = 1.0 - adam.beta2.powf(t);
+        let bc1 = 1.0 - Adam::BETA1.powf(t);
+        let bc2 = 1.0 - Adam::BETA2.powf(t);
         let moments = adam.m.iter_mut().zip(&mut adam.v);
         for ((e, g), (m, v)) in store.entries.iter_mut().zip(&grads.grads).zip(moments) {
-            *m = m.scale(adam.beta1).add(&g.scale(1.0 - adam.beta1));
-            *v = v.scale(adam.beta2).add(&g.mul(g).scale(1.0 - adam.beta2));
+            *m = m.scale(Adam::BETA1).add(&g.scale(1.0 - Adam::BETA1));
+            *v = v.scale(Adam::BETA2).add(&g.mul(g).scale(1.0 - Adam::BETA2));
             let m_hat = m.scale(1.0 / bc1);
             let v_hat = v.scale(1.0 / bc2);
-            let update = m_hat.zip(&v_hat, |m, v| m / (v.sqrt() + adam.eps)).scale(adam.lr);
+            let update = m_hat.zip(&v_hat, |m, v| m / (v.sqrt() + Adam::EPS)).scale(adam.lr);
             e.value = Arc::new(e.value.sub(&update));
         }
     }

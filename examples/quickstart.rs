@@ -89,7 +89,7 @@ fn main() {
     // 4. Generalisation: evaluate the shared policy greedily on every model,
     //    including the held-out one it never trained on.
     println!("\ngeneralisation (greedy policy, no further training):");
-    for eval in evaluate_curriculum(&agent, &full, 0) {
+    for eval in evaluate_curriculum(&agent, &full) {
         let marker = if eval.name == held_out.name { "  <- held out" } else { "" };
         println!(
             "  {:>12}: {:.3} ms -> {:.3} ms ({:+.1}% speedup, {} rewrites){marker}",
@@ -143,13 +143,17 @@ fn main() {
         held_out.name,
         graph.num_nodes(),
         result.graph.num_nodes(),
-        result.initial_latency_ms,
-        result.final_latency_ms,
-        result.speedup_percent(),
+        result.stats.initial_latency_ms,
+        result.stats.final_latency_ms,
+        result.stats.speedup_percent(),
         result.optimisation_time_s,
     );
-    // Sorted by rule name, so two runs with one seed print the same bytes.
-    let rules_applied: BTreeMap<_, _> = result.rule_applications.iter().collect();
+    // Counted per rule and sorted by name, so two runs with one seed print
+    // the same bytes.
+    let mut rules_applied = BTreeMap::new();
+    for &rule in &result.stats.applied_rules {
+        *rules_applied.entry(rule).or_insert(0) += 1;
+    }
     println!("rules applied: {rules_applied:?}");
 
     // 7. Serve the trained policy: one cold request (runs the policy) and

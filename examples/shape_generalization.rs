@@ -26,9 +26,9 @@ fn main() {
         println!(
             "  BERT-{:<4} speedup {:+.2}%  latency {:.3} ms  {} substitutions{marker}",
             p.input_size,
-            p.result.speedup_percent(),
-            p.result.final_latency_ms,
-            p.result.steps,
+            p.result.stats.speedup_percent(),
+            p.result.stats.final_latency_ms,
+            p.result.stats.steps,
         );
     }
     println!(

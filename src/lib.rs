@@ -52,6 +52,11 @@
 //! let mut system = XrlflowSystem::new(XrlflowConfig::smoke_test(), 42);
 //! let report = system.train_on(&graph, 2).unwrap();
 //! assert!(report.episodes.len() == 2);
+//! // Greedy optimisation draws no randomness; the result carries the
+//! // episode's own statistics, rules applied in order.
+//! let result = system.optimize(&graph);
+//! assert_eq!(result.stats.steps, result.stats.applied_rules.len());
+//! assert!(result.graph.validate().is_ok());
 //! ```
 
 pub use xrlflow_core as core;

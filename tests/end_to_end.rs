@@ -88,7 +88,7 @@ fn xrlflow_full_pipeline_on_squeezenet() {
     assert_eq!(report.episodes.len(), 2);
     assert!(!report.updates.is_empty());
     assert!(result.graph.validate().is_ok());
-    assert!(result.final_latency_ms > 0.0);
+    assert!(result.stats.final_latency_ms > 0.0);
     // The optimised graph must still compute the same outputs structurally:
     // same number of graph outputs with the same shapes.
     assert_eq!(result.graph.outputs().len(), graph.outputs().len());
@@ -157,7 +157,7 @@ fn curriculum_generalisation_pipeline_spans_the_model_zoo() {
         assert!(breakdown.mean_reward.is_finite());
     }
 
-    let evals = evaluate_curriculum(&agent, &full, 0);
+    let evals = evaluate_curriculum(&agent, &full);
     assert_eq!(evals.len(), full.len());
     let names: Vec<&str> = evals.iter().map(|e| e.name.as_str()).collect();
     assert!(names.contains(&"BERT"), "held-out model must be evaluated");
