@@ -1,6 +1,6 @@
 //! Micro-benchmarks for the GNN encoder: featurisation, the forward pass of
-//! one graph at different message-passing depths (the `k` ablation from
-//! DESIGN.md), and per-step policy evaluation on the batched + delta-aware
+//! one graph at different message-passing depths (an ablation over `k`, the
+//! number of GAT layers), and per-step policy evaluation on the batched + delta-aware
 //! path the agent runs — with the host half of that path (featurise the
 //! observation, derive all `K` sparse candidate deltas) as its own series,
 //! and a mid-trajectory step through the episode evaluator, which reads the

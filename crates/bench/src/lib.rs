@@ -24,6 +24,7 @@
 //! data-parallel update, which the differential tests of `xrlflow-core` and
 //! `xrlflow-rollout` compare the supervised pool against.
 
+pub mod fixtures;
 pub mod oracle;
 
 use std::collections::HashMap;

@@ -5,7 +5,8 @@
 //!
 //! The original system measures operator runtimes and end-to-end latency on
 //! an NVIDIA GTX 1080; this crate substitutes an analytical roofline
-//! simulator (see `DESIGN.md` for the substitution rationale). It exposes
+//! simulator, because a reproduction without that GPU has nothing to
+//! measure on (ROADMAP item 8 asks how well it ranks graphs). It exposes
 //! two signals with an intentional, deterministic discrepancy between them:
 //!
 //! * [`CostModel`] — the TASO-style sum of per-operator costs, and

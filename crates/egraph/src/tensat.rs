@@ -8,11 +8,21 @@
 //! practice), after which the cheapest graph under a per-node cost model is
 //! extracted. Because extraction needs per-node costs, Tensat cannot use
 //! end-to-end latency as its signal — one of the motivations for X-RLflow.
+//!
+//! The rewrites are the tree-shaped entries of the rule table every other
+//! optimiser reads ([`STANDARD`]): an e-match binds an e-node and, for a
+//! chain, one e-node of one child class; the entry's own matcher and patch
+//! builder then run on that binding written out as a few-node graph, and
+//! the patch's nodes become e-nodes. "Single consumer" holds there by
+//! construction: it only guards destructive rewriting, which an e-graph
+//! never does.
 
 use std::time::Instant;
 
 use xrlflow_cost::{node_compute_us, DeviceProfile};
-use xrlflow_graph::{FusedActivation, Graph, OpAttributes, OpKind, TensorRef, TensorShape};
+use xrlflow_graph::{Graph, GraphPatch, NodeId, OpAttributes, OpKind, PatchRef, TensorRef, TensorShape};
+use xrlflow_rewrite::rules::STANDARD;
+use xrlflow_rewrite::{Pattern, Slot, Substitution};
 
 use crate::egraph::{ClassId, EGraph, EGraphError, ENode};
 
@@ -22,8 +32,9 @@ struct Limits {
     nodes: usize,
     /// Maximum number of saturation iterations.
     iterations: usize,
-    /// Maximum applications of the "multi-pattern" growth rules
-    /// (re-association) per iteration, Tensat's `k`.
+    /// Maximum rewrites per entry and iteration that add more than one
+    /// e-node (re-association's intermediate product), Tensat's `k` for its
+    /// growth-prone multi-pattern rules.
     multi_pattern: usize,
 }
 
@@ -104,18 +115,183 @@ impl TensatOptimizer {
     }
 }
 
-/// Applies one round of every rewrite to the e-graph, re-associating at most
-/// `multi_pattern_limit` times. Returns whether the e-graph changed.
+/// Applies one round of every tree-shaped table entry to the e-graph,
+/// collecting an entry's rewrites before adding any of them. Returns whether
+/// the e-graph changed.
 fn apply_rewrites(eg: &mut EGraph, multi_pattern_limit: usize) -> bool {
     let mut changed = false;
-    changed |= fuse_activation(eg, OpKind::Conv2d);
-    changed |= fuse_activation(eg, OpKind::MatMul);
-    changed |= fuse_conv_batchnorm(eg);
-    changed |= fuse_bias_add(eg);
-    changed |= eliminate_pass_through(eg);
-    changed |= eliminate_transpose_pair(eg);
-    changed |= reassociate_matmul(eg, multi_pattern_limit);
+    for rule in STANDARD.iter().filter(|r| r.is_tree()) {
+        let mut rewrites: Vec<Rewrite> = Vec::new();
+        let mut growth = 0;
+        for (class, eclass) in eg.iter_classes() {
+            for node in &eclass.nodes {
+                for rewrite in ematch(eg, rule, class, node) {
+                    if rewrite.added.len() > 1 {
+                        if growth == multi_pattern_limit {
+                            continue;
+                        }
+                        growth += 1;
+                    }
+                    rewrites.push(rewrite);
+                }
+            }
+        }
+        for rewrite in rewrites {
+            changed |= rewrite.apply(eg);
+        }
+    }
     changed
+}
+
+/// An operand of a rewrite's new e-nodes: an existing class or an earlier
+/// new e-node.
+#[derive(Debug, Clone, Copy)]
+enum Operand {
+    Class(ClassId),
+    Added(usize),
+}
+
+/// One entry applied at one e-match: the e-nodes to add and what the
+/// matched class is equal to.
+#[derive(Debug)]
+struct Rewrite {
+    class: ClassId,
+    added: Vec<(OpKind, OpAttributes, Vec<Operand>, TensorShape)>,
+    with: Operand,
+}
+
+impl Rewrite {
+    fn apply(self, eg: &mut EGraph) -> bool {
+        let mut ids: Vec<ClassId> = Vec::with_capacity(self.added.len());
+        let resolve = |ids: &[ClassId], operand| match operand {
+            Operand::Class(c) => c,
+            Operand::Added(i) => ids[i],
+        };
+        for (op, attrs, operands, shape) in self.added {
+            let children = operands.into_iter().map(|o| resolve(&ids, o)).collect();
+            ids.push(eg.add(ENode { op, attrs, children, source_shape: None, source_id: None }, shape));
+        }
+        let with = resolve(&ids, self.with);
+        eg.union(self.class, with).1
+    }
+}
+
+/// The rewrites `rule` offers with `node` (of `class`) as the pattern's
+/// anchor: for a chain, once per child slot the pattern admits and per
+/// e-node of that child class the producer test accepts.
+fn ematch(eg: &EGraph, rule: &Substitution, class: ClassId, node: &ENode) -> Vec<Rewrite> {
+    let mut out = Vec::new();
+    for pattern in rule.source {
+        let expansions: Vec<Option<(usize, &ENode)>> = match *pattern {
+            Pattern::Node(test) if test.ops.contains(&node.op) => vec![None],
+            Pattern::Chain { producer, consumer, slot, .. } if consumer.ops.contains(&node.op) => {
+                let slots = match slot {
+                    Slot::Any => 0..node.children.len(),
+                    Slot::At(k) => k..(k + 1).min(node.children.len()),
+                };
+                slots
+                    .flat_map(|s| {
+                        let inner = &eg.class(node.children[s]).nodes;
+                        inner.iter().filter(move |n| producer.ops.contains(&n.op)).map(move |n| Some((s, n)))
+                    })
+                    .collect()
+            }
+            _ => continue,
+        };
+        for expansion in expansions {
+            let Some(site) = Site::new(eg, class, node, expansion) else { continue };
+            let bound: Vec<NodeId> = site.inner.into_iter().chain([site.anchor]).collect();
+            for m in rule.find_matches(&site.graph).into_iter().filter(|m| m.nodes == bound) {
+                let Ok(patch) = rule.build_patch(&site.graph, &m) else { continue };
+                out.extend(site.rewrite(class, &patch));
+            }
+        }
+    }
+    out
+}
+
+/// An e-match written out as a graph: one source per operand class (a
+/// weight when the class holds a parameter), the bound e-nodes, the anchor
+/// the only output.
+struct Site {
+    graph: Graph,
+    /// Every node with its class, in id order.
+    nodes: Vec<(NodeId, ClassId)>,
+    inner: Option<NodeId>,
+    anchor: NodeId,
+}
+
+impl Site {
+    fn new(eg: &EGraph, class: ClassId, node: &ENode, expansion: Option<(usize, &ENode)>) -> Option<Self> {
+        let mut nodes: Vec<(NodeId, ClassId)> = Vec::new();
+        let mut graph = Graph::new();
+        let operand = |graph: &mut Graph, nodes: &mut Vec<(NodeId, ClassId)>, child: ClassId| {
+            let child = eg.find(child);
+            if let Some(&(id, _)) = nodes.iter().find(|&&(_, c)| c == child) {
+                return TensorRef::new(id);
+            }
+            let eclass = eg.class(child);
+            let id = if eclass.nodes.iter().any(|n| matches!(n.op, OpKind::Weight | OpKind::Constant)) {
+                graph.add_weight(eclass.shape.clone())
+            } else {
+                graph.add_input(eclass.shape.clone())
+            };
+            nodes.push((id, child));
+            TensorRef::new(id)
+        };
+        // Each bound e-node, written out, must compute its class's shape.
+        let has_shape = |graph: &Graph, id, class| {
+            graph.tensor_shape(TensorRef::new(id)).ok() == Some(&eg.class(class).shape)
+        };
+        let mut inner_id = None;
+        if let Some((slot, inner)) = expansion {
+            let inputs = inner.children.iter().map(|&c| operand(&mut graph, &mut nodes, c)).collect();
+            let id = graph.add_node(inner.op, inner.attrs.clone(), inputs).ok()?;
+            let inner_class = eg.find(node.children[slot]);
+            has_shape(&graph, id, inner_class).then_some(())?;
+            nodes.push((id, inner_class));
+            inner_id = Some((slot, id));
+        }
+        let mut inputs = Vec::with_capacity(node.children.len());
+        for (slot, &c) in node.children.iter().enumerate() {
+            inputs.push(match inner_id {
+                Some((s, id)) if s == slot => TensorRef::new(id),
+                _ => operand(&mut graph, &mut nodes, c),
+            });
+        }
+        let anchor = graph.add_node(node.op, node.attrs.clone(), inputs).ok()?;
+        nodes.push((anchor, class));
+        graph.mark_output(TensorRef::new(anchor));
+        has_shape(&graph, anchor, class).then_some(Site {
+            graph,
+            nodes,
+            inner: inner_id.map(|(_, id)| id),
+            anchor,
+        })
+    }
+
+    /// The patch in e-graph terms, when it replaces the anchor alone with
+    /// single-output operators.
+    fn rewrite(&self, class: ClassId, patch: &GraphPatch) -> Option<Rewrite> {
+        let operand = |r: PatchRef| match r {
+            PatchRef::Base(t) if t.port == 0 => Some(Operand::Class(self.nodes[t.node.index()].1)),
+            PatchRef::New { node, port: 0 } => Some(Operand::Added(node)),
+            _ => None,
+        };
+        let [(from, to)] = patch.rewires() else { return None };
+        if *from != TensorRef::new(self.anchor) {
+            return None;
+        }
+        let mut added = Vec::with_capacity(patch.added_nodes().len());
+        for n in patch.added_nodes() {
+            if n.op.is_source() || n.outputs.len() != 1 {
+                return None;
+            }
+            let operands = n.inputs.iter().map(|&r| operand(r)).collect::<Option<Vec<_>>>()?;
+            added.push((n.op, n.attrs.clone(), operands, n.outputs[0].clone()));
+        }
+        Some(Rewrite { class, added, with: operand(*to)? })
+    }
 }
 
 /// Per-e-node cost in microseconds, computed by materialising the operator in
@@ -138,218 +314,6 @@ fn enode_cost_us(
         // never chooses them.
         Err(_) => 1e12,
     }
-}
-
-fn fusable_activation(op: OpKind) -> Option<FusedActivation> {
-    match op {
-        OpKind::Relu => Some(FusedActivation::Relu),
-        OpKind::Sigmoid => Some(FusedActivation::Sigmoid),
-        OpKind::Tanh => Some(FusedActivation::Tanh),
-        OpKind::Gelu => Some(FusedActivation::Gelu),
-        _ => None,
-    }
-}
-
-/// `act(producer(x)) == producer_with_fused_act(x)`.
-fn fuse_activation(eg: &mut EGraph, producer: OpKind) -> bool {
-    let mut additions: Vec<(ENode, TensorShape, ClassId)> = Vec::new();
-    for (cid, class) in eg.iter_classes() {
-        for node in &class.nodes {
-            let Some(act) = fusable_activation(node.op) else { continue };
-            let Some(&child) = node.children.first() else { continue };
-            for inner in &eg.class(child).nodes {
-                if inner.op == producer && inner.attrs.fused_activation.is_none() {
-                    let fused = ENode {
-                        op: inner.op,
-                        attrs: inner.attrs.clone().with_fused_activation(act),
-                        children: inner.children.clone(),
-                        source_shape: None,
-                        source_id: None,
-                    };
-                    additions.push((fused, class.shape.clone(), cid));
-                }
-            }
-        }
-    }
-    apply_additions(eg, additions)
-}
-
-/// `BatchNorm(Conv(x)) == Conv'(x)` (folding the affine transform).
-fn fuse_conv_batchnorm(eg: &mut EGraph) -> bool {
-    let mut unions: Vec<(ClassId, ClassId)> = Vec::new();
-    for (cid, class) in eg.iter_classes() {
-        for node in &class.nodes {
-            if node.op != OpKind::BatchNorm {
-                continue;
-            }
-            let Some(&child) = node.children.first() else { continue };
-            if eg.class(child).shape != class.shape {
-                continue;
-            }
-            if eg.class(child).nodes.iter().any(|n| n.op == OpKind::Conv2d) {
-                unions.push((cid, child));
-            }
-        }
-    }
-    apply_unions(eg, unions)
-}
-
-/// `Add(MatMul(x, w), bias) == MatMul'(x, w)` when `bias` is a parameter and
-/// broadcasting does not change the shape.
-fn fuse_bias_add(eg: &mut EGraph) -> bool {
-    let mut unions: Vec<(ClassId, ClassId)> = Vec::new();
-    for (cid, class) in eg.iter_classes() {
-        for node in &class.nodes {
-            if node.op != OpKind::Add || node.children.len() != 2 {
-                continue;
-            }
-            for (main, bias) in [(0, 1), (1, 0)] {
-                let main_class = node.children[main];
-                let bias_class = node.children[bias];
-                let main_is_compute = eg
-                    .class(main_class)
-                    .nodes
-                    .iter()
-                    .any(|n| matches!(n.op, OpKind::MatMul | OpKind::Conv2d));
-                let bias_is_param = eg
-                    .class(bias_class)
-                    .nodes
-                    .iter()
-                    .any(|n| matches!(n.op, OpKind::Weight | OpKind::Constant));
-                if main_is_compute && bias_is_param && eg.class(main_class).shape == class.shape {
-                    unions.push((cid, main_class));
-                }
-            }
-        }
-    }
-    apply_unions(eg, unions)
-}
-
-/// `Identity(x) == x`, `Dropout(x) == x` (inference).
-fn eliminate_pass_through(eg: &mut EGraph) -> bool {
-    let mut unions: Vec<(ClassId, ClassId)> = Vec::new();
-    for (cid, class) in eg.iter_classes() {
-        for node in &class.nodes {
-            if matches!(node.op, OpKind::Identity | OpKind::Dropout | OpKind::Cast) {
-                if let Some(&child) = node.children.first() {
-                    if eg.class(child).shape == class.shape {
-                        unions.push((cid, child));
-                    }
-                }
-            }
-        }
-    }
-    apply_unions(eg, unions)
-}
-
-/// `Transpose_q(Transpose_p(x)) == x` when `q ∘ p` is the identity.
-fn eliminate_transpose_pair(eg: &mut EGraph) -> bool {
-    let mut unions: Vec<(ClassId, ClassId)> = Vec::new();
-    for (cid, class) in eg.iter_classes() {
-        for node in &class.nodes {
-            if node.op != OpKind::Transpose {
-                continue;
-            }
-            let Some(ref q) = node.attrs.perm else { continue };
-            let Some(&child) = node.children.first() else { continue };
-            for inner in &eg.class(child).nodes {
-                if inner.op != OpKind::Transpose {
-                    continue;
-                }
-                let Some(ref p) = inner.attrs.perm else { continue };
-                if p.len() == q.len() && (0..p.len()).all(|i| p[q[i]] == i) {
-                    let Some(&grandchild) = inner.children.first() else { continue };
-                    if eg.class(grandchild).shape == class.shape {
-                        unions.push((cid, grandchild));
-                    }
-                }
-            }
-        }
-    }
-    apply_unions(eg, unions)
-}
-
-/// `(A·B)·C == A·(B·C)` — Tensat's growth-prone "multi-pattern" rule, limited
-/// to `limit` applications per saturation iteration.
-fn reassociate_matmul(eg: &mut EGraph, limit: usize) -> bool {
-    let mut additions: Vec<(ENode, ENode, TensorShape, TensorShape, ClassId)> = Vec::new();
-    'outer: for (cid, class) in eg.iter_classes() {
-        for node in &class.nodes {
-            if node.op != OpKind::MatMul || node.attrs.fused_activation.is_some() {
-                continue;
-            }
-            if node.children.len() != 2 {
-                continue;
-            }
-            let (ab_class, c_class) = (node.children[0], node.children[1]);
-            if eg.class(c_class).shape.rank() != 2 {
-                continue;
-            }
-            for inner in &eg.class(ab_class).nodes {
-                if inner.op != OpKind::MatMul
-                    || inner.attrs.fused_activation.is_some()
-                    || inner.children.len() != 2
-                {
-                    continue;
-                }
-                let (a_class, b_class) = (inner.children[0], inner.children[1]);
-                let b_shape = eg.class(b_class).shape.clone();
-                let c_shape = eg.class(c_class).shape.clone();
-                if b_shape.rank() != 2 {
-                    continue;
-                }
-                // B·C has shape [b_rows, c_cols].
-                let bc_shape = TensorShape::new(vec![b_shape.dim(0), c_shape.dim(1)]);
-                let bc = ENode {
-                    op: OpKind::MatMul,
-                    attrs: OpAttributes::default(),
-                    children: vec![b_class, c_class],
-                    source_shape: None,
-                    source_id: None,
-                };
-                let outer_shape = class.shape.clone();
-                let a_bc = ENode {
-                    op: OpKind::MatMul,
-                    attrs: OpAttributes::default(),
-                    children: vec![a_class, ClassId(usize::MAX)], // patched after bc is added
-                    source_shape: None,
-                    source_id: None,
-                };
-                additions.push((bc, a_bc, bc_shape, outer_shape, cid));
-                if additions.len() >= limit {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    let mut changed = false;
-    for (bc, mut a_bc, bc_shape, outer_shape, target) in additions {
-        let bc_class = eg.add(bc, bc_shape);
-        a_bc.children[1] = bc_class;
-        let new_class = eg.add(a_bc, outer_shape);
-        let (_, did) = eg.union(target, new_class);
-        changed |= did;
-    }
-    changed
-}
-
-fn apply_additions(eg: &mut EGraph, additions: Vec<(ENode, TensorShape, ClassId)>) -> bool {
-    let mut changed = false;
-    for (node, shape, target) in additions {
-        let new_class = eg.add(node, shape);
-        let (_, did) = eg.union(target, new_class);
-        changed |= did;
-    }
-    changed
-}
-
-fn apply_unions(eg: &mut EGraph, unions: Vec<(ClassId, ClassId)>) -> bool {
-    let mut changed = false;
-    for (a, b) in unions {
-        let (_, did) = eg.union(a, b);
-        changed |= did;
-    }
-    changed
 }
 
 #[cfg(test)]
@@ -381,6 +345,25 @@ mod tests {
         assert!(result.graph.validate().is_ok());
         let sim = InferenceSimulator::new(DeviceProfile::gtx1080());
         assert!(sim.measure_ms(&result.graph, 0) < sim.measure_ms(&g, 0));
+    }
+
+    #[test]
+    fn saturation_applies_the_rule_table_entries_the_environment_reads() {
+        // A reshape pair and a double batch norm: rewrites Tensat only
+        // gained by e-matching the table every other optimiser reads.
+        let mut g = Graph::new();
+        let x = g.add_input(TensorShape::new(vec![2, 3, 4]));
+        let r1 = g.add_node(OpKind::Reshape, OpAttributes::reshape(vec![6, 4]), vec![x.into()]).unwrap();
+        let r2 = g.add_node(OpKind::Reshape, OpAttributes::reshape(vec![24]), vec![r1.into()]).unwrap();
+        g.mark_output(r2.into());
+        let y = g.add_input(TensorShape::new(vec![1, 8, 4, 4]));
+        let b1 = g.add_node(OpKind::BatchNorm, OpAttributes::default(), vec![y.into()]).unwrap();
+        let b2 = g.add_node(OpKind::BatchNorm, OpAttributes::default(), vec![b1.into()]).unwrap();
+        g.mark_output(b2.into());
+        let result = TensatOptimizer::new(DeviceProfile::gtx1080()).optimize(&g).unwrap();
+        assert!(result.graph.validate().is_ok());
+        assert_eq!(result.graph.count_op(OpKind::Reshape), 1);
+        assert_eq!(result.graph.count_op(OpKind::BatchNorm), 1);
     }
 
     #[test]

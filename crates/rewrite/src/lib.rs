@@ -4,10 +4,12 @@
 //! TASO-style substitution engine that X-RLflow's environment (and the
 //! baseline optimisers) are built on.
 //!
-//! At each optimisation step, [`RuleSet::generate_candidates`] pattern
-//! matches every rule against the current graph and returns one transformed
-//! candidate graph per application site; the search strategy (RL agent,
-//! greedy search, backtracking search) then picks one.
+//! Every rule is a [`Substitution`] — a source pattern, a target template
+//! and the map between them — in one table ([`rules::STANDARD`]). At each
+//! optimisation step, [`RuleSet::generate_candidates`] matches every entry
+//! against the current graph and returns one candidate patch per
+//! application site; the search strategy (RL agent, greedy search,
+//! backtracking search) then picks one.
 //!
 //! ## Quickstart
 //!
@@ -26,8 +28,8 @@
 mod matcher;
 mod rule;
 pub mod rules;
+mod substitution;
 
-pub use matcher::{
-    consumers_of, find_chains, find_siblings_sharing_input, has_single_consumer, is_parameter,
-};
-pub use rule::{Candidate, Materialization, RewriteRule, RuleId, RuleMatch, RuleSet};
+pub use matcher::{find_siblings_sharing_input, is_parameter};
+pub use rule::{Candidate, Materialization, RuleId, RuleMatch, RuleSet};
+pub use substitution::{input, Attrs, Axis, Emit, NodeTest, Pattern, Slot, Substitution, Target, Tensor};

@@ -1,69 +1,8 @@
-//! Small structural-matching helpers shared by the rewrite rules.
-//!
-//! TASO's generated rules are source/target graph pairs applied through a
-//! generic subgraph matcher; this reproduction expresses each rule family
-//! directly in Rust and uses these helpers to locate the structural motifs
-//! (operator chains, sibling operators sharing an input, ...) the rules
-//! rewrite.
+//! Small structural-matching helpers the substitution table's matcher and
+//! guards share: sibling operators reading one tensor, dataflow dependence,
+//! and "is this tensor known before inference".
 
 use xrlflow_graph::{Graph, NodeId, OpKind, TensorRef};
-
-/// Returns the consumers of *any output port* of a node.
-pub fn consumers_of(graph: &Graph, id: NodeId) -> Vec<NodeId> {
-    graph.consumers(id).into_iter().map(|(c, _)| c).collect()
-}
-
-/// Returns `true` when the node's outputs are consumed by exactly one node
-/// and the node is not a graph output (so it can be safely absorbed into a
-/// fused operator).
-pub fn has_single_consumer(graph: &Graph, id: NodeId) -> bool {
-    let mut consumers = consumers_of(graph, id);
-    consumers.sort_unstable();
-    consumers.dedup();
-    consumers.len() == 1 && !graph.outputs().iter().any(|r| r.node == id)
-}
-
-/// Finds all two-node chains `first -> second` where `second` is the sole
-/// consumer of `first`. Returns `(first, second)` pairs.
-///
-/// The sole-consumer test is [`has_single_consumer`]'s, answered from one
-/// count of every node's distinct consumers — made when the first chain
-/// turns up, so a graph without the motif is never scanned — instead of one
-/// whole-graph scan per chain.
-pub fn find_chains(graph: &Graph, first: OpKind, second: OpKind) -> Vec<(NodeId, NodeId)> {
-    let mut out = Vec::new();
-    let mut consumers: Option<Vec<u32>> = None;
-    for (id, node) in graph.iter() {
-        if node.op != second {
-            continue;
-        }
-        for input in &node.inputs {
-            let Ok(producer) = graph.node(input.node) else { continue };
-            if producer.op != first {
-                continue;
-            }
-            let consumers = consumers.get_or_insert_with(|| distinct_consumer_counts(graph));
-            if consumers[input.node.index()] == 1 && !graph.outputs().iter().any(|r| r.node == input.node) {
-                out.push((input.node, id));
-            }
-        }
-    }
-    out
-}
-
-/// How many distinct nodes consume each node, indexed by `NodeId::index()`.
-fn distinct_consumer_counts(graph: &Graph) -> Vec<u32> {
-    let mut counts = vec![0u32; graph.id_bound()];
-    for (_, node) in graph.iter() {
-        for (slot, input) in node.inputs.iter().enumerate() {
-            // A consumer reading one producer through several slots is one consumer.
-            if !node.inputs[..slot].iter().any(|earlier| earlier.node == input.node) {
-                counts[input.node.index()] += 1;
-            }
-        }
-    }
-    counts
-}
 
 /// Finds unordered pairs of distinct nodes of kind `op` that consume the same
 /// tensor as their `slot`-th input. Returns `(shared_input, left, right)`.
@@ -131,22 +70,6 @@ mod tests {
 
     fn shape(d: &[usize]) -> TensorShape {
         TensorShape::new(d.to_vec())
-    }
-
-    #[test]
-    fn chains_require_single_consumer() {
-        let mut g = Graph::new();
-        let x = g.add_input(shape(&[1, 8]));
-        let w = g.add_weight(shape(&[8, 8]));
-        let mm = g.add_node(OpKind::MatMul, OpAttributes::default(), vec![x.into(), w.into()]).unwrap();
-        let relu = g.add_node(OpKind::Relu, OpAttributes::default(), vec![mm.into()]).unwrap();
-        g.mark_output(relu.into());
-        assert_eq!(find_chains(&g, OpKind::MatMul, OpKind::Relu), vec![(mm, relu)]);
-
-        // Add a second consumer of the matmul: the chain is no longer fusible.
-        let tanh = g.add_node(OpKind::Tanh, OpAttributes::default(), vec![mm.into()]).unwrap();
-        g.mark_output(tanh.into());
-        assert!(find_chains(&g, OpKind::MatMul, OpKind::Relu).is_empty());
     }
 
     #[test]
@@ -234,17 +157,5 @@ mod tests {
         assert!(!is_parameter(&g, x.into()));
         assert!(is_parameter(&g, w.into()));
         assert!(is_parameter(&g, c.into()));
-    }
-
-    #[test]
-    fn graph_output_is_not_single_consumer() {
-        let mut g = Graph::new();
-        let x = g.add_input(shape(&[1, 8]));
-        let relu = g.add_node(OpKind::Relu, OpAttributes::default(), vec![x.into()]).unwrap();
-        let tanh = g.add_node(OpKind::Tanh, OpAttributes::default(), vec![relu.into()]).unwrap();
-        g.mark_output(relu.into());
-        g.mark_output(tanh.into());
-        // relu feeds tanh but is also a graph output, so it cannot be fused away.
-        assert!(!has_single_consumer(&g, relu));
     }
 }

@@ -1,8 +1,7 @@
-//! The rewrite-rule abstraction, patch-based candidate generation and rule
-//! sets.
+//! Rule sets and patch-based candidate generation.
 //!
-//! At every optimisation step the environment pattern-matches every active
-//! rule against the current graph and produces one *candidate* per match —
+//! At every optimisation step the environment matches every active table
+//! entry ([`Substitution`]) against the current graph and produces one *candidate* per match —
 //! but unlike TASO's substitution engine (and the first version of this
 //! crate), a candidate is a [`GraphPatch`] *delta*, not a transformed copy of
 //! the whole graph. Generating the full candidate set is the hot path of the
@@ -15,17 +14,19 @@ use std::sync::{Arc, OnceLock};
 
 use xrlflow_graph::{Graph, GraphError, GraphPatch, NodeId};
 
+use crate::substitution::{Scan, Substitution};
+
 /// Identifier of a rewrite rule within a [`RuleSet`] (stable across runs;
 /// used for the Figure 5 rule-application heatmap).
 pub type RuleId = usize;
 
 /// A single located application site of a rule in a specific graph.
 ///
-/// The meaning of `nodes` is rule-specific (e.g. "the Conv2d and the Relu to
-/// fuse" or "the two MatMuls to merge").
+/// `nodes` are the nodes the rule's source pattern bound, in the pattern's
+/// binding order (see [`crate::Pattern`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuleMatch {
-    /// Nodes participating in the match, in rule-defined order.
+    /// Nodes participating in the match, in binding order.
     pub nodes: Vec<NodeId>,
 }
 
@@ -33,50 +34,6 @@ impl RuleMatch {
     /// Creates a match over the given nodes.
     pub fn new(nodes: Vec<NodeId>) -> Self {
         Self { nodes }
-    }
-
-    /// Destructures the match into exactly `N` nodes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the match does not contain exactly `N` nodes; this indicates
-    /// a rule applying a match it did not produce.
-    pub fn expect_nodes<const N: usize>(&self) -> [NodeId; N] {
-        self.nodes
-            .as_slice()
-            .try_into()
-            .unwrap_or_else(|_| panic!("rule match has {} nodes, expected {N}", self.nodes.len()))
-    }
-}
-
-/// A graph-rewrite rule: locate every application site in a graph, and
-/// describe the rewrite at one site as a [`GraphPatch`] delta.
-pub trait RewriteRule: Send + Sync {
-    /// Short, stable, human-readable rule name.
-    fn name(&self) -> &'static str;
-
-    /// Finds every application site of this rule in the graph.
-    fn find_matches(&self, graph: &Graph) -> Vec<RuleMatch>;
-
-    /// Builds the patch describing this rule's rewrite at the given site.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the match is stale or the transformation would
-    /// produce a shape-inconsistent graph; callers treat this as "no
-    /// candidate".
-    fn build_patch(&self, graph: &Graph, site: &RuleMatch) -> Result<GraphPatch, GraphError>;
-
-    /// Eagerly applies the rule at the given site, returning the transformed
-    /// graph (including dead-node elimination). This is the reference
-    /// semantics of [`RewriteRule::build_patch`]; the candidate pipeline uses
-    /// the patch directly and materialises lazily.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`RewriteRule::build_patch`].
-    fn apply(&self, graph: &Graph, site: &RuleMatch) -> Result<Graph, GraphError> {
-        graph.apply_patch(&self.build_patch(graph, site)?)
     }
 }
 
@@ -209,7 +166,7 @@ impl Candidate {
 
 /// A collection of rewrite rules applied together.
 pub struct RuleSet {
-    rules: Vec<Box<dyn RewriteRule>>,
+    rules: Vec<Substitution>,
 }
 
 impl std::fmt::Debug for RuleSet {
@@ -219,8 +176,8 @@ impl std::fmt::Debug for RuleSet {
 }
 
 impl RuleSet {
-    /// Creates a rule set from explicit rules.
-    pub fn new(rules: Vec<Box<dyn RewriteRule>>) -> Self {
+    /// Creates a rule set from explicit table entries.
+    pub fn new(rules: Vec<Substitution>) -> Self {
         Self { rules }
     }
 
@@ -253,7 +210,8 @@ impl RuleSet {
     /// Total number of application sites across all rules (the paper's
     /// Table 3 "complexity" metric is the average of this over an episode).
     pub fn count_matches(&self, graph: &Graph) -> usize {
-        self.rules.iter().map(|r| r.find_matches(graph).len()).sum()
+        let mut scan = Scan::new(graph);
+        self.rules.iter().map(|r| r.find_in(&mut scan).len()).sum()
     }
 
     /// Generates every deduplicated candidate obtainable by applying one
@@ -274,8 +232,9 @@ impl RuleSet {
         let _span = xrlflow_obs::span!("rewrite/generate_candidates");
         let mut seen: HashSet<u64> = HashSet::new();
         let mut out = Vec::new();
+        let mut scan = Scan::new(graph);
         'outer: for (rule_id, rule) in self.rules.iter().enumerate() {
-            for site in rule.find_matches(graph) {
+            for site in rule.find_in(&mut scan) {
                 let Ok(patch) = rule.build_patch(graph, &site) else { continue };
                 if patch.is_noop() {
                     continue;
@@ -314,7 +273,10 @@ impl RuleSet {
         let mut out = Vec::new();
         'outer: for (rule_id, rule) in self.rules.iter().enumerate() {
             for site in rule.find_matches(graph) {
-                let Ok(materialized) = rule.apply(graph, &site) else { continue };
+                let Ok(materialized) = rule.build_patch(graph, &site).and_then(|p| graph.apply_patch(&p))
+                else {
+                    continue;
+                };
                 if materialized.validate().is_err() {
                     continue;
                 }

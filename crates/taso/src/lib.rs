@@ -27,5 +27,5 @@
 mod pet;
 mod search;
 
-pub use pet::{ElementwiseBlindCostModel, PartiallyEquivalentConv, PetOptimizer};
+pub use pet::{ElementwiseBlindCostModel, PetOptimizer, PARTIALLY_EQUIVALENT_CONV};
 pub use search::{BacktrackingOptimizer, GreedyOptimizer, OptimizationResult, SearchConfig};

@@ -16,10 +16,10 @@
 //!   kernels it introduces.
 
 use xrlflow_cost::{CostModel, DeviceProfile};
-use xrlflow_graph::{
-    Graph, GraphError, GraphPatch, NodeId, OpAttributes, OpKind, Padding, PatchBuilder, TensorRef,
+use xrlflow_graph::{Graph, GraphError, NodeId, OpAttributes, OpKind, Padding, PatchBuilder};
+use xrlflow_rewrite::{
+    input, is_parameter, Attrs, Emit, NodeTest, Pattern, RuleSet, Substitution, Target, Tensor::*,
 };
-use xrlflow_rewrite::{is_parameter, RewriteRule, RuleMatch, RuleSet};
 
 use crate::search::{greedy_search, GreedyOptimizer, OptimizationResult, SearchConfig};
 
@@ -28,73 +28,56 @@ use crate::search::{greedy_search, GreedyOptimizer, OptimizationResult, SearchCo
 /// slice and padded back, followed by a correction `Add`.
 ///
 /// The transformed convolution performs a quarter of the work; the
-/// correction kernels are element-wise and therefore invisible to PET's
-/// cost model, but they are *not* free at inference time — which is why
-/// PET's advantage is shape- and architecture-dependent.
-#[derive(Debug, Clone, Default)]
-pub struct PartiallyEquivalentConv;
+/// correction kernels (structurally a multiply-add against correction
+/// constants) are element-wise and therefore invisible to PET's cost model,
+/// but they are *not* free at inference time — which is why PET's advantage
+/// is shape- and architecture-dependent.
+pub const PARTIALLY_EQUIVALENT_CONV: Substitution = Substitution {
+    name: "pet-partial-conv",
+    source: &[Pattern::Node(NodeTest { ops: &[OpKind::Conv2d], unfused: true })],
+    guard: Some(plain_even_3x3_conv),
+    target: Target::Template {
+        emit: &[
+            Emit::node(OpKind::Slice, Attrs::Fn(half_resolution), &[Input(0, 0)]),
+            Emit::node(OpKind::Conv2d, Attrs::Of(0), &[New(0, 0), Input(0, 1)]),
+            Emit::node(OpKind::Pad, Attrs::Fn(full_resolution), &[New(1, 0)]),
+            Emit::ConstantLike(Bound(0)),
+            Emit::node(OpKind::Mul, Attrs::Default, &[New(2, 0), New(3, 0)]),
+            Emit::ConstantLike(Bound(0)),
+            Emit::node(OpKind::Add, Attrs::Default, &[New(4, 0), New(5, 0)]),
+        ],
+        replace: &[(0, New(6, 0))],
+    },
+};
 
-impl RewriteRule for PartiallyEquivalentConv {
-    fn name(&self) -> &'static str {
-        "pet-partial-conv"
-    }
+/// `[conv]` is an ungrouped 3x3 stride-1 convolution over a parameter weight
+/// whose output grid is even and at least 8 rows high.
+fn plain_even_3x3_conv(graph: &Graph, nodes: &[NodeId]) -> bool {
+    let Ok(n) = graph.node(nodes[0]) else { return false };
+    n.attrs.groups <= 1
+        && n.attrs.kernel == Some([3, 3])
+        && n.attrs.stride == Some([1, 1])
+        && n.attrs.padding == Padding::Same
+        && n.inputs.len() == 2
+        && is_parameter(graph, n.inputs[1])
+        && n.outputs[0].rank() == 4
+        && n.outputs[0].dim(2) % 2 == 0
+        && n.outputs[0].dim(3) % 2 == 0
+        && n.outputs[0].dim(2) >= 8
+}
 
-    fn find_matches(&self, graph: &Graph) -> Vec<RuleMatch> {
-        graph
-            .iter()
-            .filter(|(_, n)| {
-                n.op == OpKind::Conv2d
-                    && n.attrs.groups <= 1
-                    && n.attrs.kernel == Some([3, 3])
-                    && n.attrs.stride == Some([1, 1])
-                    && n.attrs.padding == Padding::Same
-                    && n.attrs.fused_activation.is_none()
-                    && n.inputs.len() == 2
-                    && is_parameter(graph, n.inputs[1])
-                    && n.outputs[0].rank() == 4
-                    && n.outputs[0].dim(2) % 2 == 0
-                    && n.outputs[0].dim(3) % 2 == 0
-                    && n.outputs[0].dim(2) >= 8
-            })
-            .map(|(id, _)| RuleMatch::new(vec![id]))
-            .collect()
-    }
+/// The convolution's input at half its spatial resolution.
+fn half_resolution(b: &PatchBuilder<'_>, nodes: &[NodeId]) -> Result<OpAttributes, GraphError> {
+    let graph = b.base();
+    let x = graph.tensor_shape(input(graph, nodes[0], 0)?)?;
+    let half = vec![x.dim(0), x.dim(1), x.dim(2) / 2, x.dim(3) / 2];
+    Ok(OpAttributes { target_shape: Some(half), ..Default::default() })
+}
 
-    fn build_patch(&self, graph: &Graph, site: &RuleMatch) -> Result<GraphPatch, GraphError> {
-        let [conv_id] = site.expect_nodes();
-        let conv = graph.node(conv_id)?;
-        let input_ref = conv.inputs[0];
-        let weight_ref = conv.inputs[1];
-        let in_shape = graph.tensor_shape(input_ref)?;
-        let out_shape = conv.outputs[0].clone();
-        let mut pb = PatchBuilder::new(graph);
-
-        // Slice the input to half resolution, convolve, pad back and correct.
-        let half_in = vec![in_shape.dim(0), in_shape.dim(1), in_shape.dim(2) / 2, in_shape.dim(3) / 2];
-        let slice = pb.add_node(
-            OpKind::Slice,
-            OpAttributes { target_shape: Some(half_in), ..Default::default() },
-            vec![input_ref.into()],
-        )?;
-        let small_conv =
-            pb.add_node(OpKind::Conv2d, conv.attrs.clone(), vec![slice.into(), weight_ref.into()])?;
-        let pad = pb.add_node(
-            OpKind::Pad,
-            OpAttributes { target_shape: Some(out_shape.dims().to_vec()), ..Default::default() },
-            vec![small_conv.into()],
-        )?;
-        // Correction kernels: element-wise operators restoring the missing
-        // output region (structurally modelled as a multiply-add against
-        // correction constants).
-        let correction = pb.add_constant(out_shape.clone());
-        let corrected =
-            pb.add_node(OpKind::Mul, OpAttributes::default(), vec![pad.into(), correction.into()])?;
-        let residual = pb.add_constant(out_shape);
-        let fixed =
-            pb.add_node(OpKind::Add, OpAttributes::default(), vec![corrected.into(), residual.into()])?;
-        pb.replace_all_uses(TensorRef::new(conv_id), fixed)?;
-        Ok(pb.finish())
-    }
+/// The convolution's own output shape.
+fn full_resolution(b: &PatchBuilder<'_>, nodes: &[NodeId]) -> Result<OpAttributes, GraphError> {
+    let out = b.base().node(nodes[0])?.outputs[0].dims().to_vec();
+    Ok(OpAttributes { target_shape: Some(out), ..Default::default() })
 }
 
 /// A cost model in PET's style: identical to the TASO cost model except that
@@ -148,7 +131,7 @@ impl PetOptimizer {
     /// equivalent convolution transform.
     pub fn rules() -> RuleSet {
         let mut rules = xrlflow_rewrite::rules::standard_rules();
-        rules.push(Box::new(PartiallyEquivalentConv));
+        rules.push(PARTIALLY_EQUIVALENT_CONV);
         RuleSet::new(rules)
     }
 
@@ -182,7 +165,7 @@ mod tests {
     fn partial_conv_matches_plain_but_not_grouped_convs() {
         let resnet = build_model(ModelKind::ResNet18, ModelScale::Bench).unwrap();
         let resnext = build_model(ModelKind::ResNext50, ModelScale::Bench).unwrap();
-        let rule = PartiallyEquivalentConv;
+        let rule = PARTIALLY_EQUIVALENT_CONV;
         let plain = rule.find_matches(&resnet).len();
         assert!(plain > 0, "expected partially-equivalent opportunities in ResNet-18");
         // ResNeXt's 3x3 convolutions are grouped and therefore unsupported.
@@ -198,9 +181,9 @@ mod tests {
     #[test]
     fn partial_conv_apply_is_valid_and_cheaper_under_blind_model() {
         let g = build_model(ModelKind::ResNet18, ModelScale::Bench).unwrap();
-        let rule = PartiallyEquivalentConv;
+        let rule = PARTIALLY_EQUIVALENT_CONV;
         let matches = rule.find_matches(&g);
-        let out = rule.apply(&g, &matches[0]).unwrap();
+        let out = g.apply_patch(&rule.build_patch(&g, &matches[0]).unwrap()).unwrap();
         assert!(out.validate().is_ok());
         let blind = ElementwiseBlindCostModel::new(DeviceProfile::gtx1080());
         assert!(blind.graph_cost_ms(&out) < blind.graph_cost_ms(&g));

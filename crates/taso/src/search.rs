@@ -7,7 +7,7 @@
 //! model*, not end-to-end latency — which is exactly the behaviour X-RLflow
 //! improves on.
 
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BinaryHeap, HashSet};
 use std::time::Instant;
 
 use xrlflow_cost::CostModel;
@@ -25,9 +25,9 @@ pub struct OptimizationResult {
     pub final_cost_ms: f64,
     /// Number of substitutions applied along the chosen trajectory.
     pub steps: usize,
-    /// How many times each rule was applied along the chosen trajectory
-    /// (rule name -> count); the Figure 5 heatmap for the baseline.
-    pub rule_applications: HashMap<&'static str, usize>,
+    /// The rules applied along the chosen trajectory, in order (one per
+    /// step); the Figure 5 heatmap for the baseline counts them.
+    pub applied_rules: Vec<&'static str>,
     /// Number of candidate graphs evaluated in total.
     pub candidates_evaluated: usize,
     /// Wall-clock optimisation time in seconds.
@@ -100,8 +100,7 @@ pub(crate) fn greedy_search(
     let initial_cost_ms = cost(graph);
     let mut current = graph.clone();
     let mut current_cost = initial_cost_ms;
-    let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
-    let mut steps = 0;
+    let mut applied_rules: Vec<&'static str> = Vec::new();
     let mut candidates_evaluated = 0;
 
     for _ in 0..config.budget {
@@ -117,10 +116,9 @@ pub(crate) fn greedy_search(
             .min_by(|a, b| a.2.total_cmp(&b.2));
         match best {
             Some((candidate, graph, cost)) if cost < current_cost => {
-                *rule_applications.entry(candidate.rule_name).or_insert(0) += 1;
+                applied_rules.push(candidate.rule_name);
                 current = graph;
                 current_cost = cost;
-                steps += 1;
             }
             _ => break,
         }
@@ -130,8 +128,8 @@ pub(crate) fn greedy_search(
         final_cost_ms: current_cost,
         graph: current,
         initial_cost_ms,
-        steps,
-        rule_applications,
+        steps: applied_rules.len(),
+        applied_rules,
         candidates_evaluated,
         optimisation_time_s: start.elapsed().as_secs_f64(),
     }
@@ -142,7 +140,6 @@ struct QueueEntry {
     cost: f64,
     order: usize,
     graph: Graph,
-    steps: usize,
     rules: Vec<&'static str>,
 }
 
@@ -186,19 +183,12 @@ impl BacktrackingOptimizer {
         let mut best_graph = graph.clone();
         let mut best_cost = initial_cost_ms;
         let mut best_rules: Vec<&'static str> = Vec::new();
-        let mut best_steps = 0;
 
         let mut queue = BinaryHeap::new();
         let mut seen: HashSet<u64> = HashSet::new();
         let mut order = 0;
         seen.insert(graph.canonical_hash());
-        queue.push(QueueEntry {
-            cost: initial_cost_ms,
-            order,
-            graph: graph.clone(),
-            steps: 0,
-            rules: Vec::new(),
-        });
+        queue.push(QueueEntry { cost: initial_cost_ms, order, graph: graph.clone(), rules: Vec::new() });
 
         let mut pops = 0;
         let mut candidates_evaluated = 0;
@@ -211,7 +201,6 @@ impl BacktrackingOptimizer {
                 best_cost = entry.cost;
                 best_graph = entry.graph.clone();
                 best_rules = entry.rules.clone();
-                best_steps = entry.steps;
             }
             if entry.cost > ALPHA * best_cost {
                 continue;
@@ -229,20 +218,16 @@ impl BacktrackingOptimizer {
                 order += 1;
                 let mut rules = entry.rules.clone();
                 rules.push(candidate.rule_name);
-                queue.push(QueueEntry { cost, order, graph, steps: entry.steps + 1, rules });
+                queue.push(QueueEntry { cost, order, graph, rules });
             }
         }
 
-        let mut rule_applications: HashMap<&'static str, usize> = HashMap::new();
-        for r in &best_rules {
-            *rule_applications.entry(r).or_insert(0) += 1;
-        }
         OptimizationResult {
             graph: best_graph,
             initial_cost_ms,
             final_cost_ms: best_cost,
-            steps: best_steps,
-            rule_applications,
+            steps: best_rules.len(),
+            applied_rules: best_rules,
             candidates_evaluated,
             optimisation_time_s: start.elapsed().as_secs_f64(),
         }
@@ -278,9 +263,9 @@ mod tests {
         let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
         let result = greedy().optimize(&g);
         assert!(
-            result.rule_applications.keys().any(|r| r.starts_with("fuse-conv")),
+            result.applied_rules.iter().any(|r| r.starts_with("fuse-conv")),
             "expected conv fusions, applied: {:?}",
-            result.rule_applications
+            result.applied_rules
         );
     }
 
