@@ -3,6 +3,8 @@
 //! number of GAT layers), and per-step policy evaluation on the batched + delta-aware
 //! path the agent runs — with the host half of that path (featurise the
 //! observation, derive all `K` sparse candidate deltas) as its own series,
+//! the features of the next graph derived from the chosen candidate's delta
+//! (`featurize/successor/*`),
 //! and a mid-trajectory step through the episode evaluator, which reads the
 //! observed graph's encoder rows from the step before (`carried`) against
 //! the same step encoding the whole graph (`cold`) — and, on its own, the
@@ -96,6 +98,15 @@ fn main() {
         // even at the CI smoke scale, as for the featurisation series.
         const WARM_UP: usize = 3;
         let iters = iters.max(20);
+        // The chosen candidate's features, derived from the first graph's
+        // and its delta — what a carried step runs instead of `from_graph`.
+        let current = GraphFeatures::from_graph(&obs.graph);
+        let delta =
+            GraphFeatures::delta_from_base_and_patch(&obs.graph, &current, obs.candidates[action].patch());
+        report(
+            &format!("featurize/successor/{}", kind.name()),
+            time_ns(WARM_UP, iters, || current.successor(&delta, &next.graph).num_edges()),
+        );
         let mut tape = Tape::new();
         let cold_ns =
             time_ns(WARM_UP, iters, || agent.act_with_tape(&mut tape, &next, &mut rng(0), true).value);

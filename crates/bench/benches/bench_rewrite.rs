@@ -3,14 +3,18 @@
 //!
 //! Candidate generation is timed on the shipped patch-based pipeline: one
 //! [`xrlflow_rewrite::Candidate`] carries a small delta, and no candidate
-//! graph is materialised. Then come the graph-layer costs of one rewrite
-//! step: materialising a candidate, applying its patch, hashing the result
-//! and measuring it.
+//! graph is materialised — cold (`patch`: every rule matched over the whole
+//! graph) and carried to the next step (`carried`: only what the chosen
+//! patch touched re-matched, re-built and re-hashed). Then come the
+//! graph-layer costs of one rewrite step: materialising a candidate,
+//! applying its patch, hashing the result and measuring it.
+
+use std::cell::RefCell;
 
 use xrlflow_bench::{finish, iters_from_env, report, time_ns, time_with_setup_ns};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
-use xrlflow_rewrite::RuleSet;
+use xrlflow_rewrite::{RuleSet, SiteLists};
 
 fn main() {
     let rules = RuleSet::standard();
@@ -21,6 +25,26 @@ fn main() {
         let graph = build_model(kind, ModelScale::Bench).unwrap();
         let patch_ns = time_ns(3, iters, || rules.generate_candidates(&graph, 64).len());
         report(&format!("candidate_generation/patch/{}", kind.name()), patch_ns);
+    }
+
+    // One carried step after the first: the first graph's site lists
+    // brought to its first candidate's materialisation, then deduplicated
+    // and cut (what `Environment::step` runs instead of the scan above).
+    println!("\n== candidate generation (carried) ==");
+    for kind in [ModelKind::SqueezeNet, ModelKind::Bert, ModelKind::InceptionV3] {
+        let graph = build_model(kind, ModelScale::Bench).unwrap();
+        let next = rules.generate_candidates(&graph, 64)[0].materialize(&graph).unwrap();
+        let carried_ns = time_with_setup_ns(
+            3,
+            iters,
+            || RefCell::new(SiteLists::new(&rules, &graph)),
+            |sites| {
+                let mut sites = sites.borrow_mut();
+                sites.advance(&rules, &graph, &next);
+                sites.candidates(&rules, &next, 64).len()
+            },
+        );
+        report(&format!("candidate_generation/carried/{}", kind.name()), carried_ns);
     }
 
     println!("\n== pattern matching ==");

@@ -146,7 +146,8 @@ impl XrlflowAgent {
     /// policy head scores every pair in one stacked forward
     /// ([`XrlflowAgent::score`]).
     fn forward(&self, tape: &mut Tape, observation: &Observation) -> (VarId, VarId) {
-        let (current, deltas) = featurize(observation);
+        let current = GraphFeatures::from_graph(&observation.graph);
+        let deltas = candidate_deltas(observation, &current);
         // Row 0: the current graph; rows 1..=K: the candidates. Clean rows
         // of every candidate are shared with the current graph's encoding;
         // only each patch's dirty region is re-computed per GAT layer.
@@ -263,16 +264,14 @@ impl XrlflowAgent {
     }
 }
 
-/// The observation's graph featurised once, and every candidate as a sparse
-/// delta against those features.
-fn featurize(observation: &Observation) -> (GraphFeatures, Vec<CandidateDelta>) {
-    let current = GraphFeatures::from_graph(&observation.graph);
-    let deltas = observation
+/// Every candidate of the observation as a sparse delta against `current`,
+/// the features of its graph.
+fn candidate_deltas(observation: &Observation, current: &GraphFeatures) -> Vec<CandidateDelta> {
+    observation
         .candidates
         .iter()
-        .map(|c| GraphFeatures::delta_from_base_and_patch(&observation.graph, &current, c.patch()))
-        .collect();
-    (current, deltas)
+        .map(|c| GraphFeatures::delta_from_base_and_patch(&observation.graph, current, c.patch()))
+        .collect()
 }
 
 /// Turns the per-valid-action logits on `tape` into a decision: scatters them
@@ -336,11 +335,13 @@ pub struct PolicyEpisode<'a> {
 }
 
 /// The candidate a decision chose, with what gathering its encoder rows off
-/// the step's (not yet recycled) tape takes.
+/// the step's (not yet recycled) tape and deriving its features take.
 #[derive(Debug)]
 struct Chosen {
     /// The graph whose rows can be carried, once somebody materialises it.
     graph: Materialization,
+    /// The step's graph's features, the base of every delta.
+    features: GraphFeatures,
     /// The step's candidate deltas and the chosen one's index among them.
     deltas: Vec<CandidateDelta>,
     index: usize,
@@ -351,24 +352,32 @@ impl PolicyEpisode<'_> {
     /// most probable one when `rng` is `None` (deployment, which draws no
     /// randomness), else one sampled from `rng` (training).
     ///
-    /// The step *carries* — encodes dirty rows only — when `observation` is
-    /// of the graph the previous call's chosen candidate materialised into
-    /// after that call; otherwise it is a cold step.
-    /// `core/policy_steps_carried` and `core/policy_steps_cold` count which.
+    /// The step *carries* — derives the observed graph's features from the
+    /// previous step's and the chosen candidate's delta, and encodes dirty
+    /// rows only — when `observation` is of the graph the previous call's
+    /// chosen candidate materialised into after that call; otherwise it is
+    /// a cold step, featurising and encoding the whole graph.
+    /// `core/policy_steps_carried` and `core/policy_steps_cold` count which,
+    /// and `gnn/features_carried` counts the derived features.
     pub fn act(&mut self, observation: &Observation, rng: Option<&mut XorShiftRng>) -> AgentDecision {
         let (agent, tape) = (self.agent, &mut self.tape);
         let (carried, cold) = policy_step_counters();
         // The previous step's tape is still whole: this is the moment its
         // chosen candidate's rows are gathered — if they are wanted at all.
-        match self.chosen.take().filter(|chosen| chosen.graph.is(&observation.graph)) {
+        let current = match self.chosen.take().filter(|chosen| chosen.graph.is(&observation.graph)) {
             Some(chosen) => {
                 self.encoder.advance(tape, &chosen.deltas, chosen.index);
                 carried.inc();
+                xrlflow_obs::counter!("gnn/features_carried").inc();
+                chosen.features.successor(&chosen.deltas[chosen.index], &observation.graph)
             }
-            None => cold.inc(),
-        }
+            None => {
+                cold.inc();
+                GraphFeatures::from_graph(&observation.graph)
+            }
+        };
         tape.recycle();
-        let (current, deltas) = featurize(observation);
+        let deltas = candidate_deltas(observation, &current);
         let embeddings = agent.encoder.encode_step(tape, &agent.store, &current, &deltas, &mut self.encoder);
         let (logits, value) = agent.score(tape, embeddings, deltas.len());
         let decision = decide(tape, logits, value, observation, rng);
@@ -376,8 +385,12 @@ impl PolicyEpisode<'_> {
         // not the environment stepping it, and `Candidate::graph` ignores its
         // base once filled: only a graph built from here on is vouched for.
         let candidate = observation.candidates.get(decision.action).filter(|c| !c.is_materialized());
-        self.chosen =
-            candidate.map(|c| Chosen { graph: c.materialization(), deltas, index: decision.action });
+        self.chosen = candidate.map(|c| Chosen {
+            graph: c.materialization(),
+            features: current,
+            deltas,
+            index: decision.action,
+        });
         decision
     }
 }

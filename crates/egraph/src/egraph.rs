@@ -106,6 +106,12 @@ impl EGraph {
         (0..self.classes.len()).filter(|&i| self.find_index(i) == i).count()
     }
 
+    /// Class slots ever allocated, merged ones included: grows exactly when
+    /// [`EGraph::add`] creates an e-node the e-graph lacked.
+    pub(crate) fn slots(&self) -> usize {
+        self.classes.len()
+    }
+
     /// Total number of e-nodes across canonical classes.
     pub fn num_nodes(&self) -> usize {
         (0..self.classes.len())

@@ -116,28 +116,29 @@ impl TensatOptimizer {
 }
 
 /// Applies one round of every tree-shaped table entry to the e-graph,
-/// collecting an entry's rewrites before adding any of them. Returns whether
-/// the e-graph changed.
+/// collecting an entry's rewrites before adding any of them. Of an entry's
+/// rewrites that add more than one e-node, at most `multi_pattern_limit`
+/// may change the e-graph per round; one whose e-nodes and union already
+/// exist changes nothing and does not count. Returns whether the e-graph
+/// changed.
 fn apply_rewrites(eg: &mut EGraph, multi_pattern_limit: usize) -> bool {
     let mut changed = false;
     for rule in STANDARD.iter().filter(|r| r.is_tree()) {
         let mut rewrites: Vec<Rewrite> = Vec::new();
-        let mut growth = 0;
         for (class, eclass) in eg.iter_classes() {
             for node in &eclass.nodes {
-                for rewrite in ematch(eg, rule, class, node) {
-                    if rewrite.added.len() > 1 {
-                        if growth == multi_pattern_limit {
-                            continue;
-                        }
-                        growth += 1;
-                    }
-                    rewrites.push(rewrite);
-                }
+                rewrites.extend(ematch(eg, rule, class, node));
             }
         }
+        let mut growth = 0;
         for rewrite in rewrites {
-            changed |= rewrite.apply(eg);
+            let grows = rewrite.added.len() > 1;
+            if grows && growth == multi_pattern_limit {
+                continue;
+            }
+            let applied = rewrite.apply(eg);
+            growth += usize::from(grows && applied);
+            changed |= applied;
         }
     }
     changed
@@ -161,7 +162,9 @@ struct Rewrite {
 }
 
 impl Rewrite {
+    /// Adds the e-nodes and the union; returns whether the e-graph changed.
     fn apply(self, eg: &mut EGraph) -> bool {
+        let slots = eg.slots();
         let mut ids: Vec<ClassId> = Vec::with_capacity(self.added.len());
         let resolve = |ids: &[ClassId], operand| match operand {
             Operand::Class(c) => c,
@@ -172,7 +175,7 @@ impl Rewrite {
             ids.push(eg.add(ENode { op, attrs, children, source_shape: None, source_id: None }, shape));
         }
         let with = resolve(&ids, self.with);
-        eg.union(self.class, with).1
+        eg.union(self.class, with).1 || eg.slots() != slots
     }
 }
 
@@ -364,6 +367,33 @@ mod tests {
         assert!(result.graph.validate().is_ok());
         assert_eq!(result.graph.count_op(OpKind::Reshape), 1);
         assert_eq!(result.graph.count_op(OpKind::BatchNorm), 1);
+    }
+
+    #[test]
+    fn the_multi_pattern_limit_counts_only_rewrites_that_change_the_e_graph() {
+        // n independent `(A·B)·C` chains over weights: re-association adds
+        // `B·C` (a new class) and `A·(B·C)` (into the chain's class) per
+        // chain. With k = 1, one chain per iteration — a re-association
+        // already in the e-graph must not spend the iteration's k.
+        for chains in 1..=3 {
+            let mut g = Graph::new();
+            for _ in 0..chains {
+                let a = g.add_input(TensorShape::new(vec![4, 8]));
+                let b = g.add_weight(TensorShape::new(vec![8, 16]));
+                let c = g.add_weight(TensorShape::new(vec![16, 2]));
+                let ab =
+                    g.add_node(OpKind::MatMul, OpAttributes::default(), vec![a.into(), b.into()]).unwrap();
+                let abc =
+                    g.add_node(OpKind::MatMul, OpAttributes::default(), vec![ab.into(), c.into()]).unwrap();
+                g.mark_output(abc.into());
+            }
+            let before = EGraph::from_graph(&g).unwrap();
+            let result = TensatOptimizer::new(DeviceProfile::gtx1080()).optimize(&g).unwrap();
+            assert!(result.saturated, "{chains} chains");
+            assert_eq!(result.num_nodes, before.num_nodes() + 2 * chains, "{chains} chains: e-nodes");
+            assert_eq!(result.num_classes, before.num_classes() + chains, "{chains} chains: e-classes");
+            assert!(result.graph.validate().is_ok());
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use xrlflow_cost::InferenceSimulator;
 use xrlflow_graph::Graph;
-use xrlflow_rewrite::{Candidate, RuleSet};
+use xrlflow_rewrite::{Candidate, RuleSet, SiteLists};
 
 /// Constant reward granted on steps without a latency measurement: the
 /// paper's 0.1, which encourages continued exploration (Section 3.3.3).
@@ -135,6 +135,9 @@ pub struct Environment {
     config: EnvConfig,
 
     current: Arc<Graph>,
+    /// Every rule's sites in `current` (`None` until the first
+    /// observation), carried from step to step.
+    sites: Option<SiteLists>,
     step_count: usize,
     initial_latency_ms: f64,
     last_measured_latency_ms: f64,
@@ -164,6 +167,7 @@ impl Environment {
     ) -> Self {
         let mut env = Self {
             current: Arc::clone(&graph),
+            sites: None,
             initial_graph: graph,
             rules,
             simulator,
@@ -209,11 +213,24 @@ impl Environment {
         self.measure_seed = seed;
         self.initial_latency_ms = self.simulator.measure_ms(&self.current, seed);
         self.last_measured_latency_ms = self.initial_latency_ms;
-        self.observe()
+        self.observe(None)
     }
 
-    fn observe(&self) -> Observation {
-        let candidates = self.rules.generate_candidates(&self.current, self.config.max_candidates);
+    /// The observation of the current graph. With `base`, the graph the
+    /// current one was stepped from, whose sites `self.sites` still holds,
+    /// candidate generation is carried: only what the step's patch touched
+    /// is re-matched and re-built. Without, every rule is matched cold. Both
+    /// give [`RuleSet::generate_candidates`]'s list.
+    fn observe(&mut self, base: Option<&Graph>) -> Observation {
+        let sites = match (base, self.sites.take()) {
+            (Some(base), Some(mut sites)) => {
+                sites.advance(&self.rules, base, &self.current);
+                sites
+            }
+            _ => SiteLists::new(&self.rules, &self.current),
+        };
+        let candidates = sites.candidates(&self.rules, &self.current, self.config.max_candidates);
+        self.sites = Some(sites);
         // Valid actions: one per candidate, plus the always-valid No-Op slot.
         let mut action_mask = vec![false; self.action_space()];
         action_mask[..candidates.len()].fill(true);
@@ -268,13 +285,16 @@ impl Environment {
         // single point where the chosen candidate's graph is built (and
         // memoised — a later PPO re-evaluation or cost probe shares it).
         // Unchosen candidates are dropped without ever becoming graphs.
+        // When the observation is of the current graph, the sites the patch
+        // left alone carry over to the next observation.
         let candidate = &observation.candidates[action];
+        let carried = Arc::ptr_eq(&observation.graph, &self.current);
         self.current = candidate.graph(&observation.graph);
         self.applied_rules.push(candidate.rule_name);
         self.step_count += 1;
 
         let max_steps_reached = self.step_count >= self.config.max_steps;
-        let next = self.observe();
+        let next = self.observe(carried.then_some(&*observation.graph));
         let out_of_candidates = next.candidates.is_empty();
         let done = max_steps_reached || out_of_candidates;
 

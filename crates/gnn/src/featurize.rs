@@ -60,6 +60,13 @@ pub(crate) struct NodeInput {
     pub(crate) incoming: [f32; 4],
 }
 
+/// Bit for bit: equal features must feed the encoder the same bits.
+impl PartialEq for NodeInput {
+    fn eq(&self, other: &Self) -> bool {
+        self.op == other.op && self.incoming.map(f32::to_bits) == other.incoming.map(f32::to_bits)
+    }
+}
+
 impl NodeInput {
     /// A row of operator `op` with no edge summed yet.
     fn new(op: OpKind) -> Self {
@@ -92,7 +99,10 @@ impl NodeInput {
 /// A dataflow graph converted to GNN inputs: per row what the node update
 /// reads, and the edge list (dataflow edges plus one self-loop per node)
 /// the attention layers pass messages along.
-#[derive(Debug, Clone)]
+///
+/// Two features are equal when every field is, the index included and the
+/// attribute sums bit for bit.
+#[derive(Debug, Clone, PartialEq)]
 pub struct GraphFeatures {
     /// Per row, its operator index and summed incoming edge attributes.
     pub(crate) node_inputs: Vec<NodeInput>,
@@ -115,7 +125,7 @@ pub struct GraphFeatures {
 /// What [`GraphFeatures::from_graph`] records about the graph's structure,
 /// once per observation, so that per-candidate work can be proportional to
 /// the candidate's patch: about three `u32` per node and per edge.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct GraphIndex {
     /// Row → node id (ascending, the row order of the features).
     node_ids: Vec<NodeId>,
@@ -620,6 +630,99 @@ impl GraphFeatures {
         CandidateDelta { removed, rewired, rewired_sources, added, added_edges }
     }
 
+    /// The features of `graph`, the candidate `delta` describes once
+    /// materialised — equal to [`GraphFeatures::from_graph`] of it, index
+    /// included — derived from these features (its base's) and the delta
+    /// instead of from the graph: the runs of rows the patch left alone are
+    /// copied with their edge blocks, renumbered past the removed rows, the
+    /// rewired and added rows come from the delta, and the index is rebuilt
+    /// from the derived edge lists. Of `graph` it reads the ids of the added
+    /// rows (its last live ids) and its outputs.
+    ///
+    /// `delta` must be `delta_from_base_and_patch(base, self, patch)` and
+    /// `graph` must be `base.apply_patch(patch)`.
+    pub fn successor(&self, delta: &CandidateDelta, graph: &Graph) -> Self {
+        let n = self.num_nodes;
+        let survivors = n - delta.removed.len();
+        let num_nodes = survivors + delta.added.len();
+        // Base row -> successor row (`NO_ROW` for a removed row).
+        let mut new_row: Vec<u32> = Vec::with_capacity(n);
+        let mut from = 0;
+        for (shift, &gone) in delta.removed.iter().enumerate() {
+            new_row.extend((from..gone as usize).map(|row| (row - shift) as u32));
+            new_row.push(NO_ROW);
+            from = gone as usize + 1;
+        }
+        new_row.extend((from..n).map(|row| (row - delta.removed.len()) as u32));
+        let row_of = |source: Source| match source {
+            Source::Base(row) => new_row[row as usize] as usize,
+            Source::Added(i) => survivors + i as usize,
+        };
+
+        let mut out = Self {
+            node_inputs: Vec::with_capacity(num_nodes),
+            edge_src: Vec::with_capacity(self.edge_src.len() + delta.added_edges.len()),
+            edge_dst: Vec::with_capacity(self.edge_src.len() + delta.added_edges.len()),
+            num_nodes,
+            edge_offsets: Vec::with_capacity(num_nodes + 1),
+            index: GraphIndex::default(),
+        };
+        let mut node_ids = Vec::with_capacity(num_nodes);
+        // Surviving base rows `from..to`, none rewired: copied as one run.
+        let copy_run = |out: &mut Self, node_ids: &mut Vec<NodeId>, from: usize, to: usize| {
+            if from >= to {
+                return;
+            }
+            let (row_shift, edge_shift) =
+                (from - out.node_inputs.len(), self.edge_offsets[from] - out.edge_src.len());
+            let block = self.edge_offsets[from]..self.edge_offsets[to];
+            out.node_inputs.extend_from_slice(&self.node_inputs[from..to]);
+            node_ids.extend_from_slice(&self.index.node_ids[from..to]);
+            out.edge_offsets.extend(self.edge_offsets[from..to].iter().map(|&at| at - edge_shift));
+            out.edge_src.extend(self.edge_src[block.clone()].iter().map(|&src| new_row[src] as usize));
+            out.edge_dst.extend(self.edge_dst[block].iter().map(|&dst| dst - row_shift));
+        };
+        let mut next = 0;
+        let mut removed = delta.removed.iter().peekable();
+        let mut rewired = delta.rewired.iter().peekable();
+        // The next row that is not copied as it was: removed or rewired.
+        while let Some(row) =
+            [removed.peek().map(|&&gone| gone), rewired.peek().map(|r| r.row)].into_iter().flatten().min()
+        {
+            copy_run(&mut out, &mut node_ids, next, row as usize);
+            if removed.next_if(|&&gone| gone == row).is_none() {
+                let r = rewired.next().expect("a row that is not removed is rewired");
+                out.edge_offsets.push(out.edge_src.len());
+                out.node_inputs.push(self.node_inputs[row as usize]);
+                node_ids.push(self.index.node_ids[row as usize]);
+                let sources = &delta.rewired_sources[r.sources.clone()];
+                out.edge_src.extend(sources.iter().map(|&source| row_of(source)));
+                out.edge_dst.extend(std::iter::repeat_n(new_row[row as usize] as usize, sources.len()));
+            }
+            next = row as usize + 1;
+        }
+        copy_run(&mut out, &mut node_ids, next, n);
+        // The patch's nodes took the graph's highest ids, in patch order.
+        node_ids.extend(graph.iter().rev().take(delta.added.len()).map(|(id, _)| id));
+        node_ids[survivors..].reverse();
+        for (i, added) in delta.added.iter().enumerate() {
+            out.edge_offsets.push(out.edge_src.len());
+            out.node_inputs.push(added.input);
+            let sources = &delta.added_edges[added.edges.clone()];
+            out.edge_src.extend(sources.iter().map(|&source| row_of(source)));
+            out.edge_dst.extend(std::iter::repeat_n(survivors + i, sources.len()));
+        }
+        out.edge_offsets.push(out.edge_src.len());
+
+        let mut row_of_id = vec![NO_ROW; node_ids.last().map_or(0, |id| id.index() + 1)];
+        for (row, id) in node_ids.iter().enumerate() {
+            row_of_id[id.index()] = row as u32;
+        }
+        out.index =
+            GraphIndex::build(graph, node_ids, row_of_id, &out.edge_src, &out.edge_dst, &out.edge_offsets);
+        out
+    }
+
     /// The rows consuming `row`, one entry per consuming input slot
     /// (ascending; a consumer reading `row` twice appears twice).
     pub(crate) fn consumers(&self, row: u32) -> &[u32] {
@@ -851,6 +954,48 @@ mod tests {
             let chosen = &candidates[step % candidates.len()];
             g = chosen.materialize(&g).unwrap();
         }
+    }
+
+    #[test]
+    fn successor_features_equal_from_graph_along_trajectories() {
+        // Every candidate of every step, derived and featurised apart,
+        // index included; the chosen one's derived features are the next
+        // step's base.
+        let rules = RuleSet::standard();
+        let mut graphs: Vec<(String, Graph)> = ModelKind::EVALUATED
+            .iter()
+            .chain(&[ModelKind::ResNet18])
+            .map(|&kind| (kind.to_string(), build_model(kind, ModelScale::Bench).unwrap()))
+            .collect();
+        graphs.push(("rule-zoo".to_string(), rule_zoo_graph()));
+        let mut checked = 0;
+        for (name, graph) in graphs {
+            let mut graph = std::sync::Arc::new(graph);
+            let mut features = GraphFeatures::from_graph(&graph);
+            for step in 0..8 {
+                let candidates = rules.generate_candidates(&graph, usize::MAX);
+                if candidates.is_empty() {
+                    break;
+                }
+                let mut successors: Vec<_> = candidates
+                    .iter()
+                    .map(|c| {
+                        let delta = GraphFeatures::delta_from_base_and_patch(&graph, &features, c.patch());
+                        let next = c.graph(&graph);
+                        let derived = features.successor(&delta, &next);
+                        assert!(
+                            derived == GraphFeatures::from_graph(&next),
+                            "{name}, step {step}, {}",
+                            c.rule_name
+                        );
+                        checked += 1;
+                        (next, derived)
+                    })
+                    .collect();
+                (graph, features) = successors.swap_remove((step * 7) % candidates.len());
+            }
+        }
+        assert!(checked > 200, "the zoo offers candidates to derive, got {checked}");
     }
 
     #[test]

@@ -416,8 +416,8 @@ impl Graph {
         node.outputs.get(r.port).ok_or(GraphError::InvalidPort(r))
     }
 
-    /// Iterates over `(NodeId, &Node)` pairs of live nodes.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, &Node)> {
+    /// Iterates over `(NodeId, &Node)` pairs of live nodes, ids ascending.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = (NodeId, &Node)> {
         self.nodes.iter().enumerate().filter_map(|(i, n)| n.as_deref().map(|n| (NodeId(i as u32), n)))
     }
 
@@ -430,6 +430,25 @@ impl Graph {
     /// the length of a vector holding one entry per node id.
     pub fn id_bound(&self) -> usize {
         self.nodes.len()
+    }
+
+    /// The ids, ascending, whose slot in `self` does not hold the very node
+    /// `base` holds there: nodes added, removed or replaced. Nodes are
+    /// compared by pointer, so a graph one [`Graph::apply_patch`] from `base`
+    /// (which shares every node the patch left alone) answers exactly the
+    /// patch's footprint — its added, rewired and dying nodes — and any other
+    /// pair a superset of the nodes that differ. One pointer comparison per
+    /// node id.
+    pub fn changed_since(&self, base: &Graph) -> Vec<NodeId> {
+        let slots = self.nodes.len().max(base.nodes.len());
+        (0..slots)
+            .filter(|&i| match (self.nodes.get(i), base.nodes.get(i)) {
+                (Some(Some(ours)), Some(Some(theirs))) => !Arc::ptr_eq(ours, theirs),
+                (Some(Some(_)), _) | (_, Some(Some(_))) => true,
+                _ => false,
+            })
+            .map(|i| NodeId(i as u32))
+            .collect()
     }
 
     /// Number of edges (total input references of live nodes).
@@ -1206,5 +1225,30 @@ mod tests {
         assert_eq!(slots, after, "the base's slots moved");
         // With every result dropped the base is the sole owner again.
         assert!(base.nodes.iter().flatten().all(|n| Arc::strong_count(n) == 1));
+    }
+
+    #[test]
+    fn changed_since_is_a_patch_footprint() {
+        // Added, rewired and dying nodes — what the patch touched — and
+        // nothing else; an unrelated but equal graph differs everywhere.
+        let base = build_model(ModelKind::InceptionV3, ModelScale::Bench).unwrap();
+        for patch in unary_rewrites(&base) {
+            let out = base.apply_patch(&patch).unwrap();
+            let froms: Vec<TensorRef> = patch.rewires().iter().map(|(from, _)| *from).collect();
+            let expected: Vec<NodeId> = (0..out.id_bound())
+                .map(|i| NodeId(i as u32))
+                .filter(|&id| match (base.node(id), out.node(id)) {
+                    (Ok(node), Ok(_)) => node.inputs.iter().any(|r| froms.contains(r)),
+                    (Ok(_), Err(_)) | (Err(_), Ok(_)) => true,
+                    (Err(_), Err(_)) => false,
+                })
+                .collect();
+            assert!(!expected.is_empty());
+            assert_eq!(out.changed_since(&base), expected);
+            assert_eq!(base.changed_since(&out), expected, "the footprint is symmetric");
+            assert!(out.changed_since(&out).is_empty());
+        }
+        let rebuilt = build_model(ModelKind::InceptionV3, ModelScale::Bench).unwrap();
+        assert_eq!(rebuilt.changed_since(&base).len(), base.num_nodes());
     }
 }

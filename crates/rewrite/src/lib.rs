@@ -28,8 +28,10 @@
 mod matcher;
 mod rule;
 pub mod rules;
+mod sites;
 mod substitution;
 
 pub use matcher::{find_siblings_sharing_input, is_parameter};
 pub use rule::{Candidate, Materialization, RuleId, RuleMatch, RuleSet};
+pub use sites::SiteLists;
 pub use substitution::{input, Attrs, Axis, Emit, NodeTest, Pattern, Slot, Substitution, Target, Tensor};

@@ -11,14 +11,30 @@ pub fn find_siblings_sharing_input(
     op: OpKind,
     slot: usize,
 ) -> Vec<(TensorRef, NodeId, NodeId)> {
-    // Group by sorting `(input, reader)`: readers of one tensor end up
-    // adjacent and ascending, with no map keyed by tensor.
+    sibling_pairs(&readers_of(graph, op, slot))
+}
+
+/// Every node of kind `op` with the tensor it reads through input `slot`,
+/// sorted by [`reader_key`]: readers of one tensor end up adjacent and
+/// ascending, with no map keyed by tensor.
+pub(crate) fn readers_of(graph: &Graph, op: OpKind, slot: usize) -> Vec<(TensorRef, NodeId)> {
     let mut readers: Vec<(TensorRef, NodeId)> = graph
         .iter()
         .filter(|(_, node)| node.op == op)
         .filter_map(|(id, node)| Some((*node.inputs.get(slot)?, id)))
         .collect();
-    readers.sort_unstable_by_key(|&(input, id)| (input.node, input.port, id));
+    readers.sort_unstable_by_key(reader_key);
+    readers
+}
+
+/// The order of a reader list: by tensor read, then by reader.
+pub(crate) fn reader_key(&(input, id): &(TensorRef, NodeId)) -> (NodeId, usize, NodeId) {
+    (input.node, input.port, id)
+}
+
+/// The sibling pairs of a sorted reader list, `(shared_input, left, right)`
+/// with `left < right`, pairs ascending.
+pub(crate) fn sibling_pairs(readers: &[(TensorRef, NodeId)]) -> Vec<(TensorRef, NodeId, NodeId)> {
     let mut out = Vec::new();
     for group in readers.chunk_by(|a, b| a.0 == b.0) {
         for (i, &(input, left)) in group.iter().enumerate() {
@@ -33,7 +49,12 @@ pub fn find_siblings_sharing_input(
 
 /// Returns `true` when `node`'s output depends, transitively through
 /// dataflow inputs, on `ancestor` (or is `ancestor` itself).
+///
+/// The walk does not go past what `ancestor` itself reads: in a DAG nothing
+/// upstream of `ancestor` depends on it. Two siblings reading one tensor are
+/// therefore told apart without walking everything above that tensor.
 pub fn depends_on(graph: &Graph, node: NodeId, ancestor: NodeId) -> bool {
+    let upstream = graph.node(ancestor).map_or(&[][..], |n| &n.inputs[..]);
     let mut visited = vec![false; graph.id_bound()];
     let mut stack = vec![node];
     while let Some(id) = stack.pop() {
@@ -42,7 +63,7 @@ pub fn depends_on(graph: &Graph, node: NodeId, ancestor: NodeId) -> bool {
         }
         // A missing node has no inputs to follow.
         let Ok(n) = graph.node(id) else { continue };
-        if !std::mem::replace(&mut visited[id.index()], true) {
+        if !std::mem::replace(&mut visited[id.index()], true) && !upstream.iter().any(|r| r.node == id) {
             stack.extend(n.inputs.iter().map(|r| r.node));
         }
     }

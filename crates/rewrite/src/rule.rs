@@ -47,7 +47,9 @@ impl RuleMatch {
 /// buffer) shares the memo.
 #[derive(Debug, Clone)]
 pub struct Candidate {
-    patch: GraphPatch,
+    /// Shared with the step's site lists, which carry it to the next step
+    /// when the chosen rewrite leaves its site alone.
+    patch: Arc<GraphPatch>,
     /// Which rule produced it.
     pub rule_id: RuleId,
     /// The rule's name.
@@ -55,10 +57,10 @@ pub struct Candidate {
     /// Structural hash of the patch (used for deduplication; see
     /// [`GraphPatch::structural_hash`]).
     pub hash: u64,
-    /// Live-node count of the generation-time base graph (O(1) from its
-    /// structure index) — a cheap fingerprint used by debug assertions to
-    /// catch callers materialising against the wrong base.
-    base_num_nodes: usize,
+    /// [`Graph::id_bound`] of the generation-time base graph — an O(1)
+    /// fingerprint used by debug assertions to catch callers materialising
+    /// against the wrong base.
+    base_id_bound: usize,
     materialized: Arc<OnceLock<Arc<Graph>>>,
 }
 
@@ -85,12 +87,24 @@ impl Candidate {
     /// Wraps a patch produced by `rule_id` against `base` into a candidate.
     pub fn new(patch: GraphPatch, rule_id: RuleId, rule_name: &'static str, base: &Graph) -> Self {
         let hash = patch.structural_hash();
+        Self::shared(Arc::new(patch), hash, rule_id, rule_name, base)
+    }
+
+    /// A candidate over an already hashed, shared patch, with a memo of its
+    /// own.
+    pub(crate) fn shared(
+        patch: Arc<GraphPatch>,
+        hash: u64,
+        rule_id: RuleId,
+        rule_name: &'static str,
+        base: &Graph,
+    ) -> Self {
         Self {
             patch,
             rule_id,
             rule_name,
             hash,
-            base_num_nodes: base.num_nodes(),
+            base_id_bound: base.id_bound(),
             materialized: Arc::new(OnceLock::new()),
         }
     }
@@ -117,8 +131,8 @@ impl Candidate {
     /// differential/property tests exercise every rule through this path.
     fn debug_check_base(&self, base: &Graph) {
         debug_assert_eq!(
-            base.num_nodes(),
-            self.base_num_nodes,
+            base.id_bound(),
+            self.base_id_bound,
             "candidate for rule {} materialised against a different base graph",
             self.rule_name
         );
@@ -195,6 +209,11 @@ impl RuleSet {
     /// Returns `true` when the set contains no rules.
     pub fn is_empty(&self) -> bool {
         self.rules.is_empty()
+    }
+
+    /// The table entries, indexed by [`RuleId`].
+    pub(crate) fn rules(&self) -> &[Substitution] {
+        &self.rules
     }
 
     /// Rule names indexed by [`RuleId`].

@@ -84,6 +84,27 @@ pub enum Pattern {
     },
 }
 
+impl Pattern {
+    /// `true` for the patterns matched node by node (`Node`, `Chain`): every
+    /// site is found from its anchor, the node a `Node` binds or a chain's
+    /// consumer, and reads nothing but its bound nodes, their inputs and the
+    /// producer's distinct-consumer count. Sibling patterns pair nodes
+    /// across the graph and their entries' guards read beyond the pattern
+    /// (dataflow dependence, foldability).
+    pub fn is_local(&self) -> bool {
+        self.pairing().is_none()
+    }
+
+    /// The operator kind and input slot a sibling pattern pairs nodes by;
+    /// `None` for a local pattern.
+    pub(crate) fn pairing(&self) -> Option<(OpKind, usize)> {
+        match *self {
+            Pattern::Siblings { op, slot } | Pattern::WithSibling { op, slot } => Some((op, slot)),
+            Pattern::Node(_) | Pattern::Chain { .. } => None,
+        }
+    }
+}
+
 /// A tensor named relative to a site: a bound node's, or a new node's.
 #[derive(Debug, Clone, Copy)]
 pub enum Tensor {
@@ -168,7 +189,11 @@ pub struct Substitution {
     pub name: &'static str,
     /// Source alternatives; the entry's sites are each alternative's in turn.
     pub source: &'static [Pattern],
-    /// A condition over the bound nodes that the pattern cannot state.
+    /// A condition over the bound nodes that the pattern cannot state. On a
+    /// local pattern ([`Pattern::is_local`]) it may read the bound nodes,
+    /// their inputs and what produces those inputs, and nothing further:
+    /// that is what lets a rewrite step carry the site to the next graph
+    /// when the step's patch touched none of it (`crate::SiteLists`).
     pub guard: Option<fn(&Graph, &[NodeId]) -> bool>,
     /// What replaces the source.
     pub target: Target,
@@ -192,17 +217,23 @@ impl<'g> Scan<'g> {
         let counts = self.consumers.get_or_insert_with(|| {
             let mut counts = vec![0u32; graph.id_bound()];
             for (_, node) in graph.iter() {
-                for (slot, input) in node.inputs.iter().enumerate() {
-                    // A consumer reading one producer through several slots is one consumer.
-                    if !node.inputs[..slot].iter().any(|earlier| earlier.node == input.node) {
-                        counts[input.node.index()] += 1;
-                    }
+                for producer in distinct_producers(node) {
+                    counts[producer.index()] += 1;
                 }
             }
             counts
         });
         counts[id.index()] == 1 && !graph.outputs().iter().any(|r| r.node == id)
     }
+}
+
+/// The nodes `node` reads, each once, in input order: a consumer reading
+/// one producer through several slots is one consumer.
+pub(crate) fn distinct_producers(node: &Node) -> impl Iterator<Item = NodeId> + '_ {
+    let inputs = &node.inputs;
+    (0..inputs.len())
+        .filter(move |&at| !inputs[..at].iter().any(|earlier| earlier.node == inputs[at].node))
+        .map(move |at| inputs[at].node)
 }
 
 impl Substitution {
@@ -224,57 +255,102 @@ impl Substitution {
 
     pub(crate) fn find_in(&self, scan: &mut Scan<'_>) -> Vec<RuleMatch> {
         let graph = scan.graph;
-        let guard = |nodes: &[NodeId]| self.guard.is_none_or(|guard| guard(graph, nodes));
         let mut out = Vec::new();
         for pattern in self.source {
-            match *pattern {
-                Pattern::Node(test) => {
-                    out.extend(
-                        graph
-                            .iter()
-                            .filter(|&(id, node)| test.accepts(node) && guard(&[id]))
-                            .map(|(id, _)| RuleMatch::new(vec![id])),
-                    );
-                }
-                Pattern::Chain { producer, consumer, slot, sole } => {
-                    for (id, node) in graph.iter().filter(|(_, node)| consumer.accepts(node)) {
-                        let slots = match slot {
-                            Slot::Any => &node.inputs[..],
-                            Slot::At(k) => node.inputs.get(k..=k).unwrap_or_default(),
-                        };
-                        for input in slots {
-                            let Ok(p) = graph.node(input.node) else { continue };
-                            if producer.accepts(p)
-                                && (!sole || scan.sole_consumer(input.node))
-                                && guard(&[input.node, id])
-                            {
-                                out.push(RuleMatch::new(vec![input.node, id]));
-                            }
-                        }
+            match pattern.pairing() {
+                None => {
+                    for (id, node) in graph.iter() {
+                        self.sites_at(
+                            graph,
+                            pattern,
+                            id,
+                            node,
+                            &mut |p| scan.sole_consumer(p),
+                            &mut |_, site| out.push(site),
+                        );
                     }
                 }
-                Pattern::Siblings { op, slot } => {
-                    out.extend(
-                        find_siblings_sharing_input(graph, op, slot)
-                            .into_iter()
-                            .filter(|&(_, a, b)| guard(&[a, b]))
-                            .map(|(_, a, b)| RuleMatch::new(vec![a, b])),
-                    );
-                }
-                Pattern::WithSibling { op, slot } => {
-                    let mut sites: Vec<[NodeId; 2]> = find_siblings_sharing_input(graph, op, slot)
-                        .into_iter()
-                        .flat_map(|(_, a, b)| [[a, b], [b, a]])
-                        .filter(|site| guard(site))
-                        .collect();
-                    // Stable: a node keeps its first accepted sibling.
-                    sites.sort_by_key(|site| site[0]);
-                    sites.dedup_by_key(|site| site[0]);
-                    out.extend(sites.into_iter().map(|site| RuleMatch::new(site.to_vec())));
-                }
+                Some((op, slot)) => out.extend(self.sibling_sites(
+                    graph,
+                    pattern,
+                    find_siblings_sharing_input(graph, op, slot),
+                )),
             }
         }
         out
+    }
+
+    /// The sites of the local `pattern` anchored at node `id` — the node a
+    /// `Node` pattern binds, a chain's consumer — in match order, each with
+    /// its position among the anchor's sites (the consumer's input slot).
+    /// `sole(p)` answers "`p` is read by one distinct node and is no graph
+    /// output".
+    pub(crate) fn sites_at(
+        &self,
+        graph: &Graph,
+        pattern: &Pattern,
+        id: NodeId,
+        node: &Node,
+        sole: &mut impl FnMut(NodeId) -> bool,
+        emit: &mut impl FnMut(u32, RuleMatch),
+    ) {
+        let guard = |nodes: &[NodeId]| self.guard.is_none_or(|guard| guard(graph, nodes));
+        match *pattern {
+            Pattern::Node(test) => {
+                if test.accepts(node) && guard(&[id]) {
+                    emit(0, RuleMatch::new(vec![id]));
+                }
+            }
+            Pattern::Chain { producer, consumer, slot, sole: needs_sole } => {
+                if !consumer.accepts(node) {
+                    return;
+                }
+                let (first, slots) = match slot {
+                    Slot::Any => (0, &node.inputs[..]),
+                    Slot::At(k) => (k, node.inputs.get(k..=k).unwrap_or_default()),
+                };
+                for (at, input) in slots.iter().enumerate() {
+                    let Ok(p) = graph.node(input.node) else { continue };
+                    if producer.accepts(p) && (!needs_sole || sole(input.node)) && guard(&[input.node, id]) {
+                        emit((first + at) as u32, RuleMatch::new(vec![input.node, id]));
+                    }
+                }
+            }
+            Pattern::Siblings { .. } | Pattern::WithSibling { .. } => {
+                unreachable!("sibling patterns are matched over the whole graph")
+            }
+        }
+    }
+
+    /// The sites of a sibling pattern among its sibling pairs (as
+    /// [`find_siblings_sharing_input`] lists them), in match order: pairs
+    /// ascending for `Siblings`, nodes ascending for `WithSibling`.
+    pub(crate) fn sibling_sites(
+        &self,
+        graph: &Graph,
+        pattern: &Pattern,
+        pairs: Vec<(TensorRef, NodeId, NodeId)>,
+    ) -> Vec<RuleMatch> {
+        let guard = |nodes: &[NodeId]| self.guard.is_none_or(|guard| guard(graph, nodes));
+        match *pattern {
+            Pattern::Siblings { .. } => pairs
+                .into_iter()
+                .filter(|&(_, a, b)| guard(&[a, b]))
+                .map(|(_, a, b)| RuleMatch::new(vec![a, b]))
+                .collect(),
+            Pattern::WithSibling { .. } => {
+                let mut sites: Vec<[NodeId; 2]> = pairs
+                    .into_iter()
+                    .flat_map(|(_, a, b)| [[a, b], [b, a]])
+                    .filter(|site| guard(site))
+                    .collect();
+                // Stable: a node keeps its first accepted sibling.
+                sites.sort_by_key(|site| site[0]);
+                sites.dedup_by_key(|site| site[0]);
+                sites.into_iter().map(|site| RuleMatch::new(site.to_vec())).collect()
+            }
+            Pattern::Node(_) | Pattern::Chain { .. } => unreachable!("local patterns are matched per anchor"),
+        }
     }
 
     /// Builds the patch describing this substitution's rewrite at a site.
