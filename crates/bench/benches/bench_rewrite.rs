@@ -1,5 +1,5 @@
-//! Micro-benchmarks for the substitution engine: pattern matching and
-//! candidate generation throughput on the evaluated workloads.
+//! Micro-benchmarks for the substitution engine: candidate generation
+//! throughput (matching included) on the evaluated workloads.
 //!
 //! Candidate generation is timed on the shipped patch-based pipeline: one
 //! [`xrlflow_rewrite::Candidate`] carries a small delta, and no candidate
@@ -29,7 +29,8 @@ fn main() {
 
     // One carried step after the first: the first graph's site lists
     // brought to its first candidate's materialisation, then deduplicated
-    // and cut (what `Environment::step` runs instead of the scan above).
+    // and cut (what `Environment::step` runs instead of the cold build
+    // above).
     println!("\n== candidate generation (carried) ==");
     for kind in [ModelKind::SqueezeNet, ModelKind::Bert, ModelKind::InceptionV3] {
         let graph = build_model(kind, ModelScale::Bench).unwrap();
@@ -47,11 +48,8 @@ fn main() {
         report(&format!("candidate_generation/carried/{}", kind.name()), carried_ns);
     }
 
-    println!("\n== pattern matching ==");
-    let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-    report("count_matches/squeezenet", time_ns(3, iters.max(50), || rules.count_matches(&graph)));
-
     println!("\n== single-candidate materialisation ==");
+    let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
     let candidates = rules.generate_candidates(&graph, 64);
     if let Some(c) = candidates.first() {
         report(

@@ -242,6 +242,9 @@ mod tests {
 
     #[test]
     fn disarmed_hook_is_inert() {
+        // An empty plan arms nothing, but holding it keeps every other
+        // test's plan out of the process-global slot while this one reads.
+        let _serial = FaultPlan::new().install();
         trip(FaultPhase::Collect, 0, 0);
         trip(FaultPhase::Update, u64::MAX, u32::MAX);
         assert_eq!(pending_faults(), 0);

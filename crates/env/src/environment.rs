@@ -220,14 +220,19 @@ impl Environment {
     /// current one was stepped from, whose sites `self.sites` still holds,
     /// candidate generation is carried: only what the step's patch touched
     /// is re-matched and re-built. Without, every rule is matched cold. Both
-    /// give [`RuleSet::generate_candidates`]'s list.
+    /// give [`RuleSet::generate_candidates`]'s list; `rewrite/candgen_carried`
+    /// and `rewrite/candgen_cold` count which it was.
     fn observe(&mut self, base: Option<&Graph>) -> Observation {
         let sites = match (base, self.sites.take()) {
             (Some(base), Some(mut sites)) => {
+                xrlflow_obs::counter!("rewrite/candgen_carried").inc();
                 sites.advance(&self.rules, base, &self.current);
                 sites
             }
-            _ => SiteLists::new(&self.rules, &self.current),
+            _ => {
+                xrlflow_obs::counter!("rewrite/candgen_cold").inc();
+                SiteLists::new(&self.rules, &self.current)
+            }
         };
         let candidates = sites.candidates(&self.rules, &self.current, self.config.max_candidates);
         self.sites = Some(sites);

@@ -27,10 +27,11 @@
 //!   directly; no candidate graph and no dense per-candidate features exist
 //!   on the policy path.
 //! * `GraphFeatures::from_base_and_patch`, test-only at the end of this
-//!   module, expands a sparse delta back into whole candidate features. It
-//!   is the differential tests' oracle — compared bit for bit with
-//!   `from_graph(apply_patch(..))` — and the only place a candidate's
-//!   [`GraphFeatures`] is ever built.
+//!   module, takes a sparse delta to whole candidate features through
+//!   [`GraphFeatures::successor`] — the derivation a carried policy step
+//!   makes for the chosen candidate. The differential tests compare it bit
+//!   for bit, index included, with `from_graph(apply_patch(..))` for every
+//!   rule and site.
 
 use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, PatchRef, TensorShape};
 use xrlflow_tensor::Tensor;
@@ -116,9 +117,8 @@ pub struct GraphFeatures {
     /// edges in input order, then its self-loop); length `num_nodes + 1`.
     pub edge_offsets: Vec<usize>,
     /// The structural index sparse candidate deltas are computed and
-    /// consumed against. Filled by [`GraphFeatures::from_graph`]; empty on
-    /// the expansion the test-only `from_base_and_patch` oracle returns,
-    /// which is not a base for further deltas.
+    /// consumed against. Filled by [`GraphFeatures::from_graph`] and
+    /// [`GraphFeatures::successor`].
     index: GraphIndex,
 }
 
@@ -731,85 +731,21 @@ impl GraphFeatures {
 }
 
 #[cfg(test)]
-impl CandidateDelta {
-    /// Expands the delta against the base features into the whole features
-    /// of the candidate.
-    fn expand(&self, base: &GraphFeatures) -> GraphFeatures {
-        let survivors = base.num_nodes - self.removed.len();
-        let num_nodes = survivors + self.added.len();
-        // Base row → candidate row (unused for removed rows).
-        let mut candidate_row = vec![0usize; base.num_nodes];
-        let mut removed = self.removed.iter().peekable();
-        let mut next_row = 0;
-        for (row, slot) in candidate_row.iter_mut().enumerate() {
-            if removed.next_if(|&&r| r as usize == row).is_none() {
-                *slot = next_row;
-                next_row += 1;
-            }
-        }
-        let row_of = |source: Source| match source {
-            Source::Base(row) => candidate_row[row as usize],
-            Source::Added(i) => survivors + i as usize,
-        };
-
-        let mut node_inputs = Vec::with_capacity(num_nodes);
-        let mut edge_src = Vec::new();
-        let mut edge_dst = Vec::new();
-        let mut edge_offsets = Vec::with_capacity(num_nodes + 1);
-        let mut removed = self.removed.iter().peekable();
-        let mut rewired = self.rewired.iter().peekable();
-        for base_row in 0..base.num_nodes {
-            if removed.next_if(|&&r| r as usize == base_row).is_some() {
-                continue;
-            }
-            let row = candidate_row[base_row];
-            edge_offsets.push(edge_src.len());
-            node_inputs.push(base.node_inputs[base_row]);
-            let block = base.edge_offsets[base_row]..base.edge_offsets[base_row + 1];
-            match rewired.next_if(|r| r.row as usize == base_row) {
-                Some(r) => {
-                    edge_src.extend(self.rewired_sources[r.sources.clone()].iter().map(|&s| row_of(s)))
-                }
-                None => edge_src.extend(base.edge_src[block.clone()].iter().map(|&s| candidate_row[s])),
-            }
-            edge_dst.extend(std::iter::repeat_n(row, block.len()));
-        }
-        for (i, added) in self.added.iter().enumerate() {
-            edge_offsets.push(edge_src.len());
-            node_inputs.push(added.input);
-            for &source in &self.added_edges[added.edges.clone()] {
-                edge_src.push(row_of(source));
-                edge_dst.push(survivors + i);
-            }
-        }
-        edge_offsets.push(edge_src.len());
-        GraphFeatures {
-            node_inputs,
-            edge_src,
-            edge_dst,
-            num_nodes,
-            edge_offsets,
-            index: GraphIndex::default(),
-        }
-    }
-}
-
-#[cfg(test)]
 impl GraphFeatures {
-    /// The features of the graph a [`GraphPatch`] produces, derived
-    /// from the *base* graph's features without materialising the patched
-    /// graph: the sparse [`CandidateDelta`] expanded against `base_features`.
+    /// The features of the graph a [`GraphPatch`] produces, derived from
+    /// the *base* graph's features: the sparse [`CandidateDelta`] taken to
+    /// its [`GraphFeatures::successor`], the derivation a carried policy step
+    /// makes.
     ///
     /// Bit-identical to [`GraphFeatures::from_graph`] on the materialised
-    /// candidate — row order, edge order, op indices and attribute-sum bits —
-    /// which the per-rule differential tests assert. That makes it the oracle over
-    /// the one featuriser; the result carries no index (it cannot be the
-    /// base of further deltas).
+    /// candidate — row order, edge order, op indices, attribute-sum bits and
+    /// index — which the per-rule differential tests assert.
     ///
     /// `base_features` must be `GraphFeatures::from_graph(base)`, and `patch`
     /// must have been built against `base`.
     fn from_base_and_patch(base: &Graph, base_features: &GraphFeatures, patch: &GraphPatch) -> Self {
-        Self::delta_from_base_and_patch(base, base_features, patch).expand(base_features)
+        let delta = Self::delta_from_base_and_patch(base, base_features, patch);
+        base_features.successor(&delta, &base.apply_patch(patch).expect("the patch was built against `base`"))
     }
 }
 

@@ -17,6 +17,8 @@ pub(crate) fn assert_features_identical(delta: &GraphFeatures, eager: &GraphFeat
         f.node_inputs.iter().map(|input| (input.op, input.incoming.map(f32::to_bits))).collect::<Vec<_>>()
     };
     assert_eq!(inputs(delta), inputs(eager), "{context}: node inputs");
+    // Every other field is compared above: what is left is the index.
+    assert!(delta == eager, "{context}: index");
 }
 
 /// The rule-zoo graph's hash as recorded on the commit before graphs shared

@@ -6,10 +6,13 @@
 //!
 //! Every rule is a [`Substitution`] — a source pattern, a target template
 //! and the map between them — in one table ([`rules::STANDARD`]). At each
-//! optimisation step, [`RuleSet::generate_candidates`] matches every entry
-//! against the current graph and returns one candidate patch per
+//! optimisation step every entry is matched against the current graph by
+//! one walk ([`SiteLists::new`]), which gives one candidate patch per
 //! application site; the search strategy (RL agent, greedy search,
-//! backtracking search) then picks one.
+//! backtracking search) then picks one. The environment keeps the site
+//! lists and re-matches only what each step's patch touched
+//! ([`SiteLists::advance`]); [`RuleSet::generate_candidates`] reads the
+//! candidates off a cold build at once.
 //!
 //! ## Quickstart
 //!

@@ -9,12 +9,12 @@
 //! graph per candidate; the few candidates a search strategy actually
 //! inspects are materialised lazily and memoised via [`Candidate::graph`].
 
-use std::collections::HashSet;
 use std::sync::{Arc, OnceLock};
 
 use xrlflow_graph::{Graph, GraphError, GraphPatch, NodeId};
 
-use crate::substitution::{Scan, Substitution};
+use crate::sites::SiteLists;
+use crate::substitution::Substitution;
 
 /// Identifier of a rewrite rule within a [`RuleSet`] (stable across runs;
 /// used for the Figure 5 rule-application heatmap).
@@ -226,15 +226,10 @@ impl RuleSet {
         self.rules[id].name()
     }
 
-    /// Total number of application sites across all rules (the paper's
-    /// Table 3 "complexity" metric is the average of this over an episode).
-    pub fn count_matches(&self, graph: &Graph) -> usize {
-        let mut scan = Scan::new(graph);
-        self.rules.iter().map(|r| r.find_in(&mut scan).len()).sum()
-    }
-
     /// Generates every deduplicated candidate obtainable by applying one
-    /// rule at one site of `graph` — **without materialising any of them**.
+    /// rule at one site of `graph` — **without materialising any of them**:
+    /// the candidates of a cold [`SiteLists`] build, the one walk of the
+    /// rules over a graph.
     ///
     /// Each candidate is a patch. Shape consistency is checked by the patch
     /// builder; full graph validity (acyclicity in particular) relies on the
@@ -246,30 +241,10 @@ impl RuleSet {
     /// distinct patches that materialise to the same graph both survive),
     /// traded for never touching a full graph here. `max_candidates` bounds
     /// the output (the paper pads the action space to a fixed constant
-    /// anyway).
+    /// anyway). An environment keeps the [`SiteLists`] instead, to carry
+    /// them to the next step.
     pub fn generate_candidates(&self, graph: &Graph, max_candidates: usize) -> Vec<Candidate> {
-        let _span = xrlflow_obs::span!("rewrite/generate_candidates");
-        let mut seen: HashSet<u64> = HashSet::new();
-        let mut out = Vec::new();
-        let mut scan = Scan::new(graph);
-        'outer: for (rule_id, rule) in self.rules.iter().enumerate() {
-            for site in rule.find_in(&mut scan) {
-                let Ok(patch) = rule.build_patch(graph, &site) else { continue };
-                if patch.is_noop() {
-                    continue;
-                }
-                let candidate = Candidate::new(patch, rule_id, rule.name(), graph);
-                if !seen.insert(candidate.hash) {
-                    continue;
-                }
-                out.push(candidate);
-                if out.len() >= max_candidates {
-                    break 'outer;
-                }
-            }
-        }
-        xrlflow_obs::counter!("rewrite/candidates").add(out.len() as u64);
-        out
+        SiteLists::new(self, graph).candidates(self, graph, max_candidates)
     }
 }
 
@@ -288,7 +263,7 @@ impl RuleSet {
     /// [`RuleSet::generate_candidates`].
     fn generate_candidates_eager(&self, graph: &Graph, max_candidates: usize) -> Vec<(Candidate, Graph)> {
         let original_hash = graph.canonical_hash();
-        let mut seen: HashSet<u64> = HashSet::new();
+        let mut seen = std::collections::HashSet::new();
         let mut out = Vec::new();
         'outer: for (rule_id, rule) in self.rules.iter().enumerate() {
             for site in rule.find_matches(graph) {
@@ -317,6 +292,7 @@ impl RuleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 
     #[test]

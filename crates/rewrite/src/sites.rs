@@ -28,19 +28,22 @@
 //!   are untouched keeps its patch and hash.
 //!
 //! Deduplication by structural hash and the candidate cap then run over the
-//! full ordered list ([`SiteLists::candidates`]), exactly as
-//! [`RuleSet::generate_candidates`] runs them over its scan — which stays the
-//! cold path every other caller takes, and the oracle the carried lists are
-//! tested against at every step of the zoo's episodes.
+//! full ordered list ([`SiteLists::candidates`]).
+//!
+//! [`SiteLists::new`] matches every rule over the whole graph, and it is the
+//! one such walk ([`match_whole`]): [`RuleSet::generate_candidates`] is a
+//! cold build read off at once, and [`Substitution::find_matches`] is the
+//! walk for one rule. The carried lists are tested against the cold build at
+//! every step of the zoo's episodes.
 
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use xrlflow_graph::{Graph, GraphPatch, NodeId, OpKind, TensorRef};
+use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, TensorRef};
 
 use crate::matcher::{reader_key, readers_of, sibling_pairs};
 use crate::rule::{Candidate, RuleMatch, RuleSet};
-use crate::substitution::{distinct_producers, Pattern, Substitution};
+use crate::substitution::{Pattern, Substitution};
 
 /// One productive site of one rule in the graph the lists describe.
 #[derive(Debug)]
@@ -78,17 +81,11 @@ pub struct SiteLists {
 impl SiteLists {
     /// Matches every rule of `rules` over the whole of `graph` and builds
     /// every site's patch — no cap, so that a later step can carry any of
-    /// them. Counted by `rewrite/candgen_cold`.
+    /// them.
     pub fn new(rules: &RuleSet, graph: &Graph) -> Self {
         let _span = xrlflow_obs::span!("rewrite/generate_candidates");
-        xrlflow_obs::counter!("rewrite/candgen_cold").inc();
         let consumers = ConsumerLists::of(graph);
-        let mut readers: Vec<Readers> = Vec::new();
-        for (op, slot) in rules.rules().iter().flat_map(|rule| rule.source).filter_map(Pattern::pairing) {
-            if !readers.iter().any(|r| (r.op, r.slot) == (op, slot)) {
-                readers.push(Readers { op, slot, list: readers_of(graph, op, slot) });
-            }
-        }
+        let readers = Readers::of(rules.rules(), graph);
         let rules = rules
             .rules()
             .iter()
@@ -106,11 +103,9 @@ impl SiteLists {
     /// Brings the lists from `base` — the graph they describe — to `next`,
     /// re-matching and re-building only what the difference between the two
     /// can have changed (see the module docs). Exact for any pair of graphs;
-    /// cheap when `next` is one `apply_patch` from `base`. Counted by
-    /// `rewrite/candgen_carried`.
+    /// cheap when `next` is one `apply_patch` from `base`.
     pub fn advance(&mut self, rules: &RuleSet, base: &Graph, next: &Graph) {
         let _span = xrlflow_obs::span!("rewrite/generate_candidates");
-        xrlflow_obs::counter!("rewrite/candgen_carried").inc();
         let mut footprint = next.changed_since(base);
         let (before, after) = (base.outputs(), next.outputs());
         if before != after {
@@ -205,9 +200,8 @@ impl SiteLists {
 
     /// The candidates of the graph the lists describe: every rule's sites in
     /// rule-id and match order, deduplicated by structural hash and cut at
-    /// `max_candidates` — [`RuleSet::generate_candidates`]'s list. Every
-    /// candidate is unmaterialised, over `graph`, and shares its patch with
-    /// the lists.
+    /// `max_candidates`. Every candidate is unmaterialised, over `graph`, and
+    /// shares its patch with the lists.
     pub fn candidates(&self, rules: &RuleSet, graph: &Graph, max_candidates: usize) -> Vec<Candidate> {
         let mut seen: HashSet<u64> = HashSet::new();
         let mut out = Vec::new();
@@ -233,9 +227,19 @@ impl SiteLists {
     }
 }
 
+/// Every site of `rule` in `graph`, in match order ([`match_whole`] over
+/// lists made for this walk alone).
+pub(crate) fn sites_of(rule: &Substitution, graph: &Graph) -> Vec<RuleMatch> {
+    let readers = Readers::of(std::slice::from_ref(rule), graph);
+    let mut out = Vec::new();
+    match_whole(rule, graph, &ConsumerLists::of(graph), &readers, &mut |_, nodes| out.push(nodes));
+    out
+}
+
 /// Every site of `rule` in `graph` with its key, in match order: local
 /// alternatives anchor by anchor, sibling ones as the sibling matcher emits
-/// them (keyed by their two nodes, ascending).
+/// them (keyed by their two nodes, ascending). The one walk of a rule over a
+/// whole graph.
 fn match_whole(
     rule: &Substitution,
     graph: &Graph,
@@ -280,6 +284,18 @@ struct Readers {
 }
 
 impl Readers {
+    /// The reader list of every pairing the sibling patterns of `rules`
+    /// name, each once.
+    fn of(rules: &[Substitution], graph: &Graph) -> Vec<Self> {
+        let mut readers: Vec<Self> = Vec::new();
+        for (op, slot) in rules.iter().flat_map(|rule| rule.source).filter_map(Pattern::pairing) {
+            if !readers.iter().any(|r| (r.op, r.slot) == (op, slot)) {
+                readers.push(Self { op, slot, list: readers_of(graph, op, slot) });
+            }
+        }
+        readers
+    }
+
     fn advance(&mut self, next: &Graph, footprint: &[NodeId]) {
         self.list.retain(|(_, id)| footprint.binary_search(id).is_err());
         for &id in footprint {
@@ -366,4 +382,13 @@ impl ConsumerLists {
     fn sole(&self, graph: &Graph, id: NodeId) -> bool {
         self.get(id).len() == 1 && !graph.outputs().iter().any(|r| r.node == id)
     }
+}
+
+/// The nodes `node` reads, each once, in input order: a consumer reading
+/// one producer through several slots is one consumer.
+fn distinct_producers(node: &Node) -> impl Iterator<Item = NodeId> + '_ {
+    let inputs = &node.inputs;
+    (0..inputs.len())
+        .filter(move |&at| !inputs[..at].iter().any(|earlier| earlier.node == inputs[at].node))
+        .map(move |at| inputs[at].node)
 }

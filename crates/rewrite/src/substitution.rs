@@ -12,15 +12,14 @@
 //! [`Target::Build`]), not code of its own.
 //!
 //! The matcher binds nodes in anchor-id order and answers "single consumer"
-//! from one distinct-consumer count per candidate-generation call, made when
-//! the first chain turns up; no site scans the graph.
+//! from per-node distinct-consumer lists, built once per walk over a graph
+//! ([`crate::SiteLists`]); no site scans the graph.
 
 use xrlflow_graph::{
     FusedActivation, Graph, GraphError, GraphPatch, Node, NodeId, OpAttributes, OpKind, PatchBuilder,
     PatchRef, TensorRef,
 };
 
-use crate::matcher::find_siblings_sharing_input;
 use crate::rule::RuleMatch;
 
 /// What one node of a source pattern must be.
@@ -199,43 +198,6 @@ pub struct Substitution {
     pub target: Target,
 }
 
-/// One matching pass over a graph: the distinct-consumer count every chain
-/// of every entry reads, made at most once and only when a chain needs it.
-pub(crate) struct Scan<'g> {
-    graph: &'g Graph,
-    consumers: Option<Vec<u32>>,
-}
-
-impl<'g> Scan<'g> {
-    pub(crate) fn new(graph: &'g Graph) -> Self {
-        Self { graph, consumers: None }
-    }
-
-    /// `id` is read by exactly one distinct node and is no graph output.
-    fn sole_consumer(&mut self, id: NodeId) -> bool {
-        let graph = self.graph;
-        let counts = self.consumers.get_or_insert_with(|| {
-            let mut counts = vec![0u32; graph.id_bound()];
-            for (_, node) in graph.iter() {
-                for producer in distinct_producers(node) {
-                    counts[producer.index()] += 1;
-                }
-            }
-            counts
-        });
-        counts[id.index()] == 1 && !graph.outputs().iter().any(|r| r.node == id)
-    }
-}
-
-/// The nodes `node` reads, each once, in input order: a consumer reading
-/// one producer through several slots is one consumer.
-pub(crate) fn distinct_producers(node: &Node) -> impl Iterator<Item = NodeId> + '_ {
-    let inputs = &node.inputs;
-    (0..inputs.len())
-        .filter(move |&at| !inputs[..at].iter().any(|earlier| earlier.node == inputs[at].node))
-        .map(move |at| inputs[at].node)
-}
-
 impl Substitution {
     /// Short, stable, human-readable rule name.
     pub fn name(&self) -> &'static str {
@@ -248,36 +210,10 @@ impl Substitution {
         self.source.iter().all(|p| matches!(p, Pattern::Node(_) | Pattern::Chain { .. }))
     }
 
-    /// Finds every application site of this substitution in the graph.
+    /// Finds every application site of this substitution in the graph, in
+    /// match order — the walk [`crate::SiteLists`] makes for every rule.
     pub fn find_matches(&self, graph: &Graph) -> Vec<RuleMatch> {
-        self.find_in(&mut Scan::new(graph))
-    }
-
-    pub(crate) fn find_in(&self, scan: &mut Scan<'_>) -> Vec<RuleMatch> {
-        let graph = scan.graph;
-        let mut out = Vec::new();
-        for pattern in self.source {
-            match pattern.pairing() {
-                None => {
-                    for (id, node) in graph.iter() {
-                        self.sites_at(
-                            graph,
-                            pattern,
-                            id,
-                            node,
-                            &mut |p| scan.sole_consumer(p),
-                            &mut |_, site| out.push(site),
-                        );
-                    }
-                }
-                Some((op, slot)) => out.extend(self.sibling_sites(
-                    graph,
-                    pattern,
-                    find_siblings_sharing_input(graph, op, slot),
-                )),
-            }
-        }
-        out
+        crate::sites::sites_of(self, graph)
     }
 
     /// The sites of the local `pattern` anchored at node `id` — the node a
@@ -323,7 +259,7 @@ impl Substitution {
     }
 
     /// The sites of a sibling pattern among its sibling pairs (as
-    /// [`find_siblings_sharing_input`] lists them), in match order: pairs
+    /// [`crate::find_siblings_sharing_input`] lists them), in match order: pairs
     /// ascending for `Siblings`, nodes ascending for `WithSibling`.
     pub(crate) fn sibling_sites(
         &self,
