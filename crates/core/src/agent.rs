@@ -27,9 +27,9 @@
 //! that candidate gathered off step `t`'s tape
 //! ([`xrlflow_gnn::EncoderEpisode`]): a successor step encodes the patches'
 //! dirty rows only, never the graph. There is no caller protocol and no
-//! knob: a step carries exactly when the observation's `Arc<Graph>` is the
-//! allocation the previously chosen candidate materialised into (what
-//! `Environment::step` adopts); a first step, another environment, a reset —
+//! knob: a step carries exactly when `Environment::step` made the observation
+//! from the previous step's observed graph and chosen candidate
+//! (`Observation::follows`); a first step, another environment, a reset —
 //! anything else is a cold step through the same code, bit-identical either
 //! way. The evaluator borrows the agent for its lifetime, so "carried rows
 //! are only valid under the parameters that produced them" is a compile-time
@@ -37,9 +37,12 @@
 //! one-step forms (always cold); [`XrlflowAgent::evaluate`] — the PPO update
 //! — differentiates through the base rows and never carries.
 
+use std::sync::Arc;
+
 use xrlflow_env::Observation;
 use xrlflow_gnn::{CandidateDelta, EncoderEpisode, GnnEncoder, GraphFeatures};
-use xrlflow_rewrite::Materialization;
+use xrlflow_graph::Graph;
+use xrlflow_rewrite::Candidate;
 use xrlflow_rl::MaskedCategorical;
 use xrlflow_tensor::{Mlp, ParamSnapshot, ParamStore, SnapshotError, Tape, Tensor, VarId, XorShiftRng};
 
@@ -338,8 +341,10 @@ pub struct PolicyEpisode<'a> {
 /// the step's (not yet recycled) tape and deriving its features take.
 #[derive(Debug)]
 struct Chosen {
-    /// The graph whose rows can be carried, once somebody materialises it.
-    graph: Materialization,
+    /// The observed graph and the chosen candidate: a step carries when its
+    /// observation follows them.
+    graph: Arc<Graph>,
+    candidate: Candidate,
     /// The step's graph's features, the base of every delta.
     features: GraphFeatures,
     /// The step's candidate deltas and the chosen one's index among them.
@@ -354,9 +359,9 @@ impl PolicyEpisode<'_> {
     ///
     /// The step *carries* — derives the observed graph's features from the
     /// previous step's and the chosen candidate's delta, and encodes dirty
-    /// rows only — when `observation` is of the graph the previous call's
-    /// chosen candidate materialised into after that call; otherwise it is
-    /// a cold step, featurising and encoding the whole graph.
+    /// rows only — when `observation` follows the previous call's observed
+    /// graph and chosen candidate ([`Observation::follows`]); otherwise it
+    /// is a cold step, featurising and encoding the whole graph.
     /// `core/policy_steps_carried` and `core/policy_steps_cold` count which,
     /// and `gnn/features_carried` counts the derived features.
     pub fn act(&mut self, observation: &Observation, rng: Option<&mut XorShiftRng>) -> AgentDecision {
@@ -364,7 +369,8 @@ impl PolicyEpisode<'_> {
         let (carried, cold) = policy_step_counters();
         // The previous step's tape is still whole: this is the moment its
         // chosen candidate's rows are gathered — if they are wanted at all.
-        let current = match self.chosen.take().filter(|chosen| chosen.graph.is(&observation.graph)) {
+        let chosen = self.chosen.take().filter(|c| observation.follows(&c.graph, &c.candidate));
+        let current = match chosen {
             Some(chosen) => {
                 self.encoder.advance(tape, &chosen.deltas, chosen.index);
                 carried.inc();
@@ -381,12 +387,9 @@ impl PolicyEpisode<'_> {
         let embeddings = agent.encoder.encode_step(tape, &agent.store, &current, &deltas, &mut self.encoder);
         let (logits, value) = agent.score(tape, embeddings, deltas.len());
         let decision = decide(tape, logits, value, observation, rng);
-        // A memo filled before this decision was filled by somebody who is
-        // not the environment stepping it, and `Candidate::graph` ignores its
-        // base once filled: only a graph built from here on is vouched for.
-        let candidate = observation.candidates.get(decision.action).filter(|c| !c.is_materialized());
-        self.chosen = candidate.map(|c| Chosen {
-            graph: c.materialization(),
+        self.chosen = observation.candidates.get(decision.action).map(|candidate| Chosen {
+            graph: Arc::clone(&observation.graph),
+            candidate: candidate.clone(),
             features: current,
             deltas,
             index: decision.action,
@@ -522,22 +525,6 @@ mod tests {
         assert_eq!(batched, serial, "batched logits diverge from the serial baseline");
         assert_eq!(batched_value, serial_value, "value estimates diverge");
         assert_eq!(batched.len(), obs.num_candidates() + 1);
-    }
-
-    #[test]
-    fn act_does_not_materialise_candidates() {
-        // The delta featuriser must keep every unchosen candidate
-        // unmaterialised; only Environment::step() materialises the chosen
-        // one.
-        let agent = XrlflowAgent::new(&XrlflowConfig::smoke_test(), 2);
-        let obs = observation();
-        let mut rng = XorShiftRng::new(9);
-        let _ = agent.act(&obs, &mut rng, false);
-        let mut tape = Tape::new();
-        let _ = agent.evaluate(&mut tape, &obs, obs.noop_action());
-        for c in &obs.candidates {
-            assert!(!c.is_materialized(), "policy evaluation materialised a candidate ({})", c.rule_name);
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The episode evaluator carries, and nobody can tell.
 //!
 //! [`PolicyEpisode`](xrlflow_core::PolicyEpisode) reads the observed graph's
-//! encoder rows from the step before whenever the observation is of the
-//! graph the previously chosen candidate materialised into. Two contracts:
+//! encoder rows from the step before whenever `Environment::step` made the
+//! observation from the previously observed graph and chosen candidate
+//! (`Observation::follows`). Two contracts:
 //!
 //! 1. **Bit transparency.** Every decision — action, log-probability, value,
 //!    every probability — equals `XrlflowAgent::act` (a fresh tape, the whole
@@ -10,9 +11,9 @@
 //!    kinds, at the `smoke_test()` and `bench()` encoder shapes.
 //! 2. **Fallbacks are cold, never wrong.** A step carries only in that one
 //!    situation; anything else — another environment, a reset, an equal graph
-//!    in another allocation, a candidate somebody materialised before the
-//!    decision, an empty candidate list, a No-Op — is a cold step, with the
-//!    same decisions.
+//!    in another allocation, the same base graph stepped with another patch
+//!    at the same action index, an empty candidate list, a No-Op — is a cold
+//!    step, with the same decisions.
 //!
 //! Which of the two a step was is read from the `core/policy_steps_carried`
 //! and `core/policy_steps_cold` counters, so this file is the counters' test
@@ -20,7 +21,7 @@
 //! process-global, and here only these tests — serialised on a lock — step a
 //! policy.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use xrlflow_core::{AgentDecision, PolicyEpisode, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
@@ -202,18 +203,6 @@ fn fallbacks_are_cold_and_never_wrong() {
     let mut foreign_env = environment(foreign, &env_config);
     assert!(!step(&mut policy, &foreign_env.reset(0), "foreign materialisation").1);
 
-    // Materialised through the memo by someone else *before* the decision (a
-    // cost probe inspecting candidates, say): the evaluator cannot vouch for
-    // a graph it did not see being built from its observation, so the
-    // environment adopting that allocation does not make the step carry.
-    let probed = env.reset(0);
-    let early = probed.candidates[action].graph(&probed.graph);
-    let (decision, _) = step(&mut policy, &probed, "candidates probed before the decision");
-    assert_eq!(decision.action, action);
-    let next = env.step(&probed, action).observation;
-    assert!(std::sync::Arc::ptr_eq(&early, &next.graph));
-    assert!(!step(&mut policy, &next, "materialised before the decision").1);
-
     // No candidates at all, carried: the successor observation with K = 0
     // computes no row …
     let mut tiny = environment(one_rewrite_graph(), &env_config);
@@ -245,4 +234,47 @@ fn fallbacks_are_cold_and_never_wrong() {
     assert_eq!(decision.action, start.noop_action());
     assert!(!step(&mut policy, &second, "after a No-Op").1);
     assert!(!step(&mut policy, &start, "a new episode on the same evaluator").1);
+}
+
+#[test]
+fn the_carry_check_names_the_patch_not_the_action_index() {
+    // Two environments over one shared graph, the second reading the
+    // standard table in reverse order: their reset observations share the
+    // graph `Arc`, and one action index names two different patches. A
+    // check on the base graph and the action index alone would carry here.
+    let _guard = counters_lock();
+    let config = XrlflowConfig::smoke_test();
+    let agent = XrlflowAgent::new(&config, 5);
+    let graph = Arc::new(build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap());
+    let simulator = Arc::new(InferenceSimulator::new(DeviceProfile::gtx1080()));
+    let mut reversed = xrlflow_rewrite::rules::standard_rules();
+    reversed.reverse();
+    let over = |rules: RuleSet| {
+        Environment::from_shared(
+            Arc::clone(&graph),
+            Arc::new(rules),
+            Arc::clone(&simulator),
+            config.env.clone(),
+        )
+    };
+    let (mut forward, mut backward) = (over(RuleSet::standard()), over(RuleSet::new(reversed)));
+    let (ours, theirs) = (forward.reset(0), backward.reset(0));
+    assert!(Arc::ptr_eq(&ours.graph, &theirs.graph), "one shared base graph");
+
+    let mut policy = agent.episode();
+    let (decision, _) = checked_step(&agent, &mut policy, &ours, 9, true, "first step");
+    let action = decision.action;
+    assert!(
+        action < ours.num_candidates().min(theirs.num_candidates()),
+        "the test needs a rewriting decision"
+    );
+    assert_ne!(
+        ours.candidates[action].patch(),
+        theirs.candidates[action].patch(),
+        "the index names another patch"
+    );
+
+    let next = backward.step(&theirs, action).observation;
+    assert!(next.follows(&theirs.graph, &theirs.candidates[action]));
+    assert!(!checked_step(&agent, &mut policy, &next, 9, true, "same base and index, another patch").1);
 }

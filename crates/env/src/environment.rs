@@ -40,10 +40,10 @@ impl Default for EnvConfig {
 /// plus the padded-action validity mask.
 ///
 /// Cloning an observation (e.g. into a rollout buffer) is cheap: the graph is
-/// behind an [`Arc`] and each candidate shares its lazily-materialised
-/// transformed graph. Candidates stay unmaterialised through policy
-/// evaluation — the agent featurises them from the patch delta — so only the
-/// candidate [`Environment::step`] adopts ever becomes a full graph.
+/// behind an [`Arc`] and each candidate shares its patch. Candidates stay
+/// patches through policy evaluation — the agent featurises them from the
+/// patch delta — so only the candidate [`Environment::step`] takes ever
+/// becomes a full graph.
 #[derive(Debug, Clone)]
 pub struct Observation {
     /// The current computation graph.
@@ -53,6 +53,10 @@ pub struct Observation {
     /// Validity mask over the padded action space
     /// (`max_candidates + 1` entries; the last entry is the always-valid No-Op).
     pub action_mask: Vec<bool>,
+    /// The observed graph the step that made `graph` started from, and the
+    /// candidate it applied (`None` after a reset, a No-Op or an invalid
+    /// action). Holding both keeps their addresses from being reused.
+    step: Option<(Arc<Graph>, Candidate)>,
 }
 
 impl Observation {
@@ -64,6 +68,16 @@ impl Observation {
     /// Number of real candidates.
     pub fn num_candidates(&self) -> usize {
         self.candidates.len()
+    }
+
+    /// `true` when [`Environment::step`] made this observation by applying
+    /// `chosen` to `base` — the very allocations, compared by address, so an
+    /// equal graph or an equal patch elsewhere never counts. When it holds,
+    /// the observed graph is `base` with `chosen`'s patch applied.
+    pub fn follows(&self, base: &Arc<Graph>, chosen: &Candidate) -> bool {
+        self.step.as_ref().is_some_and(|(from, applied)| {
+            Arc::ptr_eq(from, base) && std::ptr::eq(applied.patch(), chosen.patch())
+        })
     }
 }
 
@@ -241,7 +255,7 @@ impl Environment {
         action_mask[..candidates.len()].fill(true);
         let noop = self.action_space() - 1;
         action_mask[noop] = true;
-        Observation { graph: Arc::clone(&self.current), candidates, action_mask }
+        Observation { graph: Arc::clone(&self.current), candidates, action_mask, step: None }
     }
 
     /// The observation returned alongside a terminal [`StepResult`] whose
@@ -252,7 +266,7 @@ impl Environment {
         let mut action_mask = vec![false; self.action_space()];
         let noop = self.action_space() - 1;
         action_mask[noop] = true;
-        Observation { graph: Arc::clone(&self.current), candidates: Vec::new(), action_mask }
+        Observation { graph: Arc::clone(&self.current), candidates: Vec::new(), action_mask, step: None }
     }
 
     /// Applies an action. `action` indexes the padded action space: indices
@@ -287,19 +301,24 @@ impl Environment {
 
         // Apply the selected candidate's patch. The agent featurises
         // candidates delta-wise and never materialises them, so this is the
-        // single point where the chosen candidate's graph is built (and
-        // memoised — a later PPO re-evaluation or cost probe shares it).
-        // Unchosen candidates are dropped without ever becoming graphs.
-        // When the observation is of the current graph, the sites the patch
-        // left alone carry over to the next observation.
+        // one point where a chosen candidate's graph is built; unchosen
+        // candidates are dropped without ever becoming graphs. The next
+        // observation records the base and the candidate it came from
+        // (`Observation::follows`). When the observation is of the current
+        // graph, the sites the patch left alone carry over to the next one.
         let candidate = &observation.candidates[action];
         let carried = Arc::ptr_eq(&observation.graph, &self.current);
-        self.current = candidate.graph(&observation.graph);
+        self.current = Arc::new(
+            candidate
+                .materialize(&observation.graph)
+                .expect("candidate patch was validated against its base graph at build time"),
+        );
         self.applied_rules.push(candidate.rule_name);
         self.step_count += 1;
 
         let max_steps_reached = self.step_count >= self.config.max_steps;
-        let next = self.observe(carried.then_some(&*observation.graph));
+        let mut next = self.observe(carried.then_some(&*observation.graph));
+        next.step = Some((Arc::clone(&observation.graph), candidate.clone()));
         let out_of_candidates = next.candidates.is_empty();
         let done = max_steps_reached || out_of_candidates;
 
@@ -473,6 +492,34 @@ mod tests {
         assert_eq!(result.reward.to_bits(), 0.0f32.to_bits());
         assert_eq!(env.episode_stats().total_reward.to_bits(), 0.0f32.to_bits());
         assert_eq!(env.episode_stats().steps, 0);
+    }
+
+    #[test]
+    fn an_observation_follows_exactly_the_step_that_made_it() {
+        let mut env = make_env(ModelKind::SqueezeNet);
+        let first = env.reset(0);
+        assert!(first.num_candidates() > 1);
+        let chosen = &first.candidates[0];
+        let second = env.step(&first, 0).observation;
+        assert!(second.follows(&first.graph, chosen));
+        assert_eq!(second.graph.canonical_hash(), chosen.materialize(&first.graph).unwrap().canonical_hash());
+        // Another candidate, an equal base in another allocation, an equal
+        // patch in another candidate: none of them made it.
+        assert!(!second.follows(&first.graph, &first.candidates[1]));
+        assert!(!second.follows(&Arc::new(first.graph.as_ref().clone()), chosen));
+        let regenerated = RuleSet::standard().generate_candidates(&first.graph, 1);
+        assert_eq!(regenerated[0].patch(), chosen.patch());
+        assert!(!second.follows(&first.graph, &regenerated[0]));
+        // A stale observation's step records its base.
+        let stale = env.step(&first, 1).observation;
+        assert!(stale.follows(&first.graph, &first.candidates[1]));
+        // A reset, a No-Op and an invalid action record nothing.
+        let again = env.reset(0);
+        assert!(!again.follows(&first.graph, chosen));
+        for action in [again.noop_action(), again.num_candidates()] {
+            let terminal = env.step(&again, action).observation;
+            assert!(!terminal.follows(&again.graph, &again.candidates[0]), "action {action}");
+        }
     }
 
     #[test]

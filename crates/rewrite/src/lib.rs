@@ -35,6 +35,6 @@ mod sites;
 mod substitution;
 
 pub use matcher::{find_siblings_sharing_input, is_parameter};
-pub use rule::{Candidate, Materialization, RuleId, RuleMatch, RuleSet};
+pub use rule::{Candidate, RuleId, RuleMatch, RuleSet};
 pub use sites::SiteLists;
 pub use substitution::{input, Attrs, Axis, Emit, NodeTest, Pattern, Slot, Substitution, Target, Tensor};

@@ -6,10 +6,11 @@
 //! crate), a candidate is a [`GraphPatch`] *delta*, not a transformed copy of
 //! the whole graph. Generating the full candidate set is the hot path of the
 //! RL loop (it runs at every environment step), so it must not allocate a
-//! graph per candidate; the few candidates a search strategy actually
-//! inspects are materialised lazily and memoised via [`Candidate::graph`].
+//! graph per candidate: a candidate is its patch, and only the few a search
+//! strategy actually inspects — or the one the environment's `step` takes —
+//! become graphs, through [`Candidate::materialize`].
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use xrlflow_graph::{Graph, GraphError, GraphPatch, NodeId};
 
@@ -40,11 +41,9 @@ impl RuleMatch {
 /// A candidate transformation: one rule applied at one site, represented as a
 /// patch against the graph it was generated from.
 ///
-/// The transformed graph is only built on demand — [`Candidate::graph`]
-/// materialises it once and memoises the result behind an [`Arc`], so the
-/// agent's featuriser, the environment's `step()` and any cost evaluation all
-/// share a single materialisation. Cloning a candidate (e.g. into a rollout
-/// buffer) shares the memo.
+/// The transformed graph is built only when asked for, by
+/// [`Candidate::materialize`]; the agent featurises the patch instead.
+/// Cloning a candidate (e.g. into a rollout buffer) shares the patch.
 #[derive(Debug, Clone)]
 pub struct Candidate {
     /// Shared with the step's site lists, which carry it to the next step
@@ -61,26 +60,6 @@ pub struct Candidate {
     /// fingerprint used by debug assertions to catch callers materialising
     /// against the wrong base.
     base_id_bound: usize,
-    materialized: Arc<OnceLock<Arc<Graph>>>,
-}
-
-/// A handle on a [`Candidate`]'s memoised materialisation that outlives the
-/// candidate itself ([`Candidate::materialization`]).
-///
-/// The memo is filled at most once, by whoever first calls
-/// [`Candidate::graph`] — `Environment::step` for the action taken. Holding
-/// the handle lets a caller that saw the candidate *before* that recognise
-/// the graph *afterwards* by pointer: the handle keeps the `Arc` alive, so
-/// its address cannot be reused for another graph in the meantime.
-#[derive(Debug, Clone)]
-pub struct Materialization(Arc<OnceLock<Arc<Graph>>>);
-
-impl Materialization {
-    /// `true` when `graph` is the very allocation the candidate materialised
-    /// into (not merely an equal graph).
-    pub fn is(&self, graph: &Arc<Graph>) -> bool {
-        self.0.get().is_some_and(|memo| Arc::ptr_eq(memo, graph))
-    }
 }
 
 impl Candidate {
@@ -90,8 +69,7 @@ impl Candidate {
         Self::shared(Arc::new(patch), hash, rule_id, rule_name, base)
     }
 
-    /// A candidate over an already hashed, shared patch, with a memo of its
-    /// own.
+    /// A candidate over an already hashed, shared patch.
     pub(crate) fn shared(
         patch: Arc<GraphPatch>,
         hash: u64,
@@ -99,14 +77,7 @@ impl Candidate {
         rule_name: &'static str,
         base: &Graph,
     ) -> Self {
-        Self {
-            patch,
-            rule_id,
-            rule_name,
-            hash,
-            base_id_bound: base.id_bound(),
-            materialized: Arc::new(OnceLock::new()),
-        }
+        Self { patch, rule_id, rule_name, hash, base_id_bound: base.id_bound() }
     }
 
     /// The patch this candidate applies.
@@ -114,67 +85,31 @@ impl Candidate {
         &self.patch
     }
 
-    /// `true` when this candidate has already been materialised.
-    pub fn is_materialized(&self) -> bool {
-        self.materialized.get().is_some()
-    }
-
-    /// A handle on the memo [`Candidate::graph`] fills, shared with every
-    /// clone of the candidate.
-    pub fn materialization(&self) -> Materialization {
-        Materialization(Arc::clone(&self.materialized))
-    }
-
-    /// Debug-build guard: `base` must be the graph the candidate was
-    /// generated from, and a materialised result must be a valid graph.
-    /// Compiled out of release builds to keep materialisation cheap; the
-    /// differential/property tests exercise every rule through this path.
-    fn debug_check_base(&self, base: &Graph) {
+    /// The transformed graph: `base` with this candidate's patch applied.
+    /// `base` must be the graph the candidate was generated from. Debug
+    /// builds assert that against a base fingerprint, and that the result is
+    /// a valid graph; the differential and property tests run every rule
+    /// through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error when the patch does not apply to `base` — patches are
+    /// shape-checked at construction time, so this indicates `base` is not
+    /// the generation-time graph.
+    pub fn materialize(&self, base: &Graph) -> Result<Graph, GraphError> {
         debug_assert_eq!(
             base.id_bound(),
             self.base_id_bound,
             "candidate for rule {} materialised against a different base graph",
             self.rule_name
         );
-    }
-
-    /// The transformed graph, materialised on first call and shared
-    /// afterwards.
-    ///
-    /// `base` must be the graph this candidate was generated from; once the
-    /// memo is populated the argument is ignored, so passing a different
-    /// graph never recomputes (debug builds assert against a base
-    /// fingerprint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the patch does not apply to `base` — patches are
-    /// shape-checked at construction time, so this indicates `base` is not
-    /// the generation-time graph.
-    pub fn graph(&self, base: &Graph) -> Arc<Graph> {
-        Arc::clone(self.materialized.get_or_init(|| {
-            self.debug_check_base(base);
-            let graph = base
-                .apply_patch(&self.patch)
-                .expect("candidate patch was validated against its base graph at build time");
-            debug_assert!(
-                graph.validate().is_ok(),
-                "rule {} produced an invalid graph (patches must only reference upstream tensors)",
-                self.rule_name
-            );
-            Arc::new(graph)
-        }))
-    }
-
-    /// Materialises the transformed graph without touching the memo (used by
-    /// differential tests and benchmarks).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the patch does not apply to `base`.
-    pub fn materialize(&self, base: &Graph) -> Result<Graph, GraphError> {
-        self.debug_check_base(base);
-        base.apply_patch(&self.patch)
+        let graph = base.apply_patch(&self.patch)?;
+        debug_assert!(
+            graph.validate().is_ok(),
+            "rule {} produced an invalid graph (patches must only reference upstream tensors)",
+            self.rule_name
+        );
+        Ok(graph)
     }
 }
 
@@ -315,26 +250,11 @@ mod tests {
         assert!(!candidates.is_empty(), "expected rewrite opportunities in SqueezeNet");
         let mut hashes = HashSet::new();
         for c in &candidates {
-            assert!(!c.is_materialized(), "generation must not materialise candidates");
-            let out = c.graph(&g);
+            let out = c.materialize(&g).unwrap();
             assert!(out.validate().is_ok(), "candidate from {} is invalid", c.rule_name);
             assert!(hashes.insert(c.hash), "duplicate candidate from {}", c.rule_name);
             assert_ne!(out.canonical_hash(), g.canonical_hash(), "candidate from {} is a no-op", c.rule_name);
         }
-    }
-
-    #[test]
-    fn materialization_is_memoized_and_shared_across_clones() {
-        let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let rs = RuleSet::standard();
-        let candidates = rs.generate_candidates(&g, 8);
-        let c = candidates.first().expect("at least one candidate");
-        let clone = c.clone();
-        let a = c.graph(&g);
-        // The clone sees the memoised graph without re-applying the patch.
-        assert!(clone.is_materialized());
-        let b = clone.graph(&g);
-        assert!(Arc::ptr_eq(&a, &b), "clones must share one materialisation");
     }
 
     #[test]
@@ -347,7 +267,8 @@ mod tests {
         // collapse candidates the patch pipeline keeps apart.
         assert!(eager.len() <= lazy.len());
         let eager_hashes: HashSet<u64> = eager.iter().map(|(_, g)| g.canonical_hash()).collect();
-        let lazy_hashes: HashSet<u64> = lazy.iter().map(|c| c.graph(&g).canonical_hash()).collect();
+        let lazy_hashes: HashSet<u64> =
+            lazy.iter().map(|c| c.materialize(&g).unwrap().canonical_hash()).collect();
         assert_eq!(eager_hashes, lazy_hashes, "pipelines reach different graph sets");
     }
 

@@ -37,24 +37,23 @@ pub fn gae(
     (advantages, returns)
 }
 
-/// Plain discounted returns (used in tests and as a GAE sanity check with
-/// `lambda = 1`).
-pub fn discounted_returns(rewards: &[f32], dones: &[bool], gamma: f32) -> Vec<f32> {
-    let mut out = vec![0.0f32; rewards.len()];
-    let mut acc = 0.0;
-    for t in (0..rewards.len()).rev() {
-        if dones[t] {
-            acc = 0.0;
-        }
-        acc = rewards[t] + gamma * acc;
-        out[t] = acc;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Plain discounted returns: the oracle of GAE with `lambda = 1`.
+    fn discounted_returns(rewards: &[f32], dones: &[bool], gamma: f32) -> Vec<f32> {
+        let mut out = vec![0.0f32; rewards.len()];
+        let mut acc = 0.0;
+        for t in (0..rewards.len()).rev() {
+            if dones[t] {
+                acc = 0.0;
+            }
+            acc = rewards[t] + gamma * acc;
+            out[t] = acc;
+        }
+        out
+    }
 
     #[test]
     fn single_step_episode() {

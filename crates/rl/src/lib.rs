@@ -46,7 +46,7 @@ mod ppo;
 
 pub use buffer::{RolloutBuffer, Transition};
 pub use categorical::MaskedCategorical;
-pub use gae::{discounted_returns, gae};
+pub use gae::gae;
 pub use ppo::{
     explained_variance, PpoHyperParams, TrainingStats, CLIP_EPSILON, ENTROPY_COEFFICIENT, LEARNING_RATE,
     MAX_GRAD_NORM, VALUE_LOSS_COEFFICIENT,

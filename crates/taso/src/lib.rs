@@ -19,7 +19,7 @@
 //!     SearchConfig::default(),
 //! );
 //! let result = optimizer.optimize(&graph);
-//! println!("TASO improved the cost model by {:.1}%", result.improvement_percent());
+//! println!("TASO: cost model {:.3} -> {:.3} ms", result.initial_cost_ms, result.final_cost_ms);
 //! ```
 
 #![warn(missing_docs)]

@@ -23,7 +23,7 @@ fn main() {
     println!("{} one-step candidates; per-candidate effect:", candidates.len());
     println!("{:<28} {:>12} {:>12}", "rule", "Δcost (ms)", "ΔE2E (ms)");
     for c in candidates.iter().take(20) {
-        let transformed = c.graph(&graph);
+        let transformed = c.materialize(&graph).expect("a candidate applies to its base");
         let d_cost = cm.graph_cost_ms(&transformed) - base_cost;
         let d_e2e = sim.measure_ms(&transformed, 0) - base_e2e;
         println!("{:<28} {:>12.4} {:>12.4}", c.rule_name, d_cost, d_e2e);

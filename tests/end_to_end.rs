@@ -21,7 +21,11 @@ fn every_evaluated_model_has_rewrite_opportunities() {
         let candidates = rules.generate_candidates(&graph, 64);
         assert!(!candidates.is_empty(), "{kind} has no rewrite candidates");
         for c in &candidates {
-            assert!(c.graph(&graph).validate().is_ok(), "{kind}: candidate from {} invalid", c.rule_name);
+            assert!(
+                c.materialize(&graph).unwrap().validate().is_ok(),
+                "{kind}: candidate from {} invalid",
+                c.rule_name
+            );
         }
     }
 }

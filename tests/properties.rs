@@ -94,7 +94,7 @@ fn chain_graphs_always_validate_and_candidates_stay_valid() {
         let g = chain_graph(&dims, &relus);
         assert!(g.validate().is_ok(), "seed {seed}: chain graph invalid");
         for c in rules.generate_candidates(&g, 16) {
-            let out = c.graph(&g);
+            let out = c.materialize(&g).unwrap();
             assert!(out.validate().is_ok(), "seed {seed}: candidate from {} invalid", c.rule_name);
             // Rewrites never change the graph output shape.
             assert_eq!(
