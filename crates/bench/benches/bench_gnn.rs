@@ -1,15 +1,16 @@
 //! Micro-benchmarks for the GNN encoder: featurisation, the forward pass of
 //! one graph at different message-passing depths (an ablation over `k`, the
-//! number of GAT layers), and per-step policy evaluation on the batched + delta-aware
-//! path the agent runs — with the host half of that path (featurise the
-//! observation, derive all `K` sparse candidate deltas) as its own series,
-//! the features of the next graph derived from the chosen candidate's delta
-//! (`featurize/successor/*`),
-//! and a mid-trajectory step through the episode evaluator, which reads the
-//! observed graph's encoder rows from the step before (`carried`) against
-//! the same step encoding the whole graph (`cold`) — and, on its own, the
-//! readout both kinds of step end with (`readout/*`: the `K + 1` per-graph
-//! row sums).
+//! number of GAT layers), and per-step policy evaluation on the batched +
+//! delta-aware path the agent runs over what its observation carries — with
+//! the host work the environment does for that path (featurise a graph,
+//! derive all `K` sparse candidate deltas) as its own series, the features
+//! of the next graph derived from the chosen candidate's delta
+//! (`featurize/successor/*`), and a mid-trajectory step through the episode
+//! evaluator, which reads the observed graph's encoder rows from the step
+//! before (`carried`) against the same step encoding the whole graph
+//! (`cold`) — and, on its own, the readout both kinds of step end with
+//! (`readout/*`: the `K + 1` per-graph row sums). No `policy_evaluation/*`
+//! row featurises: the observation carries its features and deltas.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -46,12 +47,12 @@ fn main() {
         report(&format!("gnn_forward_by_depth/{k}"), time_ns(2, iters, forward));
     }
 
-    // Per-step policy evaluation: the full agent forward (featurise current
-    // graph + K candidates, encode, score all pairs, estimate the value) on
-    // one environment observation per workload. The batched path derives
-    // sparse candidate deltas from patches and encodes the graph and every
-    // candidate in one delta-aware pass. `XRLFLOW_MAX_CANDIDATES` bounds K
-    // (CI smoke uses a small value).
+    // Per-step policy evaluation: the full agent forward (encode the current
+    // graph + K candidates from the observation's features and sparse
+    // candidate deltas in one delta-aware pass, score all pairs, estimate the
+    // value) on one environment observation per workload; the environment's
+    // derivation of those inputs is the `featurize/*` series.
+    // `XRLFLOW_MAX_CANDIDATES` bounds K (CI smoke uses a small value).
     println!("\n== per-step policy evaluation: batched+delta ==");
     let max_candidates = env_usize("XRLFLOW_MAX_CANDIDATES", 64);
     let mut config = XrlflowConfig::bench();
@@ -130,17 +131,11 @@ fn main() {
         let encoder = GnnEncoder::new(&mut store, config.encoder, &mut rng(0));
         let (mut tape, mut episode) = (Tape::new(), EncoderEpisode::new());
         let mut readout_ns = |obs: &xrlflow_env::Observation, advance_to: Option<usize>| {
-            let current = GraphFeatures::from_graph(&obs.graph);
-            let deltas: Vec<_> = obs
-                .candidates
-                .iter()
-                .map(|c| GraphFeatures::delta_from_base_and_patch(&obs.graph, &current, c.patch()))
-                .collect();
             tape.recycle();
-            encoder.encode_step(&mut tape, &store, &current, &deltas, &mut episode);
+            encoder.encode_step(&mut tape, &store, &obs.features, &obs.deltas, &mut episode);
             let ns = time_ns(WARM_UP, iters, || episode.readout_again(&mut tape));
             if let Some(chosen) = advance_to {
-                episode.advance(&tape, &deltas, chosen);
+                episode.advance(&tape, &obs.deltas, chosen);
             }
             ns
         };

@@ -1,7 +1,10 @@
 //! Micro-benchmarks for the tensor hot paths: the register-tiled matmul at
 //! real GAT-layer and policy-head shapes, in whichever compiled form of the
 //! tile this CPU dispatches to; the backward kernels (`G·Bᵀ` in each of its forms, `Aᵀ·G`, the
-//! `q = 1` outer product) at the shapes the reverse walk multiplies; a full
+//! `q = 1` outer product) at the shapes the reverse walk multiplies; the
+//! interleaved dot-product forms (`A·B`'s column, `G·Bᵀ`'s row, the fused
+//! gather–scale–scatter's scale gradient); the node update's one-hot
+//! lookup, forward and backward; a full
 //! tape forward/backward step on a recycled tape; the tape's bias-add +
 //! activation and standalone activation ops at encoder shapes; the
 //! gradient-buffer reuse primitives behind the PPO update's index-ordered
@@ -77,6 +80,62 @@ fn main() {
     // elements would cost more than the kernel.)
     let outer = time_ns(2, iters * 16, || score_grad.matmul_transposed_rhs(&attention));
     report("backward/outer_product/400x1x32", outer);
+
+    // The interleaved dot-product forms at the ledger's `tensor.matmul_us`
+    // neighbour, a GAT layer's attention-score column over a candidate
+    // block (`[152, 32] × [32, 1]`), its single-row `G·Bᵀ` (`[1, 32] ×
+    // [152, 32]ᵀ`), and the fused gather–scale–scatter's scale gradient, one
+    // dot per edge of a 400-edge list: the reverse walk of a recorded
+    // aggregate whose rows are a constant, so it computes that gradient
+    // alone (and the `[152, 32]` fill of its loss's gradient).
+    println!("\n== interleaved dot products: A·B column, G·Bᵀ row, edge scale gradient ==");
+    let block = random_tensor(&mut rng, &[152, 32]);
+    let column = random_tensor(&mut rng, &[32, 1]);
+    report("matmul/dot_rows/152x32x1", time_ns(2, iters * 16, || block.matmul(&column)));
+    let row = random_tensor(&mut rng, &[1, 32]);
+    report("matmul/transposed_rhs/1x32x152", time_ns(2, iters * 16, || row.matmul_transposed_rhs(&block)));
+    let mut edges = ParamStore::new();
+    let alpha = edges.register("alpha", random_tensor(&mut rng, &[400, 1]));
+    let src: Vec<usize> = (0..400).map(|i| (i * 37) % 152).collect();
+    let dst: Vec<usize> = (0..400).map(|i| i * 152 / 400).collect();
+    let mut tape = Tape::new();
+    let (h, a) = (tape.constant(block.clone()), tape.param(&edges, alpha));
+    let aggregated = tape.gather_scatter_rows(h, a, &src, &dst, 152);
+    let loss = tape.sum_all(aggregated);
+    let mut scale_grads = GradBuffer::zeros_like(&edges);
+    report(
+        "backward/gather_scatter_scale/400x32",
+        time_ns(2, iters * 16, || {
+            scale_grads.zero_fill();
+            tape.backward_into(loss, &mut scale_grads);
+        }),
+    );
+
+    // The node update's `[x ‖ one_hot] · W` as the lookup runs it, at a
+    // 127-row block (the bench encoder's 4 attribute columns, 41 operators,
+    // H = 32): the forward op alone, then the reverse walk of a recorded
+    // one — `W`'s gradient, `xᵀ·G` plus one row add per input row.
+    println!("\n== node update: the operator's weight row looked up ==");
+    let attributes = random_tensor(&mut rng, &[127, 4]);
+    let ops: Vec<usize> = (0..127).map(|i| (i * 13) % 41).collect();
+    let mut node_update = ParamStore::new();
+    let weight = node_update.register("weight", random_tensor(&mut rng, &[45, 32]));
+    let forward = time_ns(2, iters * 16, || {
+        tape.recycle();
+        let (x, w) = (tape.constant(attributes.clone()), tape.param(&node_update, weight));
+        tape.matmul_lookup(x, &ops, w)
+    });
+    report("tape/matmul_lookup/127x45x32/forward", forward);
+    tape.recycle();
+    let (x, w) = (tape.constant(attributes.clone()), tape.param(&node_update, weight));
+    let out = tape.matmul_lookup(x, &ops, w);
+    let loss = tape.sum_all(out);
+    let mut lookup_grads = GradBuffer::zeros_like(&node_update);
+    let backward = time_ns(2, iters * 16, || {
+        lookup_grads.zero_fill();
+        tape.backward_into(loss, &mut lookup_grads);
+    });
+    report("tape/matmul_lookup/127x45x32/backward", backward);
 
     // One full train step (forward + backward) through an MLP of the policy
     // head's published size on one recycled tape, as the training stack runs

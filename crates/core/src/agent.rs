@@ -7,18 +7,19 @@
 //! space, and the value head estimates the state value from the current
 //! graph's embedding.
 //!
-//! Policy evaluation is **delta-aware and batched**: the current graph is
-//! featurised once per observation, every candidate becomes a *sparse*
-//! delta against those features ([`GraphFeatures::delta_from_base_and_patch`]
-//! — work proportional to the candidate's patch, no candidate graph and no
-//! dense candidate features on the inference path), and the current graph
-//! plus all `K` candidates run through the GAT stack in one batched pass
-//! ([`GnnEncoder::encode_candidates`]) that re-computes only each patch's
-//! dirty region per layer instead of `K + 1` serial full-graph tapes. The
-//! policy head then scores all `K + 1` pairs in a single stacked forward,
-//! so the `[1, K + 1]` logit row is assembled in one op. Only the action the
-//! environment actually takes materialises a graph, inside
-//! `Environment::step`.
+//! Policy evaluation is **delta-aware and batched**, and it reads what the
+//! observation carries: the environment featurised the current graph once
+//! and made every candidate a *sparse* delta against those features
+//! (`GraphFeatures::delta_from_base_and_patch` — work proportional to the
+//! candidate's patch, no candidate graph and no dense candidate features on
+//! the inference path), so neither an action nor a PPO re-evaluation
+//! derives anything. The current graph plus all `K` candidates run through
+//! the GAT stack in one batched pass ([`GnnEncoder::encode_candidates`])
+//! that re-computes only each patch's dirty region per layer instead of
+//! `K + 1` serial full-graph tapes. The policy head then scores all `K + 1`
+//! pairs in a single stacked forward, so the `[1, K + 1]` logit row is
+//! assembled in one op. Only the action the environment actually takes
+//! materialises a graph, inside `Environment::step`.
 //!
 //! **Multi-step inference goes through [`PolicyEpisode`]** — the rollout
 //! collector, `greedy_optimize` and `evaluate_curriculum` each hold one for
@@ -142,19 +143,17 @@ impl XrlflowAgent {
     /// Builds the differentiable logits (one per valid action: candidates in
     /// order followed by No-Op) and the value estimate for an observation.
     ///
-    /// One batched evaluation: the current graph is featurised once, every
-    /// candidate becomes a sparse delta against it (no candidate is
-    /// materialised, no clean row copied), the current graph and all `K`
-    /// candidates are encoded in one delta-aware batched pass, and the
-    /// policy head scores every pair in one stacked forward
-    /// ([`XrlflowAgent::score`]).
+    /// One batched evaluation of the observation's features and candidate
+    /// deltas (no candidate is materialised, no clean row copied, nothing
+    /// featurised): the current graph and all `K` candidates are encoded in
+    /// one delta-aware batched pass, and the policy head scores every pair
+    /// in one stacked forward ([`XrlflowAgent::score`]).
     fn forward(&self, tape: &mut Tape, observation: &Observation) -> (VarId, VarId) {
-        let current = GraphFeatures::from_graph(&observation.graph);
-        let deltas = candidate_deltas(observation, &current);
         // Row 0: the current graph; rows 1..=K: the candidates. Clean rows
         // of every candidate are shared with the current graph's encoding;
         // only each patch's dirty region is re-computed per GAT layer.
-        let embeddings = self.encoder.encode_candidates(tape, &self.store, &current, &deltas);
+        let (features, deltas) = (&observation.features, &observation.deltas);
+        let embeddings = self.encoder.encode_candidates(tape, &self.store, features, deltas);
         self.score(tape, embeddings, deltas.len())
     }
 
@@ -259,22 +258,12 @@ impl XrlflowAgent {
     /// Embeds a graph with the current encoder parameters (used by analysis
     /// tooling and tests): the `[1, hidden]` row of the encoder pass with no
     /// candidates.
-    pub fn embed_graph(&self, graph: &xrlflow_graph::Graph) -> Tensor {
+    pub fn embed_graph(&self, graph: &Graph) -> Tensor {
         let mut tape = Tape::new();
         let features = GraphFeatures::from_graph(graph);
         let embedding = self.encoder.encode_candidates(&mut tape, &self.store, &features, &[]);
         tape.value(embedding).clone()
     }
-}
-
-/// Every candidate of the observation as a sparse delta against `current`,
-/// the features of its graph.
-fn candidate_deltas(observation: &Observation, current: &GraphFeatures) -> Vec<CandidateDelta> {
-    observation
-        .candidates
-        .iter()
-        .map(|c| GraphFeatures::delta_from_base_and_patch(&observation.graph, current, c.patch()))
-        .collect()
 }
 
 /// Turns the per-valid-action logits on `tape` into a decision: scatters them
@@ -338,17 +327,15 @@ pub struct PolicyEpisode<'a> {
 }
 
 /// The candidate a decision chose, with what gathering its encoder rows off
-/// the step's (not yet recycled) tape and deriving its features take.
+/// the step's (not yet recycled) tape takes.
 #[derive(Debug)]
 struct Chosen {
     /// The observed graph and the chosen candidate: a step carries when its
     /// observation follows them.
     graph: Arc<Graph>,
     candidate: Candidate,
-    /// The step's graph's features, the base of every delta.
-    features: GraphFeatures,
     /// The step's candidate deltas and the chosen one's index among them.
-    deltas: Vec<CandidateDelta>,
+    deltas: Arc<[CandidateDelta]>,
     index: usize,
 }
 
@@ -357,41 +344,34 @@ impl PolicyEpisode<'_> {
     /// most probable one when `rng` is `None` (deployment, which draws no
     /// randomness), else one sampled from `rng` (training).
     ///
-    /// The step *carries* — derives the observed graph's features from the
-    /// previous step's and the chosen candidate's delta, and encodes dirty
-    /// rows only — when `observation` follows the previous call's observed
-    /// graph and chosen candidate ([`Observation::follows`]); otherwise it
-    /// is a cold step, featurising and encoding the whole graph.
-    /// `core/policy_steps_carried` and `core/policy_steps_cold` count which,
-    /// and `gnn/features_carried` counts the derived features.
+    /// The step *carries* — encodes dirty rows only, reading the observed
+    /// graph's rows from the previous step — when `observation` follows the
+    /// previous call's observed graph and chosen candidate
+    /// ([`Observation::follows`]); otherwise it is a cold step, encoding the
+    /// whole graph. `core/policy_steps_carried` and `core/policy_steps_cold`
+    /// count which. Either way the features and candidate deltas are the
+    /// observation's.
     pub fn act(&mut self, observation: &Observation, rng: Option<&mut XorShiftRng>) -> AgentDecision {
         let (agent, tape) = (self.agent, &mut self.tape);
         let (carried, cold) = policy_step_counters();
         // The previous step's tape is still whole: this is the moment its
         // chosen candidate's rows are gathered — if they are wanted at all.
-        let chosen = self.chosen.take().filter(|c| observation.follows(&c.graph, &c.candidate));
-        let current = match chosen {
+        match self.chosen.take().filter(|c| observation.follows(&c.graph, &c.candidate)) {
             Some(chosen) => {
                 self.encoder.advance(tape, &chosen.deltas, chosen.index);
                 carried.inc();
-                xrlflow_obs::counter!("gnn/features_carried").inc();
-                chosen.features.successor(&chosen.deltas[chosen.index], &observation.graph)
             }
-            None => {
-                cold.inc();
-                GraphFeatures::from_graph(&observation.graph)
-            }
-        };
+            None => cold.inc(),
+        }
         tape.recycle();
-        let deltas = candidate_deltas(observation, &current);
-        let embeddings = agent.encoder.encode_step(tape, &agent.store, &current, &deltas, &mut self.encoder);
+        let (features, deltas) = (&observation.features, &observation.deltas);
+        let embeddings = agent.encoder.encode_step(tape, &agent.store, features, deltas, &mut self.encoder);
         let (logits, value) = agent.score(tape, embeddings, deltas.len());
         let decision = decide(tape, logits, value, observation, rng);
         self.chosen = observation.candidates.get(decision.action).map(|candidate| Chosen {
             graph: Arc::clone(&observation.graph),
             candidate: candidate.clone(),
-            features: current,
-            deltas,
+            deltas: Arc::clone(deltas),
             index: decision.action,
         });
         decision
@@ -406,6 +386,7 @@ impl XrlflowAgent {
     /// per graph and one head forward per pair — the differential-testing
     /// oracle for [`XrlflowAgent::policy_logits_batched`].
     fn policy_logits_serial(&self, observation: &Observation) -> (Vec<f32>, f32) {
+        use xrlflow_gnn::GraphFeatures;
         let mut tape = Tape::new();
         let current = GraphFeatures::from_graph(&observation.graph);
         let current_emb = self.encoder.encode_candidates(&mut tape, &self.store, &current, &[]);

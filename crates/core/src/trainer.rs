@@ -14,7 +14,9 @@
 //! of its candidates run through the encoder as one delta-aware batch on the
 //! update tape (clean candidate rows share the current graph's sub-tree, so
 //! their gradient contributions route through it), instead of `K + 1` serial
-//! encoder tapes per transition.
+//! encoder tapes per transition. The stored observation carries its
+//! features and candidate deltas, derived once by the environment, so a
+//! re-evaluation derives nothing.
 //!
 //! The update's canonical gradient semantics are **per transition, in
 //! transition-index order**: every transition of a minibatch back-propagates

@@ -3,38 +3,45 @@
 //!
 //! When a step's observation is of the environment's current graph, the
 //! environment re-matches, re-builds and re-hashes only the sites the chosen
-//! patch touched ([`SiteLists::advance`]), and the episode evaluator derives
-//! the next graph's features from the previous ones and the chosen
-//! candidate's delta ([`GraphFeatures::successor`]). At every step of greedy
-//! and sampled episodes on all 8 zoo kinds (both encoder shapes), on the
-//! rule-zoo graph, the sparse-delta bases and three hand-built graphs where
-//! the chosen patch changes what a pattern-local re-match would miss:
+//! patch touched ([`SiteLists::advance`]); on every step it derives the next
+//! graph's features from the stepped-from observation's and the chosen
+//! candidate's delta ([`GraphFeatures::successor`]) and each offered
+//! candidate's delta against them. At every step of greedy and sampled
+//! episodes on all 8 zoo kinds (both encoder shapes), on the rule-zoo graph,
+//! the sparse-delta bases and three hand-built graphs where the chosen patch
+//! changes what a pattern-local re-match would miss:
 //!
 //! * the candidate list equals `RuleSet::generate_candidates` on the
 //!   materialised graph — rule id, name, patch, structural hash and order —
 //!   at the environment's cap, and a mirror of the carried site lists
 //!   equals it at a cap of 32 and uncapped;
-//! * the features derived step by step along the same decisions (what the
-//!   evaluator derives) equal `GraphFeatures::from_graph`, index included;
-//!   `policy_episode.rs` shows the evaluator's decisions equal
-//!   `XrlflowAgent::act`'s, which featurises from scratch.
+//! * the observation's features equal `GraphFeatures::from_graph` of its
+//!   graph, index included, and its deltas, one per candidate, equal
+//!   `GraphFeatures::delta_from_base_and_patch` against those — what the
+//!   agent, the episode evaluator and the PPO update read instead of
+//!   featurising; `policy_episode.rs` shows the evaluator's decisions equal
+//!   `XrlflowAgent::act`'s;
+//! * every transition `collect_episode_with_rng` stores carries exactly
+//!   those values.
 //!
-//! Every fallback is cold and still right: a first step, a reset, another
-//! environment's observation, a stale observation of the same environment.
-//! The `rewrite/candgen_*`, `gnn/features_carried` and `core/policy_steps_*`
-//! counters say which kind each step was; the registry is process-global,
-//! so the tests here serialise on a lock.
+//! Every fallback is cold for candidate generation and still right: a first
+//! step, a reset, another environment's observation, a stale observation of
+//! the same environment; a No-Op and an invalid action observe the current
+//! graph with no candidates. The `rewrite/candgen_*`, `gnn/features_carried`
+//! and `core/policy_steps_*` counters say which kind each step was; the
+//! registry is process-global, so the tests here serialise on a lock.
 
-use std::sync::{Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use xrlflow_bench::fixtures::{rule_zoo_graph, sparse_delta_cases};
-use xrlflow_core::{XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{collect_episode_with_rng, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::{EnvConfig, Environment, Observation};
 use xrlflow_gnn::GraphFeatures;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_graph::{Graph, OpAttributes, OpKind, Padding, TensorShape};
 use xrlflow_rewrite::{Candidate, RuleSet, SiteLists};
+use xrlflow_rl::RolloutBuffer;
 use xrlflow_tensor::XorShiftRng;
 
 static COUNTERS: Mutex<()> = Mutex::new(());
@@ -75,19 +82,31 @@ fn assert_same_candidates(got: &[Candidate], expected: &[Candidate], context: &s
     }
 }
 
-/// What the tests carry beside the environment: the site lists, uncapped,
-/// and the features of the observed graph.
+/// Checks what an observation carries for the policy network against the
+/// cold forms: its graph's features from scratch, and each candidate's delta
+/// against them.
+fn assert_cold_features(observation: &Observation, context: &str) {
+    let graph = &observation.graph;
+    let features = GraphFeatures::from_graph(graph);
+    assert!(*observation.features == features, "{context}: the observation's features");
+    assert_eq!(observation.deltas.len(), observation.candidates.len(), "{context}: one delta per candidate");
+    for (i, (delta, candidate)) in observation.deltas.iter().zip(&observation.candidates).enumerate() {
+        let cold = GraphFeatures::delta_from_base_and_patch(graph, &features, candidate.patch());
+        assert!(*delta == cold, "{context}: candidate {i}'s delta");
+    }
+}
+
+/// What the tests carry beside the environment: the site lists, uncapped.
 struct Mirror {
     rules: RuleSet,
     sites: SiteLists,
-    features: GraphFeatures,
 }
 
 impl Mirror {
     fn new(graph: &Graph) -> Self {
         let rules = RuleSet::standard();
         let sites = SiteLists::new(&rules, graph);
-        Self { rules, sites, features: GraphFeatures::from_graph(graph) }
+        Self { rules, sites }
     }
 
     /// Checks an observation against the cold forms.
@@ -99,18 +118,12 @@ impl Mirror {
             let carried = self.sites.candidates(&self.rules, graph, cap);
             assert_same_candidates(&carried, &cold(cap), &format!("{context}, site lists at cap {cap}"));
         }
-        assert!(self.features == GraphFeatures::from_graph(graph), "{context}: derived features");
+        assert_cold_features(observation, context);
     }
 
-    /// Follows `action` of `observation` to `next`, the observation of the
-    /// graph it materialised into.
-    fn advance(&mut self, observation: &Observation, action: usize, next: &Observation) {
-        let delta = GraphFeatures::delta_from_base_and_patch(
-            &observation.graph,
-            &self.features,
-            observation.candidates[action].patch(),
-        );
-        self.features = self.features.successor(&delta, &next.graph);
+    /// Follows `observation` to `next`, the observation of the graph one of
+    /// its candidates materialised into.
+    fn advance(&mut self, observation: &Observation, next: &Observation) {
         self.sites.advance(&self.rules, &observation.graph, &next.graph);
     }
 }
@@ -137,9 +150,12 @@ fn carried_steps_equal_cold_ones_on_every_zoo_kind() {
                     let action = policy.act(&obs, (!greedy).then_some(&mut rng)).action;
                     let result = env.step(&obs, action);
                     if result.done {
+                        // The terminal observation's candidates are the
+                        // last generation's or none at all.
+                        assert_cold_features(&result.observation, &format!("{context}, terminal"));
                         break;
                     }
-                    mirror.advance(&obs, action, &result.observation);
+                    mirror.advance(&obs, &result.observation);
                     obs = result.observation;
                     carried_steps += 1;
                 }
@@ -240,7 +256,7 @@ fn step_with(graph: Graph, rule: &str, last: bool) -> (Observation, Observation)
         first.candidates.iter().enumerate().filter(|(_, c)| c.rule_name == rule).map(|(at, _)| at).collect();
     let action = *if last { offered.last() } else { offered.first() }.expect("the graph offers the rule");
     let next = env.step(&first, action).observation;
-    mirror.advance(&first, action, &next);
+    mirror.advance(&first, &next);
     mirror.check(&next, 32, &format!("{rule}, after"));
     (first, next)
 }
@@ -301,7 +317,7 @@ fn carried_steps_equal_cold_ones_on_the_hand_built_graphs() {
                 if result.done {
                     break;
                 }
-                mirror.advance(&obs, action, &result.observation);
+                mirror.advance(&obs, &result.observation);
                 obs = result.observation;
                 steps += 1;
             }
@@ -318,19 +334,22 @@ fn counters_name_every_step_and_fallbacks_are_cold_and_right() {
     let cold = |obs: &Observation, context: &str| {
         let expected = RuleSet::standard().generate_candidates(&obs.graph, cap);
         assert_same_candidates(&obs.candidates, &expected, context);
+        assert_cold_features(obs, context);
     };
 
     // A sampled episode: one cold generation at the reset, one carried per
-    // environment step, and features derived on every carried policy step.
+    // environment step, features derived on every environment step, and
+    // every policy step after the first carried.
     let agent = XrlflowAgent::new(&config, 2);
     let mut env = environment(build_model(ModelKind::InceptionV3, ModelScale::Bench).unwrap(), &config.env);
     let before = counted();
     let mut obs = env.reset(0);
-    assert_eq!(since(before), [1, 0, 0, 0], "a reset generates cold");
+    assert_eq!(since(before), [1, 0, 0, 0], "a reset generates cold and derives nothing");
     let mut policy = agent.episode();
-    let mut env_steps = 0;
+    let (mut env_steps, mut policy_steps) = (0, 0);
     for step in 0.. {
         let action = policy.act(&obs, Some(&mut XorShiftRng::new(step))).action;
+        policy_steps += 1;
         let result = env.step(&obs, action);
         env_steps += u64::from(action != obs.noop_action());
         if result.done {
@@ -341,26 +360,27 @@ fn counters_name_every_step_and_fallbacks_are_cold_and_right() {
     let [resets, carried, features, policy_carried] = since(before);
     assert!(env_steps >= 5, "the episode must walk, took {env_steps} steps");
     assert_eq!((resets, carried), (1, env_steps), "one cold generation per reset, one carried per step");
-    assert_eq!(features, policy_carried, "every carried policy step derives its features");
+    assert_eq!(features, env_steps, "every environment step derives its features");
+    assert_eq!(policy_carried, policy_steps - 1, "every policy step but the first carries");
 
     // A reset is cold, and right.
     let before = counted();
     let first = env.reset(0);
     cold(&first, "after a reset");
-    assert_eq!(since(before)[..2], [1, 0]);
+    assert_eq!(since(before)[..3], [1, 0, 0]);
 
     // A step from the current graph carries.
     let before = counted();
     let second = env.step(&first, 0).observation;
     cold(&second, "a carried step");
-    assert_eq!(since(before)[..2], [0, 1]);
+    assert_eq!(since(before)[..3], [0, 1, 1]);
 
     // A stale observation of the same environment: its graph is no longer
-    // the current one.
+    // the current one, its features and delta still make the next ones.
     let before = counted();
     let stale = env.step(&first, 1).observation;
     cold(&stale, "a stale observation");
-    assert_eq!(since(before)[..2], [1, 0], "a stale observation generates cold");
+    assert_eq!(since(before)[..3], [1, 0, 1], "a stale observation generates cold");
     assert!(stale.follows(&first.graph, &first.candidates[1]));
     let applied = first.candidates[1].materialize(&first.graph).unwrap();
     assert_eq!(stale.graph.canonical_hash(), applied.canonical_hash());
@@ -371,11 +391,43 @@ fn counters_name_every_step_and_fallbacks_are_cold_and_right() {
     let before = counted();
     let adopted = env.step(&theirs, 0).observation;
     cold(&adopted, "another environment's observation");
-    assert_eq!(since(before)[..2], [1, 0], "another environment's observation generates cold");
+    assert_eq!(since(before)[..3], [1, 0, 1], "another environment's observation generates cold");
 
     // And the step after a cold one carries again.
     let before = counted();
     let next = env.step(&adopted, 0).observation;
     cold(&next, "carried after a cold step");
-    assert_eq!(since(before)[..2], [0, 1]);
+    assert_eq!(since(before)[..3], [0, 1, 1]);
+
+    // A No-Op and an invalid action end the episode on the current graph,
+    // with no candidate to offer and nothing derived.
+    for (action, name) in [(next.noop_action(), "a No-Op"), (next.num_candidates(), "an invalid action")] {
+        let before = counted();
+        let terminal = env.step(&next, action);
+        assert!(terminal.done, "{name} ends the episode");
+        assert!(terminal.observation.candidates.is_empty(), "{name} offers no candidate");
+        assert_cold_features(&terminal.observation, name);
+        assert!(Arc::ptr_eq(&terminal.observation.graph, &next.graph), "{name} observes the current graph");
+        assert_eq!(since(before)[..3], [0, 0, 0], "{name} generates and derives nothing");
+    }
+}
+
+#[test]
+fn collected_transitions_carry_their_observations_features_and_deltas() {
+    let _guard = counters_lock();
+    let config = XrlflowConfig::bench();
+    let agent = XrlflowAgent::new(&config, 5);
+    let mut transitions = 0;
+    for kind in [ModelKind::Bert, ModelKind::SqueezeNet, ModelKind::ResNet18] {
+        let mut env = environment(build_model(kind, ModelScale::Bench).unwrap(), &config.env);
+        let mut buffer = RolloutBuffer::new();
+        for seed in 0..2 {
+            collect_episode_with_rng(&agent, &mut env, &mut XorShiftRng::new(seed), &mut buffer, seed);
+        }
+        for (i, transition) in buffer.transitions().iter().enumerate() {
+            assert_cold_features(&transition.observation, &format!("{kind}, transition {i}"));
+        }
+        transitions += buffer.len();
+    }
+    assert!(transitions >= 20, "the episodes must walk, stored {transitions} transitions");
 }

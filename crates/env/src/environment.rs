@@ -6,10 +6,22 @@
 //! candidate (or No-Op to terminate); the reward follows Eq. 2, using the
 //! simulated end-to-end latency measured every `feedback_frequency` steps
 //! and a small exploration constant in between.
+//!
+//! An observation also carries what the policy network reads of it — the
+//! graph's GNN features and one sparse feature delta per candidate — derived
+//! here, once, where the step that made the graph is known: a reset's graph
+//! is featurised whole ([`GraphFeatures::from_graph`], once per environment:
+//! the initial graph never changes), a stepped-to graph's features are the
+//! stepped-from observation's taken through the chosen candidate's delta
+//! ([`GraphFeatures::successor`]), and each offered candidate's delta is
+//! [`GraphFeatures::delta_from_base_and_patch`] against them. The agent, an
+//! episode's policy steps and every PPO re-evaluation of a stored transition
+//! read those values and featurise nothing.
 
 use std::sync::Arc;
 
 use xrlflow_cost::InferenceSimulator;
+use xrlflow_gnn::{CandidateDelta, GraphFeatures};
 use xrlflow_graph::Graph;
 use xrlflow_rewrite::{Candidate, RuleSet, SiteLists};
 
@@ -37,13 +49,16 @@ impl Default for EnvConfig {
 
 /// What the agent observes at each step: the current graph (structurally
 /// shared, not deep-copied) and every candidate substitution as a patch,
-/// plus the padded-action validity mask.
+/// plus the padded-action validity mask — and what the policy network reads
+/// of them: the graph's features and one sparse delta per candidate (see the
+/// module docs).
 ///
-/// Cloning an observation (e.g. into a rollout buffer) is cheap: the graph is
-/// behind an [`Arc`] and each candidate shares its patch. Candidates stay
-/// patches through policy evaluation — the agent featurises them from the
-/// patch delta — so only the candidate [`Environment::step`] takes ever
-/// becomes a full graph.
+/// Cloning an observation (e.g. into a rollout buffer) is cheap: the graph,
+/// the features and the deltas are behind [`Arc`]s and each candidate shares
+/// its patch. A stored observation keeps its features and deltas, so
+/// re-evaluating it in the PPO update derives nothing. Candidates stay
+/// patches through policy evaluation — the encoder reads their deltas — so
+/// only the candidate [`Environment::step`] takes ever becomes a full graph.
 #[derive(Debug, Clone)]
 pub struct Observation {
     /// The current computation graph.
@@ -53,6 +68,11 @@ pub struct Observation {
     /// Validity mask over the padded action space
     /// (`max_candidates + 1` entries; the last entry is the always-valid No-Op).
     pub action_mask: Vec<bool>,
+    /// `graph`'s GNN features, equal to [`GraphFeatures::from_graph`] of it.
+    pub features: Arc<GraphFeatures>,
+    /// One sparse delta per candidate, in candidate order: candidate `i`'s
+    /// [`GraphFeatures::delta_from_base_and_patch`] against `features`.
+    pub deltas: Arc<[CandidateDelta]>,
     /// The observed graph the step that made `graph` started from, and the
     /// candidate it applied (`None` after a reset, a No-Op or an invalid
     /// action). Holding both keeps their addresses from being reused.
@@ -148,7 +168,12 @@ pub struct Environment {
     simulator: Arc<InferenceSimulator>,
     config: EnvConfig,
 
+    /// `initial_graph`'s features: every reset observes them.
+    initial_features: Arc<GraphFeatures>,
+
     current: Arc<Graph>,
+    /// `current`'s features.
+    features: Arc<GraphFeatures>,
     /// Every rule's sites in `current` (`None` until the first
     /// observation), carried from step to step.
     sites: Option<SiteLists>,
@@ -179,9 +204,12 @@ impl Environment {
         simulator: Arc<InferenceSimulator>,
         config: EnvConfig,
     ) -> Self {
+        let initial_features = Arc::new(GraphFeatures::from_graph(&graph));
         let mut env = Self {
             current: Arc::clone(&graph),
+            features: Arc::clone(&initial_features),
             sites: None,
+            initial_features,
             initial_graph: graph,
             rules,
             simulator,
@@ -221,6 +249,7 @@ impl Environment {
     /// Resets the transformation process and returns the first observation.
     pub fn reset(&mut self, seed: u64) -> Observation {
         self.current = Arc::clone(&self.initial_graph);
+        self.features = Arc::clone(&self.initial_features);
         self.step_count = 0;
         self.total_reward = 0.0;
         self.applied_rules.clear();
@@ -230,12 +259,14 @@ impl Environment {
         self.observe(None)
     }
 
-    /// The observation of the current graph. With `base`, the graph the
-    /// current one was stepped from, whose sites `self.sites` still holds,
-    /// candidate generation is carried: only what the step's patch touched
-    /// is re-matched and re-built. Without, every rule is matched cold. Both
-    /// give [`RuleSet::generate_candidates`]'s list; `rewrite/candgen_carried`
-    /// and `rewrite/candgen_cold` count which it was.
+    /// The observation of the current graph, over its features
+    /// (`self.features`). With `base`, the graph the current one was stepped
+    /// from, whose sites `self.sites` still holds, candidate generation is
+    /// carried: only what the step's patch touched is re-matched and
+    /// re-built. Without, every rule is matched cold. Both give
+    /// [`RuleSet::generate_candidates`]'s list; `rewrite/candgen_carried` and
+    /// `rewrite/candgen_cold` count which it was. Each candidate's delta is
+    /// derived against the features.
     fn observe(&mut self, base: Option<&Graph>) -> Observation {
         let sites = match (base, self.sites.take()) {
             (Some(base), Some(mut sites)) => {
@@ -250,12 +281,23 @@ impl Environment {
         };
         let candidates = sites.candidates(&self.rules, &self.current, self.config.max_candidates);
         self.sites = Some(sites);
+        let deltas = candidates
+            .iter()
+            .map(|c| GraphFeatures::delta_from_base_and_patch(&self.current, &self.features, c.patch()))
+            .collect();
         // Valid actions: one per candidate, plus the always-valid No-Op slot.
         let mut action_mask = vec![false; self.action_space()];
         action_mask[..candidates.len()].fill(true);
         let noop = self.action_space() - 1;
         action_mask[noop] = true;
-        Observation { graph: Arc::clone(&self.current), candidates, action_mask, step: None }
+        Observation {
+            graph: Arc::clone(&self.current),
+            candidates,
+            action_mask,
+            features: Arc::clone(&self.features),
+            deltas,
+            step: None,
+        }
     }
 
     /// The observation returned alongside a terminal [`StepResult`] whose
@@ -266,7 +308,14 @@ impl Environment {
         let mut action_mask = vec![false; self.action_space()];
         let noop = self.action_space() - 1;
         action_mask[noop] = true;
-        Observation { graph: Arc::clone(&self.current), candidates: Vec::new(), action_mask, step: None }
+        Observation {
+            graph: Arc::clone(&self.current),
+            candidates: Vec::new(),
+            action_mask,
+            features: Arc::clone(&self.features),
+            deltas: Arc::new([]),
+            step: None,
+        }
     }
 
     /// Applies an action. `action` indexes the padded action space: indices
@@ -299,13 +348,15 @@ impl Environment {
             };
         }
 
-        // Apply the selected candidate's patch. The agent featurises
-        // candidates delta-wise and never materialises them, so this is the
-        // one point where a chosen candidate's graph is built; unchosen
-        // candidates are dropped without ever becoming graphs. The next
-        // observation records the base and the candidate it came from
-        // (`Observation::follows`). When the observation is of the current
-        // graph, the sites the patch left alone carry over to the next one.
+        // Apply the selected candidate's patch. The encoder reads candidates
+        // as deltas and never materialises them, so this is the one point
+        // where a chosen candidate's graph is built; unchosen candidates are
+        // dropped without ever becoming graphs. The next observation records
+        // the base and the candidate it came from (`Observation::follows`),
+        // and its features are the observation's taken through the chosen
+        // delta — whichever environment's observation it is. When the
+        // observation is of the current graph, the sites the patch left
+        // alone carry over to the next one.
         let candidate = &observation.candidates[action];
         let carried = Arc::ptr_eq(&observation.graph, &self.current);
         self.current = Arc::new(
@@ -313,6 +364,8 @@ impl Environment {
                 .materialize(&observation.graph)
                 .expect("candidate patch was validated against its base graph at build time"),
         );
+        self.features = Arc::new(observation.features.successor(&observation.deltas[action], &self.current));
+        xrlflow_obs::counter!("gnn/features_carried").inc();
         self.applied_rules.push(candidate.rule_name);
         self.step_count += 1;
 

@@ -49,7 +49,7 @@ use xrlflow_tensor::{
     xavier_uniform, Activation, Linear, ParamId, ParamStore, RowRun, Tape, Tensor, VarId, XorShiftRng,
 };
 
-use crate::featurize::{CandidateDelta, GraphFeatures, NodeInput, Source, NODE_INPUT_WIDTH};
+use crate::featurize::{span, CandidateDelta, GraphFeatures, NodeInput, Source, NODE_INPUT_WIDTH};
 
 /// Configuration of the graph encoder.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -232,9 +232,9 @@ impl LayerPlan {
             self.first_computed = current.num_nodes;
         } else {
             self.first_computed = 0;
-            self.edge_src_rows.extend_from_slice(&current.edge_src);
-            self.edge_dst_rows.extend_from_slice(&current.edge_dst);
-            self.edge_dst_slots.extend_from_slice(&current.edge_dst);
+            self.edge_src_rows.extend(current.edge_src.iter().map(|&src| src as usize));
+            self.edge_dst_rows.extend(current.edge_dsts());
+            self.edge_dst_slots.extend_from_slice(&self.edge_dst_rows);
         }
     }
 
@@ -620,8 +620,9 @@ impl GnnEncoder {
 
         // Node-update inputs for the rows that have none yet: the current
         // graph's rows unless they are carried, then every candidate's added
-        // rows (`[incoming ‖ one-hot]`, one row writer for both). Only added
-        // rows have inputs differing from a base row's, so they are the dirty
+        // rows (summed incoming attributes and op index, one row writer for
+        // both; the update looks the op's weight row up). Only added rows
+        // have inputs differing from a base row's, so they are the dirty
         // region going into the first GAT layer; `first_slot[k]` is where
         // candidate k's dirty rows start in the compact block.
         first_slot.clear();
@@ -634,8 +635,9 @@ impl GnnEncoder {
         let mut block = computes(input_rows).then(|| {
             let base_inputs = if carried.is_none() { &current.node_inputs[..] } else { &[] };
             let added_inputs = deltas.iter().flat_map(|delta| delta.added.iter().map(|added| &added.input));
-            let inputs = tape.constant(NodeInput::matrix(base_inputs.iter().chain(added_inputs), input_rows));
-            self.node_update.forward(tape, store, inputs)
+            let (incoming, ops) = NodeInput::columns(base_inputs.iter().chain(added_inputs), input_rows);
+            let incoming = tape.constant(incoming);
+            self.node_update.forward_lookup(tape, store, incoming, &ops)
         });
 
         // Each candidate's dirty base rows over the whole stack, found once.
@@ -693,19 +695,19 @@ impl GnnEncoder {
                     let dst_row = row_in(Source::Base(row));
                     match rewired {
                         Some(r) => {
-                            let sources = &delta.rewired_sources[r.sources.clone()];
+                            let sources = &delta.sources[span(&r.sources)];
                             plan.push_row(dst_row, sources.iter().map(|&s| row_in(s)));
                         }
                         None => {
-                            let block =
-                                current.edge_offsets[row as usize]..current.edge_offsets[row as usize + 1];
+                            let block = current.edge_offsets[row as usize] as usize
+                                ..current.edge_offsets[row as usize + 1] as usize;
                             let sources = &current.edge_src[block];
-                            plan.push_row(dst_row, sources.iter().map(|&s| row_in(Source::Base(s as u32))));
+                            plan.push_row(dst_row, sources.iter().map(|&s| row_in(Source::Base(s))));
                         }
                     }
                 }
                 for (i, added) in delta.added.iter().enumerate() {
-                    let edges = &delta.added_edges[added.edges.clone()];
+                    let edges = &delta.sources[span(&added.edges)];
                     plan.push_row(previous_added + i, edges.iter().map(|&s| row_in(s)));
                 }
                 for &(row, level) in region {
@@ -828,8 +830,10 @@ impl GnnEncoder {
         let mut h = self.node_update.forward(tape, store, inputs);
 
         // Eq. 7: k rounds of graph attention.
+        let edge_src: Vec<usize> = features.edge_src.iter().map(|&src| src as usize).collect();
+        let edge_dst: Vec<usize> = features.edge_dsts().collect();
         for layer in &self.gat_layers {
-            h = layer.forward(tape, store, h, &features.edge_src, &features.edge_dst, features.num_nodes);
+            h = layer.forward(tape, store, h, &edge_src, &edge_dst, features.num_nodes);
         }
 
         // Eq. 8: global readout over all node embeddings plus the (zero)

@@ -12,9 +12,9 @@
 //! edge attributes already summed — plus the edge list the attention layers
 //! read and a small structural index (row ↔ node id, a consumer index,
 //! per-row use counts). No dense one-hot matrix and no per-edge attribute
-//! exists; the node-update input rows are written from the per-row pair
-//! when a pass needs them. The index is what makes a rewrite candidate
-//! cheap:
+//! exists: a pass hands the node update each row's attribute sum and op
+//! index, and the update looks up the op's weight row. The index is what
+//! makes a rewrite candidate cheap:
 //!
 //! * [`GraphFeatures::delta_from_base_and_patch`] turns a candidate's
 //!   [`GraphPatch`] into a **sparse** [`CandidateDelta`] — the base rows that
@@ -32,6 +32,8 @@
 //!   makes for the chosen candidate. The differential tests compare it bit
 //!   for bit, index included, with `from_graph(apply_patch(..))` for every
 //!   rule and site.
+
+use std::ops::Range;
 
 use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, PatchRef, TensorShape};
 use xrlflow_tensor::Tensor;
@@ -55,7 +57,7 @@ fn edge_attribute(shape: &TensorShape) -> [f32; 4] {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct NodeInput {
     /// Operator index (the hot bit of the row's one-hot).
-    pub(crate) op: usize,
+    pub(crate) op: u32,
     /// The row's edge attributes summed in block order — dataflow inputs in
     /// input order, then the self-loop — starting from `0.0`.
     pub(crate) incoming: [f32; 4],
@@ -71,7 +73,7 @@ impl PartialEq for NodeInput {
 impl NodeInput {
     /// A row of operator `op` with no edge summed yet.
     fn new(op: OpKind) -> Self {
-        Self { op: op.index(), incoming: [0.0; 4] }
+        Self { op: op.index() as u32, incoming: [0.0; 4] }
     }
 
     /// Adds the attribute of an edge carrying a `shape` tensor to the sum;
@@ -82,18 +84,22 @@ impl NodeInput {
         }
     }
 
-    /// The node-update layer's `[rows, NODE_INPUT_WIDTH]` input matrix: one
-    /// `[incoming ‖ one-hot]` row per input, in order — base rows and added
-    /// rows alike.
-    pub(crate) fn matrix<'a>(inputs: impl IntoIterator<Item = &'a NodeInput>, rows: usize) -> Tensor {
-        let mut data = Vec::with_capacity(rows * NODE_INPUT_WIDTH);
+    /// What the node-update layer reads of `rows` inputs, in order — base
+    /// rows and added rows alike: the `[rows, 4]` summed incoming edge
+    /// attributes and each row's operator index, the hot column of its
+    /// one-hot, which [`xrlflow_tensor::Tape::matmul_lookup`] reads instead
+    /// of a `[rows, NODE_INPUT_WIDTH]` `[incoming ‖ one-hot]` matrix.
+    pub(crate) fn columns<'a>(
+        inputs: impl IntoIterator<Item = &'a NodeInput>,
+        rows: usize,
+    ) -> (Tensor, Vec<usize>) {
+        let mut incoming = Vec::with_capacity(rows * 4);
+        let mut ops = Vec::with_capacity(rows);
         for input in inputs {
-            data.extend_from_slice(&input.incoming);
-            let one_hot = data.len();
-            data.resize(one_hot + OpKind::count(), 0.0);
-            data[one_hot + input.op] = 1.0;
+            incoming.extend_from_slice(&input.incoming);
+            ops.push(input.op as usize);
         }
-        Tensor::from_vec(data, &[rows, NODE_INPUT_WIDTH])
+        (Tensor::from_vec(incoming, &[rows, 4]), ops)
     }
 }
 
@@ -108,14 +114,14 @@ pub struct GraphFeatures {
     /// Per row, its operator index and summed incoming edge attributes.
     pub(crate) node_inputs: Vec<NodeInput>,
     /// Source node index of each edge (producer).
-    pub edge_src: Vec<usize>,
-    /// Destination node index of each edge (consumer).
-    pub edge_dst: Vec<usize>,
+    pub edge_src: Vec<u32>,
     /// Number of nodes.
     pub num_nodes: usize,
     /// Start of each node row's contiguous edge block (its incoming dataflow
     /// edges in input order, then its self-loop); length `num_nodes + 1`.
-    pub edge_offsets: Vec<usize>,
+    /// An edge's destination (consumer) is the row whose block holds it
+    /// ([`GraphFeatures::edge_dsts`]).
+    pub edge_offsets: Vec<u32>,
     /// The structural index sparse candidate deltas are computed and
     /// consumed against. Filled by [`GraphFeatures::from_graph`] and
     /// [`GraphFeatures::successor`].
@@ -170,26 +176,35 @@ impl GraphIndex {
         graph: &Graph,
         node_ids: Vec<NodeId>,
         row_of_id: Vec<u32>,
-        edge_src: &[usize],
-        edge_dst: &[usize],
-        edge_offsets: &[usize],
+        edge_src: &[u32],
+        edge_offsets: &[u32],
     ) -> Self {
         let num_nodes = node_ids.len();
-        // A node never consumes itself, so `src == dst` is the self-loop.
-        let dataflow = || edge_src.iter().zip(edge_dst).filter(|(s, d)| s != d);
+        let block = |row: usize| &edge_src[edge_offsets[row] as usize..edge_offsets[row + 1] as usize];
 
+        // A node never consumes itself, so in a row's block `src == row` is
+        // the self-loop and every other edge is a dataflow edge.
         let mut consumer_offsets = vec![0u32; num_nodes + 1];
-        for (&src, _) in dataflow() {
-            consumer_offsets[src + 1] += 1;
+        for dst in 0..num_nodes {
+            for &src in block(dst) {
+                if src as usize != dst {
+                    consumer_offsets[src as usize + 1] += 1;
+                }
+            }
         }
         for row in 0..num_nodes {
             consumer_offsets[row + 1] += consumer_offsets[row];
         }
         let mut next = consumer_offsets.clone();
         let mut consumers = vec![0u32; consumer_offsets[num_nodes] as usize];
-        for (&src, &dst) in dataflow() {
-            consumers[next[src] as usize] = dst as u32;
-            next[src] += 1;
+        for dst in 0..num_nodes {
+            for &src in block(dst) {
+                let src = src as usize;
+                if src != dst {
+                    consumers[next[src] as usize] = dst as u32;
+                    next[src] += 1;
+                }
+            }
         }
 
         // Reachability from the graph outputs, once per observation; the
@@ -206,7 +221,8 @@ impl GraphIndex {
             if std::mem::replace(&mut reachable[row], true) {
                 continue;
             }
-            for &src in &edge_src[edge_offsets[row]..edge_offsets[row + 1]] {
+            for &src in block(row) {
+                let src = src as usize;
                 if src != row {
                     uses[src] += 1;
                     stack.push(src);
@@ -418,25 +434,25 @@ pub(crate) enum Source {
 }
 
 /// A surviving base row whose incoming sources differ from the base's.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RewiredRow {
     /// The base row.
     pub(crate) row: u32,
     /// Its whole edge block's sources in block order (dataflow edges in
     /// input order, then the self-loop): a range of
-    /// [`CandidateDelta::rewired_sources`]. Its node input is the base row's —
-    /// a rewire preserves the tensor's shape by construction.
-    pub(crate) sources: std::ops::Range<usize>,
+    /// [`CandidateDelta::sources`] ([`span`]). Its node input is the base
+    /// row's — a rewire preserves the tensor's shape by construction.
+    pub(crate) sources: Range<u32>,
 }
 
 /// A live row the patch adds.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct AddedRow {
     /// What the node update reads of the row.
     pub(crate) input: NodeInput,
     /// Its edge block's sources (dataflow edges in input order, then the
-    /// self-loop): a range of [`CandidateDelta::added_edges`].
-    pub(crate) edges: std::ops::Range<usize>,
+    /// self-loop): a range of [`CandidateDelta::sources`] ([`span`]).
+    pub(crate) edges: Range<u32>,
 }
 
 /// A rewrite candidate as the **difference** from the base graph's features,
@@ -451,25 +467,43 @@ pub(crate) struct AddedRow {
 /// computed for the base row holds for it until a dirty neighbour reaches it.
 /// Size is proportional to the patch's footprint (added nodes + rewired
 /// consumers + dying nodes), not to the graph.
-#[derive(Debug, Clone)]
+///
+/// Two deltas are equal when every field is, the added rows' attribute sums
+/// bit for bit.
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateDelta {
     /// Base rows absent from the candidate, ascending: the rows the patch's
     /// rewires leave unreachable, and every row already unreachable in the
     /// base that the patch does not bring to life.
-    pub(crate) removed: Vec<u32>,
+    pub(crate) removed: Box<[u32]>,
     /// Surviving base rows with re-resolved sources, ascending.
-    pub(crate) rewired: Vec<RewiredRow>,
-    pub(crate) rewired_sources: Vec<Source>,
+    pub(crate) rewired: Box<[RewiredRow]>,
     /// The patch's live added rows, in patch order.
-    pub(crate) added: Vec<AddedRow>,
-    /// The sources of the added rows' edges.
-    pub(crate) added_edges: Vec<Source>,
+    pub(crate) added: Box<[AddedRow]>,
+    /// The edge-block sources of the rewired rows, then of the added rows,
+    /// in their order. A rollout buffer holds every stored observation's
+    /// deltas, so they are four lists, each boxed to its length.
+    pub(crate) sources: Box<[Source]>,
+}
+
+/// A delta row's range of its source list, as a slice range.
+pub(crate) fn span(range: &Range<u32>) -> Range<usize> {
+    range.start as usize..range.end as usize
 }
 
 impl GraphFeatures {
     /// Number of edges (including self-loops).
     pub fn num_edges(&self) -> usize {
         self.edge_src.len()
+    }
+
+    /// Each edge's destination row, in edge order: the row whose block in
+    /// [`GraphFeatures::edge_offsets`] holds it.
+    pub fn edge_dsts(&self) -> impl Iterator<Item = usize> + '_ {
+        self.edge_offsets
+            .windows(2)
+            .enumerate()
+            .flat_map(|(row, block)| std::iter::repeat_n(row, (block[1] - block[0]) as usize))
     }
 
     /// Extracts features from a graph — per row its operator index and
@@ -496,32 +530,29 @@ impl GraphFeatures {
 
         let mut node_inputs = Vec::with_capacity(num_nodes);
         let mut edge_src = Vec::with_capacity(max_edges);
-        let mut edge_dst = Vec::with_capacity(max_edges);
         let mut edge_offsets = Vec::with_capacity(num_nodes + 1);
         for (row, (_, node)) in graph.iter().enumerate() {
-            edge_offsets.push(edge_src.len());
+            edge_offsets.push(edge_src.len() as u32);
             let mut node_input = NodeInput::new(node.op);
             // Dataflow edges: producer -> this node, attributed with the
             // producer tensor's shape.
             for input in &node.inputs {
                 if let Ok(shape) = graph.tensor_shape(*input) {
-                    edge_src.push(row_of_id[input.node.index()] as usize);
-                    edge_dst.push(row);
+                    edge_src.push(row_of_id[input.node.index()]);
                     node_input.add_edge(shape);
                 }
             }
             // Self-loop with the node's own (first) output shape.
             if let Some(shape) = node.outputs.first() {
-                edge_src.push(row);
-                edge_dst.push(row);
+                edge_src.push(row as u32);
                 node_input.add_edge(shape);
             }
             node_inputs.push(node_input);
         }
-        edge_offsets.push(edge_src.len());
+        edge_offsets.push(edge_src.len() as u32);
 
-        let index = GraphIndex::build(graph, node_ids, row_of_id, &edge_src, &edge_dst, &edge_offsets);
-        Self { node_inputs, edge_src, edge_dst, num_nodes, edge_offsets, index }
+        let index = GraphIndex::build(graph, node_ids, row_of_id, &edge_src, &edge_offsets);
+        Self { node_inputs, edge_src, num_nodes, edge_offsets, index }
     }
 
     /// The sparse difference between the base graph's features and the
@@ -575,23 +606,27 @@ impl GraphFeatures {
         let mut rewired_rows = std::mem::take(&mut liveness.rewired);
         rewired_rows.sort_unstable();
         rewired_rows.dedup();
+        rewired_rows.retain(|&row| liveness.base_row_is_live(row));
+        // A row's block holds at most one source per input slot plus its
+        // self-loop: sized once, the list is boxed without a copy when every
+        // slot has a shape.
+        let live_added_nodes = || added_nodes.iter().zip(&live_position).filter(|&(_, &at)| at != NO_ROW);
+        let bound = rewired_rows.iter().map(|&row| index.node(base, row).inputs.len() + 1).sum::<usize>()
+            + live_added_nodes().map(|(node, _)| node.inputs.len() + 1).sum::<usize>();
         let mut rewired = Vec::with_capacity(rewired_rows.len());
-        let mut rewired_sources = Vec::new();
+        let mut sources = Vec::with_capacity(bound);
         for row in rewired_rows {
-            if !liveness.base_row_is_live(row) {
-                continue;
-            }
             let node = index.node(base, row);
-            let start = rewired_sources.len();
+            let start = sources.len() as u32;
             for input in &node.inputs {
                 if base.tensor_shape(*input).is_ok() {
-                    rewired_sources.push(source_of(resolve_through_rewires(patch, PatchRef::Base(*input))));
+                    sources.push(source_of(resolve_through_rewires(patch, PatchRef::Base(*input))));
                 }
             }
             if !node.outputs.is_empty() {
-                rewired_sources.push(Source::Base(row));
+                sources.push(Source::Base(row));
             }
-            rewired.push(RewiredRow { row, sources: start..rewired_sources.len() });
+            rewired.push(RewiredRow { row, sources: start..sources.len() as u32 });
         }
 
         // The shape of a patched tensor, for featurising added-node edges.
@@ -602,27 +637,31 @@ impl GraphFeatures {
             }
         };
         let mut added = Vec::with_capacity(live_added as usize);
-        let mut added_edges = Vec::new();
         for (i, node) in added_nodes.iter().enumerate() {
             if live_position[i] == NO_ROW {
                 continue;
             }
-            let start = added_edges.len();
+            let start = sources.len() as u32;
             let mut node_input = NodeInput::new(node.op);
             for &input in &node.inputs {
                 let resolved = resolve_through_rewires(patch, input);
                 if let Some(shape) = shape_of(resolved) {
-                    added_edges.push(source_of(resolved));
+                    sources.push(source_of(resolved));
                     node_input.add_edge(shape);
                 }
             }
             if let Some(shape) = node.outputs.first() {
-                added_edges.push(Source::Added(live_position[i]));
+                sources.push(Source::Added(live_position[i]));
                 node_input.add_edge(shape);
             }
-            added.push(AddedRow { input: node_input, edges: start..added_edges.len() });
+            added.push(AddedRow { input: node_input, edges: start..sources.len() as u32 });
         }
-        CandidateDelta { removed, rewired, rewired_sources, added, added_edges }
+        CandidateDelta {
+            removed: removed.into(),
+            rewired: rewired.into(),
+            added: added.into(),
+            sources: sources.into(),
+        }
     }
 
     /// The features of `graph`, the candidate `delta` describes once
@@ -650,14 +689,13 @@ impl GraphFeatures {
         }
         new_row.extend((from..n).map(|row| (row - delta.removed.len()) as u32));
         let row_of = |source: Source| match source {
-            Source::Base(row) => new_row[row as usize] as usize,
-            Source::Added(i) => survivors + i as usize,
+            Source::Base(row) => new_row[row as usize],
+            Source::Added(i) => (survivors + i as usize) as u32,
         };
 
         let mut out = Self {
             node_inputs: Vec::with_capacity(num_nodes),
-            edge_src: Vec::with_capacity(self.edge_src.len() + delta.added_edges.len()),
-            edge_dst: Vec::with_capacity(self.edge_src.len() + delta.added_edges.len()),
+            edge_src: Vec::with_capacity(self.edge_src.len() + delta.sources.len()),
             num_nodes,
             edge_offsets: Vec::with_capacity(num_nodes + 1),
             index: GraphIndex::default(),
@@ -668,14 +706,12 @@ impl GraphFeatures {
             if from >= to {
                 return;
             }
-            let (row_shift, edge_shift) =
-                (from - out.node_inputs.len(), self.edge_offsets[from] - out.edge_src.len());
-            let block = self.edge_offsets[from]..self.edge_offsets[to];
+            let edge_shift = self.edge_offsets[from] - out.edge_src.len() as u32;
+            let block = self.edge_offsets[from] as usize..self.edge_offsets[to] as usize;
             out.node_inputs.extend_from_slice(&self.node_inputs[from..to]);
             node_ids.extend_from_slice(&self.index.node_ids[from..to]);
             out.edge_offsets.extend(self.edge_offsets[from..to].iter().map(|&at| at - edge_shift));
-            out.edge_src.extend(self.edge_src[block.clone()].iter().map(|&src| new_row[src] as usize));
-            out.edge_dst.extend(self.edge_dst[block].iter().map(|&dst| dst - row_shift));
+            out.edge_src.extend(self.edge_src[block].iter().map(|&src| new_row[src as usize]));
         };
         let mut next = 0;
         let mut removed = delta.removed.iter().peekable();
@@ -687,12 +723,11 @@ impl GraphFeatures {
             copy_run(&mut out, &mut node_ids, next, row as usize);
             if removed.next_if(|&&gone| gone == row).is_none() {
                 let r = rewired.next().expect("a row that is not removed is rewired");
-                out.edge_offsets.push(out.edge_src.len());
+                out.edge_offsets.push(out.edge_src.len() as u32);
                 out.node_inputs.push(self.node_inputs[row as usize]);
                 node_ids.push(self.index.node_ids[row as usize]);
-                let sources = &delta.rewired_sources[r.sources.clone()];
+                let sources = &delta.sources[span(&r.sources)];
                 out.edge_src.extend(sources.iter().map(|&source| row_of(source)));
-                out.edge_dst.extend(std::iter::repeat_n(new_row[row as usize] as usize, sources.len()));
             }
             next = row as usize + 1;
         }
@@ -700,21 +735,19 @@ impl GraphFeatures {
         // The patch's nodes took the graph's highest ids, in patch order.
         node_ids.extend(graph.iter().rev().take(delta.added.len()).map(|(id, _)| id));
         node_ids[survivors..].reverse();
-        for (i, added) in delta.added.iter().enumerate() {
-            out.edge_offsets.push(out.edge_src.len());
+        for added in &delta.added {
+            out.edge_offsets.push(out.edge_src.len() as u32);
             out.node_inputs.push(added.input);
-            let sources = &delta.added_edges[added.edges.clone()];
+            let sources = &delta.sources[span(&added.edges)];
             out.edge_src.extend(sources.iter().map(|&source| row_of(source)));
-            out.edge_dst.extend(std::iter::repeat_n(survivors + i, sources.len()));
         }
-        out.edge_offsets.push(out.edge_src.len());
+        out.edge_offsets.push(out.edge_src.len() as u32);
 
         let mut row_of_id = vec![NO_ROW; node_ids.last().map_or(0, |id| id.index() + 1)];
         for (row, id) in node_ids.iter().enumerate() {
             row_of_id[id.index()] = row as u32;
         }
-        out.index =
-            GraphIndex::build(graph, node_ids, row_of_id, &out.edge_src, &out.edge_dst, &out.edge_offsets);
+        out.index = GraphIndex::build(graph, node_ids, row_of_id, &out.edge_src, &out.edge_offsets);
         out
     }
 
@@ -741,6 +774,24 @@ impl GraphFeatures {
     fn from_base_and_patch(base: &Graph, base_features: &GraphFeatures, patch: &GraphPatch) -> Self {
         let delta = Self::delta_from_base_and_patch(base, base_features, patch);
         base_features.successor(&delta, &base.apply_patch(patch).expect("the patch was built against `base`"))
+    }
+}
+
+#[cfg(test)]
+impl NodeInput {
+    /// The node-update layer's dense `[rows, NODE_INPUT_WIDTH]` input
+    /// matrix: one `[incoming ‖ one-hot]` row per input, in order — the
+    /// oracle of [`NodeInput::columns`] and the lookup, which the serial
+    /// encoder multiplies.
+    pub(crate) fn matrix<'a>(inputs: impl IntoIterator<Item = &'a NodeInput>, rows: usize) -> Tensor {
+        let mut data = Vec::with_capacity(rows * NODE_INPUT_WIDTH);
+        for input in inputs {
+            data.extend_from_slice(&input.incoming);
+            let one_hot = data.len();
+            data.resize(one_hot + OpKind::count(), 0.0);
+            data[one_hot + input.op as usize] = 1.0;
+        }
+        Tensor::from_vec(data, &[rows, NODE_INPUT_WIDTH])
     }
 }
 
@@ -779,7 +830,7 @@ mod tests {
             assert_eq!(f.node_inputs.len(), g.num_nodes(), "{name}: one input per row");
             for (row, (_, node)) in g.iter().enumerate() {
                 let input = &f.node_inputs[row];
-                assert_eq!(input.op, node.op.index(), "{name}: row {row}'s op index");
+                assert_eq!(input.op as usize, node.op.index(), "{name}: row {row}'s op index");
                 let shapes = node.inputs.iter().filter_map(|&t| g.tensor_shape(t).ok());
                 let mut expected = [0.0f32; 4];
                 for shape in shapes.chain(node.outputs.first()) {
@@ -806,9 +857,9 @@ mod tests {
         let f = GraphFeatures::from_graph(&g);
         // 3 dataflow edges (x->mm, w->mm, mm->relu) + 4 self loops.
         assert_eq!(f.num_edges(), 7);
-        assert_eq!(f.edge_src.len(), f.edge_dst.len());
-        for (&s, &d) in f.edge_src.iter().zip(&f.edge_dst) {
-            assert!(s < f.num_nodes && d < f.num_nodes);
+        assert_eq!(f.edge_dsts().count(), f.num_edges());
+        for (&s, d) in f.edge_src.iter().zip(f.edge_dsts()) {
+            assert!((s as usize) < f.num_nodes && d < f.num_nodes);
         }
     }
 
@@ -817,10 +868,12 @@ mod tests {
         let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
         let f = GraphFeatures::from_graph(&g);
         assert_eq!(f.edge_offsets.len(), f.num_nodes + 1);
-        assert_eq!(*f.edge_offsets.last().unwrap(), f.num_edges());
+        assert_eq!(*f.edge_offsets.last().unwrap() as usize, f.num_edges());
+        let dsts: Vec<usize> = f.edge_dsts().collect();
         for row in 0..f.num_nodes {
-            for e in f.edge_offsets[row]..f.edge_offsets[row + 1] {
-                assert_eq!(f.edge_dst[e], row, "edge {e} not grouped under its destination row");
+            let block = f.edge_offsets[row] as usize..f.edge_offsets[row + 1] as usize;
+            for (e, &dst) in dsts[block.clone()].iter().enumerate() {
+                assert_eq!(dst, row, "edge {} not grouped under its destination row", block.start + e);
             }
         }
     }
@@ -948,9 +1001,9 @@ mod tests {
         let mut b = xrlflow_graph::PatchBuilder::new(&g);
         b.replace_all_uses(id.into(), node.inputs[0]).unwrap();
         let delta = GraphFeatures::delta_from_base_and_patch(&g, &base_features, &b.finish());
-        assert_eq!(delta.removed, vec![base_features.index.row_of(id)]);
+        assert_eq!(*delta.removed, [base_features.index.row_of(id)]);
         assert_eq!(delta.rewired.len(), 1);
-        assert_eq!(delta.rewired_sources.len(), 2, "the consumer's one dataflow edge plus its self-loop");
-        assert!(delta.added.is_empty() && delta.added_edges.is_empty());
+        assert_eq!(delta.sources.len(), 2, "the consumer's one dataflow edge plus its self-loop");
+        assert!(delta.added.is_empty());
     }
 }

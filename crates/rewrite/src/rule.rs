@@ -42,7 +42,8 @@ impl RuleMatch {
 /// patch against the graph it was generated from.
 ///
 /// The transformed graph is built only when asked for, by
-/// [`Candidate::materialize`]; the agent featurises the patch instead.
+/// [`Candidate::materialize`]; the environment derives the patch's sparse
+/// feature delta instead, which the policy encodes.
 /// Cloning a candidate (e.g. into a rollout buffer) shares the patch.
 #[derive(Debug, Clone)]
 pub struct Candidate {

@@ -49,6 +49,18 @@ impl Linear {
         let xw = tape.matmul(x, w);
         tape.add_bias_act(xw, b, self.activation)
     }
+
+    /// [`Linear::forward`] on the rows `[x ‖ one_hot(classes)]` without
+    /// building the one-hot ([`Tape::matmul_lookup`]): `x` is `[rows, k]`
+    /// and needs no gradient, and the layer's input width is `k` plus the
+    /// number of classes.
+    /// Bit-identical to `forward` on the dense rows for finite parameters.
+    pub fn forward_lookup(&self, tape: &mut Tape, store: &ParamStore, x: VarId, classes: &[usize]) -> VarId {
+        let w = tape.param(store, self.weight);
+        let b = tape.param(store, self.bias);
+        let xw = tape.matmul_lookup(x, classes, w);
+        tape.add_bias_act(xw, b, self.activation)
+    }
 }
 
 /// A multi-layer perceptron with hidden ReLU layers and a linear output.

@@ -40,7 +40,7 @@
 //! followed by [`Tape::scale`].
 
 use crate::snapshot::{check_layout, ParamSnapshot, SnapshotError};
-use crate::tensor::Tensor;
+use crate::tensor::{edge_dots, Tensor};
 use std::sync::Arc;
 
 /// Identifier of a value on a [`Tape`].
@@ -555,6 +555,12 @@ enum Op {
     Scale(VarId, f32),
     Neg(VarId),
     MatMul(VarId, VarId),
+    /// `[a ‖ one_hot(classes)] · w`, see [`Tape::matmul_lookup`].
+    MatMulLookup {
+        a: VarId,
+        w: VarId,
+        classes: Vec<usize>,
+    },
     Act(VarId, Activation),
     Exp(VarId),
     SumAll(VarId),
@@ -597,6 +603,7 @@ impl Op {
             | Op::ConcatCols(a, b)
             | Op::Minimum(a, b) => [Some(a), Some(b)],
             Op::GatherScatterRows { a, scale, .. } => [Some(a), Some(scale)],
+            Op::MatMulLookup { a, w, .. } => [Some(a), Some(w)],
             Op::Scale(a, _)
             | Op::Neg(a)
             | Op::Act(a, _)
@@ -725,12 +732,13 @@ impl Tape {
 
     /// `[m, k, n]` of every matrix product recorded since the last
     /// [`Tape::recycle`], in tape order — how a test counts the rows a pass
-    /// actually multiplied.
+    /// actually multiplied. A [`Tape::matmul_lookup`] counts as the dense
+    /// product it stands for, `[m, rows of w, n]`.
     pub fn matmul_shapes(&self) -> impl Iterator<Item = [usize; 3]> + '_ {
         self.nodes.iter().filter_map(|node| match node.op {
-            Op::MatMul(a, b) => {
+            Op::MatMul(a, b) | Op::MatMulLookup { a, w: b, .. } => {
                 let (a, b) = (value_of(&self.nodes, a), value_of(&self.nodes, b));
-                Some([a.shape()[0], a.shape()[1], b.shape()[1]])
+                Some([a.shape()[0], b.shape()[0], b.shape()[1]])
             }
             _ => None,
         })
@@ -810,6 +818,43 @@ impl Tape {
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
         let t = value_of(&self.nodes, a).matmul(value_of(&self.nodes, b));
         self.push(Op::MatMul(a, b), t)
+    }
+
+    /// `[a ‖ one_hot(classes)] · w` without the one-hot — a dense layer
+    /// over per-row attributes and a class, such as the GNN's node update
+    /// (attributes the row's summed edge attributes, the class its operator).
+    /// `a` is `[m, k]` and needs no gradient (an input, as the node update's
+    /// attributes are), `classes` holds one class per row, `w` is
+    /// `[k + c, n]`; row `i` of the `[m, n]` result is `a[i] · w[..k]`
+    /// through the [`Tensor::matmul`] kernel, then plus row
+    /// `k + classes[i]` of `w`. The backward pass computes `w`'s attribute
+    /// rows as `aᵀ · G` and adds each row of `G` into its class's weight
+    /// row, rows ascending; no `[m, k + c]` one-hot is built, multiplied or
+    /// transposed either way.
+    ///
+    /// **Bits.** For finite `w` (forward) and a finite output gradient
+    /// (backward) the value and `w`'s gradient are bit-identical to
+    /// [`Tape::matmul`] of the dense `[a ‖ one_hot]` constant: the one-hot's
+    /// `1 · x` term is exact, and each `0 · x` term adds `±0` to a running
+    /// sum that starts at `+0.0` and so is never `-0.0`.
+    ///
+    /// **Non-finite values.** As in an embedding lookup, a row never reads
+    /// the weight rows of classes it is not, and a class's weight-row
+    /// gradient reads only its own rows' gradients: an `inf` or NaN in row
+    /// `k + j` of `w` reaches the output rows of class `j` alone, where the
+    /// dense product's `0 · inf = NaN` reaches every row (and likewise for a
+    /// non-finite gradient row). The attribute columns are the plain
+    /// product, with its IEEE semantics.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `a` needs a gradient (it reaches a parameter), `a` or
+    /// `w` is not rank-2, `classes` is not one per row of `a`, or a class
+    /// has no weight row.
+    pub fn matmul_lookup(&mut self, a: VarId, classes: &[usize], w: VarId) -> VarId {
+        assert!(!self.nodes[a.0].needs_grad, "matmul_lookup's attributes must need no gradient");
+        let t = value_of(&self.nodes, a).matmul_lookup(classes, value_of(&self.nodes, w));
+        self.push(Op::MatMulLookup { a, w, classes: classes.to_vec() }, t)
     }
 
     /// Applies `act` element-wise.
@@ -1158,8 +1203,7 @@ impl Tape {
                     // Transposed-operand kernels: bit-identical to
                     // `grad × bvᵀ` / `avᵀ × grad` with materialised
                     // transposes, without building either transpose. A
-                    // constant `a` (the node-update layer's one-hot input)
-                    // skips `grad × bvᵀ`, as costly as that layer's forward.
+                    // constant `a` skips `grad × bvᵀ`.
                     let ga = needs(*a).then(|| upstream.matmul_transposed_rhs(bv));
                     let gb = needs(*b).then(|| av.matmul_transposed_lhs(&upstream));
                     if let Some(ga) = ga {
@@ -1167,6 +1211,13 @@ impl Tape {
                     }
                     if let Some(gb) = gb {
                         accumulate(&mut grads, *b, gb);
+                    }
+                }
+                Op::MatMulLookup { a, w, classes } => {
+                    // `a` needs no gradient (`Tape::matmul_lookup` checks).
+                    let (av, wv) = (value_of(&self.nodes, *a), value_of(&self.nodes, *w));
+                    if needs(*w) {
+                        accumulate(&mut grads, *w, av.matmul_lookup_weight_grad(classes, wv, &upstream));
                     }
                 }
                 Op::Act(a, act) => {
@@ -1268,16 +1319,7 @@ impl Tape {
                     let g = upstream.data();
                     let scales = value_of(&self.nodes, *scale).data();
                     if needs(*scale) {
-                        let mut gscale = Vec::with_capacity(src.len());
-                        for (&s, &d) in src.iter().zip(dst) {
-                            let mut dot = 0.0;
-                            for (&gv, &x) in
-                                g[d * cols..(d + 1) * cols].iter().zip(&av.data()[s * cols..(s + 1) * cols])
-                            {
-                                dot += gv * x;
-                            }
-                            gscale.push(dot);
-                        }
+                        let gscale = edge_dots(g, av.data(), cols, dst, src);
                         accumulate(&mut grads, *scale, Tensor::from_vec(gscale, &[src.len(), 1]));
                     }
                     if needs(*a) {
@@ -2147,6 +2189,116 @@ mod tests {
             );
             assert!(fused_grads.grad(scale).sq_norm() > 0.0, "{context}: scale gradient");
         }
+    }
+
+    /// The dense oracle of [`Tape::matmul_lookup`]: `[a ‖ one_hot(classes)]`
+    /// as a tape variable (`a` joined to a constant one-hot), times `w`.
+    fn dense_lookup(tape: &mut Tape, a: VarId, classes: &[usize], w: VarId, num_classes: usize) -> VarId {
+        let rows = classes.len();
+        let mut one_hot = vec![0.0; rows * num_classes];
+        for (row, &class) in classes.iter().enumerate() {
+            one_hot[row * num_classes + class] = 1.0;
+        }
+        let one_hot = tape.constant(Tensor::from_vec(one_hot, &[rows, num_classes]));
+        let dense = tape.concat_cols(a, one_hot);
+        tape.matmul(dense, w)
+    }
+
+    /// The node update's lookup against the dense `[x ‖ one_hot] · W`
+    /// product it replaces, bit for bit — forward value and weight gradient
+    /// — at the node update's 4 attribute columns and 41 classes: every
+    /// class, 1 row and the `KC` chunk edges of the backward's `Aᵀ·G` (63,
+    /// 64, 65 and 129 rows), attributes with signed zeros and subnormals,
+    /// output widths on the dot, tile and tile-remainder paths, and output
+    /// gradients with signed zeros and subnormals.
+    #[test]
+    fn matmul_lookup_is_the_dense_one_hot_product_bit_for_bit() {
+        const K: usize = 4;
+        const CLASSES: usize = 41;
+        let mut rng = XorShiftRng::new(0x0010_0C0B);
+        let odd = [-0.0f32, 0.0, 1e-40, -3e-42, f32::MIN_POSITIVE, 2.5e-39];
+        let mut cases: Vec<Vec<usize>> = (0..CLASSES).map(|class| vec![class]).collect();
+        for rows in [63usize, 64, 65, 129] {
+            cases.push((0..rows).map(|row| (row * 7 + rows) % CLASSES).collect());
+            // Few classes, long runs of one: its weight row sums many rows.
+            cases.push((0..rows).map(|row| [3, 40, 3, 0][row % 4]).collect());
+        }
+        for classes in &cases {
+            let rows = classes.len();
+            for n in [1usize, 32, 33] {
+                let context = format!("{rows} rows, n = {n}, classes from {}", classes[0]);
+                let mut attributes = random_tensor(&mut rng, &[rows, K]);
+                for (at, x) in attributes.data_mut().iter_mut().enumerate() {
+                    if at % 3 == 0 {
+                        *x = odd[at / 3 % odd.len()];
+                    }
+                }
+                let mut weights = random_tensor(&mut rng, &[rows, n]);
+                for (at, x) in weights.data_mut().iter_mut().enumerate().step_by(5) {
+                    *x = odd[at % odd.len()];
+                }
+                let mut store = ParamStore::new();
+                let w = store.register("w", random_tensor(&mut rng, &[K + CLASSES, n]));
+                let finish =
+                    |tape: &mut Tape, out: VarId| value_and_weighted_grads(tape, out, &weights, &store);
+
+                let mut tape = Tape::new();
+                let (a, wv) = (tape.constant(attributes.clone()), tape.param(&store, w));
+                let out = tape.matmul_lookup(a, classes, wv);
+                assert_eq!(tape.matmul_shapes().collect::<Vec<_>>(), [[rows, K + CLASSES, n]]);
+                let (value, grads) = finish(&mut tape, out);
+
+                let mut tape = Tape::new();
+                let (a, wv) = (tape.constant(attributes), tape.param(&store, w));
+                let out = dense_lookup(&mut tape, a, classes, wv, CLASSES);
+                let (want, want_grads) = finish(&mut tape, out);
+
+                assert_bits_eq(&value, &want, &format!("{context}: forward"));
+                assert_bits_eq(grads.grad(w), want_grads.grad(w), &format!("{context}: weight gradient"));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must need no gradient")]
+    fn matmul_lookup_rejects_attributes_that_need_a_gradient() {
+        let mut store = ParamStore::new();
+        let x = store.register("x", Tensor::zeros(&[2, 1]));
+        let w = store.register("w", Tensor::zeros(&[3, 2]));
+        let mut tape = Tape::new();
+        let (a, wv) = (tape.param(&store, x), tape.param(&store, w));
+        tape.matmul_lookup(a, &[0, 1], wv);
+    }
+
+    /// What the lookup does with non-finite weights: a row reads its own
+    /// class's weight row only, so an `inf` in one class's row reaches that
+    /// class's output rows and no other — where the dense product's
+    /// `0 · inf = NaN` reaches every row — and likewise a NaN output
+    /// gradient reaches only its own class's weight-row gradient.
+    #[test]
+    fn matmul_lookup_reads_only_the_classes_a_row_is() {
+        let mut store = ParamStore::new();
+        let mut weights = Tensor::from_vec((0..4 * 3).map(|i| i as f32 * 0.25).collect(), &[4, 3]);
+        weights.set(&[2, 1], f32::INFINITY); // class 1's weight row, column 1
+        let w = store.register("w", weights);
+        let mut tape = Tape::new();
+        let a = tape.constant(Tensor::from_vec(vec![1.0, -1.0, 0.5], &[3, 1]));
+        let wv = tape.param(&store, w);
+        let out = tape.matmul_lookup(a, &[0, 1, 2], wv);
+        let value = tape.value(out).clone();
+        assert!(value.data().iter().enumerate().all(|(i, x)| x.is_finite() != (i == 4)), "{value:?}");
+        let dense = dense_lookup(&mut tape, a, &[0, 1, 2], wv, 3);
+        let dense = tape.value(dense).data();
+        assert!(dense[1].is_nan() && dense[4] == f32::INFINITY && dense[7].is_nan(), "the dense product");
+
+        let mut gradient = Tensor::ones(&[3, 3]);
+        gradient.set(&[2, 0], f32::NAN); // a class-2 row
+        let (_, grads) = value_and_weighted_grads(&mut tape, out, &gradient, &store);
+        let grad = grads.grad(w);
+        let non_finite: Vec<usize> = (0..12).filter(|&i| !grad.data()[i].is_finite()).collect();
+        // The attribute row's column 0 reads every output row; class 2's row
+        // reads row 2; classes 0 and 1 stay finite.
+        assert_eq!(non_finite, [0, 9]);
     }
 
     /// `runs` as the explicit per-row index lists the readout used to build.

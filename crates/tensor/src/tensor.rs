@@ -32,8 +32,14 @@
 //! time). The forms differ in register width and `MR × NR`, never in bits.
 //! Beside the tile, shape picks three
 //! small forms: `A·B`'s column (`n == 1`) is one dot product per row,
-//! `G·Bᵀ` is an outer product for `q == 1` and that dot path with the
-//! operands swapped for a single row, and `Aᵀ·G`'s column is `m` axpys.
+//! `DOT_LANES` rows interleaved so their running sums are independent
+//! chains (`edge_dots`, the same interleave over index pairs, is the tape's
+//! gather–scale–scatter scale gradient), `G·Bᵀ` is an outer product for
+//! `q == 1` and that dot path with the operands swapped for a single row,
+//! and `Aᵀ·G`'s column is `m` axpys.
+//! The node update's `[x ‖ one_hot] · W` never builds its one-hot
+//! (`matmul_lookup`): the attribute columns run through [`Tensor::matmul`]'s
+//! kernel and the hot column is a row lookup, forward and backward.
 
 use std::fmt;
 
@@ -368,13 +374,66 @@ impl Tensor {
     /// Panics if either tensor is not rank-2 or the inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Self {
         let (m, k, n) = self.matmul_dims(other);
-        let data = if n == 1 {
-            dot_rows(&self.data, &other.data, m, k)
-        } else {
-            let a = Lhs { data: &self.data, row_stride: k, col_stride: 1 };
-            tile_product(a, &other.data, m, k, n)
-        };
+        Self { shape: Shape::from_dims(&[m, n]), data: product(&self.data, &other.data, m, k, n) }
+    }
+
+    /// `[self ‖ one_hot(classes)] · w` without the one-hot: `self` is
+    /// `[m, k]`, `w` is `[k + c, n]`, and row `i` of the `[m, n]` result is
+    /// `self[i] · w[..k]` — the [`Tensor::matmul`] kernel over `w`'s first
+    /// `k` rows — plus row `k + classes[i]` of `w`. For finite `w` those are
+    /// the bits of the dense product: its `1 · w` term is exact, and each
+    /// `0 · w` term adds `±0` to a running sum that starts at `+0.0` and so
+    /// is never `-0.0`. A row never reads the weight rows of the classes it
+    /// is not, so unlike the dense product an `inf` or NaN there stays out
+    /// of it.
+    pub(crate) fn matmul_lookup(&self, classes: &[usize], w: &Tensor) -> Self {
+        let (m, k, n, _) = self.lookup_dims(classes, w);
+        let mut data = product(&self.data, &w.data[..k * n], m, k, n);
+        if n > 0 {
+            for (out, &class) in data.chunks_exact_mut(n).zip(classes) {
+                let at = (k + class) * n;
+                for (o, &x) in out.iter_mut().zip(&w.data[at..at + n]) {
+                    *o += x;
+                }
+            }
+        }
         Self { shape: Shape::from_dims(&[m, n]), data }
+    }
+
+    /// The `[k + c, n]` weight gradient of [`Tensor::matmul_lookup`] for the
+    /// output gradient `grad` (`[m, n]`): rows `..k` are `selfᵀ · grad` (the
+    /// [`Tensor::matmul_transposed_lhs`] kernel), row `k + j` is
+    /// `0.0 + Σ grad[i]` over the rows `i` of class `j`, ascending — the
+    /// dense product's `[self ‖ one_hot]ᵀ · grad` bit for bit when `grad` is
+    /// finite, with a class's rows reading only its own rows of `grad`.
+    pub(crate) fn matmul_lookup_weight_grad(&self, classes: &[usize], w: &Tensor, grad: &Tensor) -> Self {
+        let (m, k, n, rows) = self.lookup_dims(classes, w);
+        assert_eq!(grad.shape(), &[m, n], "matmul_lookup gradient shape");
+        let mut data = transposed_lhs_product(&self.data, &grad.data, m, k, n);
+        data.resize(rows * n, 0.0);
+        if n > 0 {
+            for (g, &class) in grad.data.chunks_exact(n).zip(classes) {
+                let at = (k + class) * n;
+                for (o, &x) in data[at..at + n].iter_mut().zip(g) {
+                    *o += x;
+                }
+            }
+        }
+        Self { shape: Shape::from_dims(&[rows, n]), data }
+    }
+
+    /// `(m, k, n, rows of w)` of a [`Tensor::matmul_lookup`], checked.
+    fn lookup_dims(&self, classes: &[usize], w: &Tensor) -> (usize, usize, usize, usize) {
+        assert_eq!(self.shape.rank, 2, "matmul_lookup lhs must be rank-2, got {:?}", self.shape);
+        assert_eq!(w.shape.rank, 2, "matmul_lookup weight must be rank-2, got {:?}", w.shape);
+        let (m, k) = (self.shape.dims[0], self.shape.dims[1]);
+        let (rows, n) = (w.shape.dims[0], w.shape.dims[1]);
+        assert_eq!(classes.len(), m, "matmul_lookup needs one class per row");
+        assert!(
+            classes.iter().all(|&class| k + class < rows),
+            "matmul_lookup class out of range: {rows} weight rows, {k} of them attribute rows"
+        );
+        (m, k, n, rows)
     }
 
     /// `self × otherᵀ` without the caller materialising the transpose:
@@ -436,19 +495,10 @@ impl Tensor {
         let (m, q) = (self.shape.dims[0], self.shape.dims[1]);
         let (m2, n) = (other.shape.dims[0], other.shape.dims[1]);
         assert_eq!(m, m2, "matmul inner dim mismatch: {} vs {}", m, m2);
-        let data = if n == 1 {
-            let mut out = vec![0.0f32; q];
-            for (p, &bv) in other.data.iter().enumerate() {
-                for (o, &av) in out.iter_mut().zip(&self.data[p * q..(p + 1) * q]) {
-                    *o += av * bv;
-                }
-            }
-            out
-        } else {
-            let at = Lhs { data: &self.data, row_stride: 1, col_stride: q };
-            tile_product(at, &other.data, q, m, n)
-        };
-        Self { shape: Shape::from_dims(&[q, n]), data }
+        Self {
+            shape: Shape::from_dims(&[q, n]),
+            data: transposed_lhs_product(&self.data, &other.data, m, q, n),
+        }
     }
 
     /// Transpose of a rank-2 tensor.
@@ -553,6 +603,31 @@ struct Lhs<'a> {
     data: &'a [f32],
     row_stride: usize,
     col_stride: usize,
+}
+
+/// `a (m×k) · b (k×n)`, both row-major: the kernel of [`Tensor::matmul`].
+fn product(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+    if n == 1 {
+        dot_rows(a, b, m, k)
+    } else {
+        tile_product(Lhs { data: a, row_stride: k, col_stride: 1 }, b, m, k, n)
+    }
+}
+
+/// `aᵀ (q×m) · g (m×n)` for a row-major `a (m×q)`: the kernel of
+/// [`Tensor::matmul_transposed_lhs`].
+fn transposed_lhs_product(a: &[f32], g: &[f32], m: usize, q: usize, n: usize) -> Vec<f32> {
+    if n == 1 {
+        let mut out = vec![0.0f32; q];
+        for (p, &gv) in g[..m].iter().enumerate() {
+            for (o, &av) in out.iter_mut().zip(&a[p * q..(p + 1) * q]) {
+                *o += av * gv;
+            }
+        }
+        out
+    } else {
+        tile_product(Lhs { data: a, row_stride: 1, col_stride: q }, g, q, m, n)
+    }
 }
 
 /// `a (m×k) · b (k×n)`, `b` row-major, through the register tile.
@@ -721,19 +796,111 @@ fn tile_step<const R: usize, const NR: usize>(
     }
 }
 
+/// Rows (or edges) an interleaved dot product advances together: each keeps
+/// its own running sum, so the additions of a step are independent where
+/// one row's sum is one dependency chain.
+const DOT_LANES: usize = 8;
+
+/// Reduction steps of the lanes' rows an interleaved dot product transposes
+/// into a local block at a time, so each step adds one lane-wide vector.
+const DOT_STEPS: usize = 8;
+
+/// `DOT_LANES` dot products at once: lane `l` is `0.0 + Σ_p a[l][p] · b[p]`
+/// with `p` ascending — the arithmetic of one row's loop, only interleaved
+/// with its neighbours'. Every row of `a` is `b.len()` long.
+#[inline(always)]
+fn dot_lanes(a: [&[f32]; DOT_LANES], b: &[f32]) -> [f32; DOT_LANES] {
+    let mut sums = [0.0f32; DOT_LANES];
+    let whole = b.len() - b.len() % DOT_STEPS;
+    for p in (0..whole).step_by(DOT_STEPS) {
+        let mut block = [[0.0f32; DOT_LANES]; DOT_STEPS];
+        for (lane, row) in a.iter().enumerate() {
+            let steps: &[f32; DOT_STEPS] = row[p..p + DOT_STEPS].try_into().expect("a whole block of steps");
+            for (step, &x) in block.iter_mut().zip(steps) {
+                step[lane] = x;
+            }
+        }
+        for (step, &bv) in block.iter().zip(&b[p..p + DOT_STEPS]) {
+            for (sum, &x) in sums.iter_mut().zip(step) {
+                *sum += x * bv;
+            }
+        }
+    }
+    for (p, &bv) in b.iter().enumerate().skip(whole) {
+        for (sum, row) in sums.iter_mut().zip(&a) {
+            *sum += row[p] * bv;
+        }
+    }
+    sums
+}
+
+/// `0.0 + Σ_p a[p] · b[p]`, `p` ascending: one lane of an interleaved dot
+/// product.
+#[inline(always)]
+fn dot(a: &[f32], b: &[f32]) -> f32 {
+    let mut acc = 0.0f32;
+    for (&av, &bv) in a.iter().zip(b) {
+        acc += av * bv;
+    }
+    acc
+}
+
+/// `0.0 + Σ_c g[dst[i]][c] · a[src[i]][c]`, `c` ascending, per index pair
+/// `i` over `cols`-wide rows: the scale gradient of
+/// `Tape::gather_scatter_rows`. Pairs go [`DOT_LANES`] at a time, each
+/// with its own running sum; [`DOT_STEPS`] columns at a time, the lanes'
+/// products are transposed into a local block so a column's additions are
+/// one lane-wide vector.
+pub(crate) fn edge_dots(g: &[f32], a: &[f32], cols: usize, dst: &[usize], src: &[usize]) -> Vec<f32> {
+    fn row(data: &[f32], r: usize, cols: usize) -> &[f32] {
+        &data[r * cols..(r + 1) * cols]
+    }
+    let mut out = Vec::with_capacity(src.len());
+    let full = src.len() - src.len() % DOT_LANES;
+    let whole = cols - cols % DOT_STEPS;
+    for (dst, src) in dst[..full].chunks_exact(DOT_LANES).zip(src[..full].chunks_exact(DOT_LANES)) {
+        let g_rows: [&[f32]; DOT_LANES] = std::array::from_fn(|lane| row(g, dst[lane], cols));
+        let a_rows: [&[f32]; DOT_LANES] = std::array::from_fn(|lane| row(a, src[lane], cols));
+        let mut sums = [0.0f32; DOT_LANES];
+        for c in (0..whole).step_by(DOT_STEPS) {
+            let mut products = [[0.0f32; DOT_LANES]; DOT_STEPS];
+            for (lane, (g_row, a_row)) in g_rows.iter().zip(&a_rows).enumerate() {
+                let g_steps: &[f32; DOT_STEPS] = g_row[c..c + DOT_STEPS].try_into().expect("whole steps");
+                let a_steps: &[f32; DOT_STEPS] = a_row[c..c + DOT_STEPS].try_into().expect("whole steps");
+                for ((step, &gv), &x) in products.iter_mut().zip(g_steps).zip(a_steps) {
+                    step[lane] = gv * x;
+                }
+            }
+            for step in &products {
+                for (sum, &product) in sums.iter_mut().zip(step) {
+                    *sum += product;
+                }
+            }
+        }
+        for c in whole..cols {
+            for ((sum, g_row), a_row) in sums.iter_mut().zip(&g_rows).zip(&a_rows) {
+                *sum += g_row[c] * a_row[c];
+            }
+        }
+        out.extend_from_slice(&sums);
+    }
+    out.extend(dst[full..].iter().zip(&src[full..]).map(|(&d, &s)| dot(row(g, d, cols), row(a, s, cols))));
+    out
+}
+
 /// One dot product per row of `a (m×k)` with the column `b (k)`: the
 /// `n == 1` form of [`Tensor::matmul`] and, operands swapped, the `m == 1`
-/// form of [`Tensor::matmul_transposed_rhs`].
+/// form of [`Tensor::matmul_transposed_rhs`]. Rows go [`DOT_LANES`] at a
+/// time, the last `m % DOT_LANES` one by one.
 fn dot_rows(a: &[f32], b: &[f32], m: usize, k: usize) -> Vec<f32> {
-    (0..m)
-        .map(|i| {
-            let mut acc = 0.0f32;
-            for (&av, &bv) in a[i * k..(i + 1) * k].iter().zip(b) {
-                acc += av * bv;
-            }
-            acc
-        })
-        .collect()
+    let b = &b[..k];
+    let mut out = Vec::with_capacity(m);
+    let full = m - m % DOT_LANES;
+    for i in (0..full).step_by(DOT_LANES) {
+        out.extend(dot_lanes(std::array::from_fn(|lane| &a[(i + lane) * k..][..k]), b));
+    }
+    out.extend((full..m).map(|i| dot(&a[i * k..(i + 1) * k], b)));
+    out
 }
 
 /// The row-major `[q, n]` transpose of the row-major `[n, q]` matrix `bt`,
@@ -1050,6 +1217,52 @@ mod tests {
         let column = Tensor::from_vec(vec![-0.0, 0.0], &[2, 1]);
         let axpy = x.matmul_transposed_lhs(&column);
         assert_same_bits(&axpy, &x.transpose().matmul_naive(&column), "axpy of signed zeros");
+    }
+
+    /// The interleaved dot products — `A·B`'s column and `G·Bᵀ`'s single
+    /// row (rows against one shared column), and [`edge_dots`] over
+    /// arbitrary index pairs (the fused gather–scale–scatter's scale
+    /// gradient) — with the row or pair count one short of, equal to and one
+    /// past [`DOT_LANES`] and past two blocks, over empty, short, model-width
+    /// and chunk-length reductions, with signed zeros, ±inf and NaN planted.
+    /// Each kernel has one compilation, so this is every form they have.
+    #[test]
+    fn dot_kernels_match_one_loop_per_pair_across_the_interleave_width() {
+        let mut rng = XorShiftRng::new(0xD07_1A4E);
+        for m in [1, DOT_LANES - 1, DOT_LANES, DOT_LANES + 1, 2 * DOT_LANES + 1] {
+            for k in [0usize, 1, 7, 32, KC + 1] {
+                for plant in [false, true] {
+                    let context = format!("{m}x{k}, planted specials: {plant}");
+                    let (a, b) = (random_matrix(&mut rng, m, k, plant), random_matrix(&mut rng, k, 1, plant));
+                    assert_same_bits(&a.matmul(&b), &a.matmul_naive(&b), &format!("A·B column {context}"));
+                    let g = random_matrix(&mut rng, 1, k, plant);
+                    let want = g.matmul_naive(&a.transpose());
+                    assert_same_bits(&g.matmul_transposed_rhs(&a), &want, &format!("G·Bᵀ row {context}"));
+
+                    let (x, y) = (random_matrix(&mut rng, 5, k, plant), random_matrix(&mut rng, 3, k, plant));
+                    let pairs: Vec<(usize, usize)> =
+                        (0..m).map(|_| (rng.next_u64() as usize % 5, rng.next_u64() as usize % 3)).collect();
+                    let (xi, yi): (Vec<usize>, Vec<usize>) = pairs.iter().copied().unzip();
+                    let got = edge_dots(x.data(), y.data(), k, &xi, &yi);
+                    let want: Vec<f32> = pairs
+                        .iter()
+                        .map(|&(xi, yi)| {
+                            let mut acc = 0.0f32;
+                            for c in 0..k {
+                                acc += x.data()[xi * k + c] * y.data()[yi * k + c];
+                            }
+                            acc
+                        })
+                        .collect();
+                    let (got, want) = (Tensor::from_vec(got, &[m, 1]), Tensor::from_vec(want, &[m, 1]));
+                    assert_same_bits(&got, &want, &format!("index pairs {context}"));
+                }
+            }
+        }
+        // A lone `-0.0` product in every lane still rounds to `+0.0`.
+        let a = Tensor::from_vec(vec![-0.0; DOT_LANES + 1], &[DOT_LANES + 1, 1]);
+        let sums = a.matmul(&Tensor::from_vec(vec![3.0], &[1, 1]));
+        assert!(sums.data().iter().all(|s| s.to_bits() == 0.0f32.to_bits()), "{sums:?}");
     }
 
     #[test]
