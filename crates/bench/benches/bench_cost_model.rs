@@ -1,8 +1,6 @@
 //! Micro-benchmarks for the cost model and the end-to-end latency simulator
 //! (these run once per candidate / every N steps respectively, so their
-//! throughput bounds the whole optimisation loop). The simulator is measured
-//! both cold (fresh instance per iteration) and warm (memoised by canonical
-//! hash), since the RL loop overwhelmingly re-measures known graphs.
+//! throughput bounds the whole optimisation loop).
 
 use xrlflow_bench::{finish, report, time_ns};
 use xrlflow_cost::{CostModel, DeviceProfile, InferenceSimulator};
@@ -17,14 +15,10 @@ fn main() {
     }
 
     println!("\n== end-to-end simulator ==");
+    let sim = InferenceSimulator::new(DeviceProfile::gtx1080());
     for kind in [ModelKind::SqueezeNet, ModelKind::Bert] {
         let graph = build_model(kind, ModelScale::Bench).unwrap();
-        let cold = time_ns(0, 20, || InferenceSimulator::new(DeviceProfile::gtx1080()).measure_ms(&graph, 0));
-        let sim = InferenceSimulator::new(DeviceProfile::gtx1080());
-        sim.measure_ms(&graph, 0);
-        let warm = time_ns(3, 50, || sim.measure_ms(&graph, 0));
-        report(&format!("e2e_simulator/cold/{}", kind.name()), cold);
-        report(&format!("e2e_simulator/memoized/{}", kind.name()), warm);
+        report(&format!("e2e_simulator/{}", kind.name()), time_ns(3, 50, || sim.measure_ms(&graph, 0)));
     }
 
     finish("bench_cost_model");

@@ -86,7 +86,7 @@ fn main() {
             .buffer
             .len()
     };
-    // Warm both paths (and the shared simulator memo) before timing.
+    // Warm both paths before timing.
     std::hint::black_box(collect());
     xrlflow_obs::set_enabled(false);
     std::hint::black_box(collect());

@@ -60,11 +60,13 @@ fn main() {
 
     // What one environment step asks of the graph layer: apply the chosen
     // patch (node slots are shared, only rewired nodes are copied), hash the
-    // result for the measurement memo (`first`: nothing memoised yet; `memo`:
-    // the graph's index already holds it) and, every few steps, simulate it
-    // (`measure_miss`: hash + simulation against an empty memo).
+    // result, which keys the measurement's noise draw (`first`: nothing
+    // memoised yet; `memo`: the graph's index already holds it) and, every
+    // few steps, simulate it (`measure_miss`: hash + simulation of a freshly
+    // stepped graph).
     println!("\n== one rewrite step's graph-layer work ==");
     let iters = iters.max(50);
+    let simulator = InferenceSimulator::new(DeviceProfile::gtx1080());
     for kind in [ModelKind::SqueezeNet, ModelKind::Bert, ModelKind::InceptionV3] {
         let graph = build_model(kind, ModelScale::Bench).unwrap();
         let candidates = rules.generate_candidates(&graph, 64);
@@ -83,12 +85,7 @@ fn main() {
         );
         report(
             &format!("cost/measure_miss/{}", kind.name()),
-            time_with_setup_ns(
-                3,
-                iters,
-                || (stepped(), InferenceSimulator::new(DeviceProfile::gtx1080())),
-                |(g, simulator)| simulator.measure_ms(g, 0),
-            ),
+            time_with_setup_ns(3, iters, stepped, |g| simulator.measure_ms(g, 0)),
         );
     }
 

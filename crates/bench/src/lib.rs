@@ -75,8 +75,8 @@ pub fn time_ns<R>(warmup: usize, iters: usize, mut f: impl FnMut() -> R) -> f64 
 }
 
 /// [`time_ns`] for work that consumes a fresh input per run: `setup` builds
-/// the input outside the timed region (a graph nothing has hashed yet, a
-/// simulator with an empty memo), only `f` is timed.
+/// the input outside the timed region (a graph nothing has hashed yet), only
+/// `f` is timed.
 pub fn time_with_setup_ns<I, R>(
     warmup: usize,
     iters: usize,

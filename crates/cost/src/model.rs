@@ -14,9 +14,6 @@
 //!   per-kernel perturbations and a fixed 1 % multiplicative measurement
 //!   noise (what X-RLflow uses as its sparse reward signal).
 
-use std::collections::HashMap;
-use std::sync::Mutex;
-
 use xrlflow_graph::{Graph, NodeId};
 
 use crate::profile::{kernel_perturbation, node_compute_us, DeviceProfile};
@@ -57,6 +54,10 @@ const NOISE_STD: f64 = 0.01;
 /// measurement carries seeded multiplicative noise with a 1 % standard
 /// deviation.
 ///
+/// A measurement is a pure function of the graph and the seed: the simulator
+/// holds its device profile and nothing else, so one instance can be shared
+/// by any number of threads, and a clone measures exactly as the original.
+///
 /// # Examples
 ///
 /// ```
@@ -68,36 +69,15 @@ const NOISE_STD: f64 = 0.01;
 /// let latency = sim.measure_ms(&g, 0);
 /// assert!(latency > 0.0);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct InferenceSimulator {
     profile: DeviceProfile,
-    /// Memo of the deterministic (pre-noise) latency keyed by the graph's
-    /// canonical hash: repeated measurements of structurally identical graphs
-    /// — ubiquitous in RL training, where every episode re-measures the same
-    /// initial graph and trajectories revisit the same rewrites — skip the
-    /// full simulation. Measurement noise is applied per call on top of the
-    /// memoised base, preserving the seeded-noise protocol.
-    cache: Mutex<HashMap<u64, f64>>,
 }
-
-/// Cloning a simulator carries the memoised measurements along.
-impl Clone for InferenceSimulator {
-    fn clone(&self) -> Self {
-        Self {
-            profile: self.profile.clone(),
-            cache: Mutex::new(self.cache.lock().expect("simulator cache poisoned").clone()),
-        }
-    }
-}
-
-/// Bound on memoised entries; the cache is cleared when it would grow past
-/// this (graph sets per optimisation run are far smaller in practice).
-const MEASUREMENT_CACHE_CAP: usize = 8192;
 
 impl InferenceSimulator {
     /// Creates a simulator for a device profile.
     pub fn new(profile: DeviceProfile) -> Self {
-        Self { profile, cache: Mutex::new(HashMap::new()) }
+        Self { profile }
     }
 
     /// Simulated end-to-end latency of one inference pass, in milliseconds.
@@ -107,41 +87,10 @@ impl InferenceSimulator {
     /// underlying deterministic latency is identical for identical graphs.
     pub fn measure_ms(&self, graph: &Graph, seed: u64) -> f64 {
         let _span = xrlflow_obs::span!("cost/simulator/measure");
-        let key = graph.canonical_hash();
-        let cached = self.cache.lock().expect("simulator cache poisoned").get(&key).copied();
-        let base_ms = match cached {
-            Some(ms) => {
-                xrlflow_obs::counter!("cost/simulator/memo_hit").inc();
-                ms
-            }
-            None => {
-                xrlflow_obs::counter!("cost/simulator/memo_miss").inc();
-                // Simulate outside the critical section so concurrent
-                // callers are never blocked behind a cold measurement (a
-                // racing duplicate simulation is deterministic and cheap).
-                let ms = self.simulate_ms(graph);
-                let mut cache = self.cache.lock().expect("simulator cache poisoned");
-                if cache.len() >= MEASUREMENT_CACHE_CAP {
-                    cache.clear();
-                }
-                cache.insert(key, ms);
-                ms
-            }
-        };
-        let hits = xrlflow_obs::counter!("cost/simulator/memo_hit").get();
-        let misses = xrlflow_obs::counter!("cost/simulator/memo_miss").get();
-        if hits + misses > 0 {
-            xrlflow_obs::gauge!("cost/simulator/memo_hit_ratio").set(hits as f64 / (hits + misses) as f64);
-        }
-        base_ms * (1.0 + NOISE_STD * hash_noise(key, seed))
+        self.simulate_ms(graph) * (1.0 + NOISE_STD * hash_noise(graph.canonical_hash(), seed))
     }
 
-    /// Number of distinct graphs whose deterministic latency is memoised.
-    pub fn cached_measurements(&self) -> usize {
-        self.cache.lock().expect("simulator cache poisoned").len()
-    }
-
-    /// The uncached deterministic simulation (no measurement noise).
+    /// The deterministic simulation (no measurement noise).
     fn simulate_ms(&self, graph: &Graph) -> f64 {
         let mut total_us = 0.0;
         for (id, node) in graph.iter() {
@@ -212,8 +161,10 @@ pub fn discrepancy(
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
-    use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+    use xrlflow_graph::models::{build_model, ModelConfig, ModelKind, ModelScale};
     use xrlflow_graph::{OpAttributes, OpKind, TensorRef, TensorShape};
 
     fn simulator() -> InferenceSimulator {
@@ -299,51 +250,36 @@ mod tests {
     }
 
     #[test]
-    fn memoization_hits_for_identical_graphs_and_matches_uncached() {
-        let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let sim = simulator();
-        let first = sim.measure_ms(&g, 3);
-        assert_eq!(sim.cached_measurements(), 1);
-        // Structurally identical clone: served from the memo, same value.
-        let second = sim.measure_ms(&g.clone(), 3);
-        assert_eq!(sim.cached_measurements(), 1, "clone must hit the memo");
-        assert_eq!(first, second);
-        // The memoised value agrees with a cold simulator.
-        let cold = simulator();
-        assert_eq!(cold.measure_ms(&g, 3), first);
-        // Different seeds draw fresh noise on top of the same memoised base.
-        assert_ne!(sim.measure_ms(&g, 4), first);
-        assert_eq!(sim.cached_measurements(), 1);
-    }
-
-    #[test]
-    fn memoization_invalidates_on_graph_change() {
-        let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let sim = simulator();
-        let before = sim.measure_ms(&g, 0);
-        // Change the graph: a memoised entry for the old hash must not leak.
-        let mut changed = g.clone();
-        let out = changed.outputs()[0];
-        let relu = changed.add_node(OpKind::Relu, OpAttributes::default(), vec![out]).unwrap();
-        changed.mark_output(relu.into());
-        let after = sim.measure_ms(&changed, 0);
-        assert_eq!(sim.cached_measurements(), 2, "changed graph must get its own entry");
-        assert_ne!(before, after);
-        assert_eq!(
-            after,
-            simulator().measure_ms(&changed, 0),
-            "memo must not corrupt the changed measurement"
-        );
-    }
-
-    #[test]
-    fn cloned_simulator_keeps_the_memo_warm() {
-        let g = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
-        let sim = simulator();
-        let v = sim.measure_ms(&g, 1);
-        let cloned = sim.clone();
-        assert_eq!(cloned.cached_measurements(), 1);
-        assert_eq!(cloned.measure_ms(&g, 1), v);
+    fn measurements_are_a_function_of_graph_and_seed() {
+        // Zoo graphs at several input sizes, each also with one node
+        // appended: no two of them share a canonical hash.
+        let mut graphs = Vec::new();
+        for (kind, sizes) in [
+            (ModelKind::SqueezeNet, [96, 224]),
+            (ModelKind::Bert, [32, 128]),
+            (ModelKind::InceptionV3, [139, 299]),
+        ] {
+            for size in sizes {
+                let g = ModelConfig::new(kind, ModelScale::Bench).with_input_size(size).build().unwrap();
+                let mut appended = g.clone();
+                let out = appended.outputs()[0];
+                let relu = appended.add_node(OpKind::Relu, OpAttributes::default(), vec![out]).unwrap();
+                appended.mark_output(relu.into());
+                graphs.extend([g, appended]);
+            }
+        }
+        let hashes: HashSet<u64> = graphs.iter().map(Graph::canonical_hash).collect();
+        assert_eq!(hashes.len(), graphs.len(), "the graphs must be distinct");
+        // Two simulators measure the set in opposite orders: what either
+        // measured before never shows in what it measures next.
+        let (forward, backward) = (simulator(), simulator());
+        for seed in [0, 7] {
+            let there: Vec<u64> = graphs.iter().map(|g| forward.measure_ms(g, seed).to_bits()).collect();
+            let mut back: Vec<u64> =
+                graphs.iter().rev().map(|g| backward.measure_ms(g, seed).to_bits()).collect();
+            back.reverse();
+            assert_eq!(there, back, "seed {seed}");
+        }
     }
 
     #[test]

@@ -110,21 +110,6 @@ pub struct StepResult {
     pub reward: f32,
     /// Whether the episode has terminated.
     pub done: bool,
-    /// Why the episode terminated (when it did).
-    pub termination: Option<Termination>,
-}
-
-/// Why an episode ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Termination {
-    /// The agent chose the No-Op action.
-    NoOp,
-    /// No rewrite rule applies to the current graph.
-    NoCandidates,
-    /// The per-episode step budget was exhausted.
-    MaxSteps,
-    /// An action outside the candidates and the No-Op was taken.
-    InvalidAction,
 }
 
 /// Summary of a finished episode.
@@ -157,10 +142,13 @@ impl EpisodeStats {
 ///
 /// The initial graph, the rule set and the latency simulator are held behind
 /// [`Arc`]s so parallel rollout workers can build per-worker environments
-/// over one shared model-zoo entry, one rule library and one memoised
-/// simulator (its measurement cache is internally synchronised and
-/// measurements are deterministic per seed regardless of cache state) — see
-/// [`Environment::from_shared`].
+/// over one shared model-zoo entry, one rule library and one simulator — see
+/// [`Environment::from_shared`]. All three are immutable: a measurement is a
+/// function of the graph and the seed alone.
+///
+/// The simulator runs at [`Environment::reset`] (the initial graph) and at
+/// the [`Environment::step`]s that [`EnvConfig::feedback_frequency`] and
+/// termination pick, never at construction.
 #[derive(Debug)]
 pub struct Environment {
     initial_graph: Arc<Graph>,
@@ -196,8 +184,9 @@ impl Environment {
     ///
     /// This is the constructor the parallel rollout engine uses — `W`
     /// workers build `W` environments over the *same* three `Arc`s, so
-    /// nothing graph- or rule-sized is duplicated per worker and latency
-    /// measurements memoised by one worker are reused by all.
+    /// nothing graph- or rule-sized is duplicated per worker. It measures
+    /// nothing: the initial graph's latency is taken by
+    /// [`Environment::reset`], which every episode starts with.
     pub fn from_shared(
         graph: Arc<Graph>,
         rules: Arc<RuleSet>,
@@ -205,7 +194,7 @@ impl Environment {
         config: EnvConfig,
     ) -> Self {
         let initial_features = Arc::new(GraphFeatures::from_graph(&graph));
-        let mut env = Self {
+        Self {
             current: Arc::clone(&graph),
             features: Arc::clone(&initial_features),
             sites: None,
@@ -220,10 +209,7 @@ impl Environment {
             total_reward: 0.0,
             applied_rules: Vec::new(),
             measure_seed: 0,
-        };
-        env.initial_latency_ms = env.simulator.measure_ms(&env.initial_graph, env.measure_seed);
-        env.last_measured_latency_ms = env.initial_latency_ms;
-        env
+        }
     }
 
     /// The environment configuration.
@@ -239,11 +225,6 @@ impl Environment {
     /// The size of the padded action space (`max_candidates` + No-Op).
     pub fn action_space(&self) -> usize {
         self.config.max_candidates + 1
-    }
-
-    /// Latency of the initial, unoptimised graph (ms).
-    pub fn initial_latency_ms(&self) -> f64 {
-        self.initial_latency_ms
     }
 
     /// Resets the transformation process and returns the first observation.
@@ -322,30 +303,21 @@ impl Environment {
     /// below the candidate count select a candidate, the final index is the
     /// No-Op termination action. Anything else is masked out of the agent's
     /// action distribution; taken anyway, it ends the episode with reward 0.
+    /// Rewards are relative to the initial graph's latency, which
+    /// [`Environment::reset`] measures: an episode starts there.
     pub fn step(&mut self, observation: &Observation, action: usize) -> StepResult {
         let noop = observation.noop_action();
         let num_candidates = observation.candidates.len();
 
         if action != noop && action >= num_candidates {
-            return StepResult {
-                observation: self.terminal_observation(),
-                reward: 0.0,
-                done: true,
-                termination: Some(Termination::InvalidAction),
-            };
+            return StepResult { observation: self.terminal_observation(), reward: 0.0, done: true };
         }
 
         // No-Op: terminate, measuring the final graph.
         if action == noop || num_candidates == 0 {
             let reward = self.measurement_reward();
             self.total_reward += reward;
-            let termination = if action == noop { Termination::NoOp } else { Termination::NoCandidates };
-            return StepResult {
-                observation: self.terminal_observation(),
-                reward,
-                done: true,
-                termination: Some(termination),
-            };
+            return StepResult { observation: self.terminal_observation(), reward, done: true };
         }
 
         // Apply the selected candidate's patch. The encoder reads candidates
@@ -369,26 +341,16 @@ impl Environment {
         self.applied_rules.push(candidate.rule_name);
         self.step_count += 1;
 
-        let max_steps_reached = self.step_count >= self.config.max_steps;
         let mut next = self.observe(carried.then_some(&*observation.graph));
         next.step = Some((Arc::clone(&observation.graph), candidate.clone()));
-        let out_of_candidates = next.candidates.is_empty();
-        let done = max_steps_reached || out_of_candidates;
+        let done = self.step_count >= self.config.max_steps || next.candidates.is_empty();
 
         // Reward: measure end-to-end latency every N steps and on termination,
         // otherwise grant the exploration bonus (Section 3.3.3).
         let measure_now = done || self.step_count.is_multiple_of(self.config.feedback_frequency);
         let reward = if measure_now { self.measurement_reward() } else { EXPLORATION_BONUS };
         self.total_reward += reward;
-
-        let termination = if max_steps_reached {
-            Some(Termination::MaxSteps)
-        } else if out_of_candidates {
-            Some(Termination::NoCandidates)
-        } else {
-            None
-        };
-        StepResult { observation: next, reward, done, termination }
+        StepResult { observation: next, reward, done }
     }
 
     /// Equation 2: `(RT_{t-1} - RT_t) / RT_0 * 100`, where `RT_{t-1}` is the
@@ -474,7 +436,6 @@ mod tests {
         let obs = env.reset(0);
         let result = env.step(&obs, obs.noop_action());
         assert!(result.done);
-        assert_eq!(result.termination, Some(Termination::NoOp));
         assert_eq!(env.episode_stats().steps, 0);
     }
 
@@ -541,7 +502,6 @@ mod tests {
         assert!(invalid < obs.noop_action());
         let result = env.step(&obs, invalid);
         assert!(result.done);
-        assert_eq!(result.termination, Some(Termination::InvalidAction));
         assert_eq!(result.reward.to_bits(), 0.0f32.to_bits());
         assert_eq!(env.episode_stats().total_reward.to_bits(), 0.0f32.to_bits());
         assert_eq!(env.episode_stats().steps, 0);

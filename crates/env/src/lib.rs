@@ -28,6 +28,4 @@
 
 mod environment;
 
-pub use environment::{
-    EnvConfig, Environment, EpisodeStats, Observation, StepResult, Termination, EXPLORATION_BONUS,
-};
+pub use environment::{EnvConfig, Environment, EpisodeStats, Observation, StepResult, EXPLORATION_BONUS};

@@ -373,18 +373,6 @@ impl Graph {
         }
     }
 
-    /// Marks a tensor as a graph output after checking that it resolves —
-    /// the fallible variant for references from untrusted input.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the node or port does not exist.
-    pub fn try_mark_output(&mut self, r: TensorRef) -> Result<(), GraphError> {
-        self.tensor_shape(r)?;
-        self.mark_output(r);
-        Ok(())
-    }
-
     /// Assembles a graph directly from node storage and output references —
     /// used by the JSON importer, which validates the result afterwards.
     pub(crate) fn from_raw_parts(nodes: Vec<Option<Node>>, outputs: Vec<TensorRef>) -> Self {
@@ -631,8 +619,8 @@ impl Graph {
 
     /// A canonical structural hash of the graph: two graphs that are equal
     /// up to node-id renumbering hash to the same value (`0` for a cyclic
-    /// graph). Used to deduplicate rewrite candidates and to key the
-    /// measurement memo and the serving cache. Computed once per graph and
+    /// graph). Used to deduplicate rewrite candidates, to key the simulator's
+    /// measurement noise and the serving cache. Computed once per graph and
     /// shared with its clones.
     pub fn canonical_hash(&self) -> u64 {
         let index = self.index();
@@ -1112,7 +1100,7 @@ mod tests {
         let spare_weight: fn(&mut Graph) = |g| {
             g.add_weight(shape(&[2, 2]));
         };
-        let mutations: [Mutation; 11] = [
+        let mutations: [Mutation; 10] = [
             ("add_input", nothing, |g| {
                 g.add_input(shape(&[1, 4]));
             }),
@@ -1131,7 +1119,6 @@ mod tests {
                 g.add_named_node("tail", OpKind::Tanh, OpAttributes::default(), vec![out]).unwrap();
             }),
             ("mark_output", nothing, |g| g.mark_output(NodeId(3).into())),
-            ("try_mark_output", nothing, |g| g.try_mark_output(NodeId(4).into()).unwrap()),
             ("replace_all_uses", nothing, |g| {
                 g.replace_all_uses(NodeId(4).into(), NodeId(3).into()).unwrap()
             }),

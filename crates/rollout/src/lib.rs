@@ -43,9 +43,8 @@
 //!   builds one agent from it and lends that out) — not a per-round copy.
 //! * **Shared immutable world.** Threads build their environments from
 //!   [`EnvSpec`]s — the same `Arc<Graph>` model-zoo entry, `Arc<RuleSet>` and
-//!   `Arc<InferenceSimulator>` (whose memoised measurement cache is
-//!   internally synchronised and seed-deterministic regardless of cache
-//!   state).
+//!   `Arc<InferenceSimulator>`. None of the three holds mutable state: a
+//!   simulator measurement is a function of the graph and the seed alone.
 //! * **Item-keyed seed schedules.** A collection item is a descriptor
 //!   `(env slot, episode, rng seed, fault id)`. Episode `e` always resets
 //!   its environment with seed `e` and samples actions from a fresh
@@ -155,16 +154,15 @@ use xrlflow_tensor::{ParamSnapshot, SnapshotError, XorShiftRng};
 /// simulator and the environment configuration.
 ///
 /// All three heavyweight components sit behind [`Arc`]s, so building one
-/// environment per worker duplicates nothing graph- or rule-sized, and
-/// latency measurements memoised by one worker are reused by all.
+/// environment per worker duplicates nothing graph- or rule-sized.
 #[derive(Debug, Clone)]
 pub struct EnvSpec {
     /// The graph to optimise (shared, never mutated).
     pub graph: Arc<Graph>,
     /// The rewrite-rule library (stateless, shared).
     pub rules: Arc<RuleSet>,
-    /// The end-to-end latency simulator (shared; its measurement memo is
-    /// internally synchronised and deterministic per seed).
+    /// The end-to-end latency simulator (shared and stateless: a
+    /// measurement depends on the graph and the seed only).
     pub simulator: Arc<InferenceSimulator>,
     /// Reward-shaping and termination configuration.
     pub env: EnvConfig,

@@ -176,14 +176,14 @@ fn main() {
     );
 
     // 8. Export the whole run's telemetry — per-phase spans, worker
-    //    utilisation, simulator-memo hit ratio, serve latency histograms —
-    //    as one structured JSON trace.
+    //    utilisation, simulator measurements, serve latency histograms — as
+    //    one structured JSON trace.
     let metrics = xrlflow::obs::Registry::global().snapshot();
     println!(
-        "telemetry: {} episodes collected | worker utilization {:.0}% | simulator memo hit ratio {:.0}%",
+        "telemetry: {} episodes collected | worker utilization {:.0}% | {} simulator measurements",
         metrics.counter("rollout/episodes").unwrap_or(0),
         metrics.gauge("rollout/worker_utilization").unwrap_or(0.0) * 100.0,
-        metrics.gauge("cost/simulator/memo_hit_ratio").unwrap_or(0.0) * 100.0,
+        metrics.histogram("cost/simulator/measure").map_or(0, |h| h.count),
     );
     if let Ok(path) = std::env::var("XRLFLOW_METRICS_JSON") {
         metrics.save(&path).expect("metrics snapshot writes");
