@@ -22,13 +22,13 @@
 
 use std::time::{Duration, Instant};
 
-use xrlflow_bench::oracle::collect_serial;
+use xrlflow_bench::oracle::collect_curriculum_serial;
 use xrlflow_bench::{env_usize, finish, iters_from_env, report, time_ns};
 use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
-use xrlflow_rollout::{update_parallel, EnvSpec};
+use xrlflow_rollout::{update_parallel, Curriculum, EnvSpec};
 use xrlflow_tensor::{GradBuffer, Tape};
 
 fn main() {
@@ -47,7 +47,8 @@ fn main() {
         let spec = EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone());
         let agent = XrlflowAgent::new(&config, 0);
         let snapshot = agent.snapshot();
-        let rollouts = collect_serial(&agent, &spec, 0, episodes, 7);
+        let curriculum = Curriculum::new().with_entry(kind.name(), spec);
+        let rollouts = collect_curriculum_serial(&agent, &curriculum, 0, episodes, 7);
         println!("-- {} ({} transitions/round)", kind.name(), rollouts.buffer.len());
 
         // The update consumes the buffer and advances agent + optimiser, so

@@ -17,36 +17,8 @@
 use xrlflow_core::{
     collect_episode_with_rng, transition_grad_into, MinibatchContext, MinibatchGrads, XrlflowAgent,
 };
-use xrlflow_rollout::{
-    curriculum_rng_seed, episode_rng_seed, CollectedRollouts, Curriculum, CurriculumEpisode,
-    CurriculumRollouts, EnvSpec,
-};
+use xrlflow_rollout::{curriculum_rng_seed, Curriculum, CurriculumEpisode, CurriculumRollouts};
 use xrlflow_tensor::{GradBuffer, Tape, XorShiftRng};
-
-/// Serial collection: episodes `first_episode .. first_episode +
-/// num_episodes` collected one after another in the calling thread, against
-/// the live agent — episode `e` resets the environment with seed `e` and
-/// samples actions from a fresh RNG seeded by [`episode_rng_seed`].
-///
-/// The oracle of `xrlflow_rollout::collect_parallel`, which is
-/// transition-for-transition bit-identical to this over the same range and
-/// base seed, for any worker count.
-pub fn collect_serial(
-    agent: &XrlflowAgent,
-    spec: &EnvSpec,
-    first_episode: u64,
-    num_episodes: usize,
-    base_seed: u64,
-) -> CollectedRollouts {
-    let mut env = spec.build_env();
-    let mut out = CollectedRollouts::default();
-    for episode in first_episode..first_episode + num_episodes as u64 {
-        let mut rng = XorShiftRng::new(episode_rng_seed(base_seed, episode));
-        let stats = collect_episode_with_rng(agent, &mut env, &mut rng, &mut out.buffer, episode);
-        out.episodes.push(stats);
-    }
-    out
-}
 
 /// Serial curriculum collection: for each spec in curriculum order, episodes
 /// `first_episode .. first_episode + episodes_per_spec` collected one after
@@ -54,7 +26,8 @@ pub fn collect_serial(
 ///
 /// The oracle of `xrlflow_rollout::collect_curriculum_parallel`, which is
 /// transition-for-transition bit-identical to this over the same range and
-/// base seed, for any worker count.
+/// base seed, for any worker count — and, over a one-entry curriculum, of
+/// `xrlflow_rollout::collect_parallel` on that entry's spec.
 pub fn collect_curriculum_serial(
     agent: &XrlflowAgent,
     curriculum: &Curriculum,

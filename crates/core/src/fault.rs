@@ -31,10 +31,10 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 /// The phase of the system a scheduled fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultPhase {
-    /// Single-spec episode collection (`collect_parallel` work items).
+    /// Episode collection, one spec or a curriculum (`item` is the rollout
+    /// engine's `curriculum_fault_item(spec, episode)`: the episode index
+    /// for a single spec).
     Collect,
-    /// Curriculum episode collection (spec-major work items).
-    CurriculumCollect,
     /// Data-parallel minibatch gradient shards.
     Update,
     /// The greedy optimisation episode run by the serving layer's
@@ -46,7 +46,6 @@ impl std::fmt::Display for FaultPhase {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(match self {
             FaultPhase::Collect => "collect",
-            FaultPhase::CurriculumCollect => "curriculum-collect",
             FaultPhase::Update => "update",
             FaultPhase::Serve => "serve",
         })
@@ -59,8 +58,8 @@ impl std::fmt::Display for FaultPhase {
 pub struct FaultSpec {
     /// Phase the fault targets.
     pub phase: FaultPhase,
-    /// Work-item index within the phase (episode, curriculum item,
-    /// minibatch position or request hash).
+    /// Work-item id within the phase (packed `(spec, episode)`, minibatch
+    /// position or request hash).
     pub item: u64,
     /// Attempt number at which to fire.
     pub attempt: u32,

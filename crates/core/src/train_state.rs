@@ -24,7 +24,8 @@
 //! adam_v    u32 LE length + XRLFSNAP bytes (second moments)
 //! ```
 //!
-//! Parsing mirrors the `XRLFSNAP` discipline: every length is bounded
+//! Parsing reads through the `XRLFSNAP` parser's bounded reader
+//! (`xrlflow_tensor::ByteReader`): every length is bounded
 //! against the remaining input before any allocation, trailing bytes are
 //! rejected, and the moment sections must name exactly the parameters of the
 //! `params` section — corruption surfaces as a typed [`SnapshotError`],
@@ -34,7 +35,7 @@
 
 use std::path::{Path, PathBuf};
 
-use xrlflow_tensor::{atomic_write, is_atomic_temp_file, ParamSnapshot, SnapshotError};
+use xrlflow_tensor::{atomic_write, is_atomic_temp_file, ByteReader, ParamSnapshot, SnapshotError};
 
 /// File magic of the train-state format.
 const MAGIC: &[u8; 8] = b"XRLFTRST";
@@ -96,7 +97,7 @@ impl TrainState {
     /// [`SnapshotError::ShapeMismatch`] when the moment sections do not
     /// mirror the parameter section. Nothing is adopted on error.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut cursor = Reader { bytes, pos: 0 };
+        let mut cursor = ByteReader::new(bytes, "train state");
         let magic = cursor.take(8)?;
         if magic != MAGIC {
             return Err(SnapshotError::Format(format!("bad magic {:02x?}, expected {MAGIC:02x?}", magic)));
@@ -125,12 +126,7 @@ impl TrainState {
                     .map_err(|e| SnapshotError::Format(format!("invalid {name} section: {e}")))?,
             );
         }
-        if cursor.pos != bytes.len() {
-            return Err(SnapshotError::Format(format!(
-                "{} trailing bytes after the last section",
-                bytes.len() - cursor.pos
-            )));
-        }
+        cursor.finish("section")?;
         let adam_second = sections.pop().expect("three sections parsed");
         let adam_first = sections.pop().expect("three sections parsed");
         let params = sections.pop().expect("three sections parsed");
@@ -227,41 +223,6 @@ fn scan_train_states(dir: impl AsRef<Path>) -> std::io::Result<Vec<(u64, PathBuf
     }
     states.sort();
     Ok(states)
-}
-
-/// Bounded byte-slice reader (same discipline as the `XRLFSNAP` parser).
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        if n > self.remaining() {
-            return Err(SnapshotError::Format(format!(
-                "truncated train state: needed {n} bytes at offset {}, file has {}",
-                self.pos,
-                self.bytes.len()
-            )));
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-    }
-
-    fn u64(&mut self) -> Result<u64, SnapshotError> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-    }
 }
 
 #[cfg(test)]

@@ -8,12 +8,12 @@
 //! pool shards `(spec, episode)` work items across threads and the PPO
 //! trainer consumes the merged multi-model buffer.
 //!
-//! The PR 3 determinism contract extends to the curriculum:
+//! The rollout determinism contract extends to the curriculum, and a
+//! single-model run is its one-entry case (same collector, same schedule):
 //!
 //! * **`(spec, episode)` seed schedule.** Episode `e` of spec `s` always
-//!   resets its environment with seed `e` (the same per-spec reset schedule
-//!   as single-model training, so per-model numbers stay comparable) and
-//!   samples actions from a fresh `XorShiftRng` seeded by
+//!   resets its environment with seed `e` (so per-model numbers stay
+//!   comparable) and samples actions from a fresh `XorShiftRng` seeded by
 //!   [`curriculum_rng_seed`]`(base, s, e)` — a SplitMix64 mix of the run's
 //!   base seed and the spec index, so two specs never share an action
 //!   stream. The seed depends only on `(base, s, e)`, never on which worker
@@ -38,7 +38,6 @@
 
 use std::ops::Range;
 
-use xrlflow_core::fault::FaultPhase;
 use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_env::{EnvConfig, EpisodeStats, Observation};
@@ -48,7 +47,7 @@ use xrlflow_rewrite::RuleSet;
 use xrlflow_rl::RolloutBuffer;
 use xrlflow_tensor::ParamSnapshot;
 
-use crate::{splitmix64, CollectItem, EnvSpec, RolloutError, Schedule};
+use crate::{splitmix64, EnvSpec, RolloutError};
 
 /// One named model of a curriculum: a display name (usually the model-zoo
 /// name) plus the shared-component environment spec built from it.
@@ -152,24 +151,26 @@ impl Curriculum {
 
 /// The deterministic action-RNG seed of episode `episode` of spec `spec`.
 ///
-/// The curriculum half of the determinism contract: every path that collects
-/// this `(spec, episode)` work item under base seed `base_seed` — the serial
-/// oracle or any worker of any pool size — derives its `XorShiftRng` from
-/// this value. The spec index is folded in through a SplitMix64 mix so no
-/// two specs share an action stream.
+/// The determinism contract of every collection, one spec or many: every
+/// path that collects this `(spec, episode)` work item under base seed
+/// `base_seed` — the serial oracle or any worker of any pool size — derives
+/// its `XorShiftRng` from this value. The spec index and then the episode
+/// index are folded in through SplitMix64 mixes, so no two specs share an
+/// action stream and adjacent episodes are decorrelated.
 pub fn curriculum_rng_seed(base_seed: u64, spec: usize, episode: u64) -> u64 {
     let spec_base = splitmix64(base_seed ^ (spec as u64).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-    crate::episode_rng_seed(spec_base, episode)
+    splitmix64(spec_base ^ episode.wrapping_mul(0xA24B_AED4_963E_E407))
 }
 
-/// The fault-injection work-item id of episode `episode` of curriculum spec
-/// `spec` — what a [`xrlflow_core::fault::FaultPlan`] targets in the
-/// [`FaultPhase::CurriculumCollect`] phase, and what a
-/// `RolloutError::WorkerFault` reports back.
+/// The fault-injection work-item id of episode `episode` of spec `spec` —
+/// what a [`xrlflow_core::fault::FaultPlan`] targets in the
+/// [`FaultPhase::Collect`](xrlflow_core::fault::FaultPhase::Collect) phase,
+/// and what a `RolloutError::WorkerFault` reports back.
 ///
 /// The round-local flattened item index is ambiguous across rounds (item 0
 /// means a different episode every round), so the id packs the globally
-/// unique `(spec, episode)` pair instead: `spec << 32 | episode`.
+/// unique `(spec, episode)` pair instead: `spec << 32 | episode`. For spec 0
+/// — every single-spec run — that is the episode index itself.
 pub fn curriculum_fault_item(spec: usize, episode: u64) -> u64 {
     ((spec as u64) << 32) | (episode & 0xFFFF_FFFF)
 }
@@ -201,31 +202,6 @@ pub struct CurriculumRollouts {
     /// one entry per curriculum model, in curriculum order. The ranges
     /// partition the buffer.
     pub spec_ranges: Vec<Range<usize>>,
-}
-
-/// The curriculum schedule: for each spec in curriculum order (slot = spec
-/// index), episodes `first_episode .. first_episode + episodes_per_spec`,
-/// seeded by [`curriculum_rng_seed`] and reported under
-/// [`FaultPhase::CurriculumCollect`] as [`curriculum_fault_item`] — the
-/// flattened spec-major item order `item = spec * episodes_per_spec +
-/// episode_offset`.
-pub(crate) fn curriculum_schedule(
-    num_specs: usize,
-    first_episode: u64,
-    episodes_per_spec: usize,
-    base_seed: u64,
-) -> Schedule {
-    let items = (0..num_specs)
-        .flat_map(|spec| {
-            (first_episode..first_episode + episodes_per_spec as u64).map(move |episode| CollectItem {
-                slot: spec,
-                episode,
-                rng_seed: curriculum_rng_seed(base_seed, spec, episode),
-                fault_item: curriculum_fault_item(spec, episode),
-            })
-        })
-        .collect();
-    Schedule { phase: FaultPhase::CurriculumCollect, items }
 }
 
 /// Collects one curriculum round — `episodes_per_spec` episodes for every
@@ -264,8 +240,14 @@ pub fn collect_curriculum_parallel(
     num_workers: usize,
 ) -> Result<CurriculumRollouts, RolloutError> {
     let agent = XrlflowAgent::from_snapshot(config, snapshot)?;
-    let schedule = curriculum_schedule(curriculum.len(), first_episode, episodes_per_spec, base_seed);
-    let round = crate::collect_round(&agent, &curriculum.specs(), &schedule, num_workers)?;
+    let round = crate::collect_round(
+        &agent,
+        &curriculum.specs(),
+        first_episode,
+        episodes_per_spec,
+        base_seed,
+        num_workers,
+    )?;
     Ok(CurriculumRollouts {
         buffer: round.buffer,
         episodes: round
@@ -350,6 +332,10 @@ mod tests {
         }
         assert_eq!(seeds.len(), 64, "(spec, episode) pairs must get decorrelated RNG seeds");
         assert_eq!(curriculum_rng_seed(42, 3, 5), curriculum_rng_seed(42, 3, 5));
+        // A single-spec run's episodes (spec 0) are decorrelated too.
+        let single: std::collections::HashSet<u64> =
+            (0..64).map(|e| curriculum_rng_seed(123, 0, e)).collect();
+        assert_eq!(single.len(), 64, "adjacent episodes must get decorrelated RNG seeds");
     }
 
     #[test]

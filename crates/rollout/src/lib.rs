@@ -45,23 +45,26 @@
 //!   [`EnvSpec`]s — the same `Arc<Graph>` model-zoo entry, `Arc<RuleSet>` and
 //!   `Arc<InferenceSimulator>`. None of the three holds mutable state: a
 //!   simulator measurement is a function of the graph and the seed alone.
-//! * **Item-keyed seed schedules.** A collection item is a descriptor
-//!   `(env slot, episode, rng seed, fault id)`. Episode `e` always resets
-//!   its environment with seed `e` and samples actions from a fresh
-//!   `XorShiftRng` seeded by [`episode_rng_seed`] (single spec) or
-//!   [`curriculum_rng_seed`] (spec-major curriculum) — the two schedules are
-//!   data fed to one collector, and no seed depends on which thread runs the
-//!   item. That is also what makes a retried item bit-identical to a
-//!   first-attempt success. Greedy inference — [`XrlflowSystem::optimize`]
-//!   and [`evaluate_curriculum`] — takes the most probable action, draws no
-//!   randomness and so takes no seed.
+//! * **One item-keyed seed schedule.** A collection round is episodes
+//!   `first .. first + n` of every spec, as items numbered spec-major; item
+//!   `(s, e)` resets its environment with seed `e`, samples actions from a
+//!   fresh `XorShiftRng` seeded by [`curriculum_rng_seed`]`(base, s, e)` and
+//!   is known to the fault hook (phase `collect`) by
+//!   [`curriculum_fault_item`]`(s, e)`. A single-spec run is the one-entry
+//!   case — one collector, one schedule, and the same spec, episodes and base
+//!   seed collect the same transitions whether they come through
+//!   [`collect_parallel`] or a one-entry [`collect_curriculum_parallel`]. No
+//!   seed depends on which thread runs the item. That is also what makes a
+//!   retried item bit-identical to a first-attempt success. Greedy inference
+//!   — [`XrlflowSystem::optimize`] and [`evaluate_curriculum`] — takes the
+//!   most probable action, draws no randomness and so takes no seed.
 //!
 //! Together these make the pooled phases at any worker count — and under any
 //! number of recovered faults — bit-identical to the supervision-free serial
-//! oracles `collect_serial`, `collect_curriculum_serial` and
-//! `minibatch_grads_serial`, which live in `xrlflow_bench::oracle` and are
-//! asserted against by this crate's integration tests
-//! (`tests/serial_oracles.rs`, `tests/fault_injection.rs`).
+//! oracles `collect_curriculum_serial` and `minibatch_grads_serial`, which
+//! live in `xrlflow_bench::oracle` and are asserted against by this crate's
+//! integration tests (`tests/serial_oracles.rs`, `tests/fault_injection.rs`,
+//! `tests/one_schedule.rs`).
 //!
 //! **[`ParallelTrainer`] is the one train loop of the workspace**: its
 //! private `run_rounds` is the only code that knows the collect → update →
@@ -203,54 +206,12 @@ pub struct CollectedRollouts {
 
 // The SplitMix64 finaliser decorrelating seeds from structured indices now
 // lives in `xrlflow_tensor` (the trainer's minibatch-shuffle seed uses the
-// same mix); re-imported here for the episode/curriculum seed schedules.
+// same mix); re-imported here for the `(spec, episode)` seed schedule.
 pub(crate) use xrlflow_tensor::splitmix64;
 
-/// The deterministic seed of episode `episode`'s action-sampling RNG.
-///
-/// Part of the determinism contract: every path that collects episode `e`
-/// under base seed `b` — serial or any worker of any pool size — derives its
-/// `XorShiftRng` from this value.
-pub fn episode_rng_seed(base_seed: u64, episode: u64) -> u64 {
-    splitmix64(base_seed ^ episode.wrapping_mul(0xA24B_AED4_963E_E407))
-}
-
-/// One collection work item: which environment slot it runs in, the episode
-/// index (also the environment reset seed), the seed of its action-sampling
-/// RNG and the id the fault-injection hook (and a `WorkerFault`) knows it by.
-struct CollectItem {
-    slot: usize,
-    episode: u64,
-    rng_seed: u64,
-    fault_item: u64,
-}
-
-/// A collection round's work, as data: the phase it reports faults under and
-/// its items in merge order. Items must be slot-major (every slot's items
-/// contiguous, slots ascending) so each slot's transitions form one segment.
-struct Schedule {
-    phase: FaultPhase,
-    items: Vec<CollectItem>,
-}
-
-/// The single-spec schedule: episodes `first_episode .. first_episode +
-/// num_episodes` in slot 0, seeded by [`episode_rng_seed`], reported under
-/// [`FaultPhase::Collect`] with the episode index as fault id.
-fn episode_schedule(first_episode: u64, num_episodes: usize, base_seed: u64) -> Schedule {
-    let items = (first_episode..first_episode + num_episodes as u64)
-        .map(|episode| CollectItem {
-            slot: 0,
-            episode,
-            rng_seed: episode_rng_seed(base_seed, episode),
-            fault_item: episode,
-        })
-        .collect();
-    Schedule { phase: FaultPhase::Collect, items }
-}
-
 /// One merged collection round: every transition in item order, each
-/// episode's `(slot, episode, stats)` in the same order, and the transition
-/// range of each slot (one per spec, partitioning the buffer) — the per-spec
+/// episode's `(spec, episode, stats)` in the same order, and the transition
+/// range of each spec (one per spec, partitioning the buffer) — the per-spec
 /// advantage-normalisation segments of the PPO update.
 #[derive(Default)]
 struct Round {
@@ -260,49 +221,60 @@ struct Round {
 }
 
 /// The one collector behind [`collect_parallel`],
-/// [`collect_curriculum_parallel`] and [`ParallelTrainer`]: runs `schedule`
-/// over `specs` (indexed by item slot) on the supervised engine and appends
-/// each episode's buffer to the round as the engine delivers it, in item
-/// order. Every thread borrows `agent`; a thread's state is one lazily built
-/// environment per spec it touches.
+/// [`collect_curriculum_parallel`] and [`ParallelTrainer`]: episodes
+/// `first_episode .. first_episode + episodes_per_spec` of every spec, on the
+/// supervised engine. Items are spec-major
+/// (`item = spec * episodes_per_spec + episode_offset`); item `(s, e)`
+/// resets with seed `e`, samples actions from
+/// [`curriculum_rng_seed`]`(base_seed, s, e)` and trips faults as
+/// [`curriculum_fault_item`]`(s, e)` under [`FaultPhase::Collect`]. Each
+/// episode's buffer is appended to the round as the engine delivers it, in
+/// item order. Every thread borrows `agent`; a thread's state is one lazily
+/// built environment per spec it touches.
 fn collect_round(
     agent: &XrlflowAgent,
     specs: &[&EnvSpec],
-    schedule: &Schedule,
+    first_episode: u64,
+    episodes_per_spec: usize,
+    base_seed: u64,
     num_workers: usize,
 ) -> Result<Round, WorkerFault> {
-    // Closes the segments of every slot below `slot`: each starts where the
+    // Closes the segments of every spec below `spec`: each starts where the
     // one before it ended.
-    fn close_segments(round: &mut Round, slot: usize) {
-        while round.segments.len() < slot {
+    fn close_segments(round: &mut Round, spec: usize) {
+        while round.segments.len() < spec {
             let start = round.segments.last().map_or(0, |segment| segment.end);
             round.segments.push(start..round.buffer.len());
         }
     }
-    let items = &schedule.items;
+    // Only called for items `0..specs.len() * episodes_per_spec`, so the
+    // divisor is never zero.
+    let item = |index: usize| (index / episodes_per_spec, first_episode + (index % episodes_per_spec) as u64);
     let mut round = Round::default();
     supervise::run_items(
-        schedule.phase,
-        items.len(),
+        FaultPhase::Collect,
+        specs.len() * episodes_per_spec,
         num_workers,
-        |index| items[index].fault_item,
+        |index| {
+            let (spec, episode) = item(index);
+            curriculum_fault_item(spec, episode)
+        },
         || specs.iter().map(|_| None).collect::<Vec<Option<Environment>>>(),
         |envs, index| {
-            let item = &items[index];
+            let (spec, episode) = item(index);
             // reset() makes reuse across episodes bit-identical to a fresh
             // environment.
-            let env = envs[item.slot].get_or_insert_with(|| specs[item.slot].build_env());
+            let env = envs[spec].get_or_insert_with(|| specs[spec].build_env());
             let mut buffer = RolloutBuffer::new();
-            let mut rng = XorShiftRng::new(item.rng_seed);
-            let stats = collect_episode_with_rng(agent, env, &mut rng, &mut buffer, item.episode);
+            let mut rng = XorShiftRng::new(curriculum_rng_seed(base_seed, spec, episode));
+            let stats = collect_episode_with_rng(agent, env, &mut rng, &mut buffer, episode);
             (buffer, stats)
         },
         |index, (mut buffer, stats)| {
-            let item = &items[index];
-            debug_assert!(item.slot >= round.segments.len(), "schedules must be slot-major");
-            close_segments(&mut round, item.slot);
+            let (spec, episode) = item(index);
+            close_segments(&mut round, spec);
             round.buffer.append(&mut buffer);
-            round.episodes.push((item.slot, item.episode, stats));
+            round.episodes.push((spec, episode, stats));
         },
     )?;
     close_segments(&mut round, specs.len());
@@ -313,6 +285,11 @@ fn collect_round(
 /// supervised pool of up to `num_workers` threads (never more than the CPUs
 /// the process may use).
 ///
+/// A single spec is the one-entry case of [`collect_curriculum_parallel`]:
+/// the same collector, the same `(spec 0, episode)` seed schedule and the
+/// same fault ids (for spec 0, [`curriculum_fault_item`] is the episode
+/// index), so the two are transition-for-transition identical.
+///
 /// Builds **one** read-only agent from `snapshot`
 /// ([`XrlflowAgent::from_snapshot`]; its forward pass is bit-identical to the
 /// agent the snapshot was captured from) and lends it to every worker; each
@@ -320,9 +297,9 @@ fn collect_round(
 /// episode indices assigned to it (`episode % num_workers == worker`).
 /// Results are merged **by episode index**, so the output is
 /// transition-for-transition bit-identical to the serial oracle
-/// `xrlflow_bench::oracle::collect_serial` over the same range and base
-/// seed, for any worker count — one worker runs the same supervised path
-/// inline.
+/// `xrlflow_bench::oracle::collect_curriculum_serial` over a one-entry
+/// curriculum, the same range and base seed, for any worker count — one
+/// worker runs the same supervised path inline.
 ///
 /// Supervised by the crate's one engine (see the crate docs): a panicking
 /// episode is retried with identical seeds, hence identical transitions.
@@ -343,8 +320,7 @@ pub fn collect_parallel(
     num_workers: usize,
 ) -> Result<CollectedRollouts, RolloutError> {
     let agent = XrlflowAgent::from_snapshot(config, snapshot)?;
-    let schedule = episode_schedule(first_episode, num_episodes, base_seed);
-    let round = collect_round(&agent, &[spec], &schedule, num_workers)?;
+    let round = collect_round(&agent, &[spec], first_episode, num_episodes, base_seed, num_workers)?;
     Ok(CollectedRollouts {
         buffer: round.buffer,
         episodes: round.episodes.into_iter().map(|(_, _, stats)| stats).collect(),
@@ -537,6 +513,10 @@ impl ParallelTrainer {
     /// continues at the restored schedule position instead of episode 0
     /// (`episodes` still names the run's total).
     ///
+    /// A single spec is the one-entry curriculum: this lands on the same
+    /// episodes, updates and parameters as [`ParallelTrainer::train_curriculum`]
+    /// over a curriculum holding only `spec`.
+    ///
     /// With the same seed this produces bit-identical episodes, updates and
     /// final parameters for any worker count; [`TrainReport::timings`]
     /// records the wall-clock collection/update split per round so the
@@ -556,7 +536,7 @@ impl ParallelTrainer {
         spec: &EnvSpec,
         episodes: usize,
     ) -> Result<TrainReport, RolloutError> {
-        Ok(self.run_rounds(agent, &[spec], episodes, episode_schedule)?.0)
+        Ok(self.run_rounds(agent, &[spec], episodes)?.0)
     }
 
     /// Runs the multi-model curriculum training loop: per PPO round, collect
@@ -589,11 +569,7 @@ impl ParallelTrainer {
         if curriculum.is_empty() || episodes_per_spec == 0 {
             return Ok(TrainReport::default());
         }
-        let specs = curriculum.specs();
-        let (mut report, per_spec) =
-            self.run_rounds(agent, &specs, episodes_per_spec, |first, batch, base_seed| {
-                curriculum::curriculum_schedule(specs.len(), first, batch, base_seed)
-            })?;
+        let (mut report, per_spec) = self.run_rounds(agent, &curriculum.specs(), episodes_per_spec)?;
         report.per_model = curriculum
             .entries()
             .iter()
@@ -605,10 +581,10 @@ impl ParallelTrainer {
 
     /// The PPO round loop shared by [`ParallelTrainer::train`] and
     /// [`ParallelTrainer::train_curriculum`], which differ only in `specs`
-    /// and the `schedule(first_episode, batch, base_seed)` they feed it: size
-    /// each batch by the update frequency, collect the batch's schedule
-    /// against the live agent through [`collect_round`], drive one
-    /// update over the merged buffer with the round's segments through
+    /// (one, or the curriculum's): size each batch of episodes per spec by
+    /// the update frequency, collect it against the live agent through
+    /// [`collect_round`], drive one update over the merged buffer with the
+    /// round's segments through
     /// [`update_parallel`] (bit-identical to the serial path at every worker
     /// count), record the wall-clock collect/update split with the update's
     /// worker count, and — when a checkpoint policy is installed — write a
@@ -622,7 +598,6 @@ impl ParallelTrainer {
         agent: &mut XrlflowAgent,
         specs: &[&EnvSpec],
         episodes: usize,
-        schedule: impl Fn(u64, usize, u64) -> Schedule,
     ) -> Result<(TrainReport, Vec<Vec<EpisodeStats>>), RolloutError> {
         let mut report = TrainReport::default();
         let mut per_spec = vec![Vec::new(); specs.len()];
@@ -636,8 +611,14 @@ impl ParallelTrainer {
             let collect_start = Instant::now();
             let mut round = {
                 let _span = xrlflow_obs::span!("rollout/collect");
-                let schedule = schedule(next_episode as u64, batch, self.trainer.base_seed());
-                collect_round(agent, specs, &schedule, num_workers)?
+                collect_round(
+                    agent,
+                    specs,
+                    next_episode as u64,
+                    batch,
+                    self.trainer.base_seed(),
+                    num_workers,
+                )?
             };
             let collect_ms = collect_start.elapsed().as_secs_f64() * 1e3;
             let (sim_after_ns, candgen_after_ns) = collect_phase_breakdown_ns();
@@ -760,12 +741,5 @@ mod tests {
         wider.encoder.hidden_dim *= 2;
         let snapshot = XrlflowAgent::new(&wider, 0).snapshot();
         assert!(collect_parallel(&config, &snapshot, &spec, 0, 2, 0, 2).is_err());
-    }
-
-    #[test]
-    fn episode_rng_seeds_are_stable_and_distinct() {
-        assert_eq!(episode_rng_seed(7, 3), episode_rng_seed(7, 3));
-        let seeds: std::collections::HashSet<u64> = (0..64).map(|e| episode_rng_seed(123, e)).collect();
-        assert_eq!(seeds.len(), 64, "adjacent episodes must get decorrelated RNG seeds");
     }
 }

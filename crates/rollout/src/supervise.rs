@@ -1,5 +1,5 @@
 //! The one supervised fan-out engine: every phase that fans work out —
-//! episode collection, curriculum collection, the data-parallel PPO update —
+//! episode collection (one spec or a curriculum), the data-parallel PPO update —
 //! is one [`run_items`] call. **New phases call [`run_items`]; never hand-roll
 //! a scoped-thread pool or an unwind catcher next to it** (CI greps for a
 //! second one). The contract callers get:

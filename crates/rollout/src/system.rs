@@ -4,7 +4,9 @@
 //!
 //! Training goes through [`ParallelTrainer::train`] like every other caller,
 //! so the paper's figures run on the supervised pool (`XRLFLOW_WORKERS`,
-//! retry on worker panics) under the differential-tested seed schedule.
+//! retry on worker panics) under the one differential-tested seed schedule:
+//! training on one graph is training on a one-entry curriculum, and lands on
+//! the parameters `train_curriculum` would over that curriculum.
 //!
 //! The generalisation protocol: X-RLflow is trained against one fixed input
 //! tensor shape and then reused, without retraining, on the same

@@ -5,15 +5,15 @@
 //! lock), so scheduled faults can never leak between concurrently running
 //! tests. The core claims under test:
 //!
-//! * a run with injected panics in any phase — collect, curriculum collect,
-//!   parallel update — retries deterministically and lands **bit-identical**
-//!   to a fault-free run, at 1, 2 and 4 workers;
+//! * a run with injected panics in any phase — collect (one spec or a
+//!   curriculum), parallel update — retries deterministically and lands
+//!   **bit-identical** to a fault-free run, at 1, 2 and 4 workers;
 //! * a work item that keeps panicking past the retry budget surfaces as the
 //!   typed `RolloutError::WorkerFault`, never a process abort;
 //! * every injected fault is counted (`rollout/worker_panics`,
 //!   `rollout/item_retries`).
 
-use xrlflow_bench::oracle::{collect_curriculum_serial, collect_serial};
+use xrlflow_bench::oracle::collect_curriculum_serial;
 use xrlflow_core::fault::{pending_faults, FaultPhase, FaultPlan};
 use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
@@ -40,6 +40,11 @@ fn smoke_curriculum(config: &XrlflowConfig) -> Curriculum {
         config.env.clone(),
     )
     .unwrap()
+}
+
+/// The one-entry curriculum a single spec's serial oracle collects over.
+fn one_entry(spec: &EnvSpec) -> Curriculum {
+    Curriculum::new().with_entry("SqueezeNet", spec.clone())
 }
 
 fn probe() -> Graph {
@@ -70,7 +75,7 @@ fn collect_faults_retry_bit_identically_at_1_2_4_workers() {
 
     let baseline = {
         let _quiet = FaultPlan::new().install();
-        collect_serial(&agent, &spec, 0, 4, 99)
+        collect_curriculum_serial(&agent, &one_entry(&spec), 0, 4, 99)
     };
 
     for workers in [1usize, 2, 4] {
@@ -88,7 +93,7 @@ fn collect_faults_retry_bit_identically_at_1_2_4_workers() {
         let label = format!("{workers} workers under collect faults");
         assert_buffers_identical(&baseline.buffer, &collected.buffer, &label);
         assert_eq!(baseline.episodes.len(), collected.episodes.len(), "{label}: episode counts differ");
-        for (ea, eb) in baseline.episodes.iter().zip(&collected.episodes) {
+        for (ea, eb) in baseline.episodes.iter().map(|e| &e.stats).zip(&collected.episodes) {
             assert_eq!(ea.total_reward.to_bits(), eb.total_reward.to_bits(), "{label}: reward differs");
             assert_eq!(ea.applied_rules, eb.applied_rules, "{label}: applied rules differ");
         }
@@ -109,8 +114,8 @@ fn curriculum_faults_retry_bit_identically_at_1_2_4_workers() {
 
     for workers in [1usize, 2, 4] {
         let guard = FaultPlan::new()
-            .panic_on(FaultPhase::CurriculumCollect, curriculum_fault_item(0, 1), 0)
-            .panic_on(FaultPhase::CurriculumCollect, curriculum_fault_item(1, 0), 0)
+            .panic_on(FaultPhase::Collect, curriculum_fault_item(0, 1), 0)
+            .panic_on(FaultPhase::Collect, curriculum_fault_item(1, 0), 0)
             .install();
         let collected =
             collect_curriculum_parallel(&config, &snapshot, &curriculum, 0, 2, 99, workers).unwrap();
@@ -138,7 +143,7 @@ fn update_faults_retry_bit_identically_at_1_2_4_workers() {
     let agent = XrlflowAgent::new(&config, 5);
     let rollouts = {
         let _quiet = FaultPlan::new().install();
-        collect_serial(&agent, &spec, 0, 3, 42)
+        collect_curriculum_serial(&agent, &one_entry(&spec), 0, 3, 42)
     };
     let probe = probe();
 
@@ -207,7 +212,7 @@ fn end_to_end_training_with_faults_in_every_phase_is_bit_identical() {
         assert!(bits_equal, "{workers}-worker faulty single-model run diverges from fault-free run");
 
         let guard = FaultPlan::new()
-            .panic_on(FaultPhase::CurriculumCollect, curriculum_fault_item(1, 1), 0)
+            .panic_on(FaultPhase::Collect, curriculum_fault_item(1, 1), 0)
             .panic_on(FaultPhase::Update, 1, 0)
             .install();
         let params = train_multi(workers);

@@ -1,12 +1,12 @@
 //! The supervised pool against the serial oracles of `xrlflow_bench::oracle`:
-//! episode collection (one spec and a curriculum) and the data-parallel PPO
-//! update are bit-identical to their supervision-free serial forms at 1, 2
-//! and 4 workers. An integration test because the oracles live in
+//! episode collection (one spec — the one-entry curriculum — and a
+//! curriculum) and the data-parallel PPO update are bit-identical to their
+//! supervision-free serial forms at 1, 2 and 4 workers. An integration test because the oracles live in
 //! `xrlflow-bench`, which depends on this crate.
 
 use std::ops::Range;
 
-use xrlflow_bench::oracle::{collect_curriculum_serial, collect_serial, minibatch_grads_serial};
+use xrlflow_bench::oracle::{collect_curriculum_serial, minibatch_grads_serial};
 use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_env::Observation;
@@ -20,6 +20,11 @@ use xrlflow_rollout::{
 fn smoke_spec(config: &XrlflowConfig) -> EnvSpec {
     let graph = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap();
     EnvSpec::new(graph, RuleSet::standard(), DeviceProfile::gtx1080(), config.env.clone())
+}
+
+/// The one-entry curriculum a single spec's serial oracle collects over.
+fn one_entry(spec: &EnvSpec) -> Curriculum {
+    Curriculum::new().with_entry("SqueezeNet", spec.clone())
 }
 
 fn smoke_curriculum(config: &XrlflowConfig) -> Curriculum {
@@ -121,7 +126,7 @@ fn parallel_collection_is_bit_identical_to_serial_for_1_2_4_workers() {
     let episodes = 4;
     let base_seed = 99;
 
-    let serial = collect_serial(&agent, &spec, 0, episodes, base_seed);
+    let serial = collect_curriculum_serial(&agent, &one_entry(&spec), 0, episodes, base_seed);
     assert_eq!(serial.episodes.len(), episodes);
 
     for workers in [1usize, 2, 4] {
@@ -129,7 +134,7 @@ fn parallel_collection_is_bit_identical_to_serial_for_1_2_4_workers() {
         let label = format!("{workers} workers");
         assert_transitions_identical(&serial.buffer, &parallel.buffer, &label);
         assert_eq!(serial.episodes.len(), parallel.episodes.len(), "{label}: episode counts differ");
-        for (ea, eb) in serial.episodes.iter().zip(&parallel.episodes) {
+        for (ea, eb) in serial.episodes.iter().map(|e| &e.stats).zip(&parallel.episodes) {
             assert_eq!(ea.total_reward.to_bits(), eb.total_reward.to_bits(), "{label}: reward differs");
             assert_eq!(ea.steps, eb.steps, "{label}: step counts differ");
             assert_eq!(ea.applied_rules, eb.applied_rules, "{label}: applied rules differ");
@@ -152,14 +157,13 @@ fn parallel_collection_feeds_bit_identical_ppo_updates() {
     let agent = XrlflowAgent::new(&config, 5);
     let episodes = 3;
 
-    let serial = collect_serial(&agent, &spec, 0, episodes, 42);
+    let serial = collect_curriculum_serial(&agent, &one_entry(&spec), 0, episodes, 42);
     let parallel = collect_parallel(&config, &agent.snapshot(), &spec, 0, episodes, 42, 2).unwrap();
 
     let mut stats = Vec::new();
-    for rollouts in [serial, parallel] {
+    for mut buffer in [serial.buffer, parallel.buffer] {
         let mut trainer = Trainer::new(config.clone(), 7);
         let mut update_agent = XrlflowAgent::new(&config, 5);
-        let mut buffer = rollouts.buffer;
         stats.push(
             trainer
                 .update(&mut update_agent, &mut buffer, &[], &mut |agent, ctx| {
@@ -230,7 +234,7 @@ fn parallel_update_is_bit_identical_to_serial_for_1_2_4_workers() {
     let config = XrlflowConfig::smoke_test();
     let spec = smoke_spec(&config);
     let agent = XrlflowAgent::new(&config, 5);
-    let rollouts = collect_serial(&agent, &spec, 0, 3, 42);
+    let rollouts = collect_curriculum_serial(&agent, &one_entry(&spec), 0, 3, 42);
 
     let (serial_stats, serial_params) = run_update(&config, &rollouts.buffer, &[], None);
     for workers in [1usize, 2, 4] {
@@ -264,7 +268,7 @@ fn update_worker_count_is_clamped_to_the_batch() {
     let config = XrlflowConfig::smoke_test();
     let spec = smoke_spec(&config);
     let agent = XrlflowAgent::new(&config, 5);
-    let rollouts = collect_serial(&agent, &spec, 0, 2, 0);
+    let rollouts = collect_curriculum_serial(&agent, &one_entry(&spec), 0, 2, 0);
     // Far more workers than transitions per minibatch must not spawn
     // idle threads or panic, and must still match the oracle.
     let (serial_stats, serial_params) = run_update(&config, &rollouts.buffer, &[], None);

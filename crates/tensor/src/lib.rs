@@ -41,6 +41,6 @@ mod tensor;
 pub use fsio::{atomic_write, is_atomic_temp_file};
 pub use nn::{xavier_uniform, Linear, Mlp};
 pub use rng::{splitmix64, XorShiftRng};
-pub use snapshot::{ParamSnapshot, SnapshotError};
+pub use snapshot::{ByteReader, ParamSnapshot, SnapshotError};
 pub use tape::{Activation, Adam, GradBuffer, ParamId, ParamStore, RowRun, Tape, VarId};
 pub use tensor::Tensor;

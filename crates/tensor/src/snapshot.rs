@@ -135,7 +135,7 @@ impl ParamSnapshot {
     /// Returns [`SnapshotError::Format`] on bad magic, an unsupported
     /// version, truncation or trailing bytes.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let mut cursor = Cursor { bytes, pos: 0 };
+        let mut cursor = ByteReader::new(bytes, "snapshot");
         let magic = cursor.take(MAGIC.len())?;
         if magic != MAGIC {
             return Err(SnapshotError::Format("bad magic: not a snapshot file".to_string()));
@@ -185,12 +185,7 @@ impl ParamSnapshot {
                 raw.chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])).collect();
             entries.push((name, Tensor::from_vec(data, &shape)));
         }
-        if cursor.pos != bytes.len() {
-            return Err(SnapshotError::Format(format!(
-                "{} trailing bytes after the last entry",
-                bytes.len() - cursor.pos
-            )));
-        }
+        cursor.finish("entry")?;
         Ok(Self { entries })
     }
 
@@ -249,21 +244,34 @@ pub(crate) fn check_layout<'a>(
     Ok(())
 }
 
-/// Byte-slice cursor used by [`ParamSnapshot::from_bytes`].
-struct Cursor<'a> {
+/// A bounds-checked little-endian reader over untrusted bytes: the one
+/// cursor behind the workspace's binary parsers ([`ParamSnapshot::from_bytes`]
+/// and the `XRLFTRST` train-state parser). Every read that runs past the end
+/// is a [`SnapshotError::Format`] naming the format, never a panic.
+pub struct ByteReader<'a> {
     bytes: &'a [u8],
     pos: usize,
+    format: &'static str,
 }
 
-impl<'a> Cursor<'a> {
-    fn remaining(&self) -> usize {
+impl<'a> ByteReader<'a> {
+    /// A reader at the start of `bytes`; `format` (e.g. `"snapshot"`) names
+    /// what is parsed in truncation errors.
+    pub fn new(bytes: &'a [u8], format: &'static str) -> Self {
+        Self { bytes, pos: 0, format }
+    }
+
+    /// Bytes not read yet.
+    pub fn remaining(&self) -> usize {
         self.bytes.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
+    /// The next `n` bytes, or a truncation error.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
         if n > self.remaining() {
             return Err(SnapshotError::Format(format!(
-                "truncated snapshot: needed {n} bytes at offset {}, file has {}",
+                "truncated {}: needed {n} bytes at offset {}, file has {}",
+                self.format,
                 self.pos,
                 self.bytes.len()
             )));
@@ -273,9 +281,23 @@ impl<'a> Cursor<'a> {
         Ok(out)
     }
 
-    fn u32(&mut self) -> Result<u32, SnapshotError> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+    /// The next little-endian `u32`, or a truncation error.
+    pub fn u32(&mut self) -> Result<u32, SnapshotError> {
+        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("took 4 bytes")))
+    }
+
+    /// The next little-endian `u64`, or a truncation error.
+    pub fn u64(&mut self) -> Result<u64, SnapshotError> {
+        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("took 8 bytes")))
+    }
+
+    /// Ends the parse: an error naming the bytes left after the last `what`
+    /// (e.g. `"entry"`) unless every byte was read.
+    pub fn finish(self, what: &str) -> Result<(), SnapshotError> {
+        match self.remaining() {
+            0 => Ok(()),
+            left => Err(SnapshotError::Format(format!("{left} trailing bytes after the last {what}"))),
+        }
     }
 }
 
