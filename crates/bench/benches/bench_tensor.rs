@@ -10,6 +10,8 @@
 //! gradient-buffer reuse primitives behind the PPO update's index-ordered
 //! merge; and one Adam step over the bench agent's parameters.
 
+use std::hint::black_box;
+
 use xrlflow_bench::{finish, iters_from_env, report, report_ratio, time_ns};
 use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_tensor::{Activation, Adam, GradBuffer, Mlp, ParamStore, Tape, Tensor, XorShiftRng};
@@ -194,27 +196,19 @@ fn main() {
         }
     }
 
-    // The PPO update's gradient-buffer primitives: allocating a buffer per
-    // transition vs zero-filling a pooled one, and the position-ordered merge.
-    println!("\n== gradient buffers: pooling and merge ==");
-    let alloc = time_ns(2, iters, || GradBuffer::zeros_like(&store).norm());
+    // The PPO update's gradient-buffer primitives, each timed alone:
+    // allocating (and dropping) a buffer per transition against zero-filling
+    // a reused one, and the position-ordered merge.
+    println!("\n== gradient buffers: reuse and merge ==");
+    let alloc = time_ns(2, iters, || GradBuffer::zeros_like(&store));
     let mut pooled = GradBuffer::zeros_like(&store);
-    let zero_fill = time_ns(2, iters, || {
-        pooled.zero_fill();
-        pooled.norm()
-    });
+    let zero_fill = time_ns(2, iters, || black_box(&mut pooled).zero_fill());
     report("grad_buffer/zeros_like", alloc);
     report("grad_buffer/zero_fill", zero_fill);
     report_ratio("grad_buffer/zero_fill_speedup", alloc / zero_fill);
     let mut merged = GradBuffer::zeros_like(&store);
     let contribution = GradBuffer::zeros_like(&store);
-    report(
-        "grad_buffer/merge",
-        time_ns(2, iters, || {
-            merged.merge(&contribution);
-            merged.norm()
-        }),
-    );
+    report("grad_buffer/merge", time_ns(2, iters, || black_box(&mut merged).merge(&contribution)));
 
     // One optimiser step, as the PPO update takes after every minibatch: a
     // store laid out like the bench agent's (same names and shapes, its

@@ -14,7 +14,9 @@
 //!
 //! Per model it also splits one transition's gradient into its forward and
 //! backward halves (`update/transition/{forward_us,backward_us}`), so the
-//! backward : forward ratio is tracked.
+//! backward : forward ratio is tracked, and times the whole of it — the
+//! update's unit, `transition_grad_into` — on a warm recycled tape
+//! (`update/transition/recycled_us`).
 //!
 //! Knobs: `XRLFLOW_ITERS` (timed repetitions), `XRLFLOW_MAX_CANDIDATES`
 //! (action-space bound), `XRLFLOW_UPDATE_EPISODES` (episodes collected into
@@ -24,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use xrlflow_bench::oracle::collect_curriculum_serial;
 use xrlflow_bench::{env_usize, finish, iters_from_env, report, time_ns};
-use xrlflow_core::{Trainer, XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{transition_grad_into, Trainer, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
 use xrlflow_rewrite::RuleSet;
@@ -97,6 +99,21 @@ fn main() {
         report(&format!("update/transition/forward_us/{}", kind.name()), forward_ns);
         report(&format!("update/transition/backward_us/{}", kind.name()), backward_ns);
         println!("{:<44} {:>11.2}", "  backward : forward", backward_ns / forward_ns);
+
+        // The update's unit of work on the same tape and buffer, warm: one
+        // transition's `transition_grad_into` (recycle, evaluation, PPO loss,
+        // reverse walk) refilling the storage of the passes before it.
+        let transitions = rollouts.buffer.transitions();
+        let inv = 1.0 / transitions.len() as f32;
+        let per_buffer = time_ns(1, iters, || {
+            for transition in transitions {
+                transition_grad_into(&agent, transition, 0.5, 1.0, &config.ppo, inv, &mut tape, &mut grads);
+            }
+        });
+        report(
+            &format!("update/transition/recycled_us/{}", kind.name()),
+            per_buffer / transitions.len() as f64,
+        );
         println!();
     }
 

@@ -45,6 +45,8 @@
 //! re-adding the prefix the two share. Both keep the serial encoder's
 //! summation order, row for row.
 
+use std::cell::RefCell;
+
 use xrlflow_tensor::{
     xavier_uniform, Activation, Linear, ParamId, ParamStore, RowRun, Tape, Tensor, VarId, XorShiftRng,
 };
@@ -257,10 +259,12 @@ impl LayerPlan {
 
 /// The host-side scratch of one delta-aware pass, and what the pass leaves
 /// behind for [`EncoderEpisode::advance`]. An episode keeps one across its
-/// steps so no vector is re-allocated per step;
-/// [`GnnEncoder::encode_candidates`] uses a fresh one per call.
+/// steps and [`GnnEncoder::encode_candidates`] one per thread
+/// ([`CANDIDATES_SCRATCH`]), so no vector is re-allocated per pass.
 #[derive(Debug, Default)]
 struct PassScratch {
+    /// The node-update rows' operator indices.
+    ops: Vec<usize>,
     /// Per candidate, where its dirty rows start in the block being read.
     first_slot: Vec<usize>,
     /// `first_slot` as it stood going into each GAT layer and, last, into the
@@ -291,6 +295,15 @@ struct PassScratch {
     base_rows: usize,
 }
 
+thread_local! {
+    /// [`GnnEncoder::encode_candidates`]' scratch on this thread: its callers
+    /// (the update's transition re-evaluations, one-step decisions) hold only
+    /// a tape, which keeps the pass's tensors, so the plan vectors are kept
+    /// here. Every pass overwrites what it reads; one thread's scratch holds
+    /// the plan of the largest graph it has encoded.
+    static CANDIDATES_SCRATCH: RefCell<PassScratch> = RefCell::default();
+}
+
 /// One candidate's slice of [`PassScratch::regions`].
 fn region_of<'a>(regions: &'a [(u32, u32)], ends: &[usize], candidate: usize) -> &'a [(u32, u32)] {
     let start = if candidate == 0 { 0 } else { ends[candidate - 1] };
@@ -318,13 +331,13 @@ struct CarriedRows {
 /// A constant leaf holding `prefix` followed by the rows of `suffix`.
 fn constant_in_front(tape: &mut Tape, prefix: &[f32], suffix: Option<VarId>, cols: usize) -> VarId {
     let suffix_len = suffix.map_or(0, |suffix| tape.value(suffix).numel());
-    let mut data = Vec::with_capacity(prefix.len() + suffix_len);
-    data.extend_from_slice(prefix);
-    if let Some(suffix) = suffix {
-        data.extend_from_slice(tape.value(suffix).data());
-    }
-    let rows = data.len() / cols;
-    tape.constant(Tensor::from_vec(data, &[rows, cols]))
+    let rows = (prefix.len() + suffix_len) / cols;
+    tape.constant_with(&[rows, cols], |tape, data| {
+        data.extend_from_slice(prefix);
+        if let Some(suffix) = suffix {
+            data.extend_from_slice(tape.value(suffix).data());
+        }
+    })
 }
 
 /// Replaces `out` with the chosen candidate's rows of `source` — a
@@ -540,7 +553,8 @@ impl GnnEncoder {
         current: &GraphFeatures,
         deltas: &[CandidateDelta],
     ) -> VarId {
-        self.encode_deltas(tape, store, current, deltas, None, &mut PassScratch::default())
+        CANDIDATES_SCRATCH
+            .with_borrow_mut(|scratch| self.encode_deltas(tape, store, current, deltas, None, scratch))
     }
 
     /// [`GnnEncoder::encode_candidates`] for one step of an episode —
@@ -602,6 +616,7 @@ impl GnnEncoder {
         // dirty rows, of which there may be none.
         let computes = |rows: usize| carried.is_none() || rows > 0;
         let PassScratch {
+            ops,
             first_slot,
             input_slots,
             level,
@@ -635,9 +650,11 @@ impl GnnEncoder {
         let mut block = computes(input_rows).then(|| {
             let base_inputs = if carried.is_none() { &current.node_inputs[..] } else { &[] };
             let added_inputs = deltas.iter().flat_map(|delta| delta.added.iter().map(|added| &added.input));
-            let (incoming, ops) = NodeInput::columns(base_inputs.iter().chain(added_inputs), input_rows);
-            let incoming = tape.constant(incoming);
-            self.node_update.forward_lookup(tape, store, incoming, &ops)
+            let inputs = base_inputs.iter().chain(added_inputs);
+            ops.clear();
+            let incoming =
+                tape.constant_with(&[input_rows, 4], |_, data| NodeInput::columns(inputs, data, ops));
+            self.node_update.forward_lookup(tape, store, incoming, ops)
         });
 
         // Each candidate's dirty base rows over the whole stack, found once.
@@ -791,7 +808,8 @@ impl GnnEncoder {
             push_run(first_slot + region.len(), delta.added.len(), k + 1);
         }
         let summed = tape.sum_row_runs(h, runs, deltas.len() + 1);
-        let global0 = tape.constant(Tensor::zeros(&[deltas.len() + 1, self.config.hidden_dim]));
+        let graphs = deltas.len() + 1;
+        let global0 = tape.constant_with(&[graphs, hidden], |_, data| data.resize(graphs * hidden, 0.0));
         let readout_in = tape.concat_cols(summed, global0);
         self.global_update.forward(tape, store, readout_in)
     }

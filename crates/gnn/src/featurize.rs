@@ -36,6 +36,7 @@
 use std::ops::Range;
 
 use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, PatchRef, TensorShape};
+#[cfg(test)]
 use xrlflow_tensor::Tensor;
 
 /// The edge-attribute normalisation constant `M` from Table 4.
@@ -84,22 +85,21 @@ impl NodeInput {
         }
     }
 
-    /// What the node-update layer reads of `rows` inputs, in order — base
-    /// rows and added rows alike: the `[rows, 4]` summed incoming edge
-    /// attributes and each row's operator index, the hot column of its
-    /// one-hot, which [`xrlflow_tensor::Tape::matmul_lookup`] reads instead
-    /// of a `[rows, NODE_INPUT_WIDTH]` `[incoming ‖ one-hot]` matrix.
+    /// What the node-update layer reads of some inputs, in order — base
+    /// rows and added rows alike — appended to `incoming` and `ops`: the
+    /// summed incoming edge attributes (4 per row) and each row's operator
+    /// index, the hot column of its one-hot, which
+    /// [`xrlflow_tensor::Tape::matmul_lookup`] reads instead of a
+    /// `[rows, NODE_INPUT_WIDTH]` `[incoming ‖ one-hot]` matrix.
     pub(crate) fn columns<'a>(
         inputs: impl IntoIterator<Item = &'a NodeInput>,
-        rows: usize,
-    ) -> (Tensor, Vec<usize>) {
-        let mut incoming = Vec::with_capacity(rows * 4);
-        let mut ops = Vec::with_capacity(rows);
+        incoming: &mut Vec<f32>,
+        ops: &mut Vec<usize>,
+    ) {
         for input in inputs {
             incoming.extend_from_slice(&input.incoming);
             ops.push(input.op as usize);
         }
-        (Tensor::from_vec(incoming, &[rows, 4]), ops)
     }
 }
 

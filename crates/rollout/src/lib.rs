@@ -133,6 +133,7 @@ pub use curriculum::{
 pub use error::RolloutError;
 pub use system::{run_generalization, GeneralizationPoint, GeneralizationReport, XrlflowSystem};
 pub use update::{minibatch_grads_parallel, update_parallel};
+use update::{update_with, UpdateScratch};
 
 use std::ops::Range;
 use std::path::PathBuf;
@@ -414,6 +415,9 @@ pub struct ParallelTrainer {
     num_workers: usize,
     checkpointing: Option<CheckpointConfig>,
     resume_episode: u64,
+    /// The update's tapes and gradient buffers, kept warm from round to
+    /// round.
+    update_scratch: UpdateScratch,
 }
 
 impl ParallelTrainer {
@@ -428,6 +432,7 @@ impl ParallelTrainer {
             num_workers,
             checkpointing: CheckpointConfig::from_env(),
             resume_episode: 0,
+            update_scratch: UpdateScratch::default(),
         }
     }
 
@@ -631,7 +636,8 @@ impl ParallelTrainer {
             let update_start = Instant::now();
             let stats = {
                 let _span = xrlflow_obs::span!("rollout/update");
-                update_parallel(&mut self.trainer, agent, &mut round.buffer, &round.segments, num_workers)?
+                let (trainer, scratch) = (&mut self.trainer, &self.update_scratch);
+                update_with(trainer, agent, &mut round.buffer, &round.segments, num_workers, scratch)?
             };
             report.updates.push(stats);
             let update_ms = update_start.elapsed().as_secs_f64() * 1e3;

@@ -13,8 +13,10 @@
 //!   w + 2W, …` in ascending order, metered by [`PoolMeter`]. What `W` is
 //!   never changes a result (see **Order**).
 //! * **State.** Each thread builds its own scratch `S` through `make_state`
-//!   (environments, a tape …) lazily, before its first item, and
-//!   reuses it across its items. Building it cannot fail, and it never holds
+//!   (a collector's environments …) lazily, before its first item, and
+//!   reuses it across its items; scratch that outlives one call (the
+//!   update's tapes) is lent to an item by the caller instead, and a
+//!   panicking item drops what it borrowed. Building it cannot fail, and it never holds
 //!   an agent: `run` closures borrow the caller's live `&XrlflowAgent`
 //!   across the scoped-thread boundary, while everything that mutates
 //!   parameters happens on the calling thread *between* `run_items` calls

@@ -15,12 +15,17 @@
 //!
 //! ## Storage
 //!
-//! Every op allocates its output, and [`Tape::recycle`] drops the values
-//! and keeps only the node list's capacity. There is no buffer pool: one
-//! that reused buffers across passes bought a few percent at most end to
-//! end (less than the runs' own spread; ROADMAP, "Rent"), held more memory,
-//! and grew by one buffer per pass whenever a caller built a constant in a
-//! fresh `Vec`.
+//! A recycled tape replays the same op sequence, so it keeps its storage by
+//! node position: the node recorded at position `i` refills the value
+//! buffer position `i` kept from earlier passes (zeroed only where the op
+//! accumulates into it), its reverse-walk arm builds its gradient
+//! contributions and kernel scratch in buffers position `i` keeps for that,
+//! and every index list goes into one per-pass list that [`Tape::recycle`]
+//! clears. Taking and handing back a buffer is a move — no search, no pool
+//! to grow: a position keeps the largest buffer a pass has needed there
+//! (rounded up to a power of two, so a slightly larger pass still fits), and
+//! a constant copies its values into that storage instead of lending the
+//! tape a `Vec`. Once warm, a pass goes through `malloc` for nothing large.
 //!
 //! ## The reverse walk
 //!
@@ -40,7 +45,8 @@
 //! followed by [`Tape::scale`].
 
 use crate::snapshot::{check_layout, ParamSnapshot, SnapshotError};
-use crate::tensor::{edge_dots, Tensor};
+use crate::tensor::{cleared, edge_dots, zeroed, Tensor};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Identifier of a value on a [`Tape`].
@@ -559,7 +565,7 @@ enum Op {
     MatMulLookup {
         a: VarId,
         w: VarId,
-        classes: Vec<usize>,
+        classes: Range<usize>,
     },
     Act(VarId, Activation),
     Exp(VarId),
@@ -567,23 +573,23 @@ enum Op {
     #[cfg(test)]
     SumRows(VarId),
     ConcatCols(VarId, VarId),
-    GatherRows(VarId, Vec<usize>),
+    GatherRows(VarId, Range<usize>),
     #[cfg(test)]
-    ScatterAddRows(VarId, Vec<usize>),
-    SegmentSoftmax(VarId, Vec<usize>, usize),
+    ScatterAddRows(VarId, Range<usize>),
+    SegmentSoftmax(VarId, Range<usize>, usize),
     Transpose(VarId),
     /// `out[dst[i]] += a[src[i]] * scale[i]`, see
     /// [`Tape::gather_scatter_rows`].
     GatherScatterRows {
         a: VarId,
         scale: VarId,
-        src: Vec<usize>,
-        dst: Vec<usize>,
+        src: Range<usize>,
+        dst: Range<usize>,
     },
     /// `out[segment] += a[start..start + len]` per run, see
     /// [`Tape::sum_row_runs`]; the runs flattened to `[start, len, segment]`
     /// triples.
-    SumRowRuns(VarId, Vec<usize>),
+    SumRowRuns(VarId, Range<usize>),
     LogSoftmaxRow(VarId),
     Pick(VarId, usize),
     Clamp(VarId, f32, f32),
@@ -622,10 +628,11 @@ impl Op {
     }
 }
 
-/// A node's forward value: either a tensor the tape owns (op outputs,
-/// constants — dropped by [`Tape::recycle`]) or a shared reference to a
-/// [`ParamStore`] tensor (parameter leaves — imported with one refcount bump
-/// instead of a deep clone).
+/// A node's forward value: either a tensor the tape owns (op outputs and
+/// constants, in storage the node's position keeps between passes) or a
+/// shared reference to a [`ParamStore`] tensor (parameter leaves — imported
+/// with one refcount bump instead of a deep clone, and released by
+/// [`Tape::recycle`]).
 #[derive(Debug, Clone)]
 enum Value {
     Owned(Tensor),
@@ -659,19 +666,114 @@ fn value_of(nodes: &[Node], id: VarId) -> &Tensor {
     nodes[id.0].value.tensor()
 }
 
+/// The reverse-walk buffer slots of a node position: the contributions its
+/// arm hands its first and second input, a kernel's scratch, and — at the
+/// loss — the seed gradient.
+const FIRST: usize = 0;
+const SECOND: usize = 1;
+const SCRATCH: usize = 2;
+const SEED: usize = 3;
+
+/// What one node position keeps between passes: the storage of the value
+/// of the node recorded there, and the reverse walk's buffers for that
+/// node's arm ([`FIRST`], [`SECOND`], [`SCRATCH`], [`SEED`]). Each buffer is
+/// taken when its position needs it and handed back when the pass (or the
+/// walk) is done with it.
+#[derive(Debug, Default)]
+struct Kept {
+    value: Vec<f32>,
+    walk: [Vec<f32>; 4],
+}
+
+/// A gradient on the reverse walk, with the walk buffer its storage came
+/// from: `(node position, slot)`, where it goes back to.
+#[derive(Debug)]
+struct Grad {
+    tensor: Tensor,
+    home: (usize, usize),
+}
+
+/// The reverse walk's state: each node's pending gradient, and the kept
+/// buffers every gradient is built in and handed back to.
+struct Walk<'t> {
+    grads: &'t mut [Option<Grad>],
+    kept: &'t mut [Kept],
+}
+
+impl Walk<'_> {
+    /// Takes walk buffer `slot` of node position `node`.
+    fn take(&mut self, node: usize, slot: usize) -> Vec<f32> {
+        std::mem::take(&mut self.kept[node].walk[slot])
+    }
+
+    /// Hands `buffer` back as walk buffer `slot` of node position `node`.
+    fn put(&mut self, node: usize, slot: usize, buffer: Vec<f32>) {
+        self.kept[node].walk[slot] = buffer;
+    }
+
+    /// A gradient `build` writes into walk buffer `slot` of position `node`.
+    fn grad(&mut self, node: usize, slot: usize, build: impl FnOnce(Vec<f32>) -> Tensor) -> Grad {
+        Grad { tensor: build(self.take(node, slot)), home: (node, slot) }
+    }
+
+    /// Hands a gradient's storage back to the buffer it was built in.
+    fn hand_back(&mut self, grad: Grad) {
+        self.put(grad.home.0, grad.home.1, grad.tensor.into_data());
+    }
+
+    /// Adds one gradient contribution to a node's slot: the first is moved
+    /// in, later ones are added element-wise in place (`g[i] + x[i]`) and
+    /// their storage handed back.
+    fn accumulate(&mut self, id: VarId, contribution: Grad) {
+        match &mut self.grads[id.0] {
+            Some(g) => g.tensor.add_assign(&contribution.tensor),
+            slot @ None => {
+                *slot = Some(contribution);
+                return;
+            }
+        }
+        self.hand_back(contribution);
+    }
+}
+
+/// A `[1]` tensor holding `value`, in `data`'s storage.
+fn scalar_in(mut data: Vec<f32>, value: f32) -> Tensor {
+    cleared(&mut data, 1).push(value);
+    Tensor::from_vec(data, &[1])
+}
+
 /// Dynamic autodiff tape.
 ///
 /// Every method that takes `VarId` arguments appends a new node recording the
 /// operation and its forward value; [`Tape::backward_into`] later replays the
 /// tape in reverse to accumulate parameter gradients.
 ///
-/// Each op allocates its output (and the index list it records, if any);
-/// [`Tape::recycle`] drops every node and keeps only the node list's
-/// capacity. A tape holds no pool of spare buffers, so what it retains
-/// between passes is the last pass's values and nothing more.
+/// **Storage.** A tape keeps its buffers from one pass to the next, by node
+/// position: the node recorded at position `i` writes its value into the
+/// buffer position `i` kept from earlier passes, refilled in place and
+/// zeroed only where the op accumulates, and its arm of the reverse walk
+/// builds its gradient contributions and kernel scratch in buffers position
+/// `i` keeps for that; index lists share one list per pass. A buffer too
+/// small for the pass is replaced by one rounded up to a power of two.
+/// Because a recycled tape replays the same op sequence (only the shapes
+/// follow the graph), a warm pass allocates nothing large: the update's
+/// transition re-evaluations and an episode's policy steps stay out of
+/// `malloc`. What a tape retains is, per node position, the largest buffer
+/// a pass has needed there, rounded up — for passes of one op sequence
+/// whose shapes grow together, at most twice the storage of its largest
+/// pass — until the tape is dropped. A constant copies its values into that
+/// storage; a tape never adopts a caller's `Vec`.
 #[derive(Debug, Default)]
 pub struct Tape {
     nodes: Vec<Node>,
+    /// Per node position, what it keeps between passes; at least as long
+    /// as any pass has been.
+    kept: Vec<Kept>,
+    /// Every index list the pass's ops recorded, back to back (an op holds
+    /// the range of its own); cleared, not freed, by [`Tape::recycle`].
+    indices: Vec<usize>,
+    /// The reverse walk's pending gradient per node, kept for its capacity.
+    grads: Vec<Option<Grad>>,
 }
 
 impl Tape {
@@ -696,11 +798,15 @@ impl Tape {
     }
 
     /// Clears the tape for the next forward pass: every node's value and
-    /// index list is dropped, the node list keeps its capacity.
+    /// index list goes back to the storage its position keeps for the next
+    /// pass's node there, parameter leaves drop their reference, and the
+    /// node list keeps its capacity.
     ///
     /// Recycling is semantically identical to dropping the tape and calling
-    /// [`Tape::new`]. Shared parameter leaves just drop their refcount; the
-    /// [`ParamStore`] is untouched.
+    /// [`Tape::new`] — every op overwrites or zeroes what it reuses, so no
+    /// value of an earlier pass reaches a later one — but a recycled tape's
+    /// next pass reuses this one's storage (see [`Tape`]). Shared parameter
+    /// leaves just drop their refcount; the [`ParamStore`] is untouched.
     ///
     /// # Examples
     ///
@@ -716,7 +822,34 @@ impl Tape {
     /// }
     /// ```
     pub fn recycle(&mut self) {
-        self.nodes.clear();
+        for (node, kept) in self.nodes.drain(..).zip(&mut self.kept) {
+            if let Value::Owned(value) = node.value {
+                kept.value = value.into_data();
+            }
+        }
+        self.indices.clear();
+    }
+
+    /// The storage of the position the next node is recorded at.
+    fn next_kept(&mut self) -> &mut Kept {
+        let at = self.nodes.len();
+        if self.kept.len() <= at {
+            self.kept.resize_with(at + 1, Kept::default);
+        }
+        &mut self.kept[at]
+    }
+
+    /// The value buffer of the next node's position, taken to be refilled.
+    fn next_value(&mut self) -> Vec<f32> {
+        std::mem::take(&mut self.next_kept().value)
+    }
+
+    /// Records an op's index list after the pass's others, returning where
+    /// it sits.
+    fn record_indices(&mut self, list: impl IntoIterator<Item = usize>) -> Range<usize> {
+        let start = self.indices.len();
+        self.indices.extend(list);
+        start..self.indices.len()
     }
 
     fn push(&mut self, op: Op, value: Tensor) -> VarId {
@@ -725,9 +858,40 @@ impl Tape {
         VarId(self.nodes.len() - 1)
     }
 
-    /// Adds a constant (non-trainable) leaf, taking ownership of the tensor.
+    /// Adds a constant (non-trainable) leaf holding a copy of `value`'s
+    /// elements.
     pub fn constant(&mut self, value: Tensor) -> VarId {
-        self.push(Op::Constant, value)
+        self.constant_with(value.shape(), |_, data| data.extend_from_slice(value.data()))
+    }
+
+    /// Adds a constant leaf of shape `shape` whose elements `fill` pushes
+    /// into the (empty) storage the tape keeps for it, reading the tape as
+    /// it stands if it needs to — how a caller builds a constant without a
+    /// `Vec` of its own.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use xrlflow_tensor::{Tape, Tensor};
+    ///
+    /// let mut tape = Tape::new();
+    /// let x = tape.constant(Tensor::from_vec(vec![1.0, 2.0], &[1, 2]));
+    /// // `[0, 0]` stacked over `x`'s row.
+    /// let stacked = tape.constant_with(&[2, 2], |tape, data| {
+    ///     data.extend_from_slice(&[0.0, 0.0]);
+    ///     data.extend_from_slice(tape.value(x).data());
+    /// });
+    /// assert_eq!(tape.value(stacked).data(), &[0.0, 0.0, 1.0, 2.0]);
+    /// ```
+    ///
+    /// # Panics
+    ///
+    /// Panics when `fill` pushes other than `shape`'s number of elements.
+    pub fn constant_with(&mut self, shape: &[usize], fill: impl FnOnce(&Tape, &mut Vec<f32>)) -> VarId {
+        let mut data = self.next_value();
+        cleared(&mut data, shape.iter().product());
+        fill(self, &mut data);
+        self.push(Op::Constant, Tensor::from_vec(data, shape))
     }
 
     /// `[m, k, n]` of every matrix product recorded since the last
@@ -755,13 +919,15 @@ impl Tape {
 
     /// Records an element-wise binary op.
     fn binary_zip(&mut self, op: Op, a: VarId, b: VarId, f: impl Fn(f32, f32) -> f32) -> VarId {
-        let t = value_of(&self.nodes, a).zip(value_of(&self.nodes, b), f);
+        let data = self.next_value();
+        let t = value_of(&self.nodes, a).zip_into(value_of(&self.nodes, b), f, data);
         self.push(op, t)
     }
 
     /// Records an element-wise unary op.
     fn unary_map(&mut self, op: Op, a: VarId, f: impl Fn(f32) -> f32) -> VarId {
-        let t = value_of(&self.nodes, a).map(f);
+        let data = self.next_value();
+        let t = value_of(&self.nodes, a).map_into(f, data);
         self.push(op, t)
     }
 
@@ -788,15 +954,16 @@ impl Tape {
     /// followed by [`Tape::activate`] performs — so fusing changes no bits,
     /// it only removes one full intermediate materialisation per dense layer.
     pub fn add_bias_act(&mut self, a: VarId, bias: VarId, act: Activation) -> VarId {
+        let mut data = self.next_value();
         let av = value_of(&self.nodes, a);
         let bv = value_of(&self.nodes, bias);
         let (rows, cols) = (av.rows(), av.cols());
         assert_eq!(bv.numel(), cols, "bias size must equal number of columns");
-        let mut data = Vec::with_capacity(rows * cols);
+        let out = cleared(&mut data, rows * cols);
         with_activation!(act, |f| {
             for r in 0..rows {
                 let a_row = &av.data()[r * cols..(r + 1) * cols];
-                data.extend(a_row.iter().zip(bv.data()).map(|(&x, &b)| f(x + b)));
+                out.extend(a_row.iter().zip(bv.data()).map(|(&x, &b)| f(x + b)));
             }
         });
         let t = Tensor::from_vec(data, &[rows, cols]);
@@ -816,7 +983,8 @@ impl Tape {
     /// Matrix multiplication of rank-2 variables (the tiled
     /// [`Tensor::matmul`] kernel).
     pub fn matmul(&mut self, a: VarId, b: VarId) -> VarId {
-        let t = value_of(&self.nodes, a).matmul(value_of(&self.nodes, b));
+        let data = self.next_value();
+        let t = value_of(&self.nodes, a).matmul_into(value_of(&self.nodes, b), data);
         self.push(Op::MatMul(a, b), t)
     }
 
@@ -853,8 +1021,10 @@ impl Tape {
     /// has no weight row.
     pub fn matmul_lookup(&mut self, a: VarId, classes: &[usize], w: VarId) -> VarId {
         assert!(!self.nodes[a.0].needs_grad, "matmul_lookup's attributes must need no gradient");
-        let t = value_of(&self.nodes, a).matmul_lookup(classes, value_of(&self.nodes, w));
-        self.push(Op::MatMulLookup { a, w, classes: classes.to_vec() }, t)
+        let list = self.record_indices(classes.iter().copied());
+        let data = self.next_value();
+        let t = value_of(&self.nodes, a).matmul_lookup(classes, value_of(&self.nodes, w), data);
+        self.push(Op::MatMulLookup { a, w, classes: list }, t)
     }
 
     /// Applies `act` element-wise.
@@ -869,32 +1039,37 @@ impl Tape {
 
     /// Sum of all elements, producing a scalar.
     pub fn sum_all(&mut self, a: VarId) -> VarId {
+        let data = self.next_value();
         let v = value_of(&self.nodes, a).sum();
-        self.push(Op::SumAll(a), Tensor::scalar(v))
+        self.push(Op::SumAll(a), scalar_in(data, v))
     }
 
     /// Concatenates two matrices with equal row counts along the column axis.
     pub fn concat_cols(&mut self, a: VarId, b: VarId) -> VarId {
-        let t = Tensor::concat_cols(&[value_of(&self.nodes, a), value_of(&self.nodes, b)]);
+        let data = self.next_value();
+        let t = Tensor::concat_cols_into(&[value_of(&self.nodes, a), value_of(&self.nodes, b)], data);
         self.push(Op::ConcatCols(a, b), t)
     }
 
     /// Gathers rows of a matrix by index (rows may repeat).
     pub fn gather_rows(&mut self, a: VarId, indices: &[usize]) -> VarId {
+        let list = self.record_indices(indices.iter().copied());
+        let mut data = self.next_value();
         let av = value_of(&self.nodes, a);
         let cols = av.cols();
-        let mut out = Vec::with_capacity(indices.len() * cols);
+        let out = cleared(&mut data, indices.len() * cols);
         for &idx in indices {
             out.extend_from_slice(&av.data()[idx * cols..(idx + 1) * cols]);
         }
-        let t = Tensor::from_vec(out, &[indices.len(), cols]);
-        self.push(Op::GatherRows(a, indices.to_vec()), t)
+        let t = Tensor::from_vec(data, &[indices.len(), cols]);
+        self.push(Op::GatherRows(a, list), t)
     }
 
     /// Transposes a rank-2 variable, turning `[m, n]` into `[n, m]` (used to
     /// reshape a batched `[K, 1]` score column into a `[1, K]` logit row).
     pub fn transpose(&mut self, a: VarId) -> VarId {
-        let t = value_of(&self.nodes, a).transpose();
+        let data = self.next_value();
+        let t = value_of(&self.nodes, a).transpose_into(data);
         self.push(Op::Transpose(a), t)
     }
 
@@ -902,12 +1077,19 @@ impl Tape {
     /// same segment id are normalised together. Used for GAT attention
     /// coefficients grouped by destination node.
     pub fn segment_softmax(&mut self, a: VarId, segments: &[usize], num_segments: usize) -> VarId {
+        let list = self.record_indices(segments.iter().copied());
+        let mut data = self.next_value();
+        // The per-segment maxima and sums, `[max ‖ sum]`, in the position's
+        // walk scratch (which the forward pass does not otherwise use).
+        let mut scratch = std::mem::take(&mut self.next_kept().walk[SCRATCH]);
+        cleared(&mut scratch, 2 * num_segments).resize(num_segments, f32::NEG_INFINITY);
+        scratch.resize(2 * num_segments, 0.0);
+        let (seg_max, seg_sum) = scratch.split_at_mut(num_segments);
+
         let av = value_of(&self.nodes, a);
         assert_eq!(av.cols(), 1, "segment_softmax expects a column vector");
         assert_eq!(av.rows(), segments.len(), "segment length mismatch");
-        let mut seg_max = vec![f32::NEG_INFINITY; num_segments];
-        let mut seg_sum = vec![0.0f32; num_segments];
-        let mut out = Vec::with_capacity(segments.len());
+        let out = cleared(&mut data, segments.len());
         for (i, &s) in segments.iter().enumerate() {
             seg_max[s] = seg_max[s].max(av.data()[i]);
         }
@@ -919,8 +1101,9 @@ impl Tape {
         for (x, &s) in out.iter_mut().zip(segments) {
             *x /= seg_sum[s].max(1e-12);
         }
-        let t = Tensor::from_vec(out, av.shape());
-        self.push(Op::SegmentSoftmax(a, segments.to_vec(), num_segments), t)
+        let t = Tensor::from_vec(data, av.shape());
+        self.next_kept().walk[SCRATCH] = scratch;
+        self.push(Op::SegmentSoftmax(a, list, num_segments), t)
     }
 
     /// Fused gather–scale–scatter: `out[dst[i]] += a[src[i]] * scale[i]` for
@@ -961,18 +1144,20 @@ impl Tape {
         out_rows: usize,
     ) -> VarId {
         assert_eq!(src.len(), dst.len(), "gather_scatter_rows index length mismatch");
-        let sv = value_of(&self.nodes, scale);
-        assert_eq!(sv.cols(), 1, "gather_scatter_rows expects a column of scales");
-        assert_eq!(sv.rows(), src.len(), "row mismatch");
         for &d in dst {
             assert!(d < out_rows, "scatter index {} out of bounds ({})", d, out_rows);
         }
+        let (src_list, dst_list) =
+            (self.record_indices(src.iter().copied()), self.record_indices(dst.iter().copied()));
+        let mut data = self.next_value();
+        let sv = value_of(&self.nodes, scale);
+        assert_eq!(sv.cols(), 1, "gather_scatter_rows expects a column of scales");
+        assert_eq!(sv.rows(), src.len(), "row mismatch");
         let av = value_of(&self.nodes, a);
         let cols = av.cols();
-        let mut out = vec![0.0; out_rows * cols];
-        add_rows_along(&mut out, av.data(), cols, src, dst, sv.data());
-        let t = Tensor::from_vec(out, &[out_rows, cols]);
-        self.push(Op::GatherScatterRows { a, scale, src: src.to_vec(), dst: dst.to_vec() }, t)
+        add_rows_along(zeroed(&mut data, out_rows * cols), av.data(), cols, src, dst, sv.data());
+        let t = Tensor::from_vec(data, &[out_rows, cols]);
+        self.push(Op::GatherScatterRows { a, scale, src: src_list, dst: dst_list }, t)
     }
 
     /// Per-segment row sums over *runs* of consecutive rows: output row
@@ -1012,6 +1197,11 @@ impl Tape {
     /// Panics when a run reaches past the last row of `a`, a segment is not
     /// below `out_rows`, or the segments decrease.
     pub fn sum_row_runs(&mut self, a: VarId, runs: &[RowRun], out_rows: usize) -> VarId {
+        // Only the reverse walk reads the recorded runs, and it never visits
+        // a sum of constants (an episode's carried rows): record none there.
+        let records = if self.nodes[a.0].needs_grad { runs } else { &[] };
+        let flat = self.record_indices(records.iter().flat_map(|run| [run.start, run.len, run.segment]));
+        let mut data = self.next_value();
         let av = value_of(&self.nodes, a);
         let (rows, cols) = (av.rows(), av.cols());
         let mut last_segment = 0;
@@ -1021,13 +1211,7 @@ impl Tape {
             assert!(run.segment >= last_segment, "segments must not decrease along the runs");
             last_segment = run.segment;
         }
-        // Only the reverse walk reads the recorded runs, and it never visits
-        // a sum of constants (an episode's carried rows): record none there.
-        let mut flat = Vec::new();
-        if self.nodes[a.0].needs_grad {
-            flat.extend(runs.iter().flat_map(|run| [run.start, run.len, run.segment]));
-        }
-        let mut out = vec![0.0; out_rows * cols];
+        let out = zeroed(&mut data, out_rows * cols);
         let av = av.data();
         let rows_of = |start: usize, len: usize| &av[start * cols..(start + len) * cols];
 
@@ -1062,26 +1246,28 @@ impl Tape {
                 sum_rows_into(&mut out[segment..segment + cols], rows_of(run.start, run.len), cols);
             }
         }
-        let t = Tensor::from_vec(out, &[out_rows, cols]);
+        let t = Tensor::from_vec(data, &[out_rows, cols]);
         self.push(Op::SumRowRuns(a, flat), t)
     }
 
     /// Log-softmax over the flattened elements of a variable (treated as one
     /// categorical distribution).
     pub fn log_softmax(&mut self, a: VarId) -> VarId {
+        let data = self.next_value();
         let av = value_of(&self.nodes, a);
         let max = av.max();
         // One pass for the exp-sum, one for the shifted outputs.
         let sum: f32 = av.data().iter().map(|&x| (x - max).exp()).sum();
         let log_sum = sum.ln() + max;
-        let t = av.map(|x| x - log_sum);
+        let t = av.map_into(|x| x - log_sum, data);
         self.push(Op::LogSoftmaxRow(a), t)
     }
 
     /// Picks a single element by flat index, producing a scalar.
     pub fn pick(&mut self, a: VarId, index: usize) -> VarId {
+        let data = self.next_value();
         let v = value_of(&self.nodes, a).data()[index];
-        self.push(Op::Pick(a, index), Tensor::scalar(v))
+        self.push(Op::Pick(a, index), scalar_in(data, v))
     }
 
     /// Clamps every element to `[lo, hi]`; gradients are zero outside the range.
@@ -1102,6 +1288,9 @@ impl Tape {
     /// writes it, so a worker evaluating its transition shard on a private
     /// tape over the shared, borrowed store back-propagates into its own
     /// buffer — the worker-side primitive of the data-parallel PPO update.
+    /// The walk builds every gradient in buffers the tape keeps (see
+    /// [`Tape`]) and hands each back when it is done with it, so a walk may
+    /// be repeated on the same pass.
     ///
     /// Three rules keep the walk cheap without moving a bit (ROADMAP tensor
     /// rule 5):
@@ -1122,56 +1311,66 @@ impl Tape {
     ///
     /// Panics if `loss` is not a single-element variable, or when `out` was
     /// built for a different architecture.
-    pub fn backward_into(&self, loss: VarId, out: &mut GradBuffer) {
+    pub fn backward_into(&mut self, loss: VarId, out: &mut GradBuffer) {
         assert_eq!(self.value(loss).numel(), 1, "backward requires a scalar loss");
         if !self.nodes[loss.0].needs_grad {
             return;
         }
-        let needs = |id: VarId| self.nodes[id.0].needs_grad;
-        let mut grads: Vec<Option<Tensor>> = vec![None; loss.0 + 1];
-        grads[loss.0] = Some(Tensor::scalar(1.0));
+        let Tape { nodes, kept, indices, grads } = self;
+        let (nodes, indices) = (&nodes[..], &indices[..]);
+        let needs = |id: VarId| nodes[id.0].needs_grad;
+        grads.clear();
+        grads.resize_with(loss.0 + 1, || None);
+        let mut walk = Walk { grads, kept };
+        let seed = walk.grad(loss.0, SEED, |data| scalar_in(data, 1.0));
+        walk.grads[loss.0] = Some(seed);
 
         for i in (0..=loss.0).rev() {
-            let mut upstream = match grads[i].take() {
+            let mut upstream = match walk.grads[i].take() {
                 Some(g) => g,
                 None => continue,
             };
-            let node = &self.nodes[i];
+            let node = &nodes[i];
             match &node.op {
-                Op::Constant => {}
-                Op::Param(pid) => out.accumulate(*pid, &upstream),
+                Op::Constant => walk.hand_back(upstream),
+                Op::Param(pid) => {
+                    out.accumulate(*pid, &upstream.tensor);
+                    walk.hand_back(upstream);
+                }
                 Op::Add(a, b) => {
                     if needs(*a) && needs(*b) {
-                        accumulate(&mut grads, *a, upstream.clone());
-                        accumulate(&mut grads, *b, upstream);
+                        let copy = walk.grad(i, FIRST, |data| upstream.tensor.map_into(|g| g, data));
+                        walk.accumulate(*a, copy);
+                        walk.accumulate(*b, upstream);
                     } else {
-                        accumulate(&mut grads, if needs(*a) { *a } else { *b }, upstream);
+                        walk.accumulate(if needs(*a) { *a } else { *b }, upstream);
                     }
                 }
                 Op::Sub(a, b) => {
                     if !needs(*b) {
-                        accumulate(&mut grads, *a, upstream);
+                        walk.accumulate(*a, upstream);
                     } else {
                         if needs(*a) {
-                            accumulate(&mut grads, *a, upstream.clone());
+                            let copy = walk.grad(i, FIRST, |data| upstream.tensor.map_into(|g| g, data));
+                            walk.accumulate(*a, copy);
                         }
-                        scale_in_place(&mut upstream, -1.0);
-                        accumulate(&mut grads, *b, upstream);
+                        scale_in_place(&mut upstream.tensor, -1.0);
+                        walk.accumulate(*b, upstream);
                     }
                 }
                 Op::Mul(a, b) => {
-                    let (av, bv) = (value_of(&self.nodes, *a), value_of(&self.nodes, *b));
+                    let (av, bv) = (value_of(nodes, *a), value_of(nodes, *b));
                     if needs(*a) && needs(*b) {
-                        let ga = upstream.mul(bv);
-                        upstream.zip_assign(av, |g, x| g * x);
-                        accumulate(&mut grads, *a, ga);
-                        accumulate(&mut grads, *b, upstream);
+                        let ga = walk.grad(i, FIRST, |data| upstream.tensor.zip_into(bv, |g, y| g * y, data));
+                        upstream.tensor.zip_assign(av, |g, x| g * x);
+                        walk.accumulate(*a, ga);
+                        walk.accumulate(*b, upstream);
                     } else if needs(*a) {
-                        upstream.zip_assign(bv, |g, y| g * y);
-                        accumulate(&mut grads, *a, upstream);
+                        upstream.tensor.zip_assign(bv, |g, y| g * y);
+                        walk.accumulate(*a, upstream);
                     } else {
-                        upstream.zip_assign(av, |g, x| g * x);
-                        accumulate(&mut grads, *b, upstream);
+                        upstream.tensor.zip_assign(av, |g, x| g * x);
+                        walk.accumulate(*b, upstream);
                     }
                 }
                 Op::AddBiasAct(a, bias, act) => {
@@ -1179,133 +1378,179 @@ impl Tape {
                     // the output (exact for every `Activation` — see its
                     // rustdoc); the rest is the plain bias-add backward, the
                     // same arithmetic in the same order as the unfused pair.
-                    act.grad_from_output(&mut upstream, node.value.tensor());
+                    act.grad_from_output(&mut upstream.tensor, node.value.tensor());
                     // It flows to `a` unchanged and column-sums into the bias.
-                    let gb = needs(*bias).then(|| column_sums(&upstream, value_of(&self.nodes, *bias)));
+                    let gb = needs(*bias).then(|| {
+                        let bias = value_of(nodes, *bias);
+                        walk.grad(i, SECOND, |data| column_sums(&upstream.tensor, bias, data))
+                    });
                     if needs(*a) {
-                        accumulate(&mut grads, *a, upstream);
+                        walk.accumulate(*a, upstream);
+                    } else {
+                        walk.hand_back(upstream);
                     }
                     if let Some(gb) = gb {
-                        accumulate(&mut grads, *bias, gb);
+                        walk.accumulate(*bias, gb);
                     }
                 }
                 Op::Scale(a, s) => {
-                    scale_in_place(&mut upstream, *s);
-                    accumulate(&mut grads, *a, upstream);
+                    scale_in_place(&mut upstream.tensor, *s);
+                    walk.accumulate(*a, upstream);
                 }
                 Op::Neg(a) => {
-                    scale_in_place(&mut upstream, -1.0);
-                    accumulate(&mut grads, *a, upstream);
+                    scale_in_place(&mut upstream.tensor, -1.0);
+                    walk.accumulate(*a, upstream);
                 }
                 Op::MatMul(a, b) => {
-                    let av = value_of(&self.nodes, *a);
-                    let bv = value_of(&self.nodes, *b);
+                    let (av, bv) = (value_of(nodes, *a), value_of(nodes, *b));
                     // Transposed-operand kernels: bit-identical to
                     // `grad × bvᵀ` / `avᵀ × grad` with materialised
-                    // transposes, without building either transpose. A
-                    // constant `a` skips `grad × bvᵀ`.
-                    let ga = needs(*a).then(|| upstream.matmul_transposed_rhs(bv));
-                    let gb = needs(*b).then(|| av.matmul_transposed_lhs(&upstream));
+                    // transposes, without building either transpose (`bvᵀ`
+                    // is packed into the position's scratch). A constant `a`
+                    // skips `grad × bvᵀ`.
+                    let ga = needs(*a).then(|| {
+                        let mut packed = walk.take(i, SCRATCH);
+                        let ga = walk.grad(i, FIRST, |data| {
+                            upstream.tensor.matmul_transposed_rhs_into(bv, data, &mut packed)
+                        });
+                        walk.put(i, SCRATCH, packed);
+                        ga
+                    });
+                    let gb = needs(*b).then(|| {
+                        walk.grad(i, SECOND, |data| av.matmul_transposed_lhs_into(&upstream.tensor, data))
+                    });
+                    walk.hand_back(upstream);
                     if let Some(ga) = ga {
-                        accumulate(&mut grads, *a, ga);
+                        walk.accumulate(*a, ga);
                     }
                     if let Some(gb) = gb {
-                        accumulate(&mut grads, *b, gb);
+                        walk.accumulate(*b, gb);
                     }
                 }
                 Op::MatMulLookup { a, w, classes } => {
                     // `a` needs no gradient (`Tape::matmul_lookup` checks).
-                    let (av, wv) = (value_of(&self.nodes, *a), value_of(&self.nodes, *w));
+                    let (av, wv) = (value_of(nodes, *a), value_of(nodes, *w));
                     if needs(*w) {
-                        accumulate(&mut grads, *w, av.matmul_lookup_weight_grad(classes, wv, &upstream));
+                        let classes = &indices[classes.clone()];
+                        let gw = walk.grad(i, SECOND, |data| {
+                            av.matmul_lookup_weight_grad(classes, wv, &upstream.tensor, data)
+                        });
+                        walk.accumulate(*w, gw);
                     }
+                    walk.hand_back(upstream);
                 }
                 Op::Act(a, act) => {
-                    act.grad_from_output(&mut upstream, node.value.tensor());
-                    accumulate(&mut grads, *a, upstream);
+                    act.grad_from_output(&mut upstream.tensor, node.value.tensor());
+                    walk.accumulate(*a, upstream);
                 }
                 Op::Exp(a) => {
-                    upstream.zip_assign(node.value.tensor(), |g, y| g * y);
-                    accumulate(&mut grads, *a, upstream);
+                    upstream.tensor.zip_assign(node.value.tensor(), |g, y| g * y);
+                    walk.accumulate(*a, upstream);
                 }
                 Op::SumAll(a) => {
-                    let ga = Tensor::full(value_of(&self.nodes, *a).shape(), upstream.item());
-                    accumulate(&mut grads, *a, ga);
+                    let (av, g) = (value_of(nodes, *a), upstream.tensor.item());
+                    let ga = walk.grad(i, FIRST, |mut data| {
+                        cleared(&mut data, av.numel()).resize(av.numel(), g);
+                        Tensor::from_vec(data, av.shape())
+                    });
+                    walk.hand_back(upstream);
+                    walk.accumulate(*a, ga);
                 }
                 #[cfg(test)]
                 Op::SumRows(a) => {
-                    let av = value_of(&self.nodes, *a);
+                    let av = value_of(nodes, *a);
                     let (rows, cols) = (av.rows(), av.cols());
-                    let mut ga = Vec::with_capacity(rows * cols);
-                    for _ in 0..rows {
-                        ga.extend_from_slice(upstream.data());
-                    }
-                    accumulate(&mut grads, *a, Tensor::from_vec(ga, &[rows, cols]));
+                    let ga = walk.grad(i, FIRST, |mut data| {
+                        let ga = cleared(&mut data, rows * cols);
+                        for _ in 0..rows {
+                            ga.extend_from_slice(upstream.tensor.data());
+                        }
+                        Tensor::from_vec(data, &[rows, cols])
+                    });
+                    walk.hand_back(upstream);
+                    walk.accumulate(*a, ga);
                 }
                 Op::ConcatCols(a, b) => {
-                    let av = value_of(&self.nodes, *a);
-                    let (rows, ca, cb) = (av.rows(), av.cols(), value_of(&self.nodes, *b).cols());
-                    let g = upstream.data();
+                    let av = value_of(nodes, *a);
+                    let (rows, ca, cb) = (av.rows(), av.cols(), value_of(nodes, *b).cols());
+                    let g = upstream.tensor.data();
                     // The columns `from..to` of every `[ca + cb]`-wide row.
-                    let split = |from: usize, to: usize| {
-                        let mut part = Vec::with_capacity(rows * (to - from));
+                    let split = |from: usize, to: usize, mut part: Vec<f32>| {
+                        let out = cleared(&mut part, rows * (to - from));
                         for r in 0..rows {
-                            part.extend_from_slice(&g[r * (ca + cb) + from..r * (ca + cb) + to]);
+                            out.extend_from_slice(&g[r * (ca + cb) + from..r * (ca + cb) + to]);
                         }
                         Tensor::from_vec(part, &[rows, to - from])
                     };
-                    if needs(*a) {
-                        accumulate(&mut grads, *a, split(0, ca));
+                    let ga = needs(*a).then(|| walk.grad(i, FIRST, |data| split(0, ca, data)));
+                    let gb = needs(*b).then(|| walk.grad(i, SECOND, |data| split(ca, ca + cb, data)));
+                    walk.hand_back(upstream);
+                    if let Some(ga) = ga {
+                        walk.accumulate(*a, ga);
                     }
-                    if needs(*b) {
-                        accumulate(&mut grads, *b, split(ca, ca + cb));
+                    if let Some(gb) = gb {
+                        walk.accumulate(*b, gb);
                     }
                 }
-                Op::GatherRows(a, indices) => {
-                    let av = value_of(&self.nodes, *a);
-                    let cols = av.cols();
-                    let mut ga = Tensor::zeros(&[av.rows(), cols]);
-                    for (i, &idx) in indices.iter().enumerate() {
-                        let g_row = &upstream.data()[i * cols..(i + 1) * cols];
-                        for (o, &g) in ga.data_mut()[idx * cols..(idx + 1) * cols].iter_mut().zip(g_row) {
-                            *o += g;
+                Op::GatherRows(a, list) => {
+                    let av = value_of(nodes, *a);
+                    let (rows, cols) = (av.rows(), av.cols());
+                    let ga = walk.grad(i, FIRST, |mut data| {
+                        let ga = zeroed(&mut data, rows * cols);
+                        for (row, &idx) in indices[list.clone()].iter().enumerate() {
+                            let g_row = &upstream.tensor.data()[row * cols..(row + 1) * cols];
+                            for (o, &g) in ga[idx * cols..(idx + 1) * cols].iter_mut().zip(g_row) {
+                                *o += g;
+                            }
                         }
-                    }
-                    accumulate(&mut grads, *a, ga);
+                        Tensor::from_vec(data, &[rows, cols])
+                    });
+                    walk.hand_back(upstream);
+                    walk.accumulate(*a, ga);
                 }
                 #[cfg(test)]
-                Op::ScatterAddRows(a, indices) => {
-                    let cols = value_of(&self.nodes, *a).cols();
-                    let mut ga = Vec::with_capacity(indices.len() * cols);
-                    for &idx in indices {
-                        ga.extend_from_slice(&upstream.data()[idx * cols..(idx + 1) * cols]);
-                    }
-                    accumulate(&mut grads, *a, Tensor::from_vec(ga, &[indices.len(), cols]));
+                Op::ScatterAddRows(a, list) => {
+                    let cols = value_of(nodes, *a).cols();
+                    let indices = &indices[list.clone()];
+                    let ga = walk.grad(i, FIRST, |mut data| {
+                        let ga = cleared(&mut data, indices.len() * cols);
+                        for &idx in indices {
+                            ga.extend_from_slice(&upstream.tensor.data()[idx * cols..(idx + 1) * cols]);
+                        }
+                        Tensor::from_vec(data, &[indices.len(), cols])
+                    });
+                    walk.hand_back(upstream);
+                    walk.accumulate(*a, ga);
                 }
                 Op::Transpose(a) => {
-                    let (r, c) = (upstream.rows(), upstream.cols());
+                    let (r, c) = (upstream.tensor.rows(), upstream.tensor.cols());
                     if r == 1 || c == 1 {
                         // A vector transpose permutes nothing: move the owned
                         // gradient buffer under the flipped shape instead of
                         // running a strided copy (the policy head's
                         // `[K + 1, 1]` → `[1, K + 1]` logit transpose hits
                         // this on every transition evaluation).
-                        accumulate(&mut grads, *a, upstream.into_reshape(&[c, r]));
+                        let Grad { tensor, home } = upstream;
+                        walk.accumulate(*a, Grad { tensor: tensor.into_reshape(&[c, r]), home });
                     } else {
-                        accumulate(&mut grads, *a, upstream.transpose());
+                        let ga = walk.grad(i, FIRST, |data| upstream.tensor.transpose_into(data));
+                        walk.hand_back(upstream);
+                        walk.accumulate(*a, ga);
                     }
                 }
                 Op::SegmentSoftmax(a, segments, num_segments) => {
-                    let y = node.value.tensor().data();
+                    let (y, segments) = (node.value.tensor().data(), &indices[segments.clone()]);
                     // dL/dx_i = y_i * (g_i - sum_{j in seg(i)} g_j y_j)
-                    let mut seg_dot = vec![0.0f32; *num_segments];
-                    for ((&g, &yv), &s) in upstream.data().iter().zip(y).zip(segments) {
-                        seg_dot[s] += g * yv;
+                    let mut seg_dot = walk.take(i, SCRATCH);
+                    let dots = zeroed(&mut seg_dot, *num_segments);
+                    for ((&g, &yv), &s) in upstream.tensor.data().iter().zip(y).zip(segments) {
+                        dots[s] += g * yv;
                     }
-                    for ((g, &yv), &s) in upstream.data_mut().iter_mut().zip(y).zip(segments) {
-                        *g = yv * (*g - seg_dot[s]);
+                    for ((g, &yv), &s) in upstream.tensor.data_mut().iter_mut().zip(y).zip(segments) {
+                        *g = yv * (*g - dots[s]);
                     }
-                    accumulate(&mut grads, *a, upstream);
+                    walk.put(i, SCRATCH, seg_dot);
+                    walk.accumulate(*a, upstream);
                 }
                 Op::GatherScatterRows { a, scale, src, dst } => {
                     // The three unfused arms in one pass over the index
@@ -1314,88 +1559,101 @@ impl Tape {
                     // `a[src[i]]` for the scale and scales it for the row,
                     // the gather's backward adds that into row `src[i]` — in
                     // `i` order, as the gather's own loop did.
-                    let av = value_of(&self.nodes, *a);
-                    let cols = av.cols();
-                    let g = upstream.data();
-                    let scales = value_of(&self.nodes, *scale).data();
+                    let (src, dst) = (&indices[src.clone()], &indices[dst.clone()]);
+                    let av = value_of(nodes, *a);
+                    let (rows, cols) = (av.rows(), av.cols());
+                    let g = upstream.tensor.data();
+                    let scales = value_of(nodes, *scale).data();
                     if needs(*scale) {
-                        let gscale = edge_dots(g, av.data(), cols, dst, src);
-                        accumulate(&mut grads, *scale, Tensor::from_vec(gscale, &[src.len(), 1]));
+                        let gscale = walk.grad(i, SECOND, |mut data| {
+                            edge_dots(g, av.data(), cols, dst, src, &mut data);
+                            Tensor::from_vec(data, &[src.len(), 1])
+                        });
+                        walk.accumulate(*scale, gscale);
                     }
                     if needs(*a) {
-                        let mut ga = Tensor::zeros(&[av.rows(), cols]);
-                        add_rows_along(ga.data_mut(), g, cols, dst, src, scales);
-                        accumulate(&mut grads, *a, ga);
+                        let ga = walk.grad(i, FIRST, |mut data| {
+                            add_rows_along(zeroed(&mut data, rows * cols), g, cols, dst, src, scales);
+                            Tensor::from_vec(data, &[rows, cols])
+                        });
+                        walk.accumulate(*a, ga);
                     }
+                    walk.hand_back(upstream);
                 }
                 Op::SumRowRuns(a, runs) => {
                     // Every row of a run receives its segment's gradient
                     // row; runs in list order, rows ascending — the order the
                     // expanded gather's backward added them in.
-                    let av = value_of(&self.nodes, *a);
-                    let cols = av.cols();
-                    let mut ga = Tensor::zeros(&[av.rows(), cols]);
-                    for run in runs.chunks_exact(3) {
-                        let (start, len, segment) = (run[0], run[1], run[2]);
-                        let g_row = &upstream.data()[segment * cols..(segment + 1) * cols];
-                        for row in ga.data_mut()[start * cols..(start + len) * cols].chunks_exact_mut(cols) {
-                            for (o, &g) in row.iter_mut().zip(g_row) {
-                                *o += g;
+                    let av = value_of(nodes, *a);
+                    let (rows, cols) = (av.rows(), av.cols());
+                    let ga = walk.grad(i, FIRST, |mut data| {
+                        let ga = zeroed(&mut data, rows * cols);
+                        for run in indices[runs.clone()].chunks_exact(3) {
+                            let (start, len, segment) = (run[0], run[1], run[2]);
+                            let g_row = &upstream.tensor.data()[segment * cols..(segment + 1) * cols];
+                            for row in ga[start * cols..(start + len) * cols].chunks_exact_mut(cols) {
+                                for (o, &g) in row.iter_mut().zip(g_row) {
+                                    *o += g;
+                                }
                             }
                         }
-                    }
-                    accumulate(&mut grads, *a, ga);
+                        Tensor::from_vec(data, &[rows, cols])
+                    });
+                    walk.hand_back(upstream);
+                    walk.accumulate(*a, ga);
                 }
                 Op::LogSoftmaxRow(a) => {
                     // y = x - logsumexp(x); dx = g - softmax(x) * sum(g)
-                    let g_sum: f32 = upstream.data().iter().sum();
-                    upstream.zip_assign(node.value.tensor(), |g, yv| g - yv.exp() * g_sum);
-                    accumulate(&mut grads, *a, upstream);
+                    let g_sum: f32 = upstream.tensor.data().iter().sum();
+                    upstream.tensor.zip_assign(node.value.tensor(), |g, yv| g - yv.exp() * g_sum);
+                    walk.accumulate(*a, upstream);
                 }
                 Op::Pick(a, index) => {
-                    let mut ga = Tensor::zeros(value_of(&self.nodes, *a).shape());
-                    ga.data_mut()[*index] = upstream.item();
-                    accumulate(&mut grads, *a, ga);
+                    let (av, g) = (value_of(nodes, *a), upstream.tensor.item());
+                    let ga = walk.grad(i, FIRST, |mut data| {
+                        zeroed(&mut data, av.numel())[*index] = g;
+                        Tensor::from_vec(data, av.shape())
+                    });
+                    walk.hand_back(upstream);
+                    walk.accumulate(*a, ga);
                 }
                 Op::Clamp(a, lo, hi) => {
                     let (lo, hi) = (*lo, *hi);
                     upstream
-                        .zip_assign(value_of(&self.nodes, *a), |g, x| if x > lo && x < hi { g } else { 0.0 });
-                    accumulate(&mut grads, *a, upstream);
+                        .tensor
+                        .zip_assign(value_of(nodes, *a), |g, x| if x > lo && x < hi { g } else { 0.0 });
+                    walk.accumulate(*a, upstream);
                 }
                 Op::Minimum(a, b) => {
-                    let av = value_of(&self.nodes, *a);
-                    let bv = value_of(&self.nodes, *b);
-                    let ga = Tensor::from_vec(
-                        upstream
-                            .data()
-                            .iter()
-                            .zip(av.data().iter().zip(bv.data().iter()))
-                            .map(|(&g, (&x, &y))| if x <= y { g } else { 0.0 })
-                            .collect(),
-                        av.shape(),
-                    );
+                    let (av, bv) = (value_of(nodes, *a), value_of(nodes, *b));
+                    let ga = walk.grad(i, FIRST, |mut data| {
+                        let pairs = av.data().iter().zip(bv.data());
+                        cleared(&mut data, av.numel()).extend(
+                            upstream
+                                .tensor
+                                .data()
+                                .iter()
+                                .zip(pairs)
+                                .map(|(&g, (&x, &y))| if x <= y { g } else { 0.0 }),
+                        );
+                        Tensor::from_vec(data, av.shape())
+                    });
                     if needs(*b) {
-                        upstream.zip_assign(&ga, |g, ga| g - ga);
+                        upstream.tensor.zip_assign(&ga.tensor, |g, ga| g - ga);
                     }
                     if needs(*a) {
-                        accumulate(&mut grads, *a, ga);
+                        walk.accumulate(*a, ga);
+                    } else {
+                        walk.hand_back(ga);
                     }
                     if needs(*b) {
-                        accumulate(&mut grads, *b, upstream);
+                        walk.accumulate(*b, upstream);
+                    } else {
+                        walk.hand_back(upstream);
                     }
                 }
             }
         }
-    }
-}
-
-/// Adds one gradient contribution to a node's slot: the first is moved in,
-/// later ones are added element-wise in place (`g[i] + x[i]`).
-fn accumulate(grads: &mut [Option<Tensor>], id: VarId, contribution: Tensor) {
-    match &mut grads[id.0] {
-        Some(g) => g.add_assign(&contribution),
-        slot @ None => *slot = Some(contribution),
     }
 }
 
@@ -1457,15 +1715,15 @@ fn scale_in_place(t: &mut Tensor, s: f32) {
 }
 
 /// The bias gradient of a bias-add: the rows of `grad` summed in row order
-/// into a tensor shaped like `bias`.
-fn column_sums(grad: &Tensor, bias: &Tensor) -> Tensor {
-    let mut sums = Tensor::zeros(bias.shape());
+/// into a tensor shaped like `bias`, in `sums`' storage.
+fn column_sums(grad: &Tensor, bias: &Tensor, mut sums: Vec<f32>) -> Tensor {
+    let out = zeroed(&mut sums, bias.numel());
     for row in grad.data().chunks_exact(bias.numel()) {
-        for (sum, &g) in sums.data_mut().iter_mut().zip(row) {
+        for (sum, &g) in out.iter_mut().zip(row) {
             *sum += g;
         }
     }
-    sums
+    Tensor::from_vec(sums, bias.shape())
 }
 
 /// The unfused forms of the shipped row reductions, kept as the chain
@@ -1476,21 +1734,23 @@ fn column_sums(grad: &Tensor, bias: &Tensor) -> Tensor {
 impl Tape {
     /// Sums over the row axis, producing a `[1, cols]` matrix.
     pub fn sum_rows(&mut self, a: VarId) -> VarId {
+        let mut data = self.next_value();
         let av = value_of(&self.nodes, a);
         let (rows, cols) = (av.rows(), av.cols());
-        let mut out = vec![0.0; cols];
-        sum_rows_into(&mut out, &av.data()[..rows * cols], cols);
-        let t = Tensor::from_vec(out, &[1, cols]);
+        sum_rows_into(zeroed(&mut data, cols), &av.data()[..rows * cols], cols);
+        let t = Tensor::from_vec(data, &[1, cols]);
         self.push(Op::SumRows(a), t)
     }
 
     /// Scatter-adds rows of a `[k, cols]` matrix into an `[out_rows, cols]`
     /// matrix according to `indices` (length `k`).
     pub fn scatter_add_rows(&mut self, a: VarId, indices: &[usize], out_rows: usize) -> VarId {
+        let list = self.record_indices(indices.iter().copied());
+        let mut data = self.next_value();
         let av = value_of(&self.nodes, a);
         let cols = av.cols();
         assert_eq!(av.rows(), indices.len(), "scatter_add_rows index length mismatch");
-        let mut out = vec![0.0; out_rows * cols];
+        let out = zeroed(&mut data, out_rows * cols);
         for (i, &idx) in indices.iter().enumerate() {
             assert!(idx < out_rows, "scatter index {} out of bounds ({})", idx, out_rows);
             let src = &av.data()[i * cols..(i + 1) * cols];
@@ -1498,8 +1758,8 @@ impl Tape {
                 *o += x;
             }
         }
-        let t = Tensor::from_vec(out, &[out_rows, cols]);
-        self.push(Op::ScatterAddRows(a, indices.to_vec()), t)
+        let t = Tensor::from_vec(data, &[out_rows, cols]);
+        self.push(Op::ScatterAddRows(a, list), t)
     }
 }
 
@@ -2009,51 +2269,134 @@ mod tests {
         }
     }
 
+    /// The parameters of [`recycled_pass`].
+    struct PassParams {
+        store: ParamStore,
+        /// `[4, 6]`, `[6]`, `[6, 6]`, `[3 + 5, 6]`, `[6, 1]`, `[12, 1]`, `[12, 3]`.
+        ids: [ParamId; 7],
+    }
+
+    fn pass_params() -> PassParams {
+        let mut rng = XorShiftRng::new(0x2EC7);
+        let mut store = ParamStore::new();
+        let shapes: [&[usize]; 7] = [&[4, 6], &[6], &[6, 6], &[8, 6], &[6, 1], &[12, 1], &[12, 3]];
+        let ids = shapes.map(|shape| store.register("p", random_tensor(&mut rng, shape).scale(0.5)));
+        PassParams { store, ids }
+    }
+
+    /// One forward and backward pass through every tape op and every
+    /// backward arm, at `rows` graph rows (`2 · rows` edges): each matrix
+    /// product form forward (tile, dot) and backward (`Aᵀ·G` tile and axpy,
+    /// `G·Bᵀ` tile, outer product and dot), both transposes, an input
+    /// gradient shared by several readers. With `plant`, the inputs hold NaN
+    /// and ±inf — which every later pass's buffers must overwrite. Returns
+    /// the bits of every recorded value and of the parameter gradients, each
+    /// NaN as one canonical NaN (Rust leaves a NaN's sign and payload
+    /// unspecified).
+    fn recycled_pass(tape: &mut Tape, params: &PassParams, rows: usize, plant: bool) -> Vec<u32> {
+        let [w, b, square, lookup, column, wide, head] = params.ids.map(|id| tape.param(&params.store, id));
+        let mut rng = XorShiftRng::new(rows as u64);
+        let mut x = random_tensor(&mut rng, &[rows, 4]);
+        if plant {
+            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (i, special) in specials.into_iter().enumerate() {
+                x.data_mut()[5 * i + 1] = special;
+            }
+        }
+        let x = tape.constant(x);
+        let attributes = tape.constant_with(&[rows, 3], |_, data| {
+            data.extend((0..3 * rows).map(|i| if plant && i == 2 { f32::NAN } else { (i % 7) as f32 * 0.25 }))
+        });
+        let classes: Vec<usize> = (0..rows).map(|r| (3 * r + 1) % 5).collect();
+        let src: Vec<usize> = (0..2 * rows).map(|e| (5 * e + 2) % rows).collect();
+        let dst: Vec<usize> = (0..2 * rows).map(|e| e % rows).collect();
+
+        let h = tape.matmul(x, w);
+        let h = tape.add_bias_act(h, b, Activation::Relu);
+        let h = tape.matmul(h, square);
+        let l = tape.matmul_lookup(attributes, &classes, lookup);
+        let sum = tape.add(h, l);
+        let difference = tape.sub(h, l);
+        let product = tape.mul(sum, difference);
+        let t = tape.activate(product, Activation::Tanh);
+        let t = tape.scale(t, 0.5);
+        let e = tape.exp(t);
+        let n = tape.neg(e);
+        let n = tape.add_bias_act(n, b, Activation::LeakyRelu);
+
+        let score = tape.matmul(h, column);
+        let edge_scores = tape.gather_rows(score, &dst);
+        let edge_scores = tape.activate(edge_scores, Activation::LeakyRelu);
+        let alpha = tape.segment_softmax(edge_scores, &dst, rows);
+        let aggregated = tape.gather_scatter_rows(sum, alpha, &src, &dst, rows);
+        let joined = tape.concat_cols(aggregated, n);
+        let transposed = tape.transpose(joined);
+        let joined = tape.transpose(transposed);
+        let runs =
+            [RowRun { start: 0, len: rows, segment: 0 }, RowRun { start: 0, len: rows / 2, segment: 1 }];
+        let pooled = tape.sum_row_runs(joined, &runs, 2);
+        let scattered = tape.scatter_add_rows(pooled, &[1, 0], 3);
+        let summed = tape.sum_rows(scattered);
+        let first = tape.gather_rows(pooled, &[0]);
+        let logits = tape.matmul(first, head);
+        let scores = tape.matmul(pooled, wide);
+        let scores = tape.transpose(scores);
+        let log_probs = tape.log_softmax(scores);
+        let picked = tape.pick(log_probs, 1);
+        let clamped = tape.clamp(picked, -0.5, 0.5);
+        let smaller = tape.minimum(picked, clamped);
+        let terms = [tape.sum_all(logits), tape.sum_all(summed), smaller];
+        let loss = tape.add(terms[0], terms[1]);
+        let loss = tape.add(loss, terms[2]);
+
+        let mut grads = GradBuffer::zeros_like(&params.store);
+        tape.backward_into(loss, &mut grads);
+        let canonical = |x: &f32| if x.is_nan() { u32::MAX } else { x.to_bits() };
+        let values = (0..tape.len())
+            .flat_map(|i| tape.value(VarId(i)).data().iter().map(canonical).collect::<Vec<_>>());
+        let gradients =
+            params.ids.iter().flat_map(|&id| grads.grad(id).data().iter().map(canonical).collect::<Vec<_>>());
+        values.chain(gradients).collect()
+    }
+
     /// A recycled tape must reproduce the exact bits of a fresh tape:
-    /// nothing of an earlier pass may leak into the next one.
+    /// nothing of an earlier pass may leak into the next one. One tape runs
+    /// a pass with NaN and ±inf in its inputs, then a smaller one, a larger
+    /// one, a smaller one again — every op refilling storage an earlier,
+    /// differently sized pass kept (growing it where the pass is larger) —
+    /// and each pass's values and gradients equal a fresh tape's.
     #[test]
     fn recycled_tape_is_bit_identical_to_fresh() {
-        let mut store = ParamStore::new();
-        let w = store.register("w", Tensor::from_vec(vec![0.5, -1.0, 0.25, 2.0], &[2, 2]));
-
-        let run = |tape: &mut Tape| -> (Vec<f32>, Vec<f32>) {
-            let wv = tape.param(&store, w);
-            let x = tape.constant(Tensor::from_vec(vec![1.0, 2.0, -3.0, 0.5], &[2, 2]));
-            let h = tape.matmul(x, wv);
-            let g = tape.gather_rows(h, &[1, 0, 1]);
-            let s = tape.scatter_add_rows(g, &[0, 1, 0], 2);
-            let proj = tape.constant(Tensor::from_vec(vec![0.5, -0.75], &[2, 1]));
-            let col = tape.matmul(s, proj);
-            let sm = tape.segment_softmax(col, &[0, 0], 1);
-            let weighted = tape.gather_scatter_rows(s, sm, &[0, 1], &[0, 1], 2);
-            let pooled = tape.sum_rows(weighted);
-            let loss = tape.sum_all(pooled);
-            let mut grads = GradBuffer::zeros_like(&store);
-            tape.backward_into(loss, &mut grads);
-            (tape.value(loss).data().to_vec(), grads.grad(w).data().to_vec())
-        };
-
-        let mut fresh = Tape::new();
-        let (loss_fresh, grad_fresh) = run(&mut fresh);
-
+        let params = pass_params();
         let mut recycled = Tape::new();
-        for _ in 0..3 {
+        for (rows, plant) in [(12, true), (5, false), (16, false), (4, false), (12, false)] {
             recycled.recycle();
-            let (loss_r, grad_r) = run(&mut recycled);
-            assert_eq!(
-                loss_r.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                loss_fresh.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
-            assert_eq!(
-                grad_r.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
-                grad_fresh.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
-            );
+            let got = recycled_pass(&mut recycled, &params, rows, plant);
+            let want = recycled_pass(&mut Tape::new(), &params, rows, plant);
+            assert_eq!(got, want, "{rows} rows (planted specials: {plant}) on a recycled tape");
+            if plant {
+                assert!(got.contains(&u32::MAX), "the planted specials reach the values");
+            }
         }
+        // A walk hands every buffer back: a second walk of the same pass
+        // finds them and reproduces the first.
+        let mut tape = Tape::new();
+        let once = recycled_pass(&mut tape, &params, 7, false);
+        let loss = VarId(tape.len() - 1);
+        let mut grads = GradBuffer::zeros_like(&params.store);
+        tape.backward_into(loss, &mut grads);
+        let canonical = |x: &f32| if x.is_nan() { u32::MAX } else { x.to_bits() };
+        let again: Vec<u32> = params
+            .ids
+            .iter()
+            .flat_map(|&id| grads.grad(id).data().iter().map(canonical).collect::<Vec<_>>())
+            .collect();
+        assert_eq!(again, once[once.len() - again.len()..], "a second walk of one pass");
     }
 
     #[test]
     fn zero_filled_buffer_matches_fresh_buffer() {
-        let (store, w, _, tape, loss) = grad_buffer_fixture();
+        let (store, w, _, mut tape, loss) = grad_buffer_fixture();
         let mut fresh = GradBuffer::zeros_like(&store);
         tape.backward_into(loss, &mut fresh);
 
@@ -2685,7 +3028,7 @@ mod tests {
 
     #[test]
     fn grad_buffer_merge_accumulates_in_order() {
-        let (store, w, b, tape, loss) = grad_buffer_fixture();
+        let (store, w, b, mut tape, loss) = grad_buffer_fixture();
         let mut single = GradBuffer::zeros_like(&store);
         tape.backward_into(loss, &mut single);
 

@@ -40,6 +40,12 @@
 //! The node update's `[x ‖ one_hot] · W` never builds its one-hot
 //! (`matmul_lookup`): the attribute columns run through [`Tensor::matmul`]'s
 //! kernel and the hot column is a row lookup, forward and backward.
+//!
+//! Every kernel writes into a buffer its caller hands it: the tape's
+//! `*_into` calls pass the storage a recycled tape kept from its last pass
+//! (the products overwrite it whole, the `G·Bᵀ` tile packs `Bᵀ` into kept
+//! scratch), and the allocating methods ([`Tensor::matmul`] and the rest)
+//! pass a fresh `Vec` to the same code.
 
 use std::fmt;
 
@@ -268,7 +274,18 @@ impl Tensor {
 
     /// Applies a function to every element, returning a new tensor.
     pub fn map(&self, f: impl Fn(f32) -> f32) -> Self {
-        Self { shape: self.shape, data: self.data.iter().map(|&x| f(x)).collect() }
+        self.map_into(f, Vec::new())
+    }
+
+    /// [`Tensor::map`] written into `out`'s storage.
+    pub(crate) fn map_into(&self, f: impl Fn(f32) -> f32, mut out: Vec<f32>) -> Self {
+        cleared(&mut out, self.data.len()).extend(self.data.iter().map(|&x| f(x)));
+        Self { shape: self.shape, data: out }
+    }
+
+    /// The tensor's storage, for reuse.
+    pub(crate) fn into_data(self) -> Vec<f32> {
+        self.data
     }
 
     /// Element-wise addition.
@@ -313,11 +330,14 @@ impl Tensor {
     ///
     /// Panics if the shapes differ.
     pub fn zip(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Self {
+        self.zip_into(other, f, Vec::new())
+    }
+
+    /// [`Tensor::zip`] written into `out`'s storage.
+    pub(crate) fn zip_into(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32, mut out: Vec<f32>) -> Self {
         assert_eq!(self.shape, other.shape, "shape mismatch: {:?} vs {:?}", self.shape, other.shape);
-        Self {
-            shape: self.shape,
-            data: self.data.iter().zip(other.data.iter()).map(|(&a, &b)| f(a, b)).collect(),
-        }
+        cleared(&mut out, self.data.len()).extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
+        Self { shape: self.shape, data: out }
     }
 
     /// In-place [`Tensor::zip`]: `self[i] = f(self[i], other[i])` — the same
@@ -373,8 +393,14 @@ impl Tensor {
     ///
     /// Panics if either tensor is not rank-2 or the inner dimensions differ.
     pub fn matmul(&self, other: &Tensor) -> Self {
+        self.matmul_into(other, Vec::new())
+    }
+
+    /// [`Tensor::matmul`] written into `out`'s storage.
+    pub(crate) fn matmul_into(&self, other: &Tensor, mut out: Vec<f32>) -> Self {
         let (m, k, n) = self.matmul_dims(other);
-        Self { shape: Shape::from_dims(&[m, n]), data: product(&self.data, &other.data, m, k, n) }
+        product(&self.data, &other.data, m, k, n, &mut out);
+        Self { shape: Shape::from_dims(&[m, n]), data: out }
     }
 
     /// `[self ‖ one_hot(classes)] · w` without the one-hot: `self` is
@@ -386,9 +412,9 @@ impl Tensor {
     /// is never `-0.0`. A row never reads the weight rows of the classes it
     /// is not, so unlike the dense product an `inf` or NaN there stays out
     /// of it.
-    pub(crate) fn matmul_lookup(&self, classes: &[usize], w: &Tensor) -> Self {
+    pub(crate) fn matmul_lookup(&self, classes: &[usize], w: &Tensor, mut data: Vec<f32>) -> Self {
         let (m, k, n, _) = self.lookup_dims(classes, w);
-        let mut data = product(&self.data, &w.data[..k * n], m, k, n);
+        product(&self.data, &w.data[..k * n], m, k, n, &mut data);
         if n > 0 {
             for (out, &class) in data.chunks_exact_mut(n).zip(classes) {
                 let at = (k + class) * n;
@@ -406,10 +432,17 @@ impl Tensor {
     /// `0.0 + Σ grad[i]` over the rows `i` of class `j`, ascending — the
     /// dense product's `[self ‖ one_hot]ᵀ · grad` bit for bit when `grad` is
     /// finite, with a class's rows reading only its own rows of `grad`.
-    pub(crate) fn matmul_lookup_weight_grad(&self, classes: &[usize], w: &Tensor, grad: &Tensor) -> Self {
+    /// Written into `data`'s storage.
+    pub(crate) fn matmul_lookup_weight_grad(
+        &self,
+        classes: &[usize],
+        w: &Tensor,
+        grad: &Tensor,
+        mut data: Vec<f32>,
+    ) -> Self {
         let (m, k, n, rows) = self.lookup_dims(classes, w);
         assert_eq!(grad.shape(), &[m, n], "matmul_lookup gradient shape");
-        let mut data = transposed_lhs_product(&self.data, &grad.data, m, k, n);
+        transposed_lhs_product(&self.data, &grad.data, m, k, n, &mut data);
         data.resize(rows * n, 0.0);
         if n > 0 {
             for (g, &class) in grad.data.chunks_exact(n).zip(classes) {
@@ -453,28 +486,39 @@ impl Tensor {
     /// Panics if either tensor is not rank-2 or the shared inner dimensions
     /// differ.
     pub fn matmul_transposed_rhs(&self, other: &Tensor) -> Self {
+        self.matmul_transposed_rhs_into(other, Vec::new(), &mut Vec::new())
+    }
+
+    /// [`Tensor::matmul_transposed_rhs`] written into `out`'s storage, with
+    /// the packed `otherᵀ` in `packed`'s.
+    pub(crate) fn matmul_transposed_rhs_into(
+        &self,
+        other: &Tensor,
+        mut out: Vec<f32>,
+        packed: &mut Vec<f32>,
+    ) -> Self {
         assert_eq!(self.shape.rank, 2, "matmul lhs must be rank-2, got {:?}", self.shape);
         assert_eq!(other.shape.rank, 2, "matmul rhs must be rank-2, got {:?}", other.shape);
         let (m, q) = (self.shape.dims[0], self.shape.dims[1]);
         let (n, q2) = (other.shape.dims[0], other.shape.dims[1]);
         assert_eq!(q, q2, "matmul inner dim mismatch: {} vs {}", q, q2);
-        let data = if q == 1 {
+        if q == 1 {
             // Outer product of two columns (the `[R, 1] × a_srcᵀ` input
             // gradient of a GAT attention projection). `0.0 +` is the
             // running sum starting at zero: without it a `-0.0` product
             // would keep its sign where every other form rounds it to `+0.0`.
-            let mut out = Vec::with_capacity(m * n);
+            let out = cleared(&mut out, m * n);
             for &x in &self.data {
                 out.extend(other.data.iter().map(|&v| 0.0 + x * v));
             }
-            out
         } else if m == 1 {
-            dot_rows(&other.data, &self.data, n, q)
+            dot_rows(&other.data, &self.data, n, q, &mut out);
         } else {
             let a = Lhs { data: &self.data, row_stride: q, col_stride: 1 };
-            tile_product(a, &pack_transposed(&other.data, n, q), m, q, n)
-        };
-        Self { shape: Shape::from_dims(&[m, n]), data }
+            pack_transposed(&other.data, n, q, packed);
+            tile_product(a, packed, m, q, n, &mut out);
+        }
+        Self { shape: Shape::from_dims(&[m, n]), data: out }
     }
 
     /// `selfᵀ × other` without materialising the transpose: `self` is
@@ -490,15 +534,18 @@ impl Tensor {
     ///
     /// Panics if either tensor is not rank-2 or the shared row counts differ.
     pub fn matmul_transposed_lhs(&self, other: &Tensor) -> Self {
+        self.matmul_transposed_lhs_into(other, Vec::new())
+    }
+
+    /// [`Tensor::matmul_transposed_lhs`] written into `out`'s storage.
+    pub(crate) fn matmul_transposed_lhs_into(&self, other: &Tensor, mut out: Vec<f32>) -> Self {
         assert_eq!(self.shape.rank, 2, "matmul lhs must be rank-2, got {:?}", self.shape);
         assert_eq!(other.shape.rank, 2, "matmul rhs must be rank-2, got {:?}", other.shape);
         let (m, q) = (self.shape.dims[0], self.shape.dims[1]);
         let (m2, n) = (other.shape.dims[0], other.shape.dims[1]);
         assert_eq!(m, m2, "matmul inner dim mismatch: {} vs {}", m, m2);
-        Self {
-            shape: Shape::from_dims(&[q, n]),
-            data: transposed_lhs_product(&self.data, &other.data, m, q, n),
-        }
+        transposed_lhs_product(&self.data, &other.data, m, q, n, &mut out);
+        Self { shape: Shape::from_dims(&[q, n]), data: out }
     }
 
     /// Transpose of a rank-2 tensor.
@@ -507,14 +554,14 @@ impl Tensor {
     ///
     /// Panics if the tensor is not rank-2.
     pub fn transpose(&self) -> Self {
+        self.transpose_into(Vec::new())
+    }
+
+    /// [`Tensor::transpose`] written into `out`'s storage.
+    pub(crate) fn transpose_into(&self, mut out: Vec<f32>) -> Self {
         assert_eq!(self.shape.rank, 2, "transpose requires a rank-2 tensor");
         let (m, n) = (self.shape.dims[0], self.shape.dims[1]);
-        let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
+        pack_transposed(&self.data, m, n, &mut out);
         Self { shape: Shape::from_dims(&[n, m]), data: out }
     }
 
@@ -525,20 +572,22 @@ impl Tensor {
     /// Panics if the tensors do not share the same number of rows or the
     /// input slice is empty.
     pub fn concat_cols(tensors: &[&Tensor]) -> Self {
+        Self::concat_cols_into(tensors, Vec::new())
+    }
+
+    /// [`Tensor::concat_cols`] written into `out`'s storage.
+    pub(crate) fn concat_cols_into(tensors: &[&Tensor], mut out: Vec<f32>) -> Self {
         assert!(!tensors.is_empty(), "concat_cols requires at least one tensor");
         let rows = tensors[0].rows();
         for t in tensors {
             assert_eq!(t.rows(), rows, "concat_cols row mismatch");
         }
         let total_cols: usize = tensors.iter().map(|t| t.cols()).sum();
-        let mut out = vec![0.0f32; rows * total_cols];
+        let out_data = cleared(&mut out, rows * total_cols);
         for r in 0..rows {
-            let mut offset = 0;
             for t in tensors {
                 let c = t.cols();
-                out[r * total_cols + offset..r * total_cols + offset + c]
-                    .copy_from_slice(&t.data[r * c..(r + 1) * c]);
-                offset += c;
+                out_data.extend_from_slice(&t.data[r * c..(r + 1) * c]);
             }
         }
         Self { shape: Shape::from_dims(&[rows, total_cols]), data: out }
@@ -605,49 +654,81 @@ struct Lhs<'a> {
     col_stride: usize,
 }
 
-/// `a (m×k) · b (k×n)`, both row-major: the kernel of [`Tensor::matmul`].
-fn product(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    if n == 1 {
-        dot_rows(a, b, m, k)
+/// Empties `buffer` and makes room for `len` elements without copying what
+/// it held: the start of an op that pushes exactly `len` elements. A buffer
+/// too small is replaced by one rounded up to a power of two (a recycled
+/// tape's buffers, see `Tape`, then absorb passes a little larger than the
+/// last).
+pub(crate) fn cleared(buffer: &mut Vec<f32>, len: usize) -> &mut Vec<f32> {
+    if buffer.capacity() < len {
+        *buffer = Vec::with_capacity(len.next_power_of_two());
     } else {
-        tile_product(Lhs { data: a, row_stride: k, col_stride: 1 }, b, m, k, n)
+        buffer.clear();
+    }
+    buffer
+}
+
+/// `buffer` as `len` elements for a kernel that writes every one of them:
+/// the elements it already held keep their stale values (no fill), only new
+/// ones are zeroed; a buffer too small is replaced as in [`cleared`].
+pub(crate) fn overwritten(buffer: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buffer.capacity() < len {
+        *buffer = Vec::with_capacity(len.next_power_of_two());
+    }
+    buffer.resize(len, 0.0);
+    buffer
+}
+
+/// `buffer` as `len` zeros, for an op that accumulates into it.
+pub(crate) fn zeroed(buffer: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    let zeros = overwritten(buffer, len);
+    zeros.fill(0.0);
+    zeros
+}
+
+/// `a (m×k) · b (k×n)`, both row-major, into `out`: the kernel of
+/// [`Tensor::matmul`].
+fn product(a: &[f32], b: &[f32], m: usize, k: usize, n: usize, out: &mut Vec<f32>) {
+    if n == 1 {
+        dot_rows(a, b, m, k, out);
+    } else {
+        tile_product(Lhs { data: a, row_stride: k, col_stride: 1 }, b, m, k, n, out);
     }
 }
 
-/// `aᵀ (q×m) · g (m×n)` for a row-major `a (m×q)`: the kernel of
+/// `aᵀ (q×m) · g (m×n)` for a row-major `a (m×q)`, into `out`: the kernel of
 /// [`Tensor::matmul_transposed_lhs`].
-fn transposed_lhs_product(a: &[f32], g: &[f32], m: usize, q: usize, n: usize) -> Vec<f32> {
+fn transposed_lhs_product(a: &[f32], g: &[f32], m: usize, q: usize, n: usize, out: &mut Vec<f32>) {
     if n == 1 {
-        let mut out = vec![0.0f32; q];
+        let out = zeroed(out, q);
         for (p, &gv) in g[..m].iter().enumerate() {
             for (o, &av) in out.iter_mut().zip(&a[p * q..(p + 1) * q]) {
                 *o += av * gv;
             }
         }
-        out
     } else {
-        tile_product(Lhs { data: a, row_stride: 1, col_stride: q }, g, q, m, n)
+        tile_product(Lhs { data: a, row_stride: 1, col_stride: q }, g, q, m, n, out);
     }
 }
 
-/// `a (m×k) · b (k×n)`, `b` row-major, through the register tile.
-fn tile_product(a: Lhs<'_>, b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
-    let mut out = vec![0.0f32; m * n];
+/// `a (m×k) · b (k×n)`, `b` row-major, through the register tile into
+/// `out`, which the tile overwrites whole.
+fn tile_product(a: Lhs<'_>, b: &[f32], m: usize, k: usize, n: usize, out: &mut Vec<f32>) {
+    let out = overwritten(out, m * n);
     #[cfg(target_arch = "x86_64")]
     {
         if is_x86_feature_detected!("avx512f") {
             // SAFETY: the CPU supports AVX-512F, checked on the line above.
-            unsafe { tile_avx512(a, b, &mut out, m, k, n) };
-            return out;
+            unsafe { tile_avx512(a, b, out, m, k, n) };
+            return;
         }
         if is_x86_feature_detected!("avx2") {
             // SAFETY: the CPU supports AVX2, checked on the line above.
-            unsafe { tile_avx2(a, b, &mut out, m, k, n) };
-            return out;
+            unsafe { tile_avx2(a, b, out, m, k, n) };
+            return;
         }
     }
-    tile_baseline(a, b, &mut out, m, k, n);
-    out
+    tile_baseline(a, b, out, m, k, n);
 }
 
 /// The tile compiled for the build's baseline target.
@@ -850,12 +931,12 @@ fn dot(a: &[f32], b: &[f32]) -> f32 {
 /// `Tape::gather_scatter_rows`. Pairs go [`DOT_LANES`] at a time, each
 /// with its own running sum; [`DOT_STEPS`] columns at a time, the lanes'
 /// products are transposed into a local block so a column's additions are
-/// one lane-wide vector.
-pub(crate) fn edge_dots(g: &[f32], a: &[f32], cols: usize, dst: &[usize], src: &[usize]) -> Vec<f32> {
+/// one lane-wide vector. Written into `out`'s storage.
+pub(crate) fn edge_dots(g: &[f32], a: &[f32], cols: usize, dst: &[usize], src: &[usize], out: &mut Vec<f32>) {
     fn row(data: &[f32], r: usize, cols: usize) -> &[f32] {
         &data[r * cols..(r + 1) * cols]
     }
-    let mut out = Vec::with_capacity(src.len());
+    let out = cleared(out, src.len());
     let full = src.len() - src.len() % DOT_LANES;
     let whole = cols - cols % DOT_STEPS;
     for (dst, src) in dst[..full].chunks_exact(DOT_LANES).zip(src[..full].chunks_exact(DOT_LANES)) {
@@ -885,32 +966,29 @@ pub(crate) fn edge_dots(g: &[f32], a: &[f32], cols: usize, dst: &[usize], src: &
         out.extend_from_slice(&sums);
     }
     out.extend(dst[full..].iter().zip(&src[full..]).map(|(&d, &s)| dot(row(g, d, cols), row(a, s, cols))));
-    out
 }
 
 /// One dot product per row of `a (m×k)` with the column `b (k)`: the
 /// `n == 1` form of [`Tensor::matmul`] and, operands swapped, the `m == 1`
 /// form of [`Tensor::matmul_transposed_rhs`]. Rows go [`DOT_LANES`] at a
-/// time, the last `m % DOT_LANES` one by one.
-fn dot_rows(a: &[f32], b: &[f32], m: usize, k: usize) -> Vec<f32> {
+/// time, the last `m % DOT_LANES` one by one. Written into `out`'s storage.
+fn dot_rows(a: &[f32], b: &[f32], m: usize, k: usize, out: &mut Vec<f32>) {
     let b = &b[..k];
-    let mut out = Vec::with_capacity(m);
+    let out = cleared(out, m);
     let full = m - m % DOT_LANES;
     for i in (0..full).step_by(DOT_LANES) {
         out.extend(dot_lanes(std::array::from_fn(|lane| &a[(i + lane) * k..][..k]), b));
     }
     out.extend((full..m).map(|i| dot(&a[i * k..(i + 1) * k], b)));
-    out
 }
 
 /// The row-major `[q, n]` transpose of the row-major `[n, q]` matrix `bt`,
-/// written in order: no zero fill beforehand.
-fn pack_transposed(bt: &[f32], n: usize, q: usize) -> Vec<f32> {
-    let mut b = Vec::with_capacity(q * n);
+/// written in order into `out`'s storage: no zero fill beforehand.
+fn pack_transposed(bt: &[f32], n: usize, q: usize, out: &mut Vec<f32>) {
+    let out = cleared(out, q * n);
     for p in 0..q {
-        b.extend(bt.chunks_exact(q).map(|row| row[p]));
+        out.extend(bt.chunks_exact(q).map(|row| row[p]));
     }
-    b
 }
 
 #[cfg(test)]
@@ -1129,10 +1207,25 @@ mod tests {
                             &a.matmul_naive(&b),
                             &format!("matmul at {m}x{k}x{n}"),
                         );
+                        for stale in stale_buffers(m * n) {
+                            assert_same_bits(
+                                &a.matmul_into(&b, stale),
+                                &a.matmul_naive(&b),
+                                &format!("matmul at {m}x{k}x{n} into a recycled buffer"),
+                            );
+                        }
                     }
                 }
             }
         }
+    }
+
+    /// Recycled buffers for a `len`-element output: stale NaNs, one longer
+    /// than it and one shorter (with room to grow in place).
+    fn stale_buffers(len: usize) -> [Vec<f32>; 2] {
+        let mut shorter = vec![f32::NAN; len + 8];
+        shorter.truncate(len / 2);
+        [vec![f32::NAN; len + 3], shorter]
     }
 
     /// Bit equality, with any NaN equal to any NaN: which operand's payload
@@ -1157,7 +1250,10 @@ mod tests {
     /// strides, `Bᵀ` packed), against `transpose()` + `matmul_naive`, with
     /// the operands the special paths could get wrong planted in: `-0.0` (a
     /// lone `-0.0` product must still round to `+0.0` through the running
-    /// sum), `inf` next to `0.0` (`0.0 * inf = NaN`) and NaN.
+    /// sum), `inf` next to `0.0` (`0.0 * inf = NaN`) and NaN. Each product
+    /// also runs into a recycled buffer (a tape's kept storage) holding
+    /// stale NaNs, longer and shorter than the output: no stale element may
+    /// survive.
     #[test]
     fn backward_kernels_match_naive_on_model_shapes_and_non_finite_operands() {
         let mut rng = XorShiftRng::new(0xBAC2_BAC2);
@@ -1168,6 +1264,10 @@ mod tests {
             let (a, g) = (random_matrix(&mut rng, m, q, plant), random_matrix(&mut rng, m, n, plant));
             let want = a.transpose().matmul_naive(&g);
             assert_same_bits(&a.matmul_transposed_lhs(&g), &want, &format!("lhs {context}"));
+            for stale in stale_buffers(q * n) {
+                let into = a.matmul_transposed_lhs_into(&g, stale);
+                assert_same_bits(&into, &want, &format!("lhs {context}, into a recycled buffer"));
+            }
             for &(form, _, _, tile) in &forms {
                 let at = Lhs { data: a.data(), row_stride: 1, col_stride: q };
                 let via_form = through_form(tile, at, g.data(), q, m, n);
@@ -1177,7 +1277,12 @@ mod tests {
             let (g, b) = (random_matrix(&mut rng, m, q, plant), random_matrix(&mut rng, n, q, plant));
             let want = g.matmul_naive(&b.transpose());
             assert_same_bits(&g.matmul_transposed_rhs(&b), &want, &format!("rhs {context}"));
-            let packed = pack_transposed(b.data(), n, q);
+            for (stale, mut packed) in stale_buffers(m * n).into_iter().zip(stale_buffers(q * n)) {
+                let into = g.matmul_transposed_rhs_into(&b, stale, &mut packed);
+                assert_same_bits(&into, &want, &format!("rhs {context}, into a recycled buffer"));
+            }
+            let mut packed = Vec::new();
+            pack_transposed(b.data(), n, q, &mut packed);
             for &(form, _, _, tile) in &forms {
                 let lhs = Lhs { data: g.data(), row_stride: q, col_stride: 1 };
                 let via_form = through_form(tile, lhs, &packed, m, q, n);
@@ -1235,6 +1340,14 @@ mod tests {
                     let context = format!("{m}x{k}, planted specials: {plant}");
                     let (a, b) = (random_matrix(&mut rng, m, k, plant), random_matrix(&mut rng, k, 1, plant));
                     assert_same_bits(&a.matmul(&b), &a.matmul_naive(&b), &format!("A·B column {context}"));
+                    for stale in stale_buffers(m) {
+                        let into = a.matmul_into(&b, stale);
+                        assert_same_bits(
+                            &into,
+                            &a.matmul_naive(&b),
+                            &format!("A·B column {context}, recycled"),
+                        );
+                    }
                     let g = random_matrix(&mut rng, 1, k, plant);
                     let want = g.matmul_naive(&a.transpose());
                     assert_same_bits(&g.matmul_transposed_rhs(&a), &want, &format!("G·Bᵀ row {context}"));
@@ -1243,7 +1356,8 @@ mod tests {
                     let pairs: Vec<(usize, usize)> =
                         (0..m).map(|_| (rng.next_u64() as usize % 5, rng.next_u64() as usize % 3)).collect();
                     let (xi, yi): (Vec<usize>, Vec<usize>) = pairs.iter().copied().unzip();
-                    let got = edge_dots(x.data(), y.data(), k, &xi, &yi);
+                    let mut got = vec![f32::NAN; m + 2];
+                    edge_dots(x.data(), y.data(), k, &xi, &yi, &mut got);
                     let want: Vec<f32> = pairs
                         .iter()
                         .map(|&(xi, yi)| {
