@@ -15,7 +15,7 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_ratio, time_ns};
+use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_ratio, time_ns, time_with_setup_ns};
 use xrlflow_core::{XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::Environment;
@@ -100,13 +100,16 @@ fn main() {
         const WARM_UP: usize = 3;
         let iters = iters.max(20);
         // The chosen candidate's features, derived from the first graph's
-        // and its delta — what a carried step runs instead of `from_graph`.
+        // and its delta — what a carried step runs instead of `from_graph` —
+        // into a freshly stepped graph, whose structure index the
+        // derivation builds and the step's candidate generation then reads.
         let current = GraphFeatures::from_graph(&obs.graph);
-        let delta =
-            GraphFeatures::delta_from_base_and_patch(&obs.graph, &current, obs.candidates[action].patch());
+        let chosen = &obs.candidates[action];
+        let delta = GraphFeatures::delta_from_base_and_patch(&obs.graph, &current, chosen.patch());
+        let stepped = || chosen.materialize(&obs.graph).unwrap();
         report(
             &format!("featurize/successor/{}", kind.name()),
-            time_ns(WARM_UP, iters, || current.successor(&delta, &next.graph).num_edges()),
+            time_with_setup_ns(WARM_UP, iters, stepped, |next| current.successor(&delta, next).num_edges()),
         );
         let mut tape = Tape::new();
         let cold_ns =

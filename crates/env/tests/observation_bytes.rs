@@ -7,20 +7,23 @@
 //! round's buffer grows by. A counting `#[global_allocator]` tracks live
 //! bytes — allocated minus freed — and the test measures what dropping the
 //! features and the deltas of a BERT observation at a candidate cap of 32
-//! frees once the observation is their only owner.
+//! frees once the observation is their only owner, and what the graph's
+//! structure index, which the features share, keeps live.
 //!
 //! The features hold per row an op index and an attribute sum, the `u32`
 //! edge sources and block offsets (an edge's destination is its block's
-//! row) and the structural index; a delta holds the footprint of its patch
-//! in four lists, each boxed to its length. On the bench-scale BERT graph
-//! (109 nodes, 18 candidates after one step) that is 8 884 bytes: 5 900 of
-//! features (54 per node) and 2 984 of deltas (166 per candidate). The pins,
+//! row) and the row ↔ node id map; the graph's index holds every node's
+//! distinct consumers and its unreachable nodes; a delta holds the footprint
+//! of its patch in four lists, each boxed to its length. On the bench-scale
+//! BERT graph (109 nodes, 18 candidates after one step) that is 8 552 bytes:
+//! 4 496 of features and 1 072 of the index (51 per node together), and
+//! 2 984 of deltas (166 per candidate). The pins,
 //! [`FEATURE_BYTES_PER_NODE`] and [`DELTA_BYTES_PER_CANDIDATE`], are those
 //! figures plus about a tenth: `usize` edge lists, a stored destination
-//! list, a dense `[N, 45]` `f32` input matrix (180 bytes per node on its
-//! own) or a delta that copies the graph's rows breaks them. This file
-//! holds exactly one test so no concurrent test thread can touch the counter
-//! mid-measurement.
+//! list, a second consumer index, a dense `[N, 45]` `f32` input matrix (180
+//! bytes per node on its own) or a delta that copies the graph's rows breaks
+//! them. This file holds exactly one test so no concurrent test thread can
+//! touch the counter mid-measurement.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicIsize, Ordering};
@@ -28,6 +31,7 @@ use std::sync::atomic::{AtomicIsize, Ordering};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::{EnvConfig, Environment, Observation};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+use xrlflow_graph::Graph;
 use xrlflow_rewrite::RuleSet;
 
 /// Tracks the bytes currently allocated through the global allocator.
@@ -58,8 +62,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
-/// What the features may weigh per node of the graph.
-const FEATURE_BYTES_PER_NODE: isize = 60;
+/// What the features and the graph's structure index may weigh together per
+/// node of the graph.
+const FEATURE_BYTES_PER_NODE: isize = 56;
 /// What a candidate's delta may weigh on average.
 const DELTA_BYTES_PER_CANDIDATE: isize = 184;
 
@@ -84,17 +89,28 @@ fn a_bert_observation_carries_its_features_and_deltas_in_a_few_kilobytes() {
     let candidates = observation.candidates.len();
     assert!(candidates > 1, "BERT offers candidates, got {candidates}");
 
-    let Observation { features, deltas, .. } = observation;
+    let Observation { graph, features, deltas, .. } = observation;
+    // The features share the graph's structure index, which the graph keeps
+    // as long as it lives: weighed as what building it again keeps live, on
+    // a copy that has memoised nothing (every `&mut self` method forgets the
+    // index, and a stepped-to graph has no dead node to eliminate).
+    let mut unindexed = Graph::clone(&graph);
+    assert_eq!(unindexed.eliminate_dead_nodes(), 0);
+    let before = LIVE.load(Ordering::SeqCst);
+    unindexed.structure();
+    let index_bytes = LIVE.load(Ordering::SeqCst) - before;
     let feature_bytes = freed_by(features);
     let delta_bytes = freed_by(deltas);
     println!(
         "a BERT observation ({nodes} nodes, {candidates} candidates) carries {} bytes: {feature_bytes} of \
-         features, {delta_bytes} of deltas",
-        feature_bytes + delta_bytes
+         features, {index_bytes} of the graph's index, {delta_bytes} of deltas",
+        feature_bytes + index_bytes + delta_bytes
     );
+    let indexed_features = feature_bytes + index_bytes;
     assert!(
-        feature_bytes <= FEATURE_BYTES_PER_NODE * nodes,
-        "the features of {nodes} nodes weigh {feature_bytes} bytes, more than {FEATURE_BYTES_PER_NODE} per node"
+        indexed_features <= FEATURE_BYTES_PER_NODE * nodes,
+        "the features of {nodes} nodes and their graph's index weigh {indexed_features} bytes, more than \
+         {FEATURE_BYTES_PER_NODE} per node"
     );
     assert!(
         delta_bytes <= DELTA_BYTES_PER_CANDIDATE * candidates as isize,

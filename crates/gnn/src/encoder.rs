@@ -190,7 +190,7 @@ fn dirty_region(
         }
         let grown_from = rows.len();
         for at in frontier {
-            for &consumer in current.consumers(rows[at]) {
+            for consumer in current.consumers(rows[at]) {
                 if level[consumer as usize] == CLEAN {
                     level[consumer as usize] = layer;
                     rows.push(consumer);

@@ -10,11 +10,12 @@
 //! per observation. It stores exactly what the node update reads of a row —
 //! the operator index (the hot bit of the one-hot) and the row's incoming
 //! edge attributes already summed — plus the edge list the attention layers
-//! read and a small structural index (row ↔ node id, a consumer index,
-//! per-row use counts). No dense one-hot matrix and no per-edge attribute
-//! exists: a pass hands the node update each row's attribute sum and op
-//! index, and the update looks up the op's weight row. The index is what
-//! makes a rewrite candidate cheap:
+//! read, the row ↔ node id map and a handle to the graph's own memoised
+//! structure index ([`Graph::structure`]), which answers consumers and
+//! reachability. No dense one-hot matrix and no per-edge attribute exists: a
+//! pass hands the node update each row's attribute sum and op index, and the
+//! update looks up the op's weight row. The row map and the graph's index
+//! are what make a rewrite candidate cheap:
 //!
 //! * [`GraphFeatures::delta_from_base_and_patch`] turns a candidate's
 //!   [`GraphPatch`] into a **sparse** [`CandidateDelta`] — the base rows that
@@ -34,10 +35,9 @@
 //!   rule and site.
 
 use std::ops::Range;
+use std::sync::Arc;
 
-use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, PatchRef, TensorShape};
-#[cfg(test)]
-use xrlflow_tensor::Tensor;
+use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, PatchRef, StructureIndex, TensorShape};
 
 /// The edge-attribute normalisation constant `M` from Table 4.
 pub const EDGE_NORMALISER: f32 = 4096.0;
@@ -122,115 +122,81 @@ pub struct GraphFeatures {
     /// An edge's destination (consumer) is the row whose block holds it
     /// ([`GraphFeatures::edge_dsts`]).
     pub edge_offsets: Vec<u32>,
-    /// The structural index sparse candidate deltas are computed and
-    /// consumed against. Filled by [`GraphFeatures::from_graph`] and
-    /// [`GraphFeatures::successor`].
+    /// The row map and the graph's structure index, which sparse candidate
+    /// deltas are computed and consumed against. Filled by
+    /// [`GraphFeatures::from_graph`] and [`GraphFeatures::successor`].
     index: GraphIndex,
 }
 
 /// What [`GraphFeatures::from_graph`] records about the graph's structure,
 /// once per observation, so that per-candidate work can be proportional to
-/// the candidate's patch: about three `u32` per node and per edge.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// the candidate's patch: the row map, two `u32` per row or node id, and a
+/// handle to the graph's own memoised [`StructureIndex`], which answers
+/// consumers and reachability by node id.
+#[derive(Debug, Clone, PartialEq)]
 struct GraphIndex {
     /// Row → node id (ascending, the row order of the features).
     node_ids: Vec<NodeId>,
     /// `NodeId::index()` → row; [`NO_ROW`] for id holes left by dead-node
     /// elimination.
     row_of_id: Vec<u32>,
-    /// CSR offsets into `consumers`, one block per producer row.
-    consumer_offsets: Vec<u32>,
-    /// The rows consuming each producer row — one entry per consuming input
-    /// slot, so a consumer reading a producer twice appears twice, adjacent;
-    /// each block ascends.
-    consumers: Vec<u32>,
-    /// Per row, how many references keep it alive: input slots of reachable
-    /// consumers plus graph outputs. Zero exactly for the rows that are not
-    /// backwards-reachable from a graph output.
-    uses: Vec<u32>,
-    /// The rows with `uses == 0`, ascending: `Graph::validate` accepts
-    /// unreachable nodes, dead-node elimination removes them from every
-    /// candidate.
-    unreachable: Vec<u32>,
+    /// The featurised graph's structure index, shared with the graph.
+    structure: Arc<StructureIndex>,
 }
 
 impl GraphIndex {
+    /// The rows `node_ids` of `graph`, over its structure index.
+    fn new(graph: &Graph, node_ids: Vec<NodeId>) -> Self {
+        let mut index = Self { node_ids, row_of_id: Vec::new(), structure: Arc::clone(graph.structure()) };
+        index.map_rows();
+        index
+    }
+
+    /// Fills `row_of_id` from `node_ids`.
+    fn map_rows(&mut self) {
+        self.row_of_id = vec![NO_ROW; self.node_ids.last().map_or(0, |id| id.index() + 1)];
+        for (row, id) in self.node_ids.iter().enumerate() {
+            self.row_of_id[id.index()] = row as u32;
+        }
+    }
+
     fn row_of(&self, id: NodeId) -> u32 {
         let row = self.row_of_id[id.index()];
         debug_assert_ne!(row, NO_ROW, "node id is not a row of the base features");
         row
     }
 
-    fn consumers(&self, row: u32) -> &[u32] {
-        let row = row as usize;
-        &self.consumers[self.consumer_offsets[row] as usize..self.consumer_offsets[row + 1] as usize]
+    /// The distinct rows consuming `row`, ascending.
+    fn consumers(&self, row: u32) -> impl Iterator<Item = u32> + '_ {
+        let consumers = self.structure.consumers_of(self.node_ids[row as usize]);
+        consumers.iter().map(|&id| self.row_of_id[id.index()])
+    }
+
+    /// The rows no graph output reaches, ascending: `Graph::validate`
+    /// accepts unreachable nodes, dead-node elimination removes them from
+    /// every candidate.
+    fn unreachable(&self) -> impl Iterator<Item = u32> + '_ {
+        self.structure.unreachable().iter().map(|&id| self.row_of_id[id.index()])
+    }
+
+    fn is_reachable(&self, row: u32) -> bool {
+        self.structure.unreachable().binary_search(&self.node_ids[row as usize]).is_err()
+    }
+
+    /// How many references keep `row` alive: input slots of reachable
+    /// consumers plus graph outputs. Zero exactly for the rows no graph
+    /// output reaches.
+    fn uses(&self, graph: &Graph, row: u32) -> u32 {
+        let id = self.node_ids[row as usize];
+        let mut uses = graph.outputs().iter().filter(|output| output.node == id).count();
+        for consumer in self.consumers(row).filter(|&consumer| self.is_reachable(consumer)) {
+            uses += self.node(graph, consumer).inputs.iter().filter(|input| input.node == id).count();
+        }
+        uses as u32
     }
 
     fn node<'g>(&self, graph: &'g Graph, row: u32) -> &'g Node {
         graph.node(self.node_ids[row as usize]).expect("every row of the base features is a live base node")
-    }
-
-    /// Builds the consumer index and the use counts from the edge lists of
-    /// the features being built.
-    fn build(
-        graph: &Graph,
-        node_ids: Vec<NodeId>,
-        row_of_id: Vec<u32>,
-        edge_src: &[u32],
-        edge_offsets: &[u32],
-    ) -> Self {
-        let num_nodes = node_ids.len();
-        let block = |row: usize| &edge_src[edge_offsets[row] as usize..edge_offsets[row + 1] as usize];
-
-        // A node never consumes itself, so in a row's block `src == row` is
-        // the self-loop and every other edge is a dataflow edge.
-        let mut consumer_offsets = vec![0u32; num_nodes + 1];
-        for dst in 0..num_nodes {
-            for &src in block(dst) {
-                if src as usize != dst {
-                    consumer_offsets[src as usize + 1] += 1;
-                }
-            }
-        }
-        for row in 0..num_nodes {
-            consumer_offsets[row + 1] += consumer_offsets[row];
-        }
-        let mut next = consumer_offsets.clone();
-        let mut consumers = vec![0u32; consumer_offsets[num_nodes] as usize];
-        for dst in 0..num_nodes {
-            for &src in block(dst) {
-                let src = src as usize;
-                if src != dst {
-                    consumers[next[src] as usize] = dst as u32;
-                    next[src] += 1;
-                }
-            }
-        }
-
-        // Reachability from the graph outputs, once per observation; the
-        // per-candidate replay only ever cascades from a patch's rewires.
-        let mut uses = vec![0u32; num_nodes];
-        let mut reachable = vec![false; num_nodes];
-        let mut stack: Vec<usize> = Vec::new();
-        for output in graph.outputs() {
-            let row = row_of_id[output.node.index()] as usize;
-            uses[row] += 1;
-            stack.push(row);
-        }
-        while let Some(row) = stack.pop() {
-            if std::mem::replace(&mut reachable[row], true) {
-                continue;
-            }
-            for &src in block(row) {
-                let src = src as usize;
-                if src != row {
-                    uses[src] += 1;
-                    stack.push(src);
-                }
-            }
-        }
-        let unreachable = (0..num_nodes as u32).filter(|&row| !reachable[row as usize]).collect();
-        Self { node_ids, row_of_id, consumer_offsets, consumers, uses, unreachable }
     }
 }
 
@@ -256,7 +222,8 @@ fn resolve_through_rewires(patch: &GraphPatch, mut r: PatchRef) -> PatchRef {
 }
 
 /// Dead-node elimination of a patched graph, replayed as reference counting
-/// against the base graph's use counts.
+/// against the base graph's use counts, each worked out when the replay first
+/// touches its row.
 ///
 /// The base is a DAG whose rows are alive exactly when their use count is
 /// positive, so the patched graph's liveness follows from the references the
@@ -271,8 +238,9 @@ struct PatchLiveness<'a> {
     base: &'a Graph,
     index: &'a GraphIndex,
     patch: &'a GraphPatch,
-    /// Net reference-count change of each touched base row, sorted by row.
-    base_changes: Vec<(u32, i64)>,
+    /// Reference count of each touched base row, sorted by row: its use
+    /// count in the base plus the net change.
+    base_uses: Vec<(u32, i64)>,
     /// Reference counts of the patch's added nodes.
     added_uses: Vec<u32>,
     /// Base rows that came alive or died along the way (a row can do both).
@@ -290,7 +258,7 @@ impl<'a> PatchLiveness<'a> {
             base,
             index,
             patch,
-            base_changes: Vec::new(),
+            base_uses: Vec::new(),
             added_uses: vec![0; patch.added_nodes().len()],
             flipped: Vec::new(),
             rewired: Vec::new(),
@@ -306,14 +274,8 @@ impl<'a> PatchLiveness<'a> {
             }
             let from_row = index.row_of(from.node);
             let mut moved = base.outputs().iter().filter(|&&output| output == *from).count();
-            let mut previous = NO_ROW;
-            for &consumer in index.consumers(from_row) {
-                // One entry per consuming slot: visit each consumer once. A
-                // consumer unreachable in the base holds no counted reference.
-                if consumer == previous || index.uses[consumer as usize] == 0 {
-                    continue;
-                }
-                previous = consumer;
+            // A consumer unreachable in the base holds no counted reference.
+            for consumer in index.consumers(from_row).filter(|&consumer| index.is_reachable(consumer)) {
                 let slots = index.node(base, consumer).inputs.iter().filter(|&&input| input == *from).count();
                 if slots > 0 {
                     this.rewired.push(consumer);
@@ -367,15 +329,15 @@ impl<'a> PatchLiveness<'a> {
     fn adjust(&mut self, node: PatchedNode, change: i64) -> (i64, i64) {
         match node {
             PatchedNode::Base(row) => {
-                let at = match self.base_changes.binary_search_by_key(&row, |&(r, _)| r) {
+                let at = match self.base_uses.binary_search_by_key(&row, |&(r, _)| r) {
                     Ok(at) => at,
                     Err(at) => {
-                        self.base_changes.insert(at, (row, 0));
+                        self.base_uses.insert(at, (row, i64::from(self.index.uses(self.base, row))));
                         at
                     }
                 };
-                let before = i64::from(self.index.uses[row as usize]) + self.base_changes[at].1;
-                self.base_changes[at].1 += change;
+                let before = self.base_uses[at].1;
+                self.base_uses[at].1 += change;
                 (before, before + change)
             }
             PatchedNode::New(i) => {
@@ -416,11 +378,10 @@ impl<'a> PatchLiveness<'a> {
     }
 
     fn base_row_is_live(&self, row: u32) -> bool {
-        let change = match self.base_changes.binary_search_by_key(&row, |&(r, _)| r) {
-            Ok(at) => self.base_changes[at].1,
-            Err(_) => 0,
-        };
-        i64::from(self.index.uses[row as usize]) + change > 0
+        match self.base_uses.binary_search_by_key(&row, |&(r, _)| r) {
+            Ok(at) => self.base_uses[at].1 > 0,
+            Err(_) => self.index.is_reachable(row),
+        }
     }
 }
 
@@ -508,7 +469,7 @@ impl GraphFeatures {
 
     /// Extracts features from a graph — per row its operator index and
     /// summed incoming edge attributes, and the edge list — and records the
-    /// structural index (row ↔ node id, consumers, use counts) that
+    /// row ↔ node id map and a handle to the graph's structure index that
     /// [`GraphFeatures::delta_from_base_and_patch`] and
     /// [`crate::GnnEncoder::encode_candidates`] work against.
     ///
@@ -523,10 +484,7 @@ impl GraphFeatures {
             max_edges += node.inputs.len() + 1;
         }
         let num_nodes = node_ids.len();
-        let mut row_of_id = vec![NO_ROW; node_ids.last().map_or(0, |id| id.index() + 1)];
-        for (row, id) in node_ids.iter().enumerate() {
-            row_of_id[id.index()] = row as u32;
-        }
+        let index = GraphIndex::new(graph, node_ids);
 
         let mut node_inputs = Vec::with_capacity(num_nodes);
         let mut edge_src = Vec::with_capacity(max_edges);
@@ -538,7 +496,7 @@ impl GraphFeatures {
             // producer tensor's shape.
             for input in &node.inputs {
                 if let Ok(shape) = graph.tensor_shape(*input) {
-                    edge_src.push(row_of_id[input.node.index()]);
+                    edge_src.push(index.row_of_id[input.node.index()]);
                     node_input.add_edge(shape);
                 }
             }
@@ -550,8 +508,6 @@ impl GraphFeatures {
             node_inputs.push(node_input);
         }
         edge_offsets.push(edge_src.len() as u32);
-
-        let index = GraphIndex::build(graph, node_ids, row_of_id, &edge_src, &edge_offsets);
         Self { node_inputs, edge_src, num_nodes, edge_offsets, index }
     }
 
@@ -581,7 +537,7 @@ impl GraphFeatures {
         // Rows that leave: died in the cascade, or never reachable and not
         // brought to life.
         let mut removed = std::mem::take(&mut liveness.flipped);
-        removed.extend_from_slice(&index.unreachable);
+        removed.extend(index.unreachable());
         removed.sort_unstable();
         removed.dedup();
         removed.retain(|&row| !liveness.base_row_is_live(row));
@@ -668,10 +624,10 @@ impl GraphFeatures {
     /// materialised — equal to [`GraphFeatures::from_graph`] of it, index
     /// included — derived from these features (its base's) and the delta
     /// instead of from the graph: the runs of rows the patch left alone are
-    /// copied with their edge blocks, renumbered past the removed rows, the
-    /// rewired and added rows come from the delta, and the index is rebuilt
-    /// from the derived edge lists. Of `graph` it reads the ids of the added
-    /// rows (its last live ids) and its outputs.
+    /// copied with their edge blocks, renumbered past the removed rows, and
+    /// the rewired and added rows come from the delta. Of `graph` it reads
+    /// the ids of the added rows (its last live ids) and its structure
+    /// index, which it shares.
     ///
     /// `delta` must be `delta_from_base_and_patch(base, self, patch)` and
     /// `graph` must be `base` with `patch` applied.
@@ -698,18 +654,17 @@ impl GraphFeatures {
             edge_src: Vec::with_capacity(self.edge_src.len() + delta.sources.len()),
             num_nodes,
             edge_offsets: Vec::with_capacity(num_nodes + 1),
-            index: GraphIndex::default(),
+            index: GraphIndex::new(graph, Vec::with_capacity(num_nodes)),
         };
-        let mut node_ids = Vec::with_capacity(num_nodes);
         // Surviving base rows `from..to`, none rewired: copied as one run.
-        let copy_run = |out: &mut Self, node_ids: &mut Vec<NodeId>, from: usize, to: usize| {
+        let copy_run = |out: &mut Self, from: usize, to: usize| {
             if from >= to {
                 return;
             }
             let edge_shift = self.edge_offsets[from] - out.edge_src.len() as u32;
             let block = self.edge_offsets[from] as usize..self.edge_offsets[to] as usize;
             out.node_inputs.extend_from_slice(&self.node_inputs[from..to]);
-            node_ids.extend_from_slice(&self.index.node_ids[from..to]);
+            out.index.node_ids.extend_from_slice(&self.index.node_ids[from..to]);
             out.edge_offsets.extend(self.edge_offsets[from..to].iter().map(|&at| at - edge_shift));
             out.edge_src.extend(self.edge_src[block].iter().map(|&src| new_row[src as usize]));
         };
@@ -720,19 +675,20 @@ impl GraphFeatures {
         while let Some(row) =
             [removed.peek().map(|&&gone| gone), rewired.peek().map(|r| r.row)].into_iter().flatten().min()
         {
-            copy_run(&mut out, &mut node_ids, next, row as usize);
+            copy_run(&mut out, next, row as usize);
             if removed.next_if(|&&gone| gone == row).is_none() {
                 let r = rewired.next().expect("a row that is not removed is rewired");
                 out.edge_offsets.push(out.edge_src.len() as u32);
                 out.node_inputs.push(self.node_inputs[row as usize]);
-                node_ids.push(self.index.node_ids[row as usize]);
+                out.index.node_ids.push(self.index.node_ids[row as usize]);
                 let sources = &delta.sources[span(&r.sources)];
                 out.edge_src.extend(sources.iter().map(|&source| row_of(source)));
             }
             next = row as usize + 1;
         }
-        copy_run(&mut out, &mut node_ids, next, n);
+        copy_run(&mut out, next, n);
         // The patch's nodes took the graph's highest ids, in patch order.
+        let node_ids = &mut out.index.node_ids;
         node_ids.extend(graph.iter().rev().take(delta.added.len()).map(|(id, _)| id));
         node_ids[survivors..].reverse();
         for added in &delta.added {
@@ -742,18 +698,12 @@ impl GraphFeatures {
             out.edge_src.extend(sources.iter().map(|&source| row_of(source)));
         }
         out.edge_offsets.push(out.edge_src.len() as u32);
-
-        let mut row_of_id = vec![NO_ROW; node_ids.last().map_or(0, |id| id.index() + 1)];
-        for (row, id) in node_ids.iter().enumerate() {
-            row_of_id[id.index()] = row as u32;
-        }
-        out.index = GraphIndex::build(graph, node_ids, row_of_id, &out.edge_src, &out.edge_offsets);
+        out.index.map_rows();
         out
     }
 
-    /// The rows consuming `row`, one entry per consuming input slot
-    /// (ascending; a consumer reading `row` twice appears twice).
-    pub(crate) fn consumers(&self, row: u32) -> &[u32] {
+    /// The distinct rows consuming `row`, ascending.
+    pub(crate) fn consumers(&self, row: u32) -> impl Iterator<Item = u32> + '_ {
         self.index.consumers(row)
     }
 }
@@ -776,6 +726,9 @@ impl GraphFeatures {
         base_features.successor(&delta, &base.apply_patch(patch).expect("the patch was built against `base`"))
     }
 }
+
+#[cfg(test)]
+use xrlflow_tensor::Tensor;
 
 #[cfg(test)]
 impl NodeInput {

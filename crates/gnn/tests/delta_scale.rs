@@ -9,12 +9,15 @@
 //! candidate would ask for more than 32 of them. The featuriser itself
 //! stores per row the op index and the summed edge attributes, not a dense
 //! one-hot row and a per-edge attribute tensor, so it must ask for at most a
-//! pinned fraction of what the parent's did:
+//! pinned fraction of what the parent's did. The features read consumers and
+//! reachability off the graph's memoised structure index, so `from_graph`
+//! is measured on a graph that has built none, building it included:
 //!
-//! | tree                                                | `from_graph` | 32 deltas |
-//! |-----------------------------------------------------|--------------|-----------|
-//! | parent (`2512620`, dense one-hot and edge tensors)  | 73 700       | 14 848    |
-//! | this tree (op index + summed attributes per row)    | 27 380       | 14 848    |
+//! | tree                                                    | `from_graph` | 32 deltas |
+//! |---------------------------------------------------------|--------------|-----------|
+//! | parent (`2512620`, dense one-hot and edge tensors)      | 73 700       | 14 848    |
+//! | op index + summed attributes per row, own consumer CSR  | 27 380       | 14 848    |
+//! | this tree (the graph's index, its build counted)        | 16 668       | 12 544    |
 //!
 //! This file holds exactly one test so no concurrent test thread can touch
 //! the counter mid-measurement.
@@ -73,7 +76,11 @@ fn candidate_deltas_allocate_by_patch_footprint_not_by_graph_size() {
     let candidates = RuleSet::standard().generate_candidates(&graph, 32);
     assert_eq!(candidates.len(), 32, "InceptionV3's first observation fills the candidate budget");
 
-    let (features_bytes, features) = bytes_requested(|| GraphFeatures::from_graph(&graph));
+    // Every `&mut self` method forgets the memoised index, and a zoo graph
+    // has no dead node to eliminate.
+    let mut unindexed = graph.clone();
+    assert_eq!(unindexed.eliminate_dead_nodes(), 0);
+    let (features_bytes, features) = bytes_requested(|| GraphFeatures::from_graph(&unindexed));
     let (delta_bytes, deltas) = bytes_requested(|| {
         candidates
             .iter()

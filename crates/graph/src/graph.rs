@@ -166,10 +166,12 @@ impl std::error::Error for GraphError {}
 ///
 /// Structural questions ([`Graph::topo_order`], [`Graph::canonical_hash`],
 /// [`Graph::validate`]'s acyclicity, [`Graph::is_foldable`],
-/// [`Graph::num_nodes`]) are answered from one lazily built index over dense
-/// `NodeId`-indexed vectors. The index is memoised per graph, shared by
-/// clones and forgotten by the one private accessor through which every
-/// `&mut self` method reaches the nodes or the outputs.
+/// [`Graph::num_nodes`], [`Graph::consumers_of`],
+/// [`Graph::unreachable_nodes`]) are answered from one lazily built
+/// [`StructureIndex`] over dense `NodeId`-indexed vectors. The index is
+/// memoised per graph, shared by clones and forgotten by the one private
+/// accessor through which every `&mut self` method reaches the nodes or the
+/// outputs.
 #[derive(Debug, Clone, Default)]
 pub struct Graph {
     nodes: Vec<Option<Arc<Node>>>,
@@ -178,31 +180,55 @@ pub struct Graph {
 }
 
 /// What a graph's structure answers without another pass over it; see
-/// [`Graph`]. Built in one Kahn sort.
+/// [`Graph`]. Built in one pass over the nodes and one walk back from the
+/// outputs, and shared: a reader that outlives its borrow of the graph (the
+/// GNN featuriser) keeps the `Arc` ([`Graph::structure`]). The order, the
+/// foldable mask and the hash are built on first request.
 #[derive(Debug)]
-struct StructureIndex {
+pub struct StructureIndex {
     /// Number of live nodes.
     live: usize,
+    /// Per `NodeId::index()`, the start of its block of `consumers`; one
+    /// more entry than there are slots.
+    consumer_starts: Vec<u32>,
+    /// Every live node's distinct consumers, ascending, one block per
+    /// producer.
+    consumers: Vec<NodeId>,
+    /// The live nodes no graph output reaches, ascending.
+    unreachable: Vec<NodeId>,
+    /// Whether a live node reads a missing one.
+    dangling: bool,
+    /// The Kahn order and the foldable mask, and the canonical hash, each
+    /// built on first request: most graphs an episode steps through are
+    /// never measured or cached, so never sorted or hashed.
+    sorted: OnceLock<Sorted>,
+    hash: OnceLock<u64>,
+}
+
+/// The part of a [`StructureIndex`] built on first request.
+#[derive(Debug)]
+struct Sorted {
     /// The topological order, `None` when the graph is cyclic or holds a
     /// dangling reference.
     order: Option<Vec<NodeId>>,
     /// Per `NodeId::index()`: whether the node is independent of every
     /// `Input` (all `false` without an order).
     foldable: Vec<bool>,
-    /// The canonical hash, computed on first request: most graphs an episode
-    /// steps through are never measured or cached, so never hashed.
-    hash: OnceLock<u64>,
+}
+
+/// Two indices are equal when they answer alike; what is built on first
+/// request follows from the rest and the graph, and is not compared.
+impl PartialEq for StructureIndex {
+    fn eq(&self, other: &Self) -> bool {
+        (self.live, &self.consumer_starts, &self.consumers, &self.unreachable, self.dangling)
+            == (other.live, &other.consumer_starts, &other.consumers, &other.unreachable, other.dangling)
+    }
 }
 
 impl StructureIndex {
-    /// Kahn's algorithm in the order the map-based sort it replaced produced
-    /// (which [`Graph::canonical_hash`] and with it every cache key and
-    /// simulated latency depends on): a node's in-degree is the number of its
-    /// *distinct* producers; the queue starts with the zero-in-degree ids
-    /// ascending and is FIFO; a finished node releases its consumers in
-    /// ascending id order. A reference to a missing node is never released,
-    /// so a dangling graph reads as cyclic.
-    fn build(nodes: &[Option<Arc<Node>>]) -> Self {
+    /// The live count, every node's distinct consumers and the unreachable
+    /// nodes: what each stepped-to graph is asked for.
+    fn build(nodes: &[Option<Arc<Node>>], outputs: &[TensorRef]) -> Self {
         /// The index of every producer `node` reads, once each.
         fn distinct_producers(node: &Node) -> impl Iterator<Item = usize> + '_ {
             let inputs = &node.inputs;
@@ -212,53 +238,87 @@ impl StructureIndex {
         let slots = nodes.len();
         let is_live = |id: usize| matches!(nodes.get(id), Some(Some(_)));
         // Each producer's consumers as one block of `consumers`: count,
-        // prefix-sum, fill. `block_end[p]` is where p's block starts until
-        // the fill has advanced it to where the block ends.
-        let mut in_degree = vec![0u32; slots];
-        let mut block_end = vec![0u32; slots + 1];
-        let mut live = 0;
-        for (id, node) in nodes.iter().enumerate() {
-            let Some(node) = node else { continue };
+        // prefix-sum, fill. The fill advances `consumer_starts[p]` from where
+        // p's block starts to where it ends, which is where p + 1's starts.
+        let mut consumer_starts = vec![0u32; slots + 1];
+        let (mut live, mut dangling) = (0, false);
+        for node in nodes.iter().flatten() {
             live += 1;
             for producer in distinct_producers(node) {
-                in_degree[id] += 1;
-                if is_live(producer) {
-                    block_end[producer + 1] += 1;
+                match is_live(producer) {
+                    true => consumer_starts[producer + 1] += 1,
+                    false => dangling = true,
                 }
             }
         }
         for id in 0..slots {
-            block_end[id + 1] += block_end[id];
+            consumer_starts[id + 1] += consumer_starts[id];
         }
-        let mut consumers = vec![0u32; block_end[slots] as usize];
+        let mut consumers = vec![NodeId(0); consumer_starts[slots] as usize];
         for (id, node) in nodes.iter().enumerate() {
             let Some(node) = node else { continue };
-            for producer in distinct_producers(node) {
-                if is_live(producer) {
-                    consumers[block_end[producer] as usize] = id as u32;
-                    block_end[producer] += 1;
-                }
+            for producer in distinct_producers(node).filter(|&producer| is_live(producer)) {
+                consumers[consumer_starts[producer] as usize] = NodeId(id as u32);
+                consumer_starts[producer] += 1;
             }
         }
+        consumer_starts.rotate_right(1);
+        consumer_starts[0] = 0;
 
+        let mut reached = vec![false; slots];
+        let mut stack: Vec<usize> = outputs.iter().map(|r| r.node.index()).collect();
+        while let Some(id) = stack.pop() {
+            let Some(Some(node)) = nodes.get(id) else { continue };
+            if !std::mem::replace(&mut reached[id], true) {
+                stack.extend(node.inputs.iter().map(|r| r.node.index()));
+            }
+        }
+        let unreachable =
+            (0..slots).filter(|&id| is_live(id) && !reached[id]).map(|id| NodeId(id as u32)).collect();
+        Self {
+            live,
+            consumer_starts,
+            consumers,
+            unreachable,
+            dangling,
+            sorted: OnceLock::new(),
+            hash: OnceLock::new(),
+        }
+    }
+
+    /// Kahn's algorithm in the order the map-based sort it replaced produced
+    /// (which [`Graph::canonical_hash`] and with it every cache key and
+    /// simulated latency depends on): a node's in-degree is the number of its
+    /// *distinct* producers; the queue starts with the zero-in-degree ids
+    /// ascending and is FIFO; a finished node releases its consumers in
+    /// ascending id order. A graph in which a node reads a missing one has
+    /// no order: it reads as cyclic.
+    fn sort(&self, nodes: &[Option<Arc<Node>>]) -> Sorted {
+        let slots = nodes.len();
+        let mut foldable = vec![false; slots];
+        if self.dangling {
+            return Sorted { order: None, foldable };
+        }
+        let mut in_degree = vec![0u32; slots];
+        for &consumer in &self.consumers {
+            in_degree[consumer.index()] += 1;
+        }
         // `order` doubles as the FIFO queue: `head` is its read position.
-        let mut order: Vec<NodeId> = Vec::with_capacity(live);
-        order.extend((0..slots).filter(|&id| is_live(id) && in_degree[id] == 0).map(|id| NodeId(id as u32)));
+        let mut order: Vec<NodeId> = Vec::with_capacity(self.live);
+        let sources = (0..slots).filter(|&id| nodes[id].is_some() && in_degree[id] == 0);
+        order.extend(sources.map(|id| NodeId(id as u32)));
         let mut head = 0;
         while let Some(&id) = order.get(head) {
             head += 1;
-            let block_start = if id.index() == 0 { 0 } else { block_end[id.index() - 1] };
-            for &consumer in &consumers[block_start as usize..block_end[id.index()] as usize] {
-                in_degree[consumer as usize] -= 1;
-                if in_degree[consumer as usize] == 0 {
-                    order.push(NodeId(consumer));
+            for &consumer in self.consumers_of(id) {
+                in_degree[consumer.index()] -= 1;
+                if in_degree[consumer.index()] == 0 {
+                    order.push(consumer);
                 }
             }
         }
-
-        let mut foldable = vec![false; slots];
-        if order.len() != live {
-            return Self { live, order: None, foldable, hash: OnceLock::new() };
+        if order.len() != self.live {
+            return Sorted { order: None, foldable };
         }
         for &id in &order {
             let node = nodes[id.index()].as_deref().expect("the order holds live nodes");
@@ -268,7 +328,22 @@ impl StructureIndex {
                 _ => node.inputs.iter().all(|r| foldable[r.node.index()]),
             };
         }
-        Self { live, order: Some(order), foldable, hash: OnceLock::new() }
+        Sorted { order: Some(order), foldable }
+    }
+
+    /// The distinct nodes that read `id`, ascending; empty for a dead or
+    /// out-of-range id.
+    pub fn consumers_of(&self, id: NodeId) -> &[NodeId] {
+        match self.consumer_starts.get(id.index()..id.index() + 2) {
+            Some(&[start, end]) => &self.consumers[start as usize..end as usize],
+            _ => &[],
+        }
+    }
+
+    /// The live nodes no graph output reaches, ascending: what
+    /// [`Graph::eliminate_dead_nodes`] would remove.
+    pub fn unreachable(&self) -> &[NodeId] {
+        &self.unreachable
     }
 }
 
@@ -317,8 +392,28 @@ impl Graph {
         NodeId((nodes.len() - 1) as u32)
     }
 
-    fn index(&self) -> &StructureIndex {
-        self.index.get_or_init(|| Arc::new(StructureIndex::build(&self.nodes)))
+    /// The memoised structure index, built on first request — the handle a
+    /// reader keeps to ask [`StructureIndex::consumers_of`] and
+    /// [`StructureIndex::unreachable`] of this graph without borrowing it.
+    pub fn structure(&self) -> &Arc<StructureIndex> {
+        self.index.get_or_init(|| Arc::new(StructureIndex::build(&self.nodes, &self.outputs)))
+    }
+
+    fn sorted(&self) -> &Sorted {
+        let index = self.structure();
+        index.sorted.get_or_init(|| index.sort(&self.nodes))
+    }
+
+    /// The distinct nodes that read `id`, ascending; empty for a dead or
+    /// out-of-range id. Answered from the memoised structure index.
+    pub fn consumers_of(&self, id: NodeId) -> &[NodeId] {
+        self.structure().consumers_of(id)
+    }
+
+    /// The live nodes no graph output reaches, ascending; answered from the
+    /// memoised structure index.
+    pub fn unreachable_nodes(&self) -> &[NodeId] {
+        self.structure().unreachable()
     }
 
     /// Adds an operator node, running shape inference on its inputs.
@@ -411,7 +506,7 @@ impl Graph {
 
     /// Number of live nodes.
     pub fn num_nodes(&self) -> usize {
-        self.index().live
+        self.structure().live
     }
 
     /// One past the largest [`NodeId::index`] this graph has ever assigned —
@@ -455,7 +550,7 @@ impl Graph {
     ///
     /// Returns [`GraphError::Cycle`] if the graph is cyclic.
     pub fn topo_order(&self) -> Result<Vec<NodeId>, GraphError> {
-        self.index().order.clone().ok_or(GraphError::Cycle)
+        self.sorted().order.clone().ok_or(GraphError::Cycle)
     }
 
     /// Validates the whole graph: all references resolve, shapes agree with
@@ -487,7 +582,7 @@ impl Graph {
         for r in &self.outputs {
             self.tensor_shape(*r)?;
         }
-        match self.index().order {
+        match self.sorted().order {
             Some(_) => Ok(()),
             None => Err(GraphError::Cycle),
         }
@@ -614,7 +709,7 @@ impl Graph {
     /// Whether `id` is a live node of [`Graph::foldable_nodes`] — answered
     /// from the memoised structure index.
     pub fn is_foldable(&self, id: NodeId) -> bool {
-        self.index().foldable.get(id.index()).is_some_and(|&foldable| foldable)
+        self.sorted().foldable.get(id.index()).is_some_and(|&foldable| foldable)
     }
 
     /// A canonical structural hash of the graph: two graphs that are equal
@@ -623,8 +718,8 @@ impl Graph {
     /// measurement noise and the serving cache. Computed once per graph and
     /// shared with its clones.
     pub fn canonical_hash(&self) -> u64 {
-        let index = self.index();
-        *index.hash.get_or_init(|| index.order.as_deref().map_or(0, |order| self.hash_in(order)))
+        let index = self.structure();
+        *index.hash.get_or_init(|| self.sorted().order.as_deref().map_or(0, |order| self.hash_in(order)))
     }
 
     /// The hash of the graph renumbered in `order`. The byte stream fed to
@@ -754,6 +849,28 @@ mod reference {
         outs.sort_unstable();
         outs.hash(&mut hasher);
         hasher.finish()
+    }
+
+    /// A scan of every node for the ones reading `id`: distinct, ascending.
+    pub(super) fn consumers(g: &Graph, id: NodeId) -> Vec<NodeId> {
+        if g.node(id).is_err() {
+            return Vec::new();
+        }
+        g.iter().filter(|(_, node)| node.inputs.iter().any(|r| r.node == id)).map(|(c, _)| c).collect()
+    }
+
+    /// A depth-first walk from the outputs: the live nodes it never reaches.
+    pub(super) fn unreachable(g: &Graph) -> Vec<NodeId> {
+        let mut reached = HashSet::new();
+        let mut stack: Vec<NodeId> = g.outputs().iter().map(|r| r.node).collect();
+        while let Some(id) = stack.pop() {
+            if let Ok(node) = g.node(id) {
+                if reached.insert(id) {
+                    stack.extend(node.inputs.iter().map(|r| r.node));
+                }
+            }
+        }
+        g.iter().map(|(id, _)| id).filter(|id| !reached.contains(id)).collect()
     }
 }
 
@@ -971,6 +1088,10 @@ mod tests {
         }
         assert_eq!(g.num_nodes(), g.iter().count(), "{context}: num_nodes");
         assert_eq!(g.validate().is_err(), reference::topo_order(g).is_err(), "{context}: validate");
+        for id in (0..g.id_bound() + 2).map(|i| NodeId(i as u32)) {
+            assert_eq!(g.consumers_of(id), reference::consumers(g, id), "{context}: consumers_of({id:?})");
+        }
+        assert_eq!(g.unreachable_nodes(), reference::unreachable(g), "{context}: unreachable_nodes");
     }
 
     /// Hand-built rewrites of `g` that leave removed slots behind: every
@@ -1140,12 +1261,20 @@ mod tests {
                 },
             ),
         ];
+        /// Everything the index answers, consumers of every id ever assigned
+        /// included.
+        fn answers(g: &Graph) -> impl PartialEq + std::fmt::Debug {
+            let consumers: Vec<Vec<NodeId>> =
+                (0..g.id_bound() + 1).map(|i| g.consumers_of(NodeId(i as u32)).to_vec()).collect();
+            let unreachable = g.unreachable_nodes().to_vec();
+            (g.canonical_hash(), g.topo_order(), g.num_nodes(), g.foldable_nodes(), consumers, unreachable)
+        }
         for (name, prepare, mutate) in mutations {
             // x, w1, w2, matmul(3), relu(4), matmul(5): the relu keeps its
             // input's shape, so it can be bypassed.
             let (mut g, _) = small_mlp();
             prepare(&mut g);
-            let before = (g.canonical_hash(), g.topo_order(), g.num_nodes(), g.foldable_nodes());
+            let before = answers(&g);
             let shared = g.clone();
             mutate(&mut g);
             let fresh = rebuilt(&g);
@@ -1153,13 +1282,15 @@ mod tests {
             assert_eq!(g.topo_order(), fresh.topo_order(), "{name}: topo_order");
             assert_eq!(g.num_nodes(), fresh.num_nodes(), "{name}: num_nodes");
             assert_eq!(g.foldable_nodes(), fresh.foldable_nodes(), "{name}: foldable_nodes");
+            for id in (0..g.id_bound() + 1).map(|i| NodeId(i as u32)) {
+                assert_eq!(g.consumers_of(id), fresh.consumers_of(id), "{name}: consumers_of({id:?})");
+            }
+            assert_eq!(g.unreachable_nodes(), fresh.unreachable_nodes(), "{name}: unreachable_nodes");
             assert_index_matches_reference(&g, name);
-            let after = (g.canonical_hash(), g.topo_order(), g.num_nodes(), g.foldable_nodes());
+            let after = answers(&g);
             assert_ne!(before, after, "{name}: the mutation must be visible");
             // A clone taken before the mutation keeps the answers it shared.
-            let kept =
-                (shared.canonical_hash(), shared.topo_order(), shared.num_nodes(), shared.foldable_nodes());
-            assert_eq!(kept, before, "{name}: a clone is not mutated");
+            assert_eq!(answers(&shared), before, "{name}: a clone is not mutated");
         }
     }
 

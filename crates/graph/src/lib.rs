@@ -30,7 +30,7 @@ mod op;
 mod patch;
 mod shape;
 
-pub use graph::{Graph, GraphError, Node, NodeId, TensorRef};
+pub use graph::{Graph, GraphError, Node, NodeId, StructureIndex, TensorRef};
 pub use infer::infer_output_shapes;
 pub use json::JsonValue;
 pub use op::{FusedActivation, OpAttributes, OpKind, Padding};

@@ -12,6 +12,9 @@
 //!   ([`Graph::changed_since`]: the patch's added, rewired and dying nodes),
 //!   plus the nodes of graph outputs that moved. The *touched* nodes are the
 //!   footprint, its producers before and after, and its consumers after.
+//!   Consumers are read off the next graph's memoised structure index
+//!   ([`Graph::consumers_of`]), as is "single consumer" for the matcher: the
+//!   lists keep no consumer index of their own.
 //! * A site of a local pattern ([`Pattern::is_local`]) is carried when none
 //!   of its bound nodes is touched: its nodes, their inputs, what produces
 //!   those and the producer's distinct consumers are then as they were, and
@@ -39,7 +42,7 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use xrlflow_graph::{Graph, GraphPatch, Node, NodeId, OpKind, TensorRef};
+use xrlflow_graph::{Graph, GraphPatch, NodeId, OpKind, TensorRef};
 
 use crate::matcher::{reader_key, readers_of, sibling_pairs};
 use crate::rule::{Candidate, RuleMatch, RuleSet};
@@ -74,7 +77,6 @@ impl Site {
 pub struct SiteLists {
     /// Per rule id, its sites in match order.
     rules: Vec<Vec<Site>>,
-    consumers: ConsumerLists,
     readers: Vec<Readers>,
 }
 
@@ -84,20 +86,19 @@ impl SiteLists {
     /// them.
     pub fn new(rules: &RuleSet, graph: &Graph) -> Self {
         let _span = xrlflow_obs::span!("rewrite/generate_candidates");
-        let consumers = ConsumerLists::of(graph);
         let readers = Readers::of(rules.rules(), graph);
         let rules = rules
             .rules()
             .iter()
             .map(|rule| {
                 let mut sites = Vec::new();
-                match_whole(rule, graph, &consumers, &readers, &mut |key, nodes| {
+                match_whole(rule, graph, &readers, &mut |key, nodes| {
                     sites.extend(Site::build(rule, graph, key, nodes))
                 });
                 sites
             })
             .collect();
-        Self { rules, consumers, readers }
+        Self { rules, readers }
     }
 
     /// Brings the lists from `base` — the graph they describe — to `next`,
@@ -119,22 +120,12 @@ impl SiteLists {
             footprint.dedup();
         }
 
-        let consumers = &mut self.consumers;
-        consumers.grow(base.id_bound().max(next.id_bound()));
-        for &id in &footprint {
-            if let Ok(node) = base.node(id) {
-                distinct_producers(node).for_each(|p| consumers.remove(p, id));
-            }
-            if let Ok(node) = next.node(id) {
-                distinct_producers(node).for_each(|p| consumers.add(p, id));
-            }
-        }
         let mut touched = footprint.clone();
         for &id in &footprint {
             for node in [base.node(id), next.node(id)].into_iter().flatten() {
                 touched.extend(node.inputs.iter().map(|r| r.node));
             }
-            touched.extend_from_slice(consumers.get(id));
+            touched.extend_from_slice(next.consumers_of(id));
         }
         touched.sort_unstable();
         touched.dedup();
@@ -143,7 +134,7 @@ impl SiteLists {
         // are anchored at it or at one of its consumers.
         let mut anchors = touched.clone();
         for &id in &touched {
-            anchors.extend_from_slice(consumers.get(id));
+            anchors.extend_from_slice(next.consumers_of(id));
         }
         anchors.sort_unstable();
         anchors.dedup();
@@ -153,7 +144,7 @@ impl SiteLists {
             readers.advance(next, &footprint);
         }
         let live: Vec<_> = anchors.iter().filter_map(|&id| Some((id, next.node(id).ok()?))).collect();
-        let (consumers, readers) = (&self.consumers, &self.readers);
+        let readers = &self.readers;
         for (rule, sites) in rules.rules().iter().zip(&mut self.rules) {
             if rule.source.iter().all(|pattern| pattern.is_local()) {
                 let mut fresh = Vec::new();
@@ -164,7 +155,7 @@ impl SiteLists {
                             pattern,
                             anchor,
                             node,
-                            &mut |p| consumers.sole(next, p),
+                            &mut |p| sole(next, p),
                             &mut |position, nodes| {
                                 fresh.extend(Site::build(rule, next, (alternative, anchor, position), nodes))
                             },
@@ -186,7 +177,7 @@ impl SiteLists {
                 );
             } else {
                 let mut carried = std::mem::take(sites).into_iter().peekable();
-                match_whole(rule, next, consumers, readers, &mut |key, nodes| {
+                match_whole(rule, next, readers, &mut |key, nodes| {
                     while carried.next_if(|site| site.key < key).is_some() {}
                     let clean = !nodes.nodes.iter().any(is_touched);
                     match carried.next_if(|site| clean && site.key == key) {
@@ -232,7 +223,7 @@ impl SiteLists {
 pub(crate) fn sites_of(rule: &Substitution, graph: &Graph) -> Vec<RuleMatch> {
     let readers = Readers::of(std::slice::from_ref(rule), graph);
     let mut out = Vec::new();
-    match_whole(rule, graph, &ConsumerLists::of(graph), &readers, &mut |_, nodes| out.push(nodes));
+    match_whole(rule, graph, &readers, &mut |_, nodes| out.push(nodes));
     out
 }
 
@@ -243,7 +234,6 @@ pub(crate) fn sites_of(rule: &Substitution, graph: &Graph) -> Vec<RuleMatch> {
 fn match_whole(
     rule: &Substitution,
     graph: &Graph,
-    consumers: &ConsumerLists,
     readers: &[Readers],
     emit: &mut impl FnMut((u32, NodeId, u32), RuleMatch),
 ) {
@@ -256,7 +246,7 @@ fn match_whole(
                         pattern,
                         id,
                         node,
-                        &mut |p| consumers.sole(graph, p),
+                        &mut |p| sole(graph, p),
                         &mut |position, nodes| emit((alternative, id, position), nodes),
                     );
                 }
@@ -309,86 +299,7 @@ impl Readers {
     }
 }
 
-/// The distinct consumers of every node id, kept up to date across
-/// [`SiteLists::advance`]: one list per id in one buffer, a list moving to
-/// the buffer's end (with twice the room) when it outgrows its place.
-#[derive(Debug, Default)]
-struct ConsumerLists {
-    /// Per `NodeId::index()`: `(start, len, capacity)` in `slots`.
-    lists: Vec<(u32, u32, u32)>,
-    slots: Vec<NodeId>,
-}
-
-impl ConsumerLists {
-    /// The lists of `graph`, each exactly as long as it is.
-    fn of(graph: &Graph) -> Self {
-        let mut lists = vec![(0u32, 0u32, 0u32); graph.id_bound()];
-        for (_, node) in graph.iter() {
-            for p in distinct_producers(node) {
-                lists[p.index()].2 += 1;
-            }
-        }
-        let mut start = 0;
-        for list in &mut lists {
-            list.0 = start;
-            start += list.2;
-        }
-        // Every slot is written below; any id fills them until then.
-        let filler = graph.iter().next().map(|(id, _)| id);
-        let mut slots = filler.map_or_else(Vec::new, |id| vec![id; start as usize]);
-        for (id, node) in graph.iter() {
-            for p in distinct_producers(node) {
-                let list = &mut lists[p.index()];
-                slots[(list.0 + list.1) as usize] = id;
-                list.1 += 1;
-            }
-        }
-        Self { lists, slots }
-    }
-
-    fn grow(&mut self, id_bound: usize) {
-        if self.lists.len() < id_bound {
-            self.lists.resize(id_bound, (0, 0, 0));
-        }
-    }
-
-    fn get(&self, id: NodeId) -> &[NodeId] {
-        let (start, len, _) = self.lists[id.index()];
-        &self.slots[start as usize..(start + len) as usize]
-    }
-
-    fn add(&mut self, producer: NodeId, consumer: NodeId) {
-        let (start, len, capacity) = &mut self.lists[producer.index()];
-        if len == capacity {
-            let moved = self.slots.len() as u32;
-            self.slots.extend_from_within(*start as usize..(*start + *len) as usize);
-            *capacity = (*len * 2).max(2);
-            self.slots.resize((moved + *capacity) as usize, consumer);
-            *start = moved;
-        }
-        self.slots[(*start + *len) as usize] = consumer;
-        *len += 1;
-    }
-
-    fn remove(&mut self, producer: NodeId, consumer: NodeId) {
-        let (start, len, _) = &mut self.lists[producer.index()];
-        let list = &mut self.slots[*start as usize..(*start + *len) as usize];
-        let at = list.iter().position(|&c| c == consumer).expect("a producer lists each of its consumers");
-        list[at] = list[list.len() - 1];
-        *len -= 1;
-    }
-
-    /// `id` is read by exactly one distinct node and is no graph output.
-    fn sole(&self, graph: &Graph, id: NodeId) -> bool {
-        self.get(id).len() == 1 && !graph.outputs().iter().any(|r| r.node == id)
-    }
-}
-
-/// The nodes `node` reads, each once, in input order: a consumer reading
-/// one producer through several slots is one consumer.
-fn distinct_producers(node: &Node) -> impl Iterator<Item = NodeId> + '_ {
-    let inputs = &node.inputs;
-    (0..inputs.len())
-        .filter(move |&at| !inputs[..at].iter().any(|earlier| earlier.node == inputs[at].node))
-        .map(move |at| inputs[at].node)
+/// `id` is read by exactly one distinct node and is no graph output.
+fn sole(graph: &Graph, id: NodeId) -> bool {
+    graph.consumers_of(id).len() == 1 && !graph.outputs().iter().any(|r| r.node == id)
 }

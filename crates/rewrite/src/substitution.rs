@@ -12,8 +12,8 @@
 //! [`Target::Build`]), not code of its own.
 //!
 //! The matcher binds nodes in anchor-id order and answers "single consumer"
-//! from per-node distinct-consumer lists, built once per walk over a graph
-//! ([`crate::SiteLists`]); no site scans the graph.
+//! from the graph's memoised distinct-consumer lists
+//! ([`Graph::consumers_of`]); no site scans the graph.
 
 use xrlflow_graph::{
     FusedActivation, Graph, GraphError, GraphPatch, Node, NodeId, OpAttributes, OpKind, PatchBuilder,
