@@ -27,8 +27,9 @@
 
 mod encoder;
 mod featurize;
-#[cfg(test)]
-mod test_support;
 
 pub use encoder::{EncoderConfig, EncoderEpisode, GnnEncoder};
 pub use featurize::{CandidateDelta, GraphFeatures, EDGE_NORMALISER};
+
+#[cfg(test)]
+mod test_support;

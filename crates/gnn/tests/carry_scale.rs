@@ -10,14 +10,15 @@
 //! carried rows and the pass's scratch), so the running sum of its live bytes
 //! is what those two retain between steps.
 //!
-//! `recycle` drops a step's values, the carried rows are gathered over the
-//! previous ones and the scratch is reused, so what the tape and the episode
-//! retain may not grow with the step count: over steps 3..25 it may grow by
-//! at most one step's dirty hidden block ([`DIRTY_BLOCKS`]; buffers only grow
-//! when a later step is larger than every earlier one). On this episode it
-//! grows by 32 bytes. Keeping one buffer per step — a tape that adopts every
-//! constant's `Vec` into a pool it never hands back, say — grows it by 22
-//! buffers.
+//! `recycle` hands a step's values back to the storage each node position
+//! keeps for the next step's node there, the carried rows are gathered over
+//! the previous ones and the scratch is reused, so what the tape and the
+//! episode retain may not grow with the step count: over steps 3..25 it may
+//! grow by at most one step's dirty hidden block ([`DIRTY_BLOCKS`]; buffers
+//! only grow when a later step is larger than every earlier one). On this
+//! episode it grows by 32 bytes. Keeping one buffer per step — a tape that
+//! adopts every constant's `Vec` into a pool it never hands back, say — grows
+//! it by 22 buffers.
 //!
 //! The test also checks that every step after the first carried. This file
 //! holds exactly one test so no concurrent test thread can touch the counter

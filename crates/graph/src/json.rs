@@ -11,16 +11,18 @@
 //! re-importing it preserves the node/edge structure, names, attributes and
 //! — crucially for the serving cache — [`Graph::canonical_hash`].
 //!
-//! # One reader, one writer, two tree forms
+//! # One reader, one writer
 //!
-//! A request's graph crosses the boundary in one pass each way.
+//! A graph crosses the boundary in one pass each way.
 //! [`Graph::from_json`] walks the bytes once with a schema-directed cursor:
 //! known keys are matched in place (one bit per key rejects duplicates),
 //! operator names are borrowed from the document, and `[node, port]` refs
 //! and shape dimensions are read as integers straight into exact-capacity
 //! vectors. Only a node's `attrs` object is parsed as a [`JsonValue`], so
 //! one function holds the attribute rules. [`Graph::to_json`] writes the
-//! document into one exact-capacity `String`.
+//! document into one exact-capacity `String`. These two passes are the only
+//! graph codec: requests, responses and the serving cache's snapshot all go
+//! through them.
 //!
 //! Errors are **syntax first**: when the cursor stops and the text is not
 //! well-formed JSON either, the error is the [`GraphError::Parse`] the
@@ -28,10 +30,13 @@
 //! whatever else is wrong with it. A well-formed document gets the first
 //! schema error in document order, then [`Graph::validate`]'s.
 //!
-//! [`Graph::from_json_value`] and [`Graph::to_json_value`] are the tree
-//! forms, for a graph embedded in a larger document (the serving cache's
-//! snapshot). They accept and produce exactly what the byte forms do, and
-//! the differential tests hold the byte forms to them.
+//! [`Graph::from_json_value`] and [`Graph::to_json_value`] are one-line
+//! shims over the byte forms, kept for the `benchmark/` harness until its
+//! rework deletes them, so they accept and produce exactly what the byte
+//! forms do by construction. The tree codec the byte forms replaced
+//! survives only as the differential tests' reference, in this module's
+//! test code: same documents accepted, the same error variant for each
+//! rejected one, the same bytes written.
 //!
 //! # Document shape (version 1)
 //!
@@ -686,7 +691,7 @@ impl<'a> GraphReader<'a> {
         }
     }
 
-    /// A list of `[node, port]` pairs, by [`tensor_ref_from_json`]'s rule.
+    /// A list of `[node, port]` pairs, each read by `tensor_ref`.
     fn ref_list(
         &mut self,
         not_list: impl Fn() -> GraphError,
@@ -703,7 +708,8 @@ impl<'a> GraphReader<'a> {
         Ok(self.refs.drain(..).collect())
     }
 
-    /// One `[node, port]` pair; `None` when the value is anything else.
+    /// One `[node, port]` pair of counts by [`JsonValue::as_usize`]'s rule, the
+    /// node below 2^32; `None` when the value is anything else.
     fn tensor_ref(&mut self) -> Result<Option<TensorRef>, String> {
         let p = &mut self.parser;
         if !p.eat(b'[') {
@@ -720,7 +726,8 @@ impl<'a> GraphReader<'a> {
         Ok(Some(TensorRef::with_port(NodeId(node as u32), port)))
     }
 
-    /// One shape, by [`shape_from_json`]'s rule.
+    /// One shape: an array of counts by [`JsonValue::as_usize`]'s rule, each
+    /// at most 2^32, whose element count fits a `usize`.
     fn shape(&mut self) -> Result<TensorShape, GraphError> {
         if self.parser.peek() != Some(b'[') {
             return Err(parse_err("a shape must be an array of dimensions"));
@@ -751,7 +758,8 @@ fn checked_shape(shape: TensorShape) -> Result<TensorShape, GraphError> {
 }
 
 /// The schema of a source operator (input, weight, constant): no inputs,
-/// no attributes, exactly one output shape. Both readers end a node here.
+/// no attributes, exactly one output shape. Every node the reader reads
+/// ends here.
 fn source_rules(index: usize, node: Node) -> Result<Node, GraphError> {
     let op = node.op;
     if op.is_source() {
@@ -790,8 +798,8 @@ impl Graph {
     /// Serialises the graph as a version-1 interchange document (see the
     /// [module docs](crate::json)). Node ids are compacted to dense indices
     /// preserving storage order, so the round trip preserves
-    /// [`Graph::canonical_hash`]. The bytes are those of
-    /// `self.to_json_value().to_json()`, written in one pass.
+    /// [`Graph::canonical_hash`]. The document is written in one pass into
+    /// one exact-capacity `String`, in [`JsonValue::to_json`]'s layout.
     pub fn to_json(&self) -> String {
         let positions = document_positions(self);
         let write_ref = |r: &TensorRef, out: &mut String| {
@@ -835,45 +843,14 @@ impl Graph {
         out
     }
 
-    /// The interchange document as a [`JsonValue`] tree, for embedding a
-    /// graph inside a larger document. [`Graph::to_json`] is the byte form.
+    /// The interchange document as a [`JsonValue`] tree: the parse of
+    /// [`Graph::to_json`]'s bytes, so the tree writes those bytes back.
+    ///
+    /// A shim over the byte form for a caller that builds a larger document
+    /// as a tree (the `benchmark/` harness); the harness's rework (ROADMAP
+    /// item 2) deletes it. Shipped code splices [`Graph::to_json`] instead.
     pub fn to_json_value(&self) -> JsonValue {
-        let positions = document_positions(self);
-        let ref_value = |r: &TensorRef| {
-            JsonValue::Array(vec![
-                JsonValue::Number(position(&positions, r) as f64),
-                JsonValue::Number(r.port as f64),
-            ])
-        };
-        let node_values: Vec<JsonValue> = self
-            .iter()
-            .map(|(_, node)| {
-                let mut pairs = vec![("op".to_string(), JsonValue::String(node.op.name().to_string()))];
-                if let Some(name) = &node.name {
-                    pairs.push(("name".to_string(), JsonValue::String(name.clone())));
-                }
-                if !node.inputs.is_empty() {
-                    pairs.push((
-                        "inputs".to_string(),
-                        JsonValue::Array(node.inputs.iter().map(ref_value).collect()),
-                    ));
-                }
-                if node.attrs != OpAttributes::default() {
-                    pairs.push(("attrs".to_string(), attrs_to_json(&node.attrs)));
-                }
-                pairs.push((
-                    "outputs".to_string(),
-                    JsonValue::Array(node.outputs.iter().map(shape_to_json).collect()),
-                ));
-                JsonValue::Object(pairs)
-            })
-            .collect();
-        JsonValue::Object(vec![
-            ("format".to_string(), JsonValue::String(GRAPH_JSON_FORMAT.to_string())),
-            ("version".to_string(), JsonValue::Number(GRAPH_JSON_VERSION as f64)),
-            ("nodes".to_string(), JsonValue::Array(node_values)),
-            ("outputs".to_string(), JsonValue::Array(self.outputs().iter().map(ref_value).collect())),
-        ])
+        JsonValue::parse(&self.to_json()).expect("to_json writes well-formed JSON, six levels deep at most")
     }
 
     /// Imports a graph from an interchange document, validating everything:
@@ -906,130 +883,20 @@ impl Graph {
         Ok(graph)
     }
 
-    /// Imports a graph from an already-parsed [`JsonValue`] tree (see
-    /// [`Graph::from_json`]), for a graph embedded in a larger document.
+    /// Imports a graph from an already-parsed [`JsonValue`] tree:
+    /// [`Graph::from_json`] of the tree's bytes, so it accepts and rejects
+    /// exactly what that does.
+    ///
+    /// A shim over the byte form for a caller that holds a graph inside a
+    /// larger tree (the `benchmark/` harness); the harness's rework (ROADMAP
+    /// item 2) deletes it. Shipped code hands [`Graph::from_json`] the text.
     ///
     /// # Errors
     ///
     /// Same as [`Graph::from_json`].
     pub fn from_json_value(value: &JsonValue) -> Result<Graph, GraphError> {
-        let pairs = value.as_object().ok_or_else(|| parse_err("top level must be an object"))?;
-        for (key, _) in pairs {
-            if !DOCUMENT_KEYS.contains(&key.as_str()) {
-                return Err(parse_err(format!("unknown top-level key {key:?}")));
-            }
-        }
-        let format = value
-            .get("format")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| parse_err("missing \"format\" marker"))?;
-        if format != GRAPH_JSON_FORMAT {
-            return Err(parse_err(format!("not a graph document (format {format:?})")));
-        }
-        let version = value
-            .get("version")
-            .and_then(JsonValue::as_usize)
-            .ok_or_else(|| parse_err("missing \"version\""))?;
-        check_version(version)?;
-        let node_values = value
-            .get("nodes")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| parse_err("missing \"nodes\" array"))?;
-        if node_values.len() > u32::MAX as usize {
-            return Err(parse_err("too many nodes"));
-        }
-        let mut nodes: Vec<Option<Node>> = Vec::with_capacity(node_values.len());
-        for (i, nv) in node_values.iter().enumerate() {
-            nodes.push(Some(node_from_json(i, nv)?));
-        }
-        let output_values = value
-            .get("outputs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| parse_err("missing \"outputs\" array"))?;
-        let mut outputs = Vec::with_capacity(output_values.len());
-        for ov in output_values {
-            outputs.push(tensor_ref_from_json(ov).ok_or_else(|| {
-                parse_err("graph outputs must be [node_index, port] pairs of non-negative integers")
-            })?);
-        }
-        let graph = Graph::from_raw_parts(nodes, outputs);
-        graph.validate()?;
-        Ok(graph)
+        Graph::from_json(&value.to_json())
     }
-}
-
-fn shape_to_json(shape: &TensorShape) -> JsonValue {
-    JsonValue::Array(shape.dims().iter().map(|&d| JsonValue::Number(d as f64)).collect())
-}
-
-fn shape_from_json(v: &JsonValue) -> Result<TensorShape, GraphError> {
-    let dims_v = v.as_array().ok_or_else(|| parse_err("a shape must be an array of dimensions"))?;
-    let mut dims = Vec::with_capacity(dims_v.len());
-    for d in dims_v {
-        dims.push(
-            d.as_usize()
-                .filter(|&d| d <= u32::MAX as usize)
-                .ok_or_else(|| parse_err("shape dimensions must be integers in 0..=2^32"))?,
-        );
-    }
-    checked_shape(TensorShape::new(dims))
-}
-
-fn tensor_ref_from_json(v: &JsonValue) -> Option<TensorRef> {
-    let pair = v.as_array()?;
-    if pair.len() != 2 {
-        return None;
-    }
-    let node = pair[0].as_usize().filter(|&n| n <= u32::MAX as usize)?;
-    let port = pair[1].as_usize()?;
-    Some(TensorRef::with_port(NodeId(node as u32), port))
-}
-
-fn node_from_json(index: usize, v: &JsonValue) -> Result<Node, GraphError> {
-    let pairs = v.as_object().ok_or_else(|| parse_err(format!("node {index} must be an object")))?;
-    for (key, _) in pairs {
-        if !NODE_KEYS.contains(&key.as_str()) {
-            return Err(parse_err(format!("node {index}: unknown key {key:?}")));
-        }
-    }
-    let op_name = v
-        .get("op")
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| parse_err(format!("node {index}: missing \"op\"")))?;
-    let op = OpKind::from_name(op_name).ok_or_else(|| GraphError::UnknownOp(op_name.to_string()))?;
-    let name = match v.get("name") {
-        None => None,
-        Some(n) => Some(
-            n.as_str()
-                .map(str::to_string)
-                .ok_or_else(|| parse_err(format!("node {index}: \"name\" must be a string")))?,
-        ),
-    };
-    let mut inputs = Vec::new();
-    if let Some(iv) = v.get("inputs") {
-        let items =
-            iv.as_array().ok_or_else(|| parse_err(format!("node {index}: \"inputs\" must be an array")))?;
-        for item in items {
-            inputs.push(tensor_ref_from_json(item).ok_or_else(|| {
-                parse_err(format!(
-                    "node {index}: inputs must be [node_index, port] pairs of non-negative integers"
-                ))
-            })?);
-        }
-    }
-    let attrs = match v.get("attrs") {
-        None => OpAttributes::default(),
-        Some(av) => attrs_from_json(index, av)?,
-    };
-    let outputs_v = v
-        .get("outputs")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| parse_err(format!("node {index}: missing \"outputs\" shape list")))?;
-    let mut outputs = Vec::with_capacity(outputs_v.len());
-    for ov in outputs_v {
-        outputs.push(shape_from_json(ov)?);
-    }
-    source_rules(index, Node { op, attrs, inputs, outputs, name })
 }
 
 fn attrs_to_json(attrs: &OpAttributes) -> JsonValue {
@@ -1129,6 +996,179 @@ fn attrs_from_json(index: usize, v: &JsonValue) -> Result<OpAttributes, GraphErr
         }
     }
     Ok(attrs)
+}
+
+/// The tree codec the byte forms replaced, kept unchanged as the
+/// differential tests' reference: they hold [`Graph::from_json`] and
+/// [`Graph::to_json`] to these two functions.
+#[cfg(test)]
+mod tree_oracle {
+    use super::*;
+
+    /// The tree writer: the document a [`Graph::to_json`] writes, as a tree.
+    pub(super) fn to_json_value(graph: &Graph) -> JsonValue {
+        let positions = document_positions(graph);
+        let ref_value = |r: &TensorRef| {
+            JsonValue::Array(vec![
+                JsonValue::Number(position(&positions, r) as f64),
+                JsonValue::Number(r.port as f64),
+            ])
+        };
+        let node_values: Vec<JsonValue> = graph
+            .iter()
+            .map(|(_, node)| {
+                let mut pairs = vec![("op".to_string(), JsonValue::String(node.op.name().to_string()))];
+                if let Some(name) = &node.name {
+                    pairs.push(("name".to_string(), JsonValue::String(name.clone())));
+                }
+                if !node.inputs.is_empty() {
+                    pairs.push((
+                        "inputs".to_string(),
+                        JsonValue::Array(node.inputs.iter().map(ref_value).collect()),
+                    ));
+                }
+                if node.attrs != OpAttributes::default() {
+                    pairs.push(("attrs".to_string(), attrs_to_json(&node.attrs)));
+                }
+                pairs.push((
+                    "outputs".to_string(),
+                    JsonValue::Array(node.outputs.iter().map(shape_to_json).collect()),
+                ));
+                JsonValue::Object(pairs)
+            })
+            .collect();
+        JsonValue::Object(vec![
+            ("format".to_string(), JsonValue::String(GRAPH_JSON_FORMAT.to_string())),
+            ("version".to_string(), JsonValue::Number(GRAPH_JSON_VERSION as f64)),
+            ("nodes".to_string(), JsonValue::Array(node_values)),
+            ("outputs".to_string(), JsonValue::Array(graph.outputs().iter().map(ref_value).collect())),
+        ])
+    }
+
+    /// The tree reader: what [`Graph::from_json`] reads, from a parsed tree.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Graph::from_json`].
+    pub(super) fn from_json_value(value: &JsonValue) -> Result<Graph, GraphError> {
+        let pairs = value.as_object().ok_or_else(|| parse_err("top level must be an object"))?;
+        for (key, _) in pairs {
+            if !DOCUMENT_KEYS.contains(&key.as_str()) {
+                return Err(parse_err(format!("unknown top-level key {key:?}")));
+            }
+        }
+        let format = value
+            .get("format")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| parse_err("missing \"format\" marker"))?;
+        if format != GRAPH_JSON_FORMAT {
+            return Err(parse_err(format!("not a graph document (format {format:?})")));
+        }
+        let version = value
+            .get("version")
+            .and_then(JsonValue::as_usize)
+            .ok_or_else(|| parse_err("missing \"version\""))?;
+        check_version(version)?;
+        let node_values = value
+            .get("nodes")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| parse_err("missing \"nodes\" array"))?;
+        if node_values.len() > u32::MAX as usize {
+            return Err(parse_err("too many nodes"));
+        }
+        let mut nodes: Vec<Option<Node>> = Vec::with_capacity(node_values.len());
+        for (i, nv) in node_values.iter().enumerate() {
+            nodes.push(Some(node_from_json(i, nv)?));
+        }
+        let output_values = value
+            .get("outputs")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| parse_err("missing \"outputs\" array"))?;
+        let mut outputs = Vec::with_capacity(output_values.len());
+        for ov in output_values {
+            outputs.push(tensor_ref_from_json(ov).ok_or_else(|| {
+                parse_err("graph outputs must be [node_index, port] pairs of non-negative integers")
+            })?);
+        }
+        let graph = Graph::from_raw_parts(nodes, outputs);
+        graph.validate()?;
+        Ok(graph)
+    }
+
+    fn shape_to_json(shape: &TensorShape) -> JsonValue {
+        JsonValue::Array(shape.dims().iter().map(|&d| JsonValue::Number(d as f64)).collect())
+    }
+
+    fn shape_from_json(v: &JsonValue) -> Result<TensorShape, GraphError> {
+        let dims_v = v.as_array().ok_or_else(|| parse_err("a shape must be an array of dimensions"))?;
+        let mut dims = Vec::with_capacity(dims_v.len());
+        for d in dims_v {
+            dims.push(
+                d.as_usize()
+                    .filter(|&d| d <= u32::MAX as usize)
+                    .ok_or_else(|| parse_err("shape dimensions must be integers in 0..=2^32"))?,
+            );
+        }
+        checked_shape(TensorShape::new(dims))
+    }
+
+    fn tensor_ref_from_json(v: &JsonValue) -> Option<TensorRef> {
+        let pair = v.as_array()?;
+        if pair.len() != 2 {
+            return None;
+        }
+        let node = pair[0].as_usize().filter(|&n| n <= u32::MAX as usize)?;
+        let port = pair[1].as_usize()?;
+        Some(TensorRef::with_port(NodeId(node as u32), port))
+    }
+
+    fn node_from_json(index: usize, v: &JsonValue) -> Result<Node, GraphError> {
+        let pairs = v.as_object().ok_or_else(|| parse_err(format!("node {index} must be an object")))?;
+        for (key, _) in pairs {
+            if !NODE_KEYS.contains(&key.as_str()) {
+                return Err(parse_err(format!("node {index}: unknown key {key:?}")));
+            }
+        }
+        let op_name = v
+            .get("op")
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| parse_err(format!("node {index}: missing \"op\"")))?;
+        let op = OpKind::from_name(op_name).ok_or_else(|| GraphError::UnknownOp(op_name.to_string()))?;
+        let name = match v.get("name") {
+            None => None,
+            Some(n) => Some(
+                n.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| parse_err(format!("node {index}: \"name\" must be a string")))?,
+            ),
+        };
+        let mut inputs = Vec::new();
+        if let Some(iv) = v.get("inputs") {
+            let items = iv
+                .as_array()
+                .ok_or_else(|| parse_err(format!("node {index}: \"inputs\" must be an array")))?;
+            for item in items {
+                inputs.push(tensor_ref_from_json(item).ok_or_else(|| {
+                    parse_err(format!(
+                        "node {index}: inputs must be [node_index, port] pairs of non-negative integers"
+                    ))
+                })?);
+            }
+        }
+        let attrs = match v.get("attrs") {
+            None => OpAttributes::default(),
+            Some(av) => attrs_from_json(index, av)?,
+        };
+        let outputs_v = v
+            .get("outputs")
+            .and_then(JsonValue::as_array)
+            .ok_or_else(|| parse_err(format!("node {index}: missing \"outputs\" shape list")))?;
+        let mut outputs = Vec::with_capacity(outputs_v.len());
+        for ov in outputs_v {
+            outputs.push(shape_from_json(ov)?);
+        }
+        source_rules(index, Node { op, attrs, inputs, outputs, name })
+    }
 }
 
 #[cfg(test)]
@@ -1357,6 +1397,385 @@ mod tests {
             r#""\u04""#, // fewer than four digits
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad} must be rejected");
+        }
+    }
+}
+
+/// Round-trip and differential tests over the whole model zoo, plus negative
+/// tests proving malformed documents surface as typed [`GraphError`]s and
+/// never panic. The byte forms ([`Graph::from_json`], [`Graph::to_json`]) are
+/// held to the tree oracle: the same documents are accepted, rejected with
+/// the same error variant, and written to the same bytes.
+#[cfg(test)]
+mod differential {
+    use std::mem::discriminant;
+
+    use super::tree_oracle;
+    use crate::models::{build_model, ModelConfig, ModelKind, ModelScale};
+    use crate::{
+        FusedActivation, Graph, GraphError, JsonValue, OpAttributes, OpKind, Padding, TensorRef, TensorShape,
+    };
+
+    const ALL_MODELS: &[ModelKind] = &[
+        ModelKind::InceptionV3,
+        ModelKind::SqueezeNet,
+        ModelKind::ResNext50,
+        ModelKind::ResNet18,
+        ModelKind::Bert,
+        ModelKind::DallE,
+        ModelKind::TransformerTransducer,
+        ModelKind::Vit,
+    ];
+
+    /// Every zoo kind at three input sizes that build.
+    fn zoo_corpus() -> Vec<(String, Graph)> {
+        let mut corpus = Vec::new();
+        for &kind in ALL_MODELS {
+            let d = kind.default_input_size();
+            let graphs: Vec<(String, Graph)> = [d, d / 2, d + 1, 2 * d, d - 1]
+                .into_iter()
+                .filter_map(|size| {
+                    let graph =
+                        ModelConfig::new(kind, ModelScale::Bench).with_input_size(size).build().ok()?;
+                    Some((format!("{kind:?}@{size}"), graph))
+                })
+                .take(3)
+                .collect();
+            assert_eq!(graphs.len(), 3, "{kind:?}: fewer than three input sizes build");
+            corpus.extend(graphs);
+        }
+        corpus
+    }
+
+    /// A small document that uses every part of the format: every attribute
+    /// key, names that need escapes, a non-zero port, several graph outputs and
+    /// a hole in node storage (export compacts it).
+    fn kitchen_sink() -> Graph {
+        let shape = |dims: &[usize]| TensorShape::new(dims.to_vec());
+        let mut g = Graph::new();
+        let x = g.add_input(shape(&[1, 3, 8, 8]));
+        let w = g.add_weight(shape(&[4, 3, 3, 3]));
+        let conv_attrs = OpAttributes::conv2d([3, 3], [1, 1], Padding::Same, 1)
+            .with_fused_activation(FusedActivation::Relu);
+        let conv = g
+            .add_named_node("conv \"stem\" \\ 1", OpKind::Conv2d, conv_attrs, vec![x.into(), w.into()])
+            .unwrap();
+        let dead = g.add_node(OpKind::Identity, OpAttributes::default(), vec![conv.into()]).unwrap();
+        let pool = g
+            .add_named_node(
+                "pool\n\té😀\u{1}",
+                OpKind::MaxPool2d,
+                OpAttributes::pool([2, 2], [2, 2], Padding::Valid),
+                vec![dead.into()],
+            )
+            .unwrap();
+        let split = g.add_node(OpKind::Split, OpAttributes::split(1, 2), vec![pool.into()]).unwrap();
+        let flat = g
+            .add_node(
+                OpKind::Reshape,
+                OpAttributes::reshape(vec![1, 32]),
+                vec![TensorRef::with_port(split, 1)],
+            )
+            .unwrap();
+        let t =
+            g.add_node(OpKind::Transpose, OpAttributes::transpose(vec![1, 0]), vec![flat.into()]).unwrap();
+        let norm_attrs =
+            OpAttributes { axis: Some(1), epsilon: 1e-5, folded: true, ..OpAttributes::default() };
+        let norm = g.add_node(OpKind::LayerNorm, norm_attrs, vec![t.into()]).unwrap();
+        let gw = g.add_weight(shape(&[1, 16]));
+        let grouped = OpAttributes { groups: 2, ..OpAttributes::default() };
+        let mm = g.add_node(OpKind::MatMul, grouped, vec![norm.into(), gw.into()]).unwrap();
+        g.mark_output(mm.into());
+        g.mark_output(split.into());
+        g.replace_all_uses(dead.into(), conv.into()).unwrap();
+        assert_eq!(g.eliminate_dead_nodes(), 1);
+        g
+    }
+
+    fn verdict(result: &Result<Graph, GraphError>) -> String {
+        match result {
+            Ok(graph) => format!("Ok({} nodes)", graph.num_nodes()),
+            Err(e) => format!("Err({e:?})"),
+        }
+    }
+
+    /// `Graph::from_json(text)` against the tree reader: the same verdict, the
+    /// same error variant, and on success the same graph. Returns the verdict.
+    fn readers_agree(label: &str, text: &str) -> Result<Graph, GraphError> {
+        let direct = Graph::from_json(text);
+        let tree =
+            JsonValue::parse(text).map_err(GraphError::Parse).and_then(|v| tree_oracle::from_json_value(&v));
+        match (&direct, &tree) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.to_json(), b.to_json(), "{label}: the readers built different graphs");
+                assert_eq!(a.canonical_hash(), b.canonical_hash(), "{label}: canonical hashes differ");
+            }
+            (Err(a), Err(b)) => {
+                assert_eq!(discriminant(a), discriminant(b), "{label}: direct {a:?} vs tree {b:?}")
+            }
+            _ => panic!("{label}: direct {} vs tree {}", verdict(&direct), verdict(&tree)),
+        }
+        direct
+    }
+
+    /// The byte writer against the tree writer, and the exact round trip.
+    fn assert_exact_round_trip(label: &str, graph: &Graph) {
+        let text = graph.to_json();
+        assert_eq!(text, tree_oracle::to_json_value(graph).to_json(), "{label}: the writers disagree");
+        assert_eq!(text.capacity(), text.len(), "{label}: the exported string carries slack");
+        let back = readers_agree(label, &text).unwrap_or_else(|e| panic!("{label} failed to re-import: {e}"));
+        assert_eq!(back.canonical_hash(), graph.canonical_hash(), "{label}: canonical hash changed");
+        assert_eq!(back.num_nodes(), graph.num_nodes(), "{label}: node count changed");
+        assert_eq!(back.num_edges(), graph.num_edges(), "{label}: edge count changed");
+        // Export renumbers the live nodes densely, as `compact` does.
+        let mut dense = graph.clone();
+        dense.compact();
+        assert_eq!(back.outputs(), dense.outputs(), "{label}: output refs changed");
+        // A second trip through text is byte-identical (the format is a
+        // stable cache key, not just semantically faithful).
+        assert_eq!(back.to_json(), text, "{label}: export not stable under round trip");
+    }
+
+    #[test]
+    fn every_zoo_model_round_trips_exactly() {
+        for (label, graph) in zoo_corpus() {
+            assert_exact_round_trip(&label, &graph);
+        }
+        assert_exact_round_trip("kitchen sink", &kitchen_sink());
+    }
+
+    #[test]
+    fn paper_scale_model_round_trips() {
+        // Paper-scale graphs keep the big-graph path honest without making the
+        // suite slow.
+        for kind in [ModelKind::SqueezeNet, ModelKind::Bert] {
+            let graph = build_model(kind, ModelScale::Paper).unwrap();
+            assert_exact_round_trip(&format!("{kind:?}@paper"), &graph);
+        }
+    }
+
+    #[test]
+    fn truncations_of_a_real_model_never_panic() {
+        // Every prefix of the kitchen-sink document, and a spread of a real
+        // model's: rejected, with the tree reader's error variant.
+        let text = kitchen_sink().to_json();
+        for cut in (0..text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+            if readers_agree(&format!("prefix of {cut} bytes"), &text[..cut]).is_ok() {
+                panic!("truncation at {cut} unexpectedly imported");
+            }
+        }
+        let text = build_model(ModelKind::SqueezeNet, ModelScale::Bench).unwrap().to_json();
+        let step = (text.len() / 64).max(1);
+        for cut in (0..text.len()).step_by(step) {
+            if readers_agree(&format!("SqueezeNet prefix of {cut} bytes"), &text[..cut]).is_ok() {
+                panic!("truncation at {cut} unexpectedly imported");
+            }
+        }
+    }
+
+    #[test]
+    fn wrong_version_is_a_typed_error() {
+        let text = build_model(ModelKind::Bert, ModelScale::Bench).unwrap().to_json();
+        let bumped = text.replacen("\"version\": 1", "\"version\": 2", 1);
+        match readers_agree("version 2", &bumped) {
+            Err(GraphError::Parse(message)) => assert!(message.contains("version"), "got {message:?}"),
+            other => panic!("expected parse error, got {}", verdict(&other)),
+        }
+    }
+
+    #[test]
+    fn corrupted_documents_are_typed_errors() {
+        let docs = [
+            // Unknown operator name.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Nope", "outputs": [[1]]}], "outputs": [[0, 0]]}"#,
+            // Dangling input reference.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Relu", "inputs": [[5, 0]], "outputs": [[1]]}], "outputs": [[0, 0]]}"#,
+            // Two-node cycle.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Relu", "inputs": [[1, 0]], "outputs": [[1]]},
+                {"op": "Relu", "inputs": [[0, 0]], "outputs": [[1]]}], "outputs": [[1, 0]]}"#,
+            // Stored shape disagreeing with inference.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input", "outputs": [[1, 8]]},
+                {"op": "Relu", "inputs": [[0, 0]], "outputs": [[1, 9]]}], "outputs": [[1, 0]]}"#,
+            // Dangling graph output.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input", "outputs": [[1, 8]]}], "outputs": [[4, 0]]}"#,
+            // Negative node index.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input", "outputs": [[1, 8]]},
+                {"op": "Relu", "inputs": [[-1, 0]], "outputs": [[1, 8]]}], "outputs": [[1, 0]]}"#,
+            // Shape product overflowing usize.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input", "outputs": [[4000000000, 4000000000, 4000000000]]}], "outputs": [[0, 0]]}"#,
+            // Transpose attribute that is not a permutation.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input", "outputs": [[2, 3]]},
+                {"op": "Transpose", "inputs": [[0, 0]], "attrs": {"perm": [1, 1]},
+                 "outputs": [[3, 2]]}], "outputs": [[1, 0]]}"#,
+            // Conv with zero stride (division-by-zero hazard).
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input", "outputs": [[1, 3, 8, 8]]},
+                {"op": "Weight", "outputs": [[4, 3, 3, 3]]},
+                {"op": "Conv2d", "inputs": [[0, 0], [1, 0]],
+                 "attrs": {"kernel": [3, 3], "stride": [0, 0]}, "outputs": [[1, 4, 8, 8]]}],
+                "outputs": [[2, 0]]}"#,
+            // An op string whose closing quote is broken swallows the rest of
+            // the node: a syntax error, not an unknown operator.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input#, "outputs": [[1, 8]]}], "outputs": [[0, 0]]}"#,
+            // Ref pairs and dims of the wrong length or type.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input", "outputs": [[1, 8]]},
+                {"op": "Relu", "inputs": [[0, 0, 0]], "outputs": [[1, 8]]}], "outputs": [[1, 0]]}"#,
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input", "outputs": [[1, "8"]]}], "outputs": [[0, 0]]}"#,
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input", "outputs": [[1, 8]]}], "outputs": [[0]]}"#,
+            // A missing key.
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": [
+                {"op": "Input"}], "outputs": [[0, 0]]}"#,
+            r#"{"format": "xrlflow-graph", "version": 1, "nodes": []}"#,
+        ];
+        for (i, doc) in docs.iter().enumerate() {
+            if readers_agree(&format!("corrupted document {i}"), doc).is_ok() {
+                panic!("corrupted document {i} unexpectedly imported");
+            }
+        }
+        // The broken quote is reported as the syntax error it is.
+        assert!(matches!(Graph::from_json(docs[9]), Err(GraphError::Parse(_))));
+    }
+
+    #[test]
+    fn bit_flips_in_a_real_document_never_panic() {
+        // Fuzz-lite: every single-byte ±1 corruption of the kitchen-sink
+        // document, and a spread of a real model's, either re-imports (the byte
+        // was in a name or a dimension) or fails with the tree reader's error
+        // variant — never panics. Deterministic, no RNG.
+        let flips = |text: &str, step: usize| {
+            let bytes = text.as_bytes();
+            for pos in (0..bytes.len()).step_by(step) {
+                for delta in [1u8, 255] {
+                    let mut corrupted = bytes.to_vec();
+                    corrupted[pos] = corrupted[pos].wrapping_add(delta);
+                    if let Ok(s) = String::from_utf8(corrupted) {
+                        let _ = readers_agree(&format!("byte {pos} + {delta}"), &s);
+                    }
+                }
+            }
+        };
+        flips(&kitchen_sink().to_json(), 1);
+        let text = build_model(ModelKind::Vit, ModelScale::Bench).unwrap().to_json();
+        flips(&text, 7);
+    }
+
+    /// Rotates the key order of every object `depth` levels down (0: the
+    /// document, 2: the nodes, 3: their attrs) by `by` places.
+    fn rotate_keys(value: &mut JsonValue, depth: usize, by: usize) {
+        match value {
+            JsonValue::Object(pairs) => {
+                if depth == 0 {
+                    let len = pairs.len();
+                    pairs.rotate_left(by % len);
+                }
+                for (_, v) in pairs.iter_mut() {
+                    rotate_keys(v, depth.wrapping_sub(1), by);
+                }
+            }
+            JsonValue::Array(items) if depth > 0 => {
+                for v in items.iter_mut() {
+                    rotate_keys(v, depth - 1, by);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    #[test]
+    fn key_order_is_free_at_every_level() {
+        let graph = kitchen_sink();
+        let canonical = graph.to_json();
+        let tree = tree_oracle::to_json_value(&graph);
+        let import = |label: &str, doc: &JsonValue| {
+            let back = readers_agree(label, &doc.to_json()).unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(back.to_json(), canonical, "{label}: key order changed the graph");
+        };
+        // Every order of the four top-level keys.
+        let JsonValue::Object(pairs) = &tree else { panic!("a document is an object") };
+        for a in 0..4 {
+            for b in (0..4).filter(|&b| b != a) {
+                for c in (0..4).filter(|&c| c != a && c != b) {
+                    let d = 6 - a - b - c;
+                    let order = [a, b, c, d].map(|k| pairs[k].clone());
+                    import(&format!("top-level order {a}{b}{c}{d}"), &JsonValue::Object(order.to_vec()));
+                }
+            }
+        }
+        // Every rotation of the node and attrs keys, and their reversals.
+        for depth in [2, 3] {
+            for by in 0..5 {
+                let mut doc = tree.clone();
+                rotate_keys(&mut doc, depth, by);
+                import(&format!("keys {depth} levels down rotated by {by}"), &doc);
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_are_parse_errors_at_every_level() {
+        let tree = tree_oracle::to_json_value(&kitchen_sink());
+        for depth in [0, 2, 3] {
+            let mut doc = tree.clone();
+            duplicate_first_key(&mut doc, depth);
+            let text = doc.to_json();
+            let label = format!("duplicate key {depth} levels down");
+            assert!(matches!(readers_agree(&label, &text), Err(GraphError::Parse(_))), "{label}");
+        }
+    }
+
+    /// Repeats the first key of the first object `depth` levels down that has one.
+    fn duplicate_first_key(value: &mut JsonValue, depth: usize) -> bool {
+        match value {
+            JsonValue::Object(pairs) if depth == 0 && !pairs.is_empty() => {
+                pairs.push(pairs[0].clone());
+                true
+            }
+            JsonValue::Object(pairs) if depth > 0 => {
+                pairs.iter_mut().any(|(_, v)| duplicate_first_key(v, depth - 1))
+            }
+            JsonValue::Array(items) if depth > 0 => {
+                items.iter_mut().any(|v| duplicate_first_key(v, depth - 1))
+            }
+            _ => false,
+        }
+    }
+
+    #[test]
+    fn names_with_escapes_round_trip() {
+        let graph = kitchen_sink();
+        let back = Graph::from_json(&graph.to_json()).unwrap();
+        let names = |g: &Graph| g.iter().filter_map(|(_, n)| n.name.clone()).collect::<Vec<_>>();
+        assert_eq!(names(&back), vec!["conv \"stem\" \\ 1".to_string(), "pool\n\té😀\u{1}".to_string()]);
+        assert_eq!(names(&back), names(&graph));
+
+        // Escapes a JSON encoder may write where the writer writes raw
+        // characters: `\/`, `é` and the surrogate pair Python's
+        // `json.dumps` writes for a non-BMP character.
+        let doc = |name: &str| {
+            format!(
+                "{{\"format\": \"xrlflow-graph\", \"version\": 1, \"nodes\": [\
+                 {{\"op\": \"Input\", \"name\": \"{name}\", \"outputs\": [[1, 8]]}}], \"outputs\": [[0, 0]]}}"
+            )
+        };
+        let imported = readers_agree("escaped name", &doc(r"a\/\u00e9\ud83d\ude00\n")).unwrap();
+        assert_eq!(names(&imported), vec!["a/é😀\n".to_string()]);
+        for bad in [r"\ud83d", r"\ude00", r"\ude00\ud83d", r"\ud83dx", r"\ud83d\u0041", r"\u+041", r"\u004"] {
+            match readers_agree(bad, &doc(bad)) {
+                Err(GraphError::Parse(_)) => {}
+                other => panic!("{bad}: expected a parse error, got {}", verdict(&other)),
+            }
         }
     }
 }

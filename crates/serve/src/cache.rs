@@ -7,7 +7,12 @@
 //! JSON document (graphs embedded in the interchange format of
 //! [`xrlflow_graph::json`]; see `docs/FORMATS.md` for the full schema) so a
 //! restarted server can reload it and keep answering repeat requests
-//! without re-running the policy.
+//! without re-running the policy. Graphs go through the one graph codec,
+//! as request and response graphs do: [`ResultCache::to_json`] writes the
+//! snapshot's own fields in place and splices each entry's
+//! [`Graph::to_json`] bytes, and loading parses the snapshot's own fields
+//! as a [`JsonValue`] and hands each `graph` member to [`Graph::from_json`]
+//! as text.
 //!
 //! Cache keys are serialised as **decimal strings**, not JSON numbers:
 //! canonical hashes use all 64 bits and JSON numbers are `f64`, which is
@@ -60,7 +65,8 @@
 //! bytes, and parsing, validating and canonically hashing them again only
 //! re-derives a key the cache has already seen. So each entry can carry two
 //! memos: the exact request body that last resolved to it, and its hit-form
-//! response document, rendered once. A private `digest -> key` map finds the
+//! response document, rendered once (the graph's [`Graph::to_json`] bytes
+//! spliced in, as the snapshot splices them). A private `digest -> key` map finds the
 //! candidate entry for an incoming body; the body is untrusted and the digest
 //! is a forgeable 64-bit non-cryptographic hash, so the digest only *finds*
 //! the candidate and a **full byte comparison decides**. The index is an
@@ -73,6 +79,7 @@
 //! through the canonical hash and re-attaches.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -730,28 +737,29 @@ impl ResultCache {
     /// Serialises the cache as a versioned JSON snapshot. Entries are
     /// ordered by key so the output is byte-stable; neither recency, nor
     /// frequencies, nor the body index is persisted (see the module docs).
+    /// The document is written in place in [`JsonValue::to_json`]'s layout,
+    /// each entry's graph spliced in as its [`Graph::to_json`] bytes.
     pub fn to_json(&self) -> String {
         let mut keys: Vec<u64> = self.entries.keys().copied().collect();
         keys.sort_unstable();
-        let entries: Vec<JsonValue> = keys
-            .iter()
-            .map(|key| {
-                let e = &self.entries[key].entry;
-                JsonValue::Object(vec![
-                    ("key".to_string(), JsonValue::String(key.to_string())),
-                    ("initial_latency_ms".to_string(), JsonValue::Number(e.initial_latency_ms)),
-                    ("final_latency_ms".to_string(), JsonValue::Number(e.final_latency_ms)),
-                    ("steps".to_string(), JsonValue::Number(e.steps as f64)),
-                    ("graph".to_string(), e.graph.to_json_value()),
-                ])
-            })
-            .collect();
-        JsonValue::Object(vec![
-            ("format".to_string(), JsonValue::String(CACHE_JSON_FORMAT.to_string())),
-            ("version".to_string(), JsonValue::Number(CACHE_JSON_VERSION as f64)),
-            ("entries".to_string(), JsonValue::Array(entries)),
-        ])
-        .to_json()
+        let mut out = format!(
+            "{{\"format\": \"{CACHE_JSON_FORMAT}\", \"version\": {CACHE_JSON_VERSION}, \"entries\": ["
+        );
+        for (i, key) in keys.iter().enumerate() {
+            let e = &self.entries[key].entry;
+            if i > 0 {
+                out.push_str(", ");
+            }
+            write!(out, "{{\"key\": \"{key}\"").expect("writing to a String cannot fail");
+            write_number_field("initial_latency_ms", e.initial_latency_ms, &mut out);
+            write_number_field("final_latency_ms", e.final_latency_ms, &mut out);
+            write_number_field("steps", e.steps as f64, &mut out);
+            out.push_str(", \"graph\": ");
+            out.push_str(&e.graph.to_json());
+            out.push('}');
+        }
+        out.push_str("]}");
+        out
     }
 
     /// Restores an unbounded cache from a JSON snapshot, fully validating
@@ -823,7 +831,7 @@ impl ResultCache {
                 .ok_or_else(|| cache_err(format!("entry {i}: steps must be a non-negative integer")))?;
             let graph_value =
                 ev.get("graph").ok_or_else(|| cache_err(format!("entry {i}: missing graph")))?;
-            let graph = Graph::from_json_value(graph_value)?;
+            let graph = Graph::from_json(&graph_value.to_json())?;
             cache.store(
                 key,
                 CacheEntry { graph: Arc::new(graph), initial_latency_ms, final_latency_ms, steps },
@@ -878,6 +886,13 @@ impl ResultCache {
     }
 }
 
+/// Appends `, "key": value` in [`JsonValue`]'s number form: `null` for a
+/// non-finite value, which JSON cannot write.
+pub(crate) fn write_number_field(key: &str, value: f64, out: &mut String) {
+    if value.is_finite() { write!(out, ", \"{key}\": {value}") } else { write!(out, ", \"{key}\": null") }
+        .expect("writing to a String cannot fail");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -925,6 +940,120 @@ mod tests {
         let back = ResultCache::from_json(&cache.to_json()).unwrap();
         assert!(back.peek(key).is_some());
         assert!(back.peek(u64::MAX).is_none());
+    }
+
+    /// The snapshot writer the splice replaced, kept as its oracle: the
+    /// document built as a [`JsonValue`] tree, each graph as its tree form.
+    fn to_json_tree(cache: &ResultCache) -> String {
+        let mut keys: Vec<u64> = cache.entries.keys().copied().collect();
+        keys.sort_unstable();
+        let entries: Vec<JsonValue> = keys
+            .iter()
+            .map(|key| {
+                let e = &cache.entries[key].entry;
+                JsonValue::Object(vec![
+                    ("key".to_string(), JsonValue::String(key.to_string())),
+                    ("initial_latency_ms".to_string(), JsonValue::Number(e.initial_latency_ms)),
+                    ("final_latency_ms".to_string(), JsonValue::Number(e.final_latency_ms)),
+                    ("steps".to_string(), JsonValue::Number(e.steps as f64)),
+                    ("graph".to_string(), e.graph.to_json_value()),
+                ])
+            })
+            .collect();
+        JsonValue::Object(vec![
+            ("format".to_string(), JsonValue::String(CACHE_JSON_FORMAT.to_string())),
+            ("version".to_string(), JsonValue::Number(CACHE_JSON_VERSION as f64)),
+            ("entries".to_string(), JsonValue::Array(entries)),
+        ])
+        .to_json()
+    }
+
+    /// A two-node graph whose node name needs every kind of escape.
+    fn escaped_graph() -> Arc<Graph> {
+        use xrlflow_graph::{OpAttributes, OpKind, TensorShape};
+        let mut g = Graph::new();
+        let x = g.add_input(TensorShape::new(vec![1, 8]));
+        let name = "relu \"1\" \\ \n\té😀\u{1}";
+        let relu = g.add_named_node(name, OpKind::Relu, OpAttributes::default(), vec![x.into()]).unwrap();
+        g.mark_output(relu.into());
+        Arc::new(g)
+    }
+
+    fn cache_of(entries: &[(u64, f64, f64, usize)], graph: &Arc<Graph>) -> ResultCache {
+        let mut cache = ResultCache::new();
+        for &(key, initial_latency_ms, final_latency_ms, steps) in entries {
+            let graph = Arc::clone(graph);
+            cache.insert(key, CacheEntry { graph, initial_latency_ms, final_latency_ms, steps });
+        }
+        cache
+    }
+
+    #[test]
+    fn the_spliced_snapshot_writes_the_tree_writers_bytes() {
+        let (key, e) = entry();
+        let zoo = e.graph;
+        let escaped = escaped_graph();
+        let big = 1u64 << 53;
+        let caches = [
+            ("empty", cache_of(&[], &zoo)),
+            ("one entry", cache_of(&[(key, 4.25, 3.5, 7)], &zoo)),
+            ("many entries", cache_of(&[(3, 1.0, 1.0, 0), (1, 2.0, 1.5, 2), (2, 8.0, 4.0, 40)], &zoo)),
+            (
+                "keys >= 2^53",
+                cache_of(&[(big, 1.0, 1.0, 1), (big + 1, 1.0, 1.0, 1), (u64::MAX, 1.0, 1.0, 1)], &zoo),
+            ),
+            (
+                "non-integer and zero latencies",
+                cache_of(
+                    &[(1, 0.1 + 0.2, 0.0, 3), (2, 1e-7, -0.0, 0), (3, 1e300, 2.5e-300, usize::MAX)],
+                    &zoo,
+                ),
+            ),
+            ("non-finite latencies", cache_of(&[(1, f64::NAN, f64::INFINITY, 1)], &zoo)),
+            ("escaped node names", cache_of(&[(12, 4.25, 1e-7, 0), (u64::MAX - 1, 0.3, 0.0, 3)], &escaped)),
+        ];
+        for (label, cache) in &caches {
+            assert_eq!(cache.to_json(), to_json_tree(cache), "{label}: the writers disagree");
+        }
+    }
+
+    /// A snapshot written by the tree writer, before the splice replaced it.
+    const TREE_WRITTEN_SNAPSHOT: &str = concat!(
+        r#"{"format": "xrlflow-serve-cache", "version": 1, "entries": ["#,
+        r#"{"key": "12", "initial_latency_ms": 4.25, "final_latency_ms": 0.0000001, "steps": 0, "graph": "#,
+        r#"{"format": "xrlflow-graph", "version": 1, "nodes": [{"op": "Input", "outputs": [[1, 8]]}, "#,
+        r#"{"op": "Relu", "name": "relu \"1\" \\ \u000a\u0009é😀\u0001", "inputs": [[0, 0]], "outputs": [[1, 8]]}], "#,
+        r#""outputs": [[1, 0]]}}, "#,
+        r#"{"key": "9007199254740993", "initial_latency_ms": 2.5, "final_latency_ms": 1, "steps": 1, "graph": "#,
+        r#"{"format": "xrlflow-graph", "version": 1, "nodes": [{"op": "Input", "outputs": [[1, 8]]}, "#,
+        r#"{"op": "Relu", "name": "relu \"1\" \\ \u000a\u0009é😀\u0001", "inputs": [[0, 0]], "outputs": [[1, 8]]}], "#,
+        r#""outputs": [[1, 0]]}}, "#,
+        r#"{"key": "18446744073709551614", "initial_latency_ms": 0.30000000000000004, "final_latency_ms": 0, "#,
+        r#""steps": 3, "graph": "#,
+        r#"{"format": "xrlflow-graph", "version": 1, "nodes": [{"op": "Input", "outputs": [[1, 8]]}, "#,
+        r#"{"op": "Relu", "name": "relu \"1\" \\ \u000a\u0009é😀\u0001", "inputs": [[0, 0]], "outputs": [[1, 8]]}], "#,
+        r#""outputs": [[1, 0]]}}]}"#,
+    );
+
+    #[test]
+    fn a_tree_written_snapshot_loads_to_equal_entries_and_writes_back_its_bytes() {
+        let escaped = escaped_graph();
+        let expected = cache_of(
+            &[(u64::MAX - 1, 0.1 + 0.2, 0.0, 3), (12, 4.25, 1e-7, 0), ((1 << 53) + 1, 2.5, 1.0, 1)],
+            &escaped,
+        );
+        let back = ResultCache::from_json(TREE_WRITTEN_SNAPSHOT).unwrap();
+        assert_eq!(back.len(), expected.len());
+        for (key, slot) in &expected.entries {
+            let (want, got) = (&slot.entry, back.peek(*key).unwrap());
+            assert_eq!(got.graph.to_json(), want.graph.to_json(), "key {key}: graph");
+            assert_eq!(got.graph.canonical_hash(), want.graph.canonical_hash(), "key {key}: canonical hash");
+            assert_eq!(got.initial_latency_ms.to_bits(), want.initial_latency_ms.to_bits(), "key {key}");
+            assert_eq!(got.final_latency_ms.to_bits(), want.final_latency_ms.to_bits(), "key {key}");
+            assert_eq!(got.steps, want.steps, "key {key}: steps");
+        }
+        assert_eq!(back.to_json(), TREE_WRITTEN_SNAPSHOT);
+        assert_eq!(expected.to_json(), TREE_WRITTEN_SNAPSHOT);
     }
 
     #[test]

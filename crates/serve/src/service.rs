@@ -25,7 +25,7 @@ use xrlflow_graph::{Graph, GraphError};
 use xrlflow_rewrite::RuleSet;
 use xrlflow_tensor::ParamSnapshot;
 
-use crate::cache::{body_digest, CacheConfig, CacheEntry, Found, ResultCache};
+use crate::cache::{body_digest, write_number_field, CacheConfig, CacheEntry, Found, ResultCache};
 use crate::error::ServeError;
 
 /// The outcome of one optimisation request.
@@ -573,19 +573,11 @@ fn render_response(response: &OptimizeResponse) -> String {
     let mut out = String::with_capacity(graph.len() + 160);
     out.push_str("{\"graph\": ");
     out.push_str(&graph);
-    let number = |key: &str, value: f64, out: &mut String| {
-        if value.is_finite() {
-            write!(out, ", \"{key}\": {value}")
-        } else {
-            write!(out, ", \"{key}\": null")
-        }
-        .expect("writing to a String cannot fail");
-    };
-    number("initial_latency_ms", response.initial_latency_ms, &mut out);
-    number("final_latency_ms", response.final_latency_ms, &mut out);
+    write_number_field("initial_latency_ms", response.initial_latency_ms, &mut out);
+    write_number_field("final_latency_ms", response.final_latency_ms, &mut out);
     write!(out, ", \"steps\": {}, \"cache_hit\": {}", response.steps, response.cache_hit)
         .expect("writing to a String cannot fail");
-    number("speedup_percent", response.speedup_percent(), &mut out);
+    write_number_field("speedup_percent", response.speedup_percent(), &mut out);
     out.push('}');
     out
 }
