@@ -11,12 +11,16 @@
 //! (`cold`) — and, on its own, the readout both kinds of step end with
 //! (`readout/*`: the `K + 1` per-graph row sums). No `policy_evaluation/*`
 //! row featurises: the observation carries its features and deltas.
+//! `greedy_episode/*` times one whole `greedy_optimize` episode (the serving
+//! leader's loop, environment steps included) on a fresh `EpisodeScratch`
+//! per episode against one kept across episodes, alternated, with
+//! `greedy_episode/keep_speedup/*` the fresh-over-kept ratio.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use xrlflow_bench::{env_usize, finish, iters_from_env, report, report_ratio, time_ns, time_with_setup_ns};
-use xrlflow_core::{XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{greedy_optimize, EpisodeScratch, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::Environment;
 use xrlflow_gnn::{EncoderConfig, EncoderEpisode, GnnEncoder, GraphFeatures};
@@ -114,7 +118,8 @@ fn main() {
         let mut tape = Tape::new();
         let cold_ns =
             time_ns(WARM_UP, iters, || agent.act_with_tape(&mut tape, &next, &mut rng(0), true).value);
-        let mut policy = agent.episode();
+        let mut scratch = EpisodeScratch::default();
+        let mut policy = agent.episode(&mut scratch);
         let mut carried = std::time::Duration::ZERO;
         for iter in 0..WARM_UP + iters {
             let first = env.reset(0);
@@ -148,6 +153,50 @@ fn main() {
         report(&format!("policy_evaluation/cold/{}", kind.name()), cold_ns);
         report(&format!("policy_evaluation/carried/{}", kind.name()), carried_ns);
         report_ratio(&format!("policy_evaluation/carry_speedup/{}", kind.name()), cold_ns / carried_ns);
+    }
+
+    // Whole greedy episodes, `greedy_optimize` as the serving leader runs
+    // it: each on a fresh scratch, whose buffers grow from empty and are
+    // freed after, or on one kept across episodes. The two alternate, so
+    // drift in the machine's speed lands on both. Seed 7's untrained policy
+    // rewrites on every graph (2, 16 and 12 steps at K = 16).
+    println!("\n== greedy episode: fresh vs kept scratch ==");
+    let agent = XrlflowAgent::new(&config, 7);
+    let mut kept = EpisodeScratch::default();
+    let iters = iters.max(20);
+    for kind in [ModelKind::SqueezeNet, ModelKind::Bert, ModelKind::InceptionV3] {
+        let mut env = Environment::new(
+            build_model(kind, ModelScale::Bench).unwrap(),
+            RuleSet::standard(),
+            InferenceSimulator::new(DeviceProfile::gtx1080()),
+            config.env.clone(),
+        );
+        // A fresh scratch is built and dropped inside the timed span, so
+        // its growth and its freeing are both counted.
+        let mut timed = |scratch: Option<&mut EpisodeScratch>| {
+            let start = Instant::now();
+            let mut fresh = EpisodeScratch::default();
+            black_box(greedy_optimize(&agent, &mut env, scratch.unwrap_or(&mut fresh)).stats.steps);
+            drop(fresh);
+            start.elapsed()
+        };
+        const WARM_UP: usize = 3;
+        let (mut fresh, mut kept_time) = (std::time::Duration::ZERO, std::time::Duration::ZERO);
+        for iter in 0..WARM_UP + iters {
+            let fresh_run = timed(None);
+            let kept_run = timed(Some(&mut kept));
+            if iter >= WARM_UP {
+                fresh += fresh_run;
+                kept_time += kept_run;
+            }
+        }
+        let steps = greedy_optimize(&agent, &mut env, &mut kept).stats.steps;
+        println!("-- {} ({steps} steps)", kind.name());
+        let (fresh_ns, kept_ns) =
+            (fresh.as_nanos() as f64 / iters as f64, kept_time.as_nanos() as f64 / iters as f64);
+        report(&format!("greedy_episode/fresh/{}", kind.name()), fresh_ns);
+        report(&format!("greedy_episode/kept/{}", kind.name()), kept_ns);
+        report_ratio(&format!("greedy_episode/keep_speedup/{}", kind.name()), fresh_ns / kept_ns);
     }
 
     finish("bench_gnn");

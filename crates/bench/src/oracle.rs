@@ -15,14 +15,16 @@
 //! supervision differ.
 
 use xrlflow_core::{
-    collect_episode_with_rng, transition_grad_into, MinibatchContext, MinibatchGrads, XrlflowAgent,
+    collect_episode_with_rng, transition_grad_into, EpisodeScratch, MinibatchContext, MinibatchGrads,
+    XrlflowAgent,
 };
 use xrlflow_rollout::{curriculum_rng_seed, Curriculum, CurriculumEpisode, CurriculumRollouts};
 use xrlflow_tensor::{GradBuffer, Tape, XorShiftRng};
 
 /// Serial curriculum collection: for each spec in curriculum order, episodes
 /// `first_episode .. first_episode + episodes_per_spec` collected one after
-/// another against the live agent, seeded by [`curriculum_rng_seed`].
+/// another against the live agent, seeded by [`curriculum_rng_seed`], each
+/// on a fresh [`EpisodeScratch`] (the collectors it checks lend kept ones).
 ///
 /// The oracle of `xrlflow_rollout::collect_curriculum_parallel`, which is
 /// transition-for-transition bit-identical to this over the same range and
@@ -41,7 +43,9 @@ pub fn collect_curriculum_serial(
         let mut env = entry.spec.build_env();
         for episode in first_episode..first_episode + episodes_per_spec as u64 {
             let mut rng = XorShiftRng::new(curriculum_rng_seed(base_seed, spec, episode));
-            let stats = collect_episode_with_rng(agent, &mut env, &mut rng, &mut out.buffer, episode);
+            let scratch = &mut EpisodeScratch::default();
+            let stats =
+                collect_episode_with_rng(agent, &mut env, &mut rng, &mut out.buffer, episode, scratch);
             out.episodes.push(CurriculumEpisode { spec, episode, stats });
         }
         out.spec_ranges.push(start..out.buffer.len());

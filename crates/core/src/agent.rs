@@ -23,16 +23,18 @@
 //!
 //! **Multi-step inference goes through [`PolicyEpisode`]** — the rollout
 //! collector, `greedy_optimize` and `evaluate_curriculum` each hold one for
-//! the episode. It owns the scratch [`Tape`] and, because the graph observed
-//! at step `t + 1` *is* the candidate chosen at step `t`, the encoder rows of
-//! that candidate gathered off step `t`'s tape
+//! the episode. It borrows an [`EpisodeScratch`]: the scratch [`Tape`] and,
+//! because the graph observed at step `t + 1` *is* the candidate chosen at
+//! step `t`, the encoder rows of that candidate gathered off step `t`'s tape
 //! ([`xrlflow_gnn::EncoderEpisode`]): a successor step encodes the patches'
-//! dirty rows only, never the graph. There is no caller protocol and no
-//! knob: a step carries exactly when `Environment::step` made the observation
-//! from the previous step's observed graph and chosen candidate
-//! (`Observation::follows`); a first step, another environment, a reset —
-//! anything else is a cold step through the same code, bit-identical either
-//! way. The evaluator borrows the agent for its lifetime, so "carried rows
+//! dirty rows only, never the graph. The agent is the plan and the scratch
+//! the state: the scratch outlives the episode, so the next episode lent it
+//! refills the storage earlier ones grew instead of growing its own. There
+//! is no caller protocol and no knob: a step carries exactly when
+//! `Environment::step` made the observation from the previous step's
+//! observed graph and chosen candidate (`Observation::follows`); a first
+//! step, another environment, a reset — anything else is a cold step
+//! through the same code, bit-identical either way. The evaluator borrows the agent for its lifetime, so "carried rows
 //! are only valid under the parameters that produced them" is a compile-time
 //! fact. [`XrlflowAgent::act`] and [`XrlflowAgent::act_with_tape`] are the
 //! one-step forms (always cold); [`XrlflowAgent::evaluate`] — the PPO update
@@ -221,10 +223,12 @@ impl XrlflowAgent {
     }
 
     /// An evaluator for the steps of one episode under this agent's current
-    /// parameters — what every multi-step inference loop holds instead of a
-    /// bare [`Tape`].
-    pub fn episode(&self) -> PolicyEpisode<'_> {
-        PolicyEpisode { agent: self, tape: Tape::new(), encoder: EncoderEpisode::new(), chosen: None }
+    /// parameters, on `scratch` — what every multi-step inference loop holds
+    /// instead of a bare [`Tape`]. Nothing is carried into its first step,
+    /// whatever episode used `scratch` before, so that step is cold.
+    pub fn episode<'a>(&'a self, scratch: &'a mut EpisodeScratch) -> PolicyEpisode<'a> {
+        scratch.encoder.restart();
+        PolicyEpisode { agent: self, scratch, chosen: None }
     }
 
     /// Differentiable evaluation of a stored transition for the PPO update:
@@ -308,19 +312,35 @@ pub fn policy_steps_counted() -> (u64, u64) {
     (carried.get(), cold.get())
 }
 
+/// What the steps of an episode write into: the tape every step recycles,
+/// and the encoder's pass scratch and carried rows. A [`PolicyEpisode`]
+/// borrows one ([`XrlflowAgent::episode`]); it keeps its storage when the
+/// episode ends, so the next episode lent it refills that storage instead of
+/// growing its own from empty. Holding one per concurrent episode is the
+/// holder's business — the serving leader keeps spares and
+/// `evaluate_curriculum` one across its entries, while the rollout
+/// collection runs each episode on a fresh one — and a holder whose
+/// episode panicked drops the scratch it lent.
+#[derive(Debug, Default)]
+pub struct EpisodeScratch {
+    tape: Tape,
+    encoder: EncoderEpisode,
+}
+
 /// Policy evaluation for the steps of one episode (see the module docs):
-/// the scratch tape every step recycles, and the chosen candidate's encoder
-/// rows carried from each step to the next.
+/// the borrowed [`EpisodeScratch`], and what the last decision chose, so
+/// that its encoder rows are carried into the next step when that step
+/// observes it.
 ///
 /// Decisions are bit-identical to [`XrlflowAgent::act`] on every step —
-/// action, log-probability, value and every probability. Nothing outlives
-/// the evaluator: dropped with the episode, it retains nothing between
-/// serve requests or rollout items.
+/// action, log-probability, value and every probability — on a fresh
+/// scratch or a reused one. What the evaluator chose is dropped with the
+/// episode; what the scratch holds is storage, never a carried row the next
+/// episode reads.
 #[derive(Debug)]
 pub struct PolicyEpisode<'a> {
     agent: &'a XrlflowAgent,
-    tape: Tape,
-    encoder: EncoderEpisode,
+    scratch: &'a mut EpisodeScratch,
     /// What the last decision chose, until the next step finds out whether
     /// it is looking at it.
     chosen: Option<Chosen>,
@@ -352,20 +372,20 @@ impl PolicyEpisode<'_> {
     /// count which. Either way the features and candidate deltas are the
     /// observation's.
     pub fn act(&mut self, observation: &Observation, rng: Option<&mut XorShiftRng>) -> AgentDecision {
-        let (agent, tape) = (self.agent, &mut self.tape);
+        let (agent, EpisodeScratch { tape, encoder }) = (self.agent, &mut *self.scratch);
         let (carried, cold) = policy_step_counters();
         // The previous step's tape is still whole: this is the moment its
         // chosen candidate's rows are gathered — if they are wanted at all.
         match self.chosen.take().filter(|c| observation.follows(&c.graph, &c.candidate)) {
             Some(chosen) => {
-                self.encoder.advance(tape, &chosen.deltas, chosen.index);
+                encoder.advance(tape, &chosen.deltas, chosen.index);
                 carried.inc();
             }
             None => cold.inc(),
         }
         tape.recycle();
         let (features, deltas) = (&observation.features, &observation.deltas);
-        let embeddings = agent.encoder.encode_step(tape, &agent.store, features, deltas, &mut self.encoder);
+        let embeddings = agent.encoder.encode_step(tape, &agent.store, features, deltas, encoder);
         let (logits, value) = agent.score(tape, embeddings, deltas.len());
         let decision = decide(tape, logits, value, observation, rng);
         self.chosen = observation.candidates.get(decision.action).map(|candidate| Chosen {

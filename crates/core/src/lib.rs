@@ -10,7 +10,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use xrlflow_core::{greedy_optimize, XrlflowAgent, XrlflowConfig};
+//! use xrlflow_core::{greedy_optimize, EpisodeScratch, XrlflowAgent, XrlflowConfig};
 //! use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 //! use xrlflow_env::Environment;
 //! use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
@@ -24,7 +24,9 @@
 //! // with `agent.store.load_snapshot(&ParamSnapshot::load(path)?)`.
 //! let agent = XrlflowAgent::new(&config, 0);
 //! // Greedy inference takes the most probable action: no generator to seed.
-//! let result = greedy_optimize(&agent, &mut env);
+//! // A loop over many graphs keeps one scratch and lends it to each episode.
+//! let mut scratch = EpisodeScratch::default();
+//! let result = greedy_optimize(&agent, &mut env, &mut scratch);
 //! println!(
 //!     "optimised graph runs at {:.3} ms ({:+.1}% speedup) after rules {:?}",
 //!     result.stats.final_latency_ms,
@@ -42,7 +44,9 @@ mod optimizer;
 mod train_state;
 mod trainer;
 
-pub use agent::{policy_steps_counted, AgentDecision, PolicyEpisode, PolicyEvaluation, XrlflowAgent};
+pub use agent::{
+    policy_steps_counted, AgentDecision, EpisodeScratch, PolicyEpisode, PolicyEvaluation, XrlflowAgent,
+};
 pub use config::{ConfigError, HyperParameterTable, XrlflowConfig};
 pub use optimizer::{greedy_optimize, XrlflowResult};
 pub use train_state::{

@@ -2,11 +2,14 @@
 //! policy-inference loop and its result type.
 //!
 //! [`greedy_optimize`] holds one [`PolicyEpisode`](crate::PolicyEpisode) for
-//! the episode, exactly as the rollout collector does. It owns the scratch
-//! tape and carries the chosen candidate's encoder rows from each step to
-//! the next, so every step after the first encodes the patches' dirty rows
-//! instead of the graph. The evaluator is dropped with the episode — nothing
-//! outlives the call, so nothing is retained between serve requests.
+//! the episode, exactly as the rollout collector does. It carries the chosen
+//! candidate's encoder rows from each step to the next, so every step after
+//! the first encodes the patches' dirty rows instead of the graph. The
+//! evaluator writes into the caller's [`EpisodeScratch`] (the tape and the
+//! encoder's buffers), which outlives the call: the serving layer keeps one
+//! spare per concurrent miss and lends it to the next miss, which refills
+//! that storage instead of growing its own. No decision depends on what the
+//! scratch held before — an episode's first step is always cold.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -14,7 +17,7 @@ use std::time::Instant;
 use xrlflow_env::{Environment, EpisodeStats};
 use xrlflow_graph::Graph;
 
-use crate::agent::XrlflowAgent;
+use crate::agent::{EpisodeScratch, XrlflowAgent};
 
 /// Result of optimising one graph with X-RLflow.
 #[derive(Debug, Clone)]
@@ -40,12 +43,16 @@ pub struct XrlflowResult {
 /// takes the most probable action, so the episode draws no randomness: the
 /// result is a function of the parameters and the environment alone.
 /// Decisions are bit-identical to calling `XrlflowAgent::act` (a fresh tape,
-/// the whole graph encoded) per step. The episode stops at the No-Op without
-/// stepping it.
-pub fn greedy_optimize(agent: &XrlflowAgent, env: &mut Environment) -> XrlflowResult {
+/// the whole graph encoded) per step, whatever `scratch` held before. The
+/// episode stops at the No-Op without stepping it.
+pub fn greedy_optimize(
+    agent: &XrlflowAgent,
+    env: &mut Environment,
+    scratch: &mut EpisodeScratch,
+) -> XrlflowResult {
     let start = Instant::now();
     let mut obs = env.reset(0);
-    let mut policy = agent.episode();
+    let mut policy = agent.episode(scratch);
     while obs.num_candidates() > 0 {
         let decision = policy.act(&obs, None);
         if decision.action == obs.noop_action() {
@@ -84,7 +91,7 @@ mod tests {
             config.env.clone(),
         );
         let agent = XrlflowAgent::new(&config, 0);
-        let result = greedy_optimize(&agent, &mut env);
+        let result = greedy_optimize(&agent, &mut env, &mut EpisodeScratch::default());
         assert!(result.graph.validate().is_ok());
         assert!(
             std::ptr::eq(&*result.graph, env.current_graph()),
@@ -114,7 +121,7 @@ mod tests {
                     config.env.clone(),
                 )
             };
-            let result = greedy_optimize(&agent, &mut environment());
+            let result = greedy_optimize(&agent, &mut environment(), &mut EpisodeScratch::default());
 
             let mut env = environment();
             let mut rng = XorShiftRng::new(3);

@@ -37,7 +37,7 @@ use xrlflow_rl::{
 };
 use xrlflow_tensor::{splitmix64, Adam, GradBuffer, SnapshotError, Tape, Tensor, XorShiftRng};
 
-use crate::agent::XrlflowAgent;
+use crate::agent::{EpisodeScratch, XrlflowAgent};
 use crate::config::XrlflowConfig;
 use crate::fault::WorkerFault;
 use crate::train_state::TrainState;
@@ -156,19 +156,21 @@ pub struct TrainReport {
 /// supervised pool in `xrlflow-rollout` and the serial oracles in
 /// `xrlflow_bench::oracle` alike, each feeding it a fresh
 /// per-episode-seeded RNG — so all paths record identical transitions by
-/// construction.
+/// construction. The policy steps write into `scratch`, whose earlier
+/// contents change no transition (see [`EpisodeScratch`]).
 pub fn collect_episode_with_rng(
     agent: &XrlflowAgent,
     env: &mut Environment,
     rng: &mut XorShiftRng,
     buffer: &mut RolloutBuffer<Observation>,
     reset_seed: u64,
+    scratch: &mut EpisodeScratch,
 ) -> xrlflow_env::EpisodeStats {
     let mut obs = env.reset(reset_seed);
     // One evaluator for the whole episode: every step recycles its tape and
     // reads the observed graph's encoder rows from the step before
     // (bit-identical decisions, see `PolicyEpisode`).
-    let mut policy = agent.episode();
+    let mut policy = agent.episode(scratch);
     loop {
         let decision = policy.act(&obs, Some(rng));
         let result = env.step(&obs, decision.action);
@@ -569,7 +571,14 @@ mod tests {
         let mut env = make_env(&config);
         let mut rng = XorShiftRng::new(3);
         let mut buffer = RolloutBuffer::new();
-        let stats = collect_episode_with_rng(&agent, &mut env, &mut rng, &mut buffer, 0);
+        let stats = collect_episode_with_rng(
+            &agent,
+            &mut env,
+            &mut rng,
+            &mut buffer,
+            0,
+            &mut EpisodeScratch::default(),
+        );
         assert!(!buffer.is_empty());
         assert!(buffer.transitions().last().unwrap().done);
         assert!(stats.final_latency_ms > 0.0);

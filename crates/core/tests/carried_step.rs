@@ -34,7 +34,7 @@
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use xrlflow_bench::fixtures::{rule_zoo_graph, sparse_delta_cases};
-use xrlflow_core::{collect_episode_with_rng, XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{collect_episode_with_rng, EpisodeScratch, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::{EnvConfig, Environment, Observation};
 use xrlflow_gnn::GraphFeatures;
@@ -142,7 +142,8 @@ fn carried_steps_equal_cold_ones_on_every_zoo_kind() {
                 let mut env = environment(build_model(kind, ModelScale::Bench).unwrap(), &config.env);
                 let mut obs = env.reset(0);
                 let mut mirror = Mirror::new(&obs.graph);
-                let mut policy = agent.episode();
+                let mut scratch = EpisodeScratch::default();
+                let mut policy = agent.episode(&mut scratch);
                 for step in 0u64.. {
                     let context = format!("{shape} shapes, {kind}, greedy {greedy}, step {step}");
                     mirror.check(&obs, cap, &context);
@@ -345,7 +346,8 @@ fn counters_name_every_step_and_fallbacks_are_cold_and_right() {
     let before = counted();
     let mut obs = env.reset(0);
     assert_eq!(since(before), [1, 0, 0, 0], "a reset generates cold and derives nothing");
-    let mut policy = agent.episode();
+    let mut scratch = EpisodeScratch::default();
+    let mut policy = agent.episode(&mut scratch);
     let (mut env_steps, mut policy_steps) = (0, 0);
     for step in 0.. {
         let action = policy.act(&obs, Some(&mut XorShiftRng::new(step))).action;
@@ -422,7 +424,14 @@ fn collected_transitions_carry_their_observations_features_and_deltas() {
         let mut env = environment(build_model(kind, ModelScale::Bench).unwrap(), &config.env);
         let mut buffer = RolloutBuffer::new();
         for seed in 0..2 {
-            collect_episode_with_rng(&agent, &mut env, &mut XorShiftRng::new(seed), &mut buffer, seed);
+            collect_episode_with_rng(
+                &agent,
+                &mut env,
+                &mut XorShiftRng::new(seed),
+                &mut buffer,
+                seed,
+                &mut EpisodeScratch::default(),
+            );
         }
         for (i, transition) in buffer.transitions().iter().enumerate() {
             assert_cold_features(&transition.observation, &format!("{kind}, transition {i}"));

@@ -23,7 +23,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use xrlflow_core::{AgentDecision, PolicyEpisode, XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{AgentDecision, EpisodeScratch, PolicyEpisode, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::{EnvConfig, Environment, Observation};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
@@ -102,7 +102,8 @@ fn episode_decisions_equal_act_bit_for_bit_on_every_zoo_kind() {
             for greedy in [true, false] {
                 let mut env = zoo_environment(kind, &config.env);
                 let mut obs = env.reset(0);
-                let mut policy = agent.episode();
+                let mut scratch = EpisodeScratch::default();
+                let mut policy = agent.episode(&mut scratch);
                 let mut step = 0u64;
                 loop {
                     let context = format!("{shape} shapes, {kind}, greedy {greedy}, step {step}");
@@ -168,7 +169,8 @@ fn fallbacks_are_cold_and_never_wrong() {
     let config = XrlflowConfig::smoke_test();
     let env_config = EnvConfig { max_steps: 6, ..config.env.clone() };
     let agent = XrlflowAgent::new(&config, 5);
-    let mut policy = agent.episode();
+    let mut scratch = EpisodeScratch::default();
+    let mut policy = agent.episode(&mut scratch);
     let step = |policy: &mut PolicyEpisode<'_>, observation: &Observation, context: &str| {
         checked_step(&agent, policy, observation, 9, true, context)
     };
@@ -211,7 +213,8 @@ fn fallbacks_are_cold_and_never_wrong() {
     let rewrite_seed = (0..200u64)
         .find(|&seed| agent.act(&only, &mut XorShiftRng::new(seed), false).action == 0)
         .expect("some seed samples the one rewrite out of two actions");
-    let mut short = agent.episode();
+    let mut scratch = EpisodeScratch::default();
+    let mut short = agent.episode(&mut scratch);
     let (decision, _) = checked_step(&agent, &mut short, &only, rewrite_seed, false, "the one rewrite");
     assert_eq!(decision.action, 0);
     let last = tiny.step(&only, 0).observation;
@@ -225,7 +228,8 @@ fn fallbacks_are_cold_and_never_wrong() {
 
     // An episode ending on the No-Op leaves nothing armed: whatever the same
     // evaluator is shown next is a cold step.
-    let mut policy = agent.episode();
+    let mut scratch = EpisodeScratch::default();
+    let mut policy = agent.episode(&mut scratch);
     let start = env.reset(0);
     let noop_seed = (0..200u64)
         .find(|&seed| agent.act(&start, &mut XorShiftRng::new(seed), false).action == start.noop_action())
@@ -261,7 +265,8 @@ fn the_carry_check_names_the_patch_not_the_action_index() {
     let (ours, theirs) = (forward.reset(0), backward.reset(0));
     assert!(Arc::ptr_eq(&ours.graph, &theirs.graph), "one shared base graph");
 
-    let mut policy = agent.episode();
+    let mut scratch = EpisodeScratch::default();
+    let mut policy = agent.episode(&mut scratch);
     let (decision, _) = checked_step(&agent, &mut policy, &ours, 9, true, "first step");
     let action = decision.action;
     assert!(
@@ -277,4 +282,106 @@ fn the_carry_check_names_the_patch_not_the_action_index() {
     let next = backward.step(&theirs, action).observation;
     assert!(next.follows(&theirs.graph, &theirs.candidates[action]));
     assert!(!checked_step(&agent, &mut policy, &next, 9, true, "same base and index, another patch").1);
+}
+
+/// One whole episode of `agent` on `scratch`, every decision checked against
+/// `agent.act`: the first step cold, every later one carried. Returns the
+/// number of steps.
+fn checked_episode(
+    agent: &XrlflowAgent,
+    scratch: &mut EpisodeScratch,
+    env: &mut Environment,
+    greedy: bool,
+    context: &str,
+) -> u64 {
+    let mut policy = agent.episode(scratch);
+    let mut obs = env.reset(0);
+    for step in 0u64.. {
+        let context = format!("{context}, step {step}");
+        let (decision, carried) = checked_step(agent, &mut policy, &obs, 70 + step, greedy, &context);
+        assert_eq!(carried, step > 0, "{context}: only the first step of an episode is cold");
+        let result = env.step(&obs, decision.action);
+        if result.done {
+            return step + 1;
+        }
+        obs = result.observation;
+    }
+    unreachable!("an episode ends")
+}
+
+#[test]
+fn a_reused_scratch_decides_like_act_after_episodes_that_ended_carried_or_cold() {
+    let _guard = counters_lock();
+    let config = XrlflowConfig::bench();
+    let agent = XrlflowAgent::new(&config, 1);
+    let one_step = EnvConfig { max_steps: 1, ..config.env.clone() };
+    let mut scratch = EpisodeScratch::default();
+    // The largest graph first, so later episodes refill storage it grew.
+    let mut inception = zoo_environment(ModelKind::InceptionV3, &config.env);
+    let steps = checked_episode(&agent, &mut scratch, &mut inception, false, "InceptionV3, sampled");
+    assert!(steps > 1, "the first episode must end on a carried step");
+    // After an episode that ended carried.
+    let mut bert = zoo_environment(ModelKind::Bert, &config.env);
+    let steps = checked_episode(&agent, &mut scratch, &mut bert, true, "BERT after a carried end");
+    assert!(steps > 1, "the second episode must end on a carried step");
+    // An episode of one (cold) step …
+    let mut squeezenet = zoo_environment(ModelKind::SqueezeNet, &one_step);
+    assert_eq!(checked_episode(&agent, &mut scratch, &mut squeezenet, true, "SqueezeNet, one step"), 1);
+    // … and after it, larger graphs on the same scratch again.
+    checked_episode(&agent, &mut scratch, &mut inception, true, "InceptionV3 after a cold end");
+    checked_episode(&agent, &mut scratch, &mut bert, false, "BERT after a cold end");
+}
+
+/// An episode on `scratch` that panics inside its second step, a carried one,
+/// after the chosen rows were gathered and with the pass half-written: the
+/// observation follows the chosen candidate but carries the first graph's
+/// features.
+fn panic_in_a_carried_step(agent: &XrlflowAgent, env: &mut Environment, scratch: &mut EpisodeScratch) {
+    let mut policy = agent.episode(scratch);
+    let first = env.reset(0);
+    let action = policy.act(&first, None).action;
+    assert_ne!(action, first.noop_action(), "the test needs a rewriting first decision");
+    let mut next = env.step(&first, action).observation;
+    assert_ne!(next.features.num_nodes, first.features.num_nodes, "the rewrite changes the node count");
+    next.features = Arc::clone(&first.features);
+    policy.act(&next, None);
+}
+
+#[test]
+fn after_a_panicked_episode_a_lent_scratch_decides_like_act() {
+    let _guard = counters_lock();
+    let config = XrlflowConfig::bench();
+    let agent = XrlflowAgent::new(&config, 1);
+    // The holders' pattern: spares lent for an episode and handed back after.
+    let spares: Mutex<Vec<EpisodeScratch>> = Mutex::default();
+    let lend = || spares.lock().unwrap().pop();
+    let hand_back = |scratch| spares.lock().unwrap().push(scratch);
+    let mut bert = zoo_environment(ModelKind::Bert, &config.env);
+    let mut scratch = lend().unwrap_or_default();
+    checked_episode(&agent, &mut scratch, &mut bert, true, "BERT, before the panic");
+    hand_back(scratch);
+
+    let mut squeezenet = zoo_environment(ModelKind::SqueezeNet, &config.env);
+    let lent = lend().expect("the warm scratch is spare");
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let mut scratch = lent;
+        panic_in_a_carried_step(&agent, &mut squeezenet, &mut scratch);
+    }));
+    assert!(outcome.is_err(), "the doctored step must panic");
+
+    // Its scratch went down with it: the next episode is lent a fresh one.
+    let mut scratch =
+        lend().map_or_else(EpisodeScratch::default, |_| panic!("a panicked episode's scratch came back"));
+    let mut inception = zoo_environment(ModelKind::InceptionV3, &config.env);
+    checked_episode(&agent, &mut scratch, &mut inception, true, "InceptionV3 on a fresh scratch");
+    hand_back(scratch);
+
+    // A scratch kept through the same panic decides like `act` as well.
+    let mut kept = lend().expect("the fresh scratch came back");
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        panic_in_a_carried_step(&agent, &mut zoo_environment(ModelKind::SqueezeNet, &config.env), &mut kept)
+    }));
+    assert!(outcome.is_err(), "the doctored step must panic again");
+    checked_episode(&agent, &mut kept, &mut bert, false, "BERT on a scratch kept through a panic");
+    checked_episode(&agent, &mut kept, &mut inception, true, "InceptionV3 on a scratch kept through a panic");
 }

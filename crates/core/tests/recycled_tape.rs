@@ -15,7 +15,8 @@
 //! a ratio of one.
 
 use xrlflow_core::{
-    collect_episode_with_rng, transition_grad_into, TransitionLossStats, XrlflowAgent, XrlflowConfig,
+    collect_episode_with_rng, transition_grad_into, EpisodeScratch, TransitionLossStats, XrlflowAgent,
+    XrlflowConfig,
 };
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::{EnvConfig, Environment};
@@ -41,7 +42,14 @@ fn a_recycled_update_tape_matches_a_fresh_one_across_the_zoo() {
         let simulator = InferenceSimulator::new(DeviceProfile::gtx1080());
         let mut env = Environment::new(graph, RuleSet::standard(), simulator, config.env.clone());
         let mut rng = XorShiftRng::new(100 + episode as u64);
-        collect_episode_with_rng(&agent, &mut env, &mut rng, &mut buffer, episode as u64);
+        collect_episode_with_rng(
+            &agent,
+            &mut env,
+            &mut rng,
+            &mut buffer,
+            episode as u64,
+            &mut EpisodeScratch::default(),
+        );
     }
     let transitions = buffer.transitions();
     assert!(transitions.len() > 8, "some of the 8 episodes step, so some observations are carried ones");

@@ -5,7 +5,9 @@
 //! `xrlflow-bench`, which depends on this crate.
 
 use xrlflow_bench::oracle::minibatch_grads_serial;
-use xrlflow_core::{collect_episode_with_rng, TrainState, Trainer, XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{
+    collect_episode_with_rng, EpisodeScratch, TrainState, Trainer, XrlflowAgent, XrlflowConfig,
+};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::{Environment, Observation};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
@@ -44,7 +46,14 @@ fn filled_buffer(
     let mut rng = XorShiftRng::new(3);
     let mut buffer = RolloutBuffer::new();
     for episode in 0..episodes {
-        collect_episode_with_rng(agent, &mut env, &mut rng, &mut buffer, episode as u64);
+        collect_episode_with_rng(
+            agent,
+            &mut env,
+            &mut rng,
+            &mut buffer,
+            episode as u64,
+            &mut EpisodeScratch::default(),
+        );
     }
     buffer
 }

@@ -397,7 +397,9 @@ fn gather_candidate_rows(
 /// the parameters that produced them, and nothing back-propagates through
 /// them. One set of buffers is owned here and reused from step to step — a
 /// pass copies what it reads of them onto the tape, so `advance` gathers
-/// the next rows over the previous ones — and dies with the episode.
+/// the next rows over the previous ones — and from episode to episode:
+/// [`EncoderEpisode::restart`] marks nothing carried and keeps the storage,
+/// so a later episode refills what an earlier one grew.
 #[derive(Debug, Default)]
 pub struct EncoderEpisode {
     scratch: PassScratch,
@@ -412,6 +414,12 @@ impl EncoderEpisode {
     /// An episode with nothing carried: its first step is cold.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Marks nothing carried, keeping every buffer: the next step is cold,
+    /// as a new episode's first step is, whatever was advanced before.
+    pub fn restart(&mut self) {
+        self.advanced = false;
     }
 
     /// Gathers the rows of candidate `chosen` off `tape` into the carried

@@ -399,6 +399,19 @@ impl Graph {
         self.index.get_or_init(|| Arc::new(StructureIndex::build(&self.nodes, &self.outputs)))
     }
 
+    /// Drops the memoised structure index, which the next structural
+    /// question rebuilds: for a graph kept long after anything asked one
+    /// (a cached result, say), the index is memory nothing reads.
+    pub fn forget_structure(&mut self) {
+        self.index.take();
+    }
+
+    /// Whether the structure index is memoised, i.e. whether the next
+    /// structural question is answered without a pass over the graph.
+    pub fn has_structure_memo(&self) -> bool {
+        self.index.get().is_some()
+    }
+
     fn sorted(&self) -> &Sorted {
         let index = self.structure();
         index.sorted.get_or_init(|| index.sort(&self.nodes))

@@ -38,7 +38,7 @@
 
 use std::ops::Range;
 
-use xrlflow_core::{XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{EpisodeScratch, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_env::{EnvConfig, EpisodeStats, Observation};
 use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
@@ -285,15 +285,17 @@ impl ModelEvaluation {
 /// ([`Curriculum::hold_out`]), then evaluate it — without any further
 /// training — on a curriculum containing the held-out model. Greedy action
 /// selection draws no randomness, so the result is deterministic in
-/// `(agent parameters, curriculum)`.
+/// `(agent parameters, curriculum)`. One [`EpisodeScratch`] serves every
+/// entry's episode in turn.
 pub fn evaluate_curriculum(agent: &XrlflowAgent, curriculum: &Curriculum) -> Vec<ModelEvaluation> {
+    let mut scratch = EpisodeScratch::default();
     curriculum
         .entries()
         .iter()
         .map(|entry| {
             let mut env = entry.spec.build_env();
             let mut obs = env.reset(0);
-            let mut policy = agent.episode();
+            let mut policy = agent.episode(&mut scratch);
             loop {
                 let decision = policy.act(&obs, None);
                 let result = env.step(&obs, decision.action);

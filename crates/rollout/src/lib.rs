@@ -143,8 +143,8 @@ use std::time::Instant;
 use xrlflow_core::fault::{FaultPhase, WorkerFault};
 use xrlflow_core::{
     collect_episode_with_rng, collect_phase_breakdown_ns, latest_train_state, policy_steps_counted,
-    prune_train_states, train_state_path, ModelBreakdown, TrainReport, TrainState, Trainer, UpdateTiming,
-    XrlflowAgent, XrlflowConfig,
+    prune_train_states, train_state_path, EpisodeScratch, ModelBreakdown, TrainReport, TrainState, Trainer,
+    UpdateTiming, XrlflowAgent, XrlflowConfig,
 };
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::{EnvConfig, Environment, EpisodeStats, Observation};
@@ -231,7 +231,10 @@ struct Round {
 /// [`curriculum_fault_item`]`(s, e)` under [`FaultPhase::Collect`]. Each
 /// episode's buffer is appended to the round as the engine delivers it, in
 /// item order. Every thread borrows `agent`; a thread's state is one lazily
-/// built environment per spec it touches.
+/// built environment per spec it touches. Each episode runs on a fresh
+/// [`EpisodeScratch`], dropped with it: a scratch kept across episodes
+/// raised the train workloads' peak memory in alternated benchmark runs
+/// without raising their throughput.
 fn collect_round(
     agent: &XrlflowAgent,
     specs: &[&EnvSpec],
@@ -268,7 +271,8 @@ fn collect_round(
             let env = envs[spec].get_or_insert_with(|| specs[spec].build_env());
             let mut buffer = RolloutBuffer::new();
             let mut rng = XorShiftRng::new(curriculum_rng_seed(base_seed, spec, episode));
-            let stats = collect_episode_with_rng(agent, env, &mut rng, &mut buffer, episode);
+            let mut scratch = EpisodeScratch::default();
+            let stats = collect_episode_with_rng(agent, env, &mut rng, &mut buffer, episode, &mut scratch);
             (buffer, stats)
         },
         |index, (mut buffer, stats)| {

@@ -14,7 +14,9 @@
 //! at 225/250/299-pixel inputs or DALL-E at different sequence lengths). The
 //! graph *structure* is unchanged, so the GNN policy transfers.
 
-use xrlflow_core::{greedy_optimize, TrainReport, XrlflowAgent, XrlflowConfig, XrlflowResult};
+use xrlflow_core::{
+    greedy_optimize, EpisodeScratch, TrainReport, XrlflowAgent, XrlflowConfig, XrlflowResult,
+};
 use xrlflow_cost::DeviceProfile;
 use xrlflow_graph::models::{ModelConfig, ModelKind, ModelScale};
 use xrlflow_graph::Graph;
@@ -93,7 +95,7 @@ impl XrlflowSystem {
     /// randomness drawn).
     pub fn optimize(&self, graph: &Graph) -> XrlflowResult {
         let mut env = self.spec(graph).build_env();
-        greedy_optimize(&self.agent, &mut env)
+        greedy_optimize(&self.agent, &mut env, &mut EpisodeScratch::default())
     }
 
     /// Trains on a graph and then optimises it greedily — the end-to-end

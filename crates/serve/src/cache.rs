@@ -115,12 +115,22 @@ impl CacheEntry {
     /// The estimate is intentionally *structural* (node and edge counts at
     /// fixed per-item costs), not an exact heap measurement: it is cheap,
     /// identical across platforms and allocator states, and scales with the
-    /// thing that actually dominates an entry — the optimised graph.
+    /// thing that actually dominates an entry — the optimised graph. The
+    /// counts walk the node slots, never the graph's memoised structure
+    /// index, so estimating an entry does not rebuild an index the cache
+    /// dropped.
+    ///
+    /// It leaves out the graph's structure index (a cached result is stored
+    /// without it, and one a caller rebuilds by asking a structural question
+    /// of a served graph is not counted), the heap behind node names and
+    /// shapes, and the sharing of nodes with other graphs. The body and
+    /// rendered-document memos are counted exactly, beside this estimate
+    /// ([`ResultCache::total_bytes`]).
     pub fn approx_bytes(&self) -> usize {
         const ENTRY_OVERHEAD: usize = 128;
         const PER_NODE: usize = 160;
         const PER_EDGE: usize = 24;
-        ENTRY_OVERHEAD + self.graph.num_nodes() * PER_NODE + self.graph.num_edges() * PER_EDGE
+        ENTRY_OVERHEAD + self.graph.iter().count() * PER_NODE + self.graph.num_edges() * PER_EDGE
     }
 }
 
@@ -831,7 +841,10 @@ impl ResultCache {
                 .ok_or_else(|| cache_err(format!("entry {i}: steps must be a non-negative integer")))?;
             let graph_value =
                 ev.get("graph").ok_or_else(|| cache_err(format!("entry {i}: missing graph")))?;
-            let graph = Graph::from_json(&graph_value.to_json())?;
+            let mut graph = Graph::from_json(&graph_value.to_json())?;
+            // Import validation built the structure index; a hit never
+            // reads it.
+            graph.forget_structure();
             cache.store(
                 key,
                 CacheEntry { graph: Arc::new(graph), initial_latency_ms, final_latency_ms, steps },
@@ -912,6 +925,21 @@ mod tests {
     fn synthetic_entries(n: usize) -> Vec<(u64, CacheEntry)> {
         let (_, e) = entry();
         (0..n as u64).map(|k| (k, e.clone())).collect()
+    }
+
+    #[test]
+    fn loaded_entries_keep_no_structure_index_and_estimating_one_builds_none() {
+        let (key, e) = entry();
+        assert!(e.graph.has_structure_memo(), "hashing the key built the index");
+        let expected = e.approx_bytes();
+        let mut cache = ResultCache::new();
+        cache.insert(key, e);
+        let loaded = ResultCache::from_json(&cache.to_json()).unwrap();
+        let stored = loaded.peek(key).unwrap();
+        assert!(!stored.graph.has_structure_memo(), "a loaded result kept the index its import built");
+        assert_eq!(stored.approx_bytes(), expected, "the estimate is structural");
+        assert!(!stored.graph.has_structure_memo(), "estimating an entry rebuilt its index");
+        assert_eq!(loaded.total_bytes(), expected);
     }
 
     #[test]

@@ -15,10 +15,10 @@
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 
 use xrlflow_core::fault;
-use xrlflow_core::{greedy_optimize, XrlflowAgent, XrlflowConfig};
+use xrlflow_core::{greedy_optimize, EpisodeScratch, XrlflowAgent, XrlflowConfig};
 use xrlflow_cost::{DeviceProfile, InferenceSimulator};
 use xrlflow_env::Environment;
 use xrlflow_graph::{Graph, GraphError};
@@ -197,6 +197,11 @@ pub struct OptimizeService {
     cache: Mutex<ResultCache>,
     stats: Mutex<ServeStats>,
     flights: Mutex<HashMap<u64, Arc<Flight>>>,
+    /// Spare episode scratch: a leader takes one (or starts a fresh one) for
+    /// its episode and hands it back after, so the service keeps at most one
+    /// per concurrent miss. The lock is held for the pop and the push only;
+    /// a leader that panicked drops the scratch it took.
+    episode_scratch: Mutex<Vec<EpisodeScratch>>,
 }
 
 impl OptimizeService {
@@ -235,6 +240,7 @@ impl OptimizeService {
             cache: Mutex::new(ResultCache::new()),
             stats: Mutex::new(ServeStats::default()),
             flights: Mutex::new(HashMap::new()),
+            episode_scratch: Mutex::default(),
         }
     }
 
@@ -412,9 +418,22 @@ impl OptimizeService {
             Arc::clone(&self.simulator),
             self.config.env.clone(),
         );
-        let result = greedy_optimize(&policy, &mut env);
+        let spare = self.episode_scratch.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        let mut scratch = spare.unwrap_or_default();
+        let result = greedy_optimize(&policy, &mut env, &mut scratch);
+        self.episode_scratch.lock().unwrap_or_else(PoisonError::into_inner).push(scratch);
+        // A hit reads the key and the rendered bytes, never the result's
+        // structure index: with the environment gone the graph is ours alone,
+        // and it is stored without that memo (rebuilt if a caller asks).
+        drop(env);
+        let mut graph = result.graph;
+        let unique = Arc::get_mut(&mut graph);
+        debug_assert!(unique.is_some(), "a result graph still shared after its episode");
+        if let Some(graph) = unique {
+            graph.forget_structure();
+        }
         let entry = CacheEntry {
-            graph: result.graph,
+            graph,
             initial_latency_ms: result.stats.initial_latency_ms,
             final_latency_ms: result.stats.final_latency_ms,
             steps: result.stats.steps,
@@ -649,6 +668,33 @@ mod tests {
                 metrics.contains(&format!("\"{series}\"")),
                 "{series} is missing from the metrics document"
             );
+        }
+    }
+
+    #[test]
+    fn misses_share_spare_scratch_and_cached_results_keep_no_structure_index() {
+        // Sequential misses borrow one scratch in turn, and no hit, render
+        // or eviction rebuilds the index a stored result was stripped of.
+        use xrlflow_graph::models::{build_model, ModelKind, ModelScale};
+        let service = OptimizeService::untrained(&XrlflowConfig::smoke_test(), 1).unwrap();
+        service.set_cache_config(CacheConfig::builder().max_entries(2).build().unwrap());
+        let kinds = [ModelKind::SqueezeNet, ModelKind::Bert, ModelKind::ResNet18];
+        let bodies: Vec<String> =
+            kinds.iter().map(|&kind| build_model(kind, ModelScale::Bench).unwrap().to_json()).collect();
+        for body in bodies.iter().chain(&bodies) {
+            service.optimize_http(body.as_bytes()).unwrap();
+            service.optimize_json(body).unwrap();
+        }
+        assert!(service.stats().policy_invocations > kinds.len(), "two entries for three graphs evict");
+        assert_eq!(service.episode_scratch.lock().unwrap().len(), 1, "one spare per concurrent miss");
+        let cache = service.cache.lock().unwrap();
+        let cached: Vec<&CacheEntry> = bodies
+            .iter()
+            .filter_map(|body| cache.peek(Graph::from_json(body).unwrap().canonical_hash()))
+            .collect();
+        assert_eq!(cached.len(), 2);
+        for entry in cached {
+            assert!(!entry.graph.has_structure_memo(), "a cached result kept its structure index");
         }
     }
 
